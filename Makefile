@@ -1,6 +1,7 @@
 # CI entry points. `make ci` is what a pre-merge check runs: lint (gofmt,
 # go vet, and the gillis-vet static-analysis suite), build, full test
-# suite, the race detector on the concurrency-bearing packages (the kernel
+# suite, the scheduler-sensitive packages again at GOMAXPROCS 1, 2, 3, 4
+# and 8, the race detector on the concurrency-bearing packages (the kernel
 # execution engine, the simulation kernel, the platform and the serving
 # runtime), and the seeded chaos tests that guard the resilience layer.
 
@@ -9,9 +10,11 @@ RACE_PKGS := ./internal/par ./internal/nn ./internal/runtime ./internal/platform
 	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/analysis \
 	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh
 
-.PHONY: ci lint vet build test race chaos cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh
+PROCS_PKGS := ./internal/par ./internal/nn ./internal/simnet
 
-ci: lint build test race chaos
+.PHONY: ci lint vet build test procs race chaos cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh
+
+ci: lint build test procs race chaos
 
 # lint fails on any unformatted file, then runs go vet and the project's
 # own analyzers: the intra-procedural suite (determinism, map-order,
@@ -38,6 +41,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# A hang or a result that depends on how many threads the scheduler has
+# shows only at some core counts (a worker pool that deadlocked at 2 and 3
+# passed at 1, 4 and 8), so the packages that spawn goroutines of their own
+# run at each. The timeout turns a hang into a failure in seconds.
+procs:
+	for n in 1 2 3 4 8; do \
+		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 120s $(PROCS_PKGS) || exit 1; \
+	done
 
 race:
 	$(GO) test -race $(RACE_PKGS)

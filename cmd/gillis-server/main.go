@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -111,6 +112,11 @@ func newServer(modelFile, platformName string, seed int64, sloMs float64, catalo
 		g = demoModel()
 		g.Init(seed)
 	}
+	// Serve the operator-fused graph: bit-equal outputs, the same units,
+	// fewer passes over every activation.
+	if g, _, err = graph.Fuse(g); err != nil {
+		return nil, err
+	}
 	units, err := partition.Linearize(g)
 	if err != nil {
 		return nil, err
@@ -150,6 +156,9 @@ func catalogSpecs(catalog string, seed int64) ([]mesh.ModelSpec, error) {
 			return nil, fmt.Errorf("catalog: %w", err)
 		}
 		g.Init(seed)
+		if g, _, err = graph.Fuse(g); err != nil {
+			return nil, fmt.Errorf("catalog: %w", err)
+		}
 		units, err := partition.Linearize(g)
 		if err != nil {
 			return nil, fmt.Errorf("catalog %s: %w", name, err)
@@ -253,10 +262,26 @@ type predictResponse struct {
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
+		return
+	}
+	req, err := decodePredictRequest(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
+	}
+	// Bounding every dimension by what is left of maxElements also keeps
+	// the product FromData compares len(input) with from overflowing.
+	elems := 1
+	for _, dim := range req.Shape {
+		if dim < 1 || dim > maxElements/elems {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("shape %v: dimensions must be positive and multiply to at most %d", req.Shape, maxElements))
+			return
+		}
+		elems *= dim
 	}
 	input, err := tensor.FromData(req.Input, req.Shape...)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,7 +13,11 @@ import (
 	"sync"
 	"testing"
 
+	"gillis/internal/graph"
 	"gillis/internal/modelio"
+	"gillis/internal/models"
+	"gillis/internal/nn"
+	"gillis/internal/partition"
 	"gillis/internal/tensor"
 )
 
@@ -320,5 +325,114 @@ func TestPredictReportsQueueAndBatch(t *testing.T) {
 	}
 	if pr.QueueMs != 0 {
 		t.Errorf("lone query with MaxInFlight 1 queued %.3f ms, want 0", pr.QueueMs)
+	}
+}
+
+// TestServesFusedGraph pins that Real inference runs the operator-fused
+// graph — for the primary model and for a -catalog model — and that fusing
+// is invisible from outside: the same units, and replies bit-equal to the
+// unfused graph's own forward.
+func TestServesFusedGraph(t *testing.T) {
+	loaded := demoModel()
+	loaded.Init(9)
+	path := filepath.Join(t.TempDir(), "demo.glsm")
+	if err := modelio.SaveFile(path, loaded, true); err != nil {
+		t.Fatal(err)
+	}
+	const seed = 1
+	s, err := newServer(path, "lambda", seed, 0, "mobilenet-mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inCatalog, err := models.ByName("mobilenet-mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inCatalog.Init(seed)
+	ts := httptest.NewServer(s.mux())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		model   string
+		unfused *graph.Graph
+		units   []*partition.Unit
+	}{
+		{"", loaded, s.units},
+		{"mobilenet-mini", inCatalog, s.catalog[0].Units},
+	} {
+		nodes, fused := 0, 0
+		for _, u := range tc.units {
+			nodes += u.Sub.Len()
+			for _, n := range u.Sub.Nodes() {
+				if _, ok := n.Op.(*nn.FusedConv2D); ok {
+					fused++
+				}
+			}
+		}
+		if nodes >= tc.unfused.Len() || fused == 0 {
+			t.Errorf("model %q: serving %d nodes, %d of them FusedConv2D; the unfused graph has %d", tc.model, nodes, fused, tc.unfused.Len())
+		}
+		plain, err := partition.Linearize(tc.unfused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plain) != len(tc.units) {
+			t.Errorf("model %q: %d units served, the unfused graph linearizes to %d", tc.model, len(tc.units), len(plain))
+		}
+
+		x := tensor.Rand(rand.New(rand.NewSource(5)), 1, tc.unfused.InShape()...)
+		want, err := tc.unfused.Forward(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(predictRequest{Model: tc.model, Shape: x.Shape(), Input: x.Data()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pr predictResponse
+		err = json.NewDecoder(resp.Body).Decode(&pr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("model %q: status %d, decode error %v", tc.model, resp.StatusCode, err)
+		}
+		if !tensor.ShapeEqual(pr.Shape, want.Shape()) {
+			t.Fatalf("model %q: reply shape %v, want %v", tc.model, pr.Shape, want.Shape())
+		}
+		for i, v := range want.Data() {
+			if math.Float32bits(pr.Output[i]) != math.Float32bits(v) {
+				t.Fatalf("model %q: output[%d] = %v, the unfused forward gives %v", tc.model, i, pr.Output[i], v)
+			}
+		}
+	}
+}
+
+// TestPredictLimits pins the request hardening: shapes over the rank or
+// element caps, non-positive or overflowing dimensions, an input whose
+// length is not the shape's product, and oversized bodies are all 400s.
+func TestPredictLimits(t *testing.T) {
+	ts := demoServer(t)
+	for name, body := range map[string]string{
+		"rank":      `{"shape":[1,1,1,1,1,1,1,3,32,32],"input":[0]}`,
+		"elements":  `{"shape":[4096,4096],"input":[0]}`,
+		"overflow":  `{"shape":[4294967296,4294967296],"input":[]}`,
+		"zero dim":  `{"shape":[3,0,32],"input":[]}`,
+		"negative":  `{"shape":[-3,-32,32],"input":[0]}`,
+		"too short": `{"shape":[3,32,32],"input":[0,0,0]}`,
+		"too long":  `{"shape":[1],"input":[0,0]}`,
+		"no shape":  `{"input":[0]}`,
+		"body size": `{"shape":[1],"input":[0],"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
 	}
 }

@@ -27,9 +27,11 @@ import (
 // times) that the go statement itself is outside of — formally, the
 // join's conditional ancestry must be a subset of the go statement's.
 // Deferred joins count regardless of lexical position (defers run on
-// every return path) under the same ancestry rule. Spawns of opaque
-// function values (`go fn()`) carry no visible join contract and are
-// flagged; genuinely detached workers (a process-wide pool) take a
+// every return path) under the same ancestry rule. `go task()` on a local
+// variable bound once to a function literal (the shape that lets several
+// workers share one closure) is read as a spawn of that literal. Spawns of
+// any other function value (`go fn()`) carry no visible join contract and
+// are flagged; genuinely detached workers (a process-wide pool) take a
 // justified //gillis:allow.
 var AnalyzerGoleak = &Analyzer{
 	Name: "goleak",
@@ -56,8 +58,8 @@ const (
 type spawnSignals struct {
 	objs map[types.Object]joinKind
 	// opaque is true when the go statement spawns no visible function
-	// literal (go fn(), go m.run()): the goroutine's body is out of reach
-	// and no join contract can be established here.
+	// literal (go fn() on a parameter, go m.run()): the goroutine's body is
+	// out of reach and no join contract can be established here.
 	opaque bool
 }
 
@@ -125,7 +127,7 @@ func innermostScope(scopes []*ast.BlockStmt, n ast.Node) *ast.BlockStmt {
 // checkGoStmt verifies one go statement is joined within its scope and
 // reports when it is not.
 func checkGoStmt(pass *Pass, scope *ast.BlockStmt, g *ast.GoStmt) {
-	sig := collectSpawnSignals(pass, g.Call)
+	sig := collectSpawnSignals(pass, scope, g.Call)
 	if sig.opaque {
 		pass.Reportf(g.Pos(),
 			"goroutine spawns an opaque function value, which cannot be proven joined before return; spawn a closure that signals a simnet.Promise, sync.WaitGroup, or channel, and join it on every path")
@@ -173,15 +175,24 @@ func checkGoStmt(pass *Pass, scope *ast.BlockStmt, g *ast.GoStmt) {
 	}
 }
 
-// collectSpawnSignals inspects the spawned call for function literals and
-// records every synchronization object their bodies signal through.
-func collectSpawnSignals(pass *Pass, call *ast.CallExpr) spawnSignals {
+// collectSpawnSignals inspects the spawned call for function literals —
+// or, for `go task()`, the literal the local task is bound to — and records
+// every synchronization object their bodies signal through.
+func collectSpawnSignals(pass *Pass, scope *ast.BlockStmt, call *ast.CallExpr) spawnSignals {
 	sig := spawnSignals{objs: make(map[types.Object]joinKind), opaque: true}
+	var lits []*ast.FuncLit
 	ast.Inspect(call, func(n ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
+		if lit, ok := n.(*ast.FuncLit); ok {
+			lits = append(lits, lit)
 		}
+		return true
+	})
+	if id, ok := call.Fun.(*ast.Ident); ok && len(lits) == 0 {
+		if lit := boundFuncLit(pass, scope, id); lit != nil {
+			lits = append(lits, lit)
+		}
+	}
+	for _, lit := range lits {
 		sig.opaque = false
 		ast.Inspect(lit.Body, func(m ast.Node) bool {
 			switch m := m.(type) {
@@ -216,9 +227,45 @@ func collectSpawnSignals(pass *Pass, call *ast.CallExpr) spawnSignals {
 			}
 			return true
 		})
+	}
+	return sig
+}
+
+// boundFuncLit returns the function literal the variable id names, when
+// scope declares it as `id := func() {...}` and never assigns it again or
+// takes its address; otherwise nil.
+func boundFuncLit(pass *Pass, scope *ast.BlockStmt, id *ast.Ident) *ast.FuncLit {
+	obj, ok := pass.Info.Uses[id].(*types.Var)
+	if !ok {
+		return nil
+	}
+	var lit *ast.FuncLit
+	rebound := false
+	ast.Inspect(scope, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				l, ok := lhs.(*ast.Ident)
+				if !ok {
+					continue
+				}
+				if pass.Info.Defs[l] == obj && len(n.Rhs) == len(n.Lhs) {
+					lit, _ = n.Rhs[i].(*ast.FuncLit)
+				} else if pass.Info.Uses[l] == obj {
+					rebound = true
+				}
+			}
+		case *ast.UnaryExpr:
+			if x, ok := n.X.(*ast.Ident); ok && n.Op == token.AND && pass.Info.Uses[x] == obj {
+				rebound = true
+			}
+		}
 		return true
 	})
-	return sig
+	if rebound {
+		return nil
+	}
+	return lit
 }
 
 // promiseResolvers are the simnet.Promise methods that complete a promise.

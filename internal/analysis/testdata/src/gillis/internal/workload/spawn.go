@@ -108,3 +108,30 @@ func AllowedDetached(stop chan struct{}) {
 		<-stop
 	}()
 }
+
+// SharedWorker spawns several goroutines from one closure bound to a local
+// variable; the literal is in plain sight, so its WaitGroup contract counts.
+func SharedWorker(xs []float64) {
+	var wg sync.WaitGroup
+	wg.Add(3)
+	task := func() {
+		defer wg.Done()
+		for range xs {
+		}
+	}
+	for i := 0; i < 3; i++ {
+		go task()
+	}
+	wg.Wait()
+}
+
+// ReboundWorker reassigns the variable before spawning it: which body runs
+// is no longer a matter of reading one literal.
+func ReboundWorker(fn func()) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	task := func() { wg.Done() }
+	task = fn
+	go task() // want: opaque function value
+	wg.Wait()
+}

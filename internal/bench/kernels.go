@@ -60,6 +60,13 @@ func kernelCases() []kernelCase {
 	return []kernelCase{
 		{"conv3x3-c32-28x28", mk(nn.NewConv2D("c", 32, 32, 3, 1, 1)), tensor.Rand(rng, 1, 32, 28, 28)},
 		{"conv3x3-c128-14x14", mk(nn.NewConv2D("cw", 128, 128, 3, 1, 1)), tensor.Rand(rng, 1, 128, 14, 14)},
+		// The four resnet34 stages at 224×224: im2col matrices of 7 MB down
+		// to 1 MB that do not fit the cache the two cases above run out of,
+		// from many columns and few rows to 49 columns and 512 rows.
+		{"conv7x7s2-c3-64-224x224", mk(nn.NewConv2D("s", 3, 64, 7, 2, 3)), tensor.Rand(rng, 1, 3, 224, 224)},
+		{"conv3x3-c64-56x56", mk(nn.NewConv2D("l1", 64, 64, 3, 1, 1)), tensor.Rand(rng, 1, 64, 56, 56)},
+		{"conv3x3-c256-14x14", mk(nn.NewConv2D("l3", 256, 256, 3, 1, 1)), tensor.Rand(rng, 1, 256, 14, 14)},
+		{"conv3x3-c512-7x7", mk(nn.NewConv2D("l4", 512, 512, 3, 1, 1)), tensor.Rand(rng, 1, 512, 7, 7)},
 		{"depthwise3x3-c64-28x28", mk(nn.NewDepthwiseConv2D("d", 64, 3, 1, 1)), tensor.Rand(rng, 1, 64, 28, 28)},
 		{"dense-2048x1000", mk(nn.NewDense("fc", 2048, 1000)), tensor.Rand(rng, 1, 2048)},
 		{"lstm-t16-h128", mk(nn.NewLSTM("l", 128, 128)), tensor.Rand(rng, 1, 16, 128)},
@@ -79,7 +86,7 @@ func kernelLevels() []int {
 // measure times op.Forward(x) for at least minDuration (and 5 iterations),
 // returning ns/op and per-op allocation deltas.
 func measure(op nn.Op, x *tensor.Tensor, minDuration time.Duration) (nsPerOp, allocsPerOp, bytesPerOp int64, err error) {
-	for i := 0; i < 2; i++ { // warm up scratch arena and pool workers
+	for i := 0; i < 2; i++ { // warm up the scratch arena
 		if _, err = op.Forward(x); err != nil {
 			return 0, 0, 0, err
 		}

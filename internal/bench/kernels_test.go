@@ -14,9 +14,9 @@ func TestKernelsSweepShape(t *testing.T) {
 	if rep.GoMaxProcs < 1 || len(rep.Levels) < 1 || rep.Levels[0] != 1 {
 		t.Fatalf("bad sweep header: %+v", rep)
 	}
-	wantResults := 5 * len(rep.Levels)
+	wantResults := len(kernelCases()) * len(rep.Levels)
 	if len(rep.Results) != wantResults {
-		t.Fatalf("want %d results (5 kernels x %d levels), got %d", wantResults, len(rep.Levels), len(rep.Results))
+		t.Fatalf("want %d results (%d kernels x %d levels), got %d", wantResults, len(kernelCases()), len(rep.Levels), len(rep.Results))
 	}
 	for _, r := range rep.Results {
 		if r.NsPerOp <= 0 {
@@ -41,7 +41,7 @@ func TestKernelsSweepShape(t *testing.T) {
 		}
 	}
 	table := rep.Table()
-	if !strings.Contains(table, "conv3x3-c32-28x28") || !strings.Contains(table, "lstm-t16-h128") {
+	if !strings.Contains(table, "conv3x3-c32-28x28") || !strings.Contains(table, "conv3x3-c512-7x7") || !strings.Contains(table, "lstm-t16-h128") {
 		t.Fatalf("table missing kernels:\n%s", table)
 	}
 	js, err := rep.JSON()

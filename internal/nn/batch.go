@@ -4,11 +4,12 @@ import "gillis/internal/tensor"
 
 // Cross-query batching dispatch. A batched forward must be *bitwise
 // identical* to running the per-query loop — batching is a scheduling
-// optimization, never a numerics change — so the fast paths
-// (Conv2D/FusedConv2D, Dense/FusedDense, LSTM) widen the parallel index
-// space to batch×bands while executing the exact per-element band bodies of
-// the single-query kernels (see gemm.go). Everything else, and any batch
-// that mixes input shapes, falls back to the per-query loop, which is the
+// optimization, never a numerics change — so the fast paths only widen the
+// parallel index space: for Conv2D/FusedConv2D the batch's pixels are more
+// columns of the one blocked GEMM, for Dense/FusedDense and LSTM the index
+// space is batch×bands over the exact per-element band bodies of the
+// single-query kernels (see gemm.go). Everything else, and any batch that
+// mixes input shapes, falls back to the per-query loop, which is the
 // equivalence baseline by definition.
 
 // BatchForwarder is implemented by single-input operators with a dedicated

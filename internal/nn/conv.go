@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"gillis/internal/par"
 	"gillis/internal/tensor"
 )
 
@@ -107,7 +106,7 @@ func (c *Conv2D) SetWeights(ws []*tensor.Tensor) error {
 
 // Forward implements Op with implicit zero padding on both axes.
 func (c *Conv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.forward(in, true, nil)
+	return c.forwardOne(in, true, nil)
 }
 
 // HKernel implements Spatial.
@@ -116,108 +115,42 @@ func (c *Conv2D) HKernel() (k, s, p int) { return c.Kernel, c.Stride, c.Pad }
 // ForwardValidH implements Spatial: zero padding is applied along width
 // only; the caller has supplied halo rows along height.
 func (c *Conv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.forward(in, false, nil)
+	return c.forwardOne(in, false, nil)
 }
 
-// forward lowers the convolution onto the GEMM engine: the im2col transform
-// packs the input into a [InC*K*K][oh*ow] B panel in pooled scratch, and
-// gemmBias multiplies the [OutC][InC*K*K] weight rows against it. Zero
-// padding is synthesized directly while packing (out-of-range pixels become
-// zero panel entries), identical bitwise to convolving an explicitly padded
-// copy but without staging one. Each output element accumulates its K terms
-// strictly in (ic, ky, kx) order — the accumulation-order contract in
-// gemm.go — so outputs are bitwise identical at every parallelism level and
-// under spatial/channel partitioning. epi, if non-nil, is a fused
-// per-channel post-op applied to finished rows (see fused.go).
-func (c *Conv2D) forward(in []*tensor.Tensor, padH bool, epi *epilogue) (*tensor.Tensor, error) {
+// ForwardBatch implements BatchForwarder: the batch's pixels are further
+// columns of the one GEMM that Forward runs, so a batched forward is bitwise
+// equal to the per-query loop. Inputs must share one shape (the dispatcher
+// in batch.go falls back to the loop otherwise).
+func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return c.forward(xs, true, nil)
+}
+
+// forwardOne is forward for the single-input Op entry points.
+func (c *Conv2D) forwardOne(in []*tensor.Tensor, padH bool, epi *epilogue) (*tensor.Tensor, error) {
 	if err := checkOneInput("Conv2D", len(in)); err != nil {
 		return nil, err
 	}
-	if !c.Initialized() {
-		return nil, fmt.Errorf("nn: Conv2D %q has no weights", c.OpName)
+	outs, err := c.forward(in, padH, epi)
+	if err != nil {
+		return nil, err
 	}
-	x := in[0]
-	if x.Rank() != 3 || x.Dim(0) != c.InC {
-		return nil, fmt.Errorf("nn: Conv2D %q bad input %v", c.OpName, x.Shape())
-	}
-	h, w := x.Dim(1), x.Dim(2)
-	xd := x.Data()
-	padTop, padL := 0, c.Pad
-	if padH {
-		padTop = c.Pad
-	}
-	oh := (h+2*padTop-c.Kernel)/c.Stride + 1
-	ow := (w+2*padL-c.Kernel)/c.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: Conv2D %q empty output for input %v", c.OpName, x.Shape())
-	}
-	out := tensor.New(c.OutC, oh, ow)
-	wd, bd, od := c.W.Data(), c.B.Data(), out.Data()
-	k := c.Kernel
-	pixels := oh * ow
-	rows := c.InC * k * k
-	cbuf := par.GetF32(rows * pixels)
-	defer par.PutF32(cbuf)
-	cols := *cbuf
-	// Pack the B panel. Parallelism is over panel rows: disjoint writes,
-	// no reduction, so packing is deterministic at every parallelism level.
-	par.For(rows, pixels, func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			c.packRow(xd, h, w, oh, ow, padTop, padL, row, cols[row*pixels:(row+1)*pixels])
-		}
-	})
-	gemmBias(c.OutC, pixels, rows, wd, cols, bd, od, epi)
-	return out, nil
+	return outs[0], nil
 }
 
-// packRow writes one im2col B-panel row (a fixed (ic, ky, kx) triple swept
-// over the output pixels) into dst. Pure per-row writes — the unit both the
-// single-query and batched packers parallelize over.
-func (c *Conv2D) packRow(xd []float32, h, w, oh, ow, padTop, padL, row int, dst []float32) {
-	k := c.Kernel
-	ic := row / (k * k)
-	ky := (row / k) % k
-	kx := row % k
-	for oy := 0; oy < oh; oy++ {
-		y := oy*c.Stride + ky - padTop
-		drow := dst[oy*ow : (oy+1)*ow]
-		if y < 0 || y >= h {
-			clear(drow)
-			continue
-		}
-		src := (ic*h + y) * w
-		if c.Stride == 1 {
-			// In-range columns satisfy 0 <= ox+kx-padL < w.
-			ox0 := max(padL-kx, 0)
-			ox1 := min(w-kx+padL, ow)
-			ox1 = max(ox1, ox0)
-			clear(drow[:ox0])
-			copy(drow[ox0:ox1], xd[src+ox0+kx-padL:src+ox1+kx-padL])
-			clear(drow[ox1:])
-			continue
-		}
-		for ox := 0; ox < ow; ox++ {
-			xcol := ox*c.Stride + kx - padL
-			if xcol < 0 || xcol >= w {
-				drow[ox] = 0
-			} else {
-				drow[ox] = xd[src+xcol]
-			}
-		}
-	}
-}
-
-// ForwardBatch implements BatchForwarder: one im2col pack over batch×rows
-// panel rows into a single pooled scratch slab, then one batched GEMM. The
-// packed panel for each element is byte-identical to the single-query pack,
-// and gemmBiasBatch runs the identical per-band kernel bodies, so the
-// batched forward is bitwise equal to the per-query loop. Inputs must share
-// one shape (the dispatcher in batch.go falls back to the loop otherwise).
-func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return c.forwardBatch(xs, nil)
-}
-
-func (c *Conv2D) forwardBatch(xs []*tensor.Tensor, epi *epilogue) ([]*tensor.Tensor, error) {
+// forward lowers the convolution of every xs[e] onto the GEMM engine as an
+// implicit GEMM: gemmBias multiplies the [OutC][InC*K*K] weight rows against
+// the im2col matrix of the inputs, which is never built — convCols hands the
+// engine one stretch of one matrix row at a time, read straight from the
+// input tensor, and the engine packs it into its blocked panels. Zero
+// padding is synthesized while packing (out-of-range pixels become zero
+// panel entries), identical bitwise to convolving an explicitly padded copy
+// but without staging one. Each output element accumulates its K terms
+// strictly in (ic, ky, kx) order — the accumulation-order contract in
+// gemm.go — so outputs are bitwise identical at every parallelism level,
+// batch size, and under spatial/channel partitioning. epi, if non-nil, is a
+// fused per-channel post-op applied to finished rows (see fused.go).
+func (c *Conv2D) forward(xs []*tensor.Tensor, padH bool, epi *epilogue) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, nil
 	}
@@ -232,36 +165,109 @@ func (c *Conv2D) forwardBatch(xs []*tensor.Tensor, epi *epilogue) ([]*tensor.Ten
 			return nil, fmt.Errorf("nn: Conv2D %q batch mixes shapes %v and %v", c.OpName, xs[0].Shape(), x.Shape())
 		}
 	}
-	batch := len(xs)
-	h, w := xs[0].Dim(1), xs[0].Dim(2)
-	padTop, padL := c.Pad, c.Pad
-	oh := (h+2*padTop-c.Kernel)/c.Stride + 1
-	ow := (w+2*padL-c.Kernel)/c.Stride + 1
-	if oh <= 0 || ow <= 0 {
+	cc := convCols{h: xs[0].Dim(1), w: xs[0].Dim(2), kernel: c.Kernel, stride: c.Stride, padL: c.Pad}
+	if padH {
+		cc.padTop = c.Pad
+	}
+	cc.oh = (cc.h+2*cc.padTop-c.Kernel)/c.Stride + 1
+	cc.ow = (cc.w+2*cc.padL-c.Kernel)/c.Stride + 1
+	if cc.oh <= 0 || cc.ow <= 0 {
 		return nil, fmt.Errorf("nn: Conv2D %q empty output for input %v", c.OpName, xs[0].Shape())
 	}
-	k := c.Kernel
-	pixels := oh * ow
-	rows := c.InC * k * k
-	cbuf := par.GetF32(batch * rows * pixels)
-	defer par.PutF32(cbuf)
-	cols := *cbuf
-	outs := make([]*tensor.Tensor, batch)
-	bs := make([][]float32, batch)
-	ods := make([][]float32, batch)
-	for e := range xs {
-		outs[e] = tensor.New(c.OutC, oh, ow)
-		bs[e] = cols[e*rows*pixels : (e+1)*rows*pixels]
-		ods[e] = outs[e].Data()
+	outs := make([]*tensor.Tensor, len(xs))
+	ods := make([][]float32, len(xs))
+	cc.xs = make([][]float32, len(xs))
+	for e, x := range xs {
+		outs[e] = tensor.New(c.OutC, cc.oh, cc.ow)
+		ods[e], cc.xs[e] = outs[e].Data(), x.Data()
 	}
-	par.For(batch*rows, pixels, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			e, row := idx/rows, idx%rows
-			c.packRow(xs[e].Data(), h, w, oh, ow, padTop, padL, row, bs[e][row*pixels:(row+1)*pixels])
-		}
-	})
-	gemmBiasBatch(batch, c.OutC, pixels, rows, c.W.Data(), bs, ods, c.B.Data(), epi)
+	gemmBias(c.OutC, cc.oh*cc.ow, c.InC*c.Kernel*c.Kernel, c.W.Data(), c.B.Data(), &cc, ods, epi)
 	return outs, nil
+}
+
+// convCols is the im2col matrix of one (batched) forward, unbuilt: row p is
+// the (ic, ky, kx) triple p, column j the output pixel (j/ow, j%ow), and the
+// entry is the input pixel that tap reads for that output, or zero in the
+// padding.
+type convCols struct {
+	xs             [][]float32 // CHW input data per batch element
+	h, w, oh, ow   int
+	kernel, stride int
+	padTop, padL   int
+}
+
+// row writes columns [j0, j0+len(dst)) of matrix row p of batch
+// element e.
+func (cc *convCols) row(e, p, j0 int, dst []float32) {
+	xd := cc.xs[e]
+	k, s := cc.kernel, cc.stride
+	ic, tap := p/(k*k), p%(k*k)
+	ky, kx := tap/k, tap%k
+	// [ox0, ox1) are the output columns whose tap lands inside an input
+	// row: 0 <= ox*s+off < w.
+	off := kx - cc.padL
+	ox0, ox1 := 0, 0
+	if off < 0 {
+		ox0 = (-off + s - 1) / s
+	}
+	if last := cc.w - 1 - off; last >= 0 {
+		ox1 = min(last/s+1, cc.ow)
+	}
+	if s == 1 && cc.ow == cc.w {
+		// A stride-1 convolution that keeps the width: output column j reads
+		// input index j+shift wherever its tap is inside the input, so the
+		// stretch is one copy, minus the output rows whose tap row is above
+		// or below the input, with the taps left and right of it zeroed
+		// afterwards (the copy put the neighbouring row's end there).
+		shift := (ic*cc.h+ky-cc.padTop)*cc.w + off
+		j1 := j0 + len(dst)
+		a := min(max(j0, (cc.padTop-ky)*cc.ow), j1)
+		b := max(a, min(j1, (cc.h+cc.padTop-ky)*cc.ow))
+		clear(dst[:a-j0])
+		clear(dst[b-j0:])
+		// Only padding taps of the first and last input row fall outside xd.
+		if ca, cb := max(a, -shift), min(b, len(xd)-shift); ca < cb {
+			copy(dst[ca-j0:cb-j0], xd[ca+shift:cb+shift])
+		}
+		if ox0 > 0 || ox1 < cc.ow {
+			for r := a - a%cc.ow; r < b; r += cc.ow {
+				for j := max(r, a); j < min(r+ox0, b); j++ {
+					dst[j-j0] = 0
+				}
+				for j := max(r+ox1, a); j < min(r+cc.ow, b); j++ {
+					dst[j-j0] = 0
+				}
+			}
+		}
+		return
+	}
+	// Otherwise the stretch is cut at output-row ends; oxa is where the
+	// current piece starts in its output row oy, y the input row its taps
+	// read and src the index of the tap of that row's column 0.
+	oy, oxa := j0/cc.ow, j0%cc.ow
+	y := oy*s + ky - cc.padTop
+	src := (ic*cc.h+y)*cc.w + off
+	for len(dst) > 0 {
+		n := min(cc.ow-oxa, len(dst))
+		seg := dst[:n]
+		dst = dst[n:]
+		lo, hi := max(ox0, oxa), min(ox1, oxa+n)
+		if y < 0 || y >= cc.h || lo >= hi {
+			clear(seg)
+		} else {
+			clear(seg[:lo-oxa])
+			in, d := xd[src+lo*s:src+(hi-1)*s+1], seg[lo-oxa:hi-oxa]
+			if s == 1 {
+				copy(d, in)
+			} else {
+				for i := range d {
+					d[i] = in[i*s]
+				}
+			}
+			clear(seg[hi-oxa:])
+		}
+		oxa, y, src = 0, y+s, src+s*cc.w
+	}
 }
 
 // OutChannels implements ChannelSliceable.

@@ -190,14 +190,14 @@ func (f *FusedConv2D) SetWeights(ws []*tensor.Tensor) error {
 
 // Forward implements Op.
 func (f *FusedConv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return f.Conv.forward(in, true, f.epi())
+	return f.Conv.forwardOne(in, true, f.epi())
 }
 
 // ForwardBatch implements BatchForwarder: the batched conv pass with the
 // folded BatchNorm/ReLU epilogue applied to each element's finished rows,
 // bitwise identical to the per-query fused forward.
 func (f *FusedConv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return f.Conv.forwardBatch(xs, f.epi())
+	return f.Conv.forward(xs, true, f.epi())
 }
 
 // HKernel implements Spatial.
@@ -205,7 +205,7 @@ func (f *FusedConv2D) HKernel() (k, s, p int) { return f.Conv.HKernel() }
 
 // ForwardValidH implements Spatial.
 func (f *FusedConv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return f.Conv.forward(in, false, f.epi())
+	return f.Conv.forwardOne(in, false, f.epi())
 }
 
 // OutChannels implements ChannelSliceable.

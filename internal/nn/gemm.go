@@ -15,9 +15,8 @@ import "gillis/internal/par"
 //     terms strictly in order, one rounding per multiply and one per add
 //     (acc += a[p]*b[p], p = 0,1,2,...). SIMD lanes hold *independent*
 //     output elements, never partial sums of one element, so the order per
-//     element is the same whether a pixel lands in the vector body, the
-//     scalar column tail, or a differently-aligned block of a spatial
-//     partition.
+//     element is the same whether a pixel lands in a full tile, a ragged
+//     edge tile, or a differently-aligned block of a spatial partition.
 //   - Row-dot kernel (dense/LSTM): each output row reduces over K in eight
 //     interleaved stripes (lane q sums terms q, q+8, q+16, ...), the lanes
 //     are combined by the fixed tree ((l0+l4)+(l1+l5)) + ((l2+l6)+(l3+l7)),
@@ -25,16 +24,31 @@ import "gillis/internal/par"
 //     only on K — a layer constant — so it is invariant under parallelism
 //     and channel slicing.
 //
-// Blocking: the register tile is Mc=4 rows × 8 columns. gemmBand4 walks the
-// output in Nc-column by Kc-depth blocks so a B panel of at most
-// Kc×8 floats (16KB) stays L1-resident across the column sweep while the
-// four A rows stream; bands of four rows are the unit of parallelism
-// (disjoint outputs, no reduction ever splits). The im2col packing in
-// Conv2D builds the B panel in pooled scratch; A panels are the weight rows
-// themselves, already contiguous.
+// Blocking (matrix-panel path): the register tile is gemmMr=4 rows × gemmNr=8
+// columns. The B matrix is never materialised. gemmBias cuts the columns
+// into blocks of at most gemmNc, and gemm.block walks each block's depth in
+// slices of at most gemmKc: it packs the [kc × nc] slice of B straight from
+// its source (for Conv2D the input tensor: im2col happens in the pack), then
+// sweeps every 4-row band of A over the packed slice with the micro-kernel.
+// A kernel call reads one 32-byte piece of each of kc packed rows plus four
+// kc-float rows of A: 384×(64+16) bytes is 30 KB, inside a 48 KB L1, and the
+// packed slice (at most 384×272 floats, 408 KB) stays in L2 while the bands
+// stream over it. See DESIGN.md §11 for what the sizes were measured against.
 const (
-	gemmKc = 512
-	gemmNc = 512
+	gemmMr = 4
+	gemmNr = 8
+	gemmKc = 384
+	gemmNc = 256
+	// gemmLdPad is one cache line added to the row stride of a packed
+	// slice. Without it a 256-column block has rows exactly 1 KB apart, the
+	// kc lines one kernel call touches share four L1 sets, and they evict
+	// each other.
+	gemmLdPad = 16
+	// gemmGroupBands is the fewest 4-row bands a work item sweeps over its
+	// packed slice when gemmBias has to split the bands to find parallelism
+	// (few columns): each group packs its own copy of B, and 16 bands (64
+	// rows) keep that repeated pack under a tenth of the group's arithmetic.
+	gemmGroupBands = 16
 )
 
 // epilogue is a fused per-output-channel post-op applied to a finished
@@ -48,7 +62,7 @@ type epilogue struct {
 	relu  bool
 }
 
-// apply transforms one finished output row (channel ch). A nil epilogue is
+// apply transforms one finished stretch of output row ch. A nil epilogue is
 // a no-op.
 func (e *epilogue) apply(ch int, row []float32) {
 	if e == nil {
@@ -69,114 +83,129 @@ func (e *epilogue) apply(ch int, row []float32) {
 	}
 }
 
-// gemmBias computes out[m][n] = bias[i] + a[m][k]·b[k][n], applying the
-// epilogue to each finished row. a is row-major [m][k] (weight rows), b is
-// row-major [k][n] (the packed im2col panel). Parallelism is over 4-row
-// bands; every path accumulates each element strictly in k order.
-func gemmBias(m, n, k int, a, b, bias, out []float32, epi *epilogue) {
-	par.For((m+3)/4, 8*k*n, func(lo, hi int) {
-		for band := lo; band < hi; band++ {
-			gemmBandAt(m, n, k, a, b, bias, out, epi, band)
-		}
-	})
+// gemm is one blocked product: its operands and the slice geometry gemmBias
+// picked for them.
+type gemm struct {
+	m, n, k int
+	a, bias []float32
+	b       *convCols
+	epi     *epilogue
+	depth   int // rows of B in a packed slice
+	ld      int // floats between rows of a packed slice
 }
 
-// gemmBiasBatch runs gemmBias over a batch of B panels sharing one weight
-// matrix: out[e][m][n] = bias[i] + a[m][k]·bs[e][k][n]. The parallel index
-// space is batch×bands, and each (element, band) pair executes exactly the
-// per-band body of gemmBias — the same kernels, the same strict-k
-// accumulation order, the same blocking — so a batch of N is bitwise
-// identical to N sequential gemmBias calls at every parallelism level.
-func gemmBiasBatch(batch, m, n, k int, a []float32, bs, outs [][]float32, bias []float32, epi *epilogue) {
-	bands := (m + 3) / 4
-	par.For(batch*bands, 8*k*n, func(lo, hi int) {
+// gemmBias computes outs[e][m][n] = bias[i] + a[m][k]·B_e[k][n] for every
+// batch element e, applying the epilogue to each finished row. a is
+// row-major [m][k] (weight rows); the B_e are read through b.
+//
+// The parallel index space is chosen from the shape: column blocks (batch
+// elements are just more of them) when there are enough for the workers,
+// and additionally groups of row bands when the columns are few (a 7×7
+// feature map is one block of 49). Work items own disjoint output tiles and
+// no reduction is ever split: every element accumulates its depth slices in
+// ascending order and, inside the micro-kernel, its terms in ascending p —
+// the strict-k contract above — whatever the blocking or the parallelism
+// level.
+func gemmBias(m, n, k int, a, bias []float32, b *convCols, outs [][]float32, epi *epilogue) {
+	// Balanced blocks: 784 columns are four blocks of 200, not three of 256
+	// and one of 16; 576 deep is two slices of 288.
+	blocks := (n + gemmNc - 1) / gemmNc
+	width := ((n+blocks-1)/blocks + gemmNr - 1) &^ (gemmNr - 1)
+	blocks = (n + width - 1) / width
+	slices := (k + gemmKc - 1) / gemmKc
+	g := gemm{m: m, n: n, k: k, a: a, bias: bias, b: b, epi: epi,
+		depth: (k + slices - 1) / slices, ld: width + gemmLdPad}
+	// One work item per column block; with fewer blocks than workers, the
+	// bands are split as well, into equal groups that each pack their own
+	// copy of the block.
+	bands := (m + gemmMr - 1) / gemmMr
+	groups := 1
+	if cb, p := len(outs)*blocks, par.Parallelism(); cb < p {
+		groups = max(1, min((p+cb-1)/cb, bands/gemmGroupBands))
+	}
+	groupRows := (bands + groups - 1) / groups * gemmMr
+	groups = (m + groupRows - 1) / groupRows
+	par.For(len(outs)*blocks*groups, 2*k*width*groupRows, func(lo, hi int) {
+		buf := par.GetF32(g.depth*g.ld + gemmMr*gemmNr)
+		defer par.PutF32(buf)
+		packed, tile := (*buf)[:g.depth*g.ld], (*buf)[g.depth*g.ld:]
 		for idx := lo; idx < hi; idx++ {
-			e, band := idx/bands, idx%bands
-			gemmBandAt(m, n, k, a, bs[e], bias, outs[e], epi, band)
+			cb, r0 := idx/groups, idx%groups*groupRows
+			e, jc := cb/blocks, cb%blocks*width
+			g.block(outs[e], e, jc, min(jc+width, n), r0, min(r0+groupRows, m), packed, tile)
 		}
 	})
 }
 
-// gemmBandAt is the per-band body shared by gemmBias and gemmBiasBatch:
-// rows [band*4, band*4+4) of one output panel, full rows initialized to
-// bias then accumulated by gemmBand4, m%4 tail rows by the strict-k scalar
-// loop, then the epilogue per finished row.
-func gemmBandAt(m, n, k int, a, b, bias, out []float32, epi *epilogue, band int) {
-	i := band * 4
-	if i+4 <= m {
-		for r := i; r < i+4; r++ {
-			row := out[r*n : (r+1)*n]
-			bv := bias[r]
-			for j := range row {
-				row[j] = bv
-			}
+// block computes rows [r0, r1) × columns [jc, jEnd) of out, the product for
+// batch element e: bias, then one pack and one sweep of the row bands per
+// depth slice, then the epilogue. packed and tile are the caller's scratch.
+func (g *gemm) block(out []float32, e, jc, jEnd, r0, r1 int, packed, tile []float32) {
+	m, n, k, a, ld := g.m, g.n, g.k, g.a, g.ld
+	w := jEnd - jc
+	wPanels := (w + gemmNr - 1) &^ (gemmNr - 1)
+	for r := r0; r < r1; r++ {
+		row := out[r*n+jc : r*n+jEnd]
+		bv := g.bias[r]
+		for j := range row {
+			row[j] = bv
 		}
-		gemmBand4(n, k,
-			a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k], a[(i+2)*k:(i+3)*k], a[(i+3)*k:(i+4)*k],
-			b,
-			out[i*n:(i+1)*n], out[(i+1)*n:(i+2)*n], out[(i+2)*n:(i+3)*n], out[(i+3)*n:(i+4)*n])
-	} else {
-		for r := i; r < m; r++ {
-			row := out[r*n : (r+1)*n]
-			ar := a[r*k : (r+1)*k]
-			bv := bias[r]
-			for j := range row {
-				s := bv
-				for p := 0; p < k; p++ {
-					s += ar[p] * b[p*n+j]
+	}
+	for pc := 0; pc < k; pc += g.depth {
+		kc := min(g.depth, k-pc)
+		for p := 0; p < kc; p++ {
+			g.b.row(e, pc+p, jc, packed[p*ld:p*ld+w])
+			// Lanes past the last column of a ragged final panel multiply
+			// zeros.
+			clear(packed[p*ld+w : p*ld+wPanels])
+		}
+		for i := r0; i < r1; i += gemmMr {
+			// A band short of four rows repeats its last row; the repeats
+			// land in tile rows that are never copied out.
+			rows := min(gemmMr, m-i)
+			i1, i2, i3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
+			a0, a1, a2, a3 := a[i*k+pc:i*k+pc+kc], a[i1*k+pc:i1*k+pc+kc], a[i2*k+pc:i2*k+pc+kc], a[i3*k+pc:i3*k+pc+kc]
+			for j := jc; j < jEnd; j += gemmNr {
+				bp := packed[j-jc : (kc-1)*ld+j-jc+gemmNr]
+				if rows == gemmMr && j+gemmNr <= jEnd {
+					mulAddPanel4x8(kc, a0, a1, a2, a3, bp, ld,
+						out[i*n+j:i*n+j+8], out[i1*n+j:i1*n+j+8], out[i2*n+j:i2*n+j+8], out[i3*n+j:i3*n+j+8])
+					continue
 				}
-				row[j] = s
+				// Ragged tile: the same kernel on a staged 4×8 copy, so
+				// edge elements round exactly like interior ones.
+				cols := min(gemmNr, jEnd-j)
+				clear(tile)
+				for r := 0; r < rows; r++ {
+					copy(tile[r*gemmNr:r*gemmNr+cols], out[(i+r)*n+j:])
+				}
+				mulAddPanel4x8(kc, a0, a1, a2, a3, bp, ld, tile[0:8], tile[8:16], tile[16:24], tile[24:32])
+				for r := 0; r < rows; r++ {
+					copy(out[(i+r)*n+j:(i+r)*n+j+cols], tile[r*gemmNr:])
+				}
 			}
 		}
 	}
-	for r := i; r < min(i+4, m); r++ {
-		epi.apply(r, out[r*n:(r+1)*n])
-	}
-}
-
-// gemmBand4 accumulates four output rows c0..c3 (length n) with Nc/Kc cache
-// blocking around the 4x8 micro-kernel. Column tails (n%8) fall back to a
-// scalar loop with the identical strict-k accumulation order.
-func gemmBand4(n, k int, a0, a1, a2, a3, b, c0, c1, c2, c3 []float32) {
-	for jc := 0; jc < n; jc += gemmNc {
-		jEnd := min(jc+gemmNc, n)
-		for pc := 0; pc < k; pc += gemmKc {
-			pEnd := min(pc+gemmKc, k)
-			kc := pEnd - pc
-			j := jc
-			for ; j+8 <= jEnd; j += 8 {
-				mulAddPanel4x8(kc, a0[pc:pEnd], a1[pc:pEnd], a2[pc:pEnd], a3[pc:pEnd],
-					b[pc*n+j:], n, c0[j:j+8], c1[j:j+8], c2[j:j+8], c3[j:j+8])
-			}
-			for ; j < jEnd; j++ {
-				s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
-				for p := pc; p < pEnd; p++ {
-					bv := b[p*n+j]
-					s0 += a0[p] * bv
-					s1 += a1[p] * bv
-					s2 += a2[p] * bv
-					s3 += a3[p] * bv
-				}
-				c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
-			}
-		}
+	for r := r0; r < r1; r++ {
+		g.epi.apply(r, out[r*n+jc:r*n+jEnd])
 	}
 }
 
 // mulAddPanel4x8Go is the pure-Go reference of the matrix-panel micro-kernel:
 // c_r[j] += a_r[p] * b[p*bstride+j] for r in 0..3, j in 0..7, p ascending.
 // Bitwise identical to the AVX version (independent lanes, one mul and one
-// add rounding per term, strict p order).
+// add rounding per term — the conversions keep a compiler from fusing the
+// two — strict p order).
 func mulAddPanel4x8Go(k int, a0, a1, a2, a3, b []float32, bstride int, c0, c1, c2, c3 []float32) {
 	c0, c1, c2, c3 = c0[:8], c1[:8], c2[:8], c3[:8]
 	for p := 0; p < k; p++ {
 		brow := b[p*bstride : p*bstride+8]
 		v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
 		for j, bv := range brow {
-			c0[j] += v0 * bv
-			c1[j] += v1 * bv
-			c2[j] += v2 * bv
-			c3[j] += v3 * bv
+			c0[j] += float32(v0 * bv)
+			c1[j] += float32(v1 * bv)
+			c2[j] += float32(v2 * bv)
+			c3[j] += float32(v3 * bv)
 		}
 	}
 }
@@ -193,10 +222,9 @@ func gemvBias(m, k int, w, bias, x, out []float32, relu bool) {
 }
 
 // gemvBiasBatch runs gemvBias over a batch of input vectors sharing one
-// weight matrix: outs[e][i] = bias[i] + w[i]·xs[e]. Like gemmBiasBatch, the
-// parallel index space is batch×bands and each pair runs the exact per-band
-// body of gemvBias, so batched output is bitwise identical to the
-// per-query loop.
+// weight matrix: outs[e][i] = bias[i] + w[i]·xs[e]. The parallel index space
+// is batch×bands and each pair runs the exact per-band body of gemvBias, so
+// batched output is bitwise identical to the per-query loop.
 func gemvBiasBatch(batch, m, k int, w, bias []float32, xs, outs [][]float32, relu bool) {
 	bands := (m + 3) / 4
 	par.For(batch*bands, 8*k, func(lo, hi int) {

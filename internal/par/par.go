@@ -1,7 +1,6 @@
-// Package par is the kernel execution engine: a shared worker pool with a
-// chunked parallel-for primitive, and a scratch-buffer arena for zero-alloc
-// reuse of kernel temporaries (im2col matrices, padded inputs, LSTM gate
-// buffers).
+// Package par is the kernel execution engine: a chunked parallel-for
+// primitive, and a scratch-buffer arena for zero-alloc reuse of kernel
+// temporaries (packed GEMM panels, padded inputs, LSTM gate buffers).
 //
 // Determinism contract: For splits an index range into contiguous chunks
 // and runs the caller's body over disjoint sub-ranges. Callers must only
@@ -25,9 +24,9 @@ import (
 )
 
 // minParallelWork is the minimum estimated scalar-op count of a loop before
-// For considers spawning workers. Dispatching to the pool costs on the order
-// of a few microseconds; 32k float ops take roughly that long on one core,
-// so smaller loops run inline.
+// For considers spawning workers. Starting and joining a goroutine costs on
+// the order of a microsecond; 32k float ops take several times that on one
+// core, so smaller loops run inline.
 const minParallelWork = 32 * 1024
 
 // minChunkWork is the minimum estimated scalar-op count per claimed chunk,
@@ -63,39 +62,6 @@ func SetParallelism(n int) (restore func()) {
 	return func() { limit.Store(prev) }
 }
 
-// pool is the lazily started process-wide worker pool. Workers block on the
-// task channel between For calls, so steady-state kernel execution spawns no
-// goroutines.
-var pool struct {
-	once  sync.Once
-	tasks chan func()
-}
-
-func startPool() {
-	pool.tasks = make(chan func(), 4*runtime.GOMAXPROCS(0))
-	for i := 0; i < runtime.GOMAXPROCS(0); i++ {
-		//gillis:allow goleak pool workers are deliberately detached for the process lifetime; For joins each submitted task through its own WaitGroup
-		go func() {
-			for task := range pool.tasks {
-				task()
-			}
-		}()
-	}
-}
-
-// submit hands fn to an idle pool worker, or runs it on a fresh goroutine if
-// every worker is busy (e.g. nested For calls); it never blocks, so nesting
-// cannot deadlock the pool.
-func submit(fn func()) {
-	pool.once.Do(startPool)
-	select {
-	case pool.tasks <- fn:
-	default:
-		//gillis:allow goleak fn is For's task closure, which signals a WaitGroup For waits on; submit cannot see that contract across the call boundary
-		go fn()
-	}
-}
-
 // For runs body over the index range [0, n), split into contiguous disjoint
 // chunks. itemCost is the caller's estimate of scalar operations per index;
 // when n*itemCost is below the parallel threshold, or the parallelism cap is
@@ -124,9 +90,6 @@ func For(n, itemCost int, body func(lo, hi int)) {
 	if min := (minChunkWork + itemCost - 1) / itemCost; chunk < min {
 		chunk = min
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
 
 	var next atomic.Int64
 	run := func() {
@@ -142,9 +105,10 @@ func For(n, itemCost int, body func(lo, hi int)) {
 			body(lo, hi)
 		}
 	}
-	// One shared task closure for all workers: submitting the same func
-	// value p-1 times allocates once, not per worker, which matters for
-	// kernels that dispatch many small Fors per forward (LSTM timesteps).
+	// p-1 fresh goroutines plus the caller, all running one shared closure
+	// (allocated once, not per worker). A For joins every goroutine it
+	// starts before returning, so a body that itself calls For only ever
+	// waits on goroutines of its own, whatever GOMAXPROCS is.
 	var wg sync.WaitGroup
 	wg.Add(p - 1)
 	task := func() {
@@ -152,7 +116,7 @@ func For(n, itemCost int, body func(lo, hi int)) {
 		run()
 	}
 	for i := 1; i < p; i++ {
-		submit(task)
+		go task()
 	}
 	run()
 	wg.Wait()

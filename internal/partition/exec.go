@@ -164,11 +164,7 @@ func ExecChannel(u *Unit, parts int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	outs := make([]*tensor.Tensor, len(slices))
 	for i, cs := range slices {
-		sub, err := ChannelSubgraph(u, cs.Channels.Lo, cs.Channels.Hi)
-		if err != nil {
-			return nil, err
-		}
-		out, err := sub.Forward(x)
+		out, err := cs.Sub.Forward(x)
 		if err != nil {
 			return nil, err
 		}

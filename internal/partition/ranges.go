@@ -224,10 +224,12 @@ func rowBytes(shape []int) int64 {
 }
 
 // ChannelSlice describes one channel partition of a single-unit group: the
-// output channels it computes, the weights it holds, and its extents. Every
-// channel partition consumes the full group input.
+// output channels it computes, the subgraph that computes them (its weight
+// tensors sliced out of the unit's once, here), the weights it holds, and
+// its extents. Every channel partition consumes the full group input.
 type ChannelSlice struct {
 	Channels   RowRange
+	Sub        *graph.Graph
 	FLOPs      int64
 	ParamBytes int64
 	InBytes    int64
@@ -257,6 +259,7 @@ func ChannelSlices(u *Unit, parts int) ([]ChannelSlice, error) {
 		frac := func(v int64) int64 { return v * int64(hi-lo) / int64(outC) }
 		slices[i] = ChannelSlice{
 			Channels:   RowRange{Lo: lo, Hi: hi},
+			Sub:        sub,
 			FLOPs:      frac(u.FLOPs),
 			ParamBytes: sub.ParamBytes(),
 			InBytes:    inBytes,

@@ -384,17 +384,12 @@ func (d *Deployment) execPartBatch(gr *groupRuntime, part int, ins []*tensor.Ten
 }
 
 // execPartFromSlabBatch runs one partition over the batch's input slabs.
-// Channel partitions build their subgraph once and run the batched graph
-// walk; spatial partitions loop ExecSpatialPart per query (identical math
-// either way).
+// Channel partitions run the batched graph walk on the subgraph the
+// deployment built; spatial partitions loop ExecSpatialPart per query
+// (identical math either way).
 func (d *Deployment) execPartFromSlabBatch(gr *groupRuntime, part int, slabs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if gr.gp.Option.Dim == partition.DimChannel {
-		cs := gr.channel[part]
-		sub, err := partition.ChannelSubgraph(gr.units[0], cs.Channels.Lo, cs.Channels.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return sub.ForwardBatch(slabs)
+		return gr.channel[part].Sub.ForwardBatch(slabs)
 	}
 	outs := make([]*tensor.Tensor, len(slabs))
 	for e, slab := range slabs {

@@ -593,12 +593,7 @@ func (d *Deployment) execPart(gr *groupRuntime, part int, in *tensor.Tensor) (*t
 // execPartFromSlab runs a partition from its input slab (worker side).
 func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slab *tensor.Tensor) (*tensor.Tensor, error) {
 	if gr.gp.Option.Dim == partition.DimChannel {
-		cs := gr.channel[part]
-		sub, err := partition.ChannelSubgraph(gr.units[0], cs.Channels.Lo, cs.Channels.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return sub.Forward(slab)
+		return gr.channel[part].Sub.Forward(slab)
 	}
 	return partition.ExecSpatialPart(gr.units, gr.spatial[part], slab)
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -392,6 +393,73 @@ func TestResultBillingCoversWorkers(t *testing.T) {
 		}
 		if res.BilledMs < int64(res.LatencyMs) {
 			t.Errorf("billed %d must at least cover the master's %f ms", res.BilledMs, res.LatencyMs)
+		}
+	})
+}
+
+// TestChannelGroupReusesSlicedWeights pins that a channel-partitioned group
+// slices its weights when it is deployed, not when it is served: a second
+// serve (and a batched one) allocates far less than one partition's share
+// of the weights and is still bitwise equal to monolithic execution.
+func TestChannelGroupReusesSlicedWeights(t *testing.T) {
+	g := graph.New("widefc", []int{2048})
+	g.MustAdd(nn.NewDense("fc", 2048, 1024)) // 8 MB of weights, 12 KB of activations
+	g.Init(3)
+	units, err := partition.Linearize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &partition.Plan{Model: "widefc", Groups: []partition.GroupPlan{
+		{First: 0, Last: 0, Option: partition.Option{Dim: partition.DimChannel, Parts: 2}},
+	}}
+	if err := plan.Validate(units); err != nil {
+		t.Fatal(err)
+	}
+	partBytes := units[0].ParamBytes / 2
+	xs := []*tensor.Tensor{
+		tensor.Rand(rand.New(rand.NewSource(1)), 1, 2048),
+		tensor.Rand(rand.New(rand.NewSource(2)), 1, 2048),
+	}
+	want := make([]*tensor.Tensor, len(xs))
+	for e, x := range xs {
+		if want[e], err = partition.ForwardChain(units, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// allocated reports the bytes fn allocates; the simulation runs one
+	// process at a time, so nothing else allocates meanwhile.
+	allocated := func(fn func()) int64 {
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		fn()
+		goruntime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	runClient(t, platform.AWSLambda(), 1, func(p *platform.Platform, proc *simnet.Proc) {
+		d, err := Deploy(p, units, plan, Real)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := d.Serve(proc, xs[0]); err != nil {
+			t.Error(err)
+			return
+		}
+		var res Result
+		if n := allocated(func() { res, err = d.Serve(proc, xs[1]) }); err != nil {
+			t.Error(err)
+		} else if n > partBytes/8 {
+			t.Errorf("second serve allocated %d bytes; one partition's weights are %d", n, partBytes)
+		} else if !tensor.Equal(res.Output, want[1]) {
+			t.Error("second serve differs from monolithic execution")
+		}
+		var batch BatchResult
+		if n := allocated(func() { batch, err = d.ServeBatch(proc, xs, len(xs)) }); err != nil {
+			t.Error(err)
+		} else if n > partBytes/8 {
+			t.Errorf("batched serve allocated %d bytes; one partition's weights are %d", n, partBytes)
+		} else if !tensor.Equal(batch.Outputs[0], want[0]) || !tensor.Equal(batch.Outputs[1], want[1]) {
+			t.Error("batched serve differs from monolithic execution")
 		}
 	})
 }

@@ -10,7 +10,7 @@ RACE_PKGS := ./internal/par ./internal/nn ./internal/runtime ./internal/platform
 	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/analysis \
 	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh
 
-PROCS_PKGS := ./internal/par ./internal/nn ./internal/simnet
+PROCS_PKGS := ./internal/par ./internal/nn ./internal/simnet ./internal/platform ./internal/gateway
 
 .PHONY: ci lint vet build test procs race chaos cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh
 
@@ -44,8 +44,9 @@ test:
 
 # A hang or a result that depends on how many threads the scheduler has
 # shows only at some core counts (a worker pool that deadlocked at 2 and 3
-# passed at 1, 4 and 8), so the packages that spawn goroutines of their own
-# run at each. The timeout turns a hang into a failure in seconds.
+# passed at 1, 4 and 8), so the packages that spawn goroutines of their own,
+# and the simulation kernel with its two heaviest users, run at each. The
+# timeout turns a hang into a failure in seconds.
 procs:
 	for n in 1 2 3 4 8; do \
 		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 120s $(PROCS_PKGS) || exit 1; \

@@ -204,6 +204,8 @@ func TestFileMatchesHost(t *testing.T) {
 		{"x_noasm.go", "//go:build !" + runtime.GOARCH + "\n\npackage p\n", false},
 		{"x_any.go", "//go:build " + runtime.GOARCH + " || " + otherArch + "\n\npackage p\n", true},
 		{"x_comment.go", "// just a comment\npackage p\n//go:build " + otherArch + "\n", true},
+		{"x_release.go", "//go:build go1.1\n\npackage p\n", true},
+		{"x_future.go", "//go:build go1.999\n\npackage p\n", false},
 	}
 	for _, tc := range cases {
 		if got := fileMatchesHost(tc.name, []byte(tc.src)); got != tc.want {
@@ -212,32 +214,34 @@ func TestFileMatchesHost(t *testing.T) {
 	}
 }
 
-// TestLoadHonorsBuildConstraints loads a package whose per-architecture
-// variants declare the same symbol behind opposite build tags — exactly the
-// gemm dispatch layout in internal/nn. Without constraint filtering the
-// type-checker reports a redeclaration.
+// TestLoadHonorsBuildConstraints loads packages whose variants declare the
+// same symbol behind opposite build tags: per-architecture — exactly the
+// gemm dispatch layout in internal/nn — and per-release, where the kept file
+// is tagged the way internal/simnet raises its language version. Without
+// constraint filtering the type-checker reports a redeclaration; with a
+// filter that knows no release tags it finds no Go sources at all.
 func TestLoadHonorsBuildConstraints(t *testing.T) {
-	// The loader resolves import paths relative to the enclosing module;
-	// t.TempDir is outside it, so build the fixture under this package's
-	// testdata tree instead.
-	dir, err := os.MkdirTemp("testdata", "constraints-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	host := fmt.Sprintf("//go:build %s\n\npackage p\n\nvar impl = %q\n", runtime.GOARCH, runtime.GOARCH)
-	other := fmt.Sprintf("//go:build !%s\n\npackage p\n\nvar impl = \"fallback\"\n", runtime.GOARCH)
-	if err := os.WriteFile(filepath.Join(dir, "impl_host.go"), []byte(host), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "impl_other.go"), []byte(other), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(dir)
-	if err != nil {
-		t.Fatalf("constraint-split package failed to load: %v", err)
-	}
-	if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
-		t.Fatalf("want 1 package with 1 file, got %d packages", len(pkgs))
+	for _, tags := range [][2]string{{runtime.GOARCH, "!" + runtime.GOARCH}, {"go1.1", "go1.999"}} {
+		// The loader resolves import paths relative to the enclosing module;
+		// t.TempDir is outside it, so build the fixture under this package's
+		// testdata tree instead.
+		dir, err := os.MkdirTemp("testdata", "constraints-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		for i, tag := range tags {
+			src := fmt.Sprintf("//go:build %s\n\npackage p\n\nvar impl = %q\n", tag, tag)
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("impl%d.go", i)), []byte(src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pkgs, err := Load(dir)
+		if err != nil {
+			t.Fatalf("package split on %v failed to load: %v", tags, err)
+		}
+		if len(pkgs) != 1 || len(pkgs[0].Files) != 1 {
+			t.Fatalf("split on %v: want 1 package with 1 file, got %d packages", tags, len(pkgs))
+		}
 	}
 }

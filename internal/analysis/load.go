@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/build/constraint"
 	"go/importer"
 	"go/parser"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -198,13 +200,16 @@ var knownGOARCH = map[string]bool{
 
 // fileMatchesHost reports whether the toolchain would compile this file on
 // the host, honouring _GOOS/_GOARCH filename suffixes and //go:build
-// expressions. Files excluded by build constraints must not reach the
-// type-checker: per-architecture variants (gemm_amd64.go vs gemm_noasm.go)
-// declare the same symbols behind opposite tags. The call graph inherits
-// the same view: functions in excluded files contribute no nodes or edges.
+// expressions. Release tags hold up to the running toolchain's, so a file
+// tagged go1.23 to raise its language version is kept. Files excluded by
+// build constraints must not reach the type-checker: per-architecture
+// variants (gemm_amd64.go vs gemm_noasm.go) declare the same symbols behind
+// opposite tags. The call graph inherits the same view: functions in
+// excluded files contribute no nodes or edges.
 func fileMatchesHost(name string, src []byte) bool {
 	tagOK := func(tag string) bool {
-		return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || tag == "cgo"
+		return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || tag == "cgo" ||
+			slices.Contains(build.Default.ReleaseTags, tag)
 	}
 	parts := strings.Split(strings.TrimSuffix(name, ".go"), "_")
 	for i := len(parts) - 1; i > 0 && len(parts)-i <= 2; i-- {

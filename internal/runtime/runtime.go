@@ -55,6 +55,7 @@ type groupRuntime struct {
 	partFLOPs   []int64 // per partition
 	partIn      []int64
 	partOut     []int64
+	workers     []string // worker function name per partition
 }
 
 // Deployment is a model served under a plan on a platform.
@@ -134,6 +135,10 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 			masterBytes += ext.WeightBytes
 		}
 		gr.weightBytes = ext.WeightBytes
+		gr.workers = make([]string, gp.Option.Parts)
+		for part := range gr.workers {
+			gr.workers[part] = fmt.Sprintf("%s-g%d-p%d", d.prefix, gi, part)
+		}
 		d.groups = append(d.groups, gr)
 	}
 	if masterBytes > budget {
@@ -175,9 +180,9 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 	return d, nil
 }
 
-func (d *Deployment) workerName(group, part int) string {
-	return fmt.Sprintf("%s-g%d-p%d", d.prefix, group, part)
-}
+// workerName is formatted once, in Deploy: a replay launches workers by the
+// hundred thousand.
+func (d *Deployment) workerName(group, part int) string { return d.groups[group].workers[part] }
 
 // Prefix returns the deployment's unique function-name prefix. It is
 // process-order dependent (a global deployment counter); golden-trace tests

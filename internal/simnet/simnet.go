@@ -1,68 +1,94 @@
+//go:build go1.23
+
 // Package simnet is a deterministic discrete-event simulation kernel in the
-// style of SimPy: processes are goroutines that park on a virtual clock, and
-// a central scheduler advances time from event to event. At most one process
-// executes at any instant, and ties are broken by event sequence number, so
-// a simulation is exactly reproducible for a fixed seed of its random
+// style of SimPy: processes are coroutines that park on a virtual clock, and
+// Env.Run, on its caller's goroutine, advances time from event to event and
+// resumes one process at a time. Ties are broken by event sequence number,
+// so a simulation is exactly reproducible for a fixed seed of its random
 // inputs.
+//
+// Nothing is synchronised because nothing is shared: an Env and everything
+// hanging off it (Procs, Promises, Resources) is touched by the goroutine
+// that will call Run until Run starts, and from then on only by the process
+// Run has resumed or by an At callback, which runs on Run's own goroutine.
+// A process may block on real synchronisation of its own (a par.For join)
+// but must not let another goroutine touch the Env.
 //
 // The serverless platform simulator (package platform) and the fork-join
 // serving runtime (package runtime) are built on this kernel.
 package simnet
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"iter"
+	"runtime"
 	"time"
 )
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 type Env struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
 	now      time.Duration
-	events   eventHeap
+	events   []event // binary min-heap on (at, seq)
 	seq      int64
 	stampSeq int64
-	runnable int // processes currently executing (not parked)
-	parked   int // processes parked on promises (not on the clock)
+	parked   int // processes parked on promises (not only on the clock)
 	started  bool
+	idle     []*coro // coroutines whose process finished, ready for the next body
 }
 
+// An event either calls fn or, when fn is nil, resumes proc — provided proc
+// is still in the park the event was pushed for (see Proc.gen).
 type event struct {
-	at  time.Duration
-	seq int64
-	fn  func() // runs in scheduler context with env.mu held; must not block
+	at   time.Duration
+	seq  int64
+	proc *Proc
+	gen  uint64
+	fn   func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+
+func (e *Env) push(ev event) {
+	e.seq++
+	ev.seq = e.seq
+	e.events = append(e.events, ev)
+	h := e.events
+	for i := len(h) - 1; i > 0 && h[i].before(&h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+}
+
+func (e *Env) pop() event {
+	h := e.events
+	top, n := h[0], len(h)-1
+	h[0], h[n] = h[n], event{} // zeroed so the spare capacity retains no process
+	e.events = h[:n]
+	for i := 0; ; {
+		first := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if h[c].before(&h[first]) {
+				first = c
+			}
+		}
+		if first == i {
+			return top
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
+	}
+}
 
 // NewEnv creates an empty simulation environment.
-func NewEnv() *Env {
-	e := &Env{}
-	e.cond = sync.NewCond(&e.mu)
-	return e
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time.
-func (e *Env) Now() time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.now
-}
+func (e *Env) Now() time.Duration { return e.now }
 
 // Stamp returns the current virtual time together with a monotonically
 // increasing sequence number that totally orders stamps taken at the same
@@ -70,62 +96,57 @@ func (e *Env) Now() time.Duration {
 // sequence is deterministic for a fixed simulation; the tracing subsystem
 // uses it to order same-time span boundaries reproducibly.
 func (e *Env) Stamp() (time.Duration, int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.stampSeq++
 	return e.now, e.stampSeq
 }
 
 // Proc is the handle a running process uses to interact with the clock.
 type Proc struct {
-	env    *Env
-	Name   string
-	resume chan struct{}
+	env  *Env
+	Name string
+	// gen is the park generation. Every wake pushed for a park (a sleep's
+	// timer, a promise's waiter, a WaitTimeout's both) carries the gen the
+	// process parked with; Run bumps gen when it resumes the process, so
+	// whichever wake is popped first wins and the others, and any that
+	// outlive the process, no longer match and are dropped.
+	gen  uint64
+	body func(*Proc)
+	co   *coro // nil before the first resume and after body returns
+}
+
+// coro is one iter.Pull coroutine running a succession of process bodies.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	proc  *Proc
 }
 
 // Env returns the process's environment.
 func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.env.Now() }
+func (p *Proc) Now() time.Duration { return p.env.now }
 
 // Go schedules fn as a new process starting at the current virtual time.
 // It can be called before Run or from within a running process.
 func (e *Env) Go(name string, fn func(*Proc)) {
-	p := &Proc{env: e, Name: name, resume: make(chan struct{}, 1)}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.pushLocked(e.now, func() {
-		e.runnable++
-		//gillis:allow goleak process goroutines are joined by the scheduler: Run blocks on the runnable count under e.cond until every spawned process has decremented it
-		go func() {
-			fn(p)
-			e.mu.Lock()
-			//gillis:allow sharedmut runnable is a scheduler counter guarded by e.mu; decrement order is irrelevant to the virtual-time semantics
-			e.runnable--
-			e.cond.Broadcast()
-			e.mu.Unlock()
-		}()
-	})
+	e.push(event{at: e.now, proc: &Proc{env: e, Name: name, body: fn}})
 }
 
-// At schedules fn to run in scheduler context at the given absolute virtual
-// time (which must not be in the past). fn must not block.
+// At schedules fn to run on Run's goroutine, between processes, at the
+// given absolute virtual time (which must not be in the past). fn must not
+// park.
 func (e *Env) At(t time.Duration, fn func()) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if t < e.now {
 		return fmt.Errorf("simnet: cannot schedule at %v, now is %v", t, e.now)
 	}
-	e.pushLocked(t, fn)
+	e.push(event{at: t, fn: fn})
 	return nil
 }
 
-func (e *Env) pushLocked(t time.Duration, fn func()) {
-	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
-	e.cond.Broadcast()
-}
+// park returns control to Run until a wake carrying p.gen is popped.
+func (p *Proc) park() { p.co.yield(struct{}{}) }
 
 // Sleep parks the process for d of virtual time. Negative durations are
 // treated as zero.
@@ -133,58 +154,95 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	e := p.env
-	e.mu.Lock()
-	e.pushLocked(e.now+d, func() {
-		e.runnable++
-		p.resume <- struct{}{}
-	})
-	e.runnable--
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	<-p.resume
+	p.env.push(event{at: p.env.now + d, proc: p, gen: p.gen})
+	p.park()
 }
 
 // Run executes the simulation until no events remain. It returns an error if
 // processes remain parked on unresolved promises when the event queue drains
-// (a deadlock).
+// (a deadlock). A panic in a process or callback surfaces here.
 func (e *Env) Run() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.started {
 		return fmt.Errorf("simnet: Run called twice")
 	}
 	e.started = true
-	for {
-		for e.runnable > 0 {
-			e.cond.Wait()
+	defer func() {
+		for _, c := range e.idle {
+			c.stop()
 		}
-		if len(e.events) == 0 {
-			if e.parked > 0 {
-				return fmt.Errorf("simnet: deadlock: %d process(es) parked on unresolved promises", e.parked)
-			}
-			return nil
+		e.idle = nil
+	}()
+	for n := 1; len(e.events) > 0; n++ {
+		// Coroutine switches bypass the scheduler, so nothing here would
+		// offer this P to the collector's mark workers short of the 10 ms
+		// preemption: marks ran 3x longer and peak RSS rose a fifth.
+		if n%1024 == 0 {
+			runtime.Gosched()
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.pop()
 		e.now = ev.at
-		ev.fn()
+		if ev.fn != nil {
+			ev.fn()
+		} else if p := ev.proc; p.gen == ev.gen {
+			p.gen++
+			if p.co == nil {
+				p.co = e.coroutine()
+				p.co.proc = p
+			}
+			p.co.next()
+		}
 	}
+	if e.parked > 0 {
+		return fmt.Errorf("simnet: deadlock: %d process(es) parked on unresolved promises", e.parked)
+	}
+	return nil
+}
+
+// coroutine returns an idle coroutine, or a new one when none is idle. A
+// body started on a reused coroutine finds the stack its predecessors grew;
+// on a fresh one it pays iter.Pull's allocations and newstack/copystack on
+// its way down into the platform and runtime: a third more wall-clock per
+// replay.
+func (e *Env) coroutine() *coro {
+	if n := len(e.idle); n > 0 {
+		c := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return c
+	}
+	c := &coro{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p := c.proc
+			p.body(p)
+			// Abandoned timers may hold p long after this; they should
+			// not hold the body's captures or the coroutine with it.
+			p.body, p.co, c.proc = nil, nil, nil
+			e.idle = append(e.idle, c)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return c
 }
 
 // Promise is a single-assignment value processes can wait on.
 type Promise[T any] struct {
 	env      *Env
-	mu       sync.Mutex
 	resolved bool
 	value    T
 	err      error
-	waiters  []func() // scheduled as zero-delay events on resolution
+	waiters  []waiter // woken by zero-delay events on resolution
+}
+
+type waiter struct {
+	proc *Proc
+	gen  uint64
 }
 
 // NewPromise creates an unresolved promise in the environment.
-func NewPromise[T any](env *Env) *Promise[T] {
-	return &Promise[T]{env: env}
-}
+func NewPromise[T any](env *Env) *Promise[T] { return &Promise[T]{env: env} }
 
 // Resolve fulfills the promise and wakes all waiters at the current virtual
 // time. Resolving twice panics: it indicates a protocol bug.
@@ -196,8 +254,7 @@ func (pr *Promise[T]) Resolve(v T) {
 
 // Fail completes the promise with an error.
 func (pr *Promise[T]) Fail(err error) {
-	var zero T
-	if !pr.tryComplete(zero, err) {
+	if !pr.tryComplete(*new(T), err) {
 		panic("simnet: promise resolved twice")
 	}
 }
@@ -210,65 +267,41 @@ func (pr *Promise[T]) TryResolve(v T) bool { return pr.tryComplete(v, nil) }
 
 // TryFail completes the promise with an error if it has not completed yet,
 // reporting whether this call won.
-func (pr *Promise[T]) TryFail(err error) bool {
-	var zero T
-	return pr.tryComplete(zero, err)
-}
+func (pr *Promise[T]) TryFail(err error) bool { return pr.tryComplete(*new(T), err) }
 
 func (pr *Promise[T]) tryComplete(v T, err error) bool {
-	pr.mu.Lock()
 	if pr.resolved {
-		pr.mu.Unlock()
 		return false
 	}
 	pr.resolved = true
 	pr.value, pr.err = v, err
-	waiters := pr.waiters
-	pr.waiters = nil
-	pr.mu.Unlock()
-
-	pr.env.mu.Lock()
-	for _, w := range waiters {
-		pr.env.pushLocked(pr.env.now, w)
+	e := pr.env
+	for _, w := range pr.waiters {
+		e.push(event{at: e.now, proc: w.proc, gen: w.gen})
 	}
-	pr.env.mu.Unlock()
+	pr.waiters = nil
 	return true
 }
 
 // Poll reports, without blocking, whether the promise has completed, and
 // returns its value and error when it has.
 func (pr *Promise[T]) Poll() (v T, err error, ok bool) {
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
 	return pr.value, pr.err, pr.resolved
 }
 
 // Wait parks the process until the promise resolves and returns its value.
 func (pr *Promise[T]) Wait(p *Proc) (T, error) {
-	pr.mu.Lock()
-	if pr.resolved {
-		v, err := pr.value, pr.err
-		pr.mu.Unlock()
-		return v, err
+	if !pr.resolved {
+		pr.parkOn(p)
 	}
-	e := pr.env
-	// The waiter runs in scheduler context with e.mu already held.
-	pr.waiters = append(pr.waiters, func() {
-		e.runnable++
-		e.parked--
-		p.resume <- struct{}{}
-	})
-	pr.mu.Unlock()
-
-	e.mu.Lock()
-	e.runnable--
-	e.parked++
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	<-p.resume
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
 	return pr.value, pr.err
+}
+
+func (pr *Promise[T]) parkOn(p *Proc) {
+	pr.waiters = append(pr.waiters, waiter{p, p.gen})
+	pr.env.parked++
+	p.park()
+	pr.env.parked--
 }
 
 // ErrTimeout is returned by WaitTimeout when the deadline elapses before the
@@ -283,53 +316,23 @@ var ErrTimeout = errors.New("simnet: wait deadline exceeded")
 // has already completed. The platform's function-execution timeout and the
 // serving runtime's per-invocation deadlines build on this primitive.
 func (pr *Promise[T]) WaitTimeout(p *Proc, d time.Duration) (T, error) {
-	pr.mu.Lock()
-	if pr.resolved {
-		v, err := pr.value, pr.err
-		pr.mu.Unlock()
-		return v, err
+	if !pr.resolved && d > 0 {
+		// The waiter and the timer carry the same gen: the first popped
+		// resumes the process, the other is dropped as stale. The timer is
+		// never removed, so it still advances the clock when it is popped.
+		pr.env.push(event{at: pr.env.now + d, proc: p, gen: p.gen})
+		pr.parkOn(p)
 	}
-	var zero T
-	if d <= 0 {
-		pr.mu.Unlock()
-		return zero, ErrTimeout
+	if !pr.resolved {
+		return *new(T), ErrTimeout
 	}
-	e := pr.env
-	// Both the completion waiter and the timer event run in scheduler
-	// context; the CAS picks the single winner that resumes the process.
-	// The loser's callback becomes a no-op.
-	var fired atomic.Bool
-	wake := func() {
-		if fired.CompareAndSwap(false, true) {
-			e.runnable++
-			e.parked--
-			p.resume <- struct{}{}
-		}
-	}
-	pr.waiters = append(pr.waiters, wake)
-	pr.mu.Unlock()
-
-	e.mu.Lock()
-	e.pushLocked(e.now+d, wake)
-	e.runnable--
-	e.parked++
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	<-p.resume
-
-	pr.mu.Lock()
-	defer pr.mu.Unlock()
-	if pr.resolved {
-		return pr.value, pr.err
-	}
-	return zero, ErrTimeout
+	return pr.value, pr.err
 }
 
 // Resource is a FIFO-ordered exclusive resource (capacity 1), used to model
 // serialized links such as a function's network uplink.
 type Resource struct {
 	env   *Env
-	mu    sync.Mutex
 	busy  bool
 	queue []*Promise[struct{}]
 }
@@ -339,28 +342,22 @@ func NewResource(env *Env) *Resource { return &Resource{env: env} }
 
 // Acquire parks the process until it holds the resource.
 func (r *Resource) Acquire(p *Proc) {
-	r.mu.Lock()
 	if !r.busy {
 		r.busy = true
-		r.mu.Unlock()
 		return
 	}
 	pr := NewPromise[struct{}](r.env)
 	r.queue = append(r.queue, pr)
-	r.mu.Unlock()
 	_, _ = pr.Wait(p) // promise is never failed
 }
 
 // Release hands the resource to the next waiter, if any.
 func (r *Resource) Release() {
-	r.mu.Lock()
-	if len(r.queue) > 0 {
-		next := r.queue[0]
-		r.queue = r.queue[1:]
-		r.mu.Unlock()
-		next.Resolve(struct{}{})
+	if len(r.queue) == 0 {
+		r.busy = false
 		return
 	}
-	r.busy = false
-	r.mu.Unlock()
+	next := r.queue[0]
+	r.queue = r.queue[1:]
+	next.Resolve(struct{}{})
 }

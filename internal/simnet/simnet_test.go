@@ -367,7 +367,6 @@ func TestDeadlockDetection(t *testing.T) {
 	if err := env.Run(); err == nil {
 		t.Fatal("expected deadlock error")
 	}
-	pr.Resolve(0) // release the leaked goroutine
 }
 
 func TestRunTwiceFails(t *testing.T) {
@@ -449,5 +448,47 @@ func TestNestedSpawn(t *testing.T) {
 	}
 	if depth != 5 {
 		t.Fatalf("depth %d", depth)
+	}
+}
+
+// BenchmarkEvents measures one clock event: 64 processes looping Sleep.
+func BenchmarkEvents(b *testing.B) {
+	const procs = 64
+	b.ReportAllocs()
+	env := NewEnv()
+	for i := 0; i < procs; i++ {
+		i := i
+		env.Go("sleeper", func(p *Proc) {
+			for n := i; n < b.N; n += procs {
+				p.Sleep(ms(1))
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawnWait measures a fork-join round of one: spawn a process,
+// let it sleep, and join it through a promise.
+func BenchmarkSpawnWait(b *testing.B) {
+	b.ReportAllocs()
+	env := NewEnv()
+	env.Go("master", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pr := NewPromise[int](env)
+			env.Go("worker", func(w *Proc) {
+				w.Sleep(ms(1))
+				pr.Resolve(i)
+			})
+			if _, err := pr.Wait(p); err != nil {
+				b.Error(err)
+			}
+		}
+	})
+	b.ResetTimer()
+	if err := env.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

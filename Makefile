@@ -3,7 +3,8 @@
 # suite, the scheduler-sensitive packages again at GOMAXPROCS 1, 2, 3, 4
 # and 8, the race detector on the concurrency-bearing packages (the kernel
 # execution engine, the simulation kernel, the platform and the serving
-# runtime), and the seeded chaos tests that guard the resilience layer.
+# runtime), the seeded chaos tests that guard the resilience layer, and a
+# byte-for-byte regeneration of the five simulated BENCH_*.json baselines.
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/runtime ./internal/platform ./internal/simnet \
@@ -12,9 +13,9 @@ RACE_PKGS := ./internal/par ./internal/nn ./internal/runtime ./internal/platform
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/simnet ./internal/platform ./internal/gateway
 
-.PHONY: ci lint vet build test procs race chaos cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh
+.PHONY: ci lint vet build test procs race chaos cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-verify
 
-ci: lint build test procs race chaos
+ci: lint build test procs race chaos bench-verify
 
 # lint fails on any unformatted file, then runs go vet and the project's
 # own analyzers: the intra-procedural suite (determinism, map-order,
@@ -77,27 +78,43 @@ bench-kernels:
 bench-kernels-pin:
 	$(GO) run ./cmd/gillis-bench -figs kernels -kernels-baseline BENCH_kernels.json -kernels-json BENCH_kernels.json
 
+# The five simulated baselines below are fully seeded and run on the virtual
+# clock, so each target writes the same bytes on any machine. BENCH_DIR is
+# where they write: the repo root to re-pin, a temp dir for bench-verify.
+BENCH_DIR ?= .
+
 # Regenerate the checked-in chaos baseline (fully seeded: same output on
 # any machine).
 bench-chaos:
-	$(GO) run ./cmd/gillis-bench -figs chaos -seed 42 -chaos-json BENCH_chaos.json
+	$(GO) run ./cmd/gillis-bench -figs chaos -seed 42 -chaos-json $(BENCH_DIR)/BENCH_chaos.json
 
 # Regenerate the checked-in serving-gateway load baseline (quick-mode sweep,
 # fully seeded and ShapeOnly: same output on any machine).
 bench-load:
-	$(GO) run ./cmd/gillis-bench -quick -seed 42 -load -load-json BENCH_load.json
+	$(GO) run ./cmd/gillis-bench -quick -seed 42 -load -load-json $(BENCH_DIR)/BENCH_load.json
 
 # Regenerate the checked-in adaptive re-planning baseline (full-horizon
 # scenario, fully seeded and ShapeOnly: same output on any machine).
 bench-adapt:
-	$(GO) run ./cmd/gillis-bench -seed 42 -adapt -adapt-json BENCH_adapt.json
+	$(GO) run ./cmd/gillis-bench -seed 42 -adapt -adapt-json $(BENCH_DIR)/BENCH_adapt.json
 
 # Regenerate the checked-in cross-query batching baseline (quick-mode sweep,
 # fully seeded and ShapeOnly: same output on any machine).
 bench-batch:
-	$(GO) run ./cmd/gillis-bench -quick -seed 42 -batch -batch-json BENCH_batch.json
+	$(GO) run ./cmd/gillis-bench -quick -seed 42 -batch -batch-json $(BENCH_DIR)/BENCH_batch.json
 
 # Regenerate the checked-in multi-model serving-mesh baseline (quick-mode
 # sweep, fully seeded and ShapeOnly: same output on any machine).
 bench-mesh:
-	$(GO) run ./cmd/gillis-bench -quick -seed 42 -mesh -mesh-json BENCH_mesh.json
+	$(GO) run ./cmd/gillis-bench -quick -seed 42 -mesh -mesh-json $(BENCH_DIR)/BENCH_mesh.json
+
+# Regenerate the five simulated baselines with the exact commands above into
+# a temp dir and compare each with the checked-in file: a refactor that
+# claims "behaviour unchanged" passes this, byte for byte.
+bench-verify:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(MAKE) --no-print-directory BENCH_DIR="$$tmp" bench-chaos bench-load bench-adapt bench-batch bench-mesh >/dev/null || exit 1; \
+	for f in chaos load adapt batch mesh; do \
+		cmp "$$tmp/BENCH_$$f.json" "BENCH_$$f.json" || exit 1; \
+	done; \
+	echo "bench-verify: BENCH_chaos/load/adapt/batch/mesh.json regenerate byte-identically"

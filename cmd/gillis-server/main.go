@@ -257,7 +257,7 @@ type predictResponse struct {
 	LatencyMs float64   `json:"latencyMs"` // simulated serverless latency
 	BilledMs  int64     `json:"billedMs"`
 	QueueMs   float64   `json:"queueMs"`   // admission-queue (and batch-forming) wait
-	BatchSize int       `json:"batchSize"` // queries served in this query's batch
+	BatchSize int       `json:"batchSize"` // size of the admission unit the query rode in (>= 1)
 	SLOOk     bool      `json:"sloOk"`     // within -slo-ms (always true when unset)
 }
 

@@ -118,12 +118,12 @@ func run() error {
 			serveErr = err
 			return
 		}
-		if !tensor.Equal(res.Output, want) {
+		if !tensor.Equal(res.Outputs[0], want) {
 			serveErr = fmt.Errorf("partitioned output differs from local execution")
 			return
 		}
 		best, prob := 0, float32(0)
-		for i, v := range res.Output.Data() {
+		for i, v := range res.Outputs[0].Data() {
 			if v > prob {
 				best, prob = i, v
 			}
@@ -145,7 +145,7 @@ func run() error {
 			serveErr = err
 			return
 		}
-		if !tensor.Equal(resP.Output, want) {
+		if !tensor.Equal(resP.Outputs[0], want) {
 			serveErr = fmt.Errorf("fork-join output differs from local execution")
 			return
 		}

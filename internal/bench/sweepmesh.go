@@ -125,7 +125,7 @@ func calibrateMeshWarmMs(ctx *Context, n int) (float64, error) {
 					return
 				}
 				before := proc.Now()
-				_, err = d.Serve(proc, nil)
+				_, _, err = d.ServeBatch(proc, nil, 1, false)
 				release()
 				if err != nil {
 					mErr = err

@@ -1,46 +1,34 @@
 package gateway
 
-// Cross-query batching (DESIGN.md §13). When Config.Batch.MaxBatch >= 2 the
-// gateway routes every arrival through an admission-side batch former
-// instead of the per-query serve path: arrivals accumulate into a forming
-// batch that closes when it is full (at admission), or on the control tick
-// when the oldest member's delay or SLO budget runs out, or when the
-// arrival trace drains. One member — the arrival that filled the batch, or
-// the oldest member on a tick close — leads: it acquires a single admission
-// slot through the same in-flight/queue/shed machinery a lone query would,
-// serves the whole batch through the backend's ServeBatch, and settles a
-// typed per-query Outcome for every member. The unbatched path is untouched
-// when batching is off, so unbatched replays stay byte-identical.
+// Cross-query batch forming (DESIGN.md §13). Every arrival is an admission
+// unit — the queries that take one admission slot and ride one fork-join
+// pass. With Config.Batch.MaxBatch <= 1 the unit is the arrival alone, closed
+// the instant it arrives, and nothing in this file runs. With MaxBatch >= 2
+// arrivals accumulate in a batch former whose unit closes when it is full (at
+// admission), or on the control tick when the oldest member's delay or SLO
+// budget runs out, or when the arrival trace drains. One member — the
+// arrival that filled the batch, or the oldest member on a tick close —
+// leads: its process takes the unit through admit and serve (gateway.go),
+// which settle a typed per-query Outcome for every member.
 
 import (
-	"fmt"
-
 	"gillis/internal/batching"
-	"gillis/internal/platform"
-	"gillis/internal/runtime"
 	"gillis/internal/simnet"
-	"gillis/internal/tensor"
-	"gillis/internal/trace"
 )
 
 // batchAssign is what a waiting batch member learns when its batch closes:
-// whether it leads the dispatch, and (for the leader) the membership and
-// closing rule.
+// the membership and closing rule if it leads the unit, the zero value if
+// another member does.
 type batchAssign struct {
-	lead   bool
 	batch  []batching.Member
 	reason batching.CloseReason
 }
 
-// setupBatching validates the batch configuration against the backend and
-// arms the former. Called from Run after cfg.withDefaults().
-func (g *gateway) setupBatching(b Backend, cfg Config) error {
+// setupBatching arms the batch former when the configuration asks for units
+// larger than one. Called from Run after cfg.withDefaults().
+func (g *gateway) setupBatching(cfg Config) error {
 	if cfg.Batch.MaxBatch <= 1 {
 		return nil
-	}
-	bb, ok := b.(BatchBackend)
-	if !ok {
-		return fmt.Errorf("gateway: batching enabled (MaxBatch %d) but backend %T does not implement BatchBackend", cfg.Batch.MaxBatch, b)
 	}
 	bcfg := cfg.Batch
 	// The former inherits the gateway's control tick and SLO unless the
@@ -56,7 +44,6 @@ func (g *gateway) setupBatching(b Backend, cfg Config) error {
 		return err
 	}
 	g.former = f
-	g.bb = bb
 	g.waiters = make(map[int]*simnet.Promise[batchAssign])
 	g.batchClosed = make(map[string]int)
 	g.mBatches = g.reg.Counter("gateway.batches")
@@ -64,35 +51,40 @@ func (g *gateway) setupBatching(b Backend, cfg Config) error {
 	return nil
 }
 
-// batchedQuery admits one arrival in batched mode: join the forming batch,
-// and either lead the dispatch (the arrival that fills the batch) or wait
-// for a tick close to assign a role.
-func (g *gateway) batchedQuery(proc *simnet.Proc, i int) {
-	arrival := proc.Now()
-	g.mQueries.Inc()
-
+// formBatch puts an arrival into the forming batch and returns the closed
+// batch if this process leads it, nil if another member's process does: the
+// arrival either closes the batch (it fills it) or waits for a tick close to
+// assign a role.
+func (g *gateway) formBatch(proc *simnet.Proc, m batching.Member) []batching.Member {
+	var a batchAssign
 	g.mu.Lock()
 	g.arrived++
-	if g.former.Add(i, arrival) {
+	if g.former.Add(m.ID, m.Arrival) {
 		// Size rule: the batch is full; this arrival closes and leads it.
-		members := g.former.Take()
+		a = batchAssign{batch: g.former.Take(), reason: batching.ReasonSize}
 		g.mu.Unlock()
-		g.leadBatch(proc, members, i, batching.ReasonSize)
-		return
+	} else {
+		pr := simnet.NewPromise[batchAssign](proc.Env())
+		g.waiters[m.ID] = pr
+		g.mu.Unlock()
+		var err error
+		if a, err = pr.Wait(proc); err != nil {
+			g.settle(Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: 1, Err: err.Error()})
+			return nil
+		}
 	}
-	pr := simnet.NewPromise[batchAssign](proc.Env())
-	g.waiters[i] = pr
+	if a.batch == nil {
+		return nil
+	}
+	n := len(a.batch)
+	g.mu.Lock()
+	g.batches++
+	g.batchSizeSum += n
+	g.batchClosed[a.reason.String()]++
 	g.mu.Unlock()
-
-	a, err := pr.Wait(proc)
-	if err != nil {
-		g.settle(i, Outcome{ID: i, ArrivalMs: durMs(arrival), Err: err.Error()})
-		return
-	}
-	if a.lead {
-		g.leadBatch(proc, a.batch, i, a.reason)
-	}
-	// Non-leaders return: the leader settles their outcomes.
+	g.mBatches.Inc()
+	g.hBatchSize.Observe(float64(n))
+	return a.batch
 }
 
 // batchTick evaluates the tick-driven closing rules; on a close it appoints
@@ -112,92 +104,7 @@ func (g *gateway) batchTick(proc *simnet.Proc) {
 	lead := g.waiters[members[0].ID]
 	delete(g.waiters, members[0].ID)
 	g.mu.Unlock()
-	lead.Resolve(batchAssign{lead: true, batch: members, reason: reason})
-}
-
-// leadBatch runs one closed batch to completion on the leader's process:
-// account the close, acquire a single admission slot (or shed the whole
-// batch), serve, settle every member, and release the slot and the
-// non-leader members.
-func (g *gateway) leadBatch(proc *simnet.Proc, members []batching.Member, leaderID int, reason batching.CloseReason) {
-	n := len(members)
-	g.mu.Lock()
-	g.batches++
-	g.batchSizeSum += n
-	g.batchClosed[reason.String()]++
-	g.mu.Unlock()
-	g.mBatches.Inc()
-	g.hBatchSize.Observe(float64(n))
-
-	// Admission: one slot for the whole batch, through the same switch a
-	// lone query takes.
-	g.mu.Lock()
-	switch {
-	case g.inFlight < g.cfg.MaxInFlight:
-		g.inFlight++
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-	case g.brownout:
-		g.brownoutSheds += n
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-		g.shedBatch(proc, members, leaderID, ErrBrownout.Error(), g.mBrownoutShed)
-		return
-	case len(g.queue) < g.cfg.QueueCap:
-		pr := simnet.NewPromise[struct{}](proc.Env())
-		g.queue = append(g.queue, pr)
-		if len(g.queue) > g.maxQueue {
-			g.maxQueue = len(g.queue)
-		}
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-		if _, err := pr.Wait(proc); err != nil {
-			for _, m := range members {
-				g.settle(m.ID, Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n, Err: err.Error()})
-			}
-			g.releaseWaiters(members, leaderID)
-			return
-		}
-	default:
-		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
-		g.shedBatch(proc, members, leaderID, ErrShed.Error(), nil)
-		return
-	}
-
-	g.mAdmitted.Add(int64(n))
-	outs := g.serveBatch(proc, members)
-	// Release the slot exactly as a lone query would.
-	g.mu.Lock()
-	if len(g.queue) > 0 {
-		head := g.queue[0]
-		g.queue = g.queue[1:]
-		g.mu.Unlock()
-		head.Resolve(struct{}{})
-	} else {
-		g.inFlight--
-		g.mu.Unlock()
-	}
-	for k, m := range members {
-		g.settle(m.ID, outs[k])
-	}
-	g.releaseWaiters(members, leaderID)
-}
-
-// shedBatch rejects every member of a batch that found no slot and no queue
-// room. extra, when non-nil, is bumped per member on top of the shed
-// counter (the brownout-shed counter).
-func (g *gateway) shedBatch(proc *simnet.Proc, members []batching.Member, leaderID int, errMsg string, extra *trace.Counter) {
-	n := len(members)
-	for _, m := range members {
-		g.mShed.Inc()
-		g.mSLOViolated.Inc()
-		if extra != nil {
-			extra.Inc()
-		}
-		g.settle(m.ID, Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n, Shed: true, Err: errMsg})
-	}
-	g.releaseWaiters(members, leaderID)
+	lead.Resolve(batchAssign{batch: members, reason: reason})
 }
 
 // releaseWaiters resolves every non-leader member's promise so their
@@ -218,85 +125,4 @@ func (g *gateway) releaseWaiters(members []batching.Member, leaderID int) {
 	for _, pr := range prs {
 		pr.Resolve(batchAssign{})
 	}
-}
-
-// serveBatch serves one admitted batch through the backend and builds the
-// typed per-member Outcomes: each member keeps its own arrival, queue wait
-// (batch forming plus slot wait), and SLO verdict; the serve latency and
-// trace are shared; the billed time splits evenly with the remainder going
-// to the earliest members so the per-query sum reconciles with the batch;
-// a cold start is attributed to the first member only.
-func (g *gateway) serveBatch(proc *simnet.Proc, members []batching.Member) []Outcome {
-	n := len(members)
-	startMs := durMs(proc.Now())
-	var inputs []*tensor.Tensor
-	if g.cfg.Input != nil {
-		inputs = make([]*tensor.Tensor, n)
-		for k, m := range members {
-			inputs[k] = g.cfg.Input(m.ID)
-		}
-	}
-	var res runtime.BatchResult
-	var tr *trace.Trace
-	var err error
-	if g.cfg.Traced {
-		res, tr, err = g.bb.ServeBatchTraced(proc, inputs, n)
-	} else {
-		res, err = g.bb.ServeBatch(proc, inputs, n)
-	}
-	endMs := durMs(proc.Now())
-
-	outs := make([]Outcome, n)
-	billed := res.BilledMs
-	if err != nil {
-		billed = platform.BilledMsOf(err)
-	}
-	base, rem := billed/int64(n), billed%int64(n)
-	for k, m := range members {
-		o := Outcome{
-			ID:        m.ID,
-			ArrivalMs: durMs(m.Arrival),
-			QueueMs:   startMs - durMs(m.Arrival),
-			TotalMs:   endMs - durMs(m.Arrival),
-			BilledMs:  base,
-			BatchSize: n,
-			Trace:     tr,
-		}
-		if int64(k) < rem {
-			o.BilledMs++
-		}
-		g.hQueueWaitMs.Observe(o.QueueMs)
-		g.hTotalMs.Observe(o.TotalMs)
-		if err != nil {
-			o.Err = err.Error()
-			if kind, ok := platform.FaultKindOf(err); ok {
-				o.FaultKind = kind.String()
-			} else {
-				o.FaultKind = "other"
-			}
-			g.mFaulted.Inc()
-			g.mSLOViolated.Inc()
-			g.reg.Counter("gateway.faults." + o.FaultKind).Inc()
-		} else {
-			o.LatencyMs = res.LatencyMs
-			if k == 0 {
-				o.ColdStart = res.ColdStart
-				if res.ColdStart {
-					g.mColdStarts.Inc()
-				}
-			}
-			if res.Outputs != nil {
-				o.Output = res.Outputs[k]
-			}
-			o.SLOOK = g.cfg.SLOMs <= 0 || o.TotalMs <= g.cfg.SLOMs
-			g.mServed.Inc()
-			if o.SLOOK {
-				g.mSLOOK.Inc()
-			} else {
-				g.mSLOViolated.Inc()
-			}
-		}
-		outs[k] = o
-	}
-	return outs
 }

@@ -13,9 +13,7 @@ import (
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
-	"gillis/internal/simnet"
 	"gillis/internal/tensor"
-	"gillis/internal/trace"
 	"gillis/internal/workload"
 )
 
@@ -141,6 +139,12 @@ func TestBatchOutcomeAccounting(t *testing.T) {
 	}
 	if outs[0].BilledMs < outs[2].BilledMs {
 		t.Errorf("billed remainder should go to the earliest members: %d < %d", outs[0].BilledMs, outs[2].BilledMs)
+	}
+	// The runtime feeds one metric set whatever the unit size: three
+	// queries, one latency observation for the pass that carried them.
+	reg := d.Platform().Metrics()
+	if q, n := reg.Counter("runtime.queries").Value(), reg.Histogram("runtime.query_latency_ms").Count(); q != 3 || n != 1 {
+		t.Errorf("runtime.queries = %d, runtime.query_latency_ms count = %d, want 3 and 1", q, n)
 	}
 }
 
@@ -326,19 +330,6 @@ func TestGoldenBatchReport(t *testing.T) {
 	}
 }
 
-// noBatchBackend implements Backend but not BatchBackend.
-type noBatchBackend struct{ d *runtime.Deployment }
-
-func (n noBatchBackend) Platform() *platform.Platform { return n.d.Platform() }
-func (n noBatchBackend) Serve(proc *simnet.Proc, in *tensor.Tensor) (runtime.Result, error) {
-	return n.d.Serve(proc, in)
-}
-func (n noBatchBackend) ServeTraced(proc *simnet.Proc, in *tensor.Tensor) (runtime.Result, *trace.Trace, error) {
-	return n.d.ServeTraced(proc, in)
-}
-func (n noBatchBackend) WarmSets() int  { return n.d.WarmSets() }
-func (n noBatchBackend) Prewarm() error { return n.d.Prewarm() }
-
 // TestBatchRunValidation covers the batched config error paths.
 func TestBatchRunValidation(t *testing.T) {
 	d := deploy(t, platform.AWSLambda(), 1, runtime.ShapeOnly)
@@ -346,16 +337,8 @@ func TestBatchRunValidation(t *testing.T) {
 	if _, _, err := Run(d, nil, Config{MaxInFlight: 1, Batch: batching.Config{MaxBatch: 2}}); err == nil {
 		t.Error("batching without MaxDelay must be rejected")
 	}
-	// A backend without ServeBatch cannot run a batched replay.
-	nb := noBatchBackend{d: deploy(t, platform.AWSLambda(), 1, runtime.ShapeOnly)}
-	if _, _, err := Run(nb, nil, Config{
-		MaxInFlight: 1,
-		Batch:       batching.Config{MaxBatch: 2, MaxDelay: time.Second},
-	}); err == nil {
-		t.Error("non-batch backend must be rejected when batching is on")
-	}
-	// MaxBatch 1 means batching off: the plain path accepts any backend.
-	if _, _, err := Run(nb, nil, Config{MaxInFlight: 1, Batch: batching.Config{MaxBatch: 1}}); err != nil {
-		t.Errorf("MaxBatch 1 should disable batching: %v", err)
+	// MaxBatch 1 forms no batches, so it needs no former config.
+	if _, _, err := Run(d, nil, Config{MaxInFlight: 1, Batch: batching.Config{MaxBatch: 1}}); err != nil {
+		t.Errorf("MaxBatch 1 should need no MaxDelay: %v", err)
 	}
 }

@@ -19,11 +19,11 @@ var ErrBrownout = errors.New("gateway: brownout, query shed")
 
 // Backend is what the gateway serves through: a single runtime.Deployment,
 // or a runtime.Switcher holding several candidate plans the controller
-// hot-swaps between.
+// hot-swaps between. ServeBatch carries one admission unit — one query or a
+// formed batch — through a single fork-join pass.
 type Backend interface {
 	Platform() *platform.Platform
-	Serve(proc *simnet.Proc, input *tensor.Tensor) (runtime.Result, error)
-	ServeTraced(proc *simnet.Proc, input *tensor.Tensor) (runtime.Result, *trace.Trace, error)
+	ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size int, traced bool) (runtime.Result, *trace.Trace, error)
 	WarmSets() int
 	Prewarm() error
 }
@@ -37,14 +37,6 @@ type Backend interface {
 // their own state, like every other gateway collaborator.
 type Router interface {
 	Acquire(proc *simnet.Proc, model string) (Backend, func(), error)
-}
-
-// BatchBackend is a Backend that can serve a whole batch of queries in one
-// fork-join round. Required when Config.Batch enables cross-query batching.
-type BatchBackend interface {
-	Backend
-	ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size int) (runtime.BatchResult, error)
-	ServeBatchTraced(proc *simnet.Proc, inputs []*tensor.Tensor, size int) (runtime.BatchResult, *trace.Trace, error)
 }
 
 // Switchable is a Backend with hot-swappable candidate plans
@@ -64,10 +56,8 @@ type HedgeControl interface {
 // Statically assert the runtime types satisfy the gateway's interfaces.
 var (
 	_ Backend      = (*runtime.Deployment)(nil)
-	_ BatchBackend = (*runtime.Deployment)(nil)
 	_ HedgeControl = (*runtime.Deployment)(nil)
 	_ Switchable   = (*runtime.Switcher)(nil)
-	_ BatchBackend = (*runtime.Switcher)(nil)
 	_ HedgeControl = (*runtime.Switcher)(nil)
 )
 

@@ -1,7 +1,7 @@
 // Package gateway is the serving front door for a deployment: it replays a
 // workload arrival trace against the simulated platform, admitting queries
 // into a bounded FIFO queue, running up to MaxInFlight concurrent
-// Deployment.Serve calls (each on its own simnet process), and shedding
+// fork-join passes (each on its own simnet process), and shedding
 // load once the queue is full — the transient-burst regime §II-A of the
 // Gillis paper motivates serverless serving with.
 //
@@ -46,8 +46,8 @@ type Config struct {
 	SLOMs float64
 	// TickMs is the autoscaling control interval (default 100 ms).
 	TickMs float64
-	// Traced serves each query through ServeTraced and retains the trace
-	// on its Outcome.
+	// Traced serves every query with tracing on and retains the trace on
+	// its Outcome.
 	Traced bool
 	// Input supplies the i-th query's input tensor (Real-mode
 	// deployments). Nil serves every query with a nil input (ShapeOnly).
@@ -62,11 +62,12 @@ type Config struct {
 	// brownout) are applied before autoscaling. Nil leaves the replay's
 	// platform actions exactly as without a controller.
 	Controller Controller
-	// Batch enables cross-query batching when Batch.MaxBatch >= 2: arrivals
-	// form batches that close on size, delay, SLO deadline, or trace drain,
-	// and each batch serves through the backend's ServeBatch on a single
-	// admission slot. Batch.TickMs and Batch.SLOMs default to the gateway's
-	// TickMs and SLOMs. MaxBatch <= 1 leaves the per-query path untouched.
+	// Batch sizes the admission unit — the queries that take one admission
+	// slot and ride one fork-join pass together. With Batch.MaxBatch >= 2
+	// arrivals form batches that close on size, delay, SLO deadline, or
+	// trace drain; with MaxBatch <= 1 every arrival is a unit of one, closed
+	// the instant it arrives. Batch.TickMs and Batch.SLOMs default to the
+	// gateway's TickMs and SLOMs.
 	Batch batching.Config
 	// Model tags the i-th arrival with the catalog model it requests, and
 	// Router resolves that tag to a serving backend at serve time — the
@@ -118,10 +119,9 @@ type Outcome struct {
 	Err string
 	// SLOOK reports the query was served successfully within Config.SLOMs.
 	SLOOK bool
-	// BatchSize is how many queries shared the serve this query rode in: 1
-	// on the per-query path, the batch's size in batched mode (including
-	// for members of a shed batch), and 0 for queries shed before serving
-	// on the per-query path.
+	// BatchSize is the size of the admission unit the query rode in: 1
+	// unless Config.Batch forms batches, and at least 1 for every settled
+	// query, shed and faulted ones included.
 	BatchSize int
 	// FaultKind is the typed platform fault kind behind Err ("failure",
 	// "timeout", "evicted", "throttled"), "placement" for multi-model
@@ -135,9 +135,11 @@ type Outcome struct {
 	Trace *trace.Trace
 }
 
-// gateway is the per-replay state. Fields are mutex-guarded: simnet runs at
-// most one process at a time, but processes are goroutines and the race
-// detector rightly wants explicit synchronization.
+// gateway is the per-replay state. Every process that touches it is a simnet
+// coroutine resumed one at a time on Env.Run's goroutine, so the mutex is
+// never contended and guards nothing today; it stays as belt and braces,
+// marking the state that would need it if a process ever left that
+// goroutine.
 type gateway struct {
 	b       Backend
 	cfg     Config
@@ -169,12 +171,11 @@ type gateway struct {
 	brownoutSheds int
 	planSwitches  int
 
-	// Batched-mode state (nil/zero when Config.Batch is off). arrived
+	// Batch-forming state (nil/zero when Config.Batch.MaxBatch <= 1). arrived
 	// counts arrivals that entered the former, so the drain rule knows when
 	// no future query can top a batch up; waiters maps a forming member's
 	// query ID to the promise its process blocks on.
 	former       *batching.Former
-	bb           BatchBackend
 	waiters      map[int]*simnet.Promise[batchAssign]
 	arrived      int
 	batches      int
@@ -233,7 +234,7 @@ func Run(b Backend, arrivals []time.Duration, cfg Config) (*LoadReport, []Outcom
 		hTotalMs:      reg.Histogram("gateway.total_ms"),
 	}
 
-	if err := g.setupBatching(b, cfg); err != nil {
+	if err := g.setupBatching(cfg); err != nil {
 		return nil, nil, err
 	}
 
@@ -266,20 +267,30 @@ func Run(b Backend, arrivals []time.Duration, cfg Config) (*LoadReport, []Outcom
 	return rep, g.outcomes, nil
 }
 
-// query admits one arrival: start immediately, wait in the FIFO queue, or
-// shed.
+// query runs one arrival. It is an admission unit of one, closed the instant
+// it arrives, unless a batch former merges it into a larger unit; the process
+// that leads a unit admits it, serves it, settles every member and hands the
+// admission slot on.
 func (g *gateway) query(proc *simnet.Proc, i int) {
-	if g.former != nil {
-		g.batchedQuery(proc, i)
-		return
-	}
-	arrivalMs := durMs(proc.Now())
-	var model string
-	if g.cfg.Model != nil {
-		model = g.cfg.Model(i)
-	}
 	g.mQueries.Inc()
+	unit := []batching.Member{{ID: i, Arrival: proc.Now()}}
+	if g.former != nil {
+		if unit = g.formBatch(proc, unit[0]); unit == nil {
+			return // another member leads the batch and settles this query
+		}
+		defer g.releaseWaiters(unit, i)
+	}
+	if g.admit(proc, unit) {
+		g.serve(proc, unit)
+		g.release()
+	}
+}
 
+// admit takes one admission slot for the whole unit: start immediately, wait
+// in the FIFO queue, or shed. It reports whether the unit holds a slot;
+// otherwise every member has been settled.
+func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
+	n := len(unit)
 	g.mu.Lock()
 	switch {
 	case g.inFlight < g.cfg.MaxInFlight:
@@ -287,17 +298,15 @@ func (g *gateway) query(proc *simnet.Proc, i int) {
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
 	case g.brownout:
-		// Brownout: the queue is closed. An arrival that cannot start
-		// immediately is shed with the typed brownout error; entries already
-		// queued keep their place.
-		g.brownoutSheds++
+		// Brownout: the queue is closed. A unit that cannot start immediately
+		// is shed with the typed brownout error; entries already queued keep
+		// their place.
+		g.brownoutSheds += n
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
-		g.mShed.Inc()
-		g.mBrownoutShed.Inc()
-		g.mSLOViolated.Inc()
-		g.settle(i, Outcome{ID: i, Model: model, ArrivalMs: arrivalMs, Shed: true, Err: ErrBrownout.Error()})
-		return
+		g.mBrownoutShed.Add(int64(n))
+		g.shedUnit(unit, ErrBrownout)
+		return false
 	case len(g.queue) < g.cfg.QueueCap:
 		pr := simnet.NewPromise[struct{}](proc.Env())
 		g.queue = append(g.queue, pr)
@@ -306,25 +315,27 @@ func (g *gateway) query(proc *simnet.Proc, i int) {
 		}
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
-		// A finishing query hands its slot to the queue head directly, so
+		// A finishing unit hands its slot to the queue head directly, so
 		// resolution implies the in-flight accounting already covers us.
 		if _, err := pr.Wait(proc); err != nil {
-			g.settle(i, Outcome{ID: i, Model: model, ArrivalMs: arrivalMs, Err: err.Error()})
-			return
+			for _, m := range unit {
+				g.settle(Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n, Err: err.Error()})
+			}
+			return false
 		}
 	default:
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		g.mu.Unlock()
-		g.mShed.Inc()
-		g.mSLOViolated.Inc()
-		g.settle(i, Outcome{ID: i, Model: model, ArrivalMs: arrivalMs, Shed: true, Err: ErrShed.Error()})
-		return
+		g.shedUnit(unit, ErrShed)
+		return false
 	}
+	g.mAdmitted.Add(int64(n))
+	return true
+}
 
-	g.mAdmitted.Inc()
-	o := g.serve(proc, i, arrivalMs, model)
-
-	// Release the slot: hand it to the queue head if anyone is waiting.
+// release gives up an admission slot: it goes to the queue head if anyone is
+// waiting.
+func (g *gateway) release() {
 	g.mu.Lock()
 	if len(g.queue) > 0 {
 		head := g.queue[0]
@@ -335,100 +346,122 @@ func (g *gateway) query(proc *simnet.Proc, i int) {
 		g.inFlight--
 		g.mu.Unlock()
 	}
-	g.settle(i, o)
 }
 
-// serve runs the admitted query to completion and builds its Outcome. On
-// the multi-model path the Router resolves the backend first — a cache
-// miss loads the model on this query's process, so the load time lands in
-// TotalMs (and counts against the SLO) but not in LatencyMs.
-func (g *gateway) serve(proc *simnet.Proc, i int, arrivalMs float64, model string) Outcome {
+// shedUnit rejects every member of a unit that found no slot and no queue
+// room.
+func (g *gateway) shedUnit(unit []batching.Member, cause error) {
+	n := len(unit)
+	g.mShed.Add(int64(n))
+	g.mSLOViolated.Add(int64(n))
+	for _, m := range unit {
+		g.settle(Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n, Shed: true, Err: cause.Error()})
+	}
+}
+
+// route resolves the backend that serves query i: the replay's own, or on
+// the multi-model path whatever the Router places the query's model on — a
+// cache miss loads the model on this query's process, so the load time lands
+// in TotalMs (and counts against the SLO) but not in LatencyMs.
+func (g *gateway) route(proc *simnet.Proc, i int) (Backend, func(), error) {
+	if g.cfg.Router == nil {
+		return g.b, func() {}, nil
+	}
+	return g.cfg.Router.Acquire(proc, g.cfg.Model(i))
+}
+
+// serve runs one admitted unit through a single fork-join pass and settles
+// a typed Outcome per member: each member keeps its own arrival, queue wait
+// (unit forming plus slot wait), and SLO verdict; the serve latency and
+// trace are shared; the billed time splits evenly with the remainder going
+// to the earliest members so the per-query sum reconciles with the pass; a
+// cold start is attributed to the first member only.
+func (g *gateway) serve(proc *simnet.Proc, unit []batching.Member) {
+	n := len(unit)
 	startMs := durMs(proc.Now())
-	backend := g.b
-	release := func() {}
-	if g.cfg.Router != nil {
-		rb, rel, err := g.cfg.Router.Acquire(proc, model)
-		if err != nil {
-			o := Outcome{
-				ID:        i,
-				Model:     model,
-				ArrivalMs: arrivalMs,
-				QueueMs:   startMs - arrivalMs,
-				TotalMs:   durMs(proc.Now()) - arrivalMs,
-				Err:       err.Error(),
-				FaultKind: "placement",
+	var (
+		res       runtime.Result
+		tr        *trace.Trace
+		billed    int64
+		faultKind string
+	)
+	backend, release, err := g.route(proc, unit[0].ID)
+	if err != nil {
+		faultKind = "placement"
+	} else {
+		var inputs []*tensor.Tensor
+		if g.cfg.Input != nil {
+			inputs = make([]*tensor.Tensor, n)
+			for k, m := range unit {
+				inputs[k] = g.cfg.Input(m.ID)
 			}
-			g.hQueueWaitMs.Observe(o.QueueMs)
-			g.hTotalMs.Observe(o.TotalMs)
+		}
+		res, tr, err = backend.ServeBatch(proc, inputs, n, g.cfg.Traced)
+		release()
+		billed = res.BilledMs
+		if err != nil {
+			billed = platform.BilledMsOf(err)
+			faultKind = "other"
+			if k, ok := platform.FaultKindOf(err); ok {
+				faultKind = k.String()
+			}
+		}
+	}
+	endMs := durMs(proc.Now())
+
+	base, rem := billed/int64(n), billed%int64(n)
+	for k, m := range unit {
+		o := Outcome{
+			ID:        m.ID,
+			ArrivalMs: durMs(m.Arrival),
+			QueueMs:   startMs - durMs(m.Arrival),
+			TotalMs:   endMs - durMs(m.Arrival),
+			BilledMs:  base,
+			BatchSize: n,
+			Trace:     tr,
+		}
+		if int64(k) < rem {
+			o.BilledMs++
+		}
+		g.hQueueWaitMs.Observe(o.QueueMs)
+		g.hTotalMs.Observe(o.TotalMs)
+		if err != nil {
+			o.Err = err.Error()
+			o.FaultKind = faultKind
 			g.mFaulted.Inc()
 			g.mSLOViolated.Inc()
-			g.reg.Counter("gateway.faults." + o.FaultKind).Inc()
-			return o
-		}
-		backend = rb
-		release = rel
-	}
-	var in *tensor.Tensor
-	if g.cfg.Input != nil {
-		in = g.cfg.Input(i)
-	}
-	var res runtime.Result
-	var tr *trace.Trace
-	var err error
-	if g.cfg.Traced {
-		res, tr, err = backend.ServeTraced(proc, in)
-	} else {
-		res, err = backend.Serve(proc, in)
-	}
-	release()
-	o := Outcome{
-		ID:        i,
-		Model:     model,
-		ArrivalMs: arrivalMs,
-		QueueMs:   startMs - arrivalMs,
-		TotalMs:   durMs(proc.Now()) - arrivalMs,
-		Trace:     tr,
-	}
-	g.hQueueWaitMs.Observe(o.QueueMs)
-	g.hTotalMs.Observe(o.TotalMs)
-	if err != nil {
-		o.Err = err.Error()
-		o.BilledMs = platform.BilledMsOf(err)
-		if k, ok := platform.FaultKindOf(err); ok {
-			o.FaultKind = k.String()
+			g.reg.Counter("gateway.faults." + faultKind).Inc()
 		} else {
-			o.FaultKind = "other"
+			o.LatencyMs = res.LatencyMs
+			if k == 0 && res.ColdStart {
+				o.ColdStart = true
+				g.mColdStarts.Inc()
+			}
+			if res.Outputs != nil {
+				o.Output = res.Outputs[k]
+			}
+			o.SLOOK = g.cfg.SLOMs <= 0 || o.TotalMs <= g.cfg.SLOMs
+			g.mServed.Inc()
+			if o.SLOOK {
+				g.mSLOOK.Inc()
+			} else {
+				g.mSLOViolated.Inc()
+			}
 		}
-		g.mFaulted.Inc()
-		g.mSLOViolated.Inc()
-		g.reg.Counter("gateway.faults." + o.FaultKind).Inc()
-		return o
+		g.settle(o)
 	}
-	o.LatencyMs = res.LatencyMs
-	o.BilledMs = res.BilledMs
-	o.ColdStart = res.ColdStart
-	o.Output = res.Output
-	o.BatchSize = 1
-	o.SLOOK = g.cfg.SLOMs <= 0 || o.TotalMs <= g.cfg.SLOMs
-	g.mServed.Inc()
-	if res.ColdStart {
-		g.mColdStarts.Inc()
-	}
-	if o.SLOOK {
-		g.mSLOOK.Inc()
-	} else {
-		g.mSLOViolated.Inc()
-	}
-	return o
 }
 
-// settle records the outcome, classifies it into the cumulative and
-// windowed aggregates, and counts the query done (the autoscaler's exit
-// condition).
-func (g *gateway) settle(i int, o Outcome) {
+// settle tags the outcome with the query's catalog model, records it,
+// classifies it into the cumulative and windowed aggregates, and counts the
+// query done (the autoscaler's exit condition).
+func (g *gateway) settle(o Outcome) {
+	if g.cfg.Model != nil {
+		o.Model = g.cfg.Model(o.ID)
+	}
 	e := windowEntry{sloOK: o.SLOOK, totalMs: o.TotalMs}
 	g.mu.Lock()
-	g.outcomes[i] = o
+	g.outcomes[o.ID] = o
 	g.done++
 	switch {
 	case o.Shed:

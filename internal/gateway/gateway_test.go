@@ -210,6 +210,9 @@ func TestChaosReplayTraceInvariants(t *testing.T) {
 	var billedInTraces int64
 	failedSpans := 0
 	for _, o := range outs {
+		if o.BatchSize != 1 {
+			t.Fatalf("query %d: batch size %d, want 1 whether served, shed or faulted", o.ID, o.BatchSize)
+		}
 		if o.Shed {
 			if o.Trace != nil {
 				t.Fatalf("query %d: shed queries must not reach the platform", o.ID)
@@ -258,6 +261,11 @@ func TestQueueAndShed(t *testing.T) {
 	for _, i := range []int{2, 3} {
 		if !outs[i].Shed || outs[i].Err != ErrShed.Error() {
 			t.Errorf("query %d should be shed with ErrShed: %+v", i, outs[i])
+		}
+	}
+	for i, o := range outs {
+		if o.BatchSize != 1 {
+			t.Errorf("query %d: lone queries ride a unit of one, served or shed; got batch size %d", i, o.BatchSize)
 		}
 	}
 	reg := d.Platform().Metrics()

@@ -38,6 +38,10 @@ var ErrUnknownModel = errors.New("mesh: unknown model")
 // for the pool, or every byte is pinned by in-flight queries.
 var ErrNoCapacity = errors.New("mesh: no instance capacity for model")
 
+// errDirectServe is reported when a query is served through the mesh anchor
+// itself instead of a routed deployment.
+var errDirectServe = errors.New("mesh: serve through a multi-model gateway (Config.Model + Config.Router)")
+
 // ModelSpec is one catalog entry: a model's partitioned serving plan.
 type ModelSpec struct {
 	// ID is the catalog key queries route by. Must be unique and match the
@@ -559,16 +563,10 @@ func (m *Mesh) WarmSets() int {
 	return n
 }
 
-// Serve implements gateway.Backend. The mesh never serves directly —
+// ServeBatch implements gateway.Backend. The mesh never serves directly —
 // queries must route through Acquire — so this is a configuration error.
-func (m *Mesh) Serve(proc *simnet.Proc, input *tensor.Tensor) (runtime.Result, error) {
-	return runtime.Result{}, errors.New("mesh: serve through a multi-model gateway (Config.Model + Config.Router)")
-}
-
-// ServeTraced implements gateway.Backend; see Serve.
-func (m *Mesh) ServeTraced(proc *simnet.Proc, input *tensor.Tensor) (runtime.Result, *trace.Trace, error) {
-	_, err := m.Serve(proc, input)
-	return runtime.Result{}, nil, err
+func (m *Mesh) ServeBatch(*simnet.Proc, []*tensor.Tensor, int, bool) (runtime.Result, *trace.Trace, error) {
+	return runtime.Result{}, nil, errDirectServe
 }
 
 // Prewarm implements gateway.Backend. Pool-level prewarming is

@@ -329,11 +329,8 @@ func TestMeshErrors(t *testing.T) {
 	if !errors.Is(routeErr, ErrUnknownModel) {
 		t.Errorf("want ErrUnknownModel, got %v", routeErr)
 	}
-	if _, err := m2.Serve(nil, nil); err == nil {
-		t.Error("mesh.Serve must refuse direct serving")
-	}
-	if _, _, err := m2.ServeTraced(nil, nil); err == nil {
-		t.Error("mesh.ServeTraced must refuse direct serving")
+	if _, _, err := m2.ServeBatch(nil, nil, 1, false); err == nil {
+		t.Error("mesh.ServeBatch must refuse direct serving")
 	}
 	if err := m2.Prewarm(); err == nil {
 		t.Error("mesh.Prewarm must refuse pool-level prewarming")

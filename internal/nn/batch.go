@@ -7,10 +7,10 @@ import "gillis/internal/tensor"
 // optimization, never a numerics change — so the fast paths only widen the
 // parallel index space: for Conv2D/FusedConv2D the batch's pixels are more
 // columns of the one blocked GEMM, for Dense/FusedDense and LSTM the index
-// space is batch×bands over the exact per-element band bodies of the
-// single-query kernels (see gemm.go). Everything else, and any batch that
-// mixes input shapes, falls back to the per-query loop, which is the
-// equivalence baseline by definition.
+// space is batch×bands, each band reading only its own element (see
+// gemm.go). Those ops' Forward is the one-element call of the same body.
+// Everything else, and any batch that mixes input shapes, falls back to the
+// per-query loop, which is the equivalence baseline by definition.
 
 // BatchForwarder is implemented by single-input operators with a dedicated
 // batched forward. Implementations may assume all inputs share one shape;

@@ -90,38 +90,35 @@ func (d *Dense) SetWeights(ws []*tensor.Tensor) error {
 	return nil
 }
 
-// Forward implements Op.
+// Forward implements Op: the one-element call of the batched body.
 func (d *Dense) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+	return d.forwardOne(in, false)
+}
+
+// ForwardBatch implements BatchForwarder: one row-dot pass over all inputs,
+// bitwise identical to the per-query loop (see gemvBias).
+func (d *Dense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return d.forward(xs, false)
+}
+
+// forwardOne is forward for the single-input Op entry points.
+func (d *Dense) forwardOne(in []*tensor.Tensor, relu bool) (*tensor.Tensor, error) {
 	if err := checkOneInput("Dense", len(in)); err != nil {
 		return nil, err
 	}
-	if !d.Initialized() {
-		return nil, fmt.Errorf("nn: Dense %q has no weights", d.OpName)
+	outs, err := d.forward(in, relu)
+	if err != nil {
+		return nil, err
 	}
-	x := in[0]
-	if x.Rank() != 1 || x.Dim(0) != d.In {
-		return nil, fmt.Errorf("nn: Dense %q bad input %v", d.OpName, x.Shape())
-	}
-	return d.forwardRelu(x, false)
+	return outs[0], nil
 }
 
-// forwardRelu lowers the layer onto the row-dot micro-kernel (gemm.go).
-// Each output row reduces over In with the fixed lane-striped schedule of
-// laneDotAcc — invariant under parallelism and channel slicing — and relu
-// optionally fuses the activation into the same pass (see fused.go).
-func (d *Dense) forwardRelu(x *tensor.Tensor, relu bool) (*tensor.Tensor, error) {
-	out := tensor.New(d.Out)
-	gemvBias(d.Out, d.In, d.W.Data(), d.B.Data(), x.Data(), out.Data(), relu)
-	return out, nil
-}
-
-// ForwardBatch implements BatchForwarder: one batched row-dot pass over all
-// inputs, bitwise identical to the per-query loop (see gemvBiasBatch).
-func (d *Dense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return d.forwardReluBatch(xs, false)
-}
-
-func (d *Dense) forwardReluBatch(xs []*tensor.Tensor, relu bool) ([]*tensor.Tensor, error) {
+// forward lowers the layer onto the row-dot micro-kernel (gemm.go) for every
+// xs[e]. Each output row reduces over In with the fixed lane-striped schedule
+// of laneDotAcc — invariant under parallelism, batch size and channel
+// slicing — and relu optionally fuses the activation into the same pass (see
+// fused.go).
+func (d *Dense) forward(xs []*tensor.Tensor, relu bool) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, nil
 	}
@@ -139,7 +136,7 @@ func (d *Dense) forwardReluBatch(xs []*tensor.Tensor, relu bool) ([]*tensor.Tens
 		ins[e] = x.Data()
 		ods[e] = outs[e].Data()
 	}
-	gemvBiasBatch(len(xs), d.Out, d.In, d.W.Data(), d.B.Data(), ins, ods, relu)
+	gemvBias(d.Out, d.In, d.W.Data(), d.B.Data(), ins, ods, relu)
 	return outs, nil
 }
 

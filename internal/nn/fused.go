@@ -278,23 +278,13 @@ func (f *FusedDense) SetWeights(ws []*tensor.Tensor) error { return f.Dense.SetW
 
 // Forward implements Op.
 func (f *FusedDense) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	if err := checkOneInput("FusedDense", len(in)); err != nil {
-		return nil, err
-	}
-	if !f.Dense.Initialized() {
-		return nil, fmt.Errorf("nn: FusedDense %q has no weights", f.Name())
-	}
-	x := in[0]
-	if x.Rank() != 1 || x.Dim(0) != f.Dense.In {
-		return nil, fmt.Errorf("nn: FusedDense %q bad input %v", f.Name(), x.Shape())
-	}
-	return f.Dense.forwardRelu(x, true)
+	return f.Dense.forwardOne(in, true)
 }
 
 // ForwardBatch implements BatchForwarder with the ReLU fused into the
-// batched row-dot pass.
+// row-dot pass.
 func (f *FusedDense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return f.Dense.forwardReluBatch(xs, true)
+	return f.Dense.forward(xs, true)
 }
 
 // OutChannels implements ChannelSliceable.

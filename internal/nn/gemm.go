@@ -210,32 +210,37 @@ func mulAddPanel4x8Go(k int, a0, a1, a2, a3, b []float32, bstride int, c0, c1, c
 	}
 }
 
-// gemvBias computes out[i] = bias[i] + w[i]·x for an [m][k] row-major weight
-// matrix, with an optional fused ReLU. Rows are processed in bands of four;
-// every row follows the lane-striped reduction contract of laneDotAcc.
-func gemvBias(m, k int, w, bias, x, out []float32, relu bool) {
-	par.For((m+3)/4, 8*k, func(lo, hi int) {
-		for band := lo; band < hi; band++ {
-			gemvBandAt(m, k, w, bias, x, out, relu, band)
-		}
-	})
-}
-
-// gemvBiasBatch runs gemvBias over a batch of input vectors sharing one
-// weight matrix: outs[e][i] = bias[i] + w[i]·xs[e]. The parallel index space
-// is batch×bands and each pair runs the exact per-band body of gemvBias, so
-// batched output is bitwise identical to the per-query loop.
-func gemvBiasBatch(batch, m, k int, w, bias []float32, xs, outs [][]float32, relu bool) {
+// gemvBias computes outs[e][i] = bias[i] + w[i]·xs[e] for an [m][k] row-major
+// weight matrix shared by every input vector, with an optional fused ReLU.
+// Rows are processed in bands of four; every row follows the lane-striped
+// reduction contract of laneDotAcc. The parallel index space is
+// inputs×bands, and a band's result depends on nothing but its own input, so
+// a batch is bitwise identical to one call per input.
+func gemvBias(m, k int, w, bias []float32, xs, outs [][]float32, relu bool) {
 	bands := (m + 3) / 4
-	par.For(batch*bands, 8*k, func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			e, band := idx/bands, idx%bands
-			gemvBandAt(m, k, w, bias, xs[e], outs[e], relu, band)
-		}
+	par.For(len(xs)*bands, 8*k, func(lo, hi int) {
+		forRuns(lo, hi, bands, func(e, lo, hi int) {
+			for band := lo; band < hi; band++ {
+				gemvBandAt(m, k, w, bias, xs[e], outs[e], relu, band)
+			}
+		})
 	})
 }
 
-// gemvBandAt is the per-band body shared by gemvBias and gemvBiasBatch:
+// forRuns walks the stretch [lo, hi) of a flat batch×n index space one batch
+// element at a time: body gets the element and the sub-range of [0, n) the
+// stretch covers in it, so a batched loop divides once per element it
+// touches instead of once per index.
+func forRuns(lo, hi, n int, body func(e, lo, hi int)) {
+	for lo < hi {
+		e := lo / n
+		end := min(hi, (e+1)*n)
+		body(e, lo-e*n, end-e*n)
+		lo = end
+	}
+}
+
+// gemvBandAt is the per-band body of gemvBias:
 // rows [band*4, band*4+4) of one output vector, full bands via gemvBand4,
 // m%4 tail rows via laneDotAcc, then the optional fused ReLU.
 func gemvBandAt(m, k int, w, bias, x, out []float32, relu bool, band int) {

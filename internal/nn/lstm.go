@@ -106,79 +106,30 @@ func (l *LSTM) SetWeights(ws []*tensor.Tensor) error {
 	return nil
 }
 
-// Forward implements Op, starting from zero initial hidden and cell states.
+// Forward implements Op, starting from zero initial hidden and cell states:
+// the one-element call of ForwardBatch.
 func (l *LSTM) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 	if err := checkOneInput("LSTM", len(in)); err != nil {
 		return nil, err
 	}
-	if !l.Initialized() {
-		return nil, fmt.Errorf("nn: LSTM %q has no weights", l.OpName)
+	outs, err := l.ForwardBatch(in)
+	if err != nil {
+		return nil, err
 	}
-	x := in[0]
-	if x.Rank() != 2 || x.Dim(1) != l.InSize {
-		return nil, fmt.Errorf("nn: LSTM %q bad input %v", l.OpName, x.Shape())
-	}
-	steps := x.Dim(0)
-	h := l.Hidden
-	out := tensor.New(steps, h)
-	xd, od := x.Data(), out.Data()
-	wx, wh, bias := l.Wx.Data(), l.Wh.Data(), l.B.Data()
-
-	// All per-step temporaries come from the scratch arena; repeated
-	// forwards allocate nothing beyond the output tensor.
-	hBuf, cBuf, gBuf := par.GetF32(h), par.GetF32(h), par.GetF32(4*h)
-	defer par.PutF32(hBuf)
-	defer par.PutF32(cBuf)
-	defer par.PutF32(gBuf)
-	hState, cState, gates := *hBuf, *cBuf, *gBuf
-	clear(hState)
-	clear(cState)
-	// The timestep recurrence is inherently serial, but within a step the
-	// 4*Hidden gate rows are independent row-dots and the Hidden state
-	// updates are element-wise; parallelizing over those rows splits no
-	// reduction, so outputs are bitwise identical at every parallelism
-	// level. Gate rows run in bands of four on the row-dot micro-kernel
-	// (gemm.go): per row, bias + laneDot over x_t, then + laneDot over
-	// h_{t-1} — a fixed schedule independent of banding and parallelism.
-	// Both bodies are hoisted out of the timestep loop so each Forward
-	// allocates the closures once, not per step; xt is rebound between
-	// steps (serially, after For returns, so no goroutine observes a
-	// partial update).
-	var xt []float32
-	gateRows := func(lo, hi int) {
-		for band := lo; band < hi; band++ {
-			g := band * 4
-			copy(gates[g:g+4], bias[g:g+4])
-			gemvBand4(l.InSize, wx[g*l.InSize:], l.InSize, xt, gates[g:g+4])
-			gemvBand4(h, wh[g*h:], h, hState, gates[g:g+4])
-		}
-	}
-	stateUpdate := func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			ig := sigmoid(gates[j])
-			fg := sigmoid(gates[h+j])
-			gg := float32(math.Tanh(float64(gates[2*h+j])))
-			og := sigmoid(gates[3*h+j])
-			cState[j] = fg*cState[j] + ig*gg
-			hState[j] = og * float32(math.Tanh(float64(cState[j])))
-		}
-	}
-	for t := 0; t < steps; t++ {
-		xt = xd[t*l.InSize : (t+1)*l.InSize]
-		par.For(h, 8*(l.InSize+h), gateRows)
-		par.For(h, 64, stateUpdate)
-		copy(od[t*h:(t+1)*h], hState)
-	}
-	return out, nil
+	return outs[0], nil
 }
 
-// ForwardBatch implements BatchForwarder. The timestep recurrence stays
-// serial, but within each step the parallel index space becomes
-// batch×bands: every (element, band) pair runs exactly the per-element gate
-// band and state-update bodies of Forward against that element's own
-// state slab, so the batched sequence outputs are bitwise identical to the
-// per-query loop at every parallelism level. Inputs must share one shape
-// (the dispatcher in batch.go falls back to the loop otherwise).
+// ForwardBatch implements BatchForwarder. The timestep recurrence is
+// inherently serial, but within a step the 4*Hidden gate rows are independent
+// row-dots and the Hidden state updates are element-wise, so the parallel
+// index space is batch×bands: every (element, band) pair runs against that
+// element's own state slab, and parallelizing over those rows splits no
+// reduction. Gate rows run in bands of four on the row-dot micro-kernel
+// (gemm.go): per row, bias + laneDot over x_t, then + laneDot over h_{t-1} —
+// a fixed schedule independent of banding, batch size and parallelism, so
+// outputs are bitwise identical to the per-query loop at every parallelism
+// level. Inputs must share one shape (the dispatcher in batch.go falls back
+// to the loop otherwise).
 func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, nil
@@ -200,13 +151,16 @@ func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	wx, wh, bias := l.Wx.Data(), l.Wh.Data(), l.B.Data()
 
 	outs := make([]*tensor.Tensor, batch)
+	xds := make([][]float32, batch)
 	ods := make([][]float32, batch)
-	for e := range xs {
+	for e, x := range xs {
 		outs[e] = tensor.New(steps, h)
+		xds[e] = x.Data()
 		ods[e] = outs[e].Data()
 	}
-	// One scratch slab per kind, sliced per element; each element's state
-	// region is touched only through its own (element, band) indices.
+	// All per-step temporaries come from the scratch arena: one slab per
+	// kind, sliced per element; each element's state region is touched only
+	// through its own (element, band) indices.
 	hBuf, cBuf, gBuf := par.GetF32(batch*h), par.GetF32(batch*h), par.GetF32(batch*4*h)
 	defer par.PutF32(hBuf)
 	defer par.PutF32(cBuf)
@@ -214,32 +168,38 @@ func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	hAll, cAll, gAll := *hBuf, *cBuf, *gBuf
 	clear(hAll)
 	clear(cAll)
+	// Both bodies are hoisted out of the timestep loop so each forward
+	// allocates the closures once, not per step; t is advanced between steps
+	// (serially, after For returns, so no goroutine observes a partial
+	// update).
 	var t int
 	gateRows := func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			e, band := idx/h, idx%h
-			xt := xs[e].Data()[t*l.InSize : (t+1)*l.InSize]
+		forRuns(lo, hi, h, func(e, lo, hi int) {
+			xt := xds[e][t*l.InSize : (t+1)*l.InSize]
 			hState := hAll[e*h : (e+1)*h]
 			gates := gAll[e*4*h : (e+1)*4*h]
-			g := band * 4
-			copy(gates[g:g+4], bias[g:g+4])
-			gemvBand4(l.InSize, wx[g*l.InSize:], l.InSize, xt, gates[g:g+4])
-			gemvBand4(h, wh[g*h:], h, hState, gates[g:g+4])
-		}
+			for band := lo; band < hi; band++ {
+				g := band * 4
+				copy(gates[g:g+4], bias[g:g+4])
+				gemvBand4(l.InSize, wx[g*l.InSize:], l.InSize, xt, gates[g:g+4])
+				gemvBand4(h, wh[g*h:], h, hState, gates[g:g+4])
+			}
+		})
 	}
 	stateUpdate := func(lo, hi int) {
-		for idx := lo; idx < hi; idx++ {
-			e, j := idx/h, idx%h
+		forRuns(lo, hi, h, func(e, lo, hi int) {
 			hState := hAll[e*h : (e+1)*h]
 			cState := cAll[e*h : (e+1)*h]
 			gates := gAll[e*4*h : (e+1)*4*h]
-			ig := sigmoid(gates[j])
-			fg := sigmoid(gates[h+j])
-			gg := float32(math.Tanh(float64(gates[2*h+j])))
-			og := sigmoid(gates[3*h+j])
-			cState[j] = fg*cState[j] + ig*gg
-			hState[j] = og * float32(math.Tanh(float64(cState[j])))
-		}
+			for j := lo; j < hi; j++ {
+				ig := sigmoid(gates[j])
+				fg := sigmoid(gates[h+j])
+				gg := float32(math.Tanh(float64(gates[2*h+j])))
+				og := sigmoid(gates[3*h+j])
+				cState[j] = fg*cState[j] + ig*gg
+				hState[j] = og * float32(math.Tanh(float64(cState[j])))
+			}
+		})
 	}
 	for t = 0; t < steps; t++ {
 		par.For(batch*h, 8*(l.InSize+h), gateRows)

@@ -87,10 +87,46 @@ func TestConvOutShapeErrors(t *testing.T) {
 	}
 }
 
-func TestConvUninitializedForward(t *testing.T) {
-	c := NewConv2D("c", 1, 1, 1, 1, 0)
-	if _, err := c.Forward(tensor.New(1, 2, 2)); err == nil {
-		t.Fatal("expected uninitialized-weights error")
+// TestWeightedForwardRejectsBadCalls drives the argument checks of each
+// weighted op's forward body, which Forward and ForwardBatch share: no
+// weights yet, the wrong number of inputs, a mis-shaped input, and a batch
+// whose second element does not match its first.
+func TestWeightedForwardRejectsBadCalls(t *testing.T) {
+	for _, tc := range []struct {
+		op            Op
+		good, bad, ok *tensor.Tensor // ok is well-formed but shaped unlike good
+	}{
+		{NewConv2D("conv", 1, 1, 1, 1, 0), tensor.New(1, 2, 2), tensor.New(2, 2, 2), tensor.New(1, 3, 3)},
+		{NewDense("dense", 4, 3), tensor.New(4), tensor.New(5), nil},
+		{NewFusedDense(NewDense("fused", 4, 3)), tensor.New(4), tensor.New(2, 2), nil},
+		{NewLSTM("lstm", 4, 3), tensor.New(2, 4), tensor.New(2, 5), tensor.New(3, 4)},
+	} {
+		name := tc.op.Name()
+		if _, err := tc.op.Forward(tc.good); err == nil {
+			t.Errorf("%s: expected uninitialized-weights error", name)
+		}
+		tc.op.Init(rand.New(rand.NewSource(1)))
+		if _, err := tc.op.Forward(tc.good); err != nil {
+			t.Errorf("%s: well-formed forward failed: %v", name, err)
+		}
+		if _, err := tc.op.Forward(); err == nil {
+			t.Errorf("%s: expected input-count error for no inputs", name)
+		}
+		if _, err := tc.op.Forward(tc.good, tc.good); err == nil {
+			t.Errorf("%s: expected input-count error for two inputs", name)
+		}
+		if _, err := tc.op.Forward(tc.bad); err == nil {
+			t.Errorf("%s: expected bad-input error for shape %v", name, tc.bad.Shape())
+		}
+		bf := tc.op.(BatchForwarder)
+		if _, err := bf.ForwardBatch([]*tensor.Tensor{tc.good, tc.bad}); err == nil {
+			t.Errorf("%s: expected bad-input error for a batch's second element", name)
+		}
+		if tc.ok != nil {
+			if _, err := bf.ForwardBatch([]*tensor.Tensor{tc.good, tc.ok}); err == nil {
+				t.Errorf("%s: expected an error for a batch mixing shapes %v and %v", name, tc.good.Shape(), tc.ok.Shape())
+			}
+		}
 	}
 }
 

@@ -301,17 +301,14 @@ func fuseUnits(a, b *Unit) (*Unit, error) {
 }
 
 // ForwardChain runs units sequentially with full (monolithic) execution —
-// the reference the partitioned paths are tested against.
+// the reference the partitioned paths are tested against. It is the
+// batch-of-one call of ForwardChainBatch.
 func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
-	cur := x
-	for _, u := range units {
-		out, err := u.Sub.Forward(cur)
-		if err != nil {
-			return nil, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
-		}
-		cur = out
+	outs, err := ForwardChainBatch(units, []*tensor.Tensor{x})
+	if err != nil {
+		return nil, err
 	}
-	return cur, nil
+	return outs[0], nil
 }
 
 // ForwardChainBatch runs units sequentially over a batch of inputs with

@@ -49,7 +49,7 @@ func TestServeRNNSerialRoundsReal(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !tensor.Equal(res.Output, want) {
+		if !tensor.Equal(res.Outputs[0], want) {
 			t.Error("serial-round output mismatch")
 		}
 	})
@@ -87,7 +87,7 @@ func TestConcurrentClientsReal(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			oks[i] = tensor.Equal(res.Output, wants[i])
+			oks[i] = tensor.Equal(res.Outputs[0], wants[i])
 		})
 	}
 	if err := env.Run(); err != nil {
@@ -130,7 +130,7 @@ func TestGillisMatchesDefaultSideBySide(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !tensor.Equal(rg.Output, rd.Output) {
+		if !tensor.Equal(rg.Outputs[0], rd.Outputs[0]) {
 			t.Error("gillis and default disagree")
 		}
 	})

@@ -48,7 +48,7 @@ func TestParallelismPreservesOutputsBitwise(t *testing.T) {
 	}
 	for _, vcpus := range []int{1, 2, 6} {
 		res := serveOnce(t, units, plan, x, Real, WithParallelism(vcpus))
-		if res.Output == nil || !tensor.Equal(res.Output, want) {
+		if len(res.Outputs) != 1 || !tensor.Equal(res.Outputs[0], want) {
 			t.Fatalf("parallelism %d: fork-join output diverged from monolithic execution", vcpus)
 		}
 	}

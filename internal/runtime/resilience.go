@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
 	"gillis/internal/stats"
@@ -354,28 +353,18 @@ func (d *Deployment) fallbackKey(gi int) string {
 
 // fallbackLocal is the graceful-degradation path for a DimNone group whose
 // worker failed past the retry budget: the master fetches the group's
-// weights from object storage (charged at storage speed) and executes the
-// group locally. Real-mode outputs are computed by the same kernels, so the
-// result stays bitwise identical to the healthy path.
-func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, in *tensor.Tensor, qs *queryStats, gsp *trace.Span) (*tensor.Tensor, error) {
+// weights from object storage (charged at storage speed, once for all the
+// request's queries) and executes the group locally. Real-mode outputs are
+// computed by the same kernels, so the result stays bitwise identical to the
+// healthy path.
+func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	fsp := gsp.Child(trace.KindFallback, "fallback")
+	defer fsp.EndSpan()
 	if _, err := ctx.StorageGet(d.fallbackKey(gi)); err != nil {
 		fsp.Fail("", err.Error())
-		fsp.EndSpan()
 		return nil, err
 	}
 	qs.fellBack()
 	qs.survive()
-	d.computeScaled(ctx, gr, 1.0)
-	if d.mode == Real {
-		restore := d.opts.kernelScope()
-		restoreObs := observeOps(fsp)
-		out, err := partition.ForwardChain(gr.units, in)
-		restoreObs()
-		restore()
-		fsp.EndSpan()
-		return out, err
-	}
-	fsp.EndSpan()
-	return nil, nil
+	return d.computeChain(ctx, gr, size, ins, fsp)
 }

@@ -29,52 +29,53 @@ func resilPlan(t *testing.T, units []*partition.Unit) *partition.Plan {
 // TestResilientServes1000Through5pctFailures is the PR's acceptance
 // criterion: with a 5% injected invocation-failure rate and retries
 // enabled, a residual-CNN fork-join deployment completes 1000/1000 queries
-// in Real mode with outputs bitwise identical to the fault-free run.
+// in Real mode — one per pass, or in batches of four — with outputs bitwise
+// identical to the fault-free run.
 func TestResilientServes1000Through5pctFailures(t *testing.T) {
 	units := tinyCNN(t)
 	plan := resilPlan(t, units)
-	x := tensor.Rand(rand.New(rand.NewSource(7)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := platform.AWSLambda()
 	cfg.Faults = platform.FaultProfile{FailureProb: 0.05}
-	const n = 1000
-	var totalRetries, survived int
-	runClient(t, cfg, 42, func(p *platform.Platform, proc *simnet.Proc) {
-		d, err := Deploy(p, units, plan, Real, WithRetries(3, 5), WithMasterFallback())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := d.Prewarm(); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < n; i++ {
-			res, err := d.Serve(proc, x)
+	const queries = 1000
+	for _, n := range []int{1, 4} {
+		xs, want := inputsAndWant(t, units, 7, n)
+		var totalRetries, survived int
+		runClient(t, cfg, 42, func(p *platform.Platform, proc *simnet.Proc) {
+			d, err := Deploy(p, units, plan, Real, WithRetries(3, 5), WithMasterFallback())
 			if err != nil {
-				t.Errorf("query %d failed despite retries: %v", i, err)
+				t.Error(err)
 				return
 			}
-			if !tensor.Equal(res.Output, want) {
-				t.Errorf("query %d output differs from fault-free run", i)
+			if err := d.Prewarm(); err != nil {
+				t.Error(err)
 				return
 			}
-			totalRetries += res.Resilience.Retries
-			survived += res.Resilience.FaultsSurvived
+			for i := 0; i < queries/n; i++ {
+				res, _, err := d.ServeBatch(proc, xs, n, false)
+				if err != nil {
+					t.Errorf("batch size %d: pass %d failed despite retries: %v", n, i, err)
+					return
+				}
+				for e := range want {
+					if !tensor.Equal(res.Outputs[e], want[e]) {
+						t.Errorf("batch size %d: pass %d output %d differs from fault-free run", n, i, e)
+						return
+					}
+				}
+				totalRetries += res.Resilience.Retries
+				survived += res.Resilience.FaultsSurvived
+			}
+		})
+		if t.Failed() {
+			return
 		}
-	})
-	if t.Failed() {
-		return
+		// At 5% per-invocation failure over ~6 invocations per pass, faults
+		// must actually have been absorbed — otherwise the test proves nothing.
+		if totalRetries == 0 || survived == 0 {
+			t.Fatalf("batch size %d: no faults encountered (retries=%d survived=%d); fault injection inactive?", n, totalRetries, survived)
+		}
+		t.Logf("batch size %d: %d/%d queries, %d retries, %d faults survived", n, queries, queries, totalRetries, survived)
 	}
-	// At 5% per-invocation failure over ~6 invocations per query, faults
-	// must actually have been absorbed — otherwise the test proves nothing.
-	if totalRetries == 0 || survived == 0 {
-		t.Fatalf("no faults encountered (retries=%d survived=%d); fault injection inactive?", totalRetries, survived)
-	}
-	t.Logf("1000/1000 queries, %d retries, %d faults survived", totalRetries, survived)
 }
 
 // TestNaiveFailsUnderFaults shows the counterpart: the no-retry
@@ -183,7 +184,7 @@ func TestHedgingAgainstStragglers(t *testing.T) {
 				t.Errorf("query %d: %v", i, err)
 				return
 			}
-			if !tensor.Equal(res.Output, want) {
+			if !tensor.Equal(res.Outputs[0], want) {
 				t.Errorf("query %d: hedged output differs", i)
 				return
 			}
@@ -283,51 +284,52 @@ func TestDeadlineAbandonsStragglers(t *testing.T) {
 
 // TestMasterFallbackServesCorrectOutput drives the DimNone worker to fail
 // nearly always: the master must degrade to local execution and still
-// produce the bitwise-exact output.
+// produce the bitwise-exact output, for a single query and for a batch of
+// four riding the same fallback round.
 func TestMasterFallbackServesCorrectOutput(t *testing.T) {
 	units := tinyCNN(t)
 	plan := resilPlan(t, units)
-	x := tensor.Rand(rand.New(rand.NewSource(13)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// At 70% per-invocation failure even the master exhausts its retry
 	// budget sometimes, so client-level failures are tolerated here; the
-	// point is that whenever a query does complete, worker outages on the
-	// DimNone group were absorbed by the fallback with an exact output.
+	// point is that whenever a pass does complete, worker outages on the
+	// DimNone group were absorbed by the fallback with exact outputs.
 	cfg := platform.AWSLambda()
 	cfg.Faults = platform.FaultProfile{FailureProb: 0.7}
-	var fallbacks, served int
-	runClient(t, cfg, 21, func(p *platform.Platform, proc *simnet.Proc) {
-		d, err := Deploy(p, units, plan, Real, WithRetries(4, 2), WithMasterFallback())
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < 60; i++ {
-			res, err := d.Serve(proc, x)
+	for _, n := range []int{1, 4} {
+		xs, want := inputsAndWant(t, units, 13, n)
+		var fallbacks, served int
+		runClient(t, cfg, 21, func(p *platform.Platform, proc *simnet.Proc) {
+			d, err := Deploy(p, units, plan, Real, WithRetries(4, 2), WithMasterFallback())
 			if err != nil {
-				continue // master itself out of luck this query
-			}
-			if !tensor.Equal(res.Output, want) {
-				t.Errorf("query %d: degraded output differs", i)
+				t.Error(err)
 				return
 			}
-			served++
-			fallbacks += res.Resilience.Fallbacks
+			for i := 0; i < 60; i++ {
+				res, _, err := d.ServeBatch(proc, xs, n, false)
+				if err != nil {
+					continue // master itself out of luck this pass
+				}
+				for e := range want {
+					if !tensor.Equal(res.Outputs[e], want[e]) {
+						t.Errorf("batch size %d: pass %d: degraded output %d differs", n, i, e)
+						return
+					}
+				}
+				served++
+				fallbacks += res.Resilience.Fallbacks
+			}
+		})
+		if t.Failed() {
+			return
 		}
-	})
-	if t.Failed() {
-		return
+		if served == 0 {
+			t.Fatalf("batch size %d: no pass completed at all", n)
+		}
+		if fallbacks == 0 {
+			t.Fatalf("batch size %d: 0 fallbacks in %d served passes at 70%% failure; 0.7^5 per call should exhaust retries often", n, served)
+		}
+		t.Logf("batch size %d: %d fallbacks across %d served passes", n, fallbacks, served)
 	}
-	if served == 0 {
-		t.Fatal("no query completed at all")
-	}
-	if fallbacks == 0 {
-		t.Fatalf("0 fallbacks in %d served queries at 70%% failure; 0.7^5 per call should exhaust retries often", served)
-	}
-	t.Logf("%d fallbacks across %d served queries", fallbacks, served)
 }
 
 // TestNaivePathUnchangedByResilienceLayer pins that a deployment with no

@@ -220,70 +220,114 @@ func (d *Deployment) Prewarm() error {
 	return nil
 }
 
-// Result reports one served query.
+// Result reports one served fork-join pass: Size queries (one for Serve),
+// carried through the plan's rounds together.
 type Result struct {
-	// Output is the inference result (nil in ShapeOnly mode).
-	Output *tensor.Tensor
+	// Outputs holds one inference result per query, in input order (nil in
+	// ShapeOnly mode).
+	Outputs []*tensor.Tensor
+	// Size is the number of queries the pass carried.
+	Size int
 	// LatencyMs is the inference latency: the master function's duration.
+	// Every query of the pass observes it.
 	LatencyMs float64
 	// GroupMs traces the master-observed duration of each fork-join round,
 	// in plan order (they sum to roughly LatencyMs).
 	GroupMs []float64
 	// BilledMs is the total billed function duration (master + workers),
-	// C^S(G) of Eq. (2).
+	// C^S(G) of Eq. (2), for the whole pass; callers apportion it across
+	// queries.
 	BilledMs int64
 	// ColdStart reports whether the master cold-started.
 	ColdStart bool
-	// Resilience reports the query's resilience telemetry (all zero for a
+	// Resilience reports the pass's resilience telemetry (all zero for a
 	// naive deployment on a fault-free platform).
 	Resilience Resilience
 }
 
-// masterResp is the master function's response body.
-type masterResp struct {
-	output  *tensor.Tensor
+// request is the in-process body of every master and worker invocation.
+// inputs is nil in ShapeOnly mode; size is always set, so handlers scale
+// their modeled compute and payloads even without tensors.
+type request struct {
+	size   int
+	inputs []*tensor.Tensor
+}
+
+// response is the body of every Real-mode worker reply (outputs only) and of
+// every master reply.
+type response struct {
+	outputs []*tensor.Tensor
 	groupMs []float64
 	resil   Resilience
 }
 
-// Serve executes one inference query from a client process. When the
-// deployment has a retry budget, it also covers the master invocation
-// itself — a crashed or evicted master is re-invoked with the same input,
-// so Real-mode outputs are unaffected.
+// Serve executes one inference query from a client process: ServeBatch with
+// a batch of one.
 func (d *Deployment) Serve(proc *simnet.Proc, input *tensor.Tensor) (Result, error) {
-	return d.serve(proc, input, nil)
+	res, _, err := d.ServeBatch(proc, batchOfOne(input), 1, false)
+	return res, err
 }
 
-// ServeTraced is Serve with query-level tracing: it records a span tree
-// rooted at the query — invocations with their cold-start/transfer/execution
-// phases, fork-join rounds, worker calls with retries and hedges, per-span
-// billed-ms attribution — against the simulation's virtual clock. The trace
-// is complete once the simulation drains (late-settling abandoned work still
-// closes its spans after the query returns).
+// ServeTraced is Serve with query-level tracing (see ServeBatch).
 func (d *Deployment) ServeTraced(proc *simnet.Proc, input *tensor.Tensor) (Result, *trace.Trace, error) {
-	tr := trace.New("query", d.p.Env().Stamp)
-	root := tr.Root()
-	res, err := d.serve(proc, input, root)
-	if err != nil {
-		root.Fail("", err.Error())
-	} else if d.mode == Real && res.Output != nil {
-		// Pin the Real-mode output in the trace: bitwise-deterministic
-		// kernels yield the same digest at any kernel parallelism.
-		root.SetAttr("output-digest", fmt.Sprintf("%016x", tensorDigest(res.Output)))
-	}
-	root.EndSpan()
-	return res, tr, err
+	return d.ServeBatch(proc, batchOfOne(input), 1, true)
 }
 
-func (d *Deployment) serve(proc *simnet.Proc, input *tensor.Tensor, root *trace.Span) (Result, error) {
-	payload := platform.Payload{Bytes: tensor.SizeBytes(d.units[0].InShape)}
-	if d.mode == Real {
-		if input == nil {
-			return Result{}, fmt.Errorf("runtime: Real mode requires an input tensor")
-		}
-		payload.Data = input
-		payload.Bytes = input.Bytes()
+// batchOfOne is the inputs argument of a single query: nil stays nil (a
+// ShapeOnly serve carries no tensors).
+func batchOfOne(input *tensor.Tensor) []*tensor.Tensor {
+	if input == nil {
+		return nil
 	}
+	return []*tensor.Tensor{input}
+}
+
+// ServeBatch executes size queries as a single fork-join pass: per-round
+// invocation overheads (request overhead, cold starts, per-op dispatch) are
+// paid once per pass, while modeled compute and payload bytes scale linearly
+// with size. In Real mode inputs carries one tensor per query and size must
+// equal len(inputs); in ShapeOnly mode inputs is nil and size alone scales
+// the model. Real-mode outputs are bitwise identical to serving the inputs
+// one at a time. When the deployment has a retry budget, it also covers the
+// master invocation itself — a crashed or evicted master is re-invoked with
+// the same inputs, so outputs are unaffected.
+//
+// With traced set it records a span tree rooted at the query — invocations
+// with their cold-start/transfer/execution phases, fork-join rounds, worker
+// calls with retries and hedges, per-span billed-ms attribution — against
+// the simulation's virtual clock. The trace is complete once the simulation
+// drains (late-settling abandoned work still closes its spans after the
+// serve returns). Untraced serves return a nil trace.
+func (d *Deployment) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size int, traced bool) (Result, *trace.Trace, error) {
+	var tr *trace.Trace
+	if traced {
+		tr = trace.New("query", d.p.Env().Stamp)
+	}
+	root := tr.Root()
+	defer root.EndSpan()
+	fail := func(err error) (Result, *trace.Trace, error) {
+		root.Fail("", err.Error())
+		return Result{}, tr, err
+	}
+
+	req := &request{size: size}
+	payload := platform.Payload{Bytes: tensor.SizeBytes(d.units[0].InShape) * int64(size), Data: req}
+	if d.mode == Real {
+		if len(inputs) == 0 {
+			return fail(fmt.Errorf("runtime: Real mode requires input tensors"))
+		}
+		if size != len(inputs) {
+			return fail(fmt.Errorf("runtime: batch size %d != %d inputs", size, len(inputs)))
+		}
+		req.inputs = inputs
+		payload.Bytes = 0
+		for _, in := range inputs {
+			payload.Bytes += in.Bytes()
+		}
+	} else if size <= 0 {
+		return fail(fmt.Errorf("runtime: batch size %d", size))
+	}
+
 	var lastErr error
 	var extra int64
 	clientRetries := 0
@@ -299,37 +343,54 @@ func (d *Deployment) serve(proc *simnet.Proc, input *tensor.Tensor, root *trace.
 			lastErr = err
 			continue
 		}
-		out := Result{
-			LatencyMs: res.HandlerMs,
-			BilledMs:  res.TotalBilledMs,
-			ColdStart: res.ColdStart,
-		}
-		mr, ok := res.Resp.Data.(*masterResp)
+		mr, ok := res.Resp.Data.(*response)
 		if !ok {
-			return Result{}, fmt.Errorf("runtime: master returned %T", res.Resp.Data)
+			return fail(fmt.Errorf("runtime: master returned %T", res.Resp.Data))
 		}
-		out.Resilience = mr.resil
+		if d.mode == Real && len(mr.outputs) != size {
+			return fail(fmt.Errorf("runtime: master returned %d outputs for %d queries", len(mr.outputs), size))
+		}
+		out := Result{
+			Outputs:    mr.outputs,
+			Size:       size,
+			LatencyMs:  res.HandlerMs,
+			GroupMs:    mr.groupMs,
+			BilledMs:   res.TotalBilledMs,
+			ColdStart:  res.ColdStart,
+			Resilience: mr.resil,
+		}
 		out.Resilience.Retries += clientRetries
 		out.Resilience.FaultsSurvived += clientRetries
 		out.Resilience.ExtraBilledMs += extra
-		out.GroupMs = mr.groupMs
-		if d.mode == Real {
-			if mr.output == nil {
-				return Result{}, fmt.Errorf("runtime: master returned no tensor in Real mode")
-			}
-			out.Output = mr.output
-		}
-		d.recordQueryMetrics(out)
-		return out, nil
+		d.recordMetrics(out)
+		stampDigests(root, out.Outputs)
+		return out, tr, nil
 	}
-	return Result{}, lastErr
+	return fail(lastErr)
 }
 
-// recordQueryMetrics aggregates one served query into the platform's metrics
-// registry (shared across queries, and across platforms via UseMetrics).
-func (d *Deployment) recordQueryMetrics(out Result) {
+// stampDigests pins a traced pass's Real-mode outputs on the trace root:
+// bitwise-deterministic kernels yield the same digests at any kernel
+// parallelism. A single query keeps the bare attribute name.
+func stampDigests(root *trace.Span, outputs []*tensor.Tensor) {
+	if root == nil {
+		return
+	}
+	for e, out := range outputs {
+		key := "output-digest"
+		if len(outputs) > 1 {
+			key += "-" + strconv.Itoa(e)
+		}
+		root.SetAttr(key, fmt.Sprintf("%016x", tensorDigest(out)))
+	}
+}
+
+// recordMetrics aggregates one served pass into the platform's metrics
+// registry (shared across passes, and across platforms via UseMetrics): Size
+// queries, one latency and one billing observation.
+func (d *Deployment) recordMetrics(out Result) {
 	reg := d.p.Metrics()
-	reg.Counter("runtime.queries").Inc()
+	reg.Counter("runtime.queries").Add(int64(out.Size))
 	r := out.Resilience
 	reg.Counter("runtime.retries").Add(int64(r.Retries))
 	reg.Counter("runtime.hedges").Add(int64(r.Hedges))
@@ -355,38 +416,40 @@ func tensorDigest(t *tensor.Tensor) uint64 {
 	return h
 }
 
-// observeOps reports a per-operator kernel event into sp for every operator
-// forward executed while it is installed. It returns the restore function.
-// Install it only around pure Go forwards (no virtual-time sleeps), so the
-// scoped process-wide hook never spans a scheduling point.
-func observeOps(sp *trace.Span) (restore func()) {
+// kernels scopes one Real-mode forward: it installs the deployment's kernel
+// parallelism and reports a per-operator kernel event into sp for every
+// operator forward executed until the returned restore runs. Both hooks are
+// process-wide, so install them only around pure Go forwards (no
+// virtual-time sleeps): the scope then never spans a scheduling point.
+func (d *Deployment) kernels(sp *trace.Span) (restore func()) {
+	restorePar := d.opts.kernelScope()
 	if sp == nil {
-		return func() {}
+		return restorePar
 	}
-	return nn.SetObserver(func(op nn.Op) { sp.Event("op:" + op.Name()) })
+	restoreObs := nn.SetObserver(func(op nn.Op) { sp.Event("op:" + op.Name()) })
+	return func() {
+		restoreObs()
+		restorePar()
+	}
 }
 
-// masterHandler orchestrates the fork-join rounds (Fig. 4). Batched
-// invocations (a *batchReq body) take the batched round path; single-query
-// payloads are untouched.
+// masterHandler orchestrates the fork-join rounds (Fig. 4) for the queries
+// of one request.
 func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
-	if br, ok := payload.Data.(*batchReq); ok {
-		return d.masterHandlerBatch(ctx, br)
-	}
-	var cur *tensor.Tensor
-	if d.mode == Real {
-		var ok bool
-		cur, ok = payload.Data.(*tensor.Tensor)
-		if !ok {
-			return platform.Payload{}, fmt.Errorf("runtime: master got %T, want tensor", payload.Data)
-		}
+	req, ok := payload.Data.(*request)
+	if !ok {
+		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want request", payload.Data)
 	}
 	qs := &queryStats{}
 	groupMs := make([]float64, 0, len(d.groups))
+	cur := req.inputs
 	for gi, gr := range d.groups {
 		before := ctx.Proc().Now()
 		gsp := ctx.Span().Childf(trace.KindGroup, "group%d", gi)
-		next, err := d.runGroup(ctx, gi, gr, cur, qs, gsp)
+		if req.size > 1 {
+			gsp.SetAttr("batch", strconv.Itoa(req.size))
+		}
+		next, err := d.runGroup(ctx, gi, gr, req, cur, qs, gsp)
 		if err != nil {
 			gsp.Fail("", err.Error())
 			gsp.EndSpan()
@@ -397,92 +460,105 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 		cur = next
 	}
 	last := d.groups[len(d.groups)-1]
-	return platform.Payload{Bytes: last.outBytes, Data: &masterResp{output: cur, groupMs: groupMs, resil: qs.snapshot()}}, nil
+	return platform.Payload{
+		Bytes: last.outBytes * int64(req.size),
+		Data:  &response{outputs: cur, groupMs: groupMs, resil: qs.snapshot()},
+	}, nil
 }
 
-// runGroup executes one layer group from the master's perspective.
-func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, in *tensor.Tensor, qs *queryStats, gsp *trace.Span) (*tensor.Tensor, error) {
+// workerReq is the body of a worker invocation carrying the round's tensors.
+// In ShapeOnly mode there are none and the size never changes, so every
+// worker of every round gets the request the master itself received: a
+// query allocates one body, not one per invocation.
+func (d *Deployment) workerReq(req *request, ins []*tensor.Tensor) *request {
+	if d.mode != Real {
+		return req
+	}
+	return &request{size: req.size, inputs: ins}
+}
+
+// runGroup executes one layer group from the master's perspective, for
+// every query of req at once; ins holds the group's input per query (Real
+// mode). Per-query tensor math is either batched through the batch-aware
+// kernels (DimNone paths, channel partitions) or looped per query (spatial
+// partitions) — both bitwise identical to sequential execution — while
+// modeled compute and payload bytes scale linearly with req.size.
+func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
+	switch {
+	case gr.gp.Option.Dim != partition.DimNone:
+		return d.forkJoin(ctx, gi, gr, req, ins, qs, gsp)
+	case gr.gp.OnMaster:
+		return d.localRound(ctx, gr, req, ins, gsp)
+	default:
+		return d.remoteRound(ctx, gi, gr, req, ins, qs, gsp)
+	}
+}
+
+// localRound runs a whole group on the master itself.
+func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *request, ins []*tensor.Tensor, gsp *trace.Span) ([]*tensor.Tensor, error) {
+	csp := gsp.Child(trace.KindCompute, "master-compute")
+	defer csp.EndSpan()
+	return d.computeChain(ctx, gr, req.size, ins, csp)
+}
+
+// remoteRound runs a whole group on its single worker (with retries, and a
+// master-local fallback when graceful degradation is enabled).
+func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
+	wreq := platform.Payload{Bytes: gr.inBytes * int64(req.size), Data: d.workerReq(req, ins)}
+	res, err := d.callWorker(ctx.Proc(), ctx, gi, 0, wreq, qs, gsp)
+	if err != nil {
+		if d.opts.fallback {
+			return d.fallbackLocal(ctx, gi, gr, req.size, ins, qs, gsp)
+		}
+		return nil, err
+	}
+	return d.tensorsOf(res.Resp, req.size)
+}
+
+// forkJoin is the parallel round of a partitioned group: fork workers,
+// optionally compute partition 0 locally, join and reassemble per query.
+func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	opt := gr.gp.Option
-
-	// Whole group on the master: local execution.
-	if opt.Dim == partition.DimNone && gr.gp.OnMaster {
-		csp := gsp.Child(trace.KindCompute, "master-compute")
-		d.computeScaled(ctx, gr, 1.0)
-		if d.mode == Real {
-			restore := d.opts.kernelScope()
-			restoreObs := observeOps(csp)
-			out, err := partition.ForwardChain(gr.units, in)
-			restoreObs()
-			restore()
-			csp.EndSpan()
-			return out, err
-		}
-		csp.EndSpan()
-		return nil, nil
-	}
-
-	// Whole group on a single worker: remote round (with retries, and a
-	// master-local fallback when graceful degradation is enabled).
-	if opt.Dim == partition.DimNone {
-		req := platform.Payload{Bytes: gr.inBytes}
-		if d.mode == Real {
-			req.Data = in
-		}
-		res, err := d.callWorker(ctx.Proc(), ctx, gi, 0, req, qs, gsp)
-		if err != nil {
-			if d.opts.fallback {
-				return d.fallbackLocal(ctx, gi, gr, in, qs, gsp)
-			}
-			return nil, err
-		}
-		return d.tensorOf(res.Resp)
-	}
-
-	// Parallel round: fork workers, optionally compute partition 0 locally,
-	// join and reassemble.
+	size := int64(req.size)
 	firstWorker := 0
 	if gr.gp.OnMaster {
 		firstWorker = 1
 	}
 	promises := make([]*simnet.Promise[platform.InvokeResult], 0, opt.Parts-firstWorker)
 	callSpans := make([]*trace.Span, 0, opt.Parts-firstWorker)
-	for part := firstWorker; part < opt.Parts; part++ {
-		req := platform.Payload{Bytes: gr.partIn[part]}
-		if d.mode == Real {
-			slab, err := d.partInput(gr, part, in)
-			if err != nil {
-				abandonUnsettled(promises, callSpans)
-				return nil, err
-			}
-			req.Data = slab
-		}
-		pr, csp := d.launchWorker(ctx, gi, part, req, qs, gsp)
-		promises = append(promises, pr)
-		callSpans = append(callSpans, csp)
-	}
 	// When the round fails, the master stops waiting: sibling calls still in
 	// flight settle after the group span ends, which trace invariants only
 	// accept once marked abandoned.
-	fail := func(err error) (*tensor.Tensor, error) {
+	fail := func(err error) ([]*tensor.Tensor, error) {
 		abandonUnsettled(promises, callSpans)
 		return nil, err
 	}
+	for part := firstWorker; part < opt.Parts; part++ {
+		slabs, err := d.partInputs(gr, part, ins)
+		if err != nil {
+			return fail(err)
+		}
+		wreq := platform.Payload{Bytes: gr.partIn[part] * size, Data: d.workerReq(req, slabs)}
+		pr, csp := d.launchWorker(ctx, gi, part, wreq, qs, gsp)
+		promises = append(promises, pr)
+		callSpans = append(callSpans, csp)
+	}
 
-	outs := make([]*tensor.Tensor, opt.Parts)
+	// outs[part][e] is partition part's output for query e (Real mode).
+	var outs [][]*tensor.Tensor
+	if d.mode == Real {
+		outs = make([][]*tensor.Tensor, opt.Parts)
+	}
 	if gr.gp.OnMaster {
 		csp := gsp.Child(trace.KindCompute, "master-part0")
-		d.computeScaled(ctx, gr, flopFrac(gr, 0))
+		d.computeScaled(ctx, gr, flopFrac(gr, 0), req.size)
 		if d.mode == Real {
-			restore := d.opts.kernelScope()
-			restoreObs := observeOps(csp)
-			out, err := d.execPart(gr, 0, in)
-			restoreObs()
-			restore()
+			part0, err := d.execPart(gr, 0, ins, csp)
 			if err != nil {
 				csp.EndSpan()
 				return fail(err)
 			}
-			outs[0] = out
+			outs[0] = part0
 		}
 		csp.EndSpan()
 	}
@@ -492,83 +568,88 @@ func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, in *t
 			return fail(err)
 		}
 		if d.mode == Real {
-			t, err := d.tensorOf(res.Resp)
-			if err != nil {
+			if outs[firstWorker+i], err = d.tensorsOf(res.Resp, req.size); err != nil {
 				return fail(err)
 			}
-			outs[firstWorker+i] = t
 		}
 	}
-	// Reassembly is memory-bandwidth work on the master.
+	// Reassembly is memory-bandwidth work on the master, once per query.
 	rsp := gsp.Child(trace.KindCompute, "reassemble")
-	ctx.ComputeOp(0, gr.outBytes)
+	defer rsp.EndSpan()
+	ctx.ComputeOp(0, gr.outBytes*size)
 	if d.mode != Real {
-		rsp.EndSpan()
 		return nil, nil
 	}
 	dim := 1 // spatial: concatenate rows
 	if opt.Dim == partition.DimChannel {
 		dim = 0
 	}
-	out, err := tensor.ConcatDim(dim, outs...)
-	rsp.EndSpan()
-	return out, err
+	joined := make([]*tensor.Tensor, req.size)
+	parts := make([]*tensor.Tensor, opt.Parts)
+	for e := range joined {
+		for part := range parts {
+			parts[part] = outs[part][e]
+		}
+		out, err := tensor.ConcatDim(dim, parts...)
+		if err != nil {
+			return nil, err
+		}
+		joined[e] = out
+	}
+	return joined, nil
 }
 
-// workerHandler computes one partition of one group.
+// workerHandler computes one partition of one group for every query of the
+// request.
 func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload platform.Payload) (platform.Payload, error) {
-	if br, ok := payload.Data.(*batchReq); ok {
-		return d.workerHandlerBatch(ctx, gi, part, br)
+	req, ok := payload.Data.(*request)
+	if !ok {
+		return platform.Payload{}, fmt.Errorf("runtime: worker got %T, want request", payload.Data)
 	}
 	gr := d.groups[gi]
+	var outs []*tensor.Tensor
+	var err error
 	if gr.gp.Option.Dim == partition.DimNone {
-		d.computeScaled(ctx, gr, 1.0)
-		resp := platform.Payload{Bytes: gr.outBytes}
+		outs, err = d.computeChain(ctx, gr, req.size, req.inputs, ctx.Span())
+	} else {
+		d.computeScaled(ctx, gr, flopFrac(gr, part), req.size)
 		if d.mode == Real {
-			in, ok := payload.Data.(*tensor.Tensor)
-			if !ok {
-				return platform.Payload{}, fmt.Errorf("runtime: worker got %T", payload.Data)
-			}
-			restore := d.opts.kernelScope()
-			restoreObs := observeOps(ctx.Span())
-			out, err := partition.ForwardChain(gr.units, in)
-			restoreObs()
-			restore()
-			if err != nil {
-				return platform.Payload{}, err
-			}
-			resp.Data = out
+			outs, err = d.execPartFromSlab(gr, part, req.inputs, ctx.Span())
 		}
-		return resp, nil
 	}
-
-	d.computeScaled(ctx, gr, flopFrac(gr, part))
-	resp := platform.Payload{Bytes: gr.partOut[part]}
+	if err != nil {
+		return platform.Payload{}, err
+	}
+	resp := platform.Payload{Bytes: gr.partOut[part] * int64(req.size)}
 	if d.mode == Real {
-		in, ok := payload.Data.(*tensor.Tensor)
-		if !ok {
-			return platform.Payload{}, fmt.Errorf("runtime: worker got %T", payload.Data)
-		}
-		restore := d.opts.kernelScope()
-		restoreObs := observeOps(ctx.Span())
-		out, err := d.execPartFromSlab(gr, part, in)
-		restoreObs()
-		restore()
-		if err != nil {
-			return platform.Payload{}, err
-		}
-		resp.Data = out
+		resp.Data = &response{outputs: outs}
 	}
 	return resp, nil
 }
 
-// computeScaled advances the worker's clock by the group's ops scaled to
-// the partition's share of the work (exact FLOPs incl. halo redundancy).
-// The modeled per-instance vCPU count divides FLOP time by its Amdahl
-// speedup; bytes touched stay unscaled (memory bandwidth is shared across
-// an instance's cores).
-func (d *Deployment) computeScaled(ctx *platform.Ctx, gr *groupRuntime, frac float64) {
-	ctx.ComputeOp(int64(float64(gr.flops)*frac/d.opts.speedup()), int64(float64(gr.opBytes)*frac))
+// computeChain runs a whole (DimNone) group where it stands — on the master,
+// on the group's worker, or on the master as a fallback: the modeled compute
+// on the virtual clock, then in Real mode the monolithic batched forward with
+// its kernel events reported into sp.
+func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int, ins []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
+	d.computeScaled(ctx, gr, 1.0, size)
+	if d.mode != Real {
+		return nil, nil
+	}
+	defer d.kernels(sp)()
+	return partition.ForwardChainBatch(gr.units, ins)
+}
+
+// computeScaled advances the function's clock by the group's ops scaled to
+// the partition's share of the work (exact FLOPs incl. halo redundancy) and
+// linearly by the number of queries; per-op dispatch overheads are charged
+// once — that is the batching win the perf model predicts. The modeled
+// per-instance vCPU count divides FLOP time by its Amdahl speedup; bytes
+// touched stay unscaled (memory bandwidth is shared across an instance's
+// cores).
+func (d *Deployment) computeScaled(ctx *platform.Ctx, gr *groupRuntime, frac float64, size int) {
+	bf := float64(size)
+	ctx.ComputeOp(int64(float64(gr.flops)*frac*bf/d.opts.speedup()), int64(float64(gr.opBytes)*frac*bf))
 }
 
 func flopFrac(gr *groupRuntime, part int) float64 {
@@ -578,40 +659,66 @@ func flopFrac(gr *groupRuntime, part int) float64 {
 	return float64(gr.partFLOPs[part]) / float64(gr.flops)
 }
 
-// partInput slices the group input for a partition (Real mode).
-func (d *Deployment) partInput(gr *groupRuntime, part int, in *tensor.Tensor) (*tensor.Tensor, error) {
-	if gr.gp.Option.Dim == partition.DimChannel {
-		return in, nil // channel partitions consume the full input
+// partInputs slices every query's group input for a partition (nil in
+// ShapeOnly mode, which carries no tensors).
+func (d *Deployment) partInputs(gr *groupRuntime, part int, ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	if d.mode != Real || gr.gp.Option.Dim == partition.DimChannel {
+		return ins, nil // channel partitions consume the full input
 	}
-	return partition.InputSlab(in, gr.spatial[part])
+	slabs := make([]*tensor.Tensor, len(ins))
+	for e, in := range ins {
+		slab, err := partition.InputSlab(in, gr.spatial[part])
+		if err != nil {
+			return nil, err
+		}
+		slabs[e] = slab
+	}
+	return slabs, nil
 }
 
-// execPart runs a partition from the full group input (master side).
-func (d *Deployment) execPart(gr *groupRuntime, part int, in *tensor.Tensor) (*tensor.Tensor, error) {
-	slab, err := d.partInput(gr, part, in)
+// execPart runs a partition from every query's full group input (master
+// side).
+func (d *Deployment) execPart(gr *groupRuntime, part int, ins []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
+	slabs, err := d.partInputs(gr, part, ins)
 	if err != nil {
 		return nil, err
 	}
-	return d.execPartFromSlab(gr, part, slab)
+	return d.execPartFromSlab(gr, part, slabs, sp)
 }
 
-// execPartFromSlab runs a partition from its input slab (worker side).
-func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slab *tensor.Tensor) (*tensor.Tensor, error) {
+// execPartFromSlab runs a partition from its input slabs (worker side), with
+// kernel events reported into sp. Channel partitions run the batched graph
+// walk on the subgraph the deployment built; spatial partitions loop
+// ExecSpatialPart per query (identical math either way).
+func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slabs []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
+	defer d.kernels(sp)()
 	if gr.gp.Option.Dim == partition.DimChannel {
-		return gr.channel[part].Sub.Forward(slab)
+		return gr.channel[part].Sub.ForwardBatch(slabs)
 	}
-	return partition.ExecSpatialPart(gr.units, gr.spatial[part], slab)
+	outs := make([]*tensor.Tensor, len(slabs))
+	for e, slab := range slabs {
+		out, err := partition.ExecSpatialPart(gr.units, gr.spatial[part], slab)
+		if err != nil {
+			return nil, err
+		}
+		outs[e] = out
+	}
+	return outs, nil
 }
 
-func (d *Deployment) tensorOf(p platform.Payload) (*tensor.Tensor, error) {
+// tensorsOf unwraps a worker response (nil in ShapeOnly mode).
+func (d *Deployment) tensorsOf(p platform.Payload, size int) ([]*tensor.Tensor, error) {
 	if d.mode != Real {
 		return nil, nil
 	}
-	t, ok := p.Data.(*tensor.Tensor)
+	r, ok := p.Data.(*response)
 	if !ok {
-		return nil, fmt.Errorf("runtime: response payload %T, want tensor", p.Data)
+		return nil, fmt.Errorf("runtime: response payload %T, want response", p.Data)
 	}
-	return t, nil
+	if len(r.outputs) != size {
+		return nil, fmt.Errorf("runtime: worker returned %d outputs for %d queries", len(r.outputs), size)
+	}
+	return r.outputs, nil
 }
 
 // buildGroupRuntime precomputes a group's slices, FLOPs and payload sizes.

@@ -68,16 +68,76 @@ func runClient(t *testing.T, cfg platform.Config, seed int64, driver func(p *pla
 	}
 }
 
+// inputsAndWant draws n seeded tinyCNN inputs and their monolithic outputs.
+func inputsAndWant(t *testing.T, units []*partition.Unit, seed int64, n int) (xs, want []*tensor.Tensor) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for e := 0; e < n; e++ {
+		x := tensor.Rand(rng, 1, 3, 24, 24)
+		out, err := partition.ForwardChain(units, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs, want = append(xs, x), append(want, out)
+	}
+	return xs, want
+}
+
+// TestServeRealMatchesMonolithic pins the fork-join contract at batch sizes
+// 1 and 4: a pass through a mixed plan (channel, spatial+master,
+// master-local groups) yields exactly the outputs of monolithic execution,
+// one per query, and the per-pass accounting is sane.
 func TestServeRealMatchesMonolithic(t *testing.T) {
 	units := tinyCNN(t)
 	plan := mixedPlan(t, units)
-	x := tensor.Rand(rand.New(rand.NewSource(7)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
-	if err != nil {
-		t.Fatal(err)
+	for _, n := range []int{1, 4} {
+		xs, want := inputsAndWant(t, units, 7, n)
+		runClient(t, platform.AWSLambda(), 1, func(p *platform.Platform, proc *simnet.Proc) {
+			d, err := Deploy(p, units, plan, Real)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := d.Prewarm(); err != nil {
+				t.Error(err)
+				return
+			}
+			res, _, err := d.ServeBatch(proc, xs, n, false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if res.Size != n || len(res.Outputs) != n {
+				t.Errorf("batch of %d: result size %d, %d outputs", n, res.Size, len(res.Outputs))
+				return
+			}
+			for e := range want {
+				if !tensor.Equal(res.Outputs[e], want[e]) {
+					t.Errorf("batch of %d: output %d must match monolithic execution bitwise", n, e)
+				}
+			}
+			if res.LatencyMs <= 0 || res.BilledMs <= 0 {
+				t.Errorf("bad accounting: %+v", res)
+			}
+			if res.ColdStart {
+				t.Error("prewarmed master should warm-start")
+			}
+			if len(res.GroupMs) != len(plan.Groups) {
+				t.Errorf("got %d group timings, want %d", len(res.GroupMs), len(plan.Groups))
+			}
+		})
 	}
+}
+
+// TestServeBatchShapeOnlyScalesWithSize pins the modeled-cost side: a
+// ShapeOnly batch of 8 must take longer than a single query but far less
+// than 8 sequential queries (per-round overheads amortize).
+func TestServeBatchShapeOnlyScalesWithSize(t *testing.T) {
+	units := tinyCNN(t)
+	plan := mixedPlan(t, units)
+	var single, batched float64
 	runClient(t, platform.AWSLambda(), 1, func(p *platform.Platform, proc *simnet.Proc) {
-		d, err := Deploy(p, units, plan, Real)
+		d, err := Deploy(p, units, plan, ShapeOnly)
 		if err != nil {
 			t.Error(err)
 			return
@@ -86,19 +146,53 @@ func TestServeRealMatchesMonolithic(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		res, err := d.Serve(proc, x)
+		res1, err := d.Serve(proc, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if !tensor.Equal(res.Output, want) {
-			t.Error("fork-join output must match monolithic execution bitwise")
+		res8, _, err := d.ServeBatch(proc, nil, 8, false)
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		if res.LatencyMs <= 0 || res.BilledMs <= 0 {
-			t.Errorf("bad accounting: %+v", res)
+		single, batched = res1.LatencyMs, res8.LatencyMs
+	})
+	if batched <= single {
+		t.Fatalf("batch of 8 latency %.3f should exceed single %.3f", batched, single)
+	}
+	if batched >= 8*single {
+		t.Fatalf("batch of 8 latency %.3f should amortize below 8x single %.3f", batched, single)
+	}
+}
+
+// TestServeBatchValidation pins the argument contract.
+func TestServeBatchValidation(t *testing.T) {
+	units := tinyCNN(t)
+	plan := mixedPlan(t, units)
+	runClient(t, platform.AWSLambda(), 1, func(p *platform.Platform, proc *simnet.Proc) {
+		dReal, err := Deploy(p, units, plan, Real)
+		if err != nil {
+			t.Error(err)
+			return
 		}
-		if res.ColdStart {
-			t.Error("prewarmed master should warm-start")
+		dShape, err := Deploy(p, units, plan, ShapeOnly)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := dReal.Serve(proc, nil); err == nil {
+			t.Error("a Real serve without an input should fail")
+		}
+		if _, _, err := dReal.ServeBatch(proc, nil, 2, false); err == nil {
+			t.Error("Real batch without inputs should fail")
+		}
+		x := tensor.Rand(rand.New(rand.NewSource(1)), 1, 3, 24, 24)
+		if _, _, err := dReal.ServeBatch(proc, []*tensor.Tensor{x}, 2, false); err == nil {
+			t.Error("size/inputs mismatch should fail")
+		}
+		if _, _, err := dShape.ServeBatch(proc, nil, 0, false); err == nil {
+			t.Error("non-positive ShapeOnly size should fail")
 		}
 	})
 }
@@ -121,7 +215,7 @@ func TestServeDefaultReal(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if !tensor.Equal(res.Output, want) {
+		if !tensor.Equal(res.Outputs[0], want) {
 			t.Error("default serving output mismatch")
 		}
 	})
@@ -450,11 +544,11 @@ func TestChannelGroupReusesSlicedWeights(t *testing.T) {
 			t.Error(err)
 		} else if n > partBytes/8 {
 			t.Errorf("second serve allocated %d bytes; one partition's weights are %d", n, partBytes)
-		} else if !tensor.Equal(res.Output, want[1]) {
+		} else if !tensor.Equal(res.Outputs[0], want[1]) {
 			t.Error("second serve differs from monolithic execution")
 		}
-		var batch BatchResult
-		if n := allocated(func() { batch, err = d.ServeBatch(proc, xs, len(xs)) }); err != nil {
+		var batch Result
+		if n := allocated(func() { batch, _, err = d.ServeBatch(proc, xs, len(xs), false) }); err != nil {
 			t.Error(err)
 		} else if n > partBytes/8 {
 			t.Errorf("batched serve allocated %d bytes; one partition's weights are %d", n, partBytes)

@@ -95,24 +95,9 @@ func (s *Switcher) current() *Deployment {
 // Platform returns the shared platform.
 func (s *Switcher) Platform() *platform.Platform { return s.deps[0].p }
 
-// Serve executes one query on the active deployment.
-func (s *Switcher) Serve(proc *simnet.Proc, input *tensor.Tensor) (Result, error) {
-	return s.current().Serve(proc, input)
-}
-
-// ServeTraced executes one traced query on the active deployment.
-func (s *Switcher) ServeTraced(proc *simnet.Proc, input *tensor.Tensor) (Result, *trace.Trace, error) {
-	return s.current().ServeTraced(proc, input)
-}
-
-// ServeBatch executes one batch on the active deployment.
-func (s *Switcher) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size int) (BatchResult, error) {
-	return s.current().ServeBatch(proc, inputs, size)
-}
-
-// ServeBatchTraced executes one traced batch on the active deployment.
-func (s *Switcher) ServeBatchTraced(proc *simnet.Proc, inputs []*tensor.Tensor, size int) (BatchResult, *trace.Trace, error) {
-	return s.current().ServeBatchTraced(proc, inputs, size)
+// ServeBatch executes one fork-join pass on the active deployment.
+func (s *Switcher) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size int, traced bool) (Result, *trace.Trace, error) {
+	return s.current().ServeBatch(proc, inputs, size, traced)
 }
 
 // WarmSets reports the active deployment's standing warm sets.

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"math/rand"
 	"testing"
 
 	"gillis/internal/partition"
@@ -50,14 +49,10 @@ func TestSwitcherValidation(t *testing.T) {
 func TestSwitcherHotSwapBitExact(t *testing.T) {
 	// Every candidate serves the same model: outputs are bit-identical to
 	// monolithic execution regardless of which plan is active, and a swap
-	// takes effect on the next query.
+	// takes effect on the next pass — a single query or a batch.
 	units := tinyCNN(t)
 	plan := mixedPlan(t, units)
-	x := tensor.Rand(rand.New(rand.NewSource(9)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs, want := inputsAndWant(t, units, 9, 2)
 	runClient(t, platform.KNIX(), 3, func(p *platform.Platform, proc *simnet.Proc) {
 		dDefault, err := DeployDefault(p, units, Real)
 		if err != nil {
@@ -77,12 +72,12 @@ func TestSwitcherHotSwapBitExact(t *testing.T) {
 		if sw.Len() != 2 || sw.Active() != 0 {
 			t.Errorf("len=%d active=%d, want 2,0", sw.Len(), sw.Active())
 		}
-		res, err := sw.Serve(proc, x)
+		res, _, err := sw.ServeBatch(proc, xs[:1], 1, false)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if !tensor.Equal(res.Output, want) {
+		if !tensor.Equal(res.Outputs[0], want[0]) {
 			t.Error("default-plan output mismatch")
 		}
 		if err := sw.Switch(1); err != nil {
@@ -92,16 +87,18 @@ func TestSwitcherHotSwapBitExact(t *testing.T) {
 		if sw.Active() != 1 {
 			t.Errorf("active=%d after switch, want 1", sw.Active())
 		}
-		res2, tr, err := sw.ServeTraced(proc, x)
+		res2, tr, err := sw.ServeBatch(proc, xs, len(xs), true)
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		if tr == nil {
-			t.Error("ServeTraced must return a trace")
+			t.Error("a traced serve must return a trace")
 		}
-		if !tensor.Equal(res2.Output, want) {
-			t.Error("swapped-plan output mismatch")
+		for e := range want {
+			if !tensor.Equal(res2.Outputs[e], want[e]) {
+				t.Errorf("swapped-plan output %d mismatch", e)
+			}
 		}
 		// The swapped plan fans out, so it bills more functions.
 		if res2.BilledMs <= 0 {

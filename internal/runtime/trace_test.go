@@ -65,10 +65,10 @@ func quickstartPlan(t *testing.T, units []*partition.Unit) *partition.Plan {
 	return plan
 }
 
-// serveTracedOnce runs exactly one traced query on a fresh prewarmed
-// platform and drains the simulation, so the platform's BilledMsTotal is
-// attributable to that single query's trace.
-func serveTracedOnce(t *testing.T, cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, mode ExecMode, input *tensor.Tensor, opts ...DeployOption) (Result, *trace.Trace, *platform.Platform, string, error) {
+// serveTracedOnce runs exactly one traced pass of size queries on a fresh
+// prewarmed platform and drains the simulation, so the platform's
+// BilledMsTotal is attributable to that single pass's trace.
+func serveTracedOnce(t *testing.T, cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, mode ExecMode, inputs []*tensor.Tensor, size int, opts ...DeployOption) (Result, *trace.Trace, *platform.Platform, string, error) {
 	t.Helper()
 	env := simnet.NewEnv()
 	p := platform.New(env, cfg, seed)
@@ -89,7 +89,7 @@ func serveTracedOnce(t *testing.T, cfg platform.Config, seed int64, units []*par
 			qerr = err
 			return
 		}
-		res, tr, qerr = d.ServeTraced(proc, input)
+		res, tr, qerr = d.ServeBatch(proc, inputs, size, true)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -117,77 +117,100 @@ func checkGolden(t *testing.T, path string, got []byte) {
 	}
 }
 
-// TestGoldenQuickstartTrace pins the quickstart fork-join query's span tree
-// byte-for-byte: same seeds must yield the identical serialized trace across
-// runs and across kernel parallelism levels, and its billed-ms attribution
-// must sum exactly to the platform's authoritative total.
+// TestGoldenQuickstartTrace pins the quickstart fork-join pass's span tree
+// byte-for-byte, for a single query and for a batch of three: same seeds
+// must yield the identical serialized trace across runs and across kernel
+// parallelism levels, and its billed-ms attribution must sum exactly to the
+// platform's authoritative total.
 func TestGoldenQuickstartTrace(t *testing.T) {
 	units := quickstartUnits(t)
 	plan := quickstartPlan(t, units)
-	input := tensor.Rand(rand.New(rand.NewSource(2)), 1, 3, 32, 32)
+	rng := rand.New(rand.NewSource(2))
+	inputs := []*tensor.Tensor{tensor.Rand(rng, 1, 3, 32, 32), tensor.Rand(rng, 1, 3, 32, 32), tensor.Rand(rng, 1, 3, 32, 32)}
 
-	type run struct {
-		canon, structure []byte
-		tr               *trace.Trace
-		p                *platform.Platform
-		res              Result
-	}
-	serve := func(kernelWorkers int, opts ...DeployOption) run {
-		restore := par.SetParallelism(kernelWorkers)
-		defer restore()
-		res, tr, p, prefix, err := serveTracedOnce(t, platform.AWSLambda(), 7, units, plan, Real, input, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The deployment counter is process-global, so function names carry a
-		// test-order-dependent sequence number; strip it for stable goldens.
-		ren := func(s string) string { return strings.ReplaceAll(s, prefix, "demo-cnn") }
-		return run{canon: tr.Canonical(ren), structure: tr.Structure(ren), tr: tr, p: p, res: res}
-	}
+	for _, tc := range []struct {
+		golden  string
+		size    int
+		digests []string // root attributes pinning the Real-mode outputs
+	}{
+		{"quickstart_trace.golden", 1, []string{"output-digest"}},
+		{"quickstart_batch_trace.golden", 3, []string{"output-digest-0", "output-digest-1", "output-digest-2"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			type run struct {
+				canon, structure []byte
+				tr               *trace.Trace
+				p                *platform.Platform
+				res              Result
+			}
+			serve := func(kernelWorkers int, opts ...DeployOption) run {
+				restore := par.SetParallelism(kernelWorkers)
+				defer restore()
+				res, tr, p, prefix, err := serveTracedOnce(t, platform.AWSLambda(), 7, units, plan, Real, inputs[:tc.size], tc.size, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The deployment counter is process-global, so function names carry a
+				// test-order-dependent sequence number; strip it for stable goldens.
+				ren := func(s string) string { return strings.ReplaceAll(s, prefix, "demo-cnn") }
+				return run{canon: tr.Canonical(ren), structure: tr.Structure(ren), tr: tr, p: p, res: res}
+			}
+			digestsOf := func(r run) string {
+				var ds []string
+				for _, key := range tc.digests {
+					ds = append(ds, r.tr.Root().Attr(key))
+				}
+				return strings.Join(ds, " ")
+			}
 
-	base := serve(1)
-	tracetest.CheckWellFormed(t, base.tr)
-	tracetest.CheckBilledAttribution(t, base.tr)
-	tracetest.CheckBilledTotal(t, base.tr, base.p.BilledMsTotal())
-	if base.res.BilledMs != base.p.BilledMsTotal() {
-		t.Errorf("query billed %d ms, platform total %d ms", base.res.BilledMs, base.p.BilledMsTotal())
-	}
-	digest := base.tr.Root().Attr("output-digest")
-	if digest == "" {
-		t.Error("Real-mode trace root must carry the output digest")
-	}
-	if n := len(tracetest.ByKind(base.tr, trace.KindInvoke)); n != 5 {
-		// master + 2 channel workers + 2 spatial workers (part 0 on master).
-		t.Errorf("invoke spans = %d, want 5", n)
-	}
-	if tracetest.CountEvents(base.tr, "op:res_conv1") != 3 {
-		// Once per spatial worker (×2) plus the master's own partition 0.
-		t.Errorf("op:res_conv1 events = %d, want 3", tracetest.CountEvents(base.tr, "op:res_conv1"))
-	}
+			base := serve(1)
+			tracetest.CheckWellFormed(t, base.tr)
+			tracetest.CheckBilledAttribution(t, base.tr)
+			tracetest.CheckBilledTotal(t, base.tr, base.p.BilledMsTotal())
+			if base.res.BilledMs != base.p.BilledMsTotal() {
+				t.Errorf("pass billed %d ms, platform total %d ms", base.res.BilledMs, base.p.BilledMsTotal())
+			}
+			digests := digestsOf(base)
+			if len(strings.Fields(digests)) != tc.size {
+				t.Errorf("Real-mode trace root must carry one output digest per query, got %q", digests)
+			}
+			if n := len(tracetest.ByKind(base.tr, trace.KindInvoke)); n != 5 {
+				// master + 2 channel workers + 2 spatial workers (part 0 on
+				// master), whatever the batch size.
+				t.Errorf("invoke spans = %d, want 5", n)
+			}
+			if got, want := tracetest.CountEvents(base.tr, "op:res_conv1"), 3*tc.size; got != want {
+				// Per query: once per spatial worker (×2) plus the master's own
+				// partition 0.
+				t.Errorf("op:res_conv1 events = %d, want %d", got, want)
+			}
 
-	checkGolden(t, filepath.Join("testdata", "quickstart_trace.golden"), base.canon)
+			checkGolden(t, filepath.Join("testdata", tc.golden), base.canon)
 
-	// Kernel parallelism is a wall-clock knob: the simulated trace — spans,
-	// events, virtual timings, billing, and the output digest — must not move.
-	for _, workers := range []int{2, 4} {
-		r := serve(workers)
-		if !bytes.Equal(r.canon, base.canon) {
-			t.Errorf("trace differs at kernel parallelism %d\n--- got ---\n%s\n--- base ---\n%s", workers, r.canon, base.canon)
-		}
-		if got := r.tr.Root().Attr("output-digest"); got != digest {
-			t.Errorf("output digest at parallelism %d = %s, want %s", workers, got, digest)
-		}
-	}
+			// Kernel parallelism is a wall-clock knob: the simulated trace — spans,
+			// events, virtual timings, billing, and the output digests — must not
+			// move, on the way up or back down.
+			for _, workers := range []int{2, 4, 1} {
+				r := serve(workers)
+				if !bytes.Equal(r.canon, base.canon) {
+					t.Errorf("trace differs at kernel parallelism %d\n--- got ---\n%s\n--- base ---\n%s", workers, r.canon, base.canon)
+				}
+				if got := digestsOf(r); got != digests {
+					t.Errorf("output digests at parallelism %d = %s, want %s", workers, got, digests)
+				}
+			}
 
-	// Modeled vCPUs (WithParallelism) rescale simulated compute time, so the
-	// canonical trace legitimately shifts — but its structure (spans, events,
-	// parentage) must be identical.
-	vcpu := serve(1, WithParallelism(2))
-	if !bytes.Equal(vcpu.structure, base.structure) {
-		t.Errorf("WithParallelism(2) changed trace structure\n--- got ---\n%s\n--- base ---\n%s", vcpu.structure, base.structure)
-	}
-	if got := vcpu.tr.Root().Attr("output-digest"); got != digest {
-		t.Errorf("WithParallelism(2) digest = %s, want %s", got, digest)
+			// Modeled vCPUs (WithParallelism) rescale simulated compute time, so the
+			// canonical trace legitimately shifts — but its structure (spans, events,
+			// parentage) must be identical.
+			vcpu := serve(1, WithParallelism(2))
+			if !bytes.Equal(vcpu.structure, base.structure) {
+				t.Errorf("WithParallelism(2) changed trace structure\n--- got ---\n%s\n--- base ---\n%s", vcpu.structure, base.structure)
+			}
+			if got := digestsOf(vcpu); got != digests {
+				t.Errorf("WithParallelism(2) digests = %s, want %s", got, digests)
+			}
+		})
 	}
 }
 
@@ -209,7 +232,7 @@ func TestResNetFaultedTraceAcceptance(t *testing.T) {
 	serve := func(kernelWorkers int) ([]byte, []byte, *trace.Trace, *platform.Platform) {
 		restore := par.SetParallelism(kernelWorkers)
 		defer restore()
-		_, tr, p, prefix, err := serveTracedOnce(t, cfg, 97, units, plan, ShapeOnly, nil, opts...)
+		_, tr, p, prefix, err := serveTracedOnce(t, cfg, 97, units, plan, ShapeOnly, nil, 1, opts...)
 		if err != nil {
 			t.Fatalf("query failed despite retries: %v", err)
 		}
@@ -251,11 +274,12 @@ func TestResNetFaultedTraceAcceptance(t *testing.T) {
 	}
 }
 
-// TestTraceInvariantsUnderFaultSweep is the property test: across 100 seeds
-// and mixed fault profiles, every trace stays well-formed, every failed
-// invocation span carries its typed fault kind, and per-span billed-ms sums
-// exactly to the platform's authoritative total — whether or not the query
-// survived.
+// TestTraceInvariantsUnderFaultSweep is the property test: across 100 seeds,
+// mixed fault profiles and batch sizes 1 and 4, every trace stays
+// well-formed, every failed invocation span carries its typed fault kind,
+// per-span billed-ms sums exactly to the platform's authoritative total and
+// rolls up consistently wherever no work was abandoned — whether or not the
+// pass survived.
 func TestTraceInvariantsUnderFaultSweep(t *testing.T) {
 	units := tinyCNN(t)
 	plan := resilPlan(t, units)
@@ -264,26 +288,29 @@ func TestTraceInvariantsUnderFaultSweep(t *testing.T) {
 		{FailureProb: 0.1, EvictionProb: 0.1},
 		{FailureProb: 0.05, StragglerProb: 0.2, StragglerFactor: 8, TimeoutMs: 150},
 	}
-	var failedSpans, failedQueries int
-	for seed := int64(0); seed < 100; seed++ {
-		prof := profiles[seed%int64(len(profiles))]
-		cfg := platform.AWSLambda()
-		cfg.Faults = prof
-		_, tr, p, _, err := serveTracedOnce(t, cfg, seed, units, plan, ShapeOnly, nil,
-			WithRetries(3, 2), WithMasterFallback())
-		if err != nil {
-			failedQueries++
+	for _, size := range []int{1, 4} {
+		var failedSpans, failedPasses int
+		for seed := int64(0); seed < 100; seed++ {
+			prof := profiles[seed%int64(len(profiles))]
+			cfg := platform.AWSLambda()
+			cfg.Faults = prof
+			_, tr, p, _, err := serveTracedOnce(t, cfg, seed, units, plan, ShapeOnly, nil, size,
+				WithRetries(3, 2), WithMasterFallback())
+			if err != nil {
+				failedPasses++
+			}
+			tracetest.CheckWellFormed(t, tr)
+			failedSpans += tracetest.CheckFaultKinds(t, tr)
+			tracetest.CheckBilledTotal(t, tr, p.BilledMsTotal())
+			tracetest.CheckBilledAttribution(t, tr)
+			tracetest.CheckHedges(t, tr)
+			if t.Failed() {
+				t.Fatalf("trace invariant violated at batch size %d, seed %d (profile %+v)", size, seed, prof)
+			}
 		}
-		tracetest.CheckWellFormed(t, tr)
-		failedSpans += tracetest.CheckFaultKinds(t, tr)
-		tracetest.CheckBilledTotal(t, tr, p.BilledMsTotal())
-		tracetest.CheckHedges(t, tr)
-		if t.Failed() {
-			t.Fatalf("trace invariant violated at seed %d (profile %+v)", seed, prof)
+		if failedSpans == 0 {
+			t.Fatalf("batch size %d: sweep observed no faulted invocations; fault injection inactive", size)
 		}
+		t.Logf("batch size %d, 100 seeds: %d faulted invocation spans, %d failed passes, all invariants held", size, failedSpans, failedPasses)
 	}
-	if failedSpans == 0 {
-		t.Fatal("sweep observed no faulted invocations; fault injection inactive")
-	}
-	t.Logf("100 seeds: %d faulted invocation spans, %d failed queries, all invariants held", failedSpans, failedQueries)
 }

@@ -22,7 +22,10 @@ ci: lint build test procs race chaos bench-verify
 # nil-safety, float-accumulation, dropped-error invariants) plus the
 # inter-procedural call-graph analyzers (clockflow, goleak, sharedmut) —
 # see DESIGN.md §9. CI sets VET_FLAGS=-github so findings land as inline
-# ::error annotations on the pull request.
+# ::error annotations on the pull request. go vet's asmdecl checks
+# gemm_amd64.s against its Go declarations; the arm64 cross-build and vet
+# keep the no-assembly kernel dispatch, which nothing on an amd64 runner
+# compiles, from rotting.
 VET_FLAGS ?=
 lint:
 	@unformatted="$$(gofmt -l .)"; \
@@ -32,6 +35,8 @@ lint:
 		exit 1; \
 	fi
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn
 	$(GO) run ./cmd/gillis-vet $(VET_FLAGS) ./...
 
 vet:
@@ -48,9 +53,23 @@ test:
 # passed at 1, 4 and 8), so the packages that spawn goroutines of their own,
 # and the simulation kernel with its two heaviest users, run at each. The
 # timeout turns a hang into a failure in seconds.
+#
+# The convolution kernel is picked from CPUID at start-up, so a runner only
+# ever exercises the widest implementation it has. The second loop links each
+# level into nn.kernelCap in turn and reruns the kernel and partition-exactness
+# suites under it, naming the levels this CPU cannot run.
+KERNEL_PKGS := ./internal/nn ./internal/partition
 procs:
 	for n in 1 2 3 4 8; do \
 		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 120s $(PROCS_PKGS) || exit 1; \
+	done
+	for k in go avx avx512; do \
+		cap="-ldflags=-X=gillis/internal/nn.kernelCap=$$k"; \
+		if ! $(GO) test $$cap -count=1 -run '^TestSelectedKernel$$' -v ./internal/nn | grep -q '^--- PASS'; then \
+			echo "procs: this CPU offers no $$k kernel: skipped"; continue; \
+		fi; \
+		echo "procs: $(KERNEL_PKGS) on the $$k kernel"; \
+		$(GO) test $$cap -count=1 -timeout 300s $(KERNEL_PKGS) || exit 1; \
 	done
 
 race:

@@ -73,6 +73,7 @@ func main() {
 	}
 	log.Printf("serving %s on %s (platform %s, %d plan groups, %d catalog models)",
 		srv.model.Name, *addr, *platformName, len(srv.plan.Groups), len(srv.catalog))
+	log.Printf("convolution kernel: %s", nn.KernelName())
 	log.Fatal(http.ListenAndServe(*addr, srv.mux()))
 }
 

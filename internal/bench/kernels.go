@@ -188,11 +188,13 @@ func (r *KernelReport) Compare(baseline *KernelReport) {
 // CheckRegression returns an error naming every measurement whose ns/op
 // regressed more than tolerance (fractional: 0.10 means 10%) against its
 // baseline column. Results without a baseline entry are skipped — a new
-// kernel or sweep level cannot regress. Call Compare first.
+// kernel or sweep level cannot regress — and so are sweep levels above this
+// run's GOMAXPROCS: oversubscribed workers time-share the cores, and their
+// rows move 20-50% run to run on code nobody touched. Call Compare first.
 func (r *KernelReport) CheckRegression(tolerance float64) error {
 	var bad []string
 	for _, res := range r.Results {
-		if res.BaselineNsPerOp <= 0 {
+		if res.BaselineNsPerOp <= 0 || res.Parallelism > r.GoMaxProcs {
 			continue
 		}
 		limit := float64(res.BaselineNsPerOp) * (1 + tolerance)

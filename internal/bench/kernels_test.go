@@ -64,7 +64,7 @@ func TestKernelReportCompareAndCheck(t *testing.T) {
 	base := &KernelReport{Results: []KernelResult{
 		{Kernel: "k", Parallelism: 1, NsPerOp: 1000},
 	}}
-	rep := &KernelReport{Results: []KernelResult{
+	rep := &KernelReport{GoMaxProcs: 2, Results: []KernelResult{
 		{Kernel: "k", Parallelism: 1, NsPerOp: 500},
 		{Kernel: "k", Parallelism: 2, NsPerOp: 400}, // no baseline entry
 	}}
@@ -84,16 +84,28 @@ func TestKernelReportCompareAndCheck(t *testing.T) {
 	}
 
 	// Exactly at the limit passes; just past it fails and names the pair.
-	atLimit := &KernelReport{Results: []KernelResult{{Kernel: "k", Parallelism: 1, NsPerOp: 1100}}}
+	atLimit := &KernelReport{GoMaxProcs: 2, Results: []KernelResult{{Kernel: "k", Parallelism: 1, NsPerOp: 1100}}}
 	atLimit.Compare(base)
 	if err := atLimit.CheckRegression(0.10); err != nil {
 		t.Fatalf("exactly +10%% must pass: %v", err)
 	}
-	over := &KernelReport{Results: []KernelResult{{Kernel: "k", Parallelism: 1, NsPerOp: 1111}}}
+	over := &KernelReport{GoMaxProcs: 2, Results: []KernelResult{{Kernel: "k", Parallelism: 1, NsPerOp: 1111}}}
 	over.Compare(base)
 	err := over.CheckRegression(0.10)
 	if err == nil || !strings.Contains(err.Error(), "k p=1") {
 		t.Fatalf("want regression error naming the pair, got %v", err)
+	}
+
+	// A sweep level above the run's GOMAXPROCS is reported but not gated.
+	base8 := &KernelReport{Results: []KernelResult{{Kernel: "k", Parallelism: 8, NsPerOp: 1000}}}
+	oversub := &KernelReport{GoMaxProcs: 2, Results: []KernelResult{{Kernel: "k", Parallelism: 8, NsPerOp: 1500}}}
+	oversub.Compare(base8)
+	if err := oversub.CheckRegression(0.10); err != nil {
+		t.Fatalf("oversubscribed level gated: %v", err)
+	}
+	oversub.GoMaxProcs = 8
+	if err := oversub.CheckRegression(0.10); err == nil {
+		t.Fatal("level within GOMAXPROCS not gated")
 	}
 
 	// Without Compare there are no baseline columns, so nothing can fail.

@@ -4,10 +4,10 @@ import "gillis/internal/par"
 
 // This file is the package's single GEMM-shaped compute engine. Conv2D
 // (via im2col), Dense, and LSTM all lower onto the two micro-kernels below;
-// the AVX assembly in gemm_amd64.s and the pure-Go reference kernels here
-// implement the exact same accumulation-order contract, so outputs are
-// bitwise identical across architectures, parallelism levels, and
-// partitioned execution.
+// the AVX and AVX-512 assembly in gemm_amd64.s and the pure-Go reference
+// kernels here implement the exact same accumulation-order contract, so
+// outputs are bitwise identical across architectures, parallelism levels,
+// and partitioned execution.
 //
 // Accumulation-order contract:
 //
@@ -24,19 +24,21 @@ import "gillis/internal/par"
 //     only on K — a layer constant — so it is invariant under parallelism
 //     and channel slicing.
 //
-// Blocking (matrix-panel path): the register tile is gemmMr=4 rows × gemmNr=8
-// columns. The B matrix is never materialised. gemmBias cuts the columns
-// into blocks of at most gemmNc, and gemm.block walks each block's depth in
-// slices of at most gemmKc: it packs the [kc × nc] slice of B straight from
-// its source (for Conv2D the input tensor: im2col happens in the pack), then
-// sweeps every 4-row band of A over the packed slice with the micro-kernel.
-// A kernel call reads one 32-byte piece of each of kc packed rows plus four
-// kc-float rows of A: 384×(64+16) bytes is 30 KB, inside a 48 KB L1, and the
-// packed slice (at most 384×272 floats, 408 KB) stays in L2 while the bands
-// stream over it. See DESIGN.md §11 for what the sizes were measured against.
+// Blocking (matrix-panel path): the register tile is tile.mr rows × tile.nr
+// columns, a pair fixed once at start-up from what the CPU offers (8×32 for
+// the AVX-512 kernel, 4×16 for the AVX one and the pure-Go reference). The B
+// matrix is never materialised. gemmBias cuts the columns into blocks of at
+// most gemmNc, and gemm.block walks each block's depth in slices of at most
+// gemmKc: it packs the [kc × nc] slice of B straight from its source (for
+// Conv2D the input tensor: im2col happens in the pack), then sweeps every
+// mr-row band of A over the packed slice with the micro-kernel. A kernel call
+// reads one nr-float piece of each of kc packed rows plus mr kc-float rows of
+// A, read in place at stride k: 384×(128+32) bytes is 60 KB for the 8×32
+// tile, of which the 12 KB of A stay in L1 across a band's panels while B
+// streams through from L2, where the packed slice (at most 384×272 floats,
+// 408 KB) lives while the bands sweep it. See DESIGN.md §11 for what the
+// sizes were measured against.
 const (
-	gemmMr = 4
-	gemmNr = 8
 	gemmKc = 384
 	gemmNc = 256
 	// gemmLdPad is one cache line added to the row stride of a packed
@@ -44,12 +46,58 @@ const (
 	// kc lines one kernel call touches share four L1 sets, and they evict
 	// each other.
 	gemmLdPad = 16
-	// gemmGroupBands is the fewest 4-row bands a work item sweeps over its
+	// gemmGroupRows is the fewest rows of A a work item sweeps over its
 	// packed slice when gemmBias has to split the bands to find parallelism
-	// (few columns): each group packs its own copy of B, and 16 bands (64
-	// rows) keep that repeated pack under a tenth of the group's arithmetic.
-	gemmGroupBands = 16
+	// (few columns): each group packs its own copy of B, and 64 rows keep
+	// that repeated pack under a tenth of the group's arithmetic.
+	gemmGroupRows = 64
 )
+
+// gemmTile is one implementation of the matrix-panel micro-kernel: the
+// geometry of its register tile and, where there is one, the assembly that
+// computes it. Every implementation follows the accumulation-order contract
+// above, so which one runs never changes an output bit
+// (TestKernelAsmMatchesReference, TestBlockedGEMMMatchesStrictKReference).
+type gemmTile struct {
+	name   string
+	mr, nr int
+	// asm is the kernel in gemm_amd64.s, strides in bytes; nil runs
+	// mulAddTileGo at this geometry.
+	asm func(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
+}
+
+// goTiles is the Go reference at each geometry an assembly kernel uses; the
+// first, the faster of the two in scalar code, is what runs where there is no
+// assembly.
+func goTiles() []*gemmTile {
+	return []*gemmTile{{name: "go-8x32", mr: 8, nr: 32}, {name: "go-4x16", mr: 4, nr: 16}}
+}
+
+// kernelCap, when set at link time (`make procs` passes
+// -ldflags=-X=gillis/internal/nn.kernelCap=avx), keeps start-up from
+// selecting a kernel above that level — "go" or "avx" — so a single runner
+// puts whole test suites through every implementation it has.
+var kernelCap string
+
+// tile is the implementation every convolution runs: the first entry of
+// gemmTiles(), i.e. the widest kernel the CPU and OS support.
+var tile = gemmTiles()[0]
+
+// KernelName names the matrix-panel kernel selected at start-up, e.g.
+// "avx512-8x32".
+func KernelName() string { return tile.name }
+
+// mulAdd runs the micro-kernel: c[r*ldc+j] += a[r*lda+p] * b[p*ldb+j] for r
+// in [0, mr), j in [0, nr), p ascending over [0, kc). Strides are in floats.
+func (t *gemmTile) mulAdd(kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	if t.asm == nil {
+		mulAddTileGo(t.mr, t.nr, kc, a, lda, b, ldb, c, ldc)
+		return
+	}
+	// The assembly indexes from bare pointers; these are its furthest reads.
+	_, _, _ = a[(t.mr-1)*lda+kc-1], b[(kc-1)*ldb+t.nr-1], c[(t.mr-1)*ldc+t.nr-1]
+	t.asm(int64(kc), &a[0], int64(lda)*4, &b[0], int64(ldb)*4, &c[0], int64(ldc)*4)
+}
 
 // epilogue is a fused per-output-channel post-op applied to a finished
 // output row: an optional affine y = y*scale + shift (the BatchNorm
@@ -83,13 +131,14 @@ func (e *epilogue) apply(ch int, row []float32) {
 	}
 }
 
-// gemm is one blocked product: its operands and the slice geometry gemmBias
-// picked for them.
+// gemm is one blocked product: its operands, the register tile it runs on
+// and the slice geometry gemmBias picked for them.
 type gemm struct {
 	m, n, k int
 	a, bias []float32
 	b       *convCols
 	epi     *epilogue
+	t       *gemmTile
 	depth   int // rows of B in a packed slice
 	ld      int // floats between rows of a packed slice
 }
@@ -104,46 +153,52 @@ type gemm struct {
 // feature map is one block of 49). Work items own disjoint output tiles and
 // no reduction is ever split: every element accumulates its depth slices in
 // ascending order and, inside the micro-kernel, its terms in ascending p —
-// the strict-k contract above — whatever the blocking or the parallelism
-// level.
+// the strict-k contract above — whatever the tile, the blocking or the
+// parallelism level.
 func gemmBias(m, n, k int, a, bias []float32, b *convCols, outs [][]float32, epi *epilogue) {
-	// Balanced blocks: 784 columns are four blocks of 200, not three of 256
-	// and one of 16; 576 deep is two slices of 288.
+	t := tile
+	// Balanced blocks of whole nr-column panels: 784 columns are four blocks
+	// of 224 (8×32 tile) or 208 (4×16), not three of 256 and one of 16; 576
+	// deep is two slices of 288.
 	blocks := (n + gemmNc - 1) / gemmNc
-	width := ((n+blocks-1)/blocks + gemmNr - 1) &^ (gemmNr - 1)
+	width := ((n+blocks-1)/blocks + t.nr - 1) / t.nr * t.nr
 	blocks = (n + width - 1) / width
 	slices := (k + gemmKc - 1) / gemmKc
-	g := gemm{m: m, n: n, k: k, a: a, bias: bias, b: b, epi: epi,
+	g := gemm{m: m, n: n, k: k, a: a, bias: bias, b: b, epi: epi, t: t,
 		depth: (k + slices - 1) / slices, ld: width + gemmLdPad}
 	// One work item per column block; with fewer blocks than workers, the
-	// bands are split as well, into equal groups that each pack their own
-	// copy of the block.
-	bands := (m + gemmMr - 1) / gemmMr
+	// rows are split as well, into equal groups of whole bands that each pack
+	// their own copy of the block.
 	groups := 1
 	if cb, p := len(outs)*blocks, par.Parallelism(); cb < p {
-		groups = max(1, min((p+cb-1)/cb, bands/gemmGroupBands))
+		groups = max(1, min((p+cb-1)/cb, m/gemmGroupRows))
 	}
-	groupRows := (bands + groups - 1) / groups * gemmMr
+	groupRows := ((m+groups-1)/groups + t.mr - 1) / t.mr * t.mr
 	groups = (m + groupRows - 1) / groupRows
+	// Scratch per worker: the packed slice, a staged output tile and a staged
+	// band of A for the ragged edges.
+	nPacked, nTile := g.depth*g.ld, t.mr*t.nr
 	par.For(len(outs)*blocks*groups, 2*k*width*groupRows, func(lo, hi int) {
-		buf := par.GetF32(g.depth*g.ld + gemmMr*gemmNr)
+		buf := par.GetF32(nPacked + nTile + t.mr*g.depth)
 		defer par.PutF32(buf)
-		packed, tile := (*buf)[:g.depth*g.ld], (*buf)[g.depth*g.ld:]
+		packed, ctile, aband := (*buf)[:nPacked], (*buf)[nPacked:nPacked+nTile], (*buf)[nPacked+nTile:]
 		for idx := lo; idx < hi; idx++ {
 			cb, r0 := idx/groups, idx%groups*groupRows
 			e, jc := cb/blocks, cb%blocks*width
-			g.block(outs[e], e, jc, min(jc+width, n), r0, min(r0+groupRows, m), packed, tile)
+			g.block(outs[e], e, jc, min(jc+width, n), r0, min(r0+groupRows, m), packed, ctile, aband)
 		}
 	})
 }
 
 // block computes rows [r0, r1) × columns [jc, jEnd) of out, the product for
 // batch element e: bias, then one pack and one sweep of the row bands per
-// depth slice, then the epilogue. packed and tile are the caller's scratch.
-func (g *gemm) block(out []float32, e, jc, jEnd, r0, r1 int, packed, tile []float32) {
+// depth slice, then the epilogue. packed, ctile and aband are the caller's
+// scratch.
+func (g *gemm) block(out []float32, e, jc, jEnd, r0, r1 int, packed, ctile, aband []float32) {
 	m, n, k, a, ld := g.m, g.n, g.k, g.a, g.ld
+	mr, nr := g.t.mr, g.t.nr
 	w := jEnd - jc
-	wPanels := (w + gemmNr - 1) &^ (gemmNr - 1)
+	wPanels := (w + nr - 1) / nr * nr
 	for r := r0; r < r1; r++ {
 		row := out[r*n+jc : r*n+jEnd]
 		bv := g.bias[r]
@@ -159,29 +214,35 @@ func (g *gemm) block(out []float32, e, jc, jEnd, r0, r1 int, packed, tile []floa
 			// zeros.
 			clear(packed[p*ld+w : p*ld+wPanels])
 		}
-		for i := r0; i < r1; i += gemmMr {
-			// A band short of four rows repeats its last row; the repeats
-			// land in tile rows that are never copied out.
-			rows := min(gemmMr, m-i)
-			i1, i2, i3 := min(i+1, m-1), min(i+2, m-1), min(i+3, m-1)
-			a0, a1, a2, a3 := a[i*k+pc:i*k+pc+kc], a[i1*k+pc:i1*k+pc+kc], a[i2*k+pc:i2*k+pc+kc], a[i3*k+pc:i3*k+pc+kc]
-			for j := jc; j < jEnd; j += gemmNr {
-				bp := packed[j-jc : (kc-1)*ld+j-jc+gemmNr]
-				if rows == gemmMr && j+gemmNr <= jEnd {
-					mulAddPanel4x8(kc, a0, a1, a2, a3, bp, ld,
-						out[i*n+j:i*n+j+8], out[i1*n+j:i1*n+j+8], out[i2*n+j:i2*n+j+8], out[i3*n+j:i3*n+j+8])
+		for i := r0; i < r1; i += mr {
+			// Full bands read their rows of A in place. The kernel always
+			// reads mr rows, so a last band short of mr is staged, its
+			// missing rows zero; they land in tile rows never copied out.
+			rows := min(mr, m-i)
+			ab, lda := a[i*k+pc:], k
+			if rows < mr {
+				ab, lda = aband[:mr*kc], kc
+				for r := 0; r < rows; r++ {
+					copy(ab[r*kc:(r+1)*kc], a[(i+r)*k+pc:])
+				}
+				clear(ab[rows*kc:])
+			}
+			for j := jc; j < jEnd; j += nr {
+				bp := packed[j-jc:]
+				if rows == mr && j+nr <= jEnd {
+					g.t.mulAdd(kc, ab, lda, bp, ld, out[i*n+j:], n)
 					continue
 				}
-				// Ragged tile: the same kernel on a staged 4×8 copy, so
+				// Ragged tile: the same kernel on a staged mr×nr copy, so
 				// edge elements round exactly like interior ones.
-				cols := min(gemmNr, jEnd-j)
-				clear(tile)
+				cols := min(nr, jEnd-j)
+				clear(ctile)
 				for r := 0; r < rows; r++ {
-					copy(tile[r*gemmNr:r*gemmNr+cols], out[(i+r)*n+j:])
+					copy(ctile[r*nr:r*nr+cols], out[(i+r)*n+j:])
 				}
-				mulAddPanel4x8(kc, a0, a1, a2, a3, bp, ld, tile[0:8], tile[8:16], tile[16:24], tile[24:32])
+				g.t.mulAdd(kc, ab, lda, bp, ld, ctile, nr)
 				for r := 0; r < rows; r++ {
-					copy(out[(i+r)*n+j:(i+r)*n+j+cols], tile[r*gemmNr:])
+					copy(out[(i+r)*n+j:(i+r)*n+j+cols], ctile[r*nr:])
 				}
 			}
 		}
@@ -191,21 +252,20 @@ func (g *gemm) block(out []float32, e, jc, jEnd, r0, r1 int, packed, tile []floa
 	}
 }
 
-// mulAddPanel4x8Go is the pure-Go reference of the matrix-panel micro-kernel:
-// c_r[j] += a_r[p] * b[p*bstride+j] for r in 0..3, j in 0..7, p ascending.
-// Bitwise identical to the AVX version (independent lanes, one mul and one
-// add rounding per term — the conversions keep a compiler from fusing the
-// two — strict p order).
-func mulAddPanel4x8Go(k int, a0, a1, a2, a3, b []float32, bstride int, c0, c1, c2, c3 []float32) {
-	c0, c1, c2, c3 = c0[:8], c1[:8], c2[:8], c3[:8]
-	for p := 0; p < k; p++ {
-		brow := b[p*bstride : p*bstride+8]
-		v0, v1, v2, v3 := a0[p], a1[p], a2[p], a3[p]
-		for j, bv := range brow {
-			c0[j] += float32(v0 * bv)
-			c1[j] += float32(v1 * bv)
-			c2[j] += float32(v2 * bv)
-			c3[j] += float32(v3 * bv)
+// mulAddTileGo is the pure-Go reference of the matrix-panel micro-kernel at
+// any tile geometry: c[r][j] += a[r][p] * b[p][j] for r in [0, mr), j in
+// [0, nr), p ascending. Bitwise identical to the assembly versions
+// (independent lanes, one mul and one add rounding per term — the
+// conversions keep a compiler from fusing the two — strict p order).
+func mulAddTileGo(mr, nr, kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+	for p := 0; p < kc; p++ {
+		brow := b[p*ldb : p*ldb+nr]
+		for r := 0; r < mr; r++ {
+			v := a[r*lda+p]
+			crow := c[r*ldc : r*ldc+nr]
+			for j, bv := range brow {
+				crow[j] += float32(v * bv)
+			}
 		}
 	}
 }

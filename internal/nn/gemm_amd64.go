@@ -2,11 +2,10 @@
 
 package nn
 
-// gemmKernel4x8 is the AVX matrix-panel micro-kernel (gemm_amd64.s):
-// c_r[0:8] += a_r[p] * b[p*bstrideBytes/4 : ...][0:8] for r in 0..3 with
-// strict p order per element. bstrideBytes is the byte stride between
-// consecutive k rows of b.
-func gemmKernel4x8(k int64, a0, a1, a2, a3, b *float32, bstrideBytes int64, c0, c1, c2, c3 *float32)
+// The matrix-panel micro-kernels of gemm_amd64.s. Strides are in bytes; each
+// reads mr rows of a, kc rows of b and updates an mr×nr tile of c in place.
+func gemmKernel8x32(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
+func gemmKernel4x16(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
 
 // gemvKernel4x8 is the AVX row-dot micro-kernel (gemm_amd64.s):
 // out[r] += laneDot(w_r[0:k], x[0:k]) for r in 0..3. k must be a multiple
@@ -16,40 +15,85 @@ func gemvKernel4x8(k int64, w0, w1, w2, w3, x, out *float32)
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
-// useAVXKernels gates the assembly micro-kernels. When false the pure-Go
-// reference kernels run instead; both implement the same accumulation-order
-// contract, so flipping this flag never changes an output bit (the
-// equivalence is asserted by TestKernelAsmMatchesReference).
-var useAVXKernels = detectAVX()
+// kernelLevel is how wide a vector state the CPU offers and the OS saves.
+type kernelLevel int
 
-// detectAVX reports whether the CPU and OS support 256-bit AVX state. The
-// kernels use only AVX1 instructions (VMULPS/VADDPS/VBROADCASTSS/VHADDPS).
-func detectAVX() bool {
-	maxLeaf, _, _, _ := cpuidAsm(0, 0)
-	if maxLeaf < 1 {
-		return false
+const (
+	levelGo kernelLevel = iota // no usable vector extension: pure-Go kernels
+	levelAVX
+	levelAVX512
+)
+
+// cpuLevel is read once at start-up (and lowered to kernelCap, if set); the
+// kernels selected from it never change an output bit, only how fast it is
+// computed.
+var cpuLevel = min(detectLevel(), capLevel(kernelCap))
+
+// capLevel is the highest level a kernelCap value admits.
+func capLevel(name string) kernelLevel {
+	switch name {
+	case "", "avx512":
+		return levelAVX512
+	case "avx":
+		return levelAVX
 	}
-	_, _, ecx, _ := cpuidAsm(1, 0)
-	const osxsave = 1 << 27
-	const avx = 1 << 28
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	lo, _ := xgetbvAsm()
-	return lo&6 == 6 // OS saves XMM and YMM state
+	return levelGo
 }
 
-func mulAddPanel4x8(k int, a0, a1, a2, a3, b []float32, bstride int, c0, c1, c2, c3 []float32) {
-	if useAVXKernels {
-		gemmKernel4x8(int64(k), &a0[0], &a1[0], &a2[0], &a3[0], &b[0], int64(bstride)*4,
-			&c0[0], &c1[0], &c2[0], &c3[0])
-		return
+// detectLevel reads CPUID and XCR0 once.
+func detectLevel() kernelLevel {
+	maxLeaf, _, _, _ := cpuidAsm(0, 0)
+	if maxLeaf < 1 {
+		return levelGo
 	}
-	mulAddPanel4x8Go(k, a0, a1, a2, a3, b, bstride, c0, c1, c2, c3)
+	_, _, ecx1, _ := cpuidAsm(1, 0)
+	var ebx7, xcr0 uint32
+	if maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuidAsm(7, 0)
+	}
+	if ecx1&cpuidOSXSAVE != 0 { // XGETBV faults without it
+		xcr0, _ = xgetbvAsm()
+	}
+	return levelOf(ecx1, ebx7, xcr0)
+}
+
+const (
+	cpuidOSXSAVE = 1 << 27 // leaf 1 ECX
+	cpuidAVX     = 1 << 28 // leaf 1 ECX
+	cpuidAVX512F = 1 << 16 // leaf 7 EBX
+	xcr0YMM      = 0x06    // SSE and AVX state
+	xcr0ZMM      = 0xe6    // plus opmask, ZMM0-15 upper halves, ZMM16-31
+)
+
+// levelOf is the decision detectLevel makes, over register values: a vector
+// extension counts only if the CPU has it and the OS saves its state across
+// context switches.
+func levelOf(leaf1ECX, leaf7EBX, xcr0 uint32) kernelLevel {
+	if leaf1ECX&cpuidOSXSAVE == 0 || leaf1ECX&cpuidAVX == 0 || xcr0&xcr0YMM != xcr0YMM {
+		return levelGo
+	}
+	if leaf7EBX&cpuidAVX512F == 0 || xcr0&xcr0ZMM != xcr0ZMM {
+		return levelAVX
+	}
+	return levelAVX512
+}
+
+// gemmTiles lists the matrix-panel implementations this CPU can run, fastest
+// first: the assembly kernels it supports, then the Go reference at each of
+// their geometries.
+func gemmTiles() []*gemmTile {
+	var ts []*gemmTile
+	if cpuLevel >= levelAVX512 {
+		ts = append(ts, &gemmTile{name: "avx512-8x32", mr: 8, nr: 32, asm: gemmKernel8x32})
+	}
+	if cpuLevel >= levelAVX {
+		ts = append(ts, &gemmTile{name: "avx-4x16", mr: 4, nr: 16, asm: gemmKernel4x16})
+	}
+	return append(ts, goTiles()...)
 }
 
 func laneDotAcc4(k int, w0, w1, w2, w3, x, out []float32) {
-	if useAVXKernels {
+	if cpuLevel >= levelAVX {
 		gemvKernel4x8(int64(k), &w0[0], &w1[0], &w2[0], &w3[0], &x[0], &out[0])
 		return
 	}

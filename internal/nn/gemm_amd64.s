@@ -1,57 +1,201 @@
 #include "textflag.h"
 
-// AVX micro-kernels for the GEMM engine (see gemm.go for the
-// accumulation-order contract). Only AVX1 instructions are used; dispatch
-// in gemm_amd64.go verifies CPU and OS support before these run.
-
-// func gemmKernel4x8(k int64, a0, a1, a2, a3, b *float32, bstrideBytes int64, c0, c1, c2, c3 *float32)
+// Micro-kernels for the GEMM engine (see gemm.go for the accumulation-order
+// contract). The matrix-panel kernels take
 //
-// For r in 0..3: c_r[0:8] += a_r[p] * b[p][0:8], p = 0..k-1, one VMULPS and
-// one VADDPS per (r, p) — SIMD lanes are independent output elements, so
-// each element accumulates in strict p order, bitwise identical to the
-// scalar reference mulAddPanel4x8Go.
-TEXT ·gemmKernel4x8(SB), NOSPLIT, $0-88
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), AX
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ b+40(FP), BX
-	MOVQ bstrideBytes+48(FP), DX
-	MOVQ c0+56(FP), DI
-	MOVQ c1+64(FP), SI
-	MOVQ c2+72(FP), R8
-	MOVQ c3+80(FP), R12
-	VMOVUPS (DI), Y0
-	VMOVUPS (SI), Y1
-	VMOVUPS (R8), Y2
-	VMOVUPS (R12), Y3
-	XORQ R13, R13
-loop:
+//	(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
+//
+// with strides in bytes and compute, for r in [0, mr) and the nr lanes j of a
+// row, c[r][j] += a[r][p] * b[p][j] for p = 0..kc-1: one VMULPS and one
+// VADDPS per (r, p, vector), never an FMA — SIMD lanes are independent output
+// elements, so each element accumulates in strict p order with one multiply
+// and one add rounding per term, bitwise identical to the scalar reference
+// mulAddTileGo. Dispatch in gemm_amd64.go verifies CPU and OS support before
+// any of them runs.
+
+// func gemmKernel8x32(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
+//
+// AVX-512F, 8 rows × 32 columns: sixteen zmm accumulators (row r in Z(2r),
+// Z(2r+1)), two 64-byte loads of B and eight broadcasts of A per depth step.
+// The 32 multiply and add µops of a step keep both 512-bit ports busy for 16
+// cycles, which is the no-FMA peak.
+TEXT ·gemmKernel8x32(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), AX
+	MOVQ lda+16(FP), DX
+	MOVQ b+24(FP), BX
+	MOVQ ldb+32(FP), SI
+	MOVQ c+40(FP), DI
+	MOVQ ldc+48(FP), R8
+	LEAQ (DX)(DX*2), R9
+	LEAQ (DX)(DX*4), R10
+	LEAQ (R9)(DX*4), R11
+	MOVQ DI, R12
+	VMOVUPS (R12), Z0
+	VMOVUPS 64(R12), Z1
+	ADDQ R8, R12
+	VMOVUPS (R12), Z2
+	VMOVUPS 64(R12), Z3
+	ADDQ R8, R12
+	VMOVUPS (R12), Z4
+	VMOVUPS 64(R12), Z5
+	ADDQ R8, R12
+	VMOVUPS (R12), Z6
+	VMOVUPS 64(R12), Z7
+	ADDQ R8, R12
+	VMOVUPS (R12), Z8
+	VMOVUPS 64(R12), Z9
+	ADDQ R8, R12
+	VMOVUPS (R12), Z10
+	VMOVUPS 64(R12), Z11
+	ADDQ R8, R12
+	VMOVUPS (R12), Z12
+	VMOVUPS 64(R12), Z13
+	ADDQ R8, R12
+	VMOVUPS (R12), Z14
+	VMOVUPS 64(R12), Z15
 	TESTQ CX, CX
-	JZ    done
-	VMOVUPS (BX), Y5
-	VBROADCASTSS (AX)(R13*4), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y0, Y0
-	VBROADCASTSS (R9)(R13*4), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y1, Y1
-	VBROADCASTSS (R10)(R13*4), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y2, Y2
-	VBROADCASTSS (R11)(R13*4), Y4
-	VMULPS Y5, Y4, Y6
-	VADDPS Y6, Y3, Y3
-	ADDQ DX, BX
-	INCQ R13
+	JZ    store
+loop:
+	VMOVUPS (BX), Z16
+	VMOVUPS 64(BX), Z17
+	VBROADCASTSS (AX), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z0, Z0
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z1, Z1
+	VBROADCASTSS (AX)(DX*1), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z2, Z2
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z3, Z3
+	VBROADCASTSS (AX)(DX*2), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z4, Z4
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z5, Z5
+	VBROADCASTSS (AX)(R9*1), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z6, Z6
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z7, Z7
+	VBROADCASTSS (AX)(DX*4), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z8, Z8
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z9, Z9
+	VBROADCASTSS (AX)(R10*1), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z10, Z10
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z11, Z11
+	VBROADCASTSS (AX)(R9*2), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z12, Z12
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z13, Z13
+	VBROADCASTSS (AX)(R11*1), Z18
+	VMULPS Z16, Z18, Z19
+	VADDPS Z19, Z14, Z14
+	VMULPS Z17, Z18, Z20
+	VADDPS Z20, Z15, Z15
+	ADDQ $4, AX
+	ADDQ SI, BX
 	DECQ CX
-	JMP  loop
-done:
+	JNZ  loop
+store:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	ADDQ R8, DI
+	VMOVUPS Z2, (DI)
+	VMOVUPS Z3, 64(DI)
+	ADDQ R8, DI
+	VMOVUPS Z4, (DI)
+	VMOVUPS Z5, 64(DI)
+	ADDQ R8, DI
+	VMOVUPS Z6, (DI)
+	VMOVUPS Z7, 64(DI)
+	ADDQ R8, DI
+	VMOVUPS Z8, (DI)
+	VMOVUPS Z9, 64(DI)
+	ADDQ R8, DI
+	VMOVUPS Z10, (DI)
+	VMOVUPS Z11, 64(DI)
+	ADDQ R8, DI
+	VMOVUPS Z12, (DI)
+	VMOVUPS Z13, 64(DI)
+	ADDQ R8, DI
+	VMOVUPS Z14, (DI)
+	VMOVUPS Z15, 64(DI)
+	VZEROUPPER
+	RET
+
+// func gemmKernel4x16(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
+//
+// AVX, 4 rows × 16 columns: eight ymm accumulators (row r in Y(2r), Y(2r+1)),
+// two 32-byte loads of B and four broadcasts of A per depth step.
+TEXT ·gemmKernel4x16(SB), NOSPLIT, $0-56
+	MOVQ kc+0(FP), CX
+	MOVQ a+8(FP), AX
+	MOVQ lda+16(FP), DX
+	MOVQ b+24(FP), BX
+	MOVQ ldb+32(FP), SI
+	MOVQ c+40(FP), DI
+	MOVQ ldc+48(FP), R8
+	LEAQ (DX)(DX*2), R9
+	MOVQ DI, R12
+	VMOVUPS (R12), Y0
+	VMOVUPS 32(R12), Y1
+	ADDQ R8, R12
+	VMOVUPS (R12), Y2
+	VMOVUPS 32(R12), Y3
+	ADDQ R8, R12
+	VMOVUPS (R12), Y4
+	VMOVUPS 32(R12), Y5
+	ADDQ R8, R12
+	VMOVUPS (R12), Y6
+	VMOVUPS 32(R12), Y7
+	TESTQ CX, CX
+	JZ    store
+loop:
+	VMOVUPS (BX), Y8
+	VMOVUPS 32(BX), Y9
+	VBROADCASTSS (AX), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y0, Y0
+	VMULPS Y9, Y10, Y12
+	VADDPS Y12, Y1, Y1
+	VBROADCASTSS (AX)(DX*1), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y2, Y2
+	VMULPS Y9, Y10, Y12
+	VADDPS Y12, Y3, Y3
+	VBROADCASTSS (AX)(DX*2), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y4, Y4
+	VMULPS Y9, Y10, Y12
+	VADDPS Y12, Y5, Y5
+	VBROADCASTSS (AX)(R9*1), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y6, Y6
+	VMULPS Y9, Y10, Y12
+	VADDPS Y12, Y7, Y7
+	ADDQ $4, AX
+	ADDQ SI, BX
+	DECQ CX
+	JNZ  loop
+store:
 	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, (SI)
-	VMOVUPS Y2, (R8)
-	VMOVUPS Y3, (R12)
+	VMOVUPS Y1, 32(DI)
+	ADDQ R8, DI
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ R8, DI
+	VMOVUPS Y4, (DI)
+	VMOVUPS Y5, 32(DI)
+	ADDQ R8, DI
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y7, 32(DI)
 	VZEROUPPER
 	RET
 

@@ -2,13 +2,9 @@
 
 package nn
 
-// useAVXKernels mirrors the amd64 dispatch flag so tests can reference it;
-// on other architectures the pure-Go reference kernels always run.
-var useAVXKernels = false
-
-func mulAddPanel4x8(k int, a0, a1, a2, a3, b []float32, bstride int, c0, c1, c2, c3 []float32) {
-	mulAddPanel4x8Go(k, a0, a1, a2, a3, b, bstride, c0, c1, c2, c3)
-}
+// gemmTiles lists the matrix-panel implementations: without assembly, the Go
+// reference at each geometry.
+func gemmTiles() []*gemmTile { return goTiles() }
 
 func laneDotAcc4(k int, w0, w1, w2, w3, x, out []float32) {
 	laneDotAcc4Go(k, w0, w1, w2, w3, x, out)

@@ -1,20 +1,21 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gillis/internal/par"
 	"gillis/internal/tensor"
 )
 
-// TestKernelAsmMatchesReference proves the dispatched micro-kernels (AVX
-// assembly where available, the Go references otherwise) agree bitwise with
-// the pure-Go contract statements in gemm.go, across ragged k values and
-// denormal-heavy inputs. On platforms without the assembly the dispatch IS
-// the reference and the test is trivially green — it still pins that the
-// wrappers wire through correctly.
+// TestKernelAsmMatchesReference proves every micro-kernel the CPU can run
+// (gemmTiles: the AVX-512 and AVX assembly where available, the Go reference
+// at each geometry) agrees bitwise with the scalar statement of the contract,
+// across ragged k values, strided operands and denormal-heavy inputs, and
+// that the row-dot dispatch agrees with its Go reference.
 func TestKernelAsmMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	fill := func(n int) []float32 {
@@ -34,24 +35,28 @@ func TestKernelAsmMatchesReference(t *testing.T) {
 		return s
 	}
 
-	t.Run("mulAddPanel4x8", func(t *testing.T) {
+	forEachTile(t, func(t *testing.T, tl *gemmTile) {
 		for _, k := range []int{1, 2, 7, 8, 9, 64, 100, 511, 512, 513} {
-			const bstride = 8
-			a0, a1, a2, a3 := fill(k), fill(k), fill(k), fill(k)
-			b := fill(k * bstride)
-			cRef := [4][]float32{fill(8), fill(8), fill(8), fill(8)}
-			var cGot [4][]float32
-			for r := range cGot {
-				cGot[r] = append([]float32(nil), cRef[r]...)
-			}
-			mulAddPanel4x8Go(k, a0, a1, a2, a3, b, bstride, cRef[0], cRef[1], cRef[2], cRef[3])
-			mulAddPanel4x8(k, a0, a1, a2, a3, b, bstride, cGot[0], cGot[1], cGot[2], cGot[3])
-			for r := range cRef {
-				for j := range cRef[r] {
-					if math.Float32bits(cRef[r][j]) != math.Float32bits(cGot[r][j]) {
-						t.Fatalf("k=%d row=%d col=%d: dispatched kernel %v != reference %v",
-							k, r, j, cGot[r][j], cRef[r][j])
+			// Strides wider than the tile, as block passes them: the
+			// kernel must touch only its mr×nr window of c.
+			lda, ldb, ldc := k+3, tl.nr+16, tl.nr+5
+			a, b := fill(tl.mr*lda), fill(k*ldb)
+			want := fill(tl.mr * ldc)
+			got := append([]float32(nil), want...)
+			for r := 0; r < tl.mr; r++ {
+				for j := 0; j < tl.nr; j++ {
+					s := want[r*ldc+j]
+					for p := 0; p < k; p++ {
+						s = float32(s + float32(a[r*lda+p]*b[p*ldb+j]))
 					}
+					want[r*ldc+j] = s
+				}
+			}
+			tl.mulAdd(k, a, lda, b, ldb, got, ldc)
+			for i := range want {
+				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+					t.Fatalf("k=%d row=%d col=%d: kernel %v != reference %v",
+						k, i/ldc, i%ldc, got[i], want[i])
 				}
 			}
 		}
@@ -113,13 +118,34 @@ func strictKConv(c *Conv2D, x *tensor.Tensor, padH bool, epi *epilogue) *tensor.
 	return out
 }
 
+// asmTileNames are the assembly kernels some CPU can run; forEachTile skips by
+// name the ones this CPU cannot.
+var asmTileNames = []string{"avx512-8x32", "avx-4x16"}
+
+// forEachTile runs body once per implementation in gemmTiles(), as a subtest
+// named after it.
+func forEachTile(t *testing.T, body func(t *testing.T, tl *gemmTile)) {
+	have := map[string]bool{}
+	for _, tl := range gemmTiles() {
+		have[tl.name] = true
+		t.Run(tl.name, func(t *testing.T) { body(t, tl) })
+	}
+	for _, name := range asmTileNames {
+		if !have[name] {
+			t.Run(name, func(t *testing.T) { t.Skipf("this CPU, OS or GOARCH does not offer the %s kernel", name) })
+		}
+	}
+}
+
 // TestBlockedGEMMMatchesStrictKReference pins the blocked, packed loop nest
 // to the scalar contract bit for bit — NaN payloads and Inf·0 included — on
-// shapes that leave ragged tiles on every side (rows not a multiple of 4,
-// columns not a multiple of 8 or fewer than 8, depth and columns straddling
-// a block, enough rows to split bands into groups), at stride 1 and 2, with
-// and without height padding, single and batched, plain and fused, through
-// the dispatched kernel and the Go one, at several parallelism levels.
+// shapes that leave ragged tiles on every side (fewer rows than a band, rows
+// not a multiple of it, columns fewer than a panel, just past one or two
+// (33, 49, 65) or not a multiple, depth and columns straddling a block, a
+// depth that splits into unequal slices, enough rows to split bands into
+// groups), at stride 1 and 2, with and without height padding, single and
+// batched, plain and fused, through every implementation the CPU offers, at
+// several parallelism levels.
 func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 	shapes := []struct {
 		name                            string
@@ -128,7 +154,9 @@ func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 		{"n4-m1", 2, 1, 3, 1, 0, 4, 4},
 		{"n9-m5", 3, 5, 3, 1, 1, 3, 3},
 		{"n49-m6", 4, 6, 3, 1, 1, 7, 7},
-		{"k270-n324-m7", 30, 7, 3, 1, 1, 18, 18}, // depth past gemmKc, columns past gemmNc
+		{"k387-n33-m9", 43, 9, 3, 1, 1, 3, 11}, // depth slices of 194 and 193
+		{"n65-m17", 3, 17, 3, 1, 1, 5, 13},
+		{"k270-n324-m7", 30, 7, 3, 1, 1, 18, 18}, // columns past gemmNc
 		{"k257-n272-m4", 257, 4, 1, 1, 0, 16, 17},
 		{"stride2-m9", 5, 9, 3, 2, 1, 19, 17},
 		{"7x7s2-m10", 3, 10, 7, 2, 3, 33, 29},
@@ -156,7 +184,17 @@ func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 			}
 		},
 	}
-	defer func(avx bool) { useAVXKernels = avx }(useAVXKernels)
+	// The scalar reference is the slow part: compute it once, then run every
+	// implementation against it.
+	type refCase struct {
+		name string
+		c    *Conv2D
+		xs   []*tensor.Tensor
+		padH bool
+		epi  *epilogue
+		want []*tensor.Tensor
+	}
+	var cases []refCase
 	for _, sh := range shapes {
 		for name, special := range specials {
 			rng := rand.New(rand.NewSource(int64(len(sh.name) + len(name))))
@@ -172,36 +210,53 @@ func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 			special(c, xs, rng)
 			for _, epi := range []*epilogue{nil, fc.epi()} {
 				for _, padH := range []bool{true, false} {
-					want := make([]*tensor.Tensor, len(xs))
-					for e, x := range xs {
-						want[e] = strictKConv(c, x, padH, epi)
+					rc := refCase{name: fmt.Sprintf("%s %s padH=%v fused=%v", sh.name, name, padH, epi != nil),
+						c: c, xs: xs, padH: padH, epi: epi}
+					for _, x := range xs {
+						rc.want = append(rc.want, strictKConv(c, x, padH, epi))
 					}
-					for _, avx := range []bool{useAVXKernels, false} {
-						useAVXKernels = avx
-						for _, p := range []int{1, 2, 3, 8} {
-							for _, batch := range []int{1, 3} {
-								restore := par.SetParallelism(p)
-								got, err := c.forward(xs[:batch], padH, epi)
-								restore()
-								if err != nil {
-									t.Fatal(err)
-								}
-								for e := range got {
-									if !tensor.ShapeEqual(got[e].Shape(), want[e].Shape()) {
-										t.Fatalf("%s %s: shape %v, want %v", sh.name, name, got[e].Shape(), want[e].Shape())
-									}
-									for i, v := range want[e].Data() {
-										if g := got[e].Data()[i]; math.Float32bits(g) != math.Float32bits(v) {
-											t.Fatalf("%s %s padH=%v fused=%v avx=%v p=%d batch=%d element %d: out[%d] = %x, strict-k reference %x",
-												sh.name, name, padH, epi != nil, avx, p, batch, e, i, math.Float32bits(g), math.Float32bits(v))
-										}
-									}
-								}
+					cases = append(cases, rc)
+				}
+			}
+		}
+	}
+	defer func(tl *gemmTile) { tile = tl }(tile)
+	forEachTile(t, func(t *testing.T, tl *gemmTile) {
+		tile = tl
+		for _, rc := range cases {
+			for _, p := range []int{1, 2, 3, 8} {
+				for _, batch := range []int{1, 3} {
+					restore := par.SetParallelism(p)
+					got, err := rc.c.forward(rc.xs[:batch], rc.padH, rc.epi)
+					restore()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for e := range got {
+						want := rc.want[e]
+						if !tensor.ShapeEqual(got[e].Shape(), want.Shape()) {
+							t.Fatalf("%s: shape %v, want %v", rc.name, got[e].Shape(), want.Shape())
+						}
+						for i, v := range want.Data() {
+							if g := got[e].Data()[i]; math.Float32bits(g) != math.Float32bits(v) {
+								t.Fatalf("%s p=%d batch=%d element %d: out[%d] = %x, strict-k reference %x",
+									rc.name, p, batch, e, i, math.Float32bits(g), math.Float32bits(v))
 							}
 						}
 					}
 				}
 			}
 		}
+	})
+}
+
+// TestSelectedKernel reports the implementation start-up selected. Under
+// `make procs`, which links each level into kernelCap in turn, it is skipped
+// when the CPU does not offer that level, and make then skips the level's run
+// instead of repeating a lower one.
+func TestSelectedKernel(t *testing.T) {
+	t.Logf("selected kernel %s (kernelCap %q)", KernelName(), kernelCap)
+	if kernelCap != "" && !strings.HasPrefix(KernelName(), kernelCap+"-") {
+		t.Skipf("this CPU, OS or GOARCH does not offer an %s kernel", kernelCap)
 	}
 }

@@ -82,44 +82,36 @@ func execUnitPart(u *Unit, us unitSlice, slab *tensor.Tensor) (*tensor.Tensor, e
 	return vals[u.Sub.OutputID()], nil
 }
 
-// windowSlab extracts rows req (which may overhang [0, srcH)) from a slab
-// covering srcRange, filling overhang with fill.
+// windowSlab extracts rows req (which may overhang [0, srcH)) from a CHW slab
+// covering srcRange, filling overhang with fill: one allocation of the window
+// and one copy of the rows the slab has.
 func windowSlab(src *tensor.Tensor, srcRange RowRange, srcH int, req RowRange, fill float32) (*tensor.Tensor, error) {
 	inside := req.clip(srcH)
 	if inside.Lo < srcRange.Lo || inside.Hi > srcRange.Hi {
 		return nil, fmt.Errorf("need rows %v but slab covers %v (h=%d)", req, srcRange, srcH)
 	}
-	body, err := src.SliceDim(1, inside.Lo-srcRange.Lo, inside.Hi-srcRange.Lo)
-	if err != nil {
-		return nil, err
+	if src.Rank() != 3 || src.Dim(1) != srcRange.Len() || inside.Len() <= 0 {
+		return nil, fmt.Errorf("cannot cut rows %v out of a %v slab covering %v", req, src.Shape(), srcRange)
 	}
-	before := inside.Lo - req.Lo
-	after := req.Hi - inside.Hi
-	if before == 0 && after == 0 {
-		return body, nil
+	c, w := src.Dim(0), src.Dim(2)
+	out := tensor.New(c, req.Len(), w)
+	sd, od := src.Data(), out.Data()
+	lo, hi := (inside.Lo-req.Lo)*w, (inside.Hi-req.Lo)*w // the body inside one channel of the window
+	for ci := 0; ci < c; ci++ {
+		win := od[ci*req.Len()*w : (ci+1)*req.Len()*w]
+		if fill != 0 {
+			fillF32(win[:lo], fill)
+			fillF32(win[hi:], fill)
+		}
+		copy(win[lo:hi], sd[(ci*srcRange.Len()+inside.Lo-srcRange.Lo)*w:])
 	}
-	padded, err := body.PadDim(1, before, after)
-	if err != nil {
-		return nil, err
-	}
-	if fill != 0 {
-		fillRows(padded, 0, before, fill)
-		fillRows(padded, padded.Dim(1)-after, padded.Dim(1), fill)
-	}
-	return padded, nil
+	return out, nil
 }
 
-// fillRows sets rows [lo, hi) of a CHW tensor to v.
-func fillRows(t *tensor.Tensor, lo, hi int, v float32) {
-	c, h, w := t.Dim(0), t.Dim(1), t.Dim(2)
-	d := t.Data()
-	for ci := 0; ci < c; ci++ {
-		for y := lo; y < hi; y++ {
-			row := (ci*h + y) * w
-			for x := 0; x < w; x++ {
-				d[row+x] = v
-			}
-		}
+// fillF32 sets every element of s to v.
+func fillF32(s []float32, v float32) {
+	for i := range s {
+		s[i] = v
 	}
 }
 

@@ -23,7 +23,7 @@ ci: lint build test procs race chaos bench-verify
 # inter-procedural call-graph analyzers (clockflow, goleak, sharedmut) —
 # see DESIGN.md §9. CI sets VET_FLAGS=-github so findings land as inline
 # ::error annotations on the pull request. go vet's asmdecl checks
-# gemm_amd64.s against its Go declarations; the arm64 cross-build and vet
+# gemm_amd64.s (tile kernels and row helpers) against its Go declarations; the arm64 cross-build and vet
 # keep the no-assembly kernel dispatch, which nothing on an amd64 runner
 # compiles, from rotting.
 VET_FLAGS ?=
@@ -57,7 +57,15 @@ test:
 # The convolution kernel is picked from CPUID at start-up, so a runner only
 # ever exercises the widest implementation it has. The second loop links each
 # level into nn.kernelCap in turn and reruns the kernel and partition-exactness
-# suites under it, naming the levels this CPU cannot run.
+# suites under it, naming the levels this CPU cannot run (under the go cap
+# TestKernelCapGoRunsNoAssembly checks that no assembly is left to dispatch
+# to).
+#
+# The last line builds for GOAMD64=v3, the x86 level with a fused multiply-add.
+# The affine of BatchNorm and of the fused epilogue must stay a multiply and
+# an add (TestAffineRoundsTheProduct); go1.24 contracts x*y+z on arm64 but at
+# no GOAMD64 level, so today this line proves the v3 build green and the test
+# bites on an arm64 runner — it is here for the toolchain that starts to.
 KERNEL_PKGS := ./internal/nn ./internal/partition
 procs:
 	for n in 1 2 3 4 8; do \
@@ -71,6 +79,7 @@ procs:
 		echo "procs: $(KERNEL_PKGS) on the $$k kernel"; \
 		$(GO) test $$cap -count=1 -timeout 300s $(KERNEL_PKGS) || exit 1; \
 	done
+	GOAMD64=v3 $(GO) test -count=1 -timeout 300s ./internal/nn ./internal/graph
 
 race:
 	$(GO) test -race $(RACE_PKGS)

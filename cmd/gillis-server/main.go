@@ -263,7 +263,7 @@ type predictResponse struct {
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
@@ -304,6 +304,20 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
+}
+
+// readBody reads a request body of at most maxBodyBytes: into one buffer of
+// the length the request declares, where it declares one within the limit,
+// instead of the doubling buffers io.ReadAll copies a 2 MB body through.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if r.ContentLength <= 0 || r.ContentLength > maxBodyBytes {
+		return io.ReadAll(body)
+	}
+	// net/http ends the body at the declared length, so this is all of it.
+	buf := make([]byte, r.ContentLength)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
 }
 
 // infer runs one fork-join inference on a fresh simulation, admitted

@@ -436,3 +436,31 @@ func TestPredictLimits(t *testing.T) {
 		}
 	}
 }
+
+// TestReadBody covers the lengths a request can declare: the true one, none
+// (chunked), one the body falls short of, and one over the limit, which must
+// fail on the limit and not allocate what it claims.
+func TestReadBody(t *testing.T) {
+	const text = `{"shape":[1],"input":[0]}`
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		ok       bool
+	}{
+		{"declared", int64(len(text)), true},
+		{"undeclared", -1, true},
+		{"short body", int64(len(text)) + 5, false},
+		{"over the limit", maxBodyBytes + 1, false},
+	} {
+		sent := text
+		if tc.declared > maxBodyBytes {
+			sent += strings.Repeat(" ", maxBodyBytes)
+		}
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(sent))
+		r.ContentLength = tc.declared
+		body, err := readBody(httptest.NewRecorder(), r)
+		if (err == nil) != tc.ok || tc.ok && string(body) != text {
+			t.Errorf("%s: body %q, error %v", tc.name, body, err)
+		}
+	}
+}

@@ -70,6 +70,12 @@ func kernelCases() []kernelCase {
 		{"depthwise3x3-c64-28x28", mk(nn.NewDepthwiseConv2D("d", 64, 3, 1, 1)), tensor.Rand(rng, 1, 64, 28, 28)},
 		{"dense-2048x1000", mk(nn.NewDense("fc", 2048, 1000)), tensor.Rand(rng, 1, 2048)},
 		{"lstm-t16-h128", mk(nn.NewLSTM("l", 128, 128)), tensor.Rand(rng, 1, 16, 128)},
+		// What runs between the GEMM tiles of a served resnet34: its one
+		// max-pool, the small CNN's, and a stride-2 convolution, whose packer
+		// gathers every other input pixel.
+		{"maxpool3x3s2-c64-112x112", nn.NewMaxPool2D("mp", 3, 2, 1), tensor.Rand(rng, 1, 64, 112, 112)},
+		{"maxpool2x2s2-c16-32x32", nn.NewMaxPool2D("mps", 2, 2, 0), tensor.Rand(rng, 1, 16, 32, 32)},
+		{"conv3x3s2-c64-128-56x56", mk(nn.NewConv2D("l2", 64, 128, 3, 2, 1)), tensor.Rand(rng, 1, 64, 56, 56)},
 	}
 }
 

@@ -140,16 +140,16 @@ func (c *Conv2D) forwardOne(in []*tensor.Tensor, padH bool, epi *epilogue) (*ten
 
 // forward lowers the convolution of every xs[e] onto the GEMM engine as an
 // implicit GEMM: gemmBias multiplies the [OutC][InC*K*K] weight rows against
-// the im2col matrix of the inputs, which is never built — convCols hands the
-// engine one stretch of one matrix row at a time, read straight from the
-// input tensor, and the engine packs it into its blocked panels. Zero
-// padding is synthesized while packing (out-of-range pixels become zero
-// panel entries), identical bitwise to convolving an explicitly padded copy
-// but without staging one. Each output element accumulates its K terms
-// strictly in (ic, ky, kx) order — the accumulation-order contract in
-// gemm.go — so outputs are bitwise identical at every parallelism level,
-// batch size, and under spatial/channel partitioning. epi, if non-nil, is a
-// fused per-channel post-op applied to finished rows (see fused.go).
+// the im2col matrix of the inputs, which is never built — convCols packs one
+// depth slice of one column block at a time into the engine's scratch,
+// straight from the input tensor. Zero padding is synthesized while packing
+// (out-of-range pixels become zero panel entries), identical bitwise to
+// convolving an explicitly padded copy but without staging one. Each output
+// element accumulates its K terms strictly in (ic, ky, kx) order — the
+// accumulation-order contract in gemm.go — so outputs are bitwise identical
+// at every parallelism level, batch size, and under spatial/channel
+// partitioning. epi, if non-nil, is a fused per-channel post-op applied to
+// finished tiles (see fused.go).
 func (c *Conv2D) forward(xs []*tensor.Tensor, padH bool, epi *epilogue) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, nil
@@ -157,11 +157,11 @@ func (c *Conv2D) forward(xs []*tensor.Tensor, padH bool, epi *epilogue) ([]*tens
 	if !c.Initialized() {
 		return nil, fmt.Errorf("nn: Conv2D %q has no weights", c.OpName)
 	}
-	for _, x := range xs {
+	for e, x := range xs {
 		if x.Rank() != 3 || x.Dim(0) != c.InC {
 			return nil, fmt.Errorf("nn: Conv2D %q bad input %v", c.OpName, x.Shape())
 		}
-		if !tensor.ShapeEqual(x.Shape(), xs[0].Shape()) {
+		if e > 0 && !tensor.ShapeEqual(x.Shape(), xs[0].Shape()) {
 			return nil, fmt.Errorf("nn: Conv2D %q batch mixes shapes %v and %v", c.OpName, xs[0].Shape(), x.Shape())
 		}
 	}
@@ -196,78 +196,110 @@ type convCols struct {
 	padTop, padL   int
 }
 
-// row writes columns [j0, j0+len(dst)) of matrix row p of batch
-// element e.
-func (cc *convCols) row(e, p, j0 int, dst []float32) {
+// pack writes rows [p0, p0+kc) × columns [j0, j0+w) of batch element e's
+// matrix into dst, row p at dst[(p-p0)*ld:], each followed by zeros up to
+// column wPad (the lanes a ragged last panel multiplies). It copies and zeroes
+// and does nothing else, whatever t's row helpers are.
+//
+// The rows are visited tap column by tap column — kx, then (ic, ky) stepping
+// through the rows p ≡ kx (mod kernel) — so that the divisions that locate a
+// row in the kernel and a column in the output happen once per call and once
+// per kx, not once per row.
+func (cc *convCols) pack(t *gemmTile, e, p0, kc, j0, w, wPad int, dst []float32, ld int) {
 	xd := cc.xs[e]
-	k, s := cc.kernel, cc.stride
-	ic, tap := p/(k*k), p%(k*k)
-	ky, kx := tap/k, tap%k
-	// [ox0, ox1) are the output columns whose tap lands inside an input
-	// row: 0 <= ox*s+off < w.
-	off := kx - cc.padL
-	ox0, ox1 := 0, 0
-	if off < 0 {
-		ox0 = (-off + s - 1) / s
-	}
-	if last := cc.w - 1 - off; last >= 0 {
-		ox1 = min(last/s+1, cc.ow)
-	}
-	if s == 1 && cc.ow == cc.w {
-		// A stride-1 convolution that keeps the width: output column j reads
-		// input index j+shift wherever its tap is inside the input, so the
-		// stretch is one copy, minus the output rows whose tap row is above
-		// or below the input, with the taps left and right of it zeroed
-		// afterwards (the copy put the neighbouring row's end there).
-		shift := (ic*cc.h+ky-cc.padTop)*cc.w + off
-		j1 := j0 + len(dst)
-		a := min(max(j0, (cc.padTop-ky)*cc.ow), j1)
-		b := max(a, min(j1, (cc.h+cc.padTop-ky)*cc.ow))
-		clear(dst[:a-j0])
-		clear(dst[b-j0:])
-		// Only padding taps of the first and last input row fall outside xd.
-		if ca, cb := max(a, -shift), min(b, len(xd)-shift); ca < cb {
-			copy(dst[ca-j0:cb-j0], xd[ca+shift:cb+shift])
+	k, s, ow := cc.kernel, cc.stride, cc.ow
+	oy0, oxa0 := j0/ow, j0%ow
+	j1 := j0 + w
+	for kx := 0; kx < k; kx++ {
+		p := p0 + (kx-p0%k+k)%k
+		if p >= p0+kc {
+			continue
 		}
-		if ox0 > 0 || ox1 < cc.ow {
-			for r := a - a%cc.ow; r < b; r += cc.ow {
-				for j := max(r, a); j < min(r+ox0, b); j++ {
-					dst[j-j0] = 0
-				}
-				for j := max(r+ox1, a); j < min(r+cc.ow, b); j++ {
-					dst[j-j0] = 0
-				}
+		off := kx - cc.padL
+		ox0, ox1 := tapColumns(off, s, cc.w, ow)
+		ic, ky := p/(k*k), p/k%k
+		for ; p < p0+kc; p += k {
+			row := dst[(p-p0)*ld : (p-p0)*ld+wPad]
+			if w < wPad {
+				clear(row[w:])
 			}
-		}
-		return
-	}
-	// Otherwise the stretch is cut at output-row ends; oxa is where the
-	// current piece starts in its output row oy, y the input row its taps
-	// read and src the index of the tap of that row's column 0.
-	oy, oxa := j0/cc.ow, j0%cc.ow
-	y := oy*s + ky - cc.padTop
-	src := (ic*cc.h+y)*cc.w + off
-	for len(dst) > 0 {
-		n := min(cc.ow-oxa, len(dst))
-		seg := dst[:n]
-		dst = dst[n:]
-		lo, hi := max(ox0, oxa), min(ox1, oxa+n)
-		if y < 0 || y >= cc.h || lo >= hi {
-			clear(seg)
-		} else {
-			clear(seg[:lo-oxa])
-			in, d := xd[src+lo*s:src+(hi-1)*s+1], seg[lo-oxa:hi-oxa]
-			if s == 1 {
-				copy(d, in)
+			row = row[:w]
+			if s == 1 && ow == cc.w {
+				// A stride-1 convolution that keeps the width: output column j
+				// reads input index j+shift wherever its tap is inside the
+				// input, so the stretch is one copy, minus the output rows
+				// [.., top) and [b, ..) whose tap row is above or below the
+				// input, with the taps left and right of it zeroed afterwards
+				// (the copy put the neighbouring row's end there). r is where
+				// the output row holding column a starts.
+				shift := (ic*cc.h+ky-cc.padTop)*cc.w + off
+				top := (cc.padTop - ky) * ow
+				a, r := j0, j0-oxa0
+				if top > j0 {
+					a, r = min(top, j1), top
+				}
+				b := max(a, min(j1, top+cc.h*ow))
+				clear(row[:a-j0])
+				clear(row[b-j0:])
+				// Only padding taps of the first and last input row fall
+				// outside xd.
+				if ca, cb := max(a, -shift), min(b, len(xd)-shift); ca < cb {
+					copy(row[ca-j0:cb-j0], xd[ca+shift:cb+shift])
+				}
+				if ox0 > 0 {
+					for q := r; q < b; q += ow {
+						if lo, hi := max(q, a), min(q+ox0, b); lo < hi {
+							clear(row[lo-j0 : hi-j0])
+						}
+					}
+				}
+				if ox1 < ow {
+					for q := r + ox1; q < b; q += ow {
+						if lo, hi := max(q, a), min(q+ow-ox1, b); lo < hi {
+							clear(row[lo-j0 : hi-j0])
+						}
+					}
+				}
 			} else {
-				for i := range d {
-					d[i] = in[i*s]
+				// Otherwise the stretch is cut at output-row ends; oxa is
+				// where the current piece starts in its output row, y the
+				// input row its taps read and src the index of the tap of that
+				// row's column 0.
+				oxa, y := oxa0, oy0*s+ky-cc.padTop
+				src := (ic*cc.h+y)*cc.w + off
+				for rest := row; len(rest) > 0; {
+					n := min(ow-oxa, len(rest))
+					seg := rest[:n]
+					rest = rest[n:]
+					lo, hi := max(ox0, oxa), min(ox1, oxa+n)
+					if y < 0 || y >= cc.h || lo >= hi {
+						clear(seg)
+					} else {
+						clear(seg[:lo-oxa])
+						t.copyRow(seg[lo-oxa:hi-oxa], xd[src+lo*s:src+(hi-1)*s+1], s)
+						clear(seg[hi-oxa:])
+					}
+					oxa, y, src = 0, y+s, src+s*cc.w
 				}
 			}
-			clear(seg[hi-oxa:])
+			if ky++; ky == k {
+				ky, ic = 0, ic+1
+			}
 		}
-		oxa, y, src = 0, y+s, src+s*cc.w
 	}
+}
+
+// tapColumns returns the output columns [ox0, ox1) of a row of ow whose tap,
+// off input columns from the output column's own, lands inside an input row
+// of width w: 0 <= ox*stride+off < w. The rest read padding.
+func tapColumns(off, stride, w, ow int) (ox0, ox1 int) {
+	if off < 0 {
+		ox0 = (-off + stride - 1) / stride
+	}
+	if last := w - 1 - off; last >= 0 {
+		ox1 = min(last/stride+1, ow)
+	}
+	return ox0, ox1
 }
 
 // OutChannels implements ChannelSliceable.

@@ -126,9 +126,9 @@ func (b *BatchNorm) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 	for ci := 0; ci < c; ci++ {
 		scale := g[ci] / float32(math.Sqrt(float64(vr[ci]+b.Eps)))
 		shift := bt[ci] - scale*mn[ci]
-		for i := ci * h * w; i < (ci+1)*h*w; i++ {
-			od[i] = xd[i]*scale + shift
-		}
+		// The product rounds before the add, on every architecture: this is
+		// the affine a FusedConv2D applies in the GEMM epilogue.
+		affineClampGo(od[ci*h*w:(ci+1)*h*w], xd[ci*h*w:(ci+1)*h*w], scale, shift, true, false)
 	}
 	return out, nil
 }
@@ -215,13 +215,8 @@ func (r *ReLU) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 	if err := checkOneInput("ReLU", len(in)); err != nil {
 		return nil, err
 	}
-	out := in[0].Clone()
-	d := out.Data()
-	for i, v := range d {
-		if v < 0 {
-			d[i] = 0
-		}
-	}
+	out := tensor.New(in[0].Shape()...)
+	tile.clampRow(out.Data(), in[0].Data())
 	return out, nil
 }
 
@@ -284,9 +279,14 @@ func (a *Add) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(in) != 2 {
 		return nil, fmt.Errorf("nn: Add expects 2 inputs, got %d", len(in))
 	}
-	out := in[0].Clone()
-	if err := out.AddInPlace(in[1]); err != nil {
-		return nil, fmt.Errorf("nn: Add %q: %w", a.OpName, err)
+	shape := in[0].Shape()
+	if !tensor.ShapeEqual(shape, in[1].Shape()) {
+		return nil, fmt.Errorf("nn: Add %q: shape mismatch %v vs %v", a.OpName, shape, in[1].Shape())
+	}
+	out := tensor.New(shape...)
+	xd, yd, od := in[0].Data(), in[1].Data(), out.Data()
+	for i := range od {
+		od[i] = xd[i] + yd[i]
 	}
 	return out, nil
 }

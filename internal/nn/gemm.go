@@ -1,6 +1,10 @@
 package nn
 
-import "gillis/internal/par"
+import (
+	"math"
+
+	"gillis/internal/par"
+)
 
 // This file is the package's single GEMM-shaped compute engine. Conv2D
 // (via im2col), Dense, and LSTM all lower onto the two micro-kernels below;
@@ -31,13 +35,16 @@ import "gillis/internal/par"
 // most gemmNc, and gemm.block walks each block's depth in slices of at most
 // gemmKc: it packs the [kc × nc] slice of B straight from its source (for
 // Conv2D the input tensor: im2col happens in the pack), then sweeps every
-// mr-row band of A over the packed slice with the micro-kernel. A kernel call
-// reads one nr-float piece of each of kc packed rows plus mr kc-float rows of
-// A, read in place at stride k: 384×(128+32) bytes is 60 KB for the 8×32
-// tile, of which the 12 KB of A stay in L1 across a band's panels while B
-// streams through from L2, where the packed slice (at most 384×272 floats,
-// 408 KB) lives while the bands sweep it. See DESIGN.md §11 for what the
-// sizes were measured against.
+// mr-row band of A over the packed slice with the micro-kernel. The first
+// sweep starts each tile from its bias and the last applies the layer's
+// epilogue while the tile is still in registers (tileEnds), so a block's
+// output is written once per depth slice and never passed over again. A
+// kernel call reads one nr-float piece of each of kc packed rows plus mr
+// kc-float rows of A, read in place at stride k: 384×(128+32) bytes is 60 KB
+// for the 8×32 tile, of which the 12 KB of A stay in L1 across a band's panels
+// while B streams through from L2, where the packed slice (at most 384×272
+// floats, 408 KB) lives while the bands sweep it. See DESIGN.md §11 for what
+// the sizes were measured against.
 const (
 	gemmKc = 384
 	gemmNc = 256
@@ -53,18 +60,36 @@ const (
 	gemmGroupRows = 64
 )
 
-// gemmTile is one implementation of the matrix-panel micro-kernel: the
-// geometry of its register tile and, where there is one, the assembly that
-// computes it. Every implementation follows the accumulation-order contract
-// above, so which one runs never changes an output bit
-// (TestKernelAsmMatchesReference, TestBlockedGEMMMatchesStrictKReference).
+// gemmTile is one implementation of the matrix-panel micro-kernel and of the
+// row helpers that run between two tiles: the geometry of its register tile
+// and, where there is some, the assembly behind both. Every implementation
+// follows the accumulation-order contract above and the per-element
+// statements of the row helpers below, so which one runs never changes an
+// output bit (TestKernelAsmMatchesReference,
+// TestBlockedGEMMMatchesStrictKReference, TestRowKernelsMatchReference).
 type gemmTile struct {
 	name   string
 	mr, nr int
 	// asm is the kernel in gemm_amd64.s, strides in bytes; nil runs
 	// mulAddTileGo at this geometry.
-	asm func(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
+	asm func(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64, bias, scale, shift *float32, relu int64)
+	// rows are the vector row helpers in gemm_amd64.s; nil runs their Go
+	// references.
+	rows *rowKernels
 }
+
+// rowKernels are the assembly row helpers of one vector level. Each handles
+// n elements, n a positive multiple of rowLanes; the gemmTile methods of the
+// same names run the Go reference over what is left of a row.
+type rowKernels struct {
+	clampRow func(n int64, dst, src *float32)
+	maxRow   func(n int64, dst, src *float32)
+	maxRow2  func(n int64, dst, src *float32) // src at stride 2: reads 2n floats
+	copyRow2 func(n int64, dst, src *float32) // src at stride 2: reads 2n floats
+}
+
+// rowLanes is the vector width of the assembly row helpers, in floats.
+const rowLanes = 8
 
 // goTiles is the Go reference at each geometry an assembly kernel uses; the
 // first, the faster of the two in scalar code, is what runs where there is no
@@ -87,47 +112,179 @@ var tile = gemmTiles()[0]
 // "avx512-8x32".
 func KernelName() string { return tile.name }
 
+// tileEnds is what a kernel call does at the two ends of a tile's depth, one
+// value per row of the tile. On the first depth slice bias is set and row r
+// starts from bias[r] instead of from what c holds; on the last, scale and
+// shift (both or neither) and relu are the epilogue, applied to the
+// accumulators before they are stored: c = c*scale[r] + shift[r], a multiply
+// and an add each rounded, then `if c < 0 { c = 0 }`.
+type tileEnds struct {
+	bias, scale, shift []float32
+	relu               bool
+}
+
+// staged returns te with each of its per-row vectors, here shorter than mr,
+// copied to an mr-long third of buf and followed by zeros.
+func (te tileEnds) staged(buf []float32, mr int) tileEnds {
+	clear(buf)
+	stage := func(q int, v []float32) []float32 {
+		if v == nil {
+			return nil
+		}
+		s := buf[q*mr : (q+1)*mr]
+		copy(s, v)
+		return s
+	}
+	te.bias, te.scale, te.shift = stage(0, te.bias), stage(1, te.scale), stage(2, te.shift)
+	return te
+}
+
 // mulAdd runs the micro-kernel: c[r*ldc+j] += a[r*lda+p] * b[p*ldb+j] for r
-// in [0, mr), j in [0, nr), p ascending over [0, kc). Strides are in floats.
-func (t *gemmTile) mulAdd(kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+// in [0, mr), j in [0, nr), p ascending over [0, kc), between the two ends.
+// Strides are in floats.
+func (t *gemmTile) mulAdd(kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, ends tileEnds) {
 	if t.asm == nil {
-		mulAddTileGo(t.mr, t.nr, kc, a, lda, b, ldb, c, ldc)
+		mulAddTileGo(t.mr, t.nr, kc, a, lda, b, ldb, c, ldc, ends)
 		return
 	}
 	// The assembly indexes from bare pointers; these are its furthest reads.
 	_, _, _ = a[(t.mr-1)*lda+kc-1], b[(kc-1)*ldb+t.nr-1], c[(t.mr-1)*ldc+t.nr-1]
-	t.asm(int64(kc), &a[0], int64(lda)*4, &b[0], int64(ldb)*4, &c[0], int64(ldc)*4)
+	var bias, scale, shift *float32
+	var relu int64
+	if ends.bias != nil {
+		bias = &ends.bias[:t.mr][0]
+	}
+	if ends.scale != nil {
+		scale, shift = &ends.scale[:t.mr][0], &ends.shift[:t.mr][0]
+	}
+	if ends.relu {
+		relu = 1
+	}
+	t.asm(int64(kc), &a[0], int64(lda)*4, &b[0], int64(ldb)*4, &c[0], int64(ldc)*4, bias, scale, shift, relu)
 }
 
 // epilogue is a fused per-output-channel post-op applied to a finished
-// output row: an optional affine y = y*scale + shift (the BatchNorm
+// output tile: an optional affine y = y*scale + shift (the BatchNorm
 // inference transform) followed by an optional ReLU. Both use exactly the
-// arithmetic of the standalone BatchNorm/ReLU forwards, so fusing them is
-// bitwise invisible.
+// arithmetic of the standalone BatchNorm/ReLU forwards (affineClampGo states
+// it), so fusing them is bitwise invisible.
 type epilogue struct {
 	scale []float32 // per-channel scale, nil for none
 	shift []float32 // per-channel shift, same length as scale
 	relu  bool
 }
 
-// apply transforms one finished stretch of output row ch. A nil epilogue is
-// a no-op.
-func (e *epilogue) apply(ch int, row []float32) {
+// ends returns the last-slice half of the tileEnds for the band of rows
+// starting at channel ch. A nil epilogue has none.
+func (e *epilogue) ends(ch int) tileEnds {
 	if e == nil {
+		return tileEnds{}
+	}
+	te := tileEnds{relu: e.relu}
+	if e.scale != nil {
+		te.scale, te.shift = e.scale[ch:], e.shift[ch:]
+	}
+	return te
+}
+
+// The row helpers are what runs between two tiles at vector speed: the
+// standalone ReLU, the max-pool's tap walk and the stride-2 gather of the
+// slice packer. Each is stated per element by its Go reference; the assembly
+// in gemm_amd64.s computes exactly that, lane by lane, over the whole vectors
+// of a row, and the reference finishes the row.
+
+// affineClampGo states the affine and the clamp of BatchNorm, ReLU and the
+// fused epilogue: dst[i] = clamp(src[i]*scale + shift), the affine only if
+// asked for, the clamp only if relu. The conversion keeps a compiler from
+// contracting the multiply and the add into one fused operation (go1.24
+// does on arm64). The clamp is `if v < 0 { v = 0 }`, which keeps NaNs and -0,
+// written on the bit pattern so that random signs cost no mispredicted
+// branch: the values below zero are exactly the patterns from the smallest
+// negative denormal (0x80000001) to -Inf (0xff800000); -0 lies below that
+// range and the negative NaNs above it. dst and src have one length and are
+// the same stretch or disjoint.
+func affineClampGo(dst, src []float32, scale, shift float32, affine, relu bool) {
+	for i, v := range src {
+		if affine {
+			v = float32(v*scale) + shift
+		}
+		if relu {
+			b := math.Float32bits(v)
+			if b-0x80000001 <= 0xff800000-0x80000001 {
+				b = 0
+			}
+			v = math.Float32frombits(b)
+		}
+		dst[i] = v
+	}
+}
+
+// wholeVectors is how many leading elements of a row of nDst the assembly
+// helpers take: whole vectors, and no more than nSrc source floats cover at
+// the stride (a stride-2 helper reads its taps in pairs, so one float past the
+// last tap it uses).
+func wholeVectors(nDst, nSrc, stride int) int {
+	return min(nDst, nSrc/stride) &^ (rowLanes - 1)
+}
+
+// clampRow writes dst[i] = src[i] clamped at zero, as affineClampGo states
+// it.
+func (t *gemmTile) clampRow(dst, src []float32) {
+	n := 0
+	if t.rows != nil {
+		if n = wholeVectors(len(dst), len(src), 1); n > 0 {
+			t.rows.clampRow(int64(n), &dst[0], &src[0])
+		}
+	}
+	affineClampGo(dst[n:], src[n:len(dst)], 0, 0, false, true)
+}
+
+// maxRow folds one tap of a max-pool window into a stretch of running
+// maxima: dst[i] = src[i*stride] wherever src[i*stride] > dst[i]. A NaN tap
+// never wins and the first zero of either sign wins a tie, as in the
+// element-by-element loop `if v > best { best = v }`.
+func (t *gemmTile) maxRow(dst, src []float32, stride int) {
+	n := 0
+	if t.rows != nil && stride <= 2 {
+		if n = wholeVectors(len(dst), len(src), stride); n > 0 {
+			kernel := t.rows.maxRow
+			if stride == 2 {
+				kernel = t.rows.maxRow2
+			}
+			kernel(int64(n), &dst[0], &src[0])
+		}
+	}
+	maxRowGo(dst[n:], src[n*stride:], stride)
+}
+
+// maxRowGo is the reference of maxRow.
+func maxRowGo(dst, src []float32, stride int) {
+	for i := range dst {
+		if v := src[i*stride]; v > dst[i] {
+			dst[i] = v
+		}
+	}
+}
+
+// copyRow gathers dst[i] = src[i*stride].
+func (t *gemmTile) copyRow(dst, src []float32, stride int) {
+	if stride == 1 {
+		copy(dst, src)
 		return
 	}
-	if e.scale != nil {
-		s, t := e.scale[ch], e.shift[ch]
-		for i, v := range row {
-			row[i] = v*s + t
+	n := 0
+	if t.rows != nil && stride == 2 {
+		if n = wholeVectors(len(dst), len(src), 2); n > 0 {
+			t.rows.copyRow2(int64(n), &dst[0], &src[0])
 		}
 	}
-	if e.relu {
-		for i, v := range row {
-			if v < 0 {
-				row[i] = 0
-			}
-		}
+	copyRowGo(dst[n:], src[n*stride:], stride)
+}
+
+// copyRowGo is the reference of copyRow.
+func copyRowGo(dst, src []float32, stride int) {
+	for i := range dst {
+		dst[i] = src[i*stride]
 	}
 }
 
@@ -144,7 +301,7 @@ type gemm struct {
 }
 
 // gemmBias computes outs[e][m][n] = bias[i] + a[m][k]·B_e[k][n] for every
-// batch element e, applying the epilogue to each finished row. a is
+// batch element e, applying the epilogue to each finished tile. a is
 // row-major [m][k] (weight rows); the B_e are read through b.
 //
 // The parallel index space is chosen from the shape: column blocks (batch
@@ -179,7 +336,7 @@ func gemmBias(m, n, k int, a, bias []float32, b *convCols, outs [][]float32, epi
 	// band of A for the ragged edges.
 	nPacked, nTile := g.depth*g.ld, t.mr*t.nr
 	par.For(len(outs)*blocks*groups, 2*k*width*groupRows, func(lo, hi int) {
-		buf := par.GetF32(nPacked + nTile + t.mr*g.depth)
+		buf := par.GetF32(nPacked + nTile + t.mr*(g.depth+3))
 		defer par.PutF32(buf)
 		packed, ctile, aband := (*buf)[:nPacked], (*buf)[nPacked:nPacked+nTile], (*buf)[nPacked+nTile:]
 		for idx := lo; idx < hi; idx++ {
@@ -191,33 +348,30 @@ func gemmBias(m, n, k int, a, bias []float32, b *convCols, outs [][]float32, epi
 }
 
 // block computes rows [r0, r1) × columns [jc, jEnd) of out, the product for
-// batch element e: bias, then one pack and one sweep of the row bands per
-// depth slice, then the epilogue. packed, ctile and aband are the caller's
+// batch element e: one pack and one sweep of the row bands per depth slice,
+// the first sweep starting every tile from its bias and the last one running
+// the epilogue before it stores. packed, ctile and aband are the caller's
 // scratch.
 func (g *gemm) block(out []float32, e, jc, jEnd, r0, r1 int, packed, ctile, aband []float32) {
 	m, n, k, a, ld := g.m, g.n, g.k, g.a, g.ld
 	mr, nr := g.t.mr, g.t.nr
 	w := jEnd - jc
-	wPanels := (w + nr - 1) / nr * nr
-	for r := r0; r < r1; r++ {
-		row := out[r*n+jc : r*n+jEnd]
-		bv := g.bias[r]
-		for j := range row {
-			row[j] = bv
-		}
-	}
 	for pc := 0; pc < k; pc += g.depth {
 		kc := min(g.depth, k-pc)
-		for p := 0; p < kc; p++ {
-			g.b.row(e, pc+p, jc, packed[p*ld:p*ld+w])
-			// Lanes past the last column of a ragged final panel multiply
-			// zeros.
-			clear(packed[p*ld+w : p*ld+wPanels])
-		}
+		// Lanes past the last column of a ragged final panel multiply zeros.
+		g.b.pack(g.t, e, pc, kc, jc, w, (w+nr-1)/nr*nr, packed, ld)
 		for i := r0; i < r1; i += mr {
+			var ends tileEnds
+			if pc+kc == k {
+				ends = g.epi.ends(i)
+			}
+			if pc == 0 {
+				ends.bias = g.bias[i:]
+			}
 			// Full bands read their rows of A in place. The kernel always
-			// reads mr rows, so a last band short of mr is staged, its
-			// missing rows zero; they land in tile rows never copied out.
+			// reads mr rows of A and of its ends, so a last band short of mr
+			// is staged, its missing rows zero; they land in tile rows never
+			// copied out.
 			rows := min(mr, m-i)
 			ab, lda := a[i*k+pc:], k
 			if rows < mr {
@@ -226,38 +380,44 @@ func (g *gemm) block(out []float32, e, jc, jEnd, r0, r1 int, packed, ctile, aban
 					copy(ab[r*kc:(r+1)*kc], a[(i+r)*k+pc:])
 				}
 				clear(ab[rows*kc:])
+				ends = ends.staged(aband[mr*g.depth:][:3*mr], mr)
 			}
 			for j := jc; j < jEnd; j += nr {
 				bp := packed[j-jc:]
 				if rows == mr && j+nr <= jEnd {
-					g.t.mulAdd(kc, ab, lda, bp, ld, out[i*n+j:], n)
+					g.t.mulAdd(kc, ab, lda, bp, ld, out[i*n+j:], n, ends)
 					continue
 				}
 				// Ragged tile: the same kernel on a staged mr×nr copy, so
-				// edge elements round exactly like interior ones.
+				// edge elements are computed exactly like interior ones.
 				cols := min(nr, jEnd-j)
 				clear(ctile)
 				for r := 0; r < rows; r++ {
 					copy(ctile[r*nr:r*nr+cols], out[(i+r)*n+j:])
 				}
-				g.t.mulAdd(kc, ab, lda, bp, ld, ctile, nr)
+				g.t.mulAdd(kc, ab, lda, bp, ld, ctile, nr, ends)
 				for r := 0; r < rows; r++ {
 					copy(out[(i+r)*n+j:(i+r)*n+j+cols], ctile[r*nr:])
 				}
 			}
 		}
 	}
-	for r := r0; r < r1; r++ {
-		g.epi.apply(r, out[r*n+jc:r*n+jEnd])
-	}
 }
 
 // mulAddTileGo is the pure-Go reference of the matrix-panel micro-kernel at
 // any tile geometry: c[r][j] += a[r][p] * b[p][j] for r in [0, mr), j in
-// [0, nr), p ascending. Bitwise identical to the assembly versions
-// (independent lanes, one mul and one add rounding per term — the
-// conversions keep a compiler from fusing the two — strict p order).
-func mulAddTileGo(mr, nr, kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
+// [0, nr), p ascending, between the two ends. Bitwise identical to the
+// assembly versions (independent lanes, one mul and one add rounding per term
+// — the conversions keep a compiler from fusing the two — strict p order).
+func mulAddTileGo(mr, nr, kc int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int, ends tileEnds) {
+	if ends.bias != nil {
+		for r := 0; r < mr; r++ {
+			crow := c[r*ldc : r*ldc+nr]
+			for j := range crow {
+				crow[j] = ends.bias[r]
+			}
+		}
+	}
 	for p := 0; p < kc; p++ {
 		brow := b[p*ldb : p*ldb+nr]
 		for r := 0; r < mr; r++ {
@@ -266,6 +426,16 @@ func mulAddTileGo(mr, nr, kc int, a []float32, lda int, b []float32, ldb int, c 
 			for j, bv := range brow {
 				crow[j] += float32(v * bv)
 			}
+		}
+	}
+	if ends.scale != nil || ends.relu {
+		for r := 0; r < mr; r++ {
+			var s, sh float32
+			if ends.scale != nil {
+				s, sh = ends.scale[r], ends.shift[r]
+			}
+			crow := c[r*ldc : r*ldc+nr]
+			affineClampGo(crow, crow, s, sh, ends.scale != nil, ends.relu)
 		}
 	}
 }

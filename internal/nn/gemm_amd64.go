@@ -3,14 +3,23 @@
 package nn
 
 // The matrix-panel micro-kernels of gemm_amd64.s. Strides are in bytes; each
-// reads mr rows of a, kc rows of b and updates an mr×nr tile of c in place.
-func gemmKernel8x32(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
-func gemmKernel4x16(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64)
+// reads mr rows of a, kc rows of b and updates an mr×nr tile of c in place,
+// starting from bias instead of c and applying scale, shift and relu before
+// the store where those are set (mr floats each, see tileEnds).
+func gemmKernel8x32(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64, bias, scale, shift *float32, relu int64)
+func gemmKernel4x16(kc int64, a *float32, lda int64, b *float32, ldb int64, c *float32, ldc int64, bias, scale, shift *float32, relu int64)
 
 // gemvKernel4x8 is the AVX row-dot micro-kernel (gemm_amd64.s):
 // out[r] += laneDot(w_r[0:k], x[0:k]) for r in 0..3. k must be a multiple
 // of 8.
 func gemvKernel4x8(k int64, w0, w1, w2, w3, x, out *float32)
+
+// The AVX row helpers of gemm_amd64.s; n is a positive multiple of rowLanes.
+// The stride-2 pair reads src[0:2n].
+func clampRowAVX(n int64, dst, src *float32)
+func maxRowAVX(n int64, dst, src *float32)
+func maxRow2AVX(n int64, dst, src *float32)
+func copyRow2AVX(n int64, dst, src *float32)
 
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
@@ -83,11 +92,12 @@ func levelOf(leaf1ECX, leaf7EBX, xcr0 uint32) kernelLevel {
 // their geometries.
 func gemmTiles() []*gemmTile {
 	var ts []*gemmTile
+	rows := &rowKernels{clampRow: clampRowAVX, maxRow: maxRowAVX, maxRow2: maxRow2AVX, copyRow2: copyRow2AVX}
 	if cpuLevel >= levelAVX512 {
-		ts = append(ts, &gemmTile{name: "avx512-8x32", mr: 8, nr: 32, asm: gemmKernel8x32})
+		ts = append(ts, &gemmTile{name: "avx512-8x32", mr: 8, nr: 32, asm: gemmKernel8x32, rows: rows})
 	}
 	if cpuLevel >= levelAVX {
-		ts = append(ts, &gemmTile{name: "avx-4x16", mr: 4, nr: 16, asm: gemmKernel4x16})
+		ts = append(ts, &gemmTile{name: "avx-4x16", mr: 4, nr: 16, asm: gemmKernel4x16, rows: rows})
 	}
 	return append(ts, goTiles()...)
 }

@@ -34,3 +34,21 @@ func TestLevelOf(t *testing.T) {
 		t.Errorf("cpuLevel %d above what detectLevel reports (%d)", cpuLevel, got)
 	}
 }
+
+// TestKernelCapGoRunsNoAssembly is TestSelectedKernel's other half: a run
+// linked with kernelCap=go (as `make procs` does) must have nothing but the Go
+// references to dispatch to — no assembly tile, no assembly row helper, and a
+// level below the one the row-dot kernel asks for.
+func TestKernelCapGoRunsNoAssembly(t *testing.T) {
+	if kernelCap != "go" {
+		t.Skipf("kernelCap is %q", kernelCap)
+	}
+	if cpuLevel != levelGo {
+		t.Errorf("cpuLevel %d under kernelCap=go", cpuLevel)
+	}
+	for _, tl := range append(gemmTiles(), tile) {
+		if tl.asm != nil || tl.rows != nil {
+			t.Errorf("tile %s carries assembly under kernelCap=go", tl.name)
+		}
+	}
+}

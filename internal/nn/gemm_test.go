@@ -52,7 +52,7 @@ func TestKernelAsmMatchesReference(t *testing.T) {
 					want[r*ldc+j] = s
 				}
 			}
-			tl.mulAdd(k, a, lda, b, ldb, got, ldc)
+			tl.mulAdd(k, a, lda, b, ldb, got, ldc, tileEnds{})
 			for i := range want {
 				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
 					t.Fatalf("k=%d row=%d col=%d: kernel %v != reference %v",
@@ -83,7 +83,7 @@ func TestKernelAsmMatchesReference(t *testing.T) {
 // convolution: each output element starts at its bias and adds its taps in
 // (ic, ky, kx) order, every product and every sum rounded to float32 on its
 // own (the conversions forbid fusing), a padding tap multiplying an explicit
-// zero. epi, if non-nil, then runs over each finished row.
+// zero. epi, if non-nil, then runs over each finished row (epilogueRef).
 func strictKConv(c *Conv2D, x *tensor.Tensor, padH bool, epi *epilogue) *tensor.Tensor {
 	h, w := x.Dim(1), x.Dim(2)
 	padTop := 0
@@ -113,9 +113,28 @@ func strictKConv(c *Conv2D, x *tensor.Tensor, padH bool, epi *epilogue) *tensor.
 				od[(oc*oh+oy)*ow+ox] = s
 			}
 		}
-		epi.apply(oc, od[oc*oh*ow:(oc+1)*oh*ow])
+		if epi != nil {
+			epilogueRef(od[oc*oh*ow:(oc+1)*oh*ow], epi, oc)
+		}
 	}
 	return out
+}
+
+// epilogueRef is the scalar statement of the epilogue over one output
+// channel: a product assigned to a float32 variable (an assignment rounds, so
+// no compiler may contract it with the add that follows), the shift added,
+// then the clamp as BatchNorm and ReLU state it.
+func epilogueRef(row []float32, epi *epilogue, ch int) {
+	for i, v := range row {
+		if epi.scale != nil {
+			var prod float32 = v * epi.scale[ch]
+			v = prod + epi.shift[ch]
+		}
+		if epi.relu && v < 0 {
+			v = 0
+		}
+		row[i] = v
+	}
 }
 
 // asmTileNames are the assembly kernels some CPU can run; forEachTile skips by

@@ -103,32 +103,44 @@ func (m *MaxPool2D) pool(in []*tensor.Tensor, padH bool) (*tensor.Tensor, error)
 	out := tensor.New(c, oh, ow)
 	xd, od := x.Data(), out.Data()
 	negInf := float32(math.Inf(-1))
+	k, s, t := m.Kernel, m.Stride, tile
 	// Channels are independent: parallelizing over them preserves bitwise
 	// outputs at every parallelism level.
-	par.For(c, oh*ow*m.Kernel*m.Kernel, func(lo, hi int) {
+	par.For(c, oh*ow*k*k, func(lo, hi int) {
+		// span[kx] is tapColumns for window column kx, worked out once per
+		// worker. Windows wider than the array are rare enough to allocate
+		// for.
+		var stack [8][2]int
+		span := stack[:]
+		if k > len(stack) {
+			span = make([][2]int, k)
+		}
+		for kx := range span[:k] {
+			span[kx][0], span[kx][1] = tapColumns(kx-m.Pad, s, w, ow)
+		}
+		// Row-wise: an output row starts at -Inf and takes the window's taps
+		// one (ky, kx) at a time, each a bounds-free stretch of one input
+		// row. Every output still sees its taps in (ky, kx) order, so the
+		// result is the one of the element-by-element walk
+		// `if v > best { best = v }`: the first occurrence of the maximum,
+		// never a NaN.
 		for ci := lo; ci < hi; ci++ {
 			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*m.Stride - padTop
-				for ox := 0; ox < ow; ox++ {
-					ix0 := ox*m.Stride - m.Pad
-					best := negInf
-					for ky := 0; ky < m.Kernel; ky++ {
-						y := iy0 + ky
-						if y < 0 || y >= h {
-							continue
-						}
-						row := (ci*h + y) * w
-						for kx := 0; kx < m.Kernel; kx++ {
-							xx := ix0 + kx
-							if xx < 0 || xx >= w {
-								continue
-							}
-							if v := xd[row+xx]; v > best {
-								best = v
-							}
+				o := od[(ci*oh+oy)*ow : (ci*oh+oy+1)*ow]
+				for i := range o {
+					o[i] = negInf
+				}
+				for ky := 0; ky < k; ky++ {
+					y := oy*s - padTop + ky
+					if y < 0 || y >= h {
+						continue
+					}
+					in := xd[(ci*h+y)*w : (ci*h+y+1)*w]
+					for kx, sp := range span[:k] {
+						if ox0, ox1 := sp[0], sp[1]; ox0 < ox1 {
+							t.maxRow(o[ox0:ox1], in[ox0*s+kx-m.Pad:], s)
 						}
 					}
-					od[(ci*oh+oy)*ow+ox] = best
 				}
 			}
 		}

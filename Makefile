@@ -7,11 +7,11 @@
 # byte-for-byte regeneration of the five simulated BENCH_*.json baselines.
 
 GO ?= go
-RACE_PKGS := ./internal/par ./internal/nn ./internal/runtime ./internal/platform ./internal/simnet \
+RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./internal/platform ./internal/simnet \
 	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/analysis \
 	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh
 
-PROCS_PKGS := ./internal/par ./internal/nn ./internal/simnet ./internal/platform ./internal/gateway
+PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
 
 .PHONY: ci lint vet build test procs race chaos cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-verify
 
@@ -51,25 +51,26 @@ test:
 # A hang or a result that depends on how many threads the scheduler has
 # shows only at some core counts (a worker pool that deadlocked at 2 and 3
 # passed at 1, 4 and 8), so the packages that spawn goroutines of their own,
-# and the simulation kernel with its two heaviest users, run at each. The
-# timeout turns a hang into a failure in seconds.
+# the two that run forwards in a pooled arena on top of them, and the
+# simulation kernel with its two heaviest users, run at each. The timeout
+# turns a hang into a failure in seconds.
 #
 # The convolution kernel is picked from CPUID at start-up, so a runner only
 # ever exercises the widest implementation it has. The second loop links each
-# level into nn.kernelCap in turn and reruns the kernel and partition-exactness
-# suites under it, naming the levels this CPU cannot run (under the go cap
-# TestKernelCapGoRunsNoAssembly checks that no assembly is left to dispatch
-# to).
+# level into nn.kernelCap in turn and reruns the kernel, arena-forward and
+# partition-exactness suites under it, naming the levels this CPU cannot run
+# (under the go cap TestKernelCapGoRunsNoAssembly checks that no assembly is
+# left to dispatch to).
 #
 # The last line builds for GOAMD64=v3, the x86 level with a fused multiply-add.
 # The affine of BatchNorm and of the fused epilogue must stay a multiply and
 # an add (TestAffineRoundsTheProduct); go1.24 contracts x*y+z on arm64 but at
 # no GOAMD64 level, so today this line proves the v3 build green and the test
 # bites on an arm64 runner — it is here for the toolchain that starts to.
-KERNEL_PKGS := ./internal/nn ./internal/partition
+KERNEL_PKGS := ./internal/nn ./internal/graph ./internal/partition
 procs:
 	for n in 1 2 3 4 8; do \
-		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 120s $(PROCS_PKGS) || exit 1; \
+		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 300s $(PROCS_PKGS) || exit 1; \
 	done
 	for k in go avx avx512; do \
 		cap="-ldflags=-X=gillis/internal/nn.kernelCap=$$k"; \

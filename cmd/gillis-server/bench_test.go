@@ -19,9 +19,11 @@ import (
 // BenchmarkServeResnet34 is benchmark/'s http_resnet34 workload without the
 // sockets: resnet34 loaded from a model file as `-modelfile` loads it, and two
 // closed-loop callers posting one pre-encoded 3×224×224 body through the real
-// handler. It is how DESIGN.md §11's profile table is taken:
+// handler. Every reply is compared bit for bit with one graph.Forward of the
+// unfused model, as benchmark/ does, so a profiling run is a correctness run.
+// It is how DESIGN.md §11's profile table is taken:
 //
-//	go test ./cmd/gillis-server -run xxx -bench ServeResnet34 -benchtime 60x -cpuprofile cpu.pprof
+//	go test ./cmd/gillis-server -run xxx -bench ServeResnet34 -benchtime 60x -benchmem -cpuprofile cpu.pprof
 func BenchmarkServeResnet34(b *testing.B) {
 	if testing.Short() {
 		b.Skip("loads resnet34 and serves it: seconds per op")
@@ -45,6 +47,11 @@ func BenchmarkServeResnet34(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	want, err := g.Forward(x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	var next atomic.Int64
@@ -57,6 +64,16 @@ func BenchmarkServeResnet34(b *testing.B) {
 				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
 				if rec.Code != http.StatusOK {
 					b.Errorf("status %d: %s", rec.Code, rec.Body)
+					return
+				}
+				var res predictResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+					b.Error(err)
+					return
+				}
+				got, err := tensor.FromData(res.Output, res.Shape...)
+				if err != nil || !tensor.Equal(got, want) {
+					b.Errorf("reply differs from graph.Forward (%v)", err)
 					return
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -20,12 +21,13 @@ const (
 // rejects exactly what encoding/json's Decoder.Decode into a predictRequest
 // does — first JSON value only, case-folded keys, the last duplicate wins,
 // null empties an array and leaves the model alone, a null element is zero,
-// unknown keys are skipped — and yields the same values, but scans the number arrays token by
-// token: encoding/json validates a body once to find the value's end and
-// again while decoding, which is most of what a small request costs. Every
-// float goes through strconv.ParseFloat(tok, 32), as there, so replies stay
-// bit-equal. On top of that it refuses shapes over maxRank and arrays over
-// maxElements as it reads them.
+// unknown keys are skipped — and yields the same values, but scans the number
+// arrays token by token: encoding/json validates a body once to find the
+// value's end and again while decoding, which is most of what a small request
+// costs. Every float is the float32 strconv.ParseFloat(tok, 32) returns, as
+// there, so replies stay bit-equal (decoder.float32 says how it gets there in
+// one pass over the token). On top of that it refuses shapes over maxRank and
+// arrays over maxElements as it reads them.
 func decodePredictRequest(data []byte) (predictRequest, error) {
 	var req predictRequest
 	d := decoder{data: data}
@@ -62,7 +64,11 @@ func decodePredictRequest(data []byte) (predictRequest, error) {
 			if req.Shape = req.Shape[:0]; null {
 				break
 			}
-			err = d.array(maxRank, func(tok []byte) error {
+			err = d.array(maxRank, func() error {
+				tok, err := d.numberToken()
+				if err != nil {
+					return err
+				}
 				n, err := strconv.ParseInt(string(tok), 10, 64)
 				req.Shape = append(req.Shape, int(n))
 				return err
@@ -77,9 +83,9 @@ func decodePredictRequest(data []byte) (predictRequest, error) {
 				// twenty-odd an append from nothing grows through.
 				req.Input = make([]float32, 0, min(bytes.Count(d.data[d.i:], comma)+1, maxElements))
 			}
-			err = d.array(maxElements, func(tok []byte) error {
-				f, err := strconv.ParseFloat(string(tok), 32)
-				req.Input = append(req.Input, float32(f))
+			err = d.array(maxElements, func() error {
+				f, err := d.float32()
+				req.Input = append(req.Input, f)
 				return err
 			})
 		case !null:
@@ -176,9 +182,9 @@ func (d *decoder) str(s *string) error {
 	return d.errorf("unterminated string")
 }
 
-// array scans an array of numbers, handing each number's text to elem; a
-// null element is the number 0. More than limit elements is an error.
-func (d *decoder) array(limit int, elem func(tok []byte) error) error {
+// array scans an array, calling elem with the cursor on each element; elem
+// consumes it. More than limit elements is an error.
+func (d *decoder) array(limit int, elem func() error) error {
 	if d.peek() != '[' {
 		return d.errorf("want an array")
 	}
@@ -193,15 +199,7 @@ func (d *decoder) array(limit int, elem func(tok []byte) error) error {
 			return d.errorf("array has more than %d elements", limit)
 		}
 		d.space()
-		tok := d.token()
-		d.i += len(tok)
-		switch {
-		case string(tok) == "null":
-			tok = zero
-		case !validNumber(tok):
-			return d.errorf("want a number, got %q", tok)
-		}
-		if err := elem(tok); err != nil {
+		if err := elem(); err != nil {
 			return d.errorf("%v", err)
 		}
 		d.space()
@@ -215,6 +213,135 @@ func (d *decoder) array(limit int, elem func(tok []byte) error) error {
 			return d.errorf("want ',' or ']' after array element")
 		}
 	}
+}
+
+// numberToken consumes the number at the cursor and returns its text; a null
+// is the number 0.
+func (d *decoder) numberToken() ([]byte, error) {
+	tok := d.token()
+	d.i += len(tok)
+	if string(tok) == "null" {
+		return zero, nil
+	}
+	if n, _, _, _, _ := scanNumber(tok); n == 0 || n != len(tok) {
+		return nil, fmt.Errorf("want a number, got %q", tok)
+	}
+	return tok, nil
+}
+
+// float32 consumes the number (or null) at the cursor and returns what
+// strconv.ParseFloat(text, 32) does, bit for bit. One pass over the token
+// checks JSON's grammar and collects the decimal mantissa w and exponent e;
+// where w has at most 15 significant digits and |e| <= 22, both w and 10^|e|
+// are exact float64s, so w*10^e or w/10^|e| is the correctly rounded float64
+// of the value (one IEEE operation on exact operands), between 1e-22 and 1e37
+// and so well inside float32's normal range. Rounding that to float32 is the
+// correctly rounded float32 of the value unless the float64 sits exactly on
+// the midpoint of two float32s (its low 29 mantissa bits are 1<<28): the value
+// and the float64 lie on the same side of every other point where float32
+// rounding changes direction, because those points are float64s and rounding
+// to float64 is monotonic. A midpoint, more digits, a larger exponent, and
+// everything that is not a number go to the token path and strconv.
+func (d *decoder) float32() (float32, error) {
+	s := d.data[d.i:]
+	n, neg, w, digits, e := scanNumber(s)
+	if n == 0 || (n < len(s) && !delimiter[s[n]]) {
+		tok, err := d.numberToken() // a null, or the error
+		if err != nil {
+			return 0, err
+		}
+		f, err := strconv.ParseFloat(string(tok), 32)
+		return float32(f), err
+	}
+	d.i += n
+	if digits == 0 {
+		if neg {
+			return float32(math.Copysign(0, -1)), nil
+		}
+		return 0, nil
+	}
+	if digits <= 15 && -22 <= e && e <= 22 {
+		f := float64(w)
+		if e < 0 {
+			f /= pow10[-e]
+		} else {
+			f *= pow10[e]
+		}
+		if math.Float64bits(f)&(1<<29-1) != 1<<28 {
+			if neg {
+				f = -f
+			}
+			return float32(f), nil
+		}
+	}
+	f, err := strconv.ParseFloat(string(s[:n]), 32)
+	return float32(f), err
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [23]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// scanNumber scans the JSON number s starts with — the grammar is narrower
+// than what strconv parses: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? —
+// and returns its length n —
+// 0 if s starts with none — and its value as ±w × 10^e, with the count of
+// w's significant digits (0 for a zero). w has wrapped around when there are
+// more than 19, and e stops growing past four digits of exponent: either way
+// the caller has a number it leaves to strconv.
+func scanNumber(s []byte) (n int, neg bool, w uint64, digits, e int) {
+	i := 0
+	digit := func() bool { return i < len(s) && '0' <= s[i] && s[i] <= '9' }
+	mantissa := func() {
+		if c := s[i] - '0'; c != 0 || digits > 0 {
+			digits++
+			w = w*10 + uint64(c)
+		}
+	}
+	if i < len(s) && s[i] == '-' {
+		neg = true
+		i++
+	}
+	switch {
+	case i < len(s) && s[i] == '0':
+		i++
+	case digit():
+		for ; digit(); i++ {
+			mantissa()
+		}
+	default:
+		return 0, false, 0, 0, 0
+	}
+	if i < len(s) && s[i] == '.' {
+		if i++; !digit() {
+			return 0, false, 0, 0, 0
+		}
+		for ; digit(); i++ {
+			mantissa()
+			e--
+		}
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		i++
+		sign := 1
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			if s[i] == '-' {
+				sign = -1
+			}
+			i++
+		}
+		if !digit() {
+			return 0, false, 0, 0, 0
+		}
+		exp := 0
+		for ; digit(); i++ {
+			if exp < 10000 {
+				exp = exp*10 + int(s[i]-'0')
+			}
+		}
+		e += sign * exp
+	}
+	return i, neg, w, digits, e
 }
 
 var (
@@ -232,39 +359,4 @@ func (d *decoder) skip() error {
 	}
 	d.i += int(dec.InputOffset())
 	return nil
-}
-
-// validNumber reports whether s is a number in JSON's grammar, which is
-// narrower than what strconv parses: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func validNumber(s []byte) bool {
-	digits := func() bool {
-		n := 0
-		for len(s) > 0 && '0' <= s[0] && s[0] <= '9' {
-			s, n = s[1:], n+1
-		}
-		return n > 0
-	}
-	if len(s) > 0 && s[0] == '-' {
-		s = s[1:]
-	}
-	if len(s) > 0 && s[0] == '0' {
-		s = s[1:]
-	} else if !digits() {
-		return false
-	}
-	if len(s) > 0 && s[0] == '.' {
-		if s = s[1:]; !digits() {
-			return false
-		}
-	}
-	if len(s) > 0 && (s[0] == 'e' || s[0] == 'E') {
-		s = s[1:]
-		if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
-			s = s[1:]
-		}
-		if !digits() {
-			return false
-		}
-	}
-	return len(s) == 0
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -103,6 +105,126 @@ func TestDecodePredictRequestLimits(t *testing.T) {
 	if err != nil || len(req.Input) != maxElements {
 		t.Fatalf("%d elements: got %d, error %v", maxElements, len(req.Input), err)
 	}
+}
+
+// TestDecoderFloat32MatchesParseFloat is the differential of decoder.float32
+// against strconv.ParseFloat(·, 32), which is what encoding/json runs: over
+// five million number tokens, the same float32 bits, the same verdict, and the
+// whole token consumed. The tokens are what a client sends (float32s in their
+// shortest form, [-1,1) uniforms in plain decimals), what probes the fast
+// path's limits (1 to 17 digits, exponents of both signs out to ±25), the
+// edges of float32 (zeros, subnormals, the overflow threshold) and the one
+// case the fast path must hand over: decimals within its limits whose float64
+// is exactly half-way between two float32s, and their neighbours.
+func TestDecoderFloat32MatchesParseFloat(t *testing.T) {
+	rounds := 520_000
+	if testing.Short() {
+		rounds = 20_000
+	}
+	checked, fast, halfway := 0, 0, 0
+	check := func(tok []byte) {
+		t.Helper()
+		want, wantErr := strconv.ParseFloat(string(tok), 32)
+		d := decoder{data: tok}
+		got, gotErr := d.float32()
+		if (gotErr == nil) != (wantErr == nil) || math.Float32bits(got) != math.Float32bits(float32(want)) || d.i != len(tok) {
+			t.Fatalf("%s: decoder %x (%v) after %d of %d bytes, strconv %x (%v)", tok,
+				math.Float32bits(got), gotErr, d.i, len(tok), math.Float32bits(float32(want)), wantErr)
+		}
+		checked++
+		if _, _, w, digits, e := scanNumber(tok); digits <= 15 && -22 <= e && e <= 22 {
+			fast++
+			f := float64(w) * pow10[max(e, 0)] / pow10[max(-e, 0)]
+			if math.Float64bits(f)&(1<<29-1) == 1<<28 {
+				halfway++
+			}
+		}
+	}
+	for _, tok := range []string{"0", "-0", "0.0", "-0.000", "0e5", "-0E-7", "0e99999999999", "1e-46", "1e-45", "1.4e-45", "7e-46", "7.1e-46",
+		"1.17549435e-38", "1.1754943e-38", "1.17549421e-38", "3.4028235e38", "3.4028234e38", "3.4028236e38", "3.40282357e38",
+		"340282346638528859811704183484516925440", "340282356779733661637539395458142568447", "340282356779733661637539395458142568448",
+		"1e22", "1e23", "1e-22", "1e-23", "999999999999999e22", "999999999999999e-22", "1000000000000000e22", "9007199254740993",
+		"16777217", "16777217.0", "1.6777217e7", "16777217000e-3", "16777219", "0.5000000298023224", "1e10000", "-1e-10000", "1e99999"} {
+		check([]byte(tok))
+	}
+	rng := rand.New(rand.NewSource(22))
+	buf := make([]byte, 0, 64)
+	digits := func(n int) {
+		buf = append(buf, byte('1'+rng.Intn(9)))
+		for i := 1; i < n; i++ {
+			buf = append(buf, byte('0'+rng.Intn(10)))
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		// A float32 bit pattern, as encoding/json and as %g print it.
+		if f := math.Float32frombits(rng.Uint32()); !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
+			check(strconv.AppendFloat(buf[:0], float64(f), 'e', -1, 32))
+			if a := math.Abs(float64(f)); a >= 1e-6 && a < 1e21 {
+				check(strconv.AppendFloat(buf[:0], float64(f), 'f', -1, 32))
+			}
+		}
+		// A uniform in [-1, 1): shortest float32 form, and a fixed number of
+		// decimals.
+		u := rng.Float32()*2 - 1
+		check(strconv.AppendFloat(buf[:0], float64(u), 'f', -1, 32))
+		check(strconv.AppendFloat(buf[:0], float64(u), 'f', 1+rng.Intn(17), 64))
+		// 1 to 17 random digits with a point anywhere and an exponent of
+		// either sign.
+		buf = buf[:0]
+		if rng.Intn(2) == 0 {
+			buf = append(buf, '-')
+		}
+		n := 1 + rng.Intn(17)
+		if point := rng.Intn(n + 1); point == 0 {
+			buf = append(buf, '0', '.')
+			for z := rng.Intn(4); z > 0; z-- {
+				buf = append(buf, '0')
+			}
+			digits(n)
+		} else if digits(point); point < n {
+			buf = append(buf, '.')
+			for i := point; i < n; i++ {
+				buf = append(buf, byte('0'+rng.Intn(10)))
+			}
+		}
+		if rng.Intn(3) > 0 {
+			buf = append(buf, "eE"[rng.Intn(2)])
+			if sign := rng.Intn(3); sign > 0 {
+				buf = append(buf, "+-"[sign-1])
+			}
+			buf = strconv.AppendInt(buf, int64(rng.Intn(60)), 10)
+			if buf[len(buf)-1] != '0' && rng.Intn(8) == 0 {
+				buf = append(buf, '0') // ten times the exponent: out of every range
+			}
+		}
+		check(buf)
+		// The half-way point of two neighbouring float32s in [2^k, 2^(k+1)):
+		// in full (a decimal of 15 digits or fewer for k from 4 to 49), nudged
+		// in its last place, and cut to 15 digits and to 10–17 — one such cut
+		// in ten is a different number that still rounds to the half-way
+		// float64, where rounding twice goes wrong.
+		k := rng.Intn(76) - 26
+		lo := math.Float32frombits(uint32(127+k)<<23 | rng.Uint32()>>9)
+		mid := (float64(lo) + float64(math.Nextafter32(lo, math.MaxFloat32))) / 2
+		tok := strconv.AppendFloat(buf[:0], mid, 'f', -1, 64)
+		check(tok)
+		last := &tok[len(tok)-1]
+		*last = '0' + (*last-'0'+1+byte(rng.Intn(8)))%10
+		check(tok)
+		check(strconv.AppendFloat(buf[:0], mid, 'e', 14, 64))
+		check(strconv.AppendFloat(buf[:0], mid, 'e', 9+rng.Intn(8), 64))
+		// The smallest and largest magnitudes: subnormals and the neighbours
+		// of the overflow threshold.
+		check(strconv.AppendFloat(buf[:0], float64(math.Float32frombits(rng.Uint32()>>9)), 'e', 2+rng.Intn(8), 64))
+		check(strconv.AppendFloat(buf[:0], math.MaxFloat32*(1+(rng.Float64()-0.5)*1e-6), 'e', 5+rng.Intn(12), 64))
+	}
+	if !testing.Short() && checked < 5_000_000 {
+		t.Fatalf("%d tokens checked, want at least five million", checked)
+	}
+	if fast < checked/4 || halfway < rounds/4 {
+		t.Fatalf("of %d tokens, only %d were within the fast path's limits and %d of those half-way", checked, fast, halfway)
+	}
+	t.Logf("%d tokens, %d within the fast path's limits, %d of those half-way between two float32s", checked, fast, halfway)
 }
 
 // FuzzPredictRequest is the same differential over mutated bodies.

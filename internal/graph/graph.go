@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 
 	"gillis/internal/nn"
 	"gillis/internal/tensor"
@@ -28,6 +29,9 @@ type Graph struct {
 	Name    string
 	inShape []int
 	nodes   []*Node
+	// arena caches the liveness plan forwards run by (arena.go); Add drops
+	// it.
+	arena atomic.Pointer[arenaPlan]
 }
 
 // New creates an empty graph with the given input shape.
@@ -73,6 +77,7 @@ func (g *Graph) Add(op nn.Op, inputs ...int) (int, error) {
 		ins[i] = in
 	}
 	g.nodes = append(g.nodes, &Node{ID: id, Op: op, Inputs: ins})
+	g.arena.Store(nil)
 	return id, nil
 }
 
@@ -136,56 +141,14 @@ func (g *Graph) Validate() error {
 }
 
 // Forward runs the whole graph on the given input. All weighted operators
-// must be initialized. It is the batch-of-one call of ForwardBatch.
+// must be initialized. It is the batch-of-one call of ForwardBatch
+// (arena.go).
 func (g *Graph) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 	outs, err := g.ForwardBatch([]*tensor.Tensor{x})
 	if err != nil {
 		return nil, err
 	}
 	return outs[0], nil
-}
-
-// ForwardBatch executes the graph once per query with cross-query batched
-// kernels: each node runs nn.ForwardBatch over the whole batch before the
-// walk advances, so batch-aware operators amortize their packing and weight
-// traffic across queries. The result is bitwise identical to calling
-// Forward once per input — the batched kernels run the exact per-element
-// accumulation schedules (see internal/nn/batch.go) and the observer is
-// notified once per (node, query), matching the sequential loop.
-func (g *Graph) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(g.nodes) == 0 {
-		return nil, fmt.Errorf("graph %q: empty", g.Name)
-	}
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	for _, x := range xs {
-		if !tensor.ShapeEqual(x.Shape(), g.inShape) {
-			return nil, fmt.Errorf("graph %q: input shape %v, want %v", g.Name, x.Shape(), g.inShape)
-		}
-	}
-	vals := make([][]*tensor.Tensor, len(g.nodes))
-	ins := make([][]*tensor.Tensor, len(xs))
-	for _, n := range g.nodes {
-		for e := range xs {
-			row := make([]*tensor.Tensor, len(n.Inputs))
-			for i, in := range n.Inputs {
-				if in == InputID {
-					row[i] = xs[e]
-				} else {
-					row[i] = vals[in][e]
-				}
-			}
-			ins[e] = row
-			nn.Observe(n.Op)
-		}
-		outs, err := nn.ForwardBatch(n.Op, ins)
-		if err != nil {
-			return nil, fmt.Errorf("graph %q node %d (%s): %w", g.Name, n.ID, n.Op.Name(), err)
-		}
-		vals[n.ID] = outs
-	}
-	return vals[g.OutputID()], nil
 }
 
 // Init materializes every weighted operator deterministically from the seed.

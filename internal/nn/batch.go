@@ -8,39 +8,86 @@ import "gillis/internal/tensor"
 // parallel index space: for Conv2D/FusedConv2D the batch's pixels are more
 // columns of the one blocked GEMM, for Dense/FusedDense and LSTM the index
 // space is batch×bands, each band reading only its own element (see
-// gemm.go). Those ops' Forward is the one-element call of the same body.
+// gemm.go). Those ops' ForwardInto is the one-element call of the same body.
 // Everything else, and any batch that mixes input shapes, falls back to the
 // per-query loop, which is the equivalence baseline by definition.
 
 // BatchForwarder is implemented by single-input operators with a dedicated
 // batched forward. Implementations may assume all inputs share one shape;
-// ForwardBatch (the dispatcher) checks that before taking the fast path.
+// ForwardBatchInto (the dispatcher) checks that before taking the fast path.
 type BatchForwarder interface {
+	Op
 	ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error)
+	// ForwardBatchInto computes the output for xs[e] into dsts[e].
+	ForwardBatchInto(dsts, xs []*tensor.Tensor) error
 }
 
-// ForwardBatch applies op to a batch of input lists, one list per query.
-// Single-input ops implementing BatchForwarder with shape-uniform inputs
-// take the batched kernel path; everything else loops op.Forward per query.
-// Both paths produce bitwise-identical outputs.
+// ForwardBatch applies op to a batch of input lists, one list per query,
+// into fresh tensors: ForwardBatchInto on tensors of the output shapes.
 func ForwardBatch(op Op, ins [][]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(ins) == 0 {
-		return nil, nil
+	outs, err := freshOutputs(op, ins)
+	if err != nil || len(ins) == 0 {
+		return nil, err
 	}
-	if bf, ok := op.(BatchForwarder); ok && uniformSingleInput(ins) {
-		xs := make([]*tensor.Tensor, len(ins))
-		for e, in := range ins {
-			xs[e] = in[0]
-		}
-		return bf.ForwardBatch(xs)
+	if err := ForwardBatchInto(op, outs, ins); err != nil {
+		return nil, err
 	}
+	return outs, nil
+}
+
+// freshOutputs returns one zeroed tensor of op's output shape per input list.
+func freshOutputs(op Op, ins [][]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	outs := make([]*tensor.Tensor, len(ins))
 	for e, in := range ins {
-		out, err := op.Forward(in...)
+		shape, err := outShape(op, in)
 		if err != nil {
 			return nil, err
 		}
-		outs[e] = out
+		outs[e] = tensor.New(shape...)
+	}
+	return outs, nil
+}
+
+// ForwardBatchInto applies op to a batch of input lists, one list per query,
+// writing query e's output into dsts[e]. Single-input ops implementing
+// BatchForwarder with shape-uniform inputs take the batched kernel path;
+// everything else loops op.ForwardInto per query. Both paths produce bitwise
+// identical outputs.
+func ForwardBatchInto(op Op, dsts []*tensor.Tensor, ins [][]*tensor.Tensor) error {
+	if len(ins) == 0 {
+		return nil
+	}
+	if bf, ok := op.(BatchForwarder); ok && uniformSingleInput(ins) {
+		xs := ins[0] // a batch of one is its own input list
+		if len(ins) > 1 {
+			xs = make([]*tensor.Tensor, len(ins))
+			for e, in := range ins {
+				xs[e] = in[0]
+			}
+		}
+		return bf.ForwardBatchInto(dsts, xs)
+	}
+	for e, in := range ins {
+		if err := op.ForwardInto(dsts[e], in...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// forwardBatchNew is every BatchForwarder's ForwardBatch: ForwardBatchInto on
+// fresh tensors of the output shape.
+func forwardBatchNew(op BatchForwarder, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	ins := make([][]*tensor.Tensor, len(xs))
+	for e := range xs {
+		ins[e] = xs[e : e+1]
+	}
+	outs, err := freshOutputs(op, ins)
+	if err != nil || len(xs) == 0 {
+		return nil, err
+	}
+	if err := op.ForwardBatchInto(outs, xs); err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
@@ -51,9 +98,8 @@ func uniformSingleInput(ins [][]*tensor.Tensor) bool {
 	if len(ins[0]) != 1 {
 		return false
 	}
-	shape := ins[0][0].Shape()
 	for _, in := range ins[1:] {
-		if len(in) != 1 || !tensor.ShapeEqual(in[0].Shape(), shape) {
+		if len(in) != 1 || !in[0].SameShape(ins[0][0]) {
 			return false
 		}
 	}

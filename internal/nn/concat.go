@@ -65,11 +65,29 @@ func (c *Concat) Init(*rand.Rand) {}
 func (c *Concat) Initialized() bool { return true }
 
 // Forward implements Op.
-func (c *Concat) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+func (c *Concat) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(c, in) }
+
+// ForwardInto implements Op: channels are the outermost dimension, so the
+// output is the inputs' elements one after the other.
+func (c *Concat) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if len(in) < 2 {
-		return nil, fmt.Errorf("nn: Concat %q expects >= 2 inputs, got %d", c.OpName, len(in))
+		return fmt.Errorf("nn: Concat %q expects >= 2 inputs, got %d", c.OpName, len(in))
 	}
-	return tensor.ConcatDim(0, in...)
+	channels := 0
+	for i, x := range in {
+		if x.Rank() != 3 || in[0].Rank() != 3 || x.Dim(1) != in[0].Dim(1) || x.Dim(2) != in[0].Dim(2) {
+			return fmt.Errorf("nn: Concat %q input %d is %v, input 0 is %v", c.OpName, i, x.Shape(), in[0].Shape())
+		}
+		channels += x.Dim(0)
+	}
+	if err := checkDst(c, dst, channels, in[0].Dim(1), in[0].Dim(2)); err != nil {
+		return err
+	}
+	od := dst.Data()
+	for _, x := range in {
+		od = od[copy(od, x.Data()):]
+	}
+	return nil
 }
 
 // HKernel implements Spatial.
@@ -77,5 +95,11 @@ func (c *Concat) HKernel() (k, s, p int) { return 1, 1, 0 }
 
 // ForwardValidH implements Spatial.
 func (c *Concat) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.Forward(in...)
+	return forwardValidHNew(c, in)
+}
+
+// ForwardValidHInto implements Spatial: no window along height, so the same
+// as ForwardInto.
+func (c *Concat) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return c.ForwardInto(dst, in...)
 }

@@ -105,8 +105,11 @@ func (c *Conv2D) SetWeights(ws []*tensor.Tensor) error {
 }
 
 // Forward implements Op with implicit zero padding on both axes.
-func (c *Conv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.forwardOne(in, true, nil)
+func (c *Conv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(c, in) }
+
+// ForwardInto implements Op.
+func (c *Conv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return c.forwardOne(dst, in, true, nil)
 }
 
 // HKernel implements Spatial.
@@ -115,7 +118,12 @@ func (c *Conv2D) HKernel() (k, s, p int) { return c.Kernel, c.Stride, c.Pad }
 // ForwardValidH implements Spatial: zero padding is applied along width
 // only; the caller has supplied halo rows along height.
 func (c *Conv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.forwardOne(in, false, nil)
+	return forwardValidHNew(c, in)
+}
+
+// ForwardValidHInto implements Spatial.
+func (c *Conv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return c.forwardOne(dst, in, false, nil)
 }
 
 // ForwardBatch implements BatchForwarder: the batch's pixels are further
@@ -123,46 +131,48 @@ func (c *Conv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 // equal to the per-query loop. Inputs must share one shape (the dispatcher
 // in batch.go falls back to the loop otherwise).
 func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return c.forward(xs, true, nil)
+	return forwardBatchNew(c, xs)
+}
+
+// ForwardBatchInto implements BatchForwarder.
+func (c *Conv2D) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
+	return c.forward(dsts, xs, true, nil)
 }
 
 // forwardOne is forward for the single-input Op entry points.
-func (c *Conv2D) forwardOne(in []*tensor.Tensor, padH bool, epi *epilogue) (*tensor.Tensor, error) {
+func (c *Conv2D) forwardOne(dst *tensor.Tensor, in []*tensor.Tensor, padH bool, epi *epilogue) error {
 	if err := checkOneInput("Conv2D", len(in)); err != nil {
-		return nil, err
+		return err
 	}
-	outs, err := c.forward(in, padH, epi)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
+	return c.forward([]*tensor.Tensor{dst}, in, padH, epi)
 }
 
-// forward lowers the convolution of every xs[e] onto the GEMM engine as an
-// implicit GEMM: gemmBias multiplies the [OutC][InC*K*K] weight rows against
-// the im2col matrix of the inputs, which is never built — convCols packs one
-// depth slice of one column block at a time into the engine's scratch,
-// straight from the input tensor. Zero padding is synthesized while packing
-// (out-of-range pixels become zero panel entries), identical bitwise to
-// convolving an explicitly padded copy but without staging one. Each output
-// element accumulates its K terms strictly in (ic, ky, kx) order — the
-// accumulation-order contract in gemm.go — so outputs are bitwise identical
-// at every parallelism level, batch size, and under spatial/channel
-// partitioning. epi, if non-nil, is a fused per-channel post-op applied to
-// finished tiles (see fused.go).
-func (c *Conv2D) forward(xs []*tensor.Tensor, padH bool, epi *epilogue) ([]*tensor.Tensor, error) {
+// forward lowers the convolution of every xs[e] into dsts[e] onto the GEMM
+// engine as an implicit GEMM: gemmBias multiplies the [OutC][InC*K*K] weight
+// rows against the im2col matrix of the inputs, which is never built —
+// convCols packs one depth slice of one column block at a time into the
+// engine's scratch, straight from the input tensor. Zero padding is
+// synthesized while packing (out-of-range pixels become zero panel entries),
+// identical bitwise to convolving an explicitly padded copy but without
+// staging one. Each output element starts from its bias and accumulates its K
+// terms strictly in (ic, ky, kx) order — the accumulation-order contract in
+// gemm.go — so outputs are bitwise identical at every parallelism level, batch
+// size, and under spatial/channel partitioning, whatever the destination held.
+// epi, if non-nil, is a fused per-channel post-op applied to finished tiles
+// (see fused.go).
+func (c *Conv2D) forward(dsts, xs []*tensor.Tensor, padH bool, epi *epilogue) error {
 	if len(xs) == 0 {
-		return nil, nil
+		return nil
 	}
 	if !c.Initialized() {
-		return nil, fmt.Errorf("nn: Conv2D %q has no weights", c.OpName)
+		return fmt.Errorf("nn: Conv2D %q has no weights", c.OpName)
 	}
 	for e, x := range xs {
 		if x.Rank() != 3 || x.Dim(0) != c.InC {
-			return nil, fmt.Errorf("nn: Conv2D %q bad input %v", c.OpName, x.Shape())
+			return fmt.Errorf("nn: Conv2D %q bad input %v", c.OpName, x.Shape())
 		}
-		if e > 0 && !tensor.ShapeEqual(x.Shape(), xs[0].Shape()) {
-			return nil, fmt.Errorf("nn: Conv2D %q batch mixes shapes %v and %v", c.OpName, xs[0].Shape(), x.Shape())
+		if e > 0 && !x.SameShape(xs[0]) {
+			return fmt.Errorf("nn: Conv2D %q batch mixes shapes %v and %v", c.OpName, xs[0].Shape(), x.Shape())
 		}
 	}
 	cc := convCols{h: xs[0].Dim(1), w: xs[0].Dim(2), kernel: c.Kernel, stride: c.Stride, padL: c.Pad}
@@ -172,17 +182,18 @@ func (c *Conv2D) forward(xs []*tensor.Tensor, padH bool, epi *epilogue) ([]*tens
 	cc.oh = (cc.h+2*cc.padTop-c.Kernel)/c.Stride + 1
 	cc.ow = (cc.w+2*cc.padL-c.Kernel)/c.Stride + 1
 	if cc.oh <= 0 || cc.ow <= 0 {
-		return nil, fmt.Errorf("nn: Conv2D %q empty output for input %v", c.OpName, xs[0].Shape())
+		return fmt.Errorf("nn: Conv2D %q empty output for input %v", c.OpName, xs[0].Shape())
 	}
-	outs := make([]*tensor.Tensor, len(xs))
 	ods := make([][]float32, len(xs))
 	cc.xs = make([][]float32, len(xs))
 	for e, x := range xs {
-		outs[e] = tensor.New(c.OutC, cc.oh, cc.ow)
-		ods[e], cc.xs[e] = outs[e].Data(), x.Data()
+		if err := checkDst(c, dsts[e], c.OutC, cc.oh, cc.ow); err != nil {
+			return err
+		}
+		ods[e], cc.xs[e] = dsts[e].Data(), x.Data()
 	}
 	gemmBias(c.OutC, cc.oh*cc.ow, c.InC*c.Kernel*c.Kernel, c.W.Data(), c.B.Data(), &cc, ods, epi)
-	return outs, nil
+	return nil
 }
 
 // convCols is the im2col matrix of one (batched) forward, unbuilt: row p is
@@ -306,18 +317,21 @@ func tapColumns(off, stride, w, ow int) (ox0, ox1 int) {
 func (c *Conv2D) OutChannels() int { return c.OutC }
 
 // SliceChannels implements ChannelSliceable: the returned convolution keeps
-// filters [start, end) and computes the corresponding output channels.
+// filters [start, end), shared with c, and computes the corresponding output
+// channels.
 func (c *Conv2D) SliceChannels(start, end int) (Op, error) {
 	if start < 0 || end > c.OutC || start >= end {
 		return nil, fmt.Errorf("nn: Conv2D %q channel slice [%d,%d) out of range %d", c.OpName, start, end, c.OutC)
 	}
 	out := NewConv2D(fmt.Sprintf("%s[%d:%d]", c.OpName, start, end), c.InC, end-start, c.Kernel, c.Stride, c.Pad)
 	if c.Initialized() {
-		w, err := c.W.SliceDim(0, start, end)
+		// The filters of a channel range are consecutive rows of W: the
+		// slice shares them (weights are never written after Init).
+		w, err := c.W.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}
-		b, err := c.B.SliceDim(0, start, end)
+		b, err := c.B.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}

@@ -90,72 +90,77 @@ func (d *Dense) SetWeights(ws []*tensor.Tensor) error {
 	return nil
 }
 
-// Forward implements Op: the one-element call of the batched body.
-func (d *Dense) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return d.forwardOne(in, false)
+// Forward implements Op.
+func (d *Dense) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(d, in) }
+
+// ForwardInto implements Op: the one-element call of the batched body.
+func (d *Dense) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return d.forwardOne(dst, in, false)
 }
 
 // ForwardBatch implements BatchForwarder: one row-dot pass over all inputs,
 // bitwise identical to the per-query loop (see gemvBias).
 func (d *Dense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return d.forward(xs, false)
+	return forwardBatchNew(d, xs)
 }
 
+// ForwardBatchInto implements BatchForwarder.
+func (d *Dense) ForwardBatchInto(dsts, xs []*tensor.Tensor) error { return d.forward(dsts, xs, false) }
+
 // forwardOne is forward for the single-input Op entry points.
-func (d *Dense) forwardOne(in []*tensor.Tensor, relu bool) (*tensor.Tensor, error) {
+func (d *Dense) forwardOne(dst *tensor.Tensor, in []*tensor.Tensor, relu bool) error {
 	if err := checkOneInput("Dense", len(in)); err != nil {
-		return nil, err
+		return err
 	}
-	outs, err := d.forward(in, relu)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
+	return d.forward([]*tensor.Tensor{dst}, in, relu)
 }
 
 // forward lowers the layer onto the row-dot micro-kernel (gemm.go) for every
-// xs[e]. Each output row reduces over In with the fixed lane-striped schedule
-// of laneDotAcc — invariant under parallelism, batch size and channel
-// slicing — and relu optionally fuses the activation into the same pass (see
-// fused.go).
-func (d *Dense) forward(xs []*tensor.Tensor, relu bool) ([]*tensor.Tensor, error) {
+// xs[e], into dsts[e]. Each output row starts from its bias and reduces over
+// In with the fixed lane-striped schedule of laneDotAcc — invariant under
+// parallelism, batch size and channel slicing — and relu optionally fuses the
+// activation into the same pass (see fused.go).
+func (d *Dense) forward(dsts, xs []*tensor.Tensor, relu bool) error {
 	if len(xs) == 0 {
-		return nil, nil
+		return nil
 	}
 	if !d.Initialized() {
-		return nil, fmt.Errorf("nn: Dense %q has no weights", d.OpName)
+		return fmt.Errorf("nn: Dense %q has no weights", d.OpName)
 	}
-	outs := make([]*tensor.Tensor, len(xs))
 	ins := make([][]float32, len(xs))
 	ods := make([][]float32, len(xs))
 	for e, x := range xs {
 		if x.Rank() != 1 || x.Dim(0) != d.In {
-			return nil, fmt.Errorf("nn: Dense %q bad input %v", d.OpName, x.Shape())
+			return fmt.Errorf("nn: Dense %q bad input %v", d.OpName, x.Shape())
 		}
-		outs[e] = tensor.New(d.Out)
+		if err := checkDst(d, dsts[e], d.Out); err != nil {
+			return err
+		}
 		ins[e] = x.Data()
-		ods[e] = outs[e].Data()
+		ods[e] = dsts[e].Data()
 	}
 	gemvBias(d.Out, d.In, d.W.Data(), d.B.Data(), ins, ods, relu)
-	return outs, nil
+	return nil
 }
 
 // OutChannels implements ChannelSliceable.
 func (d *Dense) OutChannels() int { return d.Out }
 
 // SliceChannels implements ChannelSliceable: the returned layer computes
-// output features [start, end) from the full input.
+// output features [start, end) from the full input. Its weights are rows
+// [start, end) of d's, shared and not copied (they are never written after
+// Init), so slicing a layer per deployment costs no pass over its matrix.
 func (d *Dense) SliceChannels(start, end int) (Op, error) {
 	if start < 0 || end > d.Out || start >= end {
 		return nil, fmt.Errorf("nn: Dense %q channel slice [%d,%d) out of range %d", d.OpName, start, end, d.Out)
 	}
 	out := NewDense(fmt.Sprintf("%s[%d:%d]", d.OpName, start, end), d.In, end-start)
 	if d.Initialized() {
-		w, err := d.W.SliceDim(0, start, end)
+		w, err := d.W.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}
-		b, err := d.B.SliceDim(0, start, end)
+		b, err := d.B.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}
@@ -169,7 +174,7 @@ type Flatten struct {
 	OpName string
 }
 
-var _ Op = (*Flatten)(nil)
+var _ Aliaser = (*Flatten)(nil)
 
 // NewFlatten constructs a flatten operator.
 func NewFlatten(name string) *Flatten { return &Flatten{OpName: name} }
@@ -201,9 +206,19 @@ func (f *Flatten) Init(*rand.Rand) {}
 func (f *Flatten) Initialized() bool { return true }
 
 // Forward implements Op.
-func (f *Flatten) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+func (f *Flatten) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(f, in) }
+
+// ForwardInto implements Op: a copy of the input's elements.
+func (f *Flatten) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("Flatten", len(in)); err != nil {
-		return nil, err
+		return err
 	}
-	return in[0].Clone().Reshape(in[0].Len())
+	if err := checkDst(f, dst, in[0].Len()); err != nil {
+		return err
+	}
+	copy(dst.Data(), in[0].Data())
+	return nil
 }
+
+// Alias implements Aliaser: the input under a rank-1 shape.
+func (f *Flatten) Alias(in *tensor.Tensor) (*tensor.Tensor, error) { return in.Reshape(in.Len()) }

@@ -116,7 +116,12 @@ func (d *DepthwiseConv2D) SetWeights(ws []*tensor.Tensor) error {
 
 // Forward implements Op.
 func (d *DepthwiseConv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return d.forward(in, true)
+	return forwardNew(d, in)
+}
+
+// ForwardInto implements Op.
+func (d *DepthwiseConv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return d.forward(dst, in, true)
 }
 
 // HKernel implements Spatial.
@@ -124,19 +129,24 @@ func (d *DepthwiseConv2D) HKernel() (k, s, p int) { return d.Kernel, d.Stride, d
 
 // ForwardValidH implements Spatial.
 func (d *DepthwiseConv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return d.forward(in, false)
+	return forwardValidHNew(d, in)
 }
 
-func (d *DepthwiseConv2D) forward(in []*tensor.Tensor, padH bool) (*tensor.Tensor, error) {
+// ForwardValidHInto implements Spatial.
+func (d *DepthwiseConv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return d.forward(dst, in, false)
+}
+
+func (d *DepthwiseConv2D) forward(dst *tensor.Tensor, in []*tensor.Tensor, padH bool) error {
 	if err := checkOneInput("DepthwiseConv2D", len(in)); err != nil {
-		return nil, err
+		return err
 	}
 	if !d.Initialized() {
-		return nil, fmt.Errorf("nn: DepthwiseConv2D %q has no weights", d.OpName)
+		return fmt.Errorf("nn: DepthwiseConv2D %q has no weights", d.OpName)
 	}
 	x := in[0]
 	if x.Rank() != 3 || x.Dim(0) != d.C {
-		return nil, fmt.Errorf("nn: DepthwiseConv2D %q bad input %v", d.OpName, x.Shape())
+		return fmt.Errorf("nn: DepthwiseConv2D %q bad input %v", d.OpName, x.Shape())
 	}
 	// Windows are read directly from the input with clipped indexing —
 	// no staged padded/sliced copy. Boundary windows still accumulate an
@@ -152,10 +162,12 @@ func (d *DepthwiseConv2D) forward(in []*tensor.Tensor, padH bool) (*tensor.Tenso
 	oh := (h+2*padTop-d.Kernel)/d.Stride + 1
 	ow := (w+2*padL-d.Kernel)/d.Stride + 1
 	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: DepthwiseConv2D %q empty output", d.OpName)
+		return fmt.Errorf("nn: DepthwiseConv2D %q empty output", d.OpName)
 	}
-	out := tensor.New(span, oh, ow)
-	wd, bd, od := d.W.Data(), d.B.Data(), out.Data()
+	if err := checkDst(d, dst, span, oh, ow); err != nil {
+		return err
+	}
+	wd, bd, od := d.W.Data(), d.B.Data(), dst.Data()
 	k := d.Kernel
 	// Output channel c depends only on input channel c: parallelizing over
 	// channels splits no reduction, so outputs are bitwise identical at
@@ -251,7 +263,7 @@ func (d *DepthwiseConv2D) forward(in []*tensor.Tensor, padH bool) (*tensor.Tenso
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // ceilDiv returns ceil(a/b) for non-negative a and positive b.
@@ -270,11 +282,11 @@ func (d *DepthwiseConv2D) SliceChannels(start, end int) (Op, error) {
 	out := NewDepthwiseConv2D(fmt.Sprintf("%s[%d:%d]", d.OpName, start, end), d.C, d.Kernel, d.Stride, d.Pad)
 	out.Lo, out.Hi = d.Lo+start, d.Lo+end
 	if d.Initialized() {
-		w, err := d.W.SliceDim(0, start, end)
+		w, err := d.W.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}
-		b, err := d.B.SliceDim(0, start, end)
+		b, err := d.B.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}

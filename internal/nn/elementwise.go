@@ -108,20 +108,25 @@ func (b *BatchNorm) SetWeights(ws []*tensor.Tensor) error {
 }
 
 // Forward implements Op.
-func (b *BatchNorm) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+func (b *BatchNorm) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(b, in) }
+
+// ForwardInto implements Op.
+func (b *BatchNorm) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("BatchNorm", len(in)); err != nil {
-		return nil, err
+		return err
 	}
 	if !b.Initialized() {
-		return nil, fmt.Errorf("nn: BatchNorm %q has no weights", b.OpName)
+		return fmt.Errorf("nn: BatchNorm %q has no weights", b.OpName)
 	}
 	x := in[0]
 	if x.Rank() != 3 || x.Dim(0) != b.C {
-		return nil, fmt.Errorf("nn: BatchNorm %q bad input %v", b.OpName, x.Shape())
+		return fmt.Errorf("nn: BatchNorm %q bad input %v", b.OpName, x.Shape())
 	}
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := tensor.New(c, h, w)
-	xd, od := x.Data(), out.Data()
+	if err := checkDst(b, dst, c, h, w); err != nil {
+		return err
+	}
+	xd, od := x.Data(), dst.Data()
 	g, bt, mn, vr := b.Gamma.Data(), b.Beta.Data(), b.Mean.Data(), b.Var.Data()
 	for ci := 0; ci < c; ci++ {
 		scale := g[ci] / float32(math.Sqrt(float64(vr[ci]+b.Eps)))
@@ -130,7 +135,7 @@ func (b *BatchNorm) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 		// the affine a FusedConv2D applies in the GEMM epilogue.
 		affineClampGo(od[ci*h*w:(ci+1)*h*w], xd[ci*h*w:(ci+1)*h*w], scale, shift, true, false)
 	}
-	return out, nil
+	return nil
 }
 
 // HKernel implements Spatial.
@@ -138,7 +143,13 @@ func (b *BatchNorm) HKernel() (k, s, p int) { return 1, 1, 0 }
 
 // ForwardValidH implements Spatial.
 func (b *BatchNorm) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return b.Forward(in...)
+	return forwardValidHNew(b, in)
+}
+
+// ForwardValidHInto implements Spatial: element-wise, so the same as
+// ForwardInto.
+func (b *BatchNorm) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return b.ForwardInto(dst, in...)
 }
 
 // OutChannels implements ChannelSliceable.
@@ -154,7 +165,7 @@ func (b *BatchNorm) SliceChannels(start, end int) (Op, error) {
 	if b.Initialized() {
 		ws := make([]*tensor.Tensor, 4)
 		for i, w := range b.Weights() {
-			s, err := w.SliceDim(0, start, end)
+			s, err := w.Rows(start, end)
 			if err != nil {
 				return nil, err
 			}
@@ -211,13 +222,18 @@ func (r *ReLU) Init(*rand.Rand) {}
 func (r *ReLU) Initialized() bool { return true }
 
 // Forward implements Op.
-func (r *ReLU) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+func (r *ReLU) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(r, in) }
+
+// ForwardInto implements Op.
+func (r *ReLU) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("ReLU", len(in)); err != nil {
-		return nil, err
+		return err
 	}
-	out := tensor.New(in[0].Shape()...)
-	tile.clampRow(out.Data(), in[0].Data())
-	return out, nil
+	if err := checkDstLike(r, dst, in[0]); err != nil {
+		return err
+	}
+	tile.clampRow(dst.Data(), in[0].Data())
+	return nil
 }
 
 // HKernel implements Spatial.
@@ -225,7 +241,13 @@ func (r *ReLU) HKernel() (k, s, p int) { return 1, 1, 0 }
 
 // ForwardValidH implements Spatial.
 func (r *ReLU) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return r.Forward(in...)
+	return forwardValidHNew(r, in)
+}
+
+// ForwardValidHInto implements Spatial: element-wise, so the same as
+// ForwardInto.
+func (r *ReLU) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return r.ForwardInto(dst, in...)
 }
 
 // Add sums two same-shaped tensors element-wise (residual connections).
@@ -275,20 +297,24 @@ func (a *Add) Init(*rand.Rand) {}
 func (a *Add) Initialized() bool { return true }
 
 // Forward implements Op.
-func (a *Add) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+func (a *Add) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(a, in) }
+
+// ForwardInto implements Op.
+func (a *Add) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if len(in) != 2 {
-		return nil, fmt.Errorf("nn: Add expects 2 inputs, got %d", len(in))
+		return fmt.Errorf("nn: Add expects 2 inputs, got %d", len(in))
 	}
-	shape := in[0].Shape()
-	if !tensor.ShapeEqual(shape, in[1].Shape()) {
-		return nil, fmt.Errorf("nn: Add %q: shape mismatch %v vs %v", a.OpName, shape, in[1].Shape())
+	if !in[0].SameShape(in[1]) {
+		return fmt.Errorf("nn: Add %q: shape mismatch %v vs %v", a.OpName, in[0].Shape(), in[1].Shape())
 	}
-	out := tensor.New(shape...)
-	xd, yd, od := in[0].Data(), in[1].Data(), out.Data()
+	if err := checkDstLike(a, dst, in[0]); err != nil {
+		return err
+	}
+	xd, yd, od := in[0].Data(), in[1].Data(), dst.Data()
 	for i := range od {
 		od[i] = xd[i] + yd[i]
 	}
-	return out, nil
+	return nil
 }
 
 // HKernel implements Spatial.
@@ -296,7 +322,13 @@ func (a *Add) HKernel() (k, s, p int) { return 1, 1, 0 }
 
 // ForwardValidH implements Spatial.
 func (a *Add) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return a.Forward(in...)
+	return forwardValidHNew(a, in)
+}
+
+// ForwardValidHInto implements Spatial: element-wise, so the same as
+// ForwardInto.
+func (a *Add) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return a.ForwardInto(dst, in...)
 }
 
 // Softmax normalizes the final dimension into a probability distribution.
@@ -343,24 +375,29 @@ func (s *Softmax) Init(*rand.Rand) {}
 func (s *Softmax) Initialized() bool { return true }
 
 // Forward implements Op.
-func (s *Softmax) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+func (s *Softmax) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(s, in) }
+
+// ForwardInto implements Op.
+func (s *Softmax) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("Softmax", len(in)); err != nil {
-		return nil, err
+		return err
 	}
 	x := in[0]
+	if err := checkDstLike(s, dst, x); err != nil {
+		return err
+	}
 	n := x.Dim(x.Rank() - 1)
-	out := x.Clone()
-	d := out.Data()
-	for base := 0; base < len(d); base += n {
-		row := d[base : base+n]
-		mx := row[0]
-		for _, v := range row {
+	xd, od := x.Data(), dst.Data()
+	for base := 0; base < len(xd); base += n {
+		src, row := xd[base:base+n], od[base:base+n]
+		mx := src[0]
+		for _, v := range src {
 			if v > mx {
 				mx = v
 			}
 		}
 		var sum float32
-		for i, v := range row {
+		for i, v := range src {
 			e := float32(math.Exp(float64(v - mx)))
 			row[i] = e
 			sum += e
@@ -370,5 +407,5 @@ func (s *Softmax) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 			row[i] *= inv
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -190,14 +190,24 @@ func (f *FusedConv2D) SetWeights(ws []*tensor.Tensor) error {
 
 // Forward implements Op.
 func (f *FusedConv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return f.Conv.forwardOne(in, true, f.epi())
+	return forwardNew(f, in)
+}
+
+// ForwardInto implements Op.
+func (f *FusedConv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return f.Conv.forwardOne(dst, in, true, f.epi())
 }
 
 // ForwardBatch implements BatchForwarder: the batched conv pass with the
 // folded BatchNorm/ReLU epilogue applied to each element's finished rows,
 // bitwise identical to the per-query fused forward.
 func (f *FusedConv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return f.Conv.forward(xs, true, f.epi())
+	return forwardBatchNew(f, xs)
+}
+
+// ForwardBatchInto implements BatchForwarder.
+func (f *FusedConv2D) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
+	return f.Conv.forward(dsts, xs, true, f.epi())
 }
 
 // HKernel implements Spatial.
@@ -205,7 +215,12 @@ func (f *FusedConv2D) HKernel() (k, s, p int) { return f.Conv.HKernel() }
 
 // ForwardValidH implements Spatial.
 func (f *FusedConv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return f.Conv.forwardOne(in, false, f.epi())
+	return forwardValidHNew(f, in)
+}
+
+// ForwardValidHInto implements Spatial.
+func (f *FusedConv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return f.Conv.forwardOne(dst, in, false, f.epi())
 }
 
 // OutChannels implements ChannelSliceable.
@@ -221,11 +236,11 @@ func (f *FusedConv2D) SliceChannels(start, end int) (Op, error) {
 	}
 	out := &FusedConv2D{Conv: cs.(*Conv2D), Relu: f.Relu}
 	if f.Scale != nil {
-		scale, err := f.Scale.SliceDim(0, start, end)
+		scale, err := f.Scale.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}
-		shift, err := f.Shift.SliceDim(0, start, end)
+		shift, err := f.Shift.Rows(start, end)
 		if err != nil {
 			return nil, err
 		}
@@ -278,13 +293,23 @@ func (f *FusedDense) SetWeights(ws []*tensor.Tensor) error { return f.Dense.SetW
 
 // Forward implements Op.
 func (f *FusedDense) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return f.Dense.forwardOne(in, true)
+	return forwardNew(f, in)
+}
+
+// ForwardInto implements Op.
+func (f *FusedDense) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return f.Dense.forwardOne(dst, in, true)
 }
 
 // ForwardBatch implements BatchForwarder with the ReLU fused into the
 // row-dot pass.
 func (f *FusedDense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return f.Dense.forward(xs, true)
+	return forwardBatchNew(f, xs)
+}
+
+// ForwardBatchInto implements BatchForwarder.
+func (f *FusedDense) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
+	return f.Dense.forward(dsts, xs, true)
 }
 
 // OutChannels implements ChannelSliceable.

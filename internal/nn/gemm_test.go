@@ -245,8 +245,12 @@ func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 		for _, rc := range cases {
 			for _, p := range []int{1, 2, 3, 8} {
 				for _, batch := range []int{1, 3} {
+					got := make([]*tensor.Tensor, batch)
+					for e := range got {
+						got[e] = tensor.New(rc.want[e].Shape()...)
+					}
 					restore := par.SetParallelism(p)
-					got, err := rc.c.forward(rc.xs[:batch], rc.padH, rc.epi)
+					err := rc.c.forward(got, rc.xs[:batch], rc.padH, rc.epi)
 					restore()
 					if err != nil {
 						t.Fatal(err)

@@ -106,20 +106,23 @@ func (l *LSTM) SetWeights(ws []*tensor.Tensor) error {
 	return nil
 }
 
-// Forward implements Op, starting from zero initial hidden and cell states:
-// the one-element call of ForwardBatch.
-func (l *LSTM) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+// Forward implements Op, starting from zero initial hidden and cell states.
+func (l *LSTM) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(l, in) }
+
+// ForwardInto implements Op: the one-element call of ForwardBatchInto.
+func (l *LSTM) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("LSTM", len(in)); err != nil {
-		return nil, err
+		return err
 	}
-	outs, err := l.ForwardBatch(in)
-	if err != nil {
-		return nil, err
-	}
-	return outs[0], nil
+	return l.ForwardBatchInto([]*tensor.Tensor{dst}, in)
 }
 
-// ForwardBatch implements BatchForwarder. The timestep recurrence is
+// ForwardBatch implements BatchForwarder.
+func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	return forwardBatchNew(l, xs)
+}
+
+// ForwardBatchInto implements BatchForwarder. The timestep recurrence is
 // inherently serial, but within a step the 4*Hidden gate rows are independent
 // row-dots and the Hidden state updates are element-wise, so the parallel
 // index space is batch×bands: every (element, band) pair runs against that
@@ -130,19 +133,22 @@ func (l *LSTM) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 // outputs are bitwise identical to the per-query loop at every parallelism
 // level. Inputs must share one shape (the dispatcher in batch.go falls back
 // to the loop otherwise).
-func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func (l *LSTM) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
 	if len(xs) == 0 {
-		return nil, nil
+		return nil
 	}
 	if !l.Initialized() {
-		return nil, fmt.Errorf("nn: LSTM %q has no weights", l.OpName)
+		return fmt.Errorf("nn: LSTM %q has no weights", l.OpName)
 	}
-	for _, x := range xs {
+	for e, x := range xs {
 		if x.Rank() != 2 || x.Dim(1) != l.InSize {
-			return nil, fmt.Errorf("nn: LSTM %q bad input %v", l.OpName, x.Shape())
+			return fmt.Errorf("nn: LSTM %q bad input %v", l.OpName, x.Shape())
 		}
 		if x.Dim(0) != xs[0].Dim(0) {
-			return nil, fmt.Errorf("nn: LSTM %q batch mixes sequence lengths %d and %d", l.OpName, xs[0].Dim(0), x.Dim(0))
+			return fmt.Errorf("nn: LSTM %q batch mixes sequence lengths %d and %d", l.OpName, xs[0].Dim(0), x.Dim(0))
+		}
+		if err := checkDst(l, dsts[e], x.Dim(0), l.Hidden); err != nil {
+			return err
 		}
 	}
 	batch := len(xs)
@@ -150,13 +156,11 @@ func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	h := l.Hidden
 	wx, wh, bias := l.Wx.Data(), l.Wh.Data(), l.B.Data()
 
-	outs := make([]*tensor.Tensor, batch)
 	xds := make([][]float32, batch)
 	ods := make([][]float32, batch)
 	for e, x := range xs {
-		outs[e] = tensor.New(steps, h)
 		xds[e] = x.Data()
-		ods[e] = outs[e].Data()
+		ods[e] = dsts[e].Data()
 	}
 	// All per-step temporaries come from the scratch arena: one slab per
 	// kind, sliced per element; each element's state region is touched only
@@ -208,7 +212,7 @@ func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 			copy(ods[e][t*h:(t+1)*h], hAll[e*h:(e+1)*h])
 		}
 	}
-	return outs, nil
+	return nil
 }
 
 func sigmoid(v float32) float32 {

@@ -5,13 +5,21 @@
 // MXNet backend used by the original system.
 //
 // Conventions:
-//   - Feature maps are CHW (no batch dimension; Gillis serves single
-//     queries).
+//   - Feature maps are CHW (no batch dimension; a batch is a list of
+//     tensors).
 //   - Dense vectors are rank-1.
 //   - Recurrent inputs are [T, features] sequences.
 //   - A multiply-accumulate counts as 2 FLOPs.
 //   - ParamCount is the number of stored fp32 scalars (what occupies
 //     function memory), not the number of trainable parameters.
+//   - Every forward entry point comes in two spellings of one body: the
+//     destination-taking one (ForwardInto, ForwardValidHInto,
+//     ForwardBatchInto) overwrites every element of a tensor the caller
+//     supplies — which may be uninitialized memory out of an activation
+//     arena, so no body accumulates into what it finds there — and the
+//     allocating one (Forward, ForwardValidH, ForwardBatch) is that body run
+//     on a fresh tensor of the output shape. A destination shares storage
+//     with no input.
 package nn
 
 import (
@@ -76,6 +84,9 @@ type Op interface {
 	// Forward computes the operator output. Weighted operators must have
 	// been initialized (Init or SetWeights) first.
 	Forward(in ...*tensor.Tensor) (*tensor.Tensor, error)
+	// ForwardInto computes the operator output into dst, which must have
+	// the shape OutShape gives for the inputs' shapes.
+	ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error
 	// FLOPs estimates the floating-point operations for the given input
 	// shapes.
 	FLOPs(in ...[]int) int64
@@ -110,6 +121,19 @@ type Spatial interface {
 	// height (width padding, if any, still applies). The caller supplies
 	// any required halo/padding rows explicitly.
 	ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error)
+	// ForwardValidHInto is ForwardValidH into dst, whose height is
+	// (h-k)/s+1 for an input of height h.
+	ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error
+}
+
+// Aliaser is implemented by operators that compute nothing: their output is
+// a contiguous run of their input's elements under another shape (Flatten,
+// TakeLast). A caller that keeps the input alive for as long as it uses the
+// output can take the view and skip the copy ForwardInto would make.
+type Aliaser interface {
+	Op
+	// Alias returns the operator's output as a view sharing in's storage.
+	Alias(in *tensor.Tensor) (*tensor.Tensor, error)
 }
 
 // ChannelSliceable is implemented by operators whose output channels (or
@@ -126,6 +150,75 @@ type ChannelSliceable interface {
 
 // ParamBytes returns the weight footprint of an op in bytes.
 func ParamBytes(op Op) int64 { return op.ParamCount() * 4 }
+
+// forwardNew is every operator's Forward: ForwardInto on a fresh tensor of
+// the output shape.
+func forwardNew(op Op, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	shape, err := outShape(op, in)
+	if err != nil {
+		return nil, err
+	}
+	dst := tensor.New(shape...)
+	if err := op.ForwardInto(dst, in...); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// forwardValidHNew is every spatial operator's ForwardValidH:
+// ForwardValidHInto on a fresh tensor of the output shape without the
+// implicit padding along height.
+func forwardValidHNew(op Spatial, in []*tensor.Tensor) (*tensor.Tensor, error) {
+	shape, err := outShape(op, in)
+	if err != nil {
+		return nil, err
+	}
+	// Only a CHW input has a height; the element-wise operators take any
+	// rank and keep it.
+	if x := in[0]; x.Rank() == 3 {
+		k, s, _ := op.HKernel()
+		if x.Dim(1) < k {
+			return nil, fmt.Errorf("nn: %s %q: input height %d under the kernel's %d", op.Kind(), op.Name(), x.Dim(1), k)
+		}
+		shape[1] = (x.Dim(1)-k)/s + 1
+	}
+	dst := tensor.New(shape...)
+	if err := op.ForwardValidHInto(dst, in...); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// outShape is op.OutShape of the inputs' shapes.
+func outShape(op Op, in []*tensor.Tensor) ([]int, error) {
+	shapes := make([][]int, len(in))
+	for i, x := range in {
+		shapes[i] = x.Shape()
+	}
+	return op.OutShape(shapes...)
+}
+
+// checkDst reports a destination that does not have the shape the forward
+// is about to produce. The error formats a copy of shape so that the
+// variadic stays on the caller's stack.
+func checkDst(op Op, dst *tensor.Tensor, shape ...int) error {
+	ok := dst.Rank() == len(shape)
+	for i := 0; ok && i < len(shape); i++ {
+		ok = dst.Dim(i) == shape[i]
+	}
+	if !ok {
+		return fmt.Errorf("nn: %s %q: destination %v, output is %v", op.Kind(), op.Name(), dst.Shape(), append([]int(nil), shape...))
+	}
+	return nil
+}
+
+// checkDstLike is checkDst for an output of x's shape.
+func checkDstLike(op Op, dst, x *tensor.Tensor) error {
+	if !dst.SameShape(x) {
+		return fmt.Errorf("nn: %s %q: destination %v, output is %v", op.Kind(), op.Name(), dst.Shape(), x.Shape())
+	}
+	return nil
+}
 
 func checkRank(op string, in []int, want int) error {
 	if len(in) != want {

@@ -67,8 +67,11 @@ func (m *MaxPool2D) Init(*rand.Rand) {}
 func (m *MaxPool2D) Initialized() bool { return true }
 
 // Forward implements Op.
-func (m *MaxPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return m.pool(in, true)
+func (m *MaxPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(m, in) }
+
+// ForwardInto implements Op.
+func (m *MaxPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return m.pool(dst, in, true)
 }
 
 // HKernel implements Spatial.
@@ -76,16 +79,21 @@ func (m *MaxPool2D) HKernel() (k, s, p int) { return m.Kernel, m.Stride, m.Pad }
 
 // ForwardValidH implements Spatial.
 func (m *MaxPool2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return m.pool(in, false)
+	return forwardValidHNew(m, in)
 }
 
-func (m *MaxPool2D) pool(in []*tensor.Tensor, padH bool) (*tensor.Tensor, error) {
+// ForwardValidHInto implements Spatial.
+func (m *MaxPool2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return m.pool(dst, in, false)
+}
+
+func (m *MaxPool2D) pool(dst *tensor.Tensor, in []*tensor.Tensor, padH bool) error {
 	if err := checkOneInput("MaxPool2D", len(in)); err != nil {
-		return nil, err
+		return err
 	}
 	x := in[0]
 	if x.Rank() != 3 {
-		return nil, fmt.Errorf("nn: MaxPool2D %q bad input %v", m.OpName, x.Shape())
+		return fmt.Errorf("nn: MaxPool2D %q bad input %v", m.OpName, x.Shape())
 	}
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	padTop := 0
@@ -98,10 +106,12 @@ func (m *MaxPool2D) pool(in []*tensor.Tensor, padH bool) (*tensor.Tensor, error)
 	oh := (hExt-m.Kernel)/m.Stride + 1
 	ow := (wExt-m.Kernel)/m.Stride + 1
 	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: MaxPool2D %q empty output for input %v", m.OpName, x.Shape())
+		return fmt.Errorf("nn: MaxPool2D %q empty output for input %v", m.OpName, x.Shape())
 	}
-	out := tensor.New(c, oh, ow)
-	xd, od := x.Data(), out.Data()
+	if err := checkDst(m, dst, c, oh, ow); err != nil {
+		return err
+	}
+	xd, od := x.Data(), dst.Data()
 	negInf := float32(math.Inf(-1))
 	k, s, t := m.Kernel, m.Stride, tile
 	// Channels are independent: parallelizing over them preserves bitwise
@@ -145,7 +155,7 @@ func (m *MaxPool2D) pool(in []*tensor.Tensor, padH bool) (*tensor.Tensor, error)
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // AvgPool2D is a 2-D average pooling operator without padding support (the
@@ -205,30 +215,40 @@ func (a *AvgPool2D) Init(*rand.Rand) {}
 func (a *AvgPool2D) Initialized() bool { return true }
 
 // Forward implements Op.
-func (a *AvgPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return a.ForwardValidH(in...)
+func (a *AvgPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(a, in) }
+
+// ForwardInto implements Op (identical to ForwardValidHInto: no padding).
+func (a *AvgPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return a.ForwardValidHInto(dst, in...)
 }
 
 // HKernel implements Spatial.
 func (a *AvgPool2D) HKernel() (k, s, p int) { return a.Kernel, a.Stride, 0 }
 
-// ForwardValidH implements Spatial (identical to Forward: no padding).
+// ForwardValidH implements Spatial.
 func (a *AvgPool2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+	return forwardValidHNew(a, in)
+}
+
+// ForwardValidHInto implements Spatial.
+func (a *AvgPool2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("AvgPool2D", len(in)); err != nil {
-		return nil, err
+		return err
 	}
 	x := in[0]
 	if x.Rank() != 3 {
-		return nil, fmt.Errorf("nn: AvgPool2D %q bad input %v", a.OpName, x.Shape())
+		return fmt.Errorf("nn: AvgPool2D %q bad input %v", a.OpName, x.Shape())
 	}
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
 	oh := (h-a.Kernel)/a.Stride + 1
 	ow := (w-a.Kernel)/a.Stride + 1
 	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("nn: AvgPool2D %q empty output for input %v", a.OpName, x.Shape())
+		return fmt.Errorf("nn: AvgPool2D %q empty output for input %v", a.OpName, x.Shape())
 	}
-	out := tensor.New(c, oh, ow)
-	xd, od := x.Data(), out.Data()
+	if err := checkDst(a, dst, c, oh, ow); err != nil {
+		return err
+	}
+	xd, od := x.Data(), dst.Data()
 	norm := 1 / float32(a.Kernel*a.Kernel)
 	// Channels are independent: parallelizing over them preserves bitwise
 	// outputs at every parallelism level.
@@ -248,7 +268,7 @@ func (a *AvgPool2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) 
 			}
 		}
 	})
-	return out, nil
+	return nil
 }
 
 // GlobalAvgPool averages each channel's full feature map, producing a rank-1
@@ -299,16 +319,23 @@ func (g *GlobalAvgPool) Initialized() bool { return true }
 
 // Forward implements Op.
 func (g *GlobalAvgPool) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+	return forwardNew(g, in)
+}
+
+// ForwardInto implements Op.
+func (g *GlobalAvgPool) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("GlobalAvgPool", len(in)); err != nil {
-		return nil, err
+		return err
 	}
 	x := in[0]
 	if x.Rank() != 3 {
-		return nil, fmt.Errorf("nn: GlobalAvgPool %q bad input %v", g.OpName, x.Shape())
+		return fmt.Errorf("nn: GlobalAvgPool %q bad input %v", g.OpName, x.Shape())
 	}
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := tensor.New(c)
-	xd, od := x.Data(), out.Data()
+	if err := checkDst(g, dst, c); err != nil {
+		return err
+	}
+	xd, od := x.Data(), dst.Data()
 	norm := 1 / float32(h*w)
 	// Per-channel means are independent reductions; the per-channel
 	// accumulation order is unchanged under parallelism.
@@ -321,5 +348,5 @@ func (g *GlobalAvgPool) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
 			od[ci] = acc * norm
 		}
 	})
-	return out, nil
+	return nil
 }

@@ -17,7 +17,7 @@ type TakeLast struct {
 	OpName string
 }
 
-var _ Op = (*TakeLast)(nil)
+var _ Aliaser = (*TakeLast)(nil)
 
 // NewTakeLast constructs a TakeLast operator.
 func NewTakeLast(name string) *TakeLast { return &TakeLast{OpName: name} }
@@ -52,17 +52,33 @@ func (l *TakeLast) Init(*rand.Rand) {}
 func (l *TakeLast) Initialized() bool { return true }
 
 // Forward implements Op.
-func (l *TakeLast) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+func (l *TakeLast) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(l, in) }
+
+// ForwardInto implements Op: a copy of the last row.
+func (l *TakeLast) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("TakeLast", len(in)); err != nil {
-		return nil, err
+		return err
 	}
-	x := in[0]
-	if x.Rank() != 2 {
-		return nil, fmt.Errorf("nn: TakeLast %q expects [T,H] input, got %v", l.OpName, x.Shape())
+	row, err := l.Alias(in[0])
+	if err != nil {
+		return err
 	}
-	row, err := x.SliceDim(0, x.Dim(0)-1, x.Dim(0))
+	if err := checkDst(l, dst, row.Len()); err != nil {
+		return err
+	}
+	copy(dst.Data(), row.Data())
+	return nil
+}
+
+// Alias implements Aliaser: the last row of a [T, H] sequence is its last H
+// elements.
+func (l *TakeLast) Alias(in *tensor.Tensor) (*tensor.Tensor, error) {
+	if in.Rank() != 2 {
+		return nil, fmt.Errorf("nn: TakeLast %q expects [T,H] input, got %v", l.OpName, in.Shape())
+	}
+	row, err := in.Rows(in.Dim(0)-1, in.Dim(0))
 	if err != nil {
 		return nil, err
 	}
-	return row.Reshape(x.Dim(1))
+	return row.Reshape(in.Dim(1))
 }

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,27 +130,87 @@ func TestSetParallelismRestore(t *testing.T) {
 }
 
 func TestScratchBufferReuse(t *testing.T) {
-	// A smaller request must reuse capacity, not reallocate. Under the race
-	// detector sync.Pool drops a quarter of its Puts on purpose, so one
-	// round trip may miss; twenty in a row do not.
+	// A smaller request of the same size class must reuse capacity, not
+	// reallocate. Under the race detector sync.Pool drops a quarter of its
+	// Puts on purpose, so one round trip may miss; twenty in a row do not.
 	for attempt := 0; ; attempt++ {
-		b := GetF32(1024)
-		if len(*b) != 1024 {
-			t.Fatalf("GetF32 len = %d, want 1024", len(*b))
+		b := GetF32(2000)
+		if len(*b) != 2000 {
+			t.Fatalf("GetF32 len = %d, want 2000", len(*b))
 		}
 		(*b)[0] = 42
 		PutF32(b)
-		c := GetF32(16)
-		if len(*c) != 16 {
-			t.Fatalf("GetF32 len = %d, want 16", len(*c))
+		c := GetF32(1024)
+		if len(*c) != 1024 {
+			t.Fatalf("GetF32 len = %d, want 1024", len(*c))
 		}
-		reused := cap(*c) >= 1024
+		reused := cap(*c) >= 2000
 		PutF32(c)
 		if reused {
 			return
 		}
 		if attempt == 20 {
 			t.Fatalf("scratch buffer was not reused: cap %d", cap(*c))
+		}
+	}
+}
+
+// TestScratchSizeClasses: a request draws only buffers of its own magnitude,
+// so a small pack buffer and a large arena, alternating on one goroutine as
+// they do in a forward, each get their own buffer back instead of the other's
+// (which the one that came up short used to throw away).
+func TestScratchSizeClasses(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 1023, 1024, 1025, 1 << 20} {
+		b := GetF32(n)
+		if len(*b) != n {
+			t.Fatalf("GetF32(%d) len = %d", n, len(*b))
+		}
+		PutF32(b)
+	}
+	for attempt := 0; ; attempt++ {
+		big, small := GetF32(1<<20), GetF32(100_000)
+		pb, ps := &(*big)[0], &(*small)[0]
+		PutF32(small)
+		PutF32(big)
+		big, small = GetF32(1<<20), GetF32(100_000)
+		same := pb == &(*big)[0] && ps == &(*small)[0]
+		if cap(*small) >= 1<<20 {
+			t.Fatalf("a %d-float request drew a %d-float buffer", len(*small), cap(*small))
+		}
+		PutF32(big)
+		PutF32(small)
+		if same {
+			return
+		}
+		if attempt == 20 {
+			t.Fatal("alternating sizes did not get their own buffers back")
+		}
+	}
+}
+
+// TestScratchBorrowsNextClassUp: with its own class empty, a request takes an
+// idle buffer of the next class up instead of allocating, and the buffer goes
+// back to the class of its capacity.
+func TestScratchBorrowsNextClassUp(t *testing.T) {
+	const big, small = 3 << 12, 3 << 11 // classes 14 and 13: no other test uses them or 15, which big would borrow from
+	for attempt := 0; ; attempt++ {
+		// A miss below leaves a buffer in the small class; empty it.
+		for f32Pools[bits.Len(small)].Get() != nil {
+		}
+		b := GetF32(big)
+		addr := &(*b)[0]
+		PutF32(b)
+		s := GetF32(small)
+		borrowed := &(*s)[0] == addr && len(*s) == small
+		PutF32(s)
+		b = GetF32(big)
+		returned := &(*b)[0] == addr
+		PutF32(b)
+		if borrowed && returned {
+			return
+		}
+		if attempt == 20 {
+			t.Fatalf("borrowed the idle larger buffer: %v; found it in its own class again: %v", borrowed, returned)
 		}
 	}
 }

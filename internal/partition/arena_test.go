@@ -1,0 +1,258 @@
+package partition
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"gillis/internal/graph"
+	"gillis/internal/models"
+	"gillis/internal/par"
+	"gillis/internal/tensor"
+)
+
+// spatialGroups returns initialized spatial unit groups to partition: the
+// tiny CNN plain and fused (every spatial operator kind, a residual diamond,
+// windows that overhang both borders), MobileNet's depthwise stack and
+// Inception's concatenated branches, and — where the run can afford it —
+// units 0..6 of the fused resnet34, the group gillis-server's plan splits four
+// ways.
+func spatialGroups(t *testing.T) map[string][]*Unit {
+	t.Helper()
+	groups := map[string][]*Unit{"tinycnn": tinyGroup(t, false), "tinycnn-fused": tinyGroup(t, true)}
+	names := []string{"mobilenet-mini", "inception-mini"}
+	if !testing.Short() {
+		names = append(names, "resnet34")
+	}
+	for _, name := range names {
+		g, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups[name] = spatialPrefix(t, g, true, 7)
+	}
+	return groups
+}
+
+// tinyGroup is the tiny CNN's unit chain, initialized, plain or fused.
+func tinyGroup(t *testing.T, fuse bool) []*Unit {
+	return spatialPrefix(t, tinyCNN(t), fuse, math.MaxInt)
+}
+
+// spatialPrefix initializes g, fuses it if asked to, and returns its leading
+// spatial units, at most limit of them.
+func spatialPrefix(t *testing.T, g *graph.Graph, fuse bool, limit int) []*Unit {
+	t.Helper()
+	g.Init(21)
+	if fuse {
+		var err error
+		if g, _, err = graph.Fuse(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	units := linearized(t, g)
+	n := 0
+	for n < min(len(units), limit) && units[n].Spatial {
+		n++
+	}
+	if n == 0 {
+		t.Fatalf("%s: no spatial units", g.Name)
+	}
+	return units[:n]
+}
+
+// TestSpatialPartArenaIsWhatItTakes: every part of every group, run in an
+// arena of exactly PartSlice.ArenaBytes — capacity included — that is full of
+// NaNs, returns its rows of the monolithic output bit for bit, and writes the
+// arena's last float. So the predicted size is what a part takes, no window
+// or node output is read before it is written, and a border of zeros is
+// filled, not assumed.
+func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
+	poison := math.Float32frombits(0x7fa5a5a5)
+	for name, units := range spatialGroups(t) {
+		x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
+		want, err := ForwardChain(units, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, parts := range []int{1, 2, 3, 4} {
+			slices, err := SpatialSlices(units, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var most int64
+			for i, ps := range slices {
+				bytes, err := ps.ArenaBytes(units)
+				if err != nil {
+					t.Fatal(err)
+				}
+				most = max(most, bytes)
+				prog, err := ps.program(units)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arena := make([]float32, bytes/4)
+				for j := range arena {
+					arena[j] = poison
+				}
+				slab, err := InputSlab(x, ps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := prog.run(units, arena, slab)
+				if err != nil {
+					t.Fatalf("%s part %d/%d: %v", name, i, parts, err)
+				}
+				rows, err := want.SliceDim(1, ps.OutRows.Lo, ps.OutRows.Hi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tensor.Equal(got, rows) {
+					t.Errorf("%s part %d/%d: differs from rows %v of the monolithic output", name, i, parts, ps.OutRows)
+				}
+				if n := len(arena); n > 0 && math.Float32bits(arena[n-1]) == math.Float32bits(poison) {
+					t.Errorf("%s part %d/%d: never wrote the last float of its %d-float arena", name, i, parts, n)
+				}
+				pooled, err := ExecSpatialPart(units, ps, slab)
+				if err != nil || !tensor.Equal(pooled, rows) {
+					t.Errorf("%s part %d/%d: in a pooled arena: differs (%v)", name, i, parts, err)
+				}
+			}
+			group, err := ArenaBytes(units, 0, len(units)-1, Option{Dim: DimSpatial, Parts: parts})
+			if err != nil || group != most {
+				t.Errorf("%s ×%d: ArenaBytes of the group %d (%v), largest part %d", name, parts, group, err, most)
+			}
+			if parts == 4 {
+				ext, err := GroupExtent(units, 0, len(units)-1, Option{Dim: DimSpatial, Parts: parts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%-16s ×4: arena %8d B, ActBytes %8d B", name, most, ext.ActBytes)
+			}
+		}
+	}
+}
+
+// TestArenaBytesOfWholeAndChannelGroups: a whole group's arena is its
+// hungriest unit's, a channel group's its hungriest slice's.
+func TestArenaBytesOfWholeAndChannelGroups(t *testing.T) {
+	g := tinyCNN(t)
+	g.Init(2)
+	units := linearized(t, g)
+	var most int64
+	for _, u := range units {
+		b, err := u.Sub.ArenaBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, b)
+	}
+	got, err := ArenaBytes(units, 0, len(units)-1, Option{Dim: DimNone, Parts: 1})
+	if err != nil || got != most || most == 0 {
+		t.Errorf("whole group: ArenaBytes %d (%v), hungriest unit %d", got, err, most)
+	}
+	slices, err := ChannelSlices(units[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	most = 0
+	for _, cs := range slices {
+		b, err := cs.Sub.ArenaBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, b)
+	}
+	got, err = ArenaBytes(units, 0, 0, Option{Dim: DimChannel, Parts: 2})
+	if err != nil || got != most || most == 0 {
+		t.Errorf("channel group: ArenaBytes %d (%v), hungriest slice %d", got, err, most)
+	}
+	for _, bad := range []struct {
+		first, last int
+		opt         Option
+	}{{-1, 0, Option{DimNone, 1}}, {0, len(units), Option{DimNone, 1}}, {0, 1, Option{DimChannel, 2}}, {0, 0, Option{Dim(9), 2}}} {
+		if _, err := ArenaBytes(units, bad.first, bad.last, bad.opt); err == nil {
+			t.Errorf("ArenaBytes(%d, %d, %v) accepted", bad.first, bad.last, bad.opt)
+		}
+	}
+}
+
+// TestExecSpatialPartRejectsMismatches: a slab of the wrong rows or a slice
+// built for another group is an error, not a wrong answer.
+func TestExecSpatialPartRejectsMismatches(t *testing.T) {
+	units := tinyGroup(t, false)
+	slices, err := SpatialSlices(units, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
+	if _, err := ExecSpatialPart(units, slices[0], x); err == nil {
+		t.Error("the whole input accepted as part 0's slab")
+	}
+	slab, err := InputSlab(x, slices[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ExecSpatialPart(units[:1], slices[0], slab); err == nil {
+		t.Error("a slice built for the whole group accepted for its first unit")
+	}
+	if _, err := ExecSpatialPart(units, PartSlice{}, slab); err == nil {
+		t.Error("a zero PartSlice accepted")
+	}
+}
+
+// TestSpatialPartAllocationBudget: one part of the fused tiny CNN allocates
+// its result, a tensor header per node and window, and two slices — no
+// activation and no window: the byte budget has less slack than the smallest
+// of those is big, so a tensor.New back on the path breaks it. One worker, so par.For
+// spawns nothing; the minimum of several runs, so a collection that empties
+// the pool between two of them does not count.
+func TestSpatialPartAllocationBudget(t *testing.T) {
+	units := tinyGroup(t, true)
+	slices, err := SpatialSlices(units, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
+	ps := slices[1]
+	slab, err := InputSlab(x, ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ps.program(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buffers, smallest := 0, math.MaxInt
+	for _, st := range prog.steps {
+		buffers, smallest = buffers+1, min(smallest, 4*st.out.size())
+		for _, in := range st.ins {
+			if !in.whole {
+				buffers, smallest = buffers+1, min(smallest, 4*in.win.size())
+			}
+		}
+	}
+	defer par.SetParallelism(1)()
+	bytes, objects := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	var out *tensor.Tensor
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		if out, err = ExecSpatialPart(units, ps, slab); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		objects = min(objects, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("%d steps, %d buffers of at least %d B: %d B in %d objects per part, result %d B",
+		len(prog.steps), buffers, smallest, bytes, objects, out.Bytes())
+	// A header and some kernel bookkeeping per buffer, and less slack than
+	// the smallest buffer is big.
+	maxBytes, maxObjects := uint64(out.Bytes())+uint64(256*buffers), uint64(5*len(prog.steps)+buffers+8)
+	if bytes > maxBytes || objects > maxObjects || maxBytes-bytes >= uint64(smallest) {
+		t.Errorf("a part of %d steps and %d buffers allocates %d B in %d objects, budget %d B in %d",
+			len(prog.steps), buffers, bytes, objects, maxBytes, maxObjects)
+	}
+}

@@ -108,8 +108,63 @@ type Extent struct {
 	// MaxPartInBytes / MaxPartOutBytes are the largest single-partition
 	// payloads.
 	MaxPartInBytes, MaxPartOutBytes int64
-	// ActBytes is the peak per-partition activation footprint.
+	// ActBytes is the peak per-partition activation footprint as the
+	// planners count it: the largest single node slab (spatial), or a unit's
+	// input plus output. What executing a partition really takes from the
+	// scratch pool is ArenaBytes, computed on demand; the planners' memory
+	// checks still run on ActBytes, so plans and OOM boundaries are the ones
+	// pinned before there was an arena.
 	ActBytes int64
+}
+
+// ArenaBytes is the size of the activation arena executing one partition of
+// units[first..last] under opt takes from par's scratch pool per query — the
+// largest over the partitions. A whole group runs its units one after the
+// other in one arena sized for the hungriest unit's sub-graph
+// (ForwardChainBatch); a spatial partition runs its whole unit chain in one
+// (PartSlice.ArenaBytes); a channel partition runs its sliced sub-graph. The
+// tensors that enter and leave a partition or a unit are payloads their
+// holders own and are not in it.
+func ArenaBytes(units []*Unit, first, last int, opt Option) (int64, error) {
+	if first < 0 || last >= len(units) || first > last {
+		return 0, fmt.Errorf("partition: bad group [%d,%d]", first, last)
+	}
+	group := units[first : last+1]
+	var most int64
+	switch opt.Dim {
+	case DimNone:
+		return chainArenaBytes(group)
+	case DimSpatial:
+		slices, err := SpatialSlices(group, opt.Parts)
+		if err != nil {
+			return 0, err
+		}
+		for _, ps := range slices {
+			b, err := ps.ArenaBytes(group)
+			if err != nil {
+				return 0, err
+			}
+			most = max(most, b)
+		}
+	case DimChannel:
+		if first != last {
+			return 0, fmt.Errorf("partition: channel option on multi-unit group [%d,%d]", first, last)
+		}
+		slices, err := ChannelSlices(group[0], opt.Parts)
+		if err != nil {
+			return 0, err
+		}
+		for _, cs := range slices {
+			b, err := cs.Sub.ArenaBytes()
+			if err != nil {
+				return 0, err
+			}
+			most = max(most, b)
+		}
+	default:
+		return 0, fmt.Errorf("partition: unknown dimension %v", opt.Dim)
+	}
+	return most, nil
 }
 
 // GroupExtent computes the Extent of parallelizing units[first..last] with

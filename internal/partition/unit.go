@@ -12,6 +12,7 @@ import (
 
 	"gillis/internal/graph"
 	"gillis/internal/nn"
+	"gillis/internal/par"
 	"gillis/internal/tensor"
 )
 
@@ -312,18 +313,40 @@ func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // ForwardChainBatch runs units sequentially over a batch of inputs with
-// cross-query batched kernels (graph.ForwardBatch per unit). Bitwise
-// identical to calling ForwardChain once per input.
+// cross-query batched kernels (graph.ForwardBatchIn per unit), all in one
+// activation arena sized for the hungriest unit. Every unit's output is a
+// tensor of its own, like the chain's. Bitwise identical to calling
+// ForwardChain once per input.
 func ForwardChainBatch(units []*Unit, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	most, err := chainArenaBytes(units)
+	if err != nil {
+		return nil, err
+	}
+	arena := par.GetF32(int(most/4) * len(xs))
+	defer par.PutF32(arena)
 	cur := xs
 	for _, u := range units {
-		outs, err := u.Sub.ForwardBatch(cur)
+		outs, err := u.Sub.ForwardBatchIn(*arena, cur)
 		if err != nil {
 			return nil, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
 		}
 		cur = outs
 	}
 	return cur, nil
+}
+
+// chainArenaBytes is the arena the hungriest unit's sub-graph runs one query
+// in.
+func chainArenaBytes(units []*Unit) (int64, error) {
+	var most int64
+	for _, u := range units {
+		b, err := u.Sub.ArenaBytes()
+		if err != nil {
+			return 0, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
+		}
+		most = max(most, b)
+	}
+	return most, nil
 }
 
 // InitUnits materializes weights for every unit deterministically.

@@ -5,10 +5,17 @@
 // slice/concatenate tensors along arbitrary dimensions for partitioned
 // execution.
 //
-// Tensors are immutable-shape, row-major (C order), and always own their
-// backing storage. Slicing copies; this keeps the partitioned-execution code
-// simple and makes bitwise output comparison between monolithic and
-// partitioned runs meaningful.
+// Tensors are immutable-shape and row-major (C order). New, Clone, SliceDim,
+// ConcatDim and PadDim return tensors that own their storage — slicing
+// copies, which keeps the partitioned-execution code simple and makes bitwise
+// output comparison between monolithic and partitioned runs meaningful. Three
+// constructors share storage instead, and say so: FromData wraps the caller's
+// slice (how a forward's activation arena is handed to operators), Reshape
+// keeps the data under a new shape, and Rows is the sub-tensor along
+// dimension 0, which row-major order makes one contiguous run. Rows is how an
+// operator's channel slice holds its share of an immutable weight tensor
+// without copying it; nothing may write through a view of data it does not
+// own.
 package tensor
 
 import (
@@ -61,7 +68,7 @@ func FromData(data []float32, shape ...int) (*Tensor, error) {
 		return nil, err
 	}
 	if len(data) != n {
-		return nil, fmt.Errorf("tensor: data length %d does not match shape %v (%d elements)", len(data), shape, n)
+		return nil, fmt.Errorf("tensor: data length %d does not match shape %v (%d elements)", len(data), cloneInts(shape), n)
 	}
 	return newShaped(shape, data), nil
 }
@@ -87,6 +94,10 @@ func Rand(rng *rand.Rand, scale float32, shape ...int) *Tensor {
 
 // Shape returns a copy of the tensor's shape.
 func (t *Tensor) Shape() []int { return cloneInts(t.shape) }
+
+// SameShape reports whether t and o have identical shapes, without the
+// copies Shape makes.
+func (t *Tensor) SameShape(o *Tensor) bool { return ShapeEqual(t.shape, o.shape) }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.shape) }
@@ -119,9 +130,22 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 		return nil, err
 	}
 	if n != len(t.data) {
-		return nil, fmt.Errorf("tensor: cannot reshape %v (%d elements) to %v (%d elements)", t.shape, len(t.data), shape, n)
+		return nil, fmt.Errorf("tensor: cannot reshape %v (%d elements) to %v (%d elements)", t.shape, len(t.data), cloneInts(shape), n)
 	}
 	return newShaped(shape, t.data), nil
+}
+
+// Rows returns the sub-tensor spanning [start, end) along dimension 0. It
+// shares t's storage: in row-major order those elements are one contiguous
+// run, so nothing is copied.
+func (t *Tensor) Rows(start, end int) (*Tensor, error) {
+	if start < 0 || end > t.shape[0] || start >= end {
+		return nil, fmt.Errorf("tensor: rows [%d,%d) out of range for dim 0 of size %d", start, end, t.shape[0])
+	}
+	inner := len(t.data) / t.shape[0]
+	out := newShaped(t.shape, t.data[start*inner:end*inner:end*inner])
+	out.shape[0] = end - start
+	return out, nil
 }
 
 // Offset returns the flat index of the given multi-dimensional index.
@@ -353,6 +377,9 @@ func (t *Tensor) String() string {
 	return sb.String()
 }
 
+// checkShape returns the element count of shape. Its errors format a copy of
+// shape: handing shape itself to fmt would make it escape, and then every
+// variadic tensor.New(c, h, w) would heap-allocate its three ints.
 func checkShape(shape []int) (int, error) {
 	if len(shape) == 0 {
 		return 0, fmt.Errorf("tensor: empty shape")
@@ -360,7 +387,7 @@ func checkShape(shape []int) (int, error) {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			return 0, fmt.Errorf("tensor: non-positive dimension in shape %v", shape)
+			return 0, fmt.Errorf("tensor: non-positive dimension in shape %v", cloneInts(shape))
 		}
 		n *= d
 	}

@@ -255,3 +255,61 @@ func TestPadSliceIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConstructorsDoNotAllocateTheShape pins what a tensor costs to make: New
+// is the struct and the data, FromData and Reshape the struct alone. A
+// variadic shape that escapes (through an error's %v, say) would add an
+// allocation of the three ints to every operator output.
+func TestConstructorsDoNotAllocateTheShape(t *testing.T) {
+	data := make([]float32, 3*5*7)
+	base := New(3, 5, 7)
+	var sink *Tensor
+	for name, c := range map[string]struct {
+		make func() *Tensor
+		want float64
+	}{
+		"New":      {func() *Tensor { return New(3, 5, 7) }, 2},
+		"FromData": {func() *Tensor { x, _ := FromData(data, 3, 5, 7); return x }, 1},
+		"Reshape":  {func() *Tensor { x, _ := base.Reshape(7, 15); return x }, 1},
+		"Rows":     {func() *Tensor { x, _ := base.Rows(1, 3); return x }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, func() { sink = c.make() }); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", name, got, c.want)
+		}
+	}
+	_ = sink
+	defer func() {
+		if recover() == nil {
+			t.Error("New with a zero dimension did not panic")
+		}
+	}()
+	New(3, 0, 7)
+}
+
+// Rows is the one slice that shares: rows [start, end) of dimension 0 are
+// the same elements SliceDim(0, ...) copies, on the parent's storage.
+func TestRowsSharesStorage(t *testing.T) {
+	x := Rand(rand.New(rand.NewSource(3)), 1, 6, 4, 5)
+	v, err := x.Rows(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := x.SliceDim(0, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(v, c) {
+		t.Fatalf("Rows(2,5) = %v, differs from SliceDim(0,2,5) = %v", v, c)
+	}
+	if &v.Data()[0] != &x.Data()[2*20] || cap(v.Data()) != 3*20 {
+		t.Fatal("Rows does not view exactly the parent's rows")
+	}
+	if !v.SameShape(c) || v.SameShape(x) {
+		t.Fatal("SameShape disagrees with the shapes")
+	}
+	for _, r := range [][2]int{{-1, 2}, {2, 2}, {3, 2}, {0, 7}} {
+		if _, err := x.Rows(r[0], r[1]); err == nil {
+			t.Errorf("Rows(%d,%d) of 6 rows accepted", r[0], r[1])
+		}
+	}
+}

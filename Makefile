@@ -1,10 +1,10 @@
 # CI entry points. `make ci` is what a pre-merge check runs: lint (gofmt,
 # go vet, and the gillis-vet static-analysis suite), build, full test
 # suite, the scheduler-sensitive packages again at GOMAXPROCS 1, 2, 3, 4
-# and 8, the race detector on the concurrency-bearing packages (the kernel
-# execution engine, the simulation kernel, the platform and the serving
-# runtime), the seeded chaos tests that guard the resilience layer, and a
-# byte-for-byte regeneration of the five simulated BENCH_*.json baselines.
+# and 8, the race detector as the ownership check (see `race` below), the
+# seeded chaos tests that guard the resilience layer, a bounded run of the
+# three fuzzers over untrusted input, and a byte-for-byte regeneration of
+# the five simulated BENCH_*.json baselines.
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./internal/platform ./internal/simnet \
@@ -13,9 +13,9 @@ RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
 
-.PHONY: ci lint vet build test procs race chaos cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-verify
+.PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-verify
 
-ci: lint build test procs race chaos bench-verify
+ci: lint build test procs race chaos fuzz bench-verify
 
 # lint fails on any unformatted file, then runs go vet and the project's
 # own analyzers: the intra-procedural suite (determinism, map-order,
@@ -82,6 +82,15 @@ procs:
 	done
 	GOAMD64=v3 $(GO) test -count=1 -timeout 300s ./internal/nn ./internal/graph
 
+# The serving stack below the HTTP front end takes no lock: one goroutine
+# owns an Env and everything deployed on it (DESIGN.md §3), and only what
+# concurrent Envs share synchronises — par's workers and scratch pool, the
+# metrics registry, a graph's cached arena plan, a part's program, a perf
+# model's memo. The race detector is what enforces that split: a simulated
+# process that leaves its Env's goroutine, or a second goroutine reaching into
+# a platform, gateway, mesh, deployment or trace, is a reported data race here
+# (TestConcurrentEnvsOwnTheirState drives eight Envs at once for it), where a
+# mutex around the state would have hidden it.
 race:
 	$(GO) test -race $(RACE_PKGS)
 
@@ -90,6 +99,16 @@ race:
 chaos:
 	$(GO) test ./internal/bench -run TestChaos -count=1
 	$(GO) test ./internal/runtime -run 'TestResilient|TestNaiveFails' -count=1
+
+# Untrusted input — model bytes, plan JSON, /v1/predict bodies — is fuzzed for
+# FUZZTIME per target on every CI run, starting from the seed corpus each
+# fuzzer adds. A crasher lands in the package's testdata/fuzz and fails the
+# run (and every later `go test`, until fixed).
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test ./internal/modelio -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/partition -run '^$$' -fuzz '^FuzzLoadPlan$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./cmd/gillis-server -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime $(FUZZTIME)
 
 # Per-package coverage gate: fails if any package listed in
 # COVERAGE_BASELINE drops below its recorded floor. Regenerate the baseline
@@ -105,7 +124,7 @@ bench-kernels:
 # Re-pin the kernel baseline on this machine; the new file carries
 # before/after speedup columns relative to the previous pin.
 bench-kernels-pin:
-	$(GO) run ./cmd/gillis-bench -figs kernels -kernels-baseline BENCH_kernels.json -kernels-json BENCH_kernels.json
+	$(GO) run ./cmd/gillis-bench -figs kernels -kernels-baseline BENCH_kernels.json -json BENCH_kernels.json
 
 # The five simulated baselines below are fully seeded and run on the virtual
 # clock, so each target writes the same bytes on any machine. BENCH_DIR is
@@ -115,27 +134,27 @@ BENCH_DIR ?= .
 # Regenerate the checked-in chaos baseline (fully seeded: same output on
 # any machine).
 bench-chaos:
-	$(GO) run ./cmd/gillis-bench -figs chaos -seed 42 -chaos-json $(BENCH_DIR)/BENCH_chaos.json
+	$(GO) run ./cmd/gillis-bench -figs chaos -seed 42 -json $(BENCH_DIR)/BENCH_chaos.json
 
 # Regenerate the checked-in serving-gateway load baseline (quick-mode sweep,
 # fully seeded and ShapeOnly: same output on any machine).
 bench-load:
-	$(GO) run ./cmd/gillis-bench -quick -seed 42 -load -load-json $(BENCH_DIR)/BENCH_load.json
+	$(GO) run ./cmd/gillis-bench -quick -seed 42 -figs loadsweep -json $(BENCH_DIR)/BENCH_load.json
 
 # Regenerate the checked-in adaptive re-planning baseline (full-horizon
 # scenario, fully seeded and ShapeOnly: same output on any machine).
 bench-adapt:
-	$(GO) run ./cmd/gillis-bench -seed 42 -adapt -adapt-json $(BENCH_DIR)/BENCH_adapt.json
+	$(GO) run ./cmd/gillis-bench -seed 42 -figs adapt -json $(BENCH_DIR)/BENCH_adapt.json
 
 # Regenerate the checked-in cross-query batching baseline (quick-mode sweep,
 # fully seeded and ShapeOnly: same output on any machine).
 bench-batch:
-	$(GO) run ./cmd/gillis-bench -quick -seed 42 -batch -batch-json $(BENCH_DIR)/BENCH_batch.json
+	$(GO) run ./cmd/gillis-bench -quick -seed 42 -figs batch -json $(BENCH_DIR)/BENCH_batch.json
 
 # Regenerate the checked-in multi-model serving-mesh baseline (quick-mode
 # sweep, fully seeded and ShapeOnly: same output on any machine).
 bench-mesh:
-	$(GO) run ./cmd/gillis-bench -quick -seed 42 -mesh -mesh-json $(BENCH_DIR)/BENCH_mesh.json
+	$(GO) run ./cmd/gillis-bench -quick -seed 42 -figs mesh -json $(BENCH_DIR)/BENCH_mesh.json
 
 # Regenerate the five simulated baselines with the exact commands above into
 # a temp dir and compare each with the checked-in file: a refactor that

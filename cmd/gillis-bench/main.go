@@ -1,44 +1,34 @@
 // Command gillis-bench regenerates the Gillis paper's evaluation figures
-// (§V) on the simulated serverless platforms and prints each figure's table.
+// (§V) and this repository's serving studies on the simulated serverless
+// platforms and prints each one's table.
 //
 // Usage:
 //
-//	gillis-bench [-figs 1,7,9,10,11,12,13,14,15,kernels,chaos] [-seed N]
-//	             [-queries N] [-quick] [-out FILE] [-parallelism N]
-//	             [-faults R1,R2,...] [-chaos-json FILE]
-//	             [-kernels-json FILE] [-kernels-baseline FILE] [-kernels-check]
+//	gillis-bench [-figs 1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos]
+//	             [-seed N] [-queries N] [-quick] [-out FILE] [-json FILE]
+//	             [-parallelism N] [-faults R1,R2,...]
+//	             [-kernels-baseline FILE] [-kernels-check]
+//	             [-trace-json FILE] [-trace-faults R]
 //	             [-cpuprofile FILE] [-memprofile FILE]
-//	             [-trace-json FILE] [-load] [-load-json FILE]
-//	             [-adapt] [-adapt-json FILE] [-batch] [-batch-json FILE]
-//	             [-mesh] [-mesh-json FILE]
+//
+// -figs also takes the four serving sweeps, which the default list leaves
+// out: loadsweep (bursty arrival traces through the serving gateway, burst
+// rate × autoscaling policy, SLO attainment and cost per policy), adapt (one
+// arrival trace through each static candidate plan and then through the
+// closed-loop controller while the platform degrades, recovers and takes a
+// traffic surge), batch (Poisson traces through the batching gateway, batch
+// size × arrival rate × planner, throughput, tail latency and cost per query)
+// and mesh (Zipf-skewed multi-model traces through the serving mesh, catalog
+// size × skew × pool size, LRU model caching against no cache).
+//
+// -json writes the figure as JSON as well and is valid with exactly one
+// figure that has a JSON form: kernels, chaos, loadsweep, adapt, batch, mesh
+// — the BENCH_*.json baselines (see the Makefile's bench-* targets).
 //
 // -trace-json serves one seeded resilient fork-join query of the chaos
 // workload under fault injection and writes its span tree as Chrome
 // trace-event JSON (loadable in chrome://tracing or Perfetto), skipping the
-// figure sweep.
-//
-// -load replays bursty arrival traces through the serving gateway, sweeping
-// burst rate × autoscaling policy and reporting SLO attainment and cost per
-// policy, skipping the figure sweep; -load-json additionally writes the
-// sweep as JSON (the BENCH_load.json baseline).
-//
-// -adapt replays the adaptive re-planning scenario: the same arrival trace
-// through each static candidate plan and then through the closed-loop
-// controller while the platform degrades, recovers, and takes a traffic
-// surge mid-replay, skipping the figure sweep; -adapt-json additionally
-// writes the scenario as JSON (the BENCH_adapt.json baseline).
-//
-// -batch replays Poisson arrival traces through the batching gateway,
-// sweeping batch size × arrival rate × planner (latency-optimal vs
-// throughput-optimal) and reporting throughput, tail latency, and cost per
-// query, skipping the figure sweep; -batch-json additionally writes the
-// sweep as JSON (the BENCH_batch.json baseline).
-//
-// -mesh replays Zipf-skewed multi-model traces through the serving mesh,
-// sweeping catalog size × popularity skew × pool size and comparing LRU
-// model caching against a no-cache baseline on hit rate, SLO attainment,
-// and cost per query, skipping the figure sweep; -mesh-json additionally
-// writes the sweep as JSON (the BENCH_mesh.json baseline).
+// figures.
 package main
 
 import (
@@ -56,27 +46,44 @@ import (
 	"gillis/internal/par"
 )
 
+// table is what every figure's result prints as; jsonReport is what -json
+// writes, for the figures that have a checked-in BENCH_*.json baseline.
+type (
+	table      interface{ Table() string }
+	jsonReport interface{ JSON() ([]byte, error) }
+)
+
 type figure struct {
-	id  string
-	run func(*bench.Context) (interface{ Table() string }, error)
+	id      string
+	hasJSON bool
+	run     func(*bench.Context) (table, error)
+}
+
+func entry[T table](id string, run func(*bench.Context) (T, error)) figure {
+	_, hasJSON := any(*new(T)).(jsonReport)
+	return figure{id, hasJSON, func(c *bench.Context) (table, error) { return run(c) }}
 }
 
 func figures() []figure {
 	return []figure{
-		{"1", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig1(c) }},
-		{"7", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig7(c) }},
-		{"9", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig9(c) }},
-		{"10", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig10(c) }},
-		{"11", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig11(c) }},
-		{"12", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig12(c) }},
-		{"13", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig13(c) }},
-		{"14", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig14(c) }},
-		{"15", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Fig15(c) }},
-		{"ablations", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Ablations(c) }},
-		{"burst", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Burst(c) }},
-		{"load", func(c *bench.Context) (interface{ Table() string }, error) { return bench.DynamicLoad(c) }},
-		{"kernels", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Kernels(c) }},
-		{"chaos", func(c *bench.Context) (interface{ Table() string }, error) { return bench.Chaos(c) }},
+		entry("1", bench.Fig1),
+		entry("7", bench.Fig7),
+		entry("9", bench.Fig9),
+		entry("10", bench.Fig10),
+		entry("11", bench.Fig11),
+		entry("12", bench.Fig12),
+		entry("13", bench.Fig13),
+		entry("14", bench.Fig14),
+		entry("15", bench.Fig15),
+		entry("ablations", bench.Ablations),
+		entry("burst", bench.Burst),
+		entry("load", bench.DynamicLoad),
+		entry("kernels", bench.Kernels),
+		entry("chaos", bench.Chaos),
+		entry("loadsweep", bench.SweepLoad),
+		entry("adapt", bench.AdaptScenario),
+		entry("batch", bench.SweepBatch),
+		entry("mesh", bench.SweepMesh),
 	}
 }
 
@@ -89,25 +96,16 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gillis-bench", flag.ContinueOnError)
-	figsFlag := fs.String("figs", "1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos", "comma-separated figures to run")
+	figsFlag := fs.String("figs", "1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos", "comma-separated figures to run (also: loadsweep, adapt, batch, mesh)")
 	seed := fs.Int64("seed", 42, "random seed for all stochastic components")
 	queries := fs.Int("queries", 100, "queries per latency measurement")
 	quick := fs.Bool("quick", false, "trim sweeps and training budgets")
 	out := fs.String("out", "", "also write tables to this file")
+	jsonPath := fs.String("json", "", "also write the figure as JSON to this file (a BENCH_*.json baseline); needs -figs to name exactly one of kernels, chaos, loadsweep, adapt, batch, mesh")
 	parallelism := fs.Int("parallelism", 0, "kernel parallelism cap for Real-mode math (0 = GOMAXPROCS)")
-	kernelsJSON := fs.String("kernels-json", "", "write the kernels figure as JSON to this file (BENCH_kernels.json baseline)")
 	kernelsBaseline := fs.String("kernels-baseline", "", "annotate the kernels figure with before/after columns against this prior baseline JSON")
 	kernelsCheck := fs.Bool("kernels-check", false, "fail if any kernel ns/op regresses more than 10% against -kernels-baseline")
 	faultsFlag := fs.String("faults", "", "comma-separated fault rates for the chaos figure (default 0.02,0.05,0.10)")
-	chaosJSON := fs.String("chaos-json", "", "write the chaos figure as JSON to this file (BENCH_chaos.json baseline)")
-	loadFlag := fs.Bool("load", false, "run the serving-gateway load sweep (SLO attainment + cost vs burst rate x policy), skipping the figure sweep")
-	loadJSON := fs.String("load-json", "", "write the load sweep as JSON to this file (BENCH_load.json baseline; implies -load)")
-	adaptFlag := fs.Bool("adapt", false, "run the adaptive re-planning scenario (static plans vs closed-loop controller across fault-regime and load shifts), skipping the figure sweep")
-	adaptJSON := fs.String("adapt-json", "", "write the adaptive scenario as JSON to this file (BENCH_adapt.json baseline; implies -adapt)")
-	batchFlag := fs.Bool("batch", false, "run the cross-query batching sweep (throughput + cost vs batch size x rate x planner), skipping the figure sweep")
-	batchJSON := fs.String("batch-json", "", "write the batching sweep as JSON to this file (BENCH_batch.json baseline; implies -batch)")
-	meshFlag := fs.Bool("mesh", false, "run the multi-model serving-mesh sweep (hit rate + SLO + cost vs catalog size x Zipf skew x pool size), skipping the figure sweep")
-	meshJSON := fs.String("mesh-json", "", "write the mesh sweep as JSON to this file (BENCH_mesh.json baseline; implies -mesh)")
 	traceJSON := fs.String("trace-json", "", "trace one fork-join query and write Chrome trace-event JSON to this file")
 	traceFaults := fs.Float64("trace-faults", 0.05, "fault rate for the traced query (-trace-json)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -153,82 +151,6 @@ func run(args []string, stdout io.Writer) error {
 		ctx.FaultRates = rates
 	}
 
-	if *loadFlag || *loadJSON != "" {
-		report, err := bench.SweepLoad(ctx)
-		if err != nil {
-			return fmt.Errorf("load: %w", err)
-		}
-		fmt.Fprintln(stdout, report.Table())
-		if *loadJSON != "" {
-			js, err := report.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*loadJSON, js, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "load sweep written to %s\n", *loadJSON)
-		}
-		return nil
-	}
-
-	if *adaptFlag || *adaptJSON != "" {
-		report, err := bench.AdaptScenario(ctx)
-		if err != nil {
-			return fmt.Errorf("adapt: %w", err)
-		}
-		fmt.Fprintln(stdout, report.Table())
-		if *adaptJSON != "" {
-			js, err := report.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*adaptJSON, js, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "adaptive scenario written to %s\n", *adaptJSON)
-		}
-		return nil
-	}
-
-	if *batchFlag || *batchJSON != "" {
-		report, err := bench.SweepBatch(ctx)
-		if err != nil {
-			return fmt.Errorf("batch: %w", err)
-		}
-		fmt.Fprintln(stdout, report.Table())
-		if *batchJSON != "" {
-			js, err := report.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*batchJSON, js, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "batch sweep written to %s\n", *batchJSON)
-		}
-		return nil
-	}
-
-	if *meshFlag || *meshJSON != "" {
-		report, err := bench.SweepMesh(ctx)
-		if err != nil {
-			return fmt.Errorf("mesh: %w", err)
-		}
-		fmt.Fprintln(stdout, report.Table())
-		if *meshJSON != "" {
-			js, err := report.JSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*meshJSON, js, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "mesh sweep written to %s\n", *meshJSON)
-		}
-		return nil
-	}
-
 	if *traceJSON != "" {
 		report, err := bench.QueryTrace(ctx, *traceFaults)
 		if err != nil {
@@ -246,6 +168,18 @@ func run(args []string, stdout io.Writer) error {
 	for _, f := range strings.Split(*figsFlag, ",") {
 		want[strings.TrimSpace(f)] = true
 	}
+	var selected []figure
+	for _, fig := range figures() {
+		if want[fig.id] {
+			selected = append(selected, fig)
+		}
+	}
+	if *jsonPath != "" && (len(selected) != 1 || !selected[0].hasJSON) {
+		return fmt.Errorf("-json writes one figure that has a JSON form: -figs %s does not select one", *figsFlag)
+	}
+	if *kernelsCheck && *kernelsBaseline == "" {
+		return fmt.Errorf("-kernels-check requires -kernels-baseline")
+	}
 
 	var sink io.Writer = stdout
 	var file *os.File
@@ -258,82 +192,51 @@ func run(args []string, stdout io.Writer) error {
 		sink = io.MultiWriter(stdout, f)
 	}
 
-	for _, fig := range figures() {
-		if !want[fig.id] {
-			continue
-		}
+	for _, fig := range selected {
 		start := time.Now()
 		res, err := fig.run(ctx)
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", fig.id, err)
 		}
-		if fig.id == "kernels" && *kernelsBaseline != "" {
-			report, ok := res.(*bench.KernelReport)
-			if !ok {
-				return fmt.Errorf("kernels figure returned %T", res)
-			}
-			base, err := readKernelBaseline(*kernelsBaseline)
-			if err != nil {
+		kernels, _ := res.(*bench.KernelReport)
+		var base *bench.KernelReport
+		if kernels != nil && *kernelsBaseline != "" {
+			if base, err = readKernelBaseline(*kernelsBaseline); err != nil {
 				return err
 			}
-			report.Compare(base)
+			kernels.Compare(base)
 		}
 		fmt.Fprintln(sink, res.Table())
 		fmt.Fprintf(sink, "(figure %s regenerated in %v)\n\n", fig.id, time.Since(start).Round(time.Millisecond))
-		if fig.id == "kernels" {
-			report, ok := res.(*bench.KernelReport)
-			if !ok {
-				return fmt.Errorf("kernels figure returned %T", res)
-			}
-			if *kernelsJSON != "" {
-				js, err := report.JSON()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*kernelsJSON, js, 0o644); err != nil {
-					return err
-				}
-			}
-			if *kernelsCheck {
-				if *kernelsBaseline == "" {
-					return fmt.Errorf("-kernels-check requires -kernels-baseline")
-				}
-				err := report.CheckRegression(0.10)
-				if err != nil {
-					// A sub-millisecond kernel can blow the gate on one
-					// noisy sample (co-tenant or frequency jitter);
-					// re-measure once before declaring a regression. A
-					// real slowdown fails both attempts.
-					fmt.Fprintf(sink, "kernels: %v\nkernels: re-measuring once to rule out noise\n", err)
-					retry, rerr := bench.Kernels(ctx)
-					if rerr != nil {
-						return rerr
-					}
-					base, berr := readKernelBaseline(*kernelsBaseline)
-					if berr != nil {
-						return berr
-					}
-					retry.Compare(base)
-					err = retry.CheckRegression(0.10)
-				}
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(sink, "kernels: no ns/op regression beyond 10%% of %s\n", *kernelsBaseline)
-			}
-		}
-		if fig.id == "chaos" && *chaosJSON != "" {
-			report, ok := res.(*bench.ChaosReport)
-			if !ok {
-				return fmt.Errorf("chaos figure returned %T", res)
-			}
-			js, err := report.JSON()
+		if *jsonPath != "" {
+			js, err := res.(jsonReport).JSON()
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(*chaosJSON, js, 0o644); err != nil {
+			if err := os.WriteFile(*jsonPath, js, 0o644); err != nil {
 				return err
 			}
+			fmt.Fprintf(sink, "figure %s written to %s\n", fig.id, *jsonPath)
+		}
+		if kernels != nil && *kernelsCheck {
+			err := kernels.CheckRegression(0.10)
+			if err != nil {
+				// A sub-millisecond kernel can blow the gate on one
+				// noisy sample (co-tenant or frequency jitter);
+				// re-measure once before declaring a regression. A
+				// real slowdown fails both attempts.
+				fmt.Fprintf(sink, "kernels: %v\nkernels: re-measuring once to rule out noise\n", err)
+				retry, rerr := bench.Kernels(ctx)
+				if rerr != nil {
+					return rerr
+				}
+				retry.Compare(base)
+				err = retry.CheckRegression(0.10)
+			}
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(sink, "kernels: no ns/op regression beyond 10%% of %s\n", *kernelsBaseline)
 		}
 	}
 	if file != nil {

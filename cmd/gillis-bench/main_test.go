@@ -46,7 +46,7 @@ func TestFiguresListComplete(t *testing.T) {
 	for _, f := range figures() {
 		ids[f.id] = true
 	}
-	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos"} {
+	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos", "loadsweep", "adapt", "batch", "mesh"} {
 		if !ids[want] {
 			t.Errorf("figure %s missing from registry", want)
 		}
@@ -56,7 +56,7 @@ func TestFiguresListComplete(t *testing.T) {
 func TestRunKernelsWritesJSONBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_kernels.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-figs", "kernels", "-quick", "-kernels-json", path, "-parallelism", "2"}, &buf); err != nil {
+	if err := run([]string{"-figs", "kernels", "-quick", "-json", path, "-parallelism", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Kernel forwards") {
@@ -93,7 +93,7 @@ func TestRunWritesProfiles(t *testing.T) {
 func TestRunChaosWritesJSONBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_chaos.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-figs", "chaos", "-quick", "-faults", "0.05", "-chaos-json", path}, &buf); err != nil {
+	if err := run([]string{"-figs", "chaos", "-quick", "-faults", "0.05", "-json", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Chaos sweep") {
@@ -125,7 +125,7 @@ func TestParseRates(t *testing.T) {
 func TestRunLoadWritesJSONBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_load.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-load", "-load-json", path}, &buf); err != nil {
+	if err := run([]string{"-quick", "-figs", "loadsweep", "-json", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -133,7 +133,7 @@ func TestRunLoadWritesJSONBaseline(t *testing.T) {
 		t.Fatalf("stdout missing load sweep table:\n%s", out)
 	}
 	if strings.Contains(out, "Fig") {
-		t.Fatal("-load must skip the figure sweep")
+		t.Fatal("-figs loadsweep must run nothing else")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -144,13 +144,13 @@ func TestRunLoadWritesJSONBaseline(t *testing.T) {
 	}
 }
 
-// TestRunAdaptWritesJSONBaseline drives the adaptive-scenario flags: the
-// table and headline print, the figure sweep is skipped, and the JSON
-// baseline carries the headline comparison.
+// TestRunAdaptWritesJSONBaseline drives the adaptive scenario as a figure:
+// the table and headline print, no other figure runs, and the JSON baseline
+// carries the headline comparison.
 func TestRunAdaptWritesJSONBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_adapt.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-adapt", "-adapt-json", path}, &buf); err != nil {
+	if err := run([]string{"-quick", "-figs", "adapt", "-json", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -158,7 +158,7 @@ func TestRunAdaptWritesJSONBaseline(t *testing.T) {
 		t.Fatalf("stdout missing adaptive scenario table:\n%s", out)
 	}
 	if strings.Contains(out, "Fig") {
-		t.Fatal("-adapt must skip the figure sweep")
+		t.Fatal("-figs adapt must run nothing else")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -177,7 +177,7 @@ func TestRunKernelsBaselineCheck(t *testing.T) {
 	dir := t.TempDir()
 	pin := filepath.Join(dir, "pin.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-figs", "kernels", "-quick", "-kernels-json", pin}, &buf); err != nil {
+	if err := run([]string{"-figs", "kernels", "-quick", "-json", pin}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	rewrite := func(path string, ns int64) string {
@@ -241,5 +241,25 @@ func TestReadKernelBaselineErrors(t *testing.T) {
 	}
 	if _, err := readKernelBaseline(bad); err == nil {
 		t.Fatal("malformed baseline JSON must error")
+	}
+}
+
+// TestJSONNeedsOneFigureWithAJSONForm: -json names one file, so it is refused
+// — before anything runs — unless -figs selects exactly one figure and that
+// figure has a JSON form.
+func TestJSONNeedsOneFigureWithAJSONForm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.json")
+	for _, figs := range []string{"chaos,mesh", "14", "999"} {
+		var buf bytes.Buffer
+		err := run([]string{"-figs", figs, "-quick", "-json", path}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-json") {
+			t.Errorf("-figs %s -json: want a -json error, got %v", figs, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-figs %s -json: figures ran before the refusal:\n%s", figs, buf.String())
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("-figs %s -json: wrote %s", figs, path)
+		}
 	}
 }

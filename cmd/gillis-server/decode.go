@@ -14,7 +14,7 @@ import (
 const (
 	maxBodyBytes = 64 << 20 // JSON text
 	maxRank      = 8        // len(shape)
-	maxElements  = 4 << 20  // len(input), and the product of shape
+	maxElements  = 4 << 20  // len(input)
 )
 
 // decodePredictRequest parses a /v1/predict body in one pass. It accepts and

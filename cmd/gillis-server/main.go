@@ -91,8 +91,10 @@ type server struct {
 	sloMs   float64
 	metrics *trace.Registry
 	// catalog holds the zoo models additionally served through the
-	// multi-model mesh (empty without -catalog).
-	catalog []mesh.ModelSpec
+	// multi-model mesh (empty without -catalog); catalogIn maps each one's
+	// ID to its input shape.
+	catalog   []mesh.ModelSpec
+	catalogIn map[string][]int
 }
 
 func newServer(modelFile, platformName string, seed int64, sloMs float64, catalog string) (*server, error) {
@@ -134,8 +136,12 @@ func newServer(modelFile, platformName string, seed int64, sloMs float64, catalo
 	if err != nil {
 		return nil, err
 	}
+	catalogIn := make(map[string][]int, len(specs))
+	for _, spec := range specs {
+		catalogIn[spec.ID] = spec.Units[0].InShape
+	}
 	return &server{model: g, units: units, plan: plan, cfg: cfg, seed: seed, sloMs: sloMs,
-		metrics: trace.NewRegistry(), catalog: specs}, nil
+		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn}, nil
 }
 
 // catalogSpecs resolves the -catalog list into mesh catalog entries: each
@@ -273,32 +279,28 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
-	// Bounding every dimension by what is left of maxElements also keeps
-	// the product FromData compares len(input) with from overflowing.
-	elems := 1
-	for _, dim := range req.Shape {
-		if dim < 1 || dim > maxElements/elems {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("shape %v: dimensions must be positive and multiply to at most %d", req.Shape, maxElements))
+	// The shape must be the target model's: a request of another shape is
+	// the client's error, answered before anything is deployed, invoked or
+	// billed. (It also bounds what FromData multiplies.)
+	name, want := s.model.Name, s.model.InShape()
+	if req.Model != "" {
+		in, ok := s.catalogIn[req.Model]
+		if !ok {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("model not in -catalog: %q", req.Model))
 			return
 		}
-		elems *= dim
+		name, want = req.Model, in
+	}
+	if !tensor.ShapeEqual(req.Shape, want) {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("shape %v: model %s takes %v", req.Shape, name, want))
+		return
 	}
 	input, err := tensor.FromData(req.Input, req.Shape...)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var res *predictResponse
-	if req.Model != "" {
-		res, err = s.inferModel(req.Model, input)
-		if errors.Is(err, errNotInCatalog) {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		res, err = s.infer(input)
-	}
+	res, err := s.infer(req.Model, input)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -320,80 +322,44 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf, err
 }
 
-// infer runs one fork-join inference on a fresh simulation, admitted
-// through the serving gateway as a single-arrival replay so the gateway's
-// admission and SLO counters accumulate in the shared metrics registry.
-func (s *server) infer(input *tensor.Tensor) (*predictResponse, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, s.cfg, s.seed)
+// infer runs one inference with real tensor math on a fresh simulation, as a
+// single-arrival replay through the serving gateway, so the gateway's
+// admission and SLO counters accumulate in the shared metrics registry. The
+// primary model (model == "") is deployed under its plan and prewarmed. A
+// catalog model is routed by a single-instance mesh the whole catalog is
+// registered with: the model is loaded (billed like autoscaler prewarming)
+// and the mesh's hit/miss/load counters accumulate in the registry too.
+func (s *server) infer(model string, input *tensor.Tensor) (*predictResponse, error) {
+	p := platform.New(simnet.NewEnv(), s.cfg, s.seed)
 	p.UseMetrics(s.metrics)
-	d, err := runtime.Deploy(p, s.units, s.plan, runtime.Real)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Prewarm(); err != nil {
-		return nil, err
-	}
-	_, outs, err := gateway.Run(d, []time.Duration{0}, gateway.Config{
+	cfg := gateway.Config{
 		MaxInFlight: 1,
 		SLOMs:       s.sloMs,
 		Input:       func(int) *tensor.Tensor { return input },
-	})
-	if err != nil {
-		return nil, err
 	}
-	o := outs[0]
-	if o.Err != "" {
-		return nil, errors.New(o.Err)
-	}
-	return &predictResponse{
-		Shape:     o.Output.Shape(),
-		Output:    o.Output.Data(),
-		LatencyMs: o.LatencyMs,
-		BilledMs:  o.BilledMs,
-		QueueMs:   o.QueueMs,
-		BatchSize: o.BatchSize,
-		SLOOk:     o.SLOOK,
-	}, nil
-}
-
-// errNotInCatalog rejects model-tagged requests the server cannot route.
-var errNotInCatalog = errors.New("model not in -catalog")
-
-// inferModel runs one mesh-routed inference on a fresh simulation: the
-// whole catalog is registered with a single-instance mesh, the request's
-// model is loaded (billed like autoscaler prewarming) and served with real
-// tensor math, and the mesh's hit/miss/load counters accumulate in the
-// shared metrics registry.
-func (s *server) inferModel(model string, input *tensor.Tensor) (*predictResponse, error) {
-	found := false
-	for _, spec := range s.catalog {
-		if spec.ID == model {
-			found = true
-			break
+	var backend gateway.Backend
+	if model == "" {
+		d, err := runtime.Deploy(p, s.units, s.plan, runtime.Real)
+		if err != nil {
+			return nil, err
 		}
+		if err := d.Prewarm(); err != nil {
+			return nil, err
+		}
+		backend = d
+	} else {
+		m, err := mesh.New(p, mesh.Config{
+			Instances:     1,
+			InstanceMemMB: s.cfg.WeightBudgetMB,
+			Mode:          runtime.Real,
+		}, s.catalog)
+		if err != nil {
+			return nil, err
+		}
+		backend, cfg.Router = m, m
+		cfg.Model = func(int) string { return model }
 	}
-	if !found {
-		return nil, fmt.Errorf("%w: %q", errNotInCatalog, model)
-	}
-	env := simnet.NewEnv()
-	p := platform.New(env, s.cfg, s.seed)
-	p.UseMetrics(s.metrics)
-	m, err := mesh.New(p, mesh.Config{
-		Instances:     1,
-		InstanceMemMB: s.cfg.WeightBudgetMB,
-		Mode:          runtime.Real,
-	}, s.catalog)
-	if err != nil {
-		return nil, err
-	}
-	_, outs, err := gateway.Run(m, []time.Duration{0}, gateway.Config{
-		MaxInFlight: 1,
-		SLOMs:       s.sloMs,
-		Input:       func(int) *tensor.Tensor { return input },
-		Model:       func(int) string { return model },
-		Router:      m,
-	})
+	_, outs, err := gateway.Run(backend, []time.Duration{0}, cfg)
 	if err != nil {
 		return nil, err
 	}

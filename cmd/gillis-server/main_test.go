@@ -107,20 +107,34 @@ func TestPredict(t *testing.T) {
 	}
 }
 
+// TestPredictBadRequests: a malformed body, and a well-formed one whose shape
+// is not the model's, are the client's error — 400, answered before anything
+// is deployed: no invocation, nothing billed, no gateway fault counted.
 func TestPredictBadRequests(t *testing.T) {
 	ts := demoServer(t)
+	counters := []string{"platform.invocations", "platform.billed_ms", "gateway.queries", "gateway.faulted"}
+	before := make(map[string]int64)
+	for _, name := range counters {
+		before[name] = testSrv.metrics.Counter(name).Value()
+	}
 	for _, body := range []string{
 		"{not json",
 		`{"shape":[2,2],"input":[1]}`,       // length mismatch
 		`{"shape":[1,5,5],"input":[0,0,0]}`, // wrong shape for model too
+		`{"shape":[3,8,8],"input":[` + strings.Repeat("0,", 3*8*8-1) + `0]}`, // well-formed, not the model's shape
 	} {
 		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Errorf("request %q should fail", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("request %.40q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	for _, name := range counters {
+		if got := testSrv.metrics.Counter(name).Value(); got != before[name] {
+			t.Errorf("%s moved %d -> %d on rejected requests", name, before[name], got)
 		}
 	}
 }
@@ -242,15 +256,22 @@ func TestPredictCatalogModel(t *testing.T) {
 		t.Fatalf("softmax output sums to %v", sum)
 	}
 
-	// A model outside the catalog is a client error.
-	bad, _ := json.Marshal(predictRequest{Model: "resnet50", Shape: in.Shape(), Input: in.Data()})
-	bresp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bresp.Body.Close()
-	if bresp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("uncataloged model got status %d, want 400", bresp.StatusCode)
+	// A model outside the catalog is a client error, and so is a shape that
+	// is the primary model's and not the catalog model's.
+	primary := tensor.Full(0.5, 3, 32, 32)
+	for _, req := range []predictRequest{
+		{Model: "resnet50", Shape: in.Shape(), Input: in.Data()},
+		{Model: "rnn-tiny2", Shape: primary.Shape(), Input: primary.Data()},
+	} {
+		bad, _ := json.Marshal(req)
+		bresp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bresp.Body.Close()
+		if bresp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("model %q with shape %v got status %d, want 400", req.Model, req.Shape, bresp.StatusCode)
+		}
 	}
 
 	// Mesh accounting reaches the shared registry.

@@ -57,16 +57,13 @@ func (g *gateway) setupBatching(cfg Config) error {
 // assign a role.
 func (g *gateway) formBatch(proc *simnet.Proc, m batching.Member) []batching.Member {
 	var a batchAssign
-	g.mu.Lock()
 	g.arrived++
 	if g.former.Add(m.ID, m.Arrival) {
 		// Size rule: the batch is full; this arrival closes and leads it.
 		a = batchAssign{batch: g.former.Take(), reason: batching.ReasonSize}
-		g.mu.Unlock()
 	} else {
 		pr := simnet.NewPromise[batchAssign](proc.Env())
 		g.waiters[m.ID] = pr
-		g.mu.Unlock()
 		var err error
 		if a, err = pr.Wait(proc); err != nil {
 			g.settle(Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: 1, Err: err.Error()})
@@ -77,11 +74,9 @@ func (g *gateway) formBatch(proc *simnet.Proc, m batching.Member) []batching.Mem
 		return nil
 	}
 	n := len(a.batch)
-	g.mu.Lock()
 	g.batches++
 	g.batchSizeSum += n
 	g.batchClosed[a.reason.String()]++
-	g.mu.Unlock()
 	g.mBatches.Inc()
 	g.hBatchSize.Observe(float64(n))
 	return a.batch
@@ -94,35 +89,26 @@ func (g *gateway) batchTick(proc *simnet.Proc) {
 	if g.former == nil {
 		return
 	}
-	g.mu.Lock()
 	reason := g.former.ShouldClose(proc.Now(), g.arrived >= g.total)
 	if reason == batching.ReasonNone {
-		g.mu.Unlock()
 		return
 	}
 	members := g.former.Take()
 	lead := g.waiters[members[0].ID]
 	delete(g.waiters, members[0].ID)
-	g.mu.Unlock()
 	lead.Resolve(batchAssign{batch: members, reason: reason})
 }
 
 // releaseWaiters resolves every non-leader member's promise so their
 // processes can exit; the leader has no pending promise by construction.
 func (g *gateway) releaseWaiters(members []batching.Member, leaderID int) {
-	g.mu.Lock()
-	var prs []*simnet.Promise[batchAssign]
 	for _, m := range members {
 		if m.ID == leaderID {
 			continue
 		}
 		if pr, ok := g.waiters[m.ID]; ok {
-			prs = append(prs, pr)
 			delete(g.waiters, m.ID)
+			pr.Resolve(batchAssign{})
 		}
-	}
-	g.mu.Unlock()
-	for _, pr := range prs {
-		pr.Resolve(batchAssign{})
 	}
 }

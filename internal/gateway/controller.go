@@ -141,8 +141,7 @@ type windowEntry struct {
 }
 
 // controlTick builds the ControlObservation, asks the controller for a
-// directive, and applies it. Called from the autoscale process with no
-// locks held.
+// directive, and applies it. Called from the autoscale process.
 func (g *gateway) controlTick(proc *simnet.Proc, obs Observation) {
 	if g.cfg.Controller == nil {
 		return
@@ -155,7 +154,6 @@ func (g *gateway) controlTick(proc *simnet.Proc, obs Observation) {
 	if sw, ok := g.b.(Switchable); ok {
 		co.ActiveBackend = sw.Active()
 	}
-	g.mu.Lock()
 	co.Served, co.Shed, co.Faulted, co.SLOAttained = g.served, g.shed, g.faulted, g.sloAttained
 	co.FaultsByKind = make(map[string]int, len(g.faultKinds))
 	for k, n := range g.faultKinds {
@@ -186,22 +184,15 @@ func (g *gateway) controlTick(proc *simnet.Proc, obs Observation) {
 		co.WindowMeanMs = servedMs / float64(served)
 		co.WindowServedSLOPct = 100 * float64(sloOK) / float64(served)
 	}
-	g.mu.Unlock()
 
 	dir := g.cfg.Controller.Tick(proc.Now(), co)
 
 	if sw, ok := g.b.(Switchable); ok && dir.SwitchTo >= 0 && dir.SwitchTo != sw.Active() {
 		if err := sw.Switch(dir.SwitchTo); err != nil {
-			g.mu.Lock()
-			if g.scaleErr == nil {
-				g.scaleErr = err
-			}
-			g.mu.Unlock()
+			g.scaleErr = err
 			return
 		}
-		g.mu.Lock()
 		g.planSwitches++
-		g.mu.Unlock()
 		g.mPlanSwitches.Inc()
 	}
 	if dir.Brownout != g.brownout {
@@ -213,14 +204,12 @@ func (g *gateway) controlTick(proc *simnet.Proc, obs Observation) {
 // admission and disables hedging; releasing restores both and accumulates
 // the episode's duration.
 func (g *gateway) setBrownout(proc *simnet.Proc, on bool) {
-	g.mu.Lock()
 	g.brownout = on
 	if on {
 		g.brownoutSince = proc.Now()
 	} else {
 		g.brownoutMs += durMs(proc.Now() - g.brownoutSince)
 	}
-	g.mu.Unlock()
 	if hc, ok := g.b.(HedgeControl); ok {
 		hc.SetHedging(!on)
 	}

@@ -17,7 +17,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"gillis/internal/batching"
@@ -136,17 +135,15 @@ type Outcome struct {
 }
 
 // gateway is the per-replay state. Every process that touches it is a simnet
-// coroutine resumed one at a time on Env.Run's goroutine, so the mutex is
-// never contended and guards nothing today; it stays as belt and braces,
-// marking the state that would need it if a process ever left that
-// goroutine.
+// coroutine resumed one at a time on Env.Run's goroutine, so it has one
+// owner and takes no lock (DESIGN §3); `make race` is what notices a process
+// leaving that goroutine.
 type gateway struct {
 	b       Backend
 	cfg     Config
 	reg     *trace.Registry
 	billed0 int64
 
-	mu       sync.Mutex
 	inFlight int
 	queue    []*simnet.Promise[struct{}]
 	maxQueue int
@@ -291,19 +288,16 @@ func (g *gateway) query(proc *simnet.Proc, i int) {
 // otherwise every member has been settled.
 func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 	n := len(unit)
-	g.mu.Lock()
 	switch {
 	case g.inFlight < g.cfg.MaxInFlight:
 		g.inFlight++
 		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
 	case g.brownout:
 		// Brownout: the queue is closed. A unit that cannot start immediately
 		// is shed with the typed brownout error; entries already queued keep
 		// their place.
 		g.brownoutSheds += n
 		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
 		g.mBrownoutShed.Add(int64(n))
 		g.shedUnit(unit, ErrBrownout)
 		return false
@@ -314,7 +308,6 @@ func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 			g.maxQueue = len(g.queue)
 		}
 		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
 		// A finishing unit hands its slot to the queue head directly, so
 		// resolution implies the in-flight accounting already covers us.
 		if _, err := pr.Wait(proc); err != nil {
@@ -325,7 +318,6 @@ func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 		}
 	default:
 		g.hQueueDepth.Observe(float64(len(g.queue)))
-		g.mu.Unlock()
 		g.shedUnit(unit, ErrShed)
 		return false
 	}
@@ -336,15 +328,12 @@ func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 // release gives up an admission slot: it goes to the queue head if anyone is
 // waiting.
 func (g *gateway) release() {
-	g.mu.Lock()
 	if len(g.queue) > 0 {
 		head := g.queue[0]
 		g.queue = g.queue[1:]
-		g.mu.Unlock()
 		head.Resolve(struct{}{})
 	} else {
 		g.inFlight--
-		g.mu.Unlock()
 	}
 }
 
@@ -460,7 +449,6 @@ func (g *gateway) settle(o Outcome) {
 		o.Model = g.cfg.Model(o.ID)
 	}
 	e := windowEntry{sloOK: o.SLOOK, totalMs: o.TotalMs}
-	g.mu.Lock()
 	g.outcomes[o.ID] = o
 	g.done++
 	switch {
@@ -504,7 +492,6 @@ func (g *gateway) settle(o Outcome) {
 		}
 	}
 	g.recordWindow(e)
-	g.mu.Unlock()
 }
 
 // autoscale runs the control loop: each tick it observes the gateway,
@@ -513,14 +500,12 @@ func (g *gateway) settle(o Outcome) {
 func (g *gateway) autoscale(proc *simnet.Proc) {
 	tick := time.Duration(g.cfg.TickMs * float64(time.Millisecond))
 	for {
-		g.mu.Lock()
 		obs := Observation{
 			InFlight: g.inFlight,
 			QueueLen: len(g.queue),
 			Done:     g.done,
 			Total:    g.total,
 		}
-		g.mu.Unlock()
 		if obs.Done >= obs.Total {
 			// Close any still-open brownout episode so the report's
 			// accumulated duration covers it.
@@ -544,11 +529,7 @@ func (g *gateway) autoscale(proc *simnet.Proc) {
 		// shortfall needs new instances.
 		for have := obs.WarmSets + obs.InFlight; have < target; have++ {
 			if err := g.b.Prewarm(); err != nil {
-				g.mu.Lock()
-				if g.scaleErr == nil {
-					g.scaleErr = fmt.Errorf("gateway: prewarm: %w", err)
-				}
-				g.mu.Unlock()
+				g.scaleErr = fmt.Errorf("gateway: prewarm: %w", err)
 				return
 			}
 		}

@@ -152,22 +152,29 @@ func (g *Graph) ArenaBytes() (int64, error) {
 	return int64(p.size) * 4, nil
 }
 
+// Observer is told of every operator application immediately before it
+// executes: the tracing runtime passes one to a Real-mode forward to
+// attribute per-operator kernel events to the enclosing compute span. It is
+// an argument of the forward, not a process-wide hook, so forwards running
+// on different goroutines never see each other's; nil turns it off.
+type Observer func(op nn.Op)
+
 // ForwardBatch executes the graph once per query with cross-query batched
 // kernels: each node runs nn.ForwardBatchInto over the whole batch before the
 // walk advances, so batch-aware operators amortize their packing and weight
 // traffic across queries. The result is bitwise identical to calling
 // Forward once per input — the batched kernels run the exact per-element
-// accumulation schedules (see internal/nn/batch.go) and the observer is
-// notified once per (node, query), matching the sequential loop. It is
-// ForwardBatchIn in an arena from par's scratch pool.
-func (g *Graph) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// accumulation schedules (see internal/nn/batch.go) and obs is notified once
+// per (node, query), matching the sequential loop. It is ForwardBatchIn in
+// an arena from par's scratch pool.
+func (g *Graph) ForwardBatch(xs []*tensor.Tensor, obs Observer) ([]*tensor.Tensor, error) {
 	p, err := g.plan()
 	if err != nil {
 		return nil, err
 	}
 	arena := par.GetF32(p.size * len(xs))
 	defer par.PutF32(arena)
-	return g.ForwardBatchIn(*arena, xs)
+	return g.ForwardBatchIn(*arena, xs, obs)
 }
 
 // ForwardBatchIn is ForwardBatch in the caller's arena, which must hold
@@ -175,7 +182,7 @@ func (g *Graph) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 // stretch of it, and nothing the call returns points into it. A caller that
 // runs several graphs one after the other (a chain of units) takes one arena
 // for the hungriest and runs them all in it.
-func (g *Graph) ForwardBatchIn(arena []float32, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+func (g *Graph) ForwardBatchIn(arena []float32, xs []*tensor.Tensor, obs Observer) ([]*tensor.Tensor, error) {
 	if len(g.nodes) == 0 {
 		return nil, fmt.Errorf("graph %q: empty", g.Name)
 	}
@@ -216,7 +223,9 @@ func (g *Graph) ForwardBatchIn(arena []float32, xs []*tensor.Tensor) ([]*tensor.
 					ins[e][i] = vals[in*batch+e]
 				}
 			}
-			nn.Observe(n.Op)
+			if obs != nil {
+				obs(n.Op)
+			}
 			var err error
 			switch slot {
 			case slotOwned:

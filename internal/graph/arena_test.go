@@ -149,7 +149,7 @@ func TestArenaForwardOnZoo(t *testing.T) {
 					t.Errorf("%s: arena of %d floats, peak live set %d", c.what, size, peak)
 				}
 				if !heavy || c.g == fused {
-					outs, err := c.g.ForwardBatch(xs[:c.pool])
+					outs, err := c.g.ForwardBatch(xs[:c.pool], nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -159,7 +159,7 @@ func TestArenaForwardOnZoo(t *testing.T) {
 				for i := range arena {
 					arena[i] = sentinel
 				}
-				outs, err := c.g.ForwardBatchIn(arena, xs[:c.exact])
+				outs, err := c.g.ForwardBatchIn(arena, xs[:c.exact], nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -69,7 +69,7 @@ func TestGraphForwardBatchEquivalenceProperty(t *testing.T) {
 				restore()
 				for _, p := range []int{1, 4} {
 					restore := par.SetParallelism(p)
-					got, err := g.ForwardBatch(xs)
+					got, err := g.ForwardBatch(xs, nil)
 					restore()
 					if err != nil {
 						t.Fatalf("b=%d p=%d: %v", batch, p, err)
@@ -90,10 +90,10 @@ func TestGraphForwardBatchEquivalenceProperty(t *testing.T) {
 func TestGraphForwardBatchValidation(t *testing.T) {
 	g := tinyChain()
 	g.Init(1)
-	if _, err := g.ForwardBatch([]*tensor.Tensor{tensor.New(2, 6, 6)}); err == nil {
+	if _, err := g.ForwardBatch([]*tensor.Tensor{tensor.New(2, 6, 6)}, nil); err == nil {
 		t.Fatal("expected shape error")
 	}
-	outs, err := g.ForwardBatch(nil)
+	outs, err := g.ForwardBatch(nil, nil)
 	if err != nil || outs != nil {
 		t.Fatalf("empty batch: got %v, %v", outs, err)
 	}

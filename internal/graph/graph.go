@@ -30,7 +30,8 @@ type Graph struct {
 	inShape []int
 	nodes   []*Node
 	// arena caches the liveness plan forwards run by (arena.go); Add drops
-	// it.
+	// it. Atomic because a loaded graph is shared: every gillis-server
+	// request goroutine forwards through the same one in its own Env.
 	arena atomic.Pointer[arenaPlan]
 }
 
@@ -144,7 +145,7 @@ func (g *Graph) Validate() error {
 // must be initialized. It is the batch-of-one call of ForwardBatch
 // (arena.go).
 func (g *Graph) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
-	outs, err := g.ForwardBatch([]*tensor.Tensor{x})
+	outs, err := g.ForwardBatch([]*tensor.Tensor{x}, nil)
 	if err != nil {
 		return nil, err
 	}

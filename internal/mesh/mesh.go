@@ -17,7 +17,6 @@ package mesh
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"gillis/internal/gateway"
@@ -111,7 +110,6 @@ type Mesh struct {
 	cfg Config
 	reg *trace.Registry
 
-	mu     sync.Mutex
 	models map[string]*model
 	order  []string
 	insts  []*instance
@@ -192,9 +190,7 @@ func (m *Mesh) memBudget() int64 { return int64(m.cfg.InstanceMemMB) * 1e6 }
 // on proc) and waiting behind an in-progress load instead of duplicating
 // it. Exactly one of hit/miss is counted per query.
 func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), error) {
-	m.mu.Lock()
 	mm := m.models[id]
-	m.mu.Unlock()
 	if mm == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownModel, id)
 	}
@@ -203,15 +199,13 @@ func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), e
 	}
 	counted := false
 	for {
-		m.mu.Lock()
 		// 1. An instance already holds the model with free concurrency:
 		// cache hit.
-		if inst := m.holderLocked(mm.spec.ID, true); inst != nil {
+		if inst := m.holder(mm.spec.ID, true); inst != nil {
 			r := inst.resident[mm.spec.ID]
 			r.serving++
 			r.lastUsed = proc.Now()
 			inst.inFlight++
-			m.mu.Unlock()
 			if !counted {
 				m.countHit(mm)
 			}
@@ -219,15 +213,12 @@ func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), e
 		}
 		// 2. Someone is already loading it: wait on their load rather than
 		// fetching a duplicate copy.
-		if pr := m.loadingLocked(mm.spec.ID); pr != nil {
+		if pr := m.loading(mm.spec.ID); pr != nil {
 			if !counted {
 				mm.loadWaits++
-				m.mu.Unlock()
 				m.countMiss(mm)
 				m.mLoadWaits.Inc()
 				counted = true
-			} else {
-				m.mu.Unlock()
 			}
 			if _, err := pr.Wait(proc); err != nil {
 				return nil, nil, err
@@ -236,8 +227,7 @@ func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), e
 		}
 		// 3. Memory capacity somewhere: place and load (a saturated holder
 		// elsewhere makes this a scale-out copy).
-		if inst, r, pr := m.placeLocked(mm); inst != nil {
-			m.mu.Unlock()
+		if inst, r, pr := m.place(mm); inst != nil {
 			if !counted {
 				m.countMiss(mm)
 				counted = true
@@ -249,18 +239,16 @@ func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), e
 		}
 		// 4. No memory anywhere but a holder exists: route to the least
 		// loaded holder past its concurrency cap rather than failing.
-		if inst := m.holderLocked(mm.spec.ID, false); inst != nil {
+		if inst := m.holder(mm.spec.ID, false); inst != nil {
 			r := inst.resident[mm.spec.ID]
 			r.serving++
 			r.lastUsed = proc.Now()
 			inst.inFlight++
-			m.mu.Unlock()
 			if !counted {
 				m.countHit(mm)
 			}
 			return mm.dep, m.releaseFn(inst, mm.spec.ID), nil
 		}
-		m.mu.Unlock()
 		return nil, nil, fmt.Errorf("%w: %s needs %d MB", ErrNoCapacity, mm.spec.ID, mm.sizeHint()/1e6)
 	}
 }
@@ -272,7 +260,6 @@ func (m *Mesh) acquireNoCache(proc *simnet.Proc, mm *model) (gateway.Backend, fu
 		return nil, nil, fmt.Errorf("%w: %s needs %d MB", ErrNoCapacity, mm.spec.ID, mm.predicted/1e6)
 	}
 	// Least-loaded instance, lowest ID on ties.
-	m.mu.Lock()
 	inst := m.insts[0]
 	for _, cand := range m.insts[1:] {
 		if cand.inFlight < inst.inFlight {
@@ -280,35 +267,30 @@ func (m *Mesh) acquireNoCache(proc *simnet.Proc, mm *model) (gateway.Backend, fu
 		}
 	}
 	inst.inFlight++
-	m.mu.Unlock()
 	m.countMiss(mm)
 	before := proc.Now()
 	if err := m.fetchAndWarm(proc, mm); err != nil {
-		m.mu.Lock()
 		inst.inFlight--
-		m.mu.Unlock()
 		return nil, nil, err
 	}
 	loadMs := durMs(proc.Now() - before)
-	m.mu.Lock()
 	if mm.measured == 0 {
 		mm.measured = measuredBytes(mm.spec)
 	}
 	mm.loads++
 	mm.loadedBytes += mm.predicted
 	mm.loadMsSum += loadMs
-	m.mu.Unlock()
 	m.mLoads.Inc()
 	m.reg.Counter("mesh.loads." + mm.spec.ID).Inc()
 	m.hLoadMs.Observe(loadMs)
 	return mm.dep, m.releaseFn(inst, ""), nil
 }
 
-// holderLocked returns the instance to serve a hit on: holds the model
+// holder returns the instance to serve a hit on: holds the model
 // loaded (not mid-load), least in-flight, lowest ID on ties; nil when no
 // holder qualifies. respectCap filters out instances at their concurrency
 // cap.
-func (m *Mesh) holderLocked(id string, respectCap bool) *instance {
+func (m *Mesh) holder(id string, respectCap bool) *instance {
 	var best *instance
 	for _, inst := range m.insts {
 		r := inst.resident[id]
@@ -325,9 +307,9 @@ func (m *Mesh) holderLocked(id string, respectCap bool) *instance {
 	return best
 }
 
-// loadingLocked returns the promise of an in-progress load of the model,
+// loading returns the promise of an in-progress load of the model,
 // lowest instance ID first, or nil.
-func (m *Mesh) loadingLocked(id string) *simnet.Promise[struct{}] {
+func (m *Mesh) loading(id string) *simnet.Promise[struct{}] {
 	for _, inst := range m.insts {
 		if r := inst.resident[id]; r != nil && r.loading != nil {
 			return r.loading
@@ -345,13 +327,13 @@ func (mm *model) sizeHint() int64 {
 	return mm.predicted
 }
 
-// placeLocked picks the instance to load the model onto: among instances
+// place picks the instance to load the model onto: among instances
 // not already holding it whose budget can fit it after evicting idle
 // residents, the one with the most free bytes (fewest evictions), lowest
 // ID on ties. It reserves the residency (so concurrent placements see the
 // claim), evicting as needed, and returns the load promise. Returns nils
 // when no instance can fit the model.
-func (m *Mesh) placeLocked(mm *model) (*instance, *residency, *simnet.Promise[struct{}]) {
+func (m *Mesh) place(mm *model) (*instance, *residency, *simnet.Promise[struct{}]) {
 	size := mm.sizeHint()
 	budget := m.memBudget()
 	var best *instance
@@ -376,7 +358,7 @@ func (m *Mesh) placeLocked(mm *model) (*instance, *residency, *simnet.Promise[st
 	if best == nil {
 		return nil, nil, nil
 	}
-	if !m.evictLocked(best, size) {
+	if !m.evict(best, size) {
 		return nil, nil, nil
 	}
 	pr := simnet.NewPromise[struct{}](m.env)
@@ -386,11 +368,11 @@ func (m *Mesh) placeLocked(mm *model) (*instance, *residency, *simnet.Promise[st
 	return best, r, pr
 }
 
-// evictLocked evicts idle residents of the instance, least recently used
+// evict evicts idle residents of the instance, least recently used
 // first (smallest catalog ID on recency ties), until need more bytes fit
 // the budget. Reports whether it succeeded; on failure nothing further is
 // evicted (partial evictions stand — they were the LRU tail anyway).
-func (m *Mesh) evictLocked(inst *instance, need int64) bool {
+func (m *Mesh) evict(inst *instance, need int64) bool {
 	budget := m.memBudget()
 	for inst.used+need > budget {
 		victimID := ""
@@ -414,7 +396,7 @@ func (m *Mesh) evictLocked(inst *instance, need int64) bool {
 			m.reg.Counter("mesh.evictions." + victimID).Inc()
 		}
 		m.mEvictions.Inc()
-		m.setGaugesLocked()
+		m.setGauges()
 	}
 	return true
 }
@@ -427,7 +409,6 @@ func (m *Mesh) evictLocked(inst *instance, need int64) bool {
 func (m *Mesh) load(proc *simnet.Proc, mm *model, inst *instance, r *residency, pr *simnet.Promise[struct{}]) error {
 	before := proc.Now()
 	err := m.fetchAndWarm(proc, mm)
-	m.mu.Lock()
 	if err == nil && mm.measured == 0 {
 		mm.measured = measuredBytes(mm.spec)
 	}
@@ -437,7 +418,7 @@ func (m *Mesh) load(proc *simnet.Proc, mm *model, inst *instance, r *residency, 
 		// residents to absorb it, or fail the load if pinned bytes block.
 		inst.used += mm.measured - r.bytes
 		r.bytes = mm.measured
-		if inst.used > m.memBudget() && !m.evictLocked(inst, 0) {
+		if inst.used > m.memBudget() && !m.evict(inst, 0) {
 			err = fmt.Errorf("%w: %s measured %d MB over the reservation",
 				ErrNoCapacity, mm.spec.ID, mm.measured/1e6)
 		}
@@ -445,8 +426,7 @@ func (m *Mesh) load(proc *simnet.Proc, mm *model, inst *instance, r *residency, 
 	if err != nil {
 		delete(inst.resident, mm.spec.ID)
 		inst.used -= r.bytes
-		m.setGaugesLocked()
-		m.mu.Unlock()
+		m.setGauges()
 		pr.Fail(err)
 		return err
 	}
@@ -456,8 +436,7 @@ func (m *Mesh) load(proc *simnet.Proc, mm *model, inst *instance, r *residency, 
 	mm.loadedBytes += mm.predicted
 	loadMs := durMs(proc.Now() - before)
 	mm.loadMsSum += loadMs
-	m.setGaugesLocked()
-	m.mu.Unlock()
+	m.setGauges()
 	m.mLoads.Inc()
 	m.reg.Counter("mesh.loads." + mm.spec.ID).Inc()
 	m.hLoadMs.Observe(loadMs)
@@ -501,38 +480,34 @@ func measuredBytes(spec ModelSpec) int64 {
 // releaseFn returns the query's release callback: it returns the
 // concurrency slot and stamps the model's recency for LRU.
 func (m *Mesh) releaseFn(inst *instance, id string) func() {
-	var once sync.Once
+	released := false
 	return func() {
-		once.Do(func() {
-			m.mu.Lock()
-			inst.inFlight--
-			if r := inst.resident[id]; r != nil {
-				r.serving--
-				r.lastUsed = m.env.Now()
-			}
-			m.mu.Unlock()
-		})
+		if released {
+			return
+		}
+		released = true
+		inst.inFlight--
+		if r := inst.resident[id]; r != nil {
+			r.serving--
+			r.lastUsed = m.env.Now()
+		}
 	}
 }
 
 func (m *Mesh) countHit(mm *model) {
-	m.mu.Lock()
 	mm.hits++
-	m.mu.Unlock()
 	m.mHits.Inc()
 	m.reg.Counter("mesh.hits." + mm.spec.ID).Inc()
 }
 
 func (m *Mesh) countMiss(mm *model) {
-	m.mu.Lock()
 	mm.misses++
-	m.mu.Unlock()
 	m.mMisses.Inc()
 	m.reg.Counter("mesh.misses." + mm.spec.ID).Inc()
 }
 
-// setGaugesLocked refreshes the residency gauges after any load or evict.
-func (m *Mesh) setGaugesLocked() {
+// setGauges refreshes the residency gauges after any load or evict.
+func (m *Mesh) setGauges() {
 	var nmodels int
 	var bytes int64
 	for _, inst := range m.insts {
@@ -554,8 +529,6 @@ func (m *Mesh) Platform() *platform.Platform { return m.p }
 // WarmSets implements gateway.Backend: warm instance sets standing by
 // across the whole catalog.
 func (m *Mesh) WarmSets() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var n int
 	for _, id := range m.order {
 		n += m.models[id].dep.WarmSets()
@@ -579,8 +552,6 @@ func (m *Mesh) Prewarm() error {
 // Deployment returns the catalog entry's deployment, for callers that
 // serve outside the gateway (tests, the CLI's single-query path).
 func (m *Mesh) Deployment(id string) (*runtime.Deployment, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	mm := m.models[id]
 	if mm == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, id)
@@ -590,8 +561,6 @@ func (m *Mesh) Deployment(id string) (*runtime.Deployment, error) {
 
 // Models returns the catalog IDs in catalog order.
 func (m *Mesh) Models() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]string(nil), m.order...)
 }
 

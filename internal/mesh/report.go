@@ -59,8 +59,6 @@ type ModelReport struct {
 
 // Report builds the mesh's deterministic accounting snapshot.
 func (m *Mesh) Report() *Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	rep := &Report{
 		Instances:     m.cfg.Instances,
 		InstanceMemMB: m.cfg.InstanceMemMB,

@@ -50,10 +50,13 @@ func Parallelism() int {
 }
 
 // SetParallelism caps For at n workers (n <= 0 restores the GOMAXPROCS
-// default) and returns a function restoring the previous cap. The cap is
-// process-wide and only affects scheduling, never results: kernels built on
-// For are bitwise deterministic at every parallelism level, so concurrent
-// scopes with different caps perturb timing only.
+// default) and returns a function restoring the previous cap. The cap is a
+// property of the process, like GOMAXPROCS: set it at start-up (gillis-bench
+// -parallelism), between the runs of a sweep (the kernels figure), or around a
+// test. Nothing in the repository calls it while a simulation runs, and a
+// deployment cannot ask for a width of its own. It only affects scheduling,
+// never results: kernels built on For are bitwise deterministic at every
+// parallelism level.
 func SetParallelism(n int) (restore func()) {
 	if n < 0 {
 		n = 0

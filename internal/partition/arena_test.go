@@ -100,7 +100,7 @@ func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := prog.run(units, arena, slab)
+				got, err := prog.run(units, arena, slab, nil)
 				if err != nil {
 					t.Fatalf("%s part %d/%d: %v", name, i, parts, err)
 				}
@@ -114,7 +114,7 @@ func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
 				if n := len(arena); n > 0 && math.Float32bits(arena[n-1]) == math.Float32bits(poison) {
 					t.Errorf("%s part %d/%d: never wrote the last float of its %d-float arena", name, i, parts, n)
 				}
-				pooled, err := ExecSpatialPart(units, ps, slab)
+				pooled, err := ExecSpatialPart(units, ps, slab, nil)
 				if err != nil || !tensor.Equal(pooled, rows) {
 					t.Errorf("%s part %d/%d: in a pooled arena: differs (%v)", name, i, parts, err)
 				}
@@ -187,17 +187,17 @@ func TestExecSpatialPartRejectsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
-	if _, err := ExecSpatialPart(units, slices[0], x); err == nil {
+	if _, err := ExecSpatialPart(units, slices[0], x, nil); err == nil {
 		t.Error("the whole input accepted as part 0's slab")
 	}
 	slab, err := InputSlab(x, slices[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecSpatialPart(units[:1], slices[0], slab); err == nil {
+	if _, err := ExecSpatialPart(units[:1], slices[0], slab, nil); err == nil {
 		t.Error("a slice built for the whole group accepted for its first unit")
 	}
-	if _, err := ExecSpatialPart(units, PartSlice{}, slab); err == nil {
+	if _, err := ExecSpatialPart(units, PartSlice{}, slab, nil); err == nil {
 		t.Error("a zero PartSlice accepted")
 	}
 }
@@ -239,7 +239,7 @@ func TestSpatialPartAllocationBudget(t *testing.T) {
 	var out *tensor.Tensor
 	for i := 0; i < 10; i++ {
 		runtime.ReadMemStats(&before)
-		if out, err = ExecSpatialPart(units, ps, slab); err != nil {
+		if out, err = ExecSpatialPart(units, ps, slab, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

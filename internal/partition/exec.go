@@ -20,8 +20,9 @@ import (
 //
 // The part's whole unit chain runs in one activation arena taken from par's
 // scratch pool, laid out once per slice by the liveness plan graph.Forward
-// uses (partProgram); only the result is a tensor of its own.
-func ExecSpatialPart(units []*Unit, slice PartSlice, slab *tensor.Tensor) (*tensor.Tensor, error) {
+// uses (partProgram); only the result is a tensor of its own. obs, when not
+// nil, is notified of every operator application (graph.Observer).
+func ExecSpatialPart(units []*Unit, slice PartSlice, slab *tensor.Tensor, obs graph.Observer) (*tensor.Tensor, error) {
 	prog, err := slice.program(units)
 	if err != nil {
 		return nil, err
@@ -32,7 +33,7 @@ func ExecSpatialPart(units []*Unit, slice PartSlice, slab *tensor.Tensor) (*tens
 	}
 	arena := par.GetF32(prog.size)
 	defer par.PutF32(arena)
-	return prog.run(units, *arena, slab)
+	return prog.run(units, *arena, slab, obs)
 }
 
 // partProgram is one spatial part of a unit chain as a straight-line
@@ -40,6 +41,9 @@ func ExecSpatialPart(units []*Unit, slice PartSlice, slab *tensor.Tensor) (*tens
 // every buffer the steps write — node outputs and the input windows that have
 // to be cut — at its offset in the part's arena.
 type partProgram struct {
+	// once because units and slices are shared across request Envs:
+	// concurrent gillis-server handlers may run a part for the first time
+	// together.
 	once  sync.Once
 	err   error
 	steps []partStep
@@ -181,7 +185,7 @@ func (pr *partProgram) build(units []*Unit, ps PartSlice) error {
 }
 
 // run executes the program in arena.
-func (pr *partProgram) run(units []*Unit, arena []float32, slab *tensor.Tensor) (*tensor.Tensor, error) {
+func (pr *partProgram) run(units []*Unit, arena []float32, slab *tensor.Tensor, obs graph.Observer) (*tensor.Tensor, error) {
 	view := func(b partBuffer) (*tensor.Tensor, error) {
 		if b.off < 0 {
 			return tensor.New(b.c, b.h, b.w), nil
@@ -221,7 +225,9 @@ func (pr *partProgram) run(units []*Unit, arena []float32, slab *tensor.Tensor) 
 		if !ok {
 			return fail(fmt.Errorf("not spatial"))
 		}
-		nn.Observe(op)
+		if obs != nil {
+			obs(op)
+		}
 		if err := sp.ForwardValidHInto(dst, ins...); err != nil {
 			return fail(err)
 		}
@@ -273,7 +279,7 @@ func ExecSpatial(units []*Unit, parts int, x *tensor.Tensor) (*tensor.Tensor, er
 		if err != nil {
 			return nil, err
 		}
-		out, err := ExecSpatialPart(units, ps, slab)
+		out, err := ExecSpatialPart(units, ps, slab, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -305,7 +305,7 @@ func fuseUnits(a, b *Unit) (*Unit, error) {
 // the reference the partitioned paths are tested against. It is the
 // batch-of-one call of ForwardChainBatch.
 func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
-	outs, err := ForwardChainBatch(units, []*tensor.Tensor{x})
+	outs, err := ForwardChainBatch(units, []*tensor.Tensor{x}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -316,8 +316,8 @@ func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
 // cross-query batched kernels (graph.ForwardBatchIn per unit), all in one
 // activation arena sized for the hungriest unit. Every unit's output is a
 // tensor of its own, like the chain's. Bitwise identical to calling
-// ForwardChain once per input.
-func ForwardChainBatch(units []*Unit, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// ForwardChain once per input; obs is handed to every unit's forward.
+func ForwardChainBatch(units []*Unit, xs []*tensor.Tensor, obs graph.Observer) ([]*tensor.Tensor, error) {
 	most, err := chainArenaBytes(units)
 	if err != nil {
 		return nil, err
@@ -326,7 +326,7 @@ func ForwardChainBatch(units []*Unit, xs []*tensor.Tensor) ([]*tensor.Tensor, er
 	defer par.PutF32(arena)
 	cur := xs
 	for _, u := range units {
-		outs, err := u.Sub.ForwardBatchIn(*arena, cur)
+		outs, err := u.Sub.ForwardBatchIn(*arena, cur, obs)
 		if err != nil {
 			return nil, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
 		}

@@ -27,6 +27,8 @@ type Model struct {
 	comm    stats.EMG
 	netMBps float64
 
+	// mu guards the memo because a fitted model is shared by whoever plans
+	// concurrently (package core's parallel tests do), not owned by one Env.
 	mu          sync.Mutex
 	maxCommMemo map[int]float64 // ExpectedMax is a pure function of n
 }

@@ -19,8 +19,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gillis/internal/simnet"
@@ -358,13 +356,16 @@ type functionDef struct {
 	running int             // invocations currently in flight (MaxConcurrency accounting)
 }
 
-// Platform is one simulated serverless deployment.
+// Platform is one simulated serverless deployment. Its state belongs to the
+// goroutine that runs its Env: every invocation is a coroutine of Env.Run,
+// set-up and the counter reads happen before and after Run on that same
+// goroutine, so nothing here locks (DESIGN §3). Only the metrics registry is
+// shared with other goroutines, and it synchronises itself.
 type Platform struct {
 	cfg Config
 	env *simnet.Env
 	m   *pmetrics
 
-	mu              sync.Mutex
 	rng             *rand.Rand
 	faultRng        *rand.Rand // dedicated stream: faults don't perturb noise/overhead draws
 	fns             map[string]*functionDef
@@ -381,8 +382,6 @@ type Platform struct {
 // prefixes replay-stable: two identical replays on fresh platforms yield
 // identical names, and therefore bit-identical error strings.
 func (p *Platform) NextDeploySeq() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.deploySeq++
 	return p.deploySeq
 }
@@ -473,8 +472,6 @@ func (p *Platform) Env() *simnet.Env { return p.env }
 
 // Register deploys a function under the given name.
 func (p *Platform) Register(name string, h Handler) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, ok := p.fns[name]; ok {
 		return fmt.Errorf("platform: function %q already registered", name)
 	}
@@ -490,10 +487,8 @@ func (p *Platform) Register(name string, h Handler) error {
 // PrewarmMs zero the ping cost is ignored, as in the paper.
 func (p *Platform) Prewarm(name string, n int) error {
 	now := p.env.Now()
-	p.mu.Lock()
 	f, ok := p.fns[name]
 	if !ok {
-		p.mu.Unlock()
 		return fmt.Errorf("platform: prewarm of unknown function %q", name)
 	}
 	var cost int64
@@ -505,7 +500,6 @@ func (p *Platform) Prewarm(name string, n int) error {
 	for i := 0; i < n; i++ {
 		f.warm = append(f.warm, now)
 	}
-	p.mu.Unlock()
 	p.m.prewarms.Add(int64(n))
 	if cost > 0 {
 		p.m.billedMs.Add(cost)
@@ -513,11 +507,11 @@ func (p *Platform) Prewarm(name string, n int) error {
 	return nil
 }
 
-// expireWarmLocked drops instances that have idled in the pool for
+// expireWarm drops instances that have idled in the pool for
 // WarmIdleMs or more of virtual time. Expiry is evaluated lazily, on every
 // pool access, which is deterministic because accesses happen at virtual
 // times fixed by the simulation. It returns how many instances expired.
-func (p *Platform) expireWarmLocked(f *functionDef, now time.Duration) int {
+func (p *Platform) expireWarm(f *functionDef, now time.Duration) int {
 	idle := p.cfg.WarmIdleMs
 	if idle <= 0 {
 		return 0
@@ -538,15 +532,12 @@ func (p *Platform) expireWarmLocked(f *functionDef, now time.Duration) int {
 // poll it to decide how many instances to prewarm.
 func (p *Platform) WarmCount(name string) int {
 	now := p.env.Now()
-	p.mu.Lock()
 	f, ok := p.fns[name]
 	if !ok {
-		p.mu.Unlock()
 		return 0
 	}
-	expired := p.expireWarmLocked(f, now)
+	expired := p.expireWarm(f, now)
 	n := len(f.warm)
-	p.mu.Unlock()
 	if expired > 0 {
 		p.m.warmExpired.Add(int64(expired))
 	}
@@ -556,16 +547,12 @@ func (p *Platform) WarmCount(name string) int {
 // Invocations returns the total number of completed invocations (including
 // failed, timed-out, and evicted ones — the platform saw them all).
 func (p *Platform) Invocations() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.invoked
 }
 
 // Faulted returns the number of invocations that suffered an injected
 // fault (failure, timeout, or eviction).
 func (p *Platform) Faulted() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.faulted
 }
 
@@ -575,8 +562,6 @@ func (p *Platform) Faulted() int64 {
 // stragglers), so it is the authoritative cost figure for chaos and load
 // experiments.
 func (p *Platform) BilledMsTotal() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.billedMs
 }
 
@@ -584,8 +569,6 @@ func (p *Platform) BilledMsTotal() int64 {
 // pings (zero unless Config.PrewarmMs is set). Per-query trace roll-ups
 // exclude it: no invocation span carries it.
 func (p *Platform) PrewarmBilledMs() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.prewarmBilledMs
 }
 
@@ -598,9 +581,9 @@ type Ctx struct {
 	downlink *simnet.Resource
 	span     *trace.Span // exec span of this invocation; nil when untraced
 	start    time.Duration
-	slow     float64      // straggler compute multiplier (1 = healthy)
-	children atomic.Int64 // billed ms accumulated from nested invocations
-	killed   atomic.Bool  // set when the platform kills the instance
+	slow     float64 // straggler compute multiplier (1 = healthy)
+	children int64   // billed ms accumulated from nested invocations
+	killed   bool    // set when the platform kills the instance
 }
 
 // Span returns this invocation's execution span (nil when the invocation is
@@ -612,7 +595,7 @@ func (c *Ctx) Span() *trace.Span { return c.span }
 // timeout). A killed handler keeps executing as a zombie in the simulation,
 // but its compute is skipped and its nested invocations fail fast, so it
 // drains quickly; its response is discarded either way.
-func (c *Ctx) Killed() bool { return c.killed.Load() }
+func (c *Ctx) Killed() bool { return c.killed }
 
 // Platform returns the hosting platform.
 func (c *Ctx) Platform() *Platform { return c.platform }
@@ -636,7 +619,7 @@ func (c *Ctx) Compute(flops int64) { c.ComputeOp(flops, 0) }
 // plus the fixed operator dispatch overhead, with multiplicative lognormal
 // noise.
 func (c *Ctx) ComputeOp(flops, bytesTouched int64) {
-	if c.killed.Load() {
+	if c.killed {
 		return // zombie after a platform kill: drain without consuming time
 	}
 	cfg := c.platform.cfg
@@ -653,9 +636,7 @@ func (c *Ctx) ComputeOp(flops, bytesTouched int64) {
 	}
 	noise := 1.0
 	if s := cfg.ComputeNoise; s > 0 {
-		c.platform.mu.Lock()
 		noise = math.Exp(c.platform.rng.NormFloat64() * s)
-		c.platform.mu.Unlock()
 	}
 	c.proc.Sleep(time.Duration(sec * noise * float64(time.Second)))
 }
@@ -695,7 +676,7 @@ func (c *Ctx) InvokeAsync(name string, payload Payload) *simnet.Promise[InvokeRe
 // attempt metadata. A killed instance's invocations fail fast without ever
 // reaching the platform, and correspondingly produce no span.
 func (c *Ctx) InvokeAsyncSpan(name string, payload Payload, parent *trace.Span) (*simnet.Promise[InvokeResult], *trace.Span) {
-	if c.killed.Load() {
+	if c.killed {
 		pr := simnet.NewPromise[InvokeResult](c.platform.env)
 		pr.Fail(fmt.Errorf("platform: instance of %q was killed", c.fnName))
 		return pr, nil
@@ -709,9 +690,7 @@ func (c *Ctx) InvokeAsyncSpan(name string, payload Payload, parent *trace.Span) 
 // StorageGet fetches an object, charging storage latency plus transfer time.
 func (c *Ctx) StorageGet(key string) (Object, error) {
 	p := c.platform
-	p.mu.Lock()
 	obj, ok := p.storage[key]
-	p.mu.Unlock()
 	if !ok {
 		return Object{}, fmt.Errorf("platform: storage object %q not found", key)
 	}
@@ -723,15 +702,11 @@ func (c *Ctx) StorageGet(key string) (Object, error) {
 func (c *Ctx) StoragePut(key string, obj Object) {
 	p := c.platform
 	c.proc.Sleep(msToDur(p.cfg.StorageLatencyMs + float64(obj.Bytes)/1e6/p.cfg.StorageMBps*1000))
-	p.mu.Lock()
 	p.storage[key] = obj
-	p.mu.Unlock()
 }
 
 // Seed stores an object directly (no simulated time), for experiment setup.
 func (p *Platform) Seed(key string, obj Object) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.storage[key] = obj
 }
 
@@ -764,10 +739,8 @@ func (p *Platform) invokeAsync(from *Ctx, parent *trace.Span, name string, paylo
 }
 
 func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, name string, payload Payload) (InvokeResult, error) {
-	p.mu.Lock()
 	f, ok := p.fns[name]
 	if !ok {
-		p.mu.Unlock()
 		err := fmt.Errorf("platform: invoke of unknown function %q", name)
 		sp.Fail("", err.Error())
 		sp.EndSpan()
@@ -783,7 +756,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	if p.cfg.MaxConcurrency > 0 && f.running >= p.cfg.MaxConcurrency {
 		p.invoked++
 		p.faulted++
-		p.mu.Unlock()
 		p.m.invocations.Inc()
 		p.m.faultThrottled.Inc()
 		ierr := &InvokeError{Kind: FaultThrottled, Fn: name, Res: res}
@@ -793,7 +765,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		return res, ierr
 	}
 	f.running++
-	p.mu.Unlock()
 
 	// Request issuance + upload: function callers pay the per-request CPU
 	// cost and serialize on their uplink; external clients only pay the
@@ -812,9 +783,7 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	res.UploadMs = durToMs(proc.Now() - before)
 
 	// Invocation dispatch overhead (EMG, §IV-A).
-	p.mu.Lock()
 	overhead := p.cfg.InvokeOverhead.Sample(p.rng)
-	p.mu.Unlock()
 	dsp := sp.Child(trace.KindDispatch, "dispatch")
 	proc.Sleep(msToDur(overhead))
 	dsp.EndSpan()
@@ -829,7 +798,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	var evicted, crash bool
 	slow := 1.0
 	if faults.active() {
-		p.mu.Lock()
 		if faults.EvictionProb > 0 && p.faultRng.Float64() < faults.EvictionProb {
 			evicted = true
 		}
@@ -842,20 +810,17 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 				slow = DefaultStragglerFactor
 			}
 		}
-		p.mu.Unlock()
 	}
 
 	// Instance acquisition: warm pool (most recently used instance first,
 	// after expiring instances that idled past WarmIdleMs) or cold start.
 	now := proc.Now()
-	p.mu.Lock()
-	expired := p.expireWarmLocked(f, now)
+	expired := p.expireWarm(f, now)
 	if n := len(f.warm); n > 0 {
 		f.warm = f.warm[:n-1]
 	} else {
 		res.ColdStart = true
 	}
-	p.mu.Unlock()
 	if expired > 0 {
 		p.m.warmExpired.Add(int64(expired))
 	}
@@ -864,11 +829,9 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		// The platform reclaimed the instance between dispatch and
 		// execution: the handler never runs, nothing is billed, and the
 		// claimed warm instance (if any) is destroyed.
-		p.mu.Lock()
 		f.running--
 		p.invoked++
 		p.faulted++
-		p.mu.Unlock()
 		p.m.invocations.Inc()
 		p.m.faultEvicted.Inc()
 		p.m.overheadMs.Observe(overhead)
@@ -907,14 +870,13 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		esp.SetAttr("killed", "1")
 	}
 	res.BilledMs = billed(res.HandlerMs, p.cfg.BillingGranMs)
-	res.TotalBilledMs = res.BilledMs + ctx.children.Load()
+	res.TotalBilledMs = res.BilledMs + ctx.children
 
 	// Settle the invocation exactly once: the instance returns to the warm
 	// pool (stamped with the current virtual time for idle expiry) unless
 	// the platform killed it, and the invocation counts (and bills) even if
 	// the handler failed.
 	settleAt := proc.Now()
-	p.mu.Lock()
 	f.running--
 	if !timedOut {
 		f.warm = append(f.warm, settleAt)
@@ -924,7 +886,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	if timedOut || crash {
 		p.faulted++
 	}
-	p.mu.Unlock()
 
 	p.m.invocations.Inc()
 	if res.ColdStart {
@@ -937,7 +898,7 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	// Charge the caller's nested-billing accumulator exactly once, on
 	// every settled path — failed invocations are billed too.
 	if from != nil {
-		from.children.Add(res.TotalBilledMs)
+		from.children += res.TotalBilledMs
 	}
 
 	// The invocation span owns this instance's own billed duration; nested
@@ -1013,7 +974,7 @@ func (p *Platform) runHandler(proc *simnet.Proc, ctx *Ctx, f *functionDef, paylo
 	})
 	out, werr := done.WaitTimeout(proc, msToDur(limit))
 	if werr != nil { // deadline elapsed: the platform kills the instance
-		ctx.killed.Store(true)
+		ctx.killed = true
 		return Payload{}, nil, true
 	}
 	return out.resp, out.err, false

@@ -1,13 +1,10 @@
 package runtime
 
-import "gillis/internal/par"
-
 // deployOpts collects optional deployment configuration shared by the
 // fork-join and pipeline deployments.
 type deployOpts struct {
-	// parallelism is the modeled vCPU count per function instance;
-	// 0 means "unspecified": kernels inherit the process-wide default and
-	// simulated compute time is not rescaled.
+	// parallelism is the modeled vCPU count per function instance; 0 means
+	// "unspecified": simulated compute time is not rescaled.
 	parallelism int
 
 	// Resilience options (see resilience.go). All zero values mean
@@ -84,16 +81,13 @@ func WithMasterFallback() DeployOption {
 type DeployOption func(*deployOpts)
 
 // WithParallelism models function instances with n vCPUs (e.g. a 1769 MB
-// Lambda has 1, a 10 GB Lambda has 6). It has two effects, one per
-// execution mode:
-//
-//   - Real-mode kernels execute with kernel parallelism exactly n, so a
-//     1-vCPU deployment measures single-core forwards and an n-vCPU one
-//     measures multi-core forwards. Outputs are bitwise identical either
-//     way (see package par).
-//   - Simulated compute time (both modes) is divided by an Amdahl speedup
-//     with parallel fraction 0.9, approximating how much of an operator's
-//     FLOP time multi-core execution actually recovers.
+// Lambda has 1, a 10 GB Lambda has 6): simulated compute time, in both
+// execution modes, is divided by an Amdahl speedup with parallel fraction
+// 0.9, approximating how much of an operator's FLOP time multi-core
+// execution actually recovers. It is a statement about the virtual clock
+// only. How many cores the Real-mode kernels of this process run on is a
+// property of the process, like GOMAXPROCS (par.SetParallelism, set at
+// start-up), and outputs are bitwise identical at any width.
 func WithParallelism(n int) DeployOption {
 	return func(o *deployOpts) {
 		if n > 0 {
@@ -115,17 +109,4 @@ func (o deployOpts) speedup() float64 {
 	}
 	n := float64(o.parallelism)
 	return 1 / ((1 - parallelFraction) + parallelFraction/n)
-}
-
-// kernelScope installs the deployment's kernel parallelism for the duration
-// of a Real-mode forward and returns the restore function. The underlying
-// knob is process-wide (see par.SetParallelism); within one simulation Env
-// at most one process executes at a time, so scopes never overlap there,
-// and overlap across concurrently running simulations only perturbs
-// scheduling, never results.
-func (o deployOpts) kernelScope() (restore func()) {
-	if o.parallelism <= 0 {
-		return func() {}
-	}
-	return par.SetParallelism(o.parallelism)
 }

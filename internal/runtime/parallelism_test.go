@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gillis/internal/par"
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
@@ -36,8 +37,9 @@ func serveOnce(t *testing.T, units []*partition.Unit, plan *partition.Plan, x *t
 }
 
 // TestParallelismPreservesOutputsBitwise is the serving-level statement of
-// the kernel determinism invariant: a deployment modeling multi-vCPU
-// instances must produce exactly the bytes a 1-vCPU deployment produces.
+// the kernel determinism invariant: whatever width the process runs its
+// kernels at (par.SetParallelism — a deployment has no width of its own),
+// a served query produces exactly the bytes the monolithic forward does.
 func TestParallelismPreservesOutputsBitwise(t *testing.T) {
 	units := tinyCNN(t)
 	plan := mixedPlan(t, units)
@@ -46,10 +48,12 @@ func TestParallelismPreservesOutputsBitwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, vcpus := range []int{1, 2, 6} {
-		res := serveOnce(t, units, plan, x, Real, WithParallelism(vcpus))
+	for _, workers := range []int{1, 2, 6} {
+		restore := par.SetParallelism(workers)
+		res := serveOnce(t, units, plan, x, Real)
+		restore()
 		if len(res.Outputs) != 1 || !tensor.Equal(res.Outputs[0], want) {
-			t.Fatalf("parallelism %d: fork-join output diverged from monolithic execution", vcpus)
+			t.Fatalf("parallelism %d: fork-join output diverged from monolithic execution", workers)
 		}
 	}
 }

@@ -165,9 +165,7 @@ func (d *PipelineDeployment) handler(ctx *platform.Ctx, payload platform.Payload
 		ctx.ComputeOp(int64(float64(c.flops)/d.opts.speedup()), c.opBytes)
 		br.computeMs += float64(ctx.Proc().Now()-before) / 1e6
 		if d.mode == Real {
-			restore := d.opts.kernelScope()
 			out, err := partition.ForwardChain(d.units[c.first:c.last+1], cur)
-			restore()
 			if err != nil {
 				return platform.Payload{}, err
 			}

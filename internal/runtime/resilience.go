@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gillis/internal/platform"
@@ -54,28 +52,6 @@ func (r *Resilience) add(o Resilience) {
 	r.ExtraBilledMs += o.ExtraBilledMs
 }
 
-// queryStats accumulates one query's Resilience across the caller processes
-// a resilient fork spawns.
-type queryStats struct {
-	mu sync.Mutex
-	r  Resilience
-}
-
-func (q *queryStats) retry()    { q.mu.Lock(); q.r.Retries++; q.mu.Unlock() }
-func (q *queryStats) hedged()   { q.mu.Lock(); q.r.Hedges++; q.mu.Unlock() }
-func (q *queryStats) wonHedge() { q.mu.Lock(); q.r.HedgesWon++; q.mu.Unlock() }
-func (q *queryStats) survive()  { q.mu.Lock(); q.r.FaultsSurvived++; q.mu.Unlock() }
-func (q *queryStats) fellBack() { q.mu.Lock(); q.r.Fallbacks++; q.mu.Unlock() }
-func (q *queryStats) addExtra(ms int64) {
-	if ms == 0 {
-		return
-	}
-	q.mu.Lock()
-	q.r.ExtraBilledMs += ms
-	q.mu.Unlock()
-}
-func (q *queryStats) snapshot() Resilience { q.mu.Lock(); defer q.mu.Unlock(); return q.r }
-
 // ErrDeadline marks a worker attempt abandoned because it exceeded the
 // deployment's per-attempt deadline.
 var ErrDeadline = errors.New("runtime: worker attempt deadline exceeded")
@@ -94,7 +70,6 @@ const maxHedgeSamples = 256
 // latencyHistory tracks per-group successful worker-call latencies; the
 // hedging option derives its trigger threshold from it.
 type latencyHistory struct {
-	mu      sync.Mutex
 	samples map[int][]float64
 }
 
@@ -103,8 +78,6 @@ func newLatencyHistory() *latencyHistory {
 }
 
 func (h *latencyHistory) record(gi int, ms float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := append(h.samples[gi], ms)
 	if len(s) > maxHedgeSamples {
 		s = s[len(s)-maxHedgeSamples:]
@@ -115,8 +88,6 @@ func (h *latencyHistory) record(gi int, ms float64) {
 // threshold returns the pctl-th percentile of the group's observed
 // latencies, and whether enough samples exist for hedging to activate.
 func (h *latencyHistory) threshold(gi int, pctl float64) (float64, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	s := h.samples[gi]
 	if len(s) < minHedgeSamples {
 		return 0, false
@@ -130,14 +101,14 @@ func msToDur(ms float64) time.Duration {
 
 // watchAbandoned attributes the eventual billing of an abandoned invocation
 // to the query's ExtraBilledMs once it settles.
-func (d *Deployment) watchAbandoned(pr *simnet.Promise[platform.InvokeResult], qs *queryStats) {
+func (d *Deployment) watchAbandoned(pr *simnet.Promise[platform.InvokeResult], qs *Resilience) {
 	d.p.Env().Go("abandon-watch", func(wp *simnet.Proc) {
 		res, err := pr.Wait(wp)
 		if err != nil {
-			qs.addExtra(platform.BilledMsOf(err))
+			qs.ExtraBilledMs += platform.BilledMsOf(err)
 			return
 		}
-		qs.addExtra(res.TotalBilledMs)
+		qs.ExtraBilledMs += res.TotalBilledMs
 	})
 }
 
@@ -145,7 +116,7 @@ func (d *Deployment) watchAbandoned(pr *simnet.Promise[platform.InvokeResult], q
 // resilience budget: per-attempt deadline, hedging, and bounded retries
 // with exponential backoff. proc is the process driving the call (the
 // master's own, or a spawned caller in a resilient fork-join round).
-func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *queryStats, parent *trace.Span) (platform.InvokeResult, error) {
+func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, parent *trace.Span) (platform.InvokeResult, error) {
 	csp := parent.Childf(trace.KindCall, "call:g%d.p%d", gi, part)
 	return d.callWorkerSpan(proc, ctx, gi, part, req, qs, csp)
 }
@@ -153,13 +124,13 @@ func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, gi, part i
 // callWorkerSpan is callWorker recording into an already-opened call span
 // (launchWorker opens it at fork time, before the caller process is
 // scheduled).
-func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *queryStats, csp *trace.Span) (platform.InvokeResult, error) {
+func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, csp *trace.Span) (platform.InvokeResult, error) {
 	name := d.workerName(gi, part)
 	attempts := d.opts.retries + 1
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			qs.retry()
+			qs.Retries++
 			csp.Event("retry", "attempt", strconv.Itoa(a))
 			proc.Sleep(msToDur(d.opts.backoff(a)))
 		}
@@ -168,12 +139,12 @@ func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, gi, pa
 		if err == nil {
 			d.hist.record(gi, float64(proc.Now()-start)/1e6)
 			if a > 0 {
-				qs.survive()
+				qs.FaultsSurvived++
 			}
 			csp.EndSpan()
 			return res, nil
 		}
-		qs.addExtra(platform.BilledMsOf(err))
+		qs.ExtraBilledMs += platform.BilledMsOf(err)
 		lastErr = err
 	}
 	csp.Fail("", lastErr.Error())
@@ -188,14 +159,14 @@ type hedgeOut struct {
 
 // attemptWorker makes one invocation attempt, hedging with a backup request
 // when the primary outlives the group's latency percentile.
-func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int, name string, req platform.Payload, qs *queryStats, csp *trace.Span) (platform.InvokeResult, error) {
+func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int, name string, req platform.Payload, qs *Resilience, csp *trace.Span) (platform.InvokeResult, error) {
 	asp := csp.Child(trace.KindAttempt, "attempt")
 	primary, psp := ctx.InvokeAsyncSpan(name, req, asp)
 	deadline := d.opts.deadlineMs
 
 	var thresh float64
 	hedging := false
-	if d.opts.hedgePctl > 0 && !d.hedgeOff.Load() {
+	if d.opts.hedgePctl > 0 && !d.hedgeOff {
 		thresh, hedging = d.hist.threshold(gi, d.opts.hedgePctl)
 	}
 
@@ -241,20 +212,20 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 
 	// Phase 2: the primary is a suspected straggler — race it against a
 	// backup; first response wins, the loser's billing becomes overhead.
-	qs.hedged()
+	qs.Hedges++
 	asp.Event("hedge")
 	psp.SetAttr("hedge", "primary")
 	backup, bsp := ctx.InvokeAsyncSpan(name, req, asp)
 	bsp.SetAttr("hedge", "backup")
 	env := d.p.Env()
 	win := simnet.NewPromise[hedgeOut](env)
-	var fails atomic.Int32
+	fails := 0
 	watch := func(pr *simnet.Promise[platform.InvokeResult], sp *trace.Span, isBackup bool) {
 		env.Go("hedge-watch:"+name, func(wp *simnet.Proc) {
 			res, err := pr.Wait(wp)
 			if err != nil {
-				qs.addExtra(platform.BilledMsOf(err))
-				if fails.Add(1) == 2 {
+				qs.ExtraBilledMs += platform.BilledMsOf(err)
+				if fails++; fails == 2 {
 					win.TryFail(err)
 				}
 				return
@@ -268,7 +239,7 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 				return
 			}
 			sp.SetAttr("hedge", "lost")
-			qs.addExtra(res.TotalBilledMs) // lost the race
+			qs.ExtraBilledMs += res.TotalBilledMs // lost the race
 		})
 	}
 	watch(primary, psp, false)
@@ -280,7 +251,7 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 		out, werr = win.WaitTimeout(proc, msToDur(deadline-wait1))
 		if errors.Is(werr, simnet.ErrTimeout) {
 			// Nobody answered in time: abandon both. Failing the race
-			// promise routes their eventual completions to addExtra.
+			// promise routes their eventual completions to ExtraBilledMs.
 			win.TryFail(errHedgeAbandoned)
 			werr = fmt.Errorf("%s: %w", name, ErrDeadline)
 			endAttempt(asp, werr)
@@ -294,8 +265,8 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 		return platform.InvokeResult{}, werr
 	}
 	if out.backup {
-		qs.wonHedge()
-		qs.survive()
+		qs.HedgesWon++
+		qs.FaultsSurvived++
 		asp.Event("hedge-win")
 	}
 	endAttempt(asp, nil)
@@ -317,7 +288,7 @@ func endAttempt(asp *trace.Span, err error) {
 // It returns the promise together with the call's span (the invocation span
 // on the naive path), so a failing fork-join round can mark still-running
 // siblings abandoned.
-func (d *Deployment) launchWorker(ctx *platform.Ctx, gi, part int, req platform.Payload, qs *queryStats, gsp *trace.Span) (*simnet.Promise[platform.InvokeResult], *trace.Span) {
+func (d *Deployment) launchWorker(ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, gsp *trace.Span) (*simnet.Promise[platform.InvokeResult], *trace.Span) {
 	if !d.opts.resilient() {
 		return ctx.InvokeAsyncSpan(d.workerName(gi, part), req, gsp)
 	}
@@ -357,14 +328,14 @@ func (d *Deployment) fallbackKey(gi int) string {
 // request's queries) and executes the group locally. Real-mode outputs are
 // computed by the same kernels, so the result stays bitwise identical to the
 // healthy path.
-func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
+func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	fsp := gsp.Child(trace.KindFallback, "fallback")
 	defer fsp.EndSpan()
 	if _, err := ctx.StorageGet(d.fallbackKey(gi)); err != nil {
 		fsp.Fail("", err.Error())
 		return nil, err
 	}
-	qs.fellBack()
-	qs.survive()
+	qs.Fallbacks++
+	qs.FaultsSurvived++
 	return d.computeChain(ctx, gr, size, ins, fsp)
 }

@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync/atomic"
 
+	"gillis/internal/graph"
 	"gillis/internal/nn"
 	"gillis/internal/partition"
 	"gillis/internal/platform"
@@ -71,7 +71,7 @@ type Deployment struct {
 
 	// hedgeOff suppresses hedged backup requests at serve time without
 	// redeploying — the gateway's brownout mode sheds hedge cost this way.
-	hedgeOff atomic.Bool
+	hedgeOff bool
 
 	// Master is the entry function name.
 	Master string
@@ -82,7 +82,7 @@ type Deployment struct {
 // stay active); re-enabling restores the configured behaviour. Safe to call
 // from a controller process between queries — in-flight hedge races are
 // unaffected.
-func (d *Deployment) SetHedging(enabled bool) { d.hedgeOff.Store(!enabled) }
+func (d *Deployment) SetHedging(enabled bool) { d.hedgeOff = !enabled }
 
 // Deploy validates the plan against the platform's memory budget, registers
 // the master and worker functions, and returns a ready deployment. It
@@ -416,21 +416,14 @@ func tensorDigest(t *tensor.Tensor) uint64 {
 	return h
 }
 
-// kernels scopes one Real-mode forward: it installs the deployment's kernel
-// parallelism and reports a per-operator kernel event into sp for every
-// operator forward executed until the returned restore runs. Both hooks are
-// process-wide, so install them only around pure Go forwards (no
-// virtual-time sleeps): the scope then never spans a scheduling point.
-func (d *Deployment) kernels(sp *trace.Span) (restore func()) {
-	restorePar := d.opts.kernelScope()
+// opEvents is the observer a Real-mode forward reports into sp with: one
+// kernel event per operator application. Untraced serves (nil sp) pass no
+// observer at all.
+func opEvents(sp *trace.Span) graph.Observer {
 	if sp == nil {
-		return restorePar
+		return nil
 	}
-	restoreObs := nn.SetObserver(func(op nn.Op) { sp.Event("op:" + op.Name()) })
-	return func() {
-		restoreObs()
-		restorePar()
-	}
+	return func(op nn.Op) { sp.Event("op:" + op.Name()) }
 }
 
 // masterHandler orchestrates the fork-join rounds (Fig. 4) for the queries
@@ -440,7 +433,7 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 	if !ok {
 		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want request", payload.Data)
 	}
-	qs := &queryStats{}
+	qs := &Resilience{}
 	groupMs := make([]float64, 0, len(d.groups))
 	cur := req.inputs
 	for gi, gr := range d.groups {
@@ -462,7 +455,7 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 	last := d.groups[len(d.groups)-1]
 	return platform.Payload{
 		Bytes: last.outBytes * int64(req.size),
-		Data:  &response{outputs: cur, groupMs: groupMs, resil: qs.snapshot()},
+		Data:  &response{outputs: cur, groupMs: groupMs, resil: *qs},
 	}, nil
 }
 
@@ -483,7 +476,7 @@ func (d *Deployment) workerReq(req *request, ins []*tensor.Tensor) *request {
 // kernels (DimNone paths, channel partitions) or looped per query (spatial
 // partitions) — both bitwise identical to sequential execution — while
 // modeled compute and payload bytes scale linearly with req.size.
-func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
+func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	switch {
 	case gr.gp.Option.Dim != partition.DimNone:
 		return d.forkJoin(ctx, gi, gr, req, ins, qs, gsp)
@@ -503,7 +496,7 @@ func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *reques
 
 // remoteRound runs a whole group on its single worker (with retries, and a
 // master-local fallback when graceful degradation is enabled).
-func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
+func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	wreq := platform.Payload{Bytes: gr.inBytes * int64(req.size), Data: d.workerReq(req, ins)}
 	res, err := d.callWorker(ctx.Proc(), ctx, gi, 0, wreq, qs, gsp)
 	if err != nil {
@@ -517,7 +510,7 @@ func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, re
 
 // forkJoin is the parallel round of a partitioned group: fork workers,
 // optionally compute partition 0 locally, join and reassemble per query.
-func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *queryStats, gsp *trace.Span) ([]*tensor.Tensor, error) {
+func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	opt := gr.gp.Option
 	size := int64(req.size)
 	firstWorker := 0
@@ -636,8 +629,7 @@ func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int,
 	if d.mode != Real {
 		return nil, nil
 	}
-	defer d.kernels(sp)()
-	return partition.ForwardChainBatch(gr.units, ins)
+	return partition.ForwardChainBatch(gr.units, ins, opEvents(sp))
 }
 
 // computeScaled advances the function's clock by the group's ops scaled to
@@ -691,13 +683,13 @@ func (d *Deployment) execPart(gr *groupRuntime, part int, ins []*tensor.Tensor, 
 // walk on the subgraph the deployment built; spatial partitions loop
 // ExecSpatialPart per query (identical math either way).
 func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slabs []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
-	defer d.kernels(sp)()
+	obs := opEvents(sp)
 	if gr.gp.Option.Dim == partition.DimChannel {
-		return gr.channel[part].Sub.ForwardBatch(slabs)
+		return gr.channel[part].Sub.ForwardBatch(slabs, obs)
 	}
 	outs := make([]*tensor.Tensor, len(slabs))
 	for e, slab := range slabs {
-		out, err := partition.ExecSpatialPart(gr.units, gr.spatial[part], slab)
+		out, err := partition.ExecSpatialPart(gr.units, gr.spatial[part], slab, obs)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"sync"
 
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
@@ -18,7 +17,6 @@ import (
 // is just an index change, taking effect at the next query. The adaptive
 // controller drives Switch along its degradation ladder.
 type Switcher struct {
-	mu     sync.Mutex
 	deps   []*Deployment
 	active int
 }
@@ -40,8 +38,6 @@ func NewSwitcher(deps ...*Deployment) (*Switcher, error) {
 // Add registers another candidate deployment (e.g. a freshly re-planned
 // one) and returns its index. It does not activate it.
 func (s *Switcher) Add(d *Deployment) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if d.p != s.deps[0].p {
 		return 0, fmt.Errorf("runtime: switcher add: deployment is on a different platform")
 	}
@@ -50,23 +46,13 @@ func (s *Switcher) Add(d *Deployment) (int, error) {
 }
 
 // Len returns the number of candidate deployments.
-func (s *Switcher) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.deps)
-}
+func (s *Switcher) Len() int { return len(s.deps) }
 
 // Active returns the index of the deployment currently serving.
-func (s *Switcher) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.active
-}
+func (s *Switcher) Active() int { return s.active }
 
 // Deployment returns candidate i.
 func (s *Switcher) Deployment(i int) (*Deployment, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.deps) {
 		return nil, fmt.Errorf("runtime: switcher has no deployment %d (have %d)", i, len(s.deps))
 	}
@@ -76,8 +62,6 @@ func (s *Switcher) Deployment(i int) (*Deployment, error) {
 // Switch makes candidate i the active deployment for subsequent queries.
 // In-flight queries finish on the plan they started on.
 func (s *Switcher) Switch(i int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if i < 0 || i >= len(s.deps) {
 		return fmt.Errorf("runtime: switch to unknown deployment %d (have %d)", i, len(s.deps))
 	}
@@ -85,12 +69,8 @@ func (s *Switcher) Switch(i int) error {
 	return nil
 }
 
-// current snapshots the active deployment.
-func (s *Switcher) current() *Deployment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deps[s.active]
-}
+// current is the active deployment.
+func (s *Switcher) current() *Deployment { return s.deps[s.active] }
 
 // Platform returns the shared platform.
 func (s *Switcher) Platform() *platform.Platform { return s.deps[0].p }
@@ -109,10 +89,7 @@ func (s *Switcher) Prewarm() error { return s.current().Prewarm() }
 // SetHedging applies the hedging kill-switch to every candidate, so a
 // brownout engaged on one plan persists across switches.
 func (s *Switcher) SetHedging(enabled bool) {
-	s.mu.Lock()
-	deps := append([]*Deployment(nil), s.deps...)
-	s.mu.Unlock()
-	for _, d := range deps {
+	for _, d := range s.deps {
 		d.SetHedging(enabled)
 	}
 }

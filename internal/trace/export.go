@@ -41,8 +41,6 @@ func (t *Trace) render(rename Rename, timings bool) []byte {
 	if rename == nil {
 		rename = identity
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var sb strings.Builder
 	t.renderSpan(&sb, t.spans[0], 0, rename, timings)
 	return []byte(sb.String())
@@ -103,8 +101,6 @@ func (t *Trace) ChromeJSON(rename Rename) []byte {
 	if rename == nil {
 		rename = identity
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 
 	// Assign tracks: the root is tid 0, every invoke span opens a new tid,
 	// and other spans inherit their parent's tid. Spans are in creation

@@ -14,9 +14,13 @@ import (
 // deployment by default; long-lived front ends (gillis-server) share a
 // single registry across many short-lived platform simulations.
 //
-// Counters are lock-free; histograms take a short mutex per observation.
-// Get-or-create lookups are guarded by a registry lock, so callers on hot
-// paths should hold on to the returned handle.
+// It is the one piece of serving state that more than one goroutine touches,
+// which is why it alone below the front end synchronises (DESIGN §3): every
+// gillis-server request goroutine records into the server's registry from
+// its own Env while the /v1/metrics handler's goroutine reads a Summary.
+// Counters are lock-free; histograms and gauges take a short mutex per
+// observation. Get-or-create lookups are guarded by a registry lock, so
+// callers on hot paths should hold on to the returned handle.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

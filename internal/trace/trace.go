@@ -19,7 +19,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -95,9 +94,9 @@ type Event struct {
 	Attrs []Attr
 }
 
-// Span is one timed interval of a query. Fields are written under the
-// owning Trace's lock during the simulation; reading them directly is safe
-// once the simulation has drained (simnet.Env.Run returned).
+// Span is one timed interval of a query. Fields are written by the
+// simulation's goroutine while it runs; read them from that goroutine, or
+// from any other once the simulation has drained (simnet.Env.Run returned).
 type Span struct {
 	tr *Trace
 
@@ -131,9 +130,11 @@ type Span struct {
 	Children []int
 }
 
-// Trace is one query's span tree.
+// Trace is one query's span tree. It is written on the goroutine that runs
+// the query's Env — every recording site is a simnet process or a kernel
+// observer called between two of its scheduling points — and read once the
+// simulation has drained, so it takes no lock (DESIGN §3).
 type Trace struct {
-	mu    sync.Mutex
 	name  string
 	clock Clock
 	spans []*Span
@@ -170,8 +171,6 @@ func (t *Trace) Spans() []*Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]*Span, len(t.spans))
 	copy(out, t.spans)
 	return out
@@ -182,8 +181,6 @@ func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.spans)
 }
 
@@ -207,8 +204,6 @@ func (s *Span) Childf(kind Kind, format string, args ...any) *Span {
 
 func (t *Trace) newSpan(parent *Span, kind Kind, name string) *Span {
 	now, seq := t.clock()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	sp := &Span{tr: t, ID: len(t.spans), Parent: parent.ID, Kind: kind, Name: name, Start: now, StartSeq: seq}
 	t.spans = append(t.spans, sp)
 	parent.Children = append(parent.Children, sp.ID)
@@ -222,8 +217,6 @@ func (s *Span) EndSpan() {
 		return
 	}
 	now, seq := s.tr.clock()
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
 	if s.ended {
 		return
 	}
@@ -236,8 +229,6 @@ func (s *Span) Ended() bool {
 	if s == nil {
 		return false
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
 	return s.ended
 }
 
@@ -247,8 +238,6 @@ func (s *Span) SetBilled(own, total int64) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
 	s.BilledMs, s.TotalBilledMs = own, total
 }
 
@@ -257,8 +246,6 @@ func (s *Span) SetAttr(key, val string) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
 	for i := range s.Attrs {
 		if s.Attrs[i].Key == key {
 			s.Attrs[i].Val = val
@@ -273,8 +260,6 @@ func (s *Span) Attr(key string) string {
 	if s == nil {
 		return ""
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
 	for _, a := range s.Attrs {
 		if a.Key == key {
 			return a.Val
@@ -294,8 +279,6 @@ func (s *Span) Event(name string, kv ...string) {
 	for i := 0; i+1 < len(kv); i += 2 {
 		ev.Attrs = append(ev.Attrs, Attr{kv[i], kv[i+1]})
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
 	s.Events = append(s.Events, ev)
 }
 
@@ -306,7 +289,5 @@ func (s *Span) Fail(fault, msg string) {
 	if s == nil {
 		return
 	}
-	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
 	s.Err, s.Fault = msg, fault
 }

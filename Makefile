@@ -4,7 +4,8 @@
 # and 8, the race detector as the ownership check (see `race` below), the
 # seeded chaos tests that guard the resilience layer, a bounded run of the
 # three fuzzers over untrusted input, and a byte-for-byte regeneration of
-# the five simulated BENCH_*.json baselines.
+# the five simulated BENCH_*.json baselines and of BENCH_paper.txt, the
+# tables of the paper's figures.
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./internal/platform ./internal/simnet \
@@ -13,7 +14,7 @@ RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
 
-.PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-verify
+.PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper bench-verify
 
 ci: lint build test procs race chaos fuzz bench-verify
 
@@ -126,9 +127,10 @@ bench-kernels:
 bench-kernels-pin:
 	$(GO) run ./cmd/gillis-bench -figs kernels -kernels-baseline BENCH_kernels.json -json BENCH_kernels.json
 
-# The five simulated baselines below are fully seeded and run on the virtual
-# clock, so each target writes the same bytes on any machine. BENCH_DIR is
-# where they write: the repo root to re-pin, a temp dir for bench-verify.
+# The five simulated baselines and the paper's tables below are fully seeded
+# and run on the virtual clock, so each target writes the same bytes on any
+# machine. BENCH_DIR is where they write: the repo root to re-pin, a temp dir
+# for bench-verify.
 BENCH_DIR ?= .
 
 # Regenerate the checked-in chaos baseline (fully seeded: same output on
@@ -139,7 +141,7 @@ bench-chaos:
 # Regenerate the checked-in serving-gateway load baseline (quick-mode sweep,
 # fully seeded and ShapeOnly: same output on any machine).
 bench-load:
-	$(GO) run ./cmd/gillis-bench -quick -seed 42 -figs loadsweep -json $(BENCH_DIR)/BENCH_load.json
+	$(GO) run ./cmd/gillis-bench -quick -seed 42 -figs load -json $(BENCH_DIR)/BENCH_load.json
 
 # Regenerate the checked-in adaptive re-planning baseline (full-horizon
 # scenario, fully seeded and ShapeOnly: same output on any machine).
@@ -156,13 +158,22 @@ bench-batch:
 bench-mesh:
 	$(GO) run ./cmd/gillis-bench -quick -seed 42 -figs mesh -json $(BENCH_DIR)/BENCH_mesh.json
 
-# Regenerate the five simulated baselines with the exact commands above into
-# a temp dir and compare each with the checked-in file: a refactor that
-# claims "behaviour unchanged" passes this, byte for byte.
+# Regenerate the pinned tables of the paper's evaluation — Figs 1, 7, 9-15,
+# the ablations and the burst study at the paper's query counts — through
+# -out, which leaves the wall-clock lines on stdout. About a minute, nearly
+# all of it Fig 13 training its planners. The load study is not in the list:
+# BENCH_load.json pins it.
+bench-paper:
+	$(GO) run ./cmd/gillis-bench -seed 42 -figs 1,7,9,10,11,12,13,14,15,ablations,burst -out $(BENCH_DIR)/BENCH_paper.txt
+
+# Regenerate the five simulated baselines and the paper's tables with the
+# exact commands above into a temp dir and compare each with the checked-in
+# file: a refactor that claims "behaviour unchanged" passes this, byte for
+# byte.
 bench-verify:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(MAKE) --no-print-directory BENCH_DIR="$$tmp" bench-chaos bench-load bench-adapt bench-batch bench-mesh >/dev/null || exit 1; \
-	for f in chaos load adapt batch mesh; do \
-		cmp "$$tmp/BENCH_$$f.json" "BENCH_$$f.json" || exit 1; \
+	$(MAKE) --no-print-directory BENCH_DIR="$$tmp" bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper >/dev/null || exit 1; \
+	for f in BENCH_chaos.json BENCH_load.json BENCH_adapt.json BENCH_batch.json BENCH_mesh.json BENCH_paper.txt; do \
+		cmp "$$tmp/$$f" "$$f" || exit 1; \
 	done; \
-	echo "bench-verify: BENCH_chaos/load/adapt/batch/mesh.json regenerate byte-identically"
+	echo "bench-verify: BENCH_chaos/load/adapt/batch/mesh.json and BENCH_paper.txt regenerate byte-identically"

@@ -11,19 +11,23 @@
 //	             [-trace-json FILE] [-trace-faults R]
 //	             [-cpuprofile FILE] [-memprofile FILE]
 //
-// -figs also takes the four serving sweeps, which the default list leaves
-// out: loadsweep (bursty arrival traces through the serving gateway, burst
-// rate × autoscaling policy, SLO attainment and cost per policy), adapt (one
-// arrival trace through each static candidate plan and then through the
-// closed-loop controller while the platform degrades, recovers and takes a
-// traffic surge), batch (Poisson traces through the batching gateway, batch
-// size × arrival rate × planner, throughput, tail latency and cost per query)
-// and mesh (Zipf-skewed multi-model traces through the serving mesh, catalog
-// size × skew × pool size, LRU model caching against no cache).
+// load is the first of four serving sweeps: bursty arrival traces through the
+// serving gateway, burst rate × autoscaling policy, SLO attainment and cost
+// per policy. -figs also takes the other three, which the default list leaves
+// out: adapt (one arrival trace through each static candidate plan and then
+// through the closed-loop controller while the platform degrades, recovers
+// and takes a traffic surge), batch (Poisson traces through the batching
+// gateway, batch size × arrival rate × planner, throughput, tail latency and
+// cost per query) and mesh (Zipf-skewed multi-model traces through the
+// serving mesh, catalog size × skew × pool size, LRU model caching against no
+// cache). An id -figs does not know is an error.
+//
+// -out also writes the tables, and nothing that varies from run to run, to a
+// file: with the figures of `make bench-paper` it is BENCH_paper.txt.
 //
 // -json writes the figure as JSON as well and is valid with exactly one
-// figure that has a JSON form: kernels, chaos, loadsweep, adapt, batch, mesh
-// — the BENCH_*.json baselines (see the Makefile's bench-* targets).
+// figure that has a JSON form: kernels, chaos, load, adapt, batch, mesh — the
+// BENCH_*.json baselines (see the Makefile's bench-* targets).
 //
 // -trace-json serves one seeded resilient fork-join query of the chaos
 // workload under fault injection and writes its span tree as Chrome
@@ -38,6 +42,7 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -77,10 +82,9 @@ func figures() []figure {
 		entry("15", bench.Fig15),
 		entry("ablations", bench.Ablations),
 		entry("burst", bench.Burst),
-		entry("load", bench.DynamicLoad),
+		entry("load", bench.SweepLoad),
 		entry("kernels", bench.Kernels),
 		entry("chaos", bench.Chaos),
-		entry("loadsweep", bench.SweepLoad),
 		entry("adapt", bench.AdaptScenario),
 		entry("batch", bench.SweepBatch),
 		entry("mesh", bench.SweepMesh),
@@ -96,12 +100,12 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("gillis-bench", flag.ContinueOnError)
-	figsFlag := fs.String("figs", "1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos", "comma-separated figures to run (also: loadsweep, adapt, batch, mesh)")
+	figsFlag := fs.String("figs", "1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos", "comma-separated figures to run (also: adapt, batch, mesh)")
 	seed := fs.Int64("seed", 42, "random seed for all stochastic components")
 	queries := fs.Int("queries", 100, "queries per latency measurement")
 	quick := fs.Bool("quick", false, "trim sweeps and training budgets")
-	out := fs.String("out", "", "also write tables to this file")
-	jsonPath := fs.String("json", "", "also write the figure as JSON to this file (a BENCH_*.json baseline); needs -figs to name exactly one of kernels, chaos, loadsweep, adapt, batch, mesh")
+	out := fs.String("out", "", "also write the tables, without the wall-clock lines, to this file")
+	jsonPath := fs.String("json", "", "also write the figure as JSON to this file (a BENCH_*.json baseline); needs -figs to name exactly one of kernels, chaos, load, adapt, batch, mesh")
 	parallelism := fs.Int("parallelism", 0, "kernel parallelism cap for Real-mode math (0 = GOMAXPROCS)")
 	kernelsBaseline := fs.String("kernels-baseline", "", "annotate the kernels figure with before/after columns against this prior baseline JSON")
 	kernelsCheck := fs.Bool("kernels-check", false, "fail if any kernel ns/op regresses more than 10% against -kernels-baseline")
@@ -164,12 +168,21 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	all := figures()
+	ids := make([]string, len(all))
+	for i, fig := range all {
+		ids[i] = fig.id
+	}
 	want := make(map[string]bool)
-	for _, f := range strings.Split(*figsFlag, ",") {
-		want[strings.TrimSpace(f)] = true
+	for _, id := range strings.Split(*figsFlag, ",") {
+		id = strings.TrimSpace(id)
+		if !slices.Contains(ids, id) {
+			return fmt.Errorf("-figs: unknown figure %q (valid: %s)", id, strings.Join(ids, ", "))
+		}
+		want[id] = true
 	}
 	var selected []figure
-	for _, fig := range figures() {
+	for _, fig := range all {
 		if want[fig.id] {
 			selected = append(selected, fig)
 		}
@@ -179,6 +192,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *kernelsCheck && *kernelsBaseline == "" {
 		return fmt.Errorf("-kernels-check requires -kernels-baseline")
+	}
+	if (*kernelsCheck || *kernelsBaseline != "") && !want["kernels"] {
+		return fmt.Errorf("-kernels-check and -kernels-baseline need -figs to select kernels: -figs %s does not", *figsFlag)
 	}
 
 	var sink io.Writer = stdout
@@ -207,7 +223,9 @@ func run(args []string, stdout io.Writer) error {
 			kernels.Compare(base)
 		}
 		fmt.Fprintln(sink, res.Table())
-		fmt.Fprintf(sink, "(figure %s regenerated in %v)\n\n", fig.id, time.Since(start).Round(time.Millisecond))
+		// Wall-clock goes to stdout only: what -out writes is the same bytes
+		// on every run and every machine.
+		fmt.Fprintf(stdout, "(figure %s regenerated in %v)\n\n", fig.id, time.Since(start).Round(time.Millisecond))
 		if *jsonPath != "" {
 			js, err := res.(jsonReport).JSON()
 			if err != nil {

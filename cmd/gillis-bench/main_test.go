@@ -20,24 +20,69 @@ func TestRunSingleFigure(t *testing.T) {
 	}
 }
 
+// TestRunWritesOutputFile: -out holds the tables and nothing that varies from
+// run to run (BENCH_paper.txt is such a file), so the wall-clock line is on
+// stdout only and a second run writes the same bytes.
 func TestRunWritesOutputFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tables.txt")
-	var buf bytes.Buffer
-	if err := run([]string{"-figs", "14", "-quick", "-out", path}, &buf); err != nil {
-		t.Fatal(err)
+	var files [2][]byte
+	for i := range files {
+		path := filepath.Join(t.TempDir(), "tables.txt")
+		var buf bytes.Buffer
+		if err := run([]string{"-figs", "12,14", "-quick", "-out", path}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "Fig 14") || !strings.Contains(buf.String(), "regenerated in") {
+			t.Fatalf("stdout missing table or timing line:\n%s", buf.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), "Fig 12") || !strings.Contains(string(data), "Fig 14") {
+			t.Fatalf("-out missing a table:\n%s", data)
+		}
+		if strings.Contains(string(data), "regenerated in") {
+			t.Fatalf("-out carries a wall-clock line:\n%s", data)
+		}
+		files[i] = data
 	}
-	if !strings.Contains(buf.String(), "Fig 14") {
-		t.Fatal("stdout missing table")
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatalf("-out differs between two runs:\n%s\n---\n%s", files[0], files[1])
 	}
 }
 
-func TestRunUnknownFigureIsSkipped(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-figs", "999"}, &buf); err != nil {
-		t.Fatal(err)
+// TestRunUnknownFigureIsAnError: a -figs id the registry does not have — a
+// typo, or loadsweep from before it became load — is refused with the valid
+// ids, before any figure runs.
+func TestRunUnknownFigureIsAnError(t *testing.T) {
+	for _, figs := range []string{"999", "14,laod", "loadsweep", ""} {
+		var buf bytes.Buffer
+		err := run([]string{"-figs", figs, "-quick"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "unknown figure") || !strings.Contains(err.Error(), "ablations") {
+			t.Errorf("-figs %q: want an unknown-figure error listing the valid ids, got %v", figs, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("-figs %q: figures ran before the refusal:\n%s", figs, buf.String())
+		}
 	}
-	if strings.Contains(buf.String(), "Fig") {
-		t.Fatal("no figures should have run")
+}
+
+// TestRunKernelsFlagsNeedKernelsFigure: the kernel gate passes vacuously if
+// the kernels figure never runs, so its flags are refused without it.
+func TestRunKernelsFlagsNeedKernelsFigure(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "BENCH_kernels.json")
+	for _, args := range [][]string{
+		{"-figs", "1", "-quick", "-kernels-baseline", base, "-kernels-check"},
+		{"-figs", "1", "-quick", "-kernels-baseline", base},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "select kernels") {
+			t.Errorf("%v: want a needs-kernels error, got %v", args, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: figures ran before the refusal:\n%s", args, buf.String())
+		}
 	}
 }
 
@@ -46,10 +91,13 @@ func TestFiguresListComplete(t *testing.T) {
 	for _, f := range figures() {
 		ids[f.id] = true
 	}
-	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos", "loadsweep", "adapt", "batch", "mesh"} {
+	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos", "adapt", "batch", "mesh"} {
 		if !ids[want] {
 			t.Errorf("figure %s missing from registry", want)
 		}
+	}
+	if len(ids) != 17 {
+		t.Errorf("registry has %d figures, want 17: %v", len(ids), ids)
 	}
 }
 
@@ -125,7 +173,7 @@ func TestParseRates(t *testing.T) {
 func TestRunLoadWritesJSONBaseline(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_load.json")
 	var buf bytes.Buffer
-	if err := run([]string{"-quick", "-figs", "loadsweep", "-json", path}, &buf); err != nil {
+	if err := run([]string{"-quick", "-figs", "load", "-json", path}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -133,7 +181,7 @@ func TestRunLoadWritesJSONBaseline(t *testing.T) {
 		t.Fatalf("stdout missing load sweep table:\n%s", out)
 	}
 	if strings.Contains(out, "Fig") {
-		t.Fatal("-figs loadsweep must run nothing else")
+		t.Fatal("-figs load must run nothing else")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -249,7 +297,7 @@ func TestReadKernelBaselineErrors(t *testing.T) {
 // figure has a JSON form.
 func TestJSONNeedsOneFigureWithAJSONForm(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
-	for _, figs := range []string{"chaos,mesh", "14", "999"} {
+	for _, figs := range []string{"chaos,mesh", "14"} {
 		var buf bytes.Buffer
 		err := run([]string{"-figs", figs, "-quick", "-json", path}, &buf)
 		if err == nil || !strings.Contains(err.Error(), "-json") {

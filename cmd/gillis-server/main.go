@@ -170,15 +170,7 @@ func catalogSpecs(catalog string, seed int64) ([]mesh.ModelSpec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("catalog %s: %w", name, err)
 		}
-		plan := &partition.Plan{Model: name, Groups: []partition.GroupPlan{{
-			First: 0, Last: len(units) - 1,
-			Option:   partition.Option{Dim: partition.DimNone, Parts: 1},
-			OnMaster: true,
-		}}}
-		if err := plan.Validate(units); err != nil {
-			return nil, fmt.Errorf("catalog %s: %w", name, err)
-		}
-		specs = append(specs, mesh.ModelSpec{ID: name, Units: units, Plan: plan})
+		specs = append(specs, mesh.ModelSpec{ID: name, Units: units, Plan: partition.DefaultPlan(name, units)})
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("catalog: no model names in %q", catalog)

@@ -235,43 +235,34 @@ func cmdServe(args []string, out io.Writer) error {
 		return err
 	}
 
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, *seed)
 	var lats []float64
 	var costs []float64
 	var tr *trace.Trace
-	var serveErr error
-	env.Go("client", func(proc *simnet.Proc) {
+	_, err = platform.Run(cfg, *seed, func(p *platform.Platform, proc *simnet.Proc) error {
 		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
 		if err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		if err := d.Prewarm(); err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		for i := 0; i < *queries; i++ {
 			var r runtime.Result
-			var err error
 			if i == 0 && *traceOut != "" {
 				r, tr, err = d.ServeTraced(proc, nil)
 			} else {
 				r, err = d.Serve(proc, nil)
 			}
 			if err != nil {
-				serveErr = err
-				return
+				return err
 			}
 			lats = append(lats, r.LatencyMs)
 			costs = append(costs, float64(r.BilledMs))
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return err
-	}
-	if serveErr != nil {
-		return serveErr
 	}
 	fmt.Fprint(out, plan)
 	fmt.Fprintf(out, "served %d queries on %s: mean %.0f ms, p99 %.0f ms, mean billed %.0f ms/query\n",

@@ -41,47 +41,40 @@ func run() error {
 	fmt.Printf("platform: %s (%d MB weight budget per function)\n\n", cfg.Name, cfg.WeightBudgetMB)
 
 	// Strategy 1: Default single-function serving — OOM.
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, 1)
-	if _, err := runtime.DeployDefault(p, units, runtime.ShapeOnly); err != nil {
-		fmt.Printf("default serving: %v\n\n", err)
-	} else {
+	_, err = platform.Run(cfg, 1, func(p *platform.Platform, _ *simnet.Proc) error {
+		_, err := runtime.DeployDefault(p, units, runtime.ShapeOnly)
+		return err
+	})
+	if err == nil {
 		return fmt.Errorf("default deployment unexpectedly succeeded")
 	}
+	fmt.Printf("default serving: %v\n\n", err)
 
 	// Strategy 2: Pipeline over object storage.
 	const queries = 20
-	env = simnet.NewEnv()
-	p = platform.New(env, cfg, 2)
 	var pipeLat, pipeLoad, pipeComp []float64
-	var runErr error
-	env.Go("client", func(proc *simnet.Proc) {
+	_, err = platform.Run(cfg, 2, func(p *platform.Platform, proc *simnet.Proc) error {
 		d, err := runtime.DeployPipeline(p, units, runtime.ShapeOnly)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		fmt.Printf("pipeline: staged into %d storage chunks\n", d.Chunks())
 		if err := d.Prewarm(); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		for i := 0; i < queries; i++ {
 			r, err := d.Serve(proc, nil)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			pipeLat = append(pipeLat, r.LatencyMs)
 			pipeLoad = append(pipeLoad, r.LoadMs)
 			pipeComp = append(pipeComp, r.ComputeMs)
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return err
-	}
-	if runErr != nil {
-		return runErr
 	}
 	fmt.Printf("pipeline latency: %.0f ms/query (%.0f ms loading weights, %.0f ms computing)\n\n",
 		stats.Mean(pipeLat), stats.Mean(pipeLoad), stats.Mean(pipeComp))
@@ -98,33 +91,26 @@ func run() error {
 	}
 	fmt.Print(plan)
 
-	env = simnet.NewEnv()
-	p = platform.New(env, cfg, 4)
 	var lat []float64
-	env.Go("client", func(proc *simnet.Proc) {
+	_, err = platform.Run(cfg, 4, func(p *platform.Platform, proc *simnet.Proc) error {
 		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		if err := d.Prewarm(); err != nil {
-			runErr = err
-			return
+			return err
 		}
 		for i := 0; i < queries; i++ {
 			r, err := d.Serve(proc, nil)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			lat = append(lat, r.LatencyMs)
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return err
-	}
-	if runErr != nil {
-		return runErr
 	}
 	fmt.Printf("gillis latency: %.0f ms/query (predicted %.0f ms)\n", stats.Mean(lat), pred.LatencyMs)
 	fmt.Printf("speedup over pipeline: %.1fx\n", stats.Mean(pipeLat)/stats.Mean(lat))

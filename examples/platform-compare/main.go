@@ -72,11 +72,8 @@ func run() error {
 
 // serve measures a plan (or Default when plan is nil) with 60 warm queries.
 func serve(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan) (float64, float64, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
 	var lats, costs []float64
-	var serveErr error
-	env.Go("client", func(proc *simnet.Proc) {
+	_, err := platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
 		var d *runtime.Deployment
 		var err error
 		if plan == nil {
@@ -85,28 +82,20 @@ func serve(cfg platform.Config, seed int64, units []*partition.Unit, plan *parti
 			d, err = runtime.Deploy(p, units, plan, runtime.ShapeOnly)
 		}
 		if err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		if err := d.Prewarm(); err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		for i := 0; i < 60; i++ {
 			r, err := d.Serve(proc, nil)
 			if err != nil {
-				serveErr = err
-				return
+				return err
 			}
 			lats = append(lats, r.LatencyMs)
 			costs = append(costs, float64(r.BilledMs))
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
-		return 0, 0, err
-	}
-	if serveErr != nil {
-		return 0, 0, serveErr
-	}
-	return stats.Mean(lats), stats.Mean(costs), nil
+	return stats.Mean(lats), stats.Mean(costs), err
 }

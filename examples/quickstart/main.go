@@ -100,27 +100,22 @@ func run() error {
 		return err
 	}
 
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, 7)
-	var serveErr error
-	env.Go("client", func(proc *simnet.Proc) {
+	// One simulation: a fresh platform, this function as its client process,
+	// and the client's error back when the virtual clock has drained.
+	_, err = platform.Run(cfg, 7, func(p *platform.Platform, proc *simnet.Proc) error {
 		d, err := runtime.Deploy(p, units, plan, runtime.Real)
 		if err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		if err := d.Prewarm(); err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		res, err := d.Serve(proc, input)
 		if err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		if !tensor.Equal(res.Outputs[0], want) {
-			serveErr = fmt.Errorf("partitioned output differs from local execution")
-			return
+			return fmt.Errorf("partitioned output differs from local execution")
 		}
 		best, prob := 0, float32(0)
 		for i, v := range res.Outputs[0].Data() {
@@ -133,28 +128,22 @@ func run() error {
 
 		dp, err := runtime.Deploy(p, units, parallel, runtime.Real)
 		if err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		if err := dp.Prewarm(); err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		resP, err := dp.Serve(proc, input)
 		if err != nil {
-			serveErr = err
-			return
+			return err
 		}
 		if !tensor.Equal(resP.Outputs[0], want) {
-			serveErr = fmt.Errorf("fork-join output differs from local execution")
-			return
+			return fmt.Errorf("fork-join output differs from local execution")
 		}
 		fmt.Printf("fork-join plan (channel×2 + spatial×3 across 4 workers): %.1f ms, billed %d ms\n",
 			resP.LatencyMs, resP.BilledMs)
 		fmt.Println("both outputs are bit-identical to local execution ✓")
+		return nil
 	})
-	if err := env.Run(); err != nil {
-		return err
-	}
-	return serveErr
+	return err
 }

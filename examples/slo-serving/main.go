@@ -64,34 +64,26 @@ func run() error {
 
 	// Serve both plans and compare measured cost.
 	measure := func(plan *partition.Plan, seed int64) (float64, float64, error) {
-		env := simnet.NewEnv()
-		p := platform.New(env, cfg, seed)
 		var lats, costs []float64
-		var serveErr error
-		env.Go("client", func(proc *simnet.Proc) {
+		_, err := platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
 			d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
 			if err != nil {
-				serveErr = err
-				return
+				return err
 			}
 			if err := d.Prewarm(); err != nil {
-				serveErr = err
-				return
+				return err
 			}
 			for i := 0; i < 100; i++ {
 				r, err := d.Serve(proc, nil)
 				if err != nil {
-					serveErr = err
-					return
+					return err
 				}
 				lats = append(lats, r.LatencyMs)
 				costs = append(costs, float64(r.BilledMs))
 			}
+			return nil
 		})
-		if err := env.Run(); err != nil {
-			return 0, 0, err
-		}
-		return stats.Mean(lats), stats.Mean(costs), serveErr
+		return stats.Mean(lats), stats.Mean(costs), err
 	}
 	loLat, loCost, err := measure(loPlan, 10)
 	if err != nil {

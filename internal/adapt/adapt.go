@@ -68,26 +68,35 @@ type Candidate struct {
 	Resilient bool
 }
 
+// The controller's thresholds that no caller has needed to move.
+const (
+	// targetPct is the windowed SLO attainment below which the regime is
+	// degraded.
+	targetPct = 90.0
+	// alpha is the EMA smoothing factor for the latency-inflation and
+	// comm-overhead priors.
+	alpha = 0.3
+	// phDelta and phThreshold tune the Page-Hinkley change-point test on the
+	// latency-inflation signal.
+	phDelta     = 0.05
+	phThreshold = 0.5
+	// degradedFaultPct is the windowed fault percentage that flags a fault
+	// regime.
+	degradedFaultPct = 5.0
+	// brownoutExitPct is the served-only attainment brownout waits for.
+	brownoutExitPct = 85.0
+	// headroom derates the SLO when testing a candidate's predicted latency:
+	// feasible means predicted × inflation ≤ headroom × SLO.
+	headroom = 0.8
+)
+
 // Config tunes the controller. Zero values take the documented defaults.
 type Config struct {
 	// SLOMs is the latency objective the gateway enforces (required).
 	SLOMs float64
-	// TargetPct is the windowed SLO attainment below which the regime is
-	// degraded (default 90).
-	TargetPct float64
 	// MinWindow is the settle count before the controller starts deciding
 	// (default 10).
 	MinWindow int
-	// Alpha is the EMA smoothing factor for the latency-inflation and
-	// comm-overhead priors (default 0.3).
-	Alpha float64
-	// PHDelta and PHThreshold tune the Page-Hinkley change-point test on the
-	// latency-inflation signal (defaults 0.05 and 0.5).
-	PHDelta     float64
-	PHThreshold float64
-	// DegradedFaultPct is the windowed fault percentage that flags a fault
-	// regime (default 5).
-	DegradedFaultPct float64
 	// FaultHold is how many ticks the fault-regime flag stays latched after
 	// the last sign of fault activity (default 10). A resilient plan
 	// recovers faults before the gateway ever counts them, so the latch is
@@ -96,11 +105,10 @@ type Config struct {
 	// and flap back to a fragile plan mid-regime.
 	FaultHold int
 	// BrownoutEnterPct: windowed attainment below this is critical (default
-	// 50). BrownoutExitPct: served-only attainment must recover above this,
-	// with fault pressure nominal, for ExitHold consecutive ticks before
-	// brownout releases (defaults 85 and 3) — the exit hysteresis.
+	// 50). Served-only attainment must recover above brownoutExitPct, with
+	// fault pressure nominal, for ExitHold consecutive ticks before brownout
+	// releases (default 3) — the exit hysteresis.
 	BrownoutEnterPct float64
-	BrownoutExitPct  float64
 	ExitHold         int
 	// CooldownTicks is the dwell after any action before the next one
 	// (default 5); it bounds flapping.
@@ -110,45 +118,22 @@ type Config struct {
 	// cost-down counterpart of the brownout exit hysteresis: probing back to
 	// the cheap plan too eagerly re-exposes queries to the fault regime.
 	FallbackHold int
-	// Headroom derates the SLO when testing a candidate's predicted latency
-	// (default 0.8): feasible means predicted × inflation ≤ Headroom × SLO.
-	Headroom float64
 	// Mode is the execution mode for replanned deployments (must match the
 	// candidates' mode).
 	Mode runtime.ExecMode
-	// Core configures the online re-planner.
-	Core core.Config
 	// DisableReplan caps the ladder at candidate switching (rung b off).
 	DisableReplan bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.TargetPct <= 0 {
-		c.TargetPct = 90
-	}
 	if c.MinWindow <= 0 {
 		c.MinWindow = 10
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.PHDelta <= 0 {
-		c.PHDelta = 0.05
-	}
-	if c.PHThreshold <= 0 {
-		c.PHThreshold = 0.5
-	}
-	if c.DegradedFaultPct <= 0 {
-		c.DegradedFaultPct = 5
 	}
 	if c.FaultHold <= 0 {
 		c.FaultHold = 10
 	}
 	if c.BrownoutEnterPct <= 0 {
 		c.BrownoutEnterPct = 50
-	}
-	if c.BrownoutExitPct <= 0 {
-		c.BrownoutExitPct = 85
 	}
 	if c.ExitHold <= 0 {
 		c.ExitHold = 3
@@ -158,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FallbackHold <= 0 {
 		c.FallbackHold = 20
-	}
-	if c.Headroom <= 0 || c.Headroom > 1 {
-		c.Headroom = 0.8
 	}
 	return c
 }
@@ -360,24 +342,24 @@ func (c *Controller) Tick(now time.Duration, obs gateway.ControlObservation) gat
 	if !c.emaInit {
 		c.inflEMA, c.commEMA, c.emaInit = infl, commScale, true
 	} else {
-		c.inflEMA += c.cfg.Alpha * (infl - c.inflEMA)
-		c.commEMA += c.cfg.Alpha * (commScale - c.commEMA)
+		c.inflEMA += alpha * (infl - c.inflEMA)
+		c.commEMA += alpha * (commScale - c.commEMA)
 	}
-	c.drift = windowTrusted && c.ph.observe(infl, c.cfg.PHDelta, c.cfg.PHThreshold)
+	c.drift = windowTrusted && c.ph.observe(infl, phDelta, phThreshold)
 
 	// Regime. During brownout the all-settles attainment is dominated by the
 	// sheds brownout itself causes, so recovery is judged on the served-only
 	// window instead.
 	regime := Healthy
 	if c.brownout {
-		if servedSLO < c.cfg.BrownoutExitPct || faultPct >= c.cfg.DegradedFaultPct {
+		if servedSLO < brownoutExitPct || faultPct >= degradedFaultPct {
 			regime = Critical
 		}
 	} else {
 		switch {
 		case sloPct < c.cfg.BrownoutEnterPct:
 			regime = Critical
-		case faultPct >= c.cfg.DegradedFaultPct || sloPct < c.cfg.TargetPct || c.drift:
+		case faultPct >= degradedFaultPct || sloPct < targetPct || c.drift:
 			regime = Degraded
 		}
 	}
@@ -398,7 +380,7 @@ func (c *Controller) Tick(now time.Duration, obs gateway.ControlObservation) gat
 	// FaultHold quiet ticks release it.
 	active := obs.ActiveBackend
 	recovered := c.reg.Counter("runtime.retries").Value() + c.reg.Counter("runtime.fallbacks").Value()
-	faultActive := faultPct >= c.cfg.DegradedFaultPct || recovered > c.lastRecovered
+	faultActive := faultPct >= degradedFaultPct || recovered > c.lastRecovered
 	c.lastRecovered = recovered
 	if faultActive {
 		c.faultHold = c.cfg.FaultHold
@@ -562,7 +544,7 @@ func (c *Controller) choose(needResilient bool, active int) int {
 		if needResilient && !c.cands[i].Resilient {
 			continue
 		}
-		if c.estLatency(i, active)*c.inflEMA > c.cfg.Headroom*c.cfg.SLOMs {
+		if c.estLatency(i, active)*c.inflEMA > headroom*c.cfg.SLOMs {
 			continue
 		}
 		if best < 0 || c.pred[i].BilledMs < c.pred[best].BilledMs {
@@ -588,7 +570,7 @@ func (c *Controller) chooseFast(needResilient bool, active int, strict bool) int
 		if needResilient && !c.cands[i].Resilient {
 			continue
 		}
-		if strict && c.estLatency(i, active)*c.inflEMA > c.cfg.Headroom*c.cfg.SLOMs {
+		if strict && c.estLatency(i, active)*c.inflEMA > headroom*c.cfg.SLOMs {
 			continue
 		}
 		if best < 0 || c.estLatency(i, active) < c.estLatency(best, active) {
@@ -613,7 +595,7 @@ func (c *Controller) tryReplan(active int) (swIdx int, name string, ok bool) {
 	if err != nil {
 		return -1, "", false
 	}
-	plan, pred, err := core.LatencyOptimal(scaled, c.units, c.cfg.Core)
+	plan, pred, err := core.LatencyOptimal(scaled, c.units, core.Config{})
 	if err != nil || pred.OOM {
 		return -1, "", false
 	}
@@ -628,7 +610,7 @@ func (c *Controller) tryReplan(active int) (swIdx int, name string, ok bool) {
 			est *= b / (c.pred[activeSlot].LatencyMs + ovh)
 		}
 	}
-	if est > c.cfg.Headroom*c.cfg.SLOMs {
+	if est > headroom*c.cfg.SLOMs {
 		return -1, "", false
 	}
 	d, err := runtime.Deploy(c.sw.Platform(), c.units, plan, c.cfg.Mode,

@@ -454,3 +454,13 @@ func TestReplanDeploysNewCandidate(t *testing.T) {
 		t.Error("report shows no plan switch after replanning")
 	}
 }
+
+// TestRegimeString: the names the decision log prints, and a value outside
+// the enumeration rendered as a number rather than as a wrong name.
+func TestRegimeString(t *testing.T) {
+	for r, want := range map[Regime]string{Healthy: "healthy", Degraded: "degraded", Critical: "critical", Regime(7): "regime(7)"} {
+		if got := r.String(); got != want {
+			t.Errorf("Regime(%d).String() = %q, want %q", int(r), got, want)
+		}
+	}
+}

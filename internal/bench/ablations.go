@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -134,44 +135,39 @@ func Burst(ctx *Context) (*BurstResult, error) {
 
 // measureBurst fires n concurrent queries at one deployment.
 func measureBurst(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, n int, warm bool) (BurstRow, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
-	if err != nil {
-		return BurstRow{}, err
-	}
-	if warm {
-		// Warm pools sized for the whole burst.
-		for i := 0; i < n; i++ {
-			if err := d.Prewarm(); err != nil {
-				return BurstRow{}, err
-			}
-		}
-	}
 	lats := make([]float64, 0, n)
 	cold := 0
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		i := i
-		env.Go(fmt.Sprintf("client%d", i), func(proc *simnet.Proc) {
-			r, err := d.Serve(proc, nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			lats = append(lats, r.LatencyMs)
-			if r.ColdStart {
-				cold++
-			}
-		})
-	}
-	if err := env.Run(); err != nil {
-		return BurstRow{}, err
-	}
-	for _, err := range errs {
+	_, err := platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
+		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
 		if err != nil {
-			return BurstRow{}, err
+			return err
 		}
+		if warm {
+			// Warm pools sized for the whole burst.
+			for i := 0; i < n; i++ {
+				if err := d.Prewarm(); err != nil {
+					return err
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			proc.Env().Go(fmt.Sprintf("client%d", i), func(proc *simnet.Proc) {
+				r, err := d.Serve(proc, nil)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				lats = append(lats, r.LatencyMs)
+				if r.ColdStart {
+					cold++
+				}
+			})
+		}
+		return nil
+	})
+	if err = errors.Join(append(errs, err)...); err != nil {
+		return BurstRow{}, err
 	}
 	return BurstRow{
 		Concurrency: n,

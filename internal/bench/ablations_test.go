@@ -64,24 +64,3 @@ func TestBurstColdVsWarm(t *testing.T) {
 		t.Error("empty table")
 	}
 }
-
-func TestDynamicLoadWarmupPolicies(t *testing.T) {
-	res, err := DynamicLoad(quickCtx())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("want 3 policies, got %d", len(res.Rows))
-	}
-	none, burstAware := res.Rows[0], res.Rows[2]
-	if none.ColdStarts == 0 {
-		t.Error("no-warm-up policy should pay cold starts")
-	}
-	if burstAware.ColdStarts >= none.ColdStarts {
-		t.Errorf("burst-aware warm pool should cut cold starts: %d vs %d",
-			burstAware.ColdStarts, none.ColdStarts)
-	}
-	if burstAware.P99Ms >= none.P99Ms {
-		t.Errorf("burst-aware p99 (%.0f) should beat no-warm-up (%.0f)", burstAware.P99Ms, none.P99Ms)
-	}
-}

@@ -15,7 +15,6 @@ import (
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
-	"gillis/internal/simnet"
 	"gillis/internal/stats"
 	"gillis/internal/workload"
 )
@@ -130,40 +129,12 @@ func adaptOutcomeDigest(outs []gateway.Outcome) string {
 // violations.
 func calibrateLatencyDist(cfg platform.Config, seed int64, units []*partition.Unit,
 	plan *partition.Plan, n int) (meanMs, p95Ms float64, err error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
 	var lats []float64
-	var mErr error
-	env.Go("calibrate", func(proc *simnet.Proc) {
-		d, derr := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
-		if derr != nil {
-			mErr = derr
-			return
-		}
-		if derr := d.Prewarm(); derr != nil {
-			mErr = derr
-			return
-		}
-		if _, derr := d.Serve(proc, nil); derr != nil {
-			mErr = derr
-			return
-		}
-		for i := 0; i < n; i++ {
-			before := proc.Now()
-			if _, derr := d.Serve(proc, nil); derr != nil {
-				mErr = derr
-				return
-			}
-			lats = append(lats, float64(proc.Now()-before)/1e6)
-		}
+	_, err = serveWarm(cfg, seed, units, plan, nil, 1, n, func(_ runtime.Result, ms float64, err error) error {
+		lats = append(lats, ms)
+		return err
 	})
-	if rerr := env.Run(); rerr != nil {
-		return 0, 0, rerr
-	}
-	if mErr != nil {
-		return 0, 0, mErr
-	}
-	return stats.Mean(lats), stats.Percentile(lats, 95), nil
+	return stats.Mean(lats), stats.Percentile(lats, 95), err
 }
 
 // adaptReplayResult is one replay's full observable output.
@@ -181,73 +152,70 @@ type adaptReplayResult struct {
 func adaptReplay(ctx *Context, cfg platform.Config, seed int64, units []*partition.Unit,
 	cands []adaptCandidate, initialActive int, arrivals []time.Duration,
 	sloMs float64, maxInFlight int, useSwitcher bool, ctlCfg *adapt.Config) (*adaptReplayResult, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	deployOrder := cands
-	if !useSwitcher {
-		deployOrder = cands[initialActive : initialActive+1]
-	}
-	deps := make([]*runtime.Deployment, 0, len(deployOrder))
-	for _, cand := range deployOrder {
-		d, err := runtime.Deploy(p, units, cand.plan, runtime.ShapeOnly, cand.opts...)
-		if err != nil {
-			return nil, fmt.Errorf("bench: deploying %s: %w", cand.name, err)
+	res := &adaptReplayResult{}
+	deploy := func(p *platform.Platform, gcfg *gateway.Config) (gateway.Backend, error) {
+		deployOrder := cands
+		if !useSwitcher {
+			deployOrder = cands[initialActive : initialActive+1]
 		}
-		deps = append(deps, d)
-	}
-	// Only the initially-active plan is prewarmed — exactly what the plain
-	// control replay does, so the bit-exactness comparison sees identical
-	// platform activity. Plans switched to later warm up on demand.
-	warmIdx := 0
-	if useSwitcher {
-		warmIdx = initialActive
-	}
-	for i := 0; i < maxInFlight; i++ {
-		if err := deps[warmIdx].Prewarm(); err != nil {
-			return nil, err
+		deps := make([]*runtime.Deployment, 0, len(deployOrder))
+		for _, cand := range deployOrder {
+			d, err := runtime.Deploy(p, units, cand.plan, runtime.ShapeOnly, cand.opts...)
+			if err != nil {
+				return nil, fmt.Errorf("bench: deploying %s: %w", cand.name, err)
+			}
+			deps = append(deps, d)
 		}
-	}
-	sw, err := runtime.NewSwitcher(deps...)
-	if err != nil {
-		return nil, err
-	}
-	if useSwitcher && initialActive != 0 {
-		if err := sw.Switch(initialActive); err != nil {
-			return nil, err
+		// Only the initially-active plan is prewarmed — exactly what the plain
+		// control replay does, so the bit-exactness comparison sees identical
+		// platform activity. Plans switched to later warm up on demand.
+		warmIdx := 0
+		if useSwitcher {
+			warmIdx = initialActive
 		}
-	}
-	var ctl *adapt.Controller
-	var gwCtl gateway.Controller
-	if ctlCfg != nil {
-		pm, err := ctx.Model(adaptPlatform)
+		for i := 0; i < maxInFlight; i++ {
+			if err := deps[warmIdx].Prewarm(); err != nil {
+				return nil, err
+			}
+		}
+		sw, err := runtime.NewSwitcher(deps...)
 		if err != nil {
 			return nil, err
 		}
-		acands := make([]adapt.Candidate, len(cands))
-		for i, cand := range cands {
-			acands[i] = adapt.Candidate{Name: cand.name, Index: i, Plan: cand.plan, Resilient: cand.resilient}
+		if useSwitcher && initialActive != 0 {
+			if err := sw.Switch(initialActive); err != nil {
+				return nil, err
+			}
 		}
-		ctl, err = adapt.New(pm, units, sw, acands, *ctlCfg)
-		if err != nil {
-			return nil, err
+		if ctlCfg != nil {
+			pm, err := ctx.Model(adaptPlatform)
+			if err != nil {
+				return nil, err
+			}
+			acands := make([]adapt.Candidate, len(cands))
+			for i, cand := range cands {
+				acands[i] = adapt.Candidate{Name: cand.name, Index: i, Plan: cand.plan, Resilient: cand.resilient}
+			}
+			res.ctl, err = adapt.New(pm, units, sw, acands, *ctlCfg)
+			if err != nil {
+				return nil, err
+			}
+			gcfg.Controller = res.ctl
 		}
-		gwCtl = ctl
+		return sw, nil
 	}
-	rep, outs, err := gateway.Run(sw, arrivals, gateway.Config{
+	var err error
+	res.rep, res.outs, err = replay(cfg, seed, deploy, arrivals, gateway.Config{
 		MaxInFlight: maxInFlight,
 		QueueCap:    2 * maxInFlight,
 		SLOMs:       sloMs,
 		Window:      16,
-		Controller:  gwCtl,
 		// Every strategy gets the same maxInFlight-deep warm pool. Statics
 		// are fully warmed before the replay, so the policy only ever acts
 		// after a controller switch — re-warming the newly active plan.
 		Policy: gateway.FixedPool{Sets: maxInFlight},
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &adaptReplayResult{rep: rep, outs: outs, ctl: ctl}, nil
+	return res, err
 }
 
 // AdaptScenario runs the adaptive-serving figure. Quick mode shortens the
@@ -450,10 +418,4 @@ func (r *AdaptReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_adapt.json baseline format.
-func (r *AdaptReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *AdaptReport) JSON() ([]byte, error) { return baselineJSON(r) }

@@ -5,9 +5,12 @@
 package bench
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
-	"sync"
+	"time"
 
+	"gillis/internal/gateway"
 	"gillis/internal/models"
 	"gillis/internal/partition"
 	"gillis/internal/perf"
@@ -18,7 +21,8 @@ import (
 )
 
 // Context caches fitted performance models and linearized units across
-// experiment runners.
+// experiment runners. It belongs to the goroutine that runs them: nothing in
+// the package starts another.
 type Context struct {
 	// Seed drives every stochastic component.
 	Seed int64
@@ -30,7 +34,6 @@ type Context struct {
 	// (gillis-bench -faults); empty means the default sweep.
 	FaultRates []float64
 
-	mu      sync.Mutex
 	perfmdl map[string]*perf.Model
 	units   map[string][]*partition.Unit
 }
@@ -48,8 +51,6 @@ func NewContext(seed int64) *Context {
 // Model returns (building on first use) the fitted performance model for a
 // platform ("lambda", "gcf", "knix").
 func (c *Context) Model(platformName string) (*perf.Model, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if m, ok := c.perfmdl[platformName]; ok {
 		return m, nil
 	}
@@ -67,8 +68,6 @@ func (c *Context) Model(platformName string) (*perf.Model, error) {
 
 // Units returns (linearizing on first use) a zoo model's unit chain.
 func (c *Context) Units(model string) ([]*partition.Unit, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if u, ok := c.units[model]; ok {
 		return u, nil
 	}
@@ -106,48 +105,71 @@ type Measurement struct {
 	Err      string
 }
 
-// measurePlan deploys a plan on a fresh platform instance and serves warm
-// queries, returning latency and cost statistics. A deployment error whose
-// cause is the memory budget is reported as OOM, like the paper's failed
-// configurations.
-func measurePlan(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, n int) Measurement {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	var (
-		lats  []float64
-		costs []float64
-		mErr  error
-	)
-	env.Go("client", func(proc *simnet.Proc) {
-		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
+// serveWarm is the protocol every latency figure measures by (§II-B): deploy
+// the plan on a fresh platform, prewarm it, serve warmups queries that are not
+// reported and then n that are, handing each of those — its result, its
+// latency on the client's clock and its error — to each. A failed warm-up, or
+// an error each returns, ends the run. The platform is returned for the
+// totals read after the drain.
+func serveWarm(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, opts []runtime.DeployOption,
+	warmups, n int, each func(r runtime.Result, clientMs float64, err error) error) (*platform.Platform, error) {
+	return platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
+		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly, opts...)
 		if err != nil {
-			mErr = err
-			return
+			return err
 		}
 		if err := d.Prewarm(); err != nil {
-			mErr = err
-			return
+			return err
 		}
-		// One warm-up query, then the measured ones (§II-B methodology).
-		if _, err := d.Serve(proc, nil); err != nil {
-			mErr = err
-			return
-		}
-		for i := 0; i < n; i++ {
+		for i := -warmups; i < n; i++ {
+			before := proc.Now()
 			r, err := d.Serve(proc, nil)
-			if err != nil {
-				mErr = err
-				return
+			if i >= 0 {
+				err = each(r, float64(proc.Now()-before)/1e6, err)
 			}
-			lats = append(lats, r.LatencyMs)
-			costs = append(costs, float64(r.BilledMs))
+			if err != nil {
+				return err
+			}
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
-		return Measurement{Err: err.Error()}
+}
+
+// replay is one gateway replay on a fresh platform. deploy builds the backend
+// — a deployment, a switcher, a mesh — and may complete the gateway's
+// configuration with what only exists once the backend does (the mesh as
+// Router, a controller bound to the switcher).
+func replay(cfg platform.Config, seed int64, deploy func(*platform.Platform, *gateway.Config) (gateway.Backend, error),
+	arrivals []time.Duration, gcfg gateway.Config) (*gateway.LoadReport, []gateway.Outcome, error) {
+	b, err := deploy(platform.New(simnet.NewEnv(), cfg, seed), &gcfg)
+	if err != nil {
+		return nil, nil, err
 	}
-	if mErr != nil {
-		return Measurement{OOM: isOOM(mErr), Err: mErr.Error()}
+	return gateway.Run(b, arrivals, gcfg)
+}
+
+// deployPlan is replay's deploy for one plan served ShapeOnly.
+func deployPlan(units []*partition.Unit, plan *partition.Plan) func(*platform.Platform, *gateway.Config) (gateway.Backend, error) {
+	return func(p *platform.Platform, _ *gateway.Config) (gateway.Backend, error) {
+		return runtime.Deploy(p, units, plan, runtime.ShapeOnly)
+	}
+}
+
+// measurePlan serves n warm queries after one warm-up and returns latency and
+// cost statistics. A deployment that exceeds the memory budget is reported as
+// OOM, like the paper's failed configurations.
+func measurePlan(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, n int) Measurement {
+	var lats, costs []float64
+	_, err := serveWarm(cfg, seed, units, plan, nil, 1, n, func(r runtime.Result, _ float64, err error) error {
+		if err != nil {
+			return err
+		}
+		lats = append(lats, r.LatencyMs)
+		costs = append(costs, float64(r.BilledMs))
+		return nil
+	})
+	if err != nil {
+		return Measurement{OOM: errors.Is(err, runtime.ErrOOM), Err: err.Error()}
 	}
 	return Measurement{
 		MeanMs:   stats.Mean(lats),
@@ -159,32 +181,17 @@ func measurePlan(cfg platform.Config, seed int64, units []*partition.Unit, plan 
 
 // measureDefault measures single-function (Default) serving.
 func measureDefault(cfg platform.Config, seed int64, units []*partition.Unit, n int) Measurement {
-	plan := &partition.Plan{
-		Model: "default",
-		Groups: []partition.GroupPlan{{
-			First: 0, Last: len(units) - 1,
-			Option:   partition.Option{Dim: partition.DimNone, Parts: 1},
-			OnMaster: true,
-		}},
+	return measurePlan(cfg, seed, units, partition.DefaultPlan("default", units), n)
+}
+
+// baselineJSON renders a report in the form of the BENCH_*.json baselines.
+func baselineJSON(report any) ([]byte, error) {
+	b, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return nil, err
 	}
-	return measurePlan(cfg, seed, units, plan, n)
+	return append(b, '\n'), nil
 }
-
-func isOOM(err error) bool {
-	return err != nil && containsStr(err.Error(), "OOM")
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
-// platformCfg resolves a platform profile by name.
-func platformCfg(name string) (platform.Config, error) { return platform.ByName(name) }
 
 // fmtMs renders a latency cell, using "OOM" for failed configurations.
 func fmtMs(m Measurement) string {

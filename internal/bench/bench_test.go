@@ -3,6 +3,9 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"gillis/internal/partition"
+	"gillis/internal/platform"
 )
 
 // quickCtx returns a trimmed context for fast experiment smoke tests.
@@ -11,6 +14,34 @@ func quickCtx() *Context {
 	ctx.Quick = true
 	ctx.Queries = 15
 	return ctx
+}
+
+// TestOOMCellIsTheBudgetErrorOnly: a cell reads OOM when the deployment broke
+// the memory budget (runtime.ErrOOM), not when some other failure's text
+// happens to contain the letters — here every invocation of a deployment
+// named OOM fails, and the cell must read ERR.
+func TestOOMCellIsTheBudgetErrorOnly(t *testing.T) {
+	ctx := quickCtx()
+	cfg := platform.AWSLambda()
+	big, err := ctx.Units("wrn50-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := measureDefault(cfg, 1, big, 3); !m.OOM || fmtMs(m) != "OOM" {
+		t.Errorf("wrn50-5 in one function: want an OOM cell, got %+v", m)
+	}
+	small, err := ctx.Units("mobilenet-mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = platform.FaultProfile{FailureProb: 1}
+	m := measurePlan(cfg, 1, small, partition.DefaultPlan("OOM", small), 3)
+	if !strings.Contains(m.Err, "OOM") {
+		t.Fatalf("the failing function's name should be in the error: %q", m.Err)
+	}
+	if m.OOM || fmtMs(m) != "ERR" {
+		t.Errorf("a failed invocation is not out of memory: %+v", m)
+	}
 }
 
 func TestFig1ShapesMatchPaper(t *testing.T) {

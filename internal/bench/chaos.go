@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
-	"gillis/internal/simnet"
 	"gillis/internal/stats"
 )
 
@@ -85,47 +83,29 @@ func resilientOpts() []runtime.DeployOption {
 	}
 }
 
-// measureChaos serves n queries on a fresh faulty platform and reports
-// goodput, latency percentiles over survivors, and authoritative cost.
+// measureChaos serves n queries on a fresh faulty platform, with no warm-up
+// query, and reports goodput, latency percentiles over survivors, and
+// authoritative cost. A query that fails costs goodput; it does not end the run.
 func measureChaos(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, n int, faults platform.FaultProfile, opts ...runtime.DeployOption) (ChaosMeasurement, error) {
 	cfg.Faults = faults
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
 	var (
-		lats      []float64
-		completed int
-		m         ChaosMeasurement
-		setupErr  error
+		lats []float64
+		m    ChaosMeasurement
 	)
-	env.Go("client", func(proc *simnet.Proc) {
-		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly, opts...)
+	p, err := serveWarm(cfg, seed, units, plan, opts, 0, n, func(r runtime.Result, _ float64, err error) error {
 		if err != nil {
-			setupErr = err
-			return
+			return nil
 		}
-		if err := d.Prewarm(); err != nil {
-			setupErr = err
-			return
-		}
-		for i := 0; i < n; i++ {
-			r, err := d.Serve(proc, nil)
-			if err != nil {
-				continue
-			}
-			completed++
-			lats = append(lats, r.LatencyMs)
-			m.Retries += r.Resilience.Retries
-			m.Hedges += r.Resilience.Hedges
-			m.Fallbacks += r.Resilience.Fallbacks
-		}
+		lats = append(lats, r.LatencyMs)
+		m.Retries += r.Resilience.Retries
+		m.Hedges += r.Resilience.Hedges
+		m.Fallbacks += r.Resilience.Fallbacks
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return m, err
 	}
-	if setupErr != nil {
-		return m, setupErr
-	}
-	m.Goodput = round3(float64(completed) / float64(n))
+	m.Goodput = round3(float64(len(lats)) / float64(n))
 	m.P50Ms = round3(stats.Percentile(lats, 50))
 	m.P99Ms = round3(stats.Percentile(lats, 99))
 	m.BilledMsPerQuery = round3(float64(p.BilledMsTotal()) / float64(n))
@@ -213,12 +193,6 @@ func (r *ChaosReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_chaos.json baseline format.
-func (r *ChaosReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *ChaosReport) JSON() ([]byte, error) { return baselineJSON(r) }
 
 func round3(x float64) float64 { return math.Round(x*1000) / 1000 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"gillis/internal/platform"
 )
 
 // Fig1Row is one model point of Fig. 1: single-function WRN-50-k latency on
@@ -22,11 +24,11 @@ type Fig1Result struct {
 
 // Fig1 runs the experiment.
 func Fig1(ctx *Context) (*Fig1Result, error) {
-	lam, err := platformCfg("lambda")
+	lam, err := platform.ByName("lambda")
 	if err != nil {
 		return nil, err
 	}
-	gcf, err := platformCfg("gcf")
+	gcf, err := platform.ByName("gcf")
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"gillis/internal/partition"
+	"gillis/internal/platform"
 )
 
 // Fig7Row is one fan-out point: mean latency of one parallelized layer
@@ -31,11 +32,11 @@ func Fig7(ctx *Context) (*Fig7Result, error) {
 		return nil, err
 	}
 	group := units[6:9]
-	lam, err := platformCfg("lambda")
+	lam, err := platform.ByName("lambda")
 	if err != nil {
 		return nil, err
 	}
-	knix, err := platformCfg("knix")
+	knix, err := platform.ByName("knix")
 	if err != nil {
 		return nil, err
 	}

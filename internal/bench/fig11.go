@@ -80,40 +80,30 @@ type pipelineMeasurement struct {
 
 // measurePipeline deploys the Pipeline baseline and serves warm queries.
 func measurePipeline(cfg platform.Config, seed int64, units []*partition.Unit, n int) (pipelineMeasurement, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
 	var lats, comps, loads []float64
-	var mErr error
-	env.Go("client", func(proc *simnet.Proc) {
+	_, err := platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
 		d, err := runtime.DeployPipeline(p, units, runtime.ShapeOnly)
 		if err != nil {
-			mErr = err
-			return
+			return err
 		}
 		if err := d.Prewarm(); err != nil {
-			mErr = err
-			return
+			return err
 		}
-		if _, err := d.Serve(proc, nil); err != nil { // warm-up
-			mErr = err
-			return
-		}
-		for i := 0; i < n; i++ {
+		for i := -1; i < n; i++ { // i = -1 is the warm-up query
 			r, err := d.Serve(proc, nil)
 			if err != nil {
-				mErr = err
-				return
+				return err
 			}
-			lats = append(lats, r.LatencyMs)
-			comps = append(comps, r.ComputeMs)
-			loads = append(loads, r.LoadMs)
+			if i >= 0 {
+				lats = append(lats, r.LatencyMs)
+				comps = append(comps, r.ComputeMs)
+				loads = append(loads, r.LoadMs)
+			}
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return pipelineMeasurement{}, err
-	}
-	if mErr != nil {
-		return pipelineMeasurement{}, mErr
 	}
 	return pipelineMeasurement{
 		meanMs:    stats.Mean(lats),

@@ -123,55 +123,49 @@ func Fig15(ctx *Context) (*Fig15Result, error) {
 // measureMaxOverhead measures the mean maximum invocation overhead across n
 // concurrent 1 MB master→worker communications.
 func measureMaxOverhead(cfg platform.Config, seed int64, n, rounds int) (float64, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	if err := p.Register("sink", func(ctx *platform.Ctx, in platform.Payload) (platform.Payload, error) {
-		return platform.Payload{}, nil
-	}); err != nil {
-		return 0, err
-	}
-	if err := p.Prewarm("sink", n); err != nil {
-		return 0, err
-	}
 	var maxes []float64
-	err := p.Register("fan", func(ctx *platform.Ctx, in platform.Payload) (platform.Payload, error) {
-		promises := make([]*simnet.Promise[platform.InvokeResult], n)
-		for i := range promises {
-			promises[i] = ctx.InvokeAsync("sink", platform.Payload{Bytes: 1_000_000})
+	_, err := platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
+		if err := p.Register("sink", func(ctx *platform.Ctx, in platform.Payload) (platform.Payload, error) {
+			return platform.Payload{}, nil
+		}); err != nil {
+			return err
 		}
-		worst := 0.0
-		for _, pr := range promises {
-			r, err := pr.Wait(ctx.Proc())
-			if err != nil {
-				return platform.Payload{}, err
+		if err := p.Prewarm("sink", n); err != nil {
+			return err
+		}
+		err := p.Register("fan", func(ctx *platform.Ctx, in platform.Payload) (platform.Payload, error) {
+			promises := make([]*simnet.Promise[platform.InvokeResult], n)
+			for i := range promises {
+				promises[i] = ctx.InvokeAsync("sink", platform.Payload{Bytes: 1_000_000})
 			}
-			if r.OverheadMs > worst {
-				worst = r.OverheadMs
+			worst := 0.0
+			for _, pr := range promises {
+				r, err := pr.Wait(ctx.Proc())
+				if err != nil {
+					return platform.Payload{}, err
+				}
+				if r.OverheadMs > worst {
+					worst = r.OverheadMs
+				}
+			}
+			maxes = append(maxes, worst)
+			return platform.Payload{}, nil
+		})
+		if err != nil {
+			return err
+		}
+		if err := p.Prewarm("fan", 1); err != nil {
+			return err
+		}
+		for i := 0; i < rounds; i++ {
+			if _, err := p.InvokeFrom(proc, "fan", platform.Payload{}); err != nil {
+				return err
 			}
 		}
-		maxes = append(maxes, worst)
-		return platform.Payload{}, nil
+		return nil
 	})
 	if err != nil {
 		return 0, err
-	}
-	if err := p.Prewarm("fan", 1); err != nil {
-		return 0, err
-	}
-	var runErr error
-	env.Go("client", func(proc *simnet.Proc) {
-		for i := 0; i < rounds; i++ {
-			if _, err := p.InvokeFrom(proc, "fan", platform.Payload{}); err != nil {
-				runErr = err
-				return
-			}
-		}
-	})
-	if err := env.Run(); err != nil {
-		return 0, err
-	}
-	if runErr != nil {
-		return 0, runErr
 	}
 	return stats.Mean(maxes), nil
 }

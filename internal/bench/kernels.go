@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -250,10 +249,4 @@ func (r *KernelReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_kernels.json baseline format.
-func (r *KernelReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *KernelReport) JSON() ([]byte, error) { return baselineJSON(r) }

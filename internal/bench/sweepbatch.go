@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,9 +11,6 @@ import (
 	"gillis/internal/core"
 	"gillis/internal/gateway"
 	"gillis/internal/partition"
-	"gillis/internal/platform"
-	"gillis/internal/runtime"
-	"gillis/internal/simnet"
 	"gillis/internal/workload"
 )
 
@@ -134,7 +130,7 @@ func SweepBatch(ctx *Context) (*SweepBatchReport, error) {
 						EstServeMs: float64(batch) * warmMs,
 					}
 				}
-				rep, err := replayBatch(cfg, ctx.Seed+int64(ri)*13, units, pl.plan, arrivals, gcfg)
+				rep, _, err := replay(cfg, ctx.Seed+int64(ri)*13, deployPlan(units, pl.plan), arrivals, gcfg)
 				if err != nil {
 					return nil, fmt.Errorf("bench: batch %d@%g/%s: %w", batch, rate, pl.name, err)
 				}
@@ -155,19 +151,6 @@ func SweepBatch(ctx *Context) (*SweepBatchReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// replayBatch runs one gateway replay on a fresh platform.
-func replayBatch(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan,
-	arrivals []time.Duration, gcfg gateway.Config) (*gateway.LoadReport, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
-	if err != nil {
-		return nil, err
-	}
-	rep, _, err := gateway.Run(d, arrivals, gcfg)
-	return rep, err
 }
 
 // At returns the row for one (batch, rate, planner) combination.
@@ -209,10 +192,4 @@ func (r *SweepBatchReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_batch.json baseline format.
-func (r *SweepBatchReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *SweepBatchReport) JSON() ([]byte, error) { return baselineJSON(r) }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,7 +13,6 @@ import (
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
-	"gillis/internal/simnet"
 	"gillis/internal/workload"
 )
 
@@ -76,56 +74,12 @@ func sweepPolicies(spec workload.BurstSpec, estServeMs float64) []gateway.Policy
 // derives its SLO deadline and the burst-aware policy's service-time
 // estimate from it.
 func calibrateWarmMs(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan) (float64, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
 	var warmMs float64
-	var mErr error
-	env.Go("calibrate", func(proc *simnet.Proc) {
-		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
-		if err != nil {
-			mErr = err
-			return
-		}
-		if err := d.Prewarm(); err != nil {
-			mErr = err
-			return
-		}
-		for i := 0; i < 3; i++ {
-			before := proc.Now()
-			if _, err := d.Serve(proc, nil); err != nil {
-				mErr = err
-				return
-			}
-			if ms := float64(proc.Now()-before) / 1e6; ms > warmMs {
-				warmMs = ms
-			}
-		}
+	_, err := serveWarm(cfg, seed, units, plan, nil, 0, 3, func(_ runtime.Result, ms float64, err error) error {
+		warmMs = math.Max(warmMs, ms)
+		return err
 	})
-	if err := env.Run(); err != nil {
-		return 0, err
-	}
-	if mErr != nil {
-		return 0, mErr
-	}
-	return warmMs, nil
-}
-
-// replayPolicy runs one gateway replay on a fresh platform.
-func replayPolicy(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan,
-	arrivals []time.Duration, sloMs float64, maxInFlight int, pol gateway.Policy) (*gateway.LoadReport, error) {
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
-	if err != nil {
-		return nil, err
-	}
-	rep, _, err := gateway.Run(d, arrivals, gateway.Config{
-		MaxInFlight: maxInFlight,
-		QueueCap:    2 * maxInFlight,
-		SLOMs:       sloMs,
-		Policy:      pol,
-	})
-	return rep, err
+	return warmMs, err
 }
 
 // SweepLoad runs the sweep: burst rate × policy on each platform. Quick
@@ -181,7 +135,12 @@ func SweepLoad(ctx *Context) (*SweepLoadReport, error) {
 			maxInFlight := 2*int(math.Ceil(rate*warmMs/1000)) + 2
 			var nonePer1K float64
 			for _, pol := range sweepPolicies(spec, warmMs) {
-				rep, err := replayPolicy(cfg, seed+int64(ri)*7, units, plan, arrivals, sloMs, maxInFlight, pol)
+				rep, _, err := replay(cfg, seed+int64(ri)*7, deployPlan(units, plan), arrivals, gateway.Config{
+					MaxInFlight: maxInFlight,
+					QueueCap:    2 * maxInFlight,
+					SLOMs:       sloMs,
+					Policy:      pol,
+				})
 				if err != nil {
 					return nil, fmt.Errorf("bench: load %s@%g/%s: %w", pname, rate, pol.Name(), err)
 				}
@@ -237,10 +196,4 @@ func (r *SweepLoadReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_load.json baseline format.
-func (r *SweepLoadReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *SweepLoadReport) JSON() ([]byte, error) { return baselineJSON(r) }

@@ -34,6 +34,18 @@ func TestSweepLoadPolicyOrdering(t *testing.T) {
 		t.Errorf("burst-aware must strictly beat no prewarming at the burst rate: %.1f%% vs %.1f%%",
 			burst.Report.SLOPct, none.Report.SLOPct)
 	}
+	// Who pays for the burst: without warm-up its cold starts land on the
+	// tail; the schedule-driven pool takes most of them away.
+	if none.Report.ColdStarts == 0 {
+		t.Error("no-warm-up policy should pay cold starts")
+	}
+	if burst.Report.ColdStarts >= none.Report.ColdStarts {
+		t.Errorf("burst-aware warm pool should cut cold starts: %d vs %d",
+			burst.Report.ColdStarts, none.Report.ColdStarts)
+	}
+	if burst.Report.P99Ms >= none.Report.P99Ms {
+		t.Errorf("burst-aware p99 (%.0f) should beat no-warm-up (%.0f)", burst.Report.P99Ms, none.Report.P99Ms)
+	}
 	if none.CostInflation != 1 {
 		t.Errorf("NonePolicy is the cost floor, inflation %.3f", none.CostInflation)
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -77,15 +76,7 @@ func meshSpecs(ctx *Context, n int) ([]mesh.ModelSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan := &partition.Plan{Model: name, Groups: []partition.GroupPlan{{
-			First: 0, Last: len(units) - 1,
-			Option:   partition.Option{Dim: partition.DimNone, Parts: 1},
-			OnMaster: true,
-		}}}
-		if err := plan.Validate(units); err != nil {
-			return nil, err
-		}
-		specs = append(specs, mesh.ModelSpec{ID: name, Units: units, Plan: plan})
+		specs = append(specs, mesh.ModelSpec{ID: name, Units: units, Plan: partition.DefaultPlan(name, units)})
 	}
 	return specs, nil
 }
@@ -110,37 +101,30 @@ func calibrateMeshWarmMs(ctx *Context, n int) (float64, error) {
 	}
 	var warmMs float64
 	for _, spec := range specs {
-		env := simnet.NewEnv()
-		p := platform.New(env, meshPlatformCfg(), ctx.Seed)
-		m, err := mesh.New(p, mesh.Config{Instances: 1, InstanceMemMB: sweepMeshMemMB}, []mesh.ModelSpec{spec})
-		if err != nil {
-			return 0, err
-		}
-		var mErr error
-		env.Go("calibrate", func(proc *simnet.Proc) {
+		_, err := platform.Run(meshPlatformCfg(), ctx.Seed, func(p *platform.Platform, proc *simnet.Proc) error {
+			m, err := mesh.New(p, mesh.Config{Instances: 1, InstanceMemMB: sweepMeshMemMB}, []mesh.ModelSpec{spec})
+			if err != nil {
+				return err
+			}
 			for i := 0; i < 3; i++ {
 				d, release, err := m.Acquire(proc, spec.ID)
 				if err != nil {
-					mErr = err
-					return
+					return err
 				}
 				before := proc.Now()
 				_, _, err = d.ServeBatch(proc, nil, 1, false)
 				release()
 				if err != nil {
-					mErr = err
-					return
+					return err
 				}
 				if ms := float64(proc.Now()-before) / 1e6; i > 0 && ms > warmMs {
 					warmMs = ms
 				}
 			}
+			return nil
 		})
-		if err := env.Run(); err != nil {
+		if err != nil {
 			return 0, err
-		}
-		if mErr != nil {
-			return 0, mErr
 		}
 	}
 	return warmMs, nil
@@ -159,23 +143,25 @@ func replayMesh(ctx *Context, nModels int, zipfS float64, instances int, noCache
 	if err != nil {
 		return nil, nil, err
 	}
-	env := simnet.NewEnv()
-	p := platform.New(env, meshPlatformCfg(), seed)
-	m, err := mesh.New(p, mesh.Config{
-		Instances:      instances,
-		InstanceMemMB:  sweepMeshMemMB,
-		MaxPerInstance: 4,
-		NoCache:        noCache,
-	}, specs)
-	if err != nil {
-		return nil, nil, err
+	var m *mesh.Mesh
+	deploy := func(p *platform.Platform, gcfg *gateway.Config) (gateway.Backend, error) {
+		m, err = mesh.New(p, mesh.Config{
+			Instances:      instances,
+			InstanceMemMB:  sweepMeshMemMB,
+			MaxPerInstance: 4,
+			NoCache:        noCache,
+		}, specs)
+		if err != nil {
+			return nil, err
+		}
+		gcfg.Router = m
+		return m, nil
 	}
-	rep, _, err := gateway.Run(m, workload.Times(arrivals), gateway.Config{
+	rep, _, err := replay(meshPlatformCfg(), seed, deploy, workload.Times(arrivals), gateway.Config{
 		MaxInFlight: 4,
 		QueueCap:    8,
 		SLOMs:       sloMs,
 		Model:       func(i int) string { return arrivals[i].Model },
-		Router:      m,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -273,10 +259,4 @@ func (r *SweepMeshReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_mesh.json baseline format.
-func (r *SweepMeshReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *SweepMeshReport) JSON() ([]byte, error) { return baselineJSON(r) }

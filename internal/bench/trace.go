@@ -48,32 +48,25 @@ func QueryTrace(ctx *Context, faultRate float64) (*TraceReport, error) {
 	cfg := pm.Platform()
 	cfg.Faults = chaosProfile(faultRate)
 
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, ctx.Seed)
 	var (
 		res    runtime.Result
 		tr     *trace.Trace
 		prefix string
-		qerr   error
 	)
-	env.Go("client", func(proc *simnet.Proc) {
+	_, err = platform.Run(cfg, ctx.Seed, func(p *platform.Platform, proc *simnet.Proc) error {
 		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly, resilientOpts()...)
 		if err != nil {
-			qerr = err
-			return
+			return err
 		}
 		prefix = d.Prefix()
 		if err := d.Prewarm(); err != nil {
-			qerr = err
-			return
+			return err
 		}
-		res, tr, qerr = d.ServeTraced(proc, nil)
+		res, tr, err = d.ServeTraced(proc, nil)
+		return err
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if qerr != nil {
-		return nil, qerr
 	}
 
 	// Strip the process-order-dependent deployment prefix from function

@@ -72,7 +72,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 			return nil
 		}
 		for last := at; last < len(units); last++ {
-			opts, err := optionsFor(units, at, last, cfg.PartCounts)
+			opts, err := partition.FeasibleOptions(units, at, last, cfg.PartCounts)
 			if err != nil {
 				return err
 			}

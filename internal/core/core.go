@@ -57,11 +57,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// optionsFor enumerates candidate options for a group, including DimNone.
-func optionsFor(units []*partition.Unit, first, last int, partCounts []int) ([]partition.Option, error) {
-	return partition.FeasibleOptions(units, first, last, partCounts)
-}
-
 // predCache memoizes group predictions across a planning run, all at one
 // fixed batch size.
 type predCache struct {

@@ -71,7 +71,7 @@ func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache,
 			kMin = j - 1 // ablation: single-unit groups only
 		}
 		for k := kMin; k < j; k++ {
-			opts, err := optionsFor(units, k, j-1, cfg.PartCounts)
+			opts, err := partition.FeasibleOptions(units, k, j-1, cfg.PartCounts)
 			if err != nil {
 				return nil, err
 			}

@@ -50,14 +50,7 @@ func ThroughputOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*par
 	}
 	cands = append(cands, costPlan)
 
-	cands = append(cands, &partition.Plan{
-		Model: modelName(units),
-		Groups: []partition.GroupPlan{{
-			First: 0, Last: len(units) - 1,
-			Option:   partition.Option{Dim: partition.DimNone, Parts: 1},
-			OnMaster: true,
-		}},
-	})
+	cands = append(cands, partition.DefaultPlan(modelName(units), units))
 
 	var bestPlan *partition.Plan
 	var best perf.BatchPrediction

@@ -37,10 +37,6 @@ var ErrUnknownModel = errors.New("mesh: unknown model")
 // for the pool, or every byte is pinned by in-flight queries.
 var ErrNoCapacity = errors.New("mesh: no instance capacity for model")
 
-// errDirectServe is reported when a query is served through the mesh anchor
-// itself instead of a routed deployment.
-var errDirectServe = errors.New("mesh: serve through a multi-model gateway (Config.Model + Config.Router)")
-
 // ModelSpec is one catalog entry: a model's partitioned serving plan.
 type ModelSpec struct {
 	// ID is the catalog key queries route by. Must be unique and match the
@@ -539,7 +535,7 @@ func (m *Mesh) WarmSets() int {
 // ServeBatch implements gateway.Backend. The mesh never serves directly —
 // queries must route through Acquire — so this is a configuration error.
 func (m *Mesh) ServeBatch(*simnet.Proc, []*tensor.Tensor, int, bool) (runtime.Result, *trace.Trace, error) {
-	return runtime.Result{}, nil, errDirectServe
+	return runtime.Result{}, nil, errors.New("mesh: serve through a multi-model gateway (Config.Model + Config.Router)")
 }
 
 // Prewarm implements gateway.Backend. Pool-level prewarming is

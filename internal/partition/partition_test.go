@@ -516,3 +516,32 @@ func TestSpatialSlicesErrors(t *testing.T) {
 func opName(prefix string, i int) string {
 	return prefix + string(rune('a'+i))
 }
+
+// TestDefaultPlanValidatesOnEveryZooModel: the single-function plan is valid
+// for any linearized model by construction — one whole group covering the
+// chain — which is why its callers no longer validate it themselves.
+func TestDefaultPlanValidatesOnEveryZooModel(t *testing.T) {
+	for _, name := range []string{
+		"vgg11", "vgg16", "vgg19",
+		"resnet34", "resnet50", "resnet101",
+		"wrn34-2", "wrn50-2", "wrn50-4", "wrn101-2",
+		"rnn2", "rnn4", "rnn6", "rnn8",
+		"inception-mini", "mobilenet-mini",
+		"mobilenet-mini-w2", "mobilenet-mini-w3",
+		"rnn-tiny2", "rnn-tiny4", "rnn-tiny6",
+	} {
+		g, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := linearized(t, g)
+		plan := DefaultPlan(name, units)
+		if err := plan.Validate(units); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if gp := plan.Groups[0]; plan.Model != name || len(plan.Groups) != 1 || gp.Workers() != 0 ||
+			gp.First != 0 || gp.Last != len(units)-1 {
+			t.Errorf("%s: not one master-only group over the chain: %+v", name, plan)
+		}
+	}
+}

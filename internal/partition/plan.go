@@ -287,6 +287,17 @@ type Plan struct {
 	Groups []GroupPlan
 }
 
+// DefaultPlan is the paper's Default baseline (§V-B): the whole unit chain
+// as one group in a single function. model becomes the deployment's function
+// name prefix.
+func DefaultPlan(model string, units []*Unit) *Plan {
+	return &Plan{Model: model, Groups: []GroupPlan{{
+		First: 0, Last: len(units) - 1,
+		Option:   Option{Dim: DimNone, Parts: 1},
+		OnMaster: true,
+	}}}
+}
+
 // Validate checks that the plan covers units [0, n) contiguously and that
 // every group's option is feasible.
 func (p *Plan) Validate(units []*Unit) error {

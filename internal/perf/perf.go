@@ -429,15 +429,7 @@ func (m *Model) predictPlanBatch(units []*partition.Unit, plan *partition.Plan, 
 // Default baseline. It returns an OOM prediction when the model does not
 // fit the weight budget.
 func (m *Model) PredictDefault(units []*partition.Unit) (PlanPrediction, error) {
-	plan := &partition.Plan{
-		Model: "default",
-		Groups: []partition.GroupPlan{{
-			First: 0, Last: len(units) - 1,
-			Option:   partition.Option{Dim: partition.DimNone, Parts: 1},
-			OnMaster: true,
-		}},
-	}
-	return m.PredictPlan(units, plan)
+	return m.PredictPlan(units, partition.DefaultPlan("default", units))
 }
 
 func billedMs(ms float64, gran int64) int64 {

@@ -444,6 +444,22 @@ func New(env *simnet.Env, cfg Config, seed int64) *Platform {
 	}
 }
 
+// Run is one whole simulation: it creates an Env and a platform on it, runs
+// body as the simulation's first process and drains the Env, so every process
+// body spawned has finished too. It returns body's error, or else the
+// simulation's (a process parked for ever). The platform comes back either
+// way: its counters are read after the drain.
+func Run(cfg Config, seed int64, body func(p *Platform, proc *simnet.Proc) error) (*Platform, error) {
+	env := simnet.NewEnv()
+	p := New(env, cfg, seed)
+	var bodyErr error
+	env.Go("client", func(proc *simnet.Proc) { bodyErr = body(p, proc) })
+	if err := env.Run(); err != nil && bodyErr == nil {
+		return p, err
+	}
+	return p, bodyErr
+}
+
 // Metrics returns the registry the platform records invocation metrics into.
 func (p *Platform) Metrics() *trace.Registry { return p.m.reg }
 

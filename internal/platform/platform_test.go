@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"gillis/internal/simnet"
 )
@@ -478,4 +479,74 @@ func TestCtxAndPlatformAccessors(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// TestRunReturnsTheBodysError: what a simulated process could not return, the
+// body of Run does; the platform comes back with it.
+func TestRunReturnsTheBodysError(t *testing.T) {
+	boom := errors.New("boom")
+	p, err := Run(fastCfg(), 1, func(p *Platform, proc *simnet.Proc) error {
+		proc.Sleep(5 * time.Millisecond)
+		return boom
+	})
+	if err != boom {
+		t.Fatalf("want the body's error, got %v", err)
+	}
+	if p == nil || p.Env().Now() != 5*time.Millisecond {
+		t.Fatalf("platform %v must come back, drained at the body's last instant", p)
+	}
+}
+
+// TestRunReturnsTheSimulationsError: a process parked for ever is the
+// simulation's error, whether it is the body or one the body left behind.
+func TestRunReturnsTheSimulationsError(t *testing.T) {
+	for name, body := range map[string]func(p *Platform, proc *simnet.Proc) error{
+		"body parked": func(p *Platform, proc *simnet.Proc) error {
+			_, err := simnet.NewPromise[int](p.Env()).Wait(proc)
+			return err
+		},
+		"spawned process parked": func(p *Platform, proc *simnet.Proc) error {
+			never := simnet.NewPromise[int](p.Env())
+			p.Env().Go("stuck", func(q *simnet.Proc) { never.Wait(q) })
+			return nil
+		},
+	} {
+		if _, err := Run(fastCfg(), 1, body); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Errorf("%s: want the simulation's deadlock error, got %v", name, err)
+		}
+	}
+}
+
+// TestRunDrainsWhatTheBodySpawned: Run returns only when every process the
+// body started has finished, and the platform still answers for the bill —
+// what a measurement reads after the drain.
+func TestRunDrainsWhatTheBodySpawned(t *testing.T) {
+	finished := 0
+	p, err := Run(fastCfg(), 1, func(p *Platform, proc *simnet.Proc) error {
+		err := p.Register("work", func(ctx *Ctx, in Payload) (Payload, error) {
+			ctx.Compute(2e9) // 100 ms at 20 GFLOPS
+			return Payload{}, nil
+		})
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 3; i++ {
+			p.Env().Go("caller", func(q *simnet.Proc) {
+				if _, err := p.InvokeFrom(q, "work", Payload{}); err != nil {
+					t.Error(err)
+				}
+				finished++
+			})
+		}
+		return nil // before any caller has run
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if finished != 3 || p.Invocations() != 3 {
+		t.Fatalf("Run returned with %d of 3 spawned processes finished, %d invocations", finished, p.Invocations())
+	}
+	if p.BilledMsTotal() < 300 {
+		t.Fatalf("three 100 ms invocations billed %d ms", p.BilledMsTotal())
+	}
 }

@@ -152,42 +152,35 @@ func ProfileLayers(cfg platform.Config, seed int64, repeats int) ([]LayerSample,
 	if err != nil {
 		return nil, err
 	}
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	err = p.Register("probe", func(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
-		pr, ok := payload.Data.(layerProbe)
-		if !ok {
-			return platform.Payload{}, fmt.Errorf("profile: bad probe payload %T", payload.Data)
-		}
-		ctx.ComputeOp(pr.flops, pr.bytes)
-		return platform.Payload{}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Prewarm("probe", 1); err != nil {
-		return nil, err
-	}
-
 	var samples []LayerSample
-	var runErr error
-	env.Go("profiler", func(proc *simnet.Proc) {
+	_, err = platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
+		err := p.Register("probe", func(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
+			pr, ok := payload.Data.(layerProbe)
+			if !ok {
+				return platform.Payload{}, fmt.Errorf("profile: bad probe payload %T", payload.Data)
+			}
+			ctx.ComputeOp(pr.flops, pr.bytes)
+			return platform.Payload{}, nil
+		})
+		if err != nil {
+			return err
+		}
+		if err := p.Prewarm("probe", 1); err != nil {
+			return err
+		}
 		for _, pr := range probes {
 			for r := 0; r < repeats; r++ {
 				res, err := p.InvokeFrom(proc, "probe", platform.Payload{Data: pr})
 				if err != nil {
-					runErr = err
-					return
+					return err
 				}
 				samples = append(samples, LayerSample{Kind: pr.kind, FLOPs: pr.flops, Bytes: pr.bytes, Ms: res.HandlerMs})
 			}
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
 	}
 	return samples, nil
 }
@@ -303,22 +296,18 @@ func ProfileComm(cfg platform.Config, seed int64, runs int) (CommProfile, error)
 	if runs < 16 {
 		runs = 16
 	}
-	env := simnet.NewEnv()
-	p := platform.New(env, cfg, seed)
-	if err := p.Register("sink", func(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
-		return platform.Payload{}, nil
-	}); err != nil {
-		return CommProfile{}, err
-	}
-	if err := p.Prewarm("sink", 1); err != nil {
-		return CommProfile{}, err
-	}
-
 	const smallBytes, largeBytes = 100_000, 8_000_000
 	var smallMs, largeMs []float64
 	var overheadMs []float64
-	var runErr error
-	env.Go("comm-profiler", func(proc *simnet.Proc) {
+	_, err := platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
+		if err := p.Register("sink", func(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
+			return platform.Payload{}, nil
+		}); err != nil {
+			return err
+		}
+		if err := p.Prewarm("sink", 1); err != nil {
+			return err
+		}
 		rt := func(bytes int64) (float64, error) {
 			before := proc.Now()
 			if _, err := p.InvokeFrom(proc, "sink", platform.Payload{Bytes: bytes}); err != nil {
@@ -329,14 +318,12 @@ func ProfileComm(cfg platform.Config, seed int64, runs int) (CommProfile, error)
 		for i := 0; i < runs/2; i++ {
 			ms, err := rt(smallBytes)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			smallMs = append(smallMs, ms)
 			ms, err = rt(largeBytes)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			largeMs = append(largeMs, ms)
 		}
@@ -347,17 +334,14 @@ func ProfileComm(cfg platform.Config, seed int64, runs int) (CommProfile, error)
 		for i := 0; i < runs; i++ {
 			ms, err := rt(probeBytes)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			overheadMs = append(overheadMs, ms-probeBytes/1e6/bw*1000)
 		}
+		return nil
 	})
-	if err := env.Run(); err != nil {
+	if err != nil {
 		return CommProfile{}, err
-	}
-	if runErr != nil {
-		return CommProfile{}, runErr
 	}
 	bw := float64(largeBytes-smallBytes) / 1e6 / ((stats.Mean(largeMs) - stats.Mean(smallMs)) / 1000)
 	emg, err := stats.FitEMG(overheadMs)

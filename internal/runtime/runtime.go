@@ -12,6 +12,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -84,10 +85,14 @@ type Deployment struct {
 // unaffected.
 func (d *Deployment) SetHedging(enabled bool) { d.hedgeOff = !enabled }
 
+// ErrOOM is what Deploy's error wraps when a function's resident set exceeds
+// the platform's weight budget: the deployment-time analogue of the paper's
+// OOM failures.
+var ErrOOM = errors.New("OOM")
+
 // Deploy validates the plan against the platform's memory budget, registers
-// the master and worker functions, and returns a ready deployment. It
-// returns an error (the deployment-time analogue of the paper's OOM
-// failures) if any function's resident set exceeds the weight budget.
+// the master and worker functions, and returns a ready deployment. Its error
+// is ErrOOM if any function's resident set exceeds the weight budget.
 func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan, mode ExecMode, opts ...DeployOption) (*Deployment, error) {
 	if err := plan.Validate(units); err != nil {
 		return nil, err
@@ -128,8 +133,8 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 			return nil, err
 		}
 		if ext.WeightBytes+ext.ActBytes > budget {
-			return nil, fmt.Errorf("runtime: group %d partition needs %d MB, exceeding the %d MB function budget (OOM)",
-				gi, (ext.WeightBytes+ext.ActBytes)/1e6, budget/1e6)
+			return nil, fmt.Errorf("runtime: group %d partition needs %d MB, exceeding the %d MB function budget (%w)",
+				gi, (ext.WeightBytes+ext.ActBytes)/1e6, budget/1e6, ErrOOM)
 		}
 		if gp.OnMaster {
 			masterBytes += ext.WeightBytes
@@ -142,8 +147,8 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		d.groups = append(d.groups, gr)
 	}
 	if masterBytes > budget {
-		return nil, fmt.Errorf("runtime: master resident weights %d MB exceed the %d MB budget (OOM)",
-			masterBytes/1e6, budget/1e6)
+		return nil, fmt.Errorf("runtime: master resident weights %d MB exceed the %d MB budget (%w)",
+			masterBytes/1e6, budget/1e6, ErrOOM)
 	}
 
 	if err := p.Register(d.Master, d.masterHandler); err != nil {
@@ -777,15 +782,7 @@ func buildGroupRuntime(units []*partition.Unit, gp partition.GroupPlan) (*groupR
 // DeployDefault deploys the Default baseline: the whole model in a single
 // function (§V-B baseline 1).
 func DeployDefault(p *platform.Platform, units []*partition.Unit, mode ExecMode, opts ...DeployOption) (*Deployment, error) {
-	plan := &partition.Plan{
-		Model: "default-" + modelNameOf(units),
-		Groups: []partition.GroupPlan{{
-			First: 0, Last: len(units) - 1,
-			Option:   partition.Option{Dim: partition.DimNone, Parts: 1},
-			OnMaster: true,
-		}},
-	}
-	return Deploy(p, units, plan, mode, opts...)
+	return Deploy(p, units, partition.DefaultPlan("default-"+modelNameOf(units), units), mode, opts...)
 }
 
 // PredictedPlanOf exposes the deployment's plan (for reporting).

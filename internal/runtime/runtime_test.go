@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"math/rand"
 	goruntime "runtime"
 	"strings"
@@ -221,6 +222,9 @@ func TestServeDefaultReal(t *testing.T) {
 	})
 }
 
+// TestDeployRejectsOOM: a plan over the weight budget fails with ErrOOM,
+// whichever of Deploy's two budget checks catches it, and the message still
+// says OOM; a plan that is merely invalid is not ErrOOM.
 func TestDeployRejectsOOM(t *testing.T) {
 	g, err := models.WideResNet(34, 5)
 	if err != nil {
@@ -230,12 +234,23 @@ func TestDeployRejectsOOM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := simnet.NewEnv()
-	p := platform.New(env, platform.AWSLambda(), 1)
-	if _, err := DeployDefault(p, units, ShapeOnly); err == nil {
-		t.Fatal("WRN-34-5 must not fit a single 1.4 GB function")
-	} else if !strings.Contains(err.Error(), "OOM") {
-		t.Fatalf("error should mention OOM: %v", err)
+	p := platform.New(simnet.NewEnv(), platform.AWSLambda(), 1)
+	_, err = DeployDefault(p, units, ShapeOnly)
+	if !errors.Is(err, ErrOOM) || !strings.Contains(err.Error(), "partition needs") || !strings.HasSuffix(err.Error(), "(OOM)") {
+		t.Fatalf("WRN-34-5 must not fit a single 1.4 GB function: %v", err)
+	}
+	// Every group fits a function, their sum does not fit the master.
+	var perGroup []partition.GroupPlan
+	for i := range units {
+		perGroup = append(perGroup, partition.GroupPlan{First: i, Last: i, Option: partition.Option{Dim: partition.DimNone, Parts: 1}, OnMaster: true})
+	}
+	_, err = Deploy(p, units, &partition.Plan{Model: "wrn34-5", Groups: perGroup}, ShapeOnly)
+	if !errors.Is(err, ErrOOM) || !strings.Contains(err.Error(), "master resident weights") || !strings.HasSuffix(err.Error(), "(OOM)") {
+		t.Fatalf("master holding every group must exceed the budget: %v", err)
+	}
+	_, err = Deploy(p, units, &partition.Plan{Model: "OOM", Groups: perGroup[:1]}, ShapeOnly)
+	if err == nil || errors.Is(err, ErrOOM) {
+		t.Fatalf("a plan that does not cover the model is invalid, not out of memory: %v", err)
 	}
 }
 

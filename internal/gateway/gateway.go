@@ -246,7 +246,7 @@ func Run(b Backend, arrivals []time.Duration, cfg Config) (*LoadReport, []Outcom
 		for i, at := range arrivals {
 			proc.Sleep(at - proc.Now())
 			i := i
-			env.Go(fmt.Sprintf("query-%d", i), func(qp *simnet.Proc) {
+			env.Go("query", func(qp *simnet.Proc) {
 				g.query(qp, i)
 			})
 		}
@@ -330,6 +330,7 @@ func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 func (g *gateway) release() {
 	if len(g.queue) > 0 {
 		head := g.queue[0]
+		g.queue[0] = nil // the backing array must not keep a served promise
 		g.queue = g.queue[1:]
 		head.Resolve(struct{}{})
 	} else {

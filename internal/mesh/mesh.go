@@ -79,6 +79,12 @@ type model struct {
 	hits, misses, loads, loadWaits, evictions int
 	loadedBytes                               int64
 	loadMsSum                                 float64
+
+	// The model's own mesh.<name>.<ID> counters, resolved on first use (a
+	// model that never hits, say, adds no zero-valued counter to the
+	// registry's Summary). Like every mesh metric they live in the registry
+	// the mesh was built with.
+	cHits, cMisses, cLoads, cEvictions *trace.Counter
 }
 
 // residency is one model resident (or loading) on one instance.
@@ -107,7 +113,7 @@ type Mesh struct {
 	reg *trace.Registry
 
 	models map[string]*model
-	order  []string
+	order  []*model // catalog order
 	insts  []*instance
 
 	mHits, mMisses, mLoads, mLoadWaits, mEvictions *trace.Counter
@@ -169,8 +175,9 @@ func New(p *platform.Platform, cfg Config, specs []ModelSpec) (*Mesh, error) {
 		for _, u := range spec.Units {
 			params += u.ParamBytes
 		}
-		m.models[spec.ID] = &model{spec: spec, dep: dep, predicted: params + transfer}
-		m.order = append(m.order, spec.ID)
+		mm := &model{spec: spec, dep: dep, predicted: params + transfer}
+		m.models[spec.ID] = mm
+		m.order = append(m.order, mm)
 	}
 	for i := 0; i < cfg.Instances; i++ {
 		m.insts = append(m.insts, &instance{id: i, resident: make(map[string]*residency)})
@@ -277,7 +284,7 @@ func (m *Mesh) acquireNoCache(proc *simnet.Proc, mm *model) (gateway.Backend, fu
 	mm.loadedBytes += mm.predicted
 	mm.loadMsSum += loadMs
 	m.mLoads.Inc()
-	m.reg.Counter("mesh.loads." + mm.spec.ID).Inc()
+	m.modelCounter(&mm.cLoads, "mesh.loads", mm).Inc()
 	m.hLoadMs.Observe(loadMs)
 	return mm.dep, m.releaseFn(inst, ""), nil
 }
@@ -389,7 +396,7 @@ func (m *Mesh) evict(inst *instance, need int64) bool {
 		inst.used -= victim.bytes
 		if vm := m.models[victimID]; vm != nil {
 			vm.evictions++
-			m.reg.Counter("mesh.evictions." + victimID).Inc()
+			m.modelCounter(&vm.cEvictions, "mesh.evictions", vm).Inc()
 		}
 		m.mEvictions.Inc()
 		m.setGauges()
@@ -434,7 +441,7 @@ func (m *Mesh) load(proc *simnet.Proc, mm *model, inst *instance, r *residency, 
 	mm.loadMsSum += loadMs
 	m.setGauges()
 	m.mLoads.Inc()
-	m.reg.Counter("mesh.loads." + mm.spec.ID).Inc()
+	m.modelCounter(&mm.cLoads, "mesh.loads", mm).Inc()
 	m.hLoadMs.Observe(loadMs)
 	pr.Resolve(struct{}{})
 	return nil
@@ -493,13 +500,22 @@ func (m *Mesh) releaseFn(inst *instance, id string) func() {
 func (m *Mesh) countHit(mm *model) {
 	mm.hits++
 	m.mHits.Inc()
-	m.reg.Counter("mesh.hits." + mm.spec.ID).Inc()
+	m.modelCounter(&mm.cHits, "mesh.hits", mm).Inc()
 }
 
 func (m *Mesh) countMiss(mm *model) {
 	mm.misses++
 	m.mMisses.Inc()
-	m.reg.Counter("mesh.misses." + mm.spec.ID).Inc()
+	m.modelCounter(&mm.cMisses, "mesh.misses", mm).Inc()
+}
+
+// modelCounter returns the model's counter *c, resolving it to the counter
+// named name.<ID> on first use.
+func (m *Mesh) modelCounter(c **trace.Counter, name string, mm *model) *trace.Counter {
+	if *c == nil {
+		*c = m.reg.Counter(name + "." + mm.spec.ID)
+	}
+	return *c
 }
 
 // setGauges refreshes the residency gauges after any load or evict.
@@ -526,8 +542,8 @@ func (m *Mesh) Platform() *platform.Platform { return m.p }
 // across the whole catalog.
 func (m *Mesh) WarmSets() int {
 	var n int
-	for _, id := range m.order {
-		n += m.models[id].dep.WarmSets()
+	for _, mm := range m.order {
+		n += mm.dep.WarmSets()
 	}
 	return n
 }
@@ -557,7 +573,11 @@ func (m *Mesh) Deployment(id string) (*runtime.Deployment, error) {
 
 // Models returns the catalog IDs in catalog order.
 func (m *Mesh) Models() []string {
-	return append([]string(nil), m.order...)
+	ids := make([]string, len(m.order))
+	for i, mm := range m.order {
+		ids[i] = mm.spec.ID
+	}
+	return ids
 }
 
 // durMs converts a virtual-clock duration to milliseconds.

@@ -65,8 +65,8 @@ func (m *Mesh) Report() *Report {
 		Models:        len(m.order),
 	}
 	var loadMsSum float64
-	for _, id := range m.order {
-		mm := m.models[id]
+	for _, mm := range m.order {
+		id := mm.spec.ID
 		mr := ModelReport{
 			ID:          id,
 			PredictedMB: roundMB(mm.predicted),

@@ -360,17 +360,17 @@ func TestWarmIdleExpiryDeterministic(t *testing.T) {
 		if err := p.Prewarm("f", 2); err != nil {
 			t.Fatal(err)
 		}
-		if got := p.WarmCount("f"); got != 2 {
+		if got := p.Function("f").WarmCount(); got != 2 {
 			t.Fatalf("warm after prewarm = %d, want 2", got)
 		}
 		// One nanosecond short of the idle limit: both instances survive.
 		proc.Sleep(1000*time.Millisecond - time.Nanosecond)
-		if got := p.WarmCount("f"); got != 2 {
+		if got := p.Function("f").WarmCount(); got != 2 {
 			t.Errorf("warm at idle-1ns = %d, want 2", got)
 		}
 		// At exactly WarmIdleMs of idleness the platform reclaims them.
 		proc.Sleep(time.Nanosecond)
-		if got := p.WarmCount("f"); got != 0 {
+		if got := p.Function("f").WarmCount(); got != 0 {
 			t.Errorf("warm at idle = %d, want 0 (expired)", got)
 		}
 		// The next invocation pays a cold start again.
@@ -384,11 +384,11 @@ func TestWarmIdleExpiryDeterministic(t *testing.T) {
 		// The instance that just finished is freshly stamped and survives
 		// a short idle, then expires on its own schedule.
 		proc.Sleep(500 * time.Millisecond)
-		if got := p.WarmCount("f"); got != 1 {
+		if got := p.Function("f").WarmCount(); got != 1 {
 			t.Errorf("fresh instance expired early: warm = %d, want 1", got)
 		}
 		proc.Sleep(500 * time.Millisecond)
-		if got := p.WarmCount("f"); got != 0 {
+		if got := p.Function("f").WarmCount(); got != 0 {
 			t.Errorf("fresh instance outlived WarmIdleMs: warm = %d, want 0", got)
 		}
 	})
@@ -402,7 +402,7 @@ func TestWarmIdleZeroNeverExpires(t *testing.T) {
 			t.Fatal(err)
 		}
 		proc.Sleep(time.Hour)
-		if got := p.WarmCount("f"); got != 3 {
+		if got := p.Function("f").WarmCount(); got != 3 {
 			t.Errorf("warm after 1h with no idle limit = %d, want 3", got)
 		}
 	})
@@ -475,7 +475,7 @@ func TestPrewarmBillsPingCost(t *testing.T) {
 		if got := p.PrewarmBilledMs(); got != 150 {
 			t.Errorf("PrewarmBilledMs = %d, want 150", got)
 		}
-		if got := p.WarmCount("f"); got != 3 {
+		if got := p.Function("f").WarmCount(); got != 3 {
 			t.Errorf("warm = %d, want 3", got)
 		}
 		// An invocation's billing stacks on top; the prewarm share stays

@@ -345,11 +345,13 @@ type InvokeResult struct {
 	ColdStart bool
 }
 
-// functionDef is a registered function with its warm-instance pool. The
-// pool holds each idle instance's last-used virtual time; acquisition is
-// LIFO (most recently used first), which keeps the pool small under idle
-// expiry, exactly like the real clouds' instance reuse.
-type functionDef struct {
+// Function is a registered function with its warm-instance pool. The pool
+// holds each idle instance's last-used virtual time; acquisition is LIFO
+// (most recently used first), which keeps the pool small under idle expiry,
+// exactly like the real clouds' instance reuse. A caller that polls a
+// function on every control tick holds its *Function rather than its name.
+type Function struct {
+	p       *Platform
 	name    string
 	handler Handler
 	warm    []time.Duration // idle instances' available-since stamps, oldest first
@@ -368,7 +370,7 @@ type Platform struct {
 
 	rng             *rand.Rand
 	faultRng        *rand.Rand // dedicated stream: faults don't perturb noise/overhead draws
-	fns             map[string]*functionDef
+	fns             map[string]*Function
 	storage         map[string]Object
 	invoked         int64
 	faulted         int64
@@ -439,7 +441,7 @@ func New(env *simnet.Env, cfg Config, seed int64) *Platform {
 		m:        newPMetrics(trace.NewRegistry()),
 		rng:      rand.New(rand.NewSource(seed)),
 		faultRng: rand.New(rand.NewSource(seed ^ faultSeedSalt)),
-		fns:      make(map[string]*functionDef),
+		fns:      make(map[string]*Function),
 		storage:  make(map[string]Object),
 	}
 }
@@ -491,9 +493,13 @@ func (p *Platform) Register(name string, h Handler) error {
 	if _, ok := p.fns[name]; ok {
 		return fmt.Errorf("platform: function %q already registered", name)
 	}
-	p.fns[name] = &functionDef{name: name, handler: h}
+	p.fns[name] = &Function{p: p, name: name, handler: h}
 	return nil
 }
+
+// Function returns the registered function's handle, nil if name is not
+// registered.
+func (p *Platform) Function(name string) *Function { return p.fns[name] }
 
 // Prewarm adds n warm instances of the function, modeling the paper's
 // warm-up pings (§III-A). When the platform charges for warm-up pings
@@ -527,7 +533,7 @@ func (p *Platform) Prewarm(name string, n int) error {
 // WarmIdleMs or more of virtual time. Expiry is evaluated lazily, on every
 // pool access, which is deterministic because accesses happen at virtual
 // times fixed by the simulation. It returns how many instances expired.
-func (p *Platform) expireWarm(f *functionDef, now time.Duration) int {
+func (p *Platform) expireWarm(f *Function, now time.Duration) int {
 	idle := p.cfg.WarmIdleMs
 	if idle <= 0 {
 		return 0
@@ -546,13 +552,9 @@ func (p *Platform) expireWarm(f *functionDef, now time.Duration) int {
 // WarmCount returns the function's current idle warm-instance count after
 // applying idle expiry at the current virtual time. Autoscaling controllers
 // poll it to decide how many instances to prewarm.
-func (p *Platform) WarmCount(name string) int {
-	now := p.env.Now()
-	f, ok := p.fns[name]
-	if !ok {
-		return 0
-	}
-	expired := p.expireWarm(f, now)
+func (f *Function) WarmCount() int {
+	p := f.p
+	expired := p.expireWarm(f, p.env.Now())
 	n := len(f.warm)
 	if expired > 0 {
 		p.m.warmExpired.Add(int64(expired))
@@ -588,13 +590,16 @@ func (p *Platform) PrewarmBilledMs() int64 {
 	return p.prewarmBilledMs
 }
 
-// Ctx is the execution context of one running function instance.
+// Ctx is the execution context of one running function instance. Nested
+// invocations still in flight when the handler returns keep using the Ctx
+// (its links and its billing accumulator), but never its Proc: that handle
+// dies with the process running the handler (see simnet.Proc).
 type Ctx struct {
 	platform *Platform
 	proc     *simnet.Proc
 	fnName   string
-	uplink   *simnet.Resource
-	downlink *simnet.Resource
+	uplink   simnet.Resource
+	downlink simnet.Resource
 	span     *trace.Span // exec span of this invocation; nil when untraced
 	start    time.Duration
 	slow     float64 // straggler compute multiplier (1 = healthy)
@@ -616,7 +621,8 @@ func (c *Ctx) Killed() bool { return c.killed }
 // Platform returns the hosting platform.
 func (c *Ctx) Platform() *Platform { return c.platform }
 
-// Proc returns the simnet process executing this function.
+// Proc returns the simnet process executing this function. It is valid
+// only while the handler runs.
 func (c *Ctx) Proc() *simnet.Proc { return c.proc }
 
 // FunctionName returns the name this instance serves.
@@ -741,9 +747,12 @@ func (p *Platform) InvokeFromSpan(proc *simnet.Proc, name string, payload Payloa
 }
 
 func (p *Platform) invokeAsync(from *Ctx, parent *trace.Span, name string, payload Payload) (*simnet.Promise[InvokeResult], *trace.Span) {
-	sp := parent.Childf(trace.KindInvoke, "invoke:%s", name)
+	var sp *trace.Span
+	if parent != nil { // an untraced invocation builds no name
+		sp = parent.Child(trace.KindInvoke, "invoke:"+name)
+	}
 	promise := simnet.NewPromise[InvokeResult](p.env)
-	p.env.Go("invoke:"+name, func(proc *simnet.Proc) {
+	p.env.Go("invoke", func(proc *simnet.Proc) {
 		res, err := p.runInvocation(proc, from, sp, name, payload)
 		if err != nil {
 			promise.Fail(err)
@@ -870,8 +879,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		platform: p,
 		proc:     proc,
 		fnName:   name,
-		uplink:   simnet.NewResource(p.env),
-		downlink: simnet.NewResource(p.env),
 		span:     esp,
 		slow:     slow,
 	}
@@ -968,7 +975,11 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 // killed: the invocation returns timedOut=true at exactly TimeoutMs, while
 // the handler keeps draining as a zombie (its compute is skipped and its
 // nested invocations fail fast once the kill flag is set).
-func (p *Platform) runHandler(proc *simnet.Proc, ctx *Ctx, f *functionDef, payload Payload, limit float64) (Payload, error, bool) {
+//
+// On a kill the invocation's process returns and its Proc is recycled, but
+// the zombie never touches it: ctx.proc is the exec process's own handle,
+// set before the handler runs.
+func (p *Platform) runHandler(proc *simnet.Proc, ctx *Ctx, f *Function, payload Payload, limit float64) (Payload, error, bool) {
 	if limit <= 0 {
 		ctx.proc = proc
 		resp, err := f.handler(ctx, payload)
@@ -980,7 +991,7 @@ func (p *Platform) runHandler(proc *simnet.Proc, ctx *Ctx, f *functionDef, paylo
 		err  error
 	}
 	done := simnet.NewPromise[handlerOut](p.env)
-	p.env.Go("exec:"+ctx.fnName, func(hp *simnet.Proc) {
+	p.env.Go("exec", func(hp *simnet.Proc) {
 		ctx.proc = hp
 		resp, err := f.handler(ctx, payload)
 		// A killed handler ends its exec span here, at zombie drain time —

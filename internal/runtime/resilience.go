@@ -117,8 +117,16 @@ func (d *Deployment) watchAbandoned(pr *simnet.Promise[platform.InvokeResult], q
 // with exponential backoff. proc is the process driving the call (the
 // master's own, or a spawned caller in a resilient fork-join round).
 func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, parent *trace.Span) (platform.InvokeResult, error) {
-	csp := parent.Childf(trace.KindCall, "call:g%d.p%d", gi, part)
-	return d.callWorkerSpan(proc, ctx, gi, part, req, qs, csp)
+	return d.callWorkerSpan(proc, ctx, gi, part, req, qs, callSpan(parent, gi, part))
+}
+
+// callSpan opens a worker call's span under parent; an untraced call (nil
+// parent) builds no name.
+func callSpan(parent *trace.Span, gi, part int) *trace.Span {
+	if parent == nil {
+		return nil
+	}
+	return parent.Child(trace.KindCall, fmt.Sprintf("call:g%d.p%d", gi, part))
 }
 
 // callWorkerSpan is callWorker recording into an already-opened call span
@@ -221,7 +229,7 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 	win := simnet.NewPromise[hedgeOut](env)
 	fails := 0
 	watch := func(pr *simnet.Promise[platform.InvokeResult], sp *trace.Span, isBackup bool) {
-		env.Go("hedge-watch:"+name, func(wp *simnet.Proc) {
+		env.Go("hedge-watch", func(wp *simnet.Proc) {
 			res, err := pr.Wait(wp)
 			if err != nil {
 				qs.ExtraBilledMs += platform.BilledMsOf(err)
@@ -292,9 +300,9 @@ func (d *Deployment) launchWorker(ctx *platform.Ctx, gi, part int, req platform.
 	if !d.opts.resilient() {
 		return ctx.InvokeAsyncSpan(d.workerName(gi, part), req, gsp)
 	}
-	csp := gsp.Childf(trace.KindCall, "call:g%d.p%d", gi, part)
+	csp := callSpan(gsp, gi, part)
 	pr := simnet.NewPromise[platform.InvokeResult](d.p.Env())
-	d.p.Env().Go("call:"+d.workerName(gi, part), func(proc *simnet.Proc) {
+	d.p.Env().Go("call", func(proc *simnet.Proc) {
 		res, err := d.callWorkerSpan(proc, ctx, gi, part, req, qs, csp)
 		if err != nil {
 			pr.Fail(err)

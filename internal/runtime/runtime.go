@@ -74,6 +74,9 @@ type Deployment struct {
 	// redeploying — the gateway's brownout mode sheds hedge cost this way.
 	hedgeOff bool
 
+	master  *platform.Function // polled by WarmSets on every control tick
+	metrics queryMetrics
+
 	// Master is the entry function name.
 	Master string
 }
@@ -154,6 +157,7 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 	if err := p.Register(d.Master, d.masterHandler); err != nil {
 		return nil, err
 	}
+	d.master = p.Function(d.Master)
 	if d.opts.fallback {
 		// Keep a storage copy of every remote DimNone group's weights so
 		// the master can degrade gracefully when that worker is down.
@@ -201,7 +205,7 @@ func (d *Deployment) Platform() *platform.Platform { return d.p }
 // WarmSets reports how many warm instance sets the deployment has standing
 // by, counted as the master function's idle warm instances (Prewarm warms
 // exactly one master per set).
-func (d *Deployment) WarmSets() int { return d.p.WarmCount(d.Master) }
+func (d *Deployment) WarmSets() int { return d.master.WarmCount() }
 
 // Prewarm warms the master and one instance of every worker function,
 // modeling Gillis's periodic warm-up pings (§III-A).
@@ -390,21 +394,46 @@ func stampDigests(root *trace.Span, outputs []*tensor.Tensor) {
 	}
 }
 
+// queryMetrics are the registry handles recordMetrics records into. They
+// are resolved on the first served pass, not at Deploy, so a deployment that
+// never serves adds no zero-valued metric to the registry's Summary; and
+// again whenever UseMetrics has swapped the platform's registry since.
+type queryMetrics struct {
+	reg                                            *trace.Registry
+	queries, retries, hedges, hedgeWins, fallbacks *trace.Counter
+	faultsSurvived, extraBilledMs                  *trace.Counter
+	latencyMs, billedMs                            *trace.Histogram
+}
+
 // recordMetrics aggregates one served pass into the platform's metrics
 // registry (shared across passes, and across platforms via UseMetrics): Size
 // queries, one latency and one billing observation.
 func (d *Deployment) recordMetrics(out Result) {
-	reg := d.p.Metrics()
-	reg.Counter("runtime.queries").Add(int64(out.Size))
+	m := &d.metrics
+	if reg := d.p.Metrics(); m.reg != reg {
+		*m = queryMetrics{
+			reg:            reg,
+			queries:        reg.Counter("runtime.queries"),
+			retries:        reg.Counter("runtime.retries"),
+			hedges:         reg.Counter("runtime.hedges"),
+			hedgeWins:      reg.Counter("runtime.hedge_wins"),
+			fallbacks:      reg.Counter("runtime.fallbacks"),
+			faultsSurvived: reg.Counter("runtime.faults_survived"),
+			extraBilledMs:  reg.Counter("runtime.extra_billed_ms"),
+			latencyMs:      reg.Histogram("runtime.query_latency_ms"),
+			billedMs:       reg.Histogram("runtime.query_billed_ms"),
+		}
+	}
+	m.queries.Add(int64(out.Size))
 	r := out.Resilience
-	reg.Counter("runtime.retries").Add(int64(r.Retries))
-	reg.Counter("runtime.hedges").Add(int64(r.Hedges))
-	reg.Counter("runtime.hedge_wins").Add(int64(r.HedgesWon))
-	reg.Counter("runtime.fallbacks").Add(int64(r.Fallbacks))
-	reg.Counter("runtime.faults_survived").Add(int64(r.FaultsSurvived))
-	reg.Counter("runtime.extra_billed_ms").Add(r.ExtraBilledMs)
-	reg.Histogram("runtime.query_latency_ms").Observe(out.LatencyMs)
-	reg.Histogram("runtime.query_billed_ms").Observe(float64(out.BilledMs))
+	m.retries.Add(int64(r.Retries))
+	m.hedges.Add(int64(r.Hedges))
+	m.hedgeWins.Add(int64(r.HedgesWon))
+	m.fallbacks.Add(int64(r.Fallbacks))
+	m.faultsSurvived.Add(int64(r.FaultsSurvived))
+	m.extraBilledMs.Add(r.ExtraBilledMs)
+	m.latencyMs.Observe(out.LatencyMs)
+	m.billedMs.Observe(float64(out.BilledMs))
 }
 
 // tensorDigest is a deterministic FNV-1a over the tensor's float bits.
@@ -443,9 +472,12 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 	cur := req.inputs
 	for gi, gr := range d.groups {
 		before := ctx.Proc().Now()
-		gsp := ctx.Span().Childf(trace.KindGroup, "group%d", gi)
-		if req.size > 1 {
-			gsp.SetAttr("batch", strconv.Itoa(req.size))
+		var gsp *trace.Span
+		if sp := ctx.Span(); sp != nil { // an untraced pass builds no name
+			gsp = sp.Child(trace.KindGroup, "group"+strconv.Itoa(gi))
+			if req.size > 1 {
+				gsp.SetAttr("batch", strconv.Itoa(req.size))
+			}
 		}
 		next, err := d.runGroup(ctx, gi, gr, req, cur, qs, gsp)
 		if err != nil {

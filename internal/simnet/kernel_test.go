@@ -65,7 +65,7 @@ func orderScenario(t *testing.T) string {
 		prLate = NewPromise[int](env)
 		prRace = NewPromise[int](env)
 		prLong = NewPromise[int](env)
-		res    = NewResource(env)
+		res    = &Resource{}
 	)
 	at(5, "at5-before-spawns")
 	env.Go("a", func(p *Proc) {
@@ -198,19 +198,57 @@ func TestRunStopsIdleCoroutines(t *testing.T) {
 	}
 }
 
+// A Sleep that has to queue its wake (another process's wake is due first)
+// allocates nothing once the heap has grown.
 func TestSleepDoesNotAllocate(t *testing.T) {
 	const rounds = 200
 	var allocs float64
+	done := false
 	env := NewEnv()
+	env.Go("other", func(p *Proc) {
+		for !done {
+			p.Sleep(ms(1))
+		}
+	})
 	env.Go("p", func(p *Proc) {
 		p.Sleep(ms(1)) // grow the event heap before counting
 		allocs = testing.AllocsPerRun(rounds, func() { p.Sleep(ms(1)) })
+		done = true
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if allocs != 0 {
 		t.Fatalf("Sleep allocates %v times", allocs)
+	}
+}
+
+// A lone sleeper's wake is always the next event, so its Sleep continues in
+// place: nothing is queued and nothing allocated, and every sleep still
+// counts towards Run's scheduler pass.
+func TestLoneSleeperAllocationBudget(t *testing.T) {
+	if raceOn {
+		t.Skip("allocation budgets are the plain build's")
+	}
+	const rounds = 200
+	var allocs float64
+	queued := false
+	env := NewEnv()
+	env.Go("p", func(p *Proc) {
+		allocs = testing.AllocsPerRun(rounds, func() {
+			p.Sleep(ms(1))
+			queued = queued || len(env.events) > 0
+		})
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 || queued {
+		t.Fatalf("a lone Sleep allocates %v times (queued a wake: %v)", allocs, queued)
+	}
+	// AllocsPerRun makes one warm-up call; Run popped the start event.
+	if env.Now() != ms(rounds+1) || env.steps != rounds+2 {
+		t.Fatalf("clock %v after %d sleeps of 1ms, %d cadence steps", env.Now(), rounds+1, env.steps)
 	}
 }
 

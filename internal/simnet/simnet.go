@@ -32,9 +32,10 @@ type Env struct {
 	events   []event // binary min-heap on (at, seq)
 	seq      int64
 	stampSeq int64
-	parked   int // processes parked on promises (not only on the clock)
+	steps    int // events popped plus sleeps continued in place (the Gosched cadence)
+	parked   int // processes parked on promises or resources (not only on the clock)
 	started  bool
-	idle     []*coro // coroutines whose process finished, ready for the next body
+	idle     []*Proc // processes whose body returned, coroutine and all, ready for the next Go
 }
 
 // An event either calls fn or, when fn is nil, resumes proc — provided proc
@@ -101,25 +102,26 @@ func (e *Env) Stamp() (time.Duration, int64) {
 }
 
 // Proc is the handle a running process uses to interact with the clock.
+// A handle is dead once its body returns: the Proc, with its coroutine, goes
+// to the Env's idle list and a later Go runs another body on it, so nothing
+// may use a Proc after its body has returned — not a spawned process, a
+// callback, nor a struct that outlives the body.
 type Proc struct {
 	env  *Env
 	Name string
 	// gen is the park generation. Every wake pushed for a park (a sleep's
-	// timer, a promise's waiter, a WaitTimeout's both) carries the gen the
-	// process parked with; Run bumps gen when it resumes the process, so
-	// whichever wake is popped first wins and the others, and any that
-	// outlive the process, no longer match and are dropped.
+	// timer, a promise's or a resource's waiter, a WaitTimeout's both)
+	// carries the gen the process parked with; Run bumps gen when it resumes
+	// the process, so whichever wake is popped first wins and the others no
+	// longer match and are dropped. gen only ever grows, across the bodies a
+	// recycled Proc runs too, so a wake that outlives its body stays stale.
 	gen  uint64
 	body func(*Proc)
-	co   *coro // nil before the first resume and after body returns
-}
-
-// coro is one iter.Pull coroutine running a succession of process bodies.
-type coro struct {
+	// The iter.Pull coroutine the Proc's bodies run on, one after another;
+	// nil until its first resume.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	proc  *Proc
 }
 
 // Env returns the process's environment.
@@ -131,7 +133,15 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 // Go schedules fn as a new process starting at the current virtual time.
 // It can be called before Run or from within a running process.
 func (e *Env) Go(name string, fn func(*Proc)) {
-	e.push(event{at: e.now, proc: &Proc{env: e, Name: name, body: fn}})
+	var p *Proc
+	if n := len(e.idle); n > 0 {
+		p = e.idle[n-1]
+		e.idle = e.idle[:n-1]
+	} else {
+		p = &Proc{env: e}
+	}
+	p.Name, p.body = name, fn
+	e.push(event{at: e.now, proc: p, gen: p.gen})
 }
 
 // At schedules fn to run on Run's goroutine, between processes, at the
@@ -146,7 +156,11 @@ func (e *Env) At(t time.Duration, fn func()) error {
 }
 
 // park returns control to Run until a wake carrying p.gen is popped.
-func (p *Proc) park() { p.co.yield(struct{}{}) }
+func (p *Proc) park() { p.yield(struct{}{}) }
+
+// wake schedules w's process to resume now, if it is still in the park w
+// was registered for.
+func (e *Env) wake(w waiter) { e.push(event{at: e.now, proc: w.proc, gen: w.gen}) }
 
 // Sleep parks the process for d of virtual time. Negative durations are
 // treated as zero.
@@ -154,8 +168,33 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.push(event{at: p.env.now + d, proc: p, gen: p.gen})
-	p.park()
+	e := p.env
+	at := e.now + d
+	if len(e.events) > 0 && e.events[0].at <= at {
+		e.push(event{at: at, proc: p, gen: p.gen})
+		p.park()
+		return
+	}
+	// Direct continuation: nothing queued comes before the wake (on a tie
+	// the queued event's smaller seq would), so the wake is the very next
+	// event Run would pop. Take it in place — the seq the push would have
+	// taken, the clock, the gen bump, the cadence step — and skip the push,
+	// the pop and two coroutine switches. The event order is unchanged.
+	e.seq++
+	e.now = at
+	p.gen++
+	e.step()
+}
+
+// step counts one event towards the scheduler pass Run offers every 1024.
+// Coroutine switches bypass the scheduler, so nothing here would offer this
+// P to the collector's mark workers short of the 10 ms preemption: marks ran
+// 3x longer and peak RSS rose a fifth. Sleeps continued in place count too,
+// or a lone sleeper would never let the collector in.
+func (e *Env) step() {
+	if e.steps++; e.steps%1024 == 0 {
+		runtime.Gosched()
+	}
 }
 
 // Run executes the simulation until no events remain. It returns an error if
@@ -167,29 +206,23 @@ func (e *Env) Run() error {
 	}
 	e.started = true
 	defer func() {
-		for _, c := range e.idle {
-			c.stop()
+		for _, p := range e.idle {
+			p.stop()
 		}
 		e.idle = nil
 	}()
-	for n := 1; len(e.events) > 0; n++ {
-		// Coroutine switches bypass the scheduler, so nothing here would
-		// offer this P to the collector's mark workers short of the 10 ms
-		// preemption: marks ran 3x longer and peak RSS rose a fifth.
-		if n%1024 == 0 {
-			runtime.Gosched()
-		}
+	for len(e.events) > 0 {
+		e.step()
 		ev := e.pop()
 		e.now = ev.at
 		if ev.fn != nil {
 			ev.fn()
 		} else if p := ev.proc; p.gen == ev.gen {
 			p.gen++
-			if p.co == nil {
-				p.co = e.coroutine()
-				p.co.proc = p
+			if p.next == nil {
+				e.start(p)
 			}
-			p.co.next()
+			p.next()
 		}
 	}
 	if e.parked > 0 {
@@ -198,33 +231,25 @@ func (e *Env) Run() error {
 	return nil
 }
 
-// coroutine returns an idle coroutine, or a new one when none is idle. A
-// body started on a reused coroutine finds the stack its predecessors grew;
-// on a fresh one it pays iter.Pull's allocations and newstack/copystack on
-// its way down into the platform and runtime: a third more wall-clock per
-// replay.
-func (e *Env) coroutine() *coro {
-	if n := len(e.idle); n > 0 {
-		c := e.idle[n-1]
-		e.idle = e.idle[:n-1]
-		return c
-	}
-	c := &coro{}
-	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
-		c.yield = yield
+// start gives a new Proc its coroutine on its first resume. The coroutine
+// then runs every body the Proc is recycled for: a body started on a reused
+// Proc finds the stack its predecessors grew, where on a fresh one it pays
+// iter.Pull's allocations and newstack/copystack on its way down into the
+// platform and runtime (a third more wall-clock per replay).
+func (e *Env) start(p *Proc) {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		for {
-			p := c.proc
 			p.body(p)
-			// Abandoned timers may hold p long after this; they should
-			// not hold the body's captures or the coroutine with it.
-			p.body, p.co, c.proc = nil, nil, nil
-			e.idle = append(e.idle, c)
+			// Stale timers may hold p long after this; they should not
+			// hold the body's captures.
+			p.body = nil
+			e.idle = append(e.idle, p)
 			if !yield(struct{}{}) {
 				return
 			}
 		}
 	})
-	return c
 }
 
 // Promise is a single-assignment value processes can wait on.
@@ -233,7 +258,10 @@ type Promise[T any] struct {
 	resolved bool
 	value    T
 	err      error
-	waiters  []waiter // woken by zero-delay events on resolution
+	// Woken by zero-delay events on resolution, in the order they parked.
+	// Most promises have one waiter, which is kept inline.
+	first waiter
+	more  []waiter
 }
 
 type waiter struct {
@@ -275,11 +303,13 @@ func (pr *Promise[T]) tryComplete(v T, err error) bool {
 	}
 	pr.resolved = true
 	pr.value, pr.err = v, err
-	e := pr.env
-	for _, w := range pr.waiters {
-		e.push(event{at: e.now, proc: w.proc, gen: w.gen})
+	if pr.first.proc != nil {
+		pr.env.wake(pr.first)
 	}
-	pr.waiters = nil
+	for _, w := range pr.more {
+		pr.env.wake(w)
+	}
+	pr.first, pr.more = waiter{}, nil
 	return true
 }
 
@@ -298,7 +328,11 @@ func (pr *Promise[T]) Wait(p *Proc) (T, error) {
 }
 
 func (pr *Promise[T]) parkOn(p *Proc) {
-	pr.waiters = append(pr.waiters, waiter{p, p.gen})
+	if pr.first.proc == nil {
+		pr.first = waiter{p, p.gen}
+	} else {
+		pr.more = append(pr.more, waiter{p, p.gen})
+	}
 	pr.env.parked++
 	p.park()
 	pr.env.parked--
@@ -330,15 +364,12 @@ func (pr *Promise[T]) WaitTimeout(p *Proc, d time.Duration) (T, error) {
 }
 
 // Resource is a FIFO-ordered exclusive resource (capacity 1), used to model
-// serialized links such as a function's network uplink.
+// serialized links such as a function's network uplink. The zero value is
+// an idle resource.
 type Resource struct {
-	env   *Env
 	busy  bool
-	queue []*Promise[struct{}]
+	queue []waiter
 }
-
-// NewResource creates an idle resource.
-func NewResource(env *Env) *Resource { return &Resource{env: env} }
 
 // Acquire parks the process until it holds the resource.
 func (r *Resource) Acquire(p *Proc) {
@@ -346,18 +377,21 @@ func (r *Resource) Acquire(p *Proc) {
 		r.busy = true
 		return
 	}
-	pr := NewPromise[struct{}](r.env)
-	r.queue = append(r.queue, pr)
-	_, _ = pr.Wait(p) // promise is never failed
+	r.queue = append(r.queue, waiter{p, p.gen})
+	p.env.parked++
+	p.park()
+	p.env.parked--
 }
 
-// Release hands the resource to the next waiter, if any.
+// Release hands the resource to the next waiter, if any, with a zero-delay
+// wake.
 func (r *Resource) Release() {
 	if len(r.queue) == 0 {
 		r.busy = false
 		return
 	}
 	next := r.queue[0]
+	r.queue[0] = waiter{} // the backing array must not keep a served process
 	r.queue = r.queue[1:]
-	next.Resolve(struct{}{})
+	next.proc.env.wake(next)
 }

@@ -398,7 +398,7 @@ func TestAtSchedulesCallback(t *testing.T) {
 
 func TestResourceFIFOSerialization(t *testing.T) {
 	env := NewEnv()
-	res := NewResource(env)
+	res := &Resource{}
 	var order []int
 	var times []time.Duration
 	for i := 0; i < 3; i++ {

@@ -185,21 +185,13 @@ func (t *Trace) Len() int {
 }
 
 // Child opens a child span. It returns nil (and records nothing) on a nil
-// receiver.
+// receiver. A caller that builds the name checks the receiver first, so an
+// untraced serve pays for no name it would drop.
 func (s *Span) Child(kind Kind, name string) *Span {
 	if s == nil {
 		return nil
 	}
 	return s.tr.newSpan(s, kind, name)
-}
-
-// Childf is Child with a formatted name; the formatting cost is only paid
-// when the receiver is non-nil.
-func (s *Span) Childf(kind Kind, format string, args ...any) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tr.newSpan(s, kind, fmt.Sprintf(format, args...))
 }
 
 func (t *Trace) newSpan(parent *Span, kind Kind, name string) *Span {

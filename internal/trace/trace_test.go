@@ -31,7 +31,7 @@ func TestSpanTree(t *testing.T) {
 	clk.advance(time.Millisecond)
 	a := root.Child(KindInvoke, "invoke:a")
 	clk.advance(time.Millisecond)
-	b := a.Childf(KindExec, "exec%d", 1)
+	b := a.Child(KindExec, "exec1")
 	b.SetAttr("k", "v1")
 	b.SetAttr("k", "v2") // overwrite
 	b.Event("ev", "x", "1")
@@ -89,7 +89,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.Canonical(nil) != nil || tr.Structure(nil) != nil || tr.ChromeJSON(nil) != nil {
 		t.Error("nil trace serializers must return nil")
 	}
-	if sp.Child(KindExec, "x") != nil || sp.Childf(KindExec, "x%d", 1) != nil {
+	if sp.Child(KindExec, "x") != nil {
 		t.Error("nil span children must be nil")
 	}
 	sp.EndSpan()

@@ -9,7 +9,7 @@
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./internal/platform ./internal/simnet \
-	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/analysis \
+	./internal/bench ./internal/trace ./internal/trace/tracetest \
 	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
@@ -18,15 +18,14 @@ PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition
 
 ci: lint build test procs race chaos fuzz bench-verify
 
-# lint fails on any unformatted file, then runs go vet and the project's
-# own analyzers: the intra-procedural suite (determinism, map-order,
-# nil-safety, float-accumulation, dropped-error invariants) plus the
-# inter-procedural call-graph analyzers (clockflow, goleak, sharedmut) —
-# see DESIGN.md §9. CI sets VET_FLAGS=-github so findings land as inline
+# lint fails on any unformatted file, then runs go vet and gillis-vet, the
+# project's own analyzer: nodeterm, which bans wall-clock reads, unseeded
+# global RNG draws and environment lookups in simnet-clocked packages (see
+# DESIGN.md §9). CI sets VET_FLAGS=-github so findings land as inline
 # ::error annotations on the pull request. go vet's asmdecl checks
-# gemm_amd64.s (tile kernels and row helpers) against its Go declarations; the arm64 cross-build and vet
-# keep the no-assembly kernel dispatch, which nothing on an amd64 runner
-# compiles, from rotting.
+# gemm_amd64.s (tile kernels and row helpers) against its Go declarations;
+# the arm64 cross-build and vet keep the no-assembly kernel dispatch, which
+# nothing on an amd64 runner compiles, from rotting.
 VET_FLAGS ?=
 lint:
 	@unformatted="$$(gofmt -l .)"; \

@@ -1,24 +1,22 @@
-// Command gillis-vet runs the project's custom static-analysis suite over
-// the repository: the determinism, ordering, nil-safety, and error-handling
-// invariants the golden-trace and chaos tests can only catch dynamically,
-// plus the inter-procedural call-graph analyzers (clockflow, goleak,
-// sharedmut) that track violations across function and package boundaries.
+// Command gillis-vet runs the project's own static analysis over the
+// repository. It keeps only the checks no test or make target makes: today
+// that is nodeterm, which bans wall-clock reads, unseeded global RNG draws
+// and environment lookups in simnet-clocked packages (DESIGN.md §9 has the
+// mutation audit behind that choice).
 //
 // Usage:
 //
-//	gillis-vet [-list] [-json] [-github] [packages...]
+//	gillis-vet [-list] [-github] [packages...]
 //
 // Packages are directory patterns ("./...", "./internal/trace"); the
 // default is "./...". Exit status is 1 when any diagnostic is reported.
-// -json emits machine-readable diagnostics (file, line, column, analyzer,
-// message, call chain) instead of the human format; -github additionally
-// emits GitHub Actions ::error workflow annotations so CI findings land
-// inline on the pull request. Findings are suppressed per line with a
-// justified `//gillis:allow <analyzer>[,<analyzer>...] <reason>` comment.
+// -github additionally emits GitHub Actions ::error workflow annotations so
+// CI findings land inline on the pull request. Findings are suppressed per
+// line with a justified `//gillis:allow <analyzer>[,<analyzer>...] <reason>`
+// comment.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -38,23 +36,12 @@ func main() {
 	os.Exit(code)
 }
 
-// jsonDiagnostic is the -json wire form of one finding.
-type jsonDiagnostic struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Analyzer string   `json:"analyzer"`
-	Message  string   `json:"message"`
-	Chain    []string `json:"chain,omitempty"`
-}
-
 // run executes the suite and returns the process exit code: 0 clean, 1 when
 // diagnostics were reported.
 func run(args []string, stdout io.Writer) (int, error) {
 	fs := flag.NewFlagSet("gillis-vet", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit machine-readable JSON diagnostics")
 	github := fs.Bool("github", false, "emit GitHub Actions ::error annotations alongside diagnostics")
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -82,43 +69,18 @@ func run(args []string, stdout io.Writer) (int, error) {
 		}
 		return name
 	}
-	if *jsonOut {
-		out := make([]jsonDiagnostic, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiagnostic{
-				File:     rel(d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Col:      d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-				Chain:    d.Chain,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return 2, err
-		}
-	} else {
-		for _, d := range diags {
-			d.Pos.Filename = rel(d.Pos.Filename)
-			fmt.Fprintln(stdout, d.String())
-		}
+	for _, d := range diags {
+		d.Pos.Filename = rel(d.Pos.Filename)
+		fmt.Fprintln(stdout, d.String())
 	}
 	if *github {
 		for _, d := range diags {
-			msg := d.Analyzer + ": " + d.Message
-			if len(d.Chain) > 0 {
-				msg += " [" + strings.Join(d.Chain, " -> ") + "]"
-			}
 			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d::%s\n",
-				rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, annotationEscape(msg))
+				rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, annotationEscape(d.Analyzer+": "+d.Message))
 		}
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(stdout, "gillis-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-		}
+		fmt.Fprintf(stdout, "gillis-vet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
 		return 1, nil
 	}
 	return 0, nil

@@ -3,11 +3,11 @@
 // Analyzer/Pass API in the spirit of golang.org/x/tools/go/analysis, and
 // deterministic diagnostic reporting with //gillis:allow suppression.
 //
-// The analyzers in this package enforce invariants the rest of the repo can
-// only check dynamically — bit-for-bit determinism of the simulation and
-// kernels, exact billed-ms attribution, nil-safety of the untraced hot
-// path. Catching a stray time.Now() or an unsorted map iteration at `make
-// lint` is cheaper than debugging a broken golden trace three PRs later.
+// The suite keeps only analyzers whose violation nothing else in CI
+// catches; DESIGN.md §9 records, per analyzer ever shipped, the mutation
+// that decided it. Today that is nodeterm alone: a wall-clock budget in a
+// simnet-clocked package changes outputs only on a host slow enough to hit
+// it, so every golden passes on the machine that pins them.
 //
 // Suppression: a finding is silenced by a comment
 //
@@ -15,17 +15,19 @@
 //
 // placed on the flagged line or on the line directly above it. The
 // analyzer field accepts a comma-separated list so one comment can justify
-// findings from several analyzers (a deliberately unjoined goroutine often
-// trips goleak and sharedmut together). The justification is mandatory by
-// convention (the analyzers cannot judge prose, but reviewers can).
+// findings from several analyzers. The justification is mandatory by
+// convention (the analyzers cannot judge prose, but reviewers can), and
+// TestAllowSitesPinned lists every suppression in the module, so a new one
+// edits that pin in review.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -36,9 +38,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// NeedsGraph asks Run to build the module-wide call graph before any
-	// pass executes; graph construction is shared across analyzers.
-	NeedsGraph bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 }
@@ -54,28 +53,16 @@ type Pass struct {
 	// "testdata/src/" so analyzers see realistic paths in tests.
 	Pkg  *types.Package
 	Info *types.Info
-	// Graph is the module-wide static call graph over the Load universe,
-	// built once per Run and shared by every pass. Inter-procedural
-	// analyzers (clockflow) traverse it; intra-procedural analyzers ignore
-	// it.
-	Graph *CallGraph
 
 	diags *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportChain(pos, nil, format, args...)
-}
-
-// ReportChain records a finding at pos carrying a call chain (caller
-// first, sink last) that explains how the violation is reached.
-func (p *Pass) ReportChain(pos token.Pos, chain []string, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
-		Chain:    chain,
 	})
 }
 
@@ -84,19 +71,11 @@ type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Chain, when non-empty, is the call chain from the flagged function
-	// to the violation sink, rendered caller → ... → sink.
-	Chain []string
 }
 
-// String renders the canonical "file:line:col: analyzer: message" form,
-// with the call chain appended when present.
+// String renders the canonical "file:line:col: analyzer: message" form.
 func (d Diagnostic) String() string {
-	s := fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
-	if len(d.Chain) > 0 {
-		s += " [" + strings.Join(d.Chain, " -> ") + "]"
-	}
-	return s
+	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
 // allowDirective is the magic comment prefix recognized for suppression.
@@ -106,13 +85,6 @@ const allowDirective = "//gillis:allow "
 // //gillis:allow comments, and returns the remainder in deterministic order
 // (file, line, column, analyzer, message).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var graph *CallGraph
-	for _, a := range analyzers {
-		if a.NeedsGraph {
-			graph = BuildCallGraph(pkgs)
-			break
-		}
-	}
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		allowed := allowLines(pkg)
@@ -123,7 +95,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Files:    pkg.Files,
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
-				Graph:    graph,
 				diags:    new([]Diagnostic),
 			}
 			a.Run(pass)
@@ -135,21 +106,13 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			}
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(
+			strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			strings.Compare(a.Analyzer, b.Analyzer),
+			strings.Compare(a.Message, b.Message))
 	})
 	return diags
 }
@@ -164,14 +127,15 @@ type allowKey struct {
 
 // allowLines collects every //gillis:allow directive in the package, keyed
 // by the line the comment sits on. The analyzer field is a comma-separated
-// list, so `//gillis:allow clockflow,goleak <reason>` registers one
-// suppression per named analyzer.
+// list, so `//gillis:allow nodeterm,other <reason>` registers one
+// suppression per named analyzer. The directive must be followed by a
+// space: `//gillis:allownodeterm` names nothing.
 func allowLines(pkg *Package) map[allowKey]bool {
 	allowed := make(map[allowKey]bool)
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, strings.TrimSuffix(allowDirective, " "))
+				rest, ok := strings.CutPrefix(c.Text, allowDirective)
 				if !ok {
 					continue
 				}
@@ -211,27 +175,6 @@ func pkgNameOf(info *types.Info, sel *ast.SelectorExpr) string {
 		return ""
 	}
 	return pn.Imported().Path()
-}
-
-// rootIdent returns the leftmost identifier of an lvalue expression
-// (x, x.f, x[i], *x, ...), or nil when there is none.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := e.(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.ParenExpr:
-			e = v.X
-		default:
-			return nil
-		}
-	}
 }
 
 // hasPathPrefix reports whether the package import path is path itself or a

@@ -13,28 +13,31 @@ import (
 )
 
 // TestRunDeterministicOrder checks that diagnostics come out sorted by
-// position regardless of analyzer registration order.
+// position regardless of the order Run is handed the packages in.
 func TestRunDeterministicOrder(t *testing.T) {
-	pkgs, err := Load(filepath.Join("testdata", "src", "gillis", "internal", "platform"))
+	fixture := func(name string) string {
+		return filepath.Join("testdata", "src", "gillis", "internal", name)
+	}
+	pkgs, err := Load(fixture("platform"), fixture("gateway"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	forward := Run(pkgs, []*Analyzer{AnalyzerNodeterm, AnalyzerErrdrop})
-	reversed := Run(pkgs, []*Analyzer{AnalyzerErrdrop, AnalyzerNodeterm})
+	forward := Run(pkgs, All())
+	reversed := Run([]*Package{pkgs[1], pkgs[0]}, All())
 	if len(forward) == 0 {
-		t.Fatal("fixture produced no diagnostics")
+		t.Fatal("fixtures produced no diagnostics")
 	}
 	if len(forward) != len(reversed) {
-		t.Fatalf("analyzer order changed finding count: %d vs %d", len(forward), len(reversed))
+		t.Fatalf("package order changed finding count: %d vs %d", len(forward), len(reversed))
 	}
 	for i := range forward {
 		if forward[i].String() != reversed[i].String() {
-			t.Fatalf("diagnostic %d differs across analyzer orderings:\n%s\n%s", i, forward[i], reversed[i])
+			t.Fatalf("diagnostic %d differs across package orderings:\n%s\n%s", i, forward[i], reversed[i])
 		}
 	}
 	for i := 1; i < len(forward); i++ {
 		a, b := forward[i-1].Pos, forward[i].Pos
-		if a.Filename == b.Filename && a.Line > b.Line {
+		if a.Filename > b.Filename || (a.Filename == b.Filename && a.Line > b.Line) {
 			t.Fatalf("diagnostics out of order: %s before %s", forward[i-1], forward[i])
 		}
 	}
@@ -58,8 +61,8 @@ func TestSuppression(t *testing.T) {
 	if suppressed(allowed, mk(12, "nodeterm")) {
 		t.Error("allow leaked two lines down")
 	}
-	if suppressed(allowed, mk(10, "maporder")) {
-		t.Error("allow for nodeterm silenced maporder")
+	if suppressed(allowed, mk(10, "other")) {
+		t.Error("allow for nodeterm silenced another analyzer")
 	}
 	if suppressed(allowed, mk(10, "nodeterm")) != true || suppressed(allowed, Diagnostic{Analyzer: "nodeterm", Pos: token.Position{Filename: "g.go", Line: 10}}) {
 		t.Error("allow crossed files")
@@ -72,7 +75,7 @@ func TestAllowListDirective(t *testing.T) {
 	fset := token.NewFileSet()
 	src := `package p
 
-//gillis:allow clockflow,goleak detached supervisor is joined by the scheduler
+//gillis:allow nodeterm,other one comment for two analyzers
 var a = 1
 
 //gillis:allow nodeterm bench probe
@@ -80,6 +83,9 @@ var b = 2
 
 //gillis:allow , a bare comma names nothing
 var c = 3
+
+//gillis:allownodeterm the directive needs its space
+var d = 4
 `
 	f, err := parser.ParseFile(fset, "f.go", src, parser.ParseComments)
 	if err != nil {
@@ -91,16 +97,69 @@ var c = 3
 		analyzer string
 		want     bool
 	}{
-		{3, "clockflow", true},
-		{3, "goleak", true},
-		{3, "sharedmut", false}, // list membership is exact
-		{6, "nodeterm", true},   // single-name form unchanged
-		{6, "clockflow", false},
-		{9, "", false}, // empty names are dropped, not registered
+		{3, "nodeterm", true},
+		{3, "other", true},
+		{3, "errdrop", false}, // list membership is exact
+		{6, "nodeterm", true}, // single-name form unchanged
+		{6, "other", false},
+		{9, "", false},          // empty names are dropped, not registered
+		{12, "nodeterm", false}, // no space: not the directive
 	} {
 		if got := allowed[allowKey{"f.go", tc.line, tc.analyzer}]; got != tc.want {
 			t.Errorf("allow at line %d for %q = %v, want %v", tc.line, tc.analyzer, got, tc.want)
 		}
+	}
+}
+
+// TestAllowSitesPinned lists every //gillis:allow comment in the module's
+// non-test sources, build-constrained files and malformed directives
+// included. A new suppression has to add itself here, so it is argued in
+// review instead of landing beside the line it silences.
+func TestAllowSitesPinned(t *testing.T) {
+	root, _, err := findModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := expand([]string{filepath.Join(root, "...")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, err := filepath.Rel(root, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if strings.HasPrefix(c.Text, strings.TrimSpace(allowDirective)) {
+						got = append(got, filepath.ToSlash(rel)+": "+c.Text)
+					}
+				}
+			}
+		}
+	}
+	want := []string{
+		"internal/bench/kernels.go: //gillis:allow nodeterm kernel microbenchmarks measure real wall-clock speed, not simulated time",
+		"internal/bench/kernels.go: //gillis:allow nodeterm wall-clock iteration budget for the microbenchmark loop",
+		"internal/bench/kernels.go: //gillis:allow nodeterm wall-clock measurement is the quantity being reported",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("suppressions in the module changed; review each and update this pin\n--- got ---\n%s\n--- want ---\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -109,10 +168,17 @@ var c = 3
 // a half-checked package (where missing type info panics far from the
 // cause).
 func TestLoadTypecheckFailureReadable(t *testing.T) {
-	dir := writeTestPkg(t, "badtypes-*", map[string]string{
-		"bad.go": "package p\n\nfunc f() int { return undefinedIdent }\n",
-	})
-	_, err := Load(dir)
+	// Under testdata, so the loader resolves it inside the module.
+	dir, err := os.MkdirTemp("testdata", "badtypes-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	src := "package p\n\nfunc f() int { return undefinedIdent }\n"
+	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(dir)
 	if err == nil {
 		t.Fatal("expected a typecheck error")
 	}
@@ -165,6 +231,30 @@ func TestLoadSkipsTestdataInWalk(t *testing.T) {
 	}
 }
 
+// TestLoadResolvesModuleImports loads a real clocked package whose module
+// imports the loader must resolve itself, and checks the tree is clean.
+func TestLoadResolvesModuleImports(t *testing.T) {
+	pkgs, err := Load("../platform")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "gillis/internal/platform" {
+		t.Fatalf("loaded %v, want gillis/internal/platform", pkgs)
+	}
+	var imported []string
+	for _, imp := range pkgs[0].Types.Imports() {
+		if hasPathPrefix(imp.Path(), "gillis") {
+			imported = append(imported, imp.Path())
+		}
+	}
+	if len(imported) == 0 {
+		t.Fatal("platform loaded without its module imports")
+	}
+	if got := Run(pkgs, All()); len(got) != 0 {
+		t.Fatalf("platform has findings:\n%v", got)
+	}
+}
+
 // TestAllStable checks that the registry is alphabetical, which the -list
 // output and the docs rely on.
 func TestAllStable(t *testing.T) {
@@ -175,7 +265,7 @@ func TestAllStable(t *testing.T) {
 			t.Errorf("analyzer %s missing doc or run", a.Name)
 		}
 	}
-	if got, want := strings.Join(names, ","), "clockflow,errdrop,floatacc,goleak,maporder,niltrace,nodeterm,sharedmut"; got != want {
+	if got, want := strings.Join(names, ","), "nodeterm"; got != want {
 		t.Fatalf("All() = %s, want %s", got, want)
 	}
 }

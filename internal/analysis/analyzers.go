@@ -3,13 +3,6 @@ package analysis
 // All returns the full gillis-vet suite in stable (alphabetical) order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AnalyzerClockflow,
-		AnalyzerErrdrop,
-		AnalyzerFloatacc,
-		AnalyzerGoleak,
-		AnalyzerMaporder,
-		AnalyzerNiltrace,
 		AnalyzerNodeterm,
-		AnalyzerSharedmut,
 	}
 }

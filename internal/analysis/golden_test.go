@@ -13,28 +13,18 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden di
 // goldenCases maps each analyzer to its fixture packages under
 // testdata/src. Fixture directories under "gillis/..." exercise the
 // analyzers' import-path gating via the loader's testdata/src remapping.
-// Inter-procedural cases list every package the call chain crosses
-// (clockflow's chains run from the clocked runtime fixture into the
-// non-clocked stats fixture). golden names the golden file (without
-// extension) when one analyzer has several fixtures; empty means the
-// analyzer's own name.
+// golden names the golden file (without extension) when one analyzer has
+// several fixtures; empty means the analyzer's own name.
 var goldenCases = []struct {
 	analyzer *Analyzer
 	fixtures []string
 	golden   string
 }{
-	{AnalyzerClockflow, []string{"gillis/internal/runtime", "gillis/internal/stats"}, ""},
-	{AnalyzerErrdrop, []string{"gillis/internal/errdrop"}, ""},
-	{AnalyzerFloatacc, []string{"floatacc"}, ""},
-	{AnalyzerGoleak, []string{"gillis/internal/workload"}, ""},
-	{AnalyzerMaporder, []string{"maporder"}, ""},
-	{AnalyzerNiltrace, []string{"gillis/internal/trace"}, ""},
 	{AnalyzerNodeterm, []string{"gillis/internal/platform"}, ""},
 	{AnalyzerNodeterm, []string{"gillis/internal/gateway"}, "nodeterm_gateway"},
 	{AnalyzerNodeterm, []string{"gillis/internal/adapt"}, "nodeterm_adapt"},
 	{AnalyzerNodeterm, []string{"gillis/internal/batching"}, "nodeterm_batching"},
 	{AnalyzerNodeterm, []string{"gillis/internal/mesh"}, "nodeterm_mesh"},
-	{AnalyzerSharedmut, []string{"sharedmut"}, ""},
 }
 
 // TestGoldenDiagnostics pins each analyzer's findings over its fixture

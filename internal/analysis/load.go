@@ -29,12 +29,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// universe is every module-internal package the Load call touched —
-	// the patterns plus their transitive module imports, sorted by path.
-	// The call graph builds over the universe so chains can cross into
-	// packages that were imported but not named as patterns.
-	universe []*Package
 }
 
 // Load parses and type-checks the packages matched by patterns. A pattern
@@ -44,13 +38,8 @@ type Package struct {
 // sources are loaded: gillis-vet checks shipping code.
 //
 // Module-internal imports are resolved by the loader itself, so every
-// module package is parsed and type-checked exactly once per Load call and
-// all packages share one type universe — the property the inter-procedural
-// call graph (callgraph.go) needs for cross-package object identity.
-// Imports inside a testdata/src tree prefer a sibling fixture directory
-// (testdata/src/<import path>) and fall back to the real module directory,
-// so fixtures can impersonate packages that call each other. Standard
-// library imports go through go/importer's source importer.
+// module package is parsed and type-checked exactly once per Load call.
+// Standard library imports go through go/importer's source importer.
 func Load(patterns ...string) ([]*Package, error) {
 	dirs, err := expand(patterns)
 	if err != nil {
@@ -66,7 +55,7 @@ func Load(patterns ...string) ([]*Package, error) {
 		fset:     fset,
 		modRoot:  modRoot,
 		modPath:  modPath,
-		fallback: importer.ForCompiler(fset, "source", nil),
+		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		cache:    make(map[string]*Package),
 		loading:  make(map[string]bool),
 	}
@@ -79,14 +68,6 @@ func Load(patterns ...string) ([]*Package, error) {
 		if pkg != nil {
 			pkgs = append(pkgs, pkg)
 		}
-	}
-	var universe []*Package
-	for _, pkg := range ld.cache {
-		universe = append(universe, pkg)
-	}
-	sort.Slice(universe, func(i, j int) bool { return universe[i].Path < universe[j].Path })
-	for _, pkg := range pkgs {
-		pkg.universe = universe
 	}
 	return pkgs, nil
 }
@@ -204,8 +185,7 @@ var knownGOARCH = map[string]bool{
 // tagged go1.23 to raise its language version is kept. Files excluded by
 // build constraints must not reach the type-checker: per-architecture
 // variants (gemm_amd64.go vs gemm_noasm.go) declare the same symbols behind
-// opposite tags. The call graph inherits the same view: functions in
-// excluded files contribute no nodes or edges.
+// opposite tags.
 func fileMatchesHost(name string, src []byte) bool {
 	tagOK := func(tag string) bool {
 		return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || tag == "cgo" ||
@@ -240,13 +220,13 @@ func fileMatchesHost(name string, src []byte) bool {
 }
 
 // loader parses and type-checks packages, resolving module-internal
-// imports itself so each package is checked once and all share one type
-// universe. It is handed to go/types as the Importer for every check.
+// imports itself so each package is checked once. It is handed to go/types
+// as the Importer for every check.
 type loader struct {
 	fset             *token.FileSet
 	modRoot, modPath string
 	// fallback resolves non-module imports (the standard library).
-	fallback types.Importer
+	fallback types.ImporterFrom
 	// cache holds every module package loaded so far, keyed by import path
 	// (after testdata/src remapping).
 	cache map[string]*Package
@@ -255,8 +235,8 @@ type loader struct {
 	loading map[string]bool
 }
 
-// Import implements types.Importer. srcDir-sensitive resolution happens in
-// ImportFrom; plain Import sees no importing context.
+// Import implements types.Importer. go/types calls ImportFrom, which does
+// not need the importing directory.
 func (ld *loader) Import(path string) (*types.Package, error) {
 	return ld.ImportFrom(path, "", 0)
 }
@@ -265,76 +245,19 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 // to a directory and load through the shared cache; everything else
 // delegates to the source importer.
 func (ld *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	if !hasPathPrefix(path, ld.modPath) && !ld.isFixturePath(path, srcDir) {
-		if from, ok := ld.fallback.(types.ImporterFrom); ok {
-			return from.ImportFrom(path, srcDir, mode)
-		}
-		return ld.fallback.Import(path)
+	rest, ok := strings.CutPrefix(path, ld.modPath+"/")
+	if !ok {
+		return ld.fallback.ImportFrom(path, srcDir, mode)
 	}
-	dir, err := ld.dirFor(path, srcDir)
-	if err != nil {
-		return nil, err
-	}
+	dir := filepath.Join(ld.modRoot, filepath.FromSlash(rest))
 	pkg, err := ld.loadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("import %q: %w", path, err)
 	}
 	if pkg == nil {
 		return nil, fmt.Errorf("import %q: no Go sources in %s", path, dir)
 	}
 	return pkg.Types, nil
-}
-
-// isFixturePath reports whether path names a sibling fixture package when
-// importing from inside a testdata/src tree (fixture packages may use
-// import paths outside the module path, e.g. plain "stats").
-func (ld *loader) isFixturePath(path, srcDir string) bool {
-	root, ok := testdataRoot(srcDir)
-	if !ok {
-		return false
-	}
-	fi, err := os.Stat(filepath.Join(root, filepath.FromSlash(path)))
-	return err == nil && fi.IsDir()
-}
-
-// testdataRoot extracts the ".../testdata/src" prefix of dir, when inside
-// one. The directory may be relative ("testdata/src/gillis/...") or
-// absolute, depending on how the pattern was named.
-func testdataRoot(dir string) (string, bool) {
-	sep := string(filepath.Separator)
-	marker := filepath.Join("testdata", "src") + sep
-	padded := dir + sep
-	if strings.HasPrefix(padded, marker) {
-		return strings.TrimSuffix(marker, sep), true
-	}
-	if i := strings.Index(padded, sep+marker); i >= 0 {
-		return padded[:i+len(sep+marker)-1], true
-	}
-	return "", false
-}
-
-// dirFor maps an import path to the directory holding its sources. Imports
-// from a testdata/src tree prefer a fixture directory under the same tree
-// (so fixtures can impersonate module packages and import each other) and
-// fall back to the real module directory.
-func (ld *loader) dirFor(path, srcDir string) (string, error) {
-	if root, ok := testdataRoot(srcDir); ok {
-		cand := filepath.Join(root, filepath.FromSlash(path))
-		if fi, err := os.Stat(cand); err == nil && fi.IsDir() {
-			return cand, nil
-		}
-	}
-	if path == ld.modPath {
-		return ld.modRoot, nil
-	}
-	if rest, ok := strings.CutPrefix(path, ld.modPath+"/"); ok {
-		cand := filepath.Join(ld.modRoot, filepath.FromSlash(rest))
-		if fi, err := os.Stat(cand); err == nil && fi.IsDir() {
-			return cand, nil
-		}
-		return "", fmt.Errorf("import %q: no such package directory under %s", path, ld.modRoot)
-	}
-	return "", fmt.Errorf("import %q: cannot resolve outside module %s", path, ld.modPath)
 }
 
 // loadDir parses and type-checks one directory, returning nil when it
@@ -391,11 +314,9 @@ func (ld *loader) loadDir(dir string) (*Package, error) {
 	}
 
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Instances:  make(map[*ast.Ident]types.Instance),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: ld}
 	tpkg, err := conf.Check(path, ld.fset, files, info)

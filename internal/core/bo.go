@@ -112,7 +112,6 @@ func decodePlan(x []float64, units []*partition.Unit, opts *groupOptions, pc *pr
 	var groups []rawGroup
 	k := len(opts.options)
 	for i := 0; i < n; i++ {
-		u := units[i]
 		// Action 0 = join (given a wide slot so random points favor fused,
 		// low-communication strategies), 1..K = new group with an option.
 		var a int
@@ -130,9 +129,9 @@ func decodePlan(x []float64, units []*partition.Unit, opts *groupOptions, pc *pr
 					return false
 				}
 				g := groups[len(groups)-1]
-				return joinFeasible(units, g.first, i, g.opt)
+				return partition.Feasible(units, g.first, i, g.opt)
 			}
-			return newGroupFeasible(u, opts.options[a-1])
+			return partition.Feasible(units, i, i, opts.options[a-1])
 		}
 		if !feasible(a) {
 			found := false

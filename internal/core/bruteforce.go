@@ -6,6 +6,7 @@ import (
 
 	"gillis/internal/partition"
 	"gillis/internal/perf"
+	"gillis/internal/platform"
 )
 
 // BFConfig tunes the brute-force baseline.
@@ -62,7 +63,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 		}
 		res.Nodes++
 		if at == len(units) {
-			total := workerBilled + ceilGran(latMs, gran)
+			total := workerBilled + platform.Billed(latMs, gran)
 			if latMs <= tmaxMs && total < bestCost {
 				bestCost = total
 				groups := make([]partition.GroupPlan, len(cur))
@@ -81,7 +82,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 				if err != nil {
 					return err
 				}
-				if ext.WeightBytes+ext.ActBytes > budget {
+				if ext.ResidentBytes(1) > budget {
 					continue
 				}
 				for _, onMaster := range []bool{false, true} {
@@ -102,10 +103,10 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 					}
 					nextBilled := workerBilled
 					for _, w := range pred.WorkerMs {
-						nextBilled += ceilGran(w, gran)
+						nextBilled += platform.Billed(w, gran)
 					}
 					// Lower bound on final cost prunes dominated branches.
-					if nextBilled+ceilGran(nextLat, gran) >= bestCost {
+					if nextBilled+platform.Billed(nextLat, gran) >= bestCost {
 						continue
 					}
 					cur = append(cur, partition.GroupPlan{First: at, Last: last, Option: opt, OnMaster: onMaster})
@@ -132,11 +133,4 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 	res.Pred = pred
 	res.Met = !pred.OOM && pred.LatencyMs <= tmaxMs
 	return res, nil
-}
-
-func ceilGran(ms float64, gran int64) int64 {
-	if ms <= 0 {
-		return 0
-	}
-	return int64(math.Ceil(ms/float64(gran))) * gran
 }

@@ -82,7 +82,7 @@ func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache,
 				}
 				// Partition too large to fit into any function (Algorithm 1
 				// line 7); activations scale with the batch.
-				if ext.WeightBytes+ext.ActBytes*int64(pc.batch) > budgetBytes {
+				if ext.ResidentBytes(pc.batch) > budgetBytes {
 					continue
 				}
 				charge := int((ext.WeightBytes + stepBytes - 1) / stepBytes)

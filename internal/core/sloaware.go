@@ -90,7 +90,7 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 	pc := newPredCache(m, units, 1)
 
 	opts := newGroupOptions(cfg.PartCounts)
-	agent := newAgents(rng, units, opts, cfg)
+	agent := newAgents(rng, opts, cfg)
 
 	var (
 		best     *partition.Plan
@@ -225,7 +225,6 @@ type agents struct {
 	partitioner *neural.MLP
 	placer      *neural.MLP
 	opts        *groupOptions
-	budgetBytes int64
 }
 
 // step records one decision for the REINFORCE update.
@@ -241,7 +240,7 @@ const (
 	placeFeatures = 10
 )
 
-func newAgents(rng *rand.Rand, units []*partition.Unit, opts *groupOptions, cfg SLOConfig) *agents {
+func newAgents(rng *rand.Rand, opts *groupOptions, cfg SLOConfig) *agents {
 	return &agents{
 		partitioner: neural.NewMLP(rng, partFeatures, cfg.Hidden, 1+len(opts.options), cfg.LR),
 		placer:      neural.NewMLP(rng, placeFeatures, cfg.Hidden, 2, cfg.LR),
@@ -261,15 +260,14 @@ func (a *agents) rollout(rng *rand.Rand, units []*partition.Unit, pc *predCache)
 	}
 	var groups []rawGroup
 	for i := 0; i < n; i++ {
-		u := units[i]
 		allowed := make([]bool, 1+len(a.opts.options))
 		// Join: extend the current group with unit i.
 		if len(groups) > 0 {
 			g := groups[len(groups)-1]
-			allowed[0] = joinFeasible(units, g.first, i, g.opt)
+			allowed[0] = partition.Feasible(units, g.first, i, g.opt)
 		}
 		for k, opt := range a.opts.options {
-			allowed[1+k] = newGroupFeasible(u, opt)
+			allowed[1+k] = partition.Feasible(units, i, i, opt)
 		}
 		curFirst, curOpt := -1, partition.Option{}
 		if len(groups) > 0 {
@@ -355,35 +353,6 @@ func (a *agents) accumulate(steps []step, advantage float64) error {
 func (a *agents) step() {
 	a.partitioner.Step()
 	a.placer.Step()
-}
-
-// joinFeasible reports whether unit `last` can extend a group starting at
-// `first` under option opt (tensor-dependency rule, §III-C).
-func joinFeasible(units []*partition.Unit, first, last int, opt partition.Option) bool {
-	switch opt.Dim {
-	case partition.DimNone:
-		return true // any units can run whole on one function
-	case partition.DimSpatial:
-		u := units[last]
-		return u.Spatial && u.OutHeight() >= opt.Parts
-	case partition.DimChannel:
-		return false // channel partitions are single-unit (Fig. 6)
-	}
-	return false
-}
-
-// newGroupFeasible reports whether a fresh group can start at unit u with
-// option opt.
-func newGroupFeasible(u *partition.Unit, opt partition.Option) bool {
-	switch opt.Dim {
-	case partition.DimNone:
-		return true
-	case partition.DimSpatial:
-		return u.Spatial && u.OutHeight() >= opt.Parts
-	case partition.DimChannel:
-		return u.Channel && u.OutChannels() >= opt.Parts
-	}
-	return false
 }
 
 // partitionerFeatures encodes unit i and the open group's state.

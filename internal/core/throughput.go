@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"gillis/internal/partition"
 	"gillis/internal/perf"
+	"gillis/internal/platform"
 )
 
 // ThroughputOptimal chooses the plan that maximizes modeled throughput per
@@ -35,13 +35,11 @@ func ThroughputOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*par
 	// time — worker durations rounded up to the billing granule plus the
 	// master-side latency the group adds to the master's own bill.
 	pc := newPredCache(m, units, cfg.Batch)
-	gran := float64(m.Platform().BillingGranMs)
+	gran := m.Platform().BillingGranMs
 	costPlan, err := dpSearch(m, units, cfg, pc, func(p perf.GroupPrediction) float64 {
 		c := p.LatencyMs
 		for _, w := range p.WorkerMs {
-			if w > 0 {
-				c += math.Ceil(w/gran) * gran
-			}
+			c += float64(platform.Billed(w, gran))
 		}
 		return c
 	})

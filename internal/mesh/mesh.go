@@ -471,11 +471,7 @@ func measuredBytes(spec ModelSpec) int64 {
 			// late failure as the reservation being exact.
 			return 0
 		}
-		parts := int64(gp.Option.Parts)
-		if parts < 1 {
-			parts = 1
-		}
-		total += (ext.WeightBytes + ext.ActBytes) * parts
+		total += ext.ResidentBytes(1) * int64(len(ext.PerPart))
 	}
 	return total
 }

@@ -473,19 +473,71 @@ func TestPlanValidate(t *testing.T) {
 	}
 }
 
-func TestMasterWeightBytes(t *testing.T) {
+// TestExtentFoldsItsParts: an extent lists one entry per partition, its
+// totals are the entries' sums, its weights the largest entry's, and its
+// group FLOPs the monolithic group's.
+func TestExtentFoldsItsParts(t *testing.T) {
 	units := linearized(t, tinyCNN(t))
-	plan := &Plan{Model: "tiny", Groups: []GroupPlan{
-		{First: 0, Last: 1, Option: Option{Dim: DimSpatial, Parts: 2}, OnMaster: true},
-		{First: 2, Last: 3, Option: Option{Dim: DimNone, Parts: 1}},
-	}}
-	got, err := plan.MasterWeightBytes(units)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		first, last int
+		opt         Option
+	}{{0, 3, Option{DimNone, 1}}, {0, 1, Option{DimSpatial, 2}}, {0, 0, Option{DimChannel, 4}}} {
+		ext, err := GroupExtent(units, c.first, c.last, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ext.PerPart) != c.opt.Parts {
+			t.Fatalf("%v: %d parts listed", c.opt, len(ext.PerPart))
+		}
+		var sum PartExtent
+		var weights, mono int64
+		for _, p := range ext.PerPart {
+			sum.FLOPs += p.FLOPs
+			sum.InBytes += p.InBytes
+			sum.OutBytes += p.OutBytes
+			weights = max(weights, p.WeightBytes)
+		}
+		for _, u := range units[c.first : c.last+1] {
+			mono += u.FLOPs
+		}
+		if sum.FLOPs != ext.TotalFLOPs || sum.InBytes != ext.InBytesTotal || sum.OutBytes != ext.OutBytesTotal ||
+			weights != ext.WeightBytes || mono != ext.GroupFLOPs {
+			t.Errorf("%v: parts fold to %+v and %d weight bytes, extent %+v", c.opt, sum, weights, ext)
+		}
+		if got := ext.ResidentBytes(3); got != ext.WeightBytes+3*ext.ActBytes {
+			t.Errorf("%v: resident bytes at batch 3: %d", c.opt, got)
+		}
 	}
-	want := units[0].ParamBytes + units[1].ParamBytes
-	if got != want {
-		t.Fatalf("master weights %d, want %d", got, want)
+}
+
+// TestFeasibleRejectsDegenerateOptions: one part is a whole group, not a
+// split; a range outside the chain is no group; and the check allocates
+// nothing, so the planners can ask it per action.
+func TestFeasibleRejectsDegenerateOptions(t *testing.T) {
+	units := linearized(t, tinyCNN(t))
+	for _, c := range []struct {
+		first, last int
+		opt         Option
+		want        bool
+	}{
+		{0, 1, Option{DimSpatial, 2}, true},
+		{0, 0, Option{DimChannel, 2}, true},
+		{0, 3, Option{DimNone, 1}, true},
+		{0, 1, Option{DimSpatial, 1}, false},
+		{0, 0, Option{DimChannel, 1}, false},
+		{0, 3, Option{DimNone, 2}, false},
+		{0, 1, Option{DimChannel, 2}, false},
+		{-1, 0, Option{DimNone, 1}, false},
+		{0, len(units), Option{DimNone, 1}, false},
+		{0, 0, Option{Dim(9), 2}, false},
+	} {
+		if got := Feasible(units, c.first, c.last, c.opt); got != c.want {
+			t.Errorf("Feasible(%d, %d, %v) = %v, want %v", c.first, c.last, c.opt, got, c.want)
+		}
+	}
+	opt := Option{DimSpatial, 2}
+	if n := testing.AllocsPerRun(100, func() { Feasible(units, 0, 1, opt) }); n != 0 {
+		t.Errorf("Feasible allocates %v times", n)
 	}
 }
 

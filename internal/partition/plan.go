@@ -54,9 +54,8 @@ func (o Option) String() string {
 var DefaultPartCounts = []int{2, 4, 8, 16}
 
 // FeasibleOptions enumerates the parallelization options of the group
-// units[first..last] based on tensor dependencies (§III-C): spatial
-// partitioning requires local height response in every unit; channel
-// partitioning requires a single-unit group with sliceable output channels.
+// units[first..last] that Feasible admits, over the given part counts: the
+// whole group first, then the spatial splits, then the channel splits.
 func FeasibleOptions(units []*Unit, first, last int, partCounts []int) ([]Option, error) {
 	if first < 0 || last >= len(units) || first > last {
 		return nil, fmt.Errorf("partition: bad group [%d,%d] of %d units", first, last, len(units))
@@ -65,56 +64,91 @@ func FeasibleOptions(units []*Unit, first, last int, partCounts []int) ([]Option
 		partCounts = DefaultPartCounts
 	}
 	opts := []Option{{Dim: DimNone, Parts: 1}}
-
-	spatial := true
-	for _, u := range units[first : last+1] {
-		if !u.Spatial {
-			spatial = false
-			break
-		}
-	}
-	if spatial {
-		outH := units[last].OutHeight()
+	for _, dim := range []Dim{DimSpatial, DimChannel} {
 		for _, p := range partCounts {
-			if p > 1 && outH >= p {
-				opts = append(opts, Option{Dim: DimSpatial, Parts: p})
-			}
-		}
-	}
-	if first == last && units[first].Channel {
-		outC := units[first].OutChannels()
-		for _, p := range partCounts {
-			if p > 1 && outC >= p {
-				opts = append(opts, Option{Dim: DimChannel, Parts: p})
+			if opt := (Option{Dim: dim, Parts: p}); Feasible(units, first, last, opt) {
+				opts = append(opts, opt)
 			}
 		}
 	}
 	return opts, nil
 }
 
-// Extent summarizes a parallelization option's resource profile, the
-// quantities the performance model and memory checks consume.
+// Feasible reports whether the group units[first..last] can run under opt,
+// by its tensor dependencies (§III-C): a whole group always can, on one
+// part; a spatial split needs at least two parts, every unit Spatial and as
+// many output rows as parts; a channel split needs at least two parts and a
+// single Channel unit with as many output channels as parts.
+func Feasible(units []*Unit, first, last int, opt Option) bool {
+	if first < 0 || last >= len(units) || first > last {
+		return false
+	}
+	switch opt.Dim {
+	case DimNone:
+		return opt.Parts == 1
+	case DimSpatial:
+		if opt.Parts < 2 || units[last].OutHeight() < opt.Parts {
+			return false
+		}
+		for _, u := range units[first : last+1] {
+			if !u.Spatial {
+				return false
+			}
+		}
+		return true
+	case DimChannel:
+		u := units[first]
+		return first == last && opt.Parts >= 2 && u.Channel && u.OutChannels() >= opt.Parts
+	}
+	return false
+}
+
+// Extent is what one layer group under one parallelization option costs,
+// partition by partition: the numbers the performance model prices, the
+// runtime pays on the virtual clock and the memory checks budget.
 type Extent struct {
-	// Parts is the partition count (1 for DimNone).
-	Parts int
-	// WeightBytes is the largest per-partition resident weight footprint.
-	WeightBytes int64
-	// MaxFLOPs is the most-loaded partition's compute (incl. halo
-	// redundancy); TotalFLOPs sums all partitions.
-	MaxFLOPs, TotalFLOPs int64
-	// InBytesTotal and OutBytesTotal sum the request and response payloads
-	// across partitions (what crosses the master's links).
+	// PerPart lists every partition, in partition order (one for DimNone).
+	PerPart []PartExtent
+	// GroupFLOPs is the group's monolithic compute: a partition's share of
+	// the group's modeled time is its FLOPs over these.
+	GroupFLOPs int64
+	// TotalFLOPs sums PerPart's FLOPs, halo redundancy included.
+	TotalFLOPs int64
+	// InBytesTotal and OutBytesTotal sum PerPart's request and response
+	// payloads (what crosses the master's links).
 	InBytesTotal, OutBytesTotal int64
-	// MaxPartInBytes / MaxPartOutBytes are the largest single-partition
-	// payloads.
-	MaxPartInBytes, MaxPartOutBytes int64
+	// WeightBytes is the largest partition's resident weights.
+	WeightBytes int64
 	// ActBytes is the peak per-partition activation footprint as the
 	// planners count it: the largest single node slab (spatial), or a unit's
 	// input plus output. What executing a partition really takes from the
-	// scratch pool is ArenaBytes, computed on demand; the planners' memory
-	// checks still run on ActBytes, so plans and OOM boundaries are the ones
-	// pinned before there was an arena.
+	// scratch pool is ArenaBytes, computed on demand; the memory checks still
+	// run on ActBytes, so plans and OOM boundaries are the ones pinned before
+	// there was an arena.
 	ActBytes int64
+}
+
+// PartExtent is one partition's share of a group: its compute (halo
+// redundancy included), the weights it holds, and the payloads it receives
+// and returns.
+type PartExtent struct {
+	FLOPs, WeightBytes, InBytes, OutBytes int64
+}
+
+// ResidentBytes is what one partition of the group holds while it serves
+// batch queries at once: its weights plus batch activation footprints. Every
+// memory check — the planners', the performance model's, Deploy's and the
+// mesh's — budgets with it.
+func (e Extent) ResidentBytes(batch int) int64 {
+	return e.WeightBytes + e.ActBytes*int64(batch)
+}
+
+// Slices are the execution objects of a group's partitions, in partition
+// order: the row slices of a spatial group or the sliced sub-graphs of a
+// channel group (neither for a whole group).
+type Slices struct {
+	Spatial []PartSlice
+	Channel []ChannelSlice
 }
 
 // ArenaBytes is the size of the activation arena executing one partition of
@@ -126,43 +160,28 @@ type Extent struct {
 // tensors that enter and leave a partition or a unit are payloads their
 // holders own and are not in it.
 func ArenaBytes(units []*Unit, first, last int, opt Option) (int64, error) {
-	if first < 0 || last >= len(units) || first > last {
-		return 0, fmt.Errorf("partition: bad group [%d,%d]", first, last)
+	_, sl, err := GroupSlices(units, first, last, opt)
+	if err != nil {
+		return 0, err
 	}
 	group := units[first : last+1]
-	var most int64
-	switch opt.Dim {
-	case DimNone:
+	if opt.Dim == DimNone {
 		return chainArenaBytes(group)
-	case DimSpatial:
-		slices, err := SpatialSlices(group, opt.Parts)
+	}
+	var most int64
+	for _, ps := range sl.Spatial {
+		b, err := ps.ArenaBytes(group)
 		if err != nil {
 			return 0, err
 		}
-		for _, ps := range slices {
-			b, err := ps.ArenaBytes(group)
-			if err != nil {
-				return 0, err
-			}
-			most = max(most, b)
-		}
-	case DimChannel:
-		if first != last {
-			return 0, fmt.Errorf("partition: channel option on multi-unit group [%d,%d]", first, last)
-		}
-		slices, err := ChannelSlices(group[0], opt.Parts)
+		most = max(most, b)
+	}
+	for _, cs := range sl.Channel {
+		b, err := cs.Sub.ArenaBytes()
 		if err != nil {
 			return 0, err
 		}
-		for _, cs := range slices {
-			b, err := cs.Sub.ArenaBytes()
-			if err != nil {
-				return 0, err
-			}
-			most = max(most, b)
-		}
-	default:
-		return 0, fmt.Errorf("partition: unknown dimension %v", opt.Dim)
+		most = max(most, b)
 	}
 	return most, nil
 }
@@ -170,94 +189,72 @@ func ArenaBytes(units []*Unit, first, last int, opt Option) (int64, error) {
 // GroupExtent computes the Extent of parallelizing units[first..last] with
 // the given option.
 func GroupExtent(units []*Unit, first, last int, opt Option) (Extent, error) {
+	ext, _, err := GroupSlices(units, first, last, opt)
+	return ext, err
+}
+
+// GroupSlices is GroupExtent that also returns the partitions' execution
+// objects, for a deployment that runs them: it is the one place a group is
+// split into partitions.
+func GroupSlices(units []*Unit, first, last int, opt Option) (Extent, Slices, error) {
 	if first < 0 || last >= len(units) || first > last {
-		return Extent{}, fmt.Errorf("partition: bad group [%d,%d]", first, last)
+		return Extent{}, Slices{}, fmt.Errorf("partition: bad group [%d,%d]", first, last)
 	}
 	group := units[first : last+1]
+	var ext Extent
+	var weights int64
+	for _, u := range group {
+		ext.GroupFLOPs += u.FLOPs
+		weights += u.ParamBytes
+	}
+	var sl Slices
+	var err error
 	switch opt.Dim {
 	case DimNone:
-		var ext Extent
-		ext.Parts = 1
+		ext.PerPart = []PartExtent{{
+			FLOPs:       ext.GroupFLOPs,
+			WeightBytes: weights,
+			InBytes:     tensor.SizeBytes(group[0].InShape),
+			OutBytes:    tensor.SizeBytes(group[len(group)-1].OutShape),
+		}}
 		for _, u := range group {
-			ext.WeightBytes += u.ParamBytes
-			ext.TotalFLOPs += u.FLOPs
-			act := tensor.SizeBytes(u.InShape) + tensor.SizeBytes(u.OutShape)
-			if act > ext.ActBytes {
-				ext.ActBytes = act
-			}
+			ext.ActBytes = max(ext.ActBytes, tensor.SizeBytes(u.InShape)+tensor.SizeBytes(u.OutShape))
 		}
-		ext.MaxFLOPs = ext.TotalFLOPs
-		ext.InBytesTotal = tensor.SizeBytes(group[0].InShape)
-		ext.OutBytesTotal = tensor.SizeBytes(group[len(group)-1].OutShape)
-		ext.MaxPartInBytes = ext.InBytesTotal
-		ext.MaxPartOutBytes = ext.OutBytesTotal
-		return ext, nil
 
 	case DimSpatial:
-		slices, err := SpatialSlices(group, opt.Parts)
-		if err != nil {
-			return Extent{}, err
+		if sl.Spatial, err = SpatialSlices(group, opt.Parts); err != nil {
+			return Extent{}, Slices{}, err
 		}
-		var ext Extent
-		ext.Parts = opt.Parts
-		var weights int64
-		for _, u := range group {
-			weights += u.ParamBytes // replicated on every partition
+		ext.PerPart = make([]PartExtent, len(sl.Spatial))
+		for i, ps := range sl.Spatial {
+			// Every spatial partition holds the whole group's weights.
+			ext.PerPart[i] = PartExtent{FLOPs: ps.FLOPs, WeightBytes: weights, InBytes: ps.InBytes, OutBytes: ps.OutBytes}
+			ext.ActBytes = max(ext.ActBytes, ps.ActBytes)
 		}
-		ext.WeightBytes = weights
-		for _, ps := range slices {
-			ext.TotalFLOPs += ps.FLOPs
-			if ps.FLOPs > ext.MaxFLOPs {
-				ext.MaxFLOPs = ps.FLOPs
-			}
-			ext.InBytesTotal += ps.InBytes
-			ext.OutBytesTotal += ps.OutBytes
-			if ps.InBytes > ext.MaxPartInBytes {
-				ext.MaxPartInBytes = ps.InBytes
-			}
-			if ps.OutBytes > ext.MaxPartOutBytes {
-				ext.MaxPartOutBytes = ps.OutBytes
-			}
-			if ps.ActBytes > ext.ActBytes {
-				ext.ActBytes = ps.ActBytes
-			}
-		}
-		return ext, nil
 
 	case DimChannel:
 		if first != last {
-			return Extent{}, fmt.Errorf("partition: channel option on multi-unit group [%d,%d]", first, last)
+			return Extent{}, Slices{}, fmt.Errorf("partition: channel option on multi-unit group [%d,%d]", first, last)
 		}
-		slices, err := ChannelSlices(group[0], opt.Parts)
-		if err != nil {
-			return Extent{}, err
+		if sl.Channel, err = ChannelSlices(group[0], opt.Parts); err != nil {
+			return Extent{}, Slices{}, err
 		}
-		var ext Extent
-		ext.Parts = opt.Parts
-		for _, cs := range slices {
-			ext.TotalFLOPs += cs.FLOPs
-			if cs.FLOPs > ext.MaxFLOPs {
-				ext.MaxFLOPs = cs.FLOPs
-			}
-			if cs.ParamBytes > ext.WeightBytes {
-				ext.WeightBytes = cs.ParamBytes
-			}
-			ext.InBytesTotal += cs.InBytes
-			ext.OutBytesTotal += cs.OutBytes
-			if cs.InBytes > ext.MaxPartInBytes {
-				ext.MaxPartInBytes = cs.InBytes
-			}
-			if cs.OutBytes > ext.MaxPartOutBytes {
-				ext.MaxPartOutBytes = cs.OutBytes
-			}
-			act := cs.InBytes + cs.OutBytes
-			if act > ext.ActBytes {
-				ext.ActBytes = act
-			}
+		ext.PerPart = make([]PartExtent, len(sl.Channel))
+		for i, cs := range sl.Channel {
+			ext.PerPart[i] = PartExtent{FLOPs: cs.FLOPs, WeightBytes: cs.ParamBytes, InBytes: cs.InBytes, OutBytes: cs.OutBytes}
+			ext.ActBytes = max(ext.ActBytes, cs.InBytes+cs.OutBytes)
 		}
-		return ext, nil
+
+	default:
+		return Extent{}, Slices{}, fmt.Errorf("partition: unknown dimension %v", opt.Dim)
 	}
-	return Extent{}, fmt.Errorf("partition: unknown dimension %v", opt.Dim)
+	for _, p := range ext.PerPart {
+		ext.WeightBytes = max(ext.WeightBytes, p.WeightBytes)
+		ext.TotalFLOPs += p.FLOPs
+		ext.InBytesTotal += p.InBytes
+		ext.OutBytesTotal += p.OutBytes
+	}
+	return ext, sl, nil
 }
 
 // GroupPlan assigns one layer group its parallelization and placement.
@@ -309,16 +306,9 @@ func (p *Plan) Validate(units []*Unit) error {
 		if gp.Last < gp.First || gp.Last >= len(units) {
 			return fmt.Errorf("partition: plan group %d range [%d,%d] invalid", gi, gp.First, gp.Last)
 		}
-		opts, err := FeasibleOptions(units, gp.First, gp.Last, allPartCounts(gp.Option.Parts))
-		if err != nil {
-			return err
-		}
-		if !containsOption(opts, gp.Option) {
+		if !Feasible(units, gp.First, gp.Last, gp.Option) {
 			return fmt.Errorf("partition: plan group %d option %v infeasible for units [%d,%d]",
 				gi, gp.Option, gp.First, gp.Last)
-		}
-		if gp.Option.Dim == DimNone && gp.Option.Parts != 1 {
-			return fmt.Errorf("partition: plan group %d: whole group must have 1 part", gi)
 		}
 		next = gp.Last + 1
 	}
@@ -326,23 +316,6 @@ func (p *Plan) Validate(units []*Unit) error {
 		return fmt.Errorf("partition: plan covers %d of %d units", next, len(units))
 	}
 	return nil
-}
-
-// MasterWeightBytes sums the weights resident on the master across all
-// groups it participates in.
-func (p *Plan) MasterWeightBytes(units []*Unit) (int64, error) {
-	var total int64
-	for _, gp := range p.Groups {
-		if !gp.OnMaster {
-			continue
-		}
-		ext, err := GroupExtent(units, gp.First, gp.Last, gp.Option)
-		if err != nil {
-			return 0, err
-		}
-		total += ext.WeightBytes
-	}
-	return total, nil
 }
 
 // String renders the plan in the style of the paper's Fig. 14.
@@ -361,20 +334,4 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&sb, "  group %d: units %d..%d, %v, %s\n", gi+1, gp.First, gp.Last, gp.Option, place)
 	}
 	return sb.String()
-}
-
-func allPartCounts(p int) []int {
-	if p <= 1 {
-		return DefaultPartCounts
-	}
-	return []int{p}
-}
-
-func containsOption(opts []Option, o Option) bool {
-	for _, x := range opts {
-		if x == o {
-			return true
-		}
-	}
-	return false
 }

@@ -136,10 +136,7 @@ func backprop(units []*Unit, out RowRange) (PartSlice, error) {
 	for ui, u := range units {
 		shapes := u.NodeShapes()
 		for _, node := range u.Sub.Nodes() {
-			full, err := nodeFLOPs(u, node, shapes)
-			if err != nil {
-				return PartSlice{}, err
-			}
+			full := node.Op.FLOPs(u.NodeInShapes(node)...)
 			r := ps.units[ui].nodes[node.ID]
 			h := shapes[node.ID][1]
 			if h > 0 {
@@ -194,19 +191,6 @@ func hksp(op nn.Op) (k, s, p int, err error) {
 	}
 	k, s, p = sp.HKernel()
 	return k, s, p, nil
-}
-
-// nodeFLOPs computes a node's full-tensor FLOPs within its unit.
-func nodeFLOPs(u *Unit, node *graph.Node, shapes [][]int) (int64, error) {
-	ins := make([][]int, len(node.Inputs))
-	for i, in := range node.Inputs {
-		if in == graph.InputID {
-			ins[i] = u.InShape
-		} else {
-			ins[i] = shapes[in]
-		}
-	}
-	return node.Op.FLOPs(ins...), nil
 }
 
 func heightOf(shape []int) int {

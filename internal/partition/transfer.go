@@ -1,10 +1,6 @@
 package partition
 
-import (
-	"fmt"
-
-	"gillis/internal/tensor"
-)
+import "fmt"
 
 // TransferBytes totals the bytes a plan moves over the master's network
 // links: the weight shipment that deploys each worker partition plus the
@@ -23,48 +19,15 @@ func TransferBytes(units []*Unit, p *Plan) (int64, error) {
 	}
 	var total int64
 	for gi, gp := range p.Groups {
-		switch gp.Option.Dim {
-		case DimNone:
-			if gp.OnMaster {
+		ext, err := GroupExtent(units, gp.First, gp.Last, gp.Option)
+		if err != nil {
+			return 0, fmt.Errorf("partition: transfer bytes of group %d: %w", gi, err)
+		}
+		for i, pe := range ext.PerPart {
+			if gp.OnMaster && i == 0 {
 				continue
 			}
-			var weights int64
-			for _, u := range units[gp.First : gp.Last+1] {
-				weights += u.ParamBytes
-			}
-			total += weights
-			total += tensor.SizeBytes(units[gp.First].InShape) + tensor.SizeBytes(units[gp.Last].OutShape)
-
-		case DimSpatial:
-			slices, err := SpatialSlices(units[gp.First:gp.Last+1], gp.Option.Parts)
-			if err != nil {
-				return 0, fmt.Errorf("partition: transfer bytes of group %d: %w", gi, err)
-			}
-			var weights int64
-			for _, u := range units[gp.First : gp.Last+1] {
-				weights += u.ParamBytes // replicated per worker
-			}
-			for i, ps := range slices {
-				if gp.OnMaster && i == 0 {
-					continue
-				}
-				total += weights + ps.InBytes + ps.OutBytes
-			}
-
-		case DimChannel:
-			slices, err := ChannelSlices(units[gp.First], gp.Option.Parts)
-			if err != nil {
-				return 0, fmt.Errorf("partition: transfer bytes of group %d: %w", gi, err)
-			}
-			for i, cs := range slices {
-				if gp.OnMaster && i == 0 {
-					continue
-				}
-				total += cs.ParamBytes + cs.InBytes + cs.OutBytes
-			}
-
-		default:
-			return 0, fmt.Errorf("partition: transfer bytes: unknown dimension %v", gp.Option.Dim)
+			total += pe.WeightBytes + pe.InBytes + pe.OutBytes
 		}
 	}
 	return total, nil

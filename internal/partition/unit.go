@@ -52,6 +52,20 @@ func (u *Unit) OutChannels() int { return u.OutShape[0] }
 // subgraph. The result must not be modified.
 func (u *Unit) NodeShapes() [][]int { return u.shapes }
 
+// NodeInShapes returns the shapes of a node's inputs within the unit: the
+// unit's input for graph.InputID, the producing node's output otherwise.
+func (u *Unit) NodeInShapes(node *graph.Node) [][]int {
+	ins := make([][]int, len(node.Inputs))
+	for i, in := range node.Inputs {
+		if in == graph.InputID {
+			ins[i] = u.InShape
+		} else {
+			ins[i] = u.shapes[in]
+		}
+	}
+	return ins
+}
+
 // OutHeight returns the spatial height of the unit output, or 0 for
 // non-spatial outputs.
 func (u *Unit) OutHeight() int {

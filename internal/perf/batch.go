@@ -35,7 +35,8 @@ type BatchPrediction struct {
 // PredictGroupBatch is PredictGroup at an explicit batch size; batch 1
 // reproduces PredictGroup bit-for-bit.
 func (m *Model) PredictGroupBatch(units []*partition.Unit, gp partition.GroupPlan, batch int) (GroupPrediction, error) {
-	return m.predictGroupBatch(units, gp, batch)
+	pred, _, err := m.predictGroupBatch(units, gp, batch)
+	return pred, err
 }
 
 // PredictPlanBatch estimates a full plan serving batches of the given size

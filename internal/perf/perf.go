@@ -135,18 +135,9 @@ func (m *Model) OpTimeMs(op nn.Op, inShapes [][]int) (float64, error) {
 // its operator predictions (§IV-A: "we infer its runtime by summing up all
 // the predicted layer execution times").
 func (m *Model) UnitTimeMs(u *partition.Unit) (float64, error) {
-	shapes := u.NodeShapes()
 	var total float64
 	for _, node := range u.Sub.Nodes() {
-		ins := make([][]int, len(node.Inputs))
-		for i, in := range node.Inputs {
-			if in < 0 {
-				ins[i] = u.InShape
-			} else {
-				ins[i] = shapes[in]
-			}
-		}
-		ms, err := m.OpTimeMs(node.Op, ins)
+		ms, err := m.OpTimeMs(node.Op, u.NodeInShapes(node))
 		if err != nil {
 			return 0, err
 		}
@@ -233,135 +224,111 @@ type GroupPrediction struct {
 // (Algorithm 1's latency oracle for a given parallelization option and
 // master participation).
 func (m *Model) PredictGroup(units []*partition.Unit, gp partition.GroupPlan) (GroupPrediction, error) {
-	return m.predictGroupBatch(units, gp, 1)
+	pred, _, err := m.predictGroupBatch(units, gp, 1)
+	return pred, err
 }
 
-// predictGroupBatch is PredictGroup with an explicit batch dimension:
-// compute and payload bytes scale with the batch, while the per-round
-// invocation overheads (request fan-out, EMG cold-path draws) are paid
-// once — the amortization cross-query batching buys. Every batch
-// scaling is a multiplication by float64(batch) or int64(batch), so
-// batch 1 reproduces the unbatched prediction bit-for-bit.
-func (m *Model) predictGroupBatch(units []*partition.Unit, gp partition.GroupPlan, batch int) (GroupPrediction, error) {
-	if batch < 1 {
-		return GroupPrediction{}, fmt.Errorf("perf: batch must be positive, got %d", batch)
-	}
-	bf, bi := float64(batch), int64(batch)
-	ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
-	if err != nil {
-		return GroupPrediction{}, err
-	}
-	var pred GroupPrediction
-	budget := int64(m.cfg.WeightBudgetMB) * 1e6
-	if ext.WeightBytes+ext.ActBytes*bi > budget {
-		pred.OOM = true
-		pred.OOMReason = fmt.Sprintf("partition weights+activations %d MB exceed budget %d MB",
-			(ext.WeightBytes+ext.ActBytes*bi)/1e6, budget/1e6)
-	}
-	baseMs, err := m.GroupComputeMs(units, gp.First, gp.Last)
-	if err != nil {
-		return GroupPrediction{}, err
-	}
-	baseMs *= bf
-	groupFLOPs := int64(0)
-	for _, u := range units[gp.First : gp.Last+1] {
-		groupFLOPs += u.FLOPs
-	}
-	scale := func(flops int64) float64 {
-		if groupFLOPs == 0 {
+// round is one group's fork-join round as the model prices it at a batch
+// size: worker i's request is out after offsets[i] (the upload prefix, the
+// whole upload after the last), it then computes for comps[i], while the
+// master computes masterMs of its own; downMs is the effective serialized
+// download. A whole group on a worker is a one-worker round, a whole group
+// on the master a round with no worker.
+type round struct {
+	offsets, comps         []float64
+	masterMs, upMs, downMs float64
+}
+
+// round decomposes the group gp, of extent ext and monolithic compute time
+// baseMs at the given batch, into its fork-join round. A partition computes
+// its share of baseMs by FLOPs (a whole group all of it); the master takes
+// partition 0 when the plan places it there, the workers the rest.
+func (m *Model) round(ext partition.Extent, gp partition.GroupPlan, baseMs float64, batch int64) round {
+	partMs := func(p partition.PartExtent) float64 {
+		switch {
+		case gp.Option.Dim == partition.DimNone:
+			return baseMs
+		case ext.GroupFLOPs == 0:
 			return 0
 		}
-		return baseMs * float64(flops) / float64(groupFLOPs)
+		return baseMs * float64(p.FLOPs) / float64(ext.GroupFLOPs)
 	}
-
-	if gp.Option.Dim == partition.DimNone {
-		if gp.OnMaster {
-			pred.LatencyMs = baseMs
-			return pred, nil
-		}
-		up := m.cfg.RequestOverheadMs + m.TransferMs(ext.InBytesTotal*bi)
-		over := m.MaxCommMs(1)
-		down := m.TransferMs(ext.OutBytesTotal * bi)
-		pred.UploadMs, pred.OverheadMs, pred.DownloadMs = up, over, down
-		pred.WorkerMs = []float64{baseMs}
-		pred.LatencyMs = up + over + baseMs + down
-		return pred, nil
-	}
-
-	// Parallel execution: collect per-partition compute and payloads.
-	type part struct {
-		flops   int64
-		in, out int64
-	}
-	var parts []part
-	switch gp.Option.Dim {
-	case partition.DimSpatial:
-		slices, err := partition.SpatialSlices(units[gp.First:gp.Last+1], gp.Option.Parts)
-		if err != nil {
-			return GroupPrediction{}, err
-		}
-		for _, ps := range slices {
-			parts = append(parts, part{flops: ps.FLOPs, in: ps.InBytes, out: ps.OutBytes})
-		}
-	case partition.DimChannel:
-		slices, err := partition.ChannelSlices(units[gp.First], gp.Option.Parts)
-		if err != nil {
-			return GroupPrediction{}, err
-		}
-		for _, cs := range slices {
-			parts = append(parts, part{flops: cs.FLOPs, in: cs.InBytes, out: cs.OutBytes})
-		}
-	default:
-		return GroupPrediction{}, fmt.Errorf("perf: unknown option %v", gp.Option)
-	}
-
-	workerParts := parts
-	var masterMs float64
+	var r round
+	workers := ext.PerPart
 	if gp.OnMaster {
-		masterMs = scale(parts[0].flops)
-		workerParts = parts[1:]
+		r.masterMs = partMs(workers[0])
+		workers = workers[1:]
 	}
-	var upTotal, downTotal, maxPartDown float64
-	offsets := make([]float64, 0, len(workerParts))
-	comps := make([]float64, 0, len(workerParts))
-	for _, wp := range workerParts {
-		upTotal += m.cfg.RequestOverheadMs + m.TransferMs(wp.in*bi)
-		offsets = append(offsets, upTotal) // upload prefix: when this worker's request is out
-		d := m.TransferMs(wp.out * bi)
+	if len(workers) == 0 {
+		return r
+	}
+	r.offsets = make([]float64, 0, len(workers))
+	r.comps = make([]float64, 0, len(workers))
+	var downTotal, maxPartDown float64
+	for _, p := range workers {
+		r.upMs += m.cfg.RequestOverheadMs + m.TransferMs(p.InBytes*batch)
+		r.offsets = append(r.offsets, r.upMs)
+		d := m.TransferMs(p.OutBytes * batch)
 		downTotal += d
 		if d > maxPartDown {
 			maxPartDown = d
 		}
-		ms := scale(wp.flops)
-		pred.WorkerMs = append(pred.WorkerMs, ms)
-		comps = append(comps, ms)
+		r.comps = append(r.comps, partMs(p))
 	}
-	over := m.MaxCommMs(len(workerParts))
 	// Workers start staggered by their upload slots, so their responses
 	// partially drain the downlink before the last worker finishes; the
 	// effective serialized tail is between one response and the full total.
-	downEff := (downTotal + maxPartDown) / 2
-	pred.UploadMs, pred.OverheadMs, pred.DownloadMs = upTotal, over, downEff
+	r.downMs = (downTotal + maxPartDown) / 2
+	return r
+}
 
+// predictGroupBatch is PredictGroup with an explicit batch dimension, also
+// returning the group's extent: compute and payload bytes scale with the
+// batch, while the per-round invocation overheads (request fan-out, EMG
+// cold-path draws) are paid once — the amortization cross-query batching
+// buys. Every batch scaling is a multiplication by float64(batch) or
+// int64(batch), so batch 1 reproduces the unbatched prediction bit-for-bit.
+func (m *Model) predictGroupBatch(units []*partition.Unit, gp partition.GroupPlan, batch int) (GroupPrediction, partition.Extent, error) {
+	if batch < 1 {
+		return GroupPrediction{}, partition.Extent{}, fmt.Errorf("perf: batch must be positive, got %d", batch)
+	}
+	ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
+	if err != nil {
+		return GroupPrediction{}, partition.Extent{}, err
+	}
+	var pred GroupPrediction
+	budget := int64(m.cfg.WeightBudgetMB) * 1e6
+	if need := ext.ResidentBytes(batch); need > budget {
+		pred.OOM = true
+		pred.OOMReason = fmt.Sprintf("partition weights+activations %d MB exceed budget %d MB", need/1e6, budget/1e6)
+	}
+	baseMs, err := m.GroupComputeMs(units, gp.First, gp.Last)
+	if err != nil {
+		return GroupPrediction{}, partition.Extent{}, err
+	}
+	bi := int64(batch)
+	r := m.round(ext, gp, baseMs*float64(batch), bi)
+	pred.WorkerMs = r.comps
+	pred.UploadMs, pred.OverheadMs, pred.DownloadMs = r.upMs, m.MaxCommMs(len(r.comps)), r.downMs
+	switch {
+	case len(r.comps) == 0: // whole group on the master
+		pred.LatencyMs = r.masterMs
+		return pred, ext, nil
+	case gp.Option.Dim == partition.DimNone:
+		pred.LatencyMs = r.upMs + pred.OverheadMs + r.comps[0] + r.downMs
+		return pred, ext, nil
+	}
 	// Fork-join completion: the expected maximum over workers of
 	// (upload prefix + EMG overhead + compute), by order statistics over
 	// the fitted distribution with deterministic offsets; the master
 	// computes its own partition concurrently with the uploads.
-	workerSide := m.expectedForkJoinMs(offsets, comps) + downEff
-	masterSide := masterMs
-	if upTotal > masterSide {
-		masterSide = upTotal
-	}
-	if masterSide > workerSide {
-		pred.LatencyMs = masterSide
-	} else {
-		pred.LatencyMs = workerSide
-	}
+	workerSide := m.expectedForkJoinMs(r.offsets, r.comps) + r.downMs
+	pred.LatencyMs = max(r.masterMs, r.upMs, workerSide)
 	// Reassembly (memory-bandwidth bound concatenation).
 	if m.cfg.MemGBps > 0 {
 		pred.LatencyMs += float64(ext.OutBytesTotal*bi) / 1e9 / m.cfg.MemGBps * 1000
 	}
-	return pred, nil
+	return pred, ext, nil
 }
 
 // PlanPrediction is the model's estimate for a complete strategy.
@@ -397,7 +364,7 @@ func (m *Model) predictPlanBatch(units []*partition.Unit, plan *partition.Plan, 
 	budget := int64(m.cfg.WeightBudgetMB) * 1e6
 	var masterBytes int64
 	for _, gp := range plan.Groups {
-		pred, err := m.predictGroupBatch(units, gp, batch)
+		pred, ext, err := m.predictGroupBatch(units, gp, batch)
 		if err != nil {
 			return PlanPrediction{}, err
 		}
@@ -407,21 +374,17 @@ func (m *Model) predictPlanBatch(units []*partition.Unit, plan *partition.Plan, 
 			out.OOM, out.OOMReason = true, pred.OOMReason
 		}
 		if gp.OnMaster {
-			ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
-			if err != nil {
-				return PlanPrediction{}, err
-			}
 			masterBytes += ext.WeightBytes
 		}
 		for _, wms := range pred.WorkerMs {
-			out.BilledMs += billedMs(wms, m.cfg.BillingGranMs)
+			out.BilledMs += platform.Billed(wms, m.cfg.BillingGranMs)
 		}
 	}
 	if masterBytes > budget && !out.OOM {
 		out.OOM = true
 		out.OOMReason = fmt.Sprintf("master resident weights %d MB exceed budget %d MB", masterBytes/1e6, budget/1e6)
 	}
-	out.BilledMs += billedMs(out.LatencyMs, m.cfg.BillingGranMs)
+	out.BilledMs += platform.Billed(out.LatencyMs, m.cfg.BillingGranMs)
 	return out, nil
 }
 
@@ -430,11 +393,4 @@ func (m *Model) predictPlanBatch(units []*partition.Unit, plan *partition.Plan, 
 // fit the weight budget.
 func (m *Model) PredictDefault(units []*partition.Unit) (PlanPrediction, error) {
 	return m.PredictPlan(units, partition.DefaultPlan("default", units))
-}
-
-func billedMs(ms float64, gran int64) int64 {
-	if ms <= 0 {
-		return 0
-	}
-	return int64(math.Ceil(ms/float64(gran))) * gran
 }

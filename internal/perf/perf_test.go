@@ -72,19 +72,8 @@ func TestUnitTimeAccuracy(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			pred += ms
-			shapes, err := u.Sub.Shapes()
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, node := range u.Sub.Nodes() {
-				ins := make([][]int, len(node.Inputs))
-				for i, in := range node.Inputs {
-					if in < 0 {
-						ins[i] = u.InShape
-					} else {
-						ins[i] = shapes[in]
-					}
-				}
+				ins := u.NodeInShapes(node)
 				fl := node.Op.FLOPs(ins...)
 				var bytes int64
 				for _, s := range ins {

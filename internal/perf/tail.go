@@ -28,77 +28,18 @@ func (m *Model) PredictPlanTail(units []*partition.Unit, plan *partition.Plan, t
 	if trials < 100 {
 		trials = 100
 	}
-	// Precompute deterministic per-group structure once.
-	type groupSim struct {
-		local    bool    // whole group on the master
-		baseMs   float64 // monolithic compute time
-		offsets  []float64
-		comps    []float64
-		masterMs float64
-		downEff  float64
-		remoteUp float64 // DimNone-on-worker upload
-	}
-	sims := make([]groupSim, 0, len(plan.Groups))
-	for _, gp := range plan.Groups {
-		pred, err := m.PredictGroup(units, gp)
+	// Decompose every group's round once; only the draws vary by trial.
+	rounds := make([]round, len(plan.Groups))
+	for gi, gp := range plan.Groups {
+		ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
 		if err != nil {
 			return TailPrediction{}, err
 		}
-		gs := groupSim{downEff: pred.DownloadMs}
 		baseMs, err := m.GroupComputeMs(units, gp.First, gp.Last)
 		if err != nil {
 			return TailPrediction{}, err
 		}
-		gs.baseMs = baseMs
-		switch {
-		case gp.Option.Dim == partition.DimNone && gp.OnMaster:
-			gs.local = true
-		case gp.Option.Dim == partition.DimNone:
-			gs.remoteUp = pred.UploadMs
-			gs.comps = []float64{baseMs}
-		default:
-			groupFLOPs := int64(0)
-			for _, u := range units[gp.First : gp.Last+1] {
-				groupFLOPs += u.FLOPs
-			}
-			var parts []struct{ flops, in int64 }
-			switch gp.Option.Dim {
-			case partition.DimSpatial:
-				slices, err := partition.SpatialSlices(units[gp.First:gp.Last+1], gp.Option.Parts)
-				if err != nil {
-					return TailPrediction{}, err
-				}
-				for _, ps := range slices {
-					parts = append(parts, struct{ flops, in int64 }{ps.FLOPs, ps.InBytes})
-				}
-			case partition.DimChannel:
-				slices, err := partition.ChannelSlices(units[gp.First], gp.Option.Parts)
-				if err != nil {
-					return TailPrediction{}, err
-				}
-				for _, cs := range slices {
-					parts = append(parts, struct{ flops, in int64 }{cs.FLOPs, cs.InBytes})
-				}
-			}
-			scale := func(fl int64) float64 {
-				if groupFLOPs == 0 {
-					return 0
-				}
-				return baseMs * float64(fl) / float64(groupFLOPs)
-			}
-			workerParts := parts
-			if gp.OnMaster {
-				gs.masterMs = scale(parts[0].flops)
-				workerParts = parts[1:]
-			}
-			var up float64
-			for _, wp := range workerParts {
-				up += m.cfg.RequestOverheadMs + m.TransferMs(wp.in)
-				gs.offsets = append(gs.offsets, up)
-				gs.comps = append(gs.comps, scale(wp.flops))
-			}
-		}
-		sims = append(sims, gs)
+		rounds[gi] = m.round(ext, gp, baseMs, 1)
 	}
 
 	noise := func(rng *rand.Rand) float64 {
@@ -111,21 +52,21 @@ func (m *Model) PredictPlanTail(units []*partition.Unit, plan *partition.Plan, t
 	lat := make([]float64, trials)
 	for t := range lat {
 		var total float64
-		for _, gs := range sims {
+		for gi, r := range rounds {
 			switch {
-			case gs.local:
-				total += gs.baseMs * noise(rng)
-			case gs.remoteUp > 0:
-				total += gs.remoteUp + m.comm.Sample(rng) + gs.comps[0]*noise(rng) + gs.downEff
+			case len(r.comps) == 0: // whole group on the master
+				total += r.masterMs * noise(rng)
+			case plan.Groups[gi].Option.Dim == partition.DimNone:
+				total += r.upMs + m.comm.Sample(rng) + r.comps[0]*noise(rng) + r.downMs
 			default:
-				worst := gs.masterMs * noise(rng)
-				for i, off := range gs.offsets {
-					v := off + m.comm.Sample(rng) + gs.comps[i]*noise(rng)
+				worst := r.masterMs * noise(rng)
+				for i, off := range r.offsets {
+					v := off + m.comm.Sample(rng) + r.comps[i]*noise(rng)
 					if v > worst {
 						worst = v
 					}
 				}
-				total += worst + gs.downEff
+				total += worst + r.downMs
 			}
 		}
 		lat[t] = total

@@ -515,7 +515,7 @@ func (p *Platform) Prewarm(name string, n int) error {
 	}
 	var cost int64
 	if p.cfg.PrewarmMs > 0 {
-		cost = billed(p.cfg.PrewarmMs, p.cfg.BillingGranMs) * int64(n)
+		cost = Billed(p.cfg.PrewarmMs, p.cfg.BillingGranMs) * int64(n)
 		p.billedMs += cost
 		p.prewarmBilledMs += cost
 	}
@@ -892,7 +892,7 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		// trace invariants tolerate a child outliving its parent here.
 		esp.SetAttr("killed", "1")
 	}
-	res.BilledMs = billed(res.HandlerMs, p.cfg.BillingGranMs)
+	res.BilledMs = Billed(res.HandlerMs, p.cfg.BillingGranMs)
 	res.TotalBilledMs = res.BilledMs + ctx.children
 
 	// Settle the invocation exactly once: the instance returns to the warm
@@ -1007,13 +1007,14 @@ func (p *Platform) runHandler(proc *simnet.Proc, ctx *Ctx, f *Function, payload 
 	return out.resp, out.err, false
 }
 
-// billed rounds ms up to the next multiple of gran.
-func billed(ms float64, gran int64) int64 {
+// Billed rounds a duration of ms up to the next multiple of the billing
+// granule gran — what the platform charges for it, and what the performance
+// model and the planners predict it charges.
+func Billed(ms float64, gran int64) int64 {
 	if ms <= 0 {
 		return 0
 	}
-	units := int64(math.Ceil(ms / float64(gran)))
-	return units * gran
+	return int64(math.Ceil(ms/float64(gran))) * gran
 }
 
 func msToDur(ms float64) time.Duration {

@@ -341,8 +341,8 @@ func TestBilledRounding(t *testing.T) {
 		{99, 100, 100}, {100, 100, 100}, {101, 100, 200},
 	}
 	for _, c := range cases {
-		if got := billed(c.ms, c.gran); got != c.want {
-			t.Errorf("billed(%v,%d) = %d, want %d", c.ms, c.gran, got, c.want)
+		if got := Billed(c.ms, c.gran); got != c.want {
+			t.Errorf("Billed(%v,%d) = %d, want %d", c.ms, c.gran, got, c.want)
 		}
 	}
 }
@@ -361,7 +361,7 @@ func TestInvocationNameInErrors(t *testing.T) {
 
 func TestZeroMsHandlerBillsNothing(t *testing.T) {
 	// A handler that returns without consuming any virtual time sits exactly
-	// on the 0-ms boundary: billed(0, gran) must be 0, not one granule.
+	// on the 0-ms boundary: Billed(0, gran) must be 0, not one granule.
 	runSim(t, fastCfg(), 12, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("noop", func(ctx *Ctx, in Payload) (Payload, error) {
 			return Payload{}, nil

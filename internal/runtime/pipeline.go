@@ -63,12 +63,16 @@ func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode
 			return nil, fmt.Errorf("runtime: unit %d (%s) alone exceeds the function budget; pipeline infeasible", i, u.Name)
 		}
 		if weight+u.ParamBytes+act > budget && i > first {
-			d.appendChunk(units, first, i-1)
+			if err := d.appendChunk(units, first, i-1); err != nil {
+				return nil, err
+			}
 			first, weight = i, 0
 		}
 		weight += u.ParamBytes
 	}
-	d.appendChunk(units, first, len(units)-1)
+	if err := d.appendChunk(units, first, len(units)-1); err != nil {
+		return nil, err
+	}
 
 	for _, c := range d.chunks {
 		p.Seed(c.key, platform.Object{Bytes: c.weightBytes})
@@ -79,20 +83,19 @@ func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode
 	return d, nil
 }
 
-func (d *PipelineDeployment) appendChunk(units []*partition.Unit, first, last int) {
+func (d *PipelineDeployment) appendChunk(units []*partition.Unit, first, last int) error {
 	c := pipelineChunk{first: first, last: last}
 	for _, u := range units[first : last+1] {
 		c.weightBytes += u.ParamBytes
 		c.flops += u.FLOPs
 	}
-	gr, err := buildGroupRuntime(units, partition.GroupPlan{
-		First: first, Last: last, Option: partition.Option{Dim: partition.DimNone, Parts: 1},
-	})
-	if err == nil {
-		c.opBytes = gr.opBytes
+	var err error
+	if c.opBytes, err = groupOpBytes(units[first : last+1]); err != nil {
+		return err
 	}
 	c.key = fmt.Sprintf("%s/chunk%d", d.prefix, len(d.chunks))
 	d.chunks = append(d.chunks, c)
+	return nil
 }
 
 // Chunks returns the number of storage-staged stages.

@@ -42,21 +42,12 @@ const (
 
 // groupRuntime precomputes everything a group needs at query time.
 type groupRuntime struct {
-	gp          partition.GroupPlan
-	units       []*partition.Unit
-	flops       int64 // monolithic group FLOPs
-	opBytes     int64 // monolithic bytes touched
-	opCount     int   // number of ops (dispatch overheads)
-	spatial     []partition.PartSlice
-	channel     []partition.ChannelSlice
-	inBytes     int64 // full group input payload
-	outBytes    int64 // full group output payload
-	outShape    []int
-	weightBytes int64   // partition weight bytes (fallback fetch size)
-	partFLOPs   []int64 // per partition
-	partIn      []int64
-	partOut     []int64
-	workers     []string // worker function name per partition
+	gp      partition.GroupPlan
+	units   []*partition.Unit
+	ext     partition.Extent // per-partition FLOPs and payloads
+	slices  partition.Slices // what Real mode executes per partition
+	opBytes int64            // monolithic bytes touched
+	workers []string         // worker function name per partition
 }
 
 // Deployment is a model served under a plan on a platform.
@@ -127,22 +118,23 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 
 	var masterBytes int64
 	for gi, gp := range plan.Groups {
-		gr, err := buildGroupRuntime(units, gp)
+		ext, slices, err := partition.GroupSlices(units, gp.First, gp.Last, gp.Option)
 		if err != nil {
 			return nil, err
 		}
-		ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
-		if err != nil {
-			return nil, err
-		}
-		if ext.WeightBytes+ext.ActBytes > budget {
+		if need := ext.ResidentBytes(1); need > budget {
 			return nil, fmt.Errorf("runtime: group %d partition needs %d MB, exceeding the %d MB function budget (%w)",
-				gi, (ext.WeightBytes+ext.ActBytes)/1e6, budget/1e6, ErrOOM)
+				gi, need/1e6, budget/1e6, ErrOOM)
 		}
 		if gp.OnMaster {
 			masterBytes += ext.WeightBytes
 		}
-		gr.weightBytes = ext.WeightBytes
+		group := units[gp.First : gp.Last+1]
+		opBytes, err := groupOpBytes(group)
+		if err != nil {
+			return nil, err
+		}
+		gr := &groupRuntime{gp: gp, units: group, ext: ext, slices: slices, opBytes: opBytes}
 		gr.workers = make([]string, gp.Option.Parts)
 		for part := range gr.workers {
 			gr.workers[part] = fmt.Sprintf("%s-g%d-p%d", d.prefix, gi, part)
@@ -163,7 +155,7 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		// the master can degrade gracefully when that worker is down.
 		for gi, gr := range d.groups {
 			if gr.gp.Option.Dim == partition.DimNone && !gr.gp.OnMaster {
-				p.Seed(d.fallbackKey(gi), platform.Object{Bytes: gr.weightBytes})
+				p.Seed(d.fallbackKey(gi), platform.Object{Bytes: gr.ext.WeightBytes})
 			}
 		}
 	}
@@ -491,7 +483,7 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 	}
 	last := d.groups[len(d.groups)-1]
 	return platform.Payload{
-		Bytes: last.outBytes * int64(req.size),
+		Bytes: last.ext.OutBytesTotal * int64(req.size),
 		Data:  &response{outputs: cur, groupMs: groupMs, resil: *qs},
 	}, nil
 }
@@ -534,7 +526,7 @@ func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *reques
 // remoteRound runs a whole group on its single worker (with retries, and a
 // master-local fallback when graceful degradation is enabled).
 func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
-	wreq := platform.Payload{Bytes: gr.inBytes * int64(req.size), Data: d.workerReq(req, ins)}
+	wreq := platform.Payload{Bytes: gr.ext.InBytesTotal * int64(req.size), Data: d.workerReq(req, ins)}
 	res, err := d.callWorker(ctx.Proc(), ctx, gi, 0, wreq, qs, gsp)
 	if err != nil {
 		if d.opts.fallback {
@@ -568,7 +560,7 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 		if err != nil {
 			return fail(err)
 		}
-		wreq := platform.Payload{Bytes: gr.partIn[part] * size, Data: d.workerReq(req, slabs)}
+		wreq := platform.Payload{Bytes: gr.ext.PerPart[part].InBytes * size, Data: d.workerReq(req, slabs)}
 		pr, csp := d.launchWorker(ctx, gi, part, wreq, qs, gsp)
 		promises = append(promises, pr)
 		callSpans = append(callSpans, csp)
@@ -606,7 +598,7 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 	// Reassembly is memory-bandwidth work on the master, once per query.
 	rsp := gsp.Child(trace.KindCompute, "reassemble")
 	defer rsp.EndSpan()
-	ctx.ComputeOp(0, gr.outBytes*size)
+	ctx.ComputeOp(0, gr.ext.OutBytesTotal*size)
 	if d.mode != Real {
 		return nil, nil
 	}
@@ -650,7 +642,7 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 	if err != nil {
 		return platform.Payload{}, err
 	}
-	resp := platform.Payload{Bytes: gr.partOut[part] * int64(req.size)}
+	resp := platform.Payload{Bytes: gr.ext.PerPart[part].OutBytes * int64(req.size)}
 	if d.mode == Real {
 		resp.Data = &response{outputs: outs}
 	}
@@ -678,14 +670,14 @@ func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int,
 // cores).
 func (d *Deployment) computeScaled(ctx *platform.Ctx, gr *groupRuntime, frac float64, size int) {
 	bf := float64(size)
-	ctx.ComputeOp(int64(float64(gr.flops)*frac*bf/d.opts.speedup()), int64(float64(gr.opBytes)*frac*bf))
+	ctx.ComputeOp(int64(float64(gr.ext.GroupFLOPs)*frac*bf/d.opts.speedup()), int64(float64(gr.opBytes)*frac*bf))
 }
 
 func flopFrac(gr *groupRuntime, part int) float64 {
-	if gr.flops == 0 {
+	if gr.ext.GroupFLOPs == 0 {
 		return 0
 	}
-	return float64(gr.partFLOPs[part]) / float64(gr.flops)
+	return float64(gr.ext.PerPart[part].FLOPs) / float64(gr.ext.GroupFLOPs)
 }
 
 // partInputs slices every query's group input for a partition (nil in
@@ -696,7 +688,7 @@ func (d *Deployment) partInputs(gr *groupRuntime, part int, ins []*tensor.Tensor
 	}
 	slabs := make([]*tensor.Tensor, len(ins))
 	for e, in := range ins {
-		slab, err := partition.InputSlab(in, gr.spatial[part])
+		slab, err := partition.InputSlab(in, gr.slices.Spatial[part])
 		if err != nil {
 			return nil, err
 		}
@@ -722,11 +714,11 @@ func (d *Deployment) execPart(gr *groupRuntime, part int, ins []*tensor.Tensor, 
 func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slabs []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
 	obs := opEvents(sp)
 	if gr.gp.Option.Dim == partition.DimChannel {
-		return gr.channel[part].Sub.ForwardBatch(slabs, obs)
+		return gr.slices.Channel[part].Sub.ForwardBatch(slabs, obs)
 	}
 	outs := make([]*tensor.Tensor, len(slabs))
 	for e, slab := range slabs {
-		out, err := partition.ExecSpatialPart(gr.units, gr.spatial[part], slab, obs)
+		out, err := partition.ExecSpatialPart(gr.units, gr.slices.Spatial[part], slab, obs)
 		if err != nil {
 			return nil, err
 		}
@@ -750,65 +742,19 @@ func (d *Deployment) tensorsOf(p platform.Payload, size int) ([]*tensor.Tensor, 
 	return r.outputs, nil
 }
 
-// buildGroupRuntime precomputes a group's slices, FLOPs and payload sizes.
-func buildGroupRuntime(units []*partition.Unit, gp partition.GroupPlan) (*groupRuntime, error) {
-	group := units[gp.First : gp.Last+1]
-	gr := &groupRuntime{gp: gp, units: group}
+// groupOpBytes is the bytes the ops of a group touch when it runs whole.
+func groupOpBytes(group []*partition.Unit) (int64, error) {
+	var total int64
 	for _, u := range group {
-		gr.flops += u.FLOPs
-		shapes := u.NodeShapes()
 		for _, node := range u.Sub.Nodes() {
-			ins := make([][]int, len(node.Inputs))
-			for i, in := range node.Inputs {
-				if in < 0 {
-					ins[i] = u.InShape
-				} else {
-					ins[i] = shapes[in]
-				}
-			}
-			b, err := profile.OpBytes(node.Op, ins)
+			b, err := profile.OpBytes(node.Op, u.NodeInShapes(node))
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			gr.opBytes += b
-			gr.opCount++
+			total += b
 		}
 	}
-	gr.inBytes = tensor.SizeBytes(group[0].InShape)
-	gr.outBytes = tensor.SizeBytes(group[len(group)-1].OutShape)
-	gr.outShape = group[len(group)-1].OutShape
-
-	switch gp.Option.Dim {
-	case partition.DimNone:
-		gr.partFLOPs = []int64{gr.flops}
-		gr.partIn = []int64{gr.inBytes}
-		gr.partOut = []int64{gr.outBytes}
-	case partition.DimSpatial:
-		slices, err := partition.SpatialSlices(group, gp.Option.Parts)
-		if err != nil {
-			return nil, err
-		}
-		gr.spatial = slices
-		for _, ps := range slices {
-			gr.partFLOPs = append(gr.partFLOPs, ps.FLOPs)
-			gr.partIn = append(gr.partIn, ps.InBytes)
-			gr.partOut = append(gr.partOut, ps.OutBytes)
-		}
-	case partition.DimChannel:
-		slices, err := partition.ChannelSlices(group[0], gp.Option.Parts)
-		if err != nil {
-			return nil, err
-		}
-		gr.channel = slices
-		for _, cs := range slices {
-			gr.partFLOPs = append(gr.partFLOPs, cs.FLOPs)
-			gr.partIn = append(gr.partIn, cs.InBytes)
-			gr.partOut = append(gr.partOut, cs.OutBytes)
-		}
-	default:
-		return nil, fmt.Errorf("runtime: unknown option %v", gp.Option)
-	}
-	return gr, nil
+	return total, nil
 }
 
 // DeployDefault deploys the Default baseline: the whole model in a single

@@ -10,7 +10,7 @@
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./internal/platform ./internal/simnet \
 	./internal/bench ./internal/trace ./internal/trace/tracetest \
-	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh
+	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh ./cmd/gillis-server
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
 
@@ -90,7 +90,9 @@ procs:
 # process that leaves its Env's goroutine, or a second goroutine reaching into
 # a platform, gateway, mesh, deployment or trace, is a reported data race here
 # (TestConcurrentEnvsOwnTheirState drives eight Envs at once for it), where a
-# mutex around the state would have hidden it.
+# mutex around the state would have hidden it. gillis-server's resident
+# engines pass from one request goroutine to the next through a channel;
+# TestConcurrentPredicts drives eight callers through them.
 race:
 	$(GO) test -race $(RACE_PKGS)
 

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"gillis/internal/graph"
 	"gillis/internal/modelio"
 	"gillis/internal/models"
 	"gillis/internal/tensor"
@@ -33,7 +34,25 @@ func BenchmarkServeResnet34(b *testing.B) {
 		b.Fatal(err)
 	}
 	g.Init(7)
-	path := filepath.Join(b.TempDir(), "resnet34.glsm")
+	benchServe(b, g)
+}
+
+// BenchmarkServeSmall is the http_small twin: the demo model, where the
+// serving path around the forward — decoding, the engine's gateway replay,
+// encoding — is most of the cost.
+//
+//	go test ./cmd/gillis-server -run xxx -bench ServeSmall -benchtime 20000x -benchmem -cpuprofile cpu.pprof
+func BenchmarkServeSmall(b *testing.B) {
+	g := demoModel()
+	g.Init(7)
+	benchServe(b, g)
+}
+
+// benchServe saves g to a model file, serves it as `-modelfile` does, and
+// runs b.N requests from two closed-loop callers, each reply checked bit for
+// bit against g.Forward.
+func benchServe(b *testing.B, g *graph.Graph) {
+	path := filepath.Join(b.TempDir(), g.Name+".glsm")
 	if err := modelio.SaveFile(path, g, true); err != nil {
 		b.Fatal(err)
 	}

@@ -117,8 +117,11 @@ func TestDecodePredictRequestLimits(t *testing.T) {
 // case the fast path must hand over: decimals within its limits whose float64
 // is exactly half-way between two float32s, and their neighbours.
 func TestDecoderFloat32MatchesParseFloat(t *testing.T) {
+	// One goroutine gives the race detector nothing to check here, and it
+	// makes the full count a minute of `make race`.
+	short := testing.Short() || raceOn
 	rounds := 520_000
-	if testing.Short() {
+	if short {
 		rounds = 20_000
 	}
 	checked, fast, halfway := 0, 0, 0
@@ -218,7 +221,7 @@ func TestDecoderFloat32MatchesParseFloat(t *testing.T) {
 		check(strconv.AppendFloat(buf[:0], float64(math.Float32frombits(rng.Uint32()>>9)), 'e', 2+rng.Intn(8), 64))
 		check(strconv.AppendFloat(buf[:0], math.MaxFloat32*(1+(rng.Float64()-0.5)*1e-6), 'e', 5+rng.Intn(12), 64))
 	}
-	if !testing.Short() && checked < 5_000_000 {
+	if !short && checked < 5_000_000 {
 		t.Fatalf("%d tokens checked, want at least five million", checked)
 	}
 	if fast < checked/4 || halfway < rounds/4 {

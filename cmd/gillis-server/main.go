@@ -1,9 +1,10 @@
 // Command gillis-server exposes a Gillis deployment over HTTP: real
 // inference (exact tensor math) runs through the serving gateway and the
-// fork-join runtime on the simulated serverless platform, per request. It
-// demonstrates the end-to-end serving path a production front end would
-// wrap around Gillis, and its /v1/metrics endpoint aggregates the
-// gateway's admission and SLO counters across requests.
+// fork-join runtime on a simulated serverless platform that stays resident
+// between requests. It demonstrates the end-to-end serving path a
+// production front end would wrap around Gillis, and its /v1/metrics
+// endpoint aggregates the gateway's admission and SLO counters across
+// requests.
 //
 // Endpoints:
 //
@@ -27,6 +28,13 @@
 // use, hitting residency afterwards — and the mesh.hits / mesh.misses /
 // mesh.loads counters aggregate in /v1/metrics. Requests without a model
 // field keep serving the primary model exactly as before.
+//
+// The server keeps one serving engine per GOMAXPROCS: a simulation with the
+// platform, the prewarmed primary deployment and, with -catalog, the mesh,
+// built at start-up. A request takes a free engine, is admitted at that
+// engine's virtual now, and hands the engine back, so warm instances, mesh
+// residency and the platform's random streams carry over from one request
+// to the next on the same engine.
 package main
 
 import (
@@ -38,6 +46,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	goruntime "runtime"
 	"strings"
 	"time"
 
@@ -71,17 +80,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gillis-server:", err)
 		os.Exit(1)
 	}
-	log.Printf("serving %s on %s (platform %s, %d plan groups, %d catalog models)",
-		srv.model.Name, *addr, *platformName, len(srv.plan.Groups), len(srv.catalog))
-	log.Printf("convolution kernel: %s", nn.KernelName())
+	log.Printf("serving %s on %s (platform %s, %d plan groups, %d catalog models, %d engines, convolution kernel %s)",
+		srv.model.Name, *addr, *platformName, len(srv.plan.Groups), len(srv.catalog), cap(srv.engines), nn.KernelName())
 	log.Fatal(http.ListenAndServe(*addr, srv.mux()))
 }
 
 // server holds the loaded model and its plan; each request runs one
-// simulated fork-join inference with real tensor math, admitted through
-// the serving gateway. metrics is shared across the per-request platforms,
-// so /v1/metrics aggregates both platform and gateway counters over the
-// server's lifetime.
+// simulated fork-join inference with real tensor math on a resident engine,
+// admitted through the serving gateway. metrics is shared by every engine's
+// platform, so /v1/metrics aggregates both platform and gateway counters
+// over the server's lifetime.
 type server struct {
 	model   *graph.Graph
 	units   []*partition.Unit
@@ -95,6 +103,19 @@ type server struct {
 	// ID to its input shape.
 	catalog   []mesh.ModelSpec
 	catalogIn map[string][]int
+	// engines is the free list: GOMAXPROCS engines, so as many requests
+	// compute at once as there are threads to run their forwards.
+	engines chan *engine
+}
+
+// engine is one resident simulation: an Env with a platform on it, the
+// primary model deployed and prewarmed on that platform, and with -catalog a
+// mesh on the same platform that the whole catalog is registered with. Like
+// any Env it takes no lock (DESIGN §3): it belongs to the goroutine that took
+// it from the free list until that goroutine puts it back.
+type engine struct {
+	primary *runtime.Deployment
+	mesh    *mesh.Mesh // nil without -catalog
 }
 
 func newServer(modelFile, platformName string, seed int64, sloMs float64, catalog string) (*server, error) {
@@ -140,8 +161,70 @@ func newServer(modelFile, platformName string, seed int64, sloMs float64, catalo
 	for _, spec := range specs {
 		catalogIn[spec.ID] = spec.Units[0].InShape
 	}
-	return &server{model: g, units: units, plan: plan, cfg: cfg, seed: seed, sloMs: sloMs,
-		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn}, nil
+	s := &server{model: g, units: units, plan: plan, cfg: cfg, seed: seed, sloMs: sloMs,
+		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn}
+	n := goruntime.GOMAXPROCS(0)
+	s.engines = make(chan *engine, n)
+	for i := 0; i < n; i++ {
+		e, err := s.newEngine()
+		if err != nil {
+			return nil, err
+		}
+		s.engines <- e
+	}
+	return s, nil
+}
+
+// newEngine builds one engine. Its platform records into the server's
+// registry. The primary model is prewarmed (§III-A's warm-up pings) and
+// every catalog model is registered with a single-instance mesh; nothing is
+// resident there until a request loads it.
+func (s *server) newEngine() (*engine, error) {
+	p := platform.New(simnet.NewEnv(), s.cfg, s.seed)
+	p.UseMetrics(s.metrics)
+	d, err := runtime.Deploy(p, s.units, s.plan, runtime.Real)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Prewarm(); err != nil {
+		return nil, err
+	}
+	e := &engine{primary: d}
+	if len(s.catalog) > 0 {
+		e.mesh, err = mesh.New(p, mesh.Config{
+			Instances:     1,
+			InstanceMemMB: s.cfg.WeightBudgetMB,
+			Mode:          runtime.Real,
+		}, s.catalog)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// withEngine runs fn on an engine taken from the free list and puts an
+// engine back on every path. An engine fn has failed on, or panicked on, may
+// hold a simulation stopped part-way (processes parked for ever, a queue
+// half-served), so a freshly built one takes its place; were the engine
+// simply lost, the pool would shrink with every such request until the
+// server hung.
+func (s *server) withEngine(fn func(*engine) error) error {
+	e := <-s.engines
+	clean := false
+	defer func() {
+		if !clean {
+			// A rebuild fails only where the start-up build did; then the
+			// old engine goes back, so its requests fail instead of hanging.
+			if fresh, err := s.newEngine(); err == nil {
+				e = fresh
+			}
+		}
+		s.engines <- e
+	}()
+	err := fn(e)
+	clean = err == nil
+	return err
 }
 
 // catalogSpecs resolves the -catalog list into mesh catalog entries: each
@@ -314,44 +397,33 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return buf, err
 }
 
-// infer runs one inference with real tensor math on a fresh simulation, as a
-// single-arrival replay through the serving gateway, so the gateway's
-// admission and SLO counters accumulate in the shared metrics registry. The
-// primary model (model == "") is deployed under its plan and prewarmed. A
-// catalog model is routed by a single-instance mesh the whole catalog is
-// registered with: the model is loaded (billed like autoscaler prewarming)
-// and the mesh's hit/miss/load counters accumulate in the registry too.
+// infer runs one inference with real tensor math on a resident engine, as a
+// single-arrival replay through the serving gateway admitted at the engine's
+// virtual now, so the gateway's admission and SLO counters accumulate in the
+// shared metrics registry. The primary model (model == "") is served by the
+// engine's prewarmed deployment. A catalog model is routed by the engine's
+// mesh: loaded on the engine's first request for it (billed like autoscaler
+// prewarming), resident afterwards, and the mesh's hit/miss/load counters
+// accumulate in the registry too.
 func (s *server) infer(model string, input *tensor.Tensor) (*predictResponse, error) {
-	p := platform.New(simnet.NewEnv(), s.cfg, s.seed)
-	p.UseMetrics(s.metrics)
 	cfg := gateway.Config{
 		MaxInFlight: 1,
 		SLOMs:       s.sloMs,
 		Input:       func(int) *tensor.Tensor { return input },
 	}
-	var backend gateway.Backend
-	if model == "" {
-		d, err := runtime.Deploy(p, s.units, s.plan, runtime.Real)
-		if err != nil {
-			return nil, err
+	var outs []gateway.Outcome
+	err := s.withEngine(func(e *engine) error {
+		var backend gateway.Backend = e.primary
+		if model != "" {
+			backend, cfg.Router = e.mesh, e.mesh
+			cfg.Model = func(int) string { return model }
 		}
-		if err := d.Prewarm(); err != nil {
-			return nil, err
-		}
-		backend = d
-	} else {
-		m, err := mesh.New(p, mesh.Config{
-			Instances:     1,
-			InstanceMemMB: s.cfg.WeightBudgetMB,
-			Mode:          runtime.Real,
-		}, s.catalog)
-		if err != nil {
-			return nil, err
-		}
-		backend, cfg.Router = m, m
-		cfg.Model = func(int) string { return model }
-	}
-	_, outs, err := gateway.Run(backend, []time.Duration{0}, cfg)
+		var err error
+		// The dispatcher sleeps to each arrival instant, so an arrival at 0
+		// on a clock already past it is admitted at the engine's now.
+		_, outs, err = gateway.Run(backend, []time.Duration{0}, cfg)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

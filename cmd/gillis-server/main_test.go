@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -203,8 +204,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestPredictCatalogModel pins the multi-model mesh wiring: a -catalog
 // server routes model-tagged requests through the mesh with real tensor
-// math, reports the served model, surfaces the mesh counters in
-// /v1/metrics, and rejects models outside the catalog.
+// math, reports the served model, keeps a loaded model resident on its
+// engine, surfaces the mesh counters in /v1/metrics, and rejects models
+// outside the catalog.
 func TestPredictCatalogModel(t *testing.T) {
 	s, err := newServer("", "lambda", 1, 0, "rnn-tiny2")
 	if err != nil {
@@ -254,6 +256,26 @@ func TestPredictCatalogModel(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-3 {
 		t.Fatalf("softmax output sums to %v", sum)
+	}
+
+	// Each engine loads the model on its first request for it; every later
+	// request on that engine finds it resident.
+	engines := runtime.GOMAXPROCS(0)
+	k := 2*engines + 1
+	for i := 1; i < k; i++ {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, resp.StatusCode)
+		}
+	}
+	hits, loads := s.metrics.Counter("mesh.hits").Value(), s.metrics.Counter("mesh.loads.rnn-tiny2").Value()
+	if hits < int64(k-engines) || loads > int64(engines) {
+		t.Errorf("%d requests on %d engines: %d mesh hits and %d loads, want at least %d and at most %d",
+			k, engines, hits, loads, k-engines, engines)
 	}
 
 	// A model outside the catalog is a client error, and so is a shape that

@@ -12,7 +12,9 @@
 // that will call Run until Run starts, and from then on only by the process
 // Run has resumed or by an At callback, which runs on Run's own goroutine.
 // A process may block on real synchronisation of its own (a par.For join)
-// but must not let another goroutine touch the Env.
+// but must not let another goroutine touch the Env. Between two Runs the Env
+// may change hands, to one goroutine at a time, through something that
+// orders the handover (a channel send and receive).
 //
 // The serverless platform simulator (package platform) and the fork-join
 // serving runtime (package runtime) are built on this kernel.
@@ -32,9 +34,8 @@ type Env struct {
 	events   []event // binary min-heap on (at, seq)
 	seq      int64
 	stampSeq int64
-	steps    int // events popped plus sleeps continued in place (the Gosched cadence)
-	parked   int // processes parked on promises or resources (not only on the clock)
-	started  bool
+	steps    int     // events popped plus sleeps continued in place (the Gosched cadence)
+	parked   int     // processes parked on promises or resources (not only on the clock)
 	idle     []*Proc // processes whose body returned, coroutine and all, ready for the next Go
 }
 
@@ -131,7 +132,7 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() time.Duration { return p.env.now }
 
 // Go schedules fn as a new process starting at the current virtual time.
-// It can be called before Run or from within a running process.
+// It can be called before or between Runs, or from within a running process.
 func (e *Env) Go(name string, fn func(*Proc)) {
 	var p *Proc
 	if n := len(e.idle); n > 0 {
@@ -200,11 +201,13 @@ func (e *Env) step() {
 // Run executes the simulation until no events remain. It returns an error if
 // processes remain parked on unresolved promises when the event queue drains
 // (a deadlock). A panic in a process or callback surfaces here.
+//
+// Run may be called again once it has returned, after Go or At has queued
+// more work: the later Run continues from the clock, the event sequence and
+// the Stamp sequence where the last drain stopped. Each drain stops the
+// coroutines of the processes that finished, so an Env between Runs holds no
+// goroutine but those of processes still parked.
 func (e *Env) Run() error {
-	if e.started {
-		return fmt.Errorf("simnet: Run called twice")
-	}
-	e.started = true
 	defer func() {
 		for _, p := range e.idle {
 			p.stop()

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -369,13 +370,30 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestRunTwiceFails(t *testing.T) {
+// TestRunContinuesWhereItStopped: a Run after a drain, with more work queued
+// by Go, starts from the clock, the event sequence and the stamp sequence the
+// first one left, and again stops the coroutines of the finished processes.
+func TestRunContinuesWhereItStopped(t *testing.T) {
+	base := runtime.NumGoroutine()
 	env := NewEnv()
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
+	var ends []time.Duration
+	var stamps []int64
+	for _, d := range []time.Duration{ms(3), ms(2)} {
+		env.Go("p", func(p *Proc) {
+			p.Sleep(d)
+			_, seq := env.Stamp()
+			ends, stamps = append(ends, p.Now()), append(stamps, seq)
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Fatalf("%d goroutines after a drain, %d before the first Run", n, base)
+		}
 	}
-	if err := env.Run(); err == nil {
-		t.Fatal("expected second Run to fail")
+	// Each round's Go and Sleep take one event sequence number apiece.
+	if ends[0] != ms(3) || ends[1] != ms(5) || env.seq != 4 || stamps[0] != 1 || stamps[1] != 2 {
+		t.Fatalf("rounds ended at %v with stamps %v and event sequence %d; want [3ms 5ms], [1 2], 4", ends, stamps, env.seq)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 	"gillis/internal/perf"
 )
 
-var updatePin = flag.Bool("update", false, "rewrite testdata/predictions.golden")
+var updatePin = flag.Bool("update", false, "rewrite the pinned goldens in testdata")
 
 // TestPredictionsPinned pins the float bits of the performance model's plan
 // predictions — PredictPlanBatch at batch 1 and 4, and PredictPlanTail over
@@ -68,8 +68,13 @@ func TestPredictionsPinned(t *testing.T) {
 		{First: 16, Last: 17, Option: whole, OnMaster: true},
 	}}, 1, 4, 256) // the whole group on a worker runs out of memory at 256
 
-	const path = "testdata/predictions.golden"
-	got := sb.String()
+	checkPin(t, "testdata/predictions.golden", sb.String())
+}
+
+// checkPin compares got with the golden file at path, or rewrites the file
+// under -update.
+func checkPin(t *testing.T, path, got string) {
+	t.Helper()
 	if *updatePin {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -10,21 +10,13 @@ import (
 	"gillis/internal/perf"
 )
 
-// BOConfig tunes the Bayesian-optimization baseline.
+// BOConfig tunes the Bayesian-optimization baseline. Like the RL planner it
+// searches single-query plans over partition.DefaultPartCounts.
 type BOConfig struct {
-	Config
-	// Iters is the number of strategies evaluated.
+	// Iters is the number of strategies evaluated (default 80).
 	Iters int
 	// Seed makes the search reproducible.
 	Seed int64
-}
-
-func (c BOConfig) withDefaults() BOConfig {
-	c.Config = c.Config.withDefaults()
-	if c.Iters <= 0 {
-		c.Iters = 80
-	}
-	return c
 }
 
 // BOResult reports the Bayesian-optimization outcome.
@@ -49,9 +41,12 @@ func BayesOpt(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BOConf
 	if tmaxMs <= 0 {
 		return BOResult{}, fmt.Errorf("core: SLO T_max must be positive, got %v", tmaxMs)
 	}
-	cfg = cfg.withDefaults()
+	iters := cfg.Iters
+	if iters <= 0 {
+		iters = 80
+	}
 	pc := newPredCache(m, units, 1)
-	opts := newGroupOptions(cfg.PartCounts)
+	opts := newGroupOptions()
 	dims := 2 * len(units)
 
 	var best BOResult
@@ -87,7 +82,7 @@ func BayesOpt(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BOConf
 		}
 		return score
 	}
-	res, err := bayesopt.Minimize(objective, dims, bayesopt.Config{Iters: cfg.Iters}, rand.New(rand.NewSource(cfg.Seed)))
+	res, err := bayesopt.Minimize(objective, dims, bayesopt.Config{Iters: iters}, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return BOResult{}, err
 	}

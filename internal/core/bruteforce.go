@@ -9,21 +9,13 @@ import (
 	"gillis/internal/platform"
 )
 
-// BFConfig tunes the brute-force baseline.
+// BFConfig tunes the brute-force baseline. It enumerates single-query plans
+// over partition.DefaultPartCounts.
 type BFConfig struct {
-	Config
-	// MaxNodes caps the search-tree size; the search reports Exhausted =
-	// false when the cap is hit (the paper notes full enumeration takes
-	// over 24 hours even for VGG-11).
+	// MaxNodes caps the search-tree size (default 2,000,000); the search
+	// reports Exhausted = false when the cap is hit (the paper notes full
+	// enumeration takes over 24 hours even for VGG-11).
 	MaxNodes int64
-}
-
-func (c BFConfig) withDefaults() BFConfig {
-	c.Config = c.Config.withDefaults()
-	if c.MaxNodes <= 0 {
-		c.MaxNodes = 2_000_000
-	}
-	return c
 }
 
 // BFResult reports the brute-force search outcome.
@@ -46,7 +38,10 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 	if tmaxMs <= 0 {
 		return BFResult{}, fmt.Errorf("core: SLO T_max must be positive, got %v", tmaxMs)
 	}
-	cfg = cfg.withDefaults()
+	maxNodes := cfg.MaxNodes
+	if maxNodes <= 0 {
+		maxNodes = 2_000_000
+	}
 	pc := newPredCache(m, units, 1)
 	budget := int64(m.Platform().WeightBudgetMB) * 1e6
 
@@ -57,7 +52,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 
 	var dfs func(at int, latMs float64, workerBilled int64, masterBytes int64) error
 	dfs = func(at int, latMs float64, workerBilled int64, masterBytes int64) error {
-		if res.Nodes >= cfg.MaxNodes {
+		if res.Nodes >= maxNodes {
 			res.Exhausted = false
 			return nil
 		}
@@ -73,7 +68,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 			return nil
 		}
 		for last := at; last < len(units); last++ {
-			opts, err := partition.FeasibleOptions(units, at, last, cfg.PartCounts)
+			opts, err := partition.FeasibleOptions(units, at, last, partition.DefaultPartCounts)
 			if err != nil {
 				return err
 			}

@@ -28,8 +28,6 @@ func modelName(units []*partition.Unit) string {
 type Config struct {
 	// PartCounts is the worker fan-out grid (default {2,4,8,16}).
 	PartCounts []int
-	// MemStepMB discretizes the master memory budget in the DP (default 100).
-	MemStepMB int
 	// DisableMaster forbids master participation (ablation of the design
 	// choice in Fig. 4: "the master can also help to compute a partition").
 	DisableMaster bool
@@ -47,9 +45,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if len(c.PartCounts) == 0 {
 		c.PartCounts = partition.DefaultPartCounts
-	}
-	if c.MemStepMB <= 0 {
-		c.MemStepMB = 100
 	}
 	if c.Batch < 1 {
 		c.Batch = 1

@@ -16,7 +16,7 @@ import (
 // where t(·, b) is Algorithm 1 ("FindOptLatency"): the best latency over
 // all feasible parallelization options of the group, running the group
 // worker-only when its partition does not fit the master's budget b and on
-// master + workers when it does. Memory is discretized in MemStepMB units.
+// master + workers when it does. Memory is discretized in 100 MB steps.
 func LatencyOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*partition.Plan, perf.PlanPrediction, error) {
 	if err := validateInputs(m, units); err != nil {
 		return nil, perf.PlanPrediction{}, err
@@ -41,8 +41,7 @@ func LatencyOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*partit
 // size. cfg must already have defaults applied.
 func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache, score func(perf.GroupPrediction) float64) (*partition.Plan, error) {
 	n := len(units)
-	stepBytes := int64(cfg.MemStepMB) * 1e6
-	levels := int(int64(m.Platform().WeightBudgetMB) * 1e6 / stepBytes)
+	levels := int(int64(m.Platform().WeightBudgetMB) * 1e6 / memStepBytes)
 	budgetBytes := int64(m.Platform().WeightBudgetMB) * 1e6
 
 	// best[j][l]: optimal latency covering units [0, j) with l memory levels
@@ -85,7 +84,7 @@ func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache,
 				if ext.ResidentBytes(pc.batch) > budgetBytes {
 					continue
 				}
-				charge := int((ext.WeightBytes + stepBytes - 1) / stepBytes)
+				charge := int((ext.WeightBytes + memStepBytes - 1) / memStepBytes)
 
 				// Worker-only execution: consumes no master memory.
 				pred, err := pc.predict(partition.GroupPlan{First: k, Last: j - 1, Option: opt})
@@ -138,6 +137,9 @@ func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache,
 	}
 	return plan, nil
 }
+
+// memStepBytes discretizes the master memory budget in the DP.
+const memStepBytes int64 = 100e6
 
 func reverseGroups(rev []partition.GroupPlan) []partition.GroupPlan {
 	out := make([]partition.GroupPlan, len(rev))

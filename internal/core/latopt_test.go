@@ -120,3 +120,41 @@ func TestLatencyOptimalDominatesDegenerate(t *testing.T) {
 		}
 	}
 }
+
+// Every ablation of the DP (no master, no grouping, a fixed fan-out) still
+// yields a valid, fitting plan that honours the ablation.
+func TestAblationConfigsProduceValidPlans(t *testing.T) {
+	m := lambdaModel(t)
+	units := unitsOf(t, "vgg16")
+	for _, cfg := range []Config{
+		{DisableMaster: true},
+		{DisableGrouping: true},
+		{DisableMaster: true, DisableGrouping: true},
+		{PartCounts: []int{8}},
+	} {
+		plan, pred, err := LatencyOptimal(m, units, cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if err := plan.Validate(units); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if pred.OOM {
+			t.Fatalf("%+v: OOM", cfg)
+		}
+		if cfg.DisableMaster {
+			for _, gp := range plan.Groups {
+				if gp.OnMaster {
+					t.Fatalf("%+v: plan uses master", cfg)
+				}
+			}
+		}
+		if cfg.DisableGrouping {
+			for _, gp := range plan.Groups {
+				if gp.Last != gp.First {
+					t.Fatalf("%+v: plan groups units", cfg)
+				}
+			}
+		}
+	}
+}

@@ -10,50 +10,31 @@ import (
 	"gillis/internal/perf"
 )
 
-// SLOConfig tunes the SLO-aware reinforcement learner.
+// SLOConfig tunes the SLO-aware reinforcement learner. It plans for
+// single-query serving over partition.DefaultPartCounts, and its placer may
+// always put a group on the master.
 type SLOConfig struct {
-	Config
-	// Episodes is the number of simulated-experiment training episodes.
+	// Episodes is the number of simulated-experiment training episodes
+	// (default 1500).
 	Episodes int
-	// Hidden is the policy networks' hidden width (the paper uses two-layer
-	// networks).
-	Hidden int
-	// LR is the Adam learning rate.
-	LR float64
-	// BudgetMs is B in the reward function (Eq. 4), large enough that an
-	// SLO-compliant strategy always earns a positive reward.
-	BudgetMs float64
-	// Batch is the number of rollouts per policy-gradient update; the batch
-	// mean serves as the REINFORCE baseline.
-	Batch int
-	// TailPercentile, when set to 95 or 99, makes the SLO constrain that
-	// latency percentile instead of the mean — the §VI extension: the same
-	// RL machinery applies once the tail is predictable, here via Monte
-	// Carlo over the fitted EMG overheads and compute noise.
-	TailPercentile float64
 	// Seed makes training reproducible.
 	Seed int64
 }
 
-func (c SLOConfig) withDefaults() SLOConfig {
-	c.Config = c.Config.withDefaults()
-	if c.Episodes <= 0 {
-		c.Episodes = 1500
-	}
-	if c.Hidden <= 0 {
-		c.Hidden = 32
-	}
-	if c.LR <= 0 {
-		c.LR = 0.01
-	}
-	if c.BudgetMs <= 0 {
-		c.BudgetMs = 50000
-	}
-	if c.Batch <= 0 {
-		c.Batch = 10
-	}
-	return c
-}
+// The learner's fixed hyperparameters.
+const (
+	// sloHidden is the policy networks' hidden width (the paper uses
+	// two-layer networks).
+	sloHidden = 32
+	// sloLR is the Adam learning rate.
+	sloLR = 0.01
+	// sloBudgetMs is B in the reward function (Eq. 4), large enough that an
+	// SLO-compliant strategy always earns a positive reward.
+	sloBudgetMs = 50000
+	// sloRollouts is the number of rollouts per policy-gradient update; the
+	// batch mean serves as the REINFORCE baseline.
+	sloRollouts = 10
+)
 
 // SLOResult reports the learned strategy.
 type SLOResult struct {
@@ -85,12 +66,13 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 	if tmaxMs <= 0 {
 		return SLOResult{}, fmt.Errorf("core: SLO T_max must be positive, got %v", tmaxMs)
 	}
-	cfg = cfg.withDefaults()
+	episodes := cfg.Episodes
+	if episodes <= 0 {
+		episodes = 1500
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pc := newPredCache(m, units, 1)
-
-	opts := newGroupOptions(cfg.PartCounts)
-	agent := newAgents(rng, opts, cfg)
+	agent := newAgents(rng, newGroupOptions())
 
 	var (
 		best     *partition.Plan
@@ -118,9 +100,9 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 		steps  []step
 		reward float64
 	}
-	for ep := 0; ep < cfg.Episodes; ep += cfg.Batch {
-		batch := make([]rollout, 0, cfg.Batch)
-		for b := 0; b < cfg.Batch && ep+b < cfg.Episodes; b++ {
+	for ep := 0; ep < episodes; ep += sloRollouts {
+		batch := make([]rollout, 0, sloRollouts)
+		for b := 0; b < sloRollouts && ep+b < episodes; b++ {
 			plan, steps, err := agent.rollout(rng, units, pc)
 			if err != nil {
 				return SLOResult{}, err
@@ -129,35 +111,18 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 			if err != nil {
 				return SLOResult{}, err
 			}
-			// The latency the SLO constrains: the mean (the paper's
-			// definition) or a predicted tail percentile (§VI extension).
-			sloLatency := pred.LatencyMs
-			if cfg.TailPercentile > 0 && !pred.OOM {
-				tail, err := m.PredictPlanTail(units, plan, 300)
-				if err != nil {
-					return SLOResult{}, err
-				}
-				switch {
-				case cfg.TailPercentile >= 99:
-					sloLatency = tail.P99Ms
-				case cfg.TailPercentile >= 95:
-					sloLatency = tail.P95Ms
-				default:
-					sloLatency = tail.P50Ms
-				}
-			}
-			// Reward function, Eq. (4); OOM strategies get a large negative
-			// reward.
+			// Reward function, Eq. (4), on the predicted mean latency; OOM
+			// strategies get a large negative reward.
 			var reward float64
 			met := false
 			switch {
 			case pred.OOM:
-				reward = -cfg.BudgetMs
-			case sloLatency <= tmaxMs:
-				reward = cfg.BudgetMs - float64(pred.BilledMs)
+				reward = -sloBudgetMs
+			case pred.LatencyMs <= tmaxMs:
+				reward = sloBudgetMs - float64(pred.BilledMs)
 				met = true
 			default:
-				reward = tmaxMs - sloLatency
+				reward = tmaxMs - pred.LatencyMs
 			}
 			if better(pred, met) {
 				best, bestPred, bestMet = plan, pred, met
@@ -198,9 +163,9 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 		trace = append(trace, baseline)
 	}
 	if best == nil {
-		return SLOResult{}, fmt.Errorf("core: RL produced no plan in %d episodes", cfg.Episodes)
+		return SLOResult{}, fmt.Errorf("core: RL produced no plan in %d episodes", episodes)
 	}
-	return SLOResult{Plan: best, Pred: bestPred, Met: bestMet, Episodes: cfg.Episodes, MeanReward: trace}, nil
+	return SLOResult{Plan: best, Pred: bestPred, Met: bestMet, Episodes: episodes, MeanReward: trace}, nil
 }
 
 // groupOptions is the per-unit action vocabulary: action 0 joins the
@@ -209,12 +174,12 @@ type groupOptions struct {
 	options []partition.Option
 }
 
-func newGroupOptions(partCounts []int) *groupOptions {
+func newGroupOptions() *groupOptions {
 	opts := []partition.Option{{Dim: partition.DimNone, Parts: 1}}
-	for _, p := range partCounts {
+	for _, p := range partition.DefaultPartCounts {
 		opts = append(opts, partition.Option{Dim: partition.DimSpatial, Parts: p})
 	}
-	for _, p := range partCounts {
+	for _, p := range partition.DefaultPartCounts {
 		opts = append(opts, partition.Option{Dim: partition.DimChannel, Parts: p})
 	}
 	return &groupOptions{options: opts}
@@ -240,10 +205,10 @@ const (
 	placeFeatures = 10
 )
 
-func newAgents(rng *rand.Rand, opts *groupOptions, cfg SLOConfig) *agents {
+func newAgents(rng *rand.Rand, opts *groupOptions) *agents {
 	return &agents{
-		partitioner: neural.NewMLP(rng, partFeatures, cfg.Hidden, 1+len(opts.options), cfg.LR),
-		placer:      neural.NewMLP(rng, placeFeatures, cfg.Hidden, 2, cfg.LR),
+		partitioner: neural.NewMLP(rng, partFeatures, sloHidden, 1+len(opts.options), sloLR),
+		placer:      neural.NewMLP(rng, placeFeatures, sloHidden, 2, sloLR),
 		opts:        opts,
 	}
 }

@@ -95,7 +95,7 @@ type ControlObservation struct {
 	WindowShed    int
 
 	// FaultsByKind counts cumulative faulted queries by typed platform
-	// fault kind ("failure", "timeout", "evicted", "throttled"); untyped
+	// fault kind ("failure", "evicted", "throttled"); untyped
 	// terminal errors count under "other".
 	FaultsByKind map[string]int
 

@@ -215,7 +215,7 @@ func TestFaultKindsInReport(t *testing.T) {
 	}
 	reg := d.Platform().Metrics()
 	var counted int64
-	for _, k := range []string{"failure", "timeout", "evicted", "throttled", "other"} {
+	for _, k := range []string{"failure", "evicted", "throttled", "other"} {
 		counted += reg.Counter("gateway.faults." + k).Value()
 	}
 	if counted != int64(rep.Faulted) {

@@ -123,7 +123,7 @@ type Outcome struct {
 	// query, shed and faulted ones included.
 	BatchSize int
 	// FaultKind is the typed platform fault kind behind Err ("failure",
-	// "timeout", "evicted", "throttled"), "placement" for multi-model
+	// "evicted", "throttled"), "placement" for multi-model
 	// queries the Router could not place, "other" for untyped terminal
 	// errors, and empty for served or shed queries.
 	FaultKind string

@@ -186,7 +186,9 @@ func TestGoldenLoadReport(t *testing.T) {
 // faults with tracing on and checks every admitted query's span tree, plus
 // exact billing reconciliation: per-span billed-ms across all traces must
 // sum to the platform's billed total minus the autoscaler's prewarm pings
-// (which no query span carries).
+// (which no query span carries). The replay must run hedge races: a hedge
+// loser settles after its attempt span ends, so this is where the hedge
+// overhang mark reaches CheckWellFormed end to end.
 func TestChaosReplayTraceInvariants(t *testing.T) {
 	cfg := platform.AWSLambda()
 	cfg.WarmIdleMs = 8000
@@ -208,7 +210,7 @@ func TestChaosReplayTraceInvariants(t *testing.T) {
 		t.Fatal("chaos replay served nothing")
 	}
 	var billedInTraces int64
-	failedSpans := 0
+	failedSpans, hedges := 0, 0
 	for _, o := range outs {
 		if o.BatchSize != 1 {
 			t.Fatalf("query %d: batch size %d, want 1 whether served, shed or faulted", o.ID, o.BatchSize)
@@ -224,11 +226,17 @@ func TestChaosReplayTraceInvariants(t *testing.T) {
 		}
 		tracetest.CheckWellFormed(t, o.Trace)
 		failedSpans += tracetest.CheckFaultKinds(t, o.Trace)
+		h, _ := tracetest.CheckHedges(t, o.Trace)
+		hedges += h
 		billedInTraces += tracetest.BilledMsSum(o.Trace)
 	}
 	if failedSpans == 0 {
 		t.Error("fault injection was vacuous: no failed invocation spans")
 	}
+	if hedges == 0 {
+		t.Error("the replay ran no hedge race: the hedge overhang went unchecked")
+	}
+	t.Logf("%d failed invocation spans, %d hedge races", failedSpans, hedges)
 	p := d.Platform()
 	if want := p.BilledMsTotal() - p.PrewarmBilledMs(); billedInTraces != want {
 		t.Errorf("per-span billing across traces = %d ms, want platform total %d", billedInTraces, want)

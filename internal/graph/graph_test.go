@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 
 	"gillis/internal/nn"
@@ -200,28 +199,5 @@ func TestInShapeReturnsCopy(t *testing.T) {
 	s[0] = 9
 	if g.InShape()[0] != 1 {
 		t.Fatal("InShape must return a copy")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g := tinyResidual()
-	var sb strings.Builder
-	if err := g.WriteDOT(&sb); err != nil {
-		t.Fatal(err)
-	}
-	dot := sb.String()
-	for _, want := range []string{"digraph", "input ->", "n0 -> n1", "Conv2D", "Add"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
-	}
-	// Residual: stem feeds both the branch and the add.
-	if strings.Count(dot, "n0 ->") != 2 {
-		t.Errorf("stem should have two outgoing edges:\n%s", dot)
-	}
-	bad := New("bad", []int{3, 8, 8})
-	bad.MustAdd(nn.NewConv2D("c", 5, 8, 3, 1, 1)) // channel mismatch
-	if err := bad.WriteDOT(&sb); err == nil {
-		t.Error("expected shape error")
 	}
 }

@@ -17,35 +17,8 @@ import "gillis/internal/tensor"
 // ForwardBatchInto (the dispatcher) checks that before taking the fast path.
 type BatchForwarder interface {
 	Op
-	ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error)
 	// ForwardBatchInto computes the output for xs[e] into dsts[e].
 	ForwardBatchInto(dsts, xs []*tensor.Tensor) error
-}
-
-// ForwardBatch applies op to a batch of input lists, one list per query,
-// into fresh tensors: ForwardBatchInto on tensors of the output shapes.
-func ForwardBatch(op Op, ins [][]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs, err := freshOutputs(op, ins)
-	if err != nil || len(ins) == 0 {
-		return nil, err
-	}
-	if err := ForwardBatchInto(op, outs, ins); err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// freshOutputs returns one zeroed tensor of op's output shape per input list.
-func freshOutputs(op Op, ins [][]*tensor.Tensor) ([]*tensor.Tensor, error) {
-	outs := make([]*tensor.Tensor, len(ins))
-	for e, in := range ins {
-		shape, err := outShape(op, in)
-		if err != nil {
-			return nil, err
-		}
-		outs[e] = tensor.New(shape...)
-	}
-	return outs, nil
 }
 
 // ForwardBatchInto applies op to a batch of input lists, one list per query,
@@ -73,23 +46,6 @@ func ForwardBatchInto(op Op, dsts []*tensor.Tensor, ins [][]*tensor.Tensor) erro
 		}
 	}
 	return nil
-}
-
-// forwardBatchNew is every BatchForwarder's ForwardBatch: ForwardBatchInto on
-// fresh tensors of the output shape.
-func forwardBatchNew(op BatchForwarder, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	ins := make([][]*tensor.Tensor, len(xs))
-	for e := range xs {
-		ins[e] = xs[e : e+1]
-	}
-	outs, err := freshOutputs(op, ins)
-	if err != nil || len(xs) == 0 {
-		return nil, err
-	}
-	if err := op.ForwardBatchInto(outs, xs); err != nil {
-		return nil, err
-	}
-	return outs, nil
 }
 
 // uniformSingleInput reports whether every query has exactly one input and

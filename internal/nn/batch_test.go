@@ -85,7 +85,7 @@ func TestBatchForwardEquivalenceProperty(t *testing.T) {
 					restore()
 					for _, p := range []int{1, 4} {
 						restore := par.SetParallelism(p)
-						got, err := ForwardBatch(tc.op, ins)
+						got, err := forwardBatch(tc.op, ins)
 						restore()
 						if err != nil {
 							t.Fatalf("%s b=%d p=%d: %v", tc.name, batch, p, err)
@@ -128,7 +128,7 @@ func TestForwardBatchFallbackLoop(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		got, err := ForwardBatch(tc.op, tc.ins)
+		got, err := forwardBatch(tc.op, tc.ins)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -149,12 +149,11 @@ func TestForwardBatchEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	d := NewDense("d", 5, 3)
 	d.Init(rng)
-	outs, err := ForwardBatch(d, nil)
-	if err != nil || outs != nil {
-		t.Fatalf("empty batch: got %v, %v", outs, err)
+	if err := ForwardBatchInto(d, nil, nil); err != nil {
+		t.Fatalf("empty batch: %v", err)
 	}
-	if outs, err := d.ForwardBatch(nil); err != nil || outs != nil {
-		t.Fatalf("empty Dense batch: got %v, %v", outs, err)
+	if err := d.ForwardBatchInto(nil, nil); err != nil {
+		t.Fatalf("empty Dense batch: %v", err)
 	}
 }
 
@@ -175,7 +174,7 @@ func TestConvGoldenBatched(t *testing.T) {
 		8, 10, 12,
 		14, 16, 18,
 	}, 1, 3, 3)
-	outs, err := c.ForwardBatch([]*tensor.Tensor{a, b})
+	outs, err := forwardBatch(c, [][]*tensor.Tensor{{a}, {b}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,11 +93,6 @@ func (c *Concat) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 // HKernel implements Spatial.
 func (c *Concat) HKernel() (k, s, p int) { return 1, 1, 0 }
 
-// ForwardValidH implements Spatial.
-func (c *Concat) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(c, in)
-}
-
 // ForwardValidHInto implements Spatial: no window along height, so the same
 // as ForwardInto.
 func (c *Concat) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {

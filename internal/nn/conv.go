@@ -115,26 +115,16 @@ func (c *Conv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 // HKernel implements Spatial.
 func (c *Conv2D) HKernel() (k, s, p int) { return c.Kernel, c.Stride, c.Pad }
 
-// ForwardValidH implements Spatial: zero padding is applied along width
+// ForwardValidHInto implements Spatial: zero padding is applied along width
 // only; the caller has supplied halo rows along height.
-func (c *Conv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(c, in)
-}
-
-// ForwardValidHInto implements Spatial.
 func (c *Conv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	return c.forwardOne(dst, in, false, nil)
 }
 
-// ForwardBatch implements BatchForwarder: the batch's pixels are further
+// ForwardBatchInto implements BatchForwarder: the batch's pixels are further
 // columns of the one GEMM that Forward runs, so a batched forward is bitwise
 // equal to the per-query loop. Inputs must share one shape (the dispatcher
 // in batch.go falls back to the loop otherwise).
-func (c *Conv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return forwardBatchNew(c, xs)
-}
-
-// ForwardBatchInto implements BatchForwarder.
 func (c *Conv2D) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
 	return c.forward(dsts, xs, true, nil)
 }

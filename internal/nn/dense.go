@@ -98,13 +98,8 @@ func (d *Dense) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	return d.forwardOne(dst, in, false)
 }
 
-// ForwardBatch implements BatchForwarder: one row-dot pass over all inputs,
+// ForwardBatchInto implements BatchForwarder: one row-dot pass over all inputs,
 // bitwise identical to the per-query loop (see gemvBias).
-func (d *Dense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return forwardBatchNew(d, xs)
-}
-
-// ForwardBatchInto implements BatchForwarder.
 func (d *Dense) ForwardBatchInto(dsts, xs []*tensor.Tensor) error { return d.forward(dsts, xs, false) }
 
 // forwardOne is forward for the single-input Op entry points.

@@ -127,11 +127,6 @@ func (d *DepthwiseConv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) 
 // HKernel implements Spatial.
 func (d *DepthwiseConv2D) HKernel() (k, s, p int) { return d.Kernel, d.Stride, d.Pad }
 
-// ForwardValidH implements Spatial.
-func (d *DepthwiseConv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(d, in)
-}
-
 // ForwardValidHInto implements Spatial.
 func (d *DepthwiseConv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	return d.forward(dst, in, false)

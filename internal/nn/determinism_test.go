@@ -122,7 +122,7 @@ func TestBatchedForwardBitwiseIdenticalAcrossParallelism(t *testing.T) {
 			restore()
 			for _, p := range []int{1, 2, 3, 5, 8} {
 				restore := par.SetParallelism(p)
-				outs, err := ForwardBatch(tc.op, ins)
+				outs, err := forwardBatch(tc.op, ins)
 				restore()
 				if err != nil {
 					t.Fatalf("p=%d: %v", p, err)
@@ -155,19 +155,19 @@ func TestForwardValidHBitwiseIdenticalAcrossParallelism(t *testing.T) {
 	for _, tc := range cases {
 		op, in := tc.op, tc.in
 		restore := par.SetParallelism(1)
-		want, err := op.ForwardValidH(in)
+		want, err := forwardValidH(op, in)
 		restore()
 		if err != nil {
 			t.Fatalf("%s: %v", op.Name(), err)
 		}
 		restore = par.SetParallelism(7)
-		got, err := op.ForwardValidH(in)
+		got, err := forwardValidH(op, in)
 		restore()
 		if err != nil {
 			t.Fatalf("%s: %v", op.Name(), err)
 		}
 		if !tensor.Equal(got, want) {
-			t.Fatalf("%s: ForwardValidH diverged under parallelism", op.Name())
+			t.Fatalf("%s: ForwardValidHInto diverged under parallelism", op.Name())
 		}
 	}
 }

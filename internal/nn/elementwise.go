@@ -141,11 +141,6 @@ func (b *BatchNorm) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error 
 // HKernel implements Spatial.
 func (b *BatchNorm) HKernel() (k, s, p int) { return 1, 1, 0 }
 
-// ForwardValidH implements Spatial.
-func (b *BatchNorm) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(b, in)
-}
-
 // ForwardValidHInto implements Spatial: element-wise, so the same as
 // ForwardInto.
 func (b *BatchNorm) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
@@ -239,11 +234,6 @@ func (r *ReLU) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 // HKernel implements Spatial.
 func (r *ReLU) HKernel() (k, s, p int) { return 1, 1, 0 }
 
-// ForwardValidH implements Spatial.
-func (r *ReLU) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(r, in)
-}
-
 // ForwardValidHInto implements Spatial: element-wise, so the same as
 // ForwardInto.
 func (r *ReLU) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
@@ -319,11 +309,6 @@ func (a *Add) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 
 // HKernel implements Spatial.
 func (a *Add) HKernel() (k, s, p int) { return 1, 1, 0 }
-
-// ForwardValidH implements Spatial.
-func (a *Add) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(a, in)
-}
 
 // ForwardValidHInto implements Spatial: element-wise, so the same as
 // ForwardInto.

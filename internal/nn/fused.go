@@ -198,25 +198,15 @@ func (f *FusedConv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) erro
 	return f.Conv.forwardOne(dst, in, true, f.epi())
 }
 
-// ForwardBatch implements BatchForwarder: the batched conv pass with the
+// ForwardBatchInto implements BatchForwarder: the batched conv pass with the
 // folded BatchNorm/ReLU epilogue applied to each element's finished rows,
 // bitwise identical to the per-query fused forward.
-func (f *FusedConv2D) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return forwardBatchNew(f, xs)
-}
-
-// ForwardBatchInto implements BatchForwarder.
 func (f *FusedConv2D) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
 	return f.Conv.forward(dsts, xs, true, f.epi())
 }
 
 // HKernel implements Spatial.
 func (f *FusedConv2D) HKernel() (k, s, p int) { return f.Conv.HKernel() }
-
-// ForwardValidH implements Spatial.
-func (f *FusedConv2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(f, in)
-}
 
 // ForwardValidHInto implements Spatial.
 func (f *FusedConv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
@@ -301,13 +291,8 @@ func (f *FusedDense) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error
 	return f.Dense.forwardOne(dst, in, true)
 }
 
-// ForwardBatch implements BatchForwarder with the ReLU fused into the
+// ForwardBatchInto implements BatchForwarder with the ReLU fused into the
 // row-dot pass.
-func (f *FusedDense) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return forwardBatchNew(f, xs)
-}
-
-// ForwardBatchInto implements BatchForwarder.
 func (f *FusedDense) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
 	return f.Dense.forward(dsts, xs, true)
 }

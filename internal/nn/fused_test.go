@@ -166,7 +166,7 @@ func TestFusedConvValidHEqualsUnfused(t *testing.T) {
 	}
 	in := tensor.Rand(rng, 1, 3, 14, 15)
 
-	want, err := conv.ForwardValidH(in)
+	want, err := forwardValidH(conv, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +178,12 @@ func TestFusedConvValidHEqualsUnfused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := fused.ForwardValidH(in)
+	got, err := forwardValidH(fused, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.Equal(got, want) {
-		t.Fatal("fused ForwardValidH differs from the unfused sequence")
+		t.Fatal("fused ForwardValidHInto differs from the unfused sequence")
 	}
 }
 

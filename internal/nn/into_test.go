@@ -122,7 +122,7 @@ func TestForwardIntoOverwritesDestination(t *testing.T) {
 				sameBits(t, ic.name+" ForwardInto", dst.Data(), want.Data())
 
 				if sp, ok := ic.op.(Spatial); ok {
-					want, err := sp.ForwardValidH(in...)
+					want, err := forwardValidH(sp, in...)
 					if err != nil {
 						t.Fatalf("%s: %v", ic.name, err)
 					}

@@ -117,11 +117,6 @@ func (l *LSTM) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	return l.ForwardBatchInto([]*tensor.Tensor{dst}, in)
 }
 
-// ForwardBatch implements BatchForwarder.
-func (l *LSTM) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	return forwardBatchNew(l, xs)
-}
-
 // ForwardBatchInto implements BatchForwarder. The timestep recurrence is
 // inherently serial, but within a step the 4*Hidden gate rows are independent
 // row-dots and the Hidden state updates are element-wise, so the parallel

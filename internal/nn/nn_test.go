@@ -118,12 +118,21 @@ func TestWeightedForwardRejectsBadCalls(t *testing.T) {
 		if _, err := tc.op.Forward(tc.bad); err == nil {
 			t.Errorf("%s: expected bad-input error for shape %v", name, tc.bad.Shape())
 		}
-		bf := tc.op.(BatchForwarder)
-		if _, err := bf.ForwardBatch([]*tensor.Tensor{tc.good, tc.bad}); err == nil {
+		if _, err := forwardBatch(tc.op, [][]*tensor.Tensor{{tc.good}, {tc.bad}}); err == nil {
 			t.Errorf("%s: expected bad-input error for a batch's second element", name)
 		}
 		if tc.ok != nil {
-			if _, err := bf.ForwardBatch([]*tensor.Tensor{tc.good, tc.ok}); err == nil {
+			// The batched body itself refuses mixed shapes; the dispatcher
+			// would have looped them one at a time.
+			dsts := make([]*tensor.Tensor, 2)
+			for e, x := range []*tensor.Tensor{tc.good, tc.ok} {
+				shape, err := tc.op.OutShape(x.Shape())
+				if err != nil {
+					t.Fatal(err)
+				}
+				dsts[e] = tensor.New(shape...)
+			}
+			if err := tc.op.(BatchForwarder).ForwardBatchInto(dsts, []*tensor.Tensor{tc.good, tc.ok}); err == nil {
 				t.Errorf("%s: expected an error for a batch mixing shapes %v and %v", name, tc.good.Shape(), tc.ok.Shape())
 			}
 		}
@@ -460,7 +469,7 @@ func TestParamBytesAndWeightedRoundtrip(t *testing.T) {
 	}
 }
 
-// Property: for any Spatial op, Forward equals ForwardValidH applied to an
+// Property: for any Spatial op, Forward equals ForwardValidHInto applied to an
 // input explicitly padded along height.
 func TestSpatialValidHEquivalence(t *testing.T) {
 	f := func(seed int64, which uint8) bool {
@@ -509,7 +518,7 @@ func TestSpatialValidHEquivalence(t *testing.T) {
 				}
 			}
 		}
-		valid, err := op.ForwardValidH(padded)
+		valid, err := forwardValidH(op, padded)
 		if err != nil {
 			return false
 		}

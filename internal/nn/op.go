@@ -12,14 +12,12 @@
 //   - A multiply-accumulate counts as 2 FLOPs.
 //   - ParamCount is the number of stored fp32 scalars (what occupies
 //     function memory), not the number of trainable parameters.
-//   - Every forward entry point comes in two spellings of one body: the
-//     destination-taking one (ForwardInto, ForwardValidHInto,
-//     ForwardBatchInto) overwrites every element of a tensor the caller
-//     supplies — which may be uninitialized memory out of an activation
-//     arena, so no body accumulates into what it finds there — and the
-//     allocating one (Forward, ForwardValidH, ForwardBatch) is that body run
-//     on a fresh tensor of the output shape. A destination shares storage
-//     with no input.
+//   - Every forward body takes its destination (ForwardInto,
+//     ForwardValidHInto, ForwardBatchInto) and overwrites every element of a
+//     tensor the caller supplies — which may be uninitialized memory out of
+//     an activation arena, so no body accumulates into what it finds there.
+//     Forward is ForwardInto run on a fresh tensor of the output shape. A
+//     destination shares storage with no input.
 package nn
 
 import (
@@ -117,12 +115,10 @@ type Spatial interface {
 	// HKernel returns the (kernel, stride, padding) triple along height.
 	// Element-wise operators return (1, 1, 0).
 	HKernel() (k, s, p int)
-	// ForwardValidH computes the operator without implicit padding along
-	// height (width padding, if any, still applies). The caller supplies
-	// any required halo/padding rows explicitly.
-	ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error)
-	// ForwardValidHInto is ForwardValidH into dst, whose height is
-	// (h-k)/s+1 for an input of height h.
+	// ForwardValidHInto computes the operator into dst without implicit
+	// padding along height (width padding, if any, still applies); dst's
+	// height is (h-k)/s+1 for an input of height h. The caller supplies any
+	// required halo/padding rows explicitly.
 	ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error
 }
 
@@ -160,30 +156,6 @@ func forwardNew(op Op, in []*tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	dst := tensor.New(shape...)
 	if err := op.ForwardInto(dst, in...); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// forwardValidHNew is every spatial operator's ForwardValidH:
-// ForwardValidHInto on a fresh tensor of the output shape without the
-// implicit padding along height.
-func forwardValidHNew(op Spatial, in []*tensor.Tensor) (*tensor.Tensor, error) {
-	shape, err := outShape(op, in)
-	if err != nil {
-		return nil, err
-	}
-	// Only a CHW input has a height; the element-wise operators take any
-	// rank and keep it.
-	if x := in[0]; x.Rank() == 3 {
-		k, s, _ := op.HKernel()
-		if x.Dim(1) < k {
-			return nil, fmt.Errorf("nn: %s %q: input height %d under the kernel's %d", op.Kind(), op.Name(), x.Dim(1), k)
-		}
-		shape[1] = (x.Dim(1)-k)/s + 1
-	}
-	dst := tensor.New(shape...)
-	if err := op.ForwardValidHInto(dst, in...); err != nil {
 		return nil, err
 	}
 	return dst, nil

@@ -77,11 +77,6 @@ func (m *MaxPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error 
 // HKernel implements Spatial.
 func (m *MaxPool2D) HKernel() (k, s, p int) { return m.Kernel, m.Stride, m.Pad }
 
-// ForwardValidH implements Spatial.
-func (m *MaxPool2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(m, in)
-}
-
 // ForwardValidHInto implements Spatial.
 func (m *MaxPool2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	return m.pool(dst, in, false)
@@ -224,11 +219,6 @@ func (a *AvgPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error 
 
 // HKernel implements Spatial.
 func (a *AvgPool2D) HKernel() (k, s, p int) { return a.Kernel, a.Stride, 0 }
-
-// ForwardValidH implements Spatial.
-func (a *AvgPool2D) ForwardValidH(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	return forwardValidHNew(a, in)
-}
 
 // ForwardValidHInto implements Spatial.
 func (a *AvgPool2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {

@@ -247,7 +247,7 @@ func maxPoolRef(m *MaxPool2D, x *tensor.Tensor, padH bool) *tensor.Tensor {
 // TestMaxPoolMatchesElementwiseReference compares the row-wise max-pool with
 // maxPoolRef bit for bit over random shapes — window 1–4 (and one wider than
 // the on-stack span table), stride 1–3, padding 0–2, Forward and
-// ForwardValidH — on inputs salted with NaNs, zeros and infinities of both
+// ForwardValidHInto — on inputs salted with NaNs, zeros and infinities of both
 // signs and with stretches of -Inf wider than a window, through every
 // implementation of the row helpers.
 func TestMaxPoolMatchesElementwiseReference(t *testing.T) {

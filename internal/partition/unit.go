@@ -362,10 +362,3 @@ func chainArenaBytes(units []*Unit) (int64, error) {
 	}
 	return most, nil
 }
-
-// InitUnits materializes weights for every unit deterministically.
-func InitUnits(units []*Unit, seed int64) {
-	for _, u := range units {
-		u.Sub.Init(seed + int64(u.Index))
-	}
-}

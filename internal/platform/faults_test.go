@@ -98,83 +98,6 @@ func TestFailedNestedInvocationChargedToCallerOnce(t *testing.T) {
 	})
 }
 
-func TestExecutionTimeoutKillsAndBillsElapsed(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Faults = FaultProfile{TimeoutMs: 100}
-	runSim(t, cfg, 4, func(p *Platform, proc *simnet.Proc) {
-		_ = p.Register("slow", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(10e9) // 500 ms >> the 100 ms limit
-			return Payload{}, nil
-		})
-		before := proc.Now()
-		res, err := p.InvokeFrom(proc, "slow", Payload{})
-		elapsedMs := float64(proc.Now()-before) / 1e6
-		var ie *InvokeError
-		if !errors.As(err, &ie) || ie.Kind != FaultTimeout {
-			t.Fatalf("want FaultTimeout, got %v", err)
-		}
-		if res.HandlerMs != 100 || res.BilledMs != 100 {
-			t.Errorf("killed invocation bills the elapsed limit: %+v", res)
-		}
-		// The caller learns about the kill at the timeout, not after the
-		// handler's full 500 ms.
-		if elapsedMs > 400 {
-			t.Errorf("caller waited %v ms; the kill must cut the wait", elapsedMs)
-		}
-	})
-}
-
-func TestTimeoutDestroysInstance(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Faults = FaultProfile{TimeoutMs: 50}
-	runSim(t, cfg, 5, func(p *Platform, proc *simnet.Proc) {
-		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			if d, ok := in.Data.(int64); ok {
-				ctx.Compute(d)
-			}
-			return Payload{}, nil
-		})
-		if err := p.Prewarm("f", 1); err != nil {
-			t.Fatal(err)
-		}
-		// First invocation times out on the (single) warm instance.
-		r1, err := p.InvokeFrom(proc, "f", Payload{Data: int64(10e9)})
-		var ie *InvokeError
-		if !errors.As(err, &ie) || ie.Kind != FaultTimeout {
-			t.Fatalf("want timeout, got %v", err)
-		}
-		if r1.ColdStart {
-			t.Error("first invocation should have used the warm instance")
-		}
-		// The killed instance must not return to the pool: next is cold.
-		r2, err := p.InvokeFrom(proc, "f", Payload{Data: int64(0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r2.ColdStart {
-			t.Error("killed instance leaked back into the warm pool")
-		}
-	})
-}
-
-func TestFastHandlerSurvivesTimeout(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Faults = FaultProfile{TimeoutMs: 1000}
-	runSim(t, cfg, 6, func(p *Platform, proc *simnet.Proc) {
-		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9) // 50 ms < limit
-			return Payload{Data: "ok"}, nil
-		})
-		res, err := p.InvokeFrom(proc, "f", Payload{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Resp.Data != "ok" || res.HandlerMs < 49 {
-			t.Errorf("fast handler mangled under a timeout limit: %+v", res)
-		}
-	})
-}
-
 func TestStragglerSlowdown(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Faults = FaultProfile{StragglerProb: 1, StragglerFactor: 3}
@@ -319,37 +242,6 @@ func TestFaultsDoNotPerturbNoiseStream(t *testing.T) {
 			t.Fatalf("noise stream perturbed at %d: %v vs %v", i, clean[i], faulty[i])
 		}
 	}
-}
-
-func TestKilledInstanceInvokeFailsFast(t *testing.T) {
-	// A zombie (killed) handler's nested invocations fail immediately.
-	cfg := fastCfg()
-	cfg.Faults = FaultProfile{TimeoutMs: 50}
-	runSim(t, cfg, 9, func(p *Platform, proc *simnet.Proc) {
-		nested := 0
-		_ = p.Register("leaf", func(ctx *Ctx, in Payload) (Payload, error) {
-			nested++
-			return Payload{}, nil
-		})
-		_ = p.Register("zombie", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(10e9) // 500 ms: killed at 50
-			if _, err := ctx.Invoke("leaf", Payload{}); err != nil {
-				return Payload{}, err
-			}
-			return Payload{}, nil
-		})
-		_, err := p.InvokeFrom(proc, "zombie", Payload{})
-		var ie *InvokeError
-		if !errors.As(err, &ie) || ie.Kind != FaultTimeout {
-			t.Fatalf("want timeout, got %v", err)
-		}
-		if nested != 0 {
-			t.Error("killed instance must not launch nested invocations")
-		}
-		if !ie.Res.ColdStart {
-			t.Error("expected cold start on first invocation")
-		}
-	})
 }
 
 func TestWarmIdleExpiryDeterministic(t *testing.T) {
@@ -621,35 +513,6 @@ func TestFaultScheduleAppliesMidReplay(t *testing.T) {
 		}
 		if err := invoke(); err != nil {
 			t.Fatalf("recovered phase failed: %v", err)
-		}
-	})
-}
-
-func TestFaultScheduleTimeoutApplies(t *testing.T) {
-	// A TimeoutMs that only exists in a scheduled profile must kill
-	// handlers dispatched after the transition — the limit is resolved per
-	// invocation, not from the static profile.
-	cfg := fastCfg()
-	cfg.FaultSchedule = []FaultTransition{
-		{AtMs: 500, Profile: FaultProfile{TimeoutMs: 50}},
-	}
-	runSim(t, cfg, 6, func(p *Platform, proc *simnet.Proc) {
-		_ = p.Register("slow", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(4e9) // 200 ms >> the scheduled 50 ms limit
-			return Payload{}, nil
-		})
-		if _, err := p.InvokeFrom(proc, "slow", Payload{}); err != nil {
-			t.Fatalf("pre-transition invocation must not be killed: %v", err)
-		}
-		for proc.Now() < 600*time.Millisecond {
-			proc.Sleep(600*time.Millisecond - proc.Now())
-		}
-		res, err := p.InvokeFrom(proc, "slow", Payload{})
-		if k, ok := FaultKindOf(err); !ok || k != FaultTimeout {
-			t.Fatalf("post-transition: want FaultTimeout, got %v", err)
-		}
-		if res.HandlerMs != 50 {
-			t.Errorf("killed at %v ms, want exactly the 50 ms limit", res.HandlerMs)
 		}
 	})
 }

@@ -118,8 +118,7 @@ func (c Config) FaultsAt(now time.Duration) FaultProfile {
 }
 
 // FaultProfile describes the imperfections of a real serverless platform:
-// invocation failures, long-tail stragglers, execution-time kills, and
-// instance eviction. All faults are drawn from a dedicated RNG seeded from
+// invocation failures, long-tail stragglers and instance eviction. All faults are drawn from a dedicated RNG seeded from
 // the platform seed, in a fixed per-invocation order, so a fault schedule
 // replays exactly for a given seed — and enabling faults does not perturb
 // the platform's compute-noise or invocation-overhead streams.
@@ -135,11 +134,6 @@ type FaultProfile struct {
 	// StragglerFactor is the compute slowdown of a straggler instance
 	// (DefaultStragglerFactor when a straggler is drawn and this is unset).
 	StragglerFactor float64
-	// TimeoutMs is the platform's function execution time limit: a handler
-	// still running after TimeoutMs of virtual time is killed, the caller
-	// receives a FaultTimeout error, and the platform bills the elapsed
-	// TimeoutMs. Zero means no limit.
-	TimeoutMs float64
 	// EvictionProb is the per-invocation probability that the platform
 	// reclaims the hosting instance between dispatch and execution: the
 	// handler never runs, nothing is billed, and a claimed warm instance
@@ -153,7 +147,7 @@ const DefaultStragglerFactor = 4.0
 
 // active reports whether any fault class is enabled.
 func (f FaultProfile) active() bool {
-	return f.FailureProb > 0 || f.StragglerProb > 0 || f.TimeoutMs > 0 || f.EvictionProb > 0
+	return f.FailureProb > 0 || f.StragglerProb > 0 || f.EvictionProb > 0
 }
 
 // FaultKind classifies an injected invocation fault.
@@ -163,9 +157,6 @@ type FaultKind int
 const (
 	// FaultFailure: the function crashed (injected, or a handler error).
 	FaultFailure FaultKind = iota + 1
-	// FaultTimeout: the platform killed the function at its execution
-	// time limit.
-	FaultTimeout
 	// FaultEvicted: the platform reclaimed the hosting instance before
 	// the handler could run.
 	FaultEvicted
@@ -179,8 +170,6 @@ func (k FaultKind) String() string {
 	switch k {
 	case FaultFailure:
 		return "failure"
-	case FaultTimeout:
-		return "timeout"
 	case FaultEvicted:
 		return "evicted"
 	case FaultThrottled:
@@ -191,8 +180,8 @@ func (k FaultKind) String() string {
 
 // InvokeError is the typed error of a failed invocation. The partial
 // billing of the failed attempt is attached in Res (Resp is empty): the
-// platform bills crashed invocations for their full handler duration and
-// timed-out ones for the elapsed TimeoutMs, exactly as the real clouds do.
+// platform bills crashed invocations for their full handler duration,
+// exactly as the real clouds do.
 type InvokeError struct {
 	Kind FaultKind
 	Fn   string
@@ -207,8 +196,6 @@ func (e *InvokeError) Error() string {
 		return fmt.Sprintf("platform: function %q: %v", e.Fn, e.Err)
 	}
 	switch e.Kind {
-	case FaultTimeout:
-		return fmt.Sprintf("platform: function %q: killed at the %0.f ms execution timeout", e.Fn, e.Res.HandlerMs)
 	case FaultEvicted:
 		return fmt.Sprintf("platform: function %q: instance evicted before execution", e.Fn)
 	case FaultThrottled:
@@ -396,7 +383,6 @@ type pmetrics struct {
 	coldStarts     *trace.Counter
 	billedMs       *trace.Counter
 	faultFailure   *trace.Counter
-	faultTimeout   *trace.Counter
 	faultEvicted   *trace.Counter
 	faultThrottled *trace.Counter
 	prewarms       *trace.Counter
@@ -412,7 +398,6 @@ func newPMetrics(reg *trace.Registry) *pmetrics {
 		coldStarts:     reg.Counter("platform.cold_starts"),
 		billedMs:       reg.Counter("platform.billed_ms"),
 		faultFailure:   reg.Counter("platform.faults.failure"),
-		faultTimeout:   reg.Counter("platform.faults.timeout"),
 		faultEvicted:   reg.Counter("platform.faults.evicted"),
 		faultThrottled: reg.Counter("platform.faults.throttled"),
 		prewarms:       reg.Counter("platform.prewarms"),
@@ -563,13 +548,13 @@ func (f *Function) WarmCount() int {
 }
 
 // Invocations returns the total number of completed invocations (including
-// failed, timed-out, and evicted ones — the platform saw them all).
+// failed, evicted and throttled ones — the platform saw them all).
 func (p *Platform) Invocations() int64 {
 	return p.invoked
 }
 
 // Faulted returns the number of invocations that suffered an injected
-// fault (failure, timeout, or eviction).
+// fault (failure, eviction or throttling).
 func (p *Platform) Faulted() int64 {
 	return p.faulted
 }
@@ -604,19 +589,12 @@ type Ctx struct {
 	start    time.Duration
 	slow     float64 // straggler compute multiplier (1 = healthy)
 	children int64   // billed ms accumulated from nested invocations
-	killed   bool    // set when the platform kills the instance
 }
 
 // Span returns this invocation's execution span (nil when the invocation is
 // untraced). Handlers use it to attach child spans and events; nil receivers
 // are safe everywhere in package trace, so handlers need no tracing check.
 func (c *Ctx) Span() *trace.Span { return c.span }
-
-// Killed reports whether the platform has killed this instance (execution
-// timeout). A killed handler keeps executing as a zombie in the simulation,
-// but its compute is skipped and its nested invocations fail fast, so it
-// drains quickly; its response is discarded either way.
-func (c *Ctx) Killed() bool { return c.killed }
 
 // Platform returns the hosting platform.
 func (c *Ctx) Platform() *Platform { return c.platform }
@@ -641,9 +619,6 @@ func (c *Ctx) Compute(flops int64) { c.ComputeOp(flops, 0) }
 // plus the fixed operator dispatch overhead, with multiplicative lognormal
 // noise.
 func (c *Ctx) ComputeOp(flops, bytesTouched int64) {
-	if c.killed {
-		return // zombie after a platform kill: drain without consuming time
-	}
 	cfg := c.platform.cfg
 	sec := float64(flops) / (cfg.GFLOPS * 1e9)
 	if cfg.MemGBps > 0 {
@@ -695,14 +670,8 @@ func (c *Ctx) InvokeAsync(name string, payload Payload) *simnet.Promise[InvokeRe
 // InvokeAsyncSpan is InvokeAsync with explicit trace parentage: the new
 // invocation's span becomes a child of parent (or of this instance's own
 // execution span when parent is nil) and is returned so the caller can attach
-// attempt metadata. A killed instance's invocations fail fast without ever
-// reaching the platform, and correspondingly produce no span.
+// attempt metadata.
 func (c *Ctx) InvokeAsyncSpan(name string, payload Payload, parent *trace.Span) (*simnet.Promise[InvokeResult], *trace.Span) {
-	if c.killed {
-		pr := simnet.NewPromise[InvokeResult](c.platform.env)
-		pr.Fail(fmt.Errorf("platform: instance of %q was killed", c.fnName))
-		return pr, nil
-	}
 	if parent == nil {
 		parent = c.span
 	}
@@ -874,39 +843,29 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		sp.SetAttr("cold", "1")
 	}
 
-	esp := sp.Child(trace.KindExec, "exec")
 	ctx := &Ctx{
 		platform: p,
 		proc:     proc,
 		fnName:   name,
-		span:     esp,
+		span:     sp.Child(trace.KindExec, "exec"),
 		slow:     slow,
 	}
 	ctx.start = proc.Now()
-	resp, herr, timedOut := p.runHandler(proc, ctx, f, payload, faults.TimeoutMs)
+	resp, herr := f.handler(ctx, payload)
+	ctx.span.EndSpan()
 
 	res.HandlerMs = durToMs(proc.Now() - ctx.start)
-	if timedOut {
-		res.HandlerMs = faults.TimeoutMs // killed exactly at the limit
-		// The zombie handler ends the exec span when it drains; mark it so
-		// trace invariants tolerate a child outliving its parent here.
-		esp.SetAttr("killed", "1")
-	}
 	res.BilledMs = Billed(res.HandlerMs, p.cfg.BillingGranMs)
 	res.TotalBilledMs = res.BilledMs + ctx.children
 
 	// Settle the invocation exactly once: the instance returns to the warm
-	// pool (stamped with the current virtual time for idle expiry) unless
-	// the platform killed it, and the invocation counts (and bills) even if
-	// the handler failed.
-	settleAt := proc.Now()
+	// pool (stamped with the current virtual time for idle expiry), and the
+	// invocation counts (and bills) even if the handler failed.
 	f.running--
-	if !timedOut {
-		f.warm = append(f.warm, settleAt)
-	}
+	f.warm = append(f.warm, proc.Now())
 	p.invoked++
 	p.billedMs += res.BilledMs
-	if timedOut || crash {
+	if crash {
 		p.faulted++
 	}
 
@@ -930,12 +889,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	sp.SetBilled(res.BilledMs, res.TotalBilledMs)
 
 	switch {
-	case timedOut:
-		p.m.faultTimeout.Inc()
-		ierr := &InvokeError{Kind: FaultTimeout, Fn: name, Res: res}
-		sp.Fail(FaultTimeout.String(), ierr.Error())
-		sp.EndSpan()
-		return res, ierr
 	case herr != nil:
 		p.m.faultFailure.Inc()
 		ierr := &InvokeError{Kind: FaultFailure, Fn: name, Res: res, Err: herr}
@@ -968,43 +921,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	res.Resp = resp
 	sp.EndSpan()
 	return res, nil
-}
-
-// runHandler executes the function body, under the platform's execution
-// time limit when one is configured. A handler that outlives the limit is
-// killed: the invocation returns timedOut=true at exactly TimeoutMs, while
-// the handler keeps draining as a zombie (its compute is skipped and its
-// nested invocations fail fast once the kill flag is set).
-//
-// On a kill the invocation's process returns and its Proc is recycled, but
-// the zombie never touches it: ctx.proc is the exec process's own handle,
-// set before the handler runs.
-func (p *Platform) runHandler(proc *simnet.Proc, ctx *Ctx, f *Function, payload Payload, limit float64) (Payload, error, bool) {
-	if limit <= 0 {
-		ctx.proc = proc
-		resp, err := f.handler(ctx, payload)
-		ctx.span.EndSpan()
-		return resp, err, false
-	}
-	type handlerOut struct {
-		resp Payload
-		err  error
-	}
-	done := simnet.NewPromise[handlerOut](p.env)
-	p.env.Go("exec", func(hp *simnet.Proc) {
-		ctx.proc = hp
-		resp, err := f.handler(ctx, payload)
-		// A killed handler ends its exec span here, at zombie drain time —
-		// after the parent invocation span settled (see the "killed" attr).
-		ctx.span.EndSpan()
-		done.Resolve(handlerOut{resp, err})
-	})
-	out, werr := done.WaitTimeout(proc, msToDur(limit))
-	if werr != nil { // deadline elapsed: the platform kills the instance
-		ctx.killed = true
-		return Payload{}, nil, true
-	}
-	return out.resp, out.err, false
 }
 
 // Billed rounds a duration of ms up to the next multiple of the billing

@@ -470,9 +470,6 @@ func TestCtxAndPlatformAccessors(t *testing.T) {
 			if ctx.MemoryMB() != cfg.MemoryMB {
 				t.Errorf("MemoryMB() = %d, want %d", ctx.MemoryMB(), cfg.MemoryMB)
 			}
-			if ctx.Killed() {
-				t.Error("fresh invocation reports Killed")
-			}
 			return Payload{}, nil
 		})
 		if _, err := p.InvokeFrom(proc, "acc", Payload{}); err != nil {

@@ -19,7 +19,6 @@ type PipelineDeployment struct {
 	mode   ExecMode
 	prefix string
 	chunks []pipelineChunk
-	opts   deployOpts
 
 	// Function is the serving function's name.
 	Function string
@@ -37,7 +36,7 @@ type pipelineChunk struct {
 // DeployPipeline packs consecutive units into storage chunks that fit the
 // function's weight budget, seeds object storage, and registers the serving
 // function.
-func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode, opts ...DeployOption) (*PipelineDeployment, error) {
+func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode) (*PipelineDeployment, error) {
 	if len(units) == 0 {
 		return nil, fmt.Errorf("runtime: no units")
 	}
@@ -47,9 +46,6 @@ func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode
 		units:  units,
 		mode:   mode,
 		prefix: fmt.Sprintf("%s-pipe%d", modelNameOf(units), p.NextDeploySeq()),
-	}
-	for _, opt := range opts {
-		opt(&d.opts)
 	}
 	d.Function = d.prefix + "-fn"
 
@@ -165,7 +161,7 @@ func (d *PipelineDeployment) handler(ctx *platform.Ctx, payload platform.Payload
 		br.loadMs += float64(ctx.Proc().Now()-before) / 1e6
 
 		before = ctx.Proc().Now()
-		ctx.ComputeOp(int64(float64(c.flops)/d.opts.speedup()), c.opBytes)
+		ctx.ComputeOp(c.flops, c.opBytes)
 		br.computeMs += float64(ctx.Proc().Now()-before) / 1e6
 		if d.mode == Real {
 			out, err := partition.ForwardChain(d.units[c.first:c.last+1], cur)

@@ -13,12 +13,13 @@ import (
 	"gillis/internal/trace"
 )
 
-// This file is the runtime's resilience layer: per-attempt deadlines,
-// bounded retries with exponential backoff, hedged (tail-tolerant) backup
-// requests, and a master-local fallback for DimNone groups. When no
-// resilience option is set, runGroup takes the original naive path and none
-// of this code runs, so naive deployments behave byte-identically to
-// earlier versions.
+// This file is the runtime's resilience layer: bounded retries with
+// exponential backoff, hedged (tail-tolerant) backup requests, and a
+// master-local fallback for DimNone groups. A naive deployment (no
+// resilience option set) still runs part of it: a whole group on a worker
+// (remoteRound) always goes through callWorker, whose one attempt with no
+// retry and no hedge is a plain invocation. Only a fork-join round's workers
+// skip it, launched directly by launchWorker.
 
 // Resilience is per-query resilience telemetry.
 type Resilience struct {
@@ -36,10 +37,9 @@ type Resilience struct {
 	// their worker failed past the retry budget.
 	Fallbacks int
 	// ExtraBilledMs is the billed time attributable to resilience overhead:
-	// failed attempts, hedge losers, and abandoned (deadline-exceeded)
-	// invocations. It is a lower bound — work that settles after the query
-	// returns loses attribution (the platform's BilledMsTotal is
-	// authoritative for aggregate cost).
+	// failed attempts and hedge losers. It is a lower bound — work that
+	// settles after the query returns loses attribution (the platform's
+	// BilledMsTotal is authoritative for aggregate cost).
 	ExtraBilledMs int64
 }
 
@@ -51,14 +51,6 @@ func (r *Resilience) add(o Resilience) {
 	r.Fallbacks += o.Fallbacks
 	r.ExtraBilledMs += o.ExtraBilledMs
 }
-
-// ErrDeadline marks a worker attempt abandoned because it exceeded the
-// deployment's per-attempt deadline.
-var ErrDeadline = errors.New("runtime: worker attempt deadline exceeded")
-
-// errHedgeAbandoned fails a hedge race whose caller stopped waiting; it
-// routes late completions into ExtraBilledMs accounting.
-var errHedgeAbandoned = errors.New("runtime: hedge race abandoned at deadline")
 
 // minHedgeSamples is how many latency observations a group needs before
 // hedging activates; below it there is no meaningful percentile.
@@ -99,23 +91,10 @@ func msToDur(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// watchAbandoned attributes the eventual billing of an abandoned invocation
-// to the query's ExtraBilledMs once it settles.
-func (d *Deployment) watchAbandoned(pr *simnet.Promise[platform.InvokeResult], qs *Resilience) {
-	d.p.Env().Go("abandon-watch", func(wp *simnet.Proc) {
-		res, err := pr.Wait(wp)
-		if err != nil {
-			qs.ExtraBilledMs += platform.BilledMsOf(err)
-			return
-		}
-		qs.ExtraBilledMs += res.TotalBilledMs
-	})
-}
-
 // callWorker invokes one worker partition with the deployment's full
-// resilience budget: per-attempt deadline, hedging, and bounded retries
-// with exponential backoff. proc is the process driving the call (the
-// master's own, or a spawned caller in a resilient fork-join round).
+// resilience budget: hedging, and bounded retries with exponential backoff.
+// proc is the process driving the call (the master's own, or a spawned
+// caller in a resilient fork-join round).
 func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, parent *trace.Span) (platform.InvokeResult, error) {
 	return d.callWorkerSpan(proc, ctx, gi, part, req, qs, callSpan(parent, gi, part))
 }
@@ -170,52 +149,24 @@ type hedgeOut struct {
 func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int, name string, req platform.Payload, qs *Resilience, csp *trace.Span) (platform.InvokeResult, error) {
 	asp := csp.Child(trace.KindAttempt, "attempt")
 	primary, psp := ctx.InvokeAsyncSpan(name, req, asp)
-	deadline := d.opts.deadlineMs
 
 	var thresh float64
 	hedging := false
 	if d.opts.hedgePctl > 0 && !d.hedgeOff {
 		thresh, hedging = d.hist.threshold(gi, d.opts.hedgePctl)
 	}
-
 	if !hedging {
-		if deadline <= 0 {
-			res, err := primary.Wait(proc)
-			endAttempt(asp, err)
-			return res, err
-		}
-		res, err := primary.WaitTimeout(proc, msToDur(deadline))
-		if errors.Is(err, simnet.ErrTimeout) {
-			// The invocation span outlives this attempt; mark it so trace
-			// invariants accept the overhang, and so billing roll-ups know
-			// the subtree has unattributed work.
-			psp.SetAttr("abandoned", "deadline")
-			d.watchAbandoned(primary, qs)
-			err = fmt.Errorf("%s: %w", name, ErrDeadline)
-			endAttempt(asp, err)
-			return platform.InvokeResult{}, err
-		}
+		res, err := primary.Wait(proc)
 		endAttempt(asp, err)
 		return res, err
 	}
 
-	// Phase 1: give the primary until the hedge point (clamped to the
-	// deadline) before spending money on a backup.
-	wait1 := thresh
-	if deadline > 0 && deadline < wait1 {
-		wait1 = deadline
-	}
-	res, err := primary.WaitTimeout(proc, msToDur(wait1))
+	// Phase 1: give the primary until the hedge point before spending money
+	// on a backup.
+	res, err := primary.WaitTimeout(proc, msToDur(thresh))
 	if err == nil || !errors.Is(err, simnet.ErrTimeout) {
 		endAttempt(asp, err)
 		return res, err
-	}
-	if deadline > 0 && wait1 >= deadline {
-		psp.SetAttr("abandoned", "deadline")
-		d.watchAbandoned(primary, qs)
-		err = fmt.Errorf("%s: %w", name, ErrDeadline)
-		endAttempt(asp, err)
-		return platform.InvokeResult{}, err
 	}
 
 	// Phase 2: the primary is a suspected straggler — race it against a
@@ -253,21 +204,7 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 	watch(primary, psp, false)
 	watch(backup, bsp, true)
 
-	var out hedgeOut
-	var werr error
-	if deadline > 0 {
-		out, werr = win.WaitTimeout(proc, msToDur(deadline-wait1))
-		if errors.Is(werr, simnet.ErrTimeout) {
-			// Nobody answered in time: abandon both. Failing the race
-			// promise routes their eventual completions to ExtraBilledMs.
-			win.TryFail(errHedgeAbandoned)
-			werr = fmt.Errorf("%s: %w", name, ErrDeadline)
-			endAttempt(asp, werr)
-			return platform.InvokeResult{}, werr
-		}
-	} else {
-		out, werr = win.Wait(proc)
-	}
+	out, werr := win.Wait(proc)
 	if werr != nil {
 		endAttempt(asp, werr)
 		return platform.InvokeResult{}, werr

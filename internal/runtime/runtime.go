@@ -664,13 +664,10 @@ func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int,
 // computeScaled advances the function's clock by the group's ops scaled to
 // the partition's share of the work (exact FLOPs incl. halo redundancy) and
 // linearly by the number of queries; per-op dispatch overheads are charged
-// once — that is the batching win the perf model predicts. The modeled
-// per-instance vCPU count divides FLOP time by its Amdahl speedup; bytes
-// touched stay unscaled (memory bandwidth is shared across an instance's
-// cores).
+// once — that is the batching win the perf model predicts.
 func (d *Deployment) computeScaled(ctx *platform.Ctx, gr *groupRuntime, frac float64, size int) {
 	bf := float64(size)
-	ctx.ComputeOp(int64(float64(gr.ext.GroupFLOPs)*frac*bf/d.opts.speedup()), int64(float64(gr.opBytes)*frac*bf))
+	ctx.ComputeOp(int64(float64(gr.ext.GroupFLOPs)*frac*bf), int64(float64(gr.opBytes)*frac*bf))
 }
 
 func flopFrac(gr *groupRuntime, part int) float64 {
@@ -759,8 +756,8 @@ func groupOpBytes(group []*partition.Unit) (int64, error) {
 
 // DeployDefault deploys the Default baseline: the whole model in a single
 // function (§V-B baseline 1).
-func DeployDefault(p *platform.Platform, units []*partition.Unit, mode ExecMode, opts ...DeployOption) (*Deployment, error) {
-	return Deploy(p, units, partition.DefaultPlan("default-"+modelNameOf(units), units), mode, opts...)
+func DeployDefault(p *platform.Platform, units []*partition.Unit, mode ExecMode) (*Deployment, error) {
+	return Deploy(p, units, partition.DefaultPlan("default-"+modelNameOf(units), units), mode)
 }
 
 // PredictedPlanOf exposes the deployment's plan (for reporting).

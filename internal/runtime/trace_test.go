@@ -138,22 +138,22 @@ func TestGoldenQuickstartTrace(t *testing.T) {
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			type run struct {
-				canon, structure []byte
-				tr               *trace.Trace
-				p                *platform.Platform
-				res              Result
+				canon []byte
+				tr    *trace.Trace
+				p     *platform.Platform
+				res   Result
 			}
-			serve := func(kernelWorkers int, opts ...DeployOption) run {
+			serve := func(kernelWorkers int) run {
 				restore := par.SetParallelism(kernelWorkers)
 				defer restore()
-				res, tr, p, prefix, err := serveTracedOnce(t, platform.AWSLambda(), 7, units, plan, Real, inputs[:tc.size], tc.size, opts...)
+				res, tr, p, prefix, err := serveTracedOnce(t, platform.AWSLambda(), 7, units, plan, Real, inputs[:tc.size], tc.size)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// The deployment counter is process-global, so function names carry a
 				// test-order-dependent sequence number; strip it for stable goldens.
 				ren := func(s string) string { return strings.ReplaceAll(s, prefix, "demo-cnn") }
-				return run{canon: tr.Canonical(ren), structure: tr.Structure(ren), tr: tr, p: p, res: res}
+				return run{canon: tr.Canonical(ren), tr: tr, p: p, res: res}
 			}
 			digestsOf := func(r run) string {
 				var ds []string
@@ -198,17 +198,6 @@ func TestGoldenQuickstartTrace(t *testing.T) {
 				if got := digestsOf(r); got != digests {
 					t.Errorf("output digests at parallelism %d = %s, want %s", workers, got, digests)
 				}
-			}
-
-			// Modeled vCPUs (WithParallelism) rescale simulated compute time, so the
-			// canonical trace legitimately shifts — but its structure (spans, events,
-			// parentage) must be identical.
-			vcpu := serve(1, WithParallelism(2))
-			if !bytes.Equal(vcpu.structure, base.structure) {
-				t.Errorf("WithParallelism(2) changed trace structure\n--- got ---\n%s\n--- base ---\n%s", vcpu.structure, base.structure)
-			}
-			if got := digestsOf(vcpu); got != digests {
-				t.Errorf("WithParallelism(2) digests = %s, want %s", got, digests)
 			}
 		})
 	}
@@ -286,7 +275,7 @@ func TestTraceInvariantsUnderFaultSweep(t *testing.T) {
 	profiles := []platform.FaultProfile{
 		{FailureProb: 0.2},
 		{FailureProb: 0.1, EvictionProb: 0.1},
-		{FailureProb: 0.05, StragglerProb: 0.2, StragglerFactor: 8, TimeoutMs: 150},
+		{FailureProb: 0.05, StragglerProb: 0.2, StragglerFactor: 8},
 	}
 	for _, size := range []int{1, 4} {
 		var failedSpans, failedPasses int

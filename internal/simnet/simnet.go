@@ -350,8 +350,8 @@ var ErrTimeout = errors.New("simnet: wait deadline exceeded")
 // on timeout it returns ErrTimeout. The promise itself is unaffected — it
 // may still complete later, and other waiters (or a later Wait) observe its
 // value as usual. A non-positive d times out immediately unless the promise
-// has already completed. The platform's function-execution timeout and the
-// serving runtime's per-invocation deadlines build on this primitive.
+// has already completed. The serving runtime's hedge point builds on this
+// primitive.
 func (pr *Promise[T]) WaitTimeout(p *Proc, d time.Duration) (T, error) {
 	if !pr.resolved && d > 0 {
 		// The waiter and the timer carry the same gen: the first popped

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// This file holds the trace serializers. All three are deterministic: spans
+// This file holds the trace serializers. Both are deterministic: spans
 // are emitted in tree order (children in creation order), attributes in
 // insertion order, and no map is iterated — so a fixed seed yields
 // byte-identical output, which the golden-trace tests rely on.
@@ -22,19 +22,6 @@ func identity(s string) string { return s }
 // Canonical renders the full trace as a deterministic text tree: structure,
 // virtual timings, billing attribution, faults, attributes and events.
 func (t *Trace) Canonical(rename Rename) []byte {
-	return t.render(rename, true)
-}
-
-// Structure renders the trace without virtual timings or billing: span
-// tree, kinds, names, status, faults, attributes, and event names. Two
-// traces with identical Structure output did the same work in the same
-// order, even if simulated durations differ (e.g. under a different modeled
-// vCPU count).
-func (t *Trace) Structure(rename Rename) []byte {
-	return t.render(rename, false)
-}
-
-func (t *Trace) render(rename Rename, timings bool) []byte {
 	if t == nil {
 		return nil
 	}
@@ -42,25 +29,23 @@ func (t *Trace) render(rename Rename, timings bool) []byte {
 		rename = identity
 	}
 	var sb strings.Builder
-	t.renderSpan(&sb, t.spans[0], 0, rename, timings)
+	t.renderSpan(&sb, t.spans[0], 0, rename)
 	return []byte(sb.String())
 }
 
-func (t *Trace) renderSpan(sb *strings.Builder, s *Span, depth int, rename Rename, timings bool) {
+func (t *Trace) renderSpan(sb *strings.Builder, s *Span, depth int, rename Rename) {
 	indent := strings.Repeat("  ", depth)
 	fmt.Fprintf(sb, "%s%s %s", indent, s.Kind, rename(s.Name))
-	if timings {
-		end := s.End
-		if !s.ended {
-			end = s.Start
-		}
-		fmt.Fprintf(sb, " start=%dns dur=%dns", int64(s.Start), int64(end-s.Start))
-		if !s.ended {
-			sb.WriteString(" unfinished")
-		}
-		if s.BilledMs != 0 || s.TotalBilledMs != 0 {
-			fmt.Fprintf(sb, " billed=%d/%dms", s.BilledMs, s.TotalBilledMs)
-		}
+	end := s.End
+	if !s.ended {
+		end = s.Start
+	}
+	fmt.Fprintf(sb, " start=%dns dur=%dns", int64(s.Start), int64(end-s.Start))
+	if !s.ended {
+		sb.WriteString(" unfinished")
+	}
+	if s.BilledMs != 0 || s.TotalBilledMs != 0 {
+		fmt.Fprintf(sb, " billed=%d/%dms", s.BilledMs, s.TotalBilledMs)
 	}
 	if s.Err != "" {
 		if s.Fault != "" {
@@ -74,17 +59,14 @@ func (t *Trace) renderSpan(sb *strings.Builder, s *Span, depth int, rename Renam
 	}
 	sb.WriteByte('\n')
 	for _, ev := range s.Events {
-		fmt.Fprintf(sb, "%s  @ %s", indent, rename(ev.Name))
-		if timings {
-			fmt.Fprintf(sb, " at=%dns", int64(ev.At))
-		}
+		fmt.Fprintf(sb, "%s  @ %s at=%dns", indent, rename(ev.Name), int64(ev.At))
 		for _, a := range ev.Attrs {
 			fmt.Fprintf(sb, " %s=%s", a.Key, rename(a.Val))
 		}
 		sb.WriteByte('\n')
 	}
 	for _, ci := range s.Children {
-		t.renderSpan(sb, t.spans[ci], depth+1, rename, timings)
+		t.renderSpan(sb, t.spans[ci], depth+1, rename)
 	}
 }
 

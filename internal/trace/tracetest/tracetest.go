@@ -16,12 +16,11 @@ import (
 )
 
 // outlivesParentOK reports whether a span is allowed to end after its
-// parent: abandoned attempts (deadline exceeded), hedge-race participants
-// (the loser settles after the race is decided), and killed handlers
-// (zombies drain past the platform's timeout kill) all legitimately outlive
-// the caller that stopped waiting for them.
+// parent: abandoned calls (a sibling failed the fork-join round) and
+// hedge-race participants (the loser settles after the race is decided)
+// legitimately outlive the caller that stopped waiting for them.
 func outlivesParentOK(s *trace.Span) bool {
-	return s.Attr("abandoned") != "" || s.Attr("hedge") != "" || s.Attr("killed") != ""
+	return s.Attr("abandoned") != "" || s.Attr("hedge") != ""
 }
 
 // CheckWellFormed asserts the structural invariants every trace must
@@ -139,7 +138,7 @@ func CheckBilledAttribution(t testing.TB, tr *trace.Trace) {
 
 // faultKinds are the typed platform fault kinds a failed invocation span
 // may carry.
-var faultKinds = map[string]bool{"failure": true, "timeout": true, "evicted": true, "throttled": true}
+var faultKinds = map[string]bool{"failure": true, "evicted": true, "throttled": true}
 
 // CheckFaultKinds asserts every failed invocation span carries a typed
 // platform fault kind, and returns how many failed invocation spans the
@@ -153,7 +152,7 @@ func CheckFaultKinds(t testing.TB, tr *trace.Trace) int {
 		}
 		failed++
 		if !faultKinds[s.Fault] {
-			t.Errorf("span %d (%s): failed invocation with fault kind %q, want failure/timeout/evicted", s.ID, s.Name, s.Fault)
+			t.Errorf("span %d (%s): failed invocation with fault kind %q, want failure/evicted/throttled", s.ID, s.Name, s.Fault)
 		}
 	}
 	return failed

@@ -14,7 +14,9 @@ import (
 // latency-optimal plan's prediction, Fig 13's two columns): the REINFORCE
 // learner, the Bayesian-optimization baseline and brute force. Each plan is
 // recorded with the float bits of its predicted latency, its predicted bill
-// and the planner's own counters. Anything that reorganises a planner's
+// and the planner's own counters. The throughput planner's choice on VGG-11
+// and ResNet-34 at batch 1, 4 and 8 follows, with its objective's bits.
+// Anything that reorganises a planner's
 // configuration, its defaults or its use of the performance model must leave
 // this file unchanged.
 func TestPlannersPinned(t *testing.T) {
@@ -46,6 +48,17 @@ func TestPlannersPinned(t *testing.T) {
 			t.Fatalf("BruteForce at %.0f ms: %v", slo, err)
 		}
 		pinPlanner(&sb, fmt.Sprintf("BruteForce met %v nodes %d exhausted %v", bf.Met, bf.Nodes, bf.Exhausted), bf.Plan, bf.Pred)
+	}
+	for _, name := range []string{"vgg11", "resnet34"} {
+		units := unitsOf(t, name)
+		for _, batch := range []int{1, 4, 8} {
+			plan, bp, err := ThroughputOptimal(m, units, Config{Batch: batch})
+			if err != nil {
+				t.Fatalf("ThroughputOptimal %s batch %d: %v", name, batch, err)
+			}
+			fmt.Fprintf(&sb, "ThroughputOptimal %s batch %d\n%s  predicted latency %s billed %d queries/1k-billed-ms %s\n",
+				name, batch, plan, bits(bp.LatencyMs), bp.BilledMs, bits(bp.QueriesPer1KBilledMs))
+		}
 	}
 	checkPin(t, "testdata/planners.golden", sb.String())
 }

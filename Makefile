@@ -9,7 +9,7 @@
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./internal/platform ./internal/simnet \
-	./internal/bench ./internal/trace ./internal/trace/tracetest \
+	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/perf ./internal/core \
 	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh ./cmd/gillis-server
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
@@ -96,7 +96,9 @@ procs:
 # (TestConcurrentEnvsOwnTheirState drives eight Envs at once for it), where a
 # mutex around the state would have hidden it. gillis-server's resident
 # engines pass from one request goroutine to the next through a channel;
-# TestConcurrentPredicts drives eight callers through them.
+# TestConcurrentPredicts drives eight callers through them. The planners'
+# parallel tests share one fitted perf model, whose memo is under its one
+# mutex, while each planning run prices on a lock-free table of its own.
 race:
 	$(GO) test -race $(RACE_PKGS)
 

@@ -108,7 +108,7 @@ func SweepBatch(ctx *Context) (*SweepBatchReport, error) {
 			{"latency-opt", latPlan},
 			{"throughput-opt", thrPlan},
 		} {
-			pred, err := pm.PredictPlanBatch(units, pl.plan, batch)
+			pred, err := pm.Table(units, batch).Plan(pl.plan)
 			if err != nil {
 				return nil, err
 			}

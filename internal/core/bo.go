@@ -45,21 +45,23 @@ func BayesOpt(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BOConf
 	if iters <= 0 {
 		iters = 80
 	}
-	pc := newPredCache(m, units, 1)
+	t := m.Table(units, 1)
+	budget := int64(m.Platform().WeightBudgetMB) * 1e6
 	opts := newGroupOptions()
 	dims := 2 * len(units)
 
 	var best BOResult
 	bestScore := math.Inf(1)
 	objective := func(x []float64) float64 {
-		plan, err := decodePlan(x, units, opts, pc)
+		plan, err := decodePlan(x, units, opts, t, budget)
 		if err != nil {
 			return 1e9
 		}
-		pred, err := m.PredictPlan(units, plan)
+		bp, err := t.Plan(plan)
 		if err != nil {
 			return 1e9
 		}
+		pred := bp.PlanPrediction
 		met := !pred.OOM && pred.LatencyMs <= tmaxMs
 		score := float64(pred.BilledMs)
 		if pred.OOM {
@@ -96,8 +98,9 @@ func BayesOpt(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BOConf
 // decodePlan maps a point of [0,1]^(2n) to a strategy: coordinate 2i picks
 // unit i's action (join the open group, or start a new group with an
 // option), with infeasible choices snapped to the nearest feasible one;
-// coordinate 2i+1 at a group's first unit decides master participation.
-func decodePlan(x []float64, units []*partition.Unit, opts *groupOptions, pc *predCache) (*partition.Plan, error) {
+// coordinate 2i+1 at a group's first unit decides master participation,
+// within the master's weight budget.
+func decodePlan(x []float64, units []*partition.Unit, opts *groupOptions, t *perf.Table, budget int64) (*partition.Plan, error) {
 	n := len(units)
 	type rawGroup struct {
 		first, last int
@@ -149,11 +152,10 @@ func decodePlan(x []float64, units []*partition.Unit, opts *groupOptions, pc *pr
 			groups = append(groups, rawGroup{first: i, last: i, opt: opts.options[a-1], masterBit: x[2*i+1]})
 		}
 	}
-	budget := int64(pc.model.Platform().WeightBudgetMB) * 1e6
 	remaining := budget
 	plan := &partition.Plan{Model: modelName(units)}
 	for _, g := range groups {
-		ext, err := pc.extent(g.first, g.last, g.opt)
+		ext, err := t.Extent(g.first, g.last, g.opt)
 		if err != nil {
 			return nil, err
 		}

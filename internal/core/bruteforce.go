@@ -42,7 +42,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 	if maxNodes <= 0 {
 		maxNodes = 2_000_000
 	}
-	pc := newPredCache(m, units, 1)
+	t := m.Table(units, 1)
 	budget := int64(m.Platform().WeightBudgetMB) * 1e6
 
 	res := BFResult{Exhausted: true}
@@ -73,7 +73,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 				return err
 			}
 			for _, opt := range opts {
-				ext, err := pc.extent(at, last, opt)
+				ext, err := t.Extent(at, last, opt)
 				if err != nil {
 					return err
 				}
@@ -88,7 +88,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 							continue
 						}
 					}
-					pred, err := pc.predict(partition.GroupPlan{First: at, Last: last, Option: opt, OnMaster: onMaster})
+					pred, err := t.Group(partition.GroupPlan{First: at, Last: last, Option: opt, OnMaster: onMaster})
 					if err != nil {
 						return err
 					}
@@ -121,11 +121,11 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 	if res.Plan == nil {
 		return res, fmt.Errorf("core: brute force found no SLO-compliant plan (T_max=%v ms, %d nodes)", tmaxMs, res.Nodes)
 	}
-	pred, err := m.PredictPlan(units, res.Plan)
+	pred, err := t.Plan(res.Plan)
 	if err != nil {
 		return BFResult{}, err
 	}
-	res.Pred = pred
+	res.Pred = pred.PlanPrediction
 	res.Met = !pred.OOM && pred.LatencyMs <= tmaxMs
 	return res, nil
 }

@@ -52,68 +52,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// predCache memoizes group predictions across a planning run, all at one
-// fixed batch size.
-type predCache struct {
-	model *perf.Model
-	units []*partition.Unit
-	batch int
-	preds map[groupKey]perf.GroupPrediction
-	exts  map[extKey]partition.Extent
-}
-
-type groupKey struct {
-	first, last int
-	dim         partition.Dim
-	parts       int
-	onMaster    bool
-}
-
-type extKey struct {
-	first, last int
-	dim         partition.Dim
-	parts       int
-}
-
-func newPredCache(m *perf.Model, units []*partition.Unit, batch int) *predCache {
-	if batch < 1 {
-		batch = 1
-	}
-	return &predCache{
-		model: m,
-		units: units,
-		batch: batch,
-		preds: make(map[groupKey]perf.GroupPrediction),
-		exts:  make(map[extKey]partition.Extent),
-	}
-}
-
-func (pc *predCache) extent(first, last int, opt partition.Option) (partition.Extent, error) {
-	k := extKey{first, last, opt.Dim, opt.Parts}
-	if e, ok := pc.exts[k]; ok {
-		return e, nil
-	}
-	e, err := partition.GroupExtent(pc.units, first, last, opt)
-	if err != nil {
-		return partition.Extent{}, err
-	}
-	pc.exts[k] = e
-	return e, nil
-}
-
-func (pc *predCache) predict(gp partition.GroupPlan) (perf.GroupPrediction, error) {
-	k := groupKey{gp.First, gp.Last, gp.Option.Dim, gp.Option.Parts, gp.OnMaster}
-	if p, ok := pc.preds[k]; ok {
-		return p, nil
-	}
-	p, err := pc.model.PredictGroupBatch(pc.units, gp, pc.batch)
-	if err != nil {
-		return perf.GroupPrediction{}, err
-	}
-	pc.preds[k] = p
-	return p, nil
-}
-
 // validateInputs checks planner preconditions shared by all algorithms.
 func validateInputs(m *perf.Model, units []*partition.Unit) error {
 	if m == nil {

@@ -56,7 +56,7 @@ func TestLatencyOptimalBeatsDefaultVGG16(t *testing.T) {
 	if pred.OOM {
 		t.Fatalf("vgg16 plan OOM: %s", pred.OOMReason)
 	}
-	def, err := m.PredictDefault(units)
+	def, err := m.PredictPlan(units, partition.DefaultPlan("default", units))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLatencyOptimalNeverWorseThanDefault(t *testing.T) {
 		if err := plan.Validate(units); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		def, err := m.PredictDefault(units)
+		def, err := m.PredictPlan(units, partition.DefaultPlan("default", units))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestLatencyOptimalHandlesTooBigModels(t *testing.T) {
 			t.Fatalf("%s: plan must avoid OOM, got %s", name, pred.OOMReason)
 		}
 		// Default serving is infeasible; the plan must shard weights.
-		def, err := m.PredictDefault(units)
+		def, err := m.PredictPlan(units, partition.DefaultPlan("default", units))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestSLOAwareMeetsSLO(t *testing.T) {
 	t.Parallel()
 	units := unitsOf(t, "vgg11")
 	// A loose SLO (~default latency) must always be met.
-	def, err := m.PredictDefault(units)
+	def, err := m.PredictPlan(units, partition.DefaultPlan("default", units))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestBruteForceOptimalOnSmallModel(t *testing.T) {
 	t.Parallel()
 	// A small RNN keeps the BF space tiny (no spatial/channel options).
 	units := unitsOf(t, "rnn3")
-	def, err := m.PredictDefault(units)
+	def, err := m.PredictPlan(units, partition.DefaultPlan("default", units))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestBayesOptFindsFeasiblePlan(t *testing.T) {
 	m := lambdaModel(t)
 	t.Parallel()
 	units := unitsOf(t, "vgg11")
-	def, err := m.PredictDefault(units)
+	def, err := m.PredictPlan(units, partition.DefaultPlan("default", units))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,8 @@ func Explain(m *perf.Model, units []*partition.Unit, plan *partition.Plan) (stri
 	if err := validateInputs(m, units); err != nil {
 		return "", err
 	}
-	pred, err := m.PredictPlan(units, plan)
+	t := m.Table(units, 1)
+	pred, err := t.Plan(plan)
 	if err != nil {
 		return "", err
 	}
@@ -25,7 +26,7 @@ func Explain(m *perf.Model, units []*partition.Unit, plan *partition.Plan) (stri
 	sb.WriteString("group | units |     option | place   | latency | upload | overhead | download | workers-busy | weights/part\n")
 	for gi, gp := range plan.Groups {
 		g := pred.Groups[gi]
-		ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
+		ext, err := t.Extent(gp.First, gp.Last, gp.Option)
 		if err != nil {
 			return "", err
 		}

@@ -22,24 +22,27 @@ func LatencyOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*partit
 		return nil, perf.PlanPrediction{}, err
 	}
 	cfg = cfg.withDefaults()
-	pc := newPredCache(m, units, cfg.Batch)
-	plan, err := dpSearch(m, units, cfg, pc, func(p perf.GroupPrediction) float64 { return p.LatencyMs })
+	t := m.Table(units, cfg.Batch)
+	plan, err := dpSearch(m, units, cfg, t, latencyScore)
 	if err != nil {
 		return nil, perf.PlanPrediction{}, err
 	}
-	pred, err := m.PredictPlanBatch(units, plan, cfg.Batch)
+	pred, err := t.Plan(plan)
 	if err != nil {
 		return nil, perf.PlanPrediction{}, err
 	}
 	return plan, pred.PlanPrediction, nil
 }
 
+// latencyScore is the latency-optimal DP's per-group objective.
+func latencyScore(p perf.GroupPrediction) float64 { return p.LatencyMs }
+
 // dpSearch runs the grouping dynamic program against an arbitrary additive
 // per-group objective: LatencyOptimal scores a group by its predicted
 // latency, the throughput planner's cost candidate by its billed-time
-// proxy. Group predictions (and hence scores) are at the cache's batch
-// size. cfg must already have defaults applied.
-func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache, score func(perf.GroupPrediction) float64) (*partition.Plan, error) {
+// proxy. Group predictions (and hence scores) come from t, a table at
+// cfg.Batch. cfg must already have defaults applied.
+func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, t *perf.Table, score func(perf.GroupPrediction) float64) (*partition.Plan, error) {
 	n := len(units)
 	levels := int(int64(m.Platform().WeightBudgetMB) * 1e6 / memStepBytes)
 	budgetBytes := int64(m.Platform().WeightBudgetMB) * 1e6
@@ -75,19 +78,19 @@ func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache,
 				return nil, err
 			}
 			for _, opt := range opts {
-				ext, err := pc.extent(k, j-1, opt)
+				ext, err := t.Extent(k, j-1, opt)
 				if err != nil {
 					return nil, err
 				}
 				// Partition too large to fit into any function (Algorithm 1
 				// line 7); activations scale with the batch.
-				if ext.ResidentBytes(pc.batch) > budgetBytes {
+				if ext.ResidentBytes(cfg.Batch) > budgetBytes {
 					continue
 				}
 				charge := int((ext.WeightBytes + memStepBytes - 1) / memStepBytes)
 
 				// Worker-only execution: consumes no master memory.
-				pred, err := pc.predict(partition.GroupPlan{First: k, Last: j - 1, Option: opt})
+				pred, err := t.Group(partition.GroupPlan{First: k, Last: j - 1, Option: opt})
 				if err != nil {
 					return nil, err
 				}
@@ -100,7 +103,7 @@ func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, pc *predCache,
 				// Master participation: charge the master's resident weights
 				// against the budget (Algorithm 1 lines 9-12).
 				if charge <= levels && !cfg.DisableMaster {
-					mpred, err := pc.predict(partition.GroupPlan{First: k, Last: j - 1, Option: opt, OnMaster: true})
+					mpred, err := t.Group(partition.GroupPlan{First: k, Last: j - 1, Option: opt, OnMaster: true})
 					if err != nil {
 						return nil, err
 					}

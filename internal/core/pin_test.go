@@ -16,7 +16,7 @@ import (
 var updatePin = flag.Bool("update", false, "rewrite the pinned goldens in testdata")
 
 // TestPredictionsPinned pins the float bits of the performance model's plan
-// predictions — PredictPlanBatch at batch 1 and 4, and PredictPlanTail over
+// predictions — a table's Plan at batch 1 and 4, and PredictPlanTail over
 // 500 trials — on the Lambda latency-optimal plans of six zoo models and on
 // one hand-built VGG-11 plan that takes every branch: spatial and channel
 // groups with and without the master, a whole group on a worker and one on
@@ -103,7 +103,7 @@ func pinPlan(t *testing.T, sb *strings.Builder, m *perf.Model, units []*partitio
 	t.Helper()
 	sb.WriteString(plan.String())
 	for _, batch := range batches {
-		bp, err := m.PredictPlanBatch(units, plan, batch)
+		bp, err := m.Table(units, batch).Plan(plan)
 		if err != nil {
 			t.Fatalf("%s batch %d: %v", plan.Model, batch, err)
 		}

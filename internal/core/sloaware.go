@@ -71,7 +71,8 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 		episodes = 1500
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pc := newPredCache(m, units, 1)
+	t := m.Table(units, 1)
+	budget := int64(m.Platform().WeightBudgetMB) * 1e6
 	agent := newAgents(rng, newGroupOptions())
 
 	var (
@@ -103,14 +104,15 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 	for ep := 0; ep < episodes; ep += sloRollouts {
 		batch := make([]rollout, 0, sloRollouts)
 		for b := 0; b < sloRollouts && ep+b < episodes; b++ {
-			plan, steps, err := agent.rollout(rng, units, pc)
+			plan, steps, err := agent.rollout(rng, units, t, budget)
 			if err != nil {
 				return SLOResult{}, err
 			}
-			pred, err := m.PredictPlan(units, plan)
+			bp, err := t.Plan(plan)
 			if err != nil {
 				return SLOResult{}, err
 			}
+			pred := bp.PlanPrediction
 			// Reward function, Eq. (4), on the predicted mean latency; OOM
 			// strategies get a large negative reward.
 			var reward float64
@@ -213,8 +215,9 @@ func newAgents(rng *rand.Rand, opts *groupOptions) *agents {
 	}
 }
 
-// rollout samples one full strategy from the current policies.
-func (a *agents) rollout(rng *rand.Rand, units []*partition.Unit, pc *predCache) (*partition.Plan, []step, error) {
+// rollout samples one full strategy from the current policies, placing
+// groups on the master within its weight budget.
+func (a *agents) rollout(rng *rand.Rand, units []*partition.Unit, t *perf.Table, budget int64) (*partition.Plan, []step, error) {
 	var steps []step
 	n := len(units)
 
@@ -258,11 +261,10 @@ func (a *agents) rollout(rng *rand.Rand, units []*partition.Unit, pc *predCache)
 
 	// Phase 2: placer decides master participation group by group,
 	// respecting the remaining master budget.
-	budget := int64(pc.model.Platform().WeightBudgetMB) * 1e6
 	remaining := budget
 	plan := &partition.Plan{Model: modelName(units)}
 	for gi, g := range groups {
-		ext, err := pc.extent(g.first, g.last, g.opt)
+		ext, err := t.Extent(g.first, g.last, g.opt)
 		if err != nil {
 			return nil, nil, err
 		}

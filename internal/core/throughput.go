@@ -23,20 +23,17 @@ func ThroughputOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*par
 		return nil, perf.BatchPrediction{}, err
 	}
 	cfg = cfg.withDefaults()
-
-	var cands []*partition.Plan
-	latPlan, _, err := LatencyOptimal(m, units, cfg)
+	t := m.Table(units, cfg.Batch)
+	latPlan, err := dpSearch(m, units, cfg, t, latencyScore)
 	if err != nil {
 		return nil, perf.BatchPrediction{}, err
 	}
-	cands = append(cands, latPlan)
 
 	// Cost-minimizing DP: same search space, scored by each group's billed
 	// time — worker durations rounded up to the billing granule plus the
 	// master-side latency the group adds to the master's own bill.
-	pc := newPredCache(m, units, cfg.Batch)
 	gran := m.Platform().BillingGranMs
-	costPlan, err := dpSearch(m, units, cfg, pc, func(p perf.GroupPrediction) float64 {
+	costPlan, err := dpSearch(m, units, cfg, t, func(p perf.GroupPrediction) float64 {
 		c := p.LatencyMs
 		for _, w := range p.WorkerMs {
 			c += float64(platform.Billed(w, gran))
@@ -46,14 +43,11 @@ func ThroughputOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*par
 	if err != nil {
 		return nil, perf.BatchPrediction{}, err
 	}
-	cands = append(cands, costPlan)
-
-	cands = append(cands, partition.DefaultPlan(modelName(units), units))
 
 	var bestPlan *partition.Plan
 	var best perf.BatchPrediction
-	for _, plan := range cands {
-		bp, err := m.PredictPlanBatch(units, plan, cfg.Batch)
+	for _, plan := range []*partition.Plan{latPlan, costPlan, partition.DefaultPlan(modelName(units), units)} {
+		bp, err := t.Plan(plan)
 		if err != nil || bp.OOM {
 			continue // e.g. Default for a model that outgrows one function
 		}

@@ -20,7 +20,7 @@ func TestThroughputAtLeastLatencyOptimal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			latBP, err := m.PredictPlanBatch(units, latPlan, batch)
+			latBP, err := m.Table(units, batch).Plan(latPlan)
 			if err != nil {
 				t.Fatal(err)
 			}

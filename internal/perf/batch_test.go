@@ -18,24 +18,19 @@ func batchTestPlan(t *testing.T, units []*partition.Unit) *partition.Plan {
 	return plan
 }
 
-// TestPredictPlanBatchOneBitExact pins the refactor contract: the batched
-// predictor at batch 1 is the unbatched predictor, bit for bit, for both
-// a parallel plan and the Default baseline.
+// TestPredictPlanBatchOneBitExact pins the batch-1 contract: one table at
+// batch 1, pricing a parallel plan and the Default baseline in turn, answers
+// PredictPlan bit for bit, and its objectives are those of a single query.
 func TestPredictPlanBatchOneBitExact(t *testing.T) {
 	m := lambda(t)
 	units := unitsOf(t, "vgg11")
-	plans := []*partition.Plan{
-		batchTestPlan(t, units),
-		{Model: "vgg11", Groups: []partition.GroupPlan{
-			{First: 0, Last: len(units) - 1, Option: partition.Option{Dim: partition.DimNone, Parts: 1}, OnMaster: true},
-		}},
-	}
-	for pi, plan := range plans {
+	tab := m.Table(units, 1)
+	for pi, plan := range []*partition.Plan{batchTestPlan(t, units), partition.DefaultPlan("vgg11", units)} {
 		want, err := m.PredictPlan(units, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := m.PredictPlanBatch(units, plan, 1)
+		got, err := tab.Plan(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,14 +53,15 @@ func TestPredictPlanBatchOneBitExact(t *testing.T) {
 // TestBatchAmortizesOverheads pins the economics: growing the batch must
 // raise the modeled latency sublinearly (the per-round overheads are paid
 // once), which makes the per-query cost fall and the throughput-per-cost
-// objective rise monotonically over {1,2,4,8}.
+// objective rise monotonically over {1,2,4,8} — until a huge batch blows
+// the activation budget (activations scale with the batch, weights do not).
 func TestBatchAmortizesOverheads(t *testing.T) {
 	m := lambda(t)
 	units := unitsOf(t, "vgg11")
 	plan := batchTestPlan(t, units)
 	var prev BatchPrediction
 	for i, batch := range []int{1, 2, 4, 8} {
-		bp, err := m.PredictPlanBatch(units, plan, batch)
+		bp, err := m.Table(units, batch).Plan(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,23 +88,7 @@ func TestBatchAmortizesOverheads(t *testing.T) {
 		}
 		prev = bp
 	}
-}
-
-// TestPredictPlanBatchValidation covers the argument contract and the
-// batch-scaled OOM check (activations scale with the batch, weights do
-// not).
-func TestPredictPlanBatchValidation(t *testing.T) {
-	m := lambda(t)
-	units := unitsOf(t, "vgg11")
-	plan := batchTestPlan(t, units)
-	if _, err := m.PredictPlanBatch(units, plan, 0); err == nil {
-		t.Error("batch 0 must be rejected")
-	}
-	if _, err := m.PredictGroupBatch(units, plan.Groups[0], -1); err == nil {
-		t.Error("negative batch must be rejected")
-	}
-	// A huge batch must eventually blow the activation budget.
-	bp, err := m.PredictPlanBatch(units, plan, 1<<20)
+	bp, err := m.Table(units, 1<<20).Plan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,6 @@ package perf
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sync"
 
 	"gillis/internal/nn"
@@ -180,32 +178,6 @@ func (m *Model) MaxCommMs(n int) float64 {
 	return v
 }
 
-// expectedForkJoinMs estimates E[max_i(offset_i + overhead_i + comp_i)]
-// where overhead_i are i.i.d. draws from the fitted EMG distribution —
-// the generalization of the n-th order statistic to workers with
-// deterministic start offsets. A fixed-seed Monte Carlo keeps the
-// prediction deterministic.
-func (m *Model) expectedForkJoinMs(offsets, comps []float64) float64 {
-	n := len(offsets)
-	if n == 0 {
-		return 0
-	}
-	const trials = 1200
-	rng := rand.New(rand.NewSource(0x6f725374))
-	var sum float64
-	for t := 0; t < trials; t++ {
-		worst := math.Inf(-1)
-		for i := 0; i < n; i++ {
-			v := offsets[i] + m.comm.Sample(rng) + comps[i]
-			if v > worst {
-				worst = v
-			}
-		}
-		sum += worst
-	}
-	return sum / trials
-}
-
 // GroupPrediction is the model's estimate for one group plan.
 type GroupPrediction struct {
 	// LatencyMs is the master-observed time for the group.
@@ -218,14 +190,6 @@ type GroupPrediction struct {
 	OOM bool
 	// OOMReason explains the violation.
 	OOMReason string
-}
-
-// PredictGroup estimates the latency of one layer group under a group plan
-// (Algorithm 1's latency oracle for a given parallelization option and
-// master participation).
-func (m *Model) PredictGroup(units []*partition.Unit, gp partition.GroupPlan) (GroupPrediction, error) {
-	pred, _, err := m.predictGroupBatch(units, gp, 1)
-	return pred, err
 }
 
 // round is one group's fork-join round as the model prices it at a batch
@@ -282,55 +246,6 @@ func (m *Model) round(ext partition.Extent, gp partition.GroupPlan, baseMs float
 	return r
 }
 
-// predictGroupBatch is PredictGroup with an explicit batch dimension, also
-// returning the group's extent: compute and payload bytes scale with the
-// batch, while the per-round invocation overheads (request fan-out, EMG
-// cold-path draws) are paid once — the amortization cross-query batching
-// buys. Every batch scaling is a multiplication by float64(batch) or
-// int64(batch), so batch 1 reproduces the unbatched prediction bit-for-bit.
-func (m *Model) predictGroupBatch(units []*partition.Unit, gp partition.GroupPlan, batch int) (GroupPrediction, partition.Extent, error) {
-	if batch < 1 {
-		return GroupPrediction{}, partition.Extent{}, fmt.Errorf("perf: batch must be positive, got %d", batch)
-	}
-	ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
-	if err != nil {
-		return GroupPrediction{}, partition.Extent{}, err
-	}
-	var pred GroupPrediction
-	budget := int64(m.cfg.WeightBudgetMB) * 1e6
-	if need := ext.ResidentBytes(batch); need > budget {
-		pred.OOM = true
-		pred.OOMReason = fmt.Sprintf("partition weights+activations %d MB exceed budget %d MB", need/1e6, budget/1e6)
-	}
-	baseMs, err := m.GroupComputeMs(units, gp.First, gp.Last)
-	if err != nil {
-		return GroupPrediction{}, partition.Extent{}, err
-	}
-	bi := int64(batch)
-	r := m.round(ext, gp, baseMs*float64(batch), bi)
-	pred.WorkerMs = r.comps
-	pred.UploadMs, pred.OverheadMs, pred.DownloadMs = r.upMs, m.MaxCommMs(len(r.comps)), r.downMs
-	switch {
-	case len(r.comps) == 0: // whole group on the master
-		pred.LatencyMs = r.masterMs
-		return pred, ext, nil
-	case gp.Option.Dim == partition.DimNone:
-		pred.LatencyMs = r.upMs + pred.OverheadMs + r.comps[0] + r.downMs
-		return pred, ext, nil
-	}
-	// Fork-join completion: the expected maximum over workers of
-	// (upload prefix + EMG overhead + compute), by order statistics over
-	// the fitted distribution with deterministic offsets; the master
-	// computes its own partition concurrently with the uploads.
-	workerSide := m.expectedForkJoinMs(r.offsets, r.comps) + r.downMs
-	pred.LatencyMs = max(r.masterMs, r.upMs, workerSide)
-	// Reassembly (memory-bandwidth bound concatenation).
-	if m.cfg.MemGBps > 0 {
-		pred.LatencyMs += float64(ext.OutBytesTotal*bi) / 1e9 / m.cfg.MemGBps * 1000
-	}
-	return pred, ext, nil
-}
-
 // PlanPrediction is the model's estimate for a complete strategy.
 type PlanPrediction struct {
 	// LatencyMs is the end-to-end inference latency (master duration).
@@ -344,53 +259,9 @@ type PlanPrediction struct {
 	OOMReason string
 }
 
-// PredictPlan estimates latency and cost of a full plan, checking both the
-// per-worker and the cumulative master memory budgets.
+// PredictPlan estimates latency and cost of a full plan serving one query,
+// on a fresh table.
 func (m *Model) PredictPlan(units []*partition.Unit, plan *partition.Plan) (PlanPrediction, error) {
-	bp, err := m.PredictPlanBatch(units, plan, 1)
-	if err != nil {
-		return PlanPrediction{}, err
-	}
-	return bp.PlanPrediction, nil
-}
-
-// predictPlanBatch estimates a full plan serving batches of the given size
-// in every fork-join round.
-func (m *Model) predictPlanBatch(units []*partition.Unit, plan *partition.Plan, batch int) (PlanPrediction, error) {
-	if err := plan.Validate(units); err != nil {
-		return PlanPrediction{}, err
-	}
-	var out PlanPrediction
-	budget := int64(m.cfg.WeightBudgetMB) * 1e6
-	var masterBytes int64
-	for _, gp := range plan.Groups {
-		pred, ext, err := m.predictGroupBatch(units, gp, batch)
-		if err != nil {
-			return PlanPrediction{}, err
-		}
-		out.Groups = append(out.Groups, pred)
-		out.LatencyMs += pred.LatencyMs
-		if pred.OOM && !out.OOM {
-			out.OOM, out.OOMReason = true, pred.OOMReason
-		}
-		if gp.OnMaster {
-			masterBytes += ext.WeightBytes
-		}
-		for _, wms := range pred.WorkerMs {
-			out.BilledMs += platform.Billed(wms, m.cfg.BillingGranMs)
-		}
-	}
-	if masterBytes > budget && !out.OOM {
-		out.OOM = true
-		out.OOMReason = fmt.Sprintf("master resident weights %d MB exceed budget %d MB", masterBytes/1e6, budget/1e6)
-	}
-	out.BilledMs += platform.Billed(out.LatencyMs, m.cfg.BillingGranMs)
-	return out, nil
-}
-
-// PredictDefault estimates single-function (unpartitioned) serving: the
-// Default baseline. It returns an OOM prediction when the model does not
-// fit the weight budget.
-func (m *Model) PredictDefault(units []*partition.Unit) (PlanPrediction, error) {
-	return m.PredictPlan(units, partition.DefaultPlan("default", units))
+	bp, err := m.Table(units, 1).Plan(plan)
+	return bp.PlanPrediction, err
 }

@@ -112,11 +112,12 @@ func TestPredictGroupParallelSpeedup(t *testing.T) {
 		}
 		return partition.GroupPlan{First: 0, Last: 2, Option: opt, OnMaster: parts == 1}
 	}
-	p1, err := m.PredictGroup(units, gp(1))
+	tab := m.Table(units, 1)
+	p1, err := tab.Group(gp(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := m.PredictGroup(units, gp(4))
+	p4, err := tab.Group(gp(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +133,12 @@ func TestPredictGroupMasterParticipation(t *testing.T) {
 	m := lambda(t)
 	units := unitsOf(t, "vgg16")
 	opt := partition.Option{Dim: partition.DimSpatial, Parts: 4}
-	without, err := m.PredictGroup(units, partition.GroupPlan{First: 0, Last: 2, Option: opt})
+	tab := m.Table(units, 1)
+	without, err := tab.Group(partition.GroupPlan{First: 0, Last: 2, Option: opt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, err := m.PredictGroup(units, partition.GroupPlan{First: 0, Last: 2, Option: opt, OnMaster: true})
+	with, err := tab.Group(partition.GroupPlan{First: 0, Last: 2, Option: opt, OnMaster: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestPredictGroupOOM(t *testing.T) {
 		Option:   partition.Option{Dim: partition.DimNone, Parts: 1},
 		OnMaster: true,
 	}
-	pred, err := m.PredictGroup(units, full)
+	pred, err := m.Table(units, 1).Group(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,8 @@ func TestPredictDefaultMatchesPaperOOMFrontier(t *testing.T) {
 		"rnn10":   false,
 	}
 	for name, fits := range cases {
-		pred, err := m.PredictDefault(unitsOf(t, name))
+		units := unitsOf(t, name)
+		pred, err := m.PredictPlan(units, partition.DefaultPlan(name, units))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -277,7 +280,7 @@ func TestParallelismSweetSpot(t *testing.T) {
 			gp.Option = partition.Option{Dim: partition.DimNone, Parts: 1}
 			gp.OnMaster = true
 		}
-		pred, err := m.PredictGroup(units, gp)
+		pred, err := m.Table(units, 1).Group(gp)
 		if err != nil {
 			t.Fatal(err)
 		}

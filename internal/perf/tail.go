@@ -29,17 +29,14 @@ func (m *Model) PredictPlanTail(units []*partition.Unit, plan *partition.Plan, t
 		trials = 100
 	}
 	// Decompose every group's round once; only the draws vary by trial.
+	tab := m.Table(units, 1)
 	rounds := make([]round, len(plan.Groups))
 	for gi, gp := range plan.Groups {
-		ext, err := partition.GroupExtent(units, gp.First, gp.Last, gp.Option)
+		c, err := tab.cost(gp.First, gp.Last, gp.Option)
 		if err != nil {
 			return TailPrediction{}, err
 		}
-		baseMs, err := m.GroupComputeMs(units, gp.First, gp.Last)
-		if err != nil {
-			return TailPrediction{}, err
-		}
-		rounds[gi] = m.round(ext, gp, baseMs, 1)
+		rounds[gi] = m.round(c.ext, gp, c.baseMs, 1)
 	}
 
 	noise := func(rng *rand.Rand) float64 {

@@ -8,7 +8,7 @@
 # tables of the paper's figures.
 
 GO ?= go
-RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/runtime ./internal/platform ./internal/simnet \
+RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/runtime ./internal/platform ./internal/simnet \
 	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/perf ./internal/core \
 	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh ./cmd/gillis-server
 
@@ -90,7 +90,8 @@ procs:
 # owns an Env and everything deployed on it (DESIGN.md §3), and only what
 # concurrent Envs share synchronises — par's workers and scratch pool, the
 # metrics registry, a graph's cached arena plan, a part's program, a perf
-# model's memo. The race detector is what enforces that split: a simulated
+# model's memo (TestConcurrentChainsShareThePool drives eight goroutines
+# through one unit chain and its pooled buffer). The race detector is what enforces that split: a simulated
 # process that leaves its Env's goroutine, or a second goroutine reaching into
 # a platform, gateway, mesh, deployment or trace, is a reported data race here
 # (TestConcurrentEnvsOwnTheirState drives eight Envs at once for it), where a

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"gillis/internal/par"
 	"gillis/internal/simnet"
 	"gillis/internal/tensor"
 )
@@ -140,18 +141,31 @@ func TestConcurrentPredicts(t *testing.T) {
 
 // TestInferAllocationBudget pins what one request allocates on a resident
 // engine, the demo model's forward and reply included, so per-request
-// construction of the simulation cannot creep back: it is 122 on a resident
-// engine, and building a fresh Env, platform, deployment and warm pool for
-// every request made it 182.
+// construction of the simulation cannot creep back: it is 111 objects on a
+// resident engine with one worker, and building a fresh Env, platform,
+// deployment and warm pool for every request made it 182. The bytes are
+// pinned as tightly: 5280 B, where a tensor of its own for every inner unit
+// output made it 120 KB. The byte budget has less slack than the demo model's
+// smallest inner unit output is big (fc's 40 B), so any one of them allocated
+// again breaks it; a change that allocates less lowers it. One worker, so
+// par.For spawns nothing; the minimum of several runs, so a collection that
+// empties the scratch pool between two of them does not count.
 func TestInferAllocationBudget(t *testing.T) {
 	if raceOn {
 		t.Skip("allocation budgets are the plain build's")
 	}
-	const budget = 140
+	const budget, budgetBytes = 140, 5312
 	s, err := newServer("", "lambda", 1, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	smallest := int64(math.MaxInt64)
+	for _, gp := range s.plan.Groups {
+		for _, u := range s.units[gp.First:gp.Last] {
+			smallest = min(smallest, tensor.SizeBytes(u.OutShape))
+		}
+	}
+	defer par.SetParallelism(1)()
 	in := tensor.Full(0.5, 3, 32, 32)
 	infer := func() {
 		if _, err := s.infer("", in); err != nil {
@@ -164,5 +178,17 @@ func TestInferAllocationBudget(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, infer); allocs > budget {
 		t.Fatalf("a request allocates %v objects, budget %d", allocs, budget)
+	}
+	bytes := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		infer()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d B per request; smallest inner unit output %d B", bytes, smallest)
+	if bytes > budgetBytes || budgetBytes-bytes >= uint64(smallest) {
+		t.Errorf("a request allocates %d B, budget %d B with less slack than %d B", bytes, budgetBytes, smallest)
 	}
 }

@@ -327,38 +327,82 @@ func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // ForwardChainBatch runs units sequentially over a batch of inputs with
-// cross-query batched kernels (graph.ForwardBatchIn per unit), all in one
-// activation arena sized for the hungriest unit. Every unit's output is a
-// tensor of its own, like the chain's. Bitwise identical to calling
-// ForwardChain once per input; obs is handed to every unit's forward.
+// cross-query batched kernels (graph.ForwardBatchIn per unit), in one buffer
+// from par's scratch pool laid out by planChain: every unit's sub-graph runs
+// in the same arena, and each unit but the last writes its outputs into the
+// slab its successor reads them from. Only the last unit's outputs are tensors
+// of their own. Bitwise identical to calling ForwardChain once per input; obs
+// is handed to every unit's forward.
 func ForwardChainBatch(units []*Unit, xs []*tensor.Tensor, obs graph.Observer) ([]*tensor.Tensor, error) {
-	most, err := chainArenaBytes(units)
+	c, err := planChain(units)
 	if err != nil {
 		return nil, err
 	}
-	arena := par.GetF32(int(most/4) * len(xs))
-	defer par.PutF32(arena)
-	cur := xs
-	for _, u := range units {
-		outs, err := u.Sub.ForwardBatchIn(*arena, cur, obs)
+	buf := par.GetF32(c.floats() * len(xs))
+	defer par.PutF32(buf)
+	return c.run(units, *buf, xs, obs)
+}
+
+// chainPlan is how a chain of units lays out one query's activations, in
+// floats. The units run one at a time, so their sub-graphs share one arena
+// the hungriest sets the size of. A unit's output is live only until its
+// successor has run, so unit i < last writes into slab i mod 2 while it reads
+// slab (i-1) mod 2, and each slab is sized for the largest output it holds.
+// The last unit's output is the caller's, and not in the plan.
+type chainPlan struct {
+	arena int
+	slab  [2]int
+}
+
+// floats is what one query's forward takes: the arena and both slabs.
+func (c chainPlan) floats() int { return c.arena + c.slab[0] + c.slab[1] }
+
+// planChain returns the chain's layout.
+func planChain(units []*Unit) (chainPlan, error) {
+	var c chainPlan
+	for i, u := range units {
+		b, err := u.Sub.ArenaBytes()
 		if err != nil {
+			return chainPlan{}, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
+		}
+		c.arena = max(c.arena, int(b/4))
+		if i < len(units)-1 {
+			c.slab[i%2] = max(c.slab[i%2], int(tensor.SizeBytes(u.OutShape)/4))
+		}
+	}
+	return c, nil
+}
+
+// run is ForwardChainBatch in buf, which must hold floats() for every query
+// and may hold anything: the arena for every query first, then slab 0 and
+// slab 1 for every query. Nothing the call returns points into it.
+func (c chainPlan) run(units []*Unit, buf []float32, xs []*tensor.Tensor, obs graph.Observer) ([]*tensor.Tensor, error) {
+	batch := len(xs)
+	if len(buf) < c.floats()*batch {
+		return nil, fmt.Errorf("partition: chain buffer of %d floats, %d queries need %d each", len(buf), batch, c.floats())
+	}
+	arena, rest := buf[:c.arena*batch], buf[c.arena*batch:]
+	slabs := [2][]float32{rest[:c.slab[0]*batch], rest[c.slab[0]*batch:]}
+	cur := xs
+	for i, u := range units {
+		outs := make([]*tensor.Tensor, batch)
+		if i == len(units)-1 {
+			for e := range outs {
+				outs[e] = tensor.New(u.OutShape...)
+			}
+		} else {
+			n := int(tensor.SizeBytes(u.OutShape) / 4)
+			for e := range outs {
+				var err error
+				if outs[e], err = tensor.FromData(slabs[i%2][e*n:(e+1)*n:(e+1)*n], u.OutShape...); err != nil {
+					return nil, err
+				}
+			}
+		}
+		if err := u.Sub.ForwardBatchIn(arena, cur, outs, obs); err != nil {
 			return nil, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
 		}
 		cur = outs
 	}
 	return cur, nil
-}
-
-// chainArenaBytes is the arena the hungriest unit's sub-graph runs one query
-// in.
-func chainArenaBytes(units []*Unit) (int64, error) {
-	var most int64
-	for _, u := range units {
-		b, err := u.Sub.ArenaBytes()
-		if err != nil {
-			return 0, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
-		}
-		most = max(most, b)
-	}
-	return most, nil
 }

@@ -99,6 +99,9 @@ func (t *Tensor) Shape() []int { return cloneInts(t.shape) }
 // copies Shape makes.
 func (t *Tensor) SameShape(o *Tensor) bool { return ShapeEqual(t.shape, o.shape) }
 
+// HasShape reports whether t has the given shape, without copying t's.
+func (t *Tensor) HasShape(shape []int) bool { return ShapeEqual(t.shape, shape) }
+
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.shape) }
 

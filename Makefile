@@ -1,16 +1,16 @@
-# CI entry points. `make ci` is what a pre-merge check runs: lint (gofmt,
-# go vet, and the gillis-vet static-analysis suite), build, full test
-# suite, the scheduler-sensitive packages again at GOMAXPROCS 1, 2, 3, 4
-# and 8, the race detector as the ownership check (see `race` below), the
-# seeded chaos tests that guard the resilience layer, a bounded run of the
-# three fuzzers over untrusted input, and a byte-for-byte regeneration of
-# the five simulated BENCH_*.json baselines and of BENCH_paper.txt, the
-# tables of the paper's figures.
+# CI entry points. `make ci` is what a pre-merge check runs: lint (gofmt
+# and go vet), build, full test suite (nodeterm_test.go among it: nothing
+# under internal/ reads the wall clock), the scheduler-sensitive packages
+# again at GOMAXPROCS 1, 2, 3, 4 and 8, the race detector as the ownership
+# check (see `race` below), the seeded chaos tests that guard the resilience
+# layer, a bounded run of the three fuzzers over untrusted input, and a
+# byte-for-byte regeneration of the five simulated BENCH_*.json baselines
+# and of BENCH_paper.txt, the tables of the paper's figures.
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/runtime ./internal/platform ./internal/simnet \
 	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/perf ./internal/core \
-	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh ./cmd/gillis-server
+	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh ./cmd/gillis-server ./cmd/gillis-bench
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
 
@@ -18,18 +18,16 @@ PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition
 
 ci: lint build test procs race chaos fuzz bench-verify
 
-# lint fails on any unformatted file, then runs go vet and gillis-vet, the
-# project's own analyzer: nodeterm, which bans wall-clock reads, unseeded
-# global RNG draws and environment lookups in simnet-clocked packages (see
-# DESIGN.md §9). CI sets VET_FLAGS=-github so findings land as inline
-# ::error annotations on the pull request. go vet's asmdecl checks
-# gemm_amd64.s (tile kernels and row helpers) against its Go declarations;
-# the arm64 cross-build and vet keep the no-assembly kernel dispatch, which
-# nothing on an amd64 runner compiles, from rotting. The frozen benchmark/
-# harness is its own module, which `./...` does not reach: vetting it
-# compiles it against this tree, so deleting an internal API it calls fails
-# here rather than in every benchmark run.
-VET_FLAGS ?=
+# lint fails on any unformatted file, then runs go vet. The project's own
+# rule (nothing under internal/ reads the wall clock, an unseeded global RNG
+# or the environment; DESIGN.md §9) is a test, nodeterm_test.go, so `make
+# test` enforces it. go vet's asmdecl checks gemm_amd64.s (tile kernels and
+# row helpers) against its Go declarations; the arm64 cross-build and vet
+# keep the no-assembly kernel dispatch, which nothing on an amd64 runner
+# compiles, from rotting. The frozen benchmark/ harness is its own module,
+# which `./...` does not reach: vetting it compiles it against this tree, so
+# deleting an internal API it calls fails here rather than in every
+# benchmark run.
 lint:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -41,7 +39,6 @@ lint:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn
 	cd benchmark && $(GO) vet .
-	$(GO) run ./cmd/gillis-vet $(VET_FLAGS) ./...
 
 vet:
 	$(GO) vet ./...

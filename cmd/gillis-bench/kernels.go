@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"gillis/internal/bench"
 	"gillis/internal/nn"
 	"gillis/internal/par"
 	"gillis/internal/tensor"
@@ -17,7 +18,9 @@ import (
 // runtime executes in Real mode, at kernel parallelism 1, 2 and all
 // hardware threads. Its JSON output is the checked-in BENCH_kernels.json
 // baseline: regressions in single-core speed, multi-core scaling, or
-// allocation behaviour show up as diffs against it.
+// allocation behaviour show up as diffs against it. It reads the wall
+// clock, which is why it lives here and not under internal/, where nothing
+// may (nodeterm_test.go at the module root).
 
 // KernelResult is one (kernel, parallelism) measurement. The baseline
 // columns are filled in by Compare when a prior BENCH_kernels.json is
@@ -98,17 +101,14 @@ func measure(op nn.Op, x *tensor.Tensor, minDuration time.Duration) (nsPerOp, al
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	//gillis:allow nodeterm kernel microbenchmarks measure real wall-clock speed, not simulated time
 	start := time.Now()
 	iters := 0
-	//gillis:allow nodeterm wall-clock iteration budget for the microbenchmark loop
 	for time.Since(start) < minDuration || iters < 5 {
 		if _, err = op.Forward(x); err != nil {
 			return 0, 0, 0, err
 		}
 		iters++
 	}
-	//gillis:allow nodeterm wall-clock measurement is the quantity being reported
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	n := int64(iters)
@@ -118,13 +118,13 @@ func measure(op nn.Op, x *tensor.Tensor, minDuration time.Duration) (nsPerOp, al
 		nil
 }
 
-// Kernels runs the kernel microbenchmark sweep. Quick mode trims the
+// kernels runs the kernel microbenchmark sweep. Quick mode trims the
 // per-measurement budget so the sweep stays test-suite friendly. Each
 // (kernel, level) pair is measured over several passes and the median pass
 // is reported: the median tracks typical machine performance instead of a
 // lucky burst window, so a baseline pinned from it is one a later check run
 // can actually reproduce within the 10% regression gate.
-func Kernels(c *Context) (*KernelReport, error) {
+func kernels(c *bench.Context) (*KernelReport, error) {
 	budget, passes := 500*time.Millisecond, 5
 	if c.Quick {
 		budget, passes = 20*time.Millisecond, 1
@@ -249,4 +249,4 @@ func (r *KernelReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_kernels.json baseline format.
-func (r *KernelReport) JSON() ([]byte, error) { return baselineJSON(r) }
+func (r *KernelReport) JSON() ([]byte, error) { return bench.BaselineJSON(r) }

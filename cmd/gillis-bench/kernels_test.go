@@ -1,13 +1,19 @@
-package bench
+package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
+
+	"gillis/internal/bench"
 )
 
 func TestKernelsSweepShape(t *testing.T) {
-	rep, err := Kernels(quickCtx())
+	ctx := bench.NewContext(7)
+	ctx.Quick = true
+	rep, err := kernels(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,5 +126,32 @@ func TestKernelTableWithoutBaseline(t *testing.T) {
 	rep := &KernelReport{Results: []KernelResult{{Kernel: "k", Parallelism: 1, NsPerOp: 10, Speedup: 1}}}
 	if table := rep.Table(); strings.Contains(table, "base ns/op") {
 		t.Fatalf("baseline columns rendered without a baseline:\n%s", table)
+	}
+}
+
+// TestKernelBaselineFormat: the checked-in BENCH_kernels.json, the file `make
+// bench-kernels` gates against, decodes into KernelReport with no field left
+// over and re-encodes to the same bytes, so the report type and the baseline
+// agree field for field.
+func TestKernelBaselineFormat(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_kernels.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var rep KernelReport
+	if err := dec.Decode(&rep); err != nil {
+		t.Fatalf("BENCH_kernels.json does not decode into KernelReport: %v", err)
+	}
+	if len(rep.Results) == 0 {
+		t.Fatal("BENCH_kernels.json holds no results")
+	}
+	js, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(js, data) {
+		t.Fatal("BENCH_kernels.json does not re-encode byte-identically from KernelReport")
 	}
 }

@@ -83,7 +83,7 @@ func figures() []figure {
 		entry("ablations", bench.Ablations),
 		entry("burst", bench.Burst),
 		entry("load", bench.SweepLoad),
-		entry("kernels", bench.Kernels),
+		entry("kernels", kernels),
 		entry("chaos", bench.Chaos),
 		entry("adapt", bench.AdaptScenario),
 		entry("batch", bench.SweepBatch),
@@ -214,13 +214,13 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", fig.id, err)
 		}
-		kernels, _ := res.(*bench.KernelReport)
-		var base *bench.KernelReport
-		if kernels != nil && *kernelsBaseline != "" {
+		kr, _ := res.(*KernelReport)
+		var base *KernelReport
+		if kr != nil && *kernelsBaseline != "" {
 			if base, err = readKernelBaseline(*kernelsBaseline); err != nil {
 				return err
 			}
-			kernels.Compare(base)
+			kr.Compare(base)
 		}
 		fmt.Fprintln(sink, res.Table())
 		// Wall-clock goes to stdout only: what -out writes is the same bytes
@@ -236,15 +236,15 @@ func run(args []string, stdout io.Writer) error {
 			}
 			fmt.Fprintf(sink, "figure %s written to %s\n", fig.id, *jsonPath)
 		}
-		if kernels != nil && *kernelsCheck {
-			err := kernels.CheckRegression(0.10)
+		if kr != nil && *kernelsCheck {
+			err := kr.CheckRegression(0.10)
 			if err != nil {
 				// A sub-millisecond kernel can blow the gate on one
 				// noisy sample (co-tenant or frequency jitter);
 				// re-measure once before declaring a regression. A
 				// real slowdown fails both attempts.
 				fmt.Fprintf(sink, "kernels: %v\nkernels: re-measuring once to rule out noise\n", err)
-				retry, rerr := bench.Kernels(ctx)
+				retry, rerr := kernels(ctx)
 				if rerr != nil {
 					return rerr
 				}
@@ -264,12 +264,12 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // readKernelBaseline loads a previously written BENCH_kernels.json report.
-func readKernelBaseline(path string) (*bench.KernelReport, error) {
+func readKernelBaseline(path string) (*KernelReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("kernels baseline: %w", err)
 	}
-	var r bench.KernelReport
+	var r KernelReport
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("kernels baseline %s: %w", path, err)
 	}

@@ -418,4 +418,4 @@ func (r *AdaptReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_adapt.json baseline format.
-func (r *AdaptReport) JSON() ([]byte, error) { return baselineJSON(r) }
+func (r *AdaptReport) JSON() ([]byte, error) { return BaselineJSON(r) }

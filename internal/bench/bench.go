@@ -184,8 +184,9 @@ func measureDefault(cfg platform.Config, seed int64, units []*partition.Unit, n 
 	return measurePlan(cfg, seed, units, partition.DefaultPlan("default", units), n)
 }
 
-// baselineJSON renders a report in the form of the BENCH_*.json baselines.
-func baselineJSON(report any) ([]byte, error) {
+// BaselineJSON renders a report in the form of the BENCH_*.json baselines:
+// indented JSON ending in a newline.
+func BaselineJSON(report any) ([]byte, error) {
 	b, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return nil, err

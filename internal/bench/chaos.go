@@ -193,6 +193,6 @@ func (r *ChaosReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_chaos.json baseline format.
-func (r *ChaosReport) JSON() ([]byte, error) { return baselineJSON(r) }
+func (r *ChaosReport) JSON() ([]byte, error) { return BaselineJSON(r) }
 
 func round3(x float64) float64 { return math.Round(x*1000) / 1000 }

@@ -192,4 +192,4 @@ func (r *SweepBatchReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_batch.json baseline format.
-func (r *SweepBatchReport) JSON() ([]byte, error) { return baselineJSON(r) }
+func (r *SweepBatchReport) JSON() ([]byte, error) { return BaselineJSON(r) }

@@ -196,4 +196,4 @@ func (r *SweepLoadReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_load.json baseline format.
-func (r *SweepLoadReport) JSON() ([]byte, error) { return baselineJSON(r) }
+func (r *SweepLoadReport) JSON() ([]byte, error) { return BaselineJSON(r) }

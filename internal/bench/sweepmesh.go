@@ -259,4 +259,4 @@ func (r *SweepMeshReport) Table() string {
 }
 
 // JSON renders the report as the BENCH_mesh.json baseline format.
-func (r *SweepMeshReport) JSON() ([]byte, error) { return baselineJSON(r) }
+func (r *SweepMeshReport) JSON() ([]byte, error) { return BaselineJSON(r) }

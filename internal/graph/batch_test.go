@@ -86,7 +86,8 @@ func TestGraphForwardBatchEquivalenceProperty(t *testing.T) {
 }
 
 // TestGraphForwardBatchValidation pins input-shape validation and the
-// empty-batch edge.
+// empty-batch edge, and ForwardBatchIn's checks of the caller's outputs and
+// arena.
 func TestGraphForwardBatchValidation(t *testing.T) {
 	g := tinyChain()
 	g.Init(1)
@@ -96,5 +97,26 @@ func TestGraphForwardBatchValidation(t *testing.T) {
 	outs, err := g.ForwardBatch(nil, nil)
 	if err != nil || outs != nil {
 		t.Fatalf("empty batch: got %v, %v", outs, err)
+	}
+
+	bytes, err := g.ArenaBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := make([]float32, bytes/4)
+	x := []*tensor.Tensor{tensor.New(1, 6, 6)}
+	out := []*tensor.Tensor{tensor.New(2, 3, 3)}
+	for name, call := range map[string]func() error{
+		"empty graph":  func() error { return New("empty", []int{1}).ForwardBatchIn(arena, x, x, nil) },
+		"output count": func() error { return g.ForwardBatchIn(arena, x, nil, nil) },
+		"output shape": func() error { return g.ForwardBatchIn(arena, x, x, nil) },
+		"short arena":  func() error { return g.ForwardBatchIn(arena[:len(arena)-1], x, out, nil) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: ForwardBatchIn accepted it", name)
+		}
+	}
+	if err := g.ForwardBatchIn(arena, x, out, nil); err != nil {
+		t.Fatalf("exact arena refused: %v", err)
 	}
 }

@@ -37,6 +37,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -98,7 +99,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gillis-bench", flag.ContinueOnError)
 	figsFlag := fs.String("figs", "1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos", "comma-separated figures to run (also: adapt, batch, mesh)")
 	seed := fs.Int64("seed", 42, "random seed for all stochastic components")
@@ -127,21 +128,21 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
 			return err
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
 	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
 			return err
 		}
-		defer func() {
-			pprof.WriteHeapProfile(f)
-			f.Close()
-		}()
+		defer func() { err = errors.Join(err, pprof.WriteHeapProfile(f), f.Close()) }()
 	}
 
 	ctx := bench.NewContext(*seed)
@@ -198,13 +199,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	var sink io.Writer = stdout
-	var file *os.File
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		file = f
+		defer func() { err = errors.Join(err, f.Close()) }()
 		sink = io.MultiWriter(stdout, f)
 	}
 
@@ -256,9 +256,6 @@ func run(args []string, stdout io.Writer) error {
 			}
 			fmt.Fprintf(sink, "kernels: no ns/op regression beyond 10%% of %s\n", *kernelsBaseline)
 		}
-	}
-	if file != nil {
-		return file.Close()
 	}
 	return nil
 }

@@ -22,10 +22,8 @@ import (
 // every element of a destination (nn's contract).
 //
 // What leaves the forward does not live there: the output node writes into
-// a destination the caller passes (ForwardBatchIn). ForwardBatch passes
-// tensors of their own, so a reply that a hedged or abandoned invocation still
-// holds is never overwritten by the next forward; a chain of units passes
-// the next unit's input, in a buffer of the chain's (partition).
+// a tensor of its own, so a reply that a hedged or abandoned invocation still
+// holds is never overwritten by the next forward.
 
 // Buffer is one buffer of a straight-line program: Size floats, written at
 // step Def and read for the last time at step Last >= Def.
@@ -167,7 +165,7 @@ type Observer func(op nn.Op)
 // traffic across queries. The result is bitwise identical to calling
 // Forward once per input — the batched kernels run the exact per-element
 // accumulation schedules (see internal/nn/batch.go) and obs is notified once
-// per (node, query), matching the sequential loop. It is ForwardBatchIn in
+// per (node, query), matching the sequential loop. It is forwardBatchIn in
 // an arena from par's scratch pool, into outputs of its own.
 func (g *Graph) ForwardBatch(xs []*tensor.Tensor, obs Observer) ([]*tensor.Tensor, error) {
 	p, err := g.plan()
@@ -180,20 +178,17 @@ func (g *Graph) ForwardBatch(xs []*tensor.Tensor, obs Observer) ([]*tensor.Tenso
 	}
 	arena := par.GetF32(p.size * len(xs))
 	defer par.PutF32(arena)
-	if err := g.ForwardBatchIn(*arena, xs, outs, obs); err != nil {
+	if err := g.forwardBatchIn(*arena, xs, outs, obs); err != nil {
 		return nil, err
 	}
 	return outs, nil
 }
 
-// ForwardBatchIn is ForwardBatch in the caller's arena, which must hold
+// forwardBatchIn is ForwardBatch in the caller's arena, which must hold
 // ArenaBytes for every query and may hold anything, writing query e's output
 // into outs[e], which the caller supplies in the output shape: query e runs in
-// its own stretch of the arena, and nothing but outs is written outside it. A
-// caller that runs several graphs one after the other (a chain of units)
-// takes one arena for the hungriest, runs them all in it, and hands each the
-// next one's inputs as its outputs.
-func (g *Graph) ForwardBatchIn(arena []float32, xs, outs []*tensor.Tensor, obs Observer) error {
+// its own stretch of the arena, and nothing but outs is written outside it.
+func (g *Graph) forwardBatchIn(arena []float32, xs, outs []*tensor.Tensor, obs Observer) error {
 	if len(g.nodes) == 0 {
 		return fmt.Errorf("graph %q: empty", g.Name)
 	}

@@ -86,7 +86,7 @@ func TestGraphForwardBatchEquivalenceProperty(t *testing.T) {
 }
 
 // TestGraphForwardBatchValidation pins input-shape validation and the
-// empty-batch edge, and ForwardBatchIn's checks of the caller's outputs and
+// empty-batch edge, and forwardBatchIn's checks of the caller's outputs and
 // arena.
 func TestGraphForwardBatchValidation(t *testing.T) {
 	g := tinyChain()
@@ -107,16 +107,16 @@ func TestGraphForwardBatchValidation(t *testing.T) {
 	x := []*tensor.Tensor{tensor.New(1, 6, 6)}
 	out := []*tensor.Tensor{tensor.New(2, 3, 3)}
 	for name, call := range map[string]func() error{
-		"empty graph":  func() error { return New("empty", []int{1}).ForwardBatchIn(arena, x, x, nil) },
-		"output count": func() error { return g.ForwardBatchIn(arena, x, nil, nil) },
-		"output shape": func() error { return g.ForwardBatchIn(arena, x, x, nil) },
-		"short arena":  func() error { return g.ForwardBatchIn(arena[:len(arena)-1], x, out, nil) },
+		"empty graph":  func() error { return New("empty", []int{1}).forwardBatchIn(arena, x, x, nil) },
+		"output count": func() error { return g.forwardBatchIn(arena, x, nil, nil) },
+		"output shape": func() error { return g.forwardBatchIn(arena, x, x, nil) },
+		"short arena":  func() error { return g.forwardBatchIn(arena[:len(arena)-1], x, out, nil) },
 	} {
 		if err := call(); err == nil {
-			t.Errorf("%s: ForwardBatchIn accepted it", name)
+			t.Errorf("%s: forwardBatchIn accepted it", name)
 		}
 	}
-	if err := g.ForwardBatchIn(arena, x, out, nil); err != nil {
+	if err := g.forwardBatchIn(arena, x, out, nil); err != nil {
 		t.Fatalf("exact arena refused: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 
 	"gillis/internal/graph"
@@ -136,15 +135,15 @@ func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
 }
 
 // TestArenaBytesOfWholeAndChannelGroups: a whole group's arena is its
-// hungriest unit's plus the two slabs its inner outputs alternate between,
-// each the size of the largest output it holds — at most twice the largest
-// inner output, and nothing for a one-unit group; a channel group's is its
-// hungriest slice's.
+// Join's — the unit's own for a one-unit group, and for the whole chain no
+// more than the hungriest unit's arena plus the two slabs the chain's inner
+// outputs would alternate between if each unit ran in an arena of its own; a
+// channel group's is its hungriest slice's.
 func TestArenaBytesOfWholeAndChannelGroups(t *testing.T) {
 	g := tinyCNN(t)
 	g.Init(2)
 	units := linearized(t, g)
-	var most, largest int64
+	var most int64
 	var slab [2]int64
 	for i, u := range units {
 		b, err := u.Sub.ArenaBytes()
@@ -156,13 +155,20 @@ func TestArenaBytesOfWholeAndChannelGroups(t *testing.T) {
 			t.Errorf("one-unit group %d: ArenaBytes %d (%v), the unit's arena %d", i, got, err, b)
 		}
 		if i < len(units)-1 {
-			out := tensor.SizeBytes(u.OutShape)
-			slab[i%2], largest = max(slab[i%2], out), max(largest, out)
+			slab[i%2] = max(slab[i%2], tensor.SizeBytes(u.OutShape))
 		}
 	}
+	joined, err := Join(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := joined.ArenaBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := ArenaBytes(units, 0, len(units)-1, Option{Dim: DimNone, Parts: 1})
-	if want := most + slab[0] + slab[1]; err != nil || got != want || most == 0 || slab[1] == 0 || got > most+2*largest {
-		t.Errorf("whole group: ArenaBytes %d (%v), hungriest unit %d + slabs %v (largest inner output %d)", got, err, most, slab, largest)
+	if err != nil || got != want || want == 0 || want > most+slab[0]+slab[1] {
+		t.Errorf("whole group: ArenaBytes %d (%v), its join's %d, hungriest unit %d + slabs %v", got, err, want, most, slab)
 	}
 	slices, err := ChannelSlices(units[0], 2)
 	if err != nil {
@@ -190,154 +196,40 @@ func TestArenaBytesOfWholeAndChannelGroups(t *testing.T) {
 	}
 }
 
-// chain is an initialized model and its full unit chain, run as one whole
-// group.
-type chain struct {
-	g     *graph.Graph
-	units []*Unit
-}
-
-// wholeChains returns the tiny CNN plain and fused, MobileNet's depthwise
-// stack, Inception's branches and a small LSTM as chains.
-func wholeChains(t *testing.T) map[string]chain {
-	t.Helper()
-	chains := map[string]chain{}
-	for _, name := range []string{"tinycnn", "tinycnn-fused", "mobilenet-mini", "inception-mini", "rnn-tiny2"} {
-		var g *graph.Graph
-		switch name {
-		case "tinycnn", "tinycnn-fused":
-			g = tinyCNN(t)
-		default:
-			var err error
-			if g, err = models.ByName(name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		g.Init(21)
-		if name == "tinycnn-fused" {
-			var err error
-			if g, _, err = graph.Fuse(g); err != nil {
-				t.Fatal(err)
-			}
-		}
-		chains[name] = chain{g, linearized(t, g)}
+// TestJoinRejectsMismatchedUnits: units that do not chain, or none at all,
+// are an error, not a graph.
+func TestJoinRejectsMismatchedUnits(t *testing.T) {
+	units := tinyGroup(t, false)
+	if _, err := Join(nil); err == nil {
+		t.Error("a join of no units accepted")
 	}
-	return chains
-}
-
-// TestChainArenaIsWhatItTakes: a whole group's chain, run in a buffer of
-// exactly ArenaBytes × batch — capacity included — that is full of NaNs,
-// returns the whole graph's forward bit for bit and writes the buffer's last
-// float. So the predicted size is what a chain takes, and no inner output is
-// read before its unit has written it.
-func TestChainArenaIsWhatItTakes(t *testing.T) {
-	poison := math.Float32frombits(0x7fa5a5a5)
-	for name, c := range wholeChains(t) {
-		rng := rand.New(rand.NewSource(4))
-		xs := []*tensor.Tensor{tensor.Rand(rng, 1, c.units[0].InShape...), tensor.Rand(rng, 1, c.units[0].InShape...)}
-		bytes, err := ArenaBytes(c.units, 0, len(c.units)-1, Option{Dim: DimNone, Parts: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := planChain(c.units)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, batch := range []int{1, 2} {
-			buf := make([]float32, int(bytes/4)*batch)
-			for j := range buf {
-				buf[j] = poison
-			}
-			outs, err := plan.run(c.units, buf, xs[:batch], nil)
-			if err != nil {
-				t.Fatalf("%s ×%d: %v", name, batch, err)
-			}
-			for e, out := range outs {
-				want, err := c.g.Forward(xs[e])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !tensor.Equal(out, want) {
-					t.Errorf("%s ×%d: query %d differs from the graph's forward", name, batch, e)
-				}
-			}
-			if n := len(buf); n > 0 && math.Float32bits(buf[n-1]) == math.Float32bits(poison) {
-				t.Errorf("%s ×%d: never wrote the last float of its %d-float buffer", name, batch, n)
-			}
-		}
-		if _, err := plan.run(c.units, make([]float32, int(bytes/4)-1), xs[:1], nil); err == nil {
-			t.Errorf("%s: a buffer one float short accepted", name)
-		}
+	if _, err := Join([]*Unit{units[0], units[2]}); err == nil {
+		t.Errorf("unit 2 (takes %v) accepted after unit 0 (returns %v)", units[2].InShape, units[0].OutShape)
 	}
 }
 
-// TestConcurrentChainsShareThePool: eight goroutines forwarding different
-// inputs through one unit chain — one plan, one scratch pool — each get the
-// bits of their sequential forward (run under -race by `make race`), and an
-// output handed out earlier is still those bits after later forwards have
-// reused the buffer its inner units ran in: outputs never alias it.
-func TestConcurrentChainsShareThePool(t *testing.T) {
-	units := tinyGroup(t, true)
-	rng := rand.New(rand.NewSource(13))
-	xs := make([]*tensor.Tensor, 8)
-	want := make([]*tensor.Tensor, len(xs))
-	for e := range xs {
-		xs[e] = tensor.Rand(rng, 1, units[0].InShape...)
-		var err error
-		if want[e], err = ForwardChain(units, xs[e]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, err := ForwardChainBatch(units, xs[:2], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for e := range xs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				got, err := ForwardChain(units, xs[e])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !tensor.Equal(got, want[e]) {
-					t.Errorf("goroutine %d round %d differs from its sequential forward", e, round)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for e, out := range first {
-		if !tensor.Equal(out, want[e]) {
-			t.Errorf("query %d: an output changed after later forwards reused the pool", e)
-		}
-	}
-}
-
-// TestChainAllocationBudget: a whole group's chain of the fused tiny CNN
-// allocates its output, a tensor header per node and inner output, and a few
-// slices per unit — no inner unit output: the byte budget has less slack than
-// the smallest of those is big, so a tensor.New back on the path breaks it.
-// One worker, so par.For spawns nothing; the minimum of several runs, so a
+// TestChainAllocationBudget: the forward of a whole group's join — the fused
+// tiny CNN's unit chain — allocates its output, a tensor header per node and
+// a few slices, and no node output: the byte budget has less slack than the
+// smallest of those is big, so a tensor.New back on the path breaks it. One
+// worker, so par.For spawns nothing; the minimum of several runs, so a
 // collection that empties the pool between two of them does not count.
 func TestChainAllocationBudget(t *testing.T) {
 	if raceOn {
 		t.Skip("allocation budgets are the plain build's")
 	}
 	units := tinyGroup(t, true)
-	if len(units) < 3 {
-		t.Fatalf("%d units: the chain needs inner outputs in both slabs", len(units))
+	g, err := Join(units)
+	if err != nil {
+		t.Fatal(err)
 	}
-	nodes, smallest := 0, int64(math.MaxInt64)
-	for i, u := range units {
-		nodes += u.Sub.Len()
-		if i < len(units)-1 {
-			smallest = min(smallest, tensor.SizeBytes(u.OutShape))
-		}
+	shapes, err := g.Shapes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallest := int64(math.MaxInt64)
+	for _, s := range shapes[:len(shapes)-1] {
+		smallest = min(smallest, tensor.SizeBytes(s))
 	}
 	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
 	defer par.SetParallelism(1)()
@@ -345,23 +237,22 @@ func TestChainAllocationBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	var out *tensor.Tensor
 	for i := 0; i < 10; i++ {
-		var err error
 		runtime.ReadMemStats(&before)
-		if out, err = ForwardChain(units, x); err != nil {
+		if out, err = g.Forward(x); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		objects = min(objects, after.Mallocs-before.Mallocs)
 	}
-	t.Logf("%d units, %d nodes, inner outputs of at least %d B: %d B in %d objects per chain, result %d B",
-		len(units), nodes, smallest, bytes, objects, out.Bytes())
-	// A header and some kernel bookkeeping per node and unit, and less slack
-	// than the smallest inner output is big.
-	maxBytes, maxObjects := uint64(out.Bytes())+uint64(256*(nodes+len(units))), uint64(5*nodes+5*len(units)+8)
+	t.Logf("%d units, %d nodes, node outputs of at least %d B: %d B in %d objects per forward, result %d B",
+		len(units), g.Len(), smallest, bytes, objects, out.Bytes())
+	// A header and some kernel bookkeeping per node, the forward's own slices,
+	// and less slack than the smallest node output is big.
+	maxBytes, maxObjects := uint64(out.Bytes())+uint64(256*g.Len()+512), uint64(4*g.Len()+8)
 	if bytes > maxBytes || objects > maxObjects || maxBytes-bytes >= uint64(smallest) {
-		t.Errorf("a chain of %d units and %d nodes allocates %d B in %d objects, budget %d B in %d",
-			len(units), nodes, bytes, objects, maxBytes, maxObjects)
+		t.Errorf("a joined chain of %d nodes allocates %d B in %d objects, budget %d B in %d",
+			g.Len(), bytes, objects, maxBytes, maxObjects)
 	}
 }
 

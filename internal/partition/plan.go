@@ -153,12 +153,11 @@ type Slices struct {
 
 // ArenaBytes is the size of the activation arena executing one partition of
 // units[first..last] under opt takes from par's scratch pool per query — the
-// largest over the partitions. A whole group runs its units one after the
-// other in one arena sized for the hungriest unit's sub-graph, next to two
-// slabs that carry each inner unit's output to its successor (planChain); a
-// spatial partition runs its whole unit chain in one (PartSlice.ArenaBytes);
-// a channel partition runs its sliced sub-graph. The tensors that enter and
-// leave a partition are payloads their holders own and are not in it.
+// largest over the partitions. A partition's arena is its graph's: the units'
+// Join for a whole group, the sliced sub-graph for a channel partition; a
+// spatial partition runs its unit chain as one program
+// (PartSlice.ArenaBytes). The tensors that enter and leave a partition are
+// payloads their holders own and are not in it.
 func ArenaBytes(units []*Unit, first, last int, opt Option) (int64, error) {
 	_, sl, err := GroupSlices(units, first, last, opt)
 	if err != nil {
@@ -166,8 +165,11 @@ func ArenaBytes(units []*Unit, first, last int, opt Option) (int64, error) {
 	}
 	group := units[first : last+1]
 	if opt.Dim == DimNone {
-		c, err := planChain(group)
-		return int64(c.floats()) * 4, err
+		g, err := Join(group)
+		if err != nil {
+			return 0, err
+		}
+		return g.ArenaBytes()
 	}
 	var most int64
 	for _, ps := range sl.Spatial {

@@ -9,10 +9,10 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 
 	"gillis/internal/graph"
 	"gillis/internal/nn"
-	"gillis/internal/par"
 	"gillis/internal/tensor"
 )
 
@@ -277,25 +277,9 @@ func isElementwiseUnit(u *Unit) bool {
 
 // fuseUnits appends b's ops to a, producing a combined unit.
 func fuseUnits(a, b *Unit) (*Unit, error) {
-	sub := graph.New(a.Sub.Name+"+"+b.Name, a.InShape)
-	for _, node := range a.Sub.Nodes() {
-		if _, err := sub.Add(node.Op, node.Inputs...); err != nil {
-			return nil, err
-		}
-	}
-	base := a.Sub.Len()
-	for _, node := range b.Sub.Nodes() {
-		ins := make([]int, len(node.Inputs))
-		for i, in := range node.Inputs {
-			if in == graph.InputID {
-				ins[i] = base - 1
-			} else {
-				ins[i] = in + base
-			}
-		}
-		if _, err := sub.Add(node.Op, ins...); err != nil {
-			return nil, err
-		}
+	sub, err := Join([]*Unit{a, b})
+	if err != nil {
+		return nil, err
 	}
 	subShapes, err := sub.Shapes()
 	if err != nil {
@@ -315,94 +299,51 @@ func fuseUnits(a, b *Unit) (*Unit, error) {
 	return u, nil
 }
 
-// ForwardChain runs units sequentially with full (monolithic) execution —
-// the reference the partitioned paths are tested against. It is the
-// batch-of-one call of ForwardChainBatch.
-func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
-	outs, err := ForwardChainBatch(units, []*tensor.Tensor{x}, nil)
-	if err != nil {
-		return nil, err
+// Join chains the units' sub-graphs into one graph: each unit reads its
+// predecessor's output, the first reads the graph's input, and the last
+// writes the graph's output. The ops are the units' own, weights and all, so
+// the join costs no weight memory. A whole layer group runs as its join, one
+// forward in one arena (§III-C: a group is what one function executes).
+func Join(units []*Unit) (*graph.Graph, error) {
+	if len(units) == 0 {
+		return nil, fmt.Errorf("partition: join of no units")
 	}
-	return outs[0], nil
-}
-
-// ForwardChainBatch runs units sequentially over a batch of inputs with
-// cross-query batched kernels (graph.ForwardBatchIn per unit), in one buffer
-// from par's scratch pool laid out by planChain: every unit's sub-graph runs
-// in the same arena, and each unit but the last writes its outputs into the
-// slab its successor reads them from. Only the last unit's outputs are tensors
-// of their own. Bitwise identical to calling ForwardChain once per input; obs
-// is handed to every unit's forward.
-func ForwardChainBatch(units []*Unit, xs []*tensor.Tensor, obs graph.Observer) ([]*tensor.Tensor, error) {
-	c, err := planChain(units)
-	if err != nil {
-		return nil, err
+	name := units[0].Sub.Name
+	for _, u := range units[1:] {
+		name += "+" + u.Name
 	}
-	buf := par.GetF32(c.floats() * len(xs))
-	defer par.PutF32(buf)
-	return c.run(units, *buf, xs, obs)
-}
-
-// chainPlan is how a chain of units lays out one query's activations, in
-// floats. The units run one at a time, so their sub-graphs share one arena
-// the hungriest sets the size of. A unit's output is live only until its
-// successor has run, so unit i < last writes into slab i mod 2 while it reads
-// slab (i-1) mod 2, and each slab is sized for the largest output it holds.
-// The last unit's output is the caller's, and not in the plan.
-type chainPlan struct {
-	arena int
-	slab  [2]int
-}
-
-// floats is what one query's forward takes: the arena and both slabs.
-func (c chainPlan) floats() int { return c.arena + c.slab[0] + c.slab[1] }
-
-// planChain returns the chain's layout.
-func planChain(units []*Unit) (chainPlan, error) {
-	var c chainPlan
+	g := graph.New(name, units[0].InShape)
 	for i, u := range units {
-		b, err := u.Sub.ArenaBytes()
-		if err != nil {
-			return chainPlan{}, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
+		if i > 0 && !slices.Equal(u.InShape, units[i-1].OutShape) {
+			return nil, fmt.Errorf("partition: unit %d (%s) takes %v, unit %d returns %v", u.Index, u.Name, u.InShape, units[i-1].Index, units[i-1].OutShape)
 		}
-		c.arena = max(c.arena, int(b/4))
-		if i < len(units)-1 {
-			c.slab[i%2] = max(c.slab[i%2], int(tensor.SizeBytes(u.OutShape)/4))
-		}
-	}
-	return c, nil
-}
-
-// run is ForwardChainBatch in buf, which must hold floats() for every query
-// and may hold anything: the arena for every query first, then slab 0 and
-// slab 1 for every query. Nothing the call returns points into it.
-func (c chainPlan) run(units []*Unit, buf []float32, xs []*tensor.Tensor, obs graph.Observer) ([]*tensor.Tensor, error) {
-	batch := len(xs)
-	if len(buf) < c.floats()*batch {
-		return nil, fmt.Errorf("partition: chain buffer of %d floats, %d queries need %d each", len(buf), batch, c.floats())
-	}
-	arena, rest := buf[:c.arena*batch], buf[c.arena*batch:]
-	slabs := [2][]float32{rest[:c.slab[0]*batch], rest[c.slab[0]*batch:]}
-	cur := xs
-	for i, u := range units {
-		outs := make([]*tensor.Tensor, batch)
-		if i == len(units)-1 {
-			for e := range outs {
-				outs[e] = tensor.New(u.OutShape...)
-			}
-		} else {
-			n := int(tensor.SizeBytes(u.OutShape) / 4)
-			for e := range outs {
-				var err error
-				if outs[e], err = tensor.FromData(slabs[i%2][e*n:(e+1)*n:(e+1)*n], u.OutShape...); err != nil {
-					return nil, err
+		base := g.Len()
+		for _, node := range u.Sub.Nodes() {
+			ins := make([]int, len(node.Inputs))
+			for j, in := range node.Inputs {
+				if in == graph.InputID {
+					ins[j] = base - 1 // InputID itself for the first unit
+				} else {
+					ins[j] = in + base
 				}
 			}
+			if _, err := g.Add(node.Op, ins...); err != nil {
+				return nil, err
+			}
 		}
-		if err := u.Sub.ForwardBatchIn(arena, cur, outs, obs); err != nil {
+	}
+	return g, nil
+}
+
+// ForwardChain runs the units one after the other, each sub-graph a forward
+// of its own: the monolithic reference the partitioned paths and a whole
+// group's Join are tested against.
+func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
+	for _, u := range units {
+		var err error
+		if x, err = u.Sub.Forward(x); err != nil {
 			return nil, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
 		}
-		cur = outs
 	}
-	return cur, nil
+	return x, nil
 }

@@ -46,6 +46,7 @@ type groupRuntime struct {
 	units   []*partition.Unit
 	ext     partition.Extent // per-partition FLOPs and payloads
 	slices  partition.Slices // what Real mode executes per partition
+	whole   *graph.Graph     // a whole group's units joined: what Real mode runs
 	opBytes int64            // monolithic bytes touched
 	workers []string         // worker function name per partition
 }
@@ -135,6 +136,11 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 			return nil, err
 		}
 		gr := &groupRuntime{gp: gp, units: group, ext: ext, slices: slices, opBytes: opBytes}
+		if mode == Real && gp.Option.Dim == partition.DimNone {
+			if gr.whole, err = partition.Join(group); err != nil {
+				return nil, err
+			}
+		}
 		gr.workers = make([]string, gp.Option.Parts)
 		for part := range gr.workers {
 			gr.workers[part] = fmt.Sprintf("%s-g%d-p%d", d.prefix, gi, part)
@@ -651,14 +657,14 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 
 // computeChain runs a whole (DimNone) group where it stands — on the master,
 // on the group's worker, or on the master as a fallback: the modeled compute
-// on the virtual clock, then in Real mode the monolithic batched forward with
-// its kernel events reported into sp.
+// on the virtual clock, then in Real mode the batched forward of the group's
+// joined graph with its kernel events reported into sp.
 func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int, ins []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
 	d.computeScaled(ctx, gr, 1.0, size)
 	if d.mode != Real {
 		return nil, nil
 	}
-	return partition.ForwardChainBatch(gr.units, ins, opEvents(sp))
+	return gr.whole.ForwardBatch(ins, opEvents(sp))
 }
 
 // computeScaled advances the function's clock by the group's ops scaled to
@@ -760,7 +766,7 @@ func DeployDefault(p *platform.Platform, units []*partition.Unit, mode ExecMode)
 	return Deploy(p, units, partition.DefaultPlan("default-"+modelNameOf(units), units), mode)
 }
 
-// PredictedPlanOf exposes the deployment's plan (for reporting).
+// Plan returns the plan the deployment serves (for reporting).
 func (d *Deployment) Plan() *partition.Plan { return d.plan }
 
 func modelNameOf(units []*partition.Unit) string {

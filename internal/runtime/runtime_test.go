@@ -23,6 +23,16 @@ import (
 // maxpool, residual block, avgpool.
 func tinyCNN(t *testing.T) []*partition.Unit {
 	t.Helper()
+	units, err := partition.Linearize(tinyGraph(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return units
+}
+
+// tinyGraph is tinyCNN's model, initialized.
+func tinyGraph(t *testing.T) *graph.Graph {
+	t.Helper()
 	g := graph.New("tinycnn", []int{3, 24, 24})
 	g.MustAdd(nn.NewConv2D("stem", 3, 8, 3, 1, 1))
 	g.MustAdd(nn.NewBatchNorm("stem_bn", 8))
@@ -37,11 +47,7 @@ func tinyCNN(t *testing.T) []*partition.Unit {
 	g.MustAdd(nn.NewReLU("b_relu2"), add)
 	g.MustAdd(nn.NewAvgPool2D("avg", 2, 2))
 	g.Init(42)
-	units, err := partition.Linearize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return units
+	return g
 }
 
 // mixedPlan exercises all three dims: spatial group (master+workers),

@@ -86,9 +86,9 @@ procs:
 # The serving stack below the HTTP front end takes no lock: one goroutine
 # owns an Env and everything deployed on it (DESIGN.md §3), and only what
 # concurrent Envs share synchronises — par's workers and scratch pool, the
-# metrics registry, a graph's cached arena plan, a part's program, a perf
-# model's memo (TestConcurrentForwardsShareThePool drives eight goroutines
-# through one graph and its pooled arena; a whole group is one graph). The
+# metrics registry, a graph's cached arena plan, a perf model's memo
+# (TestConcurrentForwardsShareThePool drives eight goroutines through one
+# graph and its pooled arena; every partition is one graph). The
 # race detector is what enforces that split: a simulated
 # process that leaves its Env's goroutine, or a second goroutine reaching into
 # a platform, gateway, mesh, deployment or trace, is a reported data race here

@@ -203,6 +203,9 @@ func cmdServe(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *queries < 1 {
+		return fmt.Errorf("serve: -queries %d: serve at least one query", *queries)
+	}
 	units, err := loadUnits(*model)
 	if err != nil {
 		return err

@@ -23,6 +23,11 @@ func TestUsageErrors(t *testing.T) {
 	if _, err := runCmd(t, "bogus"); err == nil {
 		t.Fatal("expected unknown-subcommand error")
 	}
+	for _, n := range []string{"0", "-3"} {
+		if out, err := runCmd(t, "serve", "-model", "rnn3", "-queries", n); err == nil {
+			t.Fatalf("-queries %s accepted:\n%s", n, out)
+		}
+	}
 }
 
 func TestInspect(t *testing.T) {

@@ -19,27 +19,28 @@ import (
 // resnet34 forward that used to allocate and zero 27 MB of node outputs runs
 // in the 2–3 MB that are ever live at once, and the same 2–3 MB serve the next
 // forward, still warm. Arena memory is not zeroed: the operators overwrite
-// every element of a destination (nn's contract).
+// every element of a destination (nn's contract). An operator that needs work
+// space besides its destination (a Scratcher) gets arena floats too, live
+// during its own step only.
 //
 // What leaves the forward does not live there: the output node writes into
 // a tensor of its own, so a reply that a hedged or abandoned invocation still
 // holds is never overwritten by the next forward.
 
-// Buffer is one buffer of a straight-line program: Size floats, written at
+// buffer is one buffer of a straight-line program: Size floats, written at
 // step Def and read for the last time at step Last >= Def.
-type Buffer struct {
+type buffer struct {
 	Size, Def, Last int
 }
 
-// Layout places buffers in one arena so that two whose lifetimes overlap
+// layout places buffers in one arena so that two whose lifetimes overlap
 // share no float: buffer i goes at offs[i], and size is the arena's length in
 // floats. Buffers are placed largest first (ties in the order given), each in
 // the smallest gap that holds it among the already placed buffers live at
 // some step it is, or past the last of them if none does — the offline
 // greedy-by-size heuristic, which keeps the arena at the peak live set on
 // chains and residual blocks and within a few percent of it elsewhere.
-// partition lays out a spatial part's unit chain with it.
-func Layout(bufs []Buffer) (offs []int, size int) {
+func layout(bufs []buffer) (offs []int, size int) {
 	offs = make([]int, len(bufs))
 	order := make([]int, len(bufs))
 	for i := range order {
@@ -83,6 +84,7 @@ type arenaPlan struct {
 	shapes [][]int // node output shapes
 	elems  []int   // their element counts
 	slot   []int   // per node: offset in one query's arena, in floats, or slotOwned/slotAlias
+	work   []int   // per node: offset of its work space if it is a Scratcher, or -1
 	size   int     // floats one query's arena holds
 	maxIn  int     // most inputs any node takes
 }
@@ -98,7 +100,7 @@ func (g *Graph) plan() (*arenaPlan, error) {
 		return nil, err
 	}
 	n := len(g.nodes)
-	p := &arenaPlan{shapes: shapes, elems: make([]int, n), slot: make([]int, n)}
+	p := &arenaPlan{shapes: shapes, elems: make([]int, n), slot: make([]int, n), work: make([]int, n)}
 	// last[i] is the step of node i's last reader. A consumer that only
 	// re-views its input (Flatten, TakeLast) reads nothing itself but hands
 	// the floats on, so it extends the input's life to its own last reader;
@@ -123,17 +125,28 @@ func (g *Graph) plan() (*arenaPlan, error) {
 		}
 	}
 	p.slot[g.OutputID()] = slotOwned
-	var bufs []Buffer
-	var ids []int
-	for id, slot := range p.slot {
-		if slot >= 0 {
-			bufs = append(bufs, Buffer{Size: p.elems[id], Def: id, Last: last[id]})
-			ids = append(ids, id)
+	// A node's work space is live during its own step only; it goes before
+	// the node's output, so the two are laid out in the order they are cut
+	// and written.
+	var bufs []buffer
+	var at []*int // bufs[i] is laid out at *at[i]
+	for id, node := range g.nodes {
+		p.work[id] = -1
+		if sc, ok := node.Op.(Scratcher); ok {
+			p.work[id] = 0 // an empty stretch, unless it takes work space
+			if n := sc.ScratchFloats(); n > 0 {
+				bufs = append(bufs, buffer{Size: n, Def: id, Last: id})
+				at = append(at, &p.work[id])
+			}
+		}
+		if p.slot[id] >= 0 {
+			bufs = append(bufs, buffer{Size: p.elems[id], Def: id, Last: last[id]})
+			at = append(at, &p.slot[id])
 		}
 	}
-	offs, size := Layout(bufs)
-	for i, id := range ids {
-		p.slot[id] = offs[i]
+	offs, size := layout(bufs)
+	for i, off := range offs {
+		*at[i] = off
 	}
 	p.size = size
 	g.arena.Store(p)
@@ -152,6 +165,21 @@ func (g *Graph) ArenaBytes() (int64, error) {
 	return int64(p.size) * 4, nil
 }
 
+// Scratcher is implemented by operators that need work space besides their
+// destination while they run. The liveness plan gives such a node
+// ScratchFloats floats of the arena, live during the node's own step only, and
+// a forward runs it once per query through ForwardScratchInto.
+type Scratcher interface {
+	nn.Op
+	// ScratchFloats is how many floats of work space one application takes.
+	ScratchFloats() int
+	// ForwardScratchInto is ForwardInto with work space: scratch holds
+	// ScratchFloats floats, which may hold anything on entry. in is the
+	// caller's list for this one application, which the operator may
+	// overwrite (a forward builds a fresh one for every node and query).
+	ForwardScratchInto(dst *tensor.Tensor, scratch []float32, in ...*tensor.Tensor) error
+}
+
 // Observer is told of every operator application immediately before it
 // executes: the tracing runtime passes one to a Real-mode forward to
 // attribute per-operator kernel events to the enclosing compute span. It is
@@ -160,9 +188,10 @@ func (g *Graph) ArenaBytes() (int64, error) {
 type Observer func(op nn.Op)
 
 // ForwardBatch executes the graph once per query with cross-query batched
-// kernels: each node runs nn.ForwardBatchInto over the whole batch before the
-// walk advances, so batch-aware operators amortize their packing and weight
-// traffic across queries. The result is bitwise identical to calling
+// kernels: each node runs nn.ForwardBatchInto over the whole batch (a
+// Scratcher its ForwardScratchInto once per query) before the walk advances,
+// so batch-aware operators amortize their packing and weight traffic across
+// queries. The result is bitwise identical to calling
 // Forward once per input — the batched kernels run the exact per-element
 // accumulation schedules (see internal/nn/batch.go) and obs is notified once
 // per (node, query), matching the sequential loop. It is forwardBatchIn in
@@ -248,10 +277,21 @@ func (g *Graph) forwardBatchIn(arena []float32, xs, outs []*tensor.Tensor, obs O
 				return fmt.Errorf("graph %q node %d (%s): %w", g.Name, n.ID, n.Op.Name(), err)
 			}
 		}
-		if slot == slotAlias {
-			continue
+		var err error
+		switch work := p.work[n.ID]; {
+		case slot == slotAlias:
+		case work >= 0:
+			sc := n.Op.(Scratcher)
+			for e := range xs {
+				at, end := e*p.size+work, e*p.size+work+sc.ScratchFloats()
+				if err = sc.ForwardScratchInto(dsts[e], arena[at:end:end], ins[e]...); err != nil {
+					break
+				}
+			}
+		default:
+			err = nn.ForwardBatchInto(n.Op, dsts, ins)
 		}
-		if err := nn.ForwardBatchInto(n.Op, dsts, ins); err != nil {
+		if err != nil {
 			return fmt.Errorf("graph %q node %d (%s): %w", g.Name, n.ID, n.Op.Name(), err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"gillis/internal/models"
 	"gillis/internal/nn"
 	"gillis/internal/par"
+	"gillis/internal/partition"
 	"gillis/internal/tensor"
 )
 
@@ -175,6 +176,139 @@ func TestArenaForwardOnZoo(t *testing.T) {
 				t.Logf("%s: %d nodes, arena %d B", c.what, c.g.Len(), bytes)
 			}
 		})
+	}
+}
+
+// miniResNet is a residual CNN at a size a test can afford everywhere, with
+// every spatial operator kind a part lowers: a padded stem, a 3/2/1 max pool
+// whose windows overhang both borders with -inf, a residual diamond, and an
+// average pool.
+func miniResNet() *graph.Graph {
+	g := graph.New("resnet-mini", []int{3, 24, 24})
+	g.MustAdd(nn.NewConv2D("stem", 3, 8, 3, 1, 1))
+	g.MustAdd(nn.NewBatchNorm("stem_bn", 8))
+	g.MustAdd(nn.NewReLU("stem_relu"))
+	pool := g.MustAdd(nn.NewMaxPool2D("pool", 3, 2, 1))
+	g.MustAdd(nn.NewConv2D("b_conv1", 8, 8, 3, 1, 1))
+	g.MustAdd(nn.NewBatchNorm("b_bn1", 8))
+	g.MustAdd(nn.NewReLU("b_relu1"))
+	g.MustAdd(nn.NewConv2D("b_conv2", 8, 8, 3, 1, 1))
+	b2 := g.MustAdd(nn.NewBatchNorm("b_bn2", 8))
+	g.MustAdd(nn.NewAdd("b_add"), b2, pool)
+	g.MustAdd(nn.NewReLU("b_relu2"))
+	g.MustAdd(nn.NewAvgPool2D("avg", 2, 2))
+	return g
+}
+
+// TestArenaForwardOnSpatialParts: every spatial part
+// (partition.PartSlice.Graph) of the leading spatial units of a CNN — two
+// tiny ones plain and operator-fused, zoo models fused — split one to four
+// ways, run at batch 2 (resnet34: 1) in an arena of exactly ArenaBytes ×
+// batch — capacity included — that is full of NaNs, returns its rows of the
+// unit-by-unit forward bit for bit and writes the last float of every
+// query's stretch. So a part's arena, windows cut into work space included,
+// is what it takes; no window or node output is read before it is written;
+// and a border of zeros or -inf is filled, not assumed.
+func TestArenaForwardOnSpatialParts(t *testing.T) {
+	tiny := map[string]func() *graph.Graph{"resnet-mini": miniResNet, "vgg-mini": miniVGG}
+	names := []string{"resnet-mini", "vgg-mini", "mobilenet-mini", "inception-mini"}
+	if !testing.Short() && !raceOn {
+		names = append(names, "resnet34")
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			var plain *graph.Graph
+			var err error
+			if build, ok := tiny[name]; ok {
+				plain = build()
+			} else if plain, err = models.ByName(name); err != nil {
+				t.Fatal(err)
+			}
+			plain.Init(7)
+			fused, _, err := graph.Fuse(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A zoo model's forward costs seconds on a slow kernel: its fused
+			// graph only (as served), and resnet34 one query.
+			graphs := []*graph.Graph{plain, fused}
+			if tiny[name] == nil {
+				graphs = graphs[1:]
+			}
+			for _, g := range graphs {
+				units, err := partition.Linearize(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				for n < min(len(units), 7) && units[n].Spatial {
+					n++
+				}
+				units = units[:n]
+				xs := inputs(g, 3, 2)
+				if name == "resnet34" {
+					xs = xs[:1]
+				}
+				wants := make([]*tensor.Tensor, len(xs))
+				for e, x := range xs {
+					if wants[e], err = partition.ForwardChain(units, x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for parts := 1; parts <= 4; parts++ {
+					slices, err := partition.SpatialSlices(units, parts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, ps := range slices {
+						checkPartInExactArena(t, fmt.Sprintf("%s part %d/%d", g.Name, i, parts), units, ps, xs, wants)
+					}
+				}
+			}
+		})
+	}
+}
+
+// checkPartInExactArena runs part ps of units on every query of xs in a
+// NaN-filled arena of exactly its ArenaBytes per query and checks the result
+// against rows ps.OutRows of wants.
+func checkPartInExactArena(t *testing.T, what string, units []*partition.Unit, ps partition.PartSlice, xs, wants []*tensor.Tensor) {
+	t.Helper()
+	g, err := ps.Graph(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytes, err := g.ArenaBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int(bytes / 4)
+	arena := make([]float32, size*len(xs))
+	for i := range arena {
+		arena[i] = sentinel
+	}
+	slabs := make([]*tensor.Tensor, len(xs))
+	outs := make([]*tensor.Tensor, len(xs))
+	rows := make([]*tensor.Tensor, len(xs))
+	for e, x := range xs {
+		if slabs[e], err = partition.InputSlab(x, ps); err != nil {
+			t.Fatal(err)
+		}
+		if rows[e], err = wants[e].SliceDim(1, ps.OutRows.Lo, ps.OutRows.Hi); err != nil {
+			t.Fatal(err)
+		}
+		outs[e] = tensor.Full(sentinel, rows[e].Shape()...)
+	}
+	if err := g.ForwardBatchIn(arena, slabs, outs, nil); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	for e := range outs {
+		if !tensor.Equal(outs[e], rows[e]) {
+			t.Errorf("%s: query %d differs from rows %v of the unit-by-unit forward", what, e, ps.OutRows)
+		}
+		if size > 0 && math.Float32bits(arena[(e+1)*size-1]) == math.Float32bits(sentinel) {
+			t.Errorf("%s: query %d never wrote the last float of its %d-float arena", what, e, size)
+		}
 	}
 }
 

@@ -7,3 +7,9 @@ import "gillis/internal/tensor"
 func (g *Graph) ForwardBatchIn(arena []float32, xs, outs []*tensor.Tensor, obs Observer) error {
 	return g.forwardBatchIn(arena, xs, outs, obs)
 }
+
+// Buffer and Layout let the external tests check the arena layout on
+// programs of their own.
+type Buffer = buffer
+
+var Layout = layout

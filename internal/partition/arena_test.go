@@ -62,19 +62,28 @@ func spatialPrefix(t *testing.T, g *graph.Graph, fuse bool, limit int) []*Unit {
 	return units[:n]
 }
 
-// TestSpatialPartArenaIsWhatItTakes: every part of every group, run in an
-// arena of exactly PartSlice.ArenaBytes — capacity included — that is full of
-// NaNs, returns its rows of the monolithic output bit for bit, and writes the
-// arena's last float. So the predicted size is what a part takes, no window
-// or node output is read before it is written, and a border of zeros is
-// filled, not assumed.
+// TestSpatialPartArenaIsWhatItTakes: every part of every group runs as its
+// graph (PartSlice.Graph): a batch of three (resnet34: one), every node over
+// the whole batch before the next, returns each query's rows of the
+// monolithic output bit for bit, and so does the first query's forward on its
+// own; and a spatial group's ArenaBytes is its largest part graph's arena.
+// That a part graph takes exactly its ArenaBytes — in a NaN-filled arena of
+// that size, reading nothing before it is written — is graph's
+// TestArenaForwardOnSpatialParts.
 func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
-	poison := math.Float32frombits(0x7fa5a5a5)
 	for name, units := range spatialGroups(t) {
-		x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
-		want, err := ForwardChain(units, x)
-		if err != nil {
-			t.Fatal(err)
+		rng := rand.New(rand.NewSource(4))
+		xs := make([]*tensor.Tensor, 3)
+		if name == "resnet34" {
+			xs = xs[:1] // a forward costs a second on a slow kernel
+		}
+		wants := make([]*tensor.Tensor, len(xs))
+		for e := range xs {
+			xs[e] = tensor.Rand(rng, 1, units[0].InShape...)
+			var err error
+			if wants[e], err = ForwardChain(units, xs[e]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for _, parts := range []int{1, 2, 3, 4} {
 			slices, err := SpatialSlices(units, parts)
@@ -83,40 +92,36 @@ func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
 			}
 			var most int64
 			for i, ps := range slices {
-				bytes, err := ps.ArenaBytes(units)
+				g, err := ps.Graph(units)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bytes, err := g.ArenaBytes()
 				if err != nil {
 					t.Fatal(err)
 				}
 				most = max(most, bytes)
-				prog, err := ps.program(units)
-				if err != nil {
-					t.Fatal(err)
+				slabs := make([]*tensor.Tensor, len(xs))
+				for e, x := range xs {
+					if slabs[e], err = InputSlab(x, ps); err != nil {
+						t.Fatal(err)
+					}
 				}
-				arena := make([]float32, bytes/4)
-				for j := range arena {
-					arena[j] = poison
-				}
-				slab, err := InputSlab(x, ps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := prog.run(units, arena, slab, nil)
+				outs, err := g.ForwardBatch(slabs, nil)
 				if err != nil {
 					t.Fatalf("%s part %d/%d: %v", name, i, parts, err)
 				}
-				rows, err := want.SliceDim(1, ps.OutRows.Lo, ps.OutRows.Hi)
-				if err != nil {
-					t.Fatal(err)
+				for e, out := range outs {
+					rows, err := wants[e].SliceDim(1, ps.OutRows.Lo, ps.OutRows.Hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !tensor.Equal(out, rows) {
+						t.Errorf("%s part %d/%d: query %d of %d differs from rows %v of the monolithic output", name, i, parts, e, len(outs), ps.OutRows)
+					}
 				}
-				if !tensor.Equal(got, rows) {
-					t.Errorf("%s part %d/%d: differs from rows %v of the monolithic output", name, i, parts, ps.OutRows)
-				}
-				if n := len(arena); n > 0 && math.Float32bits(arena[n-1]) == math.Float32bits(poison) {
-					t.Errorf("%s part %d/%d: never wrote the last float of its %d-float arena", name, i, parts, n)
-				}
-				pooled, err := ExecSpatialPart(units, ps, slab, nil)
-				if err != nil || !tensor.Equal(pooled, rows) {
-					t.Errorf("%s part %d/%d: in a pooled arena: differs (%v)", name, i, parts, err)
+				if one, err := g.Forward(slabs[0]); err != nil || !tensor.Equal(one, outs[0]) {
+					t.Errorf("%s part %d/%d: a forward of query 0 alone differs from the batch's (%v)", name, i, parts, err)
 				}
 			}
 			group, err := ArenaBytes(units, 0, len(units)-1, Option{Dim: DimSpatial, Parts: parts})
@@ -256,27 +261,96 @@ func TestChainAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestExecSpatialPartRejectsMismatches: a slab of the wrong rows or a slice
-// built for another group is an error, not a wrong answer.
-func TestExecSpatialPartRejectsMismatches(t *testing.T) {
+// TestPartGraphRejectsMismatches: a slice lowered for other units, a zero
+// slice, or a part graph handed a slab of the wrong rows is an error, not a
+// wrong answer.
+func TestPartGraphRejectsMismatches(t *testing.T) {
 	units := tinyGroup(t, false)
 	slices, err := SpatialSlices(units, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
-	if _, err := ExecSpatialPart(units, slices[0], x, nil); err == nil {
-		t.Error("the whole input accepted as part 0's slab")
+	if _, err := slices[0].Graph(units[:1]); err == nil {
+		t.Error("a slice built for the whole group accepted for its first unit")
 	}
-	slab, err := InputSlab(x, slices[0])
+	if _, err := slices[0].Graph(tinyGroup(t, true)); err == nil {
+		t.Error("a slice built for the plain tiny CNN accepted for the fused one")
+	}
+	if _, err := (PartSlice{}).Graph(units); err == nil {
+		t.Error("a zero PartSlice accepted")
+	}
+	g, err := slices[0].Graph(units)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecSpatialPart(units[:1], slices[0], slab, nil); err == nil {
-		t.Error("a slice built for the whole group accepted for its first unit")
+	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
+	if _, err := g.Forward(x); err == nil {
+		t.Error("the whole input accepted as part 0's slab")
 	}
-	if _, err := ExecSpatialPart(units, PartSlice{}, slab, nil); err == nil {
-		t.Error("a zero PartSlice accepted")
+	slab, err := InputSlab(x, slices[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slab.Dim(1) != slices[0].InRows.Len() {
+		if _, err := g.Forward(slab); err == nil {
+			t.Error("part 1's slab accepted by part 0")
+		}
+	}
+	stem := g.Node(0).Op
+	if _, err := stem.OutShape(x.Shape()); err == nil {
+		t.Error("part 0's stem node accepted the whole input's shape")
+	}
+	if _, err := stem.Forward(x); err == nil {
+		t.Error("part 0's stem node accepted the whole input")
+	}
+	if _, err := stem.Forward(); err == nil {
+		t.Error("part 0's stem node accepted no input")
+	}
+}
+
+// TestPartGraphNodesStandAlone: walking a part graph node by node, each
+// node's own Forward (work space of its own) returns the graph forward's
+// bits, and the nodes' FLOPs add up to the part's.
+func TestPartGraphNodesStandAlone(t *testing.T) {
+	for _, fuse := range []bool{false, true} {
+		units := tinyGroup(t, fuse)
+		x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
+		slices, err := SpatialSlices(units, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ps := range slices {
+			g, err := ps.Graph(units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slab, err := InputSlab(x, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := g.Forward(slab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals := make([]*tensor.Tensor, g.Len())
+			for _, n := range g.Nodes() {
+				ins := make([]*tensor.Tensor, len(n.Inputs))
+				for j, in := range n.Inputs {
+					if ins[j] = slab; in != graph.InputID {
+						ins[j] = vals[in]
+					}
+				}
+				if vals[n.ID], err = n.Op.Forward(ins...); err != nil {
+					t.Fatalf("fused=%v part %d node %s: %v", fuse, i, n.Op.Name(), err)
+				}
+			}
+			if !tensor.Equal(vals[g.OutputID()], want) {
+				t.Errorf("fused=%v part %d: node by node differs from the graph's forward", fuse, i)
+			}
+			if flops, err := g.FLOPs(); err != nil || flops != ps.FLOPs {
+				t.Errorf("fused=%v part %d: nodes' FLOPs %d (%v), the part's %d", fuse, i, flops, err, ps.FLOPs)
+			}
+		}
 	}
 }
 
@@ -301,16 +375,20 @@ func TestSpatialPartAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ps.program(units)
+	g, err := ps.Graph(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes, err := g.Shapes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	buffers, smallest := 0, math.MaxInt
-	for _, st := range prog.steps {
-		buffers, smallest = buffers+1, min(smallest, 4*st.out.size())
-		for _, in := range st.ins {
-			if !in.whole {
-				buffers, smallest = buffers+1, min(smallest, 4*in.win.size())
+	for _, n := range g.Nodes() {
+		buffers, smallest = buffers+1, min(smallest, int(tensor.SizeBytes(shapes[n.ID])))
+		for _, in := range n.Op.(*partOp).ins {
+			if in.cut {
+				buffers, smallest = buffers+1, min(smallest, 4*in.size())
 			}
 		}
 	}
@@ -320,20 +398,20 @@ func TestSpatialPartAllocationBudget(t *testing.T) {
 	var out *tensor.Tensor
 	for i := 0; i < 10; i++ {
 		runtime.ReadMemStats(&before)
-		if out, err = ExecSpatialPart(units, ps, slab, nil); err != nil {
+		if out, err = g.Forward(slab); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 		objects = min(objects, after.Mallocs-before.Mallocs)
 	}
-	t.Logf("%d steps, %d buffers of at least %d B: %d B in %d objects per part, result %d B",
-		len(prog.steps), buffers, smallest, bytes, objects, out.Bytes())
+	t.Logf("%d nodes, %d buffers of at least %d B: %d B in %d objects per part, result %d B",
+		g.Len(), buffers, smallest, bytes, objects, out.Bytes())
 	// A header and some kernel bookkeeping per buffer, and less slack than
 	// the smallest buffer is big.
-	maxBytes, maxObjects := uint64(out.Bytes())+uint64(256*buffers), uint64(5*len(prog.steps)+buffers+8)
+	maxBytes, maxObjects := uint64(out.Bytes())+uint64(256*buffers), uint64(5*g.Len()+buffers+8)
 	if bytes > maxBytes || objects > maxObjects || maxBytes-bytes >= uint64(smallest) {
-		t.Errorf("a part of %d steps and %d buffers allocates %d B in %d objects, budget %d B in %d",
-			len(prog.steps), buffers, bytes, objects, maxBytes, maxObjects)
+		t.Errorf("a part of %d nodes and %d buffers allocates %d B in %d objects, budget %d B in %d",
+			g.Len(), buffers, bytes, objects, maxBytes, maxObjects)
 	}
 }

@@ -3,249 +3,194 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"gillis/internal/graph"
 	"gillis/internal/nn"
-	"gillis/internal/par"
 	"gillis/internal/tensor"
 )
 
-// ExecSpatialPart computes one spatial partition of a layer group. slab must
-// contain rows slice.InRows of the group input (full channels and width).
-// The result contains rows slice.OutRows of the group output, bitwise equal
-// to the corresponding rows of a monolithic run: interior halo rows come
-// from the slab and boundary overhang is filled with the op's padding value
-// (0, or -inf for max pooling), exactly as implicit padding would.
-//
-// The part's whole unit chain runs in one activation arena taken from par's
-// scratch pool, laid out once per slice by the liveness plan graph.Forward
-// uses (partProgram); only the result is a tensor of its own. obs, when not
-// nil, is notified of every operator application (graph.Observer).
-func ExecSpatialPart(units []*Unit, slice PartSlice, slab *tensor.Tensor, obs graph.Observer) (*tensor.Tensor, error) {
-	prog, err := slice.program(units)
-	if err != nil {
-		return nil, err
-	}
-	in := units[0].InShape
-	if slab.Rank() != 3 || slab.Dim(0) != in[0] || slab.Dim(1) != slice.InRows.Len() || slab.Dim(2) != in[2] {
-		return nil, fmt.Errorf("partition: slab %v does not hold rows %v of a %v input", slab.Shape(), slice.InRows, in)
-	}
-	arena := par.GetF32(prog.size)
-	defer par.PutF32(arena)
-	return prog.run(units, *arena, slab, obs)
-}
-
-// partProgram is one spatial part of a unit chain as a straight-line
-// program: one step per node with rows to compute, in execution order, with
-// every buffer the steps write — node outputs and the input windows that have
-// to be cut — at its offset in the part's arena.
-type partProgram struct {
-	// once because units and slices are shared across request Envs:
-	// concurrent gillis-server handlers may run a part for the first time
-	// together.
-	once  sync.Once
-	err   error
-	steps []partStep
-	size  int // floats the arena holds
-}
-
-// partStep is one node's ForwardValidHInto.
-type partStep struct {
-	unit, node int // units[unit].Sub.Node(node)
-	ins        []partInput
-	out        partBuffer
-}
-
-// partBuffer is a CHW buffer at an arena offset; off < 0 is the part's
-// result, a tensor of its own.
-type partBuffer struct {
-	off     int
-	c, h, w int
-}
-
-func (b partBuffer) size() int { return b.c * b.h * b.w }
-
-// partInput is where one input of a step comes from: the output of step src
-// (the part's slab for src < 0), either as it is — the rows the node needs are
-// exactly the rows the source holds — or cut into window win: source rows
-// [srcLo, srcLo+hi-lo) of every channel land at window rows [lo, hi), and the
-// rows above and below, which overhang the feature map, hold fill.
-type partInput struct {
-	src           int
-	whole         bool
-	win           partBuffer
-	srcLo, lo, hi int
-	fill          float32
-}
-
-// program returns the slice's program, building it on first use.
-func (ps PartSlice) program(units []*Unit) (*partProgram, error) {
-	if len(units) != len(ps.units) || ps.prog == nil {
+// Graph lowers the part to the graph a function runs for it. The graph's
+// input is the part's slab — rows ps.InRows of the group input, full
+// channels and width — and its output rows ps.OutRows of the group output,
+// bitwise equal to the corresponding rows of a monolithic run. It has one
+// node per unit node with rows to compute, in execution order, each running
+// its operator without height padding (nn.Spatial.ForwardValidHInto): where
+// a node needs other rows than its source holds, it first cuts them into a
+// window in its work space (graph.Scratcher), interior halo rows from the
+// source and boundary overhang filled with the op's padding value (0, or -inf
+// for max pooling), exactly as implicit padding would. A node reports itself
+// to an observer as the operator it wraps. The ops are the units' own,
+// weights and all.
+func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
+	if len(units) == 0 || len(units) != len(ps.units) {
 		return nil, fmt.Errorf("partition: slice built for %d units, got %d", len(ps.units), len(units))
 	}
-	ps.prog.once.Do(func() { ps.prog.err = ps.prog.build(units, ps) })
-	return ps.prog, ps.prog.err
-}
-
-// ArenaBytes is the size of the activation arena ExecSpatialPart runs this
-// part of units in — the most bytes of node outputs and cut windows live at
-// once, the slab and the result (payloads, which their holders own) not among
-// them. It is what the part's execution takes from the pool, where ActBytes
-// is the planner's estimate of it.
-func (ps PartSlice) ArenaBytes(units []*Unit) (int64, error) {
-	prog, err := ps.program(units)
-	if err != nil {
-		return 0, err
-	}
-	return int64(prog.size) * 4, nil
-}
-
-// build lowers the part: it walks the units' nodes in order, checks that
-// every window a node needs lies inside the rows its source holds, and lays
-// the buffers out with graph.Layout. A buffer is live from the step that
-// writes it to the last step that reads it; a window only during its step.
-func (pr *partProgram) build(units []*Unit, ps PartSlice) error {
-	nodes := 0
-	for _, u := range units {
-		nodes += u.Sub.Len()
-	}
-	// At most one step per node: steps never moves, so slots can point into it.
-	pr.steps = make([]partStep, 0, nodes)
-	var bufs []graph.Buffer
-	var slots []*partBuffer // bufs[i] lays out *slots[i]
-	var outBuf []int        // per step, the index in bufs of its output
-	prevOut := -1           // step producing the current unit's input; the slab for unit 0
+	in := units[0].InShape
+	g := graph.New(fmt.Sprintf("%s[h%d:%d]", units[len(units)-1].Name, ps.OutRows.Lo, ps.OutRows.Hi),
+		[]int{in[0], ps.InRows.Len(), in[2]})
+	prevOut := graph.InputID // the node producing the current unit's input
 	curRange := ps.InRows
 	for ui, u := range units {
 		us := ps.units[ui]
+		if len(us.nodes) != u.Sub.Len() {
+			return nil, fmt.Errorf("partition: unit %d has %d nodes, slice expects %d", ui, u.Sub.Len(), len(us.nodes))
+		}
 		if us.inRows != curRange {
-			return fmt.Errorf("partition: unit %d input rows %v, slice expects %v", ui, curRange, us.inRows)
+			return nil, fmt.Errorf("partition: unit %d input rows %v, slice expects %v", ui, curRange, us.inRows)
 		}
 		shapes := u.NodeShapes()
-		stepOf := make([]int, u.Sub.Len())
+		idOf := make([]int, u.Sub.Len())
 		for _, node := range u.Sub.Nodes() {
 			outRange := us.nodes[node.ID]
 			if outRange.Len() <= 0 {
 				continue // dead node for this partition (cannot happen in practice)
 			}
-			k, s, p, err := hksp(node.Op)
-			if err != nil {
-				return err
+			sp, ok := node.Op.(nn.Spatial)
+			if !ok {
+				return nil, fmt.Errorf("partition: unit %d node %s is not spatial", u.Index, node.Op.Name())
 			}
+			k, s, p := sp.HKernel()
 			req := inRangeForOut(outRange, k, s, p)
-			step := len(pr.steps)
-			pr.steps = append(pr.steps, partStep{unit: ui, node: node.ID, ins: make([]partInput, len(node.Inputs))})
-			st := &pr.steps[step]
-			for i, in := range node.Inputs {
-				src, srcRange, shape := prevOut, us.inRows, u.InShape
-				if in != graph.InputID {
-					src, srcRange, shape = stepOf[in], us.nodes[in], shapes[in]
-				}
-				inside := req.clip(shape[1])
-				if inside.Lo < srcRange.Lo || inside.Hi > srcRange.Hi || inside.Len() <= 0 {
-					return fmt.Errorf("partition: unit %d node %s: need rows %v but slab covers %v (h=%d)",
-						u.Index, node.Op.Name(), req, srcRange, shape[1])
-				}
-				if src >= 0 {
-					bufs[outBuf[src]].Last = step
-				}
-				pi := &st.ins[i]
-				*pi = partInput{src: src, whole: req == srcRange}
-				if pi.whole {
-					continue
-				}
-				pi.win = partBuffer{c: shape[0], h: req.Len(), w: shape[2]}
-				pi.srcLo, pi.lo, pi.hi = inside.Lo-srcRange.Lo, inside.Lo-req.Lo, inside.Hi-req.Lo
-				pi.fill = padValue(node.Op)
-				bufs = append(bufs, graph.Buffer{Size: pi.win.size(), Def: step, Last: step})
-				slots = append(slots, &pi.win)
+			shape := shapes[node.ID]
+			op := &partOp{Op: sp, sp: sp, out: []int{shape[0], outRange.Len(), shape[2]}, ins: make([]window, len(node.Inputs))}
+			if h := shape[1]; h > 0 {
+				op.flops = node.Op.FLOPs(u.NodeInShapes(node)...) * int64(outRange.Len()) / int64(h)
 			}
-			st.out = partBuffer{c: shapes[node.ID][0], h: outRange.Len(), w: shapes[node.ID][2]}
-			outBuf = append(outBuf, len(bufs))
-			bufs = append(bufs, graph.Buffer{Size: st.out.size(), Def: step, Last: step})
-			slots = append(slots, &st.out)
-			stepOf[node.ID] = step
+			srcs := make([]int, len(node.Inputs))
+			for i, in := range node.Inputs {
+				src, srcRange, full := prevOut, us.inRows, u.InShape
+				if in != graph.InputID {
+					src, srcRange, full = idOf[in], us.nodes[in], shapes[in]
+				}
+				inside := req.clip(full[1])
+				if inside.Lo < srcRange.Lo || inside.Hi > srcRange.Hi || inside.Len() <= 0 {
+					return nil, fmt.Errorf("partition: unit %d node %s: need rows %v but slab covers %v (h=%d)",
+						u.Index, node.Op.Name(), req, srcRange, full[1])
+				}
+				srcs[i] = src
+				w := window{src: []int{full[0], srcRange.Len(), full[2]}}
+				if req != srcRange {
+					w.cut, w.h = true, req.Len()
+					w.srcLo, w.lo, w.hi = inside.Lo-srcRange.Lo, inside.Lo-req.Lo, inside.Hi-req.Lo
+					w.fill = padValue(node.Op)
+					op.scratch += w.size()
+				}
+				op.ins[i] = w
+			}
+			id, err := g.Add(op, srcs...)
+			if err != nil {
+				return nil, err
+			}
+			idOf[node.ID] = id
 		}
 		curRange = us.nodes[u.Sub.OutputID()]
 		if curRange.Len() <= 0 {
-			return fmt.Errorf("partition: unit %d (%s) has no rows to compute", u.Index, u.Name)
+			return nil, fmt.Errorf("partition: unit %d (%s) has no rows to compute", u.Index, u.Name)
 		}
-		prevOut = stepOf[u.Sub.OutputID()]
+		prevOut = idOf[u.Sub.OutputID()]
 	}
-	// The chain's output is the last buffer written; it leaves the arena.
-	final := len(bufs) - 1
-	offs, size := graph.Layout(bufs[:final])
-	for i, off := range offs {
-		slots[i].off = off
-	}
-	slots[final].off = -1
-	pr.size = size
-	return nil
+	return g, nil
 }
 
-// run executes the program in arena.
-func (pr *partProgram) run(units []*Unit, arena []float32, slab *tensor.Tensor, obs graph.Observer) (*tensor.Tensor, error) {
-	view := func(b partBuffer) (*tensor.Tensor, error) {
-		if b.off < 0 {
-			return tensor.New(b.c, b.h, b.w), nil
-		}
-		end := b.off + b.size()
-		return tensor.FromData(arena[b.off:end:end], b.c, b.h, b.w)
-	}
-	vals := make([]*tensor.Tensor, len(pr.steps))
-	var ins []*tensor.Tensor
-	for si, st := range pr.steps {
-		u := units[st.unit]
-		op := u.Sub.Node(st.node).Op
-		fail := func(err error) (*tensor.Tensor, error) {
-			return nil, fmt.Errorf("partition: unit %d node %s: %w", u.Index, op.Name(), err)
-		}
-		ins = ins[:0]
-		for _, in := range st.ins {
-			src := slab
-			if in.src >= 0 {
-				src = vals[in.src]
-			}
-			if !in.whole {
-				win, err := view(in.win)
-				if err != nil {
-					return fail(err)
-				}
-				in.cut(win.Data(), src.Data(), src.Dim(1))
-				src = win
-			}
-			ins = append(ins, src)
-		}
-		dst, err := view(st.out)
-		if err != nil {
-			return fail(err)
-		}
-		sp, ok := op.(nn.Spatial)
-		if !ok {
-			return fail(fmt.Errorf("not spatial"))
-		}
-		if obs != nil {
-			obs(op)
-		}
-		if err := sp.ForwardValidHInto(dst, ins...); err != nil {
-			return fail(err)
-		}
-		vals[si] = dst
-	}
-	return vals[len(vals)-1], nil
+// partOp is one node of a lowered part: its operator run without height
+// padding on the rows its inputs hold, or on windows cut from them. Name,
+// Kind and weights are the operator's own.
+type partOp struct {
+	nn.Op
+	sp      nn.Spatial // the same operator
+	ins     []window   // per input
+	out     []int      // output shape: the rows this part computes
+	flops   int64      // the operator's FLOPs on those rows
+	scratch int        // floats of the windows to cut
 }
 
-// cut writes the window: per channel, fill above, the source's rows, fill
-// below. Every element is written — the arena is not zeroed, so a zero border
-// is filled like any other.
-func (in partInput) cut(win, src []float32, srcRows int) {
-	w, h := in.win.w, in.win.h
-	for ci := 0; ci < in.win.c; ci++ {
-		ch := win[ci*h*w : (ci+1)*h*w]
-		fillF32(ch[:in.lo*w], in.fill)
-		copy(ch[in.lo*w:in.hi*w], src[(ci*srcRows+in.srcLo)*w:])
-		fillF32(ch[in.hi*w:], in.fill)
+// window is how one input of a part node reaches its operator: the source's
+// rows as they are, or — when the node needs other rows than the source
+// holds — cut into an h-row window in work space: source rows
+// [srcLo, srcLo+hi-lo) of every channel land at window rows [lo, hi), and the
+// rows above and below, which overhang the feature map, hold fill.
+type window struct {
+	src              []int // the shape the source holds
+	cut              bool
+	h, srcLo, lo, hi int
+	fill             float32
+}
+
+func (w window) size() int { return w.src[0] * w.h * w.src[2] }
+
+// OutShape implements nn.Op: the inputs must be what the part's sources
+// hold.
+func (o *partOp) OutShape(in ...[]int) ([]int, error) {
+	if len(in) != len(o.ins) {
+		return nil, fmt.Errorf("partition: %s takes %d inputs, got %d", o.Name(), len(o.ins), len(in))
+	}
+	for i, s := range in {
+		if !slices.Equal(s, o.ins[i].src) {
+			return nil, fmt.Errorf("partition: %s input %d has shape %v, want %v", o.Name(), i, s, o.ins[i].src)
+		}
+	}
+	return slices.Clone(o.out), nil
+}
+
+// FLOPs implements nn.Op: the operator's work on the part's rows.
+func (o *partOp) FLOPs(...[]int) int64 { return o.flops }
+
+// Forward implements nn.Op.
+func (o *partOp) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
+	dst := tensor.New(o.out...)
+	if err := o.ForwardInto(dst, in...); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// ForwardInto implements nn.Op, with work space and an input list of its
+// own.
+func (o *partOp) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+	return o.ForwardScratchInto(dst, make([]float32, o.scratch), slices.Clone(in)...)
+}
+
+// ScratchFloats implements graph.Scratcher: the windows the node cuts.
+func (o *partOp) ScratchFloats() int { return o.scratch }
+
+// ForwardScratchInto implements graph.Scratcher: it cuts the windows into
+// scratch, puts them in place of their sources in in, and runs the operator
+// on that without height padding.
+func (o *partOp) ForwardScratchInto(dst *tensor.Tensor, scratch []float32, in ...*tensor.Tensor) error {
+	if len(in) != len(o.ins) {
+		return fmt.Errorf("partition: %s takes %d inputs, got %d", o.Name(), len(o.ins), len(in))
+	}
+	off := 0
+	for i, x := range in {
+		w := o.ins[i]
+		if !w.cut {
+			continue
+		}
+		if !x.HasShape(w.src) {
+			return fmt.Errorf("partition: %s input %d has shape %v, want %v", o.Name(), i, x.Shape(), w.src)
+		}
+		end := off + w.size()
+		w.cutInto(scratch[off:end:end], x.Data())
+		var err error
+		if in[i], err = tensor.FromData(scratch[off:end:end], w.src[0], w.h, w.src[2]); err != nil {
+			return err
+		}
+		off = end
+	}
+	return o.sp.ForwardValidHInto(dst, in...)
+}
+
+// cutInto writes the window: per channel, fill above, the source's rows,
+// fill below. Every element is written — the arena is not zeroed, so a zero
+// border is filled like any other.
+func (w window) cutInto(win, src []float32) {
+	width, srcRows := w.src[2], w.src[1]
+	for ci := 0; ci < w.src[0]; ci++ {
+		ch := win[ci*w.h*width : (ci+1)*w.h*width]
+		fillF32(ch[:w.lo*width], w.fill)
+		copy(ch[w.lo*width:w.hi*width], src[(ci*srcRows+w.srcLo)*width:])
+		fillF32(ch[w.hi*width:], w.fill)
 	}
 }
 
@@ -265,9 +210,10 @@ func padValue(op nn.Op) float32 {
 	return 0
 }
 
-// ExecSpatial partitions the group `parts` ways, executes every partition,
-// and reassembles the full output. It is the in-process reference for what
-// master and workers do cooperatively in the serving runtime.
+// ExecSpatial partitions the group `parts` ways, runs every partition's
+// graph (PartSlice.Graph) on its slab, and reassembles the full output. It is
+// the in-process reference for what master and workers do cooperatively in
+// the serving runtime.
 func ExecSpatial(units []*Unit, parts int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	slices, err := SpatialSlices(units, parts)
 	if err != nil {
@@ -275,15 +221,17 @@ func ExecSpatial(units []*Unit, parts int, x *tensor.Tensor) (*tensor.Tensor, er
 	}
 	outs := make([]*tensor.Tensor, len(slices))
 	for i, ps := range slices {
-		slab, err := x.SliceDim(1, ps.InRows.Lo, ps.InRows.Hi)
+		g, err := ps.Graph(units)
 		if err != nil {
 			return nil, err
 		}
-		out, err := ExecSpatialPart(units, ps, slab, nil)
+		slab, err := InputSlab(x, ps)
 		if err != nil {
 			return nil, err
 		}
-		outs[i] = out
+		if outs[i], err = g.Forward(slab); err != nil {
+			return nil, err
+		}
 	}
 	return tensor.ConcatDim(1, outs...)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gillis/internal/graph"
 	"gillis/internal/tensor"
 )
 
@@ -151,36 +152,53 @@ type Slices struct {
 	Channel []ChannelSlice
 }
 
+// Graphs returns the graph each partition of group runs under opt, in
+// partition order: the units' Join for a whole group, the sliced sub-graphs
+// of a channel group, the lowered parts of a spatial group (PartSlice.Graph).
+func (sl Slices) Graphs(group []*Unit, opt Option) ([]*graph.Graph, error) {
+	switch opt.Dim {
+	case DimNone:
+		g, err := Join(group)
+		if err != nil {
+			return nil, err
+		}
+		return []*graph.Graph{g}, nil
+	case DimSpatial:
+		gs := make([]*graph.Graph, len(sl.Spatial))
+		for i, ps := range sl.Spatial {
+			var err error
+			if gs[i], err = ps.Graph(group); err != nil {
+				return nil, err
+			}
+		}
+		return gs, nil
+	case DimChannel:
+		gs := make([]*graph.Graph, len(sl.Channel))
+		for i, cs := range sl.Channel {
+			gs[i] = cs.Sub
+		}
+		return gs, nil
+	}
+	return nil, fmt.Errorf("partition: unknown dimension %v", opt.Dim)
+}
+
 // ArenaBytes is the size of the activation arena executing one partition of
-// units[first..last] under opt takes from par's scratch pool per query — the
-// largest over the partitions. A partition's arena is its graph's: the units'
-// Join for a whole group, the sliced sub-graph for a channel partition; a
-// spatial partition runs its unit chain as one program
-// (PartSlice.ArenaBytes). The tensors that enter and leave a partition are
-// payloads their holders own and are not in it.
+// units[first..last] under opt takes from par's scratch pool per query: the
+// largest of the partitions' graphs' arenas (Slices.Graphs). The tensors that
+// enter and leave a partition are payloads their holders own and are not in
+// it.
 func ArenaBytes(units []*Unit, first, last int, opt Option) (int64, error) {
 	_, sl, err := GroupSlices(units, first, last, opt)
 	if err != nil {
 		return 0, err
 	}
-	group := units[first : last+1]
-	if opt.Dim == DimNone {
-		g, err := Join(group)
-		if err != nil {
-			return 0, err
-		}
-		return g.ArenaBytes()
+	gs, err := sl.Graphs(units[first:last+1], opt)
+	if err != nil {
+		return 0, err
 	}
 	var most int64
-	for _, ps := range sl.Spatial {
-		b, err := ps.ArenaBytes(group)
-		if err != nil {
-			return 0, err
-		}
-		most = max(most, b)
-	}
-	for _, cs := range sl.Channel {
-		b, err := cs.Sub.ArenaBytes()
+	for _, g := range gs {
+		b, err := g.ArenaBytes()
 		if err != nil {
 			return 0, err
 		}

@@ -68,8 +68,7 @@ type PartSlice struct {
 	// ActBytes is the peak activation slab footprint during execution.
 	ActBytes int64
 
-	units []unitSlice  // per-unit execution metadata
-	prog  *partProgram // how ExecSpatialPart runs the part, built on first use
+	units []unitSlice // per-unit execution metadata
 }
 
 // unitSlice carries the per-node row ranges of one unit for one partition.
@@ -114,7 +113,7 @@ func SpatialSlices(units []*Unit, parts int) ([]PartSlice, error) {
 // required row intervals backwards through every unit (and, inside each
 // unit, through its subgraph), then accounting forward for FLOPs.
 func backprop(units []*Unit, out RowRange) (PartSlice, error) {
-	ps := PartSlice{OutRows: out, prog: new(partProgram)}
+	ps := PartSlice{OutRows: out}
 	ps.units = make([]unitSlice, len(units))
 
 	need := out

@@ -45,8 +45,8 @@ type groupRuntime struct {
 	gp      partition.GroupPlan
 	units   []*partition.Unit
 	ext     partition.Extent // per-partition FLOPs and payloads
-	slices  partition.Slices // what Real mode executes per partition
-	whole   *graph.Graph     // a whole group's units joined: what Real mode runs
+	slices  partition.Slices // the partitions' row or channel slices
+	parts   []*graph.Graph   // the graph each partition runs (Real mode)
 	opBytes int64            // monolithic bytes touched
 	workers []string         // worker function name per partition
 }
@@ -136,8 +136,8 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 			return nil, err
 		}
 		gr := &groupRuntime{gp: gp, units: group, ext: ext, slices: slices, opBytes: opBytes}
-		if mode == Real && gp.Option.Dim == partition.DimNone {
-			if gr.whole, err = partition.Join(group); err != nil {
+		if mode == Real {
+			if gr.parts, err = slices.Graphs(group, gp.Option); err != nil {
 				return nil, err
 			}
 		}
@@ -507,10 +507,9 @@ func (d *Deployment) workerReq(req *request, ins []*tensor.Tensor) *request {
 
 // runGroup executes one layer group from the master's perspective, for
 // every query of req at once; ins holds the group's input per query (Real
-// mode). Per-query tensor math is either batched through the batch-aware
-// kernels (DimNone paths, channel partitions) or looped per query (spatial
-// partitions) — both bitwise identical to sequential execution — while
-// modeled compute and payload bytes scale linearly with req.size.
+// mode). Every partition's tensor math is one batched forward of its graph,
+// bitwise identical to sequential execution, while modeled compute and
+// payload bytes scale linearly with req.size.
 func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	switch {
 	case gr.gp.Option.Dim != partition.DimNone:
@@ -581,12 +580,14 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 		csp := gsp.Child(trace.KindCompute, "master-part0")
 		d.computeScaled(ctx, gr, flopFrac(gr, 0), req.size)
 		if d.mode == Real {
-			part0, err := d.execPart(gr, 0, ins, csp)
+			slabs, err := d.partInputs(gr, 0, ins)
+			if err == nil {
+				outs[0], err = gr.parts[0].ForwardBatch(slabs, opEvents(csp))
+			}
 			if err != nil {
 				csp.EndSpan()
 				return fail(err)
 			}
-			outs[0] = part0
 		}
 		csp.EndSpan()
 	}
@@ -642,7 +643,7 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 	} else {
 		d.computeScaled(ctx, gr, flopFrac(gr, part), req.size)
 		if d.mode == Real {
-			outs, err = d.execPartFromSlab(gr, part, req.inputs, ctx.Span())
+			outs, err = gr.parts[part].ForwardBatch(req.inputs, opEvents(ctx.Span()))
 		}
 	}
 	if err != nil {
@@ -664,7 +665,7 @@ func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int,
 	if d.mode != Real {
 		return nil, nil
 	}
-	return gr.whole.ForwardBatch(ins, opEvents(sp))
+	return gr.parts[0].ForwardBatch(ins, opEvents(sp))
 }
 
 // computeScaled advances the function's clock by the group's ops scaled to
@@ -698,36 +699,6 @@ func (d *Deployment) partInputs(gr *groupRuntime, part int, ins []*tensor.Tensor
 		slabs[e] = slab
 	}
 	return slabs, nil
-}
-
-// execPart runs a partition from every query's full group input (master
-// side).
-func (d *Deployment) execPart(gr *groupRuntime, part int, ins []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
-	slabs, err := d.partInputs(gr, part, ins)
-	if err != nil {
-		return nil, err
-	}
-	return d.execPartFromSlab(gr, part, slabs, sp)
-}
-
-// execPartFromSlab runs a partition from its input slabs (worker side), with
-// kernel events reported into sp. Channel partitions run the batched graph
-// walk on the subgraph the deployment built; spatial partitions loop
-// ExecSpatialPart per query (identical math either way).
-func (d *Deployment) execPartFromSlab(gr *groupRuntime, part int, slabs []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
-	obs := opEvents(sp)
-	if gr.gp.Option.Dim == partition.DimChannel {
-		return gr.slices.Channel[part].Sub.ForwardBatch(slabs, obs)
-	}
-	outs := make([]*tensor.Tensor, len(slabs))
-	for e, slab := range slabs {
-		out, err := partition.ExecSpatialPart(gr.units, gr.slices.Spatial[part], slab, obs)
-		if err != nil {
-			return nil, err
-		}
-		outs[e] = out
-	}
-	return outs, nil
 }
 
 // tensorsOf unwraps a worker response (nil in ShapeOnly mode).

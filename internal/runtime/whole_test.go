@@ -16,7 +16,7 @@ import (
 // TestWholeGroupIsOneGraph: for every whole group of a zoo model's
 // latency-optimal plan, and for the model's whole unit chain, the group's
 // joined graph — the one a Real deployment runs, which a ShapeOnly one never
-// builds — returns the bits of the unit-by-unit reference ForwardChain at
+// builds, as it builds no partition's graph — returns the bits of the unit-by-unit reference ForwardChain at
 // batch 1 and 3, and the group's ArenaBytes is its join's and no more than
 // the hungriest unit's arena plus the two slabs the inner unit outputs
 // alternated between when every unit ran in an arena of its own.
@@ -50,16 +50,16 @@ func TestWholeGroupIsOneGraph(t *testing.T) {
 			}
 			chain := false // the whole chain is one of the plan's groups
 			for gi, gr := range realD.groups {
-				if shapeD.groups[gi].whole != nil {
-					t.Errorf("group %d: a ShapeOnly deployment built a join", gi)
+				if shapeD.groups[gi].parts != nil {
+					t.Errorf("group %d: a ShapeOnly deployment built graphs", gi)
+				}
+				if len(gr.parts) != gr.gp.Option.Parts {
+					t.Fatalf("group %d (%v): %d graphs", gi, gr.gp.Option, len(gr.parts))
 				}
 				if gr.gp.Option.Dim != partition.DimNone {
-					if gr.whole != nil {
-						t.Errorf("group %d (%v): a join for a partitioned group", gi, gr.gp.Option)
-					}
 					continue
 				}
-				checkWholeGroup(t, units, gr.gp.First, gr.gp.Last, gr.whole)
+				checkWholeGroup(t, units, gr.gp.First, gr.gp.Last, gr.parts[0])
 				chain = chain || gr.gp.First == 0 && gr.gp.Last == len(units)-1
 			}
 			if !chain {

@@ -24,7 +24,13 @@ ci: lint build test procs race chaos fuzz bench-verify
 # test` enforces it. go vet's asmdecl checks gemm_amd64.s (tile kernels and
 # row helpers) against its Go declarations; the arm64 cross-build and vet
 # keep the no-assembly kernel dispatch, which nothing on an amd64 runner
-# compiles, from rotting. The frozen benchmark/ harness is its own module,
+# compiles, from rotting. The arm64 assembly listing of internal/nn must hold
+# no fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB, single or double): each
+# product rounds before its add, written float32(x*y) where go1.24 would
+# contract it, and that is what keeps a kernel's output bits the same on
+# every architecture and at every blocking (gemm.go's header). The listing
+# must name laneDotAcc, so a build that printed nothing fails rather than
+# passing. The frozen benchmark/ harness is its own module,
 # which `./...` does not reach: vetting it compiles it against this tree, so
 # deleting an internal API it calls fails here rather than in every
 # benchmark run.
@@ -38,6 +44,14 @@ lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn
+	@listing="$$(mktemp)"; trap 'rm -f "$$listing"' EXIT; \
+	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn >"$$listing" 2>&1 || { cat "$$listing" >&2; exit 1; }; \
+	if ! grep -q '^gillis/internal/nn\.laneDotAcc STEXT' "$$listing"; then \
+		echo "lint: the arm64 listing of internal/nn has no laneDotAcc" >&2; exit 1; \
+	fi; \
+	if grep -E '\sFN?M(ADD|SUB)[SD]\s' "$$listing" >&2; then \
+		echo "lint: arm64 fuses a multiply and an add in internal/nn (above); round the product: float32(x*y)" >&2; exit 1; \
+	fi
 	cd benchmark && $(GO) vet .
 
 vet:
@@ -64,10 +78,11 @@ test:
 # left to dispatch to).
 #
 # The last line builds for GOAMD64=v3, the x86 level with a fused multiply-add.
-# The affine of BatchNorm and of the fused epilogue must stay a multiply and
-# an add (TestAffineRoundsTheProduct); go1.24 contracts x*y+z on arm64 but at
-# no GOAMD64 level, so today this line proves the v3 build green and the test
-# bites on an arm64 runner — it is here for the toolchain that starts to.
+# Every product in internal/nn must round before its add
+# (TestAffineRoundsTheProduct pins the affine of BatchNorm and of a folded
+# epilogue). go1.24 contracts x*y+z on arm64 but at no GOAMD64 level: `make
+# lint` checks the arm64 listing on any runner, and this line is here for the
+# toolchain that starts to contract on amd64 too.
 KERNEL_PKGS := ./internal/nn ./internal/graph ./internal/partition
 procs:
 	for n in 1 2 3 4 8; do \

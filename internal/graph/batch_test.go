@@ -12,8 +12,8 @@ import (
 
 // randomBatchModel draws a small CNN with a random depth, random residual
 // block, and a dense head, then fuses it — so the batched walk exercises
-// FusedConv2D (Conv+BN+ReLU), pooling fallbacks, Flatten, and FusedDense
-// in one graph.
+// convolutions with a folded Conv+BN+ReLU epilogue, pooling fallbacks,
+// Flatten, and a dense layer with a fused ReLU in one graph.
 func randomBatchModel(t *testing.T, seed int64) *Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

@@ -8,7 +8,8 @@ import (
 
 // Fuse rewrites a graph into its operator-fused form: BatchNorm and ReLU
 // nodes that directly follow a weighted layer are absorbed into that layer's
-// GEMM epilogue, and redundant element-wise chains collapse. Every rewrite
+// epilogue (the Scale, Shift and Relu fields of nn.Conv2D, the Relu of
+// nn.Dense), and redundant element-wise chains collapse. Every rewrite
 // is bitwise semantics-preserving — the fused graph produces identical
 // outputs to the original at every parallelism level (the epilogue performs
 // exactly the absorbed operators' arithmetic in the same per-element order)
@@ -18,18 +19,21 @@ import (
 //
 // Rewrites applied, in decreasing priority:
 //
-//   - Conv2D + BatchNorm [+ ReLU]  →  FusedConv2D (folded affine epilogue).
-//     The BatchNorm's frozen statistics must be materialized, since folding
-//     evaluates gamma/sqrt(var+eps) at rewrite time.
-//   - Conv2D + ReLU                →  FusedConv2D (ReLU epilogue).
-//   - Dense + ReLU                 →  FusedDense.
+//   - Conv2D + BatchNorm [+ ReLU]  →  Conv2D with Scale and Shift (the
+//     folded affine) [and Relu]. The BatchNorm's frozen statistics must be
+//     materialized, since folding evaluates gamma/sqrt(var+eps) at rewrite
+//     time.
+//   - Conv2D + ReLU                →  Conv2D with Relu.
+//   - Dense + ReLU                 →  Dense with Relu.
 //   - ReLU whose producer already ends in a ReLU (fused or standalone)
 //     is dropped: relu∘relu = relu exactly.
 //
-// A node is absorbed only when the intermediate value has exactly one
-// consumer, so no rewrite changes any observable tensor. Operators that are
-// not rewritten are carried into the new graph by reference; fused wrappers
-// alias the original layers' weight tensors rather than copying them.
+// Only a layer with no epilogue yet absorbs anything, so fusing a fused
+// graph again changes nothing. A node is absorbed only when the intermediate
+// value has exactly one consumer, so no rewrite changes any observable
+// tensor. Operators that are not rewritten are carried into the new graph by
+// reference; a fused layer is a copy of the original that shares its W and
+// B.
 //
 // Fuse returns the rewritten graph and the number of nodes eliminated
 // (0 means the graph came back structurally identical).
@@ -80,32 +84,31 @@ func Fuse(g *Graph) (*Graph, int, error) {
 		var tail []*Node // nodes the fused op absorbs
 		switch op := node.Op.(type) {
 		case *nn.Conv2D:
+			if op.Scale != nil || op.Relu {
+				break
+			}
 			next := soleConsumer(node.ID)
+			f := *op
 			if bn, ok := opAs[*nn.BatchNorm](next); ok && bn.Initialized() && bn.C == op.OutC {
-				relu := false
-				if _, ok := opAs[*nn.ReLU](soleConsumer(next.ID)); ok {
-					relu = true
-					tail = []*Node{next, soleConsumer(next.ID)}
-				} else {
-					tail = []*Node{next}
-				}
-				f, err := nn.NewFusedConv2D(op, bn, relu)
-				if err != nil {
+				if f.Scale, f.Shift, err = bn.Fold(); err != nil {
 					return nil, 0, fmt.Errorf("graph %q: fuse node %d: %w", g.Name, node.ID, err)
 				}
-				fused = f
-			} else if _, ok := opAs[*nn.ReLU](next); ok {
-				f, err := nn.NewFusedConv2D(op, nil, true)
-				if err != nil {
-					return nil, 0, fmt.Errorf("graph %q: fuse node %d: %w", g.Name, node.ID, err)
-				}
-				fused = f
 				tail = []*Node{next}
+				next = soleConsumer(next.ID)
+			}
+			if _, ok := opAs[*nn.ReLU](next); ok {
+				f.Relu = true
+				tail = append(tail, next)
+			}
+			if tail != nil {
+				fused = &f
 			}
 		case *nn.Dense:
-			if _, ok := opAs[*nn.ReLU](soleConsumer(node.ID)); ok {
-				fused = nn.NewFusedDense(op)
-				tail = []*Node{soleConsumer(node.ID)}
+			next := soleConsumer(node.ID)
+			if _, ok := opAs[*nn.ReLU](next); ok && !op.Relu {
+				f := *op
+				f.Relu = true
+				fused, tail = &f, []*Node{next}
 			}
 		case *nn.ReLU:
 			// Collapse relu∘relu: if the producer's rewritten form already
@@ -155,10 +158,10 @@ func endsInReLU(op nn.Op) bool {
 	switch o := op.(type) {
 	case *nn.ReLU:
 		return true
-	case *nn.FusedConv2D:
+	case *nn.Conv2D:
 		return o.Relu
-	case *nn.FusedDense:
-		return true
+	case *nn.Dense:
+		return o.Relu
 	}
 	return false
 }

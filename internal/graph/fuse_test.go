@@ -46,18 +46,35 @@ func TestFuseRewritesKnownPatterns(t *testing.T) {
 	}
 	kinds := map[string]int{}
 	for _, n := range fused.Nodes() {
-		kinds[fmt.Sprintf("%T", n.Op)]++
+		kind := fmt.Sprintf("%T", n.Op)
+		switch op := n.Op.(type) {
+		case *nn.Conv2D:
+			kind = fmt.Sprintf("conv bn=%v relu=%v", op.Scale != nil, op.Relu)
+		case *nn.Dense:
+			kind = fmt.Sprintf("dense relu=%v", op.Relu)
+		}
+		kinds[kind]++
 	}
-	if kinds["*nn.FusedConv2D"] != 2 {
-		t.Fatalf("fused graph has %d FusedConv2D nodes, want 2", kinds["*nn.FusedConv2D"])
+	want := map[string]int{
+		"conv bn=true relu=true":  1, // c1, b1, r1
+		"conv bn=false relu=true": 1, // c3, r3 (r3b collapsed)
+		"dense relu=true":         1, // fc, r4
+		// c2 feeds two consumers; it must survive unfused alongside its ReLU.
+		"conv bn=false relu=false": 1,
+		"*nn.ReLU":                 1,
+		"*nn.Add":                  1,
+		"*nn.Flatten":              1,
+		"*nn.Softmax":              1,
 	}
-	if kinds["*nn.FusedDense"] != 1 {
-		t.Fatalf("fused graph has %d FusedDense nodes, want 1", kinds["*nn.FusedDense"])
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("fused graph has nodes %v, want %v", kinds, want)
 	}
-	// c2 feeds two consumers; it must survive unfused alongside its ReLU.
-	if kinds["*nn.Conv2D"] != 1 || kinds["*nn.ReLU"] != 1 {
-		t.Fatalf("multi-consumer conv was rewritten: kinds=%v", kinds)
+	// A fused layer is a copy that shares the original's weights.
+	if c1 := fused.Node(0).Op.(*nn.Conv2D); c1 == g.Node(0).Op || c1.W != g.Node(0).Op.(*nn.Conv2D).W {
+		t.Fatal("fused c1 is not a copy sharing the original's W")
 	}
+	x := tensor.Rand(rand.New(rand.NewSource(3)), 1, 3, 16, 16)
+	assertFuseIdempotent(t, fused, x)
 	if fl, fu := mustFLOPs(t, fused), mustFLOPs(t, g); fl >= fu {
 		t.Fatalf("fused FLOPs %d not below unfused %d", fl, fu)
 	}
@@ -75,9 +92,40 @@ func mustFLOPs(t *testing.T, g *Graph) int64 {
 	return f
 }
 
+// assertFuseIdempotent checks that fusing the fused graph again eliminates no
+// node, leaves every op as it is, and forwards x to the same bits: a fused
+// layer is still a Conv2D or Dense, and one with an epilogue absorbs nothing.
+func assertFuseIdempotent(t *testing.T, fused *Graph, x *tensor.Tensor) {
+	t.Helper()
+	again, eliminated, err := Fuse(fused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eliminated != 0 || again.Len() != fused.Len() {
+		t.Fatalf("Fuse(Fuse(g)) eliminated %d nodes (%d -> %d), want 0", eliminated, fused.Len(), again.Len())
+	}
+	for i, n := range fused.Nodes() {
+		if again.Node(i).Op != n.Op {
+			t.Fatalf("Fuse(Fuse(g)) rewrote node %d (%s)", i, n.Op.Name())
+		}
+	}
+	want, err := fused.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := again.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.Equal(got, want) {
+		t.Fatal("Fuse(Fuse(g)) forward differs from Fuse(g)")
+	}
+}
+
 // TestFusePreservesOutputsOnRandomModels is the fusion property test: on
 // randomly generated layer stacks, the fused graph must produce bitwise
-// identical outputs to the original, at several parallelism levels.
+// identical outputs to the original, at several parallelism levels, and
+// fusing it again changes nothing.
 func TestFusePreservesOutputsOnRandomModels(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
@@ -106,6 +154,7 @@ func TestFusePreservesOutputsOnRandomModels(t *testing.T) {
 					t.Fatalf("p=%d: fused forward diverged from unfused graph", p)
 				}
 			}
+			assertFuseIdempotent(t, fused, in)
 		})
 	}
 }
@@ -125,6 +174,9 @@ func randomModel(rng *rand.Rand) (*Graph, *tensor.Tensor) {
 		}
 		for r := 0; r < rng.Intn(3); r++ { // zero, one, or chained ReLUs
 			g.MustAdd(nn.NewReLU(fmt.Sprintf("r%d_%d", i, r)))
+		}
+		if rng.Intn(3) == 0 { // a BatchNorm after the ReLUs, if any
+			g.MustAdd(nn.NewBatchNorm(fmt.Sprintf("a%d", i), c))
 		}
 	}
 	g.MustAdd(nn.NewFlatten("fl"))

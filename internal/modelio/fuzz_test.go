@@ -22,6 +22,13 @@ func FuzzLoad(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
+	// A fused graph: kinds FusedConv2D (with and without bn) and FusedDense.
+	_, fused := fusedModel(f)
+	var fbuf bytes.Buffer
+	if err := Save(&fbuf, fused, true); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fbuf.Bytes())
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("GLSM"))
 	f.Add([]byte("GLSM\x00\x00\x00\x10{\"version\":1}"))

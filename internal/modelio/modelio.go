@@ -22,6 +22,8 @@ import (
 const (
 	magic   = "GLSM"
 	version = 1
+	// maxDim bounds every dimension of a weight tensor in a model file.
+	maxDim = 1 << 28
 )
 
 // header is the JSON model structure preceding the weight blocks.
@@ -162,6 +164,10 @@ func LoadFile(path string) (*graph.Graph, error) {
 	return Load(f)
 }
 
+// encodeOp describes op for the header. A layer with an epilogue (a folded
+// BatchNorm or ReLU) is written as kind "FusedConv2D", with attrs bn and
+// relu, or "FusedDense", so a reader that knows only the plain kinds refuses
+// it rather than dropping the epilogue.
 func encodeOp(op nn.Op) (opSpec, error) {
 	spec := opSpec{Kind: op.Kind().String(), Name: op.Name(), Attrs: map[string]int{}}
 	switch o := op.(type) {
@@ -171,6 +177,15 @@ func encodeOp(op nn.Op) (opSpec, error) {
 		spec.Attrs["kernel"] = o.Kernel
 		spec.Attrs["stride"] = o.Stride
 		spec.Attrs["pad"] = o.Pad
+		if o.Scale != nil || o.Relu {
+			spec.Kind = "FusedConv2D"
+		}
+		if o.Scale != nil {
+			spec.Attrs["bn"] = 1
+		}
+		if o.Relu {
+			spec.Attrs["relu"] = 1
+		}
 	case *nn.DepthwiseConv2D:
 		spec.Attrs["c"] = o.C
 		spec.Attrs["kernel"] = o.Kernel
@@ -190,28 +205,12 @@ func encodeOp(op nn.Op) (opSpec, error) {
 	case *nn.Dense:
 		spec.Attrs["in"] = o.In
 		spec.Attrs["out"] = o.Out
+		if o.Relu {
+			spec.Kind = "FusedDense"
+		}
 	case *nn.LSTM:
 		spec.Attrs["in"] = o.InSize
 		spec.Attrs["hidden"] = o.Hidden
-	case *nn.FusedConv2D:
-		// Kind() reports Conv2D for the perf model; the serialized kind must
-		// stay distinct so Load rebuilds the fused wrapper.
-		spec.Kind = "FusedConv2D"
-		spec.Attrs["inC"] = o.Conv.InC
-		spec.Attrs["outC"] = o.Conv.OutC
-		spec.Attrs["kernel"] = o.Conv.Kernel
-		spec.Attrs["stride"] = o.Conv.Stride
-		spec.Attrs["pad"] = o.Conv.Pad
-		if o.HasBN() {
-			spec.Attrs["bn"] = 1
-		}
-		if o.Relu {
-			spec.Attrs["relu"] = 1
-		}
-	case *nn.FusedDense:
-		spec.Kind = "FusedDense"
-		spec.Attrs["in"] = o.Dense.In
-		spec.Attrs["out"] = o.Dense.Out
 	case *nn.ReLU, *nn.Add, *nn.Softmax, *nn.Flatten, *nn.GlobalAvgPool, *nn.TakeLast, *nn.Concat:
 		// no attributes
 	default:
@@ -223,8 +222,22 @@ func encodeOp(op nn.Op) (opSpec, error) {
 func decodeOp(spec opSpec) (nn.Op, error) {
 	a := spec.Attrs
 	switch spec.Kind {
-	case "Conv2D":
-		return nn.NewConv2D(spec.Name, a["inC"], a["outC"], a["kernel"], a["stride"], a["pad"]), nil
+	case "Conv2D", "FusedConv2D":
+		c := nn.NewConv2D(spec.Name, a["inC"], a["outC"], a["kernel"], a["stride"], a["pad"])
+		fused := spec.Kind == "FusedConv2D"
+		c.Relu = fused && a["relu"] == 1
+		if fused && a["bn"] == 1 {
+			// Placeholders for the folded affine, so that the op counts its
+			// FLOPs and parameters, Init draws it and SetWeights takes it
+			// from the weight block. They are allocated here, before any
+			// weight is read, so outC is checked first: it is a dimension of
+			// the scale and shift and bounded like any other.
+			if c.OutC <= 0 || c.OutC > maxDim {
+				return nil, fmt.Errorf("modelio: %s %q: bad output channels %d", spec.Kind, spec.Name, c.OutC)
+			}
+			c.Scale, c.Shift = tensor.New(c.OutC), tensor.New(c.OutC)
+		}
+		return c, nil
 	case "DepthwiseConv2D":
 		op := nn.NewDepthwiseConv2D(spec.Name, a["c"], a["kernel"], a["stride"], a["pad"])
 		if a["hi"] > 0 {
@@ -237,20 +250,10 @@ func decodeOp(spec opSpec) (nn.Op, error) {
 		return nn.NewMaxPool2D(spec.Name, a["kernel"], a["stride"], a["pad"]), nil
 	case "AvgPool2D":
 		return nn.NewAvgPool2D(spec.Name, a["kernel"], a["stride"]), nil
-	case "Dense":
-		return nn.NewDense(spec.Name, a["in"], a["out"]), nil
-	case "FusedConv2D":
-		conv := nn.NewConv2D(spec.Name, a["inC"], a["outC"], a["kernel"], a["stride"], a["pad"])
-		f := &nn.FusedConv2D{Conv: conv, Relu: a["relu"] == 1}
-		if a["bn"] == 1 {
-			// Placeholder affine so SetWeights expects (and installs) the
-			// folded scale/shift tensors from the weight block.
-			f.Scale = tensor.New(a["outC"])
-			f.Shift = tensor.New(a["outC"])
-		}
-		return f, nil
-	case "FusedDense":
-		return nn.NewFusedDense(nn.NewDense(spec.Name, a["in"], a["out"])), nil
+	case "Dense", "FusedDense":
+		d := nn.NewDense(spec.Name, a["in"], a["out"])
+		d.Relu = spec.Kind == "FusedDense"
+		return d, nil
 	case "LSTM":
 		return nn.NewLSTM(spec.Name, a["in"], a["hidden"]), nil
 	case "ReLU":
@@ -313,6 +316,13 @@ func readWeights(r io.Reader, op nn.Op) error {
 		}
 		return nil
 	}
+	if want := len(wt.Weights()); int(count) != want {
+		return fmt.Errorf("%d weight tensors, want %d", count, want)
+	}
+	// Every tensor must fit in what is left of the op's parameters before
+	// anything is allocated for it, so a forged shape can neither overflow
+	// nor ask for more memory than the header's op declares.
+	budget := op.ParamCount()
 	ws := make([]*tensor.Tensor, count)
 	for i := range ws {
 		var rank uint8
@@ -329,12 +339,13 @@ func readWeights(r io.Reader, op nn.Op) error {
 			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
 				return err
 			}
-			if v == 0 || v > 1<<28 {
-				return fmt.Errorf("bad dimension %d", v)
+			if v == 0 || v > maxDim || int64(v) > budget/int64(n) {
+				return fmt.Errorf("weight %d: bad dimension %d", i, v)
 			}
 			shape[d] = int(v)
 			n *= int(v)
 		}
+		budget -= int64(n)
 		buf := make([]byte, 4*n)
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return err

@@ -2,6 +2,9 @@ package modelio
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -228,27 +231,35 @@ func TestRoundtripDepthwiseAndConcat(t *testing.T) {
 	}
 }
 
-// TestRoundtripFusedGraph runs a graph through the fusion pass, serializes
-// it with weights, and checks the loaded copy (including the folded
-// scale/shift epilogue tensors) forwards bitwise identically.
-func TestRoundtripFusedGraph(t *testing.T) {
-	g := graph.New("fused", []int{3, 10, 10})
-	g.MustAdd(nn.NewConv2D("c1", 3, 6, 3, 1, 1))
-	g.MustAdd(nn.NewBatchNorm("b1", 6))
+// fusedModel returns a small graph and its fused form, which has all three
+// fused patterns: Conv+BN+ReLU, Conv+ReLU and Dense+ReLU.
+func fusedModel(tb testing.TB) (unfused, fused *graph.Graph) {
+	tb.Helper()
+	g := graph.New("fused", []int{3, 6, 6})
+	g.MustAdd(nn.NewConv2D("c1", 3, 4, 3, 1, 1))
+	g.MustAdd(nn.NewBatchNorm("b1", 4))
 	g.MustAdd(nn.NewReLU("r1"))
-	g.MustAdd(nn.NewConv2D("c2", 6, 8, 3, 1, 1))
+	g.MustAdd(nn.NewConv2D("c2", 4, 4, 3, 1, 1))
 	g.MustAdd(nn.NewReLU("r2"))
 	g.MustAdd(nn.NewFlatten("fl"))
-	g.MustAdd(nn.NewDense("fc", 8*10*10, 5))
+	g.MustAdd(nn.NewDense("fc", 4*6*6, 5))
 	g.MustAdd(nn.NewReLU("r3"))
 	g.Init(13)
 	fg, eliminated, err := graph.Fuse(g)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if eliminated != 4 {
-		t.Fatalf("eliminated %d nodes, want 4", eliminated)
+		tb.Fatalf("eliminated %d nodes, want 4", eliminated)
 	}
+	return g, fg
+}
+
+// TestRoundtripFusedGraph serializes a fused graph with weights and checks
+// the loaded copy (including the folded scale/shift epilogue tensors)
+// forwards bitwise identically to the unfused original.
+func TestRoundtripFusedGraph(t *testing.T) {
+	g, fg := fusedModel(t)
 	var buf bytes.Buffer
 	if err := Save(&buf, fg, true); err != nil {
 		t.Fatal(err)
@@ -257,7 +268,7 @@ func TestRoundtripFusedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Full(0.25, 3, 10, 10)
+	x := tensor.Full(0.25, 3, 6, 6)
 	want, err := g.Forward(x) // the unfused original is the reference
 	if err != nil {
 		t.Fatal(err)
@@ -268,5 +279,83 @@ func TestRoundtripFusedGraph(t *testing.T) {
 	}
 	if !tensor.Equal(want, got) {
 		t.Fatal("loaded fused model must match the unfused original bitwise")
+	}
+}
+
+// TestFusedWireFormatPinned pins the bytes of a saved fused graph: the kind
+// strings "FusedConv2D" and "FusedDense", their attrs, the weight order
+// W, B, Scale, Shift, and the order in which Init draws a fused layer's
+// weights (a structure-only load, initialized and saved again). The hashes
+// were recorded when the fused layers were wrapper types; files written
+// since must stay readable by, and identical to, what those wrote.
+func TestFusedWireFormatPinned(t *testing.T) {
+	_, fg := fusedModel(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, fg, true); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "60e8df08331d192fc9728041459088226efc18a2174099883dffb93fc3d6dfc8"; got != want {
+		t.Errorf("fused graph with weights: sha256 %s, want %s", got, want)
+	}
+	buf.Reset()
+	if err := Save(&buf, fg, false); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Init(5)
+	buf.Reset()
+	if err := Save(&buf, spec, true); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "ab5ae03111b6008341eb361124a277ce5c5a80b1945df41f63cbe0a6b7e860ee"; got != want {
+		t.Errorf("fused structure initialized with seed 5: sha256 %s, want %s", got, want)
+	}
+}
+
+// rawModel frames a JSON header and a raw weight block as a model file.
+func rawModel(hdr string, weights ...uint32) []byte {
+	b := []byte(magic)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(hdr)))
+	b = append(b, hdr...)
+	for _, w := range weights {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// TestLoadRejectsForgedSizes feeds Load headers and weight blocks whose
+// sizes would panic or allocate without bound if trusted: a fused conv's
+// channel count, and a weight tensor's dimensions and count.
+func TestLoadRejectsForgedSizes(t *testing.T) {
+	fusedConv := func(outC int) string {
+		return fmt.Sprintf(`{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":false,"nodes":[`+
+			`{"kind":"FusedConv2D","name":"c","inputs":[-1],"attrs":{"bn":1,"inC":3,"kernel":1,"outC":%d,"pad":0,"stride":1}}]}`, outC)
+	}
+	const conv = `{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":true,"nodes":[` +
+		`{"kind":"Conv2D","name":"c","inputs":[-1],"attrs":{"inC":3,"kernel":1,"outC":2,"pad":0,"stride":1}}]}`
+	// rank3 is that model with a first weight tensor of rank 3 and these
+	// dimensions, and no data.
+	rank3 := func(dims ...uint32) []byte {
+		b := rawModel(conv, 2)
+		b = append(b, 3)
+		for _, d := range dims {
+			b = binary.LittleEndian.AppendUint32(b, d)
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"fused conv with negative channels": rawModel(fusedConv(-3)),
+		"fused conv with zero channels":     rawModel(fusedConv(0)),
+		"fused conv with 2^40 channels":     rawModel(fusedConv(1 << 40)),
+		"weight dims overflowing":           rank3(1<<28, 1<<28, 3),
+		"weight larger than the op":         rank3(2, 3, 2),
+		"four billion weight tensors":       rawModel(conv, 0xffffffff),
+	} {
+		if _, err := Load(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: loaded", name)
+		}
 	}
 }

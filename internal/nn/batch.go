@@ -5,10 +5,11 @@ import "gillis/internal/tensor"
 // Cross-query batching dispatch. A batched forward must be *bitwise
 // identical* to running the per-query loop — batching is a scheduling
 // optimization, never a numerics change — so the fast paths only widen the
-// parallel index space: for Conv2D/FusedConv2D the batch's pixels are more
-// columns of the one blocked GEMM, for Dense/FusedDense and LSTM the index
-// space is batch×bands, each band reading only its own element (see
-// gemm.go). Those ops' ForwardInto is the one-element call of the same body.
+// parallel index space: for Conv2D the batch's pixels are more columns of the
+// one blocked GEMM, for Dense and LSTM the index space is batch×bands, each
+// band reading only its own element (see gemm.go), and a folded BatchNorm or
+// ReLU runs in the same pass either way. Those ops' ForwardInto is the
+// one-element call of the same body.
 // Everything else, and any batch that mixes input shapes, falls back to the
 // per-query loop, which is the equivalence baseline by definition.
 
@@ -64,8 +65,6 @@ func uniformSingleInput(ins [][]*tensor.Tensor) bool {
 
 var (
 	_ BatchForwarder = (*Conv2D)(nil)
-	_ BatchForwarder = (*FusedConv2D)(nil)
 	_ BatchForwarder = (*Dense)(nil)
-	_ BatchForwarder = (*FusedDense)(nil)
 	_ BatchForwarder = (*LSTM)(nil)
 )

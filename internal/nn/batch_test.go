@@ -34,10 +34,7 @@ func randomBatchCases(t *testing.T, seed int64) []detCase {
 	h, w := 7+rng.Intn(9), 7+rng.Intn(9)
 	conv := mk(NewConv2D("c", inC, outC, kern, stride, pad)).(*Conv2D)
 	bn := mk(NewBatchNorm("bn", outC)).(*BatchNorm)
-	fconv, err := NewFusedConv2D(mk(NewConv2D("fc", inC, outC, kern, stride, pad)).(*Conv2D), bn, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fconv := fuseConv(t, mk(NewConv2D("fc", inC, outC, kern, stride, pad)).(*Conv2D), bn, true)
 	dIn, dOut := 9+rng.Intn(120), 3+rng.Intn(60)
 	lIn, lHid := 5+rng.Intn(24), 4+rng.Intn(29)
 	steps := 2 + rng.Intn(6)
@@ -45,7 +42,7 @@ func randomBatchCases(t *testing.T, seed int64) []detCase {
 		{"conv", conv, tensor.Rand(rng, 1, inC, h, w)},
 		{"fused-conv-bn-relu", fconv, tensor.Rand(rng, 1, inC, h, w)},
 		{"dense", mk(NewDense("d", dIn, dOut)), tensor.Rand(rng, 1, dIn)},
-		{"fused-dense", NewFusedDense(mk(NewDense("fd", dIn, dOut)).(*Dense)), tensor.Rand(rng, 1, dIn)},
+		{"fused-dense", fuseDense(mk(NewDense("fd", dIn, dOut)).(*Dense)), tensor.Rand(rng, 1, dIn)},
 		{"lstm", mk(NewLSTM("l", lIn, lHid)), tensor.Rand(rng, 1, steps, lIn)},
 	}
 }

@@ -10,6 +10,14 @@ import (
 
 // Conv2D is a 2-D convolution with a square kernel, equal stride, and equal
 // zero padding on both axes. Input/output layout is CHW.
+//
+// Scale, Shift and Relu are the layer's epilogue, the BatchNorm and ReLU
+// that graph.Fuse folds into it: y = conv(x)*Scale[c] + Shift[c], then
+// max(y, 0). They run on each finished output tile of the GEMM (gemm.go)
+// while it is still cache-resident, with exactly the arithmetic of the
+// standalone BatchNorm and ReLU forwards, so folding them in never changes
+// an output bit. A folded BatchNorm stores two per-channel vectors instead of
+// four and costs two FLOPs per output element; the ReLU costs none.
 type Conv2D struct {
 	OpName string
 	InC    int
@@ -21,6 +29,12 @@ type Conv2D struct {
 	// W has shape [OutC, InC, Kernel, Kernel]; B has shape [OutC].
 	W *tensor.Tensor
 	B *tensor.Tensor
+
+	// Scale and Shift have shape [OutC], both nil when no BatchNorm is
+	// folded in.
+	Scale *tensor.Tensor
+	Shift *tensor.Tensor
+	Relu  bool
 }
 
 var (
@@ -60,47 +74,76 @@ func (c *Conv2D) OutShape(in ...[]int) ([]int, error) {
 	return []int{c.OutC, oh, ow}, nil
 }
 
-// FLOPs implements Op.
+// FLOPs implements Op: the multiply-adds, the bias add and, with a folded
+// BatchNorm, its multiply and add.
 func (c *Conv2D) FLOPs(in ...[]int) int64 {
 	out, err := c.OutShape(in...)
 	if err != nil {
 		return 0
 	}
 	macs := int64(c.OutC) * int64(c.InC) * int64(c.Kernel*c.Kernel) * int64(out[1]) * int64(out[2])
-	return 2*macs + prod(out) // + bias add
+	flops := 2*macs + prod(out) // + bias add
+	if c.Scale != nil {
+		flops += 2 * prod(out)
+	}
+	return flops
 }
 
 // ParamCount implements Op.
 func (c *Conv2D) ParamCount() int64 {
-	return int64(c.OutC)*int64(c.InC)*int64(c.Kernel*c.Kernel) + int64(c.OutC)
+	n := int64(c.OutC)*int64(c.InC)*int64(c.Kernel*c.Kernel) + int64(c.OutC)
+	if c.Scale != nil {
+		n += 2 * int64(c.OutC)
+	}
+	return n
 }
 
-// Init implements Op using He-style uniform initialization.
+// Init implements Op using He-style uniform initialization; a folded
+// BatchNorm draws a scale near 1 and a small shift after the bias.
 func (c *Conv2D) Init(rng *rand.Rand) {
 	fanIn := float64(c.InC * c.Kernel * c.Kernel)
 	scale := float32(math.Sqrt(2 / fanIn))
 	c.W = tensor.Rand(rng, scale, c.OutC, c.InC, c.Kernel, c.Kernel)
 	c.B = tensor.Rand(rng, 0.01, c.OutC)
+	if c.Scale != nil {
+		c.Scale = tensor.Rand(rng, 0.1, c.OutC)
+		for i, v := range c.Scale.Data() {
+			c.Scale.Data()[i] = 1 + v
+		}
+		c.Shift = tensor.Rand(rng, 0.1, c.OutC)
+	}
 }
 
 // Initialized implements Op.
 func (c *Conv2D) Initialized() bool { return c.W != nil && c.B != nil }
 
-// Weights implements Weighted.
-func (c *Conv2D) Weights() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
+// Weights implements Weighted: W, B, then Scale and Shift if a BatchNorm is
+// folded in.
+func (c *Conv2D) Weights() []*tensor.Tensor {
+	if c.Scale != nil {
+		return []*tensor.Tensor{c.W, c.B, c.Scale, c.Shift}
+	}
+	return []*tensor.Tensor{c.W, c.B}
+}
 
 // SetWeights implements Weighted.
 func (c *Conv2D) SetWeights(ws []*tensor.Tensor) error {
-	if len(ws) != 2 {
-		return fmt.Errorf("nn: Conv2D %q expects 2 weight tensors, got %d", c.OpName, len(ws))
+	shapes := [][]int{{c.OutC, c.InC, c.Kernel, c.Kernel}, {c.OutC}, {c.OutC}, {c.OutC}}
+	if c.Scale == nil {
+		shapes = shapes[:2]
 	}
-	if !tensor.ShapeEqual(ws[0].Shape(), []int{c.OutC, c.InC, c.Kernel, c.Kernel}) {
-		return fmt.Errorf("nn: Conv2D %q weight shape %v mismatch", c.OpName, ws[0].Shape())
+	if len(ws) != len(shapes) {
+		return fmt.Errorf("nn: Conv2D %q expects %d weight tensors, got %d", c.OpName, len(shapes), len(ws))
 	}
-	if !tensor.ShapeEqual(ws[1].Shape(), []int{c.OutC}) {
-		return fmt.Errorf("nn: Conv2D %q bias shape %v mismatch", c.OpName, ws[1].Shape())
+	for i, w := range ws {
+		if !tensor.ShapeEqual(w.Shape(), shapes[i]) {
+			return fmt.Errorf("nn: Conv2D %q weight %d shape %v mismatch", c.OpName, i, w.Shape())
+		}
 	}
 	c.W, c.B = ws[0], ws[1]
+	if c.Scale != nil {
+		c.Scale, c.Shift = ws[2], ws[3]
+	}
 	return nil
 }
 
@@ -109,7 +152,7 @@ func (c *Conv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return 
 
 // ForwardInto implements Op.
 func (c *Conv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return c.forwardOne(dst, in, true, nil)
+	return c.forwardOne(dst, in, true)
 }
 
 // HKernel implements Spatial.
@@ -118,7 +161,7 @@ func (c *Conv2D) HKernel() (k, s, p int) { return c.Kernel, c.Stride, c.Pad }
 // ForwardValidHInto implements Spatial: zero padding is applied along width
 // only; the caller has supplied halo rows along height.
 func (c *Conv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return c.forwardOne(dst, in, false, nil)
+	return c.forwardOne(dst, in, false)
 }
 
 // ForwardBatchInto implements BatchForwarder: the batch's pixels are further
@@ -126,15 +169,27 @@ func (c *Conv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) err
 // equal to the per-query loop. Inputs must share one shape (the dispatcher
 // in batch.go falls back to the loop otherwise).
 func (c *Conv2D) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
-	return c.forward(dsts, xs, true, nil)
+	return c.forward(dsts, xs, true)
 }
 
 // forwardOne is forward for the single-input Op entry points.
-func (c *Conv2D) forwardOne(dst *tensor.Tensor, in []*tensor.Tensor, padH bool, epi *epilogue) error {
+func (c *Conv2D) forwardOne(dst *tensor.Tensor, in []*tensor.Tensor, padH bool) error {
 	if err := checkOneInput("Conv2D", len(in)); err != nil {
 		return err
 	}
-	return c.forward([]*tensor.Tensor{dst}, in, padH, epi)
+	return c.forward([]*tensor.Tensor{dst}, in, padH)
+}
+
+// epi is the layer's epilogue as the GEMM engine takes it, nil for none.
+func (c *Conv2D) epi() *epilogue {
+	if c.Scale == nil && !c.Relu {
+		return nil
+	}
+	e := &epilogue{relu: c.Relu}
+	if c.Scale != nil {
+		e.scale, e.shift = c.Scale.Data(), c.Shift.Data()
+	}
+	return e
 }
 
 // forward lowers the convolution of every xs[e] into dsts[e] onto the GEMM
@@ -148,9 +203,8 @@ func (c *Conv2D) forwardOne(dst *tensor.Tensor, in []*tensor.Tensor, padH bool, 
 // terms strictly in (ic, ky, kx) order — the accumulation-order contract in
 // gemm.go — so outputs are bitwise identical at every parallelism level, batch
 // size, and under spatial/channel partitioning, whatever the destination held.
-// epi, if non-nil, is a fused per-channel post-op applied to finished tiles
-// (see fused.go).
-func (c *Conv2D) forward(dsts, xs []*tensor.Tensor, padH bool, epi *epilogue) error {
+// The layer's epilogue runs on each finished tile.
+func (c *Conv2D) forward(dsts, xs []*tensor.Tensor, padH bool) error {
 	if len(xs) == 0 {
 		return nil
 	}
@@ -182,7 +236,7 @@ func (c *Conv2D) forward(dsts, xs []*tensor.Tensor, padH bool, epi *epilogue) er
 		}
 		ods[e], cc.xs[e] = dsts[e].Data(), x.Data()
 	}
-	gemmBias(c.OutC, cc.oh*cc.ow, c.InC*c.Kernel*c.Kernel, c.W.Data(), c.B.Data(), &cc, ods, epi)
+	gemmBias(c.OutC, cc.oh*cc.ow, c.InC*c.Kernel*c.Kernel, c.W.Data(), c.B.Data(), &cc, ods, c.epi())
 	return nil
 }
 
@@ -307,25 +361,30 @@ func tapColumns(off, stride, w, ow int) (ox0, ox1 int) {
 func (c *Conv2D) OutChannels() int { return c.OutC }
 
 // SliceChannels implements ChannelSliceable: the returned convolution keeps
-// filters [start, end), shared with c, and computes the corresponding output
-// channels.
+// filters [start, end) and the matching rows of the epilogue, shared with c,
+// and computes the corresponding output channels.
 func (c *Conv2D) SliceChannels(start, end int) (Op, error) {
 	if start < 0 || end > c.OutC || start >= end {
 		return nil, fmt.Errorf("nn: Conv2D %q channel slice [%d,%d) out of range %d", c.OpName, start, end, c.OutC)
 	}
 	out := NewConv2D(fmt.Sprintf("%s[%d:%d]", c.OpName, start, end), c.InC, end-start, c.Kernel, c.Stride, c.Pad)
-	if c.Initialized() {
-		// The filters of a channel range are consecutive rows of W: the
-		// slice shares them (weights are never written after Init).
-		w, err := c.W.Rows(start, end)
-		if err != nil {
-			return nil, err
+	out.Relu = c.Relu
+	// The filters of a channel range are consecutive rows of W, and its
+	// bias, scale and shift consecutive entries: the slice shares them
+	// (weights are never written after Init). A tensor not there yet stays
+	// nil.
+	var err error
+	rows := func(t *tensor.Tensor) *tensor.Tensor {
+		if t == nil || err != nil {
+			return nil
 		}
-		b, err := c.B.Rows(start, end)
-		if err != nil {
-			return nil, err
-		}
-		out.W, out.B = w, b
+		var r *tensor.Tensor
+		r, err = t.Rows(start, end)
+		return r
+	}
+	out.W, out.B, out.Scale, out.Shift = rows(c.W), rows(c.B), rows(c.Scale), rows(c.Shift)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

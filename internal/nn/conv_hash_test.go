@@ -70,7 +70,8 @@ func hashConvShapes(t *testing.T, shapes int) string {
 		hh, ww := max(k, 3+rng.Intn(38)), max(k, 3+rng.Intn(38))
 		c := NewConv2D("c", inC, outC, k, stride, pad)
 		c.Init(rng)
-		fc := &FusedConv2D{Conv: c, Scale: tensor.Rand(rng, 2, outC), Shift: tensor.Rand(rng, 1, outC), Relu: shape%3 != 0}
+		fc := *c
+		fc.Scale, fc.Shift, fc.Relu = tensor.Rand(rng, 2, outC), tensor.Rand(rng, 1, outC), shape%3 != 0
 		if shape%5 == 0 {
 			fc.Scale, fc.Shift = nil, nil
 		}
@@ -82,8 +83,8 @@ func hashConvShapes(t *testing.T, shapes int) string {
 			return o
 		}
 		digest(must(c.Forward(xs[0])), must(fc.Forward(xs[0])))
-		digest(must(forwardValidH(c, xs[0])), must(forwardValidH(fc, xs[0])))
-		batch, err := forwardBatch(fc, [][]*tensor.Tensor{xs[:1], xs[1:2], xs[2:]})
+		digest(must(forwardValidH(c, xs[0])), must(forwardValidH(&fc, xs[0])))
+		batch, err := forwardBatch(&fc, [][]*tensor.Tensor{xs[:1], xs[1:2], xs[2:]})
 		if err != nil {
 			t.Fatal(err)
 		}

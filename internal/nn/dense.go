@@ -18,6 +18,10 @@ type Dense struct {
 	// W has shape [Out, In]; B has shape [Out].
 	W *tensor.Tensor
 	B *tensor.Tensor
+
+	// Relu is the epilogue graph.Fuse folds in: max(y, 0) on each output
+	// row as the row-dot pass finishes it, at no extra FLOPs.
+	Relu bool
 }
 
 var (
@@ -95,27 +99,22 @@ func (d *Dense) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return f
 
 // ForwardInto implements Op: the one-element call of the batched body.
 func (d *Dense) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return d.forwardOne(dst, in, false)
+	if err := checkOneInput("Dense", len(in)); err != nil {
+		return err
+	}
+	return d.forward([]*tensor.Tensor{dst}, in)
 }
 
 // ForwardBatchInto implements BatchForwarder: one row-dot pass over all inputs,
 // bitwise identical to the per-query loop (see gemvBias).
-func (d *Dense) ForwardBatchInto(dsts, xs []*tensor.Tensor) error { return d.forward(dsts, xs, false) }
-
-// forwardOne is forward for the single-input Op entry points.
-func (d *Dense) forwardOne(dst *tensor.Tensor, in []*tensor.Tensor, relu bool) error {
-	if err := checkOneInput("Dense", len(in)); err != nil {
-		return err
-	}
-	return d.forward([]*tensor.Tensor{dst}, in, relu)
-}
+func (d *Dense) ForwardBatchInto(dsts, xs []*tensor.Tensor) error { return d.forward(dsts, xs) }
 
 // forward lowers the layer onto the row-dot micro-kernel (gemm.go) for every
 // xs[e], into dsts[e]. Each output row starts from its bias and reduces over
 // In with the fixed lane-striped schedule of laneDotAcc — invariant under
-// parallelism, batch size and channel slicing — and relu optionally fuses the
-// activation into the same pass (see fused.go).
-func (d *Dense) forward(dsts, xs []*tensor.Tensor, relu bool) error {
+// parallelism, batch size and channel slicing — and the ReLU, if the layer has
+// one, runs in the same pass.
+func (d *Dense) forward(dsts, xs []*tensor.Tensor) error {
 	if len(xs) == 0 {
 		return nil
 	}
@@ -134,7 +133,7 @@ func (d *Dense) forward(dsts, xs []*tensor.Tensor, relu bool) error {
 		ins[e] = x.Data()
 		ods[e] = dsts[e].Data()
 	}
-	gemvBias(d.Out, d.In, d.W.Data(), d.B.Data(), ins, ods, relu)
+	gemvBias(d.Out, d.In, d.W.Data(), d.B.Data(), ins, ods, d.Relu)
 	return nil
 }
 
@@ -150,6 +149,7 @@ func (d *Dense) SliceChannels(start, end int) (Op, error) {
 		return nil, fmt.Errorf("nn: Dense %q channel slice [%d,%d) out of range %d", d.OpName, start, end, d.Out)
 	}
 	out := NewDense(fmt.Sprintf("%s[%d:%d]", d.OpName, start, end), d.In, end-start)
+	out.Relu = d.Relu
 	if d.Initialized() {
 		w, err := d.W.Rows(start, end)
 		if err != nil {

@@ -193,17 +193,17 @@ func (d *DepthwiseConv2D) forward(dst *tensor.Tensor, in []*tensor.Tensor, padH 
 					wRow := wRows[ky*k : (ky+1)*k]
 					if y < 0 || y >= h {
 						for _, wv := range wRow {
-							acc += 0 * wv
+							acc += float32(0 * wv)
 						}
 						continue
 					}
 					for _, wv := range wRow[:kx0] {
-						acc += 0 * wv
+						acc += float32(0 * wv)
 					}
 					rowBase := src + y*w + x0
 					acc = dotAcc(acc, xd[rowBase+kx0:rowBase+kx1], wRow[kx0:kx1])
 					for _, wv := range wRow[kx1:] {
-						acc += 0 * wv
+						acc += float32(0 * wv)
 					}
 				}
 				return acc
@@ -230,15 +230,15 @@ func (d *DepthwiseConv2D) forward(dst *tensor.Tensor, in []*tensor.Tensor, padH 
 						r0 := base + ox*d.Stride
 						r1, r2 := r0+w, r0+2*w
 						acc := bias
-						acc += xd[r0] * w00
-						acc += xd[r0+1] * w01
-						acc += xd[r0+2] * w02
-						acc += xd[r1] * w10
-						acc += xd[r1+1] * w11
-						acc += xd[r1+2] * w12
-						acc += xd[r2] * w20
-						acc += xd[r2+1] * w21
-						acc += xd[r2+2] * w22
+						acc += float32(xd[r0] * w00)
+						acc += float32(xd[r0+1] * w01)
+						acc += float32(xd[r0+2] * w02)
+						acc += float32(xd[r1] * w10)
+						acc += float32(xd[r1+1] * w11)
+						acc += float32(xd[r1+2] * w12)
+						acc += float32(xd[r2] * w20)
+						acc += float32(xd[r2+1] * w21)
+						acc += float32(xd[r2+2] * w22)
 						rowOut[ox] = acc
 					}
 				} else {

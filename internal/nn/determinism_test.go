@@ -37,10 +37,7 @@ func detCases(t *testing.T) []detCase {
 		t.Fatal(err)
 	}
 	fbn := mk(NewBatchNorm("fbn", 13)).(*BatchNorm)
-	fconv, err := NewFusedConv2D(mk(NewConv2D("fc", 5, 13, 3, 1, 1)).(*Conv2D), fbn, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fconv := fuseConv(t, mk(NewConv2D("fc", 5, 13, 3, 1, 1)).(*Conv2D), fbn, true)
 	return []detCase{
 		{"conv-pad", mk(NewConv2D("c", 5, 13, 3, 1, 1)), tensor.Rand(rng, 1, 5, 17, 19)},
 		{"conv-stride", mk(NewConv2D("cs", 7, 11, 5, 2, 2)), tensor.Rand(rng, 1, 7, 23, 23)},
@@ -49,7 +46,7 @@ func detCases(t *testing.T) []detCase {
 		{"depthwise-sliced", dwSliced, tensor.Rand(rng, 1, 13, 17, 17)},
 		{"dense", mk(NewDense("d", 251, 127)), tensor.Rand(rng, 1, 251)},
 		{"fused-conv-bn-relu", fconv, tensor.Rand(rng, 1, 5, 17, 19)},
-		{"fused-dense", NewFusedDense(mk(NewDense("fd", 251, 127)).(*Dense)), tensor.Rand(rng, 1, 251)},
+		{"fused-dense", fuseDense(mk(NewDense("fd", 251, 127)).(*Dense)), tensor.Rand(rng, 1, 251)},
 		{"maxpool", NewMaxPool2D("mp", 3, 2, 1), tensor.Rand(rng, 1, 11, 19, 19)},
 		{"avgpool", NewAvgPool2D("ap", 2, 2), tensor.Rand(rng, 1, 11, 18, 18)},
 		{"gap", NewGlobalAvgPool("gap"), tensor.Rand(rng, 1, 13, 9, 9)},

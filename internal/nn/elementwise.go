@@ -79,7 +79,7 @@ func (b *BatchNorm) Init(rng *rand.Rand) {
 	b.Mean = tensor.Rand(rng, 0.1, b.C)
 	b.Var = tensor.Rand(rng, 0.2, b.C)
 	for i, v := range b.Var.Data() {
-		b.Var.Data()[i] = 1 + v*v // strictly positive variances
+		b.Var.Data()[i] = 1 + float32(v*v) // strictly positive variances
 	}
 }
 
@@ -127,15 +127,34 @@ func (b *BatchNorm) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error 
 		return err
 	}
 	xd, od := x.Data(), dst.Data()
-	g, bt, mn, vr := b.Gamma.Data(), b.Beta.Data(), b.Mean.Data(), b.Var.Data()
 	for ci := 0; ci < c; ci++ {
-		scale := g[ci] / float32(math.Sqrt(float64(vr[ci]+b.Eps)))
-		shift := bt[ci] - scale*mn[ci]
-		// The product rounds before the add, on every architecture: this is
-		// the affine a FusedConv2D applies in the GEMM epilogue.
+		scale, shift := b.fold(ci)
 		affineClampGo(od[ci*h*w:(ci+1)*h*w], xd[ci*h*w:(ci+1)*h*w], scale, shift, true, false)
 	}
 	return nil
+}
+
+// fold is channel ci's inference transform y = x*scale + shift:
+// scale = gamma/sqrt(var+eps), shift = beta - scale*mean, the product rounded
+// before the subtraction on every architecture. ForwardInto and Fold both
+// take it from here, so a Conv2D with this BatchNorm folded in applies the
+// standalone forward's affine bit for bit.
+func (b *BatchNorm) fold(ci int) (scale, shift float32) {
+	scale = b.Gamma.Data()[ci] / float32(math.Sqrt(float64(b.Var.Data()[ci]+b.Eps)))
+	return scale, b.Beta.Data()[ci] - float32(scale*b.Mean.Data()[ci])
+}
+
+// Fold returns the per-channel scale and shift a Conv2D's epilogue applies
+// in place of this BatchNorm. The BatchNorm must be initialized.
+func (b *BatchNorm) Fold() (scale, shift *tensor.Tensor, err error) {
+	if !b.Initialized() {
+		return nil, nil, fmt.Errorf("nn: BatchNorm %q has no statistics to fold", b.OpName)
+	}
+	scale, shift = tensor.New(b.C), tensor.New(b.C)
+	for ci := range b.C {
+		scale.Data()[ci], shift.Data()[ci] = b.fold(ci)
+	}
+	return scale, shift, nil
 }
 
 // HKernel implements Spatial.

@@ -15,6 +15,28 @@ import (
 // pinned by the determinism tests — so these tests double as per-level
 // goldens for the fused ops.
 
+// fuseConv returns a copy of conv, sharing its weights, with bn (nil for
+// none) folded in and, if relu, a ReLU after it: the layer graph.Fuse builds.
+func fuseConv(t testing.TB, conv *Conv2D, bn *BatchNorm, relu bool) *Conv2D {
+	t.Helper()
+	f := *conv
+	f.Relu = relu
+	if bn != nil {
+		var err error
+		if f.Scale, f.Shift, err = bn.Fold(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &f
+}
+
+// fuseDense returns a copy of d, sharing its weights, with a ReLU after it.
+func fuseDense(d *Dense) *Dense {
+	f := *d
+	f.Relu = true
+	return &f
+}
+
 // fusedGolden runs the unfused reference sequence conv→[bn]→[relu] serially.
 func fusedGolden(t *testing.T, conv *Conv2D, bn *BatchNorm, relu bool, in *tensor.Tensor) *tensor.Tensor {
 	t.Helper()
@@ -61,10 +83,7 @@ func TestFusedConvBitwiseEqualsUnfusedAcrossParallelism(t *testing.T) {
 			in := tensor.Rand(rng, 1, 5, 17, 19)
 			want := fusedGolden(t, conv, bn, tc.relu, in)
 
-			fused, err := NewFusedConv2D(conv, bn, tc.relu)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fused := fuseConv(t, conv, bn, tc.relu)
 			for _, p := range []int{1, 2, 3, 5, 8} {
 				restore := par.SetParallelism(p)
 				got, err := fused.Forward(in)
@@ -99,7 +118,7 @@ func TestFusedDenseBitwiseEqualsUnfusedAcrossParallelism(t *testing.T) {
 	}
 	restore()
 
-	fused := NewFusedDense(d)
+	fused := fuseDense(d)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		restore := par.SetParallelism(p)
 		got, err := fused.Forward(in)
@@ -123,10 +142,7 @@ func TestFusedConvChannelSliceExact(t *testing.T) {
 	conv.Init(rng)
 	bn := NewBatchNorm("b", 12)
 	bn.Init(rng)
-	fused, err := NewFusedConv2D(conv, bn, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fused := fuseConv(t, conv, bn, true)
 	in := tensor.Rand(rng, 1, 4, 11, 13)
 	want, err := fused.Forward(in)
 	if err != nil {
@@ -160,10 +176,7 @@ func TestFusedConvValidHEqualsUnfused(t *testing.T) {
 	conv.Init(rng)
 	bn := NewBatchNorm("b", 7)
 	bn.Init(rng)
-	fused, err := NewFusedConv2D(conv, bn, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fused := fuseConv(t, conv, bn, true)
 	in := tensor.Rand(rng, 1, 3, 14, 15)
 
 	want, err := forwardValidH(conv, in)
@@ -196,10 +209,7 @@ func TestFusedAccounting(t *testing.T) {
 	conv.Init(rng)
 	bn := NewBatchNorm("b", 8)
 	bn.Init(rng)
-	fused, err := NewFusedConv2D(conv, bn, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fused := fuseConv(t, conv, bn, true)
 	if got, want := fused.ParamCount(), conv.ParamCount()+2*8; got != want {
 		t.Fatalf("fused ParamCount = %d, want %d (conv + 2 per-channel vectors)", got, want)
 	}

@@ -13,6 +13,23 @@ import (
 // outputs are bitwise identical across architectures, parallelism levels,
 // and partitioned execution.
 //
+// Which bitwise claims hold where:
+//
+//   - On any one architecture, an op's output does not depend on the
+//     parallelism level, the batch size, a channel or spatial partition, the
+//     fusion of a BatchNorm or ReLU into the layer before it, or (on amd64)
+//     which kernel start-up selected. A Dense row gives the same bits in a
+//     four-row band as in a tail row, and so in any channel slice.
+//   - amd64 and arm64 agree bit for bit on every op but Softmax and LSTM,
+//     whose exp and tanh come from package math, which has assembly of its
+//     own on each and need not round the same way.
+//
+// Both rest on every product in this package rounding before it is added.
+// go1.24 contracts x*y+z into one fused multiply-add on arm64 (at no GOAMD64
+// level), so the Go code writes such products as float32(x*y), which the
+// language specification forbids a compiler to fuse; `make lint` fails if the
+// arm64 listing of this package holds an FMADD, FMSUB, FNMADD or FNMSUB.
+//
 // Accumulation-order contract:
 //
 //   - Matrix-panel kernel (conv): every output element accumulates its K
@@ -505,7 +522,7 @@ func gemvBand4(k int, w []float32, ldw int, x, acc []float32) {
 		wr := w[r*ldw : r*ldw+k]
 		s := acc[r]
 		for p := k8; p < k; p++ {
-			s += wr[p] * x[p]
+			s += float32(wr[p] * x[p])
 		}
 		acc[r] = s
 	}
@@ -531,7 +548,7 @@ func laneDotAcc(acc float32, w, x []float32) float32 {
 	for p := 0; p < k8; p += 8 {
 		wp, xp := w[p:p+8], x[p:p+8]
 		for q, wv := range wp {
-			l[q] += wv * xp[q]
+			l[q] += float32(wv * xp[q])
 		}
 	}
 	s0 := l[0] + l[4]
@@ -540,7 +557,7 @@ func laneDotAcc(acc float32, w, x []float32) float32 {
 	s3 := l[3] + l[7]
 	acc += (s0 + s1) + (s2 + s3)
 	for p := k8; p < len(w); p++ {
-		acc += w[p] * x[p]
+		acc += float32(w[p] * x[p])
 	}
 	return acc
 }

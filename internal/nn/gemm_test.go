@@ -210,7 +210,6 @@ func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 		c    *Conv2D
 		xs   []*tensor.Tensor
 		padH bool
-		epi  *epilogue
 		want []*tensor.Tensor
 	}
 	var cases []refCase
@@ -221,18 +220,15 @@ func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 			c.Init(rng)
 			bn := NewBatchNorm("bn", sh.outC)
 			bn.Init(rng)
-			fc, err := NewFusedConv2D(c, bn, true)
-			if err != nil {
-				t.Fatal(err)
-			}
+			fc := fuseConv(t, c, bn, true)
 			xs := batchInputs(rng, tensor.New(sh.inC, sh.h, sh.w), 3)
 			special(c, xs, rng)
-			for _, epi := range []*epilogue{nil, fc.epi()} {
+			for _, cv := range []*Conv2D{c, fc} {
 				for _, padH := range []bool{true, false} {
-					rc := refCase{name: fmt.Sprintf("%s %s padH=%v fused=%v", sh.name, name, padH, epi != nil),
-						c: c, xs: xs, padH: padH, epi: epi}
+					rc := refCase{name: fmt.Sprintf("%s %s padH=%v fused=%v", sh.name, name, padH, cv == fc),
+						c: cv, xs: xs, padH: padH}
 					for _, x := range xs {
-						rc.want = append(rc.want, strictKConv(c, x, padH, epi))
+						rc.want = append(rc.want, strictKConv(c, x, padH, cv.epi()))
 					}
 					cases = append(cases, rc)
 				}
@@ -250,7 +246,7 @@ func TestBlockedGEMMMatchesStrictKReference(t *testing.T) {
 						got[e] = tensor.New(rc.want[e].Shape()...)
 					}
 					restore := par.SetParallelism(p)
-					err := rc.c.forward(got, rc.xs[:batch], rc.padH, rc.epi)
+					err := rc.c.forward(got, rc.xs[:batch], rc.padH)
 					restore()
 					if err != nil {
 						t.Fatal(err)

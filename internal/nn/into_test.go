@@ -35,10 +35,7 @@ func intoCases(t *testing.T) []intoCase {
 		return s
 	}
 	conv := mk(NewConv2D("c", 5, 13, 3, 1, 1)).(*Conv2D)
-	fconv, err := NewFusedConv2D(mk(NewConv2D("fc", 5, 13, 3, 2, 1)).(*Conv2D), mk(NewBatchNorm("fbn", 13)).(*BatchNorm), true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fconv := fuseConv(t, mk(NewConv2D("fc", 5, 13, 3, 2, 1)).(*Conv2D), mk(NewBatchNorm("fbn", 13)).(*BatchNorm), true)
 	dense := mk(NewDense("d", 251, 127)).(*Dense)
 	dw := mk(NewDepthwiseConv2D("dw", 13, 3, 1, 1))
 	ops := []struct {
@@ -56,7 +53,7 @@ func intoCases(t *testing.T) []intoCase {
 		{mk(NewDepthwiseConv2D("dw5", 4, 5, 2, 2)), [][]int{{4, 15, 16}}},
 		{dense, [][]int{{251}}},
 		{slice(dense, 5, 66), [][]int{{251}}},
-		{NewFusedDense(mk(NewDense("fd", 40, 30)).(*Dense)), [][]int{{40}}},
+		{fuseDense(mk(NewDense("fd", 40, 30)).(*Dense)), [][]int{{40}}},
 		{mk(NewBatchNorm("bn", 6)), [][]int{{6, 7, 9}}},
 		{NewReLU("relu"), [][]int{{6, 7, 9}}},
 		{NewReLU("relu1"), [][]int{{37}}},

@@ -195,7 +195,7 @@ func (l *LSTM) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
 				fg := sigmoid(gates[h+j])
 				gg := float32(math.Tanh(float64(gates[2*h+j])))
 				og := sigmoid(gates[3*h+j])
-				cState[j] = fg*cState[j] + ig*gg
+				cState[j] = float32(fg*cState[j]) + float32(ig*gg)
 				hState[j] = og * float32(math.Tanh(float64(cState[j])))
 			}
 		})

@@ -98,7 +98,7 @@ func TestWeightedForwardRejectsBadCalls(t *testing.T) {
 	}{
 		{NewConv2D("conv", 1, 1, 1, 1, 0), tensor.New(1, 2, 2), tensor.New(2, 2, 2), tensor.New(1, 3, 3)},
 		{NewDense("dense", 4, 3), tensor.New(4), tensor.New(5), nil},
-		{NewFusedDense(NewDense("fused", 4, 3)), tensor.New(4), tensor.New(2, 2), nil},
+		{fuseDense(NewDense("fused", 4, 3)), tensor.New(4), tensor.New(2, 2), nil},
 		{NewLSTM("lstm", 4, 3), tensor.New(2, 4), tensor.New(2, 5), tensor.New(3, 4)},
 	} {
 		name := tc.op.Name()

@@ -174,7 +174,7 @@ func TestAffineRoundsTheProduct(t *testing.T) {
 	bn := NewBatchNorm("bn", c)
 	bn.Init(rng)
 	x := tensor.Rand(rng, 4, c, h, w)
-	scale, shift, err := FoldBatchNorm(bn)
+	scale, shift, err := bn.Fold()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func unitChannel(u *Unit) bool {
 		return false
 	}
 	switch nodes[0].Op.(type) {
-	case *nn.Conv2D, *nn.Dense, *nn.DepthwiseConv2D, *nn.FusedConv2D, *nn.FusedDense:
+	case *nn.Conv2D, *nn.Dense, *nn.DepthwiseConv2D:
 	default:
 		return false
 	}

@@ -5,7 +5,8 @@
 # check (see `race` below), the seeded chaos tests that guard the resilience
 # layer, a bounded run of the three fuzzers over untrusted input, and a
 # byte-for-byte regeneration of the five simulated BENCH_*.json baselines
-# and of BENCH_paper.txt, the tables of the paper's figures.
+# and of BENCH_paper.txt, the tables of the paper's figures, and the
+# benchmark's selftest (its pinned sim_* digests and http_* bit-equality).
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/runtime ./internal/platform ./internal/simnet \
@@ -14,9 +15,9 @@ RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition 
 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
 
-.PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper bench-verify
+.PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper bench-verify bench-selftest
 
-ci: lint build test procs race chaos fuzz bench-verify
+ci: lint build test procs race chaos fuzz bench-verify bench-selftest
 
 # lint fails on any unformatted file, then runs go vet. The project's own
 # rule (nothing under internal/ reads the wall clock, an unseeded global RNG
@@ -198,3 +199,12 @@ bench-verify:
 		cmp "$$tmp/$$f" "$$f" || exit 1; \
 	done; \
 	echo "bench-verify: BENCH_chaos/load/adapt/batch/mesh.json and BENCH_paper.txt regenerate byte-identically"
+
+# The benchmark's own selftest: its arithmetic, its manifest, and a 1 s smoke
+# of every workload — each sim_* op's digest against the pinned
+# benchmark/testdata/golden.json and each http_* reply bit-equal to the
+# in-process forward. A change that moves a simulated byte those workloads
+# replay (a mesh instance's size, say) fails here rather than in the
+# benchmark run. It builds into .bench_build/.
+bench-selftest:
+	bash benchmark/run.sh -selftest

@@ -203,12 +203,12 @@ func miniResNet() *graph.Graph {
 // TestArenaForwardOnSpatialParts: every spatial part
 // (partition.PartSlice.Graph) of the leading spatial units of a CNN — two
 // tiny ones plain and operator-fused, zoo models fused — split one to four
-// ways, run at batch 2 (resnet34: 1) in an arena of exactly ArenaBytes ×
-// batch — capacity included — that is full of NaNs, returns its rows of the
-// unit-by-unit forward bit for bit and writes the last float of every
-// query's stretch. So a part's arena, windows cut into work space included,
-// is what it takes; no window or node output is read before it is written;
-// and a border of zeros or -inf is filled, not assumed.
+// ways, run at batch 2 (resnet34: 1; each convolution one batched GEMM) in an
+// arena of exactly ArenaBytes × batch — capacity included — that is full of
+// NaNs, returns its rows of the unit-by-unit forward bit for bit and writes
+// the last float of every query's stretch. So a part's arena, its row windows
+// included, is what it takes; no window or node output is read before it is
+// written; and a border of zeros or -inf is filled, not assumed.
 func TestArenaForwardOnSpatialParts(t *testing.T) {
 	tiny := map[string]func() *graph.Graph{"resnet-mini": miniResNet, "vgg-mini": miniVGG}
 	names := []string{"resnet-mini", "vgg-mini", "mobilenet-mini", "inception-mini"}

@@ -167,11 +167,16 @@ func LoadFile(path string) (*graph.Graph, error) {
 // encodeOp describes op for the header. A layer with an epilogue (a folded
 // BatchNorm or ReLU) is written as kind "FusedConv2D", with attrs bn and
 // relu, or "FusedDense", so a reader that knows only the plain kinds refuses
-// it rather than dropping the epilogue.
+// it rather than dropping the epilogue. An op with its height padding off
+// (ValidH) exists only inside a spatial part's graph, which is built from
+// the model, never saved; the format has no attribute for it, so it is
+// refused.
 func encodeOp(op nn.Op) (opSpec, error) {
 	spec := opSpec{Kind: op.Kind().String(), Name: op.Name(), Attrs: map[string]int{}}
+	validH := false
 	switch o := op.(type) {
 	case *nn.Conv2D:
+		validH = o.ValidH
 		spec.Attrs["inC"] = o.InC
 		spec.Attrs["outC"] = o.OutC
 		spec.Attrs["kernel"] = o.Kernel
@@ -187,6 +192,7 @@ func encodeOp(op nn.Op) (opSpec, error) {
 			spec.Attrs["relu"] = 1
 		}
 	case *nn.DepthwiseConv2D:
+		validH = o.ValidH
 		spec.Attrs["c"] = o.C
 		spec.Attrs["kernel"] = o.Kernel
 		spec.Attrs["stride"] = o.Stride
@@ -196,6 +202,7 @@ func encodeOp(op nn.Op) (opSpec, error) {
 	case *nn.BatchNorm:
 		spec.Attrs["c"] = o.C
 	case *nn.MaxPool2D:
+		validH = o.ValidH
 		spec.Attrs["kernel"] = o.Kernel
 		spec.Attrs["stride"] = o.Stride
 		spec.Attrs["pad"] = o.Pad
@@ -215,6 +222,9 @@ func encodeOp(op nn.Op) (opSpec, error) {
 		// no attributes
 	default:
 		return opSpec{}, fmt.Errorf("modelio: cannot serialize op kind %s", op.Kind())
+	}
+	if validH {
+		return opSpec{}, fmt.Errorf("modelio: %s %q has no height padding (a spatial part's copy) and cannot be saved", op.Kind(), op.Name())
 	}
 	return spec, nil
 }

@@ -128,6 +128,24 @@ func TestSaveUninitializedWithWeightsFails(t *testing.T) {
 	}
 }
 
+// TestSaveRefusesValidH: an operator with its height padding off exists only
+// in a spatial part's graph; the format cannot say so, so saving one is an
+// error, not a model that loads back padded.
+func TestSaveRefusesValidH(t *testing.T) {
+	conv := nn.NewConv2D("conv", 2, 4, 3, 1, 1)
+	dw := nn.NewDepthwiseConv2D("dw", 2, 3, 1, 1)
+	mp := nn.NewMaxPool2D("mp", 3, 1, 1)
+	conv.ValidH, dw.ValidH, mp.ValidH = true, true, true
+	for _, op := range []nn.Op{conv, dw, mp} {
+		g := graph.New("valid-h", []int{2, 8, 8})
+		g.MustAdd(op)
+		var buf bytes.Buffer
+		if err := Save(&buf, g, false); err == nil {
+			t.Errorf("%s with ValidH saved", op.Kind())
+		}
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,

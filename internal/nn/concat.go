@@ -92,9 +92,3 @@ func (c *Concat) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 
 // HKernel implements Spatial.
 func (c *Concat) HKernel() (k, s, p int) { return 1, 1, 0 }
-
-// ForwardValidHInto implements Spatial: no window along height, so the same
-// as ForwardInto.
-func (c *Concat) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return c.ForwardInto(dst, in...)
-}

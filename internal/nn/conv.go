@@ -11,6 +11,10 @@ import (
 // Conv2D is a 2-D convolution with a square kernel, equal stride, and equal
 // zero padding on both axes. Input/output layout is CHW.
 //
+// ValidH turns the padding along height off (width keeps it): the
+// convolution a spatial part runs on rows that already carry their halo
+// (partition.PartSlice.Graph sets it on a copy that shares the weights).
+//
 // Scale, Shift and Relu are the layer's epilogue, the BatchNorm and ReLU
 // that graph.Fuse folds into it: y = conv(x)*Scale[c] + Shift[c], then
 // max(y, 0). They run on each finished output tile of the GEMM (gemm.go)
@@ -35,6 +39,8 @@ type Conv2D struct {
 	Scale *tensor.Tensor
 	Shift *tensor.Tensor
 	Relu  bool
+
+	ValidH bool
 }
 
 var (
@@ -66,7 +72,7 @@ func (c *Conv2D) OutShape(in ...[]int) ([]int, error) {
 	if s[0] != c.InC {
 		return nil, fmt.Errorf("nn: Conv2D %q expects %d input channels, got %d", c.OpName, c.InC, s[0])
 	}
-	oh := convOutDim(s[1], c.Kernel, c.Stride, c.Pad)
+	oh := convOutDim(s[1], c.Kernel, c.Stride, c.padH())
 	ow := convOutDim(s[2], c.Kernel, c.Stride, c.Pad)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("nn: Conv2D %q output is empty for input %v", c.OpName, s)
@@ -147,21 +153,26 @@ func (c *Conv2D) SetWeights(ws []*tensor.Tensor) error {
 	return nil
 }
 
-// Forward implements Op with implicit zero padding on both axes.
+// Forward implements Op.
 func (c *Conv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(c, in) }
 
 // ForwardInto implements Op.
 func (c *Conv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return c.forwardOne(dst, in, true)
+	if err := checkOneInput("Conv2D", len(in)); err != nil {
+		return err
+	}
+	return c.forward([]*tensor.Tensor{dst}, in)
 }
 
 // HKernel implements Spatial.
 func (c *Conv2D) HKernel() (k, s, p int) { return c.Kernel, c.Stride, c.Pad }
 
-// ForwardValidHInto implements Spatial: zero padding is applied along width
-// only; the caller has supplied halo rows along height.
-func (c *Conv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return c.forwardOne(dst, in, false)
+// padH is the zero padding along height: none with ValidH.
+func (c *Conv2D) padH() int {
+	if c.ValidH {
+		return 0
+	}
+	return c.Pad
 }
 
 // ForwardBatchInto implements BatchForwarder: the batch's pixels are further
@@ -169,15 +180,7 @@ func (c *Conv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) err
 // equal to the per-query loop. Inputs must share one shape (the dispatcher
 // in batch.go falls back to the loop otherwise).
 func (c *Conv2D) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
-	return c.forward(dsts, xs, true)
-}
-
-// forwardOne is forward for the single-input Op entry points.
-func (c *Conv2D) forwardOne(dst *tensor.Tensor, in []*tensor.Tensor, padH bool) error {
-	if err := checkOneInput("Conv2D", len(in)); err != nil {
-		return err
-	}
-	return c.forward([]*tensor.Tensor{dst}, in, padH)
+	return c.forward(dsts, xs)
 }
 
 // epi is the layer's epilogue as the GEMM engine takes it, nil for none.
@@ -204,7 +207,7 @@ func (c *Conv2D) epi() *epilogue {
 // gemm.go — so outputs are bitwise identical at every parallelism level, batch
 // size, and under spatial/channel partitioning, whatever the destination held.
 // The layer's epilogue runs on each finished tile.
-func (c *Conv2D) forward(dsts, xs []*tensor.Tensor, padH bool) error {
+func (c *Conv2D) forward(dsts, xs []*tensor.Tensor) error {
 	if len(xs) == 0 {
 		return nil
 	}
@@ -219,10 +222,7 @@ func (c *Conv2D) forward(dsts, xs []*tensor.Tensor, padH bool) error {
 			return fmt.Errorf("nn: Conv2D %q batch mixes shapes %v and %v", c.OpName, xs[0].Shape(), x.Shape())
 		}
 	}
-	cc := convCols{h: xs[0].Dim(1), w: xs[0].Dim(2), kernel: c.Kernel, stride: c.Stride, padL: c.Pad}
-	if padH {
-		cc.padTop = c.Pad
-	}
+	cc := convCols{h: xs[0].Dim(1), w: xs[0].Dim(2), kernel: c.Kernel, stride: c.Stride, padTop: c.padH(), padL: c.Pad}
 	cc.oh = (cc.h+2*cc.padTop-c.Kernel)/c.Stride + 1
 	cc.ow = (cc.w+2*cc.padL-c.Kernel)/c.Stride + 1
 	if cc.oh <= 0 || cc.ow <= 0 {
@@ -368,7 +368,7 @@ func (c *Conv2D) SliceChannels(start, end int) (Op, error) {
 		return nil, fmt.Errorf("nn: Conv2D %q channel slice [%d,%d) out of range %d", c.OpName, start, end, c.OutC)
 	}
 	out := NewConv2D(fmt.Sprintf("%s[%d:%d]", c.OpName, start, end), c.InC, end-start, c.Kernel, c.Stride, c.Pad)
-	out.Relu = c.Relu
+	out.Relu, out.ValidH = c.Relu, c.ValidH
 	// The filters of a channel range are consecutive rows of W, and its
 	// bias, scale and shift consecutive entries: the slice shares them
 	// (weights are never written after Init). A tensor not there yet stays

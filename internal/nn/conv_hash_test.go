@@ -23,7 +23,7 @@ var convShapesHash = map[int]string{420: "5801b677b8c8d712", 105: "e10cdbdc971e8
 // TestConvShapesHash walks 420 random convolution shapes — kernel 1/3/5/7,
 // stride 1–2, padding 0…k/2+1, up to 100 input channels (so depths to 4900,
 // many slices), maps from 3 to 40 pixels a side (blocks that start and end
-// anywhere in an output row) — through Forward, ForwardValidHInto, the fused
+// anywhere in an output row) — through Forward, the ValidH forward, the fused
 // forward and a batch of three, and digests all of it, on every tile
 // implementation the CPU offers. The Go tiles, fifty times slower under the
 // race detector, stop after the first quarter.

@@ -17,13 +17,14 @@ const KindDepthwiseConv Kind = 102
 // channel c, so the operator is both spatially local and channel-sliceable;
 // a channel slice carries the (Lo, Hi) window and extracts its input
 // channels itself, since the runtime ships the full input to channel
-// partitions.
+// partitions. ValidH turns the padding along height off, as Conv2D's does.
 type DepthwiseConv2D struct {
 	OpName string
 	C      int
 	Kernel int
 	Stride int
 	Pad    int
+	ValidH bool
 
 	// Lo/Hi select the input-channel window of a channel slice; (0, C) for
 	// the unsliced operator.
@@ -66,7 +67,7 @@ func (d *DepthwiseConv2D) OutShape(in ...[]int) ([]int, error) {
 	if s[0] != d.C {
 		return nil, fmt.Errorf("nn: DepthwiseConv2D %q expects %d channels, got %d", d.OpName, d.C, s[0])
 	}
-	oh := convOutDim(s[1], d.Kernel, d.Stride, d.Pad)
+	oh := convOutDim(s[1], d.Kernel, d.Stride, d.padH())
 	ow := convOutDim(s[2], d.Kernel, d.Stride, d.Pad)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("nn: DepthwiseConv2D %q output empty for input %v", d.OpName, s)
@@ -119,20 +120,19 @@ func (d *DepthwiseConv2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) 
 	return forwardNew(d, in)
 }
 
-// ForwardInto implements Op.
-func (d *DepthwiseConv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return d.forward(dst, in, true)
-}
-
 // HKernel implements Spatial.
 func (d *DepthwiseConv2D) HKernel() (k, s, p int) { return d.Kernel, d.Stride, d.Pad }
 
-// ForwardValidHInto implements Spatial.
-func (d *DepthwiseConv2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return d.forward(dst, in, false)
+// padH is the zero padding along height: none with ValidH.
+func (d *DepthwiseConv2D) padH() int {
+	if d.ValidH {
+		return 0
+	}
+	return d.Pad
 }
 
-func (d *DepthwiseConv2D) forward(dst *tensor.Tensor, in []*tensor.Tensor, padH bool) error {
+// ForwardInto implements Op.
+func (d *DepthwiseConv2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("DepthwiseConv2D", len(in)); err != nil {
 		return err
 	}
@@ -149,11 +149,7 @@ func (d *DepthwiseConv2D) forward(dst *tensor.Tensor, in []*tensor.Tensor, padH 
 	// exactly the terms (and rounding) a zero-padded copy would produce.
 	span, h, w := d.span(), x.Dim(1), x.Dim(2)
 	xd := x.Data()
-	padTop := 0
-	if padH {
-		padTop = d.Pad
-	}
-	padL := d.Pad
+	padTop, padL := d.padH(), d.Pad
 	oh := (h+2*padTop-d.Kernel)/d.Stride + 1
 	ow := (w+2*padL-d.Kernel)/d.Stride + 1
 	if oh <= 0 || ow <= 0 {
@@ -275,7 +271,7 @@ func (d *DepthwiseConv2D) SliceChannels(start, end int) (Op, error) {
 		return nil, fmt.Errorf("nn: DepthwiseConv2D %q channel slice [%d,%d) out of range %d", d.OpName, start, end, d.span())
 	}
 	out := NewDepthwiseConv2D(fmt.Sprintf("%s[%d:%d]", d.OpName, start, end), d.C, d.Kernel, d.Stride, d.Pad)
-	out.Lo, out.Hi = d.Lo+start, d.Lo+end
+	out.Lo, out.Hi, out.ValidH = d.Lo+start, d.Lo+end, d.ValidH
 	if d.Initialized() {
 		w, err := d.W.Rows(start, end)
 		if err != nil {

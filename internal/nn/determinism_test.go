@@ -164,7 +164,7 @@ func TestForwardValidHBitwiseIdenticalAcrossParallelism(t *testing.T) {
 			t.Fatalf("%s: %v", op.Name(), err)
 		}
 		if !tensor.Equal(got, want) {
-			t.Fatalf("%s: ForwardValidHInto diverged under parallelism", op.Name())
+			t.Fatalf("%s: ValidH forward diverged under parallelism", op.Name())
 		}
 	}
 }

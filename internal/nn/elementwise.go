@@ -160,12 +160,6 @@ func (b *BatchNorm) Fold() (scale, shift *tensor.Tensor, err error) {
 // HKernel implements Spatial.
 func (b *BatchNorm) HKernel() (k, s, p int) { return 1, 1, 0 }
 
-// ForwardValidHInto implements Spatial: element-wise, so the same as
-// ForwardInto.
-func (b *BatchNorm) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return b.ForwardInto(dst, in...)
-}
-
 // OutChannels implements ChannelSliceable.
 func (b *BatchNorm) OutChannels() int { return b.C }
 
@@ -253,12 +247,6 @@ func (r *ReLU) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 // HKernel implements Spatial.
 func (r *ReLU) HKernel() (k, s, p int) { return 1, 1, 0 }
 
-// ForwardValidHInto implements Spatial: element-wise, so the same as
-// ForwardInto.
-func (r *ReLU) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return r.ForwardInto(dst, in...)
-}
-
 // Add sums two same-shaped tensors element-wise (residual connections).
 type Add struct {
 	OpName string
@@ -328,12 +316,6 @@ func (a *Add) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 
 // HKernel implements Spatial.
 func (a *Add) HKernel() (k, s, p int) { return 1, 1, 0 }
-
-// ForwardValidHInto implements Spatial: element-wise, so the same as
-// ForwardInto.
-func (a *Add) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return a.ForwardInto(dst, in...)
-}
 
 // Softmax normalizes the final dimension into a probability distribution.
 type Softmax struct {

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"gillis/internal/tensor"
-)
+import "gillis/internal/tensor"
 
 // forwardBatch is ForwardBatchInto on fresh tensors of the output shapes:
 // one input list per query in, one output per query back.
@@ -26,25 +22,28 @@ func forwardBatch(op Op, ins [][]*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return outs, nil
 }
 
-// forwardValidH is ForwardValidHInto on a fresh tensor of the output shape
-// without the implicit padding along height.
-func forwardValidH(op Spatial, in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	shape, err := outShape(op, in)
-	if err != nil {
-		return nil, err
+// validH is op as a spatial part runs it on rows that carry their halo: a
+// copy with ValidH set where op pads height, op itself otherwise.
+func validH(op Op) Op {
+	switch o := op.(type) {
+	case *Conv2D:
+		c := *o
+		c.ValidH = true
+		return &c
+	case *DepthwiseConv2D:
+		d := *o
+		d.ValidH = true
+		return &d
+	case *MaxPool2D:
+		m := *o
+		m.ValidH = true
+		return &m
 	}
-	// Only a CHW input has a height; the element-wise operators take any
-	// rank and keep it.
-	if x := in[0]; x.Rank() == 3 {
-		k, s, _ := op.HKernel()
-		if x.Dim(1) < k {
-			return nil, fmt.Errorf("nn: %s %q: input height %d under the kernel's %d", op.Kind(), op.Name(), x.Dim(1), k)
-		}
-		shape[1] = (x.Dim(1)-k)/s + 1
-	}
-	dst := tensor.New(shape...)
-	if err := op.ForwardValidHInto(dst, in...); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return op
+}
+
+// forwardValidH is validH(op)'s forward: op without the implicit padding
+// along height.
+func forwardValidH(op Op, in ...*tensor.Tensor) (*tensor.Tensor, error) {
+	return validH(op).Forward(in...)
 }

@@ -196,7 +196,7 @@ func TestFusedConvValidHEqualsUnfused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tensor.Equal(got, want) {
-		t.Fatal("fused ForwardValidHInto differs from the unfused sequence")
+		t.Fatal("fused ValidH forward differs from the unfused sequence")
 	}
 }
 

@@ -17,8 +17,8 @@ type intoCase struct {
 	ins  [][]*tensor.Tensor
 }
 
-// intoCases covers every operator kind, the fused wrappers and the channel
-// slices, with sizes that leave ragged tiles, boundary windows and a band
+// intoCases covers every operator kind, fused layers, channel slices and
+// convolutions without height padding (ValidH), with sizes that leave ragged tiles, boundary windows and a band
 // tail.
 func intoCases(t *testing.T) []intoCase {
 	t.Helper()
@@ -66,6 +66,10 @@ func intoCases(t *testing.T) []intoCase {
 		{NewFlatten("flat"), [][]int{{3, 4, 5}}},
 		{NewTakeLast("last"), [][]int{{6, 21}}},
 		{NewConcat("cat"), [][]int{{2, 7, 9}, {5, 7, 9}, {1, 7, 9}}},
+		{validH(conv), [][]int{{5, 17, 19}}},
+		{validH(fconv), [][]int{{5, 17, 19}}},
+		{&RowWindow{OpName: "win", In: []int{3, 6, 9}, H: 10, SrcLo: 1, Lo: 2, Hi: 7}, [][]int{{3, 6, 9}}},
+		{&RowWindow{OpName: "winf", In: []int{3, 6, 9}, H: 6, SrcLo: 2, Lo: 0, Hi: 4, Fill: float32(math.Inf(-1))}, [][]int{{3, 6, 9}}},
 	}
 	var cases []intoCase
 	for _, o := range ops {
@@ -92,8 +96,9 @@ func poisoned(t *tensor.Tensor) *tensor.Tensor {
 	return p
 }
 
-// TestForwardIntoOverwritesDestination: for every operator and each of its
-// entry points — ForwardInto, ForwardValidHInto, the batched dispatcher — a
+// TestForwardIntoOverwritesDestination: for every operator, its copy without
+// height padding (ValidH) and each of their entry points — ForwardInto, the
+// batched dispatcher — a
 // destination full of signalling NaNs comes out bit-equal to the tensor the
 // allocating spelling returns, through every kernel implementation and at one
 // worker and several. That is the contract a forward in uninitialized arena
@@ -118,16 +123,16 @@ func TestForwardIntoOverwritesDestination(t *testing.T) {
 				}
 				sameBits(t, ic.name+" ForwardInto", dst.Data(), want.Data())
 
-				if sp, ok := ic.op.(Spatial); ok {
-					want, err := forwardValidH(sp, in...)
+				if v := validH(ic.op); v != ic.op {
+					want, err := v.Forward(in...)
 					if err != nil {
 						t.Fatalf("%s: %v", ic.name, err)
 					}
 					dst := poisoned(want)
-					if err := sp.ForwardValidHInto(dst, in...); err != nil {
-						t.Fatalf("%s: ForwardValidHInto: %v", ic.name, err)
+					if err := v.ForwardInto(dst, in...); err != nil {
+						t.Fatalf("%s: ValidH ForwardInto: %v", ic.name, err)
 					}
-					sameBits(t, ic.name+" ForwardValidHInto", dst.Data(), want.Data())
+					sameBits(t, ic.name+" ValidH ForwardInto", dst.Data(), want.Data())
 				}
 
 				dsts := make([]*tensor.Tensor, len(ic.ins))
@@ -161,9 +166,9 @@ func TestForwardIntoRejectsWrongDestination(t *testing.T) {
 			if err := ic.op.ForwardInto(dst, ic.ins[0]...); err == nil {
 				t.Errorf("%s: ForwardInto accepted a %v destination for a %v output", ic.name, dst.Shape(), want.Shape())
 			}
-			if sp, ok := ic.op.(Spatial); ok {
-				if err := sp.ForwardValidHInto(dst, ic.ins[0]...); err == nil {
-					t.Errorf("%s: ForwardValidHInto accepted a %v destination", ic.name, dst.Shape())
+			if v := validH(ic.op); v != ic.op {
+				if err := v.ForwardInto(dst, ic.ins[0]...); err == nil {
+					t.Errorf("%s: ValidH ForwardInto accepted a %v destination", ic.name, dst.Shape())
 				}
 			}
 			if err := ForwardBatchInto(ic.op, []*tensor.Tensor{dst}, ic.ins[:1]); err == nil {

@@ -469,7 +469,7 @@ func TestParamBytesAndWeightedRoundtrip(t *testing.T) {
 	}
 }
 
-// Property: for any Spatial op, Forward equals ForwardValidHInto applied to an
+// Property: for any Spatial op, Forward equals its ValidH forward applied to an
 // input explicitly padded along height.
 func TestSpatialValidHEquivalence(t *testing.T) {
 	f := func(seed int64, which uint8) bool {

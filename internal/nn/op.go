@@ -13,11 +13,14 @@
 //   - ParamCount is the number of stored fp32 scalars (what occupies
 //     function memory), not the number of trainable parameters.
 //   - Every forward body takes its destination (ForwardInto,
-//     ForwardValidHInto, ForwardBatchInto) and overwrites every element of a
-//     tensor the caller supplies — which may be uninitialized memory out of
-//     an activation arena, so no body accumulates into what it finds there.
-//     Forward is ForwardInto run on a fresh tensor of the output shape. A
-//     destination shares storage with no input.
+//     ForwardBatchInto) and overwrites every element of a tensor the caller
+//     supplies — which may be uninitialized memory out of an activation
+//     arena, so no body accumulates into what it finds there. Forward is
+//     ForwardInto run on a fresh tensor of the output shape. A destination
+//     shares storage with no input.
+//   - An operator that pads height has a ValidH field that turns that
+//     padding off: a spatial partition runs such a copy on rows that carry
+//     their halo (RowWindow cuts them where they do not).
 package nn
 
 import (
@@ -60,6 +63,7 @@ var kindNames = map[Kind]string{
 	KindTakeLast:      "TakeLast",
 	KindConcat:        "Concat",
 	KindDepthwiseConv: "DepthwiseConv2D",
+	KindRowWindow:     "RowWindow",
 }
 
 // String returns the operator kind name.
@@ -109,17 +113,14 @@ type Weighted interface {
 }
 
 // Spatial is implemented by operators whose output has a local response
-// along the height axis, enabling halo-correct partitioned execution.
+// along the height axis, enabling halo-correct partitioned execution. The
+// operators that pad height (Conv2D, DepthwiseConv2D, MaxPool2D) have a
+// ValidH field that turns that padding off.
 type Spatial interface {
 	Op
 	// HKernel returns the (kernel, stride, padding) triple along height.
 	// Element-wise operators return (1, 1, 0).
 	HKernel() (k, s, p int)
-	// ForwardValidHInto computes the operator into dst without implicit
-	// padding along height (width padding, if any, still applies); dst's
-	// height is (h-k)/s+1 for an input of height h. The caller supplies any
-	// required halo/padding rows explicitly.
-	ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error
 }
 
 // Aliaser is implemented by operators that compute nothing: their output is

@@ -10,12 +10,14 @@ import (
 )
 
 // MaxPool2D is a 2-D max pooling operator with a square window. Padding
-// positions act as -inf, matching standard framework semantics.
+// positions act as -inf, matching standard framework semantics. ValidH turns
+// the padding along height off, as Conv2D's does.
 type MaxPool2D struct {
 	OpName string
 	Kernel int
 	Stride int
 	Pad    int
+	ValidH bool
 }
 
 var _ Spatial = (*MaxPool2D)(nil)
@@ -40,7 +42,7 @@ func (m *MaxPool2D) OutShape(in ...[]int) ([]int, error) {
 	if err := checkRank("MaxPool2D", s, 3); err != nil {
 		return nil, err
 	}
-	oh := convOutDim(s[1], m.Kernel, m.Stride, m.Pad)
+	oh := convOutDim(s[1], m.Kernel, m.Stride, m.padH())
 	ow := convOutDim(s[2], m.Kernel, m.Stride, m.Pad)
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("nn: MaxPool2D %q output is empty for input %v", m.OpName, s)
@@ -69,20 +71,19 @@ func (m *MaxPool2D) Initialized() bool { return true }
 // Forward implements Op.
 func (m *MaxPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(m, in) }
 
-// ForwardInto implements Op.
-func (m *MaxPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return m.pool(dst, in, true)
-}
-
 // HKernel implements Spatial.
 func (m *MaxPool2D) HKernel() (k, s, p int) { return m.Kernel, m.Stride, m.Pad }
 
-// ForwardValidHInto implements Spatial.
-func (m *MaxPool2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return m.pool(dst, in, false)
+// padH is the padding along height: none with ValidH.
+func (m *MaxPool2D) padH() int {
+	if m.ValidH {
+		return 0
+	}
+	return m.Pad
 }
 
-func (m *MaxPool2D) pool(dst *tensor.Tensor, in []*tensor.Tensor, padH bool) error {
+// ForwardInto implements Op.
+func (m *MaxPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("MaxPool2D", len(in)); err != nil {
 		return err
 	}
@@ -91,10 +92,7 @@ func (m *MaxPool2D) pool(dst *tensor.Tensor, in []*tensor.Tensor, padH bool) err
 		return fmt.Errorf("nn: MaxPool2D %q bad input %v", m.OpName, x.Shape())
 	}
 	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
-	padTop := 0
-	if padH {
-		padTop = m.Pad
-	}
+	padTop := m.padH()
 	// Output size over the (virtually) padded extent.
 	hExt := h + 2*padTop
 	wExt := w + 2*m.Pad
@@ -212,16 +210,11 @@ func (a *AvgPool2D) Initialized() bool { return true }
 // Forward implements Op.
 func (a *AvgPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(a, in) }
 
-// ForwardInto implements Op (identical to ForwardValidHInto: no padding).
-func (a *AvgPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return a.ForwardValidHInto(dst, in...)
-}
-
 // HKernel implements Spatial.
 func (a *AvgPool2D) HKernel() (k, s, p int) { return a.Kernel, a.Stride, 0 }
 
-// ForwardValidHInto implements Spatial.
-func (a *AvgPool2D) ForwardValidHInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
+// ForwardInto implements Op.
+func (a *AvgPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	if err := checkOneInput("AvgPool2D", len(in)); err != nil {
 		return err
 	}

@@ -247,7 +247,7 @@ func maxPoolRef(m *MaxPool2D, x *tensor.Tensor, padH bool) *tensor.Tensor {
 // TestMaxPoolMatchesElementwiseReference compares the row-wise max-pool with
 // maxPoolRef bit for bit over random shapes — window 1–4 (and one wider than
 // the on-stack span table), stride 1–3, padding 0–2, Forward and
-// ForwardValidHInto — on inputs salted with NaNs, zeros and infinities of both
+// ValidH — on inputs salted with NaNs, zeros and infinities of both
 // signs and with stretches of -Inf wider than a window, through every
 // implementation of the row helpers.
 func TestMaxPoolMatchesElementwiseReference(t *testing.T) {
@@ -285,9 +285,14 @@ func TestMaxPoolMatchesElementwiseReference(t *testing.T) {
 		for _, p := range []int{1, 3} {
 			restore := par.SetParallelism(p)
 			for _, pc := range cases {
-				// pool checks the destination against the shape it works out.
+				// ForwardInto checks the destination against the shape it
+				// works out.
 				got := tensor.New(pc.want.Shape()...)
-				if err := pc.m.pool(got, []*tensor.Tensor{pc.x}, pc.padH); err != nil {
+				op := Op(pc.m)
+				if !pc.padH {
+					op = validH(pc.m)
+				}
+				if err := op.ForwardInto(got, pc.x); err != nil {
 					restore()
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 
 	"gillis/internal/graph"
 	"gillis/internal/models"
+	"gillis/internal/nn"
 	"gillis/internal/par"
 	"gillis/internal/tensor"
 )
@@ -308,9 +310,96 @@ func TestPartGraphRejectsMismatches(t *testing.T) {
 	}
 }
 
+// TestPartGraphRunsPlainOps: every node of every part graph is one of three
+// things — a unit's own op; its copy with ValidH set, which differs from it in
+// nothing else and so shares its weights; or a row window (nn.RowWindow)
+// whose one reader is the next node that is not a window.
+func TestPartGraphRunsPlainOps(t *testing.T) {
+	for name, units := range spatialGroups(t) {
+		ops := make(map[string]nn.Op)
+		for _, u := range units {
+			for _, n := range u.Sub.Nodes() {
+				ops[n.Op.Name()] = n.Op
+			}
+		}
+		windows, copies := 0, 0
+		for _, parts := range []int{1, 2, 3, 4} {
+			slices, err := SpatialSlices(units, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ps := range slices {
+				g, err := ps.Graph(units)
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s part %d/%d", name, i, parts)
+				readers, err := g.Consumers()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range g.Nodes() {
+					if _, ok := n.Op.(*nn.RowWindow); ok {
+						next := n.ID + 1
+						for next < g.Len() && isWindow(g.Node(next).Op) {
+							next++
+						}
+						if r := readers[n.ID]; len(r) != 1 || r[0] != next {
+							t.Errorf("%s: window %s is read by %v, not by node %d", what, n.Op.Name(), r, next)
+						}
+						windows++
+						continue
+					}
+					orig := ops[n.Op.Name()]
+					if !sameOrValidH(n.Op, orig) {
+						t.Errorf("%s: node %s (%T) is neither its unit's op nor a ValidH copy of it", what, n.Op.Name(), n.Op)
+					}
+					if n.Op != orig {
+						copies++
+					}
+				}
+			}
+		}
+		if windows == 0 || copies == 0 {
+			t.Errorf("%s: %d windows and %d ValidH copies in its parts", name, windows, copies)
+		}
+	}
+}
+
+func isWindow(op nn.Op) bool {
+	_, ok := op.(*nn.RowWindow)
+	return ok
+}
+
+// sameOrValidH reports whether op is orig, or a copy of it with ValidH set
+// that shares its weight storage.
+func sameOrValidH(op, orig nn.Op) bool {
+	if op == orig {
+		return true
+	}
+	switch o := op.(type) {
+	case *nn.Conv2D:
+		c, ok := orig.(*nn.Conv2D)
+		plain := *o
+		plain.ValidH = false
+		return ok && o.ValidH && !c.ValidH && plain == *c && &o.W.Data()[0] == &c.W.Data()[0]
+	case *nn.DepthwiseConv2D:
+		d, ok := orig.(*nn.DepthwiseConv2D)
+		plain := *o
+		plain.ValidH = false
+		return ok && o.ValidH && !d.ValidH && plain == *d && &o.W.Data()[0] == &d.W.Data()[0]
+	case *nn.MaxPool2D:
+		m, ok := orig.(*nn.MaxPool2D)
+		plain := *o
+		plain.ValidH = false
+		return ok && o.ValidH && !m.ValidH && plain == *m
+	}
+	return false
+}
+
 // TestPartGraphNodesStandAlone: walking a part graph node by node, each
-// node's own Forward (work space of its own) returns the graph forward's
-// bits, and the nodes' FLOPs add up to the part's.
+// node's own Forward returns the graph forward's bits, and the nodes' FLOPs
+// add up to the part's.
 func TestPartGraphNodesStandAlone(t *testing.T) {
 	for _, fuse := range []bool{false, true} {
 		units := tinyGroup(t, fuse)
@@ -355,8 +444,8 @@ func TestPartGraphNodesStandAlone(t *testing.T) {
 }
 
 // TestSpatialPartAllocationBudget: one part of the fused tiny CNN allocates
-// its result, a tensor header per node and window, and two slices — no
-// activation and no window: the byte budget has less slack than the smallest
+// its result, a tensor header per node (windows among them) and two slices —
+// no activation and no window: the byte budget has less slack than the smallest
 // of those is big, so a tensor.New back on the path breaks it. One worker, so par.For
 // spawns nothing; the minimum of several runs, so a collection that empties
 // the pool between two of them does not count.
@@ -383,13 +472,11 @@ func TestSpatialPartAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buffers, smallest := 0, math.MaxInt
+	buffers, windows, smallest := 0, 0, math.MaxInt
 	for _, n := range g.Nodes() {
 		buffers, smallest = buffers+1, min(smallest, int(tensor.SizeBytes(shapes[n.ID])))
-		for _, in := range n.Op.(*partOp).ins {
-			if in.cut {
-				buffers, smallest = buffers+1, min(smallest, 4*in.size())
-			}
+		if _, ok := n.Op.(*nn.RowWindow); ok {
+			windows++
 		}
 	}
 	defer par.SetParallelism(1)()
@@ -409,7 +496,7 @@ func TestSpatialPartAllocationBudget(t *testing.T) {
 		g.Len(), buffers, smallest, bytes, objects, out.Bytes())
 	// A header and some kernel bookkeeping per buffer, and less slack than
 	// the smallest buffer is big.
-	maxBytes, maxObjects := uint64(out.Bytes())+uint64(256*buffers), uint64(5*g.Len()+buffers+8)
+	maxBytes, maxObjects := uint64(out.Bytes())+uint64(256*buffers), uint64(5*(g.Len()-windows)+buffers+8)
 	if bytes > maxBytes || objects > maxObjects || maxBytes-bytes >= uint64(smallest) {
 		t.Errorf("a part of %d nodes and %d buffers allocates %d B in %d objects, budget %d B in %d",
 			g.Len(), buffers, bytes, objects, maxBytes, maxObjects)

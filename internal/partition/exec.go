@@ -3,25 +3,25 @@ package partition
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"gillis/internal/graph"
 	"gillis/internal/nn"
 	"gillis/internal/tensor"
 )
 
-// Graph lowers the part to the graph a function runs for it. The graph's
-// input is the part's slab — rows ps.InRows of the group input, full
-// channels and width — and its output rows ps.OutRows of the group output,
-// bitwise equal to the corresponding rows of a monolithic run. It has one
-// node per unit node with rows to compute, in execution order, each running
-// its operator without height padding (nn.Spatial.ForwardValidHInto): where
-// a node needs other rows than its source holds, it first cuts them into a
-// window in its work space (graph.Scratcher), interior halo rows from the
-// source and boundary overhang filled with the op's padding value (0, or -inf
-// for max pooling), exactly as implicit padding would. A node reports itself
-// to an observer as the operator it wraps. The ops are the units' own,
-// weights and all.
+// Graph lowers the part to the graph a function runs for it: ordinary nn
+// ops, the units' own. The graph's input is the part's slab — rows
+// ps.InRows of the group input, full channels and width — and its output
+// rows ps.OutRows of the group output, bitwise equal to the corresponding
+// rows of a monolithic run. Every unit node with rows to compute, across all
+// the group's units and in execution order, runs on the rows its inputs hold:
+// an operator that pads height as a copy with ValidH set (padding along width
+// only; it shares the weights), any other as itself. Where a node needs
+// other rows than a source holds, a window node (nn.RowWindow) just before
+// it cuts them — interior halo rows from the source, and the boundary
+// overhang filled with the op's padding value (0, or -inf for max pooling),
+// exactly as implicit padding would. So a part's op:<name> events are the
+// monolithic graph's plus its windows.
 func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 	if len(units) == 0 || len(units) != len(ps.units) {
 		return nil, fmt.Errorf("partition: slice built for %d units, got %d", len(ps.units), len(units))
@@ -52,12 +52,8 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 			}
 			k, s, p := sp.HKernel()
 			req := inRangeForOut(outRange, k, s, p)
-			shape := shapes[node.ID]
-			op := &partOp{Op: sp, sp: sp, out: []int{shape[0], outRange.Len(), shape[2]}, ins: make([]window, len(node.Inputs))}
-			if h := shape[1]; h > 0 {
-				op.flops = node.Op.FLOPs(u.NodeInShapes(node)...) * int64(outRange.Len()) / int64(h)
-			}
 			srcs := make([]int, len(node.Inputs))
+			ins := make([][]int, len(node.Inputs)) // the shapes the op reads
 			for i, in := range node.Inputs {
 				src, srcRange, full := prevOut, us.inRows, u.InShape
 				if in != graph.InputID {
@@ -68,15 +64,22 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 					return nil, fmt.Errorf("partition: unit %d node %s: need rows %v but slab covers %v (h=%d)",
 						u.Index, node.Op.Name(), req, srcRange, full[1])
 				}
-				srcs[i] = src
-				w := window{src: []int{full[0], srcRange.Len(), full[2]}}
+				srcs[i], ins[i] = src, []int{full[0], srcRange.Len(), full[2]}
 				if req != srcRange {
-					w.cut, w.h = true, req.Len()
-					w.srcLo, w.lo, w.hi = inside.Lo-srcRange.Lo, inside.Lo-req.Lo, inside.Hi-req.Lo
-					w.fill = padValue(node.Op)
-					op.scratch += w.size()
+					win := &nn.RowWindow{OpName: fmt.Sprintf("%s.in%d[h%d:%d]", node.Op.Name(), i, req.Lo, req.Hi),
+						In: ins[i], H: req.Len(), SrcLo: inside.Lo - srcRange.Lo,
+						Lo: inside.Lo - req.Lo, Hi: inside.Hi - req.Lo, Fill: padValue(node.Op)}
+					var err error
+					if srcs[i], err = g.Add(win, src); err != nil {
+						return nil, err
+					}
+					ins[i] = []int{full[0], req.Len(), full[2]}
 				}
-				op.ins[i] = w
+			}
+			op := validH(node.Op, p)
+			if out, err := op.OutShape(ins...); err != nil || len(out) != 3 || out[1] != outRange.Len() {
+				return nil, fmt.Errorf("partition: unit %d node %s computes %v from %v, want rows %v (%v)",
+					u.Index, node.Op.Name(), out, ins, outRange, err)
 			}
 			id, err := g.Add(op, srcs...)
 			if err != nil {
@@ -93,112 +96,28 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 	return g, nil
 }
 
-// partOp is one node of a lowered part: its operator run without height
-// padding on the rows its inputs hold, or on windows cut from them. Name,
-// Kind and weights are the operator's own.
-type partOp struct {
-	nn.Op
-	sp      nn.Spatial // the same operator
-	ins     []window   // per input
-	out     []int      // output shape: the rows this part computes
-	flops   int64      // the operator's FLOPs on those rows
-	scratch int        // floats of the windows to cut
-}
-
-// window is how one input of a part node reaches its operator: the source's
-// rows as they are, or — when the node needs other rows than the source
-// holds — cut into an h-row window in work space: source rows
-// [srcLo, srcLo+hi-lo) of every channel land at window rows [lo, hi), and the
-// rows above and below, which overhang the feature map, hold fill.
-type window struct {
-	src              []int // the shape the source holds
-	cut              bool
-	h, srcLo, lo, hi int
-	fill             float32
-}
-
-func (w window) size() int { return w.src[0] * w.h * w.src[2] }
-
-// OutShape implements nn.Op: the inputs must be what the part's sources
-// hold.
-func (o *partOp) OutShape(in ...[]int) ([]int, error) {
-	if len(in) != len(o.ins) {
-		return nil, fmt.Errorf("partition: %s takes %d inputs, got %d", o.Name(), len(o.ins), len(in))
+// validH returns op as a part runs it on rows that carry their halo: an op
+// that pads height (p > 0) as a copy with ValidH set, sharing its weights
+// and epilogue; any other op as itself.
+func validH(op nn.Op, p int) nn.Op {
+	if p == 0 {
+		return op
 	}
-	for i, s := range in {
-		if !slices.Equal(s, o.ins[i].src) {
-			return nil, fmt.Errorf("partition: %s input %d has shape %v, want %v", o.Name(), i, s, o.ins[i].src)
-		}
+	switch o := op.(type) {
+	case *nn.Conv2D:
+		c := *o
+		c.ValidH = true
+		return &c
+	case *nn.DepthwiseConv2D:
+		d := *o
+		d.ValidH = true
+		return &d
+	case *nn.MaxPool2D:
+		m := *o
+		m.ValidH = true
+		return &m
 	}
-	return slices.Clone(o.out), nil
-}
-
-// FLOPs implements nn.Op: the operator's work on the part's rows.
-func (o *partOp) FLOPs(...[]int) int64 { return o.flops }
-
-// Forward implements nn.Op.
-func (o *partOp) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {
-	dst := tensor.New(o.out...)
-	if err := o.ForwardInto(dst, in...); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ForwardInto implements nn.Op, with work space and an input list of its
-// own.
-func (o *partOp) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
-	return o.ForwardScratchInto(dst, make([]float32, o.scratch), slices.Clone(in)...)
-}
-
-// ScratchFloats implements graph.Scratcher: the windows the node cuts.
-func (o *partOp) ScratchFloats() int { return o.scratch }
-
-// ForwardScratchInto implements graph.Scratcher: it cuts the windows into
-// scratch, puts them in place of their sources in in, and runs the operator
-// on that without height padding.
-func (o *partOp) ForwardScratchInto(dst *tensor.Tensor, scratch []float32, in ...*tensor.Tensor) error {
-	if len(in) != len(o.ins) {
-		return fmt.Errorf("partition: %s takes %d inputs, got %d", o.Name(), len(o.ins), len(in))
-	}
-	off := 0
-	for i, x := range in {
-		w := o.ins[i]
-		if !w.cut {
-			continue
-		}
-		if !x.HasShape(w.src) {
-			return fmt.Errorf("partition: %s input %d has shape %v, want %v", o.Name(), i, x.Shape(), w.src)
-		}
-		end := off + w.size()
-		w.cutInto(scratch[off:end:end], x.Data())
-		var err error
-		if in[i], err = tensor.FromData(scratch[off:end:end], w.src[0], w.h, w.src[2]); err != nil {
-			return err
-		}
-		off = end
-	}
-	return o.sp.ForwardValidHInto(dst, in...)
-}
-
-// cutInto writes the window: per channel, fill above, the source's rows,
-// fill below. Every element is written — the arena is not zeroed, so a zero
-// border is filled like any other.
-func (w window) cutInto(win, src []float32) {
-	width, srcRows := w.src[2], w.src[1]
-	for ci := 0; ci < w.src[0]; ci++ {
-		ch := win[ci*w.h*width : (ci+1)*w.h*width]
-		fillF32(ch[:w.lo*width], w.fill)
-		copy(ch[w.lo*width:w.hi*width], src[(ci*srcRows+w.srcLo)*width:])
-		fillF32(ch[w.hi*width:], w.fill)
-	}
-}
-
-// fillF32 sets every element of s to v.
-func fillF32(s []float32, v float32) {
-	for i := range s {
-		s[i] = v
-	}
+	return op
 }
 
 // padValue returns the implicit padding fill of an op (-inf for max

@@ -32,9 +32,11 @@ type Unit struct {
 	// FLOPs and ParamBytes aggregate the subgraph.
 	FLOPs      int64
 	ParamBytes int64
-	// shapes caches the subgraph's per-node output shapes (computed once at
-	// linearization; shape queries are hot in the planners).
-	shapes [][]int
+	// shapes caches the subgraph's per-node output shapes and inShapes each
+	// node's input shapes (computed once at linearization; shape queries are
+	// hot in the planners).
+	shapes   [][]int
+	inShapes [][][]int
 	// Spatial reports that every op in the unit has a local response along
 	// the height axis, so the unit can join a spatially partitioned group.
 	Spatial bool
@@ -52,19 +54,10 @@ func (u *Unit) OutChannels() int { return u.OutShape[0] }
 // subgraph. The result must not be modified.
 func (u *Unit) NodeShapes() [][]int { return u.shapes }
 
-// NodeInShapes returns the shapes of a node's inputs within the unit: the
-// unit's input for graph.InputID, the producing node's output otherwise.
-func (u *Unit) NodeInShapes(node *graph.Node) [][]int {
-	ins := make([][]int, len(node.Inputs))
-	for i, in := range node.Inputs {
-		if in == graph.InputID {
-			ins[i] = u.InShape
-		} else {
-			ins[i] = u.shapes[in]
-		}
-	}
-	return ins
-}
+// NodeInShapes returns the cached shapes of a node's inputs within the unit:
+// the unit's input for graph.InputID, the producing node's output otherwise.
+// The result must not be modified.
+func (u *Unit) NodeInShapes(node *graph.Node) [][]int { return u.inShapes[node.ID] }
 
 // OutHeight returns the spatial height of the unit output, or 0 for
 // non-spatial outputs.
@@ -178,22 +171,40 @@ func buildUnit(g *graph.Graph, shapes [][]int, start, end int) (*Unit, error) {
 			return nil, err
 		}
 	}
+	return newUnit(g.Node(end).Op.Name(), sub)
+}
+
+// newUnit packages sub as a unit, its shapes cached and its FLOPs, weights
+// and capabilities worked out.
+func newUnit(name string, sub *graph.Graph) (*Unit, error) {
+	shapes, err := sub.Shapes()
+	if err != nil {
+		return nil, err
+	}
 	flops, err := sub.FLOPs()
 	if err != nil {
 		return nil, err
 	}
-	subShapes, err := sub.Shapes()
-	if err != nil {
-		return nil, err
-	}
 	u := &Unit{
-		Name:       g.Node(end).Op.Name(),
+		Name:       name,
 		Sub:        sub,
-		InShape:    inShape,
-		OutShape:   shapes[end],
+		InShape:    sub.InShape(),
+		OutShape:   shapes[sub.OutputID()],
 		FLOPs:      flops,
 		ParamBytes: sub.ParamBytes(),
-		shapes:     subShapes,
+		shapes:     shapes,
+		inShapes:   make([][][]int, sub.Len()),
+	}
+	for _, node := range sub.Nodes() {
+		ins := make([][]int, len(node.Inputs))
+		for i, in := range node.Inputs {
+			if in == graph.InputID {
+				ins[i] = u.InShape
+			} else {
+				ins[i] = shapes[in]
+			}
+		}
+		u.inShapes[node.ID] = ins
 	}
 	u.Spatial = unitSpatial(u)
 	u.Channel = unitChannel(u)
@@ -281,22 +292,7 @@ func fuseUnits(a, b *Unit) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	subShapes, err := sub.Shapes()
-	if err != nil {
-		return nil, err
-	}
-	u := &Unit{
-		Name:       a.Name,
-		Sub:        sub,
-		InShape:    a.InShape,
-		OutShape:   b.OutShape,
-		FLOPs:      a.FLOPs + b.FLOPs,
-		ParamBytes: a.ParamBytes + b.ParamBytes,
-		shapes:     subShapes,
-	}
-	u.Spatial = unitSpatial(u)
-	u.Channel = unitChannel(u)
-	return u, nil
+	return newUnit(a.Name, sub)
 }
 
 // Join chains the units' sub-graphs into one graph: each unit reads its

@@ -10,10 +10,11 @@
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/runtime ./internal/platform ./internal/simnet \
-	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/perf ./internal/core \
+	./internal/bench ./internal/trace ./internal/trace/tracetest ./internal/stats ./internal/perf ./internal/core \
 	./internal/gateway ./internal/adapt ./internal/batching ./internal/mesh ./cmd/gillis-server ./cmd/gillis-bench
 
-PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway
+PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway \
+	./internal/stats ./internal/perf
 
 .PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper bench-verify bench-selftest
 
@@ -113,7 +114,9 @@ procs:
 # engines pass from one request goroutine to the next through a channel;
 # TestConcurrentPredicts drives eight callers through them. The planners'
 # parallel tests share one fitted perf model, whose memo is under its one
-# mutex, while each planning run prices on a lock-free table of its own.
+# mutex, while each planning run prices on a lock-free table of its own. A
+# memo miss integrates the order statistic on par workers while it holds
+# that mutex (internal/stats).
 race:
 	$(GO) test -race $(RACE_PKGS)
 

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"gillis/internal/graph"
 	"gillis/internal/models"
+	"gillis/internal/nn"
 	"gillis/internal/partition"
 	"gillis/internal/perf"
 	"gillis/internal/platform"
@@ -35,6 +37,55 @@ func BenchmarkLatencyOptimalVGG16(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLatencyOptimalCold is a cold start's planning: every op fits a
+// fresh model, whose order-statistic memo starts empty, and plans with it,
+// as a server boot, a replay's set-up and an adaptive replan do.
+// BenchmarkLatencyOptimalVGG16 reuses one warm model.
+func BenchmarkLatencyOptimalCold(b *testing.B) {
+	resnet34, err := models.ByName("resnet34")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"resnet34", resnet34}, {"demo-cnn", demoSizeCNN()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			units, err := partition.Linearize(bc.g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := perf.Build(platform.AWSLambda(), 1, 2, 300)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := LatencyOptimal(m, units, Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// demoSizeCNN has the layers of gillis-server's built-in model, the one the
+// http_small workload serves.
+func demoSizeCNN() *graph.Graph {
+	g := graph.New("demo-cnn", []int{3, 32, 32})
+	g.MustAdd(nn.NewConv2D("stem", 3, 16, 3, 1, 1))
+	g.MustAdd(nn.NewBatchNorm("stem_bn", 16))
+	g.MustAdd(nn.NewReLU("stem_relu"))
+	g.MustAdd(nn.NewMaxPool2D("pool", 2, 2, 0))
+	g.MustAdd(nn.NewConv2D("conv2", 16, 32, 3, 1, 1))
+	g.MustAdd(nn.NewReLU("conv2_relu"))
+	g.MustAdd(nn.NewGlobalAvgPool("gap"))
+	g.MustAdd(nn.NewDense("fc", 32, 10))
+	g.MustAdd(nn.NewSoftmax("prob"))
+	return g
 }
 
 func BenchmarkSLOAwareEpisode(b *testing.B) {

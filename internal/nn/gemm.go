@@ -239,7 +239,9 @@ func affineClampGo(dst, src []float32, scale, shift float32, affine, relu bool) 
 // wholeVectors is how many leading elements of a row of nDst the assembly
 // helpers take: whole vectors, and no more than nSrc source floats cover at
 // the stride (a stride-2 helper reads its taps in pairs, so one float past the
-// last tap it uses).
+// last tap it uses). The tap walks pass the capacity of their source as nSrc:
+// a row's last tap is often the last float of its slice, and the float after
+// it, which the pair read discards, is still inside the tensor.
 func wholeVectors(nDst, nSrc, stride int) int {
 	return min(nDst, nSrc/stride) &^ (rowLanes - 1)
 }
@@ -263,7 +265,7 @@ func (t *gemmTile) clampRow(dst, src []float32) {
 func (t *gemmTile) maxRow(dst, src []float32, stride int) {
 	n := 0
 	if t.rows != nil && stride <= 2 {
-		if n = wholeVectors(len(dst), len(src), stride); n > 0 {
+		if n = wholeVectors(len(dst), cap(src), stride); n > 0 {
 			kernel := t.rows.maxRow
 			if stride == 2 {
 				kernel = t.rows.maxRow2
@@ -271,7 +273,9 @@ func (t *gemmTile) maxRow(dst, src []float32, stride int) {
 			kernel(int64(n), &dst[0], &src[0])
 		}
 	}
-	maxRowGo(dst[n:], src[n*stride:], stride)
+	if n < len(dst) {
+		maxRowGo(dst[n:], src[n*stride:], stride)
+	}
 }
 
 // maxRowGo is the reference of maxRow.
@@ -291,11 +295,13 @@ func (t *gemmTile) copyRow(dst, src []float32, stride int) {
 	}
 	n := 0
 	if t.rows != nil && stride == 2 {
-		if n = wholeVectors(len(dst), len(src), 2); n > 0 {
+		if n = wholeVectors(len(dst), cap(src), 2); n > 0 {
 			t.rows.copyRow2(int64(n), &dst[0], &src[0])
 		}
 	}
-	copyRowGo(dst[n:], src[n*stride:], stride)
+	if n < len(dst) {
+		copyRowGo(dst[n:], src[n*stride:], stride)
+	}
 }
 
 // copyRowGo is the reference of copyRow.

@@ -46,7 +46,7 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 // Go ones) against scalar statements written out here: the clamp on every
 // special value and on random rows of length 1…70 (ragged vector tails), in
 // place and into a second row; the max and the gather at strides 1–3 on
-// sources that end at their last tap.
+// sources that end at their last tap, with or without floats after it.
 func TestRowKernelsMatchReference(t *testing.T) {
 	special := make([]float32, len(specialBits))
 	for i, b := range specialBits {
@@ -70,11 +70,14 @@ func TestRowKernelsMatchReference(t *testing.T) {
 		}
 		for stride := 1; stride <= 3; stride++ {
 			for n := 1; n <= 70; n++ {
-				// The source ends at the last tap, as a row of the input does,
-				// or one float later, which is what lets a stride-2 helper
-				// take the last eight in one step.
-				for extra := 0; extra <= 1; extra++ {
-					src := saltedRow(rng, (n-1)*stride+1+extra)
+				// The source ends at the last tap with nothing after it, or
+				// one float later, which is what lets a stride-2 helper take
+				// the last eight in one step; or it ends at the last tap with
+				// floats after it that only its capacity reaches, as a row of
+				// a tensor does.
+				last := (n-1)*stride + 1
+				for _, tail := range []struct{ len, cap int }{{0, 0}, {1, 1}, {0, 9}} {
+					src := saltedRow(rng, last+tail.cap)[:last+tail.len]
 					best := saltedRow(rng, n)
 					for i, v := range best {
 						if v != v {

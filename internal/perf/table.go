@@ -147,15 +147,32 @@ func (t *Table) forkJoinMs(offsets, comps []float64) float64 {
 		}
 		t.draws[n] = d
 	}
+	// Four trials per pass over the workers (trials is a multiple of four),
+	// each with its own running maximum; the sum still takes them in trial
+	// order.
 	var sum float64
-	for tr := 0; tr < trials; tr++ {
-		worst := math.Inf(-1)
+	for tr := 0; tr < trials; tr += 4 {
+		d0, d1, d2, d3 := d[tr*n:][:n], d[(tr+1)*n:][:n], d[(tr+2)*n:][:n], d[(tr+3)*n:][:n]
+		w0, w1, w2, w3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
 		for i, off := range offsets {
-			if v := off + d[tr*n+i] + comps[i]; v > worst {
-				worst = v
+			c := comps[i]
+			if v := off + d0[i] + c; v > w0 {
+				w0 = v
+			}
+			if v := off + d1[i] + c; v > w1 {
+				w1 = v
+			}
+			if v := off + d2[i] + c; v > w2 {
+				w2 = v
+			}
+			if v := off + d3[i] + c; v > w3 {
+				w3 = v
 			}
 		}
-		sum += worst
+		sum += w0
+		sum += w1
+		sum += w2
+		sum += w3
 	}
 	return sum / trials
 }

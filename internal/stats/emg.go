@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"gillis/internal/par"
 )
 
 // EMG is an exponentially modified Gaussian distribution: the sum of a
@@ -70,19 +72,32 @@ func (e EMG) CDF(x float64) float64 {
 }
 
 // Quantile returns the p-quantile (0 < p < 1) by bisection on the CDF.
-func (e EMG) Quantile(p float64) float64 {
+func (e EMG) Quantile(p float64) float64 { return e.quantile(p, e.bracket()) }
+
+// bracket is where every quantile's bisection starts: two ends, and their
+// CDFs, none of which depends on p.
+type bracket struct{ lo, hi, cdfLo, cdfHi float64 }
+
+func (e EMG) bracket() bracket {
+	lo := e.Mu - 12*e.Sigma
+	hi := e.Mu + 12*e.Sigma + 40/e.Lambda
+	return bracket{lo: lo, hi: hi, cdfLo: e.CDF(lo), cdfHi: e.CDF(hi)}
+}
+
+// quantile is Quantile from the starting bracket b: widened until it holds
+// p, then halved up to 100 times.
+func (e EMG) quantile(p float64, b bracket) float64 {
 	if p <= 0 {
 		p = 1e-12
 	}
 	if p >= 1 {
 		p = 1 - 1e-12
 	}
-	lo := e.Mu - 12*e.Sigma
-	hi := e.Mu + 12*e.Sigma + 40/e.Lambda
-	for e.CDF(lo) > p {
+	lo, hi := b.lo, b.hi
+	for c := b.cdfLo; c > p; c = e.CDF(lo) {
 		lo -= 10 * e.Sigma
 	}
-	for e.CDF(hi) < p {
+	for c := b.cdfHi; c < p; c = e.CDF(hi) {
 		hi += 20 / e.Lambda
 	}
 	for i := 0; i < 100; i++ {
@@ -92,31 +107,50 @@ func (e EMG) Quantile(p float64) float64 {
 		} else {
 			hi = mid
 		}
+		// A step is a function of the bracket alone. Once the next midpoint
+		// is the one just tested, every later step tests it again and makes
+		// the same assignment, so the remaining steps change nothing.
+		if (lo+hi)/2 == mid {
+			break
+		}
 	}
 	return (lo + hi) / 2
 }
 
 // ExpectedMax returns E[max of n i.i.d. draws], the n-th order statistic
 // mean, computed by numerically integrating the quantile function:
-// E[max_n] = ∫₀¹ Q(t^(1/n)) dt.
+// E[max_n] = ∫₀¹ Q(t^(1/n)) dt. The Simpson nodes are independent quantiles,
+// computed in parallel and summed in index order, so the result is the same
+// float64 at every parallelism level.
 func (e EMG) ExpectedMax(n int) float64 {
 	if n <= 1 {
 		return e.Mean()
 	}
 	const steps = 512
 	inv := 1 / float64(n)
-	f := func(t float64) float64 { return e.Quantile(math.Pow(t, inv)) }
 	// Composite Simpson on [eps, 1-eps].
 	const eps = 1e-9
 	a, b := eps, 1-eps
 	h := (b - a) / steps
-	sum := f(a) + f(b)
+	start := e.bracket()
+	var f [steps + 1]float64
+	// A node costs a few dozen CDF evaluations of a few hundred scalar
+	// operations each.
+	par.For(steps+1, 8192, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x := a + float64(i)*h
+			if i == steps {
+				x = b
+			}
+			f[i] = e.quantile(math.Pow(x, inv), start)
+		}
+	})
+	sum := f[0] + f[steps]
 	for i := 1; i < steps; i++ {
-		x := a + float64(i)*h
 		if i%2 == 1 {
-			sum += 4 * f(x)
+			sum += 4 * f[i]
 		} else {
-			sum += 2 * f(x)
+			sum += 2 * f[i]
 		}
 	}
 	return sum * h / 3

@@ -103,7 +103,7 @@ procs:
 # The serving stack below the HTTP front end takes no lock: one goroutine
 # owns an Env and everything deployed on it (DESIGN.md §3), and only what
 # concurrent Envs share synchronises — par's workers and scratch pool, the
-# metrics registry, a graph's cached arena plan, a perf model's memo
+# metrics registry, a graph's cached arena plan
 # (TestConcurrentForwardsShareThePool drives eight goroutines through one
 # graph and its pooled arena; every partition is one graph). The
 # race detector is what enforces that split: a simulated
@@ -113,10 +113,8 @@ procs:
 # mutex around the state would have hidden it. gillis-server's resident
 # engines pass from one request goroutine to the next through a channel;
 # TestConcurrentPredicts drives eight callers through them. The planners'
-# parallel tests share one fitted perf model, whose memo is under its one
-# mutex, while each planning run prices on a lock-free table of its own. A
-# memo miss integrates the order statistic on par workers while it holds
-# that mutex (internal/stats).
+# parallel tests share one fitted perf model, which never changes after it is
+# fitted, while each planning run prices on a lock-free table of its own.
 race:
 	$(GO) test -race $(RACE_PKGS)
 

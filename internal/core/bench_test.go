@@ -40,9 +40,9 @@ func BenchmarkLatencyOptimalVGG16(b *testing.B) {
 }
 
 // BenchmarkLatencyOptimalCold is a cold start's planning: every op fits a
-// fresh model, whose order-statistic memo starts empty, and plans with it,
-// as a server boot, a replay's set-up and an adaptive replan do.
-// BenchmarkLatencyOptimalVGG16 reuses one warm model.
+// fresh model and plans with it on a fresh table, as a server boot, a
+// replay's set-up and an adaptive replan do.
+// BenchmarkLatencyOptimalVGG16 reuses one fitted model.
 func BenchmarkLatencyOptimalCold(b *testing.B) {
 	resnet34, err := models.ByName("resnet34")
 	if err != nil {

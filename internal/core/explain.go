@@ -44,7 +44,7 @@ func Explain(m *perf.Model, units []*partition.Unit, plan *partition.Plan) (stri
 		}
 		fmt.Fprintf(&sb, "%5d | %2d..%2d | %10s | %-7s | %5.0fms | %4.0fms | %6.0fms | %6.0fms | %10.0fms | %6.0f MB\n",
 			gi+1, gp.First, gp.Last, gp.Option.String(), place,
-			g.LatencyMs, g.UploadMs, g.OverheadMs, g.DownloadMs, workerBusy, float64(ext.WeightBytes)/1e6)
+			g.LatencyMs, g.UploadMs, m.MaxCommMs(len(g.WorkerMs)), g.DownloadMs, workerBusy, float64(ext.WeightBytes)/1e6)
 	}
 	if pred.OOM {
 		fmt.Fprintf(&sb, "WARNING: plan exceeds memory budget: %s\n", pred.OOMReason)

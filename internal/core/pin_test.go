@@ -54,11 +54,19 @@ func TestPredictionsPinned(t *testing.T) {
 		}
 		pinPlan(t, &sb, c.m, units, plan, 1, 4)
 	}
-	units := unitsOf(t, "vgg11")
+	pinPlan(t, &sb, m, unitsOf(t, "vgg11"), everyBranchPlan(), 1, 4, 256) // the whole group on a worker runs out of memory at 256
+
+	checkPin(t, "testdata/predictions.golden", sb.String())
+}
+
+// everyBranchPlan is a VGG-11 plan that takes every branch of the model's
+// pricing: spatial and channel groups with and without the master, a whole
+// group on a worker and one on the master.
+func everyBranchPlan() *partition.Plan {
 	spatial := func(p int) partition.Option { return partition.Option{Dim: partition.DimSpatial, Parts: p} }
 	channel := func(p int) partition.Option { return partition.Option{Dim: partition.DimChannel, Parts: p} }
 	whole := partition.Option{Dim: partition.DimNone, Parts: 1}
-	pinPlan(t, &sb, m, units, &partition.Plan{Model: "vgg11-every-branch", Groups: []partition.GroupPlan{
+	return &partition.Plan{Model: "vgg11-every-branch", Groups: []partition.GroupPlan{
 		{First: 0, Last: 1, Option: spatial(4), OnMaster: true},
 		{First: 2, Last: 3, Option: spatial(2)},
 		{First: 4, Last: 4, Option: channel(4), OnMaster: true},
@@ -66,9 +74,28 @@ func TestPredictionsPinned(t *testing.T) {
 		{First: 14, Last: 14, Option: channel(8)},
 		{First: 15, Last: 15, Option: channel(2), OnMaster: true},
 		{First: 16, Last: 17, Option: whole, OnMaster: true},
-	}}, 1, 4, 256) // the whole group on a worker runs out of memory at 256
+	}}
+}
 
-	checkPin(t, "testdata/predictions.golden", sb.String())
+// TestExplainPinned pins Explain's text byte for byte on VGG-11's Lambda
+// latency-optimal plan and on the every-branch plan, whose groups cover
+// every placement and so every column Explain prints.
+func TestExplainPinned(t *testing.T) {
+	m := lambdaModel(t)
+	units := unitsOf(t, "vgg11")
+	plan, _, err := LatencyOptimal(m, units, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, p := range []*partition.Plan{plan, everyBranchPlan()} {
+		s, err := Explain(m, units, p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Model, err)
+		}
+		sb.WriteString(s)
+	}
+	checkPin(t, "testdata/explain.golden", sb.String())
 }
 
 // checkPin compares got with the golden file at path, or rewrites the file
@@ -110,7 +137,7 @@ func pinPlan(t *testing.T, sb *strings.Builder, m *perf.Model, units []*partitio
 		fmt.Fprintf(sb, "  batch %d: latency %s billed %d oom %v %q\n", batch, bits(bp.LatencyMs), bp.BilledMs, bp.OOM, bp.OOMReason)
 		for gi, g := range bp.Groups {
 			fmt.Fprintf(sb, "    group %d: latency %s up %s over %s down %s oom %v workers",
-				gi, bits(g.LatencyMs), bits(g.UploadMs), bits(g.OverheadMs), bits(g.DownloadMs), g.OOM)
+				gi, bits(g.LatencyMs), bits(g.UploadMs), bits(m.MaxCommMs(len(g.WorkerMs))), bits(g.DownloadMs), g.OOM)
 			for _, w := range g.WorkerMs {
 				sb.WriteString(" " + bits(w))
 			}

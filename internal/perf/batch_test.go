@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"testing"
 
 	"gillis/internal/partition"
@@ -40,8 +41,13 @@ func TestPredictPlanBatchOneBitExact(t *testing.T) {
 		for gi := range want.Groups {
 			w, g := want.Groups[gi], got.Groups[gi]
 			if g.LatencyMs != w.LatencyMs || g.UploadMs != w.UploadMs ||
-				g.OverheadMs != w.OverheadMs || g.DownloadMs != w.DownloadMs {
+				g.DownloadMs != w.DownloadMs || len(g.WorkerMs) != len(w.WorkerMs) {
 				t.Fatalf("plan %d group %d: batch-1 group prediction diverged: %+v vs %+v", pi, gi, g, w)
+			}
+			for i := range w.WorkerMs {
+				if math.Float64bits(g.WorkerMs[i]) != math.Float64bits(w.WorkerMs[i]) {
+					t.Fatalf("plan %d group %d worker %d: batch-1 compute %v, unbatched %v", pi, gi, i, g.WorkerMs[i], w.WorkerMs[i])
+				}
 			}
 		}
 		if got.Batch != 1 || got.CostPerQueryMs != float64(want.BilledMs) {

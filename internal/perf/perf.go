@@ -9,7 +9,6 @@ package perf
 
 import (
 	"fmt"
-	"sync"
 
 	"gillis/internal/nn"
 	"gillis/internal/partition"
@@ -18,17 +17,13 @@ import (
 	"gillis/internal/stats"
 )
 
-// Model is a fitted performance model for one platform.
+// Model is a fitted performance model for one platform. It never changes
+// after New, so concurrent planners share it with no lock.
 type Model struct {
 	cfg     platform.Config
 	layers  map[nn.Kind][]float64
 	comm    stats.EMG
 	netMBps float64
-
-	// mu guards the memo because a fitted model is shared by whoever plans
-	// concurrently (package core's parallel tests do), not owned by one Env.
-	mu          sync.Mutex
-	maxCommMemo map[int]float64 // ExpectedMax is a pure function of n
 }
 
 // New assembles a model from fitted components.
@@ -42,7 +37,7 @@ func New(cfg platform.Config, layers map[nn.Kind][]float64, comm stats.EMG, netM
 	if netMBps <= 0 {
 		return nil, fmt.Errorf("perf: non-positive bandwidth %v", netMBps)
 	}
-	return &Model{cfg: cfg, layers: layers, comm: comm, netMBps: netMBps, maxCommMemo: make(map[int]float64)}, nil
+	return &Model{cfg: cfg, layers: layers, comm: comm, netMBps: netMBps}, nil
 }
 
 // Build profiles the platform end to end (§IV-A) and returns the fitted
@@ -163,19 +158,14 @@ func (m *Model) TransferMs(bytes int64) float64 {
 }
 
 // MaxCommMs predicts the expected maximum invocation overhead across n
-// concurrent workers via EMG order statistics (§IV-A).
+// concurrent workers via EMG order statistics (§IV-A). The planner does not
+// call it: a Table prices every fork-join round by forkJoinMs. It is for the
+// displays (Fig 15, gillis info, core.Explain).
 func (m *Model) MaxCommMs(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if v, ok := m.maxCommMemo[n]; ok {
-		return v
-	}
-	v := m.comm.ExpectedMax(n)
-	m.maxCommMemo[n] = v
-	return v
+	return m.comm.ExpectedMax(n)
 }
 
 // GroupPrediction is the model's estimate for one group plan.
@@ -184,8 +174,9 @@ type GroupPrediction struct {
 	LatencyMs float64
 	// WorkerMs are the predicted handler durations of the worker functions.
 	WorkerMs []float64
-	// UploadMs, OverheadMs and DownloadMs decompose the communication.
-	UploadMs, OverheadMs, DownloadMs float64
+	// UploadMs and DownloadMs are the communication on either side of the
+	// workers' invocation overheads.
+	UploadMs, DownloadMs float64
 	// OOM marks a plan that exceeds a function's memory budget.
 	OOM bool
 	// OOMReason explains the violation.

@@ -107,12 +107,13 @@ func (t *Table) Group(gp partition.GroupPlan) (GroupPrediction, error) {
 	bi := int64(t.batch)
 	r := m.round(c.ext, gp, c.baseMs*float64(t.batch), bi)
 	pred.WorkerMs = r.comps
-	pred.UploadMs, pred.OverheadMs, pred.DownloadMs = r.upMs, m.MaxCommMs(len(r.comps)), r.downMs
+	pred.UploadMs, pred.DownloadMs = r.upMs, r.downMs
 	switch {
 	case len(r.comps) == 0: // whole group on the master
 		pred.LatencyMs = r.masterMs
 	case gp.Option.Dim == partition.DimNone:
-		pred.LatencyMs = r.upMs + pred.OverheadMs + r.comps[0] + r.downMs
+		// One worker: its one overhead is priced at the fitted mean.
+		pred.LatencyMs = r.upMs + m.comm.Mean() + r.comps[0] + r.downMs
 	default:
 		// Fork-join completion: the expected maximum over workers of
 		// (upload prefix + EMG overhead + compute), by order statistics

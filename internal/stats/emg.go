@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"gillis/internal/par"
 )
 
 // EMG is an exponentially modified Gaussian distribution: the sum of a
@@ -119,9 +117,7 @@ func (e EMG) quantile(p float64, b bracket) float64 {
 
 // ExpectedMax returns E[max of n i.i.d. draws], the n-th order statistic
 // mean, computed by numerically integrating the quantile function:
-// E[max_n] = ∫₀¹ Q(t^(1/n)) dt. The Simpson nodes are independent quantiles,
-// computed in parallel and summed in index order, so the result is the same
-// float64 at every parallelism level.
+// E[max_n] = ∫₀¹ Q(t^(1/n)) dt.
 func (e EMG) ExpectedMax(n int) float64 {
 	if n <= 1 {
 		return e.Mean()
@@ -133,24 +129,13 @@ func (e EMG) ExpectedMax(n int) float64 {
 	a, b := eps, 1-eps
 	h := (b - a) / steps
 	start := e.bracket()
-	var f [steps + 1]float64
-	// A node costs a few dozen CDF evaluations of a few hundred scalar
-	// operations each.
-	par.For(steps+1, 8192, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x := a + float64(i)*h
-			if i == steps {
-				x = b
-			}
-			f[i] = e.quantile(math.Pow(x, inv), start)
-		}
-	})
-	sum := f[0] + f[steps]
+	sum := e.quantile(math.Pow(a, inv), start) + e.quantile(math.Pow(b, inv), start)
 	for i := 1; i < steps; i++ {
+		f := e.quantile(math.Pow(a+float64(i)*h, inv), start)
 		if i%2 == 1 {
-			sum += 4 * f[i]
+			sum += 4 * f
 		} else {
-			sum += 2 * f[i]
+			sum += 2 * f
 		}
 	}
 	return sum * h / 3

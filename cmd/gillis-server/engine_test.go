@@ -194,3 +194,56 @@ func TestInferAllocationBudget(t *testing.T) {
 		t.Errorf("a request allocates %d B, budget %d B with less slack than %d B", bytes, budgetBytes, smallest)
 	}
 }
+
+// TestPredictAllocationBudget pins what one warm /v1/predict call allocates
+// through httptest — the request and recorder, reading and decoding the
+// body, the inference TestInferAllocationBudget pins, and the reply — so the
+// pooled body and input buffers cannot regress: 124 objects and 12048 B with
+// one worker, where a body and an input array of their own for every request
+// made it 126 objects and 65296 B. The byte budget has less slack than the demo request's input
+// array (12 KB) is big, and its body is three times that. One worker and the
+// minimum of several runs, as there.
+func TestPredictAllocationBudget(t *testing.T) {
+	if raceOn {
+		t.Skip("allocation budgets are the plain build's")
+	}
+	const budget, budgetBytes = 140, 13000
+	s, err := newServer("", "lambda", 1, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.SetParallelism(1)()
+	x := tensor.Rand(rand.New(rand.NewSource(1)), 1, 3, 32, 32)
+	body, err := json.Marshal(predictRequest{Shape: x.Shape(), Input: x.Data()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputBytes := uint64(tensor.SizeBytes(x.Shape()))
+	predict := func() {
+		rec := httptest.NewRecorder()
+		s.handlePredict(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < cap(s.engines); i++ {
+		predict()
+	}
+	allocs := testing.AllocsPerRun(50, predict)
+	t.Logf("%v objects per request", allocs)
+	if allocs > budget {
+		t.Fatalf("a request allocates %v objects, budget %d", allocs, budget)
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		predict()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d B per request; input array %d B, body %d B", least, inputBytes, len(body))
+	if least > budgetBytes || budgetBytes-least >= inputBytes {
+		t.Errorf("a request allocates %d B, budget %d B with less slack than %d B", least, budgetBytes, inputBytes)
+	}
+}

@@ -48,6 +48,7 @@ import (
 	"os"
 	goruntime "runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"gillis/internal/core"
@@ -103,6 +104,9 @@ type server struct {
 	// ID to its input shape.
 	catalog   []mesh.ModelSpec
 	catalogIn map[string][]int
+	// inputLen is the primary model's input size in elements, so the length
+	// of nearly every request's input array.
+	inputLen int
 	// engines is the free list: GOMAXPROCS engines, so as many requests
 	// compute at once as there are threads to run their forwards.
 	engines chan *engine
@@ -162,7 +166,7 @@ func newServer(modelFile, platformName string, seed int64, sloMs float64, catalo
 		catalogIn[spec.ID] = spec.Units[0].InShape
 	}
 	s := &server{model: g, units: units, plan: plan, cfg: cfg, seed: seed, sloMs: sloMs,
-		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn}
+		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn, inputLen: int(tensor.SizeBytes(g.InShape()) / 4)}
 	n := goruntime.GOMAXPROCS(0)
 	s.engines = make(chan *engine, n)
 	for i := 0; i < n; i++ {
@@ -343,13 +347,37 @@ type predictResponse struct {
 	SLOOk     bool      `json:"sloOk"`     // within -slo-ms (always true when unset)
 }
 
+// bodies and inputs recycle the buffers of /v1/predict requests: a body's
+// text, which goes back once it is decoded, and its input array, which goes
+// back once the reply is written (an output may share it). They keep
+// nothing over pooledBytes: a request that big spends far more on its
+// decode and forward than on allocating its buffers, and a pool holds what
+// it keeps for up to two collections on every P, which for a 224×224 body
+// would show in the server's peak memory.
+var (
+	bodies = sync.Pool{New: func() any { return new([]byte) }}
+	inputs = sync.Pool{New: func() any { return new([]float32) }}
+)
+
+const pooledBytes = 256 << 10
+
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
+	body := bodies.Get().(*[]byte)
+	var err error
+	*body, err = readBody(w, r, *body)
 	if err != nil {
+		recycle(&bodies, body, cap(*body))
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
 	}
-	req, err := decodePredictRequest(body)
+	in := inputs.Get().(*[]float32)
+	if cap(*in) < s.inputLen {
+		*in = make([]float32, 0, s.inputLen)
+	}
+	defer func() { recycle(&inputs, in, 4*cap(*in)) }()
+	req, err := decodePredictRequest(*body, *in)
+	recycle(&bodies, body, cap(*body))
+	*in = req.Input
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
@@ -383,16 +411,28 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// readBody reads a request body of at most maxBodyBytes: into one buffer of
-// the length the request declares, where it declares one within the limit,
-// instead of the doubling buffers io.ReadAll copies a 2 MB body through.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// recycle puts buf, of size bytes, back in p unless it is over pooledBytes.
+func recycle[T any](p *sync.Pool, buf *T, size int) {
+	if size <= pooledBytes {
+		p.Put(buf)
+	}
+}
+
+// readBody reads a request body of at most maxBodyBytes. Where the request
+// declares its length within the limit, it reads into buf's array if that is
+// big enough and into one new buffer of that length if not; only a body of
+// undeclared length goes through the doubling buffers io.ReadAll copies a
+// 2 MB body through.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if r.ContentLength <= 0 || r.ContentLength > maxBodyBytes {
 		return io.ReadAll(body)
 	}
+	if int64(cap(buf)) < r.ContentLength {
+		buf = make([]byte, r.ContentLength)
+	}
 	// net/http ends the body at the declared length, so this is all of it.
-	buf := make([]byte, r.ContentLength)
+	buf = buf[:r.ContentLength]
 	_, err := io.ReadFull(body, buf)
 	return buf, err
 }

@@ -502,7 +502,7 @@ func TestReadBody(t *testing.T) {
 		}
 		r := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(sent))
 		r.ContentLength = tc.declared
-		body, err := readBody(httptest.NewRecorder(), r)
+		body, err := readBody(httptest.NewRecorder(), r, nil)
 		if (err == nil) != tc.ok || tc.ok && string(body) != text {
 			t.Errorf("%s: body %q, error %v", tc.name, body, err)
 		}

@@ -636,13 +636,6 @@ func (c *Controller) tryReplan(active int) (swIdx int, name string, ok bool) {
 	return idx, name, true
 }
 
-// Decisions returns a copy of the recorded decision sequence.
-func (c *Controller) Decisions() []Decision {
-	out := make([]Decision, len(c.decisions))
-	copy(out, c.decisions)
-	return out
-}
-
 // DecisionLog renders the decision sequence as deterministic text, one line
 // per decision — the golden-file and replay-equivalence format.
 func (c *Controller) DecisionLog() string {

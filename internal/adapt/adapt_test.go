@@ -243,7 +243,7 @@ func TestPageHinkley(t *testing.T) {
 // under a mid-replay fault-regime shift.
 func TestScenarioGoldenDecisions(t *testing.T) {
 	res := runScenario(t, 7, 60*time.Second, scenarioConfig())
-	if len(res.ctl.Decisions()) == 0 {
+	if len(res.ctl.decisions) == 0 {
 		t.Fatal("controller recorded no decisions")
 	}
 	if !strings.Contains(res.log, "switch:conservative") {
@@ -256,7 +256,7 @@ func TestScenarioGoldenDecisions(t *testing.T) {
 		t.Error("gateway report shows no plan switches")
 	}
 	reg := res.ctl.sw.Platform().Metrics()
-	if reg.Counter("adapt.decisions").Value() != int64(len(res.ctl.Decisions())) {
+	if reg.Counter("adapt.decisions").Value() != int64(len(res.ctl.decisions)) {
 		t.Error("adapt.decisions counter out of sync with the decision log")
 	}
 	if v := reg.Gauge("adapt.active_plan").Value(); v != float64(res.ctl.sw.Active()) {
@@ -370,7 +370,7 @@ func TestBrownoutLadder(t *testing.T) {
 		t.Errorf("report brownout duration %v, want > 0", rep.BrownoutMs)
 	}
 	onAt, offAt := -1.0, -1.0
-	for _, dec := range ctl.Decisions() {
+	for _, dec := range ctl.decisions {
 		if strings.Contains(dec.Action, "brownout:on") && onAt < 0 {
 			onAt = dec.AtMs
 		}

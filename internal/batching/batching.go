@@ -116,9 +116,6 @@ func (f *Former) Add(id int, arrival time.Duration) (full bool) {
 	return len(f.members) >= f.cfg.MaxBatch
 }
 
-// Pending returns the number of members currently forming.
-func (f *Former) Pending() int { return len(f.members) }
-
 // OldestWaitMs returns how long the oldest member has waited at now, or 0
 // when empty.
 func (f *Former) OldestWaitMs(now time.Duration) float64 {

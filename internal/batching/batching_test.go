@@ -159,8 +159,8 @@ func TestTakeDrainsMembers(t *testing.T) {
 	if len(got) != 2 || got[0].ID != 7 || got[1].ID != 9 {
 		t.Fatalf("Take = %v", got)
 	}
-	if f.Pending() != 0 {
-		t.Fatalf("Pending after Take = %d", f.Pending())
+	if len(f.members) != 0 {
+		t.Fatalf("%d members still forming after Take", len(f.members))
 	}
 	if f.ShouldClose(time.Hour, true) != ReasonNone {
 		t.Fatal("empty former must not close")

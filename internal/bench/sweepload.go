@@ -158,18 +158,6 @@ func SweepLoad(ctx *Context) (*SweepLoadReport, error) {
 	return report, nil
 }
 
-// AtRate returns the sweep's rows for one platform and burst rate, in
-// policy order.
-func (r *SweepLoadReport) AtRate(pname string, burstQPS float64) []SweepLoadRow {
-	var rows []SweepLoadRow
-	for _, row := range r.Rows {
-		if row.Platform == pname && row.BurstQPS == burstQPS {
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
 // Table renders the sweep in the figure runners' tabular style.
 func (r *SweepLoadReport) Table() string {
 	var sb strings.Builder

@@ -229,18 +229,6 @@ func SweepMesh(ctx *Context) (*SweepMeshReport, error) {
 	return report, nil
 }
 
-// AtCell returns the sweep's rows for one (catalog size, skew, pool size)
-// cell, LRU first.
-func (r *SweepMeshReport) AtCell(models int, zipfS float64, instances int) []SweepMeshRow {
-	var rows []SweepMeshRow
-	for _, row := range r.Rows {
-		if row.Models == models && row.ZipfS == zipfS && row.Instances == instances {
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
 // Table renders the sweep in the figure runners' tabular style.
 func (r *SweepMeshReport) Table() string {
 	var sb strings.Builder

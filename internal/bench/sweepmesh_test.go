@@ -16,9 +16,11 @@ func TestSweepMeshCacheOrdering(t *testing.T) {
 	if len(report.Rows) != 2 {
 		t.Fatalf("quick sweep should be 1 cell x 2 policies, got %d rows", len(report.Rows))
 	}
-	rows := report.AtCell(4, 1.1, 2)
-	if len(rows) != 2 {
-		t.Fatalf("quick cell missing: %+v", report.Rows)
+	rows := report.Rows
+	for _, row := range rows {
+		if row.Models != 4 || row.ZipfS != 1.1 || row.Instances != 2 {
+			t.Fatalf("quick sweep row off its one cell: %+v", row)
+		}
 	}
 	lru, nocache := rows[0], rows[1]
 	if lru.Policy != "lru" || nocache.Policy != "nocache" {

@@ -153,7 +153,7 @@ func decodePlan(x []float64, units []*partition.Unit, opts *groupOptions, t *per
 		}
 	}
 	remaining := budget
-	plan := &partition.Plan{Model: modelName(units)}
+	plan := &partition.Plan{Model: partition.ModelName(units)}
 	for _, g := range groups {
 		ext, err := t.Extent(g.first, g.last, g.opt)
 		if err != nil {

@@ -63,7 +63,7 @@ func BruteForce(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BFCo
 				bestCost = total
 				groups := make([]partition.GroupPlan, len(cur))
 				copy(groups, cur)
-				res.Plan = &partition.Plan{Model: modelName(units), Groups: groups}
+				res.Plan = &partition.Plan{Model: partition.ModelName(units), Groups: groups}
 			}
 			return nil
 		}

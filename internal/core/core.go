@@ -8,21 +8,10 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"gillis/internal/partition"
 	"gillis/internal/perf"
 )
-
-// modelName recovers the model name from a unit chain (unit subgraphs are
-// named "<model>[i:j]").
-func modelName(units []*partition.Unit) string {
-	name := units[0].Sub.Name
-	if i := strings.IndexByte(name, '['); i >= 0 {
-		return name[:i]
-	}
-	return name
-}
 
 // Config tunes the planners.
 type Config struct {

@@ -134,7 +134,7 @@ func dpSearch(m *perf.Model, units []*partition.Unit, cfg Config, t *perf.Table,
 			l -= ch.levels
 		}
 	}
-	plan := &partition.Plan{Model: modelName(units), Groups: reverseGroups(rev)}
+	plan := &partition.Plan{Model: partition.ModelName(units), Groups: reverseGroups(rev)}
 	if err := plan.Validate(units); err != nil {
 		return nil, fmt.Errorf("core: DP produced invalid plan: %w", err)
 	}

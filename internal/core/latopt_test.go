@@ -14,7 +14,7 @@ import (
 
 // randomValidPlan samples an arbitrary feasible strategy.
 func randomValidPlan(rng *rand.Rand, units []*partition.Unit, tab *perf.Table, budget int64) (*partition.Plan, bool) {
-	plan := &partition.Plan{Model: modelName(units)}
+	plan := &partition.Plan{Model: partition.ModelName(units)}
 	remaining := budget
 	i := 0
 	for i < len(units) {

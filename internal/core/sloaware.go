@@ -49,8 +49,6 @@ type SLOResult struct {
 	Met bool
 	// Episodes is the number of training episodes run.
 	Episodes int
-	// MeanReward traces smoothed training reward (diagnostics).
-	MeanReward []float64
 }
 
 // SLOAware learns a cost-minimal strategy under a mean-latency SLO using
@@ -82,7 +80,6 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 		baseline float64
 		varEst   float64
 		haveBase bool
-		trace    []float64
 	)
 	better := func(pred perf.PlanPrediction, met bool) bool {
 		if best == nil {
@@ -162,12 +159,11 @@ func SLOAware(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg SLOCon
 		}
 		agent.step()
 		baseline = 0.9*baseline + 0.1*batchMean
-		trace = append(trace, baseline)
 	}
 	if best == nil {
 		return SLOResult{}, fmt.Errorf("core: RL produced no plan in %d episodes", episodes)
 	}
-	return SLOResult{Plan: best, Pred: bestPred, Met: bestMet, Episodes: episodes, MeanReward: trace}, nil
+	return SLOResult{Plan: best, Pred: bestPred, Met: bestMet, Episodes: episodes}, nil
 }
 
 // groupOptions is the per-unit action vocabulary: action 0 joins the
@@ -262,7 +258,7 @@ func (a *agents) rollout(rng *rand.Rand, units []*partition.Unit, t *perf.Table,
 	// Phase 2: placer decides master participation group by group,
 	// respecting the remaining master budget.
 	remaining := budget
-	plan := &partition.Plan{Model: modelName(units)}
+	plan := &partition.Plan{Model: partition.ModelName(units)}
 	for gi, g := range groups {
 		ext, err := t.Extent(g.first, g.last, g.opt)
 		if err != nil {

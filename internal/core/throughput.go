@@ -46,7 +46,7 @@ func ThroughputOptimal(m *perf.Model, units []*partition.Unit, cfg Config) (*par
 
 	var bestPlan *partition.Plan
 	var best perf.BatchPrediction
-	for _, plan := range []*partition.Plan{latPlan, costPlan, partition.DefaultPlan(modelName(units), units)} {
+	for _, plan := range []*partition.Plan{latPlan, costPlan, partition.DefaultPlan(partition.ModelName(units), units)} {
 		bp, err := t.Plan(plan)
 		if err != nil || bp.OOM {
 			continue // e.g. Default for a model that outgrows one function

@@ -34,7 +34,7 @@ func (g *gateway) setupBatching(cfg Config) error {
 	// The former inherits the gateway's control tick and SLO unless the
 	// batch config pins its own.
 	if bcfg.TickMs == 0 {
-		bcfg.TickMs = cfg.TickMs
+		bcfg.TickMs = tickMs
 	}
 	if bcfg.SLOMs == 0 {
 		bcfg.SLOMs = cfg.SLOMs

@@ -62,18 +62,12 @@ var (
 )
 
 // ControlObservation is the telemetry handed to the adaptive controller
-// each tick: the autoscaler's instantaneous view plus cumulative and
-// windowed outcome aggregates. Everything is derived from settled outcomes
-// and the platform's billing totals on the virtual clock, so a controller
-// that is a pure function of it decides deterministically.
+// each tick: the autoscaler's instantaneous view plus windowed outcome
+// aggregates. Everything is derived from settled outcomes on the virtual
+// clock, so a controller that is a pure function of it decides
+// deterministically.
 type ControlObservation struct {
 	Observation
-
-	// Served/Shed/Faulted/SLOAttained are cumulative settled-query counts.
-	Served      int
-	Shed        int
-	Faulted     int
-	SLOAttained int
 
 	// WindowCount is how many of the last Config.Window settles the
 	// windowed fields cover (< Window early in the replay).
@@ -89,24 +83,12 @@ type ControlObservation struct {
 	// WindowMeanMs is the mean arrival-to-settle latency of served queries
 	// in the window (0 when none were served).
 	WindowMeanMs float64
-	// WindowFaulted and WindowShed count faulted / shed settles in the
-	// window.
+	// WindowFaulted counts faulted settles in the window.
 	WindowFaulted int
-	WindowShed    int
-
-	// FaultsByKind counts cumulative faulted queries by typed platform
-	// fault kind ("failure", "evicted", "throttled"); untyped
-	// terminal errors count under "other".
-	FaultsByKind map[string]int
-
-	// BilledMs is the billing incurred since the replay started, prewarm
-	// pings included.
-	BilledMs int64
 
 	// ActiveBackend is the active candidate index (0 for a plain
-	// deployment backend); Brownout reports the gateway's current mode.
+	// deployment backend).
 	ActiveBackend int
-	Brownout      bool
 }
 
 // Directive is the controller's decision for one tick.
@@ -136,7 +118,6 @@ type windowEntry struct {
 	served  bool
 	sloOK   bool
 	faulted bool
-	shed    bool
 	totalMs float64
 }
 
@@ -146,18 +127,9 @@ func (g *gateway) controlTick(proc *simnet.Proc, obs Observation) {
 	if g.cfg.Controller == nil {
 		return
 	}
-	co := ControlObservation{
-		Observation: obs,
-		BilledMs:    g.b.Platform().BilledMsTotal() - g.billed0,
-		Brownout:    g.brownout,
-	}
+	co := ControlObservation{Observation: obs}
 	if sw, ok := g.b.(Switchable); ok {
 		co.ActiveBackend = sw.Active()
-	}
-	co.Served, co.Shed, co.Faulted, co.SLOAttained = g.served, g.shed, g.faulted, g.sloAttained
-	co.FaultsByKind = make(map[string]int, len(g.faultKinds))
-	for k, n := range g.faultKinds {
-		co.FaultsByKind[k] = n
 	}
 	var sloOK, served int
 	var servedMs float64
@@ -171,9 +143,6 @@ func (g *gateway) controlTick(proc *simnet.Proc, obs Observation) {
 		}
 		if e.faulted {
 			co.WindowFaulted++
-		}
-		if e.shed {
-			co.WindowShed++
 		}
 	}
 	co.WindowCount = len(g.window)

@@ -27,6 +27,11 @@ import (
 	"gillis/internal/trace"
 )
 
+// tickMs is the control interval in milliseconds of virtual time: the
+// autoscaling policy, the batch former's tick rules and the adaptive
+// controller all run once per tick.
+const tickMs = 100
+
 // ErrShed is reported for queries rejected at admission because the wait
 // queue was full.
 var ErrShed = errors.New("gateway: queue full, query shed")
@@ -43,8 +48,6 @@ type Config struct {
 	// the core/sloaware planner targets as tmax. Zero disables SLO
 	// accounting: every successfully served query attains.
 	SLOMs float64
-	// TickMs is the autoscaling control interval (default 100 ms).
-	TickMs float64
 	// Traced serves every query with tracing on and retains the trace on
 	// its Outcome.
 	Traced bool
@@ -57,16 +60,16 @@ type Config struct {
 	// report fields and ControlObservation (default 50).
 	Window int
 	// Controller, when set, closes the adaptive loop: it is ticked every
-	// TickMs with a ControlObservation and its directives (plan switches,
-	// brownout) are applied before autoscaling. Nil leaves the replay's
-	// platform actions exactly as without a controller.
+	// control tick with a ControlObservation and its directives (plan
+	// switches, brownout) are applied before autoscaling. Nil leaves the
+	// replay's platform actions exactly as without a controller.
 	Controller Controller
 	// Batch sizes the admission unit — the queries that take one admission
 	// slot and ride one fork-join pass together. With Batch.MaxBatch >= 2
 	// arrivals form batches that close on size, delay, SLO deadline, or
 	// trace drain; with MaxBatch <= 1 every arrival is a unit of one, closed
 	// the instant it arrives. Batch.TickMs and Batch.SLOMs default to the
-	// gateway's TickMs and SLOMs.
+	// gateway's 100 ms control tick and SLOMs.
 	Batch batching.Config
 	// Model tags the i-th arrival with the catalog model it requests, and
 	// Router resolves that tag to a serving backend at serve time — the
@@ -78,9 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.TickMs <= 0 {
-		c.TickMs = 100
-	}
 	if c.Policy == nil {
 		c.Policy = NonePolicy{}
 	}
@@ -123,7 +123,7 @@ type Outcome struct {
 	// query, shed and faulted ones included.
 	BatchSize int
 	// FaultKind is the typed platform fault kind behind Err ("failure",
-	// "evicted", "throttled"), "placement" for multi-model
+	// "evicted"), "placement" for multi-model
 	// queries the Router could not place, "other" for untyped terminal
 	// errors, and empty for served or shed queries.
 	FaultKind string
@@ -139,10 +139,9 @@ type Outcome struct {
 // owner and takes no lock (DESIGN §3); `make race` is what notices a process
 // leaving that goroutine.
 type gateway struct {
-	b       Backend
-	cfg     Config
-	reg     *trace.Registry
-	billed0 int64
+	b   Backend
+	cfg Config
+	reg *trace.Registry
 
 	inFlight int
 	queue    []*simnet.Promise[struct{}]
@@ -152,11 +151,10 @@ type gateway struct {
 	outcomes []Outcome
 	scaleErr error
 
-	// Cumulative settle classification and the sliding window, maintained
-	// incrementally so the controller reads them without a scan.
-	served, shed, faulted, sloAttained int
-	faultKinds                         map[string]int
-	window                             []windowEntry
+	// Faulted settles by kind (for the report) and the sliding window (for
+	// the controller), maintained incrementally.
+	faultKinds map[string]int
+	window     []windowEntry
 
 	// Per-model settle classification (multi-model replays only).
 	byModel map[string]*ModelStats
@@ -236,7 +234,6 @@ func Run(b Backend, arrivals []time.Duration, cfg Config) (*LoadReport, []Outcom
 	}
 
 	billed0 := p.BilledMsTotal()
-	g.billed0 = billed0
 	prewarm0 := p.PrewarmBilledMs()
 	env := p.Env()
 
@@ -453,11 +450,8 @@ func (g *gateway) settle(o Outcome) {
 	g.outcomes[o.ID] = o
 	g.done++
 	switch {
-	case o.Shed:
-		g.shed++
-		e.shed = true
+	case o.Shed: // neither served nor faulted
 	case o.Err != "":
-		g.faulted++
 		e.faulted = true
 		kind := o.FaultKind
 		if kind == "" {
@@ -465,11 +459,7 @@ func (g *gateway) settle(o Outcome) {
 		}
 		g.faultKinds[kind]++
 	default:
-		g.served++
 		e.served = true
-		if o.SLOOK {
-			g.sloAttained++
-		}
 	}
 	if o.Model != "" {
 		if g.byModel == nil {
@@ -499,7 +489,7 @@ func (g *gateway) settle(o Outcome) {
 // asks the policy for a warm-set target, and prewarms the difference. It
 // exits once every query has settled so the simulation can drain.
 func (g *gateway) autoscale(proc *simnet.Proc) {
-	tick := time.Duration(g.cfg.TickMs * float64(time.Millisecond))
+	const tick = tickMs * time.Millisecond
 	for {
 		obs := Observation{
 			InFlight: g.inFlight,

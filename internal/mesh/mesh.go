@@ -557,25 +557,6 @@ func (m *Mesh) Prewarm() error {
 	return errors.New("mesh: prewarming is per-model; use gateway.NonePolicy with a mesh backend")
 }
 
-// Deployment returns the catalog entry's deployment, for callers that
-// serve outside the gateway (tests, the CLI's single-query path).
-func (m *Mesh) Deployment(id string) (*runtime.Deployment, error) {
-	mm := m.models[id]
-	if mm == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, id)
-	}
-	return mm.dep, nil
-}
-
-// Models returns the catalog IDs in catalog order.
-func (m *Mesh) Models() []string {
-	ids := make([]string, len(m.order))
-	for i, mm := range m.order {
-		ids[i] = mm.spec.ID
-	}
-	return ids
-}
-
 // durMs converts a virtual-clock duration to milliseconds.
 func durMs(d time.Duration) float64 { return float64(d) / 1e6 }
 

@@ -335,14 +335,8 @@ func TestMeshErrors(t *testing.T) {
 	if err := m2.Prewarm(); err == nil {
 		t.Error("mesh.Prewarm must refuse pool-level prewarming")
 	}
-	if _, err := m2.Deployment("nope"); err == nil {
-		t.Error("want unknown-model deployment error")
-	}
-	if d, err := m2.Deployment("mobilenet-mini"); err != nil || d == nil {
-		t.Errorf("catalog deployment lookup failed: %v", err)
-	}
-	if got := m2.Models(); len(got) != 1 || got[0] != "mobilenet-mini" {
-		t.Errorf("catalog order wrong: %v", got)
+	if len(m2.order) != 1 || m2.order[0].spec.ID != "mobilenet-mini" || m2.models["mobilenet-mini"].dep == nil {
+		t.Error("the one-model catalog is not indexed with its deployment")
 	}
 }
 
@@ -362,10 +356,7 @@ func TestMeshSingleModelServePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := d.Deployment("rnn-tiny2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dep := d.models["rnn-tiny2"].dep
 	_, plain, err := gateway.Run(dep, arrivals, gcfg)
 	if err != nil {
 		t.Fatal(err)

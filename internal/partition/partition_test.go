@@ -83,6 +83,10 @@ func TestLinearizeTinyCNN(t *testing.T) {
 	if gotParams != g.ParamBytes() {
 		t.Errorf("params %d != %d", gotParams, g.ParamBytes())
 	}
+	// A sub-graph named without a "[i:j]" suffix is its own model name.
+	if got := ModelName([]*Unit{{Sub: graph.New("plain", []int{1})}}); got != "plain" {
+		t.Errorf("ModelName of an unsuffixed unit = %q, want plain", got)
+	}
 }
 
 func TestLinearizeZooModels(t *testing.T) {
@@ -104,6 +108,9 @@ func TestLinearizeZooModels(t *testing.T) {
 		units := linearized(t, g)
 		if len(units) < c.minUnits || len(units) > c.maxUnits {
 			t.Errorf("%s: %d units, want in [%d,%d]", c.name, len(units), c.minUnits, c.maxUnits)
+		}
+		if got := ModelName(units); got != g.Name {
+			t.Errorf("%s: ModelName of its units = %q", c.name, got)
 		}
 		// Boundary shapes must chain.
 		for i := 1; i < len(units); i++ {

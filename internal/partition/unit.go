@@ -10,6 +10,7 @@ package partition
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"gillis/internal/graph"
 	"gillis/internal/nn"
@@ -143,6 +144,16 @@ func Linearize(g *graph.Graph) ([]*Unit, error) {
 		u.Index = i
 	}
 	return units, nil
+}
+
+// ModelName recovers the model's name from a unit chain: buildUnit names
+// every unit sub-graph "<model>[i:j]".
+func ModelName(units []*Unit) string {
+	name := units[0].Sub.Name
+	if i := strings.IndexByte(name, '['); i >= 0 {
+		return name[:i]
+	}
+	return name
 }
 
 // buildUnit packages nodes [start, end] of g into a Unit.

@@ -88,8 +88,9 @@ func TestBatchAmortizesOverheads(t *testing.T) {
 				t.Errorf("batch %d queries/1k-billed-ms %.4f did not rise from %.4f",
 					batch, bp.QueriesPer1KBilledMs, prev.QueriesPer1KBilledMs)
 			}
-			if bp.QPS <= prev.QPS {
-				t.Errorf("batch %d QPS %.3f did not rise from %.3f", batch, bp.QPS, prev.QPS)
+			// Throughput is Batch queries per LatencyMs round.
+			if qps, prevQPS := float64(bp.Batch)/bp.LatencyMs, float64(prev.Batch)/prev.LatencyMs; qps <= prevQPS {
+				t.Errorf("batch %d throughput %.3f q/ms did not rise from %.3f", batch, qps, prevQPS)
 			}
 		}
 		prev = bp

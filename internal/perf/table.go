@@ -184,9 +184,6 @@ type BatchPrediction struct {
 	PlanPrediction
 	// Batch is the queries per fork-join round the prediction models.
 	Batch int
-	// QPS is the modeled steady-state throughput: Batch queries per
-	// LatencyMs round.
-	QPS float64
 	// CostPerQueryMs is the billed milliseconds attributed to each query:
 	// BilledMs / Batch.
 	CostPerQueryMs float64
@@ -229,9 +226,6 @@ func (t *Table) Plan(plan *partition.Plan) (BatchPrediction, error) {
 		out.OOMReason = fmt.Sprintf("master resident weights %d MB exceed budget %d MB", masterBytes/1e6, budget/1e6)
 	}
 	out.BilledMs += platform.Billed(out.LatencyMs, cfg.BillingGranMs)
-	if out.LatencyMs > 0 {
-		out.QPS = float64(t.batch) / (out.LatencyMs / 1000)
-	}
 	if out.BilledMs > 0 {
 		out.CostPerQueryMs = float64(out.BilledMs) / float64(t.batch)
 		out.QueriesPer1KBilledMs = float64(t.batch) * 1000 / float64(out.BilledMs)

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +13,7 @@ func TestInjectedFailureBillsPartialWork(t *testing.T) {
 	cfg.Faults = FaultProfile{FailureProb: 1}
 	runSim(t, cfg, 1, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e9) // 100 ms
+			ctx.ComputeOp(2e9, 0) // 100 ms
 			return Payload{Bytes: 1000}, nil
 		})
 		res, err := p.InvokeFrom(proc, "f", Payload{})
@@ -46,7 +45,7 @@ func TestHandlerErrorCarriesBilling(t *testing.T) {
 	boom := errors.New("boom")
 	runSim(t, cfg, 2, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9) // 50 ms
+			ctx.ComputeOp(1e9, 0) // 50 ms
 			return Payload{}, boom
 		})
 		res, err := p.InvokeFrom(proc, "f", Payload{})
@@ -68,18 +67,18 @@ func TestFailedNestedInvocationChargedToCallerOnce(t *testing.T) {
 	runSim(t, cfg, 3, func(p *Platform, proc *simnet.Proc) {
 		boom := errors.New("boom")
 		_ = p.Register("worker", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9) // 50 ms
+			ctx.ComputeOp(1e9, 0) // 50 ms
 			return Payload{}, boom
 		})
 		var workerBilled int64
 		_ = p.Register("master", func(ctx *Ctx, in Payload) (Payload, error) {
-			res, err := ctx.Invoke("worker", Payload{Bytes: 100})
+			res, err := settled(ctx.InvokeAsync("worker", Payload{Bytes: 100}).Wait(ctx.Proc()))
 			if err == nil {
 				return Payload{}, errors.New("worker should fail")
 			}
 			workerBilled = BilledMsOf(err)
 			if res.TotalBilledMs != workerBilled || res.BilledMs < 50 {
-				t.Errorf("failed Invoke must surface partial billing: %+v vs %d", res, workerBilled)
+				t.Errorf("a settled failed invocation must surface partial billing: %+v vs %d", res, workerBilled)
 			}
 			return Payload{}, nil
 		})
@@ -103,7 +102,7 @@ func TestStragglerSlowdown(t *testing.T) {
 	cfg.Faults = FaultProfile{StragglerProb: 1, StragglerFactor: 3}
 	runSim(t, cfg, 7, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e9) // 100 ms healthy
+			ctx.ComputeOp(2e9, 0) // 100 ms healthy
 			return Payload{}, nil
 		})
 		res, err := p.InvokeFrom(proc, "f", Payload{})
@@ -164,7 +163,7 @@ func TestFaultScheduleReproducibleFromSeed(t *testing.T) {
 		var out []outcome
 		runSim(t, cfg, seed, func(p *Platform, proc *simnet.Proc) {
 			_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-				ctx.Compute(5e8)
+				ctx.ComputeOp(5e8, 0)
 				return Payload{}, nil
 			})
 			for i := 0; i < 100; i++ {
@@ -217,7 +216,7 @@ func TestFaultsDoNotPerturbNoiseStream(t *testing.T) {
 		var out []float64
 		runSim(t, cfg, 42, func(p *Platform, proc *simnet.Proc) {
 			_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-				ctx.Compute(5e8)
+				ctx.ComputeOp(5e8, 0)
 				return Payload{}, nil
 			})
 			for i := 0; i < 20; i++ {
@@ -300,59 +299,6 @@ func TestWarmIdleZeroNeverExpires(t *testing.T) {
 	})
 }
 
-func TestMaxConcurrencyThrottlesWithoutBilling(t *testing.T) {
-	env := simnet.NewEnv()
-	cfg := fastCfg()
-	cfg.MaxConcurrency = 1
-	p := New(env, cfg, 12)
-	_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-		ctx.Compute(2e9) // 100 ms
-		return Payload{}, nil
-	})
-	var firstErr, throttledErr, retryErr error
-	var throttledRes, retryRes InvokeResult
-	env.Go("first", func(proc *simnet.Proc) {
-		_, firstErr = p.InvokeFrom(proc, "f", Payload{})
-	})
-	env.Go("second", func(proc *simnet.Proc) {
-		proc.Sleep(10 * time.Millisecond) // while "first" is in flight
-		throttledRes, throttledErr = p.InvokeFrom(proc, "f", Payload{})
-		proc.Sleep(2 * time.Second) // after "first" settles
-		retryRes, retryErr = p.InvokeFrom(proc, "f", Payload{})
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if firstErr != nil {
-		t.Fatalf("admitted invocation failed: %v", firstErr)
-	}
-	var ie *InvokeError
-	if !errors.As(throttledErr, &ie) || ie.Kind != FaultThrottled {
-		t.Fatalf("want InvokeError{FaultThrottled}, got %v", throttledErr)
-	}
-	if !strings.Contains(ie.Error(), "throttled") {
-		t.Errorf("throttle error message: %q", ie.Error())
-	}
-	// A throttled invocation does no work and bills nothing.
-	if throttledRes.BilledMs != 0 || throttledRes.TotalBilledMs != 0 || throttledRes.HandlerMs != 0 {
-		t.Errorf("throttle must bill nothing: %+v", throttledRes)
-	}
-	if BilledMsOf(throttledErr) != 0 {
-		t.Errorf("BilledMsOf(throttled) = %d, want 0", BilledMsOf(throttledErr))
-	}
-	if p.Faulted() != 1 {
-		t.Errorf("faulted = %d, want 1 (the throttle)", p.Faulted())
-	}
-	// Once the slot frees, the same caller gets through on the warm
-	// instance the first invocation left behind.
-	if retryErr != nil {
-		t.Fatalf("post-throttle retry failed: %v", retryErr)
-	}
-	if retryRes.ColdStart {
-		t.Error("retry should reuse the warm instance")
-	}
-}
-
 func TestPrewarmBillsPingCost(t *testing.T) {
 	cfg := fastCfg()
 	cfg.PrewarmMs = 50
@@ -397,53 +343,6 @@ func TestPrewarmFreeByDefault(t *testing.T) {
 	})
 }
 
-func TestThrottleDoesNotPerturbFaultStream(t *testing.T) {
-	// A throttled arrival is rejected before any RNG draw, so the fault
-	// schedule seen by admitted invocations is identical with and without
-	// throttled traffic interleaved.
-	kinds := func(throttleNoise bool) []FaultKind {
-		env := simnet.NewEnv()
-		cfg := fastCfg()
-		cfg.MaxConcurrency = 1
-		cfg.Faults = FaultProfile{FailureProb: 0.3}
-		p := New(env, cfg, 42)
-		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e9) // 100 ms
-			return Payload{}, nil
-		})
-		var out []FaultKind
-		env.Go("driver", func(proc *simnet.Proc) {
-			for i := 0; i < 30; i++ {
-				_, err := p.InvokeFrom(proc, "f", Payload{})
-				var ie *InvokeError
-				if errors.As(err, &ie) {
-					out = append(out, ie.Kind)
-				} else {
-					out = append(out, 0)
-				}
-			}
-		})
-		if throttleNoise {
-			env.Go("noise", func(proc *simnet.Proc) {
-				for i := 0; i < 50; i++ {
-					proc.Sleep(37 * time.Millisecond)
-					_, _ = p.InvokeFrom(proc, "f", Payload{})
-				}
-			})
-		}
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	quiet, noisy := kinds(false), kinds(true)
-	for i := range quiet {
-		if quiet[i] != noisy[i] {
-			t.Fatalf("fault schedule perturbed at %d: %v vs %v", i, quiet[i], noisy[i])
-		}
-	}
-}
-
 func TestFaultScheduleResolvesByTime(t *testing.T) {
 	degraded := FaultProfile{FailureProb: 0.5}
 	recovered := FaultProfile{}
@@ -486,7 +385,7 @@ func TestFaultScheduleAppliesMidReplay(t *testing.T) {
 	}
 	runSim(t, cfg, 5, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e8) // 10 ms
+			ctx.ComputeOp(2e8, 0) // 10 ms
 			return Payload{Bytes: 10}, nil
 		})
 		invoke := func() error {
@@ -532,7 +431,7 @@ func TestEmptyFaultScheduleByteIdentical(t *testing.T) {
 		cfg.FaultSchedule = sched
 		p := New(env, cfg, 77)
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9)
+			ctx.ComputeOp(1e9, 0)
 			return Payload{Bytes: 500}, nil
 		})
 		env.Go("driver", func(proc *simnet.Proc) {

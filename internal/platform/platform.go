@@ -1,7 +1,7 @@
 // Package platform simulates serverless FaaS platforms — AWS Lambda, Google
 // Cloud Functions, and KNIX — on top of the simnet discrete-event kernel.
 // It models the properties that matter to Gillis's partitioning decisions:
-// per-instance memory ceilings, effective compute throughput, per-function
+// per-function weight budgets, effective compute throughput, per-function
 // network bandwidth (request payloads serialize on the invoker's uplink),
 // EMG-distributed invocation overhead (as measured by the paper in §IV-A),
 // cold versus warm starts, billed-duration accounting at the platform's
@@ -29,8 +29,6 @@ import (
 // Config describes one serverless platform.
 type Config struct {
 	Name string
-	// MemoryMB is the per-instance memory ceiling.
-	MemoryMB int
 	// WeightBudgetMB is the usable model-weight budget M per function after
 	// OS, runtime, and activation overheads (1400 MB in §V-A).
 	WeightBudgetMB int
@@ -61,12 +59,6 @@ type Config struct {
 	StorageLatencyMs float64
 	// ComputeNoise is the lognormal sigma applied to compute durations.
 	ComputeNoise float64
-	// MaxConcurrency caps the number of simultaneously running invocations
-	// per function (the real clouds' per-function concurrency limit). An
-	// invocation arriving at the cap is rejected immediately with a typed
-	// FaultThrottled error and bills nothing. Zero means unlimited (the
-	// pre-gateway behaviour).
-	MaxConcurrency int
 	// WarmIdleMs is the warm-instance idle expiry: an instance that has sat
 	// unused in the warm pool for WarmIdleMs or more of virtual time is
 	// reclaimed, so the next acquisition pays a cold start. Zero keeps
@@ -160,10 +152,6 @@ const (
 	// FaultEvicted: the platform reclaimed the hosting instance before
 	// the handler could run.
 	FaultEvicted
-	// FaultThrottled: the function was at its MaxConcurrency cap and the
-	// platform rejected the invocation before any work ran. Nothing is
-	// billed.
-	FaultThrottled
 )
 
 func (k FaultKind) String() string {
@@ -172,8 +160,6 @@ func (k FaultKind) String() string {
 		return "failure"
 	case FaultEvicted:
 		return "evicted"
-	case FaultThrottled:
-		return "throttled"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -195,11 +181,8 @@ func (e *InvokeError) Error() string {
 	if e.Err != nil {
 		return fmt.Sprintf("platform: function %q: %v", e.Fn, e.Err)
 	}
-	switch e.Kind {
-	case FaultEvicted:
+	if e.Kind == FaultEvicted {
 		return fmt.Sprintf("platform: function %q: instance evicted before execution", e.Fn)
-	case FaultThrottled:
-		return fmt.Sprintf("platform: function %q: throttled at its concurrency limit", e.Fn)
 	}
 	return fmt.Sprintf("platform: function %q: injected invocation failure", e.Fn)
 }
@@ -233,7 +216,6 @@ func FaultKindOf(err error) (FaultKind, bool) {
 func AWSLambda() Config {
 	return Config{
 		Name:              "lambda",
-		MemoryMB:          3008,
 		WeightBudgetMB:    1400,
 		GFLOPS:            20,
 		MemGBps:           8,
@@ -254,7 +236,6 @@ func AWSLambda() Config {
 func GoogleCloudFunctions() Config {
 	return Config{
 		Name:              "gcf",
-		MemoryMB:          4096,
 		WeightBudgetMB:    1900, // 4 GB instances host more weights than Lambda's 3 GB
 		GFLOPS:            26,
 		MemGBps:           10,
@@ -276,7 +257,6 @@ func GoogleCloudFunctions() Config {
 func KNIX() Config {
 	return Config{
 		Name:              "knix",
-		MemoryMB:          3008,
 		WeightBudgetMB:    1400,
 		GFLOPS:            20,
 		MemGBps:           8,
@@ -325,9 +305,8 @@ type InvokeResult struct {
 	BilledMs int64
 	// TotalBilledMs adds the billed durations of all nested invocations.
 	TotalBilledMs int64
-	// OverheadMs, UploadMs and DownloadMs decompose the communication cost
-	// seen by the caller.
-	OverheadMs, UploadMs, DownloadMs float64
+	// OverheadMs is the invocation dispatch overhead drawn for this call.
+	OverheadMs float64
 	// ColdStart reports whether this invocation paid a cold start.
 	ColdStart bool
 }
@@ -342,7 +321,6 @@ type Function struct {
 	name    string
 	handler Handler
 	warm    []time.Duration // idle instances' available-since stamps, oldest first
-	running int             // invocations currently in flight (MaxConcurrency accounting)
 }
 
 // Platform is one simulated serverless deployment. Its state belongs to the
@@ -358,8 +336,7 @@ type Platform struct {
 	rng             *rand.Rand
 	faultRng        *rand.Rand // dedicated stream: faults don't perturb noise/overhead draws
 	fns             map[string]*Function
-	storage         map[string]Object
-	invoked         int64
+	storage         map[string]int64 // object sizes in bytes
 	faulted         int64
 	billedMs        int64
 	prewarmBilledMs int64
@@ -378,39 +355,31 @@ func (p *Platform) NextDeploySeq() int64 {
 // pmetrics caches the platform's metric handles so the invocation hot path
 // pays no registry lookups.
 type pmetrics struct {
-	reg            *trace.Registry
-	invocations    *trace.Counter
-	coldStarts     *trace.Counter
-	billedMs       *trace.Counter
-	faultFailure   *trace.Counter
-	faultEvicted   *trace.Counter
-	faultThrottled *trace.Counter
-	prewarms       *trace.Counter
-	warmExpired    *trace.Counter
-	overheadMs     *trace.Histogram
-	handlerMs      *trace.Histogram
+	reg          *trace.Registry
+	invocations  *trace.Counter
+	coldStarts   *trace.Counter
+	billedMs     *trace.Counter
+	faultFailure *trace.Counter
+	faultEvicted *trace.Counter
+	prewarms     *trace.Counter
+	warmExpired  *trace.Counter
+	overheadMs   *trace.Histogram
+	handlerMs    *trace.Histogram
 }
 
 func newPMetrics(reg *trace.Registry) *pmetrics {
 	return &pmetrics{
-		reg:            reg,
-		invocations:    reg.Counter("platform.invocations"),
-		coldStarts:     reg.Counter("platform.cold_starts"),
-		billedMs:       reg.Counter("platform.billed_ms"),
-		faultFailure:   reg.Counter("platform.faults.failure"),
-		faultEvicted:   reg.Counter("platform.faults.evicted"),
-		faultThrottled: reg.Counter("platform.faults.throttled"),
-		prewarms:       reg.Counter("platform.prewarms"),
-		warmExpired:    reg.Counter("platform.warm_expired"),
-		overheadMs:     reg.Histogram("platform.overhead_ms"),
-		handlerMs:      reg.Histogram("platform.handler_ms"),
+		reg:          reg,
+		invocations:  reg.Counter("platform.invocations"),
+		coldStarts:   reg.Counter("platform.cold_starts"),
+		billedMs:     reg.Counter("platform.billed_ms"),
+		faultFailure: reg.Counter("platform.faults.failure"),
+		faultEvicted: reg.Counter("platform.faults.evicted"),
+		prewarms:     reg.Counter("platform.prewarms"),
+		warmExpired:  reg.Counter("platform.warm_expired"),
+		overheadMs:   reg.Histogram("platform.overhead_ms"),
+		handlerMs:    reg.Histogram("platform.handler_ms"),
 	}
-}
-
-// Object is an entry in the platform's object storage.
-type Object struct {
-	Bytes int64
-	Data  any
 }
 
 // New creates a platform simulation bound to env.
@@ -427,7 +396,7 @@ func New(env *simnet.Env, cfg Config, seed int64) *Platform {
 		rng:      rand.New(rand.NewSource(seed)),
 		faultRng: rand.New(rand.NewSource(seed ^ faultSeedSalt)),
 		fns:      make(map[string]*Function),
-		storage:  make(map[string]Object),
+		storage:  make(map[string]int64),
 	}
 }
 
@@ -547,14 +516,8 @@ func (f *Function) WarmCount() int {
 	return n
 }
 
-// Invocations returns the total number of completed invocations (including
-// failed, evicted and throttled ones — the platform saw them all).
-func (p *Platform) Invocations() int64 {
-	return p.invoked
-}
-
 // Faulted returns the number of invocations that suffered an injected
-// fault (failure, eviction or throttling).
+// fault (failure or eviction).
 func (p *Platform) Faulted() int64 {
 	return p.faulted
 }
@@ -582,7 +545,6 @@ func (p *Platform) PrewarmBilledMs() int64 {
 type Ctx struct {
 	platform *Platform
 	proc     *simnet.Proc
-	fnName   string
 	uplink   simnet.Resource
 	downlink simnet.Resource
 	span     *trace.Span // exec span of this invocation; nil when untraced
@@ -602,17 +564,6 @@ func (c *Ctx) Platform() *Platform { return c.platform }
 // Proc returns the simnet process executing this function. It is valid
 // only while the handler runs.
 func (c *Ctx) Proc() *simnet.Proc { return c.proc }
-
-// FunctionName returns the name this instance serves.
-func (c *Ctx) FunctionName() string { return c.fnName }
-
-// MemoryMB returns the instance memory ceiling.
-func (c *Ctx) MemoryMB() int { return c.platform.cfg.MemoryMB }
-
-// Compute advances virtual time by the duration of flops floating-point
-// operations at the platform's effective throughput, with multiplicative
-// lognormal noise.
-func (c *Ctx) Compute(flops int64) { c.ComputeOp(flops, 0) }
 
 // ComputeOp advances virtual time for one operator execution: FLOP time at
 // the platform's throughput, plus memory-bandwidth time for bytesTouched,
@@ -636,13 +587,6 @@ func (c *Ctx) ComputeOp(flops, bytesTouched int64) {
 		noise = math.Exp(c.platform.rng.NormFloat64() * s)
 	}
 	c.proc.Sleep(time.Duration(sec * noise * float64(time.Second)))
-}
-
-// Invoke synchronously invokes another function and waits for its result.
-// On a failed invocation the returned InvokeResult is still populated with
-// the billing the platform charged for the failed run.
-func (c *Ctx) Invoke(name string, payload Payload) (InvokeResult, error) {
-	return settled(c.InvokeAsync(name, payload).Wait(c.proc))
 }
 
 // settled recovers the billed InvokeResult carried inside a typed
@@ -678,28 +622,21 @@ func (c *Ctx) InvokeAsyncSpan(name string, payload Payload, parent *trace.Span) 
 	return c.platform.invokeAsync(c, parent, name, payload)
 }
 
-// StorageGet fetches an object, charging storage latency plus transfer time.
-func (c *Ctx) StorageGet(key string) (Object, error) {
+// StorageGet fetches an object, charging storage latency plus transfer time
+// for its size.
+func (c *Ctx) StorageGet(key string) error {
 	p := c.platform
-	obj, ok := p.storage[key]
+	bytes, ok := p.storage[key]
 	if !ok {
-		return Object{}, fmt.Errorf("platform: storage object %q not found", key)
+		return fmt.Errorf("platform: storage object %q not found", key)
 	}
-	c.proc.Sleep(msToDur(p.cfg.StorageLatencyMs + float64(obj.Bytes)/1e6/p.cfg.StorageMBps*1000))
-	return obj, nil
+	c.proc.Sleep(msToDur(p.cfg.StorageLatencyMs + float64(bytes)/1e6/p.cfg.StorageMBps*1000))
+	return nil
 }
 
-// StoragePut uploads an object, charging storage latency plus transfer time.
-func (c *Ctx) StoragePut(key string, obj Object) {
-	p := c.platform
-	c.proc.Sleep(msToDur(p.cfg.StorageLatencyMs + float64(obj.Bytes)/1e6/p.cfg.StorageMBps*1000))
-	p.storage[key] = obj
-}
-
-// Seed stores an object directly (no simulated time), for experiment setup.
-func (p *Platform) Seed(key string, obj Object) {
-	p.storage[key] = obj
-}
+// Seed stores an object of the given size directly (no simulated time), for
+// deployment set-up. Only sizes are kept: nothing reads an object's contents.
+func (p *Platform) Seed(key string, bytes int64) { p.storage[key] = bytes }
 
 // InvokeFrom invokes a function from a plain simulation process (an external
 // client): invocation overhead and payload transfer still apply, but no
@@ -743,28 +680,10 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 
 	var res InvokeResult
 
-	// Concurrency-limit admission: an invocation arriving while
-	// MaxConcurrency others are in flight is rejected before any work —
-	// no upload, no fault draws (the fault schedule of admitted
-	// invocations is unperturbed), and nothing billed.
-	if p.cfg.MaxConcurrency > 0 && f.running >= p.cfg.MaxConcurrency {
-		p.invoked++
-		p.faulted++
-		p.m.invocations.Inc()
-		p.m.faultThrottled.Inc()
-		ierr := &InvokeError{Kind: FaultThrottled, Fn: name, Res: res}
-		sp.SetBilled(0, 0)
-		sp.Fail(FaultThrottled.String(), ierr.Error())
-		sp.EndSpan()
-		return res, ierr
-	}
-	f.running++
-
 	// Request issuance + upload: function callers pay the per-request CPU
 	// cost and serialize on their uplink; external clients only pay the
 	// transfer.
 	upMs := float64(payload.Bytes) / 1e6 / p.cfg.NetMBps * 1000
-	before := proc.Now()
 	usp := sp.Child(trace.KindUpload, "upload")
 	if from != nil {
 		from.uplink.Acquire(proc)
@@ -774,7 +693,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		proc.Sleep(msToDur(upMs))
 	}
 	usp.EndSpan()
-	res.UploadMs = durToMs(proc.Now() - before)
 
 	// Invocation dispatch overhead (EMG, §IV-A).
 	overhead := p.cfg.InvokeOverhead.Sample(p.rng)
@@ -823,8 +741,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		// The platform reclaimed the instance between dispatch and
 		// execution: the handler never runs, nothing is billed, and the
 		// claimed warm instance (if any) is destroyed.
-		f.running--
-		p.invoked++
 		p.faulted++
 		p.m.invocations.Inc()
 		p.m.faultEvicted.Inc()
@@ -846,7 +762,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	ctx := &Ctx{
 		platform: p,
 		proc:     proc,
-		fnName:   name,
 		span:     sp.Child(trace.KindExec, "exec"),
 		slow:     slow,
 	}
@@ -861,9 +776,7 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	// Settle the invocation exactly once: the instance returns to the warm
 	// pool (stamped with the current virtual time for idle expiry), and the
 	// invocation counts (and bills) even if the handler failed.
-	f.running--
 	f.warm = append(f.warm, proc.Now())
-	p.invoked++
 	p.billedMs += res.BilledMs
 	if crash {
 		p.faulted++
@@ -907,7 +820,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 
 	// Response download: serialized on the caller's downlink.
 	downMs := float64(resp.Bytes) / 1e6 / p.cfg.NetMBps * 1000
-	before = proc.Now()
 	wsp := sp.Child(trace.KindDownload, "download")
 	if from != nil {
 		from.downlink.Acquire(proc)
@@ -917,7 +829,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		proc.Sleep(msToDur(downMs))
 	}
 	wsp.EndSpan()
-	res.DownloadMs = durToMs(proc.Now() - before)
 	res.Resp = resp
 	sp.EndSpan()
 	return res, nil

@@ -32,7 +32,7 @@ func TestInvokeBasic(t *testing.T) {
 	cfg := fastCfg()
 	runSim(t, cfg, 1, func(p *Platform, proc *simnet.Proc) {
 		err := p.Register("echo", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e9) // 100 ms at 20 GFLOPS
+			ctx.ComputeOp(2e9, 0) // 100 ms at 20 GFLOPS
 			return Payload{Bytes: in.Bytes, Data: in.Data}, nil
 		})
 		if err != nil {
@@ -106,7 +106,7 @@ func TestBillingGranularity(t *testing.T) {
 	cfg.BillingGranMs = 100
 	runSim(t, cfg, 4, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(int64(0.3e9)) // 15 ms
+			ctx.ComputeOp(int64(0.3e9), 0) // 15 ms
 			return Payload{}, nil
 		})
 		res, err := p.InvokeFrom(proc, "f", Payload{})
@@ -124,12 +124,12 @@ func TestNestedInvocationBillingRollsUp(t *testing.T) {
 	cfg := fastCfg()
 	runSim(t, cfg, 5, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("worker", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9) // 50 ms
+			ctx.ComputeOp(1e9, 0) // 50 ms
 			return Payload{}, nil
 		})
 		_ = p.Register("master", func(ctx *Ctx, in Payload) (Payload, error) {
 			for i := 0; i < 3; i++ {
-				if _, err := ctx.Invoke("worker", Payload{Bytes: 100}); err != nil {
+				if _, err := ctx.InvokeAsync("worker", Payload{Bytes: 100}).Wait(ctx.Proc()); err != nil {
 					return Payload{}, err
 				}
 			}
@@ -152,7 +152,7 @@ func TestForkJoinLatencyIsMaxOfWorkers(t *testing.T) {
 	cfg.InvokeOverhead.Lambda = 1e6
 	runSim(t, cfg, 6, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("w", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(in.Data.(int64))
+			ctx.ComputeOp(in.Data.(int64), 0)
 			return Payload{}, nil
 		})
 		_ = p.Register("m", func(ctx *Ctx, in Payload) (Payload, error) {
@@ -215,8 +215,8 @@ func TestHandlerErrorPropagates(t *testing.T) {
 		if err == nil || !errors.Is(err, wantErr) {
 			t.Errorf("got %v", err)
 		}
-		if p.Invocations() != 1 {
-			t.Errorf("failed invocation must still count: %d", p.Invocations())
+		if p.Metrics().Counter("platform.invocations").Value() != 1 {
+			t.Errorf("failed invocation must still count: %d", p.Metrics().Counter("platform.invocations").Value())
 		}
 	})
 }
@@ -244,15 +244,11 @@ func TestRegisterDuplicate(t *testing.T) {
 func TestStorage(t *testing.T) {
 	cfg := fastCfg()
 	runSim(t, cfg, 10, func(p *Platform, proc *simnet.Proc) {
-		p.Seed("weights/part0", Object{Bytes: 60e6, Data: "blob"})
+		p.Seed("weights/part0", 60e6)
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
 			start := ctx.Proc().Now()
-			obj, err := ctx.StorageGet("weights/part0")
-			if err != nil {
+			if err := ctx.StorageGet("weights/part0"); err != nil {
 				return Payload{}, err
-			}
-			if obj.Data != "blob" {
-				t.Error("wrong object data")
 			}
 			// 60 MB / StorageMBps + storage latency.
 			cfg := ctx.Platform().Config()
@@ -261,10 +257,9 @@ func TestStorage(t *testing.T) {
 			if ms < want*0.99 || ms > want*1.01 {
 				t.Errorf("storage get took %v ms, want ~%v", ms, want)
 			}
-			if _, err := ctx.StorageGet("missing"); err == nil {
+			if err := ctx.StorageGet("missing"); err == nil {
 				t.Error("expected missing-object error")
 			}
-			ctx.StoragePut("out", Object{Bytes: 1e6})
 			return Payload{}, nil
 		})
 		if _, err := p.InvokeFrom(proc, "f", Payload{}); err != nil {
@@ -281,7 +276,7 @@ func TestDeterministicReplay(t *testing.T) {
 		var out []float64
 		runSim(t, AWSLambda(), 42, func(p *Platform, proc *simnet.Proc) {
 			_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-				ctx.Compute(5e8)
+				ctx.ComputeOp(5e8, 0)
 				return Payload{Bytes: 1e5}, nil
 			})
 			for i := 0; i < 5; i++ {
@@ -387,7 +382,7 @@ func TestGCFHundredMsRounding(t *testing.T) {
 	runSim(t, cfg, 13, func(p *Platform, proc *simnet.Proc) {
 		flops := int64(0.150 * cfg.GFLOPS * 1e9)
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(flops)
+			ctx.ComputeOp(flops, 0)
 			return Payload{}, nil
 		})
 		res, err := p.InvokeFrom(proc, "f", Payload{})
@@ -410,7 +405,7 @@ func TestWarmPoolConcurrentAccounting(t *testing.T) {
 	// under -race this also exercises the pool counters across goroutines.
 	runSim(t, fastCfg(), 14, func(p *Platform, proc *simnet.Proc) {
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e9)
+			ctx.ComputeOp(2e9, 0)
 			return Payload{}, nil
 		})
 		if err := p.Prewarm("f", 2); err != nil {
@@ -445,8 +440,8 @@ func TestWarmPoolConcurrentAccounting(t *testing.T) {
 		if got := p.BilledMsTotal(); got != b1+b2 {
 			t.Errorf("platform aggregate %d, want %d", got, b1+b2)
 		}
-		if p.Invocations() != 10 {
-			t.Errorf("invocations %d, want 10", p.Invocations())
+		if p.Metrics().Counter("platform.invocations").Value() != 10 {
+			t.Errorf("invocations %d, want 10", p.Metrics().Counter("platform.invocations").Value())
 		}
 	})
 }
@@ -455,8 +450,7 @@ func TestWarmPoolConcurrentAccounting(t *testing.T) {
 // and the per-platform deploy-sequence counter the runtime names functions
 // with.
 func TestCtxAndPlatformAccessors(t *testing.T) {
-	cfg := fastCfg()
-	runSim(t, cfg, 1, func(p *Platform, proc *simnet.Proc) {
+	runSim(t, fastCfg(), 1, func(p *Platform, proc *simnet.Proc) {
 		if p.Env() == nil {
 			t.Error("Env() returned nil")
 		}
@@ -464,11 +458,11 @@ func TestCtxAndPlatformAccessors(t *testing.T) {
 			t.Errorf("deploy sequence = %d, %d; want 1, 2", s1, s2)
 		}
 		_ = p.Register("acc", func(ctx *Ctx, in Payload) (Payload, error) {
-			if ctx.FunctionName() != "acc" {
-				t.Errorf("FunctionName() = %q, want acc", ctx.FunctionName())
+			if ctx.Platform() != p {
+				t.Error("Platform() is not the hosting platform")
 			}
-			if ctx.MemoryMB() != cfg.MemoryMB {
-				t.Errorf("MemoryMB() = %d, want %d", ctx.MemoryMB(), cfg.MemoryMB)
+			if ctx.Proc() == nil {
+				t.Error("Proc() returned nil inside the handler")
 			}
 			return Payload{}, nil
 		})
@@ -521,7 +515,7 @@ func TestRunDrainsWhatTheBodySpawned(t *testing.T) {
 	finished := 0
 	p, err := Run(fastCfg(), 1, func(p *Platform, proc *simnet.Proc) error {
 		err := p.Register("work", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e9) // 100 ms at 20 GFLOPS
+			ctx.ComputeOp(2e9, 0) // 100 ms at 20 GFLOPS
 			return Payload{}, nil
 		})
 		if err != nil {
@@ -540,8 +534,8 @@ func TestRunDrainsWhatTheBodySpawned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if finished != 3 || p.Invocations() != 3 {
-		t.Fatalf("Run returned with %d of 3 spawned processes finished, %d invocations", finished, p.Invocations())
+	if finished != 3 || p.Metrics().Counter("platform.invocations").Value() != 3 {
+		t.Fatalf("Run returned with %d of 3 spawned processes finished, %d invocations", finished, p.Metrics().Counter("platform.invocations").Value())
 	}
 	if p.BilledMsTotal() < 300 {
 		t.Fatalf("three 100 ms invocations billed %d ms", p.BilledMsTotal())

@@ -30,7 +30,7 @@ func tracedSim(t *testing.T, cfg Config, seed int64, driver func(p *Platform, pr
 func TestInvocationSpanTree(t *testing.T) {
 	tr, p := tracedSim(t, fastCfg(), 1, func(p *Platform, proc *simnet.Proc, root *trace.Span) {
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(2e9)
+			ctx.ComputeOp(2e9, 0)
 			return Payload{Bytes: 500}, nil
 		})
 		if _, err := p.InvokeFromSpan(proc, "f", Payload{Bytes: 1000}, root); err != nil {
@@ -82,12 +82,12 @@ func TestWarmInvocationSkipsColdStartSpan(t *testing.T) {
 func TestNestedInvocationBillingAttribution(t *testing.T) {
 	tr, p := tracedSim(t, fastCfg(), 2, func(p *Platform, proc *simnet.Proc, root *trace.Span) {
 		_ = p.Register("leaf", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9)
+			ctx.ComputeOp(1e9, 0)
 			return Payload{}, nil
 		})
 		_ = p.Register("mid", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9)
-			if _, err := ctx.Invoke("leaf", Payload{}); err != nil {
+			ctx.ComputeOp(1e9, 0)
+			if _, err := ctx.InvokeAsync("leaf", Payload{}).Wait(ctx.Proc()); err != nil {
 				return Payload{}, err
 			}
 			return Payload{}, nil
@@ -131,7 +131,7 @@ func TestFaultSpansCarryTypedKinds(t *testing.T) {
 			cfg.Faults = tc.faults
 			tr, p := tracedSim(t, cfg, 3, func(p *Platform, proc *simnet.Proc, root *trace.Span) {
 				_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-					ctx.Compute(tc.flops)
+					ctx.ComputeOp(tc.flops, 0)
 					return Payload{}, tc.herr
 				})
 				if _, err := p.InvokeFromSpan(proc, "f", Payload{}, root); err == nil {
@@ -183,7 +183,7 @@ func TestPlatformMetrics(t *testing.T) {
 	runSim(t, cfg, 5, func(p *Platform, proc *simnet.Proc) {
 		p2 = p
 		_ = p.Register("f", func(ctx *Ctx, in Payload) (Payload, error) {
-			ctx.Compute(1e9)
+			ctx.ComputeOp(1e9, 0)
 			return Payload{}, nil
 		})
 		for i := 0; i < 20; i++ {

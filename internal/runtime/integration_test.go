@@ -187,17 +187,18 @@ func TestGroupTraceSumsToLatency(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		res, err := d.Serve(proc, nil)
+		res, tr, err := d.ServeTraced(proc, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if len(res.GroupMs) != len(plan.Groups) {
-			t.Errorf("trace has %d groups, want %d", len(res.GroupMs), len(plan.Groups))
+		gms := groupMs(tr)
+		if len(gms) != len(plan.Groups) {
+			t.Errorf("trace has %d groups, want %d", len(gms), len(plan.Groups))
 			return
 		}
 		var sum float64
-		for _, g := range res.GroupMs {
+		for _, g := range gms {
 			if g < 0 {
 				t.Errorf("negative group time %v", g)
 			}

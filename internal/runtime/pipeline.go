@@ -45,7 +45,7 @@ func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode
 		p:      p,
 		units:  units,
 		mode:   mode,
-		prefix: fmt.Sprintf("%s-pipe%d", modelNameOf(units), p.NextDeploySeq()),
+		prefix: fmt.Sprintf("%s-pipe%d", partition.ModelName(units), p.NextDeploySeq()),
 	}
 	d.Function = d.prefix + "-fn"
 
@@ -71,7 +71,7 @@ func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode
 	}
 
 	for _, c := range d.chunks {
-		p.Seed(c.key, platform.Object{Bytes: c.weightBytes})
+		p.Seed(c.key, c.weightBytes)
 	}
 	if err := p.Register(d.Function, d.handler); err != nil {
 		return nil, err
@@ -155,7 +155,7 @@ func (d *PipelineDeployment) handler(ctx *platform.Ctx, payload platform.Payload
 	br := &pipelineBreakdown{}
 	for _, c := range d.chunks {
 		before := ctx.Proc().Now()
-		if _, err := ctx.StorageGet(c.key); err != nil {
+		if err := ctx.StorageGet(c.key); err != nil {
 			return platform.Payload{}, err
 		}
 		br.loadMs += float64(ctx.Proc().Now()-before) / 1e6

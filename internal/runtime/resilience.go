@@ -276,7 +276,7 @@ func (d *Deployment) fallbackKey(gi int) string {
 func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
 	fsp := gsp.Child(trace.KindFallback, "fallback")
 	defer fsp.EndSpan()
-	if _, err := ctx.StorageGet(d.fallbackKey(gi)); err != nil {
+	if err := ctx.StorageGet(d.fallbackKey(gi)); err != nil {
 		fsp.Fail("", err.Error())
 		return nil, err
 	}

@@ -43,22 +43,21 @@ const (
 // groupRuntime precomputes everything a group needs at query time.
 type groupRuntime struct {
 	gp      partition.GroupPlan
-	units   []*partition.Unit
 	ext     partition.Extent // per-partition FLOPs and payloads
 	slices  partition.Slices // the partitions' row or channel slices
 	parts   []*graph.Graph   // the graph each partition runs (Real mode)
 	opBytes int64            // monolithic bytes touched
-	workers []string         // worker function name per partition
+	workers []string         // function name per partition (also those the master computes)
 }
 
 // Deployment is a model served under a plan on a platform.
 type Deployment struct {
 	p      *platform.Platform
 	units  []*partition.Unit
-	plan   *partition.Plan
 	mode   ExecMode
 	prefix string
 	groups []*groupRuntime
+	remote []string // worker functions the master invokes, in (group, part) order
 	opts   deployOpts
 	hist   *latencyHistory // per-group worker latencies (hedging trigger)
 
@@ -107,7 +106,6 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 	d := &Deployment{
 		p:      p,
 		units:  units,
-		plan:   plan,
 		mode:   mode,
 		prefix: fmt.Sprintf("%s-d%d", plan.Model, p.NextDeploySeq()),
 		hist:   newLatencyHistory(),
@@ -135,7 +133,7 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		if err != nil {
 			return nil, err
 		}
-		gr := &groupRuntime{gp: gp, units: group, ext: ext, slices: slices, opBytes: opBytes}
+		gr := &groupRuntime{gp: gp, ext: ext, slices: slices, opBytes: opBytes}
 		if mode == Real {
 			if gr.parts, err = slices.Graphs(group, gp.Option); err != nil {
 				return nil, err
@@ -161,20 +159,15 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		// the master can degrade gracefully when that worker is down.
 		for gi, gr := range d.groups {
 			if gr.gp.Option.Dim == partition.DimNone && !gr.gp.OnMaster {
-				p.Seed(d.fallbackKey(gi), platform.Object{Bytes: gr.ext.WeightBytes})
+				p.Seed(d.fallbackKey(gi), gr.ext.WeightBytes)
 			}
 		}
 	}
 	for gi, gr := range d.groups {
-		parts := gr.gp.Option.Parts
-		for part := 0; part < parts; part++ {
-			if gr.gp.OnMaster && part == 0 {
-				continue // the master computes partition 0 itself
+		for part, name := range gr.workers {
+			if gr.gp.OnMaster && (part == 0 || gr.gp.Option.Dim == partition.DimNone) {
+				continue // the master computes this partition itself
 			}
-			if gr.gp.Option.Dim == partition.DimNone && gr.gp.OnMaster {
-				continue
-			}
-			name := d.workerName(gi, part)
 			gi, part := gi, part
 			err := p.Register(name, func(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
 				return d.workerHandler(ctx, gi, part, payload)
@@ -182,6 +175,7 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 			if err != nil {
 				return nil, err
 			}
+			d.remote = append(d.remote, name)
 		}
 	}
 	return d, nil
@@ -211,17 +205,9 @@ func (d *Deployment) Prewarm() error {
 	if err := d.p.Prewarm(d.Master, 1); err != nil {
 		return err
 	}
-	for gi, gr := range d.groups {
-		for part := 0; part < gr.gp.Option.Parts; part++ {
-			if gr.gp.OnMaster && part == 0 {
-				continue
-			}
-			if gr.gp.Option.Dim == partition.DimNone && gr.gp.OnMaster {
-				continue
-			}
-			if err := d.p.Prewarm(d.workerName(gi, part), 1); err != nil {
-				return err
-			}
+	for _, name := range d.remote {
+		if err := d.p.Prewarm(name, 1); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -238,9 +224,6 @@ type Result struct {
 	// LatencyMs is the inference latency: the master function's duration.
 	// Every query of the pass observes it.
 	LatencyMs float64
-	// GroupMs traces the master-observed duration of each fork-join round,
-	// in plan order (they sum to roughly LatencyMs).
-	GroupMs []float64
 	// BilledMs is the total billed function duration (master + workers),
 	// C^S(G) of Eq. (2), for the whole pass; callers apportion it across
 	// queries.
@@ -264,7 +247,6 @@ type request struct {
 // every master reply.
 type response struct {
 	outputs []*tensor.Tensor
-	groupMs []float64
 	resil   Resilience
 }
 
@@ -361,7 +343,6 @@ func (d *Deployment) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size
 			Outputs:    mr.outputs,
 			Size:       size,
 			LatencyMs:  res.HandlerMs,
-			GroupMs:    mr.groupMs,
 			BilledMs:   res.TotalBilledMs,
 			ColdStart:  res.ColdStart,
 			Resilience: mr.resil,
@@ -466,10 +447,8 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want request", payload.Data)
 	}
 	qs := &Resilience{}
-	groupMs := make([]float64, 0, len(d.groups))
 	cur := req.inputs
 	for gi, gr := range d.groups {
-		before := ctx.Proc().Now()
 		var gsp *trace.Span
 		if sp := ctx.Span(); sp != nil { // an untraced pass builds no name
 			gsp = sp.Child(trace.KindGroup, "group"+strconv.Itoa(gi))
@@ -484,13 +463,12 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 			return platform.Payload{}, err
 		}
 		gsp.EndSpan()
-		groupMs = append(groupMs, float64(ctx.Proc().Now()-before)/1e6)
 		cur = next
 	}
 	last := d.groups[len(d.groups)-1]
 	return platform.Payload{
 		Bytes: last.ext.OutBytesTotal * int64(req.size),
-		Data:  &response{outputs: cur, groupMs: groupMs, resil: *qs},
+		Data:  &response{outputs: cur, resil: *qs},
 	}, nil
 }
 
@@ -734,18 +712,5 @@ func groupOpBytes(group []*partition.Unit) (int64, error) {
 // DeployDefault deploys the Default baseline: the whole model in a single
 // function (§V-B baseline 1).
 func DeployDefault(p *platform.Platform, units []*partition.Unit, mode ExecMode) (*Deployment, error) {
-	return Deploy(p, units, partition.DefaultPlan("default-"+modelNameOf(units), units), mode)
-}
-
-// Plan returns the plan the deployment serves (for reporting).
-func (d *Deployment) Plan() *partition.Plan { return d.plan }
-
-func modelNameOf(units []*partition.Unit) string {
-	name := units[0].Sub.Name
-	for i := 0; i < len(name); i++ {
-		if name[i] == '[' {
-			return name[:i]
-		}
-	}
-	return name
+	return Deploy(p, units, partition.DefaultPlan("default-"+partition.ModelName(units), units), mode)
 }

@@ -109,7 +109,7 @@ func TestServeRealMatchesMonolithic(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			res, _, err := d.ServeBatch(proc, xs, n, false)
+			res, tr, err := d.ServeBatch(proc, xs, n, true)
 			if err != nil {
 				t.Error(err)
 				return
@@ -129,8 +129,8 @@ func TestServeRealMatchesMonolithic(t *testing.T) {
 			if res.ColdStart {
 				t.Error("prewarmed master should warm-start")
 			}
-			if len(res.GroupMs) != len(plan.Groups) {
-				t.Errorf("got %d group timings, want %d", len(res.GroupMs), len(plan.Groups))
+			if got := len(groupMs(tr)); got != len(plan.Groups) {
+				t.Errorf("got %d group spans, want %d", got, len(plan.Groups))
 			}
 		})
 	}

@@ -51,14 +51,6 @@ func (s *Switcher) Len() int { return len(s.deps) }
 // Active returns the index of the deployment currently serving.
 func (s *Switcher) Active() int { return s.active }
 
-// Deployment returns candidate i.
-func (s *Switcher) Deployment(i int) (*Deployment, error) {
-	if i < 0 || i >= len(s.deps) {
-		return nil, fmt.Errorf("runtime: switcher has no deployment %d (have %d)", i, len(s.deps))
-	}
-	return s.deps[i], nil
-}
-
 // Switch makes candidate i the active deployment for subsequent queries.
 // In-flight queries finish on the plan they started on.
 func (s *Switcher) Switch(i int) error {

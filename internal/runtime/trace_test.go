@@ -97,6 +97,16 @@ func serveTracedOnce(t *testing.T, cfg platform.Config, seed int64, units []*par
 	return res, tr, p, prefix, qerr
 }
 
+// groupMs is the master-observed duration of each fork-join round of a
+// traced pass: its group spans, in plan order.
+func groupMs(tr *trace.Trace) []float64 {
+	var ms []float64
+	for _, sp := range tracetest.ByKind(tr, trace.KindGroup) {
+		ms = append(ms, float64(sp.End-sp.Start)/1e6)
+	}
+	return ms
+}
+
 func checkGolden(t *testing.T, path string, got []byte) {
 	t.Helper()
 	if *updateGolden {

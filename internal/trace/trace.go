@@ -120,7 +120,7 @@ type Span struct {
 	TotalBilledMs int64
 
 	// Err is the failure message for a failed span ("" = ok); Fault is the
-	// typed platform fault kind ("failure", "evicted", "throttled") when the
+	// typed platform fault kind ("failure" or "evicted") when the
 	// failure was an InvokeError.
 	Err   string
 	Fault string

@@ -138,7 +138,7 @@ func CheckBilledAttribution(t testing.TB, tr *trace.Trace) {
 
 // faultKinds are the typed platform fault kinds a failed invocation span
 // may carry.
-var faultKinds = map[string]bool{"failure": true, "evicted": true, "throttled": true}
+var faultKinds = map[string]bool{"failure": true, "evicted": true}
 
 // CheckFaultKinds asserts every failed invocation span carries a typed
 // platform fault kind, and returns how many failed invocation spans the
@@ -152,7 +152,7 @@ func CheckFaultKinds(t testing.TB, tr *trace.Trace) int {
 		}
 		failed++
 		if !faultKinds[s.Fault] {
-			t.Errorf("span %d (%s): failed invocation with fault kind %q, want failure/evicted/throttled", s.ID, s.Name, s.Fault)
+			t.Errorf("span %d (%s): failed invocation with fault kind %q, want failure/evicted", s.ID, s.Name, s.Fault)
 		}
 	}
 	return failed

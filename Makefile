@@ -26,16 +26,17 @@ ci: lint build test procs race chaos fuzz bench-verify bench-selftest
 # test` enforces it. go vet's asmdecl checks gemm_amd64.s (tile kernels and
 # row helpers) against its Go declarations; the arm64 cross-build and vet
 # keep the no-assembly kernel dispatch, which nothing on an amd64 runner
-# compiles, from rotting. The arm64 assembly listing of internal/nn must hold
-# no fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB, single or double): each
-# product rounds before its add, written float32(x*y) where go1.24 would
-# contract it, and that is what keeps a kernel's output bits the same on
-# every architecture and at every blocking (gemm.go's header). The listing
-# must name laneDotAcc, so a build that printed nothing fails rather than
-# passing. The frozen benchmark/ harness is its own module,
-# which `./...` does not reach: vetting it compiles it against this tree, so
-# deleting an internal API it calls fails here rather than in every
-# benchmark run.
+# compiles, from rotting; vetting internal/modelio for s390x does the same
+# for the model loader's big-endian byte swap. The arm64 assembly listing of
+# internal/nn must hold no fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB,
+# single or double): each product rounds before its add, written
+# float32(x*y) where go1.24 would contract it, and that is what keeps a
+# kernel's output bits the same on every architecture and at every blocking
+# (gemm.go's header). The listing must name laneDotAcc, so a build that
+# printed nothing fails rather than passing. The frozen benchmark/ harness
+# is its own module, which `./...` does not reach: vetting it compiles it
+# against this tree, so deleting an internal API it calls fails here rather
+# than in every benchmark run.
 lint:
 	@unformatted="$$(gofmt -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -46,6 +47,7 @@ lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn
+	GOARCH=s390x $(GO) vet ./internal/modelio
 	@listing="$$(mktemp)"; trap 'rm -f "$$listing"' EXIT; \
 	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn >"$$listing" 2>&1 || { cat "$$listing" >&2; exit 1; }; \
 	if ! grep -q '^gillis/internal/nn\.laneDotAcc STEXT' "$$listing"; then \

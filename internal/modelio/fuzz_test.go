@@ -33,6 +33,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("GLSM"))
 	f.Add([]byte("GLSM\x00\x00\x00\x10{\"version\":1}"))
 	f.Add([]byte{})
+	// A 166-byte file declaring a 16384×16384 weight it does not hold.
+	f.Add(forgedDense())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data))

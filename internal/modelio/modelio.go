@@ -11,8 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"unsafe"
 
 	"gillis/internal/graph"
 	"gillis/internal/nn"
@@ -88,26 +88,41 @@ func Save(w io.Writer, g *graph.Graph, withWeights bool) error {
 	return bw.Flush()
 }
 
-// Load reads a graph written by Save.
+// Load reads a graph written by Save. If r reports how many bytes it holds
+// (a Len method, as *bytes.Reader and *bytes.Buffer have), nothing longer
+// than what is left of it is allocated; LoadFile does the same with the
+// file's size.
 func Load(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	left := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		left = int64(l.Len())
+	}
+	return load(r, left)
+}
+
+// load reads a model from r, which holds left more bytes, or an unknown
+// number if left < 0.
+func load(r io.Reader, left int64) (*graph.Graph, error) {
+	// Weight blocks larger than the buffer are read past it, straight into
+	// their tensors, so it only has to batch the small reads.
+	in := &input{br: bufio.NewReaderSize(r, 64<<10), left: left}
 	mg := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, mg); err != nil {
+	if err := in.read(mg); err != nil {
 		return nil, fmt.Errorf("modelio: read magic: %w", err)
 	}
 	if string(mg) != magic {
 		return nil, fmt.Errorf("modelio: bad magic %q", mg)
 	}
-	var hlen uint32
-	if err := binary.Read(br, binary.LittleEndian, &hlen); err != nil {
+	hlen, err := in.u32()
+	if err != nil {
 		return nil, fmt.Errorf("modelio: read header length: %w", err)
 	}
 	const maxHeader = 64 << 20
-	if hlen > maxHeader {
-		return nil, fmt.Errorf("modelio: header length %d exceeds limit", hlen)
+	if hlen > maxHeader || !in.fits(int64(hlen)) {
+		return nil, fmt.Errorf("modelio: header length %d exceeds the limit or the input", hlen)
 	}
 	hb := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hb); err != nil {
+	if err := in.read(hb); err != nil {
 		return nil, fmt.Errorf("modelio: read header: %w", err)
 	}
 	var h header
@@ -129,7 +144,7 @@ func Load(r io.Reader) (*graph.Graph, error) {
 	}
 	if h.HasWeights {
 		for _, n := range g.Nodes() {
-			if err := readWeights(br, n.Op); err != nil {
+			if err := readWeights(in, n.Op); err != nil {
 				return nil, fmt.Errorf("modelio: node %q weights: %w", n.Op.Name(), err)
 			}
 		}
@@ -161,7 +176,11 @@ func LoadFile(path string) (*graph.Graph, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
+	}
+	return load(f, size)
 }
 
 // encodeOp describes op for the header. A layer with an epilogue (a folded
@@ -303,20 +322,21 @@ func writeWeights(w io.Writer, op nn.Op) error {
 				return err
 			}
 		}
-		buf := make([]byte, 4*len(t.Data()))
-		for i, v := range t.Data() {
-			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+		b := bytesOf(t.Data())
+		if bigEndian {
+			b = append([]byte(nil), b...)
+			swap32(b)
 		}
-		if _, err := w.Write(buf); err != nil {
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func readWeights(r io.Reader, op nn.Op) error {
-	var count uint32
-	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+func readWeights(in *input, op nn.Op) error {
+	count, err := in.u32()
+	if err != nil {
 		return err
 	}
 	wt, ok := op.(nn.Weighted)
@@ -329,14 +349,15 @@ func readWeights(r io.Reader, op nn.Op) error {
 	if want := len(wt.Weights()); int(count) != want {
 		return fmt.Errorf("%d weight tensors, want %d", count, want)
 	}
-	// Every tensor must fit in what is left of the op's parameters before
-	// anything is allocated for it, so a forged shape can neither overflow
-	// nor ask for more memory than the header's op declares.
+	// Every tensor must fit in what is left of the op's parameters, and in
+	// what is left of the input, before anything is allocated for it, so a
+	// forged shape can neither overflow nor ask for more memory than the
+	// header's op declares or the input holds.
 	budget := op.ParamCount()
 	ws := make([]*tensor.Tensor, count)
 	for i := range ws {
-		var rank uint8
-		if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
+		rank, err := in.u8()
+		if err != nil {
 			return err
 		}
 		if rank == 0 || rank > 8 {
@@ -345,8 +366,8 @@ func readWeights(r io.Reader, op nn.Op) error {
 		shape := make([]int, rank)
 		n := 1
 		for d := range shape {
-			var v uint32
-			if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+			v, err := in.u32()
+			if err != nil {
 				return err
 			}
 			if v == 0 || v > maxDim || int64(v) > budget/int64(n) {
@@ -356,13 +377,18 @@ func readWeights(r io.Reader, op nn.Op) error {
 			n *= int(v)
 		}
 		budget -= int64(n)
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if !in.fits(4 * int64(n)) {
+			return fmt.Errorf("weight %d: %d bytes, more than the input has left: %w", i, 4*n, io.ErrUnexpectedEOF)
+		}
+		// The bytes go straight into the tensor's memory: one copy, from
+		// the file, and no conversion on a little-endian host.
+		data := make([]float32, n)
+		b := bytesOf(data)
+		if err := in.read(b); err != nil {
 			return err
 		}
-		data := make([]float32, n)
-		for j := range data {
-			data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:]))
+		if bigEndian {
+			swap32(b)
 		}
 		t, err := tensor.FromData(data, shape...)
 		if err != nil {
@@ -371,4 +397,54 @@ func readWeights(r io.Reader, op nn.Op) error {
 		ws[i] = t
 	}
 	return wt.SetWeights(ws)
+}
+
+// input is a model file being read: a buffered reader and, if known, the
+// number of bytes it has left.
+type input struct {
+	br   *bufio.Reader
+	left int64 // < 0: unknown
+	word [4]byte
+}
+
+// fits reports whether the input may still hold n more bytes.
+func (in *input) fits(n int64) bool { return in.left < 0 || n <= in.left }
+
+// read fills p. A read longer than what the input has left fails without
+// reading.
+func (in *input) read(p []byte) error {
+	if !in.fits(int64(len(p))) {
+		return io.ErrUnexpectedEOF
+	}
+	if in.left >= 0 {
+		in.left -= int64(len(p))
+	}
+	_, err := io.ReadFull(in.br, p)
+	return err
+}
+
+func (in *input) u32() (uint32, error) {
+	err := in.read(in.word[:4])
+	return binary.LittleEndian.Uint32(in.word[:4]), err
+}
+
+func (in *input) u8() (uint8, error) {
+	err := in.read(in.word[:1])
+	return in.word[0], err
+}
+
+// bigEndian is whether this host stores a float32 with its bytes in the
+// opposite order from the file, which is little-endian.
+var bigEndian = binary.NativeEndian.Uint16([]byte{1, 0}) != 1
+
+// bytesOf is the memory of data as bytes, in the host's order.
+func bytesOf(data []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(data))), 4*len(data))
+}
+
+// swap32 reverses the byte order of each 4-byte word of b, in place.
+func swap32(b []byte) {
+	for i := 0; i+4 <= len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
+	}
 }

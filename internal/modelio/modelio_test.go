@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gillis/internal/graph"
@@ -344,9 +346,33 @@ func rawModel(hdr string, weights ...uint32) []byte {
 	return b
 }
 
+// forgedDense is a 166-byte model file: one 16384×16384 Dense layer, its
+// weight count, and the rank and dimensions of a 16384×16384 weight tensor,
+// but no data. Every dimension is within the op's parameters; only the
+// input's length shows the tensor is not there.
+func forgedDense() []byte {
+	const n = 16384
+	hdr := fmt.Sprintf(`{"version":1,"name":"x","inShape":[%d],"hasWeights":true,"nodes":[`+
+		`{"kind":"Dense","name":"d","inputs":[-1],"attrs":{"in":%d,"out":%d}}]}`, n, n, n)
+	b := append(rawModel(hdr, 2), 2)
+	b = binary.LittleEndian.AppendUint32(b, n)
+	return binary.LittleEndian.AppendUint32(b, n)
+}
+
+// allocated is the number of bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestLoadRejectsForgedSizes feeds Load headers and weight blocks whose
 // sizes would panic or allocate without bound if trusted: a fused conv's
-// channel count, and a weight tensor's dimensions and count.
+// channel count, a weight tensor's dimensions and count, and a tensor the
+// op has room for but the input does not hold. Each is refused having
+// allocated a few MiB at most.
 func TestLoadRejectsForgedSizes(t *testing.T) {
 	fusedConv := func(outC int) string {
 		return fmt.Sprintf(`{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":false,"nodes":[`+
@@ -371,9 +397,64 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 		"weight dims overflowing":           rank3(1<<28, 1<<28, 3),
 		"weight larger than the op":         rank3(2, 3, 2),
 		"four billion weight tensors":       rawModel(conv, 0xffffffff),
+		"16384² dense weight, no data":      forgedDense(),
 	} {
-		if _, err := Load(bytes.NewReader(data)); err == nil {
+		var err error
+		n := allocated(func() { _, err = Load(bytes.NewReader(data)) })
+		if err == nil {
 			t.Errorf("%s: loaded", name)
 		}
+		if maxBytes := uint64(4 << 20); n > maxBytes {
+			t.Errorf("%s: refused having allocated %d B, want at most %d", name, n, maxBytes)
+		}
+	}
+}
+
+// TestLoadAllocatesTheWeightsOnce: loading a model with weights allocates
+// its parameters' bytes once, plus a fixed slack for the read buffer, the
+// header and the graph. A loader that reads each tensor into a byte buffer
+// and converts it allocates the weights twice.
+func TestLoadAllocatesTheWeightsOnce(t *testing.T) {
+	g, err := models.ByName("mobilenet-mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Init(1)
+	var buf bytes.Buffer
+	if err := Save(&buf, g, true); err != nil {
+		t.Fatal(err)
+	}
+	var loaded *graph.Graph
+	n := allocated(func() { loaded, err = Load(bytes.NewReader(buf.Bytes())) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !loaded.Initialized() {
+		t.Fatal("loaded model has no weights")
+	}
+	params := uint64(4 * g.ParamCount())
+	t.Logf("%d parameter bytes, %d B allocated", params, n)
+	if slack := uint64(256 << 10); n > params+slack {
+		t.Errorf("load allocated %d B for %d B of parameters, want at most %d B more", n, params, slack)
+	}
+}
+
+// TestSwap32IsTheOtherByteOrder: the swap a big-endian host applies to the
+// file's bytes turns a little-endian word into the big-endian one, and back.
+func TestSwap32IsTheOtherByteOrder(t *testing.T) {
+	words := []uint32{0, 1, 0x01020304, math.Float32bits(-1.5), math.Float32bits(float32(math.NaN())), 0xffffffff}
+	var le, be []byte
+	for _, w := range words {
+		le = binary.LittleEndian.AppendUint32(le, w)
+		be = binary.BigEndian.AppendUint32(be, w)
+	}
+	got := append([]byte(nil), le...)
+	swap32(got)
+	if !bytes.Equal(got, be) {
+		t.Fatalf("swap32(%x) = %x, want %x", le, got, be)
+	}
+	swap32(got)
+	if !bytes.Equal(got, le) {
+		t.Fatalf("swap32 twice = %x, want %x", got, le)
 	}
 }

@@ -32,8 +32,8 @@ func TestInjectedFailureBillsPartialWork(t *testing.T) {
 		if BilledMsOf(err) != res.TotalBilledMs {
 			t.Errorf("BilledMsOf %d, want %d", BilledMsOf(err), res.TotalBilledMs)
 		}
-		if p.Faulted() != 1 {
-			t.Errorf("faulted %d, want 1", p.Faulted())
+		if n := p.Metrics().Counter("platform.faults.failure").Value(); n != 1 {
+			t.Errorf("platform.faults.failure %d, want 1", n)
 		}
 	})
 }
@@ -443,7 +443,9 @@ func TestEmptyFaultScheduleByteIdentical(t *testing.T) {
 		if err := env.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return tally{p.Faulted(), p.BilledMsTotal(), env.Now()}
+		reg := p.Metrics()
+		faulted := reg.Counter("platform.faults.failure").Value() + reg.Counter("platform.faults.evicted").Value()
+		return tally{faulted, p.BilledMsTotal(), env.Now()}
 	}
 	base := replay(nil)
 	same := replay([]FaultTransition{{AtMs: 0, Profile: FaultProfile{FailureProb: 0.2, StragglerProb: 0.1, StragglerFactor: 3}}})

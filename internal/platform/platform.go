@@ -337,7 +337,6 @@ type Platform struct {
 	faultRng        *rand.Rand // dedicated stream: faults don't perturb noise/overhead draws
 	fns             map[string]*Function
 	storage         map[string]int64 // object sizes in bytes
-	faulted         int64
 	billedMs        int64
 	prewarmBilledMs int64
 	deploySeq       int64
@@ -514,12 +513,6 @@ func (f *Function) WarmCount() int {
 		p.m.warmExpired.Add(int64(expired))
 	}
 	return n
-}
-
-// Faulted returns the number of invocations that suffered an injected
-// fault (failure or eviction).
-func (p *Platform) Faulted() int64 {
-	return p.faulted
 }
 
 // BilledMsTotal returns the billed milliseconds of every settled
@@ -741,7 +734,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		// The platform reclaimed the instance between dispatch and
 		// execution: the handler never runs, nothing is billed, and the
 		// claimed warm instance (if any) is destroyed.
-		p.faulted++
 		p.m.invocations.Inc()
 		p.m.faultEvicted.Inc()
 		p.m.overheadMs.Observe(overhead)
@@ -778,9 +770,6 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 	// invocation counts (and bills) even if the handler failed.
 	f.warm = append(f.warm, proc.Now())
 	p.billedMs += res.BilledMs
-	if crash {
-		p.faulted++
-	}
 
 	p.m.invocations.Inc()
 	if res.ColdStart {

@@ -107,14 +107,6 @@ func (g *Gauge) Value() float64 {
 	return g.value
 }
 
-// LastChangeMs returns the virtual-time stamp of the last value change and
-// whether the gauge has ever been set.
-func (g *Gauge) LastChangeMs() (float64, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.changedMs, g.set
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
 	v atomic.Int64

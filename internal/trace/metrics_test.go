@@ -33,30 +33,38 @@ func TestGauge(t *testing.T) {
 	if v := g.Value(); v != 0 {
 		t.Errorf("unset gauge value = %v, want 0", v)
 	}
-	if _, set := g.LastChangeMs(); set {
-		t.Error("new gauge must report unset")
+	// line is the gauge's line of the registry summary.
+	line := func(name string) string {
+		for _, l := range strings.Split(r.Summary(), "\n") {
+			if strings.HasPrefix(l, "gauge "+name+" ") {
+				return l
+			}
+		}
+		return ""
+	}
+	if got, want := line("state"), "gauge state unset"; got != want {
+		t.Errorf("new gauge: %q, want %q", got, want)
 	}
 	g.Set(2, 100)
 	if v := g.Value(); v != 2 {
 		t.Errorf("value = %v, want 2", v)
 	}
-	if at, set := g.LastChangeMs(); !set || at != 100 {
-		t.Errorf("last change = %v,%v, want 100,true", at, set)
+	if got, want := line("state"), "gauge state value=2 last_change_ms=100.000"; got != want {
+		t.Errorf("after Set(2, 100): %q, want %q", got, want)
 	}
 	// Re-asserting the same value must not advance the stamp.
 	g.Set(2, 200)
-	if at, _ := g.LastChangeMs(); at != 100 {
-		t.Errorf("stamp advanced on no-op Set: %v", at)
+	if got, want := line("state"), "gauge state value=2 last_change_ms=100.000"; got != want {
+		t.Errorf("stamp advanced on no-op Set: %q, want %q", got, want)
 	}
 	g.Set(3, 300)
-	if at, _ := g.LastChangeMs(); at != 300 {
-		t.Errorf("stamp = %v, want 300", at)
+	if got, want := line("state"), "gauge state value=3 last_change_ms=300.000"; got != want {
+		t.Errorf("after Set(3, 300): %q, want %q", got, want)
 	}
 	// First Set always stamps, even when setting the zero value.
-	z := r.Gauge("zero")
-	z.Set(0, 50)
-	if at, set := z.LastChangeMs(); !set || at != 50 {
-		t.Errorf("zero-value first Set: %v,%v, want 50,true", at, set)
+	r.Gauge("zero").Set(0, 50)
+	if got, want := line("zero"), "gauge zero value=0 last_change_ms=50.000"; got != want {
+		t.Errorf("zero-value first Set: %q, want %q", got, want)
 	}
 }
 

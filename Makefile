@@ -74,6 +74,11 @@ test:
 # simulation kernel with its two heaviest users, run at each. The timeout
 # turns a hang into a failure in seconds.
 #
+# Two tests of the pooled buffers a served request runs in also run at each
+# count: which goroutine gets which buffer from par's scratch pool, and how
+# many engines and buffer sets the server keeps, follow the core count.
+PROCS_RUN := ^(TestPooledJoinsOutliveHedgeLosers|TestPartitionedPredictAllocationBudget)$$
+#
 # The convolution kernel is picked from CPUID at start-up, so a runner only
 # ever exercises the widest implementation it has. The second loop links each
 # level into nn.kernelCap in turn and reruns the kernel, arena-forward and
@@ -91,6 +96,7 @@ KERNEL_PKGS := ./internal/nn ./internal/graph ./internal/partition
 procs:
 	for n in 1 2 3 4 8; do \
 		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 300s $(PROCS_PKGS) || exit 1; \
+		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 300s -run '$(PROCS_RUN)' ./internal/runtime ./cmd/gillis-server || exit 1; \
 	done
 	for k in go avx avx512; do \
 		cap="-ldflags=-X=gillis/internal/nn.kernelCap=$$k"; \
@@ -112,7 +118,10 @@ procs:
 # process that leaves its Env's goroutine, or a second goroutine reaching into
 # a platform, gateway, mesh, deployment or trace, is a reported data race here
 # (TestConcurrentEnvsOwnTheirState drives eight Envs at once for it), where a
-# mutex around the state would have hidden it. gillis-server's resident
+# mutex around the state would have hidden it. A pass's pooled joins go back
+# to the shared pool only once no hedge loser can read them: given back
+# early, another Env's forward writes what the loser reads, which
+# TestPooledJoinsOutliveHedgeLosers reports as a race. gillis-server's resident
 # engines pass from one request goroutine to the next through a channel;
 # TestConcurrentPredicts drives eight callers through them. The planners'
 # parallel tests share one fitted perf model, which never changes after it is

@@ -7,11 +7,16 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
 
+	"gillis/internal/graph"
+	"gillis/internal/modelio"
+	"gillis/internal/nn"
 	"gillis/internal/par"
+	"gillis/internal/partition"
 	"gillis/internal/simnet"
 	"gillis/internal/tensor"
 )
@@ -245,5 +250,91 @@ func TestPredictAllocationBudget(t *testing.T) {
 	t.Logf("%d B per request; input array %d B, body %d B", least, inputBytes, len(body))
 	if least > budgetBytes || budgetBytes-least >= inputBytes {
 		t.Errorf("a request allocates %d B, budget %d B with less slack than %d B", least, budgetBytes, inputBytes)
+	}
+}
+
+// TestPartitionedPredictAllocationBudget is TestPredictAllocationBudget for
+// a request that is tensor-sized: a 3×224×224 input (588 KiB, a 1.6 MB body)
+// into a CNN of two convolutions whose latency-optimal plan on the knix
+// profile (whose cheap invocations make a split pay on a forward this
+// small) splits the first three units four ways, three of the parts on
+// remote workers. A warm request must allocate no tensor: not its body or
+// input array (the free list's), not a part's input rows (its graph cuts
+// them into its arena), the parts' outputs or the join (the scratch
+// pool's). What is left is headers, the simulation's processes and the JSON
+// reply, 19.9 KB. 128 KiB is under a quarter of the input array, and under
+// each of the body, the join, a part's input rows and the four parts'
+// outputs together, so allocating any of them again breaks it (all of them
+// made it 5.1 MB on resnet34). One worker and the minimum of several runs,
+// as there.
+func TestPartitionedPredictAllocationBudget(t *testing.T) {
+	if raceOn {
+		t.Skip("allocation budgets are the plain build's")
+	}
+	const budgetBytes = 128 << 10
+	g := graph.New("split-cnn", []int{3, 224, 224})
+	g.MustAdd(nn.NewConv2D("c1", 3, 32, 3, 1, 1))
+	g.MustAdd(nn.NewReLU("r1"))
+	g.MustAdd(nn.NewConv2D("c2", 32, 32, 3, 2, 1))
+	g.MustAdd(nn.NewReLU("r2"))
+	g.MustAdd(nn.NewMaxPool2D("pool", 2, 2, 0))
+	g.MustAdd(nn.NewGlobalAvgPool("gap"))
+	g.MustAdd(nn.NewDense("fc", 32, 10))
+	g.Init(1)
+	path := filepath.Join(t.TempDir(), g.Name+".glsm")
+	if err := modelio.SaveFile(path, g, true); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(path, "knix", 1, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := 0
+	for _, gp := range s.plan.Groups {
+		if gp.Option.Dim == partition.DimSpatial {
+			remote += gp.Option.Parts
+			if gp.OnMaster {
+				remote-- // part 0 is the master's
+			}
+		}
+	}
+	if remote == 0 {
+		t.Fatalf("the plan %v has no spatial part on a remote worker", s.plan.Groups)
+	}
+	defer par.SetParallelism(1)()
+	x := tensor.Rand(rand.New(rand.NewSource(1)), 1, g.InShape()...)
+	want, err := g.Forward(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(predictRequest{Shape: x.Shape(), Input: x.Data()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := func() {
+		rec := httptest.NewRecorder()
+		s.handlePredict(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		var pr predictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status %d, decode error %v: %s", rec.Code, err, rec.Body)
+		}
+		if got, err := tensor.FromData(pr.Output, pr.Shape...); err != nil || !tensor.Equal(got, want) {
+			t.Fatalf("reply differs from graph.Forward (%v)", err)
+		}
+	}
+	for i := 0; i < cap(s.engines); i++ {
+		predict()
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		predict()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("%d B per request; input array %d B, body %d B; %d parts on remote workers", least, x.Bytes(), len(body), remote)
+	if least > budgetBytes {
+		t.Errorf("a request allocates %d B, budget %d B", least, budgetBytes)
 	}
 }

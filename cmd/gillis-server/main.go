@@ -48,7 +48,6 @@ import (
 	"os"
 	goruntime "runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"gillis/internal/core"
@@ -110,6 +109,9 @@ type server struct {
 	// engines is the free list: GOMAXPROCS engines, so as many requests
 	// compute at once as there are threads to run their forwards.
 	engines chan *engine
+	// buffers is the free list of /v1/predict buffers, which holds at most
+	// one set per engine.
+	buffers chan *predictBuffers
 }
 
 // engine is one resident simulation: an Env with a platform on it, the
@@ -169,6 +171,7 @@ func newServer(modelFile, platformName string, seed int64, sloMs float64, catalo
 		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn, inputLen: int(tensor.SizeBytes(g.InShape()) / 4)}
 	n := goruntime.GOMAXPROCS(0)
 	s.engines = make(chan *engine, n)
+	s.buffers = make(chan *predictBuffers, n)
 	for i := 0; i < n; i++ {
 		e, err := s.newEngine()
 		if err != nil {
@@ -347,37 +350,43 @@ type predictResponse struct {
 	SLOOk     bool      `json:"sloOk"`     // within -slo-ms (always true when unset)
 }
 
-// bodies and inputs recycle the buffers of /v1/predict requests: a body's
-// text, which goes back once it is decoded, and its input array, which goes
-// back once the reply is written (an output may share it). They keep
-// nothing over pooledBytes: a request that big spends far more on its
-// decode and forward than on allocating its buffers, and a pool holds what
-// it keeps for up to two collections on every P, which for a 224×224 body
-// would show in the server's peak memory.
-var (
-	bodies = sync.Pool{New: func() any { return new([]byte) }}
-	inputs = sync.Pool{New: func() any { return new([]float32) }}
-)
-
-const pooledBytes = 256 << 10
+// predictBuffers are what a /v1/predict request reads and decodes into: its
+// body's text and its input array. A request takes a set from the server's
+// free list, or a new one when the list is empty, and puts it back once the
+// reply is written (an output may share the input array); the list keeps
+// what comes back while it holds fewer sets than there are engines. Only as
+// many requests compute at once as there are engines, so a warm server
+// allocates neither buffer, and what it retains is bounded by the engine
+// count, not by a cap on buffer size. Taking a set takes no engine: a
+// request reading its body off a slow connection holds only its buffers.
+type predictBuffers struct {
+	body  []byte
+	input []float32
+}
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	body := bodies.Get().(*[]byte)
+	var bufs *predictBuffers
+	select {
+	case bufs = <-s.buffers:
+	default:
+		bufs = new(predictBuffers)
+	}
+	defer func() {
+		select {
+		case s.buffers <- bufs:
+		default: // the list is full: this set goes to the collector
+		}
+	}()
 	var err error
-	*body, err = readBody(w, r, *body)
-	if err != nil {
-		recycle(&bodies, body, cap(*body))
+	if bufs.body, err = readBody(w, r, bufs.body); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
 	}
-	in := inputs.Get().(*[]float32)
-	if cap(*in) < s.inputLen {
-		*in = make([]float32, 0, s.inputLen)
+	if cap(bufs.input) < s.inputLen {
+		bufs.input = make([]float32, 0, s.inputLen)
 	}
-	defer func() { recycle(&inputs, in, 4*cap(*in)) }()
-	req, err := decodePredictRequest(*body, *in)
-	recycle(&bodies, body, cap(*body))
-	*in = req.Input
+	req, err := decodePredictRequest(bufs.body, bufs.input)
+	bufs.input = req.Input
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
@@ -409,13 +418,6 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// recycle puts buf, of size bytes, back in p unless it is over pooledBytes.
-func recycle[T any](p *sync.Pool, buf *T, size int) {
-	if size <= pooledBytes {
-		p.Put(buf)
-	}
 }
 
 // readBody reads a request body of at most maxBodyBytes. Where the request

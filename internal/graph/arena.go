@@ -164,8 +164,8 @@ type Observer func(op nn.Op)
 // traffic across queries. The result is bitwise identical to calling
 // Forward once per input — the batched kernels run the exact per-element
 // accumulation schedules (see internal/nn/batch.go) and obs is notified once
-// per (node, query), matching the sequential loop. It is forwardBatchIn in
-// an arena from par's scratch pool, into outputs of its own.
+// per (node, query), matching the sequential loop. It is ForwardBatchInto
+// outputs of its own.
 func (g *Graph) ForwardBatch(xs []*tensor.Tensor, obs Observer) ([]*tensor.Tensor, error) {
 	p, err := g.plan()
 	if err != nil || len(xs) == 0 {
@@ -175,12 +175,25 @@ func (g *Graph) ForwardBatch(xs []*tensor.Tensor, obs Observer) ([]*tensor.Tenso
 	for e := range outs {
 		outs[e] = tensor.New(p.shapes[g.OutputID()]...)
 	}
-	arena := par.GetF32(p.size * len(xs))
-	defer par.PutF32(arena)
-	if err := g.forwardBatchIn(*arena, xs, outs, obs); err != nil {
+	if err := g.ForwardBatchInto(xs, outs, obs); err != nil {
 		return nil, err
 	}
 	return outs, nil
+}
+
+// ForwardBatchInto is ForwardBatch writing query e's output into outs[e],
+// which the caller supplies in the output shape and owns before and after:
+// forwardBatchIn in an arena from par's scratch pool. The serving runtime
+// hands it outputs from the same pool, which it recycles once their readers
+// are done.
+func (g *Graph) ForwardBatchInto(xs, outs []*tensor.Tensor, obs Observer) error {
+	p, err := g.plan()
+	if err != nil {
+		return err
+	}
+	arena := par.GetF32(p.size * len(xs))
+	defer par.PutF32(arena)
+	return g.forwardBatchIn(*arena, xs, outs, obs)
 }
 
 // forwardBatchIn is ForwardBatch in the caller's arena, which must hold

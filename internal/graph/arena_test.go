@@ -269,9 +269,9 @@ func TestArenaForwardOnSpatialParts(t *testing.T) {
 	}
 }
 
-// checkPartInExactArena runs part ps of units on every query of xs in a
-// NaN-filled arena of exactly its ArenaBytes per query and checks the result
-// against rows ps.OutRows of wants.
+// checkPartInExactArena runs part ps of units on every query of xs (the
+// group's whole input) in a NaN-filled arena of exactly its ArenaBytes per
+// query and checks the result against rows ps.OutRows of wants.
 func checkPartInExactArena(t *testing.T, what string, units []*partition.Unit, ps partition.PartSlice, xs, wants []*tensor.Tensor) {
 	t.Helper()
 	g, err := ps.Graph(units)
@@ -287,19 +287,13 @@ func checkPartInExactArena(t *testing.T, what string, units []*partition.Unit, p
 	for i := range arena {
 		arena[i] = sentinel
 	}
-	slabs := make([]*tensor.Tensor, len(xs))
 	outs := make([]*tensor.Tensor, len(xs))
 	rows := make([]*tensor.Tensor, len(xs))
-	for e, x := range xs {
-		if slabs[e], err = partition.InputSlab(x, ps); err != nil {
-			t.Fatal(err)
-		}
-		if rows[e], err = wants[e].SliceDim(1, ps.OutRows.Lo, ps.OutRows.Hi); err != nil {
-			t.Fatal(err)
-		}
+	for e := range xs {
+		rows[e] = heightRows(wants[e], ps.OutRows.Lo, ps.OutRows.Hi)
 		outs[e] = tensor.Full(sentinel, rows[e].Shape()...)
 	}
-	if err := g.ForwardBatchIn(arena, slabs, outs, nil); err != nil {
+	if err := g.ForwardBatchIn(arena, xs, outs, nil); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	for e := range outs {
@@ -310,6 +304,16 @@ func checkPartInExactArena(t *testing.T, what string, units []*partition.Unit, p
 			t.Errorf("%s: query %d never wrote the last float of its %d-float arena", what, e, size)
 		}
 	}
+}
+
+// heightRows copies rows [lo, hi) of every channel of a CHW map.
+func heightRows(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
+	out := tensor.New(c, hi-lo, w)
+	for ci := 0; ci < c; ci++ {
+		copy(out.Data()[ci*(hi-lo)*w:(ci+1)*(hi-lo)*w], x.Data()[(ci*h+lo)*w:])
+	}
+	return out
 }
 
 // TestArenaPlanOnFullSizeZoo checks the plan against the peak live set on the

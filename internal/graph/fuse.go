@@ -84,7 +84,7 @@ func Fuse(g *Graph) (*Graph, int, error) {
 		var tail []*Node // nodes the fused op absorbs
 		switch op := node.Op.(type) {
 		case *nn.Conv2D:
-			if op.Scale != nil || op.Relu {
+			if op.BN || op.Relu {
 				break
 			}
 			next := soleConsumer(node.ID)
@@ -93,6 +93,7 @@ func Fuse(g *Graph) (*Graph, int, error) {
 				if f.Scale, f.Shift, err = bn.Fold(); err != nil {
 					return nil, 0, fmt.Errorf("graph %q: fuse node %d: %w", g.Name, node.ID, err)
 				}
+				f.BN = true
 				tail = []*Node{next}
 				next = soleConsumer(next.ID)
 			}

@@ -35,6 +35,8 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte{})
 	// A 166-byte file declaring a 16384×16384 weight it does not hold.
 	f.Add(forgedDense())
+	// A 197-byte structure-only file declaring a 2^22-channel fused conv.
+	f.Add(forgedFusedConv(1 << 22))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		loaded, err := Load(bytes.NewReader(data))

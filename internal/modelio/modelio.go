@@ -201,10 +201,10 @@ func encodeOp(op nn.Op) (opSpec, error) {
 		spec.Attrs["kernel"] = o.Kernel
 		spec.Attrs["stride"] = o.Stride
 		spec.Attrs["pad"] = o.Pad
-		if o.Scale != nil || o.Relu {
+		if o.BN || o.Relu {
 			spec.Kind = "FusedConv2D"
 		}
-		if o.Scale != nil {
+		if o.BN {
 			spec.Attrs["bn"] = 1
 		}
 		if o.Relu {
@@ -253,19 +253,14 @@ func decodeOp(spec opSpec) (nn.Op, error) {
 	switch spec.Kind {
 	case "Conv2D", "FusedConv2D":
 		c := nn.NewConv2D(spec.Name, a["inC"], a["outC"], a["kernel"], a["stride"], a["pad"])
-		fused := spec.Kind == "FusedConv2D"
-		c.Relu = fused && a["relu"] == 1
-		if fused && a["bn"] == 1 {
-			// Placeholders for the folded affine, so that the op counts its
-			// FLOPs and parameters, Init draws it and SetWeights takes it
-			// from the weight block. They are allocated here, before any
-			// weight is read, so outC is checked first: it is a dimension of
-			// the scale and shift and bounded like any other.
-			if c.OutC <= 0 || c.OutC > maxDim {
-				return nil, fmt.Errorf("modelio: %s %q: bad output channels %d", spec.Kind, spec.Name, c.OutC)
-			}
-			c.Scale, c.Shift = tensor.New(c.OutC), tensor.New(c.OutC)
+		if c.OutC <= 0 || c.OutC > maxDim {
+			return nil, fmt.Errorf("modelio: %s %q: bad output channels %d", spec.Kind, spec.Name, c.OutC)
 		}
+		fused := spec.Kind == "FusedConv2D"
+		// The folded affine is a flag until its weights are read, like W
+		// and B: decoding an op allocates nothing its header declares.
+		c.BN = fused && a["bn"] == 1
+		c.Relu = fused && a["relu"] == 1
 		return c, nil
 	case "DepthwiseConv2D":
 		op := nn.NewDepthwiseConv2D(spec.Name, a["c"], a["kernel"], a["stride"], a["pad"])

@@ -368,16 +368,22 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// forgedFusedConv is a structure-only model file: one 3→outC 1×1 conv with
+// a folded BatchNorm, a header and nothing else (197 bytes at 2^22).
+func forgedFusedConv(outC int) []byte {
+	return rawModel(fmt.Sprintf(`{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":false,"nodes":[`+
+		`{"kind":"FusedConv2D","name":"c","inputs":[-1],"attrs":{"bn":1,"inC":3,"kernel":1,"outC":%d,"pad":0,"stride":1}}]}`, outC))
+}
+
 // TestLoadRejectsForgedSizes feeds Load headers and weight blocks whose
 // sizes would panic or allocate without bound if trusted: a fused conv's
 // channel count, a weight tensor's dimensions and count, and a tensor the
 // op has room for but the input does not hold. Each is refused having
-// allocated a few MiB at most.
+// allocated a few MiB at most. A structure-only file declaring a 2^22-channel
+// fused conv is a valid model and loads, having allocated as little: a load
+// allocates nothing the input does not hold, and decoding the fused conv
+// once allocated its folded affine, 33.6 MB here and 2 GiB at maxDim.
 func TestLoadRejectsForgedSizes(t *testing.T) {
-	fusedConv := func(outC int) string {
-		return fmt.Sprintf(`{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":false,"nodes":[`+
-			`{"kind":"FusedConv2D","name":"c","inputs":[-1],"attrs":{"bn":1,"inC":3,"kernel":1,"outC":%d,"pad":0,"stride":1}}]}`, outC)
-	}
 	const conv = `{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":true,"nodes":[` +
 		`{"kind":"Conv2D","name":"c","inputs":[-1],"attrs":{"inC":3,"kernel":1,"outC":2,"pad":0,"stride":1}}]}`
 	// rank3 is that model with a first weight tensor of rank 3 and these
@@ -391,9 +397,9 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 		return b
 	}
 	for name, data := range map[string][]byte{
-		"fused conv with negative channels": rawModel(fusedConv(-3)),
-		"fused conv with zero channels":     rawModel(fusedConv(0)),
-		"fused conv with 2^40 channels":     rawModel(fusedConv(1 << 40)),
+		"fused conv with negative channels": forgedFusedConv(-3),
+		"fused conv with zero channels":     forgedFusedConv(0),
+		"fused conv with 2^40 channels":     forgedFusedConv(1 << 40),
 		"weight dims overflowing":           rank3(1<<28, 1<<28, 3),
 		"weight larger than the op":         rank3(2, 3, 2),
 		"four billion weight tensors":       rawModel(conv, 0xffffffff),
@@ -407,6 +413,18 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 		if maxBytes := uint64(4 << 20); n > maxBytes {
 			t.Errorf("%s: refused having allocated %d B, want at most %d", name, n, maxBytes)
 		}
+	}
+	data := forgedFusedConv(1 << 22)
+	var g *graph.Graph
+	var err error
+	n := allocated(func() { g, err = Load(bytes.NewReader(data)) })
+	if err != nil {
+		t.Errorf("%d-byte structure-only fused conv: %v", len(data), err)
+	} else if got := g.ParamCount(); got != 6<<22 {
+		t.Errorf("%d-byte structure-only fused conv: loaded with %d parameters, want %d", len(data), got, 6<<22)
+	}
+	if maxBytes := uint64(4 << 20); n > maxBytes {
+		t.Errorf("%d-byte structure-only fused conv: loaded having allocated %d B, want at most %d", len(data), n, maxBytes)
 	}
 }
 

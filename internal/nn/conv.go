@@ -34,8 +34,9 @@ type Conv2D struct {
 	W *tensor.Tensor
 	B *tensor.Tensor
 
-	// Scale and Shift have shape [OutC], both nil when no BatchNorm is
-	// folded in.
+	// BN says a BatchNorm is folded in. Its affine is Scale and Shift, of
+	// shape [OutC], which like W and B are nil until the weights are set.
+	BN    bool
 	Scale *tensor.Tensor
 	Shift *tensor.Tensor
 	Relu  bool
@@ -89,7 +90,7 @@ func (c *Conv2D) FLOPs(in ...[]int) int64 {
 	}
 	macs := int64(c.OutC) * int64(c.InC) * int64(c.Kernel*c.Kernel) * int64(out[1]) * int64(out[2])
 	flops := 2*macs + prod(out) // + bias add
-	if c.Scale != nil {
+	if c.BN {
 		flops += 2 * prod(out)
 	}
 	return flops
@@ -98,7 +99,7 @@ func (c *Conv2D) FLOPs(in ...[]int) int64 {
 // ParamCount implements Op.
 func (c *Conv2D) ParamCount() int64 {
 	n := int64(c.OutC)*int64(c.InC)*int64(c.Kernel*c.Kernel) + int64(c.OutC)
-	if c.Scale != nil {
+	if c.BN {
 		n += 2 * int64(c.OutC)
 	}
 	return n
@@ -111,7 +112,7 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 	scale := float32(math.Sqrt(2 / fanIn))
 	c.W = tensor.Rand(rng, scale, c.OutC, c.InC, c.Kernel, c.Kernel)
 	c.B = tensor.Rand(rng, 0.01, c.OutC)
-	if c.Scale != nil {
+	if c.BN {
 		c.Scale = tensor.Rand(rng, 0.1, c.OutC)
 		for i, v := range c.Scale.Data() {
 			c.Scale.Data()[i] = 1 + v
@@ -121,12 +122,12 @@ func (c *Conv2D) Init(rng *rand.Rand) {
 }
 
 // Initialized implements Op.
-func (c *Conv2D) Initialized() bool { return c.W != nil && c.B != nil }
+func (c *Conv2D) Initialized() bool { return c.W != nil && c.B != nil && (!c.BN || c.Scale != nil) }
 
 // Weights implements Weighted: W, B, then Scale and Shift if a BatchNorm is
 // folded in.
 func (c *Conv2D) Weights() []*tensor.Tensor {
-	if c.Scale != nil {
+	if c.BN {
 		return []*tensor.Tensor{c.W, c.B, c.Scale, c.Shift}
 	}
 	return []*tensor.Tensor{c.W, c.B}
@@ -135,7 +136,7 @@ func (c *Conv2D) Weights() []*tensor.Tensor {
 // SetWeights implements Weighted.
 func (c *Conv2D) SetWeights(ws []*tensor.Tensor) error {
 	shapes := [][]int{{c.OutC, c.InC, c.Kernel, c.Kernel}, {c.OutC}, {c.OutC}, {c.OutC}}
-	if c.Scale == nil {
+	if !c.BN {
 		shapes = shapes[:2]
 	}
 	if len(ws) != len(shapes) {
@@ -147,7 +148,7 @@ func (c *Conv2D) SetWeights(ws []*tensor.Tensor) error {
 		}
 	}
 	c.W, c.B = ws[0], ws[1]
-	if c.Scale != nil {
+	if c.BN {
 		c.Scale, c.Shift = ws[2], ws[3]
 	}
 	return nil
@@ -185,11 +186,11 @@ func (c *Conv2D) ForwardBatchInto(dsts, xs []*tensor.Tensor) error {
 
 // epi is the layer's epilogue as the GEMM engine takes it, nil for none.
 func (c *Conv2D) epi() *epilogue {
-	if c.Scale == nil && !c.Relu {
+	if !c.BN && !c.Relu {
 		return nil
 	}
 	e := &epilogue{relu: c.Relu}
-	if c.Scale != nil {
+	if c.BN {
 		e.scale, e.shift = c.Scale.Data(), c.Shift.Data()
 	}
 	return e
@@ -368,7 +369,7 @@ func (c *Conv2D) SliceChannels(start, end int) (Op, error) {
 		return nil, fmt.Errorf("nn: Conv2D %q channel slice [%d,%d) out of range %d", c.OpName, start, end, c.OutC)
 	}
 	out := NewConv2D(fmt.Sprintf("%s[%d:%d]", c.OpName, start, end), c.InC, end-start, c.Kernel, c.Stride, c.Pad)
-	out.Relu, out.ValidH = c.Relu, c.ValidH
+	out.BN, out.Relu, out.ValidH = c.BN, c.Relu, c.ValidH
 	// The filters of a channel range are consecutive rows of W, and its
 	// bias, scale and shift consecutive entries: the slice shares them
 	// (weights are never written after Init). A tensor not there yet stays

@@ -71,9 +71,9 @@ func hashConvShapes(t *testing.T, shapes int) string {
 		c := NewConv2D("c", inC, outC, k, stride, pad)
 		c.Init(rng)
 		fc := *c
-		fc.Scale, fc.Shift, fc.Relu = tensor.Rand(rng, 2, outC), tensor.Rand(rng, 1, outC), shape%3 != 0
+		fc.BN, fc.Scale, fc.Shift, fc.Relu = true, tensor.Rand(rng, 2, outC), tensor.Rand(rng, 1, outC), shape%3 != 0
 		if shape%5 == 0 {
-			fc.Scale, fc.Shift = nil, nil
+			fc.BN, fc.Scale, fc.Shift = false, nil, nil
 		}
 		xs := []*tensor.Tensor{tensor.Rand(rng, 1, inC, hh, ww), tensor.Rand(rng, 1, inC, hh, ww), tensor.Rand(rng, 1, inC, hh, ww)}
 		must := func(o *tensor.Tensor, err error) *tensor.Tensor {

@@ -26,6 +26,7 @@ func fuseConv(t testing.TB, conv *Conv2D, bn *BatchNorm, relu bool) *Conv2D {
 		if f.Scale, f.Shift, err = bn.Fold(); err != nil {
 			t.Fatal(err)
 		}
+		f.BN = true
 	}
 	return &f
 }

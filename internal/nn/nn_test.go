@@ -160,8 +160,8 @@ func TestConvChannelSliceExact(t *testing.T) {
 		}
 		parts = append(parts, p)
 	}
-	cat, err := tensor.ConcatDim(0, parts...)
-	if err != nil {
+	cat := tensor.New(full.Shape()...)
+	if err := tensor.ConcatDim(cat, 0, parts...); err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.Equal(full, cat) {
@@ -277,8 +277,8 @@ func TestBatchNormChannelSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inLo, _ := in.SliceDim(0, 0, 2)
-	inHi, _ := in.SliceDim(0, 2, 6)
+	inLo, _ := in.Rows(0, 2)
+	inHi, _ := in.Rows(2, 6)
 	outLo, err := lo.Forward(inLo)
 	if err != nil {
 		t.Fatal(err)
@@ -287,8 +287,8 @@ func TestBatchNormChannelSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat, _ := tensor.ConcatDim(0, outLo, outHi)
-	if !tensor.Equal(full, cat) {
+	cat := tensor.New(full.Shape()...)
+	if err := tensor.ConcatDim(cat, 0, outLo, outHi); err != nil || !tensor.Equal(full, cat) {
 		t.Fatal("channel-sliced BN must reproduce full output")
 	}
 }
@@ -427,8 +427,8 @@ func TestLSTMCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	early1, _ := out1.SliceDim(0, 0, 3)
-	early2, _ := out2.SliceDim(0, 0, 3)
+	early1, _ := out1.Rows(0, 3)
+	early2, _ := out2.Rows(0, 3)
 	if !tensor.Equal(early1, early2) {
 		t.Fatal("LSTM must be causal")
 	}
@@ -501,21 +501,15 @@ func TestSpatialValidHEquivalence(t *testing.T) {
 		_, _, p := op.HKernel()
 		padded := in
 		if p > 0 {
-			padded, err = in.PadDim(1, p, p)
-			if err != nil {
-				return false
-			}
-			// MaxPool pads with -inf, not zero; emulate by very negative fill.
+			// p rows of the padding the op would read above and below:
+			// zero, or -inf before max pooling.
+			fill := float32(0)
 			if op.Kind() == KindMaxPool {
-				d := padded.Data()
-				for hh := 0; hh < p; hh++ {
-					for ci := 0; ci < c; ci++ {
-						for x := 0; x < w; x++ {
-							d[(ci*(h+2*p)+hh)*w+x] = float32(math.Inf(-1))
-							d[(ci*(h+2*p)+h+2*p-1-hh)*w+x] = float32(math.Inf(-1))
-						}
-					}
-				}
+				fill = float32(math.Inf(-1))
+			}
+			padded = tensor.Full(fill, c, h+2*p, w)
+			for ci := 0; ci < c; ci++ {
+				copy(padded.Data()[(ci*(h+2*p)+p)*w:], in.Data()[ci*h*w:(ci+1)*h*w])
 			}
 		}
 		valid, err := forwardValidH(op, padded)

@@ -8,7 +8,8 @@ import (
 // The scratch arena recycles float32 buffers across kernel invocations so
 // hot forwards allocate nothing beyond their output tensor: a worker's packed
 // GEMM slice, an LSTM's state slabs, and the activation arena a whole graph
-// forward runs in. sync.Pool keeps per-P free lists, so concurrent forwards
+// forward runs in. The serving runtime keeps the tensors a pass hands from
+// one layer group to the next here too (runtime/buffers.go). sync.Pool keeps per-P free lists, so concurrent forwards
 // (one per simulated function instance, or one per serving goroutine) each
 // reuse their own warm buffers without contention.
 //

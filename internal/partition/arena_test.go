@@ -103,26 +103,16 @@ func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
 					t.Fatal(err)
 				}
 				most = max(most, bytes)
-				slabs := make([]*tensor.Tensor, len(xs))
-				for e, x := range xs {
-					if slabs[e], err = InputSlab(x, ps); err != nil {
-						t.Fatal(err)
-					}
-				}
-				outs, err := g.ForwardBatch(slabs, nil)
+				outs, err := g.ForwardBatch(xs, nil)
 				if err != nil {
 					t.Fatalf("%s part %d/%d: %v", name, i, parts, err)
 				}
 				for e, out := range outs {
-					rows, err := wants[e].SliceDim(1, ps.OutRows.Lo, ps.OutRows.Hi)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !tensor.Equal(out, rows) {
+					if !tensor.Equal(out, heightRows(wants[e], ps.OutRows.Lo, ps.OutRows.Hi)) {
 						t.Errorf("%s part %d/%d: query %d of %d differs from rows %v of the monolithic output", name, i, parts, e, len(outs), ps.OutRows)
 					}
 				}
-				if one, err := g.Forward(slabs[0]); err != nil || !tensor.Equal(one, outs[0]) {
+				if one, err := g.Forward(xs[0]); err != nil || !tensor.Equal(one, outs[0]) {
 					t.Errorf("%s part %d/%d: a forward of query 0 alone differs from the batch's (%v)", name, i, parts, err)
 				}
 			}
@@ -264,8 +254,8 @@ func TestChainAllocationBudget(t *testing.T) {
 }
 
 // TestPartGraphRejectsMismatches: a slice lowered for other units, a zero
-// slice, or a part graph handed a slab of the wrong rows is an error, not a
-// wrong answer.
+// slice, or a part graph handed its own rows of the input instead of the
+// whole of it is an error, not a wrong answer.
 func TestPartGraphRejectsMismatches(t *testing.T) {
 	units := tinyGroup(t, false)
 	slices, err := SpatialSlices(units, 2)
@@ -285,28 +275,23 @@ func TestPartGraphRejectsMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
-	if _, err := g.Forward(x); err == nil {
-		t.Error("the whole input accepted as part 0's slab")
+	in := units[0].InShape
+	slab := tensor.Rand(rand.New(rand.NewSource(4)), 1, in[0], slices[0].InRows.Len(), in[2])
+	if _, err := g.Forward(slab); err == nil {
+		t.Error("part 0's rows of the input accepted as the whole input")
 	}
-	slab, err := InputSlab(x, slices[1])
-	if err != nil {
-		t.Fatal(err)
+	win, ok := g.Node(0).Op.(*nn.RowWindow)
+	if !ok {
+		t.Fatalf("part 0's first node is %T, not the window that cuts its rows", g.Node(0).Op)
 	}
-	if slab.Dim(1) != slices[0].InRows.Len() {
-		if _, err := g.Forward(slab); err == nil {
-			t.Error("part 1's slab accepted by part 0")
-		}
+	if _, err := win.OutShape(slab.Shape()); err == nil {
+		t.Error("part 0's input window accepted the shape of its rows alone")
 	}
-	stem := g.Node(0).Op
-	if _, err := stem.OutShape(x.Shape()); err == nil {
-		t.Error("part 0's stem node accepted the whole input's shape")
+	if _, err := win.Forward(slab); err == nil {
+		t.Error("part 0's input window accepted its rows alone")
 	}
-	if _, err := stem.Forward(x); err == nil {
-		t.Error("part 0's stem node accepted the whole input")
-	}
-	if _, err := stem.Forward(); err == nil {
-		t.Error("part 0's stem node accepted no input")
+	if _, err := win.Forward(); err == nil {
+		t.Error("part 0's input window accepted no input")
 	}
 }
 
@@ -413,11 +398,7 @@ func TestPartGraphNodesStandAlone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			slab, err := InputSlab(x, ps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := g.Forward(slab)
+			want, err := g.Forward(x)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -425,7 +406,7 @@ func TestPartGraphNodesStandAlone(t *testing.T) {
 			for _, n := range g.Nodes() {
 				ins := make([]*tensor.Tensor, len(n.Inputs))
 				for j, in := range n.Inputs {
-					if ins[j] = slab; in != graph.InputID {
+					if ins[j] = x; in != graph.InputID {
 						ins[j] = vals[in]
 					}
 				}
@@ -459,12 +440,7 @@ func TestSpatialPartAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.Rand(rand.New(rand.NewSource(4)), 1, units[0].InShape...)
-	ps := slices[1]
-	slab, err := InputSlab(x, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ps.Graph(units)
+	g, err := slices[1].Graph(units)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +461,7 @@ func TestSpatialPartAllocationBudget(t *testing.T) {
 	var out *tensor.Tensor
 	for i := 0; i < 10; i++ {
 		runtime.ReadMemStats(&before)
-		if out, err = g.Forward(slab); err != nil {
+		if out, err = g.Forward(x); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

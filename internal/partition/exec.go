@@ -10,26 +10,28 @@ import (
 )
 
 // Graph lowers the part to the graph a function runs for it: ordinary nn
-// ops, the units' own. The graph's input is the part's slab — rows
-// ps.InRows of the group input, full channels and width — and its output
-// rows ps.OutRows of the group output, bitwise equal to the corresponding
-// rows of a monolithic run. Every unit node with rows to compute, across all
-// the group's units and in execution order, runs on the rows its inputs hold:
-// an operator that pads height as a copy with ValidH set (padding along width
-// only; it shares the weights), any other as itself. Where a node needs
-// other rows than a source holds, a window node (nn.RowWindow) just before
-// it cuts them — interior halo rows from the source, and the boundary
-// overhang filled with the op's padding value (0, or -inf for max pooling),
+// ops, the units' own. The graph's input is the whole group input, and its
+// output rows ps.OutRows of the group output, bitwise equal to the
+// corresponding rows of a monolithic run. Every unit node with rows to
+// compute, across all the group's units and in execution order, runs on the
+// rows its inputs hold: an operator that pads height as a copy with ValidH
+// set (padding along width only; it shares the weights), any other as
+// itself. Where a node needs other rows than a source holds, a window node
+// (nn.RowWindow) just before it cuts them — from the group input, the part's
+// own rows of it; from a node inside the group, its halo rows — and fills the
+// boundary overhang with the op's padding value (0, or -inf for max pooling),
 // exactly as implicit padding would. So a part's op:<name> events are the
-// monolithic graph's plus its windows.
+// monolithic graph's plus its windows, and the part reads its rows of the
+// group input straight into its arena: the master and its workers hand every
+// part the same input, and nothing copies a slab of it first.
 func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 	if len(units) == 0 || len(units) != len(ps.units) {
 		return nil, fmt.Errorf("partition: slice built for %d units, got %d", len(ps.units), len(units))
 	}
 	in := units[0].InShape
-	g := graph.New(fmt.Sprintf("%s[h%d:%d]", units[len(units)-1].Name, ps.OutRows.Lo, ps.OutRows.Hi),
-		[]int{in[0], ps.InRows.Len(), in[2]})
-	prevOut := graph.InputID // the node producing the current unit's input
+	g := graph.New(fmt.Sprintf("%s[h%d:%d]", units[len(units)-1].Name, ps.OutRows.Lo, ps.OutRows.Hi), in)
+	prevOut := graph.InputID           // the node producing the current unit's input
+	held := RowRange{Lo: 0, Hi: in[1]} // the rows of it prevOut holds
 	curRange := ps.InRows
 	for ui, u := range units {
 		us := ps.units[ui]
@@ -55,13 +57,13 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 			srcs := make([]int, len(node.Inputs))
 			ins := make([][]int, len(node.Inputs)) // the shapes the op reads
 			for i, in := range node.Inputs {
-				src, srcRange, full := prevOut, us.inRows, u.InShape
+				src, srcRange, full := prevOut, held, u.InShape
 				if in != graph.InputID {
 					src, srcRange, full = idOf[in], us.nodes[in], shapes[in]
 				}
 				inside := req.clip(full[1])
 				if inside.Lo < srcRange.Lo || inside.Hi > srcRange.Hi || inside.Len() <= 0 {
-					return nil, fmt.Errorf("partition: unit %d node %s: need rows %v but slab covers %v (h=%d)",
+					return nil, fmt.Errorf("partition: unit %d node %s: need rows %v but its source holds %v (h=%d)",
 						u.Index, node.Op.Name(), req, srcRange, full[1])
 				}
 				srcs[i], ins[i] = src, []int{full[0], srcRange.Len(), full[2]}
@@ -91,7 +93,7 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 		if curRange.Len() <= 0 {
 			return nil, fmt.Errorf("partition: unit %d (%s) has no rows to compute", u.Index, u.Name)
 		}
-		prevOut = idOf[u.Sub.OutputID()]
+		prevOut, held = idOf[u.Sub.OutputID()], curRange
 	}
 	return g, nil
 }
@@ -130,9 +132,9 @@ func padValue(op nn.Op) float32 {
 }
 
 // ExecSpatial partitions the group `parts` ways, runs every partition's
-// graph (PartSlice.Graph) on its slab, and reassembles the full output. It is
-// the in-process reference for what master and workers do cooperatively in
-// the serving runtime.
+// graph (PartSlice.Graph) on the group input, and reassembles the full
+// output. It is the in-process reference for what master and workers do
+// cooperatively in the serving runtime.
 func ExecSpatial(units []*Unit, parts int, x *tensor.Tensor) (*tensor.Tensor, error) {
 	slices, err := SpatialSlices(units, parts)
 	if err != nil {
@@ -144,15 +146,11 @@ func ExecSpatial(units []*Unit, parts int, x *tensor.Tensor) (*tensor.Tensor, er
 		if err != nil {
 			return nil, err
 		}
-		slab, err := InputSlab(x, ps)
-		if err != nil {
-			return nil, err
-		}
-		if outs[i], err = g.Forward(slab); err != nil {
+		if outs[i], err = g.Forward(x); err != nil {
 			return nil, err
 		}
 	}
-	return tensor.ConcatDim(1, outs...)
+	return join(units[len(units)-1].OutShape, 1, outs)
 }
 
 // ExecChannel partitions a single unit `parts` ways along output channels,
@@ -170,10 +168,15 @@ func ExecChannel(u *Unit, parts int, x *tensor.Tensor) (*tensor.Tensor, error) {
 		}
 		outs[i] = out
 	}
-	return tensor.ConcatDim(0, outs...)
+	return join(u.OutShape, 0, outs)
 }
 
-// InputSlab extracts the group-input rows a spatial partition needs.
-func InputSlab(x *tensor.Tensor, ps PartSlice) (*tensor.Tensor, error) {
-	return x.SliceDim(1, ps.InRows.Lo, ps.InRows.Hi)
+// join concatenates the partitions' outputs along dim into a new tensor of
+// the group output's shape.
+func join(shape []int, dim int, outs []*tensor.Tensor) (*tensor.Tensor, error) {
+	out := tensor.New(shape...)
+	if err := tensor.ConcatDim(out, dim, outs...); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

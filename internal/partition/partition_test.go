@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -42,6 +43,25 @@ func linearized(t *testing.T, g *graph.Graph) []*Unit {
 		t.Fatal(err)
 	}
 	return units
+}
+
+// maxAbsDiff is the largest element-wise |a-b| of two same-sized tensors.
+func maxAbsDiff(a, b *tensor.Tensor) float64 {
+	var m float64
+	for i, v := range a.Data() {
+		m = math.Max(m, math.Abs(float64(v)-float64(b.Data()[i])))
+	}
+	return m
+}
+
+// heightRows copies rows [lo, hi) of every channel of a CHW map.
+func heightRows(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	c, h, w := x.Dim(0), x.Dim(1), x.Dim(2)
+	out := tensor.New(c, hi-lo, w)
+	for ci := 0; ci < c; ci++ {
+		copy(out.Data()[ci*(hi-lo)*w:(ci+1)*(hi-lo)*w], x.Data()[(ci*h+lo)*w:])
+	}
+	return out
 }
 
 func TestLinearizeTinyCNN(t *testing.T) {
@@ -188,7 +208,7 @@ func TestSpatialPartitionExactness(t *testing.T) {
 			t.Fatalf("parts=%d: %v", parts, err)
 		}
 		if !tensor.Equal(want, got) {
-			d, _ := tensor.MaxAbsDiff(want, got)
+			d := maxAbsDiff(want, got)
 			t.Fatalf("parts=%d: partitioned output differs (max |Δ| = %v)", parts, d)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"gillis/internal/runtime"
 	"gillis/internal/simnet"
 	"gillis/internal/tensor"
+	"gillis/internal/trace"
 	"gillis/internal/trace/tracetest"
 )
 
@@ -208,4 +209,111 @@ func TestConcurrentEnvsOwnTheirState(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPooledJoinsOutliveHedgeLosers is the scratch pool's ownership rule
+// (internal/runtime/buffers.go, DESIGN §11) as a test, and it runs under
+// -race for the same reason as TestConcurrentEnvsOwnTheirState: a Real-mode
+// pass joins every fork-join round into a pooled buffer, and the master
+// gives it back once the next group has consumed it, unless a hedged
+// invocation that was handed it is still running. Goroutines each serve, on
+// Envs of their own, a replay of two spatial rounds and a whole group on a
+// worker — each round handed the previous one's pooled join — under
+// stragglers (hedging), crashes (retries) and batches of two, so the pool's
+// buffers pass from one goroutine to another; every output must be the
+// monolithic forward's, bit for bit. The scenario must leave a hedge loser
+// running past the end of its round. Were the loser's input given back
+// early, another goroutine's forward would write it while the loser reads
+// it — a race the detector reports. (Only the detector sees it: the loser's
+// own output is dropped.)
+func TestPooledJoinsOutliveHedgeLosers(t *testing.T) {
+	m := newOwnedModel(t, "pooled-joins", 44, 24, func(n int) []partition.GroupPlan {
+		return []partition.GroupPlan{
+			{First: 0, Last: 0, Option: partition.Option{Dim: partition.DimSpatial, Parts: 3}, OnMaster: true},
+			{First: 1, Last: n - 2, Option: partition.Option{Dim: partition.DimSpatial, Parts: 3}},
+			{First: n - 1, Last: n - 1, Option: partition.Option{Dim: partition.DimNone, Parts: 1}},
+		}
+	})
+	serve := func() ([]gateway.Outcome, error) {
+		cfg := platform.AWSLambda()
+		cfg.Faults = platform.FaultProfile{FailureProb: 0.1, StragglerProb: 0.25, StragglerFactor: 8}
+		p := platform.New(simnet.NewEnv(), cfg, 9)
+		d, err := runtime.Deploy(p, m.units, m.plan, runtime.Real, runtime.WithRetries(4, 5), runtime.WithHedging(60))
+		if err != nil {
+			return nil, err
+		}
+		if err := d.Prewarm(); err != nil {
+			return nil, err
+		}
+		at := make([]time.Duration, len(m.xs))
+		for i := range at {
+			at[i] = time.Duration(i) * 40 * time.Millisecond
+		}
+		_, outs, err := gateway.Run(d, at, gateway.Config{
+			MaxInFlight: 2,
+			QueueCap:    len(m.xs),
+			Traced:      true,
+			Input:       func(i int) *tensor.Tensor { return m.xs[i] },
+			Batch:       batching.Config{MaxBatch: 2, MaxDelay: 60 * time.Millisecond},
+		})
+		return outs, err
+	}
+	check := func(outs []gateway.Outcome) {
+		for i, o := range outs {
+			if o.Err != "" || !tensor.Equal(o.Output, m.want[i]) {
+				t.Errorf("query %d: output differs from graph.Forward (err %q)", i, o.Err)
+			}
+		}
+	}
+
+	ref, err := serve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ref)
+	retries, outlived := 0, 0
+	for _, o := range ref {
+		retries += tracetest.CountEvents(o.Trace, "retry")
+		outlived += losersOutlivingTheirRound(o.Trace)
+	}
+	t.Logf("%d queries: %d retries, %d hedge losers still running past their round", len(ref), retries, outlived)
+	if retries == 0 || outlived == 0 {
+		t.Fatalf("the scenario must retry and leave a hedge loser running past its round: %d retries, %d losers", retries, outlived)
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs, err := serve()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			check(outs)
+		}()
+	}
+	wg.Wait()
+}
+
+// losersOutlivingTheirRound counts the invocations of tr that lost a hedge
+// race and settled after the fork-join round they belonged to had ended.
+func losersOutlivingTheirRound(tr *trace.Trace) int {
+	spans := tr.Spans()
+	n := 0
+	for _, sp := range spans {
+		if sp.Attr("hedge") != "lost" {
+			continue
+		}
+		g := sp
+		for g.Kind != trace.KindGroup && g.Parent >= 0 {
+			g = spans[g.Parent]
+		}
+		if g.Kind == trace.KindGroup && (sp.End > g.End || sp.End == g.End && sp.EndSeq > g.EndSeq) {
+			n++
+		}
+	}
+	return n
 }

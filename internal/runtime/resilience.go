@@ -179,9 +179,16 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 	env := d.p.Env()
 	win := simnet.NewPromise[hedgeOut](env)
 	fails := 0
+	// The race's loser is still running when the winner returns, and it
+	// holds the round's request: the group's count of hedged invocations in
+	// flight keeps the master from recycling the tensors in it
+	// (batch.release) until the loser has settled.
+	gr := d.groups[gi]
 	watch := func(pr *simnet.Promise[platform.InvokeResult], sp *trace.Span, isBackup bool) {
+		gr.hedged++
 		env.Go("hedge-watch", func(wp *simnet.Proc) {
 			res, err := pr.Wait(wp)
+			gr.hedged--
 			if err != nil {
 				qs.ExtraBilledMs += platform.BilledMsOf(err)
 				if fails++; fails == 2 {
@@ -273,12 +280,12 @@ func (d *Deployment) fallbackKey(gi int) string {
 // request's queries) and executes the group locally. Real-mode outputs are
 // computed by the same kernels, so the result stays bitwise identical to the
 // healthy path.
-func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
+func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) (batch, error) {
 	fsp := gsp.Child(trace.KindFallback, "fallback")
 	defer fsp.EndSpan()
 	if err := ctx.StorageGet(d.fallbackKey(gi)); err != nil {
 		fsp.Fail("", err.Error())
-		return nil, err
+		return batch{}, err
 	}
 	qs.Fallbacks++
 	qs.FaultsSurvived++

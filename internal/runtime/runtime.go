@@ -44,8 +44,11 @@ const (
 type groupRuntime struct {
 	gp      partition.GroupPlan
 	ext     partition.Extent // per-partition FLOPs and payloads
-	slices  partition.Slices // the partitions' row or channel slices
 	parts   []*graph.Graph   // the graph each partition runs (Real mode)
+	outs    [][]int          // the shape of each partition's output (Real mode)
+	joined  []int            // the shape of the group's output (Real mode)
+	last    bool             // the plan's last group: its output is the reply
+	hedged  int              // hedged invocations in flight, counted by their watchers
 	opBytes int64            // monolithic bytes touched
 	workers []string         // function name per partition (also those the master computes)
 }
@@ -133,11 +136,19 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		if err != nil {
 			return nil, err
 		}
-		gr := &groupRuntime{gp: gp, ext: ext, slices: slices, opBytes: opBytes}
+		gr := &groupRuntime{gp: gp, ext: ext, last: gi == len(plan.Groups)-1, opBytes: opBytes}
 		if mode == Real {
 			if gr.parts, err = slices.Graphs(group, gp.Option); err != nil {
 				return nil, err
 			}
+			for _, g := range gr.parts {
+				out, err := g.OutShape()
+				if err != nil {
+					return nil, err
+				}
+				gr.outs = append(gr.outs, out)
+			}
+			gr.joined = units[gp.Last].OutShape
 		}
 		gr.workers = make([]string, gp.Option.Parts)
 		for part := range gr.workers {
@@ -244,9 +255,12 @@ type request struct {
 }
 
 // response is the body of every Real-mode worker reply (outputs only) and of
-// every master reply.
+// every master reply. buf is the scratch-pool buffer a worker's outputs live
+// in (nil where they are tensors of their own), which passes to the master
+// with them.
 type response struct {
 	outputs []*tensor.Tensor
+	buf     *[]float32
 	resil   Resilience
 }
 
@@ -447,7 +461,7 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want request", payload.Data)
 	}
 	qs := &Resilience{}
-	cur := req.inputs
+	cur := batch{ts: req.inputs} // the caller's: never recycled
 	for gi, gr := range d.groups {
 		var gsp *trace.Span
 		if sp := ctx.Span(); sp != nil { // an untraced pass builds no name
@@ -456,26 +470,28 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 				gsp.SetAttr("batch", strconv.Itoa(req.size))
 			}
 		}
-		next, err := d.runGroup(ctx, gi, gr, req, cur, qs, gsp)
+		next, err := d.runGroup(ctx, gi, gr, req, &cur, qs, gsp)
 		if err != nil {
 			gsp.Fail("", err.Error())
 			gsp.EndSpan()
 			return platform.Payload{}, err
 		}
 		gsp.EndSpan()
+		cur.release() // the group has consumed it
 		cur = next
 	}
 	last := d.groups[len(d.groups)-1]
 	return platform.Payload{
 		Bytes: last.ext.OutBytesTotal * int64(req.size),
-		Data:  &response{outputs: cur, resil: *qs},
+		Data:  &response{outputs: cur.ts, resil: *qs},
 	}, nil
 }
 
-// workerReq is the body of a worker invocation carrying the round's tensors.
-// In ShapeOnly mode there are none and the size never changes, so every
-// worker of every round gets the request the master itself received: a
-// query allocates one body, not one per invocation.
+// workerReq is the body of a worker invocation carrying the round's tensors:
+// in Real mode one per round, which every partition's invocations share. In
+// ShapeOnly mode there are none and the size never changes, so every worker
+// of every round gets the request the master itself received: a query
+// allocates one body, not one per invocation.
 func (d *Deployment) workerReq(req *request, ins []*tensor.Tensor) *request {
 	if d.mode != Real {
 		return req
@@ -484,23 +500,24 @@ func (d *Deployment) workerReq(req *request, ins []*tensor.Tensor) *request {
 }
 
 // runGroup executes one layer group from the master's perspective, for
-// every query of req at once; ins holds the group's input per query (Real
-// mode). Every partition's tensor math is one batched forward of its graph,
-// bitwise identical to sequential execution, while modeled compute and
-// payload bytes scale linearly with req.size.
-func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
+// every query of req at once; in holds the group's input per query (Real
+// mode), and a round that hands it to workers records the group as
+// in.lent. Every partition's tensor math is one batched forward of its
+// graph, bitwise identical to sequential execution, while modeled compute
+// and payload bytes scale linearly with req.size.
+func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, in *batch, qs *Resilience, gsp *trace.Span) (batch, error) {
 	switch {
 	case gr.gp.Option.Dim != partition.DimNone:
-		return d.forkJoin(ctx, gi, gr, req, ins, qs, gsp)
+		return d.forkJoin(ctx, gi, gr, req, in, qs, gsp)
 	case gr.gp.OnMaster:
-		return d.localRound(ctx, gr, req, ins, gsp)
+		return d.localRound(ctx, gr, req, in.ts, gsp)
 	default:
-		return d.remoteRound(ctx, gi, gr, req, ins, qs, gsp)
+		return d.remoteRound(ctx, gi, gr, req, in, qs, gsp)
 	}
 }
 
 // localRound runs a whole group on the master itself.
-func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *request, ins []*tensor.Tensor, gsp *trace.Span) ([]*tensor.Tensor, error) {
+func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *request, ins []*tensor.Tensor, gsp *trace.Span) (batch, error) {
 	csp := gsp.Child(trace.KindCompute, "master-compute")
 	defer csp.EndSpan()
 	return d.computeChain(ctx, gr, req.size, ins, csp)
@@ -508,21 +525,24 @@ func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *reques
 
 // remoteRound runs a whole group on its single worker (with retries, and a
 // master-local fallback when graceful degradation is enabled).
-func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
-	wreq := platform.Payload{Bytes: gr.ext.InBytesTotal * int64(req.size), Data: d.workerReq(req, ins)}
+func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, in *batch, qs *Resilience, gsp *trace.Span) (batch, error) {
+	in.lent = gr
+	wreq := platform.Payload{Bytes: gr.ext.InBytesTotal * int64(req.size), Data: d.workerReq(req, in.ts)}
 	res, err := d.callWorker(ctx.Proc(), ctx, gi, 0, wreq, qs, gsp)
 	if err != nil {
 		if d.opts.fallback {
-			return d.fallbackLocal(ctx, gi, gr, req.size, ins, qs, gsp)
+			return d.fallbackLocal(ctx, gi, gr, req.size, in.ts, qs, gsp)
 		}
-		return nil, err
+		return batch{}, err
 	}
-	return d.tensorsOf(res.Resp, req.size)
+	return d.outputOf(res.Resp, req.size)
 }
 
 // forkJoin is the parallel round of a partitioned group: fork workers,
 // optionally compute partition 0 locally, join and reassemble per query.
-func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) ([]*tensor.Tensor, error) {
+// Every partition reads the whole group input (its graph cuts its own
+// rows), so the round's invocations share one request.
+func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, in *batch, qs *Resilience, gsp *trace.Span) (batch, error) {
 	opt := gr.gp.Option
 	size := int64(req.size)
 	firstWorker := 0
@@ -533,36 +553,32 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 	callSpans := make([]*trace.Span, 0, opt.Parts-firstWorker)
 	// When the round fails, the master stops waiting: sibling calls still in
 	// flight settle after the group span ends, which trace invariants only
-	// accept once marked abandoned.
-	fail := func(err error) ([]*tensor.Tensor, error) {
+	// accept once marked abandoned. What the round holds is left to the
+	// collector.
+	fail := func(err error) (batch, error) {
 		abandonUnsettled(promises, callSpans)
-		return nil, err
+		return batch{}, err
 	}
+	in.lent = gr
+	wr := d.workerReq(req, in.ts)
 	for part := firstWorker; part < opt.Parts; part++ {
-		slabs, err := d.partInputs(gr, part, ins)
-		if err != nil {
-			return fail(err)
-		}
-		wreq := platform.Payload{Bytes: gr.ext.PerPart[part].InBytes * size, Data: d.workerReq(req, slabs)}
+		wreq := platform.Payload{Bytes: gr.ext.PerPart[part].InBytes * size, Data: wr}
 		pr, csp := d.launchWorker(ctx, gi, part, wreq, qs, gsp)
 		promises = append(promises, pr)
 		callSpans = append(callSpans, csp)
 	}
 
-	// outs[part][e] is partition part's output for query e (Real mode).
-	var outs [][]*tensor.Tensor
+	// outs[part].ts[e] is partition part's output for query e (Real mode).
+	var outs []batch
 	if d.mode == Real {
-		outs = make([][]*tensor.Tensor, opt.Parts)
+		outs = make([]batch, opt.Parts)
 	}
 	if gr.gp.OnMaster {
 		csp := gsp.Child(trace.KindCompute, "master-part0")
 		d.computeScaled(ctx, gr, flopFrac(gr, 0), req.size)
 		if d.mode == Real {
-			slabs, err := d.partInputs(gr, 0, ins)
-			if err == nil {
-				outs[0], err = gr.parts[0].ForwardBatch(slabs, opEvents(csp))
-			}
-			if err != nil {
+			var err error
+			if outs[0], err = gr.forward(0, in.ts, opEvents(csp)); err != nil {
 				csp.EndSpan()
 				return fail(err)
 			}
@@ -575,7 +591,7 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 			return fail(err)
 		}
 		if d.mode == Real {
-			if outs[firstWorker+i], err = d.tensorsOf(res.Resp, req.size); err != nil {
+			if outs[firstWorker+i], err = d.outputOf(res.Resp, req.size); err != nil {
 				return fail(err)
 			}
 		}
@@ -585,23 +601,26 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 	defer rsp.EndSpan()
 	ctx.ComputeOp(0, gr.ext.OutBytesTotal*size)
 	if d.mode != Real {
-		return nil, nil
+		return batch{}, nil
 	}
 	dim := 1 // spatial: concatenate rows
 	if opt.Dim == partition.DimChannel {
 		dim = 0
 	}
-	joined := make([]*tensor.Tensor, req.size)
+	joined := newBatch(gr.joined, req.size, !gr.last)
 	parts := make([]*tensor.Tensor, opt.Parts)
-	for e := range joined {
+	for e, dst := range joined.ts {
 		for part := range parts {
-			parts[part] = outs[part][e]
+			parts[part] = outs[part].ts[e]
 		}
-		out, err := tensor.ConcatDim(dim, parts...)
-		if err != nil {
-			return nil, err
+		if err := tensor.ConcatDim(dst, dim, parts...); err != nil {
+			return batch{}, err
 		}
-		joined[e] = out
+	}
+	// Every partition's output came from an invocation that has settled (or
+	// from the master itself), and the join has copied it.
+	for _, out := range outs {
+		out.release()
 	}
 	return joined, nil
 }
@@ -614,14 +633,14 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 		return platform.Payload{}, fmt.Errorf("runtime: worker got %T, want request", payload.Data)
 	}
 	gr := d.groups[gi]
-	var outs []*tensor.Tensor
+	var out batch
 	var err error
 	if gr.gp.Option.Dim == partition.DimNone {
-		outs, err = d.computeChain(ctx, gr, req.size, req.inputs, ctx.Span())
+		out, err = d.computeChain(ctx, gr, req.size, req.inputs, ctx.Span())
 	} else {
 		d.computeScaled(ctx, gr, flopFrac(gr, part), req.size)
 		if d.mode == Real {
-			outs, err = gr.parts[part].ForwardBatch(req.inputs, opEvents(ctx.Span()))
+			out, err = gr.forward(part, req.inputs, opEvents(ctx.Span()))
 		}
 	}
 	if err != nil {
@@ -629,7 +648,7 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 	}
 	resp := platform.Payload{Bytes: gr.ext.PerPart[part].OutBytes * int64(req.size)}
 	if d.mode == Real {
-		resp.Data = &response{outputs: outs}
+		resp.Data = &response{outputs: out.ts, buf: out.buf}
 	}
 	return resp, nil
 }
@@ -638,12 +657,12 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 // on the group's worker, or on the master as a fallback: the modeled compute
 // on the virtual clock, then in Real mode the batched forward of the group's
 // joined graph with its kernel events reported into sp.
-func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int, ins []*tensor.Tensor, sp *trace.Span) ([]*tensor.Tensor, error) {
+func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int, ins []*tensor.Tensor, sp *trace.Span) (batch, error) {
 	d.computeScaled(ctx, gr, 1.0, size)
 	if d.mode != Real {
-		return nil, nil
+		return batch{}, nil
 	}
-	return gr.parts[0].ForwardBatch(ins, opEvents(sp))
+	return gr.forward(0, ins, opEvents(sp))
 }
 
 // computeScaled advances the function's clock by the group's ops scaled to
@@ -662,36 +681,19 @@ func flopFrac(gr *groupRuntime, part int) float64 {
 	return float64(gr.ext.PerPart[part].FLOPs) / float64(gr.ext.GroupFLOPs)
 }
 
-// partInputs slices every query's group input for a partition (nil in
-// ShapeOnly mode, which carries no tensors).
-func (d *Deployment) partInputs(gr *groupRuntime, part int, ins []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if d.mode != Real || gr.gp.Option.Dim == partition.DimChannel {
-		return ins, nil // channel partitions consume the full input
-	}
-	slabs := make([]*tensor.Tensor, len(ins))
-	for e, in := range ins {
-		slab, err := partition.InputSlab(in, gr.slices.Spatial[part])
-		if err != nil {
-			return nil, err
-		}
-		slabs[e] = slab
-	}
-	return slabs, nil
-}
-
-// tensorsOf unwraps a worker response (nil in ShapeOnly mode).
-func (d *Deployment) tensorsOf(p platform.Payload, size int) ([]*tensor.Tensor, error) {
+// outputOf unwraps a worker response (empty in ShapeOnly mode).
+func (d *Deployment) outputOf(p platform.Payload, size int) (batch, error) {
 	if d.mode != Real {
-		return nil, nil
+		return batch{}, nil
 	}
 	r, ok := p.Data.(*response)
 	if !ok {
-		return nil, fmt.Errorf("runtime: response payload %T, want response", p.Data)
+		return batch{}, fmt.Errorf("runtime: response payload %T, want response", p.Data)
 	}
 	if len(r.outputs) != size {
-		return nil, fmt.Errorf("runtime: worker returned %d outputs for %d queries", len(r.outputs), size)
+		return batch{}, fmt.Errorf("runtime: worker returned %d outputs for %d queries", len(r.outputs), size)
 	}
-	return r.outputs, nil
+	return batch{ts: r.outputs, buf: r.buf}, nil
 }
 
 // groupOpBytes is the bytes the ops of a group touch when it runs whole.

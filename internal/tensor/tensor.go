@@ -2,15 +2,13 @@
 // numerical substrate for model serving. It plays the role MXNet's NDArray
 // plays in the original Gillis implementation: enough functionality to run
 // exact forward passes of convolutional and recurrent networks, and to
-// slice/concatenate tensors along arbitrary dimensions for partitioned
-// execution.
+// concatenate partial tensors along any dimension for partitioned execution.
 //
-// Tensors are immutable-shape and row-major (C order). New, Clone, SliceDim,
-// ConcatDim and PadDim return tensors that own their storage — slicing
-// copies, which keeps the partitioned-execution code simple and makes bitwise
-// output comparison between monolithic and partitioned runs meaningful. Three
-// constructors share storage instead, and say so: FromData wraps the caller's
-// slice (how a forward's activation arena is handed to operators), Reshape
+// Tensors are immutable-shape and row-major (C order). New and Clone return
+// tensors that own their storage, and ConcatDim writes into a destination the
+// caller owns. Three constructors share storage instead, and say so: FromData
+// wraps the caller's slice (how a forward's activation arena is handed to
+// operators, and how the serving runtime hands out pooled buffers), Reshape
 // keeps the data under a new shape, and Rows is the sub-tensor along
 // dimension 0, which row-major order makes one contiguous run. Rows is how an
 // operator's channel slice holds its share of an immutable weight tensor
@@ -20,7 +18,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 )
@@ -172,122 +169,47 @@ func (t *Tensor) At(idx ...int) float32 { return t.data[t.Offset(idx...)] }
 // Set assigns the element at the given index.
 func (t *Tensor) Set(v float32, idx ...int) { t.data[t.Offset(idx...)] = v }
 
-// SliceDim returns a copy of the sub-tensor spanning [start, end) along
-// dimension dim; all other dimensions are kept whole.
-func (t *Tensor) SliceDim(dim, start, end int) (*Tensor, error) {
-	if dim < 0 || dim >= len(t.shape) {
-		return nil, fmt.Errorf("tensor: slice dim %d out of range for rank %d", dim, len(t.shape))
-	}
-	if start < 0 || end > t.shape[dim] || start >= end {
-		return nil, fmt.Errorf("tensor: slice [%d,%d) out of range for dim %d of size %d", start, end, dim, t.shape[dim])
-	}
-	outShape := cloneInts(t.shape)
-	outShape[dim] = end - start
-	out := New(outShape...)
-
-	outer := 1
-	for i := 0; i < dim; i++ {
-		outer *= t.shape[i]
-	}
-	inner := 1
-	for i := dim + 1; i < len(t.shape); i++ {
-		inner *= t.shape[i]
-	}
-	srcStride := t.shape[dim] * inner
-	dstStride := (end - start) * inner
-	for o := 0; o < outer; o++ {
-		src := t.data[o*srcStride+start*inner : o*srcStride+end*inner]
-		dst := out.data[o*dstStride : (o+1)*dstStride]
-		copy(dst, src)
-	}
-	return out, nil
-}
-
-// ConcatDim concatenates the tensors along dimension dim. All other
-// dimensions must agree.
-func ConcatDim(dim int, parts ...*Tensor) (*Tensor, error) {
+// ConcatDim writes the concatenation of parts along dimension dim into dst,
+// which must have their shape with dim summed; all other dimensions must
+// agree. It allocates nothing: the serving runtime joins a partitioned
+// group's outputs into a buffer it recycles.
+func ConcatDim(dst *Tensor, dim int, parts ...*Tensor) error {
 	if len(parts) == 0 {
-		return nil, fmt.Errorf("tensor: concat of zero tensors")
+		return fmt.Errorf("tensor: concat of zero tensors")
 	}
-	first := parts[0]
-	if dim < 0 || dim >= len(first.shape) {
-		return nil, fmt.Errorf("tensor: concat dim %d out of range for rank %d", dim, len(first.shape))
+	if dim < 0 || dim >= len(dst.shape) {
+		return fmt.Errorf("tensor: concat dim %d out of range for rank %d", dim, len(dst.shape))
 	}
 	total := 0
 	for _, p := range parts {
-		if p.Rank() != first.Rank() {
-			return nil, fmt.Errorf("tensor: concat rank mismatch %d vs %d", p.Rank(), first.Rank())
+		if p.Rank() != dst.Rank() {
+			return fmt.Errorf("tensor: concat rank mismatch %d vs %d", p.Rank(), dst.Rank())
 		}
 		for i := range p.shape {
-			if i != dim && p.shape[i] != first.shape[i] {
-				return nil, fmt.Errorf("tensor: concat shape mismatch at dim %d: %v vs %v", i, p.shape, first.shape)
+			if i != dim && p.shape[i] != dst.shape[i] {
+				return fmt.Errorf("tensor: concat shape mismatch at dim %d: %v into %v", i, p.shape, dst.shape)
 			}
 		}
 		total += p.shape[dim]
 	}
-	outShape := cloneInts(first.shape)
-	outShape[dim] = total
-	out := New(outShape...)
-
+	if total != dst.shape[dim] {
+		return fmt.Errorf("tensor: concat of %d along dim %d into %v", total, dim, dst.shape)
+	}
 	outer := 1
 	for i := 0; i < dim; i++ {
-		outer *= first.shape[i]
+		outer *= dst.shape[i]
 	}
 	inner := 1
-	for i := dim + 1; i < len(first.shape); i++ {
-		inner *= first.shape[i]
+	for i := dim + 1; i < len(dst.shape); i++ {
+		inner *= dst.shape[i]
 	}
 	dstStride := total * inner
 	for o := 0; o < outer; o++ {
-		at := 0
+		at := o * dstStride
 		for _, p := range parts {
 			pn := p.shape[dim] * inner
-			copy(out.data[o*dstStride+at:o*dstStride+at+pn], p.data[o*pn:(o+1)*pn])
-			at += pn
+			at += copy(dst.data[at:at+pn], p.data[o*pn:(o+1)*pn])
 		}
-	}
-	return out, nil
-}
-
-// PadDim returns a copy of t with `before` zero slices prepended and `after`
-// zero slices appended along dimension dim.
-func (t *Tensor) PadDim(dim, before, after int) (*Tensor, error) {
-	if dim < 0 || dim >= len(t.shape) {
-		return nil, fmt.Errorf("tensor: pad dim %d out of range for rank %d", dim, len(t.shape))
-	}
-	if before < 0 || after < 0 {
-		return nil, fmt.Errorf("tensor: negative padding (%d, %d)", before, after)
-	}
-	if before == 0 && after == 0 {
-		return t.Clone(), nil
-	}
-	outShape := cloneInts(t.shape)
-	outShape[dim] += before + after
-	out := New(outShape...)
-
-	outer := 1
-	for i := 0; i < dim; i++ {
-		outer *= t.shape[i]
-	}
-	inner := 1
-	for i := dim + 1; i < len(t.shape); i++ {
-		inner *= t.shape[i]
-	}
-	srcStride := t.shape[dim] * inner
-	dstStride := outShape[dim] * inner
-	for o := 0; o < outer; o++ {
-		copy(out.data[o*dstStride+before*inner:o*dstStride+before*inner+srcStride], t.data[o*srcStride:(o+1)*srcStride])
-	}
-	return out, nil
-}
-
-// AddInPlace adds other element-wise into t. Shapes must match exactly.
-func (t *Tensor) AddInPlace(other *Tensor) error {
-	if !ShapeEqual(t.shape, other.shape) {
-		return fmt.Errorf("tensor: add shape mismatch %v vs %v", t.shape, other.shape)
-	}
-	for i := range t.data {
-		t.data[i] += other.data[i]
 	}
 	return nil
 }
@@ -304,40 +226,6 @@ func Equal(a, b *Tensor) bool {
 		}
 	}
 	return true
-}
-
-// AllClose reports whether the tensors have identical shapes and element-wise
-// absolute difference no greater than eps.
-func AllClose(a, b *Tensor, eps float32) bool {
-	if !ShapeEqual(a.shape, b.shape) {
-		return false
-	}
-	for i := range a.data {
-		d := a.data[i] - b.data[i]
-		if d < -eps || d > eps || math.IsNaN(float64(d)) {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxAbsDiff returns the maximum element-wise absolute difference between two
-// same-shaped tensors.
-func MaxAbsDiff(a, b *Tensor) (float32, error) {
-	if !ShapeEqual(a.shape, b.shape) {
-		return 0, fmt.Errorf("tensor: shape mismatch %v vs %v", a.shape, b.shape)
-	}
-	var m float32
-	for i := range a.data {
-		d := a.data[i] - b.data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m, nil
 }
 
 // ShapeEqual reports whether two shapes are identical.

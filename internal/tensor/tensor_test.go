@@ -87,100 +87,65 @@ func TestReshape(t *testing.T) {
 	}
 }
 
-func TestSliceDim(t *testing.T) {
-	x, _ := FromData([]float32{
-		1, 2, 3,
-		4, 5, 6,
-		7, 8, 9,
-	}, 3, 3)
-	mid, err := x.SliceDim(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := FromData([]float32{4, 5, 6}, 1, 3)
-	if !Equal(mid, want) {
-		t.Fatalf("row slice got %v", mid.Data())
-	}
-	col, err := x.SliceDim(1, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCol, _ := FromData([]float32{3, 6, 9}, 3, 1)
-	if !Equal(col, wantCol) {
-		t.Fatalf("col slice got %v", col.Data())
-	}
-	if _, err := x.SliceDim(0, 2, 2); err == nil {
-		t.Fatal("expected empty-slice error")
-	}
-	if _, err := x.SliceDim(3, 0, 1); err == nil {
-		t.Fatal("expected bad-dim error")
-	}
-}
-
 func TestConcatDim(t *testing.T) {
 	a, _ := FromData([]float32{1, 2}, 1, 2)
 	b, _ := FromData([]float32{3, 4, 5, 6}, 2, 2)
-	cat, err := ConcatDim(0, a, b)
-	if err != nil {
+	cat := Full(-1, 3, 2)
+	if err := ConcatDim(cat, 0, a, b); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := FromData([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
 	if !Equal(cat, want) {
 		t.Fatalf("concat got %v", cat.Data())
 	}
-	if _, err := ConcatDim(1, a, b); err == nil {
+	if err := ConcatDim(cat, 1, a, b); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
-	if _, err := ConcatDim(0); err == nil {
+	if err := ConcatDim(New(4, 2), 0, a, b); err == nil {
+		t.Fatal("expected destination mismatch error")
+	}
+	if err := ConcatDim(cat, 2, a, b); err == nil {
+		t.Fatal("expected bad-dim error")
+	}
+	if err := ConcatDim(cat, 0); err == nil {
 		t.Fatal("expected empty-concat error")
 	}
-}
-
-func TestPadDim(t *testing.T) {
-	x, _ := FromData([]float32{1, 2, 3, 4}, 2, 2)
-	p, err := x.PadDim(0, 1, 1)
-	if err != nil {
-		t.Fatal(err)
+	if err := ConcatDim(cat, 0, a, New(2)); err == nil {
+		t.Fatal("expected rank mismatch error")
 	}
-	want, _ := FromData([]float32{0, 0, 1, 2, 3, 4, 0, 0}, 4, 2)
-	if !Equal(p, want) {
-		t.Fatalf("pad got %v", p.Data())
-	}
-	if _, err := x.PadDim(0, -1, 0); err == nil {
-		t.Fatal("expected negative-pad error")
+	if n := testing.AllocsPerRun(10, func() { _ = ConcatDim(cat, 0, a, b) }); n != 0 {
+		t.Fatalf("ConcatDim allocates %v objects", n)
 	}
 }
 
-func TestAddInPlace(t *testing.T) {
-	a, _ := FromData([]float32{1, 2}, 2)
-	b, _ := FromData([]float32{10, 20}, 2)
-	if err := a.AddInPlace(b); err != nil {
-		t.Fatal(err)
+// TestShapeHelpers covers the shape predicates and sizes other packages
+// lean on, a rank above the inline four, and the refusals of a bad length or
+// dimension.
+func TestShapeHelpers(t *testing.T) {
+	x := New(2, 3, 4)
+	if !x.HasShape([]int{2, 3, 4}) || x.HasShape([]int{2, 3}) || ShapeEqual([]int{1, 2}, []int{1, 3}) {
+		t.Fatal("shape comparison wrong")
 	}
-	if a.At(1) != 22 {
-		t.Fatalf("add got %v", a.Data())
+	if n, err := NumElements([]int{2, 3, 4}); n != 24 || err != nil {
+		t.Fatalf("NumElements = %d, %v", n, err)
 	}
-	c := New(3)
-	if err := a.AddInPlace(c); err == nil {
-		t.Fatal("expected shape mismatch error")
+	if _, err := NumElements([]int{2, 0}); err == nil {
+		t.Fatal("a zero dimension accepted")
 	}
-}
-
-func TestAllCloseAndMaxAbsDiff(t *testing.T) {
-	a, _ := FromData([]float32{1, 2}, 2)
-	b, _ := FromData([]float32{1.0005, 2}, 2)
-	if !AllClose(a, b, 1e-3) {
-		t.Fatal("expected close")
+	if b := SizeBytes([]int{2, 3, 4}); b != 96 {
+		t.Fatalf("SizeBytes = %d", b)
 	}
-	if AllClose(a, b, 1e-5) {
-		t.Fatal("expected not close")
+	if s := x.String(); s != "f32[2 3 4]" {
+		t.Fatalf("String = %q", s)
 	}
-	d, err := MaxAbsDiff(a, b)
-	if err != nil {
-		t.Fatal(err)
+	if Equal(x, New(2, 3, 5)) || Equal(x, Full(1, 2, 3, 4)) || !Equal(x, New(2, 3, 4)) {
+		t.Fatal("Equal wrong")
 	}
-	if d < 4e-4 || d > 6e-4 {
-		t.Fatalf("unexpected max diff %v", d)
+	if _, err := FromData(make([]float32, 5), 2, 3); err == nil {
+		t.Fatal("a data length off the shape accepted")
+	}
+	if y := New(1, 2, 1, 2, 1); y.Rank() != 5 || y.Len() != 4 || y.Dim(3) != 2 {
+		t.Fatalf("rank-5 tensor %v", y)
 	}
 }
 
@@ -196,7 +161,30 @@ func TestRandDeterministic(t *testing.T) {
 	}
 }
 
-// Property: slicing a tensor into contiguous chunks along any dim and
+// chunk copies x's [lo, hi) along dim, all other dimensions whole.
+func chunk(x *Tensor, dim, lo, hi int) *Tensor {
+	shape := x.Shape()
+	outer, inner := 1, 1
+	for i := range shape {
+		if i < dim {
+			outer *= shape[i]
+		} else if i > dim {
+			inner *= shape[i]
+		}
+	}
+	var data []float32
+	for o := 0; o < outer; o++ {
+		data = append(data, x.Data()[(o*shape[dim]+lo)*inner:(o*shape[dim]+hi)*inner]...)
+	}
+	shape[dim] = hi - lo
+	out, err := FromData(data, shape...)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// Property: cutting a tensor into contiguous chunks along any dim and
 // concatenating them reproduces the original exactly.
 func TestSliceConcatRoundtrip(t *testing.T) {
 	f := func(seed int64, dimSel, cuts uint8) bool {
@@ -216,40 +204,14 @@ func TestSliceConcatRoundtrip(t *testing.T) {
 			if i == k-1 {
 				end = n
 			}
-			p, err := x.SliceDim(dim, at, end)
-			if err != nil {
-				return false
-			}
-			parts = append(parts, p)
+			parts = append(parts, chunk(x, dim, at, end))
 			at = end
 		}
-		back, err := ConcatDim(dim, parts...)
-		if err != nil {
+		back := New(shape...)
+		if err := ConcatDim(back, dim, parts...); err != nil {
 			return false
 		}
 		return Equal(x, back)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: PadDim then SliceDim of the original region is identity.
-func TestPadSliceIdentity(t *testing.T) {
-	f := func(seed int64, before, after uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		shape := []int{1 + rng.Intn(4), 1 + rng.Intn(4)}
-		x := Rand(rng, 1, shape...)
-		b, a := int(before)%4, int(after)%4
-		p, err := x.PadDim(0, b, a)
-		if err != nil {
-			return false
-		}
-		got, err := p.SliceDim(0, b, b+shape[0])
-		if err != nil {
-			return false
-		}
-		return Equal(x, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -287,19 +249,16 @@ func TestConstructorsDoNotAllocateTheShape(t *testing.T) {
 }
 
 // Rows is the one slice that shares: rows [start, end) of dimension 0 are
-// the same elements SliceDim(0, ...) copies, on the parent's storage.
+// the same elements a copy of them holds, on the parent's storage.
 func TestRowsSharesStorage(t *testing.T) {
 	x := Rand(rand.New(rand.NewSource(3)), 1, 6, 4, 5)
 	v, err := x.Rows(2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := x.SliceDim(0, 2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := chunk(x, 0, 2, 5)
 	if !Equal(v, c) {
-		t.Fatalf("Rows(2,5) = %v, differs from SliceDim(0,2,5) = %v", v, c)
+		t.Fatalf("Rows(2,5) = %v, differs from a copy of those rows = %v", v, c)
 	}
 	if &v.Data()[0] != &x.Data()[2*20] || cap(v.Data()) != 3*20 {
 		t.Fatal("Rows does not view exactly the parent's rows")

@@ -103,8 +103,9 @@ type server struct {
 	// ID to its input shape.
 	catalog   []mesh.ModelSpec
 	catalogIn map[string][]int
-	// inputLen is the primary model's input size in elements, so the length
-	// of nearly every request's input array.
+	// inputLen is the largest input, in elements, that a served model (the
+	// primary or a -catalog one) takes: a buffer set's input array is made
+	// that long, so a valid request's array never grows it.
 	inputLen int
 	// engines is the free list: GOMAXPROCS engines, so as many requests
 	// compute at once as there are threads to run their forwards.
@@ -163,12 +164,14 @@ func newServer(modelFile, platformName string, seed int64, sloMs float64, catalo
 	if err != nil {
 		return nil, err
 	}
+	inputLen := int(tensor.SizeBytes(g.InShape()) / 4)
 	catalogIn := make(map[string][]int, len(specs))
 	for _, spec := range specs {
 		catalogIn[spec.ID] = spec.Units[0].InShape
+		inputLen = max(inputLen, int(tensor.SizeBytes(spec.Units[0].InShape)/4))
 	}
 	s := &server{model: g, units: units, plan: plan, cfg: cfg, seed: seed, sloMs: sloMs,
-		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn, inputLen: int(tensor.SizeBytes(g.InShape()) / 4)}
+		metrics: trace.NewRegistry(), catalog: specs, catalogIn: catalogIn, inputLen: inputLen}
 	n := goruntime.GOMAXPROCS(0)
 	s.engines = make(chan *engine, n)
 	s.buffers = make(chan *predictBuffers, n)
@@ -354,14 +357,32 @@ type predictResponse struct {
 // body's text and its input array. A request takes a set from the server's
 // free list, or a new one when the list is empty, and puts it back once the
 // reply is written (an output may share the input array); the list keeps
-// what comes back while it holds fewer sets than there are engines. Only as
+// what comes back while it holds fewer sets than there are engines, and
+// only if no buffer grew past what a valid request needs (keeps). Only as
 // many requests compute at once as there are engines, so a warm server
 // allocates neither buffer, and what it retains is bounded by the engine
-// count, not by a cap on buffer size. Taking a set takes no engine: a
-// request reading its body off a slow connection holds only its buffers.
+// count times the largest valid request: one body padded to the 64 MB
+// limit does not stay live for the life of the process. Taking a set takes
+// no engine: a request reading its body off a slow connection holds only
+// its buffers.
 type predictBuffers struct {
 	body  []byte
 	input []float32
+}
+
+// A valid request's body is its input array's text and a few short fields.
+// A float32 takes at most 26 bytes of JSON with its separator (24 for the
+// longest float64 spelling of one, and ", "), so 32 per element and 64 KiB
+// for the rest hold every encoding a client is likely to send.
+const (
+	keptBodyBytesPerElement = 32
+	keptBodySlack           = 64 << 10
+)
+
+// keeps reports whether the free list may keep b: neither buffer is larger
+// than a valid request for the largest of the server's models needs.
+func (s *server) keeps(b *predictBuffers) bool {
+	return cap(b.input) <= s.inputLen && cap(b.body) <= keptBodyBytesPerElement*s.inputLen+keptBodySlack
 }
 
 func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -372,6 +393,9 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		bufs = new(predictBuffers)
 	}
 	defer func() {
+		if !s.keeps(bufs) {
+			return // an oversized set goes to the collector
+		}
 		select {
 		case s.buffers <- bufs:
 		default: // the list is full: this set goes to the collector

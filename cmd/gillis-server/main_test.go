@@ -69,7 +69,7 @@ func TestModelInfo(t *testing.T) {
 
 func TestPredict(t *testing.T) {
 	ts := demoServer(t)
-	in := tensor.Full(0.5, 3, 32, 32)
+	in := filled(0.5, 3, 32, 32)
 	body, err := json.Marshal(predictRequest{Shape: in.Shape(), Input: in.Data()})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestNewServerFromModelFile(t *testing.T) {
 func TestMetricsEndpoint(t *testing.T) {
 	ts := demoServer(t)
 	// A predict first, so the shared registry has data to report.
-	in := tensor.Full(0.25, 3, 32, 32)
+	in := filled(0.25, 3, 32, 32)
 	body, _ := json.Marshal(predictRequest{Shape: in.Shape(), Input: in.Data()})
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -229,7 +229,7 @@ func TestPredictCatalogModel(t *testing.T) {
 		t.Fatalf("catalog not advertised: %+v", info)
 	}
 
-	in := tensor.Full(0.5, 16, 320)
+	in := filled(0.5, 16, 320)
 	body, err := json.Marshal(predictRequest{Model: "rnn-tiny2", Shape: in.Shape(), Input: in.Data()})
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +280,7 @@ func TestPredictCatalogModel(t *testing.T) {
 
 	// A model outside the catalog is a client error, and so is a shape that
 	// is the primary model's and not the catalog model's.
-	primary := tensor.Full(0.5, 3, 32, 32)
+	primary := filled(0.5, 3, 32, 32)
 	for _, req := range []predictRequest{
 		{Model: "resnet50", Shape: in.Shape(), Input: in.Data()},
 		{Model: "rnn-tiny2", Shape: primary.Shape(), Input: primary.Data()},
@@ -317,7 +317,7 @@ func TestPredictCatalogModel(t *testing.T) {
 // well under the generous test SLO reports sloOk.
 func TestPredictRespectsSLOFlag(t *testing.T) {
 	ts := demoServer(t)
-	in := tensor.Full(0.1, 3, 32, 32)
+	in := filled(0.1, 3, 32, 32)
 	body, _ := json.Marshal(predictRequest{Shape: in.Shape(), Input: in.Data()})
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -339,7 +339,7 @@ func TestPredictRespectsSLOFlag(t *testing.T) {
 // sloOk.
 func TestPredictReportsQueueAndBatch(t *testing.T) {
 	ts := demoServer(t)
-	in := tensor.Full(0.75, 3, 32, 32)
+	in := filled(0.75, 3, 32, 32)
 	body, _ := json.Marshal(predictRequest{Shape: in.Shape(), Input: in.Data()})
 	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -507,4 +507,13 @@ func TestReadBody(t *testing.T) {
 			t.Errorf("%s: body %q, error %v", tc.name, body, err)
 		}
 	}
+}
+
+// filled returns a tensor of the given shape with every element v.
+func filled(v float32, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data() {
+		t.Data()[i] = v
+	}
+	return t
 }

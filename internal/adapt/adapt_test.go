@@ -259,8 +259,8 @@ func TestScenarioGoldenDecisions(t *testing.T) {
 	if reg.Counter("adapt.decisions").Value() != int64(len(res.ctl.decisions)) {
 		t.Error("adapt.decisions counter out of sync with the decision log")
 	}
-	if v := reg.Gauge("adapt.active_plan").Value(); v != float64(res.ctl.sw.Active()) {
-		t.Errorf("adapt.active_plan gauge %v, switcher active %d", v, res.ctl.sw.Active())
+	if want := fmt.Sprintf("gauge adapt.active_plan value=%d ", res.ctl.sw.Active()); !strings.Contains(reg.Summary(), want) {
+		t.Errorf("adapt.active_plan gauge is not %q:\n%s", want, reg.Summary())
 	}
 	golden := filepath.Join("testdata", "decisions.golden")
 	if *updateGolden {

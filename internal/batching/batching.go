@@ -106,9 +106,6 @@ func New(cfg Config) (*Former, error) {
 	return &Former{cfg: cfg}, nil
 }
 
-// Config returns the validated configuration (with defaults applied).
-func (f *Former) Config() Config { return f.cfg }
-
 // Add appends a member and reports whether the batch is now full (the
 // size rule — the caller closes it immediately with Take).
 func (f *Former) Add(id int, arrival time.Duration) (full bool) {

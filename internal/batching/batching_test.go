@@ -36,7 +36,7 @@ func TestNewValidates(t *testing.T) {
 
 func TestDefaultTick(t *testing.T) {
 	f := mustNew(t, Config{MaxBatch: 2, MaxDelay: time.Second})
-	if got := f.Config().TickMs; got != 100 {
+	if got := f.cfg.TickMs; got != 100 {
 		t.Fatalf("default TickMs = %v, want 100", got)
 	}
 }

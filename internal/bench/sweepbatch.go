@@ -153,28 +153,6 @@ func SweepBatch(ctx *Context) (*SweepBatchReport, error) {
 	return report, nil
 }
 
-// At returns the row for one (batch, rate, planner) combination.
-func (r *SweepBatchReport) At(batch int, rate float64, planner string) *SweepBatchRow {
-	for i := range r.Rows {
-		row := &r.Rows[i]
-		if row.Batch == batch && row.RateQPS == rate && row.Planner == planner {
-			return row
-		}
-	}
-	return nil
-}
-
-// MaxBatch returns the largest batch size in the sweep.
-func (r *SweepBatchReport) MaxBatch() int {
-	max := 0
-	for _, row := range r.Rows {
-		if row.Batch > max {
-			max = row.Batch
-		}
-	}
-	return max
-}
-
 // Table renders the sweep in the figure runners' tabular style.
 func (r *SweepBatchReport) Table() string {
 	var sb strings.Builder

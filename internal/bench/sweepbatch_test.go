@@ -19,12 +19,25 @@ func TestSweepBatchThroughputPin(t *testing.T) {
 	if len(report.Rows) != 6 {
 		t.Fatalf("quick sweep should be 3 batches x 1 rate x 2 planners, got %d rows", len(report.Rows))
 	}
-	maxBatch := report.MaxBatch()
+	maxBatch := 0
+	for _, row := range report.Rows {
+		maxBatch = max(maxBatch, row.Batch)
+	}
 	if maxBatch < 2 {
 		t.Fatalf("sweep has no real batching, max batch %d", maxBatch)
 	}
-	lat := report.At(maxBatch, 8, "latency-opt")
-	thr := report.At(maxBatch, 8, "throughput-opt")
+	var lat, thr *SweepBatchRow
+	for i, row := range report.Rows {
+		if row.Batch != maxBatch || row.RateQPS != 8 {
+			continue
+		}
+		switch row.Planner {
+		case "latency-opt":
+			lat = &report.Rows[i]
+		case "throughput-opt":
+			thr = &report.Rows[i]
+		}
+	}
 	if lat == nil || thr == nil {
 		t.Fatalf("missing rows at batch %d: %+v", maxBatch, report.Rows)
 	}

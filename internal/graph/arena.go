@@ -139,18 +139,6 @@ func (g *Graph) plan() (*arenaPlan, error) {
 	return p, nil
 }
 
-// ArenaBytes is the size of the activation arena one query's forward runs
-// in: the most bytes of node outputs the liveness plan ever holds at once,
-// the graph's input and output (which the caller owns) not among them. A
-// batch of n takes n times as much.
-func (g *Graph) ArenaBytes() (int64, error) {
-	p, err := g.plan()
-	if err != nil {
-		return 0, err
-	}
-	return int64(p.size) * 4, nil
-}
-
 // Observer is told of every operator application immediately before it
 // executes: the tracing runtime passes one to a Real-mode forward to
 // attribute per-operator kernel events to the enclosing compute span. It is

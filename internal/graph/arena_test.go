@@ -162,7 +162,7 @@ func TestArenaForwardOnZoo(t *testing.T) {
 				}
 				outs := make([]*tensor.Tensor, c.exact)
 				for e := range outs {
-					outs[e] = tensor.Full(sentinel, wants[e].Shape()...)
+					outs[e] = filled(sentinel, wants[e].Shape()...)
 				}
 				if err := c.g.ForwardBatchIn(arena, xs[:c.exact], outs, nil); err != nil {
 					t.Fatal(err)
@@ -291,7 +291,7 @@ func checkPartInExactArena(t *testing.T, what string, units []*partition.Unit, p
 	rows := make([]*tensor.Tensor, len(xs))
 	for e := range xs {
 		rows[e] = heightRows(wants[e], ps.OutRows.Lo, ps.OutRows.Hi)
-		outs[e] = tensor.Full(sentinel, rows[e].Shape()...)
+		outs[e] = filled(sentinel, rows[e].Shape()...)
 	}
 	if err := g.ForwardBatchIn(arena, xs, outs, nil); err != nil {
 		t.Fatalf("%s: %v", what, err)
@@ -314,6 +314,55 @@ func heightRows(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
 		copy(out.Data()[ci*(hi-lo)*w:(ci+1)*(hi-lo)*w], x.Data()[(ci*h+lo)*w:])
 	}
 	return out
+}
+
+// TestJoinArenaBytes: a join of units (partition.Join, the graph a whole
+// group runs) of one unit takes that unit's own arena, and a join of a whole
+// chain no more than the hungriest unit's arena plus the two slabs the chain's
+// inner outputs would alternate between if each unit ran in an arena of its
+// own — on the two tiny CNNs and on zoo models' whole unit chains.
+func TestJoinArenaBytes(t *testing.T) {
+	graphs := []*graph.Graph{miniResNet(), miniVGG()}
+	for _, name := range []string{"mobilenet-mini", "inception-mini", "rnn-tiny2", "resnet34", "resnet50"} {
+		g, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		units, err := partition.Linearize(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var most int64
+		var slab [2]int64
+		for i, u := range units {
+			b, err := u.Sub.ArenaBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			most = max(most, b)
+			one, err := partition.Join(units[i : i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := one.ArenaBytes(); err != nil || got != b {
+				t.Errorf("%s unit %d: its join's ArenaBytes %d (%v), the unit's %d", g.Name, i, got, err, b)
+			}
+			if i < len(units)-1 {
+				slab[i%2] = max(slab[i%2], tensor.SizeBytes(u.OutShape))
+			}
+		}
+		joined, err := partition.Join(units)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := joined.ArenaBytes()
+		if err != nil || got == 0 || got > most+slab[0]+slab[1] {
+			t.Errorf("%s: the chain's join's ArenaBytes %d (%v), hungriest unit %d + slabs %v", g.Name, got, err, most, slab)
+		}
+	}
 }
 
 // TestArenaPlanOnFullSizeZoo checks the plan against the peak live set on the
@@ -491,4 +540,13 @@ func TestForwardAllocationBudget(t *testing.T) {
 	if maxBytes, maxObjects := uint64(3<<10), uint64(6*g.Len()+12); bytes > maxBytes || objects > maxObjects {
 		t.Errorf("a %d-node forward allocates %d B in %d objects, budget %d B in %d", g.Len(), bytes, objects, maxBytes, maxObjects)
 	}
+}
+
+// filled returns a tensor of the given shape with every element v.
+func filled(v float32, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data() {
+		t.Data()[i] = v
+	}
+	return t
 }

@@ -82,7 +82,7 @@ func TestValidateRejectsShapeErrors(t *testing.T) {
 func TestForwardChain(t *testing.T) {
 	g := tinyChain()
 	g.Init(42)
-	x := tensor.Full(1, 1, 6, 6)
+	x := filled(1, 1, 6, 6)
 	out, err := g.Forward(x)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestForwardChain(t *testing.T) {
 func TestForwardResidualMatchesManual(t *testing.T) {
 	g := tinyResidual()
 	g.Init(7)
-	x := tensor.Full(0.5, 2, 4, 4)
+	x := filled(0.5, 2, 4, 4)
 	out, err := g.Forward(x)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestForwardResidualMatchesManual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := branch.Clone()
+	want := branch
 	for i, v := range stem.Data() {
 		want.Data()[i] += v
 	}
@@ -138,7 +138,7 @@ func TestInitDeterministic(t *testing.T) {
 	a, b := tinyChain(), tinyChain()
 	a.Init(99)
 	b.Init(99)
-	x := tensor.Full(0.25, 1, 6, 6)
+	x := filled(0.25, 1, 6, 6)
 	oa, err := a.Forward(x)
 	if err != nil {
 		t.Fatal(err)
@@ -200,4 +200,13 @@ func TestInShapeReturnsCopy(t *testing.T) {
 	if g.InShape()[0] != 1 {
 		t.Fatal("InShape must return a copy")
 	}
+}
+
+// filled returns a tensor of the given shape with every element v.
+func filled(v float32, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data() {
+		t.Data()[i] = v
+	}
+	return t
 }

@@ -39,13 +39,13 @@ func FuzzLoad(f *testing.F) {
 	f.Add(forgedFusedConv(1 << 22))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data))
+		loaded, err := load(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			return
 		}
 		// Anything that loads must be a valid graph.
 		if verr := loaded.Validate(); verr != nil {
-			t.Fatalf("Load returned invalid graph: %v", verr)
+			t.Fatalf("load returned invalid graph: %v", verr)
 		}
 	})
 }

@@ -88,20 +88,9 @@ func Save(w io.Writer, g *graph.Graph, withWeights bool) error {
 	return bw.Flush()
 }
 
-// Load reads a graph written by Save. If r reports how many bytes it holds
-// (a Len method, as *bytes.Reader and *bytes.Buffer have), nothing longer
-// than what is left of it is allocated; LoadFile does the same with the
-// file's size.
-func Load(r io.Reader) (*graph.Graph, error) {
-	left := int64(-1)
-	if l, ok := r.(interface{ Len() int }); ok {
-		left = int64(l.Len())
-	}
-	return load(r, left)
-}
-
-// load reads a model from r, which holds left more bytes, or an unknown
-// number if left < 0.
+// load reads a graph written by Save from r, which holds left more bytes,
+// or an unknown number if left < 0. Nothing longer than what is left is
+// allocated.
 func load(r io.Reader, left int64) (*graph.Graph, error) {
 	// Weight blocks larger than the buffer are read past it, straight into
 	// their tensors, so it only has to batch the small reads.

@@ -44,14 +44,14 @@ func TestRoundtripWithWeights(t *testing.T) {
 	if err := Save(&buf, g, true); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf)
+	g2, err := load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g2.Name != g.Name || g2.Len() != g.Len() {
 		t.Fatalf("structure mismatch: %s/%d vs %s/%d", g2.Name, g2.Len(), g.Name, g.Len())
 	}
-	x := tensor.Full(0.3, 2, 8, 8)
+	x := filled(0.3, 2, 8, 8)
 	want, err := g.Forward(x)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestRoundtripSpecOnly(t *testing.T) {
 	if err := Save(&buf, g, false); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf)
+	g2, err := load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestRoundtripRNN(t *testing.T) {
 	if err := Save(&buf, g, true); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf)
+	g2, err := load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Full(0.2, 4, 6)
+	x := filled(0.2, 4, 6)
 	want, _ := g.Forward(x)
 	got, err := g2.Forward(x)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		[]byte("GLSM\x02\x00\x00\x00{}"),
 	}
 	for i, c := range cases {
-		if _, err := Load(bytes.NewReader(c)); err == nil {
+		if _, err := load(bytes.NewReader(c), int64(len(c))); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -170,7 +170,7 @@ func TestLoadTruncatedWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-10]
-	if _, err := Load(bytes.NewReader(trunc)); err == nil {
+	if _, err := load(bytes.NewReader(trunc), int64(len(trunc))); err == nil {
 		t.Fatal("expected truncation error")
 	}
 }
@@ -208,11 +208,11 @@ func TestRoundtripDepthwiseAndConcat(t *testing.T) {
 	if err := Save(&buf, g, true); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf)
+	g2, err := load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Full(0.4, 4, 8, 8)
+	x := filled(0.4, 4, 8, 8)
 	want, err := g.Forward(x)
 	if err != nil {
 		t.Fatal(err)
@@ -236,11 +236,11 @@ func TestRoundtripDepthwiseAndConcat(t *testing.T) {
 	if err := Save(&buf, gs, true); err != nil {
 		t.Fatal(err)
 	}
-	gs2, err := Load(&buf)
+	gs2, err := load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := tensor.Full(0.2, 6, 8, 8)
+	xs := filled(0.2, 6, 8, 8)
 	wantS, _ := gs.Forward(xs)
 	gotS, err := gs2.Forward(xs)
 	if err != nil {
@@ -284,11 +284,11 @@ func TestRoundtripFusedGraph(t *testing.T) {
 	if err := Save(&buf, fg, true); err != nil {
 		t.Fatal(err)
 	}
-	fg2, err := Load(&buf)
+	fg2, err := load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Full(0.25, 3, 6, 6)
+	x := filled(0.25, 3, 6, 6)
 	want, err := g.Forward(x) // the unfused original is the reference
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +321,7 @@ func TestFusedWireFormatPinned(t *testing.T) {
 	if err := Save(&buf, fg, false); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := Load(&buf)
+	spec, err := load(&buf, int64(buf.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +406,7 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 		"16384² dense weight, no data":      forgedDense(),
 	} {
 		var err error
-		n := allocated(func() { _, err = Load(bytes.NewReader(data)) })
+		n := allocated(func() { _, err = load(bytes.NewReader(data), int64(len(data))) })
 		if err == nil {
 			t.Errorf("%s: loaded", name)
 		}
@@ -417,7 +417,7 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 	data := forgedFusedConv(1 << 22)
 	var g *graph.Graph
 	var err error
-	n := allocated(func() { g, err = Load(bytes.NewReader(data)) })
+	n := allocated(func() { g, err = load(bytes.NewReader(data), int64(len(data))) })
 	if err != nil {
 		t.Errorf("%d-byte structure-only fused conv: %v", len(data), err)
 	} else if got := g.ParamCount(); got != 6<<22 {
@@ -443,7 +443,7 @@ func TestLoadAllocatesTheWeightsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	var loaded *graph.Graph
-	n := allocated(func() { loaded, err = Load(bytes.NewReader(buf.Bytes())) })
+	n := allocated(func() { loaded, err = load(bytes.NewReader(buf.Bytes()), int64(buf.Len())) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,4 +475,13 @@ func TestSwap32IsTheOtherByteOrder(t *testing.T) {
 	if !bytes.Equal(got, le) {
 		t.Fatalf("swap32 twice = %x, want %x", got, le)
 	}
+}
+
+// filled returns a tensor of the given shape with every element v.
+func filled(v float32, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data() {
+		t.Data()[i] = v
+	}
+	return t
 }

@@ -39,7 +39,7 @@ func TestZooRoundtripEveryEntry(t *testing.T) {
 			if err := Save(&buf, g, false); err != nil {
 				t.Fatal(err)
 			}
-			g2, err := Load(&buf)
+			g2, err := load(&buf, int64(buf.Len()))
 			if err != nil {
 				t.Fatal(err)
 			}

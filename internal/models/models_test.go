@@ -2,6 +2,7 @@ package models
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gillis/internal/tensor"
@@ -118,7 +119,7 @@ func TestTinyForwardRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Init(1)
-	out, err := g.Forward(tensor.Full(0.1, 5, 8))
+	out, err := g.Forward(tensor.Rand(rand.New(rand.NewSource(1)), 0.1, 5, 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestForwardBatchEmpty(t *testing.T) {
 // scaled copy.
 func TestConvGoldenBatched(t *testing.T) {
 	c := NewConv2D("c", 1, 1, 2, 1, 0)
-	c.W = tensor.Full(1, 1, 1, 2, 2)
+	c.W = filled(1, 1, 1, 2, 2)
 	c.B = tensor.New(1)
 	a := mustTensor(t, []float32{
 		1, 2, 3,

@@ -145,9 +145,6 @@ type ChannelSliceable interface {
 	SliceChannels(start, end int) (Op, error)
 }
 
-// ParamBytes returns the weight footprint of an op in bytes.
-func ParamBytes(op Op) int64 { return op.ParamCount() * 4 }
-
 // forwardNew is every operator's Forward: ForwardInto on a fresh tensor of
 // the output shape.
 func forwardNew(op Op, in []*tensor.Tensor) (*tensor.Tensor, error) {
@@ -216,6 +213,11 @@ func prod(s []int) int64 {
 }
 
 // convOutDim returns the output size of a strided window op along one axis.
+// A stride below 1 (a model file can declare one) gives no output, which
+// every caller refuses as an empty output rather than dividing by zero.
 func convOutDim(in, k, s, p int) int {
+	if s < 1 {
+		return 0
+	}
 	return (in+2*p-k)/s + 1
 }

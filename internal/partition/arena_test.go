@@ -64,15 +64,14 @@ func spatialPrefix(t *testing.T, g *graph.Graph, fuse bool, limit int) []*Unit {
 	return units[:n]
 }
 
-// TestSpatialPartArenaIsWhatItTakes: every part of every group runs as its
-// graph (PartSlice.Graph): a batch of three (resnet34: one), every node over
-// the whole batch before the next, returns each query's rows of the
+// TestSpatialPartGraphsMatchMonolithic: every part of every group runs as
+// its graph (PartSlice.Graph): a batch of three (resnet34: one), every node
+// over the whole batch before the next, returns each query's rows of the
 // monolithic output bit for bit, and so does the first query's forward on its
-// own; and a spatial group's ArenaBytes is its largest part graph's arena.
-// That a part graph takes exactly its ArenaBytes — in a NaN-filled arena of
-// that size, reading nothing before it is written — is graph's
+// own. That a part graph takes exactly its ArenaBytes — in a NaN-filled arena
+// of that size, reading nothing before it is written — is graph's
 // TestArenaForwardOnSpatialParts.
-func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
+func TestSpatialPartGraphsMatchMonolithic(t *testing.T) {
 	for name, units := range spatialGroups(t) {
 		rng := rand.New(rand.NewSource(4))
 		xs := make([]*tensor.Tensor, 3)
@@ -92,17 +91,11 @@ func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var most int64
 			for i, ps := range slices {
 				g, err := ps.Graph(units)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bytes, err := g.ArenaBytes()
-				if err != nil {
-					t.Fatal(err)
-				}
-				most = max(most, bytes)
 				outs, err := g.ForwardBatch(xs, nil)
 				if err != nil {
 					t.Fatalf("%s part %d/%d: %v", name, i, parts, err)
@@ -116,80 +109,53 @@ func TestSpatialPartArenaIsWhatItTakes(t *testing.T) {
 					t.Errorf("%s part %d/%d: a forward of query 0 alone differs from the batch's (%v)", name, i, parts, err)
 				}
 			}
-			group, err := ArenaBytes(units, 0, len(units)-1, Option{Dim: DimSpatial, Parts: parts})
-			if err != nil || group != most {
-				t.Errorf("%s ×%d: ArenaBytes of the group %d (%v), largest part %d", name, parts, group, err, most)
-			}
-			if parts == 4 {
-				ext, err := GroupExtent(units, 0, len(units)-1, Option{Dim: DimSpatial, Parts: parts})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("%-16s ×4: arena %8d B, ActBytes %8d B", name, most, ext.ActBytes)
-			}
 		}
 	}
 }
 
-// TestArenaBytesOfWholeAndChannelGroups: a whole group's arena is its
-// Join's — the unit's own for a one-unit group, and for the whole chain no
-// more than the hungriest unit's arena plus the two slabs the chain's inner
-// outputs would alternate between if each unit ran in an arena of its own; a
-// channel group's is its hungriest slice's.
-func TestArenaBytesOfWholeAndChannelGroups(t *testing.T) {
-	g := tinyCNN(t)
-	g.Init(2)
-	units := linearized(t, g)
-	var most int64
-	var slab [2]int64
-	for i, u := range units {
-		b, err := u.Sub.ArenaBytes()
+// TestSlicesGraphs: the graphs a group's partitions run (Slices.Graphs) —
+// one Join for a whole group, a lowered part per spatial slice, a sliced
+// sub-graph per channel slice — reassemble the unit-by-unit forward bit for
+// bit, and an unknown dimension is an error.
+func TestSlicesGraphs(t *testing.T) {
+	units := tinyGroup(t, false)
+	x := tensor.Rand(rand.New(rand.NewSource(8)), 1, units[0].InShape...)
+	last := len(units) - 1
+	for _, tc := range []struct {
+		last int
+		opt  Option
+		dim  int // of the group output the partitions' outputs join along
+	}{
+		{last, Option{DimNone, 1}, 0},
+		{last, Option{DimSpatial, 3}, 1},
+		{0, Option{DimChannel, 2}, 0},
+	} {
+		group := units[:tc.last+1]
+		want, err := ForwardChain(group, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		most = max(most, b)
-		if got, err := ArenaBytes(units, i, i, Option{Dim: DimNone, Parts: 1}); err != nil || got != b {
-			t.Errorf("one-unit group %d: ArenaBytes %d (%v), the unit's arena %d", i, got, err, b)
-		}
-		if i < len(units)-1 {
-			slab[i%2] = max(slab[i%2], tensor.SizeBytes(u.OutShape))
-		}
-	}
-	joined, err := Join(units)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := joined.ArenaBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ArenaBytes(units, 0, len(units)-1, Option{Dim: DimNone, Parts: 1})
-	if err != nil || got != want || want == 0 || want > most+slab[0]+slab[1] {
-		t.Errorf("whole group: ArenaBytes %d (%v), its join's %d, hungriest unit %d + slabs %v", got, err, want, most, slab)
-	}
-	slices, err := ChannelSlices(units[0], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	most = 0
-	for _, cs := range slices {
-		b, err := cs.Sub.ArenaBytes()
+		_, sl, err := GroupSlices(units, 0, tc.last, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		most = max(most, b)
-	}
-	got, err = ArenaBytes(units, 0, 0, Option{Dim: DimChannel, Parts: 2})
-	if err != nil || got != most || most == 0 {
-		t.Errorf("channel group: ArenaBytes %d (%v), hungriest slice %d", got, err, most)
-	}
-	for _, bad := range []struct {
-		first, last int
-		opt         Option
-	}{{-1, 0, Option{DimNone, 1}}, {0, len(units), Option{DimNone, 1}}, {0, 1, Option{DimChannel, 2}}, {0, 0, Option{Dim(9), 2}}} {
-		if _, err := ArenaBytes(units, bad.first, bad.last, bad.opt); err == nil {
-			t.Errorf("ArenaBytes(%d, %d, %v) accepted", bad.first, bad.last, bad.opt)
+		gs, err := sl.Graphs(group, tc.opt)
+		if err != nil || len(gs) != tc.opt.Parts {
+			t.Fatalf("%v: %d graphs (%v), want %d", tc.opt, len(gs), err, tc.opt.Parts)
 		}
+		outs := make([]*tensor.Tensor, len(gs))
+		for i, g := range gs {
+			if outs[i], err = g.Forward(x); err != nil {
+				t.Fatalf("%v part %d: %v", tc.opt, i, err)
+			}
+		}
+		got := tensor.New(want.Shape()...)
+		if err := tensor.ConcatDim(got, tc.dim, outs...); err != nil || !tensor.Equal(got, want) {
+			t.Errorf("%v: the partitions' outputs do not join to the unit-by-unit forward (%v)", tc.opt, err)
+		}
+	}
+	if _, err := (Slices{}).Graphs(units, Option{Dim(9), 2}); err == nil {
+		t.Error("an unknown dimension gave graphs")
 	}
 }
 

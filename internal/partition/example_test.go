@@ -42,7 +42,10 @@ func ExampleExecSpatial() {
 		fmt.Println(err)
 		return
 	}
-	x := tensor.Full(1, 1, 8, 8)
+	x := tensor.New(1, 8, 8)
+	for i := range x.Data() {
+		x.Data()[i] = 1
+	}
 	whole, _ := partition.ForwardChain(units, x)
 	split, _ := partition.ExecSpatial(units, 4, x)
 	fmt.Println("bitwise equal:", tensor.Equal(whole, split))

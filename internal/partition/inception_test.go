@@ -91,8 +91,8 @@ func TestInceptionSpatialExactness(t *testing.T) {
 
 func TestConcatOpBasics(t *testing.T) {
 	c := nn.NewConcat("cat")
-	a := tensor.Full(1, 2, 3, 3)
-	b := tensor.Full(2, 1, 3, 3)
+	a := filled(1, 2, 3, 3)
+	b := filled(2, 1, 3, 3)
 	out, err := c.Forward(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestConcatOpBasics(t *testing.T) {
 	if !tensor.ShapeEqual(out.Shape(), []int{3, 3, 3}) {
 		t.Fatalf("shape %v", out.Shape())
 	}
-	if out.At(0, 0, 0) != 1 || out.At(2, 0, 0) != 2 {
+	if out.Data()[0] != 1 || out.Data()[2*3*3] != 2 {
 		t.Fatal("concat values wrong")
 	}
 	if _, err := c.Forward(a); err == nil {

@@ -475,12 +475,6 @@ func TestPlanValidate(t *testing.T) {
 	if err := good.Validate(units); err != nil {
 		t.Fatal(err)
 	}
-	if got := good.Groups[0].Workers(); got != 1 {
-		t.Fatalf("workers %d, want 1 (master takes a partition)", got)
-	}
-	if got := good.Groups[1].Workers(); got != 4 {
-		t.Fatalf("workers %d, want 4", got)
-	}
 	bad := &Plan{Groups: []GroupPlan{{First: 0, Last: 1, Option: Option{Dim: DimSpatial, Parts: 2}}}}
 	if err := bad.Validate(units); err == nil {
 		t.Fatal("expected coverage error")
@@ -618,9 +612,18 @@ func TestDefaultPlanValidatesOnEveryZooModel(t *testing.T) {
 		if err := plan.Validate(units); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-		if gp := plan.Groups[0]; plan.Model != name || len(plan.Groups) != 1 || gp.Workers() != 0 ||
+		if gp := plan.Groups[0]; plan.Model != name || len(plan.Groups) != 1 || !gp.OnMaster || gp.Option.Parts != 1 ||
 			gp.First != 0 || gp.Last != len(units)-1 {
 			t.Errorf("%s: not one master-only group over the chain: %+v", name, plan)
 		}
 	}
+}
+
+// filled returns a tensor of the given shape with every element v.
+func filled(v float32, shape ...int) *tensor.Tensor {
+	t := tensor.New(shape...)
+	for i := range t.Data() {
+		t.Data()[i] = v
+	}
+	return t
 }

@@ -123,9 +123,9 @@ type Extent struct {
 	// ActBytes is the peak per-partition activation footprint as the
 	// planners count it: the largest single node slab (spatial), or a unit's
 	// input plus output. What executing a partition really takes from the
-	// scratch pool is ArenaBytes, computed on demand; the memory checks still
-	// run on ActBytes, so plans and OOM boundaries are the ones pinned before
-	// there was an arena.
+	// scratch pool is the largest ArenaBytes of its graphs (Slices.Graphs),
+	// which nothing prices yet; the memory checks run on ActBytes, so plans
+	// and OOM boundaries are the ones pinned before there was an arena.
 	ActBytes int64
 }
 
@@ -180,31 +180,6 @@ func (sl Slices) Graphs(group []*Unit, opt Option) ([]*graph.Graph, error) {
 		return gs, nil
 	}
 	return nil, fmt.Errorf("partition: unknown dimension %v", opt.Dim)
-}
-
-// ArenaBytes is the size of the activation arena executing one partition of
-// units[first..last] under opt takes from par's scratch pool per query: the
-// largest of the partitions' graphs' arenas (Slices.Graphs). The tensors that
-// enter and leave a partition are payloads their holders own and are not in
-// it.
-func ArenaBytes(units []*Unit, first, last int, opt Option) (int64, error) {
-	_, sl, err := GroupSlices(units, first, last, opt)
-	if err != nil {
-		return 0, err
-	}
-	gs, err := sl.Graphs(units[first:last+1], opt)
-	if err != nil {
-		return 0, err
-	}
-	var most int64
-	for _, g := range gs {
-		b, err := g.ArenaBytes()
-		if err != nil {
-			return 0, err
-		}
-		most = max(most, b)
-	}
-	return most, nil
 }
 
 // GroupExtent computes the Extent of parallelizing units[first..last] with
@@ -288,14 +263,6 @@ type GroupPlan struct {
 	// master can also help to compute a partition"). For DimNone it places
 	// the whole group on the master instead of a worker.
 	OnMaster bool
-}
-
-// Workers returns the number of worker functions the group occupies.
-func (gp GroupPlan) Workers() int {
-	if gp.OnMaster {
-		return gp.Option.Parts - 1
-	}
-	return gp.Option.Parts
 }
 
 // Plan is a complete layer grouping and parallelization strategy S for a

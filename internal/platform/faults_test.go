@@ -369,7 +369,7 @@ func TestFaultScheduleResolvesByTime(t *testing.T) {
 		{50000, recovered},
 	}
 	for _, c := range cases {
-		if got := p.FaultsAt(time.Duration(c.atMs) * time.Millisecond); got != c.want {
+		if got := p.cfg.FaultsAt(time.Duration(c.atMs) * time.Millisecond); got != c.want {
 			t.Errorf("FaultsAt(%v ms) = %+v, want %+v", c.atMs, got, c.want)
 		}
 	}

@@ -433,11 +433,6 @@ const faultSeedSalt = 0x5e3779b97f4a7c15
 // Config returns the platform profile.
 func (p *Platform) Config() Config { return p.cfg }
 
-// FaultsAt resolves the fault profile in force at virtual time now,
-// honouring the configured FaultSchedule. Controllers use it to learn the
-// scheduled regime without re-deriving the schedule.
-func (p *Platform) FaultsAt(now time.Duration) FaultProfile { return p.cfg.FaultsAt(now) }
-
 // Env returns the simulation environment.
 func (p *Platform) Env() *simnet.Env { return p.env }
 

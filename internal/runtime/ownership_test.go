@@ -202,7 +202,7 @@ func TestConcurrentEnvsOwnTheirState(t *testing.T) {
 					continue
 				}
 				tracetest.CheckWellFormed(t, o.Trace)
-				if got, seq := o.Trace.Canonical(nil), ref[i].Trace.Canonical(nil); !bytes.Equal(got, seq) {
+				if got, seq := tracetest.Canonical(o.Trace, nil), tracetest.Canonical(ref[i].Trace, nil); !bytes.Equal(got, seq) {
 					t.Errorf("query %d: trace differs from the sequential run's\n--- got ---\n%s--- sequential ---\n%s", i, got, seq)
 				}
 			}

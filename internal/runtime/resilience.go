@@ -43,15 +43,6 @@ type Resilience struct {
 	ExtraBilledMs int64
 }
 
-func (r *Resilience) add(o Resilience) {
-	r.Retries += o.Retries
-	r.Hedges += o.Hedges
-	r.HedgesWon += o.HedgesWon
-	r.FaultsSurvived += o.FaultsSurvived
-	r.Fallbacks += o.Fallbacks
-	r.ExtraBilledMs += o.ExtraBilledMs
-}
-
 // minHedgeSamples is how many latency observations a group needs before
 // hedging activates; below it there is no meaningful percentile.
 const minHedgeSamples = 8

@@ -376,7 +376,13 @@ func TestResilienceCountersCombined(t *testing.T) {
 						continue // budget exhausted this query; counters still meaningful
 					}
 					served++
-					agg.add(res.Resilience)
+					r := res.Resilience
+					agg.Retries += r.Retries
+					agg.Hedges += r.Hedges
+					agg.HedgesWon += r.HedgesWon
+					agg.FaultsSurvived += r.FaultsSurvived
+					agg.Fallbacks += r.Fallbacks
+					agg.ExtraBilledMs += r.ExtraBilledMs
 				}
 			})
 			if t.Failed() {

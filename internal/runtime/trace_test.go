@@ -163,7 +163,7 @@ func TestGoldenQuickstartTrace(t *testing.T) {
 				// The deployment counter is process-global, so function names carry a
 				// test-order-dependent sequence number; strip it for stable goldens.
 				ren := func(s string) string { return strings.ReplaceAll(s, prefix, "demo-cnn") }
-				return run{canon: tr.Canonical(ren), tr: tr, p: p, res: res}
+				return run{canon: tracetest.Canonical(tr, ren), tr: tr, p: p, res: res}
 			}
 			digestsOf := func(r run) string {
 				var ds []string
@@ -236,7 +236,7 @@ func TestResNetFaultedTraceAcceptance(t *testing.T) {
 			t.Fatalf("query failed despite retries: %v", err)
 		}
 		ren := func(s string) string { return strings.ReplaceAll(s, prefix, "resnet34") }
-		return tr.Canonical(ren), tr.ChromeJSON(ren), tr, p
+		return tracetest.Canonical(tr, ren), tr.ChromeJSON(ren), tr, p
 	}
 
 	canon, chrome, tr, p := serve(1)

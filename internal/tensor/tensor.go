@@ -70,15 +70,6 @@ func FromData(data []float32, shape ...int) (*Tensor, error) {
 	return newShaped(shape, data), nil
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float32, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = v
-	}
-	return t
-}
-
 // Rand returns a tensor with elements drawn uniformly from [-scale, scale)
 // using the given source. Deterministic for a fixed seed.
 func Rand(rng *rand.Rand, scale float32, shape ...int) *Tensor {
@@ -115,13 +106,6 @@ func (t *Tensor) Bytes() int64 { return int64(len(t.data)) * 4 }
 // that mutate it mutate the tensor.
 func (t *Tensor) Data() []float32 { return t.data }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	d := make([]float32, len(t.data))
-	copy(d, t.data)
-	return newShaped(t.shape, d)
-}
-
 // Reshape returns a tensor sharing t's data with a new shape of equal
 // element count.
 func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
@@ -147,27 +131,6 @@ func (t *Tensor) Rows(start, end int) (*Tensor, error) {
 	out.shape[0] = end - start
 	return out, nil
 }
-
-// Offset returns the flat index of the given multi-dimensional index.
-func (t *Tensor) Offset(idx ...int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index rank %d does not match tensor rank %d", len(idx), len(t.shape)))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
-}
-
-// At returns the element at the given index.
-func (t *Tensor) At(idx ...int) float32 { return t.data[t.Offset(idx...)] }
-
-// Set assigns the element at the given index.
-func (t *Tensor) Set(v float32, idx ...int) { t.data[t.Offset(idx...)] = v }
 
 // ConcatDim writes the concatenation of parts along dimension dim into dst,
 // which must have their shape with dim summed; all other dimensions must

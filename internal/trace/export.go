@@ -7,10 +7,10 @@ import (
 	"time"
 )
 
-// This file holds the trace serializers. Both are deterministic: spans
-// are emitted in tree order (children in creation order), attributes in
-// insertion order, and no map is iterated — so a fixed seed yields
-// byte-identical output, which the golden-trace tests rely on.
+// This file holds the trace serializer. It is deterministic: spans are
+// emitted in creation order, attributes in insertion order, and no map is
+// iterated — so a fixed seed yields byte-identical output. The golden-trace
+// tests pin the same trace as a text tree (tracetest.Canonical).
 
 // Rename rewrites span names, event names and attribute values during
 // serialization. Tests use it to strip the per-process deployment prefix
@@ -18,57 +18,6 @@ import (
 type Rename func(string) string
 
 func identity(s string) string { return s }
-
-// Canonical renders the full trace as a deterministic text tree: structure,
-// virtual timings, billing attribution, faults, attributes and events.
-func (t *Trace) Canonical(rename Rename) []byte {
-	if t == nil {
-		return nil
-	}
-	if rename == nil {
-		rename = identity
-	}
-	var sb strings.Builder
-	t.renderSpan(&sb, t.spans[0], 0, rename)
-	return []byte(sb.String())
-}
-
-func (t *Trace) renderSpan(sb *strings.Builder, s *Span, depth int, rename Rename) {
-	indent := strings.Repeat("  ", depth)
-	fmt.Fprintf(sb, "%s%s %s", indent, s.Kind, rename(s.Name))
-	end := s.End
-	if !s.ended {
-		end = s.Start
-	}
-	fmt.Fprintf(sb, " start=%dns dur=%dns", int64(s.Start), int64(end-s.Start))
-	if !s.ended {
-		sb.WriteString(" unfinished")
-	}
-	if s.BilledMs != 0 || s.TotalBilledMs != 0 {
-		fmt.Fprintf(sb, " billed=%d/%dms", s.BilledMs, s.TotalBilledMs)
-	}
-	if s.Err != "" {
-		if s.Fault != "" {
-			fmt.Fprintf(sb, " err(%s)", s.Fault)
-		} else {
-			sb.WriteString(" err")
-		}
-	}
-	for _, a := range s.Attrs {
-		fmt.Fprintf(sb, " %s=%s", a.Key, rename(a.Val))
-	}
-	sb.WriteByte('\n')
-	for _, ev := range s.Events {
-		fmt.Fprintf(sb, "%s  @ %s at=%dns", indent, rename(ev.Name), int64(ev.At))
-		for _, a := range ev.Attrs {
-			fmt.Fprintf(sb, " %s=%s", a.Key, rename(a.Val))
-		}
-		sb.WriteByte('\n')
-	}
-	for _, ci := range s.Children {
-		t.renderSpan(sb, t.spans[ci], depth+1, rename)
-	}
-}
 
 // ChromeJSON renders the trace in the Chrome trace-event format (the JSON
 // array form), loadable in chrome://tracing and Perfetto. Spans become

@@ -100,13 +100,6 @@ func (g *Gauge) Set(v, atMs float64) {
 	g.changedMs = atMs
 }
 
-// Value returns the current value (0 when never set).
-func (g *Gauge) Value() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.value
-}
-
 // Counter is a monotonically increasing integer metric.
 type Counter struct {
 	v atomic.Int64
@@ -181,13 +174,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Mean returns the mean observation (0 when empty).

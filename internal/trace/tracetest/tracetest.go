@@ -4,16 +4,72 @@
 // total", and "a hedge win implies the losing attempt was cancelled or
 // failed" — instead of re-deriving absolute timings.
 //
-// Call the checkers only after the simulation has drained
+// Call the checkers, and Canonical, only after the simulation has drained
 // (simnet.Env.Run returned): spans are still being written while processes
 // run.
 package tracetest
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gillis/internal/trace"
 )
+
+// Canonical renders the full trace as a deterministic text tree — structure,
+// virtual timings, billing attribution, faults, attributes and events — with
+// rename (nil: none) applied to span names, event names and attribute
+// values. The golden-trace tests pin it.
+func Canonical(tr *trace.Trace, rename trace.Rename) []byte {
+	if tr == nil {
+		return nil
+	}
+	if rename == nil {
+		rename = func(s string) string { return s }
+	}
+	var sb strings.Builder
+	renderSpan(&sb, tr.Spans(), 0, 0, rename)
+	return []byte(sb.String())
+}
+
+func renderSpan(sb *strings.Builder, spans []*trace.Span, id, depth int, rename trace.Rename) {
+	s := spans[id]
+	indent := strings.Repeat("  ", depth)
+	fmt.Fprintf(sb, "%s%s %s", indent, s.Kind, rename(s.Name))
+	end := s.End
+	if !s.Ended() {
+		end = s.Start
+	}
+	fmt.Fprintf(sb, " start=%dns dur=%dns", int64(s.Start), int64(end-s.Start))
+	if !s.Ended() {
+		sb.WriteString(" unfinished")
+	}
+	if s.BilledMs != 0 || s.TotalBilledMs != 0 {
+		fmt.Fprintf(sb, " billed=%d/%dms", s.BilledMs, s.TotalBilledMs)
+	}
+	if s.Err != "" {
+		if s.Fault != "" {
+			fmt.Fprintf(sb, " err(%s)", s.Fault)
+		} else {
+			sb.WriteString(" err")
+		}
+	}
+	for _, a := range s.Attrs {
+		fmt.Fprintf(sb, " %s=%s", a.Key, rename(a.Val))
+	}
+	sb.WriteByte('\n')
+	for _, ev := range s.Events {
+		fmt.Fprintf(sb, "%s  @ %s at=%dns", indent, rename(ev.Name), int64(ev.At))
+		for _, a := range ev.Attrs {
+			fmt.Fprintf(sb, " %s=%s", a.Key, rename(a.Val))
+		}
+		sb.WriteByte('\n')
+	}
+	for _, ci := range s.Children {
+		renderSpan(sb, spans, ci, depth+1, rename)
+	}
+}
 
 // outlivesParentOK reports whether a span is allowed to end after its
 // parent: abandoned calls (a sibling failed the fork-join round) and

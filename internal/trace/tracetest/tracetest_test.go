@@ -1,6 +1,7 @@
 package tracetest
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -158,5 +159,36 @@ func TestBilledAttributionMismatchRejected(t *testing.T) {
 	CheckBilledAttribution(rec, tr)
 	if rec.errs == 0 {
 		t.Fatal("inconsistent nested billing must be rejected")
+	}
+}
+
+func TestCanonicalDeterministicAndRenamed(t *testing.T) {
+	a, _ := goodTrace()
+	b, _ := goodTrace()
+	got := string(Canonical(a, nil))
+	if got != string(Canonical(b, nil)) {
+		t.Fatalf("canonical output not reproducible:\n%s\nvs\n%s", got, Canonical(b, nil))
+	}
+	for _, want := range []string{
+		"query query start=0ns dur=3000000ns\n",
+		"\n  attempt attempt start=0ns dur=2000000ns\n    @ hedge at=0ns\n",
+		"\n    invoke invoke:w start=0ns dur=3000000ns billed=4/4ms hedge=lost\n",
+		"\n  invoke invoke:bad start=3000000ns dur=0ns billed=2/2ms err(failure)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("canonical output misses %q:\n%s", want, got)
+		}
+	}
+	r := string(Canonical(a, func(s string) string { return strings.ReplaceAll(s, "invoke:", "call:") }))
+	if strings.Contains(r, "invoke:") || !strings.Contains(r, "invoke call:bad") {
+		t.Fatalf("rename hook not applied:\n%s", r)
+	}
+	unended := trace.New("q", (&clock{}).stamp)
+	unended.Root().Child(trace.KindExec, "exec")
+	if got := string(Canonical(unended, nil)); !strings.Contains(got, "exec exec start=0ns dur=0ns unfinished\n") {
+		t.Errorf("an unended span is not marked:\n%s", got)
+	}
+	if Canonical(nil, nil) != nil {
+		t.Error("a nil trace renders")
 	}
 }

@@ -83,8 +83,11 @@ const (
 	// degradedFaultPct is the windowed fault percentage that flags a fault
 	// regime.
 	degradedFaultPct = 5.0
-	// brownoutExitPct is the served-only attainment brownout waits for.
+	// brownoutExitPct is the served-only attainment brownout waits for, with
+	// fault pressure nominal, for exitHold consecutive ticks before it
+	// releases — the exit hysteresis.
 	brownoutExitPct = 85.0
+	exitHold        = 3
 	// headroom derates the SLO when testing a candidate's predicted latency:
 	// feasible means predicted × inflation ≤ headroom × SLO.
 	headroom = 0.8
@@ -105,11 +108,8 @@ type Config struct {
 	// and flap back to a fragile plan mid-regime.
 	FaultHold int
 	// BrownoutEnterPct: windowed attainment below this is critical (default
-	// 50). Served-only attainment must recover above brownoutExitPct, with
-	// fault pressure nominal, for ExitHold consecutive ticks before brownout
-	// releases (default 3) — the exit hysteresis.
+	// 50).
 	BrownoutEnterPct float64
-	ExitHold         int
 	// CooldownTicks is the dwell after any action before the next one
 	// (default 5); it bounds flapping.
 	CooldownTicks int
@@ -134,9 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BrownoutEnterPct <= 0 {
 		c.BrownoutEnterPct = 50
-	}
-	if c.ExitHold <= 0 {
-		c.ExitHold = 3
 	}
 	if c.CooldownTicks <= 0 {
 		c.CooldownTicks = 5
@@ -393,7 +390,7 @@ func (c *Controller) Tick(now time.Duration, obs gateway.ControlObservation) gat
 	case c.brownout:
 		if regime == Healthy {
 			c.exitStreak++
-			if c.exitStreak >= c.cfg.ExitHold {
+			if c.exitStreak >= exitHold {
 				c.brownout = false
 				c.exitStreak = 0
 				c.cooldown = c.cfg.CooldownTicks

@@ -164,7 +164,6 @@ func scenarioConfig() Config {
 	return Config{
 		SLOMs:         700,
 		MinWindow:     8,
-		ExitHold:      3,
 		CooldownTicks: 5,
 		DisableReplan: true,
 		Mode:          runtime.ShapeOnly,
@@ -337,7 +336,6 @@ func TestBrownoutLadder(t *testing.T) {
 	ctl, err := New(model, units, sw, []Candidate{{Name: "only", Index: 0, Plan: naivePlan(t, units)}}, Config{
 		SLOMs:         700,
 		MinWindow:     8,
-		ExitHold:      2,
 		CooldownTicks: 3,
 		DisableReplan: true,
 		Mode:          runtime.ShapeOnly,

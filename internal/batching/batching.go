@@ -36,12 +36,13 @@ type Config struct {
 	SLOMs float64
 	// EstServeMs estimates the batched serve latency used by the SLO rule.
 	EstServeMs float64
-	// TickMs is the control-tick period the delay and SLO rules are
-	// evaluated on; the SLO rule closes one tick early so the batch is
-	// dispatched before the deadline, not discovered past it. Defaults to
-	// 100 ms.
-	TickMs float64
 }
+
+// TickMs is the gateway's control interval in milliseconds of virtual time:
+// the autoscaling policy, the adaptive controller and the former's delay and
+// SLO rules all run once per tick. The SLO rule closes one tick early so the
+// batch is dispatched before the deadline, not discovered past it.
+const TickMs = 100
 
 // CloseReason says which rule closed a batch.
 type CloseReason int
@@ -97,12 +98,6 @@ func New(cfg Config) (*Former, error) {
 	if cfg.SLOMs > 0 && cfg.EstServeMs < 0 {
 		return nil, fmt.Errorf("batching: negative EstServeMs")
 	}
-	if cfg.TickMs == 0 {
-		cfg.TickMs = 100
-	}
-	if cfg.TickMs < 0 {
-		return nil, fmt.Errorf("batching: negative TickMs")
-	}
 	return &Former{cfg: cfg}, nil
 }
 
@@ -134,7 +129,7 @@ func (f *Former) ShouldClose(now time.Duration, drained bool) CloseReason {
 		// Close while the oldest member can still attain its SLO: if by the
 		// *next* tick the wait plus the estimated serve time would exceed
 		// the SLO, dispatch now.
-		if wait+f.cfg.TickMs+f.cfg.EstServeMs >= f.cfg.SLOMs {
+		if wait+TickMs+f.cfg.EstServeMs >= f.cfg.SLOMs {
 			return ReasonSLO
 		}
 	}

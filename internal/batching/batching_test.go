@@ -23,7 +23,6 @@ func TestNewValidates(t *testing.T) {
 		{"ok", Config{MaxBatch: 4, MaxDelay: 50 * time.Millisecond}, true},
 		{"max-batch-one", Config{MaxBatch: 1, MaxDelay: 50 * time.Millisecond}, false},
 		{"no-delay", Config{MaxBatch: 4}, false},
-		{"negative-tick", Config{MaxBatch: 4, MaxDelay: time.Millisecond, TickMs: -1}, false},
 		{"negative-est", Config{MaxBatch: 4, MaxDelay: time.Millisecond, SLOMs: 100, EstServeMs: -1}, false},
 	}
 	for _, tc := range cases {
@@ -34,18 +33,11 @@ func TestNewValidates(t *testing.T) {
 	}
 }
 
-func TestDefaultTick(t *testing.T) {
-	f := mustNew(t, Config{MaxBatch: 2, MaxDelay: time.Second})
-	if got := f.cfg.TickMs; got != 100 {
-		t.Fatalf("default TickMs = %v, want 100", got)
-	}
-}
-
 // TestClosingRules is the table-driven satellite: one case per closing
 // rule, plus precedence and no-close cases.
 func TestClosingRules(t *testing.T) {
 	const ms = time.Millisecond
-	base := Config{MaxBatch: 4, MaxDelay: 200 * ms, TickMs: 100}
+	base := Config{MaxBatch: 4, MaxDelay: 200 * ms}
 	slo := base
 	slo.SLOMs = 500
 	slo.EstServeMs = 150
@@ -123,7 +115,7 @@ func TestClosingRules(t *testing.T) {
 // TestSLOPrecedesDelay pins rule precedence on a tick where both fire.
 func TestSLOPrecedesDelay(t *testing.T) {
 	const ms = time.Millisecond
-	cfg := Config{MaxBatch: 8, MaxDelay: 200 * ms, TickMs: 100, SLOMs: 400, EstServeMs: 150}
+	cfg := Config{MaxBatch: 8, MaxDelay: 200 * ms, SLOMs: 400, EstServeMs: 150}
 	f := mustNew(t, cfg)
 	f.Add(0, 0)
 	// wait=250: delay (250 >= 200) and SLO (250+100+150 >= 400) both hold.
@@ -136,7 +128,7 @@ func TestSLOPrecedesDelay(t *testing.T) {
 // on the last tick from which immediate dispatch still attains the SLO.
 func TestSLOClosesBeforeDeadline(t *testing.T) {
 	const ms = time.Millisecond
-	cfg := Config{MaxBatch: 8, MaxDelay: time.Hour, TickMs: 100, SLOMs: 400, EstServeMs: 150}
+	cfg := Config{MaxBatch: 8, MaxDelay: time.Hour, SLOMs: 400, EstServeMs: 150}
 	f := mustNew(t, cfg)
 	f.Add(0, 0)
 	if got := f.ShouldClose(100*ms, false); got != ReasonNone {

@@ -15,40 +15,17 @@ import (
 // Objective evaluates one configuration point (lower is better).
 type Objective func(x []float64) float64
 
-// Config tunes the optimizer.
-type Config struct {
-	// Iters is the total number of objective evaluations.
-	Iters int
-	// InitRandom is how many initial points are sampled uniformly before
-	// the GP takes over.
-	InitRandom int
-	// Candidates is the size of the random candidate pool scored by EI per
+// The search's fixed settings.
+const (
+	// initRandom is how many points are sampled uniformly before the GP
+	// takes over.
+	initRandom = 8
+	// candidates is the size of the random candidate pool scored by EI per
 	// iteration.
-	Candidates int
-	// LengthScale is the RBF kernel length scale in normalized units.
-	LengthScale float64
-	// Noise is the observation noise standard deviation (normalized y).
-	Noise float64
-}
-
-func (c Config) withDefaults(dims int) Config {
-	if c.Iters <= 0 {
-		c.Iters = 60
-	}
-	if c.InitRandom <= 0 {
-		c.InitRandom = 8
-	}
-	if c.Candidates <= 0 {
-		c.Candidates = 400
-	}
-	if c.LengthScale <= 0 {
-		c.LengthScale = 0.25 * math.Sqrt(float64(dims))
-	}
-	if c.Noise <= 0 {
-		c.Noise = 1e-3
-	}
-	return c
-}
+	candidates = 400
+	// noise is the observation noise standard deviation (normalized y).
+	noise = 1e-3
+)
 
 // Result is the optimization outcome.
 type Result struct {
@@ -61,15 +38,19 @@ type Result struct {
 }
 
 // Minimize searches the unit hypercube [0,1]^dims for the objective's
-// minimum.
-func Minimize(obj Objective, dims int, cfg Config, rng *rand.Rand) (Result, error) {
+// minimum, spending iters evaluations.
+func Minimize(obj Objective, dims, iters int, rng *rand.Rand) (Result, error) {
 	if dims <= 0 {
 		return Result{}, fmt.Errorf("bayesopt: dims must be positive")
+	}
+	if iters <= 0 {
+		return Result{}, fmt.Errorf("bayesopt: iters must be positive")
 	}
 	if obj == nil {
 		return Result{}, fmt.Errorf("bayesopt: nil objective")
 	}
-	cfg = cfg.withDefaults(dims)
+	// The RBF kernel's length scale, in normalized units.
+	ls := 0.25 * math.Sqrt(float64(dims))
 
 	var res Result
 	res.Value = math.Inf(1)
@@ -91,11 +72,11 @@ func Minimize(obj Objective, dims int, cfg Config, rng *rand.Rand) (Result, erro
 		return x
 	}
 
-	for i := 0; i < cfg.InitRandom && res.Evals < cfg.Iters; i++ {
+	for i := 0; i < initRandom && res.Evals < iters; i++ {
 		evaluate(randPoint())
 	}
-	for res.Evals < cfg.Iters {
-		gp, err := fitGP(res.HistoryX, res.HistoryY, cfg)
+	for res.Evals < iters {
+		gp, err := fitGP(res.HistoryX, res.HistoryY, ls, noise)
 		if err != nil {
 			// Degenerate surrogate (e.g. constant objective): fall back to
 			// random search for this step.
@@ -105,7 +86,7 @@ func Minimize(obj Objective, dims int, cfg Config, rng *rand.Rand) (Result, erro
 		best := res.normalizedBest(gp)
 		var cand []float64
 		bestEI := -1.0
-		for c := 0; c < cfg.Candidates; c++ {
+		for c := 0; c < candidates; c++ {
 			x := randPoint()
 			mu, sigma := gp.predict(x)
 			ei := expectedImprovement(best, mu, sigma)
@@ -133,7 +114,7 @@ type gp struct {
 	noise       float64
 }
 
-func fitGP(xs [][]float64, ys []float64, cfg Config) (*gp, error) {
+func fitGP(xs [][]float64, ys []float64, ls, noise float64) (*gp, error) {
 	n := len(xs)
 	if n == 0 {
 		return nil, fmt.Errorf("bayesopt: no observations")
@@ -152,7 +133,7 @@ func fitGP(xs [][]float64, ys []float64, cfg Config) (*gp, error) {
 	if std < 1e-12 {
 		return nil, fmt.Errorf("bayesopt: degenerate observations")
 	}
-	g := &gp{x: xs, ls: cfg.LengthScale, yMean: mean, yStd: std, noise: cfg.Noise}
+	g := &gp{x: xs, ls: ls, yMean: mean, yStd: std, noise: noise}
 
 	k := make([][]float64, n)
 	for i := range k {

@@ -14,7 +14,7 @@ import (
 func TestGPInterpolatesTrainingPoints(t *testing.T) {
 	xs := [][]float64{{0.1, 0.2}, {0.5, 0.9}, {0.8, 0.3}, {0.3, 0.6}}
 	ys := []float64{3, -1, 7, 2}
-	g, err := fitGP(xs, ys, Config{LengthScale: 0.3, Noise: 1e-4})
+	g, err := fitGP(xs, ys, 0.3, 1e-4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,10 +33,10 @@ func TestGPInterpolatesTrainingPoints(t *testing.T) {
 }
 
 func TestFitGPRejectsDegenerateObservations(t *testing.T) {
-	if _, err := fitGP(nil, nil, Config{LengthScale: 1, Noise: 1e-3}); err == nil {
+	if _, err := fitGP(nil, nil, 1, 1e-3); err == nil {
 		t.Error("no observations must not fit")
 	}
-	if _, err := fitGP([][]float64{{0}, {1}}, []float64{4, 4}, Config{LengthScale: 1, Noise: 1e-3}); err == nil {
+	if _, err := fitGP([][]float64{{0}, {1}}, []float64{4, 4}, 1, 1e-3); err == nil {
 		t.Error("a constant objective has no scale to normalise by and must not fit")
 	}
 }
@@ -98,9 +98,9 @@ func TestCholesky(t *testing.T) {
 // 1-D quadratic far more closely than its random initial points do.
 func TestMinimize(t *testing.T) {
 	obj := func(x []float64) float64 { return (x[0] - 0.3) * (x[0] - 0.3) }
-	cfg := Config{Iters: 30, InitRandom: 5, Candidates: 200}
+	const iters = 30
 	run := func(seed int64) Result {
-		res, err := Minimize(obj, 1, cfg, rand.New(rand.NewSource(seed)))
+		res, err := Minimize(obj, 1, iters, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,15 +110,15 @@ func TestMinimize(t *testing.T) {
 	if again := run(7); !reflect.DeepEqual(res, again) {
 		t.Error("two runs from one seed differ")
 	}
-	if res.Evals != cfg.Iters || len(res.HistoryX) != cfg.Iters || len(res.HistoryY) != cfg.Iters {
-		t.Errorf("spent %d evaluations (%d recorded), want %d", res.Evals, len(res.HistoryY), cfg.Iters)
+	if res.Evals != iters || len(res.HistoryX) != iters || len(res.HistoryY) != iters {
+		t.Errorf("spent %d evaluations (%d recorded), want %d", res.Evals, len(res.HistoryY), iters)
 	}
 	bestInit := math.Inf(1)
 	for i, y := range res.HistoryY {
 		if y < res.Value {
 			t.Errorf("evaluation %d = %v is better than the reported best %v", i, y, res.Value)
 		}
-		if i < cfg.InitRandom {
+		if i < initRandom {
 			bestInit = math.Min(bestInit, y)
 		}
 	}
@@ -131,14 +131,17 @@ func TestMinimize(t *testing.T) {
 
 	// A constant objective never yields a surrogate; the search degrades to
 	// random sampling and still spends its budget.
-	flat, err := Minimize(func([]float64) float64 { return 1 }, 2, Config{Iters: 12}, rand.New(rand.NewSource(1)))
+	flat, err := Minimize(func([]float64) float64 { return 1 }, 2, 12, rand.New(rand.NewSource(1)))
 	if err != nil || flat.Evals != 12 || flat.Value != 1 {
 		t.Errorf("constant objective: %+v, %v", flat, err)
 	}
-	if _, err := Minimize(obj, 0, cfg, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Minimize(obj, 0, iters, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("zero dimensions must be rejected")
 	}
-	if _, err := Minimize(nil, 1, cfg, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Minimize(obj, 1, 0, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("a zero budget must be rejected")
+	}
+	if _, err := Minimize(nil, 1, iters, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("a nil objective must be rejected")
 	}
 }

@@ -84,7 +84,7 @@ func BayesOpt(m *perf.Model, units []*partition.Unit, tmaxMs float64, cfg BOConf
 		}
 		return score
 	}
-	res, err := bayesopt.Minimize(objective, dims, bayesopt.Config{Iters: iters}, rand.New(rand.NewSource(cfg.Seed)))
+	res, err := bayesopt.Minimize(objective, dims, iters, rand.New(rand.NewSource(cfg.Seed)))
 	if err != nil {
 		return BOResult{}, err
 	}

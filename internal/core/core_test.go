@@ -371,7 +371,7 @@ func TestBayesOptGenericQuadratic(t *testing.T) {
 		d1 := x[1] - 0.3
 		return d0*d0 + d1*d1
 	}
-	res, err := bayesopt.Minimize(obj, 2, bayesopt.Config{Iters: 50}, rand.New(rand.NewSource(1)))
+	res, err := bayesopt.Minimize(obj, 2, 50, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,8 @@ func (g *gateway) setupBatching(cfg Config) error {
 		return nil
 	}
 	bcfg := cfg.Batch
-	// The former inherits the gateway's control tick and SLO unless the
-	// batch config pins its own.
-	if bcfg.TickMs == 0 {
-		bcfg.TickMs = tickMs
-	}
+	// The former inherits the gateway's SLO unless the batch config pins
+	// its own.
 	if bcfg.SLOMs == 0 {
 		bcfg.SLOMs = cfg.SLOMs
 	}

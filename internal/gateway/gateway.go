@@ -27,11 +27,6 @@ import (
 	"gillis/internal/trace"
 )
 
-// tickMs is the control interval in milliseconds of virtual time: the
-// autoscaling policy, the batch former's tick rules and the adaptive
-// controller all run once per tick.
-const tickMs = 100
-
 // ErrShed is reported for queries rejected at admission because the wait
 // queue was full.
 var ErrShed = errors.New("gateway: queue full, query shed")
@@ -68,8 +63,8 @@ type Config struct {
 	// slot and ride one fork-join pass together. With Batch.MaxBatch >= 2
 	// arrivals form batches that close on size, delay, SLO deadline, or
 	// trace drain; with MaxBatch <= 1 every arrival is a unit of one, closed
-	// the instant it arrives. Batch.TickMs and Batch.SLOMs default to the
-	// gateway's 100 ms control tick and SLOMs.
+	// the instant it arrives. Batch.SLOMs defaults to the gateway's SLOMs;
+	// the former runs on the gateway's control tick (batching.TickMs).
 	Batch batching.Config
 	// Model tags the i-th arrival with the catalog model it requests, and
 	// Router resolves that tag to a serving backend at serve time — the
@@ -489,7 +484,7 @@ func (g *gateway) settle(o Outcome) {
 // asks the policy for a warm-set target, and prewarms the difference. It
 // exits once every query has settled so the simulation can drain.
 func (g *gateway) autoscale(proc *simnet.Proc) {
-	const tick = tickMs * time.Millisecond
+	const tick = batching.TickMs * time.Millisecond
 	for {
 		obs := Observation{
 			InFlight: g.inFlight,

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gillis/internal/tensor"
 )
@@ -14,16 +13,15 @@ const KindConcat Kind = 101
 // join of Inception-style branch modules (paper Fig. 5). Spatial dimensions
 // must agree across inputs.
 type Concat struct {
-	OpName string
+	weightless
+	rowLocal
+	OpName
 }
 
 var _ Spatial = (*Concat)(nil)
 
 // NewConcat constructs a channel concatenation operator.
-func NewConcat(name string) *Concat { return &Concat{OpName: name} }
-
-// Name implements Op.
-func (c *Concat) Name() string { return c.OpName }
+func NewConcat(name string) *Concat { return &Concat{OpName: OpName(name)} }
 
 // Kind implements Op.
 func (c *Concat) Kind() Kind { return KindConcat }
@@ -55,15 +53,6 @@ func (c *Concat) FLOPs(in ...[]int) int64 {
 	return total
 }
 
-// ParamCount implements Op.
-func (c *Concat) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (c *Concat) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (c *Concat) Initialized() bool { return true }
-
 // Forward implements Op.
 func (c *Concat) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(c, in) }
 
@@ -89,6 +78,3 @@ func (c *Concat) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	}
 	return nil
 }
-
-// HKernel implements Spatial.
-func (c *Concat) HKernel() (k, s, p int) { return 1, 1, 0 }

@@ -23,7 +23,7 @@ import (
 // an output bit. A folded BatchNorm stores two per-channel vectors instead of
 // four and costs two FLOPs per output element; the ReLU costs none.
 type Conv2D struct {
-	OpName string
+	OpName
 	InC    int
 	OutC   int
 	Kernel int
@@ -52,11 +52,8 @@ var (
 
 // NewConv2D constructs an uninitialized convolution.
 func NewConv2D(name string, inC, outC, kernel, stride, pad int) *Conv2D {
-	return &Conv2D{OpName: name, InC: inC, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad}
+	return &Conv2D{OpName: OpName(name), InC: inC, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad}
 }
-
-// Name implements Op.
-func (c *Conv2D) Name() string { return c.OpName }
 
 // Kind implements Op.
 func (c *Conv2D) Kind() Kind { return KindConv }

@@ -11,9 +11,9 @@ import (
 // Dense is a fully connected layer mapping a rank-1 input of size In to a
 // rank-1 output of size Out.
 type Dense struct {
-	OpName string
-	In     int
-	Out    int
+	OpName
+	In  int
+	Out int
 
 	// W has shape [Out, In]; B has shape [Out].
 	W *tensor.Tensor
@@ -31,11 +31,8 @@ var (
 
 // NewDense constructs an uninitialized fully connected layer.
 func NewDense(name string, in, out int) *Dense {
-	return &Dense{OpName: name, In: in, Out: out}
+	return &Dense{OpName: OpName(name), In: in, Out: out}
 }
-
-// Name implements Op.
-func (d *Dense) Name() string { return d.OpName }
 
 // Kind implements Op.
 func (d *Dense) Kind() Kind { return KindDense }
@@ -166,16 +163,14 @@ func (d *Dense) SliceChannels(start, end int) (Op, error) {
 
 // Flatten reshapes any input into a rank-1 tensor.
 type Flatten struct {
-	OpName string
+	weightless
+	OpName
 }
 
 var _ Aliaser = (*Flatten)(nil)
 
 // NewFlatten constructs a flatten operator.
-func NewFlatten(name string) *Flatten { return &Flatten{OpName: name} }
-
-// Name implements Op.
-func (f *Flatten) Name() string { return f.OpName }
+func NewFlatten(name string) *Flatten { return &Flatten{OpName: OpName(name)} }
 
 // Kind implements Op.
 func (f *Flatten) Kind() Kind { return KindFlatten }
@@ -190,15 +185,6 @@ func (f *Flatten) OutShape(in ...[]int) ([]int, error) {
 
 // FLOPs implements Op.
 func (f *Flatten) FLOPs(in ...[]int) int64 { return 0 }
-
-// ParamCount implements Op.
-func (f *Flatten) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (f *Flatten) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (f *Flatten) Initialized() bool { return true }
 
 // Forward implements Op.
 func (f *Flatten) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(f, in) }

@@ -19,7 +19,7 @@ const KindDepthwiseConv Kind = 102
 // channels itself, since the runtime ships the full input to channel
 // partitions. ValidH turns the padding along height off, as Conv2D's does.
 type DepthwiseConv2D struct {
-	OpName string
+	OpName
 	C      int
 	Kernel int
 	Stride int
@@ -43,11 +43,8 @@ var (
 
 // NewDepthwiseConv2D constructs an uninitialized depthwise convolution.
 func NewDepthwiseConv2D(name string, c, kernel, stride, pad int) *DepthwiseConv2D {
-	return &DepthwiseConv2D{OpName: name, C: c, Kernel: kernel, Stride: stride, Pad: pad, Lo: 0, Hi: c}
+	return &DepthwiseConv2D{OpName: OpName(name), C: c, Kernel: kernel, Stride: stride, Pad: pad, Lo: 0, Hi: c}
 }
-
-// Name implements Op.
-func (d *DepthwiseConv2D) Name() string { return d.OpName }
 
 // Kind implements Op.
 func (d *DepthwiseConv2D) Kind() Kind { return KindDepthwiseConv }

@@ -12,9 +12,10 @@ import (
 // statistics: y = gamma * (x - mean) / sqrt(var + eps) + beta.
 // Input layout is CHW.
 type BatchNorm struct {
-	OpName string
-	C      int
-	Eps    float32
+	rowLocal
+	OpName
+	C   int
+	Eps float32
 
 	// Gamma, Beta, Mean, Var each have shape [C].
 	Gamma *tensor.Tensor
@@ -31,11 +32,8 @@ var (
 
 // NewBatchNorm constructs an uninitialized batch normalization operator.
 func NewBatchNorm(name string, c int) *BatchNorm {
-	return &BatchNorm{OpName: name, C: c, Eps: 1e-5}
+	return &BatchNorm{OpName: OpName(name), C: c, Eps: 1e-5}
 }
-
-// Name implements Op.
-func (b *BatchNorm) Name() string { return b.OpName }
 
 // Kind implements Op.
 func (b *BatchNorm) Kind() Kind { return KindBatchNorm }
@@ -157,9 +155,6 @@ func (b *BatchNorm) Fold() (scale, shift *tensor.Tensor, err error) {
 	return scale, shift, nil
 }
 
-// HKernel implements Spatial.
-func (b *BatchNorm) HKernel() (k, s, p int) { return 1, 1, 0 }
-
 // OutChannels implements ChannelSliceable.
 func (b *BatchNorm) OutChannels() int { return b.C }
 
@@ -188,16 +183,15 @@ func (b *BatchNorm) SliceChannels(start, end int) (Op, error) {
 
 // ReLU is the rectified-linear activation, element-wise on any shape.
 type ReLU struct {
-	OpName string
+	weightless
+	rowLocal
+	OpName
 }
 
 var _ Spatial = (*ReLU)(nil)
 
 // NewReLU constructs a ReLU operator.
-func NewReLU(name string) *ReLU { return &ReLU{OpName: name} }
-
-// Name implements Op.
-func (r *ReLU) Name() string { return r.OpName }
+func NewReLU(name string) *ReLU { return &ReLU{OpName: OpName(name)} }
 
 // Kind implements Op.
 func (r *ReLU) Kind() Kind { return KindReLU }
@@ -220,15 +214,6 @@ func (r *ReLU) FLOPs(in ...[]int) int64 {
 	return prod(in[0])
 }
 
-// ParamCount implements Op.
-func (r *ReLU) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (r *ReLU) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (r *ReLU) Initialized() bool { return true }
-
 // Forward implements Op.
 func (r *ReLU) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(r, in) }
 
@@ -244,21 +229,17 @@ func (r *ReLU) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	return nil
 }
 
-// HKernel implements Spatial.
-func (r *ReLU) HKernel() (k, s, p int) { return 1, 1, 0 }
-
 // Add sums two same-shaped tensors element-wise (residual connections).
 type Add struct {
-	OpName string
+	weightless
+	rowLocal
+	OpName
 }
 
 var _ Spatial = (*Add)(nil)
 
 // NewAdd constructs an element-wise addition operator.
-func NewAdd(name string) *Add { return &Add{OpName: name} }
-
-// Name implements Op.
-func (a *Add) Name() string { return a.OpName }
+func NewAdd(name string) *Add { return &Add{OpName: OpName(name)} }
 
 // Kind implements Op.
 func (a *Add) Kind() Kind { return KindAdd }
@@ -284,15 +265,6 @@ func (a *Add) FLOPs(in ...[]int) int64 {
 	return prod(in[0])
 }
 
-// ParamCount implements Op.
-func (a *Add) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (a *Add) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (a *Add) Initialized() bool { return true }
-
 // Forward implements Op.
 func (a *Add) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(a, in) }
 
@@ -314,21 +286,16 @@ func (a *Add) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error {
 	return nil
 }
 
-// HKernel implements Spatial.
-func (a *Add) HKernel() (k, s, p int) { return 1, 1, 0 }
-
 // Softmax normalizes the final dimension into a probability distribution.
 type Softmax struct {
-	OpName string
+	weightless
+	OpName
 }
 
 var _ Op = (*Softmax)(nil)
 
 // NewSoftmax constructs a softmax operator.
-func NewSoftmax(name string) *Softmax { return &Softmax{OpName: name} }
-
-// Name implements Op.
-func (s *Softmax) Name() string { return s.OpName }
+func NewSoftmax(name string) *Softmax { return &Softmax{OpName: OpName(name)} }
 
 // Kind implements Op.
 func (s *Softmax) Kind() Kind { return KindSoftmax }
@@ -350,15 +317,6 @@ func (s *Softmax) FLOPs(in ...[]int) int64 {
 	}
 	return 5 * prod(in[0])
 }
-
-// ParamCount implements Op.
-func (s *Softmax) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (s *Softmax) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (s *Softmax) Initialized() bool { return true }
 
 // Forward implements Op.
 func (s *Softmax) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(s, in) }

@@ -18,7 +18,7 @@ import (
 // ChannelSliceable: Gillis can place an LSTM stack across functions (serial
 // rounds) but cannot tensor-partition it, exactly as in the paper (§V-B).
 type LSTM struct {
-	OpName string
+	OpName
 	InSize int
 	Hidden int
 
@@ -33,11 +33,8 @@ var _ Weighted = (*LSTM)(nil)
 
 // NewLSTM constructs an uninitialized LSTM layer.
 func NewLSTM(name string, inSize, hidden int) *LSTM {
-	return &LSTM{OpName: name, InSize: inSize, Hidden: hidden}
+	return &LSTM{OpName: OpName(name), InSize: inSize, Hidden: hidden}
 }
-
-// Name implements Op.
-func (l *LSTM) Name() string { return l.OpName }
 
 // Kind implements Op.
 func (l *LSTM) Kind() Kind { return KindLSTM }

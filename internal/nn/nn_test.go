@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -434,15 +435,44 @@ func TestLSTMCausality(t *testing.T) {
 	}
 }
 
+// TestParamBytesAndWeightedRoundtrip covers what every operator kind
+// answers alike. A weighted operator starts uninitialized and stores exactly
+// ParamCount scalars. A weight-free one stores none, is ready without Init
+// and is not Weighted. The row-local ones report HKernel (1, 1, 0). Each is
+// named for its kind, so Name is checked on all of them too.
 func TestParamBytesAndWeightedRoundtrip(t *testing.T) {
-	ops := []Weighted{
-		NewConv2D("c", 2, 4, 3, 1, 1),
-		NewBatchNorm("b", 4),
-		NewDense("d", 8, 4),
-		NewLSTM("l", 4, 4),
+	folded := NewConv2D("conv2d", 2, 4, 3, 1, 1)
+	folded.BN = true
+	weighted := []Weighted{
+		NewConv2D("conv2d", 2, 4, 3, 1, 1),
+		folded,
+		NewDepthwiseConv2D("depthwiseconv2d", 4, 3, 1, 1),
+		NewBatchNorm("batchnorm", 4),
+		NewDense("dense", 8, 4),
+		NewLSTM("lstm", 4, 4),
+	}
+	weightless := []Op{
+		NewConcat("concat"),
+		NewFlatten("flatten"),
+		NewReLU("relu"),
+		NewAdd("add"),
+		NewSoftmax("softmax"),
+		NewMaxPool2D("maxpool2d", 3, 2, 1),
+		NewAvgPool2D("avgpool2d", 2, 2),
+		NewGlobalAvgPool("globalavgpool"),
+		&RowWindow{OpName: "rowwindow", In: []int{1, 4, 4}, H: 4, Hi: 4},
+		NewTakeLast("takelast"),
+	}
+	kinds := map[Kind]bool{}
+	named := func(op Op) {
+		kinds[op.Kind()] = true
+		if want := strings.ToLower(op.Kind().String()); op.Name() != want {
+			t.Errorf("%s named %q, want %q", op.Kind(), op.Name(), want)
+		}
 	}
 	rng := rand.New(rand.NewSource(9))
-	for _, op := range ops {
+	for _, op := range weighted {
+		named(op)
 		if op.Initialized() {
 			t.Fatalf("%s should start uninitialized", op.Name())
 		}
@@ -462,6 +492,27 @@ func TestParamBytesAndWeightedRoundtrip(t *testing.T) {
 		}
 		if err := op.SetWeights(nil); err == nil {
 			t.Fatalf("%s expected SetWeights(nil) error", op.Name())
+		}
+	}
+	for _, op := range weightless {
+		named(op)
+		if _, ok := op.(Weighted); ok {
+			t.Errorf("%s is Weighted", op.Name())
+		}
+		if !op.Initialized() {
+			t.Errorf("%s is not initialized before Init", op.Name())
+		}
+		op.Init(rng)
+		if n := op.ParamCount(); n != 0 {
+			t.Errorf("%s ParamCount %d, want 0", op.Name(), n)
+		}
+	}
+	if len(kinds) != len(kindNames) {
+		t.Errorf("covered %d operator kinds of %d", len(kinds), len(kindNames))
+	}
+	for _, op := range []Spatial{NewReLU("relu"), NewAdd("add"), NewBatchNorm("batchnorm", 4), NewConcat("concat")} {
+		if k, s, p := op.HKernel(); k != 1 || s != 1 || p != 0 {
+			t.Errorf("%s HKernel (%d, %d, %d), want (1, 1, 0)", op.Name(), k, s, p)
 		}
 	}
 }

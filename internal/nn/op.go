@@ -21,6 +21,11 @@
 //   - An operator that pads height has a ValidH field that turns that
 //     padding off: a spatial partition runs such a copy on rows that carry
 //     their halo (RowWindow cuts them where they do not).
+//   - An operator states only its own answers. Those many give alike are
+//     written once, here, in types an operator embeds: OpName (its name and
+//     Name), weightless (ParamCount, Init and Initialized of an operator
+//     that stores no weights) and rowLocal (HKernel (1, 1, 0) of an operator
+//     whose output row reads only the same input row).
 package nn
 
 import (
@@ -144,6 +149,34 @@ type ChannelSliceable interface {
 	// [start, end).
 	SliceChannels(start, end int) (Op, error)
 }
+
+// OpName is an operator's instance name. Every operator embeds it.
+type OpName string
+
+// Name implements Op.
+func (n OpName) Name() string { return string(n) }
+
+// weightless is embedded by the operators that store no weights: there is
+// nothing to count, draw or wait for. Like rowLocal it takes no space, and
+// an operator lists both ahead of its fields, since a zero-size field that
+// ends a struct is padded.
+type weightless struct{}
+
+// ParamCount implements Op.
+func (weightless) ParamCount() int64 { return 0 }
+
+// Init implements Op.
+func (weightless) Init(*rand.Rand) {}
+
+// Initialized implements Op.
+func (weightless) Initialized() bool { return true }
+
+// rowLocal is embedded by the operators whose output row is computed from
+// the same row of their inputs alone (ReLU, Add, BatchNorm, Concat).
+type rowLocal struct{}
+
+// HKernel implements Spatial.
+func (rowLocal) HKernel() (k, s, p int) { return 1, 1, 0 }
 
 // forwardNew is every operator's Forward: ForwardInto on a fresh tensor of
 // the output shape.

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"gillis/internal/par"
 	"gillis/internal/tensor"
@@ -13,7 +12,8 @@ import (
 // positions act as -inf, matching standard framework semantics. ValidH turns
 // the padding along height off, as Conv2D's does.
 type MaxPool2D struct {
-	OpName string
+	weightless
+	OpName
 	Kernel int
 	Stride int
 	Pad    int
@@ -24,11 +24,8 @@ var _ Spatial = (*MaxPool2D)(nil)
 
 // NewMaxPool2D constructs a max-pooling operator.
 func NewMaxPool2D(name string, kernel, stride, pad int) *MaxPool2D {
-	return &MaxPool2D{OpName: name, Kernel: kernel, Stride: stride, Pad: pad}
+	return &MaxPool2D{OpName: OpName(name), Kernel: kernel, Stride: stride, Pad: pad}
 }
-
-// Name implements Op.
-func (m *MaxPool2D) Name() string { return m.OpName }
 
 // Kind implements Op.
 func (m *MaxPool2D) Kind() Kind { return KindMaxPool }
@@ -58,15 +55,6 @@ func (m *MaxPool2D) FLOPs(in ...[]int) int64 {
 	}
 	return prod(out) * int64(m.Kernel*m.Kernel)
 }
-
-// ParamCount implements Op.
-func (m *MaxPool2D) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (m *MaxPool2D) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (m *MaxPool2D) Initialized() bool { return true }
 
 // Forward implements Op.
 func (m *MaxPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(m, in) }
@@ -154,7 +142,8 @@ func (m *MaxPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error 
 // AvgPool2D is a 2-D average pooling operator without padding support (the
 // benchmark models never average-pool with padding).
 type AvgPool2D struct {
-	OpName string
+	weightless
+	OpName
 	Kernel int
 	Stride int
 }
@@ -163,11 +152,8 @@ var _ Spatial = (*AvgPool2D)(nil)
 
 // NewAvgPool2D constructs an average-pooling operator.
 func NewAvgPool2D(name string, kernel, stride int) *AvgPool2D {
-	return &AvgPool2D{OpName: name, Kernel: kernel, Stride: stride}
+	return &AvgPool2D{OpName: OpName(name), Kernel: kernel, Stride: stride}
 }
-
-// Name implements Op.
-func (a *AvgPool2D) Name() string { return a.OpName }
 
 // Kind implements Op.
 func (a *AvgPool2D) Kind() Kind { return KindAvgPool }
@@ -197,15 +183,6 @@ func (a *AvgPool2D) FLOPs(in ...[]int) int64 {
 	}
 	return prod(out) * int64(a.Kernel*a.Kernel)
 }
-
-// ParamCount implements Op.
-func (a *AvgPool2D) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (a *AvgPool2D) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (a *AvgPool2D) Initialized() bool { return true }
 
 // Forward implements Op.
 func (a *AvgPool2D) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(a, in) }
@@ -257,16 +234,14 @@ func (a *AvgPool2D) ForwardInto(dst *tensor.Tensor, in ...*tensor.Tensor) error 
 // GlobalAvgPool averages each channel's full feature map, producing a rank-1
 // tensor of per-channel means.
 type GlobalAvgPool struct {
-	OpName string
+	weightless
+	OpName
 }
 
 var _ Op = (*GlobalAvgPool)(nil)
 
 // NewGlobalAvgPool constructs a global average pooling operator.
-func NewGlobalAvgPool(name string) *GlobalAvgPool { return &GlobalAvgPool{OpName: name} }
-
-// Name implements Op.
-func (g *GlobalAvgPool) Name() string { return g.OpName }
+func NewGlobalAvgPool(name string) *GlobalAvgPool { return &GlobalAvgPool{OpName: OpName(name)} }
 
 // Kind implements Op.
 func (g *GlobalAvgPool) Kind() Kind { return KindGlobalAvgPool }
@@ -290,15 +265,6 @@ func (g *GlobalAvgPool) FLOPs(in ...[]int) int64 {
 	}
 	return prod(in[0])
 }
-
-// ParamCount implements Op.
-func (g *GlobalAvgPool) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (g *GlobalAvgPool) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (g *GlobalAvgPool) Initialized() bool { return true }
 
 // Forward implements Op.
 func (g *GlobalAvgPool) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) {

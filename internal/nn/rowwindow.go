@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gillis/internal/tensor"
 )
@@ -19,16 +18,14 @@ const KindRowWindow Kind = 103
 // window with its height padding off (ValidH). The source must have exactly
 // the shape In: the rows the part holds of it.
 type RowWindow struct {
-	OpName string
+	weightless
+	OpName
 	In     []int // CHW
 	H      int
 	SrcLo  int
 	Lo, Hi int
 	Fill   float32
 }
-
-// Name implements Op.
-func (w *RowWindow) Name() string { return w.OpName }
 
 // Kind implements Op.
 func (w *RowWindow) Kind() Kind { return KindRowWindow }
@@ -61,15 +58,6 @@ func (w *RowWindow) fits() error {
 
 // FLOPs implements Op: a copy computes nothing.
 func (w *RowWindow) FLOPs(...[]int) int64 { return 0 }
-
-// ParamCount implements Op.
-func (w *RowWindow) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (w *RowWindow) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (w *RowWindow) Initialized() bool { return true }
 
 // Forward implements Op.
 func (w *RowWindow) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(w, in) }

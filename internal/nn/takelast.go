@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gillis/internal/tensor"
 )
@@ -14,16 +13,14 @@ const KindTakeLast Kind = 100
 // tensor of size H. It bridges recurrent stacks to dense classification
 // heads.
 type TakeLast struct {
-	OpName string
+	weightless
+	OpName
 }
 
 var _ Aliaser = (*TakeLast)(nil)
 
 // NewTakeLast constructs a TakeLast operator.
-func NewTakeLast(name string) *TakeLast { return &TakeLast{OpName: name} }
-
-// Name implements Op.
-func (l *TakeLast) Name() string { return l.OpName }
+func NewTakeLast(name string) *TakeLast { return &TakeLast{OpName: OpName(name)} }
 
 // Kind implements Op.
 func (l *TakeLast) Kind() Kind { return KindTakeLast }
@@ -41,15 +38,6 @@ func (l *TakeLast) OutShape(in ...[]int) ([]int, error) {
 
 // FLOPs implements Op.
 func (l *TakeLast) FLOPs(in ...[]int) int64 { return 0 }
-
-// ParamCount implements Op.
-func (l *TakeLast) ParamCount() int64 { return 0 }
-
-// Init implements Op.
-func (l *TakeLast) Init(*rand.Rand) {}
-
-// Initialized implements Op.
-func (l *TakeLast) Initialized() bool { return true }
 
 // Forward implements Op.
 func (l *TakeLast) Forward(in ...*tensor.Tensor) (*tensor.Tensor, error) { return forwardNew(l, in) }

@@ -67,7 +67,7 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 				}
 				srcs[i], ins[i] = src, []int{full[0], srcRange.Len(), full[2]}
 				if req != srcRange {
-					win := &nn.RowWindow{OpName: fmt.Sprintf("%s.in%d[h%d:%d]", node.Op.Name(), i, req.Lo, req.Hi),
+					win := &nn.RowWindow{OpName: nn.OpName(fmt.Sprintf("%s.in%d[h%d:%d]", node.Op.Name(), i, req.Lo, req.Hi)),
 						In: ins[i], H: req.Len(), SrcLo: inside.Lo - srcRange.Lo,
 						Lo: inside.Lo - req.Lo, Hi: inside.Hi - req.Lo, Fill: padValue(node.Op)}
 					var err error

@@ -10,7 +10,7 @@
 // Nothing is synchronised because nothing is shared: an Env and everything
 // hanging off it (Procs, Promises, Resources) is touched by the goroutine
 // that will call Run until Run starts, and from then on only by the process
-// Run has resumed or by an At callback, which runs on Run's own goroutine.
+// Run has resumed.
 // A process may block on real synchronisation of its own (a par.For join)
 // but must not let another goroutine touch the Env. Between two Runs the Env
 // may change hands, to one goroutine at a time, through something that
@@ -39,15 +39,13 @@ type Env struct {
 	idle     []*Proc // processes whose body returned, coroutine and all, ready for the next Go
 }
 
-// An event either calls fn (only the tests' Env.At schedules one) or, when
-// fn is nil, resumes proc — provided proc is still in the park the event was
+// An event resumes proc, provided proc is still in the park the event was
 // pushed for (see Proc.gen).
 type event struct {
 	at   time.Duration
 	seq  int64
 	proc *Proc
 	gen  uint64
-	fn   func()
 }
 
 func (a *event) before(b *event) bool {
@@ -134,7 +132,11 @@ func (p *Proc) Now() time.Duration { return p.env.now }
 
 // Go schedules fn as a new process starting at the current virtual time.
 // It can be called before or between Runs, or from within a running process.
-func (e *Env) Go(name string, fn func(*Proc)) {
+func (e *Env) Go(name string, fn func(*Proc)) { e.spawn(e.now, name, fn) }
+
+// spawn queues fn as a process starting at virtual time at, on an idle Proc
+// if there is one.
+func (e *Env) spawn(at time.Duration, name string, fn func(*Proc)) {
 	var p *Proc
 	if n := len(e.idle); n > 0 {
 		p = e.idle[n-1]
@@ -143,7 +145,7 @@ func (e *Env) Go(name string, fn func(*Proc)) {
 		p = &Proc{env: e}
 	}
 	p.Name, p.body = name, fn
-	e.push(event{at: e.now, proc: p, gen: p.gen})
+	e.push(event{at: at, proc: p, gen: p.gen})
 }
 
 // park returns control to Run until a wake carrying p.gen is popped.
@@ -190,11 +192,11 @@ func (e *Env) step() {
 
 // Run executes the simulation until no events remain. It returns an error if
 // processes remain parked on unresolved promises when the event queue drains
-// (a deadlock). A panic in a process or callback surfaces here.
+// (a deadlock). A panic in a process surfaces here.
 //
-// Run may be called again once it has returned, after Go or At has queued
-// more work: the later Run continues from the clock, the event sequence and
-// the Stamp sequence where the last drain stopped. Each drain stops the
+// Run may be called again once it has returned, after Go has queued more
+// work: the later Run continues from the clock, the event sequence and the
+// Stamp sequence where the last drain stopped. Each drain stops the
 // coroutines of the processes that finished, so an Env between Runs holds no
 // goroutine but those of processes still parked.
 func (e *Env) Run() error {
@@ -208,9 +210,7 @@ func (e *Env) Run() error {
 		e.step()
 		ev := e.pop()
 		e.now = ev.at
-		if ev.fn != nil {
-			ev.fn()
-		} else if p := ev.proc; p.gen == ev.gen {
+		if p := ev.proc; p.gen == ev.gen {
 			p.gen++
 			if p.next == nil {
 				e.start(p)

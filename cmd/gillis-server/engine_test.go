@@ -149,11 +149,13 @@ func TestConcurrentPredicts(t *testing.T) {
 
 // TestInferAllocationBudget pins what one request allocates on a resident
 // engine, the demo model's forward and reply included, so per-request
-// construction of the simulation cannot creep back: it is 90 objects on a
-// resident engine with one worker, and building a fresh Env, platform,
-// deployment and warm pool for every request made it 182. The bytes are
-// pinned as tightly: 4952 B, where a tensor of its own for every inner unit
-// output made it 120 KB. The byte budget has less slack than the demo model's
+// construction of the simulation cannot creep back: it is 73 objects on a
+// resident engine with one worker (90 while the master invocation ran on a
+// process and a promise of its own, and the control loop on another), and
+// building a fresh Env, platform, deployment and warm pool for every request
+// made it 182. The bytes are pinned as tightly: 4248 B (4952 B before the
+// same change), where a tensor of its own for every inner unit output made
+// it 120 KB. The byte budget has less slack than the demo model's
 // smallest inner unit output is big (fc's 40 B), so any one of them allocated
 // again breaks it; a change that allocates less lowers it. One worker, so
 // par.For spawns nothing; the minimum of several runs, so a collection that
@@ -162,7 +164,7 @@ func TestInferAllocationBudget(t *testing.T) {
 	if raceOn {
 		t.Skip("allocation budgets are the plain build's")
 	}
-	const budget, budgetBytes = 120, 4976
+	const budget, budgetBytes = 120, 4272
 	s, err := newServer("", "lambda", 1, 0, "")
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +208,7 @@ func TestInferAllocationBudget(t *testing.T) {
 // TestPredictAllocationBudget pins what one warm /v1/predict call allocates
 // through httptest — the request and recorder, reading and decoding the
 // body, the inference TestInferAllocationBudget pins, and the reply — so the
-// pooled body and input buffers cannot regress: 123 objects and 11936 B with
+// pooled body and input buffers cannot regress: 106 objects and 11232 B with
 // one worker, where a body and an input array of their own for every request
 // made it 126 objects and 65296 B. The byte budget has less slack than the demo request's input
 // array (12 KB) is big, and its body is three times that. One worker and the

@@ -54,7 +54,6 @@ func (g *gateway) setupBatching(cfg Config) error {
 // assign a role.
 func (g *gateway) formBatch(proc *simnet.Proc, m batching.Member) []batching.Member {
 	var a batchAssign
-	g.arrived++
 	if g.former.Add(m.ID, m.Arrival) {
 		// Size rule: the batch is full; this arrival closes and leads it.
 		a = batchAssign{batch: g.former.Take(), reason: batching.ReasonSize}
@@ -86,7 +85,7 @@ func (g *gateway) batchTick(proc *simnet.Proc) {
 	if g.former == nil {
 		return
 	}
-	reason := g.former.ShouldClose(proc.Now(), g.arrived >= g.total)
+	reason := g.former.ShouldClose(proc.Now(), g.started >= g.total)
 	if reason == batching.ReasonNone {
 		return
 	}

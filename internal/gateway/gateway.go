@@ -138,6 +138,7 @@ type gateway struct {
 	cfg Config
 	reg *trace.Registry
 
+	started  int // queries launched so far (nextQuery's index)
 	inFlight int
 	queue    []*simnet.Promise[struct{}]
 	maxQueue int
@@ -161,13 +162,12 @@ type gateway struct {
 	brownoutSheds int
 	planSwitches  int
 
-	// Batch-forming state (nil/zero when Config.Batch.MaxBatch <= 1). arrived
-	// counts arrivals that entered the former, so the drain rule knows when
-	// no future query can top a batch up; waiters maps a forming member's
-	// query ID to the promise its process blocks on.
+	// Batch-forming state (nil/zero when Config.Batch.MaxBatch <= 1). Every
+	// started query enters the former at once, so started tells the drain
+	// rule when no future query can top a batch up; waiters maps a forming
+	// member's query ID to the promise its process blocks on.
 	former       *batching.Former
 	waiters      map[int]*simnet.Promise[batchAssign]
-	arrived      int
 	batches      int
 	batchSizeSum int
 	batchClosed  map[string]int
@@ -235,17 +235,18 @@ func Run(b Backend, arrivals []time.Duration, cfg Config) (*LoadReport, []Outcom
 	// The dispatcher walks the trace on the virtual clock and launches one
 	// process per query at its arrival instant.
 	env.Go("gateway-dispatch", func(proc *simnet.Proc) {
-		for i, at := range arrivals {
+		next := g.nextQuery
+		for _, at := range arrivals {
 			proc.Sleep(at - proc.Now())
-			i := i
-			env.Go("query", func(qp *simnet.Proc) {
-				g.query(qp, i)
-			})
+			env.Go("query", next)
 		}
 	})
-	env.Go("gateway-autoscale", func(proc *simnet.Proc) {
-		g.autoscale(proc)
-	})
+	// With nothing to read its ticks, the control loop would only poll the
+	// warm pools and sleep; a process that only reads leaves every other
+	// event's order as it was, so it is not scheduled at all.
+	if _, none := cfg.Policy.(NonePolicy); !none || g.former != nil || cfg.Controller != nil {
+		env.Go("gateway-autoscale", g.autoscale)
+	}
 	if err := env.Run(); err != nil {
 		return nil, nil, err
 	}
@@ -254,6 +255,14 @@ func Run(b Backend, arrivals []time.Duration, cfg Config) (*LoadReport, []Outcom
 	}
 	rep := g.report(p.BilledMsTotal()-billed0, p.PrewarmBilledMs()-prewarm0)
 	return rep, g.outcomes, nil
+}
+
+// nextQuery runs the next arrival. Queries start in the order they were
+// launched, which is arrival order, so a counter names each one's index.
+func (g *gateway) nextQuery(proc *simnet.Proc) {
+	i := g.started
+	g.started++
+	g.query(proc, i)
 }
 
 // query runs one arrival. It is an admission unit of one, closed the instant

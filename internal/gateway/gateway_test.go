@@ -5,12 +5,14 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"gillis/internal/batching"
 	"gillis/internal/graph"
 	"gillis/internal/nn"
 	"gillis/internal/par"
@@ -378,5 +380,42 @@ func TestPrewarmPolicyCutsColdStarts(t *testing.T) {
 	}
 	if react.ColdStartPct >= none.ColdStartPct && none.ColdStarts > 1 {
 		t.Errorf("prewarming bought nothing: %.1f%% vs %.1f%% cold", react.ColdStartPct, none.ColdStartPct)
+	}
+}
+
+// TestIdleGatewaySchedulesNoControlLoop: with no prewarming policy, batch
+// former or controller to read the control tick, no control loop runs, so a
+// replay's clock stops at its last settle instead of the next 100 ms tick.
+// Each of the three still gets its ticks: its replay drains on a tick.
+func TestIdleGatewaySchedulesNoControlLoop(t *testing.T) {
+	arrivals := []time.Duration{30 * time.Millisecond, 75 * time.Millisecond, 410 * time.Millisecond}
+	replay := func(cfg Config) (now time.Duration, lastMs float64) {
+		d := deploy(t, platform.AWSLambda(), 1, runtime.ShapeOnly)
+		cfg.MaxInFlight = 2
+		_, outs, err := Run(d, arrivals, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range outs {
+			lastMs = max(lastMs, o.ArrivalMs+o.TotalMs)
+		}
+		return d.Platform().Env().Now(), lastMs
+	}
+	if now, lastMs := replay(Config{}); math.Abs(durMs(now)-lastMs) > 1e-6 {
+		t.Errorf("an idle replay drained at %v, its last settle was at %.6f ms", now, lastMs)
+	}
+	const tick = batching.TickMs * time.Millisecond
+	ctl := &scriptCtl{brownFrom: time.Hour, brownTo: time.Hour, switchAt: time.Hour}
+	for name, cfg := range map[string]Config{
+		"policy":     {Policy: TargetConcurrency{}},
+		"former":     {Batch: batching.Config{MaxBatch: 2, MaxDelay: 150 * time.Millisecond}},
+		"controller": {Controller: ctl},
+	} {
+		if now, lastMs := replay(cfg); now%tick != 0 || durMs(now) < lastMs {
+			t.Errorf("%s: the replay drained at %v, not on the first tick after its last settle at %.3f ms", name, now, lastMs)
+		}
+	}
+	if ctl.ticks == 0 {
+		t.Error("the controller was never ticked")
 	}
 }

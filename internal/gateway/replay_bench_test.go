@@ -48,33 +48,36 @@ func loadDigest(r *gateway.LoadReport) string {
 		r.Queries, r.Served, r.Shed, r.Faulted, r.P50Ms, r.BilledMs, r.PrewarmBilledMs)
 }
 
-// BenchmarkReplayResnet34 replays a bursty ≈3.2 k-arrival trace (2 qps with
-// 4 s bursts at 20 qps every 20 s, 570 s) through the gateway onto resnet34's
-// latency-optimal plan, ShapeOnly, with billed burst-aware prewarming.
-func BenchmarkReplayResnet34(b *testing.B) {
+// resnet34Replay is sim_replay's replay over the first span of its bursty
+// trace (2 qps with 4 s bursts at 20 qps every 20 s): resnet34's
+// latency-optimal plan, ShapeOnly, with billed burst-aware prewarming. It
+// returns the arrivals and a function that runs one replay on a fresh
+// platform and returns its report digest.
+func resnet34Replay(tb testing.TB, span time.Duration) ([]time.Duration, func() string) {
+	tb.Helper()
 	g, err := models.ByName("resnet34")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	units, err := partition.Linearize(g)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := perf.Build(platform.AWSLambda(), 1, 2, 300)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plan, pred, err := core.LatencyOptimal(m, units, core.Config{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cfg := m.Platform()
 	cfg.WarmIdleMs = 8000
 	cfg.PrewarmMs = cfg.ColdStartMs
 	spec := workload.BurstSpec{BaseRate: 2, BurstRate: 20, Period: 20 * time.Second, BurstLen: 4 * time.Second}
-	arrivals, err := workload.Bursty(rand.New(rand.NewSource(1)), spec, 570*time.Second)
+	arrivals, err := workload.Bursty(rand.New(rand.NewSource(1)), spec, span)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	gcfg := gateway.Config{
 		MaxInFlight: 16,
@@ -82,61 +85,56 @@ func BenchmarkReplayResnet34(b *testing.B) {
 		SLOMs:       pred.LatencyMs + 0.6*cfg.ColdStartMs,
 		Policy:      gateway.BurstAware{Spec: spec, EstServeMs: pred.LatencyMs, LeadMs: 500},
 	}
-	want := replayGolden(b, "sim_replay")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return arrivals, func() string {
 		p := platform.New(simnet.NewEnv(), cfg, 1)
 		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := d.Prewarm(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rep, _, err := gateway.Run(d, arrivals, gcfg)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if got := loadDigest(rep); got != want {
-			b.Fatalf("report digest %q, want %q", got, want)
-		}
+		return loadDigest(rep)
 	}
 }
 
-// BenchmarkReplayMesh replays a Zipf(1.1) ≈9.6 k-arrival trace (4 qps, 2400
-// s) over a six-model catalog on two 36 MB instances, which cannot hold it:
-// the mesh keeps loading, sharing loads and evicting.
-func BenchmarkReplayMesh(b *testing.B) {
+// meshReplay is sim_mesh's replay over the first span of its Zipf(1.1)
+// trace (4 qps) over a six-model catalog on two 36 MB instances, which
+// cannot hold it: the mesh keeps loading, sharing loads and evicting. It
+// returns the arrival times and a function that runs one replay on a fresh
+// platform and returns its report digest.
+func meshReplay(tb testing.TB, span time.Duration) ([]time.Duration, func() string) {
+	tb.Helper()
 	zoo := []string{"mobilenet-mini", "rnn-tiny2", "mobilenet-mini-w2", "rnn-tiny4", "rnn-tiny6", "mobilenet-mini-w3"}
 	specs := make([]mesh.ModelSpec, len(zoo))
 	for i, name := range zoo {
 		g, err := models.ByName(name)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		units, err := partition.Linearize(g)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		specs[i] = mesh.ModelSpec{ID: name, Units: units, Plan: partition.DefaultPlan(name, units)}
 	}
-	arrivals, err := workload.MultiModel(rand.New(rand.NewSource(1)), workload.ZipfSpec{Models: zoo, S: 1.1}, 4, 2400*time.Second)
+	arrivals, err := workload.MultiModel(rand.New(rand.NewSource(1)), workload.ZipfSpec{Models: zoo, S: 1.1}, 4, span)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	times := workload.Times(arrivals)
 	cfg := platform.AWSLambda()
 	cfg.WarmIdleMs = 300000
 	cfg.PrewarmMs = cfg.ColdStartMs
-	want := replayGolden(b, "sim_mesh")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return times, func() string {
 		p := platform.New(simnet.NewEnv(), cfg, 1)
 		m, err := mesh.New(p, mesh.Config{Instances: 2, InstanceMemMB: 36, MaxPerInstance: 4}, specs)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rep, _, err := gateway.Run(m, times, gateway.Config{
 			MaxInFlight: 4,
@@ -146,13 +144,65 @@ func BenchmarkReplayMesh(b *testing.B) {
 			Router:      m,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		mrep := m.Report()
-		got := fmt.Sprintf("%s hits=%d loads=%d load_waits=%d evictions=%d",
+		return fmt.Sprintf("%s hits=%d loads=%d load_waits=%d evictions=%d",
 			loadDigest(rep), mrep.Hits, mrep.Loads, mrep.LoadWaits, mrep.Evictions)
-		if got != want {
+	}
+}
+
+// BenchmarkReplayResnet34 replays sim_replay's whole ≈3.2 k-arrival, 570 s
+// trace.
+func BenchmarkReplayResnet34(b *testing.B) {
+	_, replay := resnet34Replay(b, 570*time.Second)
+	want := replayGolden(b, "sim_replay")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := replay(); got != want {
 			b.Fatalf("report digest %q, want %q", got, want)
+		}
+	}
+}
+
+// BenchmarkReplayMesh replays sim_mesh's whole ≈9.6 k-arrival, 2400 s trace.
+func BenchmarkReplayMesh(b *testing.B) {
+	_, replay := meshReplay(b, 2400*time.Second)
+	want := replayGolden(b, "sim_mesh")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := replay(); got != want {
+			b.Fatalf("report digest %q, want %q", got, want)
+		}
+	}
+}
+
+// TestReplayAllocationsPerArrival holds what a replay allocates per arrival
+// on sim_replay's and sim_mesh's paths, over the first 120 s of each trace
+// (set-up included, as a replay pays it): 18.9 and 7.7 objects. They were
+// 22.2 and 10.8 while each arrival had a closure of its own, each master
+// invocation a process and a promise, and an idle control loop polled the
+// warm pools every tick; any one of them back shows here.
+func TestReplayAllocationsPerArrival(t *testing.T) {
+	if raceOn {
+		t.Skip("allocation budgets are the plain build's")
+	}
+	for _, c := range []struct {
+		name   string
+		setup  func(testing.TB, time.Duration) ([]time.Duration, func() string)
+		budget float64
+	}{
+		{"sim_replay", resnet34Replay, 19.0},
+		{"sim_mesh", meshReplay, 7.8},
+	} {
+		arrivals, replay := c.setup(t, 120*time.Second)
+		replay()
+		perArrival := testing.AllocsPerRun(3, func() { replay() }) / float64(len(arrivals))
+		t.Logf("%s: %.2f objects per arrival over %d arrivals", c.name, perArrival, len(arrivals))
+		if perArrival > c.budget {
+			t.Errorf("%s: a replay allocates %.2f objects per arrival, budget %.2f", c.name, perArrival, c.budget)
 		}
 	}
 }

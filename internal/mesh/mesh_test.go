@@ -429,3 +429,37 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
+
+// TestMeshWarmSets: a mesh's warm sets are its models' together — none
+// before any load, and after each model's first query the set its load
+// warmed, back in the pool once the query settled. A gateway polls them only
+// under a prewarming policy, which no mesh replay here runs.
+func TestMeshWarmSets(t *testing.T) {
+	ids := []string{"mobilenet-mini", "rnn-tiny2"}
+	_, err := platform.Run(meshPlatformCfg(), 1, func(p *platform.Platform, proc *simnet.Proc) error {
+		m, err := New(p, Config{Instances: 1, InstanceMemMB: 64}, catalogSpecs(t, ids...))
+		if err != nil {
+			return err
+		}
+		if n := m.WarmSets(); n != 0 {
+			t.Errorf("%d warm sets before any load", n)
+		}
+		for i, id := range ids {
+			b, release, err := m.Acquire(proc, id)
+			if err != nil {
+				return err
+			}
+			if _, _, err := b.ServeBatch(proc, nil, 1, false); err != nil {
+				return err
+			}
+			release()
+			if n, own := m.WarmSets(), m.models[id].dep.WarmSets(); n != i+1 || own != 1 {
+				t.Errorf("after %s's first query: %d warm sets across the catalog, %d its own; want %d and 1", id, n, own, i+1)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

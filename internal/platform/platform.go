@@ -361,9 +361,13 @@ type pmetrics struct {
 	faultFailure *trace.Counter
 	faultEvicted *trace.Counter
 	prewarms     *trace.Counter
-	warmExpired  *trace.Counter
-	overheadMs   *trace.Histogram
-	handlerMs    *trace.Histogram
+	// warmExpired counts instances reclaimed for idling WarmIdleMs, when
+	// the pool is next read: by a WarmCount poll (a gateway's control
+	// loop), or with no poller by the function's next invocation, so an
+	// expiry after a function's last invocation goes uncounted.
+	warmExpired *trace.Counter
+	overheadMs  *trace.Histogram
+	handlerMs   *trace.Histogram
 }
 
 func newPMetrics(reg *trace.Registry) *pmetrics {
@@ -528,8 +532,9 @@ func (p *Platform) PrewarmBilledMs() int64 {
 
 // Ctx is the execution context of one running function instance. Nested
 // invocations still in flight when the handler returns keep using the Ctx
-// (its links and its billing accumulator), but never its Proc: that handle
-// dies with the process running the handler (see simnet.Proc).
+// (its links and its billing accumulator), but never its Proc: that process
+// has moved on, back to an InvokeFrom caller, or died with an InvokeAsync
+// (see simnet.Proc).
 type Ctx struct {
 	platform *Platform
 	proc     *simnet.Proc
@@ -549,8 +554,9 @@ func (c *Ctx) Span() *trace.Span { return c.span }
 // Platform returns the hosting platform.
 func (c *Ctx) Platform() *Platform { return c.platform }
 
-// Proc returns the simnet process executing this function. It is valid
-// only while the handler runs.
+// Proc returns the simnet process executing this function: the caller's own
+// for an InvokeFrom, one of the invocation's own for an InvokeAsync. It is
+// valid only while the handler runs.
 func (c *Ctx) Proc() *simnet.Proc { return c.proc }
 
 // ComputeOp advances virtual time for one operator execution: FLOP time at
@@ -635,16 +641,31 @@ func (p *Platform) InvokeFrom(proc *simnet.Proc, name string, payload Payload) (
 
 // InvokeFromSpan is InvokeFrom with the invocation's span attached under
 // parent (untraced when parent is nil).
+//
+// The invocation runs on proc itself, so the handler's Ctx.Proc is proc. It
+// is ordered as if it ran on a process of its own that proc waits for: the
+// first Sleep(0) takes the sequence number spawning that process would have
+// taken, the second the one resolving the caller's promise would have, so
+// every other event keeps its place (DESIGN §3).
 func (p *Platform) InvokeFromSpan(proc *simnet.Proc, name string, payload Payload, parent *trace.Span) (InvokeResult, error) {
-	pr, _ := p.invokeAsync(nil, parent, name, payload)
-	return settled(pr.Wait(proc))
+	sp := invokeSpan(parent, name)
+	proc.Sleep(0)
+	res, err := p.runInvocation(proc, nil, sp, name, payload)
+	proc.Sleep(0)
+	return settled(res, err)
+}
+
+// invokeSpan opens an invocation's span under parent; an untraced
+// invocation (nil parent) builds no name.
+func invokeSpan(parent *trace.Span, name string) *trace.Span {
+	if parent == nil {
+		return nil
+	}
+	return parent.Child(trace.KindInvoke, "invoke:"+name)
 }
 
 func (p *Platform) invokeAsync(from *Ctx, parent *trace.Span, name string, payload Payload) (*simnet.Promise[InvokeResult], *trace.Span) {
-	var sp *trace.Span
-	if parent != nil { // an untraced invocation builds no name
-		sp = parent.Child(trace.KindInvoke, "invoke:"+name)
-	}
+	sp := invokeSpan(parent, name)
 	promise := simnet.NewPromise[InvokeResult](p.env)
 	p.env.Go("invoke", func(proc *simnet.Proc) {
 		res, err := p.runInvocation(proc, from, sp, name, payload)

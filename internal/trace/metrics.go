@@ -134,19 +134,19 @@ type Histogram struct {
 	buckets [histBuckets]int64
 }
 
-// bucketOf maps an observation to its bucket index.
+// bucketOf maps an observation to its bucket index. v is frac·2^e with frac
+// in [0.5, 1), so it lies in [2^(e-1), 2^e): bucket e+histBias, read off the
+// float's exponent exactly (Log2 rounds up a value a few ulps below a power
+// of two, one bucket high).
 func bucketOf(v float64) int {
-	if v <= 0 {
+	if !(v > 0) { // zero, negative or NaN
 		return 0
 	}
-	i := int(math.Floor(math.Log2(v))) + histBias + 1
-	if i < 0 {
-		i = 0
+	if math.IsInf(v, 1) {
+		return histBuckets - 1
 	}
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return i
+	_, e := math.Frexp(v)
+	return min(max(e+histBias, 0), histBuckets-1)
 }
 
 // bucketUpper returns the exclusive upper bound of bucket i.

@@ -111,6 +111,33 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketEdges: bucket i holds [2^(i-histBias-1), 2^(i-histBias)),
+// so 2^k opens a bucket and the float one ulp below it closes the previous
+// one, over every power of two the buckets span and past both ends. Log2
+// rounded most of the ulp-below values up to k, one bucket high.
+func TestHistogramBucketEdges(t *testing.T) {
+	clamp := func(i int) int { return min(max(i, 0), histBuckets-1) }
+	for k := -histBias - 3; k <= histBuckets-histBias+2; k++ {
+		pow := math.Ldexp(1, k)
+		below := math.Nextafter(pow, 0)
+		if got, want := bucketOf(pow), clamp(k+histBias+1); got != want {
+			t.Errorf("bucketOf(2^%d) = %d, want %d", k, got, want)
+		}
+		if got, want := bucketOf(below), clamp(k+histBias); got != want {
+			t.Errorf("bucketOf(2^%d - 1 ulp) = %d, want %d", k, got, want)
+		}
+		if b := bucketOf(below); b > 0 && b < histBuckets-1 && !(below < bucketUpper(b) && below >= bucketUpper(b-1)) {
+			t.Errorf("2^%d - 1 ulp outside its bucket %d: [%v, %v)", k, b, bucketUpper(b-1), bucketUpper(b))
+		}
+	}
+	if bucketOf(math.NaN()) != 0 || bucketOf(math.Inf(1)) != histBuckets-1 {
+		t.Error("NaN must map to bucket 0 and +Inf to the last bucket")
+	}
+	if bucketOf(math.SmallestNonzeroFloat64) != 0 {
+		t.Error("a subnormal must clamp to bucket 0")
+	}
+}
+
 func TestSummaryDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := NewRegistry()

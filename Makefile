@@ -16,7 +16,7 @@ RACE_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition 
 PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition ./internal/simnet ./internal/platform ./internal/gateway \
 	./internal/stats ./internal/perf
 
-.PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper bench-verify bench-selftest
+.PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-planner bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper bench-verify bench-selftest
 
 ci: lint build test procs race chaos fuzz bench-verify bench-selftest
 
@@ -160,6 +160,14 @@ bench-kernels:
 # before/after speedup columns relative to the previous pin.
 bench-kernels-pin:
 	$(GO) run ./cmd/gillis-bench -figs kernels -kernels-baseline BENCH_kernels.json -json BENCH_kernels.json
+
+# Re-measure cold planning (perf.Build + core.LatencyOptimal on resnet34,
+# vgg16, wrn50-5 and the demo CNN, the median of 5 passes each) into
+# BENCH_planner.json, in BENCH_kernels.json's format; the new file carries
+# before/after columns relative to the previous one. Wall-clock numbers:
+# alternate two builds before calling a difference a change.
+bench-planner:
+	$(GO) run ./cmd/gillis-bench -figs planner -kernels-baseline BENCH_planner.json -json BENCH_planner.json
 
 # The five simulated baselines and the paper's tables below are fully seeded
 # and run on the virtual clock, so each target writes the same bytes on any

@@ -39,11 +39,14 @@ type KernelResult struct {
 }
 
 // KernelReport is the full sweep plus the hardware context needed to
-// interpret it (speedups are meaningless without the core count).
+// interpret it (speedups are meaningless without the core count). The
+// planner figure reports in the same form, one row per model at level 1.
 type KernelReport struct {
 	GoMaxProcs int            `json:"gomaxprocs"`
 	Levels     []int          `json:"levels"`
 	Results    []KernelResult `json:"results"`
+	// title heads the table; it is not part of the JSON form.
+	title string
 }
 
 // kernelCase is one op + input to sweep.
@@ -91,11 +94,11 @@ func kernelLevels() []int {
 	return []int{1, 2, 4, 8}
 }
 
-// measure times op.Forward(x) for at least minDuration (and 5 iterations),
-// returning ns/op and per-op allocation deltas.
-func measure(op nn.Op, x *tensor.Tensor, minDuration time.Duration) (nsPerOp, allocsPerOp, bytesPerOp int64, err error) {
+// measure times f for at least minDuration (and 5 iterations), after two
+// warm-up calls, returning ns/op and per-op allocation deltas.
+func measure(f func() error, minDuration time.Duration) (nsPerOp, allocsPerOp, bytesPerOp int64, err error) {
 	for i := 0; i < 2; i++ { // warm up the scratch arena
-		if _, err = op.Forward(x); err != nil {
+		if err = f(); err != nil {
 			return 0, 0, 0, err
 		}
 	}
@@ -104,7 +107,7 @@ func measure(op nn.Op, x *tensor.Tensor, minDuration time.Duration) (nsPerOp, al
 	start := time.Now()
 	iters := 0
 	for time.Since(start) < minDuration || iters < 5 {
-		if _, err = op.Forward(x); err != nil {
+		if err = f(); err != nil {
 			return 0, 0, 0, err
 		}
 		iters++
@@ -118,40 +121,46 @@ func measure(op nn.Op, x *tensor.Tensor, minDuration time.Duration) (nsPerOp, al
 		nil
 }
 
-// kernels runs the kernel microbenchmark sweep. Quick mode trims the
-// per-measurement budget so the sweep stays test-suite friendly. Each
-// (kernel, level) pair is measured over several passes and the median pass
-// is reported: the median tracks typical machine performance instead of a
-// lucky burst window, so a baseline pinned from it is one a later check run
-// can actually reproduce within the 10% regression gate.
-func kernels(c *bench.Context) (*KernelReport, error) {
+// measureMedian measures f over several passes and returns the median pass:
+// the median tracks typical machine performance instead of a lucky burst
+// window, so a baseline pinned from it is one a later check run can actually
+// reproduce within the 10% regression gate. Quick mode trims the
+// per-measurement budget to one short pass, test-suite friendly.
+func measureMedian(c *bench.Context, f func() error) (nsPerOp, allocsPerOp, bytesPerOp int64, err error) {
 	budget, passes := 500*time.Millisecond, 5
 	if c.Quick {
 		budget, passes = 20*time.Millisecond, 1
 	}
-	report := &KernelReport{GoMaxProcs: runtime.GOMAXPROCS(0), Levels: kernelLevels()}
+	type pass struct{ ns, allocs, bytes int64 }
+	samples := make([]pass, passes)
+	for i := range samples {
+		s := &samples[i]
+		if s.ns, s.allocs, s.bytes, err = measure(f, budget); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i].ns < samples[j].ns })
+	med := samples[len(samples)/2]
+	return med.ns, med.allocs, med.bytes, nil
+}
+
+// kernels runs the kernel microbenchmark sweep, each (kernel, level) pair
+// the median of several passes.
+func kernels(c *bench.Context) (*KernelReport, error) {
+	report := &KernelReport{title: "Kernel forwards", GoMaxProcs: runtime.GOMAXPROCS(0), Levels: kernelLevels()}
 	for _, kc := range kernelCases() {
+		forward := func() error {
+			_, err := kc.op.Forward(kc.in)
+			return err
+		}
 		var serialNs int64
 		for _, p := range report.Levels {
-			type pass struct{ ns, allocs, bytes int64 }
-			samples := make([]pass, 0, passes)
 			restore := par.SetParallelism(p)
-			var err error
-			for i := 0; i < passes; i++ {
-				var s pass
-				s.ns, s.allocs, s.bytes, err = measure(kc.op, kc.in, budget)
-				if err != nil {
-					break
-				}
-				samples = append(samples, s)
-			}
+			nsOp, allocs, bytes, err := measureMedian(c, forward)
 			restore()
 			if err != nil {
 				return nil, fmt.Errorf("kernel %s p=%d: %w", kc.name, p, err)
 			}
-			sort.Slice(samples, func(i, j int) bool { return samples[i].ns < samples[j].ns })
-			med := samples[len(samples)/2]
-			nsOp, allocs, bytes := med.ns, med.allocs, med.bytes
 			if p == 1 {
 				serialNs = nsOp
 			}
@@ -227,8 +236,8 @@ func (r *KernelReport) Table() string {
 		}
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Kernel forwards (GOMAXPROCS=%d)\n", r.GoMaxProcs)
-	fmt.Fprintf(&sb, "%-24s %4s %12s %9s %11s %12s", "kernel", "p", "ns/op", "speedup", "allocs/op", "bytes/op")
+	fmt.Fprintf(&sb, "%s (GOMAXPROCS=%d)\n", r.title, r.GoMaxProcs)
+	fmt.Fprintf(&sb, "%-24s %4s %12s %9s %11s %12s", "case", "p", "ns/op", "speedup", "allocs/op", "bytes/op")
 	if hasBase {
 		fmt.Fprintf(&sb, " %12s %9s", "base ns/op", "vs base")
 	}

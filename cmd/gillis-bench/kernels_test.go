@@ -130,28 +130,64 @@ func TestKernelTableWithoutBaseline(t *testing.T) {
 }
 
 // TestKernelBaselineFormat: the checked-in BENCH_kernels.json, the file `make
-// bench-kernels` gates against, decodes into KernelReport with no field left
-// over and re-encodes to the same bytes, so the report type and the baseline
-// agree field for field.
+// bench-kernels` gates against, and BENCH_planner.json, which `make
+// bench-planner` writes in the same form, decode into KernelReport with no
+// field left over and re-encode to the same bytes, so the report type and the
+// baselines agree field for field.
 func TestKernelBaselineFormat(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_kernels.json")
+	for _, name := range []string{"BENCH_kernels.json", "BENCH_planner.json"} {
+		data, err := os.ReadFile("../../" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var rep KernelReport
+		if err := dec.Decode(&rep); err != nil {
+			t.Fatalf("%s does not decode into KernelReport: %v", name, err)
+		}
+		if len(rep.Results) == 0 {
+			t.Fatalf("%s holds no results", name)
+		}
+		js, err := rep.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js, data) {
+			t.Fatalf("%s does not re-encode byte-identically from KernelReport", name)
+		}
+	}
+}
+
+// TestPlannerFigureShape runs the planner figure in quick mode: one row per
+// model, in the kernel report's form, each a cold plan that took time and
+// allocated.
+func TestPlannerFigureShape(t *testing.T) {
+	ctx := bench.NewContext(7)
+	ctx.Quick = true
+	rep, err := planner(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var rep KernelReport
-	if err := dec.Decode(&rep); err != nil {
-		t.Fatalf("BENCH_kernels.json does not decode into KernelReport: %v", err)
-	}
-	if len(rep.Results) == 0 {
-		t.Fatal("BENCH_kernels.json holds no results")
-	}
-	js, err := rep.JSON()
+	gs, err := plannerModels()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(js, data) {
-		t.Fatal("BENCH_kernels.json does not re-encode byte-identically from KernelReport")
+	if len(rep.Levels) != 1 || rep.Levels[0] != 1 || len(rep.Results) != len(gs) {
+		t.Fatalf("want %d rows at level 1, got levels %v and %d rows", len(gs), rep.Levels, len(rep.Results))
+	}
+	for i, r := range rep.Results {
+		if r.Kernel != gs[i].Name || r.Parallelism != 1 || r.Speedup != 1 {
+			t.Errorf("row %d: %+v, want model %s at parallelism 1", i, r, gs[i].Name)
+		}
+		if r.NsPerOp <= 0 || r.AllocsPerOp <= 0 || r.BytesPerOp <= 0 {
+			t.Errorf("%s: a cold plan measured %d ns, %d objects, %d B", r.Kernel, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
+		}
+	}
+	table := rep.Table()
+	for _, want := range []string{"Cold plans", "resnet34", "vgg16", "wrn50-5", "demo-cnn"} {
+		if !strings.Contains(table, want) {
+			t.Errorf("table lacks %q:\n%s", want, table)
+		}
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gillis-bench [-figs 1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos]
+//	gillis-bench [-figs 1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos,planner]
 //	             [-seed N] [-queries N] [-quick] [-out FILE] [-json FILE]
 //	             [-parallelism N] [-faults R1,R2,...]
 //	             [-kernels-baseline FILE] [-kernels-check]
@@ -20,14 +20,20 @@
 // gateway, batch size × arrival rate × planner, throughput, tail latency and
 // cost per query) and mesh (Zipf-skewed multi-model traces through the
 // serving mesh, catalog size × skew × pool size, LRU model caching against no
-// cache). An id -figs does not know is an error.
+// cache). planner, also left out of the default list, times a cold plan —
+// profiling a fresh performance model and the latency-optimal dynamic
+// program — on four models. An id -figs does not know is an error.
 //
 // -out also writes the tables, and nothing that varies from run to run, to a
 // file: with the figures of `make bench-paper` it is BENCH_paper.txt.
 //
 // -json writes the figure as JSON as well and is valid with exactly one
-// figure that has a JSON form: kernels, chaos, load, adapt, batch, mesh — the
-// BENCH_*.json baselines (see the Makefile's bench-* targets).
+// figure that has a JSON form: kernels, chaos, load, adapt, batch, mesh,
+// planner — the BENCH_*.json baselines (see the Makefile's bench-* targets).
+//
+// -kernels-baseline and -kernels-check compare the kernels or planner figure
+// with a prior BENCH_kernels.json or BENCH_planner.json: before/after
+// columns, and with -kernels-check a 10% ns/op regression gate.
 //
 // -trace-json serves one seeded resilient fork-join query of the chaos
 // workload under fault injection and writes its span tree as Chrome
@@ -89,6 +95,7 @@ func figures() []figure {
 		entry("adapt", bench.AdaptScenario),
 		entry("batch", bench.SweepBatch),
 		entry("mesh", bench.SweepMesh),
+		entry("planner", planner),
 	}
 }
 
@@ -101,15 +108,15 @@ func main() {
 
 func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("gillis-bench", flag.ContinueOnError)
-	figsFlag := fs.String("figs", "1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos", "comma-separated figures to run (also: adapt, batch, mesh)")
+	figsFlag := fs.String("figs", "1,7,9,10,11,12,13,14,15,ablations,burst,load,kernels,chaos", "comma-separated figures to run (also: adapt, batch, mesh, planner)")
 	seed := fs.Int64("seed", 42, "random seed for all stochastic components")
 	queries := fs.Int("queries", 100, "queries per latency measurement")
 	quick := fs.Bool("quick", false, "trim sweeps and training budgets")
 	out := fs.String("out", "", "also write the tables, without the wall-clock lines, to this file")
-	jsonPath := fs.String("json", "", "also write the figure as JSON to this file (a BENCH_*.json baseline); needs -figs to name exactly one of kernels, chaos, load, adapt, batch, mesh")
+	jsonPath := fs.String("json", "", "also write the figure as JSON to this file (a BENCH_*.json baseline); needs -figs to name exactly one of kernels, chaos, load, adapt, batch, mesh, planner")
 	parallelism := fs.Int("parallelism", 0, "kernel parallelism cap for Real-mode math (0 = GOMAXPROCS)")
-	kernelsBaseline := fs.String("kernels-baseline", "", "annotate the kernels figure with before/after columns against this prior baseline JSON")
-	kernelsCheck := fs.Bool("kernels-check", false, "fail if any kernel ns/op regresses more than 10% against -kernels-baseline")
+	kernelsBaseline := fs.String("kernels-baseline", "", "annotate the kernels or planner figure with before/after columns against this prior baseline JSON")
+	kernelsCheck := fs.Bool("kernels-check", false, "fail if any kernels or planner ns/op regresses more than 10% against -kernels-baseline")
 	faultsFlag := fs.String("faults", "", "comma-separated fault rates for the chaos figure (default 0.02,0.05,0.10)")
 	traceJSON := fs.String("trace-json", "", "trace one fork-join query and write Chrome trace-event JSON to this file")
 	traceFaults := fs.Float64("trace-faults", 0.05, "fault rate for the traced query (-trace-json)")
@@ -194,8 +201,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *kernelsCheck && *kernelsBaseline == "" {
 		return fmt.Errorf("-kernels-check requires -kernels-baseline")
 	}
-	if (*kernelsCheck || *kernelsBaseline != "") && !want["kernels"] {
-		return fmt.Errorf("-kernels-check and -kernels-baseline need -figs to select kernels: -figs %s does not", *figsFlag)
+	if (*kernelsCheck || *kernelsBaseline != "") && !want["kernels"] && !want["planner"] {
+		return fmt.Errorf("-kernels-check and -kernels-baseline need -figs to select kernels or planner: -figs %s does not", *figsFlag)
 	}
 
 	var sink io.Writer = stdout
@@ -243,18 +250,19 @@ func run(args []string, stdout io.Writer) (err error) {
 				// noisy sample (co-tenant or frequency jitter);
 				// re-measure once before declaring a regression. A
 				// real slowdown fails both attempts.
-				fmt.Fprintf(sink, "kernels: %v\nkernels: re-measuring once to rule out noise\n", err)
-				retry, rerr := kernels(ctx)
+				fmt.Fprintf(sink, "%s: %v\n%s: re-measuring once to rule out noise\n", fig.id, err, fig.id)
+				retry, rerr := fig.run(ctx)
 				if rerr != nil {
 					return rerr
 				}
-				retry.Compare(base)
-				err = retry.CheckRegression(0.10)
+				rr := retry.(*KernelReport)
+				rr.Compare(base)
+				err = rr.CheckRegression(0.10)
 			}
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(sink, "kernels: no ns/op regression beyond 10%% of %s\n", *kernelsBaseline)
+			fmt.Fprintf(sink, "%s: no ns/op regression beyond 10%% of %s\n", fig.id, *kernelsBaseline)
 		}
 	}
 	return nil

@@ -91,13 +91,13 @@ func TestFiguresListComplete(t *testing.T) {
 	for _, f := range figures() {
 		ids[f.id] = true
 	}
-	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos", "adapt", "batch", "mesh"} {
+	for _, want := range []string{"1", "7", "9", "10", "11", "12", "13", "14", "15", "ablations", "burst", "load", "kernels", "chaos", "adapt", "batch", "mesh", "planner"} {
 		if !ids[want] {
 			t.Errorf("figure %s missing from registry", want)
 		}
 	}
-	if len(ids) != 17 {
-		t.Errorf("registry has %d figures, want 17: %v", len(ids), ids)
+	if len(ids) != 18 {
+		t.Errorf("registry has %d figures, want 18: %v", len(ids), ids)
 	}
 }
 
@@ -309,5 +309,37 @@ func TestJSONNeedsOneFigureWithAJSONForm(t *testing.T) {
 		if _, err := os.Stat(path); err == nil {
 			t.Errorf("-figs %s -json: wrote %s", figs, path)
 		}
+	}
+}
+
+// TestRunPlannerBaselineCheck drives the planner figure through -json and
+// the -kernels-baseline/-kernels-check gate in quick mode: its JSON is a
+// kernel baseline, and a baseline with absurdly slow pins passes the gate.
+func TestRunPlannerBaselineCheck(t *testing.T) {
+	pin := filepath.Join(t.TempDir(), "BENCH_planner.json")
+	var buf bytes.Buffer
+	if err := run([]string{"-figs", "planner", "-quick", "-json", pin}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	base, err := readKernelBaseline(pin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range base.Results {
+		base.Results[i].NsPerOp = 1 << 40
+	}
+	js, err := base.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(pin, js, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := run([]string{"-figs", "planner", "-quick", "-kernels-baseline", pin, "-kernels-check"}, &buf); err != nil {
+		t.Fatalf("check against a slower baseline must pass: %v", err)
+	}
+	if !strings.Contains(buf.String(), "planner: no ns/op regression") || !strings.Contains(buf.String(), "base ns/op") {
+		t.Fatalf("missing check verdict or baseline columns:\n%s", buf.String())
 	}
 }

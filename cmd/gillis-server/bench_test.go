@@ -43,7 +43,7 @@ func BenchmarkServeResnet34(b *testing.B) {
 //
 //	go test ./cmd/gillis-server -run xxx -bench ServeSmall -benchtime 20000x -benchmem -cpuprofile cpu.pprof
 func BenchmarkServeSmall(b *testing.B) {
-	g := demoModel()
+	g := models.DemoCNN()
 	g.Init(7)
 	benchServe(b, g)
 }

@@ -17,6 +17,7 @@ import (
 
 	"gillis/internal/graph"
 	"gillis/internal/modelio"
+	"gillis/internal/models"
 	"gillis/internal/nn"
 	"gillis/internal/par"
 	"gillis/internal/partition"
@@ -101,7 +102,7 @@ func TestConcurrentPredicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	colds := s.metrics.Counter("platform.cold_starts").Value()
-	ref := demoModel()
+	ref := models.DemoCNN()
 	ref.Init(seed)
 	mux := s.mux()
 	var wg sync.WaitGroup
@@ -153,18 +154,20 @@ func TestConcurrentPredicts(t *testing.T) {
 // resident engine with one worker (90 while the master invocation ran on a
 // process and a promise of its own, and the control loop on another), and
 // building a fresh Env, platform, deployment and warm pool for every request
-// made it 182. The bytes are pinned as tightly: 4248 B (4952 B before the
-// same change), where a tensor of its own for every inner unit output made
-// it 120 KB. The byte budget has less slack than the demo model's
-// smallest inner unit output is big (fc's 40 B), so any one of them allocated
-// again breaks it; a change that allocates less lowers it. One worker, so
+// made it 182. The object budget has less slack than the 17 objects the
+// master invocation's own process and promise cost. The bytes are pinned as
+// tightly: 4248 B (4952 B before the same change), where a tensor of its own
+// for every inner unit output made it 120 KB. The byte budget has less slack
+// than the demo model's smallest inner unit output is big (fc's 40 B), so
+// any one of them allocated again breaks it. A change that allocates less
+// lowers both budgets. One worker, so
 // par.For spawns nothing; the minimum of several runs, so a collection that
 // empties the scratch pool between two of them does not count.
 func TestInferAllocationBudget(t *testing.T) {
 	if raceOn {
 		t.Skip("allocation budgets are the plain build's")
 	}
-	const budget, budgetBytes = 120, 4272
+	const budget, budgetBytes, regression = 80, 4272, 17
 	s, err := newServer("", "lambda", 1, 0, "")
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +191,8 @@ func TestInferAllocationBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(50, infer)
 	t.Logf("%v objects per request", allocs)
-	if allocs > budget {
-		t.Fatalf("a request allocates %v objects, budget %d", allocs, budget)
+	if allocs > budget || budget-allocs >= regression {
+		t.Fatalf("a request allocates %v objects, budget %d with less slack than %d", allocs, budget, regression)
 	}
 	bytes := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
@@ -210,14 +213,17 @@ func TestInferAllocationBudget(t *testing.T) {
 // body, the inference TestInferAllocationBudget pins, and the reply — so the
 // pooled body and input buffers cannot regress: 106 objects and 11232 B with
 // one worker, where a body and an input array of their own for every request
-// made it 126 objects and 65296 B. The byte budget has less slack than the demo request's input
-// array (12 KB) is big, and its body is three times that. One worker and the
-// minimum of several runs, as there.
+// made it 126 objects and 65296 B. The object budget has less slack than
+// the 17 objects TestInferAllocationBudget guards against, which show here
+// too. The byte budget has less slack than the demo request's input array
+// (12 KB) is big, and its body is three times that. A change that allocates
+// less lowers both budgets. One worker and the minimum of several runs, as
+// there.
 func TestPredictAllocationBudget(t *testing.T) {
 	if raceOn {
 		t.Skip("allocation budgets are the plain build's")
 	}
-	const budget, budgetBytes = 140, 13000
+	const budget, budgetBytes, regression = 112, 13000, 17
 	s, err := newServer("", "lambda", 1, 0, "")
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +247,8 @@ func TestPredictAllocationBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(50, predict)
 	t.Logf("%v objects per request", allocs)
-	if allocs > budget {
-		t.Fatalf("a request allocates %v objects, budget %d", allocs, budget)
+	if allocs > budget || budget-allocs >= regression {
+		t.Fatalf("a request allocates %v objects, budget %d with less slack than %d", allocs, budget, regression)
 	}
 	least := uint64(math.MaxUint64)
 	var before, after runtime.MemStats

@@ -140,7 +140,7 @@ func newServer(modelFile, platformName string, seed int64, sloMs float64, catalo
 			return nil, fmt.Errorf("model %q has no weights; export with -weights", modelFile)
 		}
 	} else {
-		g = demoModel()
+		g = models.DemoCNN()
 		g.Init(seed)
 	}
 	// Serve the operator-fused graph: bit-equal outputs, the same units,
@@ -269,21 +269,6 @@ func catalogSpecs(catalog string, seed int64) ([]mesh.ModelSpec, error) {
 		return nil, fmt.Errorf("catalog: no model names in %q", catalog)
 	}
 	return specs, nil
-}
-
-// demoModel is the built-in CNN served when no model file is given.
-func demoModel() *graph.Graph {
-	g := graph.New("demo-cnn", []int{3, 32, 32})
-	g.MustAdd(nn.NewConv2D("stem", 3, 16, 3, 1, 1))
-	g.MustAdd(nn.NewBatchNorm("stem_bn", 16))
-	g.MustAdd(nn.NewReLU("stem_relu"))
-	g.MustAdd(nn.NewMaxPool2D("pool", 2, 2, 0))
-	g.MustAdd(nn.NewConv2D("conv2", 16, 32, 3, 1, 1))
-	g.MustAdd(nn.NewReLU("conv2_relu"))
-	g.MustAdd(nn.NewGlobalAvgPool("gap"))
-	g.MustAdd(nn.NewDense("fc", 32, 10))
-	g.MustAdd(nn.NewSoftmax("prob"))
-	return g
 }
 
 func (s *server) mux() *http.ServeMux {

@@ -141,7 +141,7 @@ func TestPredictBadRequests(t *testing.T) {
 }
 
 func TestNewServerFromModelFile(t *testing.T) {
-	g := demoModel()
+	g := models.DemoCNN()
 	g.Init(9)
 	path := filepath.Join(t.TempDir(), "demo.glsm")
 	if err := modelio.SaveFile(path, g, true); err != nil {
@@ -155,7 +155,7 @@ func TestNewServerFromModelFile(t *testing.T) {
 		t.Fatalf("loaded %q", s.model.Name)
 	}
 	// Weightless model files are rejected.
-	if err := modelio.SaveFile(path, demoModel(), false); err != nil {
+	if err := modelio.SaveFile(path, models.DemoCNN(), false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := newServer(path, "knix", 2, 0, ""); err == nil {
@@ -377,7 +377,7 @@ func TestPredictReportsQueueAndBatch(t *testing.T) {
 // fusing is invisible from outside: the same units, and replies bit-equal to
 // the unfused graph's own forward.
 func TestServesFusedGraph(t *testing.T) {
-	loaded := demoModel()
+	loaded := models.DemoCNN()
 	loaded.Init(9)
 	path := filepath.Join(t.TempDir(), "demo.glsm")
 	if err := modelio.SaveFile(path, loaded, true); err != nil {

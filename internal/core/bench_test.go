@@ -1,11 +1,12 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"gillis/internal/graph"
 	"gillis/internal/models"
-	"gillis/internal/nn"
 	"gillis/internal/partition"
 	"gillis/internal/perf"
 	"gillis/internal/platform"
@@ -51,7 +52,7 @@ func BenchmarkLatencyOptimalCold(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		g    *graph.Graph
-	}{{"resnet34", resnet34}, {"demo-cnn", demoSizeCNN()}} {
+	}{{"resnet34", resnet34}, {"demo-cnn", models.DemoCNN()}} {
 		b.Run(bc.name, func(b *testing.B) {
 			units, err := partition.Linearize(bc.g)
 			if err != nil {
@@ -72,22 +73,6 @@ func BenchmarkLatencyOptimalCold(b *testing.B) {
 	}
 }
 
-// demoSizeCNN has the layers of gillis-server's built-in model, the one the
-// http_small workload serves.
-func demoSizeCNN() *graph.Graph {
-	g := graph.New("demo-cnn", []int{3, 32, 32})
-	g.MustAdd(nn.NewConv2D("stem", 3, 16, 3, 1, 1))
-	g.MustAdd(nn.NewBatchNorm("stem_bn", 16))
-	g.MustAdd(nn.NewReLU("stem_relu"))
-	g.MustAdd(nn.NewMaxPool2D("pool", 2, 2, 0))
-	g.MustAdd(nn.NewConv2D("conv2", 16, 32, 3, 1, 1))
-	g.MustAdd(nn.NewReLU("conv2_relu"))
-	g.MustAdd(nn.NewGlobalAvgPool("gap"))
-	g.MustAdd(nn.NewDense("fc", 32, 10))
-	g.MustAdd(nn.NewSoftmax("prob"))
-	return g
-}
-
 func BenchmarkSLOAwareEpisode(b *testing.B) {
 	m, units := benchModelAndUnits(b, "vgg16")
 	_, lo, err := LatencyOptimal(m, units, Config{})
@@ -100,5 +85,45 @@ func BenchmarkSLOAwareEpisode(b *testing.B) {
 		if _, err := SLOAware(m, units, lo.LatencyMs*2, SLOConfig{Episodes: 10, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLatencyOptimalAllocationBudget holds a cold resnet34 plan — a fresh
+// perf.Build and LatencyOptimal on it, what every server boot and replay
+// set-up pays — to its objects and bytes: 27.2 k objects and 4.55 MB. They
+// were 102.8 k and 6.35 MB while every group's price re-predicted each op of
+// each unit (44 k objects of that) and every spatial slice re-derived each
+// node's FLOPs from its shapes (31 k). Each budget is less than 5 % above
+// what it measures, so a change that allocates less lowers the budget.
+func TestLatencyOptimalAllocationBudget(t *testing.T) {
+	if raceOn {
+		t.Skip("allocation budgets are the plain build's")
+	}
+	const budget, budgetBytes = 28_000, 4_700_000
+	units := unitsOf(t, "resnet34")
+	plan := func() {
+		m, err := perf.Build(platform.AWSLambda(), 1, 2, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LatencyOptimal(m, units, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, plan)
+	bytes := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		plan()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a cold resnet34 plan allocates %v objects, %d B", allocs, bytes)
+	if allocs > budget || budget-allocs >= budget/20 {
+		t.Errorf("a cold plan allocates %v objects; the budget, %d, must be at most 5 %% above it", allocs, budget)
+	}
+	if bytes > budgetBytes || budgetBytes-bytes >= budgetBytes/20 {
+		t.Errorf("a cold plan allocates %d B; the budget, %d B, must be at most 5 %% above it", bytes, budgetBytes)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gillis/internal/graph"
@@ -265,6 +266,41 @@ func TestAblationConfigsProduceValidPlans(t *testing.T) {
 				if gp.Last != gp.First {
 					t.Fatalf("%+v: plan groups units", cfg)
 				}
+			}
+		}
+	}
+}
+
+// The planner refuses a chain holding a layer kind the model was not fitted
+// for, with the model's error, and the table prices units lazily: a group
+// before the first unpriced unit still has a price, and a group that reaches
+// it fails with the same error, every time it is asked.
+func TestLatencyOptimalUnpricedKind(t *testing.T) {
+	m := lambdaModel(t)
+	for _, c := range []struct{ model, want string }{
+		{"mobilenet-mini", "perf: no model for layer kind DepthwiseConv2D"},
+		{"inception-mini", "perf: no model for layer kind Concat"},
+	} {
+		units := unitsOf(t, c.model)
+		if _, _, err := LatencyOptimal(m, units, Config{}); err == nil || err.Error() != c.want {
+			t.Errorf("%s: LatencyOptimal error %v, want %q", c.model, err, c.want)
+		}
+		first := slices.IndexFunc(units, func(u *partition.Unit) bool {
+			_, err := m.UnitTimeMs(u)
+			return err != nil
+		})
+		if first < 1 {
+			t.Fatalf("%s: first unpriced unit %d, want one after a priced unit", c.model, first)
+		}
+		tab := m.Table(units, 1)
+		whole := partition.Option{Dim: partition.DimNone, Parts: 1}
+		if _, err := tab.Group(partition.GroupPlan{First: 0, Last: first - 1, Option: whole, OnMaster: true}); err != nil {
+			t.Errorf("%s: units 0..%d: %v", c.model, first-1, err)
+		}
+		for i := 0; i < 2; i++ {
+			_, err := tab.Group(partition.GroupPlan{First: 0, Last: first, Option: whole, OnMaster: true})
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s: units 0..%d, ask %d: error %v, want %q", c.model, first, i, err, c.want)
 			}
 		}
 	}

@@ -301,6 +301,23 @@ func mobileNetMini(name string, w int) (*graph.Graph, error) {
 	return g, nil
 }
 
+// DemoCNN builds the small CNN gillis-server serves when it is given no
+// model file ("demo-cnn"): two 3x3 convolutions on a 3x32x32 input, one
+// pooling, a 10-way dense head.
+func DemoCNN() *graph.Graph {
+	g := graph.New("demo-cnn", []int{3, 32, 32})
+	g.MustAdd(nn.NewConv2D("stem", 3, 16, 3, 1, 1))
+	g.MustAdd(nn.NewBatchNorm("stem_bn", 16))
+	g.MustAdd(nn.NewReLU("stem_relu"))
+	g.MustAdd(nn.NewMaxPool2D("pool", 2, 2, 0))
+	g.MustAdd(nn.NewConv2D("conv2", 16, 32, 3, 1, 1))
+	g.MustAdd(nn.NewReLU("conv2_relu"))
+	g.MustAdd(nn.NewGlobalAvgPool("gap"))
+	g.MustAdd(nn.NewDense("fc", 32, 10))
+	g.MustAdd(nn.NewSoftmax("prob"))
+	return g
+}
+
 // RNN-tiny dimensions: small enough that several fit one serving
 // instance's memory budget together, which is what a catalog mix needs.
 const (

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gillis/internal/graph"
 	"gillis/internal/tensor"
 )
 
@@ -113,22 +114,27 @@ func TestRNNShapesAndParams(t *testing.T) {
 
 func TestTinyForwardRuns(t *testing.T) {
 	// A miniature RNN exercises the full LSTM + TakeLast + Dense + Softmax
-	// path with real math.
-	g, err := RNNCustom(2, 8, 5, 11)
+	// path with real math, and the demo CNN its conv, pool and dense head.
+	rnn, err := RNNCustom(2, 8, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Init(1)
-	out, err := g.Forward(tensor.Rand(rand.New(rand.NewSource(1)), 0.1, 5, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float32
-	for _, v := range out.Data() {
-		sum += v
-	}
-	if math.Abs(float64(sum)-1) > 1e-4 {
-		t.Fatalf("softmax output does not sum to 1: %v", sum)
+	for _, c := range []struct {
+		g  *graph.Graph
+		in []int
+	}{{rnn, []int{5, 8}}, {DemoCNN(), []int{3, 32, 32}}} {
+		c.g.Init(1)
+		out, err := c.g.Forward(tensor.Rand(rand.New(rand.NewSource(1)), 0.1, c.in...))
+		if err != nil {
+			t.Fatalf("%s: %v", c.g.Name, err)
+		}
+		var sum float32
+		for _, v := range out.Data() {
+			sum += v
+		}
+		if math.Abs(float64(sum)-1) > 1e-4 {
+			t.Fatalf("%s: softmax output does not sum to 1: %v", c.g.Name, sum)
+		}
 	}
 }
 

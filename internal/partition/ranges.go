@@ -135,7 +135,7 @@ func backprop(units []*Unit, out RowRange) (PartSlice, error) {
 	for ui, u := range units {
 		shapes := u.NodeShapes()
 		for _, node := range u.Sub.Nodes() {
-			full := node.Op.FLOPs(u.NodeInShapes(node)...)
+			full := u.nodeFLOPs[node.ID]
 			r := ps.units[ui].nodes[node.ID]
 			h := shapes[node.ID][1]
 			if h > 0 {

@@ -33,11 +33,12 @@ type Unit struct {
 	// FLOPs and ParamBytes aggregate the subgraph.
 	FLOPs      int64
 	ParamBytes int64
-	// shapes caches the subgraph's per-node output shapes and inShapes each
-	// node's input shapes (computed once at linearization; shape queries are
-	// hot in the planners).
-	shapes   [][]int
-	inShapes [][][]int
+	// shapes caches the subgraph's per-node output shapes, inShapes each
+	// node's input shapes and nodeFLOPs each node's full FLOPs (computed once
+	// at linearization; shape and FLOP queries are hot in the planners).
+	shapes    [][]int
+	inShapes  [][][]int
+	nodeFLOPs []int64
 	// Spatial reports that every op in the unit has a local response along
 	// the height axis, so the unit can join a spatially partitioned group.
 	Spatial bool
@@ -192,19 +193,15 @@ func newUnit(name string, sub *graph.Graph) (*Unit, error) {
 	if err != nil {
 		return nil, err
 	}
-	flops, err := sub.FLOPs()
-	if err != nil {
-		return nil, err
-	}
 	u := &Unit{
 		Name:       name,
 		Sub:        sub,
 		InShape:    sub.InShape(),
 		OutShape:   shapes[sub.OutputID()],
-		FLOPs:      flops,
 		ParamBytes: sub.ParamBytes(),
 		shapes:     shapes,
 		inShapes:   make([][][]int, sub.Len()),
+		nodeFLOPs:  make([]int64, sub.Len()),
 	}
 	for _, node := range sub.Nodes() {
 		ins := make([][]int, len(node.Inputs))
@@ -216,6 +213,8 @@ func newUnit(name string, sub *graph.Graph) (*Unit, error) {
 			}
 		}
 		u.inShapes[node.ID] = ins
+		u.nodeFLOPs[node.ID] = node.Op.FLOPs(ins...)
+		u.FLOPs += u.nodeFLOPs[node.ID]
 	}
 	u.Spatial = unitSpatial(u)
 	u.Channel = unitChannel(u)

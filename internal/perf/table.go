@@ -10,7 +10,6 @@ package perf
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"gillis/internal/partition"
@@ -20,9 +19,10 @@ import (
 // Table is the one place the model prices a layer group: Algorithm 1's
 // latency oracle, asked about the same group over and over by a planning
 // run. It belongs to one run over one unit chain at one batch size and takes
-// no lock. Each price is computed once: a group's extent and monolithic
-// compute time per (first, last, option), its prediction per placement, and
-// the overhead draws of a fork-join round per fan-out.
+// no lock. Each price is computed once: a unit's compute time, a group's
+// extent and monolithic compute time per (first, last, option), its
+// prediction per placement, and the overhead draws of a fork-join round per
+// fan-out.
 type Table struct {
 	m     *Model
 	units []*partition.Unit
@@ -30,6 +30,13 @@ type Table struct {
 	costs map[costKey]groupCost
 	preds map[partition.GroupPlan]GroupPrediction
 	draws map[int][]float64
+	// unitMs[i] is units[i]'s UnitTimeMs once unitPriced[i] is set. A unit
+	// is priced the first time a group holding it is, so a unit of a kind
+	// the model cannot price fails only the groups that hold it.
+	unitMs     []float64
+	unitPriced []bool
+	// maxes holds forkJoinMs's running maximum of each trial.
+	maxes []float64
 }
 
 type costKey struct {
@@ -47,13 +54,32 @@ type groupCost struct {
 // fork-join round.
 func (m *Model) Table(units []*partition.Unit, batch int) *Table {
 	return &Table{
-		m:     m,
-		units: units,
-		batch: batch,
-		costs: make(map[costKey]groupCost),
-		preds: make(map[partition.GroupPlan]GroupPrediction),
-		draws: make(map[int][]float64),
+		m:          m,
+		units:      units,
+		batch:      batch,
+		costs:      make(map[costKey]groupCost),
+		preds:      make(map[partition.GroupPlan]GroupPrediction),
+		draws:      make(map[int][]float64),
+		unitMs:     make([]float64, len(units)),
+		unitPriced: make([]bool, len(units)),
 	}
+}
+
+// groupComputeMs is Model.GroupComputeMs off the table's unit prices: the
+// same sum in the same unit order, so the same bits.
+func (t *Table) groupComputeMs(first, last int) (float64, error) {
+	var total float64
+	for i := first; i <= last; i++ {
+		if !t.unitPriced[i] {
+			ms, err := t.m.UnitTimeMs(t.units[i])
+			if err != nil {
+				return 0, err
+			}
+			t.unitMs[i], t.unitPriced[i] = ms, true
+		}
+		total += t.unitMs[i]
+	}
+	return total, nil
 }
 
 func (t *Table) cost(first, last int, opt partition.Option) (groupCost, error) {
@@ -65,7 +91,7 @@ func (t *Table) cost(first, last int, opt partition.Option) (groupCost, error) {
 	if err != nil {
 		return groupCost{}, err
 	}
-	baseMs, err := t.m.GroupComputeMs(t.units, first, last)
+	baseMs, err := t.groupComputeMs(first, last)
 	if err != nil {
 		return groupCost{}, err
 	}
@@ -130,50 +156,70 @@ func (t *Table) Group(gp partition.GroupPlan) (GroupPrediction, error) {
 	return pred, nil
 }
 
+// forkJoinTrials is the number of Monte Carlo trials behind every fork-join
+// price.
+const forkJoinTrials = 1200
+
 // forkJoinMs estimates E[max_i(offset_i + overhead_i + comp_i)] where
 // overhead_i are i.i.d. draws from the fitted EMG distribution — the
 // generalization of the n-th order statistic to workers with deterministic
 // start offsets. A fixed-seed Monte Carlo keeps the prediction
 // deterministic: every round of fan-out n reads the same trials × n draws,
-// made once per table, trial-major.
+// made once per table in trial order and stored worker-major, so worker i's
+// draws d[i*trials:][:trials] are one contiguous run.
+//
+// The walk goes worker by worker, two workers per pass, folding each into
+// every trial's running maximum with the builtin max, and then sums the
+// maxima in trial order. That is the trial-major walk's sum bit for bit:
+// max returns one of its operands unrounded, and on these values it does
+// not care in which order it meets them, since they hold no NaN (finite
+// draws, offsets and compute times) and no −0 (offset + draw + comp is −0
+// only if all three are, and an offset is a sum of non-negative upload
+// times starting from +0). TestForkJoinMsMatchesTrialMajor holds it to the
+// trial-major walk.
 func (t *Table) forkJoinMs(offsets, comps []float64) float64 {
-	const trials = 1200
+	const trials = forkJoinTrials
 	n := len(offsets)
 	d, ok := t.draws[n]
 	if !ok {
 		rng := rand.New(rand.NewSource(0x6f725374))
 		d = make([]float64, trials*n)
-		for i := range d {
-			d[i] = t.m.comm.Sample(rng)
+		for tr := 0; tr < trials; tr++ {
+			for i := 0; i < n; i++ {
+				d[i*trials+tr] = t.m.comm.Sample(rng)
+			}
 		}
 		t.draws[n] = d
 	}
-	// Four trials per pass over the workers (trials is a multiple of four),
-	// each with its own running maximum; the sum still takes them in trial
-	// order.
-	var sum float64
-	for tr := 0; tr < trials; tr += 4 {
-		d0, d1, d2, d3 := d[tr*n:][:n], d[(tr+1)*n:][:n], d[(tr+2)*n:][:n], d[(tr+3)*n:][:n]
-		w0, w1, w2, w3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
-		for i, off := range offsets {
-			c := comps[i]
-			if v := off + d0[i] + c; v > w0 {
-				w0 = v
-			}
-			if v := off + d1[i] + c; v > w1 {
-				w1 = v
-			}
-			if v := off + d2[i] + c; v > w2 {
-				w2 = v
-			}
-			if v := off + d3[i] + c; v > w3 {
-				w3 = v
-			}
+	if t.maxes == nil {
+		t.maxes = make([]float64, trials)
+	}
+	// The first pass sets every trial's maximum from one worker when n is
+	// odd, two when it is even; each later pass folds in two more.
+	w := t.maxes
+	off0, c0, d0 := offsets[0], comps[0], d[:trials]
+	i := 1
+	if n%2 == 1 {
+		for tr := range w {
+			w[tr] = off0 + d0[tr] + c0
 		}
-		sum += w0
-		sum += w1
-		sum += w2
-		sum += w3
+	} else {
+		off1, c1, d1 := offsets[1], comps[1], d[trials:][:trials]
+		for tr := range w {
+			w[tr] = max(off0+d0[tr]+c0, off1+d1[tr]+c1)
+		}
+		i = 2
+	}
+	for ; i < n; i += 2 {
+		off0, c0, d0 := offsets[i], comps[i], d[i*trials:][:trials]
+		off1, c1, d1 := offsets[i+1], comps[i+1], d[(i+1)*trials:][:trials]
+		for tr := range w {
+			w[tr] = max(w[tr], off0+d0[tr]+c0, off1+d1[tr]+c1)
+		}
+	}
+	var sum float64
+	for _, v := range w {
+		sum += v
 	}
 	return sum / trials
 }

@@ -76,8 +76,10 @@ test:
 #
 # Two tests of the pooled buffers a served request runs in also run at each
 # count: which goroutine gets which buffer from par's scratch pool, and how
-# many engines and buffer sets the server keeps, follow the core count.
-PROCS_RUN := ^(TestPooledJoinsOutliveHedgeLosers|TestPartitionedPredictAllocationBudget)$$
+# many engines and buffer sets the server keeps, follow the core count. So
+# does the test of the records a warm query recycles, whose release rule
+# must hold whatever runs the forwards.
+PROCS_RUN := ^(TestPooledJoinsOutliveHedgeLosers|TestPartitionedPredictAllocationBudget|TestRecycledRecordsOutliveEveryHolder)$$
 #
 # The convolution kernel is picked from CPUID at start-up, so a runner only
 # ever exercises the widest implementation it has. The second loop links each

@@ -150,14 +150,16 @@ func TestConcurrentPredicts(t *testing.T) {
 
 // TestInferAllocationBudget pins what one request allocates on a resident
 // engine, the demo model's forward and reply included, so per-request
-// construction of the simulation cannot creep back: it is 73 objects on a
-// resident engine with one worker (90 while the master invocation ran on a
-// process and a promise of its own, and the control loop on another), and
-// building a fresh Env, platform, deployment and warm pool for every request
-// made it 182. The object budget has less slack than the 17 objects the
-// master invocation's own process and promise cost. The bytes are pinned as
-// tightly: 4248 B (4952 B before the same change), where a tensor of its own
-// for every inner unit output made it 120 KB. The byte budget has less slack
+// construction of the simulation cannot creep back: it is 69 objects on a
+// resident engine with one worker (73 while the master invocation's Ctx, its
+// request, reply and resilience tally were allocated per request rather
+// than recycled, 90 while it also ran on a process and a promise of its own,
+// and the control loop on another), and building a fresh Env, platform,
+// deployment and warm pool for every request made it 182. The object budget
+// has less slack than the 17 objects the master invocation's own process and
+// promise cost. The bytes are pinned as tightly: 4040 B (4248 B before the
+// recycling, 4952 B before the inline master), where a tensor of its own for
+// every inner unit output made it 120 KB. The byte budget has less slack
 // than the demo model's smallest inner unit output is big (fc's 40 B), so
 // any one of them allocated again breaks it. A change that allocates less
 // lowers both budgets. One worker, so
@@ -167,7 +169,7 @@ func TestInferAllocationBudget(t *testing.T) {
 	if raceOn {
 		t.Skip("allocation budgets are the plain build's")
 	}
-	const budget, budgetBytes, regression = 80, 4272, 17
+	const budget, budgetBytes, regression = 80, 4064, 17
 	s, err := newServer("", "lambda", 1, 0, "")
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +213,7 @@ func TestInferAllocationBudget(t *testing.T) {
 // TestPredictAllocationBudget pins what one warm /v1/predict call allocates
 // through httptest — the request and recorder, reading and decoding the
 // body, the inference TestInferAllocationBudget pins, and the reply — so the
-// pooled body and input buffers cannot regress: 106 objects and 11232 B with
+// pooled body and input buffers cannot regress: 102 objects and 11024 B with
 // one worker, where a body and an input array of their own for every request
 // made it 126 objects and 65296 B. The object budget has less slack than
 // the 17 objects TestInferAllocationBudget guards against, which show here

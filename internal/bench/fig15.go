@@ -134,13 +134,14 @@ func measureMaxOverhead(cfg platform.Config, seed int64, n, rounds int) (float64
 			return err
 		}
 		err := p.Register("fan", func(ctx *platform.Ctx, in platform.Payload) (platform.Payload, error) {
-			promises := make([]*simnet.Promise[platform.InvokeResult], n)
-			for i := range promises {
-				promises[i] = ctx.InvokeAsync("sink", platform.Payload{Bytes: 1_000_000})
+			calls := make([]*platform.Call, n)
+			for i := range calls {
+				calls[i] = ctx.InvokeAsync("sink", platform.Payload{Bytes: 1_000_000})
 			}
 			worst := 0.0
-			for _, pr := range promises {
-				r, err := pr.Wait(ctx.Proc())
+			for _, c := range calls {
+				r, err := c.Wait(ctx.Proc())
+				c.Release()
 				if err != nil {
 					return platform.Payload{}, err
 				}

@@ -107,13 +107,13 @@ func calibrateMeshWarmMs(ctx *Context, n int) (float64, error) {
 				return err
 			}
 			for i := 0; i < 3; i++ {
-				d, release, err := m.Acquire(proc, spec.ID)
+				d, lease, err := m.Acquire(proc, spec.ID)
 				if err != nil {
 					return err
 				}
 				before := proc.Now()
 				_, _, err = d.ServeBatch(proc, nil, 1, false)
-				release()
+				lease.Release()
 				if err != nil {
 					return err
 				}

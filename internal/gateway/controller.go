@@ -30,14 +30,24 @@ type Backend interface {
 
 // Router places multi-model queries: Acquire resolves a catalog model ID
 // to a backend ready to serve it, charging any load work (storage fetch,
-// warm-up) to the calling process's virtual clock. The returned release
-// must be called exactly once when the serve finishes; it returns the
-// placement's concurrency slot and stamps the model's recency.
+// warm-up) to the calling process's virtual clock. The returned Lease must
+// be released exactly once when the serve finishes.
 // Implementations must be deterministic functions of the virtual clock and
 // their own state, like every other gateway collaborator.
 type Router interface {
-	Acquire(proc *simnet.Proc, model string) (Backend, func(), error)
+	Acquire(proc *simnet.Proc, model string) (Backend, Lease, error)
 }
+
+// Lease is a Router's placement of one query: Release returns the
+// placement's concurrency slot and stamps the model's recency.
+type Lease interface {
+	Release()
+}
+
+// noLease is the single-backend path's placement: nothing to give back.
+type noLease struct{}
+
+func (noLease) Release() {}
 
 // Switchable is a Backend with hot-swappable candidate plans
 // (runtime.Switcher). SwitchTo directives are only honoured on one.
@@ -192,8 +202,9 @@ func (g *gateway) recordWindow(e windowEntry) {
 	if g.cfg.Window <= 0 {
 		return
 	}
-	g.window = append(g.window, e)
-	if len(g.window) > g.cfg.Window {
-		g.window = g.window[len(g.window)-g.cfg.Window:]
+	if len(g.window) == g.cfg.Window {
+		// Copied down, not resliced: the window keeps one backing array.
+		g.window = append(g.window[:0], g.window[1:]...)
 	}
+	g.window = append(g.window, e)
 }

@@ -141,6 +141,7 @@ type gateway struct {
 	started  int // queries launched so far (nextQuery's index)
 	inFlight int
 	queue    []*simnet.Promise[struct{}]
+	waits    []*simnet.Promise[struct{}] // queue entries served and waited on, for reuse
 	maxQueue int
 	done     int
 	total    int
@@ -208,6 +209,7 @@ func Run(b Backend, arrivals []time.Duration, cfg Config) (*LoadReport, []Outcom
 		total:         len(arrivals),
 		outcomes:      make([]Outcome, len(arrivals)),
 		faultKinds:    make(map[string]int),
+		window:        make([]windowEntry, 0, min(cfg.Window, len(arrivals))),
 		mQueries:      reg.Counter("gateway.queries"),
 		mAdmitted:     reg.Counter("gateway.admitted"),
 		mShed:         reg.Counter("gateway.shed"),
@@ -303,7 +305,14 @@ func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 		g.shedUnit(unit, ErrBrownout)
 		return false
 	case len(g.queue) < g.cfg.QueueCap:
-		pr := simnet.NewPromise[struct{}](proc.Env())
+		var pr *simnet.Promise[struct{}]
+		if n := len(g.waits); n > 0 {
+			pr = g.waits[n-1]
+			g.waits = g.waits[:n-1]
+			pr.Reset(proc.Env())
+		} else {
+			pr = simnet.NewPromise[struct{}](proc.Env())
+		}
 		g.queue = append(g.queue, pr)
 		if len(g.queue) > g.maxQueue {
 			g.maxQueue = len(g.queue)
@@ -311,7 +320,9 @@ func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 		g.hQueueDepth.Observe(float64(len(g.queue)))
 		// A finishing unit hands its slot to the queue head directly, so
 		// resolution implies the in-flight accounting already covers us.
-		if _, err := pr.Wait(proc); err != nil {
+		_, err := pr.Wait(proc)
+		g.waits = append(g.waits, pr) // its resolver and this wait were its only readers
+		if err != nil {
 			for _, m := range unit {
 				g.settle(Outcome{ID: m.ID, ArrivalMs: durMs(m.Arrival), BatchSize: n, Err: err.Error()})
 			}
@@ -331,8 +342,9 @@ func (g *gateway) admit(proc *simnet.Proc, unit []batching.Member) bool {
 func (g *gateway) release() {
 	if len(g.queue) > 0 {
 		head := g.queue[0]
-		g.queue[0] = nil // the backing array must not keep a served promise
-		g.queue = g.queue[1:]
+		n := copy(g.queue, g.queue[1:]) // copied down: the queue keeps one backing array
+		g.queue[n] = nil                // which must not keep a served promise
+		g.queue = g.queue[:n]
 		head.Resolve(struct{}{})
 	} else {
 		g.inFlight--
@@ -354,9 +366,9 @@ func (g *gateway) shedUnit(unit []batching.Member, cause error) {
 // the multi-model path whatever the Router places the query's model on — a
 // cache miss loads the model on this query's process, so the load time lands
 // in TotalMs (and counts against the SLO) but not in LatencyMs.
-func (g *gateway) route(proc *simnet.Proc, i int) (Backend, func(), error) {
+func (g *gateway) route(proc *simnet.Proc, i int) (Backend, Lease, error) {
 	if g.cfg.Router == nil {
-		return g.b, func() {}, nil
+		return g.b, noLease{}, nil
 	}
 	return g.cfg.Router.Acquire(proc, g.cfg.Model(i))
 }
@@ -376,7 +388,7 @@ func (g *gateway) serve(proc *simnet.Proc, unit []batching.Member) {
 		billed    int64
 		faultKind string
 	)
-	backend, release, err := g.route(proc, unit[0].ID)
+	backend, lease, err := g.route(proc, unit[0].ID)
 	if err != nil {
 		faultKind = "placement"
 	} else {
@@ -388,7 +400,7 @@ func (g *gateway) serve(proc *simnet.Proc, unit []batching.Member) {
 			}
 		}
 		res, tr, err = backend.ServeBatch(proc, inputs, n, g.cfg.Traced)
-		release()
+		lease.Release()
 		billed = res.BilledMs
 		if err != nil {
 			billed = platform.BilledMsOf(err)

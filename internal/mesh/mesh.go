@@ -67,6 +67,7 @@ type Config struct {
 // model is one catalog entry's serving state.
 type model struct {
 	spec ModelSpec
+	slot int // the entry's index in the catalog: its residency's on every instance
 	dep  *runtime.Deployment
 	// predicted is the catalog-time size estimate: the model's weights
 	// plus the plan's transfer profile (worker shipments and activation
@@ -95,12 +96,37 @@ type residency struct {
 	loading  *simnet.Promise[struct{}]
 }
 
-// instance is one pool member.
+// instance is one pool member. Its residents and seats are indexed by
+// catalog slot; a resident is nil where the model is not resident.
 type instance struct {
 	id       int
 	used     int64
 	inFlight int
-	resident map[string]*residency
+	resident []*residency
+	seats    []seat
+}
+
+// seat is a catalog model's place on one instance, and the lease of every
+// query served there. It keeps the residency record and the load promise
+// its loads reuse: the residency is the instance's resident entry while the
+// model is resident (or loading), and a promise goes on serving loads until
+// one fails, whose waiters must still read its error.
+type seat struct {
+	m    *Mesh
+	inst *instance
+	slot int
+	r    residency
+	pr   *simnet.Promise[struct{}]
+}
+
+// Release implements gateway.Lease: it returns the query's concurrency
+// slot and stamps the model's recency for LRU.
+func (s *seat) Release() {
+	s.inst.inFlight--
+	if r := s.inst.resident[s.slot]; r != nil {
+		r.serving--
+		r.lastUsed = s.m.env.Now()
+	}
 }
 
 // Mesh is the serving mesh. It implements gateway.Router (placement) and
@@ -175,12 +201,16 @@ func New(p *platform.Platform, cfg Config, specs []ModelSpec) (*Mesh, error) {
 		for _, u := range spec.Units {
 			params += u.ParamBytes
 		}
-		mm := &model{spec: spec, dep: dep, predicted: params + transfer}
+		mm := &model{spec: spec, slot: len(m.order), dep: dep, predicted: params + transfer}
 		m.models[spec.ID] = mm
 		m.order = append(m.order, mm)
 	}
 	for i := 0; i < cfg.Instances; i++ {
-		m.insts = append(m.insts, &instance{id: i, resident: make(map[string]*residency)})
+		inst := &instance{id: i, resident: make([]*residency, len(m.order)), seats: make([]seat, len(m.order))}
+		for slot := range inst.seats {
+			inst.seats[slot] = seat{m: m, inst: inst, slot: slot}
+		}
+		m.insts = append(m.insts, inst)
 	}
 	return m, nil
 }
@@ -192,7 +222,7 @@ func (m *Mesh) memBudget() int64 { return int64(m.cfg.InstanceMemMB) * 1e6 }
 // deployment, loading the model first on a cache miss (virtual time passes
 // on proc) and waiting behind an in-progress load instead of duplicating
 // it. Exactly one of hit/miss is counted per query.
-func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), error) {
+func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, gateway.Lease, error) {
 	mm := m.models[id]
 	if mm == nil {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownModel, id)
@@ -204,19 +234,12 @@ func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), e
 	for {
 		// 1. An instance already holds the model with free concurrency:
 		// cache hit.
-		if inst := m.holder(mm.spec.ID, true); inst != nil {
-			r := inst.resident[mm.spec.ID]
-			r.serving++
-			r.lastUsed = proc.Now()
-			inst.inFlight++
-			if !counted {
-				m.countHit(mm)
-			}
-			return mm.dep, m.releaseFn(inst, mm.spec.ID), nil
+		if inst := m.holder(mm.slot, true); inst != nil {
+			return m.serveOn(proc, inst, mm, counted)
 		}
 		// 2. Someone is already loading it: wait on their load rather than
 		// fetching a duplicate copy.
-		if pr := m.loading(mm.spec.ID); pr != nil {
+		if pr := m.loading(mm.slot); pr != nil {
 			if !counted {
 				mm.loadWaits++
 				m.countMiss(mm)
@@ -242,23 +265,29 @@ func (m *Mesh) Acquire(proc *simnet.Proc, id string) (gateway.Backend, func(), e
 		}
 		// 4. No memory anywhere but a holder exists: route to the least
 		// loaded holder past its concurrency cap rather than failing.
-		if inst := m.holder(mm.spec.ID, false); inst != nil {
-			r := inst.resident[mm.spec.ID]
-			r.serving++
-			r.lastUsed = proc.Now()
-			inst.inFlight++
-			if !counted {
-				m.countHit(mm)
-			}
-			return mm.dep, m.releaseFn(inst, mm.spec.ID), nil
+		if inst := m.holder(mm.slot, false); inst != nil {
+			return m.serveOn(proc, inst, mm, counted)
 		}
 		return nil, nil, fmt.Errorf("%w: %s needs %d MB", ErrNoCapacity, mm.spec.ID, mm.sizeHint()/1e6)
 	}
 }
 
+// serveOn routes a query to the instance holding its model, counting a hit
+// unless the query already counted a miss.
+func (m *Mesh) serveOn(proc *simnet.Proc, inst *instance, mm *model, counted bool) (gateway.Backend, gateway.Lease, error) {
+	r := inst.resident[mm.slot]
+	r.serving++
+	r.lastUsed = proc.Now()
+	inst.inFlight++
+	if !counted {
+		m.countHit(mm)
+	}
+	return mm.dep, &inst.seats[mm.slot], nil
+}
+
 // acquireNoCache is the load-every-query baseline: no residency, every
 // query pays the full fetch and warm-up.
-func (m *Mesh) acquireNoCache(proc *simnet.Proc, mm *model) (gateway.Backend, func(), error) {
+func (m *Mesh) acquireNoCache(proc *simnet.Proc, mm *model) (gateway.Backend, gateway.Lease, error) {
 	if mm.predicted > m.memBudget() {
 		return nil, nil, fmt.Errorf("%w: %s needs %d MB", ErrNoCapacity, mm.spec.ID, mm.predicted/1e6)
 	}
@@ -286,17 +315,17 @@ func (m *Mesh) acquireNoCache(proc *simnet.Proc, mm *model) (gateway.Backend, fu
 	m.mLoads.Inc()
 	m.modelCounter(&mm.cLoads, "mesh.loads", mm).Inc()
 	m.hLoadMs.Observe(loadMs)
-	return mm.dep, m.releaseFn(inst, ""), nil
+	return mm.dep, &inst.seats[mm.slot], nil // nothing is resident: it only frees the slot
 }
 
 // holder returns the instance to serve a hit on: holds the model
 // loaded (not mid-load), least in-flight, lowest ID on ties; nil when no
 // holder qualifies. respectCap filters out instances at their concurrency
 // cap.
-func (m *Mesh) holder(id string, respectCap bool) *instance {
+func (m *Mesh) holder(slot int, respectCap bool) *instance {
 	var best *instance
 	for _, inst := range m.insts {
-		r := inst.resident[id]
+		r := inst.resident[slot]
 		if r == nil || r.loading != nil {
 			continue
 		}
@@ -312,9 +341,9 @@ func (m *Mesh) holder(id string, respectCap bool) *instance {
 
 // loading returns the promise of an in-progress load of the model,
 // lowest instance ID first, or nil.
-func (m *Mesh) loading(id string) *simnet.Promise[struct{}] {
+func (m *Mesh) loading(slot int) *simnet.Promise[struct{}] {
 	for _, inst := range m.insts {
-		if r := inst.resident[id]; r != nil && r.loading != nil {
+		if r := inst.resident[slot]; r != nil && r.loading != nil {
 			return r.loading
 		}
 	}
@@ -341,13 +370,13 @@ func (m *Mesh) place(mm *model) (*instance, *residency, *simnet.Promise[struct{}
 	budget := m.memBudget()
 	var best *instance
 	for _, inst := range m.insts {
-		if inst.resident[mm.spec.ID] != nil {
+		if inst.resident[mm.slot] != nil {
 			continue
 		}
 		free := budget - inst.used
 		evictable := int64(0)
 		for _, r := range inst.resident {
-			if r.serving == 0 && r.loading == nil {
+			if r != nil && r.serving == 0 && r.loading == nil {
 				evictable += r.bytes
 			}
 		}
@@ -364,9 +393,18 @@ func (m *Mesh) place(mm *model) (*instance, *residency, *simnet.Promise[struct{}
 	if !m.evict(best, size) {
 		return nil, nil, nil
 	}
-	pr := simnet.NewPromise[struct{}](m.env)
-	r := &residency{bytes: size, lastUsed: m.env.Now(), loading: pr}
-	best.resident[mm.spec.ID] = r
+	st := &best.seats[mm.slot]
+	if st.pr == nil {
+		st.pr = simnet.NewPromise[struct{}](m.env)
+	} else {
+		// Whoever waited on the last load has been woken, and reads the
+		// reset promise as it read the resolved one: no error.
+		st.pr.Reset(m.env)
+	}
+	pr := st.pr
+	r := &st.r
+	*r = residency{bytes: size, lastUsed: m.env.Now(), loading: pr}
+	best.resident[mm.slot] = r
 	best.used += size
 	return best, r, pr
 }
@@ -378,26 +416,24 @@ func (m *Mesh) place(mm *model) (*instance, *residency, *simnet.Promise[struct{}
 func (m *Mesh) evict(inst *instance, need int64) bool {
 	budget := m.memBudget()
 	for inst.used+need > budget {
-		victimID := ""
+		var vm *model
 		var victim *residency
-		for id, r := range inst.resident {
-			if r.serving > 0 || r.loading != nil {
+		for slot, r := range inst.resident {
+			if r == nil || r.serving > 0 || r.loading != nil {
 				continue
 			}
 			if victim == nil || r.lastUsed < victim.lastUsed ||
-				(r.lastUsed == victim.lastUsed && id < victimID) {
-				victimID, victim = id, r
+				(r.lastUsed == victim.lastUsed && m.order[slot].spec.ID < vm.spec.ID) {
+				vm, victim = m.order[slot], r
 			}
 		}
 		if victim == nil {
 			return false
 		}
-		delete(inst.resident, victimID)
+		inst.resident[vm.slot] = nil
 		inst.used -= victim.bytes
-		if vm := m.models[victimID]; vm != nil {
-			vm.evictions++
-			m.modelCounter(&vm.cEvictions, "mesh.evictions", vm).Inc()
-		}
+		vm.evictions++
+		m.modelCounter(&vm.cEvictions, "mesh.evictions", vm).Inc()
 		m.mEvictions.Inc()
 		m.setGauges()
 	}
@@ -427,10 +463,11 @@ func (m *Mesh) load(proc *simnet.Proc, mm *model, inst *instance, r *residency, 
 		}
 	}
 	if err != nil {
-		delete(inst.resident, mm.spec.ID)
+		inst.resident[mm.slot] = nil
 		inst.used -= r.bytes
 		m.setGauges()
 		pr.Fail(err)
+		inst.seats[mm.slot].pr = nil // its waiters read the error; the next load gets a new promise
 		return err
 	}
 	r.loading = nil
@@ -476,23 +513,6 @@ func measuredBytes(spec ModelSpec) int64 {
 	return total
 }
 
-// releaseFn returns the query's release callback: it returns the
-// concurrency slot and stamps the model's recency for LRU.
-func (m *Mesh) releaseFn(inst *instance, id string) func() {
-	released := false
-	return func() {
-		if released {
-			return
-		}
-		released = true
-		inst.inFlight--
-		if r := inst.resident[id]; r != nil {
-			r.serving--
-			r.lastUsed = m.env.Now()
-		}
-	}
-}
-
 func (m *Mesh) countHit(mm *model) {
 	mm.hits++
 	m.mHits.Inc()
@@ -520,7 +540,7 @@ func (m *Mesh) setGauges() {
 	var bytes int64
 	for _, inst := range m.insts {
 		for _, r := range inst.resident {
-			if r.loading == nil {
+			if r != nil && r.loading == nil {
 				nmodels++
 				bytes += r.bytes
 			}
@@ -564,4 +584,5 @@ func durMs(d time.Duration) float64 { return float64(d) / 1e6 }
 var (
 	_ gateway.Backend = (*Mesh)(nil)
 	_ gateway.Router  = (*Mesh)(nil)
+	_ gateway.Lease   = (*seat)(nil)
 )

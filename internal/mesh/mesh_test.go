@@ -445,14 +445,14 @@ func TestMeshWarmSets(t *testing.T) {
 			t.Errorf("%d warm sets before any load", n)
 		}
 		for i, id := range ids {
-			b, release, err := m.Acquire(proc, id)
+			b, lease, err := m.Acquire(proc, id)
 			if err != nil {
 				return err
 			}
 			if _, _, err := b.ServeBatch(proc, nil, 1, false); err != nil {
 				return err
 			}
-			release()
+			lease.Release()
 			if n, own := m.WarmSets(), m.models[id].dep.WarmSets(); n != i+1 || own != 1 {
 				t.Errorf("after %s's first query: %d warm sets across the catalog, %d its own; want %d and 1", id, n, own, i+1)
 			}

@@ -78,7 +78,7 @@ func (m *Mesh) Report() *Report {
 			Evictions:   mm.evictions,
 		}
 		for _, inst := range m.insts {
-			if r := inst.resident[id]; r != nil && r.loading == nil {
+			if r := inst.resident[mm.slot]; r != nil && r.loading == nil {
 				mr.Resident++
 			}
 		}
@@ -102,7 +102,7 @@ func (m *Mesh) Report() *Report {
 	var bytes int64
 	for _, inst := range m.insts {
 		for _, r := range inst.resident {
-			if r.loading == nil {
+			if r != nil && r.loading == nil {
 				rep.ResidentModels++
 				bytes += r.bytes
 			}

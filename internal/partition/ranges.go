@@ -111,15 +111,23 @@ func SpatialSlices(units []*Unit, parts int) ([]PartSlice, error) {
 
 // backprop derives a PartSlice for one target output range by propagating
 // required row intervals backwards through every unit (and, inside each
-// unit, through its subgraph), then accounting forward for FLOPs.
+// unit, through its subgraph), then accounting forward for FLOPs. Every
+// unit's per-node ranges are carved out of one slab.
 func backprop(units []*Unit, out RowRange) (PartSlice, error) {
 	ps := PartSlice{OutRows: out}
 	ps.units = make([]unitSlice, len(units))
+	total := 0
+	for _, u := range units {
+		total += u.Sub.Len()
+	}
+	slab := make([]RowRange, total)
 
 	need := out
 	for ui := len(units) - 1; ui >= 0; ui-- {
 		u := units[ui]
-		us, inNeed, err := backpropUnit(u, need)
+		n := u.Sub.Len()
+		total -= n
+		us, inNeed, err := backpropUnit(u, need, slab[total:total+n:total+n])
 		if err != nil {
 			return PartSlice{}, err
 		}
@@ -155,12 +163,11 @@ func backprop(units []*Unit, out RowRange) (PartSlice, error) {
 }
 
 // backpropUnit propagates a required output range through one unit's
-// subgraph, returning per-node clipped output ranges and the required range
-// of the unit input.
-func backpropUnit(u *Unit, out RowRange) (unitSlice, RowRange, error) {
+// subgraph, returning per-node clipped output ranges, in need (zeroed, one
+// per node), and the required range of the unit input.
+func backpropUnit(u *Unit, out RowRange, need []RowRange) (unitSlice, RowRange, error) {
 	nodes := u.Sub.Nodes()
 	shapes := u.NodeShapes()
-	need := make([]RowRange, len(nodes))
 	need[len(nodes)-1] = out.clip(heightOf(u.OutShape))
 	var inputNeed RowRange
 	for i := len(nodes) - 1; i >= 0; i-- {

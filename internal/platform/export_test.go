@@ -10,6 +10,5 @@ import (
 // spawned for it, and the caller parks on a promise until it settles.
 // TestInlineInvokeKeepsEventOrder holds the inline path to it.
 func (p *Platform) invokeFromSpanSpawned(proc *simnet.Proc, name string, payload Payload, parent *trace.Span) (InvokeResult, error) {
-	pr, _ := p.invokeAsync(nil, parent, name, payload)
-	return settled(pr.Wait(proc))
+	return settled(p.invokeAsync(nil, parent, name, payload).Wait(proc))
 }

@@ -340,6 +340,7 @@ type Platform struct {
 	billedMs        int64
 	prewarmBilledMs int64
 	deploySeq       int64
+	calls           *Call // released invocation records, ready for reuse
 }
 
 // NextDeploySeq numbers deployments registered on this platform. Keeping
@@ -496,7 +497,8 @@ func (p *Platform) expireWarm(f *Function, now time.Duration) int {
 		n++
 	}
 	if n > 0 {
-		f.warm = f.warm[n:]
+		// Copied down, not resliced: the pool keeps one backing array.
+		f.warm = f.warm[:copy(f.warm, f.warm[n:])]
 	}
 	return n
 }
@@ -534,9 +536,12 @@ func (p *Platform) PrewarmBilledMs() int64 {
 // invocations still in flight when the handler returns keep using the Ctx
 // (its links and its billing accumulator), but never its Proc: that process
 // has moved on, back to an InvokeFrom caller, or died with an InvokeAsync
-// (see simnet.Proc).
+// (see simnet.Proc). A Ctx is part of its invocation's Call record, which
+// the platform recycles once nothing holds it: a handler must not keep its
+// Ctx past its return unless it holds it (Hold).
 type Ctx struct {
 	platform *Platform
+	call     *Call // the record this Ctx is part of
 	proc     *simnet.Proc
 	uplink   simnet.Resource
 	downlink simnet.Resource
@@ -545,6 +550,92 @@ type Ctx struct {
 	slow     float64 // straggler compute multiplier (1 = healthy)
 	children int64   // billed ms accumulated from nested invocations
 }
+
+// Call is one invocation: the Ctx its handler runs with and, for an
+// asynchronous one, the promise of its result. Calls are records on the
+// platform's free list (an Env runs one process at a time, so plain counts
+// keep them without locks). A Call goes back to the list when its last
+// holder lets go. The holders are:
+//   - the invocation itself, until it has settled;
+//   - its caller, for an asynchronous invocation, until Release;
+//   - every unsettled invocation it made, which uses its Ctx as the caller's;
+//   - whoever called Hold on its Ctx, until the matching Release.
+//
+// A Call whose caller never releases it is left to the collector.
+type Call struct {
+	ctx     Ctx
+	result  simnet.Promise[InvokeResult]
+	run     func(*simnet.Proc) // c.body, bound once: spawning it allocates nothing
+	from    *Call              // the invoking instance's; nil for an external client
+	name    string
+	payload Payload
+	span    *trace.Span // the invocation span; nil when untraced
+	holds   int
+	next    *Call // the next released record, while this one is on the free list
+}
+
+// newCall takes a record off the free list, or makes one, held once: by the
+// invocation it is for.
+func (p *Platform) newCall(from *Call, sp *trace.Span, name string, payload Payload) *Call {
+	c := p.calls
+	if c != nil {
+		if c.ctx.children != 0 {
+			panic("platform: a released Call was billed: a holder let go too early")
+		}
+		p.calls, c.next = c.next, nil
+	} else {
+		c = &Call{}
+		c.ctx.platform, c.ctx.call = p, c
+		c.run = c.body
+		c.result.Reset(p.env)
+	}
+	c.from, c.span, c.name, c.payload, c.holds = from, sp, name, payload, 1
+	if from != nil {
+		from.holds++
+	}
+	return c
+}
+
+// Release lets go of one hold on c; the last puts c back on the free list.
+// Its links are idle then (every invocation it made has settled), so their
+// queues are kept for the next invocation. An asynchronous invocation's
+// caller calls it once it will not read the Call again; the invocation
+// itself may still be running.
+func (c *Call) Release() {
+	if c.holds--; c.holds > 0 {
+		return
+	}
+	if c.holds < 0 {
+		panic("platform: Call released more often than it was held")
+	}
+	p := c.ctx.platform
+	c.ctx = Ctx{platform: p, call: c, uplink: c.ctx.uplink, downlink: c.ctx.downlink}
+	c.result.Reset(p.env)
+	c.from, c.span, c.name, c.payload = nil, nil, "", Payload{}
+	c.next, p.calls = p.calls, c
+}
+
+// Wait parks proc until the invocation settles and returns its result.
+func (c *Call) Wait(proc *simnet.Proc) (InvokeResult, error) { return c.result.Wait(proc) }
+
+// WaitTimeout is Wait with a deadline (see simnet.Promise.WaitTimeout).
+func (c *Call) WaitTimeout(proc *simnet.Proc, d time.Duration) (InvokeResult, error) {
+	return c.result.WaitTimeout(proc, d)
+}
+
+// Settled reports, without blocking, whether the invocation has settled.
+func (c *Call) Settled() bool {
+	_, _, ok := c.result.Poll()
+	return ok
+}
+
+// Hold keeps the Ctx usable as a caller (InvokeAsync) after its handler has
+// returned, until the matching Release: for a process the handler started
+// that invokes on its behalf.
+func (c *Ctx) Hold() { c.call.holds++ }
+
+// Release lets go of a Hold.
+func (c *Ctx) Release() { c.call.Release() }
 
 // Span returns this invocation's execution span (nil when the invocation is
 // untraced). Handlers use it to attach child spans and events; nil receivers
@@ -596,24 +687,26 @@ func settled(res InvokeResult, err error) (InvokeResult, error) {
 	return res, err
 }
 
-// InvokeAsync starts an invocation and returns a promise for its result.
-// The request payload serializes on this instance's uplink and the response
-// on its downlink, reproducing the synchronization overhead that makes very
-// wide fan-outs counterproductive on Lambda (Fig. 7).
-func (c *Ctx) InvokeAsync(name string, payload Payload) *simnet.Promise[InvokeResult] {
-	pr, _ := c.InvokeAsyncSpan(name, payload, nil)
-	return pr
+// InvokeAsync starts an invocation and returns its Call, which the caller
+// waits on and releases when it is done with it. The request payload
+// serializes on this instance's uplink and the response on its downlink,
+// reproducing the synchronization overhead that makes very wide fan-outs
+// counterproductive on Lambda (Fig. 7).
+func (c *Ctx) InvokeAsync(name string, payload Payload) *Call {
+	call, _ := c.InvokeAsyncSpan(name, payload, nil)
+	return call
 }
 
 // InvokeAsyncSpan is InvokeAsync with explicit trace parentage: the new
 // invocation's span becomes a child of parent (or of this instance's own
 // execution span when parent is nil) and is returned so the caller can attach
 // attempt metadata.
-func (c *Ctx) InvokeAsyncSpan(name string, payload Payload, parent *trace.Span) (*simnet.Promise[InvokeResult], *trace.Span) {
+func (c *Ctx) InvokeAsyncSpan(name string, payload Payload, parent *trace.Span) (*Call, *trace.Span) {
 	if parent == nil {
 		parent = c.span
 	}
-	return c.platform.invokeAsync(c, parent, name, payload)
+	call := c.platform.invokeAsync(c.call, parent, name, payload)
+	return call, call.span
 }
 
 // StorageGet fetches an object, charging storage latency plus transfer time
@@ -648,10 +741,11 @@ func (p *Platform) InvokeFrom(proc *simnet.Proc, name string, payload Payload) (
 // taken, the second the one resolving the caller's promise would have, so
 // every other event keeps its place (DESIGN §3).
 func (p *Platform) InvokeFromSpan(proc *simnet.Proc, name string, payload Payload, parent *trace.Span) (InvokeResult, error) {
-	sp := invokeSpan(parent, name)
+	c := p.newCall(nil, invokeSpan(parent, name), name, payload)
 	proc.Sleep(0)
-	res, err := p.runInvocation(proc, nil, sp, name, payload)
+	res, err := p.runInvocation(proc, c)
 	proc.Sleep(0)
+	c.Release()
 	return settled(res, err)
 }
 
@@ -664,21 +758,37 @@ func invokeSpan(parent *trace.Span, name string) *trace.Span {
 	return parent.Child(trace.KindInvoke, "invoke:"+name)
 }
 
-func (p *Platform) invokeAsync(from *Ctx, parent *trace.Span, name string, payload Payload) (*simnet.Promise[InvokeResult], *trace.Span) {
-	sp := invokeSpan(parent, name)
-	promise := simnet.NewPromise[InvokeResult](p.env)
-	p.env.Go("invoke", func(proc *simnet.Proc) {
-		res, err := p.runInvocation(proc, from, sp, name, payload)
-		if err != nil {
-			promise.Fail(err)
-			return
-		}
-		promise.Resolve(res)
-	})
-	return promise, sp
+// invokeAsync starts an invocation on a process of its own and returns its
+// Call, held by the invocation and by the caller.
+func (p *Platform) invokeAsync(from *Call, parent *trace.Span, name string, payload Payload) *Call {
+	c := p.newCall(from, invokeSpan(parent, name), name, payload)
+	c.holds++
+	p.env.Go("invoke", c.run)
+	return c
 }
 
-func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, name string, payload Payload) (InvokeResult, error) {
+// body is an asynchronous invocation's process: it runs the invocation,
+// lets go of its caller's Call, settles the promise and lets go of its own.
+func (c *Call) body(proc *simnet.Proc) {
+	res, err := c.ctx.platform.runInvocation(proc, c)
+	if c.from != nil {
+		c.from.Release()
+	}
+	if err != nil {
+		c.result.Fail(err)
+	} else {
+		c.result.Resolve(res)
+	}
+	c.Release()
+}
+
+// runInvocation runs the invocation c is for on proc.
+func (p *Platform) runInvocation(proc *simnet.Proc, c *Call) (InvokeResult, error) {
+	sp, name, payload := c.span, c.name, c.payload
+	var from *Ctx
+	if c.from != nil {
+		from = &c.from.ctx
+	}
 	f, ok := p.fns[name]
 	if !ok {
 		err := fmt.Errorf("platform: invoke of unknown function %q", name)
@@ -767,12 +877,8 @@ func (p *Platform) runInvocation(proc *simnet.Proc, from *Ctx, sp *trace.Span, n
 		sp.SetAttr("cold", "1")
 	}
 
-	ctx := &Ctx{
-		platform: p,
-		proc:     proc,
-		span:     sp.Child(trace.KindExec, "exec"),
-		slow:     slow,
-	}
+	ctx := &c.ctx
+	ctx.proc, ctx.span, ctx.slow = proc, sp.Child(trace.KindExec, "exec"), slow
 	ctx.start = proc.Now()
 	resp, herr := f.handler(ctx, payload)
 	ctx.span.EndSpan()

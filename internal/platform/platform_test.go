@@ -185,7 +185,7 @@ func TestUplinkSerialization(t *testing.T) {
 		_ = p.Register("w", func(ctx *Ctx, in Payload) (Payload, error) { return Payload{}, nil })
 		_ = p.Register("m", func(ctx *Ctx, in Payload) (Payload, error) {
 			start := ctx.Proc().Now()
-			var prs []*simnet.Promise[InvokeResult]
+			var prs []*Call
 			for i := 0; i < 4; i++ {
 				prs = append(prs, ctx.InvokeAsync("w", Payload{Bytes: 10e6}))
 			}
@@ -413,9 +413,9 @@ func TestWarmPoolConcurrentAccounting(t *testing.T) {
 		}
 		wave := func() (cold int, billed int64) {
 			const n = 5
-			prs := make([]*simnet.Promise[InvokeResult], n)
+			prs := make([]*Call, n)
 			for i := range prs {
-				prs[i], _ = p.invokeAsync(nil, nil, "f", Payload{})
+				prs[i] = p.invokeAsync(nil, nil, "f", Payload{})
 			}
 			for _, pr := range prs {
 				res, err := pr.Wait(proc)

@@ -38,6 +38,12 @@ func OpBytes(op nn.Op, inShapes [][]int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return ShapedOpBytes(op, inShapes, out), nil
+}
+
+// ShapedOpBytes is OpBytes for an operator whose output shape is known
+// (a linearized unit caches every node's).
+func ShapedOpBytes(op nn.Op, inShapes [][]int, out []int) int64 {
 	total := int64(0)
 	for _, s := range inShapes {
 		n := int64(1)
@@ -52,7 +58,7 @@ func OpBytes(op nn.Op, inShapes [][]int) (int64, error) {
 	}
 	total += n * 4
 	total += op.ParamCount() * 4
-	return total, nil
+	return total
 }
 
 // probeConfigs builds the sweep of operator configurations (§IV-A: "for

@@ -85,10 +85,7 @@ func (d *PipelineDeployment) appendChunk(units []*partition.Unit, first, last in
 		c.weightBytes += u.ParamBytes
 		c.flops += u.FLOPs
 	}
-	var err error
-	if c.opBytes, err = groupOpBytes(units[first : last+1]); err != nil {
-		return err
-	}
+	c.opBytes = groupOpBytes(units[first : last+1])
 	c.key = fmt.Sprintf("%s/chunk%d", d.prefix, len(d.chunks))
 	d.chunks = append(d.chunks, c)
 	return nil

@@ -51,16 +51,17 @@ const minHedgeSamples = 8
 const maxHedgeSamples = 256
 
 // latencyHistory tracks per-group successful worker-call latencies; the
-// hedging option derives its trigger threshold from it.
+// hedging option derives its trigger threshold from it. The zero value is
+// empty: a deployment that never calls a worker through callWorker makes
+// no map.
 type latencyHistory struct {
 	samples map[int][]float64
 }
 
-func newLatencyHistory() *latencyHistory {
-	return &latencyHistory{samples: make(map[int][]float64)}
-}
-
 func (h *latencyHistory) record(gi int, ms float64) {
+	if h.samples == nil {
+		h.samples = make(map[int][]float64)
+	}
 	s := append(h.samples[gi], ms)
 	if len(s) > maxHedgeSamples {
 		s = s[len(s)-maxHedgeSamples:]
@@ -86,8 +87,8 @@ func msToDur(ms float64) time.Duration {
 // resilience budget: hedging, and bounded retries with exponential backoff.
 // proc is the process driving the call (the master's own, or a spawned
 // caller in a resilient fork-join round).
-func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, parent *trace.Span) (platform.InvokeResult, error) {
-	return d.callWorkerSpan(proc, ctx, gi, part, req, qs, callSpan(parent, gi, part))
+func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, ps *pass, gi, part int, req platform.Payload, parent *trace.Span) (platform.InvokeResult, error) {
+	return d.callWorkerSpan(proc, ctx, ps, gi, part, req, callSpan(parent, gi, part))
 }
 
 // callSpan opens a worker call's span under parent; an untraced call (nil
@@ -102,7 +103,8 @@ func callSpan(parent *trace.Span, gi, part int) *trace.Span {
 // callWorkerSpan is callWorker recording into an already-opened call span
 // (launchWorker opens it at fork time, before the caller process is
 // scheduled).
-func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, csp *trace.Span) (platform.InvokeResult, error) {
+func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, ps *pass, gi, part int, req platform.Payload, csp *trace.Span) (platform.InvokeResult, error) {
+	qs := &ps.qs
 	name := d.workerName(gi, part)
 	attempts := d.opts.retries + 1
 	var lastErr error
@@ -113,7 +115,7 @@ func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, gi, pa
 			proc.Sleep(msToDur(d.opts.backoff(a)))
 		}
 		start := proc.Now()
-		res, err := d.attemptWorker(proc, ctx, gi, name, req, qs, csp)
+		res, err := d.attemptWorker(proc, ctx, ps, gi, name, req, csp)
 		if err == nil {
 			d.hist.record(gi, float64(proc.Now()-start)/1e6)
 			if a > 0 {
@@ -137,7 +139,8 @@ type hedgeOut struct {
 
 // attemptWorker makes one invocation attempt, hedging with a backup request
 // when the primary outlives the group's latency percentile.
-func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int, name string, req platform.Payload, qs *Resilience, csp *trace.Span) (platform.InvokeResult, error) {
+func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, ps *pass, gi int, name string, req platform.Payload, csp *trace.Span) (platform.InvokeResult, error) {
+	qs := &ps.qs
 	asp := csp.Child(trace.KindAttempt, "attempt")
 	primary, psp := ctx.InvokeAsyncSpan(name, req, asp)
 
@@ -148,6 +151,7 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 	}
 	if !hedging {
 		res, err := primary.Wait(proc)
+		primary.Release()
 		endAttempt(asp, err)
 		return res, err
 	}
@@ -156,6 +160,7 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 	// on a backup.
 	res, err := primary.WaitTimeout(proc, msToDur(thresh))
 	if err == nil || !errors.Is(err, simnet.ErrTimeout) {
+		primary.Release()
 		endAttempt(asp, err)
 		return res, err
 	}
@@ -173,12 +178,16 @@ func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, gi int,
 	// The race's loser is still running when the winner returns, and it
 	// holds the round's request: the group's count of hedged invocations in
 	// flight keeps the master from recycling the tensors in it
-	// (batch.release) until the loser has settled.
+	// (batch.release), and the watch's hold the pass, until the loser has
+	// settled. Each watch owns its Call.
 	gr := d.groups[gi]
-	watch := func(pr *simnet.Promise[platform.InvokeResult], sp *trace.Span, isBackup bool) {
+	watch := func(call *platform.Call, sp *trace.Span, isBackup bool) {
 		gr.hedged++
+		ps.holds++
 		env.Go("hedge-watch", func(wp *simnet.Proc) {
-			res, err := pr.Wait(wp)
+			defer ps.release()
+			res, err := call.Wait(wp)
+			call.Release()
 			gr.hedged--
 			if err != nil {
 				qs.ExtraBilledMs += platform.BilledMsOf(err)
@@ -227,36 +236,32 @@ func endAttempt(asp *trace.Span, err error) {
 // launchWorker starts one fork-join worker call. Naive deployments keep the
 // original direct InvokeAsync; resilient ones drive callWorker from a
 // spawned caller process so retries and hedges of different partitions
-// overlap in time, exactly like the original fork.
-// It returns the promise together with the call's span (the invocation span
-// on the naive path), so a failing fork-join round can mark still-running
-// siblings abandoned.
-func (d *Deployment) launchWorker(ctx *platform.Ctx, gi, part int, req platform.Payload, qs *Resilience, gsp *trace.Span) (*simnet.Promise[platform.InvokeResult], *trace.Span) {
+// overlap in time, exactly like the original fork. The caller may retry
+// after the master has returned (a failed round stops waiting for it), so it
+// holds the master's Ctx and the pass until it ends.
+// The pending call carries the call's span (the invocation span on the
+// naive path), so a failing fork-join round can mark still-running siblings
+// abandoned.
+func (d *Deployment) launchWorker(ctx *platform.Ctx, ps *pass, gi, part int, req platform.Payload, gsp *trace.Span) pending {
 	if !d.opts.resilient() {
-		return ctx.InvokeAsyncSpan(d.workerName(gi, part), req, gsp)
+		call, sp := ctx.InvokeAsyncSpan(d.workerName(gi, part), req, gsp)
+		return pending{call: call, span: sp}
 	}
 	csp := callSpan(gsp, gi, part)
 	pr := simnet.NewPromise[platform.InvokeResult](d.p.Env())
+	ctx.Hold()
+	ps.holds++
 	d.p.Env().Go("call", func(proc *simnet.Proc) {
-		res, err := d.callWorkerSpan(proc, ctx, gi, part, req, qs, csp)
+		defer ps.release()
+		defer ctx.Release()
+		res, err := d.callWorkerSpan(proc, ctx, ps, gi, part, req, csp)
 		if err != nil {
 			pr.Fail(err)
 			return
 		}
 		pr.Resolve(res)
 	})
-	return pr, csp
-}
-
-// abandonUnsettled marks the spans of still-unsettled sibling worker calls:
-// their caller stopped waiting (the round already failed), so they settle
-// after their parent ends — which trace invariants only accept when marked.
-func abandonUnsettled(promises []*simnet.Promise[platform.InvokeResult], spans []*trace.Span) {
-	for i, pr := range promises {
-		if _, _, ok := pr.Poll(); !ok {
-			spans[i].SetAttr("abandoned", "sibling-failure")
-		}
-	}
+	return pending{pr: pr, span: csp}
 }
 
 // fallbackKey names the object-storage copy of a group's weights kept for

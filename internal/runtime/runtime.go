@@ -62,7 +62,7 @@ type Deployment struct {
 	groups []*groupRuntime
 	remote []string // worker functions the master invokes, in (group, part) order
 	opts   deployOpts
-	hist   *latencyHistory // per-group worker latencies (hedging trigger)
+	hist   latencyHistory // per-group worker latencies (hedging trigger)
 
 	// hedgeOff suppresses hedged backup requests at serve time without
 	// redeploying — the gateway's brownout mode sheds hedge cost this way.
@@ -70,6 +70,9 @@ type Deployment struct {
 
 	master  *platform.Function // polled by WarmSets on every control tick
 	metrics queryMetrics
+
+	passes    *pass     // released passes, ready for reuse (pass.go)
+	responses *response // released Real-mode worker replies
 
 	// Master is the entry function name.
 	Master string
@@ -111,7 +114,6 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		units:  units,
 		mode:   mode,
 		prefix: fmt.Sprintf("%s-d%d", plan.Model, p.NextDeploySeq()),
-		hist:   newLatencyHistory(),
 	}
 	for _, opt := range opts {
 		opt(&d.opts)
@@ -132,11 +134,7 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 			masterBytes += ext.WeightBytes
 		}
 		group := units[gp.First : gp.Last+1]
-		opBytes, err := groupOpBytes(group)
-		if err != nil {
-			return nil, err
-		}
-		gr := &groupRuntime{gp: gp, ext: ext, last: gi == len(plan.Groups)-1, opBytes: opBytes}
+		gr := &groupRuntime{gp: gp, ext: ext, last: gi == len(plan.Groups)-1, opBytes: groupOpBytes(group)}
 		if mode == Real {
 			if gr.parts, err = slices.Graphs(group, gp.Option); err != nil {
 				return nil, err
@@ -246,7 +244,7 @@ type Result struct {
 	Resilience Resilience
 }
 
-// request is the in-process body of every master and worker invocation.
+// request is what a master (inside its pass) or a worker is asked to serve.
 // inputs is nil in ShapeOnly mode; size is always set, so handlers scale
 // their modeled compute and payloads even without tensors.
 type request struct {
@@ -262,6 +260,7 @@ type response struct {
 	outputs []*tensor.Tensor
 	buf     *[]float32
 	resil   Resilience
+	next    *response // the next released reply, while this one is on the free list
 }
 
 // Serve executes one inference query from a client process: ServeBatch with
@@ -313,8 +312,7 @@ func (d *Deployment) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size
 		return Result{}, tr, err
 	}
 
-	req := &request{size: size}
-	payload := platform.Payload{Bytes: tensor.SizeBytes(d.units[0].InShape) * int64(size), Data: req}
+	bytes := tensor.SizeBytes(d.units[0].InShape) * int64(size)
 	if d.mode == Real {
 		if len(inputs) == 0 {
 			return fail(fmt.Errorf("runtime: Real mode requires input tensors"))
@@ -322,13 +320,15 @@ func (d *Deployment) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size
 		if size != len(inputs) {
 			return fail(fmt.Errorf("runtime: batch size %d != %d inputs", size, len(inputs)))
 		}
-		req.inputs = inputs
-		payload.Bytes = 0
+		bytes = 0
 		for _, in := range inputs {
-			payload.Bytes += in.Bytes()
+			bytes += in.Bytes()
 		}
-	} else if size <= 0 {
-		return fail(fmt.Errorf("runtime: batch size %d", size))
+	} else {
+		if size <= 0 {
+			return fail(fmt.Errorf("runtime: batch size %d", size))
+		}
+		inputs = nil
 	}
 
 	var lastErr error
@@ -340,8 +340,10 @@ func (d *Deployment) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size
 			root.Event("client-retry", "attempt", strconv.Itoa(attempt))
 			proc.Sleep(msToDur(d.opts.backoff(attempt)))
 		}
-		res, err := d.p.InvokeFromSpan(proc, d.Master, payload, root)
+		ps := d.newPass(size, inputs)
+		res, err := d.p.InvokeFromSpan(proc, d.Master, platform.Payload{Bytes: bytes, Data: ps}, root)
 		if err != nil {
+			ps.release()
 			extra += platform.BilledMsOf(err)
 			lastErr = err
 			continue
@@ -361,6 +363,7 @@ func (d *Deployment) ServeBatch(proc *simnet.Proc, inputs []*tensor.Tensor, size
 			ColdStart:  res.ColdStart,
 			Resilience: mr.resil,
 		}
+		ps.release() // mr is the pass's: read, and no longer
 		out.Resilience.Retries += clientRetries
 		out.Resilience.FaultsSurvived += clientRetries
 		out.Resilience.ExtraBilledMs += extra
@@ -456,11 +459,11 @@ func opEvents(sp *trace.Span) graph.Observer {
 // masterHandler orchestrates the fork-join rounds (Fig. 4) for the queries
 // of one request.
 func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
-	req, ok := payload.Data.(*request)
+	ps, ok := payload.Data.(*pass)
 	if !ok {
-		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want request", payload.Data)
+		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want pass", payload.Data)
 	}
-	qs := &Resilience{}
+	req := &ps.req
 	cur := batch{ts: req.inputs} // the caller's: never recycled
 	for gi, gr := range d.groups {
 		var gsp *trace.Span
@@ -470,8 +473,9 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 				gsp.SetAttr("batch", strconv.Itoa(req.size))
 			}
 		}
-		next, err := d.runGroup(ctx, gi, gr, req, &cur, qs, gsp)
+		next, err := d.runGroup(ctx, ps, gi, gr, &cur, gsp)
 		if err != nil {
+			ps.abandon()
 			gsp.Fail("", err.Error())
 			gsp.EndSpan()
 			return platform.Payload{}, err
@@ -481,22 +485,8 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 		cur = next
 	}
 	last := d.groups[len(d.groups)-1]
-	return platform.Payload{
-		Bytes: last.ext.OutBytesTotal * int64(req.size),
-		Data:  &response{outputs: cur.ts, resil: *qs},
-	}, nil
-}
-
-// workerReq is the body of a worker invocation carrying the round's tensors:
-// in Real mode one per round, which every partition's invocations share. In
-// ShapeOnly mode there are none and the size never changes, so every worker
-// of every round gets the request the master itself received: a query
-// allocates one body, not one per invocation.
-func (d *Deployment) workerReq(req *request, ins []*tensor.Tensor) *request {
-	if d.mode != Real {
-		return req
-	}
-	return &request{size: req.size, inputs: ins}
+	ps.resp = response{outputs: cur.ts, resil: ps.qs}
+	return platform.Payload{Bytes: last.ext.OutBytesTotal * int64(req.size), Data: &ps.resp}, nil
 }
 
 // runGroup executes one layer group from the master's perspective, for
@@ -505,14 +495,14 @@ func (d *Deployment) workerReq(req *request, ins []*tensor.Tensor) *request {
 // in.lent. Every partition's tensor math is one batched forward of its
 // graph, bitwise identical to sequential execution, while modeled compute
 // and payload bytes scale linearly with req.size.
-func (d *Deployment) runGroup(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, in *batch, qs *Resilience, gsp *trace.Span) (batch, error) {
+func (d *Deployment) runGroup(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
 	switch {
 	case gr.gp.Option.Dim != partition.DimNone:
-		return d.forkJoin(ctx, gi, gr, req, in, qs, gsp)
+		return d.forkJoin(ctx, ps, gi, gr, in, gsp)
 	case gr.gp.OnMaster:
-		return d.localRound(ctx, gr, req, in.ts, gsp)
+		return d.localRound(ctx, gr, &ps.req, in.ts, gsp)
 	default:
-		return d.remoteRound(ctx, gi, gr, req, in, qs, gsp)
+		return d.remoteRound(ctx, ps, gi, gr, in, gsp)
 	}
 }
 
@@ -525,47 +515,44 @@ func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *reques
 
 // remoteRound runs a whole group on its single worker (with retries, and a
 // master-local fallback when graceful degradation is enabled).
-func (d *Deployment) remoteRound(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, in *batch, qs *Resilience, gsp *trace.Span) (batch, error) {
+func (d *Deployment) remoteRound(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
+	size := ps.req.size
 	in.lent = gr
-	wreq := platform.Payload{Bytes: gr.ext.InBytesTotal * int64(req.size), Data: d.workerReq(req, in.ts)}
-	res, err := d.callWorker(ctx.Proc(), ctx, gi, 0, wreq, qs, gsp)
+	wreq := platform.Payload{Bytes: gr.ext.InBytesTotal * int64(size), Data: ps.workerReq(gi, in.ts)}
+	res, err := d.callWorker(ctx.Proc(), ctx, ps, gi, 0, wreq, gsp)
 	if err != nil {
 		if d.opts.fallback {
-			return d.fallbackLocal(ctx, gi, gr, req.size, in.ts, qs, gsp)
+			return d.fallbackLocal(ctx, gi, gr, size, in.ts, &ps.qs, gsp)
 		}
 		return batch{}, err
 	}
-	return d.outputOf(res.Resp, req.size)
+	return d.outputOf(res.Resp, size)
 }
 
 // forkJoin is the parallel round of a partitioned group: fork workers,
 // optionally compute partition 0 locally, join and reassemble per query.
 // Every partition reads the whole group input (its graph cuts its own
 // rows), so the round's invocations share one request.
-func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *request, in *batch, qs *Resilience, gsp *trace.Span) (batch, error) {
+func (d *Deployment) forkJoin(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
+	req := &ps.req
 	opt := gr.gp.Option
 	size := int64(req.size)
 	firstWorker := 0
 	if gr.gp.OnMaster {
 		firstWorker = 1
 	}
-	promises := make([]*simnet.Promise[platform.InvokeResult], 0, opt.Parts-firstWorker)
-	callSpans := make([]*trace.Span, 0, opt.Parts-firstWorker)
-	// When the round fails, the master stops waiting: sibling calls still in
-	// flight settle after the group span ends, which trace invariants only
-	// accept once marked abandoned. What the round holds is left to the
+	// When the round fails, the master stops waiting for the calls still in
+	// flight (abandonCalls), and what the round holds is left to the
 	// collector.
 	fail := func(err error) (batch, error) {
-		abandonUnsettled(promises, callSpans)
+		ps.abandonCalls()
 		return batch{}, err
 	}
 	in.lent = gr
-	wr := d.workerReq(req, in.ts)
+	wr := ps.workerReq(gi, in.ts)
 	for part := firstWorker; part < opt.Parts; part++ {
 		wreq := platform.Payload{Bytes: gr.ext.PerPart[part].InBytes * size, Data: wr}
-		pr, csp := d.launchWorker(ctx, gi, part, wreq, qs, gsp)
-		promises = append(promises, pr)
-		callSpans = append(callSpans, csp)
+		ps.calls = append(ps.calls, d.launchWorker(ctx, ps, gi, part, wreq, gsp))
 	}
 
 	// outs[part].ts[e] is partition part's output for query e (Real mode).
@@ -585,8 +572,8 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 		}
 		csp.EndSpan()
 	}
-	for i, pr := range promises {
-		res, err := pr.Wait(ctx.Proc())
+	for i := range ps.calls {
+		res, err := ps.calls[i].wait(ctx.Proc())
 		if err != nil {
 			return fail(err)
 		}
@@ -596,6 +583,7 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, gi int, gr *groupRuntime, req *
 			}
 		}
 	}
+	ps.calls = ps.calls[:0]
 	// Reassembly is memory-bandwidth work on the master, once per query.
 	rsp := gsp.Child(trace.KindCompute, "reassemble")
 	defer rsp.EndSpan()
@@ -632,6 +620,9 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 	if !ok {
 		return platform.Payload{}, fmt.Errorf("runtime: worker got %T, want request", payload.Data)
 	}
+	if req.size < 1 { // a released pass's request: its holders let go too early
+		return platform.Payload{}, fmt.Errorf("runtime: worker got a request for %d queries", req.size)
+	}
 	gr := d.groups[gi]
 	var out batch
 	var err error
@@ -648,7 +639,7 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 	}
 	resp := platform.Payload{Bytes: gr.ext.PerPart[part].OutBytes * int64(req.size)}
 	if d.mode == Real {
-		resp.Data = &response{outputs: out.ts, buf: out.buf}
+		resp.Data = d.newResponse(out)
 	}
 	return resp, nil
 }
@@ -681,7 +672,8 @@ func flopFrac(gr *groupRuntime, part int) float64 {
 	return float64(gr.ext.PerPart[part].FLOPs) / float64(gr.ext.GroupFLOPs)
 }
 
-// outputOf unwraps a worker response (empty in ShapeOnly mode).
+// outputOf unwraps a worker response (empty in ShapeOnly mode) and puts it
+// back on the free list.
 func (d *Deployment) outputOf(p platform.Payload, size int) (batch, error) {
 	if d.mode != Real {
 		return batch{}, nil
@@ -693,22 +685,22 @@ func (d *Deployment) outputOf(p platform.Payload, size int) (batch, error) {
 	if len(r.outputs) != size {
 		return batch{}, fmt.Errorf("runtime: worker returned %d outputs for %d queries", len(r.outputs), size)
 	}
-	return batch{ts: r.outputs, buf: r.buf}, nil
+	out := batch{ts: r.outputs, buf: r.buf}
+	*r = response{next: d.responses}
+	d.responses = r
+	return out, nil
 }
 
 // groupOpBytes is the bytes the ops of a group touch when it runs whole.
-func groupOpBytes(group []*partition.Unit) (int64, error) {
+func groupOpBytes(group []*partition.Unit) int64 {
 	var total int64
 	for _, u := range group {
+		shapes := u.NodeShapes()
 		for _, node := range u.Sub.Nodes() {
-			b, err := profile.OpBytes(node.Op, u.NodeInShapes(node))
-			if err != nil {
-				return 0, err
-			}
-			total += b
+			total += profile.ShapedOpBytes(node.Op, u.NodeInShapes(node), shapes[node.ID])
 		}
 	}
-	return total, nil
+	return total
 }
 
 // DeployDefault deploys the Default baseline: the whole model in a single

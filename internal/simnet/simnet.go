@@ -265,6 +265,12 @@ type waiter struct {
 // NewPromise creates an unresolved promise in the environment.
 func NewPromise[T any](env *Env) *Promise[T] { return &Promise[T]{env: env} }
 
+// Reset makes pr an unresolved promise in env, as NewPromise would: a
+// promise embedded in a recycled record is reset when the record is reused.
+// Nothing may wait on pr, or read it through an earlier Wait or Poll, once
+// it is reset.
+func (pr *Promise[T]) Reset(env *Env) { *pr = Promise[T]{env: env} }
+
 // Resolve fulfills the promise and wakes all waiters at the current virtual
 // time. Resolving twice panics: it indicates a protocol bug.
 func (pr *Promise[T]) Resolve(v T) {
@@ -358,7 +364,8 @@ func (pr *Promise[T]) WaitTimeout(p *Proc, d time.Duration) (T, error) {
 
 // Resource is a FIFO-ordered exclusive resource (capacity 1), used to model
 // serialized links such as a function's network uplink. The zero value is
-// an idle resource.
+// an idle resource. Its waiter queue keeps one backing array for life, so
+// a busy period's waiters allocate nothing once it has grown.
 type Resource struct {
 	busy  bool
 	queue []waiter
@@ -369,6 +376,11 @@ func (r *Resource) Acquire(p *Proc) {
 	if !r.busy {
 		r.busy = true
 		return
+	}
+	if r.queue == nil {
+		// A fan-out queues its invocations on one link: make room for a
+		// few at once rather than growing one at a time.
+		r.queue = make([]waiter, 0, 4)
 	}
 	r.queue = append(r.queue, waiter{p, p.gen})
 	p.env.parked++
@@ -384,7 +396,8 @@ func (r *Resource) Release() {
 		return
 	}
 	next := r.queue[0]
-	r.queue[0] = waiter{} // the backing array must not keep a served process
-	r.queue = r.queue[1:]
+	n := copy(r.queue, r.queue[1:])
+	r.queue[n] = waiter{} // the backing array must not keep a served process
+	r.queue = r.queue[:n]
 	next.proc.env.wake(next)
 }

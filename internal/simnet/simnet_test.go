@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -438,6 +439,51 @@ func TestResourceFIFOSerialization(t *testing.T) {
 	}
 	if times[2] < ms(30) {
 		t.Fatalf("resource not serialized: finish times %v", times)
+	}
+}
+
+// A Resource reuses its waiter queue's backing array: once a busy period
+// has grown it, acquiring and releasing with waiters queued allocates
+// nothing, and the waiters are still served in the order they queued.
+func TestResourceQueueDoesNotAllocate(t *testing.T) {
+	if raceOn {
+		t.Skip("allocation budgets are the plain build's")
+	}
+	// AllocsPerRun truncates its average, so each counted run spans many
+	// hand-overs.
+	const users, rounds, perRound = 4, 20, 50
+	env := NewEnv()
+	res := &Resource{}
+	// Room for every acquisition, so the logs allocate nothing either.
+	queued, served := make([]int, 0, 2*rounds*perRound), make([]int, 0, 2*rounds*perRound)
+	done := false
+	for i := 0; i < users; i++ {
+		env.Go("user", func(p *Proc) {
+			p.Sleep(time.Duration(i) * time.Microsecond) // stagger arrivals
+			for !done {
+				queued = append(queued, i)
+				res.Acquire(p)
+				served = append(served, i)
+				p.Sleep(ms(1))
+				res.Release()
+			}
+		})
+	}
+	var allocs float64
+	env.Go("counter", func(p *Proc) {
+		p.Sleep(ms(10)) // let the queue and the event heap grow
+		allocs = testing.AllocsPerRun(rounds, func() { p.Sleep(ms(perRound)) })
+		done = true
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d hand-overs between %d contending users allocate %v objects", perRound, users, allocs)
+	}
+	// Each user queues once more after the count ends than it is served.
+	if len(served) < rounds*perRound || !slices.Equal(served, queued[:len(served)]) {
+		t.Fatalf("served in order %v, queued in order %v", served, queued)
 	}
 }
 

@@ -27,9 +27,11 @@ ci: lint build test procs race chaos fuzz bench-verify bench-selftest
 # row helpers) against its Go declarations; the arm64 cross-build and vet
 # keep the no-assembly kernel dispatch, which nothing on an amd64 runner
 # compiles, from rotting; vetting internal/modelio for s390x does the same
-# for the model loader's big-endian byte swap. The arm64 assembly listing of
-# internal/nn must hold no fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB,
-# single or double): each product rounds before its add, written
+# for the model loader's big-endian path (a writable mapping, swapped in
+# place), and vetting it for darwin for its read-the-file fallback off
+# linux. The arm64 assembly listing of internal/nn must hold no fused
+# multiply-add (FMADD, FMSUB, FNMADD, FNMSUB, single or double): each
+# product rounds before its add, written
 # float32(x*y) where go1.24 would contract it, and that is what keeps a
 # kernel's output bits the same on every architecture and at every blocking
 # (gemm.go's header). The listing must name laneDotAcc, so a build that
@@ -48,6 +50,7 @@ lint:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn
 	GOARCH=s390x $(GO) vet ./internal/modelio
+	GOOS=darwin $(GO) vet ./internal/modelio
 	@listing="$$(mktemp)"; trap 'rm -f "$$listing"' EXIT; \
 	GOARCH=arm64 $(GO) build -gcflags=-S ./internal/nn >"$$listing" 2>&1 || { cat "$$listing" >&2; exit 1; }; \
 	if ! grep -q '^gillis/internal/nn\.laneDotAcc STEXT' "$$listing"; then \

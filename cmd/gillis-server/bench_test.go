@@ -37,6 +37,34 @@ func BenchmarkServeResnet34(b *testing.B) {
 	benchServe(b, g)
 }
 
+// BenchmarkNewServerResnet34 times the server's set-up from a saved resnet34
+// file, as `-modelfile` starts it: the load, fusion, planning and the
+// engines' deployments. It is http_resnet34's setup_s without the process
+// start and the first request.
+//
+//	go test ./cmd/gillis-server -run xxx -bench NewServerResnet34 -benchtime 10x
+func BenchmarkNewServerResnet34(b *testing.B) {
+	if testing.Short() {
+		b.Skip("initializes and saves resnet34's 87 MB of weights first")
+	}
+	g, err := models.ByName("resnet34")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.Init(7)
+	path := filepath.Join(b.TempDir(), g.Name+".glsm")
+	if err := modelio.SaveFile(path, g, true); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := newServer(path, "lambda", 1, 0, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServeSmall is the http_small twin: the demo model, where the
 // serving path around the forward — decoding, the engine's gateway replay,
 // encoding — is most of the cost.

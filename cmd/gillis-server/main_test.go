@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -160,6 +161,21 @@ func TestNewServerFromModelFile(t *testing.T) {
 	}
 	if _, err := newServer(path, "knix", 2, 0, ""); err == nil {
 		t.Fatal("expected no-weights error")
+	}
+	// A file in the first format version is refused at start-up, with what
+	// to do about it.
+	if err := modelio.SaveFile(path, g, true); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.Replace(b, []byte(`{"version":2,`), []byte(`{"version":1,`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newServer(path, "knix", 2, 0, ""); err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "gillis export") {
+		t.Fatalf("version-1 file: error %v, want one naming version 1 and `gillis export`", err)
 	}
 	if _, err := newServer("", "lambda", 1, 0, "no-such-model"); err == nil {
 		t.Fatal("expected unknown-catalog-model error")

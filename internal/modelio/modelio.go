@@ -3,6 +3,10 @@
 // little-endian fp32 weight blocks. It fills the role ONNX plays in the
 // original Gillis system — a platform-neutral interchange format that the
 // deployment pipeline packages into serverless functions.
+//
+// Each weight tensor's data starts at a file offset that is a multiple of
+// 64, so a loaded graph's weights alias the file's bytes: LoadFile maps the
+// file and reads nothing into the heap.
 package modelio
 
 import (
@@ -12,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"unsafe"
 
 	"gillis/internal/graph"
@@ -21,7 +26,10 @@ import (
 
 const (
 	magic   = "GLSM"
-	version = 1
+	version = 2
+	// align is what every weight tensor's file offset is a multiple of; the
+	// zero padding before a tensor's data makes it so.
+	align = 64
 	// maxDim bounds every dimension of a weight tensor in a model file.
 	maxDim = 1 << 28
 )
@@ -68,35 +76,29 @@ func Save(w io.Writer, g *graph.Graph, withWeights bool) error {
 	if err != nil {
 		return fmt.Errorf("modelio: marshal header: %w", err)
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(hb))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(hb); err != nil {
-		return err
-	}
+	out := &output{bw: bufio.NewWriterSize(w, 1<<20)}
+	out.write([]byte(magic))
+	out.u32(uint32(len(hb)))
+	out.write(hb)
 	if withWeights {
 		for _, n := range g.Nodes() {
-			if err := writeWeights(bw, n.Op); err != nil {
-				return fmt.Errorf("modelio: node %q: %w", n.Op.Name(), err)
-			}
+			writeWeights(out, n.Op)
 		}
 	}
-	return bw.Flush()
+	if out.err != nil {
+		return out.err
+	}
+	return out.bw.Flush()
 }
 
-// load reads a graph written by Save from r, which holds left more bytes,
-// or an unknown number if left < 0. Nothing longer than what is left is
-// allocated.
-func load(r io.Reader, left int64) (*graph.Graph, error) {
-	// Weight blocks larger than the buffer are read past it, straight into
-	// their tensors, so it only has to batch the small reads.
-	in := &input{br: bufio.NewReaderSize(r, 64<<10), left: left}
-	mg := make([]byte, len(magic))
-	if err := in.read(mg); err != nil {
+// parse reads a graph written by Save from b. The weight tensors alias b,
+// which must stay unchanged for as long as the graph is used; on a
+// big-endian host parse swaps their bytes in place. Nothing that b's length
+// does not back is allocated.
+func parse(b []byte) (*graph.Graph, error) {
+	in := &input{b: b}
+	mg, err := in.next(len(magic))
+	if err != nil {
 		return nil, fmt.Errorf("modelio: read magic: %w", err)
 	}
 	if string(mg) != magic {
@@ -107,19 +109,16 @@ func load(r io.Reader, left int64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("modelio: read header length: %w", err)
 	}
 	const maxHeader = 64 << 20
-	if hlen > maxHeader || !in.fits(int64(hlen)) {
+	if hlen > maxHeader || int(hlen) > in.left() {
 		return nil, fmt.Errorf("modelio: header length %d exceeds the limit or the input", hlen)
 	}
-	hb := make([]byte, hlen)
-	if err := in.read(hb); err != nil {
-		return nil, fmt.Errorf("modelio: read header: %w", err)
-	}
+	hb, _ := in.next(int(hlen))
 	var h header
 	if err := json.Unmarshal(hb, &h); err != nil {
 		return nil, fmt.Errorf("modelio: parse header: %w", err)
 	}
 	if h.Version != version {
-		return nil, fmt.Errorf("modelio: unsupported version %d", h.Version)
+		return nil, fmt.Errorf("modelio: unsupported version %d (this build reads version %d): re-export the model with `gillis export`", h.Version, version)
 	}
 	g := graph.New(h.Name, h.InShape)
 	for _, spec := range h.Nodes {
@@ -144,32 +143,31 @@ func load(r io.Reader, left int64) (*graph.Graph, error) {
 	return g, nil
 }
 
-// SaveFile writes the graph to path.
+// SaveFile writes the graph to path. It writes a temporary file in path's
+// directory and renames it over path, so a process that has path loaded
+// keeps the file it mapped: truncating that file in place would pull the
+// pages from under its weights.
 func SaveFile(path string, g *graph.Graph, withWeights bool) (err error) {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*")
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
 		}
 	}()
-	return Save(f, g, withWeights)
-}
-
-// LoadFile reads a graph from path.
-func LoadFile(path string) (*graph.Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	if err := Save(f, g, withWeights); err != nil {
+		return err
 	}
-	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
-		size = fi.Size()
+	if err := f.Chmod(0o644); err != nil {
+		return err
 	}
-	return load(f, size)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // encodeOp describes op for the header. A layer with an epilogue (a folded
@@ -287,35 +285,28 @@ func decodeOp(spec opSpec) (nn.Op, error) {
 	return nil, fmt.Errorf("modelio: unknown op kind %q", spec.Kind)
 }
 
-func writeWeights(w io.Writer, op nn.Op) error {
+func writeWeights(out *output, op nn.Op) {
 	wt, ok := op.(nn.Weighted)
 	if !ok {
-		return binary.Write(w, binary.LittleEndian, uint32(0))
+		out.u32(0)
+		return
 	}
 	ws := wt.Weights()
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(ws))); err != nil {
-		return err
-	}
+	out.u32(uint32(len(ws)))
 	for _, t := range ws {
 		shape := t.Shape()
-		if err := binary.Write(w, binary.LittleEndian, uint8(len(shape))); err != nil {
-			return err
-		}
+		out.u8(uint8(len(shape)))
 		for _, d := range shape {
-			if err := binary.Write(w, binary.LittleEndian, uint32(d)); err != nil {
-				return err
-			}
+			out.u32(uint32(d))
 		}
+		out.write(zeros[:padding(out.off)])
 		b := bytesOf(t.Data())
 		if bigEndian {
 			b = append([]byte(nil), b...)
 			swap32(b)
 		}
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
+		out.write(b)
 	}
-	return nil
 }
 
 func readWeights(in *input, op nn.Op) error {
@@ -334,9 +325,8 @@ func readWeights(in *input, op nn.Op) error {
 		return fmt.Errorf("%d weight tensors, want %d", count, want)
 	}
 	// Every tensor must fit in what is left of the op's parameters, and in
-	// what is left of the input, before anything is allocated for it, so a
-	// forged shape can neither overflow nor ask for more memory than the
-	// header's op declares or the input holds.
+	// what is left of the input, before anything is made for it, so a forged
+	// shape can neither overflow nor reach past the input.
 	budget := op.ParamCount()
 	ws := make([]*tensor.Tensor, count)
 	for i := range ws {
@@ -361,20 +351,26 @@ func readWeights(in *input, op nn.Op) error {
 			n *= int(v)
 		}
 		budget -= int64(n)
-		if !in.fits(4 * int64(n)) {
-			return fmt.Errorf("weight %d: %d bytes, more than the input has left: %w", i, 4*n, io.ErrUnexpectedEOF)
+		pad := padding(in.off)
+		if pad > in.left() || n > (in.left()-pad)/4 {
+			return fmt.Errorf("weight %d: %d floats, more than the input has left: %w", i, n, io.ErrUnexpectedEOF)
 		}
-		// The bytes go straight into the tensor's memory: one copy, from
-		// the file, and no conversion on a little-endian host.
-		data := make([]float32, n)
-		b := bytesOf(data)
-		if err := in.read(b); err != nil {
-			return err
+		p, _ := in.next(pad)
+		for _, c := range p {
+			if c != 0 {
+				return fmt.Errorf("weight %d: nonzero padding before its data", i)
+			}
+		}
+		b, _ := in.next(4 * n)
+		// The tensor is the input's own bytes: no copy, and no conversion on
+		// a little-endian host.
+		if uintptr(unsafe.Pointer(unsafe.SliceData(b)))%unsafe.Alignof(float32(0)) != 0 {
+			return fmt.Errorf("weight %d: data at %p is not 4-byte aligned", i, unsafe.SliceData(b))
 		}
 		if bigEndian {
 			swap32(b)
 		}
-		t, err := tensor.FromData(data, shape...)
+		t, err := tensor.FromData(unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(b))), n), shape...)
 		if err != nil {
 			return err
 		}
@@ -383,39 +379,72 @@ func readWeights(in *input, op nn.Op) error {
 	return wt.SetWeights(ws)
 }
 
-// input is a model file being read: a buffered reader and, if known, the
-// number of bytes it has left.
-type input struct {
-	br   *bufio.Reader
-	left int64 // < 0: unknown
+// output is a model file being written: a buffered writer, the file offset
+// it has reached and the first error, after which nothing is written.
+type output struct {
+	bw   *bufio.Writer
+	off  int
+	err  error
 	word [4]byte
 }
 
-// fits reports whether the input may still hold n more bytes.
-func (in *input) fits(n int64) bool { return in.left < 0 || n <= in.left }
+func (out *output) write(p []byte) {
+	if out.err == nil {
+		var n int
+		n, out.err = out.bw.Write(p)
+		out.off += n
+	}
+}
 
-// read fills p. A read longer than what the input has left fails without
-// reading.
-func (in *input) read(p []byte) error {
-	if !in.fits(int64(len(p))) {
-		return io.ErrUnexpectedEOF
+func (out *output) u8(v uint8) {
+	out.word[0] = v
+	out.write(out.word[:1])
+}
+
+func (out *output) u32(v uint32) {
+	binary.LittleEndian.PutUint32(out.word[:], v)
+	out.write(out.word[:])
+}
+
+// input is a model file being read: its bytes and the offset reached.
+type input struct {
+	b   []byte
+	off int
+}
+
+func (in *input) left() int { return len(in.b) - in.off }
+
+// next returns the next n bytes, or an error if fewer are left.
+func (in *input) next(n int) ([]byte, error) {
+	if n > in.left() {
+		return nil, io.ErrUnexpectedEOF
 	}
-	if in.left >= 0 {
-		in.left -= int64(len(p))
-	}
-	_, err := io.ReadFull(in.br, p)
-	return err
+	in.off += n
+	return in.b[in.off-n : in.off], nil
 }
 
 func (in *input) u32() (uint32, error) {
-	err := in.read(in.word[:4])
-	return binary.LittleEndian.Uint32(in.word[:4]), err
+	p, err := in.next(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(p), nil
 }
 
 func (in *input) u8() (uint8, error) {
-	err := in.read(in.word[:1])
-	return in.word[0], err
+	p, err := in.next(1)
+	if err != nil {
+		return 0, err
+	}
+	return p[0], nil
 }
+
+// padding is the number of zero bytes that take offset off to the next
+// multiple of align.
+func padding(off int) int { return -off & (align - 1) }
+
+// zeros is the padding Save writes.
+var zeros [align]byte
 
 // bigEndian is whether this host stores a float32 with its bytes in the
 // opposite order from the file, which is little-endian.

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"gillis/internal/graph"
@@ -44,7 +48,7 @@ func TestRoundtripWithWeights(t *testing.T) {
 	if err := Save(&buf, g, true); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := load(&buf, int64(buf.Len()))
+	g2, err := parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +78,7 @@ func TestRoundtripSpecOnly(t *testing.T) {
 	if err := Save(&buf, g, false); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := load(&buf, int64(buf.Len()))
+	g2, err := parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +111,7 @@ func TestRoundtripRNN(t *testing.T) {
 	if err := Save(&buf, g, true); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := load(&buf, int64(buf.Len()))
+	g2, err := parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,20 +152,47 @@ func TestSaveRefusesValidH(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage: each malformed file is refused by the check that
+// is there for it, which its error names. The version-2 conv file the
+// weight cases corrupt loads as it is.
 func TestLoadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXX"),
-		[]byte("GLSM\xff\xff\xff\xff"),
-		[]byte("GLSM\x02\x00\x00\x00{}"),
+	valid := convFile()
+	if _, err := parse(valid); err != nil {
+		t.Fatalf("the uncorrupted file: %v", err)
 	}
-	for i, c := range cases {
-		if _, err := load(bytes.NewReader(c), int64(len(c))); err == nil {
-			t.Errorf("case %d: expected error", i)
+	nonzeroPad := bytes.Clone(valid)
+	at := len(rawModel(convHeader, 2)) + 1 + 4*4 // the first tensor's padding
+	if padding(at) == 0 {
+		t.Fatalf("the first tensor's data is at %d, with no padding before it", at)
+	}
+	nonzeroPad[at] = 1
+	misaligned := make([]byte, len(valid)+1)[1:]
+	copy(misaligned, valid)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"empty", nil, "read magic"},
+		{"other magic", []byte("XXXX"), "bad magic"},
+		{"no header length", []byte("GLSM\x01\x00"), "read header length"},
+		{"4 GiB header", []byte("GLSM\xff\xff\xff\xff"), "header length 4294967295 exceeds"},
+		{"header not JSON", rawModel("{"), "parse header"},
+		{"no version", rawModel("{}"), "unsupported version 0"},
+		{"version 1", rawModel(strings.Replace(convHeader, `"version":2`, `"version":1`, 1)), "unsupported version 1 (this build reads version 2): re-export the model with `gillis export`"},
+		{"unknown kind", rawModel(`{"version":2,"name":"x","inShape":[3],"nodes":[{"kind":"Gelu","name":"g","inputs":[-1]}]}`), `unknown op kind "Gelu"`},
+		{"no weight count", rawModel(convHeader), "node \"c\" weights: unexpected EOF"},
+		{"nonzero padding", nonzeroPad, "weight 0: nonzero padding"},
+		{"misaligned buffer", misaligned, "is not 4-byte aligned"},
+	} {
+		if _, err := parse(c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one saying %q", c.name, err, c.want)
 		}
 	}
 }
 
+// TestLoadTruncatedWeights: a file cut inside its last tensor is refused by
+// the check that the tensor fits in what is left of the input.
 func TestLoadTruncatedWeights(t *testing.T) {
 	g := tinyModel(t)
 	g.Init(3)
@@ -169,9 +200,13 @@ func TestLoadTruncatedWeights(t *testing.T) {
 	if err := Save(&buf, g, true); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := parse(buf.Bytes()); err != nil {
+		t.Fatalf("the whole file: %v", err)
+	}
 	trunc := buf.Bytes()[:buf.Len()-10]
-	if _, err := load(bytes.NewReader(trunc), int64(len(trunc))); err == nil {
-		t.Fatal("expected truncation error")
+	_, err := parse(trunc)
+	if want := `node "fc" weights: weight 1: 6 floats, more than the input has left`; err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("error %v, want io.ErrUnexpectedEOF saying %q", err, want)
 	}
 }
 
@@ -192,6 +227,9 @@ func TestFileRoundtrip(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.glsm")); err == nil {
 		t.Fatal("expected missing-file error")
 	}
+	if _, err := LoadFile(t.TempDir()); err == nil {
+		t.Fatal("expected an error for a directory")
+	}
 }
 
 func TestRoundtripDepthwiseAndConcat(t *testing.T) {
@@ -208,7 +246,7 @@ func TestRoundtripDepthwiseAndConcat(t *testing.T) {
 	if err := Save(&buf, g, true); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := load(&buf, int64(buf.Len()))
+	g2, err := parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +274,7 @@ func TestRoundtripDepthwiseAndConcat(t *testing.T) {
 	if err := Save(&buf, gs, true); err != nil {
 		t.Fatal(err)
 	}
-	gs2, err := load(&buf, int64(buf.Len()))
+	gs2, err := parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +322,7 @@ func TestRoundtripFusedGraph(t *testing.T) {
 	if err := Save(&buf, fg, true); err != nil {
 		t.Fatal(err)
 	}
-	fg2, err := load(&buf, int64(buf.Len()))
+	fg2, err := parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,22 +344,23 @@ func TestRoundtripFusedGraph(t *testing.T) {
 // strings "FusedConv2D" and "FusedDense", their attrs, the weight order
 // W, B, Scale, Shift, and the order in which Init draws a fused layer's
 // weights (a structure-only load, initialized and saved again). The hashes
-// were recorded when the fused layers were wrapper types; files written
-// since must stay readable by, and identical to, what those wrote.
+// were first recorded when the fused layers were wrapper types, and moved
+// only with the format's version: version 2's bytes are version 1's with
+// "version":2 and the zero padding before each tensor's data.
 func TestFusedWireFormatPinned(t *testing.T) {
 	_, fg := fusedModel(t)
 	var buf bytes.Buffer
 	if err := Save(&buf, fg, true); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "60e8df08331d192fc9728041459088226efc18a2174099883dffb93fc3d6dfc8"; got != want {
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "148d01cc1418f9cb10a1a47803737c3353e9420704f2bec413508f85d55b3337"; got != want {
 		t.Errorf("fused graph with weights: sha256 %s, want %s", got, want)
 	}
 	buf.Reset()
 	if err := Save(&buf, fg, false); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := load(&buf, int64(buf.Len()))
+	spec, err := parse(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,20 +369,43 @@ func TestFusedWireFormatPinned(t *testing.T) {
 	if err := Save(&buf, spec, true); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "ab5ae03111b6008341eb361124a277ce5c5a80b1945df41f63cbe0a6b7e860ee"; got != want {
+	if got, want := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())), "1652fde19e7e2a660a0296cfd34675d98f643f658bdcd95aa2b7cf14849526f2"; got != want {
 		t.Errorf("fused structure initialized with seed 5: sha256 %s, want %s", got, want)
 	}
 }
 
-// rawModel frames a JSON header and a raw weight block as a model file.
-func rawModel(hdr string, weights ...uint32) []byte {
+// rawModel frames a JSON header and raw little-endian words as a model
+// file.
+func rawModel(hdr string, words ...uint32) []byte {
 	b := []byte(magic)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(hdr)))
 	b = append(b, hdr...)
-	for _, w := range weights {
+	for _, w := range words {
 		b = binary.LittleEndian.AppendUint32(b, w)
 	}
 	return b
+}
+
+// appendTensor appends a weight tensor as Save writes one: its rank, its
+// dimensions, the zero padding to the next multiple of align, and data.
+func appendTensor(b []byte, data []float32, dims ...uint32) []byte {
+	b = append(b, forgedTensor(dims...)...)
+	b = append(b, make([]byte, padding(len(b)))...)
+	for _, v := range data {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return b
+}
+
+// convHeader is a version-2 header: one 3→2 1×1 conv, with weights.
+const convHeader = `{"version":2,"name":"x","inShape":[3,4,4],"hasWeights":true,"nodes":[` +
+	`{"kind":"Conv2D","name":"c","inputs":[-1],"attrs":{"inC":3,"kernel":1,"outC":2,"pad":0,"stride":1}}]}`
+
+// convFile is a valid model file with convHeader's structure, framed by
+// hand.
+func convFile() []byte {
+	b := appendTensor(rawModel(convHeader, 2), []float32{1, 2, 3, 4, 5, 6}, 2, 3, 1, 1)
+	return appendTensor(b, []float32{-1, 1}, 2)
 }
 
 // forgedDense is a 166-byte model file: one 16384×16384 Dense layer, its
@@ -351,12 +413,21 @@ func rawModel(hdr string, weights ...uint32) []byte {
 // but no data. Every dimension is within the op's parameters; only the
 // input's length shows the tensor is not there.
 func forgedDense() []byte {
-	const n = 16384
-	hdr := fmt.Sprintf(`{"version":1,"name":"x","inShape":[%d],"hasWeights":true,"nodes":[`+
-		`{"kind":"Dense","name":"d","inputs":[-1],"attrs":{"in":%d,"out":%d}}]}`, n, n, n)
-	b := append(rawModel(hdr, 2), 2)
-	b = binary.LittleEndian.AppendUint32(b, n)
-	return binary.LittleEndian.AppendUint32(b, n)
+	return append(rawModel(denseHeader, 2), forgedTensor(16384, 16384)...)
+}
+
+// denseHeader is a version-2 header: one 16384×16384 Dense layer, with
+// weights.
+const denseHeader = `{"version":2,"name":"x","inShape":[16384],"hasWeights":true,"nodes":[` +
+	`{"kind":"Dense","name":"d","inputs":[-1],"attrs":{"in":16384,"out":16384}}]}`
+
+// forgedTensor is a weight tensor's rank and dimensions, and no data.
+func forgedTensor(dims ...uint32) []byte {
+	b := []byte{uint8(len(dims))}
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint32(b, d)
+	}
+	return b
 }
 
 // allocated is the number of bytes f allocates.
@@ -371,53 +442,52 @@ func allocated(f func()) uint64 {
 // forgedFusedConv is a structure-only model file: one 3→outC 1×1 conv with
 // a folded BatchNorm, a header and nothing else (197 bytes at 2^22).
 func forgedFusedConv(outC int) []byte {
-	return rawModel(fmt.Sprintf(`{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":false,"nodes":[`+
+	return rawModel(fmt.Sprintf(`{"version":2,"name":"x","inShape":[3,4,4],"hasWeights":false,"nodes":[`+
 		`{"kind":"FusedConv2D","name":"c","inputs":[-1],"attrs":{"bn":1,"inC":3,"kernel":1,"outC":%d,"pad":0,"stride":1}}]}`, outC))
 }
 
-// TestLoadRejectsForgedSizes feeds Load headers and weight blocks whose
+// TestLoadRejectsForgedSizes feeds parse headers and weight blocks whose
 // sizes would panic or allocate without bound if trusted: a fused conv's
-// channel count, a weight tensor's dimensions and count, and a tensor the
-// op has room for but the input does not hold. Each is refused having
-// allocated a few MiB at most. A structure-only file declaring a 2^22-channel
-// fused conv is a valid model and loads, having allocated as little: a load
-// allocates nothing the input does not hold, and decoding the fused conv
-// once allocated its folded affine, 33.6 MB here and 2 GiB at maxDim.
+// channel count, a weight tensor's rank, dimensions and count, and a tensor
+// the op has room for but the input does not hold. Each is refused by the
+// check for it, which its error names, having allocated a few MiB at most. A
+// structure-only file declaring a 2^22-channel fused conv is a valid model
+// and loads, having allocated as little: a load allocates nothing the input
+// does not hold, and decoding the fused conv once allocated its folded
+// affine, 33.6 MB here and 2 GiB at maxDim.
 func TestLoadRejectsForgedSizes(t *testing.T) {
-	const conv = `{"version":1,"name":"x","inShape":[3,4,4],"hasWeights":true,"nodes":[` +
-		`{"kind":"Conv2D","name":"c","inputs":[-1],"attrs":{"inC":3,"kernel":1,"outC":2,"pad":0,"stride":1}}]}`
-	// rank3 is that model with a first weight tensor of rank 3 and these
-	// dimensions, and no data.
-	rank3 := func(dims ...uint32) []byte {
-		b := rawModel(conv, 2)
-		b = append(b, 3)
-		for _, d := range dims {
-			b = binary.LittleEndian.AppendUint32(b, d)
-		}
-		return b
-	}
-	for name, data := range map[string][]byte{
-		"fused conv with negative channels": forgedFusedConv(-3),
-		"fused conv with zero channels":     forgedFusedConv(0),
-		"fused conv with 2^40 channels":     forgedFusedConv(1 << 40),
-		"weight dims overflowing":           rank3(1<<28, 1<<28, 3),
-		"weight larger than the op":         rank3(2, 3, 2),
-		"four billion weight tensors":       rawModel(conv, 0xffffffff),
-		"16384² dense weight, no data":      forgedDense(),
+	// conv is convHeader's model with its weight count and a first tensor
+	// of these dimensions, and no data.
+	conv := func(dims ...uint32) []byte { return append(rawModel(convHeader, 2), forgedTensor(dims...)...) }
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"fused conv with negative channels", forgedFusedConv(-3), "bad output channels -3"},
+		{"fused conv with zero channels", forgedFusedConv(0), "bad output channels 0"},
+		{"fused conv with 2^40 channels", forgedFusedConv(1 << 40), "bad output channels 1099511627776"},
+		{"rank 0", conv(), "bad tensor rank 0"},
+		{"rank 9", conv(1, 1, 1, 1, 1, 1, 1, 1, 1), "bad tensor rank 9"},
+		{"dimension over maxDim", append(rawModel(denseHeader, 2), forgedTensor(maxDim+1)...), "weight 0: bad dimension 268435457"},
+		{"weight dims overflowing", conv(1<<28, 1<<28, 3), "weight 0: bad dimension 268435456"},
+		{"weight larger than the op", conv(2, 3, 2), "weight 0: bad dimension 2"},
+		{"four billion weight tensors", rawModel(convHeader, 0xffffffff), "4294967295 weight tensors, want 2"},
+		{"16384² dense weight, no data", forgedDense(), "weight 0: 268435456 floats, more than the input has left"},
 	} {
 		var err error
-		n := allocated(func() { _, err = load(bytes.NewReader(data), int64(len(data))) })
-		if err == nil {
-			t.Errorf("%s: loaded", name)
+		n := allocated(func() { _, err = parse(c.data) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one saying %q", c.name, err, c.want)
 		}
 		if maxBytes := uint64(4 << 20); n > maxBytes {
-			t.Errorf("%s: refused having allocated %d B, want at most %d", name, n, maxBytes)
+			t.Errorf("%s: refused having allocated %d B, want at most %d", c.name, n, maxBytes)
 		}
 	}
 	data := forgedFusedConv(1 << 22)
 	var g *graph.Graph
 	var err error
-	n := allocated(func() { g, err = load(bytes.NewReader(data), int64(len(data))) })
+	n := allocated(func() { g, err = parse(data) })
 	if err != nil {
 		t.Errorf("%d-byte structure-only fused conv: %v", len(data), err)
 	} else if got := g.ParamCount(); got != 6<<22 {
@@ -428,32 +498,40 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 	}
 }
 
-// TestLoadAllocatesTheWeightsOnce: loading a model with weights allocates
-// its parameters' bytes once, plus a fixed slack for the read buffer, the
-// header and the graph. A loader that reads each tensor into a byte buffer
-// and converts it allocates the weights twice.
-func TestLoadAllocatesTheWeightsOnce(t *testing.T) {
-	g, err := models.ByName("mobilenet-mini")
+// TestSaveFileReplacesAtomically: saving over a loaded model's file leaves
+// the loaded graph's weights as they were. SaveFile renames a new file over
+// the path; truncating and rewriting the file in place would change the
+// pages a mapped load aliases, or pull them away (SIGBUS).
+func TestSaveFileReplacesAtomically(t *testing.T) {
+	g := tinyModel(t)
+	g.Init(7)
+	path := filepath.Join(t.TempDir(), "tiny.glsm")
+	if err := SaveFile(path, g, true); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Init(1)
-	var buf bytes.Buffer
-	if err := Save(&buf, g, true); err != nil {
+	other := tinyModel(t)
+	other.Init(8)
+	if err := SaveFile(path, other, true); err != nil {
 		t.Fatal(err)
 	}
-	var loaded *graph.Graph
-	n := allocated(func() { loaded, err = load(bytes.NewReader(buf.Bytes()), int64(buf.Len())) })
+	x := filled(0.3, 2, 8, 8)
+	want, err := g.Forward(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Initialized() {
-		t.Fatal("loaded model has no weights")
+	got, err := loaded.Forward(x)
+	if err != nil {
+		t.Fatal(err)
 	}
-	params := uint64(4 * g.ParamCount())
-	t.Logf("%d parameter bytes, %d B allocated", params, n)
-	if slack := uint64(256 << 10); n > params+slack {
-		t.Errorf("load allocated %d B for %d B of parameters, want at most %d B more", n, params, slack)
+	if !tensor.Equal(want, got) {
+		t.Fatal("saving over the file changed the weights of the graph loaded from it")
+	}
+	if entries, err := os.ReadDir(filepath.Dir(path)); err != nil || len(entries) != 1 {
+		t.Fatalf("directory holds %v (%v), want only the model file", entries, err)
 	}
 }
 

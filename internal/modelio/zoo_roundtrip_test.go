@@ -1,10 +1,12 @@
 package modelio
 
 import (
-	"bytes"
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"testing"
 
+	"gillis/internal/graph"
 	"gillis/internal/models"
 	"gillis/internal/tensor"
 )
@@ -24,22 +26,35 @@ var zooEntries = []string{
 	"rnn-tiny2", "rnn-tiny4", "rnn-tiny6",
 }
 
-// TestZooRoundtripEveryEntry exports and reimports every zoo model
-// (structure only) and requires an identical graph back: same name, input
-// shape, node count, and per-node operator kind, name, wiring, and
-// parameter count.
+// TestZooRoundtripEveryEntry exports every zoo model to a file and loads
+// it back with LoadFile, and requires an identical graph back: same name,
+// input shape, node count, and per-node operator kind, name, wiring, and
+// parameter count. Models of up to weightBytes of parameters go with their
+// weights, and the loaded graph, fused as gillis-server serves it, must
+// forward bit-equal to the saved one. Their weights alias a read-only
+// mapping of the file, so the fusion or forward that wrote to one would
+// fault the test binary. Larger models go structure-only: their weights are
+// 0.18–1.5 GB.
 func TestZooRoundtripEveryEntry(t *testing.T) {
+	weightBytes := int64(128 << 20)
+	if testing.Short() {
+		weightBytes = 32 << 20
+	}
 	for _, name := range zooEntries {
 		t.Run(name, func(t *testing.T) {
 			g, err := models.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := Save(&buf, g, false); err != nil {
+			withWeights := g.ParamBytes() <= weightBytes
+			if withWeights {
+				g.Init(1)
+			}
+			path := filepath.Join(t.TempDir(), name+".glsm")
+			if err := SaveFile(path, g, withWeights); err != nil {
 				t.Fatal(err)
 			}
-			g2, err := load(&buf, int64(buf.Len()))
+			g2, err := LoadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,6 +97,25 @@ func TestZooRoundtripEveryEntry(t *testing.T) {
 			}
 			if f1 != f2 {
 				t.Errorf("FLOPs: got %d, want %d", f2, f1)
+			}
+			if !withWeights {
+				return
+			}
+			fused, _, err := graph.Fuse(g2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tensor.Rand(rand.New(rand.NewSource(2)), 1, g.InShape()...)
+			want, err := g.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := fused.Forward(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tensor.Equal(want, got) {
+				t.Error("the loaded graph, fused, does not forward bit-equal to the saved one")
 			}
 		})
 	}

@@ -29,9 +29,11 @@ ci: lint build test procs race chaos fuzz bench-verify bench-selftest
 # compiles, from rotting; vetting internal/modelio for s390x does the same
 # for the model loader's big-endian path (a writable mapping, swapped in
 # place), and vetting it for darwin for its read-the-file fallback off
-# linux. The arm64 assembly listing of internal/nn must hold no fused
-# multiply-add (FMADD, FMSUB, FNMADD, FNMSUB, single or double): each
-# product rounds before its add, written
+# linux. The 386 vet compiles every package and its tests where int is 32
+# bits, so a constant that overflows it (a forged 2^40 length in a test)
+# fails here rather than on a 32-bit build. The arm64 assembly listing of
+# internal/nn must hold no fused multiply-add (FMADD, FMSUB, FNMADD, FNMSUB,
+# single or double): each product rounds before its add, written
 # float32(x*y) where go1.24 would contract it, and that is what keeps a
 # kernel's output bits the same on every architecture and at every blocking
 # (gemm.go's header). The listing must name laneDotAcc, so a build that
@@ -49,6 +51,7 @@ lint:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/nn
+	GOARCH=386 $(GO) vet ./...
 	GOARCH=s390x $(GO) vet ./internal/modelio
 	GOOS=darwin $(GO) vet ./internal/modelio
 	@listing="$$(mktemp)"; trap 'rm -f "$$listing"' EXIT; \

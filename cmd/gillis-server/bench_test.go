@@ -22,7 +22,8 @@ import (
 // closed-loop callers posting one pre-encoded 3×224×224 body through the real
 // handler. Every reply is compared bit for bit with one graph.Forward of the
 // unfused model, as benchmark/ does, so a profiling run is a correctness run.
-// It is how DESIGN.md §11's profile table is taken:
+// Its CPU profile is where DESIGN.md §11's shares of serving CPU (the
+// windows' cuts, for one) come from:
 //
 //	go test ./cmd/gillis-server -run xxx -bench ServeResnet34 -benchtime 60x -benchmem -cpuprofile cpu.pprof
 func BenchmarkServeResnet34(b *testing.B) {

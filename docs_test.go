@@ -31,11 +31,13 @@ var citedDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/sk
 // such as "Testing" or "Examples" is not a citation.
 var citedName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*`)
 
-// definedTestNames returns the name of every top-level Test, Benchmark, Fuzz
-// and Example function in a _test.go file under root, the separate benchmark
-// module included; hidden directories and testdata are skipped.
-func definedTestNames(root string) (map[string]bool, error) {
-	names := make(map[string]bool)
+// definedTests maps the name of every top-level Test, Benchmark, Fuzz and
+// Example function in a _test.go file under root, the separate benchmark
+// module included, to the slash-separated directories (relative to root, "."
+// for root itself) whose files define it; hidden directories and testdata
+// are skipped.
+func definedTests(root string) (map[string]map[string]bool, error) {
+	names := make(map[string]map[string]bool)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -54,9 +56,17 @@ func definedTestNames(root string) (map[string]bool, error) {
 		if err != nil {
 			return err
 		}
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(rel)
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && citedName.MatchString(fn.Name.Name) {
-				names[fn.Name.Name] = true
+				if names[fn.Name.Name] == nil {
+					names[fn.Name.Name] = make(map[string]bool)
+				}
+				names[fn.Name.Name][dir] = true
 			}
 		}
 		return nil
@@ -67,12 +77,12 @@ func definedTestNames(root string) (map[string]bool, error) {
 // TestDocsCiteDefinedTests fails on every test, benchmark, fuzz target or
 // example name a document cites that no _test.go in the repository defines.
 func TestDocsCiteDefinedTests(t *testing.T) {
-	defined, err := definedTestNames(".")
+	defined, err := definedTests(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A wrong root would pass with nothing to check.
-	if !defined["TestDocsCiteDefinedTests"] {
+	if !defined["TestDocsCiteDefinedTests"]["."] {
 		t.Fatal("found no definition of TestDocsCiteDefinedTests itself")
 	}
 	cited := 0
@@ -84,7 +94,7 @@ func TestDocsCiteDefinedTests(t *testing.T) {
 		for i, line := range strings.Split(string(b), "\n") {
 			for _, name := range citedName.FindAllString(line, -1) {
 				cited++
-				if !defined[name] {
+				if len(defined[name]) == 0 {
 					t.Errorf("%s:%d cites %s, which no _test.go defines", doc, i+1, name)
 				}
 			}
@@ -92,6 +102,425 @@ func TestDocsCiteDefinedTests(t *testing.T) {
 	}
 	if cited == 0 {
 		t.Fatal("the documents cite no test")
+	}
+}
+
+// DESIGN.md makes guarantees — outputs equal bit for bit, reports stable
+// byte for byte, runs that cannot deadlock — and each must be a test that
+// fails when it is false. §9's claims ledger has one row per guarantee:
+//
+//	| Claim | Package | Test |
+//	| C<n>. what is guaranteed | `dir` | `TestName` |
+//
+// with the test defined in a _test.go file of that directory. Any other
+// paragraph (a run of lines between blank lines; each line of a fenced block
+// is one) that uses a claimWord must name a test or a ledger row (C<n>).
+// §2 is the package inventory: every directory under cmd/ and internal/ that
+// holds a Go package is listed there, and every path listed exists. A
+// reference to a section, "DESIGN §N" in any .go, .md or Makefile of the
+// repository or "§N" inside DESIGN.md, names a numbered heading DESIGN.md has.
+
+// claimWord matches the words that make a guarantee.
+var claimWord = regexp.MustCompile(`(?i)\b(?:bitwise|bit-identical|bit-exact|bit-equal|bit[- ]for[- ]bit|byte-identical|byte-stable|byte[- ]for[- ]byte|deterministic|reproducible|deadlock)`)
+
+// ledgerRef matches a ledger row's id.
+var ledgerRef = regexp.MustCompile(`\bC([0-9]+)\b`)
+
+// ledgerHeader is the header line of the claims ledger.
+var ledgerHeader = regexp.MustCompile(`^\|\s*Claim\s*\|\s*Package\s*\|\s*Test\s*\|\s*$`)
+
+// sectionHeading matches a numbered section's heading.
+var sectionHeading = regexp.MustCompile(`^## ([0-9]+)\. `)
+
+// designSectionRef matches a reference to a section of DESIGN.md from another
+// file, across a line break and a comment marker.
+var designSectionRef = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|//|#)*§\s?([0-9]+)`)
+
+// sectionRef matches a section reference inside DESIGN.md, where the paper's
+// sections are roman (§III-C) and the document's are arabic.
+var sectionRef = regexp.MustCompile(`§([0-9]+)`)
+
+// designTree is what the design check reads of the repository besides
+// DESIGN.md.
+type designTree struct {
+	tests   map[string]map[string]bool // test name → directories defining it
+	pkgDirs []string                   // directories under cmd/ and internal/ holding a package
+	exists  func(path string) bool     // whether a slash path relative to the root exists
+}
+
+// docParagraph is a paragraph of a markdown document and its first line.
+type docParagraph struct {
+	line int
+	text string
+}
+
+// paragraphs splits a markdown document into runs of lines between blank
+// lines, each joined by spaces; each line of a fenced block is a paragraph
+// of its own.
+func paragraphs(doc string) []docParagraph {
+	var out []docParagraph
+	var cur []string
+	start, fenced := 0, false
+	flush := func() {
+		if len(cur) > 0 {
+			out = append(out, docParagraph{start, strings.Join(cur, " ")})
+			cur = nil
+		}
+	}
+	for i, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(line, "```"):
+			flush()
+			fenced = !fenced
+		case fenced:
+			out = append(out, docParagraph{i + 1, line})
+		case strings.TrimSpace(line) == "":
+			flush()
+		default:
+			if len(cur) == 0 {
+				start = i + 1
+			}
+			cur = append(cur, strings.TrimSpace(line))
+		}
+	}
+	flush()
+	return out
+}
+
+// designSections returns the numbers of DESIGN.md's "## N." headings and a
+// finding unless they run 1, 2, … in order.
+func designSections(doc string) (map[int]bool, []string) {
+	sections := make(map[int]bool)
+	var findings []string
+	for i, line := range strings.Split(doc, "\n") {
+		if m := sectionHeading.FindStringSubmatch(line); m != nil {
+			n, _ := strconv.Atoi(m[1])
+			if n != len(sections)+1 {
+				findings = append(findings, fmt.Sprintf("DESIGN.md:%d: section %d follows section %d", i+1, n, len(sections)))
+			}
+			sections[n] = true
+		}
+	}
+	return sections, findings
+}
+
+// tableCells returns the trimmed cells of a markdown table row, backticks
+// removed.
+func tableCells(row string) []string {
+	cells := strings.Split(strings.Trim(strings.TrimSpace(row), "|"), "|")
+	for i, c := range cells {
+		cells[i] = strings.Trim(strings.TrimSpace(c), "`")
+	}
+	return cells
+}
+
+// designFindings checks DESIGN.md's text against the repository.
+func designFindings(doc string, tree designTree) []string {
+	sections, findings := designSections(doc)
+	lines := strings.Split(doc, "\n")
+
+	// The ledger: the table under its header line, a paragraph of its own.
+	rows := make(map[string]bool)
+	ledgerLine := 0
+	for i := range lines {
+		if !ledgerHeader.MatchString(lines[i]) {
+			continue
+		}
+		ledgerLine = i + 1
+		for j := i + 2; j < len(lines) && strings.HasPrefix(lines[j], "|"); j++ {
+			at := fmt.Sprintf("DESIGN.md:%d", j+1)
+			cells := tableCells(lines[j])
+			if len(cells) != 3 {
+				findings = append(findings, fmt.Sprintf("%s: a ledger row has %d cells, want 3", at, len(cells)))
+				continue
+			}
+			id := ledgerRef.FindString(cells[0])
+			switch {
+			case id == "" || !strings.HasPrefix(cells[0], id):
+				findings = append(findings, fmt.Sprintf("%s: a ledger claim starts with no id C<n>", at))
+			case rows[id]:
+				findings = append(findings, fmt.Sprintf("%s: ledger id %s is used twice", at, id))
+			}
+			rows[id] = true
+			if pkg, test := cells[1], cells[2]; !tree.tests[test][pkg] {
+				findings = append(findings, fmt.Sprintf("%s: %s: no _test.go in %s defines %s", at, id, pkg, test))
+			}
+		}
+	}
+	if len(rows) == 0 {
+		findings = append(findings, "DESIGN.md has no claims ledger (a | Claim | Package | Test | table)")
+	}
+
+	// Claim paragraphs outside the ledger, and references to rows and
+	// sections.
+	for _, p := range paragraphs(doc) {
+		at := fmt.Sprintf("DESIGN.md:%d", p.line)
+		if p.line == ledgerLine {
+			continue
+		}
+		cites := citedName.MatchString(p.text)
+		for _, m := range ledgerRef.FindAllString(p.text, -1) {
+			if rows[m] {
+				cites = true
+			} else {
+				findings = append(findings, fmt.Sprintf("%s: cites ledger row %s, which the ledger lacks", at, m))
+			}
+		}
+		if w := claimWord.FindString(p.text); w != "" && !cites {
+			findings = append(findings, fmt.Sprintf("%s: says %q and names no test and no ledger row", at, w))
+		}
+		for _, m := range sectionRef.FindAllStringSubmatch(p.text, -1) {
+			if n, _ := strconv.Atoi(m[1]); !sections[n] {
+				findings = append(findings, fmt.Sprintf("%s: cites §%d, which DESIGN.md lacks", at, n))
+			}
+		}
+	}
+
+	// §2, the package inventory: its first fenced block, one indented path
+	// per line.
+	listed := make(map[string]bool)
+	in2, fenced := false, false
+	for i, line := range lines {
+		if m := sectionHeading.FindStringSubmatch(line); m != nil {
+			in2 = m[1] == "2"
+		}
+		if !in2 {
+			continue
+		}
+		if strings.HasPrefix(line, "```") {
+			if fenced {
+				break
+			}
+			fenced = true
+			continue
+		}
+		if f := strings.Fields(line); fenced && len(f) > 0 && strings.HasPrefix(line, " ") {
+			p := strings.TrimSuffix(f[0], "/")
+			listed[p] = true
+			if !tree.exists(p) {
+				findings = append(findings, fmt.Sprintf("DESIGN.md:%d: §2 lists %s, which does not exist", i+1, p))
+			}
+		}
+	}
+	for _, dir := range tree.pkgDirs {
+		if !listed[dir] {
+			findings = append(findings, fmt.Sprintf("DESIGN.md: §2 does not list package %s", dir))
+		}
+	}
+	return findings
+}
+
+// sectionRefFindings reports each "DESIGN §N" in a file's text whose section
+// DESIGN.md lacks.
+func sectionRefFindings(name, text string, sections map[int]bool) []string {
+	var findings []string
+	for _, m := range designSectionRef.FindAllStringSubmatchIndex(text, -1) {
+		if n, _ := strconv.Atoi(text[m[2]:m[3]]); !sections[n] {
+			line := strings.Count(text[:m[0]], "\n") + 1
+			findings = append(findings, fmt.Sprintf("%s:%d: cites DESIGN §%d, which DESIGN.md lacks", name, line, n))
+		}
+	}
+	return findings
+}
+
+// packageDirs returns the slash paths, relative to root, of the directories
+// under root/cmd and root/internal that hold a Go package: what `go list
+// ./...` reports there.
+func packageDirs(root string) ([]string, error) {
+	var dirs []string
+	for _, top := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(filepath.Join(root, top), func(p string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := build.Default.ImportDir(p, 0); err != nil {
+				if _, none := err.(*build.NoGoError); none {
+					return nil
+				}
+				return err
+			}
+			rel, err := filepath.Rel(root, p)
+			dirs = append(dirs, filepath.ToSlash(rel))
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return dirs, nil
+}
+
+// TestDesignClaimsNameTests is the design check above, on the repository.
+func TestDesignClaimsNameTests(t *testing.T) {
+	t.Parallel()
+	b, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(b)
+	tests, err := definedTests(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := packageDirs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A wrong root would pass with nothing to check.
+	if len(dirs) == 0 {
+		t.Fatal("found no package under cmd/ or internal/")
+	}
+	exists := func(p string) bool {
+		_, err := os.Stat(filepath.FromSlash(p))
+		return err == nil
+	}
+	findings := designFindings(doc, designTree{tests, dirs, exists})
+
+	sections, _ := designSections(doc)
+	refs := 0
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			// Of the hidden directories only .claude and .github hold the
+			// project's own files; .git and build outputs are skipped.
+			if p != "." && strings.HasPrefix(d.Name(), ".") && d.Name() != ".claude" && d.Name() != ".github" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, ".md") && d.Name() != "Makefile" {
+			return nil
+		}
+		text, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		refs += len(designSectionRef.FindAllIndex(text, -1))
+		findings = append(findings, sectionRefFindings(filepath.ToSlash(p), string(text), sections)...)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refs == 0 {
+		t.Fatal("found no DESIGN §N reference in the repository")
+	}
+	for _, f := range findings {
+		t.Error(f)
+	}
+}
+
+// TestDesignFindingsOnFixture runs the design check on a small document
+// holding one of each fault it reports.
+func TestDesignFindingsOnFixture(t *testing.T) {
+	t.Parallel()
+	doc := strings.Join([]string{
+		"# DESIGN",
+		"",
+		"## 1. One",
+		"",
+		"Outputs are bit-identical (C1). A sort is deterministic",
+		"(TestSortIsStable).",
+		"",
+		"Replays are byte-stable.",
+		"",
+		"See §2 and §4; row C9 does not exist.",
+		"",
+		"## 2. Two",
+		"",
+		"```",
+		"gillis/",
+		"  internal/a/      package a",
+		"  internal/gone/   a package that was deleted",
+		"  a deterministic line of code",
+		"```",
+		"",
+		"| Claim | Package | Test |",
+		"|---|---|---|",
+		"| C1. Outputs are bit-identical | `internal/a` | `TestOutputs` |",
+		"| C2. Runs are reproducible | `internal/a` | `TestElsewhere` |",
+		"| C1. Again | `internal/a` | `TestOutputs` |",
+		"| Untagged | `internal/a` | `TestOutputs` |",
+	}, "\n")
+	tree := designTree{
+		tests: map[string]map[string]bool{
+			"TestOutputs":   {"internal/a": true},
+			"TestElsewhere": {"internal/b": true},
+		},
+		pkgDirs: []string{"internal/a", "internal/b"},
+		exists:  func(p string) bool { return p == "internal/a" || p == "internal/b" },
+	}
+	got := designFindings(doc, tree)
+	want := []string{
+		"DESIGN.md:24: C2: no _test.go in internal/a defines TestElsewhere",
+		"DESIGN.md:25: ledger id C1 is used twice",
+		"DESIGN.md:26: a ledger claim starts with no id C<n>",
+		`DESIGN.md:8: says "byte-stable" and names no test and no ledger row`,
+		"DESIGN.md:10: cites ledger row C9, which the ledger lacks",
+		"DESIGN.md:10: cites §4, which DESIGN.md lacks",
+		`DESIGN.md:18: says "deterministic" and names no test and no ledger row`,
+		"DESIGN.md:17: §2 lists internal/gone, which does not exist",
+		"DESIGN.md:18: §2 lists a, which does not exist",
+		"DESIGN.md: §2 does not list package internal/b",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings on the fixture:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := sectionRefFindings("x.go", "// see DESIGN\n// §2 and DESIGN.md §7", map[int]bool{1: true, 2: true}); len(got) != 1 || got[0] != "x.go:2: cites DESIGN §7, which DESIGN.md lacks" {
+		t.Errorf("section references of x.go: %q", got)
+	}
+}
+
+// TestExperimentsMatchBenchPaper holds EXPERIMENTS.md, which is written by
+// hand, to BENCH_paper.txt, which `make bench-paper` writes: each table row
+// of EXPERIMENTS.md holding a digit must appear cell by cell, in order, among
+// the cells of one line of BENCH_paper.txt, with × read as x.
+func TestExperimentsMatchBenchPaper(t *testing.T) {
+	t.Parallel()
+	exp, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := os.ReadFile("BENCH_paper.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := func(row string) []string { return tableCells(strings.ReplaceAll(row, "×", "x")) }
+	var lines [][]string
+	for _, line := range strings.Split(string(paper), "\n") {
+		lines = append(lines, cells(line))
+	}
+	holds := func(want []string) bool {
+		for _, have := range lines {
+			i := 0
+			for _, c := range have {
+				if i < len(want) && c == want[i] {
+					i++
+				}
+			}
+			if i == len(want) {
+				return true
+			}
+		}
+		return false
+	}
+	rows := 0
+	for i, row := range strings.Split(string(exp), "\n") {
+		if !strings.HasPrefix(row, "|") || !strings.ContainsAny(row, "0123456789") {
+			continue
+		}
+		rows++
+		if want := cells(row); !holds(want) {
+			t.Errorf("EXPERIMENTS.md:%d: no line of BENCH_paper.txt holds %q", i+1, want)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("EXPERIMENTS.md has no numeric table row")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -440,8 +441,9 @@ func allocated(f func()) uint64 {
 }
 
 // forgedFusedConv is a structure-only model file: one 3→outC 1×1 conv with
-// a folded BatchNorm, a header and nothing else (197 bytes at 2^22).
-func forgedFusedConv(outC int) []byte {
+// a folded BatchNorm, a header and nothing else (197 bytes at 2^22). outC is
+// an int64 so that a count no int32 holds can be forged on a 32-bit build.
+func forgedFusedConv(outC int64) []byte {
 	return rawModel(fmt.Sprintf(`{"version":2,"name":"x","inShape":[3,4,4],"hasWeights":false,"nodes":[`+
 		`{"kind":"FusedConv2D","name":"c","inputs":[-1],"attrs":{"bn":1,"inC":3,"kernel":1,"outC":%d,"pad":0,"stride":1}}]}`, outC))
 }
@@ -459,6 +461,13 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 	// conv is convHeader's model with its weight count and a first tensor
 	// of these dimensions, and no data.
 	conv := func(dims ...uint32) []byte { return append(rawModel(convHeader, 2), forgedTensor(dims...)...) }
+	// A 2^40-channel count is refused by the channel check where an int
+	// holds it, and by the header's decoding into int attributes where it
+	// does not; either way before anything is allocated for it.
+	huge := "bad output channels 1099511627776"
+	if strconv.IntSize == 32 {
+		huge = "cannot unmarshal number 1099511627776"
+	}
 	for _, c := range []struct {
 		name string
 		data []byte
@@ -466,7 +475,7 @@ func TestLoadRejectsForgedSizes(t *testing.T) {
 	}{
 		{"fused conv with negative channels", forgedFusedConv(-3), "bad output channels -3"},
 		{"fused conv with zero channels", forgedFusedConv(0), "bad output channels 0"},
-		{"fused conv with 2^40 channels", forgedFusedConv(1 << 40), "bad output channels 1099511627776"},
+		{"fused conv with 2^40 channels", forgedFusedConv(1 << 40), huge},
 		{"rank 0", conv(), "bad tensor rank 0"},
 		{"rank 9", conv(1, 1, 1, 1, 1, 1, 1, 1, 1), "bad tensor rank 9"},
 		{"dimension over maxDim", append(rawModel(denseHeader, 2), forgedTensor(maxDim+1)...), "weight 0: bad dimension 268435457"},

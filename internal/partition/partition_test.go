@@ -192,24 +192,33 @@ func TestForwardChainMatchesGraph(t *testing.T) {
 
 // THE core correctness property: spatially partitioned group execution is
 // bitwise identical to monolithic execution, for any partition count, on a
-// model with strides, padding, max pooling, and a residual diamond.
+// model with strides, padding, max pooling, and a residual diamond, and on
+// one whose padded max pools read signed values (no ReLU before them), so
+// the border a part's window fills in must be the pool's own padding, −Inf,
+// and not zero.
 func TestSpatialPartitionExactness(t *testing.T) {
-	g := tinyCNN(t)
-	g.Init(5)
-	units := linearized(t, g)
-	x := tensor.Rand(rand.New(rand.NewSource(6)), 1, 3, 24, 24)
-	want, err := ForwardChain(units, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, parts := range []int{1, 2, 3, 4, 6} {
-		got, err := ExecSpatial(units, parts, x)
+	signed := graph.New("signedpool", []int{3, 24, 24})
+	signed.MustAdd(nn.NewConv2D("stem", 3, 4, 3, 1, 1))
+	signed.MustAdd(nn.NewMaxPool2D("pool", 3, 2, 1))
+	signed.MustAdd(nn.NewConv2D("conv", 4, 4, 3, 1, 1))
+	signed.MustAdd(nn.NewMaxPool2D("pool2", 3, 1, 1))
+	for _, g := range []*graph.Graph{tinyCNN(t), signed} {
+		g.Init(5)
+		units := linearized(t, g)
+		x := tensor.Rand(rand.New(rand.NewSource(6)), 1, 3, 24, 24)
+		want, err := ForwardChain(units, x)
 		if err != nil {
-			t.Fatalf("parts=%d: %v", parts, err)
+			t.Fatal(err)
 		}
-		if !tensor.Equal(want, got) {
-			d := maxAbsDiff(want, got)
-			t.Fatalf("parts=%d: partitioned output differs (max |Δ| = %v)", parts, d)
+		for _, parts := range []int{1, 2, 3, 4, 6} {
+			got, err := ExecSpatial(units, parts, x)
+			if err != nil {
+				t.Fatalf("%s, parts=%d: %v", g.Name, parts, err)
+			}
+			if !tensor.Equal(want, got) {
+				d := maxAbsDiff(want, got)
+				t.Fatalf("%s, parts=%d: partitioned output differs (max |Δ| = %v)", g.Name, parts, d)
+			}
 		}
 	}
 }

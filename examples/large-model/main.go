@@ -17,6 +17,7 @@ import (
 	"gillis/internal/runtime"
 	"gillis/internal/simnet"
 	"gillis/internal/stats"
+	"gillis/internal/trace"
 )
 
 func main() {
@@ -50,7 +51,13 @@ func run() error {
 	}
 	fmt.Printf("default serving: %v\n\n", err)
 
-	// Strategy 2: Pipeline over object storage.
+	// Strategy 2: Pipeline over object storage, the master fetching each
+	// group's weights; a traced query's fetch and compute spans split it.
+	pipePlan, err := partition.PipelinePlan(units, int64(cfg.WeightBudgetMB)*1e6)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("pipeline: staged into %d storage chunks\n", len(pipePlan.Groups))
 	const queries = 20
 	var pipeLat, pipeLoad, pipeComp []float64
 	_, err = platform.Run(cfg, 2, func(p *platform.Platform, proc *simnet.Proc) error {
@@ -58,18 +65,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("pipeline: staged into %d storage chunks\n", d.Chunks())
 		if err := d.Prewarm(); err != nil {
 			return err
 		}
 		for i := 0; i < queries; i++ {
-			r, err := d.Serve(proc, nil)
+			r, tr, err := d.ServeTraced(proc, nil)
 			if err != nil {
 				return err
 			}
 			pipeLat = append(pipeLat, r.LatencyMs)
-			pipeLoad = append(pipeLoad, r.LoadMs)
-			pipeComp = append(pipeComp, r.ComputeMs)
+			pipeLoad = append(pipeLoad, tr.KindMs(trace.KindFetch))
+			pipeComp = append(pipeComp, tr.KindMs(trace.KindCompute))
 		}
 		return nil
 	})

@@ -16,6 +16,7 @@ import (
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
 	"gillis/internal/stats"
+	"gillis/internal/trace"
 	"gillis/internal/workload"
 )
 
@@ -130,7 +131,7 @@ func adaptOutcomeDigest(outs []gateway.Outcome) string {
 func calibrateLatencyDist(cfg platform.Config, seed int64, units []*partition.Unit,
 	plan *partition.Plan, n int) (meanMs, p95Ms float64, err error) {
 	var lats []float64
-	_, err = serveWarm(cfg, seed, units, plan, nil, 1, n, func(_ runtime.Result, ms float64, err error) error {
+	_, err = serveWarm(cfg, seed, planOn(units, plan), false, 1, n, func(_ runtime.Result, _ *trace.Trace, ms float64, err error) error {
 		lats = append(lats, ms)
 		return err
 	})

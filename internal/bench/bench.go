@@ -18,6 +18,7 @@ import (
 	"gillis/internal/runtime"
 	"gillis/internal/simnet"
 	"gillis/internal/stats"
+	"gillis/internal/trace"
 )
 
 // Context caches fitted performance models and linearized units across
@@ -106,15 +107,15 @@ type Measurement struct {
 }
 
 // serveWarm is the protocol every latency figure measures by (§II-B): deploy
-// the plan on a fresh platform, prewarm it, serve warmups queries that are not
-// reported and then n that are, handing each of those — its result, its
-// latency on the client's clock and its error — to each. A failed warm-up, or
-// an error each returns, ends the run. The platform is returned for the
-// totals read after the drain.
-func serveWarm(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, opts []runtime.DeployOption,
-	warmups, n int, each func(r runtime.Result, clientMs float64, err error) error) (*platform.Platform, error) {
+// on a fresh platform, prewarm, serve warmups queries that are not reported
+// and then n that are, handing each of those — its result, its trace (nil
+// unless traced), its latency on the client's clock and its error — to each.
+// A failed warm-up, or an error each returns, ends the run. The platform is
+// returned for the totals read after the drain.
+func serveWarm(cfg platform.Config, seed int64, deploy func(*platform.Platform) (*runtime.Deployment, error), traced bool,
+	warmups, n int, each func(r runtime.Result, tr *trace.Trace, clientMs float64, err error) error) (*platform.Platform, error) {
 	return platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
-		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly, opts...)
+		d, err := deploy(p)
 		if err != nil {
 			return err
 		}
@@ -123,9 +124,9 @@ func serveWarm(cfg platform.Config, seed int64, units []*partition.Unit, plan *p
 		}
 		for i := -warmups; i < n; i++ {
 			before := proc.Now()
-			r, err := d.Serve(proc, nil)
+			r, tr, err := d.ServeBatch(proc, nil, 1, traced)
 			if i >= 0 {
-				err = each(r, float64(proc.Now()-before)/1e6, err)
+				err = each(r, tr, float64(proc.Now()-before)/1e6, err)
 			}
 			if err != nil {
 				return err
@@ -133,6 +134,13 @@ func serveWarm(cfg platform.Config, seed int64, units []*partition.Unit, plan *p
 		}
 		return nil
 	})
+}
+
+// planOn is serveWarm's deploy for one plan served ShapeOnly.
+func planOn(units []*partition.Unit, plan *partition.Plan, opts ...runtime.DeployOption) func(*platform.Platform) (*runtime.Deployment, error) {
+	return func(p *platform.Platform) (*runtime.Deployment, error) {
+		return runtime.Deploy(p, units, plan, runtime.ShapeOnly, opts...)
+	}
 }
 
 // replay is one gateway replay on a fresh platform. deploy builds the backend
@@ -160,7 +168,7 @@ func deployPlan(units []*partition.Unit, plan *partition.Plan) func(*platform.Pl
 // OOM, like the paper's failed configurations.
 func measurePlan(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan, n int) Measurement {
 	var lats, costs []float64
-	_, err := serveWarm(cfg, seed, units, plan, nil, 1, n, func(r runtime.Result, _ float64, err error) error {
+	_, err := serveWarm(cfg, seed, planOn(units, plan), false, 1, n, func(r runtime.Result, _ *trace.Trace, _ float64, err error) error {
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -152,6 +153,39 @@ func TestFig11PipelineDominatedByLoading(t *testing.T) {
 		}
 		if row.PipelineLoadMs < row.PipelineComputeMs {
 			t.Errorf("%s: pipeline should be network-dominated", row.Model)
+		}
+	}
+}
+
+// TestFig11PipelinePinned pins the bits of Fig 11's Pipeline columns — mean
+// latency, and its compute and weight-loading split read off the trace —
+// over five warm queries on two of its models, one of two groups and one of
+// three. A change to how the Pipeline plan is packed, streamed or split moves
+// them, and with them the figure's table in BENCH_paper.txt.
+func TestFig11PipelinePinned(t *testing.T) {
+	ctx := NewContext(7)
+	cfg, err := platform.ByName("lambda")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct {
+		model                  string
+		mean, compute, loading uint64
+	}{
+		{"wrn34-5", 0x40e0ea991f23b1b6, 0x40c2712c3a1aae02, 0x40d89c9c213a0c6c}, // 34644.785 ms: compute 9442.346, loading 25202.440
+		{"wrn50-5", 0x40e2e27ecc88036f, 0x40c47bd0301c277e, 0x40db87158101f31e}, // 38675.962 ms: compute 10487.626, loading 28188.336
+	} {
+		units, err := ctx.Units(want.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mean, compute, loading, err := measurePipeline(cfg, 7+int64(i), units, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [3]uint64{math.Float64bits(mean), math.Float64bits(compute), math.Float64bits(loading)}; got != [3]uint64{want.mean, want.compute, want.loading} {
+			t.Errorf("%s: pipeline %v ms, compute %v, loading %v: bits %#x, want %#x", want.model, mean, compute, loading,
+				got, [3]uint64{want.mean, want.compute, want.loading})
 		}
 	}
 }

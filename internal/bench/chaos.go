@@ -10,6 +10,7 @@ import (
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
 	"gillis/internal/stats"
+	"gillis/internal/trace"
 )
 
 // The chaos experiment stresses Gillis's fork-join serving on an imperfect
@@ -92,7 +93,7 @@ func measureChaos(cfg platform.Config, seed int64, units []*partition.Unit, plan
 		lats []float64
 		m    ChaosMeasurement
 	)
-	p, err := serveWarm(cfg, seed, units, plan, opts, 0, n, func(r runtime.Result, _ float64, err error) error {
+	p, err := serveWarm(cfg, seed, planOn(units, plan, opts...), false, 0, n, func(r runtime.Result, _ *trace.Trace, _ float64, err error) error {
 		if err != nil {
 			return nil
 		}

@@ -8,8 +8,8 @@ import (
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
-	"gillis/internal/simnet"
 	"gillis/internal/stats"
+	"gillis/internal/trace"
 )
 
 // Fig11Row compares Gillis against the Pipeline baseline for one model too
@@ -53,7 +53,7 @@ func Fig11(ctx *Context) (*Fig11Result, error) {
 			return nil, err
 		}
 		seed := ctx.Seed + int64(i)*13
-		pipe, err := measurePipeline(cfg, seed, units, ctx.queries())
+		pipeMs, compMs, loadMs, err := measurePipeline(cfg, seed, units, ctx.queries())
 		if err != nil {
 			return nil, err
 		}
@@ -61,55 +61,36 @@ func Fig11(ctx *Context) (*Fig11Result, error) {
 		if gillis.Err != "" {
 			return nil, fmt.Errorf("bench: gillis %s: %s", name, gillis.Err)
 		}
-		row := Fig11Row{
+		res.Rows = append(res.Rows, Fig11Row{
 			Model:             name,
-			PipelineMs:        pipe.meanMs,
-			PipelineComputeMs: pipe.computeMs,
-			PipelineLoadMs:    pipe.loadMs,
+			PipelineMs:        pipeMs,
+			PipelineComputeMs: compMs,
+			PipelineLoadMs:    loadMs,
 			GillisMs:          gillis.MeanMs,
-			Speedup:           pipe.meanMs / gillis.MeanMs,
-		}
-		res.Rows = append(res.Rows, row)
+			Speedup:           pipeMs / gillis.MeanMs,
+		})
 	}
 	return res, nil
 }
 
-type pipelineMeasurement struct {
-	meanMs, computeMs, loadMs float64
-}
-
-// measurePipeline deploys the Pipeline baseline and serves warm queries.
-func measurePipeline(cfg platform.Config, seed int64, units []*partition.Unit, n int) (pipelineMeasurement, error) {
+// measurePipeline serves the Pipeline baseline traced, one warm-up and n
+// warm queries, and returns their mean latency and its split off the trace:
+// compute spans, and fetches of weights from object storage.
+func measurePipeline(cfg platform.Config, seed int64, units []*partition.Unit, n int) (meanMs, computeMs, loadMs float64, err error) {
 	var lats, comps, loads []float64
-	_, err := platform.Run(cfg, seed, func(p *platform.Platform, proc *simnet.Proc) error {
-		d, err := runtime.DeployPipeline(p, units, runtime.ShapeOnly)
+	deploy := func(p *platform.Platform) (*runtime.Deployment, error) {
+		return runtime.DeployPipeline(p, units, runtime.ShapeOnly)
+	}
+	_, err = serveWarm(cfg, seed, deploy, true, 1, n, func(r runtime.Result, tr *trace.Trace, _ float64, err error) error {
 		if err != nil {
 			return err
 		}
-		if err := d.Prewarm(); err != nil {
-			return err
-		}
-		for i := -1; i < n; i++ { // i = -1 is the warm-up query
-			r, err := d.Serve(proc, nil)
-			if err != nil {
-				return err
-			}
-			if i >= 0 {
-				lats = append(lats, r.LatencyMs)
-				comps = append(comps, r.ComputeMs)
-				loads = append(loads, r.LoadMs)
-			}
-		}
+		lats = append(lats, r.LatencyMs)
+		comps = append(comps, tr.KindMs(trace.KindCompute))
+		loads = append(loads, tr.KindMs(trace.KindFetch))
 		return nil
 	})
-	if err != nil {
-		return pipelineMeasurement{}, err
-	}
-	return pipelineMeasurement{
-		meanMs:    stats.Mean(lats),
-		computeMs: stats.Mean(comps),
-		loadMs:    stats.Mean(loads),
-	}, nil
+	return stats.Mean(lats), stats.Mean(comps), stats.Mean(loads), err
 }
 
 // Table renders the figure as text.

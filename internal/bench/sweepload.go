@@ -13,6 +13,7 @@ import (
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/runtime"
+	"gillis/internal/trace"
 	"gillis/internal/workload"
 )
 
@@ -75,7 +76,7 @@ func sweepPolicies(spec workload.BurstSpec, estServeMs float64) []gateway.Policy
 // estimate from it.
 func calibrateWarmMs(cfg platform.Config, seed int64, units []*partition.Unit, plan *partition.Plan) (float64, error) {
 	var warmMs float64
-	_, err := serveWarm(cfg, seed, units, plan, nil, 0, 3, func(_ runtime.Result, ms float64, err error) error {
+	_, err := serveWarm(cfg, seed, planOn(units, plan), false, 0, 3, func(_ runtime.Result, _ *trace.Trace, ms float64, err error) error {
 		warmMs = math.Max(warmMs, ms)
 		return err
 	})

@@ -251,8 +251,11 @@ func TestArenaForwardOnSpatialParts(t *testing.T) {
 				}
 				wants := make([]*tensor.Tensor, len(xs))
 				for e, x := range xs {
-					if wants[e], err = partition.ForwardChain(units, x); err != nil {
-						t.Fatal(err)
+					wants[e] = x
+					for _, u := range units {
+						if wants[e], err = u.Sub.Forward(wants[e]); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				for parts := 1; parts <= 4; parts++ {

@@ -489,9 +489,7 @@ func (m *Mesh) load(proc *simnet.Proc, mm *model, inst *instance, r *residency, 
 // function (billed at the platform's PrewarmMs like any autoscaler
 // prewarm).
 func (m *Mesh) fetchAndWarm(proc *simnet.Proc, mm *model) error {
-	cfg := m.p.Config()
-	ms := cfg.StorageLatencyMs + float64(mm.predicted)/1e6/cfg.StorageMBps*1000
-	proc.Sleep(time.Duration(ms * float64(time.Millisecond)))
+	proc.Sleep(m.p.Config().StorageTime(mm.predicted))
 	return mm.dep.Prewarm()
 }
 

@@ -46,7 +46,7 @@ func ExampleExecSpatial() {
 	for i := range x.Data() {
 		x.Data()[i] = 1
 	}
-	whole, _ := partition.ForwardChain(units, x)
+	whole, _ := g.Forward(x)
 	split, _ := partition.ExecSpatial(units, 4, x)
 	fmt.Println("bitwise equal:", tensor.Equal(whole, split))
 	// Output:

@@ -1,6 +1,10 @@
 package partition
 
-import "gillis/internal/tensor"
+import (
+	"fmt"
+
+	"gillis/internal/tensor"
+)
 
 // ExecSpatial partitions the group `parts` ways, runs every partition's
 // graph (PartSlice.Graph) on the group input, and reassembles the full
@@ -50,4 +54,17 @@ func join(shape []int, dim int, outs []*tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ForwardChain runs the units one after the other, each sub-graph a forward
+// of its own: the monolithic reference the partitioned paths and a whole
+// group's Join are tested against.
+func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
+	for _, u := range units {
+		var err error
+		if x, err = u.Sub.Forward(x); err != nil {
+			return nil, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
+		}
+	}
+	return x, nil
 }

@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -635,4 +637,78 @@ func filled(v float32, shape ...int) *tensor.Tensor {
 		t.Data()[i] = v
 	}
 	return t
+}
+
+// TestPipelinePlanPacksGreedily: every group of the Pipeline baseline's plan
+// is a whole group on the master that fits the budget by the rule every
+// memory check uses (ResidentBytes(1)), and none could take in the first
+// unit of its successor, so none could absorb the successor. At Lambda's
+// 1400 MB the Fig 11 models pack into the chunks the figure was measured
+// on; a unit alone over the budget makes the plan infeasible.
+func TestPipelinePlanPacksGreedily(t *testing.T) {
+	const lambdaBudget = 1400e6
+	cases := []struct {
+		name   string
+		budget int64
+		chunks string // the groups' unit ranges; "" to skip the pin
+	}{
+		{"wrn34-5", lambdaBudget, "[0 15] [16 20]"},
+		{"wrn50-4", lambdaBudget, "[0 16] [17 20]"},
+		{"wrn50-5", lambdaBudget, "[0 14] [15 16] [17 20]"},
+		{"vgg16", lambdaBudget, "[0 22]"},
+		{"resnet50", 40e6, ""},
+		{"rnn4", 200e6, ""},
+	}
+	whole := Option{Dim: DimNone, Parts: 1}
+	for _, c := range cases {
+		g, err := models.ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := linearized(t, g)
+		plan, err := PipelinePlan(units, c.budget)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := plan.Validate(units); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		var chunks []string
+		for gi, gp := range plan.Groups {
+			chunks = append(chunks, fmt.Sprintf("[%d %d]", gp.First, gp.Last))
+			if !gp.OnMaster || gp.Option != whole {
+				t.Errorf("%s group %d: not a whole group on the master: %+v", c.name, gi, gp)
+			}
+			ext, err := GroupExtent(units, gp.First, gp.Last, whole)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ext.ResidentBytes(1) > c.budget {
+				t.Errorf("%s group %d: resident %d B over the %d B budget", c.name, gi, ext.ResidentBytes(1), c.budget)
+			}
+			if gi+1 < len(plan.Groups) {
+				grown, err := GroupExtent(units, gp.First, gp.Last+1, whole)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if grown.ResidentBytes(1) <= c.budget {
+					t.Errorf("%s group %d: could take in unit %d and still fit", c.name, gi, gp.Last+1)
+				}
+			}
+		}
+		if got := strings.Join(chunks, " "); c.chunks != "" && got != c.chunks {
+			t.Errorf("%s: chunks %s, want %s", c.name, got, c.chunks)
+		}
+		if c.chunks == "" && len(plan.Groups) < 3 {
+			t.Errorf("%s: %d groups at %d B; the case should need several", c.name, len(plan.Groups), c.budget)
+		}
+	}
+
+	units := linearized(t, tinyCNN(t))
+	if _, err := PipelinePlan(units, 1000); err == nil {
+		t.Error("a budget below every unit's footprint gave a plan")
+	}
+	if _, err := PipelinePlan(nil, lambdaBudget); err == nil {
+		t.Error("no units gave a plan")
+	}
 }

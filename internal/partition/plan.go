@@ -283,6 +283,38 @@ func DefaultPlan(model string, units []*Unit) *Plan {
 	}}}
 }
 
+// PipelinePlan is the paper's Pipeline baseline (§V-B) as a plan: the unit
+// chain packed greedily into consecutive whole groups on the master, each as
+// long as its ResidentBytes(1) stays within budgetBytes. The runtime streams
+// such a plan's weights from object storage one group at a time
+// (runtime.DeployPipeline), so only the group running is resident.
+func PipelinePlan(units []*Unit, budgetBytes int64) (*Plan, error) {
+	if len(units) == 0 {
+		return nil, fmt.Errorf("partition: no units")
+	}
+	plan := &Plan{Model: "pipeline-" + ModelName(units)}
+	whole := Option{Dim: DimNone, Parts: 1}
+	for first := 0; first < len(units); {
+		last := first
+		for ; last < len(units); last++ {
+			ext, err := GroupExtent(units, first, last, whole)
+			if err != nil {
+				return nil, err
+			}
+			if ext.ResidentBytes(1) > budgetBytes {
+				break
+			}
+		}
+		if last == first {
+			u := units[first]
+			return nil, fmt.Errorf("partition: unit %d (%s) alone exceeds the %d MB budget; pipeline infeasible", u.Index, u.Name, budgetBytes/1e6)
+		}
+		plan.Groups = append(plan.Groups, GroupPlan{First: first, Last: last - 1, Option: whole, OnMaster: true})
+		first = last
+	}
+	return plan, nil
+}
+
 // Validate checks that the plan covers units [0, n) contiguously and that
 // every group's option is feasible.
 func (p *Plan) Validate(units []*Unit) error {

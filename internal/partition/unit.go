@@ -14,7 +14,6 @@ import (
 
 	"gillis/internal/graph"
 	"gillis/internal/nn"
-	"gillis/internal/tensor"
 )
 
 // Unit is one element of the linearized model: a single-input,
@@ -339,17 +338,4 @@ func Join(units []*Unit) (*graph.Graph, error) {
 		}
 	}
 	return g, nil
-}
-
-// ForwardChain runs the units one after the other, each sub-graph a forward
-// of its own: the monolithic reference the partitioned paths and a whole
-// group's Join are tested against.
-func ForwardChain(units []*Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
-	for _, u := range units {
-		var err error
-		if x, err = u.Sub.Forward(x); err != nil {
-			return nil, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
-		}
-	}
-	return x, nil
 }

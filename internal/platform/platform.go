@@ -717,8 +717,14 @@ func (c *Ctx) StorageGet(key string) error {
 	if !ok {
 		return fmt.Errorf("platform: storage object %q not found", key)
 	}
-	c.proc.Sleep(msToDur(p.cfg.StorageLatencyMs + float64(bytes)/1e6/p.cfg.StorageMBps*1000))
+	c.proc.Sleep(p.cfg.StorageTime(bytes))
 	return nil
+}
+
+// StorageTime is what fetching an object of the given size from object
+// storage takes: the storage latency plus its transfer at storage bandwidth.
+func (c Config) StorageTime(bytes int64) time.Duration {
+	return msToDur(c.StorageLatencyMs + float64(bytes)/1e6/c.StorageMBps*1000)
 }
 
 // Seed stores an object of the given size directly (no simulated time), for

@@ -9,6 +9,8 @@ import (
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
 	"gillis/internal/tensor"
+	"gillis/internal/trace"
+	"gillis/internal/trace/tracetest"
 )
 
 // An RNN stack split across functions runs as serial remote rounds (the
@@ -34,7 +36,7 @@ func TestServeRNNSerialRoundsReal(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := tensor.Rand(rand.New(rand.NewSource(5)), 1, 6, 8)
-	want, err := partition.ForwardChain(units, x)
+	want, err := forwardChain(units, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestConcurrentClientsReal(t *testing.T) {
 	wants := make([]*tensor.Tensor, clients)
 	for i := range inputs {
 		inputs[i] = tensor.Rand(rand.New(rand.NewSource(int64(100+i))), 1, 3, 24, 24)
-		w, err := partition.ForwardChain(units, inputs[i])
+		w, err := forwardChain(units, inputs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,6 +162,8 @@ func TestWorkerBadPayloadSurfacesError(t *testing.T) {
 	}
 }
 
+// TestPipelineSingleChunkSmallModel: a model that fits one function is one
+// Pipeline group, fetched once per pass.
 func TestPipelineSingleChunkSmallModel(t *testing.T) {
 	units := tinyCNN(t)
 	runClient(t, platform.AWSLambda(), 37, func(p *platform.Platform, proc *simnet.Proc) {
@@ -168,9 +172,15 @@ func TestPipelineSingleChunkSmallModel(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if d.Chunks() != 1 {
-			t.Errorf("tiny model should fit one chunk, got %d", d.Chunks())
+		res, tr, err := d.ServeTraced(proc, nil)
+		if err != nil {
+			t.Error(err)
+			return
 		}
+		if n := len(tracetest.ByKind(tr, trace.KindFetch)); n != 1 {
+			t.Errorf("tiny model should fit one chunk, fetched %d", n)
+		}
+		checkPipelineSplit(t, res, tr, 1)
 	})
 }
 

@@ -2,6 +2,8 @@ package runtime
 
 // deployOpts collects the optional configuration of a fork-join deployment.
 type deployOpts struct {
+	stream bool // the master fetches its whole groups' weights before computing them (DeployPipeline)
+
 	// Resilience options (see resilience.go). All zero values mean
 	// "naive": the original fail-on-first-error fork-join behavior.
 	retries   int     // retry budget per worker call (and per query)

@@ -43,7 +43,7 @@ func TestParallelismPreservesOutputsBitwise(t *testing.T) {
 	units := tinyCNN(t)
 	plan := mixedPlan(t, units)
 	x := tensor.Rand(rand.New(rand.NewSource(11)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
+	want, err := forwardChain(units, x)
 	if err != nil {
 		t.Fatal(err)
 	}

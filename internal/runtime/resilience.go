@@ -264,22 +264,28 @@ func (d *Deployment) launchWorker(ctx *platform.Ctx, ps *pass, gi, part int, req
 	return pending{pr: pr, span: csp}
 }
 
-// fallbackKey names the object-storage copy of a group's weights kept for
-// graceful degradation.
-func (d *Deployment) fallbackKey(gi int) string {
-	return fmt.Sprintf("%s-weights-g%d", d.prefix, gi)
+// fetchWeights is the storage round of a whole group whose weights object
+// storage keeps (groupRuntime.weights): one fetch, charged at storage speed
+// once for all the pass's queries, in a span of its own under sp.
+func fetchWeights(ctx *platform.Ctx, gr *groupRuntime, sp *trace.Span) error {
+	fsp := sp.Child(trace.KindFetch, "fetch")
+	defer fsp.EndSpan()
+	err := ctx.StorageGet(gr.weights)
+	if err != nil {
+		fsp.Fail("", err.Error())
+	}
+	return err
 }
 
 // fallbackLocal is the graceful-degradation path for a DimNone group whose
 // worker failed past the retry budget: the master fetches the group's
-// weights from object storage (charged at storage speed, once for all the
-// request's queries) and executes the group locally. Real-mode outputs are
-// computed by the same kernels, so the result stays bitwise identical to the
-// healthy path.
-func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gi int, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) (batch, error) {
+// weights from object storage and executes the group locally. Real-mode
+// outputs are computed by the same kernels, so the result stays bitwise
+// identical to the healthy path.
+func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gr *groupRuntime, size int, ins []*tensor.Tensor, qs *Resilience, gsp *trace.Span) (batch, error) {
 	fsp := gsp.Child(trace.KindFallback, "fallback")
 	defer fsp.EndSpan()
-	if err := ctx.StorageGet(d.fallbackKey(gi)); err != nil {
+	if err := fetchWeights(ctx, gr, fsp); err != nil {
 		fsp.Fail("", err.Error())
 		return batch{}, err
 	}

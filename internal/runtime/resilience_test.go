@@ -161,7 +161,7 @@ func TestHedgingAgainstStragglers(t *testing.T) {
 	units := tinyCNN(t)
 	plan := resilPlan(t, units)
 	x := tensor.Rand(rand.New(rand.NewSource(9)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
+	want, err := forwardChain(units, x)
 	if err != nil {
 		t.Fatal(err)
 	}

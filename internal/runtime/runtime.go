@@ -5,10 +5,10 @@
 // when the plan places them there, reassembles partial tensors, and
 // produces the final result over multiple fork-join rounds.
 //
-// Two baselines from §V are provided alongside: Default (whole model in one
-// function) falls out of a trivial plan, and Pipeline (a single function
-// streaming layer partitions from object storage) is implemented by
-// DeployPipeline.
+// The two baselines of §V are plans served the same way: Default is the
+// whole model as one group on the master (DeployDefault), and Pipeline is the
+// master alone running whole groups whose weights it fetches from object
+// storage before each computes (DeployPipeline).
 package runtime
 
 import (
@@ -51,6 +51,7 @@ type groupRuntime struct {
 	hedged  int              // hedged invocations in flight, counted by their watchers
 	opBytes int64            // monolithic bytes touched
 	workers []string         // function name per partition (also those the master computes)
+	weights string           // the object-storage key of a whole group's weights; "" when none is kept
 }
 
 // Deployment is a model served under a plan on a platform.
@@ -130,11 +131,17 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 			return nil, fmt.Errorf("runtime: group %d partition needs %d MB, exceeding the %d MB function budget (%w)",
 				gi, need/1e6, budget/1e6, ErrOOM)
 		}
-		if gp.OnMaster {
-			masterBytes += ext.WeightBytes
-		}
 		group := units[gp.First : gp.Last+1]
 		gr := &groupRuntime{gp: gp, ext: ext, last: gi == len(plan.Groups)-1, opBytes: groupOpBytes(group)}
+		// Object storage keeps a whole group's weights that the master
+		// streams, or falls back to when the group's worker fails.
+		if gp.Option.Dim == partition.DimNone && (gp.OnMaster && d.opts.stream || !gp.OnMaster && d.opts.fallback) {
+			gr.weights = fmt.Sprintf("%s-weights-g%d", d.prefix, gi)
+			p.Seed(gr.weights, ext.WeightBytes)
+		}
+		if gp.OnMaster && gr.weights == "" {
+			masterBytes += ext.WeightBytes
+		}
 		if mode == Real {
 			if gr.parts, err = slices.Graphs(group, gp.Option); err != nil {
 				return nil, err
@@ -163,15 +170,6 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		return nil, err
 	}
 	d.master = p.Function(d.Master)
-	if d.opts.fallback {
-		// Keep a storage copy of every remote DimNone group's weights so
-		// the master can degrade gracefully when that worker is down.
-		for gi, gr := range d.groups {
-			if gr.gp.Option.Dim == partition.DimNone && !gr.gp.OnMaster {
-				p.Seed(d.fallbackKey(gi), gr.ext.WeightBytes)
-			}
-		}
-	}
 	for gi, gr := range d.groups {
 		for part, name := range gr.workers {
 			if gr.gp.OnMaster && (part == 0 || gr.gp.Option.Dim == partition.DimNone) {
@@ -506,8 +504,14 @@ func (d *Deployment) runGroup(ctx *platform.Ctx, ps *pass, gi int, gr *groupRunt
 	}
 }
 
-// localRound runs a whole group on the master itself.
+// localRound runs a whole group on the master itself, fetching its weights
+// first when they are streamed.
 func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *request, ins []*tensor.Tensor, gsp *trace.Span) (batch, error) {
+	if gr.weights != "" {
+		if err := fetchWeights(ctx, gr, gsp); err != nil {
+			return batch{}, err
+		}
+	}
 	csp := gsp.Child(trace.KindCompute, "master-compute")
 	defer csp.EndSpan()
 	return d.computeChain(ctx, gr, req.size, ins, csp)
@@ -522,7 +526,7 @@ func (d *Deployment) remoteRound(ctx *platform.Ctx, ps *pass, gi int, gr *groupR
 	res, err := d.callWorker(ctx.Proc(), ctx, ps, gi, 0, wreq, gsp)
 	if err != nil {
 		if d.opts.fallback {
-			return d.fallbackLocal(ctx, gi, gr, size, in.ts, &ps.qs, gsp)
+			return d.fallbackLocal(ctx, gr, size, in.ts, &ps.qs, gsp)
 		}
 		return batch{}, err
 	}
@@ -707,4 +711,15 @@ func groupOpBytes(group []*partition.Unit) int64 {
 // function (§V-B baseline 1).
 func DeployDefault(p *platform.Platform, units []*partition.Unit, mode ExecMode) (*Deployment, error) {
 	return Deploy(p, units, partition.DefaultPlan("default-"+partition.ModelName(units), units), mode)
+}
+
+// DeployPipeline deploys the Pipeline baseline (§V-B baseline 2): the master
+// alone runs PipelinePlan's groups, fetching each one's weights from object
+// storage before computing it, so only the running group's are resident.
+func DeployPipeline(p *platform.Platform, units []*partition.Unit, mode ExecMode) (*Deployment, error) {
+	plan, err := partition.PipelinePlan(units, int64(p.Config().WeightBudgetMB)*1e6)
+	if err != nil {
+		return nil, err
+	}
+	return Deploy(p, units, plan, mode, func(o *deployOpts) { o.stream = true })
 }

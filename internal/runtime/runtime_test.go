@@ -17,6 +17,8 @@ import (
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
 	"gillis/internal/tensor"
+	"gillis/internal/trace"
+	"gillis/internal/trace/tracetest"
 )
 
 // tinyCNN matches the partition package's test model: stem conv+bn+relu,
@@ -28,6 +30,18 @@ func tinyCNN(t *testing.T) []*partition.Unit {
 		t.Fatal(err)
 	}
 	return units
+}
+
+// forwardChain runs the units one after the other, each sub-graph a forward
+// of its own: the unit-by-unit reference served outputs are held to.
+func forwardChain(units []*partition.Unit, x *tensor.Tensor) (*tensor.Tensor, error) {
+	for _, u := range units {
+		var err error
+		if x, err = u.Sub.Forward(x); err != nil {
+			return nil, err
+		}
+	}
+	return x, nil
 }
 
 // tinyGraph is tinyCNN's model, initialized.
@@ -81,7 +95,7 @@ func inputsAndWant(t *testing.T, units []*partition.Unit, seed int64, n int) (xs
 	rng := rand.New(rand.NewSource(seed))
 	for e := 0; e < n; e++ {
 		x := tensor.Rand(rng, 1, 3, 24, 24)
-		out, err := partition.ForwardChain(units, x)
+		out, err := forwardChain(units, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +221,7 @@ func TestServeBatchValidation(t *testing.T) {
 func TestServeDefaultReal(t *testing.T) {
 	units := tinyCNN(t)
 	x := tensor.Rand(rand.New(rand.NewSource(8)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
+	want, err := forwardChain(units, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,13 +407,14 @@ func TestPredictionMatchesMeasurement(t *testing.T) {
 	}
 }
 
+// TestPipelineRealCorrectAndBreakdown serves the Pipeline baseline Real, one
+// query and then a batch of two: outputs bit-equal to the unit-by-unit
+// reference, and each pass's fetch and compute spans (Fig 11's split) both
+// present and summing to no more than its latency.
 func TestPipelineRealCorrectAndBreakdown(t *testing.T) {
 	units := tinyCNN(t)
-	x := tensor.Rand(rand.New(rand.NewSource(9)), 1, 3, 24, 24)
-	want, err := partition.ForwardChain(units, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	xs, want := inputsAndWant(t, units, 9, 2)
+	var traces []*trace.Trace
 	runClient(t, platform.AWSLambda(), 5, func(p *platform.Platform, proc *simnet.Proc) {
 		d, err := DeployPipeline(p, units, Real)
 		if err != nil {
@@ -410,46 +425,76 @@ func TestPipelineRealCorrectAndBreakdown(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		res, err := d.Serve(proc, x)
+		for size := 1; size <= 2; size++ {
+			res, tr, err := d.ServeBatch(proc, xs[:size], size, true)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			traces = append(traces, tr)
+			for e := range size {
+				if !tensor.Equal(res.Outputs[e], want[e]) {
+					t.Errorf("batch of %d: query %d differs from the reference", size, e)
+				}
+			}
+			checkPipelineSplit(t, res, tr, 1)
+		}
+	})
+	for _, tr := range traces {
+		tracetest.CheckWellFormed(t, tr)
+	}
+}
+
+// checkPipelineSplit checks a traced Pipeline pass: at least minFetches
+// weight fetches, fetch and compute time both positive, and the two summing
+// to no more than the latency (within a nanosecond of float rounding).
+func checkPipelineSplit(t *testing.T, res Result, tr *trace.Trace, minFetches int) (fetchMs, computeMs float64) {
+	t.Helper()
+	if n := len(tracetest.ByKind(tr, trace.KindFetch)); n < minFetches {
+		t.Errorf("%d weight fetches, want at least %d", n, minFetches)
+	}
+	fetchMs, computeMs = tr.KindMs(trace.KindFetch), tr.KindMs(trace.KindCompute)
+	if fetchMs <= 0 || computeMs <= 0 {
+		t.Errorf("split missing: fetch %.3f ms, compute %.3f ms", fetchMs, computeMs)
+	}
+	if fetchMs+computeMs > res.LatencyMs+1e-6 {
+		t.Errorf("fetch %.3f + compute %.3f ms exceed the latency %.3f ms", fetchMs, computeMs, res.LatencyMs)
+	}
+	return fetchMs, computeMs
+}
+
+// TestPipelineChunksLargeModel: WRN-34-5's 2.1 GB of weights exceed a
+// Lambda function's budget. Its Pipeline plan deployed as is OOMs the
+// master, but deployed streaming it serves: no group's weights count toward
+// the master's resident set, a pass fetches at least two groups, and
+// (Fig 11) fetching dominates computing.
+func TestPipelineChunksLargeModel(t *testing.T) {
+	units := zooUnits(t, "wrn34-5")
+	runClient(t, platform.AWSLambda(), 6, func(p *platform.Platform, proc *simnet.Proc) {
+		plan, err := partition.PipelinePlan(units, int64(p.Config().WeightBudgetMB)*1e6)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if !tensor.Equal(res.Output, want) {
-			t.Error("pipeline output mismatch")
+		if _, err := Deploy(p, units, plan, ShapeOnly); !errors.Is(err, ErrOOM) {
+			t.Errorf("the plan unstreamed: got %v, want ErrOOM", err)
 		}
-		if res.LoadMs <= 0 || res.ComputeMs <= 0 {
-			t.Errorf("breakdown missing: %+v", res)
-		}
-		if res.LatencyMs < res.LoadMs+res.ComputeMs-1 {
-			t.Errorf("latency %.1f < load %.1f + compute %.1f", res.LatencyMs, res.LoadMs, res.ComputeMs)
-		}
-	})
-}
-
-func TestPipelineChunksLargeModel(t *testing.T) {
-	units := zooUnits(t, "wrn34-5") // 2.1 GB of weights
-	runClient(t, platform.AWSLambda(), 6, func(p *platform.Platform, proc *simnet.Proc) {
 		d, err := DeployPipeline(p, units, ShapeOnly)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if d.Chunks() < 2 {
-			t.Errorf("WRN-34-5 pipeline should need >= 2 chunks, got %d", d.Chunks())
-		}
 		if err := d.Prewarm(); err != nil {
 			t.Error(err)
 			return
 		}
-		res, err := d.Serve(proc, nil)
+		res, tr, err := d.ServeTraced(proc, nil)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		// Fig. 11: network transfer dominates the pipeline's latency.
-		if res.LoadMs < res.ComputeMs {
-			t.Errorf("weight loading (%.0f ms) should dominate compute (%.0f ms)", res.LoadMs, res.ComputeMs)
+		if fetchMs, computeMs := checkPipelineSplit(t, res, tr, 2); fetchMs < computeMs {
+			t.Errorf("weight loading (%.0f ms) should dominate compute (%.0f ms)", fetchMs, computeMs)
 		}
 	})
 }
@@ -537,7 +582,7 @@ func TestChannelGroupReusesSlicedWeights(t *testing.T) {
 	}
 	want := make([]*tensor.Tensor, len(xs))
 	for e, x := range xs {
-		if want[e], err = partition.ForwardChain(units, x); err != nil {
+		if want[e], err = forwardChain(units, x); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -113,7 +113,7 @@ func checkWholeGroup(t *testing.T, units []*partition.Unit, first, last int, g *
 	for e := range xs {
 		xs[e] = tensor.Rand(rng, 1, group[0].InShape...)
 		var err error
-		if want[e], err = partition.ForwardChain(group, xs[e]); err != nil {
+		if want[e], err = forwardChain(group, xs[e]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -56,6 +56,8 @@ const (
 	KindAttempt
 	// KindFallback is the master-local graceful-degradation path.
 	KindFallback
+	// KindFetch is an object-storage fetch of a group's weights.
+	KindFetch
 )
 
 var kindNames = [...]string{
@@ -71,6 +73,7 @@ var kindNames = [...]string{
 	KindCall:      "call",
 	KindAttempt:   "attempt",
 	KindFallback:  "fallback",
+	KindFetch:     "fetch",
 }
 
 func (k Kind) String() string {
@@ -182,6 +185,21 @@ func (t *Trace) Len() int {
 		return 0
 	}
 	return len(t.spans)
+}
+
+// KindMs sums the durations of the spans of one kind, in milliseconds, added
+// in creation order (0 for a nil trace). Read it once the spans have ended.
+func (t *Trace) KindMs(kind Kind) float64 {
+	if t == nil {
+		return 0
+	}
+	var ms float64
+	for _, s := range t.spans {
+		if s.Kind == kind {
+			ms += float64(s.End-s.Start) / 1e6
+		}
+	}
+	return ms
 }
 
 // Child opens a child span. It returns nil (and records nothing) on a nil

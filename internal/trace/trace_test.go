@@ -75,6 +75,12 @@ func TestSpanTree(t *testing.T) {
 	if a.StartSeq >= b.StartSeq {
 		t.Error("same-construction-order spans must have increasing StartSeq")
 	}
+	if ms := tr.KindMs(KindInvoke); ms != 2 {
+		t.Errorf("invoke time %v ms, want 2", ms)
+	}
+	if ms := tr.KindMs(KindFetch); ms != 0 {
+		t.Errorf("fetch time %v ms with no fetch span", ms)
+	}
 }
 
 func TestNilSafety(t *testing.T) {
@@ -82,7 +88,7 @@ func TestNilSafety(t *testing.T) {
 	// platform and runtime thread tracing through unconditionally.
 	var tr *Trace
 	var sp *Span
-	if tr.Root() != nil || tr.Spans() != nil || tr.Len() != 0 || tr.Name() != "" {
+	if tr.Root() != nil || tr.Spans() != nil || tr.Len() != 0 || tr.Name() != "" || tr.KindMs(KindCompute) != 0 {
 		t.Error("nil trace accessors must return zero values")
 	}
 	if tr.ChromeJSON(nil) != nil {

@@ -18,7 +18,7 @@ PROCS_PKGS := ./internal/par ./internal/nn ./internal/graph ./internal/partition
 
 .PHONY: ci lint vet build test procs race chaos fuzz cover bench-kernels bench-kernels-pin bench-planner bench-chaos bench-load bench-adapt bench-batch bench-mesh bench-paper bench-verify bench-selftest
 
-ci: lint build test procs race chaos fuzz bench-verify bench-selftest
+ci: lint build test cover procs race chaos fuzz bench-verify bench-selftest
 
 # lint fails on any unformatted file, then runs go vet. The project's own
 # rule (nothing under internal/ reads the wall clock, an unseeded global RNG

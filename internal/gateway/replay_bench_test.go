@@ -181,13 +181,13 @@ func BenchmarkReplayMesh(b *testing.B) {
 
 // TestReplayAllocationsPerArrival holds what a replay allocates per arrival
 // on sim_replay's and sim_mesh's paths, over the first 120 s of each trace
-// (set-up included, as a replay pays it): 1.43 and 0.94 objects. A warm
+// (set-up included, as a replay pays it): 1.45 and 0.96 objects. A warm
 // query allocates nothing, so what is left is what a fresh Env, platform,
 // deployment and gateway make once per replay, spread over its arrivals:
 // each process's coroutine (about nine objects, for the most processes in
-// flight at once), each invocation, pass and seat record and the free
-// lists' and queues' first growth (records are recycled within a replay,
-// not across replays), the deployment (mesh.New deploys six), the metric
+// flight at once), each invocation, pass (with its bound caller body) and
+// seat record and the free lists' and queues' first growth (records are
+// recycled within a replay, not across replays), the deployment (mesh.New deploys six), the metric
 // handles of a fresh registry, and in sim_mesh one promise per model per
 // instance for its loads. They were 18.9 and 7.7 while every query
 // allocated its Ctx, promises, process bodies, request, reply, tally and

@@ -623,12 +623,6 @@ func (c *Call) WaitTimeout(proc *simnet.Proc, d time.Duration) (InvokeResult, er
 	return c.result.WaitTimeout(proc, d)
 }
 
-// Settled reports, without blocking, whether the invocation has settled.
-func (c *Call) Settled() bool {
-	_, _, ok := c.result.Poll()
-	return ok
-}
-
 // Hold keeps the Ctx usable as a caller (InvokeAsync) after its handler has
 // returned, until the matching Release: for a process the handler started
 // that invokes on its behalf.
@@ -707,6 +701,25 @@ func (c *Ctx) InvokeAsyncSpan(name string, payload Payload, parent *trace.Span) 
 	}
 	call := c.platform.invokeAsync(c.call, parent, name, payload)
 	return call, call.span
+}
+
+// InvokeOn is InvokeAsyncSpan and a Wait without the process and the promise
+// between them: the invocation runs on proc, a process this instance started
+// to invoke on its behalf (holding the Ctx, see Hold). Its request still
+// serializes on this instance's uplink and its billing joins this
+// instance's. It starts at once, where InvokeAsync's would start when its
+// process is scheduled, so a proc spawned to make the call keeps
+// InvokeAsync's event order. A failure's result carries its billing.
+func (c *Ctx) InvokeOn(proc *simnet.Proc, name string, payload Payload, parent *trace.Span) (InvokeResult, error) {
+	if parent == nil {
+		parent = c.span
+	}
+	p := c.platform
+	call := p.newCall(c.call, invokeSpan(parent, name), name, payload)
+	res, err := p.runInvocation(proc, call)
+	c.call.Release()
+	call.Release()
+	return res, err
 }
 
 // StorageGet fetches an object, charging storage latency plus transfer time

@@ -11,7 +11,7 @@ var PooledTypes = []reflect.Type{
 	reflect.TypeFor[pass](),
 	reflect.TypeFor[request](),
 	reflect.TypeFor[response](),
-	reflect.TypeFor[pending](),
+	reflect.TypeFor[caller](),
 }
 
 // FreeRecords counts the records on d's free lists by kind. A record put on

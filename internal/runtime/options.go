@@ -5,17 +5,11 @@ type deployOpts struct {
 	stream bool // the master fetches its whole groups' weights before computing them (DeployPipeline)
 
 	// Resilience options (see resilience.go). All zero values mean
-	// "naive": the original fail-on-first-error fork-join behavior.
+	// "naive": one attempt per worker call, no hedge, no fallback.
 	retries   int     // retry budget per worker call (and per query)
 	backoffMs float64 // initial retry backoff, doubled per attempt
 	hedgePctl float64 // hedge past this observed latency percentile; 0 = off
 	fallback  bool    // master-local fallback for failed DimNone groups
-}
-
-// resilient reports whether any resilience option deviates from the naive
-// fork-join path.
-func (o deployOpts) resilient() bool {
-	return o.retries > 0 || o.hedgePctl > 0 || o.fallback
 }
 
 // backoff returns the sleep before retry attempt a (a >= 1), doubling per

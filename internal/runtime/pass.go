@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"fmt"
+
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
@@ -11,10 +13,9 @@ import (
 // A served pass's bookkeeping lives in records the Deployment recycles, so a
 // warm pass allocates none of it: the master's request, reply and
 // resilience tally, the request each round sends its workers, and the
-// fork-join round's calls in flight (the platform recycles the invocations'
-// own records, platform.Call). The Deployment belongs to one Env, which runs
-// one process at a time (DESIGN §3), so plain counts keep the records
-// without locks.
+// round's worker calls (the platform recycles the invocations' own records,
+// platform.Call). The Deployment belongs to one Env, which runs one process
+// at a time (DESIGN §3), so plain counts keep the records without locks.
 
 // pass is one master invocation's working set. It goes back to the
 // Deployment's free list when its last holder lets go. The holders are:
@@ -25,26 +26,32 @@ import (
 //     settles after it; both read the workers' request and write the tally.
 //
 // A master that fails a round stops waiting for that round's calls, which
-// may still read the workers' request: it abandons the pass (a hold never
-// let go), and the pass is left to the collector.
+// may still read the workers' request and their caller slots: it abandons
+// the pass (a hold never let go), and the pass is left to the collector.
 type pass struct {
 	d     *Deployment
-	req   request    // the master's request
-	wreqs []request  // per group, the request its workers get; nil until a round sends one
-	resp  response   // the master's reply
-	qs    Resilience // the pass's resilience tally
-	calls []pending  // the current fork-join round's worker calls
-	holds int
-	next  *pass // the next released pass, while this one is on the free list
+	ctx   *platform.Ctx // the master's, which the round's callers invoke from
+	req   request       // the master's request
+	wreqs []request     // per group, the request its workers get; nil until a round sends one
+	resp  response      // the master's reply
+	qs    Resilience    // the pass's resilience tally
+	// calls are the current round's worker calls in start order: one slot
+	// per part, never grown past the widest round, so a slot stays put
+	// while its caller runs.
+	calls   []caller
+	started int                // callers of the round started so far (nextCaller's index)
+	run     func(*simnet.Proc) // ps.nextCaller, bound once: spawning a caller allocates nothing
+	holds   int
+	next    *pass // the next released pass, while this one is on the free list
 }
 
-// pending is one worker call of a fork-join round: the platform's Call on
-// the naive path, a caller process's promise on the resilient one. Both are
-// nil once the master has waited for it.
-type pending struct {
-	call *platform.Call
-	pr   *simnet.Promise[platform.InvokeResult]
-	span *trace.Span // the call's span, to mark abandoned (nil when untraced)
+// caller is one worker call of a round: what its caller process drives
+// (callWorker) and the promise of its result the master waits on.
+type caller struct {
+	gi, part int
+	req      platform.Payload
+	span     *trace.Span // the call's span, to mark abandoned (nil when untraced)
+	result   simnet.Promise[platform.InvokeResult]
 }
 
 // newPass takes a pass off the free list, or makes one, held by the serve
@@ -57,13 +64,14 @@ func (d *Deployment) newPass(size int, inputs []*tensor.Tensor) *pass {
 		}
 		d.passes, ps.next = ps.next, nil
 	} else {
-		parts := 0 // the widest fork-join round's
+		parts := 0 // the widest round's
 		for _, gr := range d.groups {
-			if gr.gp.Option.Dim != partition.DimNone {
+			if !gr.gp.OnMaster || gr.gp.Option.Dim != partition.DimNone {
 				parts = max(parts, gr.gp.Option.Parts)
 			}
 		}
-		ps = &pass{d: d, calls: make([]pending, 0, parts)}
+		ps = &pass{d: d, calls: make([]caller, 0, parts)}
+		ps.run = ps.nextCaller
 	}
 	ps.req = request{size: size, inputs: inputs}
 	ps.holds = 1
@@ -79,9 +87,8 @@ func (ps *pass) release() {
 		panic("runtime: pass released more often than it was held")
 	}
 	clear(ps.wreqs)
-	clear(ps.calls)
-	ps.calls = ps.calls[:0]
-	ps.req, ps.resp, ps.qs = request{}, response{}, Resilience{}
+	clear(ps.calls[:cap(ps.calls)])
+	ps.ctx, ps.req, ps.resp, ps.qs = nil, request{}, response{}, Resilience{}
 	ps.next, ps.d.passes = ps.d.passes, ps
 }
 
@@ -100,40 +107,54 @@ func (ps *pass) workerReq(gi int, ins []*tensor.Tensor) *request {
 	return r
 }
 
-// wait parks proc until the call settles, then lets go of it.
-func (w *pending) wait(proc *simnet.Proc) (platform.InvokeResult, error) {
-	if w.call == nil {
-		res, err := w.pr.Wait(proc)
-		w.pr = nil
-		return res, err
+// launch starts one worker call of the round on a caller process of its own,
+// so the calls of a round, their retries and their hedges overlap in time.
+// The caller may retry after the master has returned (a failed round stops
+// waiting for it), so it holds the master's Ctx and the pass until it ends.
+// The call's span is opened here, at fork time, before the caller is
+// scheduled; an untraced call builds no name.
+func (ps *pass) launch(gi, part int, req platform.Payload, gsp *trace.Span) {
+	var csp *trace.Span
+	if gsp != nil {
+		csp = gsp.Child(trace.KindCall, fmt.Sprintf("call:g%d.p%d", gi, part))
 	}
-	res, err := w.call.Wait(proc)
-	w.call.Release()
-	w.call = nil
-	return res, err
+	ps.calls = append(ps.calls, caller{gi: gi, part: part, req: req, span: csp})
+	ps.calls[len(ps.calls)-1].result.Reset(ps.d.p.Env())
+	ps.ctx.Hold()
+	ps.holds++
+	ps.d.p.Env().Go("call", ps.run)
+}
+
+// nextCaller is a caller process. Callers start in the order they were
+// launched, so a count names each one's slot.
+func (ps *pass) nextCaller(proc *simnet.Proc) {
+	c, ctx := &ps.calls[ps.started], ps.ctx
+	ps.started++
+	res, err := ps.d.callWorker(proc, ps, c)
+	if err != nil {
+		c.result.Fail(err)
+	} else {
+		c.result.Resolve(res)
+	}
+	ctx.Release()
+	ps.release()
+}
+
+// endRound empties the round once every call of it has settled.
+func (ps *pass) endRound() {
+	ps.calls, ps.started = ps.calls[:0], 0
 }
 
 // abandonCalls ends a failed round: the master stops waiting, so calls still
 // unsettled settle after their parent span ends, which trace invariants only
-// accept once marked abandoned. The master lets go of every call it has not
-// waited for.
+// accept once marked abandoned. Their callers keep their slots: the pass is
+// abandoned with them.
 func (ps *pass) abandonCalls() {
 	for i := range ps.calls {
-		w := &ps.calls[i]
-		switch {
-		case w.call != nil:
-			if !w.call.Settled() {
-				w.span.SetAttr("abandoned", "sibling-failure")
-			}
-			w.call.Release()
-		case w.pr != nil:
-			if _, _, ok := w.pr.Poll(); !ok {
-				w.span.SetAttr("abandoned", "sibling-failure")
-			}
+		if _, _, ok := ps.calls[i].result.Poll(); !ok {
+			ps.calls[i].span.SetAttr("abandoned", "sibling-failure")
 		}
-		*w = pending{}
 	}
-	ps.calls = ps.calls[:0]
 }
 
 // newResponse is a Real-mode worker's reply, off the Deployment's free list:

@@ -2,7 +2,7 @@ package runtime
 
 import (
 	"errors"
-	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -15,11 +15,10 @@ import (
 
 // This file is the runtime's resilience layer: bounded retries with
 // exponential backoff, hedged (tail-tolerant) backup requests, and a
-// master-local fallback for DimNone groups. A naive deployment (no
-// resilience option set) still runs part of it: a whole group on a worker
-// (remoteRound) always goes through callWorker, whose one attempt with no
-// retry and no hedge is a plain invocation. Only a fork-join round's workers
-// skip it, launched directly by launchWorker.
+// master-local fallback for DimNone groups. Every worker call goes through
+// it (callWorker, on a caller process of its own: pass.launch); a naive
+// deployment (no resilience option set) is the same code with a zero retry
+// budget and no hedge, whose one attempt is a plain invocation.
 
 // Resilience is per-query resilience telemetry.
 type Resilience struct {
@@ -50,62 +49,48 @@ const minHedgeSamples = 8
 // maxHedgeSamples bounds each group's latency window (oldest dropped).
 const maxHedgeSamples = 256
 
-// latencyHistory tracks per-group successful worker-call latencies; the
-// hedging option derives its trigger threshold from it. The zero value is
-// empty: a deployment that never calls a worker through callWorker makes
-// no map.
+// latencyHistory is one group's window of successful worker-call latencies,
+// from which the hedging option derives its trigger threshold. Only a
+// hedging deployment records it.
 type latencyHistory struct {
-	samples map[int][]float64
+	samples []float64 // the latest maxHedgeSamples; once full, a ring whose oldest is at next
+	next    int
 }
 
-func (h *latencyHistory) record(gi int, ms float64) {
-	if h.samples == nil {
-		h.samples = make(map[int][]float64)
+func (h *latencyHistory) record(ms float64) {
+	if len(h.samples) < maxHedgeSamples {
+		h.samples = append(h.samples, ms)
+		return
 	}
-	s := append(h.samples[gi], ms)
-	if len(s) > maxHedgeSamples {
-		s = s[len(s)-maxHedgeSamples:]
-	}
-	h.samples[gi] = s
+	h.samples[h.next] = ms
+	h.next = (h.next + 1) % maxHedgeSamples
 }
 
-// threshold returns the pctl-th percentile of the group's observed
-// latencies, and whether enough samples exist for hedging to activate.
-func (h *latencyHistory) threshold(gi int, pctl float64) (float64, bool) {
-	s := h.samples[gi]
-	if len(s) < minHedgeSamples {
+// hedgeThreshold returns the hedging percentile of group gi's observed
+// latencies, and whether the deployment hedges this attempt: it is
+// configured to, not switched off, and has seen enough samples. The samples
+// are sorted into the deployment's scratch window, which stats.Percentile
+// reads in place.
+func (d *Deployment) hedgeThreshold(gi int) (float64, bool) {
+	s := d.groups[gi].lat.samples
+	if d.opts.hedgePctl == 0 || d.hedgeOff || len(s) < minHedgeSamples {
 		return 0, false
 	}
-	return stats.Percentile(s, pctl), true
+	d.sorted = append(d.sorted[:0], s...)
+	slices.Sort(d.sorted)
+	return stats.Percentile(d.sorted, d.opts.hedgePctl), true
 }
 
 func msToDur(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// callWorker invokes one worker partition with the deployment's full
-// resilience budget: hedging, and bounded retries with exponential backoff.
-// proc is the process driving the call (the master's own, or a spawned
-// caller in a resilient fork-join round).
-func (d *Deployment) callWorker(proc *simnet.Proc, ctx *platform.Ctx, ps *pass, gi, part int, req platform.Payload, parent *trace.Span) (platform.InvokeResult, error) {
-	return d.callWorkerSpan(proc, ctx, ps, gi, part, req, callSpan(parent, gi, part))
-}
-
-// callSpan opens a worker call's span under parent; an untraced call (nil
-// parent) builds no name.
-func callSpan(parent *trace.Span, gi, part int) *trace.Span {
-	if parent == nil {
-		return nil
-	}
-	return parent.Child(trace.KindCall, fmt.Sprintf("call:g%d.p%d", gi, part))
-}
-
-// callWorkerSpan is callWorker recording into an already-opened call span
-// (launchWorker opens it at fork time, before the caller process is
-// scheduled).
-func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, ps *pass, gi, part int, req platform.Payload, csp *trace.Span) (platform.InvokeResult, error) {
-	qs := &ps.qs
-	name := d.workerName(gi, part)
+// callWorker makes call c from proc, its caller process, with the
+// deployment's full resilience budget: hedging, and bounded retries with
+// exponential backoff. It records into the call's span, opened at launch.
+func (d *Deployment) callWorker(proc *simnet.Proc, ps *pass, c *caller) (platform.InvokeResult, error) {
+	qs, gi, csp := &ps.qs, c.gi, c.span
+	name := d.workerName(gi, c.part)
 	attempts := d.opts.retries + 1
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -115,9 +100,11 @@ func (d *Deployment) callWorkerSpan(proc *simnet.Proc, ctx *platform.Ctx, ps *pa
 			proc.Sleep(msToDur(d.opts.backoff(a)))
 		}
 		start := proc.Now()
-		res, err := d.attemptWorker(proc, ctx, ps, gi, name, req, csp)
+		res, err := d.attemptWorker(proc, ps, gi, name, c.req, csp)
 		if err == nil {
-			d.hist.record(gi, float64(proc.Now()-start)/1e6)
+			if d.opts.hedgePctl > 0 {
+				d.groups[gi].lat.record(float64(proc.Now()-start) / 1e6)
+			}
 			if a > 0 {
 				qs.FaultsSurvived++
 			}
@@ -137,27 +124,22 @@ type hedgeOut struct {
 	backup bool
 }
 
-// attemptWorker makes one invocation attempt, hedging with a backup request
-// when the primary outlives the group's latency percentile.
-func (d *Deployment) attemptWorker(proc *simnet.Proc, ctx *platform.Ctx, ps *pass, gi int, name string, req platform.Payload, csp *trace.Span) (platform.InvokeResult, error) {
-	qs := &ps.qs
+// attemptWorker makes one invocation attempt. An attempt that does not hedge
+// runs its invocation on proc; one that does races the primary against a
+// backup request once it outlives the group's latency percentile.
+func (d *Deployment) attemptWorker(proc *simnet.Proc, ps *pass, gi int, name string, req platform.Payload, csp *trace.Span) (platform.InvokeResult, error) {
+	qs, ctx := &ps.qs, ps.ctx
 	asp := csp.Child(trace.KindAttempt, "attempt")
-	primary, psp := ctx.InvokeAsyncSpan(name, req, asp)
-
-	var thresh float64
-	hedging := false
-	if d.opts.hedgePctl > 0 && !d.hedgeOff {
-		thresh, hedging = d.hist.threshold(gi, d.opts.hedgePctl)
-	}
+	thresh, hedging := d.hedgeThreshold(gi)
 	if !hedging {
-		res, err := primary.Wait(proc)
-		primary.Release()
+		res, err := ctx.InvokeOn(proc, name, req, asp)
 		endAttempt(asp, err)
 		return res, err
 	}
 
 	// Phase 1: give the primary until the hedge point before spending money
 	// on a backup.
+	primary, psp := ctx.InvokeAsyncSpan(name, req, asp)
 	res, err := primary.WaitTimeout(proc, msToDur(thresh))
 	if err == nil || !errors.Is(err, simnet.ErrTimeout) {
 		primary.Release()
@@ -231,37 +213,6 @@ func endAttempt(asp *trace.Span, err error) {
 		asp.Fail("", err.Error())
 	}
 	asp.EndSpan()
-}
-
-// launchWorker starts one fork-join worker call. Naive deployments keep the
-// original direct InvokeAsync; resilient ones drive callWorker from a
-// spawned caller process so retries and hedges of different partitions
-// overlap in time, exactly like the original fork. The caller may retry
-// after the master has returned (a failed round stops waiting for it), so it
-// holds the master's Ctx and the pass until it ends.
-// The pending call carries the call's span (the invocation span on the
-// naive path), so a failing fork-join round can mark still-running siblings
-// abandoned.
-func (d *Deployment) launchWorker(ctx *platform.Ctx, ps *pass, gi, part int, req platform.Payload, gsp *trace.Span) pending {
-	if !d.opts.resilient() {
-		call, sp := ctx.InvokeAsyncSpan(d.workerName(gi, part), req, gsp)
-		return pending{call: call, span: sp}
-	}
-	csp := callSpan(gsp, gi, part)
-	pr := simnet.NewPromise[platform.InvokeResult](d.p.Env())
-	ctx.Hold()
-	ps.holds++
-	d.p.Env().Go("call", func(proc *simnet.Proc) {
-		defer ps.release()
-		defer ctx.Release()
-		res, err := d.callWorkerSpan(proc, ctx, ps, gi, part, req, csp)
-		if err != nil {
-			pr.Fail(err)
-			return
-		}
-		pr.Resolve(res)
-	})
-	return pending{pr: pr, span: csp}
 }
 
 // fetchWeights is the storage round of a whole group whose weights object

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
 	"gillis/internal/tensor"
+	"gillis/internal/trace"
 )
 
 // resilPlan covers every resilient code path: a pure fork (channel), a
@@ -255,26 +257,87 @@ func TestMasterFallbackServesCorrectOutput(t *testing.T) {
 }
 
 // TestNaivePathUnchangedByResilienceLayer pins that a deployment with no
-// resilience options behaves exactly as before the layer existed: same
-// latency and billing as the pre-refactor direct path, zero telemetry.
+// resilience option is the resilient path with a zero budget: on a
+// fault-free platform, 30 queries through it and through a WithRetries(2, 5)
+// deployment at the same seed take the same latency, bit for bit, and the
+// same billing, query by query, on a plan with fork-join rounds (mixedPlan)
+// and on one with a remote round too (resilPlan); and the naive deployment
+// reports no telemetry.
 func TestNaivePathUnchangedByResilienceLayer(t *testing.T) {
 	units := tinyCNN(t)
-	plan := mixedPlan(t, units)
-	runClient(t, platform.AWSLambda(), 3, func(p *platform.Platform, proc *simnet.Proc) {
-		d, err := Deploy(p, units, plan, ShapeOnly)
-		if err != nil {
-			t.Error(err)
-			return
+	for _, plan := range []*partition.Plan{mixedPlan(t, units), resilPlan(t, units)} {
+		serve := func(opts ...DeployOption) []Result {
+			var out []Result
+			runClient(t, platform.AWSLambda(), 3, func(p *platform.Platform, proc *simnet.Proc) {
+				d, err := Deploy(p, units, plan, ShapeOnly, opts...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for q := 0; q < 30; q++ {
+					res, err := d.Serve(proc, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					out = append(out, res)
+				}
+			})
+			return out
 		}
-		res, err := d.Serve(proc, nil)
-		if err != nil {
-			t.Error(err)
-			return
+		naive, resilient := serve(), serve(WithRetries(2, 5))
+		if len(naive) != 30 || len(resilient) != 30 {
+			t.Fatalf("served %d naive and %d resilient queries, want 30 each", len(naive), len(resilient))
 		}
-		if res.Resilience != (Resilience{}) {
-			t.Errorf("naive fault-free query reported telemetry: %+v", res.Resilience)
+		for q := range naive {
+			n, r := naive[q], resilient[q]
+			if math.Float64bits(n.LatencyMs) != math.Float64bits(r.LatencyMs) || n.BilledMs != r.BilledMs {
+				t.Errorf("%d groups, query %d: naive %v ms billed %d, WithRetries %v ms billed %d",
+					len(plan.Groups), q, n.LatencyMs, n.BilledMs, r.LatencyMs, r.BilledMs)
+			}
+			if n.Resilience != (Resilience{}) {
+				t.Errorf("naive fault-free query %d reported telemetry: %+v", q, n.Resilience)
+			}
 		}
-	})
+	}
+}
+
+// TestEveryWorkerInvokeSitsUnderCallAndAttempt pins the one launch path's
+// trace shape: in a traced naive pass over resilPlan, every worker
+// invocation, of a fork-join round or of a remote one, is a child of an
+// attempt, itself a child of a call under the round's group span.
+func TestEveryWorkerInvokeSitsUnderCallAndAttempt(t *testing.T) {
+	units := tinyCNN(t)
+	_, tr, _, prefix, err := serveTracedOnce(t, platform.AWSLambda(), 5, units, resilPlan(t, units), ShapeOnly, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := tr.Spans()
+	rounds := map[string]int{} // worker invocations per group span
+	for _, s := range spans {
+		if s.Kind != trace.KindInvoke || s.Name == "invoke:"+prefix+"-master" {
+			continue
+		}
+		att := spans[s.Parent]
+		call := spans[att.Parent]
+		group := spans[call.Parent]
+		if att.Kind != trace.KindAttempt || call.Kind != trace.KindCall || group.Kind != trace.KindGroup {
+			t.Errorf("%s sits under %s ← %s ← %s, want attempt ← call ← group", s.Name, att.Name, call.Name, group.Name)
+			continue
+		}
+		rounds[group.Name]++
+	}
+	// Two channel parts, one spatial worker beside the master's part, and
+	// the remote whole group.
+	want := map[string]int{"group0": 2, "group1": 1, "group2": 1}
+	if len(rounds) != len(want) {
+		t.Fatalf("worker invocations per round %v, want %v", rounds, want)
+	}
+	for g, n := range want {
+		if rounds[g] != n {
+			t.Errorf("worker invocations per round %v, want %v", rounds, want)
+		}
+	}
 }
 
 // TestResilienceCountersCombined is the table-driven satellite: with retries

@@ -49,6 +49,7 @@ type groupRuntime struct {
 	joined  []int            // the shape of the group's output (Real mode)
 	last    bool             // the plan's last group: its output is the reply
 	hedged  int              // hedged invocations in flight, counted by their watchers
+	lat     latencyHistory   // successful worker-call latencies (the hedging trigger)
 	opBytes int64            // monolithic bytes touched
 	workers []string         // function name per partition (also those the master computes)
 	weights string           // the object-storage key of a whole group's weights; "" when none is kept
@@ -63,7 +64,7 @@ type Deployment struct {
 	groups []*groupRuntime
 	remote []string // worker functions the master invokes, in (group, part) order
 	opts   deployOpts
-	hist   latencyHistory // per-group worker latencies (hedging trigger)
+	sorted []float64 // scratch: a group's latencies, sorted for the hedging trigger
 
 	// hedgeOff suppresses hedged backup requests at serve time without
 	// redeploying — the gateway's brownout mode sheds hedge cost this way.
@@ -461,6 +462,7 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 	if !ok {
 		return platform.Payload{}, fmt.Errorf("runtime: master got %T, want pass", payload.Data)
 	}
+	ps.ctx = ctx
 	req := &ps.req
 	cur := batch{ts: req.inputs} // the caller's: never recycled
 	for gi, gr := range d.groups {
@@ -517,13 +519,16 @@ func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *reques
 	return d.computeChain(ctx, gr, req.size, ins, csp)
 }
 
-// remoteRound runs a whole group on its single worker (with retries, and a
-// master-local fallback when graceful degradation is enabled).
+// remoteRound runs a whole group on its single worker: a round of one call
+// (with retries, and a master-local fallback when graceful degradation is
+// enabled).
 func (d *Deployment) remoteRound(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
 	size := ps.req.size
 	in.lent = gr
 	wreq := platform.Payload{Bytes: gr.ext.InBytesTotal * int64(size), Data: ps.workerReq(gi, in.ts)}
-	res, err := d.callWorker(ctx.Proc(), ctx, ps, gi, 0, wreq, gsp)
+	ps.launch(gi, 0, wreq, gsp)
+	res, err := ps.calls[0].result.Wait(ctx.Proc())
+	ps.endRound()
 	if err != nil {
 		if d.opts.fallback {
 			return d.fallbackLocal(ctx, gr, size, in.ts, &ps.qs, gsp)
@@ -556,7 +561,7 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, ps *pass, gi int, gr *groupRunt
 	wr := ps.workerReq(gi, in.ts)
 	for part := firstWorker; part < opt.Parts; part++ {
 		wreq := platform.Payload{Bytes: gr.ext.PerPart[part].InBytes * size, Data: wr}
-		ps.calls = append(ps.calls, d.launchWorker(ctx, ps, gi, part, wreq, gsp))
+		ps.launch(gi, part, wreq, gsp)
 	}
 
 	// outs[part].ts[e] is partition part's output for query e (Real mode).
@@ -577,7 +582,7 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, ps *pass, gi int, gr *groupRunt
 		csp.EndSpan()
 	}
 	for i := range ps.calls {
-		res, err := ps.calls[i].wait(ctx.Proc())
+		res, err := ps.calls[i].result.Wait(ctx.Proc())
 		if err != nil {
 			return fail(err)
 		}
@@ -587,7 +592,7 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, ps *pass, gi int, gr *groupRunt
 			}
 		}
 	}
-	ps.calls = ps.calls[:0]
+	ps.endRound()
 	// Reassembly is memory-bandwidth work on the master, once per query.
 	rsp := gsp.Child(trace.KindCompute, "reassemble")
 	defer rsp.EndSpan()

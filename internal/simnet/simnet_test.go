@@ -362,6 +362,52 @@ func TestDoubleResolvePanics(t *testing.T) {
 	}
 }
 
+// A promise settles once, whichever way: Fail on a resolved promise panics
+// as a second Resolve does.
+func TestFailAfterResolvePanics(t *testing.T) {
+	pr := NewPromise[int](NewEnv())
+	pr.Resolve(1)
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on Fail after Resolve")
+		}
+	}()
+	pr.Fail(errTest)
+}
+
+// Reset makes a settled promise a fresh one in the Env it names: unsettled,
+// and settling again wakes the process that waits on it there.
+func TestPromiseResetReusesTheRecord(t *testing.T) {
+	first, second := NewEnv(), NewEnv()
+	pr := NewPromise[int](first)
+	pr.Fail(errTest)
+	pr.Reset(second)
+	if _, _, ok := pr.Poll(); ok {
+		t.Fatal("a reset promise must poll not-ok")
+	}
+	var got int
+	second.Go("waiter", func(p *Proc) {
+		if p.Env() != second {
+			t.Error("Proc.Env is not the Env that runs the process")
+		}
+		v, err := pr.Wait(p)
+		if err != nil {
+			t.Error(err)
+		}
+		got = v
+	})
+	second.Go("resolver", func(p *Proc) {
+		p.Sleep(ms(5))
+		pr.Resolve(7)
+	})
+	if err := second.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 7 || second.Now() != ms(5) {
+		t.Errorf("waiter read %d at %v, want 7 at 5ms", got, second.Now())
+	}
+}
+
 func TestDeadlockDetection(t *testing.T) {
 	env := NewEnv()
 	pr := NewPromise[int](env)

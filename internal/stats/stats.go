@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -63,14 +64,18 @@ func Skewness(xs []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics.
+// interpolation between order statistics. xs is left as it is: a sorted xs
+// is read in place, any other is sorted in a copy.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sorted := xs
+	if !slices.IsSorted(xs) {
+		sorted = make([]float64, len(xs))
+		copy(sorted, xs)
+		sort.Float64s(sorted)
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

@@ -90,9 +90,11 @@ PROCS_RUN := ^(TestPooledJoinsOutliveHedgeLosers|TestPartitionedPredictAllocatio
 # The convolution kernel is picked from CPUID at start-up, so a runner only
 # ever exercises the widest implementation it has. The second loop links each
 # level into nn.kernelCap in turn and reruns the kernel, arena-forward and
-# partition-exactness suites under it, naming the levels this CPU cannot run
-# (under the go cap TestKernelCapGoRunsNoAssembly checks that no assembly is
-# left to dispatch to).
+# partition-exactness suites under it, and the planner's, whose fork-join
+# Monte Carlo folds its trials through nn.FoldMax2 (C22 and the pinned plans
+# and predictions), naming the levels this CPU cannot run (under the go cap
+# TestKernelCapGoRunsNoAssembly checks that no assembly is left to dispatch
+# to).
 #
 # The last line builds for GOAMD64=v3, the x86 level with a fused multiply-add.
 # Every product in internal/nn must round before its add
@@ -100,7 +102,7 @@ PROCS_RUN := ^(TestPooledJoinsOutliveHedgeLosers|TestPartitionedPredictAllocatio
 # epilogue). go1.24 contracts x*y+z on arm64 but at no GOAMD64 level: `make
 # lint` checks the arm64 listing on any runner, and this line is here for the
 # toolchain that starts to contract on amd64 too.
-KERNEL_PKGS := ./internal/nn ./internal/graph ./internal/partition
+KERNEL_PKGS := ./internal/nn ./internal/graph ./internal/partition ./internal/perf ./internal/core
 procs:
 	for n in 1 2 3 4 8; do \
 		GOMAXPROCS=$$n $(GO) test -count=1 -timeout 300s $(PROCS_PKGS) || exit 1; \

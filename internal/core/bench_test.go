@@ -90,10 +90,12 @@ func BenchmarkSLOAwareEpisode(b *testing.B) {
 
 // TestLatencyOptimalAllocationBudget holds a cold resnet34 plan — a fresh
 // perf.Build and LatencyOptimal on it, what every server boot and replay
-// set-up pays — to its objects and bytes: 13.9 k objects and 4.51 MB. They
-// were 27.2 k and 4.55 MB while every unit of every spatial part had its
-// row ranges in a slice of its own (the slab per part costs 82 KB of
-// size-class rounding), and 102.8 k and 6.35 MB while every group's price
+// set-up pays — to its objects and bytes: 8.1 k objects and 2.23 MB. They
+// were 13.9 k and 4.51 MB while every spatial group was split from scratch,
+// each part with a slab of row ranges of its own, and each fan-out of the
+// fork-join Monte Carlo drew its overheads from a fresh generator; 27.2 k
+// and 4.55 MB while every unit of every spatial part had its row ranges in
+// a slice of its own; and 102.8 k and 6.35 MB while every group's price
 // re-predicted each op of each unit (44 k objects of that) and every spatial
 // slice re-derived each node's FLOPs from its shapes (31 k). Each budget is
 // less than 5 % above what it measures, so a change that allocates less
@@ -102,7 +104,7 @@ func TestLatencyOptimalAllocationBudget(t *testing.T) {
 	if raceOn {
 		t.Skip("allocation budgets are the plain build's")
 	}
-	const budget, budgetBytes = 14_500, 4_700_000
+	const budget, budgetBytes = 8_500, 2_300_000
 	units := unitsOf(t, "resnet34")
 	plan := func() {
 		m, err := perf.Build(platform.AWSLambda(), 1, 2, 300)

@@ -21,6 +21,13 @@ func maxRowAVX(n int64, dst, src *float32)
 func maxRow2AVX(n int64, dst, src *float32)
 func copyRow2AVX(n int64, dst, src *float32)
 
+// foldMax2AVX is FoldMax2 over the first n trials, n a positive multiple of
+// foldLanes (gemm_amd64.s).
+func foldMax2AVX(n int64, w, d0, d1 *float64, off0, c0, off1, c1 float64)
+
+// foldLanes is how many trials foldMax2AVX folds to an instruction.
+const foldLanes = 4
+
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvAsm() (eax, edx uint32)
 
@@ -108,4 +115,14 @@ func laneDotAcc4(k int, w0, w1, w2, w3, x, out []float32) {
 		return
 	}
 	laneDotAcc4Go(k, w0, w1, w2, w3, x, out)
+}
+
+func foldMax2(w, d0, d1 []float64, off0, c0, off1, c1 float64) {
+	n := 0
+	if cpuLevel >= levelAVX {
+		if n = len(w) &^ (foldLanes - 1); n > 0 {
+			foldMax2AVX(int64(n), &w[0], &d0[0], &d1[0], off0, c0, off1, c1)
+		}
+	}
+	foldMax2Go(w[n:], d0[n:], d1[n:], off0, c0, off1, c1)
 }

@@ -522,6 +522,39 @@ loop:
 	VZEROUPPER
 	RET
 
+// func foldMax2AVX(n int64, w, d0, d1 *float64, off0, c0, off1, c1 float64)
+//
+// FoldMax2 four trials to a step, n a positive multiple of 4: a = (off0 +
+// d0[i]) + c0 and b = (off1 + d1[i]) + c1 by VADDPD, one rounding each as
+// in the Go statement (an add's two operands commute bit for bit), then
+// w[i] = MAXPD(src1 = b, src2 = MAXPD(src1 = a, src2 = w[i])): the running
+// maximum stays wherever the sum is a NaN or both are zeros, which is
+// `if a > m { m = a }` for each sum in turn. Lanes are independent trials.
+TEXT ·foldMax2AVX(SB), NOSPLIT, $0-64
+	MOVQ n+0(FP), CX
+	MOVQ w+8(FP), DI
+	MOVQ d0+16(FP), SI
+	MOVQ d1+24(FP), DX
+	VBROADCASTSD off0+32(FP), Y4
+	VBROADCASTSD c0+40(FP), Y5
+	VBROADCASTSD off1+48(FP), Y6
+	VBROADCASTSD c1+56(FP), Y7
+loop:
+	VADDPD (SI), Y4, Y0
+	VADDPD Y5, Y0, Y0
+	VADDPD (DX), Y6, Y1
+	VADDPD Y7, Y1, Y1
+	VMAXPD (DI), Y0, Y0
+	VMAXPD Y0, Y1, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
 // func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidAsm(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

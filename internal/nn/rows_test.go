@@ -370,3 +370,72 @@ func TestPackedSliceEqualsIm2col(t *testing.T) {
 		}
 	})
 }
+
+// TestFoldMax2MatchesReference runs FoldMax2 — the AVX kernel where the CPU
+// and kernelCap admit it, the Go reference otherwise — and the reference
+// itself against the statement written out here, on running maxima and
+// draws salted with NaNs of both signs and with payloads, both zeros,
+// denormals and both infinities, at every length 0…70 (ragged vector tails),
+// on draws that run past the maxima. Offsets and compute stay finite, so no
+// sum adds two NaNs.
+func TestFoldMax2MatchesReference(t *testing.T) {
+	special := []uint64{
+		0x7ff8000000000000, 0xfff8000000000000, 0x7ff8000000012345, 0x7ff0000000012345, // NaNs
+		0, 0x8000000000000000, 1, 0x8000000000000001, // ±0, ±denormal
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+	}
+	rng := rand.New(rand.NewSource(9))
+	salted := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = rng.NormFloat64() * 10
+			if rng.Intn(4) == 0 {
+				s[i] = math.Float64frombits(special[rng.Intn(len(special))])
+			}
+		}
+		return s
+	}
+	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, 7.25, math.SmallestNonzeroFloat64}
+	pick := func() float64 {
+		if rng.Intn(2) == 0 {
+			return finite[rng.Intn(len(finite))]
+		}
+		return rng.Float64() * 20
+	}
+	for n := 0; n <= 70; n++ {
+		for k := 0; k < 4; k++ {
+			w, d0, d1 := salted(n), salted(n+rng.Intn(3)), salted(n+rng.Intn(3))
+			if k == 3 {
+				d1 = d0 // one worker folded in twice, as an odd fan-out does
+			}
+			off0, c0, off1, c1 := pick(), pick(), pick(), pick()
+			want := append([]float64(nil), w...)
+			for i := range want {
+				m := want[i]
+				a := off0 + d0[i]
+				a += c0
+				if a > m {
+					m = a
+				}
+				b := off1 + d1[i]
+				b += c1
+				if b > m {
+					m = b
+				}
+				want[i] = m
+			}
+			for _, impl := range []struct {
+				name string
+				fold func(w, d0, d1 []float64, off0, c0, off1, c1 float64)
+			}{{"FoldMax2", FoldMax2}, {"foldMax2Go", foldMax2Go}} {
+				got := append([]float64(nil), w...)
+				impl.fold(got, d0, d1, off0, c0, off1, c1)
+				for i := range want {
+					if g, w := math.Float64bits(got[i]), math.Float64bits(want[i]); g != w {
+						t.Fatalf("%s n=%d case %d: trial %d = %#016x, want %#016x", impl.name, n, k, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -37,6 +37,9 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 		if len(us.nodes) != u.Sub.Len() {
 			return nil, fmt.Errorf("partition: unit %d has %d nodes, slice expects %d", ui, u.Sub.Len(), len(us.nodes))
 		}
+		if !u.Spatial {
+			return nil, fmt.Errorf("partition: unit %d (%s) is not spatial", u.Index, u.Name)
+		}
 		if us.inRows != curRange {
 			return nil, fmt.Errorf("partition: unit %d input rows %v, slice expects %v", ui, curRange, us.inRows)
 		}
@@ -47,12 +50,8 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 			if outRange.Len() <= 0 {
 				continue // dead node for this partition (cannot happen in practice)
 			}
-			sp, ok := node.Op.(nn.Spatial)
-			if !ok {
-				return nil, fmt.Errorf("partition: unit %d node %s is not spatial", u.Index, node.Op.Name())
-			}
-			k, s, p := sp.HKernel()
-			req := inRangeForOut(outRange, k, s, p)
+			w := u.windows[node.ID]
+			req := inRangeForOut(outRange, w.k, w.s, w.p)
 			srcs := make([]int, len(node.Inputs))
 			ins := make([][]int, len(node.Inputs)) // the shapes the op reads
 			for i, in := range node.Inputs {
@@ -77,7 +76,7 @@ func (ps PartSlice) Graph(units []*Unit) (*graph.Graph, error) {
 					ins[i] = []int{full[0], req.Len(), full[2]}
 				}
 			}
-			op := validH(node.Op, p)
+			op := validH(node.Op, w.p)
 			if out, err := op.OutShape(ins...); err != nil || len(out) != 3 || out[1] != outRange.Len() {
 				return nil, fmt.Errorf("partition: unit %d node %s computes %v from %v, want rows %v (%v)",
 					u.Index, node.Op.Name(), out, ins, outRange, err)

@@ -221,12 +221,7 @@ func GroupSlices(units []*Unit, first, last int, opt Option) (Extent, Slices, er
 		if sl.Spatial, err = SpatialSlices(group, opt.Parts); err != nil {
 			return Extent{}, Slices{}, err
 		}
-		ext.PerPart = make([]PartExtent, len(sl.Spatial))
-		for i, ps := range sl.Spatial {
-			// Every spatial partition holds the whole group's weights.
-			ext.PerPart[i] = PartExtent{FLOPs: ps.FLOPs, WeightBytes: weights, InBytes: ps.InBytes, OutBytes: ps.OutBytes}
-			ext.ActBytes = max(ext.ActBytes, ps.ActBytes)
-		}
+		return spatialExtent(sl.Spatial, weights, ext.GroupFLOPs), sl, nil
 
 	case DimChannel:
 		if first != last {
@@ -244,13 +239,32 @@ func GroupSlices(units []*Unit, first, last int, opt Option) (Extent, Slices, er
 	default:
 		return Extent{}, Slices{}, fmt.Errorf("partition: unknown dimension %v", opt.Dim)
 	}
-	for _, p := range ext.PerPart {
-		ext.WeightBytes = max(ext.WeightBytes, p.WeightBytes)
-		ext.TotalFLOPs += p.FLOPs
-		ext.InBytesTotal += p.InBytes
-		ext.OutBytesTotal += p.OutBytes
-	}
+	ext.sumParts()
 	return ext, sl, nil
+}
+
+// spatialExtent is the Extent of a spatial group whose parts are ps, the
+// group holding weights bytes of weights and groupFLOPs of compute: every
+// part holds the whole group's weights. GroupSlices and the backward walk
+// both read a spatial group's Extent from here.
+func spatialExtent(ps []PartSlice, weights, groupFLOPs int64) Extent {
+	ext := Extent{PerPart: make([]PartExtent, len(ps)), GroupFLOPs: groupFLOPs}
+	for i, p := range ps {
+		ext.PerPart[i] = PartExtent{FLOPs: p.FLOPs, WeightBytes: weights, InBytes: p.InBytes, OutBytes: p.OutBytes}
+		ext.ActBytes = max(ext.ActBytes, p.ActBytes)
+	}
+	ext.sumParts()
+	return ext
+}
+
+// sumParts sets the Extent's totals and its largest weights from PerPart.
+func (e *Extent) sumParts() {
+	for _, p := range e.PerPart {
+		e.WeightBytes = max(e.WeightBytes, p.WeightBytes)
+		e.TotalFLOPs += p.FLOPs
+		e.InBytesTotal += p.InBytes
+		e.OutBytesTotal += p.OutBytes
+	}
 }
 
 // GroupPlan assigns one layer group its parallelization and placement.

@@ -84,119 +84,129 @@ func SpatialSlices(units []*Unit, parts int) ([]PartSlice, error) {
 	if len(units) == 0 {
 		return nil, fmt.Errorf("partition: empty group")
 	}
+	return walkSpatial(units, 0, len(units)-1, parts, true, nil)
+}
+
+// SpatialExtents prices every spatial group that ends at last, from one
+// backward walk: for f = last, last-1, …, first it calls emit(f, ext) with
+// the Extent of units[f..last] split parts ways along height, which is
+// what GroupExtent returns for that group. The errors are GroupExtent's on
+// units[first..last].
+func SpatialExtents(units []*Unit, first, last, parts int, emit func(f int, ext Extent)) error {
+	if first < 0 || last >= len(units) || first > last {
+		return fmt.Errorf("partition: bad group [%d,%d]", first, last)
+	}
+	_, err := walkSpatial(units, first, last, parts, false, emit)
+	return err
+}
+
+// walkSpatial splits units[last]'s output rows into parts equal slices and
+// walks the group backward from last to first, one unit at a time: each
+// part's required rows propagate through the unit's subgraph (backpropUnit)
+// and the rows each node computes add their share of its FLOPs and its
+// activation slab to the part. After unit f every part holds the InRows,
+// FLOPs, ActBytes and payloads of the group units[f..last], and, emit being
+// set, emit(f, …) gets that group's Extent. All of it is integer sums and
+// maxima, so where the walk starts and stops changes nothing. With keep set
+// the parts returned carry each unit's row ranges, what PartSlice.Graph
+// lowers; otherwise one scratch slab serves every unit.
+func walkSpatial(units []*Unit, first, last, parts int, keep bool, emit func(int, Extent)) ([]PartSlice, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("partition: parts %d < 1", parts)
 	}
-	for _, u := range units {
+	nodes, widest := 0, 0
+	for _, u := range units[first : last+1] {
 		if !u.Spatial {
 			return nil, fmt.Errorf("partition: unit %d (%s) is not spatially partitionable", u.Index, u.Name)
 		}
+		nodes += u.Sub.Len()
+		widest = max(widest, u.Sub.Len())
 	}
-	last := units[len(units)-1]
-	outH := last.OutHeight()
+	out := units[last]
+	outH := out.OutHeight()
 	if outH < parts {
 		return nil, fmt.Errorf("partition: group output height %d < %d parts", outH, parts)
 	}
-	slices := make([]PartSlice, parts)
-	for i := 0; i < parts; i++ {
-		out := RowRange{Lo: i * outH / parts, Hi: (i + 1) * outH / parts}
-		ps, err := backprop(units, out)
-		if err != nil {
-			return nil, err
+	ps := make([]PartSlice, parts)
+	need := make([]RowRange, parts) // rows of the current unit's input each part needs
+	for i := range ps {
+		rows := RowRange{Lo: i * outH / parts, Hi: (i + 1) * outH / parts}
+		ps[i] = PartSlice{OutRows: rows, OutBytes: rowBytes(out.OutShape) * int64(rows.Len())}
+		need[i] = rows
+	}
+	var slab []RowRange
+	if keep {
+		slab = make([]RowRange, nodes*parts)
+		for i := range ps {
+			ps[i].units = make([]unitSlice, last-first+1)
 		}
-		slices[i] = ps
+	} else {
+		slab = make([]RowRange, widest)
 	}
-	return slices, nil
-}
-
-// backprop derives a PartSlice for one target output range by propagating
-// required row intervals backwards through every unit (and, inside each
-// unit, through its subgraph), then accounting forward for FLOPs. Every
-// unit's per-node ranges are carved out of one slab.
-func backprop(units []*Unit, out RowRange) (PartSlice, error) {
-	ps := PartSlice{OutRows: out}
-	ps.units = make([]unitSlice, len(units))
-	total := 0
-	for _, u := range units {
-		total += u.Sub.Len()
-	}
-	slab := make([]RowRange, total)
-
-	need := out
-	for ui := len(units) - 1; ui >= 0; ui-- {
-		u := units[ui]
+	var weights, groupFLOPs int64
+	for f := last; f >= first; f-- {
+		u := units[f]
+		weights += u.ParamBytes
+		groupFLOPs += u.FLOPs
 		n := u.Sub.Len()
-		total -= n
-		us, inNeed, err := backpropUnit(u, need, slab[total:total+n:total+n])
-		if err != nil {
-			return PartSlice{}, err
-		}
-		ps.units[ui] = us
-		need = inNeed
-	}
-	ps.InRows = need.clip(heightOf(units[0].InShape))
-
-	// Forward accounting: FLOPs proportional to computed rows; activation
-	// peak is the largest node slab.
-	var flops int64
-	var maxAct int64
-	for ui, u := range units {
-		shapes := u.NodeShapes()
-		for _, node := range u.Sub.Nodes() {
-			full := u.nodeFLOPs[node.ID]
-			r := ps.units[ui].nodes[node.ID]
-			h := shapes[node.ID][1]
-			if h > 0 {
-				flops += full * int64(r.Len()) / int64(h)
-				act := tensor.SizeBytes(shapes[node.ID]) * int64(r.Len()) / int64(h)
-				if act > maxAct {
-					maxAct = act
-				}
+		for i := range ps {
+			rows := slab[:n:n]
+			if keep {
+				slab = slab[n:]
+			} else {
+				clear(rows)
+			}
+			us, inNeed := backpropUnit(u, need[i], rows)
+			flops, act := u.rowsCost(rows)
+			p := &ps[i]
+			p.FLOPs += flops
+			p.ActBytes = max(p.ActBytes, act)
+			p.InRows = us.inRows
+			p.InBytes = rowBytes(u.InShape) * int64(us.inRows.Len())
+			need[i] = inNeed
+			if keep {
+				p.units[f-first] = us
 			}
 		}
+		if emit != nil {
+			emit(f, spatialExtent(ps, weights, groupFLOPs))
+		}
 	}
-	ps.FLOPs = flops
-	ps.ActBytes = maxAct
-	ps.InBytes = rowBytes(units[0].InShape) * int64(ps.InRows.Len())
-	ps.OutBytes = rowBytes(units[len(units)-1].OutShape) * int64(out.Len())
 	return ps, nil
+}
+
+// rowsCost is what computing rows[id] of each node of the unit costs: FLOPs
+// in proportion to the node's rows, and the largest node slab.
+func (u *Unit) rowsCost(rows []RowRange) (flops, act int64) {
+	for id, shape := range u.shapes {
+		if h := int64(shape[1]); h > 0 {
+			r := int64(rows[id].Len())
+			flops += u.nodeFLOPs[id] * r / h
+			act = max(act, tensor.SizeBytes(shape)*r/h)
+		}
+	}
+	return flops, act
 }
 
 // backpropUnit propagates a required output range through one unit's
 // subgraph, returning per-node clipped output ranges, in need (zeroed, one
 // per node), and the required range of the unit input.
-func backpropUnit(u *Unit, out RowRange, need []RowRange) (unitSlice, RowRange, error) {
+func backpropUnit(u *Unit, out RowRange, need []RowRange) (unitSlice, RowRange) {
 	nodes := u.Sub.Nodes()
-	shapes := u.NodeShapes()
 	need[len(nodes)-1] = out.clip(heightOf(u.OutShape))
 	var inputNeed RowRange
 	for i := len(nodes) - 1; i >= 0; i-- {
-		node := nodes[i]
-		k, s, p, err := hksp(node.Op)
-		if err != nil {
-			return unitSlice{}, RowRange{}, fmt.Errorf("partition: unit %d (%s): %w", u.Index, u.Name, err)
-		}
-		req := inRangeForOut(need[i], k, s, p)
-		for _, in := range node.Inputs {
+		w := u.windows[i]
+		req := inRangeForOut(need[i], w.k, w.s, w.p)
+		for _, in := range nodes[i].Inputs {
 			if in == graph.InputID {
 				inputNeed = inputNeed.union(req)
 				continue
 			}
-			h := shapes[in][1]
-			need[in] = need[in].union(req.clip(h))
+			need[in] = need[in].union(req.clip(u.shapes[in][1]))
 		}
 	}
-	return unitSlice{inRows: inputNeed.clip(heightOf(u.InShape)), nodes: need}, inputNeed, nil
-}
-
-// hksp returns the height kernel/stride/pad of a spatial op.
-func hksp(op nn.Op) (k, s, p int, err error) {
-	sp, ok := op.(nn.Spatial)
-	if !ok {
-		return 0, 0, 0, fmt.Errorf("op %s (%s) is not spatial", op.Name(), op.Kind())
-	}
-	k, s, p = sp.HKernel()
-	return k, s, p, nil
+	return unitSlice{inRows: inputNeed.clip(heightOf(u.InShape)), nodes: need}, inputNeed
 }
 
 func heightOf(shape []int) int {

@@ -38,6 +38,10 @@ type Unit struct {
 	shapes    [][]int
 	inShapes  [][][]int
 	nodeFLOPs []int64
+	// windows holds each node's height kernel, stride and padding when the
+	// unit is Spatial (nil otherwise), read once at linearization: the
+	// spatial walk propagates rows through them for every planned group.
+	windows []window
 	// Spatial reports that every op in the unit has a local response along
 	// the height axis, so the unit can join a spatially partitioned group.
 	Spatial bool
@@ -215,23 +219,32 @@ func newUnit(name string, sub *graph.Graph) (*Unit, error) {
 		u.nodeFLOPs[node.ID] = node.Op.FLOPs(ins...)
 		u.FLOPs += u.nodeFLOPs[node.ID]
 	}
-	u.Spatial = unitSpatial(u)
+	u.windows = heightWindows(u)
+	u.Spatial = u.windows != nil
 	u.Channel = unitChannel(u)
 	return u, nil
 }
 
-// unitSpatial reports whether all ops have a local height response and the
-// boundary tensors are CHW feature maps.
-func unitSpatial(u *Unit) bool {
+// window is a spatial op's height kernel, stride and padding.
+type window struct{ k, s, p int }
+
+// heightWindows returns every node's height window when all ops have a local
+// height response and the boundary tensors are CHW feature maps — the unit
+// is Spatial — and nil otherwise.
+func heightWindows(u *Unit) []window {
 	if len(u.InShape) != 3 || len(u.OutShape) != 3 {
-		return false
+		return nil
 	}
+	ws := make([]window, u.Sub.Len())
 	for _, node := range u.Sub.Nodes() {
-		if _, ok := node.Op.(nn.Spatial); !ok {
-			return false
+		sp, ok := node.Op.(nn.Spatial)
+		if !ok {
+			return nil
 		}
+		w := &ws[node.ID]
+		w.k, w.s, w.p = sp.HKernel()
 	}
-	return true
+	return ws
 }
 
 // unitChannel reports whether the unit is a single weighted op whose output

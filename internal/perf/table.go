@@ -10,8 +10,11 @@ package perf
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
+	"gillis/internal/nn"
 	"gillis/internal/partition"
 	"gillis/internal/platform"
 )
@@ -35,8 +38,12 @@ type Table struct {
 	// the model cannot price fails only the groups that hold it.
 	unitMs     []float64
 	unitPriced []bool
-	// maxes holds forkJoinMs's running maximum of each trial.
-	maxes []float64
+	// stream holds the draws of rng, the overhead stream every fan-out
+	// reads a prefix of; maxes holds forkJoinMs's running maximum of each
+	// trial.
+	rng    *rand.Rand
+	stream []float64
+	maxes  []float64
 }
 
 type costKey struct {
@@ -87,6 +94,9 @@ func (t *Table) cost(first, last int, opt partition.Option) (groupCost, error) {
 	if c, ok := t.costs[k]; ok {
 		return c, nil
 	}
+	if opt.Dim == partition.DimSpatial {
+		return t.spatialCosts(first, last, opt)
+	}
 	ext, err := partition.GroupExtent(t.units, first, last, opt)
 	if err != nil {
 		return groupCost{}, err
@@ -98,6 +108,35 @@ func (t *Table) cost(first, last int, opt partition.Option) (groupCost, error) {
 	c := groupCost{ext: ext, baseMs: baseMs}
 	t.costs[k] = c
 	return c, nil
+}
+
+// spatialCosts prices every group under opt that ends at last and starts
+// at first or after it, from one backward walk (partition.SpatialExtents),
+// and returns the cost of units[first..last]. The DP asks for the groups
+// ending at a unit longest first, so its first spatial miss there walks
+// the farthest and prices all the rest.
+func (t *Table) spatialCosts(first, last int, opt partition.Option) (groupCost, error) {
+	// A unit the model cannot price fails its group and every longer one,
+	// which the walk reaches after it.
+	var priceErr error
+	err := partition.SpatialExtents(t.units, first, last, opt.Parts, func(f int, ext partition.Extent) {
+		if priceErr != nil {
+			return
+		}
+		baseMs, err := t.groupComputeMs(f, last)
+		if err != nil {
+			priceErr = err
+			return
+		}
+		t.costs[costKey{f, last, opt}] = groupCost{ext: ext, baseMs: baseMs}
+	})
+	if err == nil {
+		err = priceErr
+	}
+	if err != nil {
+		return groupCost{}, err
+	}
+	return t.costs[costKey{first, last, opt}], nil
 }
 
 // Extent returns the extent of units[first..last] under opt.
@@ -160,33 +199,53 @@ func (t *Table) Group(gp partition.GroupPlan) (GroupPrediction, error) {
 // price.
 const forkJoinTrials = 1200
 
+// negInf is where every trial's running maximum starts: copying it is a
+// vector move, and a loop storing −Inf measured as slow as the fold.
+var negInf = func() (a [forkJoinTrials]float64) {
+	for i := range a {
+		a[i] = math.Inf(-1)
+	}
+	return a
+}()
+
 // forkJoinMs estimates E[max_i(offset_i + overhead_i + comp_i)] where
 // overhead_i are i.i.d. draws from the fitted EMG distribution — the
 // generalization of the n-th order statistic to workers with deterministic
 // start offsets. A fixed-seed Monte Carlo keeps the prediction
 // deterministic: every round of fan-out n reads the same trials × n draws,
-// made once per table in trial order and stored worker-major, so worker i's
-// draws d[i*trials:][:trials] are one contiguous run.
+// the first of one seeded stream a table draws once, in trial order, and
+// stored worker-major per fan-out, so worker i's draws d[i*trials:][:trials]
+// are one contiguous run.
 //
-// The walk goes worker by worker, two workers per pass, folding each into
-// every trial's running maximum with the builtin max, and then sums the
-// maxima in trial order. That is the trial-major walk's sum bit for bit:
-// max returns one of its operands unrounded, and on these values it does
-// not care in which order it meets them, since they hold no NaN (finite
-// draws, offsets and compute times) and no −0 (offset + draw + comp is −0
-// only if all three are, and an offset is a sum of non-negative upload
-// times starting from +0). TestForkJoinMsMatchesTrialMajor holds it to the
-// trial-major walk.
+// The walk starts every trial's running maximum at −Inf and folds the
+// workers in, two to a pass (nn.FoldMax2, four trials to an instruction
+// where the CPU has AVX), an odd fan-out's last worker twice, which changes
+// nothing. Each trial meets its workers' sums in worker order and keeps a
+// sum only if it is larger, as the trial-major walk does; then the maxima
+// are summed in trial order. That is the trial-major walk's sum bit for bit,
+// and the builtin max's too: on these values the two do not differ, since
+// they hold no NaN (finite draws, offsets and compute times) and no −0
+// (offset + draw + comp is −0 only if all three are, and an offset is a sum
+// of non-negative upload times starting from +0).
+// TestForkJoinMsMatchesTrialMajor holds it to the trial-major walk.
 func (t *Table) forkJoinMs(offsets, comps []float64) float64 {
 	const trials = forkJoinTrials
 	n := len(offsets)
 	d, ok := t.draws[n]
 	if !ok {
-		rng := rand.New(rand.NewSource(0x6f725374))
+		if t.rng == nil {
+			t.rng = rand.New(rand.NewSource(0x6f725374))
+		}
+		if more := trials*n - len(t.stream); more > 0 {
+			t.stream = slices.Grow(t.stream, more)
+			for ; more > 0; more-- {
+				t.stream = append(t.stream, t.m.comm.Sample(t.rng))
+			}
+		}
 		d = make([]float64, trials*n)
 		for tr := 0; tr < trials; tr++ {
-			for i := 0; i < n; i++ {
-				d[i*trials+tr] = t.m.comm.Sample(rng)
+			for i, v := range t.stream[tr*n:][:n] {
+				d[i*trials+tr] = v
 			}
 		}
 		t.draws[n] = d
@@ -194,28 +253,11 @@ func (t *Table) forkJoinMs(offsets, comps []float64) float64 {
 	if t.maxes == nil {
 		t.maxes = make([]float64, trials)
 	}
-	// The first pass sets every trial's maximum from one worker when n is
-	// odd, two when it is even; each later pass folds in two more.
 	w := t.maxes
-	off0, c0, d0 := offsets[0], comps[0], d[:trials]
-	i := 1
-	if n%2 == 1 {
-		for tr := range w {
-			w[tr] = off0 + d0[tr] + c0
-		}
-	} else {
-		off1, c1, d1 := offsets[1], comps[1], d[trials:][:trials]
-		for tr := range w {
-			w[tr] = max(off0+d0[tr]+c0, off1+d1[tr]+c1)
-		}
-		i = 2
-	}
-	for ; i < n; i += 2 {
-		off0, c0, d0 := offsets[i], comps[i], d[i*trials:][:trials]
-		off1, c1, d1 := offsets[i+1], comps[i+1], d[(i+1)*trials:][:trials]
-		for tr := range w {
-			w[tr] = max(w[tr], off0+d0[tr]+c0, off1+d1[tr]+c1)
-		}
+	copy(w, negInf[:])
+	for i := 0; i < n; i += 2 {
+		j := min(i+1, n-1)
+		nn.FoldMax2(w, d[i*trials:], d[j*trials:], offsets[i], comps[i], offsets[j], comps[j])
 	}
 	var sum float64
 	for _, v := range w {

@@ -3,8 +3,10 @@ package perf
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"gillis/internal/partition"
 	"gillis/internal/stats"
 )
 
@@ -131,6 +133,33 @@ func TestTableComputeMatchesModel(t *testing.T) {
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("units %d..%d: table %v, model %v", first, last, got, want)
+		}
+	}
+}
+
+// A table prices a spatial group off the one walk back from its last unit
+// that its first miss at that unit started, whatever order the groups are
+// asked in; every Extent it returns is GroupExtent's, and so is every error.
+func TestTableExtentMatchesGroupExtent(t *testing.T) {
+	m := lambda(t)
+	units := unitsOf(t, "resnet34")
+	tab := m.Table(units, 1)
+	rng := rand.New(rand.NewSource(3))
+	opts := []partition.Option{{Dim: partition.DimNone, Parts: 1}, {Dim: partition.DimChannel, Parts: 4}}
+	for _, p := range []int{2, 3, 4, 8, 16} {
+		opts = append(opts, partition.Option{Dim: partition.DimSpatial, Parts: p})
+	}
+	for k := 0; k < 2000; k++ {
+		first := rng.Intn(len(units))
+		last := first + rng.Intn(len(units)-first)
+		opt := opts[rng.Intn(len(opts))]
+		got, gotErr := tab.Extent(first, last, opt)
+		want, wantErr := partition.GroupExtent(units, first, last, opt)
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("units %d..%d %v: table error %v, GroupExtent error %v", first, last, opt, gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("units %d..%d %v: table %+v, GroupExtent %+v", first, last, opt, got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"gillis/internal/par"
 )
@@ -166,7 +167,7 @@ func TestOrderPin(t *testing.T) {
 // stopped on every return, and after a deadlock only the processes still
 // parked on their promises remain.
 func TestRunStopsIdleCoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := settledGoroutines()
 	env := NewEnv()
 	for i := 0; i < 8; i++ {
 		env.Go("p", func(p *Proc) { p.Sleep(ms(1)) })
@@ -196,6 +197,23 @@ func TestRunStopsIdleCoroutines(t *testing.T) {
 	if n := runtime.NumGoroutine(); n != base+2 {
 		t.Fatalf("%d goroutines after a deadlock with 2 parked processes, %d before it", n, base)
 	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine() once it has read the same
+// for ten milliseconds running, or after a second: goroutines an earlier
+// test started may still be on their way out, and counting one of them
+// would make the baseline one too high.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i, same := 0, 0; i < 1000 && same < 10; i++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // A Sleep that has to queue its wake (another process's wake is due first)

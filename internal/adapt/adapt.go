@@ -514,16 +514,22 @@ func (c *Controller) overheadMean() float64 {
 
 // estLatency estimates the healthy-baseline served latency of candidate
 // slot. A slot that has been active before uses its observed baseline
-// directly; otherwise the model's prediction (plus one invocation overhead,
-// which it excludes) is rescaled by how far the active plan's observed
-// baseline sits from its own prediction — the model supplies the cross-plan
-// ratio, the live telemetry the absolute scale.
+// directly; otherwise its prediction is calibrated.
 func (c *Controller) estLatency(slot, active int) float64 {
 	if b, ok := c.base[c.cands[slot].Index]; ok {
 		return b
 	}
+	return c.calibrated(c.pred[slot].LatencyMs, active)
+}
+
+// calibrated is a predicted latency as the plan would be served: the
+// prediction plus one invocation overhead, which the model excludes,
+// rescaled by how far the active plan's observed baseline sits from its own
+// prediction — the model supplies the cross-plan ratio, the live telemetry
+// the absolute scale.
+func (c *Controller) calibrated(predMs float64, active int) float64 {
 	ovh := c.overheadMean()
-	est := c.pred[slot].LatencyMs + ovh
+	est := predMs + ovh
 	if activeSlot, ok := c.byIndex[active]; ok {
 		if b, ok := c.base[active]; ok && c.pred[activeSlot].LatencyMs+ovh > 0 {
 			est *= b / (c.pred[activeSlot].LatencyMs + ovh)
@@ -597,17 +603,8 @@ func (c *Controller) tryReplan(active int) (swIdx int, name string, ok bool) {
 		return -1, "", false
 	}
 	c.lastReplanInfl = c.inflEMA
-	// Estimate the plan's attained latency the same way choose does: the
-	// scaled prediction plus one invocation overhead, recalibrated by how
-	// far the active plan's observed baseline sits from its own prediction.
-	ovh := c.overheadMean()
-	est := pred.LatencyMs + ovh
-	if activeSlot, okA := c.byIndex[active]; okA {
-		if b, okB := c.base[active]; okB && c.pred[activeSlot].LatencyMs+ovh > 0 {
-			est *= b / (c.pred[activeSlot].LatencyMs + ovh)
-		}
-	}
-	if est > headroom*c.cfg.SLOMs {
+	// Estimate the plan's attained latency the same way choose does.
+	if c.calibrated(pred.LatencyMs, active) > headroom*c.cfg.SLOMs {
 		return -1, "", false
 	}
 	d, err := runtime.Deploy(c.sw.Platform(), c.units, plan, c.cfg.Mode,

@@ -453,6 +453,47 @@ func TestReplanDeploysNewCandidate(t *testing.T) {
 	}
 }
 
+// TestCalibratedLatency: a candidate that has not been active is estimated
+// at its prediction plus one invocation overhead — the model's fitted mean
+// before any invocation settled — and, once the active plan has an observed
+// baseline, scaled by that baseline over the active plan's own estimate; a
+// candidate that has been active is estimated at its baseline.
+func TestCalibratedLatency(t *testing.T) {
+	model := sharedModel(t)
+	units := tinyCNN(t)
+	p := platform.New(simnet.NewEnv(), platform.AWSLambda(), 1)
+	plans := []*partition.Plan{naivePlan(t, units), fanoutPlan(t, units)}
+	var ds []*runtime.Deployment
+	for _, plan := range plans {
+		d, err := runtime.Deploy(p, units, plan, runtime.ShapeOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	sw, err := runtime.NewSwitcher(ds...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(model, units, sw, []Candidate{{Name: "naive", Index: 0, Plan: plans[0]}, {Name: "fanout", Index: 1, Plan: plans[1]}}, Config{SLOMs: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm := model.Comm()
+	ovh := comm.Mu + 1/comm.Lambda
+	fanout := c.pred[1].LatencyMs + ovh
+	if got := c.estLatency(1, 0); got != fanout {
+		t.Errorf("no baseline: fanout estimated at %v ms, want %v", got, fanout)
+	}
+	c.base[0] = 2 * (c.pred[0].LatencyMs + ovh) // the active plan serves at twice its estimate
+	if got := c.estLatency(1, 0); got != 2*fanout {
+		t.Errorf("active at twice its estimate: fanout estimated at %v ms, want %v", got, 2*fanout)
+	}
+	if got := c.estLatency(0, 0); got != c.base[0] {
+		t.Errorf("naive, observed at %v ms, estimated at %v", c.base[0], got)
+	}
+}
+
 // TestRegimeString: the names the decision log prints, and a value outside
 // the enumeration rendered as a number rather than as a wrong name.
 func TestRegimeString(t *testing.T) {

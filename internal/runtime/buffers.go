@@ -3,7 +3,6 @@ package runtime
 import (
 	"gillis/internal/graph"
 	"gillis/internal/par"
-	"gillis/internal/partition"
 	"gillis/internal/tensor"
 )
 
@@ -65,10 +64,10 @@ func newBatch(shape []int, size int, pooled bool) batch {
 
 // forward runs partition part of the group for every query of ins. Its
 // output goes to the pool unless it is the reply: the output of the plan's
-// last group run whole. (A last fork-join round's partitions still pool
-// theirs; the join writes the reply.)
+// last group when it has one partition. (A last round's partitions still
+// pool theirs; the join writes the reply.)
 func (gr *groupRuntime) forward(part int, ins []*tensor.Tensor, obs graph.Observer) (batch, error) {
-	out := newBatch(gr.outs[part], len(ins), !gr.last || gr.gp.Option.Dim != partition.DimNone)
+	out := newBatch(gr.outs[part], len(ins), !gr.last || gr.gp.Option.Parts > 1)
 	if err := gr.parts[part].ForwardBatchInto(ins, out.ts, obs); err != nil {
 		out.release()
 		return batch{}, err

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 
-	"gillis/internal/partition"
 	"gillis/internal/platform"
 	"gillis/internal/simnet"
 	"gillis/internal/tensor"
@@ -64,13 +63,11 @@ func (d *Deployment) newPass(size int, inputs []*tensor.Tensor) *pass {
 		}
 		d.passes, ps.next = ps.next, nil
 	} else {
-		parts := 0 // the widest round's
+		calls := 0 // the widest round's
 		for _, gr := range d.groups {
-			if !gr.gp.OnMaster || gr.gp.Option.Dim != partition.DimNone {
-				parts = max(parts, gr.gp.Option.Parts)
-			}
+			calls = max(calls, gr.gp.Option.Parts-gr.firstWorker())
 		}
-		ps = &pass{d: d, calls: make([]caller, 0, parts)}
+		ps = &pass{d: d, calls: make([]caller, 0, calls)}
 		ps.run = ps.nextCaller
 	}
 	ps.req = request{size: size, inputs: inputs}

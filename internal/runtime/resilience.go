@@ -242,5 +242,5 @@ func (d *Deployment) fallbackLocal(ctx *platform.Ctx, gr *groupRuntime, size int
 	}
 	qs.Fallbacks++
 	qs.FaultsSurvived++
-	return d.computeChain(ctx, gr, size, ins, fsp)
+	return d.compute(ctx, gr, 0, size, ins, fsp)
 }

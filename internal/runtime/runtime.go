@@ -136,7 +136,7 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		gr := &groupRuntime{gp: gp, ext: ext, last: gi == len(plan.Groups)-1, opBytes: groupOpBytes(group)}
 		// Object storage keeps a whole group's weights that the master
 		// streams, or falls back to when the group's worker fails.
-		if gp.Option.Dim == partition.DimNone && (gp.OnMaster && d.opts.stream || !gp.OnMaster && d.opts.fallback) {
+		if gp.Option.Parts == 1 && (gp.OnMaster && d.opts.stream || !gp.OnMaster && d.opts.fallback) {
 			gr.weights = fmt.Sprintf("%s-weights-g%d", d.prefix, gi)
 			p.Seed(gr.weights, ext.WeightBytes)
 		}
@@ -172,11 +172,8 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 	}
 	d.master = p.Function(d.Master)
 	for gi, gr := range d.groups {
-		for part, name := range gr.workers {
-			if gr.gp.OnMaster && (part == 0 || gr.gp.Option.Dim == partition.DimNone) {
-				continue // the master computes this partition itself
-			}
-			gi, part := gi, part
+		for part := gr.firstWorker(); part < len(gr.workers); part++ {
+			name := gr.workers[part]
 			err := p.Register(name, func(ctx *platform.Ctx, payload platform.Payload) (platform.Payload, error) {
 				return d.workerHandler(ctx, gi, part, payload)
 			})
@@ -187,6 +184,15 @@ func Deploy(p *platform.Platform, units []*partition.Unit, plan *partition.Plan,
 		}
 	}
 	return d, nil
+}
+
+// firstWorker is the first partition of the group a worker computes: the
+// master computes partition 0 when the plan places the group there.
+func (gr *groupRuntime) firstWorker() int {
+	if gr.gp.OnMaster {
+		return 1
+	}
+	return 0
 }
 
 // workerName is formatted once, in Deploy: a replay launches workers by the
@@ -473,7 +479,7 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 				gsp.SetAttr("batch", strconv.Itoa(req.size))
 			}
 		}
-		next, err := d.runGroup(ctx, ps, gi, gr, &cur, gsp)
+		next, err := d.round(ctx, ps, gi, gr, &cur, gsp)
 		if err != nil {
 			ps.abandon()
 			gsp.Fail("", err.Error())
@@ -489,66 +495,31 @@ func (d *Deployment) masterHandler(ctx *platform.Ctx, payload platform.Payload) 
 	return platform.Payload{Bytes: last.ext.OutBytesTotal * int64(req.size), Data: &ps.resp}, nil
 }
 
-// runGroup executes one layer group from the master's perspective, for
-// every query of req at once; in holds the group's input per query (Real
-// mode), and a round that hands it to workers records the group as
-// in.lent. Every partition's tensor math is one batched forward of its
-// graph, bitwise identical to sequential execution, while modeled compute
-// and payload bytes scale linearly with req.size.
-func (d *Deployment) runGroup(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
-	switch {
-	case gr.gp.Option.Dim != partition.DimNone:
-		return d.forkJoin(ctx, ps, gi, gr, in, gsp)
-	case gr.gp.OnMaster:
-		return d.localRound(ctx, gr, &ps.req, in.ts, gsp)
-	default:
-		return d.remoteRound(ctx, ps, gi, gr, in, gsp)
-	}
-}
-
-// localRound runs a whole group on the master itself, fetching its weights
-// first when they are streamed.
-func (d *Deployment) localRound(ctx *platform.Ctx, gr *groupRuntime, req *request, ins []*tensor.Tensor, gsp *trace.Span) (batch, error) {
-	if gr.weights != "" {
-		if err := fetchWeights(ctx, gr, gsp); err != nil {
-			return batch{}, err
+// round runs group gi as one fork-join round (Fig. 4) for every query of the
+// pass: it forks the calls of the parts workers hold, computes partition 0
+// when the plan places it on the master, and joins. in holds the group's
+// input per query (Real mode), and a round that hands it to workers records
+// the group as in.lent; every partition reads the whole input (its graph cuts
+// its own rows), so the round's calls share one request. A whole group is a
+// round of one partition, whose output passes through unjoined: on the
+// master, after fetching its weights when they are streamed; on a worker,
+// falling back to the master when object storage keeps its weights.
+func (d *Deployment) round(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
+	size, parts, first := ps.req.size, gr.gp.Option.Parts, gr.firstWorker()
+	if first < parts {
+		in.lent = gr
+		wr := ps.workerReq(gi, in.ts)
+		for part := first; part < parts; part++ {
+			ps.launch(gi, part, platform.Payload{Bytes: gr.ext.PerPart[part].InBytes * int64(size), Data: wr}, gsp)
 		}
 	}
-	csp := gsp.Child(trace.KindCompute, "master-compute")
-	defer csp.EndSpan()
-	return d.computeChain(ctx, gr, req.size, ins, csp)
-}
-
-// remoteRound runs a whole group on its single worker: a round of one call
-// (with retries, and a master-local fallback when graceful degradation is
-// enabled).
-func (d *Deployment) remoteRound(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
-	size := ps.req.size
-	in.lent = gr
-	wreq := platform.Payload{Bytes: gr.ext.InBytesTotal * int64(size), Data: ps.workerReq(gi, in.ts)}
-	ps.launch(gi, 0, wreq, gsp)
-	res, err := ps.calls[0].result.Wait(ctx.Proc())
-	ps.endRound()
-	if err != nil {
-		if d.opts.fallback {
-			return d.fallbackLocal(ctx, gr, size, in.ts, &ps.qs, gsp)
-		}
-		return batch{}, err
-	}
-	return d.outputOf(res.Resp, size)
-}
-
-// forkJoin is the parallel round of a partitioned group: fork workers,
-// optionally compute partition 0 locally, join and reassemble per query.
-// Every partition reads the whole group input (its graph cuts its own
-// rows), so the round's invocations share one request.
-func (d *Deployment) forkJoin(ctx *platform.Ctx, ps *pass, gi int, gr *groupRuntime, in *batch, gsp *trace.Span) (batch, error) {
-	req := &ps.req
-	opt := gr.gp.Option
-	size := int64(req.size)
-	firstWorker := 0
-	if gr.gp.OnMaster {
-		firstWorker = 1
+	// outs[part].ts[e] is partition part's output for query e (Real mode). A
+	// round of one partition keeps its output in an array on the stack: a
+	// slice would cost every whole group an allocation.
+	var one [1]batch
+	outs := one[:]
+	if d.mode == Real && parts > 1 {
+		outs = make([]batch, parts)
 	}
 	// When the round fails, the master stops waiting for the calls still in
 	// flight (abandonCalls), and what the round holds is left to the
@@ -557,60 +528,59 @@ func (d *Deployment) forkJoin(ctx *platform.Ctx, ps *pass, gi int, gr *groupRunt
 		ps.abandonCalls()
 		return batch{}, err
 	}
-	in.lent = gr
-	wr := ps.workerReq(gi, in.ts)
-	for part := firstWorker; part < opt.Parts; part++ {
-		wreq := platform.Payload{Bytes: gr.ext.PerPart[part].InBytes * size, Data: wr}
-		ps.launch(gi, part, wreq, gsp)
-	}
-
-	// outs[part].ts[e] is partition part's output for query e (Real mode).
-	var outs []batch
-	if d.mode == Real {
-		outs = make([]batch, opt.Parts)
-	}
-	if gr.gp.OnMaster {
-		csp := gsp.Child(trace.KindCompute, "master-part0")
-		d.computeScaled(ctx, gr, flopFrac(gr, 0), req.size)
-		if d.mode == Real {
-			var err error
-			if outs[0], err = gr.forward(0, in.ts, opEvents(csp)); err != nil {
-				csp.EndSpan()
-				return fail(err)
+	if first > 0 {
+		if gr.weights != "" {
+			if err := fetchWeights(ctx, gr, gsp); err != nil {
+				return batch{}, err
 			}
 		}
+		name := "master-part0"
+		if parts == 1 {
+			name = "master-compute"
+		}
+		csp := gsp.Child(trace.KindCompute, name)
+		out, err := d.compute(ctx, gr, 0, size, in.ts, csp)
 		csp.EndSpan()
-	}
-	for i := range ps.calls {
-		res, err := ps.calls[i].result.Wait(ctx.Proc())
 		if err != nil {
 			return fail(err)
 		}
-		if d.mode == Real {
-			if outs[firstWorker+i], err = d.outputOf(res.Resp, req.size); err != nil {
-				return fail(err)
-			}
+		outs[0] = out
+	}
+	for i := range ps.calls {
+		res, err := ps.calls[i].result.Wait(ctx.Proc())
+		if err != nil && gr.weights != "" { // the worker's group falls back to the master
+			ps.endRound()
+			return d.fallbackLocal(ctx, gr, size, in.ts, &ps.qs, gsp)
+		}
+		if err == nil && d.mode == Real {
+			outs[first+i], err = d.outputOf(res.Resp, size)
+		}
+		if err != nil {
+			return fail(err)
 		}
 	}
 	ps.endRound()
+	if parts == 1 {
+		return outs[0], nil
+	}
 	// Reassembly is memory-bandwidth work on the master, once per query.
 	rsp := gsp.Child(trace.KindCompute, "reassemble")
 	defer rsp.EndSpan()
-	ctx.ComputeOp(0, gr.ext.OutBytesTotal*size)
+	ctx.ComputeOp(0, gr.ext.OutBytesTotal*int64(size))
 	if d.mode != Real {
 		return batch{}, nil
 	}
 	dim := 1 // spatial: concatenate rows
-	if opt.Dim == partition.DimChannel {
+	if gr.gp.Option.Dim == partition.DimChannel {
 		dim = 0
 	}
-	joined := newBatch(gr.joined, req.size, !gr.last)
-	parts := make([]*tensor.Tensor, opt.Parts)
+	joined := newBatch(gr.joined, size, !gr.last)
+	ts := make([]*tensor.Tensor, parts)
 	for e, dst := range joined.ts {
-		for part := range parts {
-			parts[part] = outs[part].ts[e]
+		for part := range ts {
+			ts[part] = outs[part].ts[e]
 		}
-		if err := tensor.ConcatDim(dst, dim, parts...); err != nil {
+		if err := tensor.ConcatDim(dst, dim, ts...); err != nil {
 			return batch{}, err
 		}
 	}
@@ -633,16 +603,7 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 		return platform.Payload{}, fmt.Errorf("runtime: worker got a request for %d queries", req.size)
 	}
 	gr := d.groups[gi]
-	var out batch
-	var err error
-	if gr.gp.Option.Dim == partition.DimNone {
-		out, err = d.computeChain(ctx, gr, req.size, req.inputs, ctx.Span())
-	} else {
-		d.computeScaled(ctx, gr, flopFrac(gr, part), req.size)
-		if d.mode == Real {
-			out, err = gr.forward(part, req.inputs, opEvents(ctx.Span()))
-		}
-	}
+	out, err := d.compute(ctx, gr, part, req.size, req.inputs, ctx.Span())
 	if err != nil {
 		return platform.Payload{}, err
 	}
@@ -653,40 +614,34 @@ func (d *Deployment) workerHandler(ctx *platform.Ctx, gi, part int, payload plat
 	return resp, nil
 }
 
-// computeChain runs a whole (DimNone) group where it stands — on the master,
-// on the group's worker, or on the master as a fallback: the modeled compute
-// on the virtual clock, then in Real mode the batched forward of the group's
-// joined graph with its kernel events reported into sp.
-func (d *Deployment) computeChain(ctx *platform.Ctx, gr *groupRuntime, size int, ins []*tensor.Tensor, sp *trace.Span) (batch, error) {
-	d.computeScaled(ctx, gr, 1.0, size)
-	if d.mode != Real {
-		return batch{}, nil
+// compute runs partition part of group gr where it stands — on the master,
+// on a worker, or on the master as a fallback: the modeled compute on the
+// virtual clock, then in Real mode the batched forward of the partition's
+// graph with its kernel events reported into sp. The clock is charged the
+// partition's share of the group's ops, linearly in the number of queries;
+// per-op dispatch overheads are charged once — that is the batching win the
+// perf model predicts. A whole group's share is all of it, whatever its
+// FLOPs; a partition's is its FLOPs (halo redundancy included) over the
+// group's.
+func (d *Deployment) compute(ctx *platform.Ctx, gr *groupRuntime, part, size int, ins []*tensor.Tensor, sp *trace.Span) (batch, error) {
+	share := 1.0
+	if gr.gp.Option.Parts > 1 {
+		share = 0
+		if gr.ext.GroupFLOPs > 0 {
+			share = float64(gr.ext.PerPart[part].FLOPs) / float64(gr.ext.GroupFLOPs)
+		}
 	}
-	return gr.forward(0, ins, opEvents(sp))
-}
-
-// computeScaled advances the function's clock by the group's ops scaled to
-// the partition's share of the work (exact FLOPs incl. halo redundancy) and
-// linearly by the number of queries; per-op dispatch overheads are charged
-// once — that is the batching win the perf model predicts.
-func (d *Deployment) computeScaled(ctx *platform.Ctx, gr *groupRuntime, frac float64, size int) {
 	bf := float64(size)
-	ctx.ComputeOp(int64(float64(gr.ext.GroupFLOPs)*frac*bf), int64(float64(gr.opBytes)*frac*bf))
-}
-
-func flopFrac(gr *groupRuntime, part int) float64 {
-	if gr.ext.GroupFLOPs == 0 {
-		return 0
-	}
-	return float64(gr.ext.PerPart[part].FLOPs) / float64(gr.ext.GroupFLOPs)
-}
-
-// outputOf unwraps a worker response (empty in ShapeOnly mode) and puts it
-// back on the free list.
-func (d *Deployment) outputOf(p platform.Payload, size int) (batch, error) {
+	ctx.ComputeOp(int64(float64(gr.ext.GroupFLOPs)*share*bf), int64(float64(gr.opBytes)*share*bf))
 	if d.mode != Real {
 		return batch{}, nil
 	}
+	return gr.forward(part, ins, opEvents(sp))
+}
+
+// outputOf unwraps a Real-mode worker response and puts it back on the free
+// list.
+func (d *Deployment) outputOf(p platform.Payload, size int) (batch, error) {
 	r, ok := p.Data.(*response)
 	if !ok {
 		return batch{}, fmt.Errorf("runtime: response payload %T, want response", p.Data)

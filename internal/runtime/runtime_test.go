@@ -106,47 +106,57 @@ func inputsAndWant(t *testing.T, units []*partition.Unit, seed int64, n int) (xs
 
 // TestServeRealMatchesMonolithic pins the fork-join contract at batch sizes
 // 1 and 4: a pass through a mixed plan (channel, spatial+master,
-// master-local groups) yields exactly the outputs of monolithic execution,
-// one per query, and the per-pass accounting is sane.
+// master-local groups) or its mirror (channel+master, spatial, worker-local
+// groups) yields exactly the outputs of monolithic execution, one per query,
+// and the per-pass accounting is sane.
 func TestServeRealMatchesMonolithic(t *testing.T) {
 	units := tinyCNN(t)
-	plan := mixedPlan(t, units)
-	for _, n := range []int{1, 4} {
-		xs, want := inputsAndWant(t, units, 7, n)
-		runClient(t, platform.AWSLambda(), 1, func(p *platform.Platform, proc *simnet.Proc) {
-			d, err := Deploy(p, units, plan, Real)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := d.Prewarm(); err != nil {
-				t.Error(err)
-				return
-			}
-			res, tr, err := d.ServeBatch(proc, xs, n, true)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if res.Size != n || len(res.Outputs) != n {
-				t.Errorf("batch of %d: result size %d, %d outputs", n, res.Size, len(res.Outputs))
-				return
-			}
-			for e := range want {
-				if !tensor.Equal(res.Outputs[e], want[e]) {
-					t.Errorf("batch of %d: output %d must match monolithic execution bitwise", n, e)
+	mirror := &partition.Plan{Model: "tinycnn", Groups: []partition.GroupPlan{
+		{First: 0, Last: 0, Option: partition.Option{Dim: partition.DimChannel, Parts: 2}, OnMaster: true},
+		{First: 1, Last: 2, Option: partition.Option{Dim: partition.DimSpatial, Parts: 3}},
+		{First: 3, Last: 3, Option: partition.Option{Dim: partition.DimNone, Parts: 1}},
+	}}
+	if err := mirror.Validate(units); err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []*partition.Plan{mixedPlan(t, units), mirror} {
+		for _, n := range []int{1, 4} {
+			xs, want := inputsAndWant(t, units, 7, n)
+			runClient(t, platform.AWSLambda(), 1, func(p *platform.Platform, proc *simnet.Proc) {
+				d, err := Deploy(p, units, plan, Real)
+				if err != nil {
+					t.Error(err)
+					return
 				}
-			}
-			if res.LatencyMs <= 0 || res.BilledMs <= 0 {
-				t.Errorf("bad accounting: %+v", res)
-			}
-			if res.ColdStart {
-				t.Error("prewarmed master should warm-start")
-			}
-			if got := len(groupMs(tr)); got != len(plan.Groups) {
-				t.Errorf("got %d group spans, want %d", got, len(plan.Groups))
-			}
-		})
+				if err := d.Prewarm(); err != nil {
+					t.Error(err)
+					return
+				}
+				res, tr, err := d.ServeBatch(proc, xs, n, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Size != n || len(res.Outputs) != n {
+					t.Errorf("batch of %d: result size %d, %d outputs", n, res.Size, len(res.Outputs))
+					return
+				}
+				for e := range want {
+					if !tensor.Equal(res.Outputs[e], want[e]) {
+						t.Errorf("%v, batch of %d: output %d must match monolithic execution bitwise", plan.Groups, n, e)
+					}
+				}
+				if res.LatencyMs <= 0 || res.BilledMs <= 0 {
+					t.Errorf("bad accounting: %+v", res)
+				}
+				if res.ColdStart {
+					t.Error("prewarmed master should warm-start")
+				}
+				if got := len(groupMs(tr)); got != len(plan.Groups) {
+					t.Errorf("got %d group spans, want %d", got, len(plan.Groups))
+				}
+			})
+		}
 	}
 }
 
